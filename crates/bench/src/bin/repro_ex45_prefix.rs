@@ -11,7 +11,7 @@
 use dlo_bench::{print_host_note, print_table};
 use dlo_core::examples_lib::{prefix_sum, prefix_sum_keyed, shortest_length};
 use dlo_core::{naive_eval, relational_seminaive_eval, tup, BoolDatabase};
-use dlo_engine::engine_seminaive_eval;
+use dlo_engine::{engine_eval_interned, EngineOpts, SemiNaive};
 use dlo_pops::lifted::lreal;
 use dlo_pops::Trop;
 
@@ -51,7 +51,10 @@ fn main() {
     // same prefix sums; the engine mints the head-computed keys i+1 via
     // its dynamic interner and must agree with the relational backend.
     let (prog, edb) = prefix_sum_keyed::<Trop>(&values, Trop::finite);
-    let eng_out = engine_seminaive_eval(&prog, &edb, &BoolDatabase::new(), 1000).expect("compiles");
+    let opts = EngineOpts::default();
+    let eng_out = engine_eval_interned(&prog, &edb, &BoolDatabase::new(), 1000, SemiNaive, &opts)
+        .expect("compiles")
+        .materialize();
     let stats = eng_out.stats().clone();
     let eng = eng_out.unwrap();
     let rel = relational_seminaive_eval(&prog, &edb, &BoolDatabase::new(), 1000).unwrap();

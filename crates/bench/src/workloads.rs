@@ -136,58 +136,6 @@ impl GraphInstance {
     }
 }
 
-/// The `keyed_heads` workload: hop-indexed shortest paths, the canonical
-/// head-key-function recursion (Sec. 4.5 key functions, computed in the
-/// **head**):
-///
-/// ```text
-/// H(x, 0)     :- S(x).
-/// H(y, i + 1) :- ⊕_x ( H(x, i) ⊗ E(x, y) ) | i < k.
-/// ```
-///
-/// `H(y, i)` is the best cost of reaching `y` in exactly `i` hops. Every
-/// iteration derives rows under a key (`i + 1`) that no EDB tuple
-/// mentions — the path that used to throw the engine back onto the
-/// relational backend and now exercises its dynamic interner instead.
-pub fn hop_indexed_program<P: dlo_pops::Pops>(k: i64) -> dlo_core::Program<P> {
-    use dlo_core::ast::{Atom, Factor, KeyFn, Program, SumProduct, Term};
-    use dlo_core::formula::{CmpOp, Formula};
-    let mut p = Program::new();
-    p.rule(
-        Atom::new("H", vec![Term::v(0), Term::c(0)]),
-        vec![SumProduct::new(vec![Factor::atom("S", vec![Term::v(0)])])],
-    );
-    p.rule(
-        Atom::new(
-            "H",
-            vec![
-                Term::v(1),
-                Term::Apply(KeyFn::AddInt(1), Box::new(Term::v(2))),
-            ],
-        ),
-        vec![SumProduct::new(vec![
-            Factor::atom("H", vec![Term::v(0), Term::v(2)]),
-            Factor::atom("E", vec![Term::v(0), Term::v(1)]),
-        ])
-        .with_condition(Formula::cmp(Term::v(2), CmpOp::Lt, Term::c(k)))],
-    );
-    p
-}
-
-impl GraphInstance {
-    /// The `keyed_heads` workload over this graph: [`hop_indexed_program`]
-    /// with hop budget `k` and source node 0, paired with the `Trop⁺` EDB
-    /// (`E` plus the unit source relation `S`).
-    pub fn hops(&self, k: i64) -> (dlo_core::Program<Trop>, Database<Trop>) {
-        let mut edb = self.trop_edb();
-        edb.insert(
-            "S",
-            Relation::from_pairs(1, vec![(vec![self.node(0)] as Tuple, Trop::finite(0.0))]),
-        );
-        (hop_indexed_program(k), edb)
-    }
-}
-
 /// `single_source_program` with an integer source (generator graphs use
 /// integer node ids).
 pub fn single_source_int_program<P: dlo_pops::Pops>(source: i64) -> dlo_core::Program<P> {
@@ -249,56 +197,6 @@ impl Ord for OrdF64 {
 }
 fn ordered(x: f64) -> OrdF64 {
     OrdF64(x)
-}
-
-/// The **bill-of-material forest**: `trees` independent complete
-/// `fanout`-ary subpart trees of the given `depth`, as the Example 4.2
-/// program's inputs — Boolean subpart edges `E` (parent → child) and a
-/// unit cost relation `C` over every part (leaves cost extra so totals
-/// differ per subtree). A *point* query `?- T(root_i).` demands exactly
-/// one tree, so goal-directed evaluation does `1/trees` of the full
-/// fixpoint's work — the `magic_sets` bench's BOM leg.
-pub fn bom_forest(
-    trees: usize,
-    depth: usize,
-    fanout: usize,
-) -> (
-    dlo_core::Program<dlo_pops::MinNat>,
-    Database<dlo_pops::MinNat>,
-    dlo_core::BoolDatabase,
-) {
-    use dlo_core::examples_lib::bom_program;
-    use dlo_pops::MinNat;
-    let mut edges: Vec<Tuple> = vec![];
-    let mut costs: Vec<(Tuple, MinNat)> = vec![];
-    let part = |t: usize, i: usize| Constant::Int((t * 1_000_000 + i) as i64);
-    for t in 0..trees {
-        // Heap-indexed complete tree: node i has children i*fanout+1+k.
-        let nodes: usize = (0..=depth).map(|d| fanout.pow(d as u32)).sum();
-        for i in 0..nodes {
-            for kchild in 0..fanout {
-                let c = i * fanout + 1 + kchild;
-                if c < nodes {
-                    edges.push(vec![part(t, i), part(t, c)]);
-                }
-            }
-            let leaf = i * fanout + 1 >= nodes;
-            costs.push((
-                vec![part(t, i)],
-                MinNat::finite(if leaf { 1 + (i % 7) as u64 } else { 1 }),
-            ));
-        }
-    }
-    let mut pops = Database::new();
-    pops.insert("C", Relation::from_pairs(1, costs));
-    let mut bools = dlo_core::BoolDatabase::new();
-    bools.insert("E", bool_relation(2, edges));
-    (bom_program(), pops, bools)
-}
-
-/// The root part name of `bom_forest` tree `t` (query target).
-pub fn bom_forest_root(t: usize) -> Constant {
-    Constant::Int((t * 1_000_000) as i64)
 }
 
 /// The arity-4 **wide fact lookup** workload: a large random fact
@@ -434,24 +332,17 @@ pub fn labeled_tc4(classes: usize, chain: usize) -> (dlo_core::Program<Trop>, Da
 }
 
 /// Prints the host line every bench emits — `nproc`, the thread knob,
-/// and (on one core) the multi-core caveat the committed `BENCH_*.json`
-/// baselines carry in their metadata: parallel legs on a single-core
-/// container measure scheduling overhead, never wall-clock speedup.
+/// and (on one core) the multi-core caveat: parallel legs on a
+/// single-core container measure scheduling overhead, never wall-clock
+/// speedup.
 pub fn print_host_note() {
-    let (nproc, knob) = host_metadata();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let knob = std::env::var("DLO_ENGINE_THREADS").unwrap_or_else(|_| "unset".to_string());
     println!("== host: nproc={nproc}, DLO_ENGINE_THREADS={knob}");
     if nproc == 1 {
         println!("!! single-core container: parallel numbers measure overhead, not speedup");
     }
     println!();
-}
-
-/// The host metadata benches embed in recorded baselines (mirrors
-/// [`print_host_note`] as data: `nproc` plus the raw thread knob).
-pub fn host_metadata() -> (usize, String) {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let knob = std::env::var("DLO_ENGINE_THREADS").unwrap_or_else(|_| "unset".to_string());
-    (nproc, knob)
 }
 
 /// Prints a two-column table with a caption (the repro binaries' shared
@@ -510,21 +401,6 @@ mod tests {
     fn dijkstra_on_path() {
         let g = GraphInstance::path(4);
         assert_eq!(dijkstra(&g, 0), vec![0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn hop_indexed_workload_agrees_across_backends() {
-        let g = GraphInstance::random(10, 30, 5, 9);
-        let (prog, edb) = g.hops(4);
-        let bools = dlo_core::BoolDatabase::new();
-        let rel = dlo_core::relational_seminaive_eval(&prog, &edb, &bools, 10_000).unwrap();
-        let eng = dlo_engine::engine_seminaive_eval(&prog, &edb, &bools, 10_000)
-            .expect("compiles")
-            .unwrap();
-        assert_eq!(rel, eng, "head-keyed hops: engine vs relational");
-        // Exactly-one-hop rows exist and carry edge costs.
-        let h = eng.get("H").unwrap();
-        assert!(h.support_size() > 1, "hops were derived");
     }
 
     #[test]

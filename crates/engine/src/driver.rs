@@ -1,5 +1,7 @@
-//! The evaluation drivers: naïve and parallel semi-naïve loops over
-//! compiled plans, behind the `EvalOutcome`/`Database` API.
+//! The evaluation drivers: the [`Schedule`] argument, the two full
+//! entry points, and the naïve and parallel semi-naïve round loops over
+//! compiled plans — shared by from-scratch runs and by every
+//! [`crate::Materialization`] build and edit.
 //!
 //! The semi-naïve loop is the relation-level reading of Theorem 6.5
 //! (mirroring `dlo_core::eval::relational::relational_seminaive_eval`
@@ -45,7 +47,7 @@ use crate::storage::{AccumMap, ColMask, ColumnRel, JoinMode};
 use crate::telemetry::Collector;
 use dlo_core::ast::Program;
 use dlo_core::eval::stats::EvalStats;
-use dlo_core::eval::{BudgetClass, CancelToken, EvalBudget, EvalError, EvalOutcome, TraceHandle};
+use dlo_core::eval::{BudgetClass, CancelToken, EvalBudget, EvalError, TraceHandle};
 use dlo_core::relation::{BoolDatabase, Database, Relation};
 use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops, PreSemiring};
 use std::collections::BTreeMap;
@@ -189,9 +191,9 @@ pub(crate) struct Engine<P> {
     /// out over the worker pool once the caller knows its thread count.
     pub(crate) edb_reqs: Vec<(Source, ColMask)>,
     /// The resolved [`JoinMode`] for this run: every ensure site reads
-    /// it to pick hash indexes vs sorted arrangements. Entry points set
-    /// it from [`EngineOpts::effective_join_mode`] before any probe
-    /// structure is built.
+    /// it to pick hash indexes vs sorted arrangements. Fixed at
+    /// [`setup`] from [`EngineOpts::effective_join_mode`], before any
+    /// probe structure is built.
     pub(crate) join_mode: JoinMode,
 }
 
@@ -229,57 +231,41 @@ fn intern_db_consts<P: Pops>(db: &Database<P>, interner: &mut Interner) {
     }
 }
 
-fn setup<P: Pops>(
-    program: &Program<P>,
-    pops_db: &Database<P>,
-    bool_db: &BoolDatabase,
-    set_valued: &[String],
-) -> Result<Engine<P>, CompileError> {
-    let mut interner = Interner::new();
-    intern_db_consts(pops_db, &mut interner);
-    intern_db_consts(bool_db, &mut interner);
-    let compiled = compile_demand(program, &mut interner, set_valued)?;
-    let pops_edb: Vec<Option<ColumnRel<P>>> = compiled
-        .pops_edbs
-        .iter()
-        .map(|name| pops_db.get(name).map(|r| intern_rel(r, &interner)))
-        .collect();
-    let bool_edb: Vec<Option<ColumnRel<Bool>>> = compiled
-        .bool_edbs
-        .iter()
-        .map(|name| bool_db.get(name).map(|r| intern_rel(r, &interner)))
-        .collect();
-    Ok(assemble(interner, compiled, pops_edb, bool_edb))
-}
-
-/// [`setup`] over a previous run's **interned output** as the POPS EDB:
-/// the interner is shared (cloned — ids keep their meaning, no
+/// Compiles `program` and interns its inputs — the setup every entry
+/// point and every [`crate::Materialization`] build starts from.
+///
+/// With `prev`, a previous run's **interned output** serves as the POPS
+/// EDB: the interner is shared (cloned — ids keep their meaning, no
 /// `Constant` round-trip), relation names resolve first against
-/// `extra_pops` (fresh classic-form relations, e.g. the original edge
+/// `pops_db` (fresh classic-form relations, e.g. the original edge
 /// list) and then against `prev`'s interned relations, which are reused
 /// storage-for-storage. The active domain is everything the shared
 /// interner knows — a superset of the paper's EDB ∪ program constants
 /// when `prev` interned more than the fed relations mention, which only
 /// matters for programs that enumerate unbound slots over the domain.
-fn setup_interned<P: Pops>(
+///
+/// Compiler rejections come back as [`EvalError::Compile`] (see
+/// [`compile_error`]).
+pub(crate) fn setup<P: Pops>(
     program: &Program<P>,
-    prev: &InternedOutput<P>,
-    extra_pops: &Database<P>,
+    prev: Option<&InternedOutput<P>>,
+    pops_db: &Database<P>,
     bool_db: &BoolDatabase,
     set_valued: &[String],
-) -> Result<Engine<P>, CompileError> {
-    let mut interner = prev.interner().clone();
-    intern_db_consts(extra_pops, &mut interner);
+    join_mode: JoinMode,
+) -> Result<Engine<P>, EvalError> {
+    let mut interner = prev.map_or_else(Interner::new, |p| p.interner().clone());
+    intern_db_consts(pops_db, &mut interner);
     intern_db_consts(bool_db, &mut interner);
-    let compiled = compile_demand(program, &mut interner, set_valued)?;
+    let compiled = compile_demand(program, &mut interner, set_valued).map_err(compile_error)?;
     let pops_edb: Vec<Option<ColumnRel<P>>> = compiled
         .pops_edbs
         .iter()
         .map(|name| {
-            extra_pops
+            pops_db
                 .get(name)
                 .map(|r| intern_rel(r, &interner))
-                .or_else(|| prev.relation(name).cloned())
+                .or_else(|| prev.and_then(|p| p.relation(name).cloned()))
         })
         .collect();
     let bool_edb: Vec<Option<ColumnRel<Bool>>> = compiled
@@ -287,16 +273,7 @@ fn setup_interned<P: Pops>(
         .iter()
         .map(|name| bool_db.get(name).map(|r| intern_rel(r, &interner)))
         .collect();
-    Ok(assemble(interner, compiled, pops_edb, bool_edb))
-}
 
-/// The shared setup tail: active domain plus index-mask bookkeeping.
-fn assemble<P: Pops>(
-    interner: Interner,
-    compiled: CompiledProgram<P>,
-    pops_edb: Vec<Option<ColumnRel<P>>>,
-    bool_edb: Vec<Option<ColumnRel<Bool>>>,
-) -> Engine<P> {
     // The active domain (EDB constants ∪ program constants) is exactly
     // the interned set; enumerate it in constant order to mirror the
     // relational backend.
@@ -322,7 +299,7 @@ fn assemble<P: Pops>(
             }
         }
     }
-    Engine {
+    Ok(Engine {
         interner,
         compiled,
         pops_edb,
@@ -331,8 +308,8 @@ fn assemble<P: Pops>(
         idb_new_masks,
         idb_delta_masks,
         edb_reqs,
-        join_mode: JoinMode::default(),
-    }
+        join_mode,
+    })
 }
 
 /// Renders a compiler rejection into the typed error every entry point
@@ -348,28 +325,6 @@ pub(crate) fn compile_error(e: CompileError) -> EvalError {
     }
 }
 
-/// [`setup`], converting compiler rejections into
-/// [`EvalError::Compile`] (see [`compile_error`]).
-pub(crate) fn setup_checked<P: Pops>(
-    program: &Program<P>,
-    pops_db: &Database<P>,
-    bool_db: &BoolDatabase,
-    set_valued: &[String],
-) -> Result<Engine<P>, EvalError> {
-    setup(program, pops_db, bool_db, set_valued).map_err(compile_error)
-}
-
-/// [`setup_interned`] with the same error contract as [`setup_checked`].
-pub(crate) fn setup_interned_checked<P: Pops>(
-    program: &Program<P>,
-    prev: &InternedOutput<P>,
-    extra_pops: &Database<P>,
-    bool_db: &BoolDatabase,
-    set_valued: &[String],
-) -> Result<Engine<P>, EvalError> {
-    setup_interned(program, prev, extra_pops, bool_db, set_valued).map_err(compile_error)
-}
-
 impl<P: Pops> Engine<P> {
     pub(crate) fn empty_idbs(&self) -> Vec<ColumnRel<P>> {
         self.compiled
@@ -377,6 +332,17 @@ impl<P: Pops> Engine<P> {
             .iter()
             .map(|(_, arity)| ColumnRel::new(*arity))
             .collect()
+    }
+
+    /// The empty IDB state every from-scratch run and every
+    /// [`crate::Materialization`] build starts from (probe structures
+    /// are ensured by [`Run::prepare`]).
+    pub(crate) fn empty_state(&self) -> IdbState<P> {
+        IdbState {
+            new: self.empty_idbs(),
+            changed: vec![FxHashMap::default(); self.compiled.idbs.len()],
+            delta: self.empty_idbs(),
+        }
     }
 
     /// Fresh per-IDB head accumulators, one per predicate at its arity.
@@ -537,33 +503,209 @@ pub(crate) fn finish<P: Pops>(engine: Engine<P>, rels: Vec<ColumnRel<P>>) -> Int
     InternedOutput::new(engine.interner, engine.compiled.idbs, rels)
 }
 
-/// The shared abort tail of every driver, with the partially evaluated
-/// instance attached instead of dropped: emits the abort trace event
-/// via [`abort_error`], then packages the abort-time IDB state (`rels`)
-/// and the settled marking into a [`PartialOutput`] riding next to the
-/// typed error. The stats snapshot inside the error and inside the
-/// partial are the same completed snapshot.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn abort_with_partial<P: Pops>(
-    abort: Abort,
-    checkpoint: Checkpoint,
-    engine: Engine<P>,
-    rels: Vec<ColumnRel<P>>,
-    settled: SettledMark,
-    col: Collector,
-    steps: usize,
-    eval_ns: u64,
-) -> Box<AbortedEval<P>> {
-    let settled_rows = settled.settled_rows();
-    let error = abort_error(abort, checkpoint, settled_rows, col, steps, eval_ns);
-    let stats = error.stats().cloned().unwrap_or_default();
-    let partial = PartialOutput::new(finish(engine, rels), settled, stats);
-    Box::new(AbortedEval::new(error, partial))
+/// Why a round loop stopped short of its fixpoint.
+pub(crate) enum LoopFail {
+    /// Governed interruption or contained worker panic, at the
+    /// checkpoint granularity that caught it, after `steps` steps.
+    Abort {
+        abort: Abort,
+        checkpoint: Checkpoint,
+        steps: usize,
+    },
+    /// Step-cap overrun after this many steps.
+    Diverged(usize),
 }
 
-/// Wraps a pre-run failure (a compile rejection) into the
-/// partial-result error channel of the `*_partial` entry points: no
-/// evaluation ever started, so the attached partial is empty (no
+impl LoopFail {
+    /// Tags an [`Abort`] with where the loop was when it fired.
+    pub(crate) fn at(checkpoint: Checkpoint, steps: usize) -> impl FnOnce(Abort) -> LoopFail {
+        move |abort| LoopFail::Abort {
+            abort,
+            checkpoint,
+            steps,
+        }
+    }
+}
+
+/// One governed run over a prepared [`Engine`]: the stats collector,
+/// the governor, the settled-row marking, and the eval stopwatch —
+/// opened once per from-scratch evaluation and once per
+/// [`crate::Materialization`] build or edit, so every loop is governed
+/// and accounted for the same way.
+pub(crate) struct Run {
+    pub(crate) col: Collector,
+    gov: Governor,
+    /// Rows known final at any point of the run: marked on pop by the
+    /// priority frontier, empty (best effort) everywhere else.
+    pub(crate) settled: SettledMark,
+    t_eval: Instant,
+}
+
+impl Run {
+    /// Starts collection and governance under the stats label `label`.
+    /// `settles_on_pop` says whether the loop marks rows final as it
+    /// goes (the priority frontier) or settles nothing before
+    /// convergence. `setup_ns` is the caller-measured time already
+    /// spent (compile and intern, or staging an edit): it is recorded
+    /// as the setup phase and backdated into the governor's deadline.
+    pub(crate) fn open<P: Pops>(
+        engine: &Engine<P>,
+        label: &str,
+        settles_on_pop: bool,
+        opts: &EngineOpts,
+        setup_ns: u64,
+    ) -> Run {
+        let nidb = engine.compiled.idbs.len();
+        Run {
+            col: Collector::new(
+                label,
+                opts.effective_threads(),
+                setup_ns,
+                engine.compiled.plan_metas_for(engine.join_mode),
+                opts,
+            ),
+            gov: Governor::new(opts, setup_ns),
+            settled: if settles_on_pop {
+                SettledMark::exact_empty(nidb)
+            } else {
+                SettledMark::best_effort(nidb)
+            },
+            t_eval: Instant::now(),
+        }
+    }
+
+    /// One governance checkpoint after `steps` completed steps.
+    #[inline]
+    pub(crate) fn check(&mut self, steps: usize, checkpoint: Checkpoint) -> Result<(), LoopFail> {
+        self.gov
+            .check(steps as u64, &mut self.col)
+            .map_err(LoopFail::at(checkpoint, steps))
+    }
+
+    /// The from-empty prelude: a pre-index checkpoint (a cancelled or
+    /// already-over-deadline run stops before paying for the EDB index
+    /// build), the EDB index build, and the probe structures of the
+    /// empty IDB state. `extra` adds the frontier drivers' worklist-plan
+    /// requirements: EDB entries are built with the rest, `New`/`Old`
+    /// entries join the engine's own masks on `state.new`, and `Delta`
+    /// entries go onto `state.delta` — ensured once, since
+    /// [`ColumnRel::clear`] keeps them registered. The eval stopwatch
+    /// restarts after the index build.
+    pub(crate) fn prepare<P: Pops + Send>(
+        &mut self,
+        engine: &mut Engine<P>,
+        state: &mut IdbState<P>,
+        opts: &EngineOpts,
+        extra: &[(Source, ColMask)],
+    ) -> Result<(), LoopFail> {
+        self.check(0, Checkpoint::Phase)?;
+        let t = Instant::now();
+        engine
+            .build_edb_indexes(extra, opts.effective_threads())
+            .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
+        self.col.edb_index_phase(t.elapsed().as_nanos() as u64);
+        self.t_eval = Instant::now();
+        let mut new_masks = engine.idb_new_masks.clone();
+        let mut delta_masks: Vec<Vec<u32>> = vec![vec![]; new_masks.len()];
+        for &(source, mask) in extra {
+            let masks = match source {
+                Source::IdbNew(i) | Source::IdbOld(i) => &mut new_masks[i],
+                Source::IdbDelta(i) => &mut delta_masks[i],
+                Source::PopsEdb(_) | Source::BoolEdb(_) => continue,
+            };
+            if !masks.contains(&mask) {
+                masks.push(mask);
+            }
+        }
+        let mut arranged = false;
+        for (rel, masks) in state.new.iter_mut().zip(&new_masks) {
+            arranged |= ensure_probes(rel, masks, engine.join_mode);
+        }
+        for (rel, masks) in state.delta.iter_mut().zip(&delta_masks) {
+            arranged |= ensure_probes(rel, masks, engine.join_mode);
+        }
+        if arranged {
+            self.col
+                .arrange_phase(self.t_eval.elapsed().as_nanos() as u64);
+        }
+        Ok(())
+    }
+
+    /// Completes the stats of a run that ended after `steps` steps.
+    pub(crate) fn finish(self, steps: usize, converged: bool) -> EvalStats {
+        let eval_ns = self.t_eval.elapsed().as_nanos() as u64;
+        self.col.finish(steps, converged, eval_ns)
+    }
+
+    /// Turns a failed loop into the typed error — the abort tail of
+    /// [`abort_error`] (trace event, completed stats) for governed
+    /// stops, [`EvalError::Diverged`] for a cap overrun (an error only
+    /// to a [`crate::Materialization`]: [`Run::drive`] reports
+    /// `Ok(Diverged)` instead) — and hands back the run's settled
+    /// marking for the partial that rides with it.
+    pub(crate) fn fail(self, cap: usize, fail: LoopFail) -> (EvalError, SettledMark) {
+        let eval_ns = self.t_eval.elapsed().as_nanos() as u64;
+        let error = match fail {
+            LoopFail::Abort {
+                abort,
+                checkpoint,
+                steps,
+            } => {
+                let settled_rows = self.settled.settled_rows();
+                abort_error(abort, checkpoint, settled_rows, self.col, steps, eval_ns)
+            }
+            LoopFail::Diverged(steps) => EvalError::Diverged {
+                cap,
+                diagnostic: format!(
+                    "maintenance did not converge within {cap} steps: the program diverges on the edited EDB"
+                ),
+                stats: Box::new(self.col.finish(steps, false, eval_ns)),
+            },
+        };
+        (error, self.settled)
+    }
+
+    /// A whole from-scratch evaluation: the prelude, then `rounds` (the
+    /// schedule's loop, returning its step count), then the outcome.
+    /// Hitting the cap is `Ok(Diverged)`; a governed abort returns the
+    /// boxed [`AbortedEval`] — the typed error with the abort-time IDB
+    /// state and the run's settled marking attached as a
+    /// [`PartialOutput`], both carrying the same completed stats.
+    pub(crate) fn drive<P: Pops + Send>(
+        mut self,
+        mut engine: Engine<P>,
+        extra: &[(Source, ColMask)],
+        cap: usize,
+        opts: &EngineOpts,
+        rounds: impl FnOnce(&mut Engine<P>, &mut IdbState<P>, &mut Run) -> Result<usize, LoopFail>,
+    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
+        let mut state = engine.empty_state();
+        let result = self
+            .prepare(&mut engine, &mut state, opts, extra)
+            .and_then(|()| rounds(&mut engine, &mut state, &mut self));
+        match result {
+            Ok(steps) => Ok(InternedOutcome::Converged {
+                stats: self.finish(steps, true),
+                output: finish(engine, state.new),
+                steps,
+            }),
+            Err(LoopFail::Diverged(_)) => Ok(InternedOutcome::Diverged {
+                stats: self.finish(cap, false),
+                last: finish(engine, state.new),
+                cap,
+            }),
+            Err(fail) => {
+                let (error, settled) = self.fail(cap, fail);
+                let stats = error.stats().cloned().unwrap_or_default();
+                let partial = PartialOutput::new(finish(engine, state.new), settled, stats);
+                Err(Box::new(AbortedEval::new(error, partial)))
+            }
+        }
+    }
+}
+
+/// Wraps a pre-run failure (a compile rejection) into the error channel
+/// of the entry points: no evaluation ever started, so the attached partial is empty (no
 /// predicates, no rows, nothing settled).
 pub(crate) fn empty_aborted<P: Pops>(error: EvalError) -> Box<AbortedEval<P>> {
     let partial = PartialOutput::new(
@@ -703,160 +845,301 @@ where
     Ok((global, global_fresh))
 }
 
-/// Naïve evaluation on the engine: `J(t+1) = F(J(t))` with every IDB
-/// occurrence reading the new state. Agrees with
-/// `relational_naive_eval` (cross-checked in tests), including programs
-/// whose heads apply key functions — fresh constants are minted into the
-/// interner between iterations.
+mod sealed {
+    use super::*;
+
+    /// What a [`Schedule`](super::Schedule) does, kept out of the public
+    /// interface: the trait is sealed, so soundness stays a matter of
+    /// which impls exist and what they are bounded over. The methods
+    /// take crate-private types, so nothing outside the crate can call
+    /// them — hence the `private_interfaces` allowances on the impls.
+    #[allow(private_interfaces)]
+    pub trait Rounds<P: Pops> {
+        /// Suffix of the `incremental-*` stats labels of a
+        /// [`crate::Materialization`] maintained under this schedule.
+        const MAINTENANCE_SUFFIX: &'static str;
+
+        /// The schedule's loop from the empty state over a prepared
+        /// engine.
+        fn run(
+            self,
+            engine: Engine<P>,
+            cap: usize,
+            opts: &EngineOpts,
+            setup_ns: u64,
+        ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>;
+
+        /// Maintenance: continues from the pre-fixpoint in `state` to
+        /// the least fixpoint above it, numbering steps from `start`.
+        #[allow(clippy::too_many_arguments)]
+        fn resume(
+            self,
+            engine: &mut Engine<P>,
+            state: &mut IdbState<P>,
+            plans: &RoundPlans<'_, P>,
+            cap: usize,
+            opts: &EngineOpts,
+            run: &mut Run,
+            start: usize,
+        ) -> Result<usize, LoopFail>;
+    }
+}
+pub(crate) use sealed::Rounds;
+
+/// A licensed way to iterate to the least fixpoint, passed to every
+/// entry point and to [`crate::Materialization::new`] as a value.
+/// Which schedules exist for a POPS `P` is decided by trait bounds, so
+/// an unsound pair does not type-check:
+///
+/// * [`Naive`] — any `P: NaturallyOrdered` (Algorithm 1);
+/// * [`SemiNaive`] — `+ CompleteDistributiveDioid` (Theorem 6.5);
+/// * [`crate::Strategy`] — the runtime choice between the semi-naïve
+///   rounds and the two frontiers, for the totally ordered absorptive
+///   dioids that license all of them (Cor. 5.19).
+///
+/// The trait is sealed: these three are the only implementations.
+pub trait Schedule<P: Pops>: Rounds<P> + Copy {}
+impl<P: Pops, S: Rounds<P> + Copy> Schedule<P> for S {}
+
+/// The naïve schedule `J(t+1) = F(J(t))`, every IDB occurrence reading
+/// the new state — all that is licensed without `⊖`. Agrees with
+/// `relational_naive_eval` step for step, including programs whose
+/// heads apply key functions (fresh constants are minted into the
+/// interner between iterations).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Naive;
+
+/// The parallel semi-naïve schedule of Theorem 6.5. Agrees with
+/// `relational_seminaive_eval` — same fixpoint, same step count —
+/// while running interned, indexed, and multi-threaded.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SemiNaive;
+
+/// The plans a maintenance continuation may run.
+pub(crate) struct RoundPlans<'a, P> {
+    /// The program's full-application plans (what naïve rounds re-run).
+    pub(crate) full: &'a [Plan<P>],
+    /// What the semi-naïve seed round folds in: every full plan at a
+    /// build, the telescoped `@dlt` variants at an insert, the affected
+    /// heads' plans after a retraction.
+    pub(crate) seed: &'a [Plan<P>],
+    /// Edit rows driving the seed round (its `delta_rows` stats cell).
+    pub(crate) seed_rows: u64,
+    /// The semi-naïve delta plans.
+    pub(crate) delta: &'a [Plan<P>],
+}
+
+#[allow(private_interfaces)]
+impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
+    const MAINTENANCE_SUFFIX: &'static str = "-naive";
+
+    fn run(
+        self,
+        engine: Engine<P>,
+        cap: usize,
+        opts: &EngineOpts,
+        setup_ns: u64,
+    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
+        let run = Run::open(&engine, "naive", false, opts, setup_ns);
+        run.drive(engine, &[], cap, opts, |engine, state, run| {
+            let plans = std::mem::take(&mut engine.compiled.seed_plans);
+            naive_rounds(engine, state, &plans, cap, opts, run, 0)
+        })
+    }
+
+    fn resume(
+        self,
+        engine: &mut Engine<P>,
+        state: &mut IdbState<P>,
+        plans: &RoundPlans<'_, P>,
+        cap: usize,
+        opts: &EngineOpts,
+        run: &mut Run,
+        start: usize,
+    ) -> Result<usize, LoopFail> {
+        // Naïve steps recompute full sums, so the differential seed
+        // plans stay out: they would double-count.
+        naive_rounds(engine, state, plans.full, cap, opts, run, start)
+    }
+}
+
+#[allow(private_interfaces)]
+impl<P> Rounds<P> for SemiNaive
+where
+    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+{
+    const MAINTENANCE_SUFFIX: &'static str = "";
+
+    fn run(
+        self,
+        engine: Engine<P>,
+        cap: usize,
+        opts: &EngineOpts,
+        setup_ns: u64,
+    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
+        let run = Run::open(&engine, "seminaive", false, opts, setup_ns);
+        run.drive(engine, &[], cap, opts, |engine, state, run| {
+            let seed = std::mem::take(&mut engine.compiled.seed_plans);
+            let delta = std::mem::take(&mut engine.compiled.delta_plans);
+            let plans = RoundPlans {
+                full: &seed,
+                seed: &seed,
+                seed_rows: 0,
+                delta: &delta,
+            };
+            // The reported count includes the iteration that finds δ
+            // empty, as the relational backend counts it.
+            match seminaive_rounds(engine, state, &plans, cap, opts, run, 0)? {
+                rounds if rounds < cap => Ok(rounds + 1),
+                _ => Err(LoopFail::Diverged(cap)),
+            }
+        })
+    }
+
+    fn resume(
+        self,
+        engine: &mut Engine<P>,
+        state: &mut IdbState<P>,
+        plans: &RoundPlans<'_, P>,
+        cap: usize,
+        opts: &EngineOpts,
+        run: &mut Run,
+        start: usize,
+    ) -> Result<usize, LoopFail> {
+        seminaive_rounds(engine, state, plans, cap, opts, run, start)
+    }
+}
+
+/// Evaluates `program` under `schedule`, returning the **decode-free**
+/// [`InternedOutcome`]: the fixpoint stays interned (ids + interner
+/// handle) and the rank-sorted `Database` build is deferred to
+/// [`InternedOutcome::materialize`] — on 500k-row outputs that build is
+/// the largest single phase of a run, and pipelines feeding results
+/// back into the engine never need it.
+///
+/// Hitting the iteration cap is **not** an error: it returns `Ok` with
+/// [`InternedOutcome::Diverged`].
 ///
 /// # Errors
 ///
-/// [`EvalError::Compile`] on programs the columnar storage cannot
+/// Every failure is a boxed [`AbortedEval`]: the typed [`EvalError`]
+/// (`?` converts it) plus the [`PartialOutput`] captured at the stop.
+/// [`EvalError::Compile`] — programs the columnar storage cannot
 /// represent (an atom of arity > 32, one head predicate at two
-/// arities); under governed options also the budget / deadline /
-/// cancellation / worker-panic variants. Hitting the iteration cap is
-/// **not** an error here — it returns `Ok` with
-/// [`EvalOutcome::Diverged`] (use
-/// [`EvalOutcome::into_result`](dlo_core::eval::EvalOutcome::into_result)
-/// for the typed divergence error).
-pub fn engine_naive_eval<P>(
+/// arities) — carries an empty partial; the budget / deadline /
+/// cancellation / worker-panic variants of governed options carry the
+/// abort-time instance, exact on its settled rows under the priority
+/// frontier and a pointwise lower bound of the least fixpoint
+/// otherwise.
+pub fn engine_eval_interned<P, S>(
     program: &Program<P>,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
     cap: usize,
-) -> Result<EvalOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + Send + Sync,
-{
-    engine_naive_eval_with_opts(program, pops_edb, bool_edb, cap, &EngineOpts::default())
-}
-
-/// [`engine_naive_eval`] with explicit tuning knobs.
-///
-/// # Errors
-///
-/// As [`engine_naive_eval`].
-pub fn engine_naive_eval_with_opts<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
+    schedule: S,
     opts: &EngineOpts,
-) -> Result<EvalOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + Send + Sync,
-{
-    let t = Instant::now();
-    let engine = setup_checked(program, pops_edb, bool_edb, &[])?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    Ok(naive_run(engine, cap, opts, setup_ns)
-        .map_err(|b| EvalError::from(*b))?
-        .materialize())
-}
-
-/// The naïve loop over a prepared [`Engine`] (shared by the classic
-/// entry points and the demand-rewritten query path). `setup_ns` is the
-/// caller-measured compile/intern time, recorded into the stats. A
-/// governed abort returns the boxed [`AbortedEval`]: the typed error
-/// plus the abort-time IDB state as a best-effort lower bound (the
-/// naïve loop never settles rows early).
-pub(crate) fn naive_run<P>(
-    mut engine: Engine<P>,
-    cap: usize,
-    opts: &EngineOpts,
-    setup_ns: u64,
 ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
 where
+    P: Pops,
+    S: Schedule<P>,
+{
+    let t = Instant::now();
+    evaluate(
+        t,
+        program,
+        None,
+        pops_edb,
+        bool_edb,
+        &[],
+        cap,
+        schedule,
+        opts,
+    )
+}
+
+/// [`engine_eval_interned`] over an **interned EDB**: the previous
+/// run's [`InternedOutput`] serves as the POPS database (shared
+/// interner, relations reused storage-for-storage — no
+/// `Constant`/`Database` round-trip anywhere on the chain), with
+/// `extra_pops` overlaying fresh classic-form relations for names the
+/// interned output does not carry (e.g. the original edge list of a
+/// refine step). Name resolution prefers `extra_pops`. Feeding an
+/// aborted attempt's [`PartialOutput::interned`] as `prev` is the
+/// warm-start primitive of [`crate::retry`]: every id minted before the
+/// abort keeps its meaning.
+///
+/// # Errors
+///
+/// As [`engine_eval_interned`].
+pub fn engine_eval_interned_edb<P, S>(
+    program: &Program<P>,
+    prev: &InternedOutput<P>,
+    extra_pops: &Database<P>,
+    bool_edb: &BoolDatabase,
+    cap: usize,
+    schedule: S,
+    opts: &EngineOpts,
+) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
+where
+    P: Pops,
+    S: Schedule<P>,
+{
+    let t = Instant::now();
+    evaluate(
+        t,
+        program,
+        Some(prev),
+        extra_pops,
+        bool_edb,
+        &[],
+        cap,
+        schedule,
+        opts,
+    )
+}
+
+/// The one way in behind every entry point: [`setup`] (everything since
+/// `started` counts as setup time), then the schedule's loop.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
+    started: Instant,
+    program: &Program<P>,
+    prev: Option<&InternedOutput<P>>,
+    pops_db: &Database<P>,
+    bool_db: &BoolDatabase,
+    set_valued: &[String],
+    cap: usize,
+    schedule: S,
+    opts: &EngineOpts,
+) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
+    let mode = opts.effective_join_mode();
+    let engine = setup(program, prev, pops_db, bool_db, set_valued, mode).map_err(empty_aborted)?;
+    schedule.run(engine, cap, opts, started.elapsed().as_nanos() as u64)
+}
+
+/// Naïve rounds `J ↦ F(J)` over `plans` from the state in `state`, to
+/// fixpoint. From the empty state that is Algorithm 1; from any other
+/// pre-fixpoint (the old state after an insert, the survivors after a
+/// retraction) it converges to the least fixpoint above it. Steps are
+/// numbered from `start`; returns the step that found the fixpoint.
+pub(crate) fn naive_rounds<P>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    plans: &[Plan<P>],
+    cap: usize,
+    opts: &EngineOpts,
+    run: &mut Run,
+    start: usize,
+) -> Result<usize, LoopFail>
+where
     P: NaturallyOrdered + Send + Sync,
 {
-    let mode = opts.effective_join_mode();
-    engine.join_mode = mode;
-    let mut col = Collector::new(
-        "naive",
-        opts.effective_threads(),
-        setup_ns,
-        engine.compiled.plan_metas_for(mode),
-        opts,
-    );
-    let gov = Governor::new(opts, setup_ns);
-    let nidb = engine.compiled.idbs.len();
-    // Pre-index phase checkpoint: a cancelled or already-over-deadline
-    // run (setup time is backdated into the governor) stops before
-    // paying for the EDB index build.
-    if let Err(a) = gov.check(0, &mut col) {
-        let rels = engine.empty_idbs();
-        let settled = SettledMark::best_effort(nidb);
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    let t = Instant::now();
-    if let Err(a) = engine.build_edb_indexes(&[], opts.effective_threads()) {
-        let rels = engine.empty_idbs();
-        let settled = SettledMark::best_effort(nidb);
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    col.edb_index_phase(t.elapsed().as_nanos() as u64);
-    let t_eval = Instant::now();
-    let mut state = IdbState {
-        new: engine.empty_idbs(),
-        changed: vec![FxHashMap::default(); nidb],
-        delta: engine.empty_idbs(),
-    };
-    let t_arr = Instant::now();
-    let mut arranged = false;
-    for (pred, rel) in state.new.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], mode);
-    }
-    if arranged {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    for steps in 0..=cap {
-        if let Err(a) = gov.check(steps as u64, &mut col) {
-            return Err(abort_with_partial(
-                a,
-                Checkpoint::Iteration,
-                engine,
-                state.new,
-                SettledMark::best_effort(nidb),
-                col,
-                steps,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
-        }
-        let before = col.stats.counters;
-        let ran = run_plans(&engine, &engine.compiled.seed_plans, &state, opts, &mut col);
-        let (contrib, fresh) = match ran {
-            Ok(r) => r,
-            Err(a) => {
-                return Err(abort_with_partial(
-                    a,
-                    Checkpoint::Iteration,
-                    engine,
-                    state.new,
-                    SettledMark::best_effort(nidb),
-                    col,
-                    steps,
-                    t_eval.elapsed().as_nanos() as u64,
-                ))
-            }
-        };
+    let mut steps = start;
+    loop {
+        run.check(steps, Checkpoint::Iteration)?;
+        let before = run.col.stats.counters;
+        let (contrib, fresh) = run_plans(engine, plans, state, opts, &mut run.col)
+            .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
         let mut next = engine.empty_idbs();
         for (pred, acc) in contrib.into_iter().enumerate() {
             // Set-valued (magic) rows always hold `1`: demand is a set,
@@ -875,331 +1158,82 @@ where
                 next[pred].insert_row(&key, if sv { P::one() } else { v });
             }
         }
-        col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
-        col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
+        run.col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
+        run.col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
         let fixed = next
             .iter()
             .zip(&state.new)
             .all(|(n, c)| n.len() == c.len() && n.iter().all(|(_, k, v)| c.get(k) == Some(v)));
-        col.end_step(steps, 0, 0, &before);
+        run.col.end_step(steps, 0, 0, &before);
         if fixed {
-            let stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-            return Ok(InternedOutcome::Converged {
-                output: finish(engine, state.new),
-                steps,
-                stats,
-            });
+            return Ok(steps);
         }
         let t_arr = Instant::now();
         let mut arranged = false;
         for (pred, rel) in next.iter_mut().enumerate() {
-            arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], mode);
+            arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], engine.join_mode);
+            // A wholesale replacement must not alias the replaced
+            // relation's version (snapshot dirty tracking).
+            rel.succeed_version(&state.new[pred]);
         }
         if arranged {
-            col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
+            run.col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
         }
         state.new = next;
-    }
-    let stats = col.finish(cap, false, t_eval.elapsed().as_nanos() as u64);
-    Ok(InternedOutcome::Diverged {
-        last: finish(engine, state.new),
-        cap,
-        stats,
-    })
-}
-
-/// Parallel semi-naïve evaluation on the engine (Theorem 6.5). Agrees
-/// with `relational_seminaive_eval` — same fixpoint, same step count —
-/// while running interned, indexed, and multi-threaded. Head key
-/// functions evaluate natively: constants they derive are minted into
-/// the interner between iterations and enter `new`/`δ` as ordinary
-/// appends.
-///
-/// # Errors
-///
-/// As [`engine_naive_eval`]: compile rejections and governed aborts are
-/// typed errors; hitting the iteration cap is `Ok(Diverged)`.
-pub fn engine_seminaive_eval<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-) -> Result<EvalOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-{
-    engine_seminaive_eval_with_opts(program, pops_edb, bool_edb, cap, &EngineOpts::default())
-}
-
-/// [`engine_seminaive_eval`] with explicit tuning knobs.
-///
-/// # Errors
-///
-/// As [`engine_naive_eval`].
-pub fn engine_seminaive_eval_with_opts<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    opts: &EngineOpts,
-) -> Result<EvalOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-{
-    Ok(engine_seminaive_eval_interned(program, pops_edb, bool_edb, cap, opts)?.materialize())
-}
-
-/// [`engine_seminaive_eval`] returning the **decode-free**
-/// [`InternedOutcome`]: the fixpoint stays interned (ids + interner
-/// handle) and the rank-sorted `Database` build is deferred until a
-/// caller asks for it — on 500k-row outputs that build is the largest
-/// single phase of a run, and pipelines feeding results back into the
-/// engine never need it.
-///
-/// # Errors
-///
-/// As [`engine_naive_eval`].
-pub fn engine_seminaive_eval_interned<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    opts: &EngineOpts,
-) -> Result<InternedOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-{
-    let t = Instant::now();
-    let engine = setup_checked(program, pops_edb, bool_edb, &[])?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    seminaive_run(engine, cap, opts, setup_ns).map_err(|b| EvalError::from(*b))
-}
-
-/// [`engine_seminaive_eval_interned`] over an **interned EDB**: the
-/// previous run's [`InternedOutput`] serves as the POPS database
-/// (shared interner, relations reused storage-for-storage — no
-/// `Constant`/`Database` round-trip anywhere on the chain), with
-/// `extra_pops` overlaying fresh classic-form relations for names the
-/// interned output does not carry (e.g. the original edge list of a
-/// refine step). Name resolution prefers `extra_pops`.
-///
-/// # Errors
-///
-/// As [`engine_naive_eval`].
-pub fn engine_seminaive_eval_interned_edb<P>(
-    program: &Program<P>,
-    prev: &InternedOutput<P>,
-    extra_pops: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    opts: &EngineOpts,
-) -> Result<InternedOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-{
-    let t = Instant::now();
-    let engine = setup_interned_checked(program, prev, extra_pops, bool_edb, &[])?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    seminaive_run(engine, cap, opts, setup_ns).map_err(|b| EvalError::from(*b))
-}
-
-/// The parallel semi-naïve loop over a prepared [`Engine`] (shared by
-/// the classic, interned-EDB, and demand-rewritten query entry points).
-/// A governed abort returns the boxed [`AbortedEval`]: the typed error
-/// plus the abort-time IDB state as a best-effort lower bound
-/// (`J(t) ⊑ lfp` is the loop invariant, but nothing is settled until
-/// convergence).
-pub(crate) fn seminaive_run<P>(
-    mut engine: Engine<P>,
-    cap: usize,
-    opts: &EngineOpts,
-    setup_ns: u64,
-) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
-where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-{
-    let mode = opts.effective_join_mode();
-    engine.join_mode = mode;
-    let mut col = Collector::new(
-        "seminaive",
-        opts.effective_threads(),
-        setup_ns,
-        engine.compiled.plan_metas_for(mode),
-        opts,
-    );
-    let gov = Governor::new(opts, setup_ns);
-    let nidb = engine.compiled.idbs.len();
-    // Pre-index phase checkpoint (see `naive_run`).
-    if let Err(a) = gov.check(0, &mut col) {
-        let rels = engine.empty_idbs();
-        let settled = SettledMark::best_effort(nidb);
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    let t = Instant::now();
-    if let Err(a) = engine.build_edb_indexes(&[], opts.effective_threads()) {
-        let rels = engine.empty_idbs();
-        let settled = SettledMark::best_effort(nidb);
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    col.edb_index_phase(t.elapsed().as_nanos() as u64);
-    let t_eval = Instant::now();
-    let mut state = IdbState {
-        new: engine.empty_idbs(),
-        changed: vec![FxHashMap::default(); nidb],
-        delta: engine.empty_idbs(),
-    };
-    let t_arr = Instant::now();
-    let mut arranged = false;
-    for (pred, rel) in state.new.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], mode);
-    }
-    if arranged {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    // Seeding: J(1) = F(0), δ(0) = J(1), every row marked as appended.
-    if let Err(a) = gov.check(0, &mut col) {
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            state.new,
-            SettledMark::best_effort(nidb),
-            col,
-            0,
-            t_eval.elapsed().as_nanos() as u64,
-        ));
-    }
-    let seed_before = col.stats.counters;
-    let ran = run_plans(&engine, &engine.compiled.seed_plans, &state, opts, &mut col);
-    let (contrib, fresh) = match ran {
-        Ok(r) => r,
-        Err(a) => {
-            return Err(abort_with_partial(
-                a,
-                Checkpoint::Phase,
-                engine,
-                state.new,
-                SettledMark::best_effort(nidb),
-                col,
-                0,
-                t_eval.elapsed().as_nanos() as u64,
-            ))
+        if steps >= cap {
+            return Err(LoopFail::Diverged(steps));
         }
-    };
-    for (pred, acc) in contrib.into_iter().enumerate() {
-        // Set-valued (magic) rows enter — and forever stay — at `1`.
-        let sv = engine.compiled.set_valued[pred];
-        acc.drain_sorted(|key, v| {
-            let v = if sv { P::one() } else { v };
-            let r = state.new[pred].insert_row(key, v.clone());
-            state.changed[pred].insert(r, None);
-            state.delta[pred].append_row(key, v);
-            col.stats.counters.rows_inserted += 1;
-        });
+        steps += 1;
     }
-    let t_mint = Instant::now();
-    let minted_before = engine.interner.len();
-    for (pred, acc) in fresh.into_iter().enumerate() {
-        let sv = engine.compiled.set_valued[pred];
-        for (key, v) in acc {
-            let v = if sv { P::one() } else { v };
-            let key = mint_key(&mut engine.interner, &key);
-            let r = state.new[pred].insert_row(&key, v.clone());
-            state.changed[pred].insert(r, None);
-            state.delta[pred].append_row(&key, v);
-            col.stats.counters.rows_inserted += 1;
-        }
-    }
-    col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
-    col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-    let t_arr = Instant::now();
-    if ensure_delta_indexes(&engine, &mut state) {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    drain_arrange_merges(&mut state, &mut col);
-    col.end_step(0, 0, 0, &seed_before);
+}
 
-    for steps in 1..=cap {
+/// Semi-naïve rounds (Theorem 6.5) from the state in `state`: a seed
+/// round folds the contributions of `plans.seed` in through the advance
+/// ([`apply_contrib`]) as step `start`, then `plans.delta` rounds run
+/// until every delta drains. From the empty state with the full plans
+/// as seed that is `J(1) = F(0)`, `δ(0) = J(1)`; a maintenance edit
+/// seeds the same loop from its differential instead. Returns the last
+/// round's step number.
+pub(crate) fn seminaive_rounds<P>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    plans: &RoundPlans<'_, P>,
+    cap: usize,
+    opts: &EngineOpts,
+    run: &mut Run,
+    start: usize,
+) -> Result<usize, LoopFail>
+where
+    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+{
+    let mut steps = start;
+    let mut round = (plans.seed, plans.seed_rows, Checkpoint::Phase);
+    loop {
+        let (round_plans, delta_rows, checkpoint) = round;
+        run.check(steps, checkpoint)?;
+        let before = run.col.stats.counters;
+        let (contrib, fresh) = run_plans(engine, round_plans, state, opts, &mut run.col)
+            .map_err(LoopFail::at(checkpoint, steps))?;
+        apply_contrib(engine, state, contrib, fresh, &mut run.col);
+        run.col.end_step(steps, delta_rows, 0, &before);
         if state.delta.iter().all(|d| d.is_empty()) {
-            let stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-            return Ok(InternedOutcome::Converged {
-                output: finish(engine, state.new),
-                steps,
-                stats,
-            });
+            return Ok(steps);
         }
-        if let Err(a) = gov.check(steps as u64, &mut col) {
-            return Err(abort_with_partial(
-                a,
-                Checkpoint::Iteration,
-                engine,
-                state.new,
-                SettledMark::best_effort(nidb),
-                col,
-                steps,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
+        if steps >= cap {
+            return Err(LoopFail::Diverged(steps));
         }
-        let before = col.stats.counters;
-        let delta_rows: u64 = state.delta.iter().map(|d| d.len() as u64).sum();
-        let ran = run_plans(
-            &engine,
-            &engine.compiled.delta_plans,
-            &state,
-            opts,
-            &mut col,
-        );
-        let (contrib, fresh) = match ran {
-            Ok(r) => r,
-            Err(a) => {
-                return Err(abort_with_partial(
-                    a,
-                    Checkpoint::Iteration,
-                    engine,
-                    state.new,
-                    SettledMark::best_effort(nidb),
-                    col,
-                    steps,
-                    t_eval.elapsed().as_nanos() as u64,
-                ))
-            }
-        };
-        apply_contrib(&mut engine, &mut state, contrib, fresh, &mut col);
-        col.end_step(steps, delta_rows, 0, &before);
+        steps += 1;
+        let delta_rows = state.delta.iter().map(|d| d.len() as u64).sum();
+        round = (plans.delta, delta_rows, Checkpoint::Iteration);
     }
-    let stats = col.finish(cap, false, t_eval.elapsed().as_nanos() as u64);
-    Ok(InternedOutcome::Diverged {
-        last: finish(engine, state.new),
-        cap,
-        stats,
-    })
 }
 
 /// The semi-naïve **advance**: merges one phase's accumulated
 /// contributions into the IDB state — `δ' = contrib ⊖ new` (pointwise
 /// on supports), `new' = new ⊕ contrib` — minting fresh head keys
 /// between phases, and leaves `state.delta` holding the next
-/// iteration's indexed delta. Shared by [`seminaive_run`]'s loop and
-/// the incremental maintenance driver in [`crate::incremental`], whose
-/// edit paths seed the very same advance from edit-delta plans.
+/// iteration's indexed delta — every round of [`seminaive_rounds`],
+/// seed round included.
 pub(crate) fn apply_contrib<P>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
@@ -1296,24 +1330,47 @@ pub(crate) fn ensure_delta_indexes<P: Pops>(engine: &Engine<P>, state: &mut IdbS
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dlo_core::eval::relational::{relational_naive_eval, relational_seminaive_eval};
+    use dlo_core::eval::EvalOutcome;
     use dlo_core::examples_lib as ex;
     use dlo_core::tup;
     use dlo_pops::{MinNat, Trop};
+
+    /// Evaluates under `schedule` with default options and decodes —
+    /// shared by the other modules' unit tests.
+    pub(crate) fn eval<P: Pops, S: Schedule<P>>(
+        program: &Program<P>,
+        pops: &Database<P>,
+        bools: &BoolDatabase,
+        cap: usize,
+        schedule: S,
+    ) -> EvalOutcome<P> {
+        eval_with(program, pops, bools, cap, schedule, &EngineOpts::default())
+    }
+
+    /// [`eval`] with explicit options.
+    pub(crate) fn eval_with<P: Pops, S: Schedule<P>>(
+        program: &Program<P>,
+        pops: &Database<P>,
+        bools: &BoolDatabase,
+        cap: usize,
+        schedule: S,
+        opts: &EngineOpts,
+    ) -> EvalOutcome<P> {
+        engine_eval_interned(program, pops, bools, cap, schedule, opts)
+            .expect("compiles")
+            .materialize()
+    }
 
     fn assert_matches_relational<P>(program: &Program<P>, pops: &Database<P>, bools: &BoolDatabase)
     where
         P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
     {
         let reference = relational_naive_eval(program, pops, bools, 100_000).unwrap();
-        let naive = engine_naive_eval(program, pops, bools, 100_000)
-            .expect("compiles")
-            .unwrap();
-        let semi = engine_seminaive_eval(program, pops, bools, 100_000)
-            .expect("compiles")
-            .unwrap();
+        let naive = eval(program, pops, bools, 100_000, Naive).unwrap();
+        let semi = eval(program, pops, bools, 100_000, SemiNaive).unwrap();
         assert_eq!(reference, naive, "engine naive differs");
         assert_eq!(reference, semi, "engine semi-naive differs");
     }
@@ -1322,9 +1379,7 @@ mod tests {
     fn sssp_fig2a_matches_relational() {
         let (program, edb) = ex::sssp_trop("a");
         assert_matches_relational(&program, &edb, &BoolDatabase::new());
-        let out = engine_seminaive_eval(&program, &edb, &BoolDatabase::new(), 1000)
-            .expect("compiles")
-            .unwrap();
+        let out = eval(&program, &edb, &BoolDatabase::new(), 1000, SemiNaive).unwrap();
         let l = out.get("L").unwrap();
         assert_eq!(l.get(&tup!["a"]), Trop::finite(0.0));
         assert_eq!(l.get(&tup!["d"]), Trop::finite(8.0));
@@ -1391,8 +1446,7 @@ mod tests {
         let (_, rel_steps) = relational_seminaive_eval(&program, &edb, &bools, 1000)
             .converged()
             .unwrap();
-        let (_, eng_steps) = engine_seminaive_eval(&program, &edb, &bools, 1000)
-            .expect("compiles")
+        let (_, eng_steps) = eval(&program, &edb, &bools, 1000, SemiNaive)
             .converged()
             .unwrap();
         assert_eq!(rel_steps, eng_steps);
@@ -1400,8 +1454,7 @@ mod tests {
         let (_, rel_naive) = relational_naive_eval(&program, &edb, &bools, 1000)
             .converged()
             .unwrap();
-        let (_, eng_naive) = engine_naive_eval(&program, &edb, &bools, 1000)
-            .expect("compiles")
+        let (_, eng_naive) = eval(&program, &edb, &bools, 1000, Naive)
             .converged()
             .unwrap();
         assert_eq!(rel_naive, eng_naive);
@@ -1419,11 +1472,16 @@ mod tests {
                 SumProduct::new(vec![Factor::atom("X", vec![Term::c("u")])]).with_coeff(Nat(2)),
             ],
         );
-        assert!(
-            !engine_naive_eval(&p, &Database::new(), &BoolDatabase::new(), 30)
-                .expect("capped divergence is Ok(Diverged), not an error")
-                .is_converged()
-        );
+        assert!(!engine_eval_interned(
+            &p,
+            &Database::new(),
+            &BoolDatabase::new(),
+            30,
+            Naive,
+            &EngineOpts::default()
+        )
+        .expect("capped divergence is Ok(Diverged), not an error")
+        .is_converged());
     }
 
     #[test]
@@ -1444,13 +1502,8 @@ mod tests {
             threads: Some(1),
             ..EngineOpts::default()
         };
-        let par = engine_seminaive_eval_with_opts(&program, &edb, &bools, 100_000, &parallel_opts)
-            .expect("compiles")
-            .unwrap();
-        let seq =
-            engine_seminaive_eval_with_opts(&program, &edb, &bools, 100_000, &sequential_opts)
-                .expect("compiles")
-                .unwrap();
+        let par = eval_with(&program, &edb, &bools, 100_000, SemiNaive, &parallel_opts).unwrap();
+        let seq = eval_with(&program, &edb, &bools, 100_000, SemiNaive, &sequential_opts).unwrap();
         let reference = relational_seminaive_eval(&program, &edb, &bools, 100_000).unwrap();
         assert_eq!(par, seq, "parallel and sequential runs differ");
         assert_eq!(par, reference, "engine differs from relational");
@@ -1509,8 +1562,17 @@ mod tests {
             crate::plan::compile(&p, &mut interner),
             Err(CompileError::HeadArityMismatch)
         ));
-        let err = engine_naive_eval(&p, &Database::new(), &BoolDatabase::new(), 10)
-            .expect_err("mixed-arity heads must be a compile error");
+        let aborted = engine_eval_interned(
+            &p,
+            &Database::new(),
+            &BoolDatabase::new(),
+            10,
+            Naive,
+            &EngineOpts::default(),
+        )
+        .expect_err("mixed-arity heads must be a compile error");
+        assert_eq!(aborted.partial().interned().predicates().count(), 0);
+        let err = EvalError::from(aborted);
         match &err {
             EvalError::Compile { detail } => {
                 assert!(detail.contains("HeadArityMismatch"), "got: {detail}");
@@ -1544,9 +1606,7 @@ mod tests {
                 .with_condition(Formula::cmp(Term::v(0), CmpOp::Lt, Term::c(5)))],
         );
         assert_matches_relational(&p, &Database::new(), &BoolDatabase::new());
-        let out = engine_seminaive_eval(&p, &Database::new(), &BoolDatabase::new(), 100)
-            .expect("compiles")
-            .unwrap();
+        let out = eval(&p, &Database::new(), &BoolDatabase::new(), 100, SemiNaive).unwrap();
         let n = out.get("N").unwrap();
         assert_eq!(n.support_size(), 6, "keys 0..=5");
         for i in 0..=5i64 {
@@ -1563,9 +1623,7 @@ mod tests {
         let values = [2.0, 4.0, 1.5, 3.0, 0.5];
         let (p, edb) = ex::prefix_sum_keyed::<Trop>(&values, Trop::finite);
         assert_matches_relational(&p, &edb, &BoolDatabase::new());
-        let out = engine_seminaive_eval(&p, &edb, &BoolDatabase::new(), 1000)
-            .expect("compiles")
-            .unwrap();
+        let out = eval(&p, &edb, &BoolDatabase::new(), 1000, SemiNaive).unwrap();
         let w = out.get("W").unwrap();
         let mut acc = 0.0;
         for (i, v) in values.iter().enumerate() {
@@ -1576,8 +1634,7 @@ mod tests {
         let (_, rel_steps) = relational_seminaive_eval(&p, &edb, &BoolDatabase::new(), 1000)
             .converged()
             .unwrap();
-        let (_, eng_steps) = engine_seminaive_eval(&p, &edb, &BoolDatabase::new(), 1000)
-            .expect("compiles")
+        let (_, eng_steps) = eval(&p, &edb, &BoolDatabase::new(), 1000, SemiNaive)
             .converged()
             .unwrap();
         assert_eq!(rel_steps, eng_steps);
@@ -1618,13 +1675,9 @@ mod tests {
         }
         edb.insert("S", Relation::from_pairs(2, pairs));
         let bools = BoolDatabase::new();
-        let first = engine_naive_eval(&p, &edb, &bools, 1000)
-            .expect("compiles")
-            .unwrap();
+        let first = eval(&p, &edb, &bools, 1000, Naive).unwrap();
         for _ in 0..5 {
-            let again = engine_naive_eval(&p, &edb, &bools, 1000)
-                .expect("compiles")
-                .unwrap();
+            let again = eval(&p, &edb, &bools, 1000, Naive).unwrap();
             assert_eq!(first, again, "engine result varied across runs");
         }
     }
@@ -1632,8 +1685,7 @@ mod tests {
     #[test]
     fn empty_program_converges_immediately() {
         let p = Program::<Trop>::new();
-        let out = engine_seminaive_eval(&p, &Database::new(), &BoolDatabase::new(), 10)
-            .expect("compiles");
+        let out = eval(&p, &Database::new(), &BoolDatabase::new(), 10, SemiNaive);
         let (db, steps) = out.converged().unwrap();
         assert_eq!(steps, 1);
         assert!(db.iter().next().is_none());

@@ -58,11 +58,13 @@
 //!
 //! POPS without `⊖` (e.g. `NNReal` for company control) cannot run the
 //! semi-naïve continuation, but both arguments above only need a
-//! pre-fixpoint start: [`Materialization::insert_naive`] /
-//! [`Materialization::delete_naive`] run the naïve loop `J ↦ F'(J)`
-//! from the old state (respectively the survivors) with the original
-//! seed plans only — the variant rules stay out, since naïve steps
-//! recompute full sums and the differential would double-count.
+//! pre-fixpoint start: a handle built under the [`crate::Naive`]
+//! schedule runs the naïve rounds `J ↦ F'(J)` from the old state
+//! (respectively the survivors) with the original seed plans only —
+//! the variant rules stay out, since naïve steps recompute full sums
+//! and the differential would double-count. The schedule is fixed at
+//! [`Materialization::new`]; every edit, rebuild, and query after it is
+//! the same call for every POPS.
 //!
 //! ## Contract
 //!
@@ -86,23 +88,21 @@
 //!   budget/deadline exhaustion, cancellation, or a contained worker
 //!   panic — leaves the interned state mid-fixpoint, so the handle is
 //!   **poisoned**: every subsequent edit or query returns
-//!   [`EvalError::Poisoned`] until [`Materialization::rebuild`] (or
-//!   [`Materialization::rebuild_naive`]) re-derives the fixpoint from
-//!   the retained classic EDB, bit-identical to a from-scratch build.
+//!   [`EvalError::Poisoned`] until [`Materialization::rebuild`]
+//!   re-derives the fixpoint from the retained classic EDB,
+//!   bit-identical to a from-scratch build.
 //!   The failed edit's EDB effect is retained: `rebuild()` completes
 //!   the derivation the interrupted edit began.
 
 use crate::driver::{
-    apply_contrib, drain_arrange_merges, ensure_delta_indexes, ensure_probes, mint_key, run_plans,
-    setup_checked, setup_interned_checked, Engine, EngineOpts, IdbState,
+    ensure_delta_indexes, ensure_probes, run_plans, setup, Engine, EngineOpts, IdbState, LoopFail,
+    RoundPlans, Run, Schedule,
 };
-use crate::govern::{abort_error, Abort, Checkpoint, Governor};
-use crate::hash::FxHashMap;
-use crate::output::{InternedOutput, PartialOutput, SettledMark};
+use crate::govern::Checkpoint;
+use crate::output::{InternedOutput, PartialOutput};
 use crate::plan::{Plan, Source, EDB_DELTA_SUFFIX, EDB_OLD_SUFFIX};
 use crate::query::{engine_query_eval_interned_edb, QueryAnswer};
 use crate::storage::{ColMask, ColumnRel};
-use crate::telemetry::Collector;
 use crate::worklist::Strategy;
 use dlo_core::ast::{Program, Rule};
 use dlo_core::edit::{Edit, FactDelete, FactInsert};
@@ -111,9 +111,7 @@ use dlo_core::eval::{CancelToken, EvalBudget, EvalError};
 use dlo_core::query::Query;
 use dlo_core::relation::{BoolDatabase, Database};
 use dlo_core::value::Constant;
-use dlo_pops::{
-    Absorptive, CompleteDistributiveDioid, NaturallyOrdered, Pops, TotallyOrderedDioid,
-};
+use dlo_pops::Pops;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -137,11 +135,13 @@ struct EditSlot {
 /// absorbing EDB edits incrementally (see the module docs for the
 /// algorithm and its correctness argument).
 ///
-/// Built by [`Materialization::new`] (semi-naïve differential edits,
-/// needs `⊖`) or [`Materialization::new_naive`] (naïve-loop edits, any
-/// naturally ordered POPS). [`Materialization::query`] delegates to the
-/// magic-set demand path against the current epoch.
-pub struct Materialization<P: Pops> {
+/// [`Materialization::new`] takes the [`Schedule`] that builds it and
+/// fixes how every later edit continues the fixpoint:
+/// [`crate::SemiNaive`] and [`Strategy`] by the semi-naïve differential
+/// (needs `⊖`), [`crate::Naive`] by naïve rounds (any naturally ordered
+/// POPS). [`Materialization::query`] runs the magic-set demand path
+/// against the current epoch under the same schedule.
+pub struct Materialization<P: Pops, S = Strategy> {
     /// The original program (used by the query rewrite; the engine runs
     /// the augmented maintenance program).
     program: Program<P>,
@@ -165,7 +165,7 @@ pub struct Materialization<P: Pops> {
     edb: Database<P>,
     bool_edb: BoolDatabase,
     cap: usize,
-    strategy: Strategy,
+    schedule: S,
     opts: EngineOpts,
     epoch: u64,
     snapshot: Option<InternedOutput<P>>,
@@ -187,33 +187,6 @@ pub struct Materialization<P: Pops> {
     /// poisoned, exposed read-only by [`Materialization::partial`] for
     /// diagnostics while the poison stands.
     partial: Option<PartialOutput<P>>,
-}
-
-/// A failed maintenance loop: why it stopped, plus the completed step
-/// count at the stop (the collector still needs finishing).
-enum LoopFail {
-    /// Governed interruption or contained worker panic.
-    Abort(Abort, usize),
-    /// Step-cap overrun: the program diverges on the edited EDB.
-    Diverged(usize),
-}
-
-/// Finishes the collector for a failed loop and builds the public
-/// error (the caller decides whether the failure poisons the handle).
-fn fail_error(cap: usize, fail: LoopFail, col: Collector, eval_ns: u64) -> EvalError {
-    match fail {
-        LoopFail::Abort(a, steps) => abort_error(a, Checkpoint::Iteration, 0, col, steps, eval_ns),
-        LoopFail::Diverged(steps) => {
-            let stats = col.finish(steps, false, eval_ns);
-            EvalError::Diverged {
-                cap,
-                diagnostic: format!(
-                    "maintenance did not converge within {cap} steps: the program diverges on the edited EDB"
-                ),
-                stats: Box::new(stats),
-            }
-        }
-    }
 }
 
 /// Appends the telescoped variant rules: for each sum-product and each
@@ -270,19 +243,51 @@ fn maintenance_program<P: Pops>(program: &Program<P>) -> Result<MaintenanceProgr
     Ok((out, editable))
 }
 
-impl<P: Pops + Send + Sync> Materialization<P> {
-    /// Shared construction: compile the maintenance program, partition
-    /// plans, and resolve the edit slots. The fixpoint itself is run by
-    /// the public constructors.
-    fn prepare(
+impl<P, S> Materialization<P, S>
+where
+    P: Pops + Send + Sync,
+    S: Schedule<P>,
+{
+    /// Builds the materialization and runs the initial fixpoint under
+    /// `schedule`, which also fixes how edits continue it — naïve
+    /// rounds for [`crate::Naive`], the semi-naïve differential for
+    /// [`crate::SemiNaive`] and every [`Strategy`] — and runs the
+    /// demand path behind [`Materialization::query`].
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::Compile`] on programs the columnar storage cannot
+    /// represent or predicate names using the reserved `@` namespace;
+    /// [`EvalError::Diverged`] when the initial fixpoint exceeds `cap`
+    /// steps; the governed variants when `opts` carries a budget or
+    /// cancel token that trips during the build. A failed build returns
+    /// no handle, so there is nothing to poison.
+    pub fn new(
         program: &Program<P>,
         pops_edb: &Database<P>,
         bool_edb: &BoolDatabase,
         cap: usize,
-        strategy: Strategy,
+        schedule: S,
+        opts: &EngineOpts,
+    ) -> Result<Self, EvalError> {
+        Self::build(program, pops_edb, bool_edb, cap, schedule, opts, None)
+    }
+
+    /// [`Materialization::new`] with an optional retained interner from
+    /// a previous epoch (the rebuild path): compile the maintenance
+    /// program, partition plans, resolve the edit slots, then run the
+    /// schedule from the empty state over the original rules (the
+    /// variant rules see empty `@dlt` and contribute nothing).
+    fn build(
+        program: &Program<P>,
+        pops_edb: &Database<P>,
+        bool_edb: &BoolDatabase,
+        cap: usize,
+        schedule: S,
         opts: &EngineOpts,
         prev: Option<&InternedOutput<P>>,
     ) -> Result<Self, EvalError> {
+        let t = Instant::now();
         for (name, _) in pops_edb.iter() {
             if name.contains('@') {
                 return Err(EvalError::Compile {
@@ -292,40 +297,22 @@ impl<P: Pops + Send + Sync> Materialization<P> {
         }
         let (aug, editable) = maintenance_program(program)?;
         let n_rules = program.rules.len();
+        // Rebuild path: `prev` carries the retained interner forward
+        // (the EDB relations themselves come from `pops_edb` — `prev`
+        // holds no relations), so constant ids minted by earlier epochs
+        // stay stable across the recovery.
         let join_mode = opts.effective_join_mode();
-        let mut engine = match prev {
-            // Rebuild path: carry the retained interner forward (the
-            // EDB relations themselves come from `pops_edb` — `prev`
-            // holds no relations), so constant ids minted by earlier
-            // epochs stay stable across the recovery.
-            Some(prev) => setup_interned_checked(&aug, prev, pops_edb, bool_edb, &[])?,
-            None => setup_checked(&aug, pops_edb, bool_edb, &[])?,
+        let engine = setup(&aug, prev, pops_edb, bool_edb, &[], join_mode)?;
+        let original = |plans: &[Plan<P>], original: bool| -> Vec<Plan<P>> {
+            plans
+                .iter()
+                .filter(|p| (p.rule_idx < n_rules) == original)
+                .cloned()
+                .collect()
         };
-        engine.join_mode = join_mode;
-        engine
-            .build_edb_indexes(&[], opts.effective_threads())
-            .map_err(|a| a.into_error(EvalStats::default()))?;
-        let seed_plans: Vec<Plan<P>> = engine
-            .compiled
-            .seed_plans
-            .iter()
-            .filter(|p| p.rule_idx < n_rules)
-            .cloned()
-            .collect();
-        let edit_plans: Vec<Plan<P>> = engine
-            .compiled
-            .seed_plans
-            .iter()
-            .filter(|p| p.rule_idx >= n_rules)
-            .cloned()
-            .collect();
-        let delta_plans: Vec<Plan<P>> = engine
-            .compiled
-            .delta_plans
-            .iter()
-            .filter(|p| p.rule_idx < n_rules)
-            .cloned()
-            .collect();
+        let seed_plans = original(&engine.compiled.seed_plans, true);
+        let edit_plans = original(&engine.compiled.seed_plans, false);
+        let delta_plans = original(&engine.compiled.delta_plans, true);
         let mut pops_masks: Vec<Vec<ColMask>> = vec![vec![]; engine.pops_edb.len()];
         for &(source, mask) in &engine.edb_reqs {
             if let Source::PopsEdb(i) = source {
@@ -345,19 +332,10 @@ impl<P: Pops + Send + Sync> Materialization<P> {
                 arity,
             })
             .collect();
-        let nidb = engine.compiled.idbs.len();
-        let mut state = IdbState {
-            new: engine.empty_idbs(),
-            changed: vec![FxHashMap::default(); nidb],
-            delta: engine.empty_idbs(),
-        };
-        for (pred, rel) in state.new.iter_mut().enumerate() {
-            ensure_probes(rel, &engine.idb_new_masks[pred], join_mode);
-        }
-        Ok(Materialization {
+        let mut m = Materialization {
             program: program.clone(),
+            state: engine.empty_state(),
             engine,
-            state,
             seed_plans,
             edit_plans,
             delta_plans,
@@ -366,7 +344,7 @@ impl<P: Pops + Send + Sync> Materialization<P> {
             edb: pops_edb.clone(),
             bool_edb: bool_edb.clone(),
             cap,
-            strategy,
+            schedule,
             opts: opts.clone(),
             epoch: 0,
             snapshot: None,
@@ -375,7 +353,82 @@ impl<P: Pops + Send + Sync> Materialization<P> {
             last_stats: EvalStats::default(),
             poisoned: None,
             partial: None,
-        })
+        };
+        let mut run = m.open_run("build", t);
+        let plans = RoundPlans {
+            full: &m.seed_plans,
+            seed: &m.seed_plans,
+            seed_rows: 0,
+            delta: &m.delta_plans,
+        };
+        let result = run
+            .prepare(&mut m.engine, &mut m.state, &m.opts, &[])
+            .and_then(|()| {
+                schedule.resume(
+                    &mut m.engine,
+                    &mut m.state,
+                    &plans,
+                    cap,
+                    &m.opts,
+                    &mut run,
+                    0,
+                )
+            });
+        match result {
+            Ok(steps) => {
+                m.settle();
+                m.last_stats = run.finish(steps, true);
+                Ok(m)
+            }
+            Err(fail) => Err(run.fail(cap, fail).0),
+        }
+    }
+
+    /// Opens the governed run of one build or edit, labelled
+    /// `incremental-<kind>` (plus the schedule's suffix); everything
+    /// since `started` — compile and intern, or staging — is its setup
+    /// time.
+    fn open_run(&self, kind: &str, started: Instant) -> Run {
+        Run::open(
+            &self.engine,
+            &format!("incremental-{kind}{}", S::MAINTENANCE_SUFFIX),
+            false,
+            &self.opts,
+            started.elapsed().as_nanos() as u64,
+        )
+    }
+
+    /// Recovers (or refreshes) the handle: re-derives the fixpoint from
+    /// the retained classic EDB and clears the poisoned bit (and the
+    /// stashed [`Materialization::partial`]). The fixpoint agrees with
+    /// a from-scratch build at any thread count, and the retained
+    /// **interner is reused**, so constant ids minted by earlier epochs
+    /// stay stable across the recovery — interned keys held by callers
+    /// keep resolving to the same constants. The epoch advances past
+    /// every previous epoch. A rebuild is itself governed by the
+    /// current budget/cancel settings (adjust them first via
+    /// [`Materialization::set_budget`] / [`Materialization::set_cancel`]
+    /// if the poisoning budget would trip again); a failed rebuild
+    /// leaves the handle poisoned.
+    ///
+    /// # Errors
+    ///
+    /// As [`Materialization::new`].
+    pub fn rebuild(&mut self) -> Result<&EvalStats, EvalError> {
+        let epoch = self.epoch + 1;
+        let prev = InternedOutput::new(self.engine.interner.clone(), vec![], vec![]);
+        let mut fresh = Self::build(
+            &self.program,
+            &self.edb,
+            &self.bool_edb,
+            self.cap,
+            self.schedule,
+            &self.opts,
+            Some(&prev),
+        )?;
+        fresh.epoch = epoch;
+        *self = fresh;
+        Ok(&self.last_stats)
     }
 
     /// The epoch counter: bumped by every edit.
@@ -395,8 +448,8 @@ impl<P: Pops + Send + Sync> Materialization<P> {
     }
 
     /// Why the handle is poisoned, if it is: a previous edit failed
-    /// mid-flight and only [`Materialization::rebuild`] /
-    /// [`Materialization::rebuild_naive`] will accept further work.
+    /// mid-flight and only [`Materialization::rebuild`] will accept
+    /// further work.
     /// Read-only probes ([`Materialization::get`],
     /// [`Materialization::edb`], …) stay available for diagnostics.
     pub fn poisoned(&self) -> Option<&str> {
@@ -425,26 +478,38 @@ impl<P: Pops + Send + Sync> Materialization<P> {
         }
     }
 
-    /// Records a mid-flight failure and passes the error through,
-    /// stashing the mid-fixpoint interned state as a read-only
-    /// [`PartialOutput`] next to the poison.
-    fn poison(&mut self, err: EvalError) -> EvalError {
-        self.poisoned = Some(format!(
-            "epoch {} edit failed mid-flight ({}): rebuild() to recover",
-            self.epoch, err
-        ));
-        let nidb = self.engine.compiled.idbs.len();
-        let interned = InternedOutput::new(
-            self.engine.interner.clone(),
-            self.engine.compiled.idbs.clone(),
-            self.state.new.clone(),
-        );
-        self.partial = Some(PartialOutput::new(
-            interned,
-            SettledMark::best_effort(nidb),
-            err.stats().cloned().unwrap_or_default(),
-        ));
-        err
+    /// The shared tail of every edit. Success clears the per-edit
+    /// `changed` maps and records the edit's stats; a mid-flight
+    /// failure poisons the handle, stashing the mid-fixpoint interned
+    /// state as a read-only [`PartialOutput`] next to the poison, and
+    /// passes the error through.
+    fn close_edit(
+        &mut self,
+        run: Run,
+        result: Result<usize, LoopFail>,
+    ) -> Result<&EvalStats, EvalError> {
+        match result {
+            Ok(steps) => {
+                self.settle();
+                self.last_stats = run.finish(steps, true);
+                Ok(&self.last_stats)
+            }
+            Err(fail) => {
+                let (err, settled) = run.fail(self.cap, fail);
+                self.poisoned = Some(format!(
+                    "epoch {} edit failed mid-flight ({}): rebuild() to recover",
+                    self.epoch, err
+                ));
+                let interned = InternedOutput::new(
+                    self.engine.interner.clone(),
+                    self.engine.compiled.idbs.clone(),
+                    self.state.new.clone(),
+                );
+                let stats = err.stats().cloned().unwrap_or_default();
+                self.partial = Some(PartialOutput::new(interned, settled, stats));
+                Err(err)
+            }
+        }
     }
 
     /// The mid-fixpoint state captured when the handle was poisoned,
@@ -549,10 +614,6 @@ impl<P: Pops + Send + Sync> Materialization<P> {
             self.snap_interner_len = self.engine.interner.len();
         }
         self.snapshot.as_ref().expect("just built")
-    }
-
-    fn begin_edit(&mut self) {
-        self.epoch += 1;
     }
 
     /// Monotone count of probe-structure builds (hash indexes and
@@ -789,61 +850,32 @@ impl<P: Pops + Send + Sync> Materialization<P> {
     /// plans to seed, then propagates key-sets through the original
     /// delta plans (rows carry their full current values; only the
     /// emitted keys are used) until closure. Must run against the
-    /// pre-delete state with empty `changed` maps.
-    fn affected_closure(
-        &mut self,
-        col: &mut Collector,
-        gov: &Governor,
-        steps: &mut usize,
-    ) -> Result<Vec<HashSet<u32>>, LoopFail> {
+    /// pre-delete state with empty `changed` maps. Returns the marking
+    /// and the number of propagation steps it took.
+    fn affected_closure(&mut self, run: &mut Run) -> Result<(Vec<HashSet<u32>>, usize), LoopFail> {
         let nidb = self.engine.compiled.idbs.len();
         let mut affected: Vec<HashSet<u32>> = (0..nidb).map(|_| HashSet::new()).collect();
-        let before = col.stats.counters;
-        gov.check(*steps as u64, col)
-            .map_err(|a| LoopFail::Abort(a, *steps))?;
-        let (contrib, _fresh) =
-            run_plans(&self.engine, &self.edit_plans, &self.state, &self.opts, col)
-                .map_err(|a| LoopFail::Abort(a, *steps))?;
         let mut frontier: Vec<Vec<u32>> = vec![vec![]; nidb];
-        for (pred, acc) in contrib.into_iter().enumerate() {
-            let new = &self.state.new[pred];
-            let (aff, front) = (&mut affected[pred], &mut frontier[pred]);
-            acc.drain_sorted(|key, _| {
-                if let Some(r) = new.rowid(key) {
-                    if aff.insert(r) {
-                        front.push(r);
+        let mut steps = 0usize;
+        let mut plans = &self.edit_plans;
+        loop {
+            run.check(steps, Checkpoint::Iteration)?;
+            let before = run.col.stats.counters;
+            let delta_rows: u64 = frontier.iter().map(|f| f.len() as u64).sum();
+            if steps > 0 {
+                let mut delta = self.engine.empty_idbs();
+                for (pred, rows) in frontier.iter().enumerate() {
+                    let new = &self.state.new[pred];
+                    for &r in rows {
+                        delta[pred].append_row(new.row(r), new.val(r).clone());
                     }
                 }
-            });
-        }
-        col.end_step(*steps, 0, 0, &before);
-        while frontier.iter().any(|f| !f.is_empty()) {
-            gov.check(*steps as u64, col)
-                .map_err(|a| LoopFail::Abort(a, *steps))?;
-            if *steps >= self.cap {
-                return Err(LoopFail::Diverged(*steps));
+                self.state.delta = delta;
+                ensure_delta_indexes(&self.engine, &mut self.state);
             }
-            *steps += 1;
-            let before = col.stats.counters;
-            let mut delta = self.engine.empty_idbs();
-            let mut delta_rows = 0u64;
-            for (pred, rows) in frontier.iter().enumerate() {
-                let new = &self.state.new[pred];
-                for &r in rows {
-                    delta[pred].append_row(new.row(r), new.val(r).clone());
-                    delta_rows += 1;
-                }
-            }
-            self.state.delta = delta;
-            ensure_delta_indexes(&self.engine, &mut self.state);
-            let (contrib, _fresh) = run_plans(
-                &self.engine,
-                &self.delta_plans,
-                &self.state,
-                &self.opts,
-                col,
-            )
-            .map_err(|a| LoopFail::Abort(a, *steps))?;
+            let (contrib, _fresh) =
+                run_plans(&self.engine, plans, &self.state, &self.opts, &mut run.col)
+                    .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
             frontier = vec![vec![]; nidb];
             for (pred, acc) in contrib.into_iter().enumerate() {
                 let new = &self.state.new[pred];
@@ -856,11 +888,19 @@ impl<P: Pops + Send + Sync> Materialization<P> {
                     }
                 });
             }
-            col.end_step(*steps, delta_rows, 0, &before);
+            run.col.end_step(steps, delta_rows, 0, &before);
+            if frontier.iter().all(|f| f.is_empty()) {
+                break;
+            }
+            if steps >= self.cap {
+                return Err(LoopFail::Diverged(steps));
+            }
+            steps += 1;
+            plans = &self.delta_plans;
         }
         self.state.delta = self.engine.empty_idbs();
         ensure_delta_indexes(&self.engine, &mut self.state);
-        Ok(affected)
+        Ok((affected, steps))
     }
 
     /// Rebuilds the affected IDB relations without the marked rows
@@ -890,238 +930,14 @@ impl<P: Pops + Send + Sync> Materialization<P> {
         }
     }
 
-    /// The naïve loop `J ↦ F'(J)` from the current state using the
-    /// original seed plans, to fixpoint. Starting from a pre-fixpoint
-    /// (the old state after an insert; the survivors after a delete)
-    /// it converges to the new least fixpoint.
-    fn naive_loop(&mut self, col: &mut Collector, gov: &Governor) -> Result<usize, LoopFail>
-    where
-        P: NaturallyOrdered,
-    {
-        for steps in 0..=self.cap {
-            gov.check(steps as u64, col)
-                .map_err(|a| LoopFail::Abort(a, steps))?;
-            let before = col.stats.counters;
-            let (contrib, fresh) =
-                run_plans(&self.engine, &self.seed_plans, &self.state, &self.opts, col)
-                    .map_err(|a| LoopFail::Abort(a, steps))?;
-            let mut next = self.engine.empty_idbs();
-            for (pred, acc) in contrib.into_iter().enumerate() {
-                let sv = self.engine.compiled.set_valued[pred];
-                acc.drain_sorted(|key, v| {
-                    next[pred].insert_row(key, if sv { P::one() } else { v });
-                });
-            }
-            let t_mint = Instant::now();
-            let minted_before = self.engine.interner.len();
-            for (pred, acc) in fresh.into_iter().enumerate() {
-                let sv = self.engine.compiled.set_valued[pred];
-                for (key, v) in acc {
-                    let key = mint_key(&mut self.engine.interner, &key);
-                    next[pred].insert_row(&key, if sv { P::one() } else { v });
-                }
-            }
-            col.stats.counters.minted_ids += (self.engine.interner.len() - minted_before) as u64;
-            col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-            let fixed = next
-                .iter()
-                .zip(&self.state.new)
-                .all(|(n, c)| n.len() == c.len() && n.iter().all(|(_, k, v)| c.get(k) == Some(v)));
-            col.end_step(steps, 0, 0, &before);
-            if fixed {
-                return Ok(steps);
-            }
-            for (pred, rel) in next.iter_mut().enumerate() {
-                ensure_probes(rel, &self.engine.idb_new_masks[pred], self.engine.join_mode);
-                rel.succeed_version(&self.state.new[pred]);
-            }
-            self.state.new = next;
-        }
-        Err(LoopFail::Diverged(self.cap))
-    }
-}
-
-impl<P> Materialization<P>
-where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-{
-    /// Builds the materialization and runs the initial fixpoint with
-    /// the parallel semi-naïve loop. `strategy` governs the demand path
-    /// behind [`Materialization::query`]; edits always run the
-    /// semi-naïve differential continuation.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::Compile`] on programs the columnar storage cannot
-    /// represent or predicate names using the reserved `@` namespace;
-    /// [`EvalError::Diverged`] when the initial fixpoint exceeds `cap`
-    /// steps; the governed variants when `opts` carries a budget or
-    /// cancel token that trips during the build. A failed build returns
-    /// no handle, so there is nothing to poison.
-    pub fn new(
-        program: &Program<P>,
-        pops_edb: &Database<P>,
-        bool_edb: &BoolDatabase,
-        cap: usize,
-        strategy: Strategy,
-        opts: &EngineOpts,
-    ) -> Result<Self, EvalError> {
-        Self::build(program, pops_edb, bool_edb, cap, strategy, opts, None)
-    }
-
-    /// [`Materialization::new`] with an optional retained interner from
-    /// a previous epoch (the rebuild path).
-    fn build(
-        program: &Program<P>,
-        pops_edb: &Database<P>,
-        bool_edb: &BoolDatabase,
-        cap: usize,
-        strategy: Strategy,
-        opts: &EngineOpts,
-        prev: Option<&InternedOutput<P>>,
-    ) -> Result<Self, EvalError> {
-        let t = Instant::now();
-        let mut m = Self::prepare(program, pops_edb, bool_edb, cap, strategy, opts, prev)?;
-        let mut col = Collector::new(
-            "incremental-build",
-            m.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            m.engine.compiled.plan_metas_for(m.engine.join_mode),
-            &m.opts,
-        );
-        let gov = Governor::new(&m.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        match m.seminaive_build(&mut col, &gov) {
-            Ok(steps) => {
-                m.settle();
-                m.last_stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-                Ok(m)
-            }
-            Err(f) => Err(fail_error(
-                m.cap,
-                f,
-                col,
-                t_eval.elapsed().as_nanos() as u64,
-            )),
-        }
-    }
-
-    /// Recovers (or refreshes) the handle: re-derives the fixpoint from
-    /// the retained classic EDB and clears the poisoned bit (and the
-    /// stashed [`Materialization::partial`]). The fixpoint agrees with
-    /// a from-scratch build at any thread count, and the retained
-    /// **interner is reused**, so constant ids minted by earlier epochs
-    /// stay stable across the recovery — interned keys held by callers
-    /// keep resolving to the same constants. The epoch advances past
-    /// every previous epoch. A rebuild is itself governed by the
-    /// current budget/cancel settings (adjust them first via
-    /// [`Materialization::set_budget`] / [`Materialization::set_cancel`]
-    /// if the poisoning budget would trip again); a failed rebuild
-    /// leaves the handle poisoned.
-    ///
-    /// # Errors
-    ///
-    /// As [`Materialization::new`].
-    pub fn rebuild(&mut self) -> Result<&EvalStats, EvalError> {
-        let epoch = self.epoch + 1;
-        let prev = InternedOutput::new(self.engine.interner.clone(), vec![], vec![]);
-        let mut fresh = Self::build(
-            &self.program,
-            &self.edb,
-            &self.bool_edb,
-            self.cap,
-            self.strategy,
-            &self.opts,
-            Some(&prev),
-        )?;
-        fresh.epoch = epoch;
-        *self = fresh;
-        Ok(&self.last_stats)
-    }
-
-    /// The initial semi-naïve fixpoint: seed `J(1) = F(0)`, then the
-    /// delta loop (mirrors the from-scratch driver over the original
-    /// rules; the variant rules see empty `@dlt` and contribute
-    /// nothing).
-    fn seminaive_build(&mut self, col: &mut Collector, gov: &Governor) -> Result<usize, LoopFail> {
-        let seed_before = col.stats.counters;
-        gov.check(0, col).map_err(|a| LoopFail::Abort(a, 0))?;
-        let (contrib, fresh) =
-            run_plans(&self.engine, &self.seed_plans, &self.state, &self.opts, col)
-                .map_err(|a| LoopFail::Abort(a, 0))?;
-        for (pred, acc) in contrib.into_iter().enumerate() {
-            let sv = self.engine.compiled.set_valued[pred];
-            let state = &mut self.state;
-            let c = &mut col.stats.counters;
-            acc.drain_sorted(|key, v| {
-                let v = if sv { P::one() } else { v };
-                let r = state.new[pred].insert_row(key, v.clone());
-                state.changed[pred].insert(r, None);
-                state.delta[pred].append_row(key, v);
-                c.rows_inserted += 1;
-            });
-        }
-        let t_mint = Instant::now();
-        let minted_before = self.engine.interner.len();
-        for (pred, acc) in fresh.into_iter().enumerate() {
-            let sv = self.engine.compiled.set_valued[pred];
-            for (key, v) in acc {
-                let v = if sv { P::one() } else { v };
-                let key = mint_key(&mut self.engine.interner, &key);
-                let r = self.state.new[pred].insert_row(&key, v.clone());
-                self.state.changed[pred].insert(r, None);
-                self.state.delta[pred].append_row(&key, v);
-                col.stats.counters.rows_inserted += 1;
-            }
-        }
-        col.stats.counters.minted_ids += (self.engine.interner.len() - minted_before) as u64;
-        col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-        let t_arr = Instant::now();
-        if ensure_delta_indexes(&self.engine, &mut self.state) {
-            col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-        }
-        drain_arrange_merges(&mut self.state, col);
-        col.end_step(0, 0, 0, &seed_before);
-        self.delta_loop(col, gov, 0)
-    }
-
-    /// The semi-naïve continuation: run the original delta plans and
-    /// advance until every delta drains. Returns the final step count.
-    fn delta_loop(
-        &mut self,
-        col: &mut Collector,
-        gov: &Governor,
-        start: usize,
-    ) -> Result<usize, LoopFail> {
-        let mut steps = start;
-        while !self.state.delta.iter().all(|d| d.is_empty()) {
-            gov.check(steps as u64, col)
-                .map_err(|a| LoopFail::Abort(a, steps))?;
-            if steps >= self.cap {
-                return Err(LoopFail::Diverged(steps));
-            }
-            steps += 1;
-            let before = col.stats.counters;
-            let delta_rows: u64 = self.state.delta.iter().map(|d| d.len() as u64).sum();
-            let (contrib, fresh) = run_plans(
-                &self.engine,
-                &self.delta_plans,
-                &self.state,
-                &self.opts,
-                col,
-            )
-            .map_err(|a| LoopFail::Abort(a, steps))?;
-            apply_contrib(&mut self.engine, &mut self.state, contrib, fresh, col);
-            col.end_step(steps, delta_rows, 0, &before);
-        }
-        Ok(steps)
-    }
-
     /// Absorbs an insert batch: `⊕`-merges the facts into the EDB and
-    /// advances the fixpoint by the telescoped differential — the
-    /// variant plans compute `F'(J) ⊖ F(J)` driven by the batch, the
-    /// standard advance folds it in, and the delta loop continues from
-    /// the old fixpoint (a pre-fixpoint of the grown operator).
+    /// continues the fixpoint from the old one (a pre-fixpoint of the
+    /// grown operator). Under the semi-naïve schedules the variant
+    /// plans compute the telescoped differential `F'(J) ⊖ F(J)` driven
+    /// by the batch, the standard advance folds it in, and the delta
+    /// rounds continue; under [`crate::Naive`] the naïve rounds re-run
+    /// the original rules — often a single confirming step when the
+    /// edit is absorbed.
     ///
     /// Returns the edit's own [`EvalStats`].
     ///
@@ -1137,54 +953,37 @@ where
         self.check_poisoned()?;
         self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
         let t = Instant::now();
-        self.begin_edit();
+        self.epoch += 1;
         let touched = self.stage_insert(batch);
-        let mut col = Collector::new(
-            "incremental-insert",
-            self.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            self.engine.compiled.plan_metas_for(self.engine.join_mode),
+        let mut run = self.open_run("insert", t);
+        let plans = RoundPlans {
+            full: &self.seed_plans,
+            seed: &self.edit_plans,
+            seed_rows: batch.len() as u64,
+            delta: &self.delta_plans,
+        };
+        let result = self.schedule.resume(
+            &mut self.engine,
+            &mut self.state,
+            &plans,
+            self.cap,
             &self.opts,
+            &mut run,
+            0,
         );
-        let gov = Governor::new(&self.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        let run = self.insert_run(&mut col, &gov, batch.len() as u64);
-        let eval_ns = t_eval.elapsed().as_nanos() as u64;
-        match run {
-            Ok(steps) => {
-                self.clear_edit_rels(&touched);
-                self.settle();
-                self.last_stats = col.finish(steps, true, eval_ns);
-                Ok(&self.last_stats)
-            }
-            Err(f) => Err(self.poison(fail_error(self.cap, f, col, eval_ns))),
+        if result.is_ok() {
+            self.clear_edit_rels(&touched);
         }
-    }
-
-    /// The governed tail of [`Materialization::insert`]: the
-    /// differential seed plus the semi-naïve continuation, factored out
-    /// so the public wrapper can poison any failure with one match.
-    fn insert_run(
-        &mut self,
-        col: &mut Collector,
-        gov: &Governor,
-        batch_rows: u64,
-    ) -> Result<usize, LoopFail> {
-        let before = col.stats.counters;
-        gov.check(0, col).map_err(|a| LoopFail::Abort(a, 0))?;
-        let (contrib, fresh) =
-            run_plans(&self.engine, &self.edit_plans, &self.state, &self.opts, col)
-                .map_err(|a| LoopFail::Abort(a, 0))?;
-        apply_contrib(&mut self.engine, &mut self.state, contrib, fresh, col);
-        col.end_step(0, batch_rows, 0, &before);
-        self.delta_loop(col, gov, 0)
+        self.close_edit(run, result)
     }
 
     /// Absorbs a delete batch by delete–rederive (module docs): mark
-    /// the affected closure against the pre-delete state, drop the
-    /// deleted EDB rows and the affected IDB rows, rederive from the
-    /// surviving support with the original seed plans, and run the
-    /// delta loop to fixpoint. Deleting absent facts is a no-op.
+    /// the affected closure against the pre-delete state (purely
+    /// key-syntactic, no `⊖` involved), drop the deleted EDB rows and
+    /// the affected IDB rows, and let the schedule rederive from the
+    /// surviving support — seeded, under the semi-naïve schedules, by
+    /// one application of the affected heads' original rules. Deleting
+    /// absent facts is a no-op.
     ///
     /// Returns the edit's own [`EvalStats`].
     ///
@@ -1195,66 +994,53 @@ where
         self.check_poisoned()?;
         self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
         let t = Instant::now();
-        self.begin_edit();
+        self.epoch += 1;
         let staged = self.stage_delete(batch);
-        let mut col = Collector::new(
-            "incremental-delete",
-            self.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            self.engine.compiled.plan_metas_for(self.engine.join_mode),
-            &self.opts,
-        );
-        let gov = Governor::new(&self.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
+        let mut run = self.open_run("delete", t);
         if staged.is_empty() {
-            self.last_stats = col.finish(0, true, t_eval.elapsed().as_nanos() as u64);
+            self.last_stats = run.finish(0, true);
             return Ok(&self.last_stats);
         }
-        let run = self.delete_run(&mut col, &gov, &staged);
-        let eval_ns = t_eval.elapsed().as_nanos() as u64;
-        match run {
-            Ok(steps) => {
-                self.settle();
-                self.last_stats = col.finish(steps, true, eval_ns);
-                Ok(&self.last_stats)
-            }
-            Err(f) => Err(self.poison(fail_error(self.cap, f, col, eval_ns))),
-        }
+        let result = self.delete_run(&mut run, &staged);
+        self.close_edit(run, result)
     }
 
     /// The governed tail of [`Materialization::delete`]: marking,
     /// zero-out, rederive, continuation.
     fn delete_run(
         &mut self,
-        col: &mut Collector,
-        gov: &Governor,
+        run: &mut Run,
         staged: &[(usize, HashSet<Box<[u32]>>)],
     ) -> Result<usize, LoopFail> {
         let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();
-        let mut steps = 0usize;
-        let affected = self.affected_closure(col, gov, &mut steps)?;
+        let (affected, steps) = self.affected_closure(run)?;
         self.clear_edit_rels(&touched);
         self.apply_edb_deletes(staged);
         self.retract_affected(&affected);
-        let has_affected: Vec<bool> = affected.iter().map(|a| !a.is_empty()).collect();
-        if has_affected.iter().any(|&b| b) {
-            let rederive: Vec<Plan<P>> = self
-                .seed_plans
-                .iter()
-                .filter(|p| has_affected[p.head_pred])
-                .cloned()
-                .collect();
-            gov.check(steps as u64, col)
-                .map_err(|a| LoopFail::Abort(a, steps))?;
-            steps += 1;
-            let before = col.stats.counters;
-            let (contrib, fresh) = run_plans(&self.engine, &rederive, &self.state, &self.opts, col)
-                .map_err(|a| LoopFail::Abort(a, steps))?;
-            apply_contrib(&mut self.engine, &mut self.state, contrib, fresh, col);
-            col.end_step(steps, 0, 0, &before);
-            steps = self.delta_loop(col, gov, steps)?;
+        if affected.iter().all(|a| a.is_empty()) {
+            return Ok(steps);
         }
-        Ok(steps)
+        let rederive: Vec<Plan<P>> = self
+            .seed_plans
+            .iter()
+            .filter(|p| !affected[p.head_pred].is_empty())
+            .cloned()
+            .collect();
+        let plans = RoundPlans {
+            full: &self.seed_plans,
+            seed: &rederive,
+            seed_rows: 0,
+            delta: &self.delta_plans,
+        };
+        self.schedule.resume(
+            &mut self.engine,
+            &mut self.state,
+            &plans,
+            self.cap,
+            &self.opts,
+            run,
+            steps + 1,
+        )
     }
 
     /// Applies an edit script in order, one batch per edit, stopping at
@@ -1279,211 +1065,36 @@ where
         }
         Ok(&self.last_stats)
     }
-}
 
-impl<P> Materialization<P>
-where
-    P: NaturallyOrdered + Send + Sync,
-{
-    /// [`Materialization::new`] for POPS **without** a `⊖` operator
-    /// (e.g. `NNReal`): the initial build and every edit run the naïve
-    /// loop `J ↦ F'(J)` — from the old state for inserts, from the
-    /// DRed survivors for deletes — which needs only natural order.
-    ///
-    /// # Errors
-    ///
-    /// As [`Materialization::new`].
-    pub fn new_naive(
-        program: &Program<P>,
-        pops_edb: &Database<P>,
-        bool_edb: &BoolDatabase,
-        cap: usize,
-        opts: &EngineOpts,
-    ) -> Result<Self, EvalError> {
-        Self::build_naive(program, pops_edb, bool_edb, cap, opts, None)
-    }
-
-    /// [`Materialization::new_naive`] with an optional retained
-    /// interner from a previous epoch (the rebuild path).
-    fn build_naive(
-        program: &Program<P>,
-        pops_edb: &Database<P>,
-        bool_edb: &BoolDatabase,
-        cap: usize,
-        opts: &EngineOpts,
-        prev: Option<&InternedOutput<P>>,
-    ) -> Result<Self, EvalError> {
-        let t = Instant::now();
-        let mut m = Self::prepare(program, pops_edb, bool_edb, cap, Strategy::Auto, opts, prev)?;
-        let mut col = Collector::new(
-            "incremental-build-naive",
-            m.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            m.engine.compiled.plan_metas_for(m.engine.join_mode),
-            &m.opts,
-        );
-        let gov = Governor::new(&m.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        match m.naive_loop(&mut col, &gov) {
-            Ok(steps) => {
-                m.last_stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-                Ok(m)
-            }
-            Err(f) => Err(fail_error(
-                m.cap,
-                f,
-                col,
-                t_eval.elapsed().as_nanos() as u64,
-            )),
-        }
-    }
-
-    /// [`Materialization::rebuild`] for naïve-mode handles: re-derives
-    /// from the retained classic EDB with the naïve loop, reusing the
-    /// retained interner (stable constant ids) and clearing the
-    /// poisoned bit and stashed partial.
-    ///
-    /// # Errors
-    ///
-    /// As [`Materialization::new`].
-    pub fn rebuild_naive(&mut self) -> Result<&EvalStats, EvalError> {
-        let epoch = self.epoch + 1;
-        let prev = InternedOutput::new(self.engine.interner.clone(), vec![], vec![]);
-        let mut fresh = Self::build_naive(
-            &self.program,
-            &self.edb,
-            &self.bool_edb,
-            self.cap,
-            &self.opts,
-            Some(&prev),
-        )?;
-        fresh.epoch = epoch;
-        fresh.strategy = self.strategy;
-        *self = fresh;
-        Ok(&self.last_stats)
-    }
-
-    /// Naïve-mode insert: `⊕`-merge the batch into the EDB, then run
-    /// the naïve loop from the old fixpoint (a pre-fixpoint of the
-    /// grown operator — often a single confirming step when the edit is
-    /// absorbed). The variant rules stay out: naïve steps recompute
-    /// full sums, so the differential would double-count.
-    ///
-    /// # Errors
-    ///
-    /// As [`Materialization::insert`].
-    pub fn insert_naive(&mut self, batch: &[FactInsert<P>]) -> Result<&EvalStats, EvalError> {
-        self.check_poisoned()?;
-        self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
-        let t = Instant::now();
-        self.begin_edit();
-        let touched = self.stage_insert(batch);
-        // The naïve loop never reads the edit relations; drop them now.
-        self.clear_edit_rels(&touched);
-        let mut col = Collector::new(
-            "incremental-insert-naive",
-            self.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            self.engine.compiled.plan_metas_for(self.engine.join_mode),
-            &self.opts,
-        );
-        let gov = Governor::new(&self.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        let run = self.naive_loop(&mut col, &gov);
-        let eval_ns = t_eval.elapsed().as_nanos() as u64;
-        match run {
-            Ok(steps) => {
-                self.last_stats = col.finish(steps, true, eval_ns);
-                Ok(&self.last_stats)
-            }
-            Err(f) => Err(self.poison(fail_error(self.cap, f, col, eval_ns))),
-        }
-    }
-
-    /// Naïve-mode delete: the same DRed marking and zero-out as
-    /// [`Materialization::delete`] (the marking pass is purely
-    /// key-syntactic, no `⊖` involved), then the naïve loop rederives
-    /// from the surviving support.
-    ///
-    /// # Errors
-    ///
-    /// As [`Materialization::insert`].
-    pub fn delete_naive(&mut self, batch: &[FactDelete]) -> Result<&EvalStats, EvalError> {
-        self.check_poisoned()?;
-        self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
-        let t = Instant::now();
-        self.begin_edit();
-        let staged = self.stage_delete(batch);
-        let mut col = Collector::new(
-            "incremental-delete-naive",
-            self.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            self.engine.compiled.plan_metas_for(self.engine.join_mode),
-            &self.opts,
-        );
-        let gov = Governor::new(&self.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        if staged.is_empty() {
-            self.last_stats = col.finish(0, true, t_eval.elapsed().as_nanos() as u64);
-            return Ok(&self.last_stats);
-        }
-        let run = (|| {
-            let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();
-            let mut steps = 0usize;
-            let affected = self.affected_closure(&mut col, &gov, &mut steps)?;
-            self.clear_edit_rels(&touched);
-            self.apply_edb_deletes(&staged);
-            self.retract_affected(&affected);
-            Ok(steps + self.naive_loop(&mut col, &gov)?)
-        })();
-        let eval_ns = t_eval.elapsed().as_nanos() as u64;
-        match run {
-            Ok(steps) => {
-                self.last_stats = col.finish(steps, true, eval_ns);
-                Ok(&self.last_stats)
-            }
-            Err(f) => Err(self.poison(fail_error(self.cap, f, col, eval_ns))),
-        }
-    }
-}
-
-impl<P> Materialization<P>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
     /// Answers a query against the **current epoch** through the
     /// magic-set demand path: the original program is rewritten for the
-    /// query's binding pattern and evaluated (with the configured
-    /// strategy) over the epoch's interner and the current classic EDB
+    /// query's binding pattern and evaluated (under the handle's
+    /// schedule) over the epoch's interner and the current classic EDB
     /// — decode-free chaining, exactly the PR-5 path, so the demanded
     /// fragment is recomputed rather than read from the materialized
     /// state (subsumptive reuse is the ROADMAP's next step).
     ///
     /// # Errors
     ///
-    /// As [`crate::engine_query_eval`], plus [`EvalError::Poisoned`]
-    /// when a prior edit on this handle failed mid-flight.
+    /// As [`crate::engine_query_eval_interned_edb`] (the partial is
+    /// dropped), plus [`EvalError::Poisoned`] when a prior edit on this
+    /// handle failed mid-flight.
     pub fn query(&mut self, query: &Query) -> Result<QueryAnswer<P>, EvalError> {
         self.check_poisoned()?;
         // Always refresh: the snapshot survives edits (differential
         // maintenance), so it may be stale rather than absent.
         self.output();
         let snap = self.snapshot.as_ref().expect("just built");
-        engine_query_eval_interned_edb(
+        Ok(engine_query_eval_interned_edb(
             &self.program,
             query,
             snap,
             &self.edb,
             &self.bool_edb,
             self.cap,
-            self.strategy,
+            self.schedule,
             &self.opts,
-        )
+        )?)
     }
 }
 
@@ -1491,6 +1102,7 @@ where
 mod tests {
     use super::*;
     use crate::storage::JoinMode;
+    use crate::worklist::Strategy;
     use dlo_core::parser::parse_program;
     use dlo_core::relation::Relation;
     use dlo_core::tup;

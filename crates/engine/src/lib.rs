@@ -41,40 +41,84 @@
 //!   for;
 //! * [`hash`] — the deterministic fast hasher behind every hot map.
 //!
-//! ## Choosing a strategy
+//! ## One way in: four entry points and a schedule argument
 //!
-//! [`worklist::Strategy`] names the three loops; which are *sound* is a
-//! property of the POPS, expressed as `dlo_pops` trait bounds and
-//! law-gated by `dlo_pops::checker`:
+//! There is one object to compute — the least fixpoint of the
+//! immediate-consequence operator — and four functions that compute
+//! it, differing only in *what* is asked and *where the EDB lives*:
 //!
-//! | strategy | entry point | requires | sound because |
+//! | | classic `Database` EDB | a previous run's [`InternedOutput`] as EDB |
+//! |---|---|---|
+//! | full fixpoint | [`engine_eval_interned`] | [`engine_eval_interned_edb`] |
+//! | `?-` query (magic sets) | [`engine_query_eval_with_opts`] | [`engine_query_eval_interned_edb`] |
+//!
+//! All four return interned output (`materialize()` decodes on demand)
+//! and, on failure, a boxed [`AbortedEval`] / [`AbortedQuery`] with the
+//! partial result attached. *How* the fixpoint is iterated is the
+//! [`Schedule`] argument — a value, not a function-name suffix — and
+//! which schedules are *sound* is a property of the POPS, expressed as
+//! `dlo_pops` trait bounds and law-gated by `dlo_pops::checker`:
+//!
+//! | schedule | argument | requires | sound because |
 //! |---|---|---|---|
-//! | naïve | [`engine_naive_eval`] | `NaturallyOrdered` | Algorithm 1 (monotone ICO iteration) |
-//! | semi-naïve | [`engine_seminaive_eval`] | `+ CompleteDistributiveDioid` | Theorem 6.5 (`⊖`-differentials) |
-//! | FIFO worklist | [`engine_worklist_eval`] | `+ Absorptive` | Cor. 5.19: over a 0-stable (absorptive, `x ⊕ 1 = 1`) semiring every polynomial is `N`-stable, so each fact strictly improves finitely often and a per-fact change queue drains |
-//! | priority frontier | [`engine_priority_eval`] | `+ TotallyOrderedDioid` | absorption makes `⊗` non-improving (`x ⊗ y ⊑ x`), so with a total order the ⊑-greatest pending fact can never be improved again: popped ⇒ settled (Dijkstra) |
+//! | naïve | [`Naive`] | `NaturallyOrdered` | Algorithm 1 (monotone ICO iteration) |
+//! | semi-naïve | [`SemiNaive`] (or [`Strategy::SemiNaive`]) | `+ CompleteDistributiveDioid` | Theorem 6.5 (`⊖`-differentials) |
+//! | FIFO worklist | [`Strategy::Worklist`] | `+ Absorptive` (offered through [`Strategy`], see below) | Cor. 5.19: over a 0-stable (absorptive, `x ⊕ 1 = 1`) semiring every polynomial is `N`-stable, so each fact strictly improves finitely often and a per-fact change queue drains |
+//! | priority frontier | [`Strategy::Priority`] / [`Strategy::Auto`] | `+ TotallyOrderedDioid` | absorption makes `⊗` non-improving (`x ⊗ y ⊑ x`), so with a total order the ⊑-greatest pending fact can never be improved again: popped ⇒ settled (Dijkstra) |
+//!
+//! The gate is in the types: [`Schedule`] is sealed, [`SemiNaive`]
+//! implements it only over complete distributive dioids and
+//! [`Strategy`] only over totally ordered absorptive ones (every
+//! absorptive POPS in `dlo_pops` — `Trop`, `MinNat`, `MaxMin`, `𝔹` —
+//! is also totally ordered, so the FIFO worklist needs no weaker
+//! schedule type of its own). An unsound pair is a compile error, never
+//! a runtime "unsupported strategy":
+//!
+//! ```compile_fail
+//! use dlo_core::{BoolDatabase, Database, Program};
+//! use dlo_engine::{engine_eval_interned, EngineOpts, SemiNaive};
+//! use dlo_pops::NNReal;
+//! // ℝ₊ has no `⊖`: the semi-naïve schedule does not exist for it.
+//! let p = Program::<NNReal>::new();
+//! let _ = engine_eval_interned(
+//!     &p, &Database::new(), &BoolDatabase::new(), 10, SemiNaive, &EngineOpts::default());
+//! ```
+//!
+//! ```compile_fail
+//! use dlo_core::{BoolDatabase, Database, Program};
+//! use dlo_engine::{engine_eval_interned, EngineOpts, Strategy};
+//! use dlo_pops::NNReal;
+//! // …and it is neither absorptive nor totally ordered: no frontier.
+//! let p = Program::<NNReal>::new();
+//! let _ = engine_eval_interned(
+//!     &p, &Database::new(), &BoolDatabase::new(), 10, Strategy::Priority, &EngineOpts::default());
+//! ```
+//!
+//! (The same call with [`Naive`] compiles — `tests/backend_matrix.rs`
+//! runs company control over `NNReal` that way.)
 //!
 //! The practical selection guide:
 //!
 //! * **Know the query? Use query-seeded evaluation first** —
-//!   [`engine_query_eval`] (or `datalog_o::eval_query` /
+//!   [`engine_query_eval_with_opts`] (or `datalog_o::eval_query` /
 //!   `eval_frontier_query`). The magic-set rewrite is orthogonal to
-//!   the strategy table: it shrinks *what* is computed, the strategy
-//!   decides *how*. A single-source question against the all-pairs
-//!   program is 160–430× faster than the full priority frontier on
-//!   the committed `BENCH_magic.json` instances.
+//!   the schedule: it shrinks *what* is computed, the schedule decides
+//!   *how*. A single-source question against the all-pairs program is
+//!   two orders of magnitude cheaper than the full priority frontier
+//!   (the `point-query` workload of `dlo_benchmark` holds the line).
 //! * **Full fixpoint, totally ordered absorptive dioid** (`Trop`,
 //!   `MinNat`, `MaxMin`, `𝔹`): the **priority frontier** (what
-//!   `Strategy::Auto` picks) — settled-on-pop beats rounds whenever
+//!   [`Strategy::Auto`] picks) — settled-on-pop beats rounds whenever
 //!   facts would re-improve (gradient SSSP: Θ(n) vs Θ(n²), 230×).
-//! * **Absorptive but not totally ordered** (products of dioids): the
-//!   **FIFO worklist** — generation draining, still change-driven.
 //! * **Complete distributive dioid without absorption** (`Nat`,
-//!   `MaxPlus`): the **semi-naïve** loop — `⊖`-differentials need no
-//!   stability.
-//! * **Naturally ordered only** (`ℝ₊`, `TropP`): the **naïve** loop is
-//!   all that is licensed (no `⊖`) — and [`engine_query_naive_eval`]
-//!   still applies demand restriction to it.
+//!   `MaxPlus`): [`SemiNaive`] — `⊖`-differentials need no stability.
+//! * **Naturally ordered only** (`ℝ₊`, `TropP`): [`Naive`] is all that
+//!   is licensed (no `⊖`) — and the query entry points still apply
+//!   demand restriction to it.
+//!
+//! A long-lived [`Materialization`] takes the same schedule argument at
+//! construction and keeps it: builds, rebuilds, edits, edit scripts,
+//! and queries are one set of methods for every POPS.
 //!
 //! ## Design note: magic sets — Bool-valued demand guarding POPS rules
 //!
@@ -180,14 +224,14 @@
 //! `merge_join_steps` / `hash_join_steps` counters always sum to
 //! `index_probes`.
 //!
-//! [`engine_eval`] takes a [`worklist::Strategy`] and is bounded over
-//! the union, with `Auto` resolving to the priority frontier — callers
-//! over `Trop`, `MinNat`, `MaxMin`, or `Bool` get Dijkstra semantics by
-//! default and can force any of the three. On workloads where
-//! round-based evaluation re-improves facts for many rounds (the
-//! gradient SSSP instance of `BENCH_worklist.json`) the priority
-//! frontier is asymptotically faster: Θ(n) settled pops vs Θ(n²) round
-//! updates, measured at 230× on 2000 nodes. On unique-path workloads
+//! [`Strategy`] is bounded over the union of what its loops need, with
+//! `Auto` resolving to the priority frontier — callers over `Trop`,
+//! `MinNat`, `MaxMin`, or `Bool` get Dijkstra semantics by default and
+//! can force any of the three. On workloads where round-based
+//! evaluation re-improves facts for many rounds (the gradient SSSP
+//! instance behind `dlo_benchmark`'s `sssp-sparse` workload) the
+//! priority frontier is asymptotically faster: Θ(n) settled pops vs
+//! Θ(n²) round updates, measured at 230× on 2000 nodes. On unique-path workloads
 //! (chain TC) derivation counts are strategy-invariant and the frontier
 //! wins constant factors only.
 //!
@@ -230,8 +274,8 @@
 //! [`InternedOutcome`], and [`query::QueryAnswer`] exposes it;
 //! `explain()` renders the profile as a report. Collection is
 //! always-on: the counters ride the execution state the loops already
-//! touch, and the benchmark guard (`telemetry_guard`) holds the
-//! overhead under 5% on the committed worklist baseline.
+//! touch, and `dlo_benchmark` reports the traced-vs-untraced overhead
+//! (`bench.trace_overhead`) on every workload.
 //!
 //! Structured tracing is opt-in: hand a [`TraceHandle`] (wrapping a
 //! [`TraceSink`] — [`JsonlSink`] for files, [`MemorySink`] for tests)
@@ -250,7 +294,8 @@
 //!
 //! ## Design note: robustness & resource governance
 //!
-//! Every public entry point returns `Result<_, `[`EvalError`]`>` and
+//! Every public entry point returns a `Result` whose error is (or
+//! converts by `?` into) an [`EvalError`], and
 //! **no input or runtime condition panics across the API boundary**
 //! (pinned by `tests/robustness.rs`'s proptest leg). The error taxonomy
 //! separates three failure classes:
@@ -270,16 +315,14 @@
 //!   checkpoint — the seed phase, each global iteration, each worklist
 //!   generation, each priority **bucket** pop — on the coordinating
 //!   thread only, so governance costs a branch per checkpoint, the hot
-//!   per-tuple loops are untouched (≤5% overhead, enforced by the
-//!   `robustness_guard` bench gate), and a governed run stops within
+//!   per-tuple loops are untouched, and a governed run stops within
 //!   one checkpoint of crossing a line (the abort trace event records
 //!   which granularity fired). The resulting
 //!   [`EvalError::BudgetExhausted`] / [`EvalError::DeadlineExceeded`] /
 //!   [`EvalError::Cancelled`] carries the final [`EvalStats`] snapshot
 //!   (with `budget_checks` / `cancel_polls` counters and a trailing
-//!   `abort` trace event), and the `*_partial` entry points surface the
-//!   abort-time instance itself — see the graceful-degradation note
-//!   below.
+//!   `abort` trace event), and arrives with the abort-time instance
+//!   itself attached — see the graceful-degradation note below.
 //! * **Contained worker panics** ([`EvalError::WorkerPanic`]): every
 //!   parallel task body (and the sequential fallback) runs under
 //!   `catch_unwind`, the lowest-indexed panicking task wins
@@ -288,9 +331,9 @@
 //!   the process.
 //!
 //! Divergence is *not* an error here: hitting the iteration cap still
-//! returns `Ok` with [`dlo_core::EvalOutcome::Diverged`] (use
-//! `into_result()` to convert it into [`EvalError::Diverged`] when a
-//! capped run should be error-shaped). Long-lived [`Materialization`]s
+//! returns `Ok` with [`InternedOutcome::Diverged`] (after
+//! `materialize()`, `into_result()` converts it into
+//! [`EvalError::Diverged`] when a capped run should be error-shaped). Long-lived [`Materialization`]s
 //! add a **poisoned bit**: if an edit fails mid-flight in a way that may
 //! have left interned state inconsistent, every subsequent call returns
 //! [`EvalError::Poisoned`] until [`Materialization::rebuild`] re-derives
@@ -300,14 +343,14 @@
 //!
 //! ## Design note: graceful degradation — partial results on abort
 //!
-//! A governed abort no longer discards the work done. The `*_partial`
-//! entry points ([`engine_eval_partial_with_opts`],
-//! [`engine_eval_partial_interned_edb`],
-//! [`query::engine_query_eval_partial_with_opts`]) return
-//! [`AbortedEval`] / [`query::AbortedQuery`]: the typed error **plus**
-//! a [`PartialOutput`] capturing the abort-time interned state and a
-//! per-row [`SettledMark`]. How much that state means depends on the
-//! strategy:
+//! A governed abort does not discard the work done. The error side of
+//! every entry point is a boxed [`AbortedEval`] /
+//! [`query::AbortedQuery`]: the typed error **plus** a
+//! [`PartialOutput`] capturing the abort-time interned state and a
+//! per-row [`SettledMark`] (`From<Box<…>> for EvalError` keeps `?`
+//! working for callers that only want the error; a compile rejection
+//! carries an empty partial). How much that state means depends on the
+//! schedule:
 //!
 //! * Under the **priority frontier**, absorption plus the total order
 //!   make a popped row final: `x ⊗ y ⊑ x` means no later derivation
@@ -320,13 +363,13 @@
 //!   answer (differentially pinned in `tests/robustness.rs` at 1, 2,
 //!   and 4 threads). An interrupted Dijkstra yields correct shortest
 //!   paths for everything it settled.
-//! * Under the other strategies every intermediate `J(t)` still sits
+//! * Under the other schedules every intermediate `J(t)` still sits
 //!   below the least fixpoint (`J(t) ⊑ lfp`, the loop invariant), so
 //!   the partial is a **pointwise lower bound** — a progress snapshot,
 //!   not an answer — and its mark says so ([`SettledMark::is_exact`]
 //!   is `false`).
 //!
-//! On top of the partial channel, [`retry::eval_with_retry`] runs a
+//! On top of that channel, [`retry::eval_with_retry`] runs a
 //! deterministic **budget-class escalation ladder**: a run stopped by a
 //! recoverable limit (budget/deadline) is retried one [`BudgetClass`]
 //! rung up, warm-started from the aborted attempt's interner via the
@@ -339,13 +382,13 @@
 //! handle keeps its mid-flight partial on
 //! [`Materialization::partial`] until a rebuild clears it.
 //!
-//! Entry points mirror the other backends and cross-check against them
-//! in `tests/cross_engine.rs` (and all strategies against each other in
+//! The engine cross-checks against the other backends in
+//! `tests/cross_engine.rs` (and all schedules against each other in
 //! `tests/backend_matrix.rs` / `tests/proptest_engine.rs`):
 //!
 //! ```
 //! use dlo_core::{parse_program, BoolDatabase, Database, Program, Relation};
-//! use dlo_engine::engine_seminaive_eval;
+//! use dlo_engine::{engine_eval_interned, EngineOpts, SemiNaive};
 //! use dlo_pops::Trop;
 //!
 //! let program: Program<Trop> =
@@ -355,11 +398,12 @@
 //!     (vec!["a".into(), "b".into()], Trop::finite(1.0)),
 //!     (vec!["b".into(), "c".into()], Trop::finite(3.0)),
 //! ]));
-//! let out = engine_seminaive_eval(&program, &edb, &BoolDatabase::new(), 10_000)
+//! let (out, _steps) = engine_eval_interned(
+//!     &program, &edb, &BoolDatabase::new(), 10_000, SemiNaive, &EngineOpts::default())
 //!     .expect("compiles")
-//!     .unwrap();
-//! assert_eq!(out.get("T").unwrap().get(&vec!["a".into(), "c".into()]),
-//!            Trop::finite(4.0));
+//!     .converged()
+//!     .expect("converges");
+//! assert_eq!(out.get("T", &["a".into(), "c".into()]), Some(&Trop::finite(4.0)));
 //! ```
 //!
 //! The engine is **total over the language**: head key functions, body
@@ -417,23 +461,15 @@ pub use dlo_core::eval::stats::{
 };
 pub use dlo_core::eval::{BudgetClass, BudgetKind, CancelToken, EvalBudget, EvalError};
 pub use driver::{
-    engine_naive_eval, engine_naive_eval_with_opts, engine_seminaive_eval,
-    engine_seminaive_eval_interned, engine_seminaive_eval_interned_edb,
-    engine_seminaive_eval_with_opts, EngineOpts,
+    engine_eval_interned, engine_eval_interned_edb, EngineOpts, Naive, Schedule, SemiNaive,
 };
 pub use incremental::Materialization;
 pub use intern::Interner;
 pub use output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 pub use plan::{compile, compile_demand, CompileError, CompiledProgram, Plan, PlanMeta};
 pub use query::{
-    engine_query_eval, engine_query_eval_interned_edb, engine_query_eval_partial_with_opts,
-    engine_query_eval_with_opts, engine_query_naive_eval, engine_query_seminaive_eval,
-    AbortedQuery, QueryAnswer,
+    engine_query_eval_interned_edb, engine_query_eval_with_opts, AbortedQuery, QueryAnswer,
 };
 pub use retry::{eval_with_retry, AttemptLog, RetryFailure, RetryPolicy, RetryReport};
 pub use storage::{ColumnRel, JoinMode};
-pub use worklist::{
-    engine_eval, engine_eval_interned, engine_eval_interned_edb, engine_eval_partial_interned_edb,
-    engine_eval_partial_with_opts, engine_eval_with_opts, engine_priority_eval,
-    engine_priority_eval_with_opts, engine_worklist_eval, engine_worklist_eval_with_opts, Strategy,
-};
+pub use worklist::Strategy;

@@ -12,12 +12,10 @@
 //! cheap queries directly on interned state, and materializes a
 //! `Database` (whole, or one predicate at a time) only when asked.
 //!
-//! The `*_interned` driver entry points ([`crate::engine_eval_interned`],
-//! [`crate::engine_seminaive_eval_interned`]) return an
-//! [`InternedOutcome`], the decode-free mirror of
+//! Every entry point ([`crate::engine_eval_interned`] and its
+//! siblings) returns an [`InternedOutcome`], the decode-free mirror of
 //! `dlo_core::eval::EvalOutcome`; `.materialize()` converts between the
-//! two, and the classic `Database`-returning entry points are now thin
-//! wrappers over these.
+//! two on demand.
 
 use crate::intern::Interner;
 use crate::storage::ColumnRel;
@@ -407,8 +405,8 @@ impl<P: Pops> PartialOutput<P> {
         }
     }
 
-    /// The partial instance, interned. Feeding this back through the
-    /// `*_interned_edb` entry points (as the retry module does) reuses
+    /// The partial instance, interned. Feeding this back through
+    /// [`crate::engine_eval_interned_edb`] (as the retry module does) reuses
     /// its interner, so a warm retry mints the same ids.
     pub fn interned(&self) -> &InternedOutput<P> {
         &self.interned
@@ -489,9 +487,9 @@ impl<P: Pops> PartialOutput<P> {
 
 /// A governed run that stopped early, with its abort-time state: the
 /// typed [`EvalError`] plus the [`PartialOutput`] the driver captured
-/// at the failing checkpoint. Returned by the `*_partial` entry
-/// points; the classic entry points drop the partial and surface only
-/// the error.
+/// at the failing checkpoint — the error side of every entry point.
+/// `?` converts the box into the bare [`EvalError`] for callers that do
+/// not want the partial.
 #[derive(Clone, Debug)]
 pub struct AbortedEval<P> {
     error: EvalError,
@@ -519,8 +517,8 @@ impl<P: Pops> AbortedEval<P> {
     }
 }
 
-impl<P: Pops> From<AbortedEval<P>> for EvalError {
-    fn from(aborted: AbortedEval<P>) -> EvalError {
+impl<P: Pops> From<Box<AbortedEval<P>>> for EvalError {
+    fn from(aborted: Box<AbortedEval<P>>) -> EvalError {
         aborted.error
     }
 }
@@ -543,8 +541,8 @@ impl<P: Pops> std::fmt::Display for AbortedEval<P> {
 
 #[cfg(test)]
 mod tests {
-    use crate::driver::engine_seminaive_eval_interned;
-    use crate::driver::EngineOpts;
+    use crate::driver::tests::eval;
+    use crate::driver::{engine_eval_interned, EngineOpts, SemiNaive};
     use dlo_core::examples_lib as ex;
     use dlo_core::relation::BoolDatabase;
     use dlo_pops::Trop;
@@ -553,11 +551,17 @@ mod tests {
     fn interned_output_answers_without_decode_and_materializes_equal() {
         let (program, edb) = ex::sssp_trop("a");
         let bools = BoolDatabase::new();
-        let (out, steps) =
-            engine_seminaive_eval_interned(&program, &edb, &bools, 1000, &EngineOpts::default())
-                .expect("compiles")
-                .converged()
-                .unwrap();
+        let (out, steps) = engine_eval_interned(
+            &program,
+            &edb,
+            &bools,
+            1000,
+            SemiNaive,
+            &EngineOpts::default(),
+        )
+        .expect("compiles")
+        .converged()
+        .unwrap();
         assert!(steps > 0);
         // Cheap queries on interned state.
         assert_eq!(out.get("L", &["d".into()]), Some(&Trop::finite(8.0)));
@@ -565,9 +569,7 @@ mod tests {
         assert_eq!(out.support_size("L"), out.relation("L").unwrap().len());
         assert_eq!(out.support_size("absent"), 0);
         // Full and per-pred materialization agree with the classic path.
-        let reference = crate::driver::engine_seminaive_eval(&program, &edb, &bools, 1000)
-            .expect("compiles")
-            .unwrap();
+        let reference = eval(&program, &edb, &bools, 1000, SemiNaive).unwrap();
         assert_eq!(out.materialize(), reference);
         assert_eq!(
             out.materialize_pred("L").as_ref(),

@@ -19,20 +19,15 @@
 //! of its rows must carry exactly its full-fixpoint value), and the
 //! raw [`InternedOutput`] for chaining into further engine runs.
 
-use crate::driver::{
-    empty_aborted, naive_run, seminaive_run, setup_checked, setup_interned_checked, EngineOpts,
-};
+use crate::driver::{empty_aborted, evaluate, EngineOpts, Schedule};
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput};
-use crate::worklist::{strategy_run, strategy_run_partial, Strategy};
 use dlo_core::ast::Program;
-use dlo_core::demand::{magic_rewrite, DemandProgram};
+use dlo_core::demand::magic_rewrite;
 use dlo_core::eval::{EvalError, EvalStats};
 use dlo_core::query::Query;
 use dlo_core::relation::{BoolDatabase, Database, Relation};
 use dlo_core::value::Constant;
-use dlo_pops::{
-    Absorptive, CompleteDistributiveDioid, NaturallyOrdered, Pops, TotallyOrderedDioid,
-};
+use dlo_pops::Pops;
 use std::time::Instant;
 
 /// The outcome of a query evaluation: the demand-restricted fixpoint in
@@ -52,15 +47,6 @@ pub struct QueryAnswer<P> {
 }
 
 impl<P: Pops> QueryAnswer<P> {
-    fn new(outcome: InternedOutcome<P>, dp: &DemandProgram<P>) -> Self {
-        QueryAnswer {
-            outcome,
-            query: dp.query.clone(),
-            magic_preds: dp.magic_preds.clone(),
-            dropped_preds: dp.dropped_preds.clone(),
-        }
-    }
-
     /// Whether the demanded fixpoint converged under the cap.
     pub fn is_converged(&self) -> bool {
         self.outcome.is_converged()
@@ -172,7 +158,7 @@ impl<P: Pops> QueryAnswer<P> {
 /// fragment, tagged with the query metadata needed to read it — the
 /// query-path counterpart of [`AbortedEval`].
 ///
-/// Under the `Priority` strategy [`Self::partial_answers`] is *exact*
+/// Under the priority frontier [`Self::partial_answers`] is *exact*
 /// on the rows it carries: every settled row of the queried predicate
 /// holds its final demanded-fixpoint value (Cor. 5.19 settled-on-pop).
 /// Elsewhere the partial is a pointwise lower bound, useful as a
@@ -187,17 +173,6 @@ pub struct AbortedQuery<P> {
 }
 
 impl<P: Pops> AbortedQuery<P> {
-    fn from_eval(aborted: Box<AbortedEval<P>>, dp: &DemandProgram<P>) -> Box<Self> {
-        let (error, partial) = aborted.into_parts();
-        Box::new(AbortedQuery {
-            error,
-            partial,
-            query: dp.query.clone(),
-            magic_preds: dp.magic_preds.clone(),
-            dropped_preds: dp.dropped_preds.clone(),
-        })
-    }
-
     /// The typed error that stopped the run.
     pub fn error(&self) -> &EvalError {
         &self.error
@@ -265,191 +240,96 @@ impl<P: Pops> From<Box<AbortedQuery<P>>> for EvalError {
     }
 }
 
-/// Runs the magic-set rewrite, mapping a rejected query (unknown
-/// predicate, arity mismatch) to [`EvalError::Compile`].
-fn rewrite_checked<P: Pops>(
+/// The shared body of the two query entry points: magic-set rewrite,
+/// then the schedule's loop over the rewritten program (the rewrite
+/// counts into the setup phase), with the query metadata attached to
+/// either side of the result.
+#[allow(clippy::too_many_arguments)]
+fn query_eval<P: Pops, S: Schedule<P>>(
     program: &Program<P>,
     query: &Query,
-) -> Result<DemandProgram<P>, EvalError> {
-    magic_rewrite(program, query).map_err(|e| EvalError::Compile {
-        detail: format!("dlo_engine cannot evaluate this query: {e}"),
-    })
-}
-
-/// Query-driven evaluation with an explicit [`Strategy`] (the
-/// query-seeded counterpart of [`crate::engine_eval`]): magic-set
-/// rewrite, then the chosen loop over the rewritten program. Under
-/// `Auto`/`Priority` the frontier pops the magic seed first and demand
-/// spreads Dijkstra-interleaved with answers.
-///
-/// # Errors
-///
-/// As [`crate::engine_naive_eval`], plus [`EvalError::Compile`] on
-/// queries the rewrite rejects (unknown predicate, arity mismatch).
-pub fn engine_query_eval<P>(
-    program: &Program<P>,
-    query: &Query,
+    prev: Option<&InternedOutput<P>>,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
     cap: usize,
-    strategy: Strategy,
-) -> Result<QueryAnswer<P>, EvalError>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    engine_query_eval_with_opts(
-        program,
-        query,
-        pops_edb,
-        bool_edb,
-        cap,
-        strategy,
-        &EngineOpts::default(),
-    )
-}
-
-/// [`engine_query_eval`] with explicit tuning knobs. Results are
-/// bit-identical at any thread count, exactly as for the full-fixpoint
-/// entry points (enforced in `tests/proptest_engine.rs`).
-///
-/// # Errors
-///
-/// As [`engine_query_eval`].
-pub fn engine_query_eval_with_opts<P>(
-    program: &Program<P>,
-    query: &Query,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    strategy: Strategy,
+    schedule: S,
     opts: &EngineOpts,
-) -> Result<QueryAnswer<P>, EvalError>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
+) -> Result<QueryAnswer<P>, Box<AbortedQuery<P>>> {
     let t = Instant::now();
-    let dp = rewrite_checked(program, query)?;
-    let engine = setup_checked(&dp.program, pops_edb, bool_edb, &dp.magic_preds)?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    Ok(QueryAnswer::new(
-        strategy_run(engine, cap, strategy, opts, setup_ns)?,
-        &dp,
-    ))
-}
-
-/// [`engine_query_eval_with_opts`] surfacing graceful degradation: a
-/// governed abort returns [`AbortedQuery`] — the typed error *plus* the
-/// abort-time demanded state, whose settled rows are exact partial
-/// answers under the `Priority` strategy (see
-/// [`AbortedQuery::partial_answers`]).
-///
-/// # Errors
-///
-/// As [`engine_query_eval`], but every error arrives as a boxed
-/// [`AbortedQuery`] (compile-stage failures carry an empty partial).
-pub fn engine_query_eval_partial_with_opts<P>(
-    program: &Program<P>,
-    query: &Query,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    strategy: Strategy,
-    opts: &EngineOpts,
-) -> Result<QueryAnswer<P>, Box<AbortedQuery<P>>>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    let t = Instant::now();
-    let empty_dp = |e: EvalError| {
-        let (error, partial) = empty_aborted::<P>(e).into_parts();
+    let aborted = |aborted: Box<AbortedEval<P>>, magic: &[String], dropped: &[String]| {
+        let (error, partial) = aborted.into_parts();
         Box::new(AbortedQuery {
             error,
             partial,
             query: query.clone(),
-            magic_preds: vec![],
-            dropped_preds: vec![],
+            magic_preds: magic.to_vec(),
+            dropped_preds: dropped.to_vec(),
         })
     };
-    let dp = rewrite_checked(program, query).map_err(&empty_dp)?;
-    let engine =
-        setup_checked(&dp.program, pops_edb, bool_edb, &dp.magic_preds).map_err(&empty_dp)?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    match strategy_run_partial(engine, cap, strategy, opts, setup_ns) {
-        Ok(outcome) => Ok(QueryAnswer::new(outcome, &dp)),
-        Err(aborted) => Err(AbortedQuery::from_eval(aborted, &dp)),
+    let dp = magic_rewrite(program, query).map_err(|e| {
+        let error = EvalError::Compile {
+            detail: format!("dlo_engine cannot evaluate this query: {e}"),
+        };
+        aborted(empty_aborted(error), &[], &[])
+    })?;
+    let magic = &dp.magic_preds;
+    match evaluate(
+        t,
+        &dp.program,
+        prev,
+        pops_edb,
+        bool_edb,
+        magic,
+        cap,
+        schedule,
+        opts,
+    ) {
+        Ok(outcome) => Ok(QueryAnswer {
+            outcome,
+            query: dp.query,
+            magic_preds: dp.magic_preds,
+            dropped_preds: dp.dropped_preds,
+        }),
+        Err(a) => Err(aborted(a, magic, &dp.dropped_preds)),
     }
 }
 
-/// Query-driven evaluation on the parallel semi-naïve loop — the
-/// weakest-bounds strategy, for POPS without absorption or a total
-/// chain order (the magic rewrite itself is sound for any POPS; see
-/// `dlo_core::demand`).
+/// Query-driven evaluation under `schedule` (the query-seeded
+/// counterpart of [`crate::engine_eval_interned`]): magic-set rewrite,
+/// then the schedule's loop over the rewritten program. Under the
+/// priority frontier the magic seed pops first and demand spreads
+/// Dijkstra-interleaved with answers; the rewrite itself is sound for
+/// any POPS (see `dlo_core::demand`), so [`crate::Naive`] and
+/// [`crate::SemiNaive`] apply demand restriction to the weaker classes
+/// too. Results are bit-identical at any thread count, exactly as for
+/// the full-fixpoint entry points (enforced in
+/// `tests/proptest_engine.rs`).
 ///
 /// # Errors
 ///
-/// As [`engine_query_eval`].
-pub fn engine_query_seminaive_eval<P>(
+/// Every failure is a boxed [`AbortedQuery`]: the typed error (`?`
+/// converts it) plus the abort-time demanded state, whose settled rows
+/// are exact partial answers under the priority frontier (see
+/// [`AbortedQuery::partial_answers`]). The variants are those of
+/// [`crate::engine_eval_interned`], plus [`EvalError::Compile`] on
+/// queries the rewrite rejects (unknown predicate, arity mismatch);
+/// compile-stage failures carry an empty partial.
+pub fn engine_query_eval_with_opts<P, S>(
     program: &Program<P>,
     query: &Query,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
     cap: usize,
+    schedule: S,
     opts: &EngineOpts,
-) -> Result<QueryAnswer<P>, EvalError>
+) -> Result<QueryAnswer<P>, Box<AbortedQuery<P>>>
 where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+    P: Pops,
+    S: Schedule<P>,
 {
-    let t = Instant::now();
-    let dp = rewrite_checked(program, query)?;
-    let engine = setup_checked(&dp.program, pops_edb, bool_edb, &dp.magic_preds)?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    Ok(QueryAnswer::new(
-        seminaive_run(engine, cap, opts, setup_ns).map_err(|b| EvalError::from(*b))?,
-        &dp,
-    ))
-}
-
-/// Query-driven evaluation on the naïve loop — for naturally ordered
-/// POPS without `⊖` (e.g. ℝ₊'s company-control workload, which is why
-/// the `magic_sets` bench's point-lookup leg exists at this bound).
-///
-/// # Errors
-///
-/// As [`engine_query_eval`].
-pub fn engine_query_naive_eval<P>(
-    program: &Program<P>,
-    query: &Query,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    opts: &EngineOpts,
-) -> Result<QueryAnswer<P>, EvalError>
-where
-    P: NaturallyOrdered + Send + Sync,
-{
-    let t = Instant::now();
-    let dp = rewrite_checked(program, query)?;
-    let engine = setup_checked(&dp.program, pops_edb, bool_edb, &dp.magic_preds)?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    Ok(QueryAnswer::new(
-        naive_run(engine, cap, opts, setup_ns).map_err(|b| EvalError::from(*b))?,
-        &dp,
-    ))
+    query_eval(
+        program, query, None, pops_edb, bool_edb, cap, schedule, opts,
+    )
 }
 
 /// [`engine_query_eval_with_opts`] over an **interned EDB** (see
@@ -459,41 +339,40 @@ where
 ///
 /// # Errors
 ///
-/// As [`engine_query_eval`].
+/// As [`engine_query_eval_with_opts`].
 #[allow(clippy::too_many_arguments)]
-pub fn engine_query_eval_interned_edb<P>(
+pub fn engine_query_eval_interned_edb<P, S>(
     program: &Program<P>,
     query: &Query,
     prev: &InternedOutput<P>,
     extra_pops: &Database<P>,
     bool_edb: &BoolDatabase,
     cap: usize,
-    strategy: Strategy,
+    schedule: S,
     opts: &EngineOpts,
-) -> Result<QueryAnswer<P>, EvalError>
+) -> Result<QueryAnswer<P>, Box<AbortedQuery<P>>>
 where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
+    P: Pops,
+    S: Schedule<P>,
 {
-    let t = Instant::now();
-    let dp = rewrite_checked(program, query)?;
-    let engine = setup_interned_checked(&dp.program, prev, extra_pops, bool_edb, &dp.magic_preds)?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    Ok(QueryAnswer::new(
-        strategy_run(engine, cap, strategy, opts, setup_ns)?,
-        &dp,
-    ))
+    query_eval(
+        program,
+        query,
+        Some(prev),
+        extra_pops,
+        bool_edb,
+        cap,
+        schedule,
+        opts,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::engine_seminaive_eval;
-    use crate::worklist::engine_priority_eval;
+    use crate::driver::tests::eval;
+    use crate::driver::{engine_eval_interned, engine_eval_interned_edb, Naive, SemiNaive};
+    use crate::worklist::Strategy;
     use dlo_core::examples_lib as ex;
     use dlo_core::query::QueryArg;
     use dlo_core::tup;
@@ -503,13 +382,19 @@ mod tests {
     fn sssp_point_query_answers_match_the_full_fixpoint() {
         let (program, edb) = ex::sssp_trop("a");
         let bools = BoolDatabase::new();
-        let full = engine_priority_eval(&program, &edb, &bools, 1_000_000)
-            .expect("compiles")
-            .unwrap();
+        let full = eval(&program, &edb, &bools, 1_000_000, Strategy::Priority).unwrap();
         let q = Query::point("L", vec!["d".into()]);
         for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-            let qa = engine_query_eval(&program, &q, &edb, &bools, 1_000_000, strategy)
-                .expect("query compiles");
+            let qa = engine_query_eval_with_opts(
+                &program,
+                &q,
+                &edb,
+                &bools,
+                1_000_000,
+                strategy,
+                &EngineOpts::default(),
+            )
+            .expect("query compiles");
             assert!(qa.is_converged(), "{strategy:?}");
             let answers = qa.answers();
             assert_eq!(answers.get(&tup!["d"]), Trop::finite(8.0), "{strategy:?}");
@@ -539,8 +424,16 @@ mod tests {
         ]);
         let bools = BoolDatabase::new();
         let q = Query::new("T", vec![QueryArg::bound("a"), QueryArg::Free]);
-        let qa = engine_query_eval(&program, &q, &edb, &bools, 1_000_000, Strategy::Priority)
-            .expect("query compiles");
+        let qa = engine_query_eval_with_opts(
+            &program,
+            &q,
+            &edb,
+            &bools,
+            1_000_000,
+            Strategy::Priority,
+            &EngineOpts::default(),
+        )
+        .expect("query compiles");
         let answers = qa.answers();
         assert_eq!(answers.get(&tup!["a", "d"]), Trop::finite(8.0));
         // Demand restricted: only sources reachable demand-wise (just
@@ -549,9 +442,7 @@ mod tests {
         let support = qa.support();
         let t = support.get("T").unwrap();
         assert!(t.support().all(|(tu, _)| tu[0] == "a".into()), "{t:?}");
-        let full = engine_priority_eval(&program, &edb, &bools, 1_000_000)
-            .expect("compiles")
-            .unwrap();
+        let full = eval(&program, &edb, &bools, 1_000_000, Strategy::Priority).unwrap();
         assert_eq!(&answers, &q.restrict(full.get("T").unwrap()));
     }
 
@@ -570,12 +461,18 @@ mod tests {
             ],
         );
         let q = Query::new("T", vec![QueryArg::bound("a"), QueryArg::Free]);
-        let qa = engine_query_naive_eval(&program, &q, &pops, &bools, 1000, &EngineOpts::default())
-            .expect("query compiles");
+        let qa = engine_query_eval_with_opts(
+            &program,
+            &q,
+            &pops,
+            &bools,
+            1000,
+            Naive,
+            &EngineOpts::default(),
+        )
+        .expect("query compiles");
         assert!(qa.is_converged(), "magic stays on the Bool lattice");
-        let full = crate::driver::engine_naive_eval(&program, &pops, &bools, 1000)
-            .expect("compiles")
-            .unwrap();
+        let full = eval(&program, &pops, &bools, 1000, Naive).unwrap();
         assert_eq!(&qa.answers(), &q.restrict(full.get("T").unwrap()));
         assert_eq!(
             qa.answers().get(&tup!["a", "d"]),
@@ -611,13 +508,19 @@ mod tests {
         );
         let pops = Database::new();
         let bools = BoolDatabase::new();
-        let full = engine_seminaive_eval(&p, &pops, &bools, 100)
-            .expect("compiles")
-            .unwrap();
+        let full = eval(&p, &pops, &bools, 100, SemiNaive).unwrap();
         let q = Query::point("N", vec![3i64.into()]);
         for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-            let qa = engine_query_eval(&p, &q, &pops, &bools, 1_000_000, strategy)
-                .expect("query compiles");
+            let qa = engine_query_eval_with_opts(
+                &p,
+                &q,
+                &pops,
+                &bools,
+                1_000_000,
+                strategy,
+                &EngineOpts::default(),
+            )
+            .expect("query compiles");
             assert!(qa.magic_preds().is_empty(), "all-free fallback");
             assert_eq!(&qa.answers(), &q.restrict(full.get("N").unwrap()));
         }
@@ -665,23 +568,37 @@ mod tests {
             ),
         );
         let bools = BoolDatabase::new();
-        let full = engine_seminaive_eval(&p, &pops, &bools, 100)
-            .expect("compiles")
-            .unwrap();
+        let full = eval(&p, &pops, &bools, 100, SemiNaive).unwrap();
         // Positive query: R(5) is derivable (3 → 4 → 5).
         let q5 = Query::point("R", vec![5i64.into()]);
         // Past-the-data query: demand for R(7) asks for R(6) — key 6 is
         // minted as a demand constant, finds nothing, answers empty.
         let q7 = Query::point("R", vec![7i64.into()]);
         for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-            let qa5 = engine_query_eval(&p, &q5, &pops, &bools, 1_000_000, strategy)
-                .expect("query compiles");
+            let qa5 = engine_query_eval_with_opts(
+                &p,
+                &q5,
+                &pops,
+                &bools,
+                1_000_000,
+                strategy,
+                &EngineOpts::default(),
+            )
+            .expect("query compiles");
             assert!(!qa5.magic_preds().is_empty(), "rewrite applied");
             assert_eq!(&qa5.answers(), &q5.restrict(full.get("R").unwrap()));
             assert_eq!(qa5.answers().support_size(), 1, "{strategy:?}");
 
-            let qa7 = engine_query_eval(&p, &q7, &pops, &bools, 1_000_000, strategy)
-                .expect("query compiles");
+            let qa7 = engine_query_eval_with_opts(
+                &p,
+                &q7,
+                &pops,
+                &bools,
+                1_000_000,
+                strategy,
+                &EngineOpts::default(),
+            )
+            .expect("query compiles");
             assert_eq!(&qa7.answers(), &q7.restrict(full.get("R").unwrap()));
             assert!(qa7.answers().is_empty(), "{strategy:?}: R(7) underivable");
             // The minted demand key 6 is really in the magic relation.
@@ -727,13 +644,19 @@ mod tests {
         );
         let pops = Database::new();
         let bools = BoolDatabase::new();
-        let full = engine_seminaive_eval(&p, &pops, &bools, 100)
-            .expect("compiles")
-            .unwrap();
+        let full = eval(&p, &pops, &bools, 100, SemiNaive).unwrap();
         let q = Query::point("A", vec![2i64.into()]);
         for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-            let qa = engine_query_eval(&p, &q, &pops, &bools, 1_000_000, strategy)
-                .expect("query compiles");
+            let qa = engine_query_eval_with_opts(
+                &p,
+                &q,
+                &pops,
+                &bools,
+                1_000_000,
+                strategy,
+                &EngineOpts::default(),
+            )
+            .expect("query compiles");
             assert!(qa.magic_preds().is_empty(), "domain-enumeration fallback");
             assert_eq!(
                 &qa.answers(),
@@ -750,7 +673,6 @@ mod tests {
         // Database round-trip: engine_query_eval_interned_edb over the
         // first run's InternedOutput, with a second program reading T
         // as its EDB.
-        use crate::worklist::engine_eval_interned;
         use dlo_core::parse_program;
         let (program, edb) = ex::apsp_trop(&[
             ("a", "b", 1.0),
@@ -772,7 +694,7 @@ mod tests {
         .unwrap();
         // Refine: best cost to reach anything from X via the closed T.
         let refine: dlo_core::Program<Trop> = parse_program("Best(X) :- T(X, Y).").unwrap();
-        let out = crate::worklist::engine_eval_interned_edb(
+        let out = engine_eval_interned_edb(
             &refine,
             &prev,
             &Database::new(),
@@ -802,9 +724,7 @@ mod tests {
         let materialized = prev.materialize();
         let mut edb2 = Database::new();
         edb2.insert("T", materialized.get("T").unwrap().clone());
-        let classic = engine_seminaive_eval(&refine, &edb2, &bools, 1000)
-            .expect("compiles")
-            .unwrap();
+        let classic = eval(&refine, &edb2, &bools, 1000, SemiNaive).unwrap();
         assert_eq!(iout.materialize(), classic);
     }
 
@@ -819,13 +739,14 @@ mod tests {
         );
         let (_, edb) = ex::apsp_trop(&[("a", "b", 1.0)]);
         let q = Query::new("T", vec![QueryArg::bound("a"), QueryArg::Free]);
-        let qa = engine_query_eval(
+        let qa = engine_query_eval_with_opts(
             &program,
             &q,
             &edb,
             &BoolDatabase::new(),
             1_000_000,
             Strategy::Priority,
+            &EngineOpts::default(),
         )
         .expect("query compiles");
         assert_eq!(qa.dropped_preds(), &["Huge".to_string()]);
@@ -837,15 +758,18 @@ mod tests {
     fn unknown_query_predicate_is_a_typed_compile_error() {
         let (program, edb) = ex::sssp_trop("a");
         let q = Query::point("Nope", vec!["a".into()]);
-        let err = engine_query_eval(
+        let err = engine_query_eval_with_opts(
             &program,
             &q,
             &edb,
             &BoolDatabase::new(),
             1000,
             Strategy::Priority,
+            &EngineOpts::default(),
         )
         .expect_err("unknown predicate must be rejected");
+        assert!(err.partial_answers().is_empty(), "empty partial");
+        let err = EvalError::from(err);
         assert_eq!(err.kind(), "compile");
         assert!(err.stats().is_none(), "no run happened");
         match err {

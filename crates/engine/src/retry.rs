@@ -21,15 +21,12 @@
 //! without influencing the schedule — sleeping (or jittering) between
 //! rungs is the caller's business, never the engine's.
 
-use crate::driver::EngineOpts;
+use crate::driver::{engine_eval_interned, engine_eval_interned_edb, EngineOpts, Schedule};
 use crate::output::{AbortedEval, InternedOutcome};
-use crate::worklist::{engine_eval_partial_interned_edb, engine_eval_partial_with_opts, Strategy};
 use dlo_core::ast::Program;
 use dlo_core::eval::{BudgetClass, EvalBudget, EvalError};
 use dlo_core::relation::{BoolDatabase, Database};
-use dlo_pops::{
-    Absorptive, CompleteDistributiveDioid, NaturallyOrdered, Pops, TotallyOrderedDioid,
-};
+use dlo_pops::Pops;
 
 /// The escalation schedule for [`eval_with_retry`]: an ordered ladder
 /// of budgets (attempt `i` runs under `ladder[i]`), a cap on attempts,
@@ -160,7 +157,7 @@ impl<P: Pops> std::fmt::Display for RetryFailure<P> {
 
 impl<P: Pops> From<RetryFailure<P>> for EvalError {
     fn from(failure: RetryFailure<P>) -> EvalError {
-        EvalError::from(*failure.last)
+        EvalError::from(failure.last)
     }
 }
 
@@ -187,22 +184,18 @@ fn recoverable(error: &EvalError) -> bool {
 /// cancellation, worker panic) — carrying the last attempt's partial
 /// state and the full per-attempt report.
 #[allow(clippy::type_complexity)]
-pub fn eval_with_retry<P>(
+pub fn eval_with_retry<P, S>(
     program: &Program<P>,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
     cap: usize,
-    strategy: Strategy,
+    schedule: S,
     base_opts: &EngineOpts,
     mut policy: RetryPolicy,
 ) -> Result<(InternedOutcome<P>, RetryReport), RetryFailure<P>>
 where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
+    P: Pops,
+    S: Schedule<P>,
 {
     let mut report = RetryReport::default();
     let mut warm: Option<Box<AbortedEval<P>>> = None;
@@ -218,16 +211,14 @@ where
             }
         }
         let ran = match &warm {
-            None => {
-                engine_eval_partial_with_opts(program, pops_edb, bool_edb, cap, strategy, &opts)
-            }
-            Some(prev) => engine_eval_partial_interned_edb(
+            None => engine_eval_interned(program, pops_edb, bool_edb, cap, schedule, &opts),
+            Some(prev) => engine_eval_interned_edb(
                 program,
                 prev.partial().interned(),
                 pops_edb,
                 bool_edb,
                 cap,
-                strategy,
+                schedule,
                 &opts,
             ),
         };

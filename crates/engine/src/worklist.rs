@@ -16,14 +16,14 @@
 //! row's value strictly improves (in the natural order), re-fire only
 //! the rules that row can feed.
 //!
-//! Two queue disciplines, picked by [`Strategy`] or by trait bounds:
+//! Two queue disciplines, picked by [`Strategy`]:
 //!
-//! * **FIFO worklist** ([`engine_worklist_eval`], needs `Absorptive`) —
-//!   the queue is drained one **generation** at a time: every row
-//!   pending when the drain starts forms one batch (Bellman-Ford-style
-//!   rounds restricted to changed rows); a row improved again by a later
-//!   generation is simply re-queued.
-//! * **Priority frontier** ([`engine_priority_eval`], needs
+//! * **FIFO worklist** ([`Strategy::Worklist`]; the argument needs only
+//!   `Absorptive`) — the queue is drained one **generation** at a time:
+//!   every row pending when the drain starts forms one batch
+//!   (Bellman-Ford-style rounds restricted to changed rows); a row
+//!   improved again by a later generation is simply re-queued.
+//! * **Priority frontier** ([`Strategy::Priority`], needs
 //!   `Absorptive + TotallyOrderedDioid`) — a *bucketed best-first*
 //!   queue keyed by value: the ⊑-greatest pending bucket is drained as
 //!   one batch. Because `⊗` can only move values down the chain
@@ -76,21 +76,17 @@
 //! comparable across strategies; fixpoints are.
 
 use crate::driver::{
-    abort_with_partial, chunk_tasks, empty_aborted, ensure_probes, finish, merge_fresh, mint_key,
-    seminaive_run, setup_checked, setup_interned_checked, Engine, EngineOpts,
+    chunk_tasks, drain_arrange_merges, merge_fresh, mint_key, Engine, EngineOpts, IdbState,
+    LoopFail, RoundPlans, Rounds, Run, SemiNaive,
 };
 use crate::exec::{run_plan, EvalCtx, ExecCounters, HeadVal};
-use crate::govern::{Abort, Checkpoint, Governor};
-use crate::hash::FxHashMap;
+use crate::govern::{Abort, Checkpoint};
 use crate::intern::Interner;
-use crate::output::{AbortedEval, InternedOutcome, InternedOutput, SettledMark};
+use crate::output::{AbortedEval, InternedOutcome, SettledMark};
 use crate::par;
-use crate::plan::{Plan, Source};
+use crate::plan::Plan;
 use crate::storage::ColumnRel;
 use crate::telemetry::Collector;
-use dlo_core::ast::Program;
-use dlo_core::eval::{EvalError, EvalOutcome};
-use dlo_core::relation::{BoolDatabase, Database};
 use dlo_pops::{
     Absorptive, CompleteDistributiveDioid, NaturallyOrdered, Pops, TotallyOrderedDioid,
 };
@@ -98,12 +94,16 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Which evaluation loop [`engine_eval`] runs.
+/// The runtime-chosen [`Schedule`](crate::Schedule): which evaluation
+/// loop runs, for the totally ordered absorptive dioids (`Trop`,
+/// `MinNat`, `MaxMin`, `Bool`) whose bounds license all of them. POPS
+/// with weaker structure pass [`crate::Naive`] or [`SemiNaive`]
+/// instead — this enum does not implement `Schedule` for them, so an
+/// unsound choice is a compile error, never a runtime one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Strategy {
-    /// The strongest discipline the trait bounds allow — for the
-    /// totally ordered absorptive dioids [`engine_eval`] is bounded
-    /// over, that is the priority frontier.
+    /// The strongest discipline the bounds allow: the priority
+    /// frontier.
     #[default]
     Auto,
     /// The global parallel semi-naïve loop (Theorem 6.5).
@@ -117,6 +117,15 @@ pub enum Strategy {
 
 /// A frontier queue: how improved rows wait to be re-fired.
 trait Frontier<P: Pops> {
+    /// The stats label of runs under this discipline.
+    const LABEL: &'static str;
+    /// Whether a popped row is final (Cor. 5.19): the run's settled
+    /// marking is then exact and rows are marked on pop.
+    const SETTLES_ON_POP: bool;
+    /// The checkpoint granularity of one batch.
+    const CHECKPOINT: Checkpoint;
+    /// An empty queue over `nidb` predicates.
+    fn new(nidb: usize) -> Self;
     /// Records that `(pred, row)` improved to `val`.
     fn push(&mut self, pred: usize, row: u32, val: &P);
     /// Moves the next batch of work into `batch` (cleared by the
@@ -137,16 +146,20 @@ struct FifoFrontier {
     queued: Vec<Vec<bool>>,
 }
 
-impl FifoFrontier {
+impl<P: Pops> Frontier<P> for FifoFrontier {
+    const LABEL: &'static str = "worklist";
+    // FIFO generations give no per-row guarantee: the partial stays a
+    // best-effort lower bound with nothing marked.
+    const SETTLES_ON_POP: bool = false;
+    const CHECKPOINT: Checkpoint = Checkpoint::Generation;
+
     fn new(nidb: usize) -> Self {
         FifoFrontier {
             queue: VecDeque::new(),
             queued: vec![vec![]; nidb],
         }
     }
-}
 
-impl<P: Pops> Frontier<P> for FifoFrontier {
     fn push(&mut self, pred: usize, row: u32, _val: &P) {
         let flags = &mut self.queued[pred];
         if row as usize >= flags.len() {
@@ -204,15 +217,20 @@ struct BucketFrontier<P> {
     buckets: BTreeMap<BestFirst<P>, Vec<(u32, u32)>>,
 }
 
-impl<P: TotallyOrderedDioid> BucketFrontier<P> {
-    fn new() -> Self {
+impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
+    const LABEL: &'static str = "priority";
+    // `⊗` cannot move a best value back up, so marking rows on pop
+    // yields an abort-time partial that is *exact* on the marked
+    // frontier.
+    const SETTLES_ON_POP: bool = true;
+    const CHECKPOINT: Checkpoint = Checkpoint::Bucket;
+
+    fn new(_nidb: usize) -> Self {
         BucketFrontier {
             buckets: BTreeMap::new(),
         }
     }
-}
 
-impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
     fn push(&mut self, pred: usize, row: u32, val: &P) {
         self.buckets
             .entry(BestFirst(val.clone()))
@@ -374,13 +392,10 @@ fn apply_emissions<P: Pops, F: Frontier<P>>(
 /// order — chunks partition a plan's first-step candidates in row order,
 /// so the concatenation is exactly the sequential emission sequence and
 /// the staged state is independent of the thread count.
-#[allow(clippy::too_many_arguments)]
 fn run_frontier_plans<P>(
     engine: &Engine<P>,
     plans: &[&Plan<P>],
-    new: &[ColumnRel<P>],
-    changed: &[FxHashMap<u32, Option<P>>],
-    delta: &[ColumnRel<P>],
+    state: &IdbState<P>,
     bufs: &mut [EmitBuf<P>],
     fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
     opts: &EngineOpts,
@@ -394,9 +409,9 @@ where
         adom: &engine.adom,
         pops_edb: &engine.pops_edb,
         bool_edb: &engine.bool_edb,
-        idb_new: new,
-        idb_changed: changed,
-        idb_delta: delta,
+        idb_new: &state.new,
+        idb_changed: &state.changed,
+        idb_delta: &state.delta,
     };
     let threads = opts.effective_threads();
     // Single-threaded runs skip even the estimate pass: the frontier
@@ -437,7 +452,7 @@ where
     // list, both via the driver's shared fan-out heuristic.
     let estimates: Vec<(usize, bool)> = plans
         .iter()
-        .map(|plan| engine.step0_estimate(plan, new, delta))
+        .map(|plan| engine.step0_estimate(plan, &state.new, &state.delta))
         .collect();
     let total: usize = estimates.iter().map(|(e, _)| e).sum();
     if total < opts.par_threshold {
@@ -479,7 +494,7 @@ where
     Ok(())
 }
 
-/// The shared frontier loop over a prepared [`Engine`]: seed with
+/// The frontier loop over a prepared [`Engine`]: seed with
 /// `J(1) = F(0)`, then drain the queue batch by batch, firing the
 /// per-occurrence worklist plans of every touched predicate — in
 /// parallel when the batch is dense enough.
@@ -492,120 +507,43 @@ where
 /// head-key minting: a popped row fires the worklist plans whose Δ
 /// occurrence it is, demand rows and answer rows alike.
 fn run_frontier<P, F>(
-    mut engine: Engine<P>,
+    engine: Engine<P>,
     cap: usize,
     opts: &EngineOpts,
-    strategy: &str,
     setup_ns: u64,
-    make_frontier: impl FnOnce(usize) -> F,
 ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
 where
     P: Pops + Send + Sync,
     F: Frontier<P>,
 {
-    let threads = opts.effective_threads();
-    let mode = opts.effective_join_mode();
-    engine.join_mode = mode;
-    let mut col = Collector::new(
-        strategy,
-        threads,
-        setup_ns,
-        engine.compiled.plan_metas_for(mode),
-        opts,
-    );
     let nidb = engine.compiled.idbs.len();
-    let mut frontier = make_frontier(nidb);
-    // Settled-row tracking for graceful degradation: under the priority
-    // discipline every popped row is settled (Cor. 5.19 — `⊗` cannot
-    // move a best value back up), so marking rows on pop yields an
-    // abort-time partial that is *exact* on the marked frontier. FIFO
-    // generations give no such guarantee; their partial stays a
-    // best-effort lower bound with nothing marked.
-    let exact = strategy == "priority";
-    let mut settled = if exact {
-        SettledMark::exact_empty(nidb)
-    } else {
-        SettledMark::best_effort(nidb)
-    };
-    let loop_checkpoint = if exact {
-        Checkpoint::Bucket
-    } else {
-        Checkpoint::Generation
-    };
-
+    let run = Run::open(&engine, F::LABEL, F::SETTLES_ON_POP, opts, setup_ns);
     // Index plumbing: the global drivers' `new` masks plus whatever the
-    // worklist plans probe. EDB builds (including the seed/delta-plan
-    // requirements collected at setup) fan out per relation over the
-    // worker pool; Δ masks go onto the per-batch delta relations,
-    // ensured once — `ColumnRel::clear` keeps them registered.
+    // worklist plans probe.
     let wreqs = engine.compiled.worklist_index_requirements();
-    let mut new_masks: Vec<Vec<u32>> = engine.idb_new_masks.clone();
-    let mut delta_masks: Vec<Vec<u32>> = vec![vec![]; nidb];
-    for &(source, mask) in &wreqs {
-        match source {
-            Source::IdbNew(i) | Source::IdbOld(i) => {
-                if !new_masks[i].contains(&mask) {
-                    new_masks[i].push(mask);
-                }
-            }
-            Source::IdbDelta(i) => {
-                if !delta_masks[i].contains(&mask) {
-                    delta_masks[i].push(mask);
-                }
-            }
-            Source::PopsEdb(_) | Source::BoolEdb(_) => {}
-        }
-    }
-    let gov = Governor::new(opts, setup_ns);
-    // Pre-index phase checkpoint: a cancelled or already-over-deadline
-    // run (setup is backdated into the governor) stops before paying
-    // for the EDB index build.
-    if let Err(a) = gov.check(0, &mut col) {
-        let rels = engine.empty_idbs();
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    let t = Instant::now();
-    if let Err(a) = engine.build_edb_indexes(&wreqs, threads) {
-        let rels = engine.empty_idbs();
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    col.edb_index_phase(t.elapsed().as_nanos() as u64);
-    let t_eval = Instant::now();
-    let t_arr = Instant::now();
-    let mut arranged = false;
-    let mut new = engine.empty_idbs();
-    for (pred, rel) in new.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &new_masks[pred], mode);
-    }
-    let mut delta = engine.empty_idbs();
-    for (pred, rel) in delta.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &delta_masks[pred], mode);
-    }
-    if arranged {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    // Never populated: with an empty changed map, `Old` reads ≡ `New`
-    // reads, which is exactly the worklist plans' contract (every
-    // non-Δ occurrence sees the live state).
-    let changed: Vec<FxHashMap<u32, Option<P>>> = vec![FxHashMap::default(); nidb];
+    run.drive(engine, &wreqs, cap, opts, |engine, state, run| {
+        drain_frontier(engine, state, F::new(nidb), cap, opts, run)
+    })
+}
+
+/// The body of [`run_frontier`] after the prelude; returns the number
+/// of batches processed. `state.changed` is never populated: with an
+/// empty changed map, `Old` reads ≡ `New` reads, which is exactly the
+/// worklist plans' contract (every non-Δ occurrence sees the live
+/// state).
+fn drain_frontier<P, F>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    mut frontier: F,
+    cap: usize,
+    opts: &EngineOpts,
+    run: &mut Run,
+) -> Result<usize, LoopFail>
+where
+    P: Pops + Send + Sync,
+    F: Frontier<P>,
+{
+    let nidb = engine.compiled.idbs.len();
     let mut bufs: Vec<EmitBuf<P>> = engine
         .compiled
         .idbs
@@ -616,56 +554,34 @@ where
 
     // Seed: run the all-New plans against the empty state (only IDB-free
     // sum-products contribute, eq. 65) and enqueue every inserted row.
-    if let Err(a) = gov.check(0, &mut col) {
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            new,
-            settled,
-            col,
-            0,
-            t_eval.elapsed().as_nanos() as u64,
-        ));
-    }
-    let seed_before = col.stats.counters;
+    run.check(0, Checkpoint::Phase)?;
+    let seed_before = run.col.stats.counters;
     {
         let seed_plans: Vec<&Plan<P>> = engine.compiled.seed_plans.iter().collect();
-        if let Err(a) = run_frontier_plans(
-            &engine,
+        run_frontier_plans(
+            engine,
             &seed_plans,
-            &new,
-            &changed,
-            &delta,
+            state,
             &mut bufs,
             &mut fresh,
             opts,
-            &mut col,
-        ) {
-            return Err(abort_with_partial(
-                a,
-                Checkpoint::Phase,
-                engine,
-                new,
-                settled,
-                col,
-                0,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
-        }
+            &mut run.col,
+        )
+        .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
     }
     apply_emissions(
         &mut engine.interner,
-        &mut new,
+        &mut state.new,
         &engine.compiled.set_valued,
         &mut bufs,
         &mut fresh,
         &mut frontier,
-        &mut settled,
-        &mut col,
+        &mut run.settled,
+        &mut run.col,
     );
-    drain_rel_merges(&mut new, &mut delta, &mut col);
-    col.end_step(0, 0, frontier.depth() as u64, &seed_before);
+    drain_arrange_merges(state, &mut run.col);
+    run.col
+        .end_step(0, 0, frontier.depth() as u64, &seed_before);
 
     let mut batch: Vec<(usize, u32)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
@@ -675,56 +591,35 @@ where
     let mut steps = 0usize;
     loop {
         batch.clear();
-        if !frontier.pop_into(&new, &mut batch) {
-            let stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-            return Ok(InternedOutcome::Converged {
-                output: finish(engine, new),
-                steps,
-                stats,
-            });
+        if !frontier.pop_into(&state.new, &mut batch) {
+            return Ok(steps);
         }
         if steps == cap {
-            let stats = col.finish(cap, false, t_eval.elapsed().as_nanos() as u64);
-            return Ok(InternedOutcome::Diverged {
-                last: finish(engine, new),
-                cap,
-                stats,
-            });
+            return Err(LoopFail::Diverged(cap));
         }
         // Settled-on-pop: a popped row's value is final the moment the
         // frontier hands it over (priority only) — independent of
         // whether its derivations ever fire — so marking precedes the
         // governance check and a mid-run abort still counts this batch.
-        if exact {
+        if F::SETTLES_ON_POP {
             for &(pred, row) in &batch {
-                settled.mark(pred, row);
+                run.settled.mark(pred, row);
             }
         }
-        if let Err(a) = gov.check(steps as u64, &mut col) {
-            return Err(abort_with_partial(
-                a,
-                loop_checkpoint,
-                engine,
-                new,
-                settled,
-                col,
-                steps,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
-        }
+        run.check(steps, F::CHECKPOINT)?;
         steps += 1;
-        let before = col.stats.counters;
+        let before = run.col.stats.counters;
 
         // Stage the batch as per-pred Δ relations carrying full current
         // values (a batch never holds the same row twice: both
         // disciplines de-duplicate — see their docs).
         touched.clear();
         for &(pred, row) in &batch {
-            if delta[pred].is_empty() {
+            if state.delta[pred].is_empty() {
                 touched.push(pred);
             }
-            let val = new[pred].val(row).clone();
-            delta[pred].append_row(new[pred].row(row), val);
+            let val = state.new[pred].val(row).clone();
+            state.delta[pred].append_row(state.new[pred].row(row), val);
         }
         batch_plans.clear();
         batch_plans.extend(
@@ -732,179 +627,37 @@ where
                 .iter()
                 .flat_map(|&pred| engine.compiled.worklist_plans_for(pred).iter()),
         );
-        if let Err(a) = run_frontier_plans(
-            &engine,
+        run_frontier_plans(
+            engine,
             &batch_plans,
-            &new,
-            &changed,
-            &delta,
+            state,
             &mut bufs,
             &mut fresh,
             opts,
-            &mut col,
-        ) {
-            return Err(abort_with_partial(
-                a,
-                loop_checkpoint,
-                engine,
-                new,
-                settled,
-                col,
-                steps,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
-        }
+            &mut run.col,
+        )
+        .map_err(LoopFail::at(F::CHECKPOINT, steps))?;
         for &pred in &touched {
-            delta[pred].clear();
+            state.delta[pred].clear();
         }
         apply_emissions(
             &mut engine.interner,
-            &mut new,
+            &mut state.new,
             &engine.compiled.set_valued,
             &mut bufs,
             &mut fresh,
             &mut frontier,
-            &mut settled,
-            &mut col,
+            &mut run.settled,
+            &mut run.col,
         );
-        drain_rel_merges(&mut new, &mut delta, &mut col);
-        col.end_step(steps, batch.len() as u64, frontier.depth() as u64, &before);
+        drain_arrange_merges(state, &mut run.col);
+        run.col
+            .end_step(steps, batch.len() as u64, frontier.depth() as u64, &before);
     }
 }
 
-/// Drains the spine-merge counters of the frontier's `new` and staged
-/// Δ relations into the run's `arrange_batches_merged` total (the
-/// frontier keeps its IDB state in loose vectors rather than an
-/// [`crate::driver::IdbState`], so it cannot reuse
-/// [`crate::driver::drain_arrange_merges`]). All maintenance is
-/// coordinator-side, so the total is thread-invariant.
-fn drain_rel_merges<P: Pops>(
-    new: &mut [ColumnRel<P>],
-    delta: &mut [ColumnRel<P>],
-    col: &mut Collector,
-) {
-    let mut merges = 0;
-    for rel in new.iter_mut().chain(delta.iter_mut()) {
-        merges += rel.take_arrange_merges();
-    }
-    col.stats.counters.arrange_batches_merged += merges;
-}
-
-/// FIFO-worklist evaluation: per-row change propagation over any
-/// **absorptive** POPS, drained in generations that fan out over the
-/// worker pool. Reaches the same fixpoint as
-/// [`crate::driver::engine_seminaive_eval`] (cross-checked in
-/// `tests/backend_matrix.rs` and `tests/proptest_engine.rs`); `steps`
-/// counts generations, and `cap` bounds that count.
-///
-/// # Errors
-///
-/// As [`crate::engine_naive_eval`].
-pub fn engine_worklist_eval<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-) -> Result<EvalOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + Absorptive + Send + Sync,
-{
-    engine_worklist_eval_with_opts(program, pops_edb, bool_edb, cap, &EngineOpts::default())
-}
-
-/// [`engine_worklist_eval`] with explicit tuning knobs (thread cap,
-/// fan-out threshold, chunk size, budget, cancellation).
-///
-/// # Errors
-///
-/// As [`crate::engine_naive_eval`].
-pub fn engine_worklist_eval_with_opts<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    opts: &EngineOpts,
-) -> Result<EvalOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + Absorptive + Send + Sync,
-{
-    let t = Instant::now();
-    let engine = setup_checked(program, pops_edb, bool_edb, &[])?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    Ok(
-        run_frontier(engine, cap, opts, "worklist", setup_ns, FifoFrontier::new)
-            .map_err(|b| EvalError::from(*b))?
-            .materialize(),
-    )
-}
-
-/// Priority-frontier evaluation: bucketed best-first scheduling over a
-/// totally ordered absorptive dioid (Trop⁺, `MinNat`, `MaxMin`, `𝔹`).
-/// Every fact is popped settled (Dijkstra semantics — see the module
-/// docs for the absorption argument), so long-chain fixpoints run in one
-/// near-linear pass instead of one global iteration per chain link; each
-/// value bucket is processed as one (possibly parallel) batch. `steps`
-/// counts frontier batches.
-///
-/// # Errors
-///
-/// As [`crate::engine_naive_eval`].
-pub fn engine_priority_eval<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-) -> Result<EvalOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + Absorptive + TotallyOrderedDioid + Send + Sync,
-{
-    engine_priority_eval_with_opts(program, pops_edb, bool_edb, cap, &EngineOpts::default())
-}
-
-/// [`engine_priority_eval`] with explicit tuning knobs (thread cap,
-/// fan-out threshold, chunk size, budget, cancellation).
-///
-/// # Errors
-///
-/// As [`crate::engine_naive_eval`].
-pub fn engine_priority_eval_with_opts<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    opts: &EngineOpts,
-) -> Result<EvalOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered + Absorptive + TotallyOrderedDioid + Send + Sync,
-{
-    let t = Instant::now();
-    let engine = setup_checked(program, pops_edb, bool_edb, &[])?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    Ok(run_frontier(engine, cap, opts, "priority", setup_ns, |_| {
-        BucketFrontier::new()
-    })
-    .map_err(|b| EvalError::from(*b))?
-    .materialize())
-}
-
-/// Evaluates with an explicit [`Strategy`], defaulting
-/// ([`Strategy::Auto`]) to the strongest discipline the bounds license —
-/// the priority frontier. The bounds are the union of what the three
-/// strategies need, so this entry point exists for POPS like `Trop`,
-/// `MinNat`, `MaxMin`, and `Bool` that support everything; callers whose
-/// POPS is merely absorptive use [`engine_worklist_eval`], and everything
-/// else stays on [`crate::driver::engine_seminaive_eval`].
-///
-/// # Errors
-///
-/// As [`crate::engine_naive_eval`].
-pub fn engine_eval<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    strategy: Strategy,
-) -> Result<EvalOutcome<P>, EvalError>
+#[allow(private_interfaces)]
+impl<P> Rounds<P> for Strategy
 where
     P: NaturallyOrdered
         + CompleteDistributiveDioid
@@ -913,260 +666,54 @@ where
         + Send
         + Sync,
 {
-    engine_eval_with_opts(
-        program,
-        pops_edb,
-        bool_edb,
-        cap,
-        strategy,
-        &EngineOpts::default(),
-    )
-}
+    const MAINTENANCE_SUFFIX: &'static str = "";
 
-/// [`engine_eval`] with explicit tuning knobs. Every strategy is
-/// multi-threaded: the semi-naïve loop fans (plan × row-chunk) tasks per
-/// global iteration, and the frontier drivers fan the same task shape
-/// per batch (with the adaptive sequential fallback for sparse batches).
-/// `opts.threads` caps the pool; `None` reads `DLO_ENGINE_THREADS` /
-/// `available_parallelism`. Results are bit-identical at any setting.
-///
-/// # Errors
-///
-/// As [`crate::engine_naive_eval`].
-pub fn engine_eval_with_opts<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    strategy: Strategy,
-    opts: &EngineOpts,
-) -> Result<EvalOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    Ok(engine_eval_interned(program, pops_edb, bool_edb, cap, strategy, opts)?.materialize())
-}
-
-/// [`engine_eval`] returning the **decode-free**
-/// [`InternedOutcome`]: the fixpoint stays in interned columnar form
-/// and `Database` materialization is deferred until asked for —
-/// pipelines that feed results back into the engine, or only inspect a
-/// few values, skip the rank-sorted decode entirely (the largest
-/// post-fixpoint phase on large outputs).
-///
-/// # Errors
-///
-/// As [`crate::engine_naive_eval`].
-pub fn engine_eval_interned<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    strategy: Strategy,
-    opts: &EngineOpts,
-) -> Result<InternedOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    let t = Instant::now();
-    let engine = setup_checked(program, pops_edb, bool_edb, &[])?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    strategy_run(engine, cap, strategy, opts, setup_ns)
-}
-
-/// [`engine_eval_interned`] over an **interned EDB**: the previous
-/// run's [`crate::InternedOutput`] is the POPS database (shared
-/// interner, relations reused without any `Constant` round-trip), with
-/// `extra_pops` overlaying fresh classic-form relations for names the
-/// interned output lacks. Chained engine runs — including
-/// query-then-refine pipelines via
-/// [`crate::query::QueryAnswer::into_interned`] — stay interned end to
-/// end.
-///
-/// # Errors
-///
-/// As [`crate::engine_naive_eval`].
-pub fn engine_eval_interned_edb<P>(
-    program: &Program<P>,
-    prev: &crate::output::InternedOutput<P>,
-    extra_pops: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    strategy: Strategy,
-    opts: &EngineOpts,
-) -> Result<InternedOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    let t = Instant::now();
-    let engine = crate::driver::setup_interned_checked(program, prev, extra_pops, bool_edb, &[])?;
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    strategy_run(engine, cap, strategy, opts, setup_ns)
-}
-
-/// Dispatches a prepared [`Engine`] to the loop `strategy` names,
-/// keeping the partial-result channel: a governed abort returns the
-/// boxed [`AbortedEval`] — the typed error plus the abort-time
-/// instance (exact on the settled frontier under
-/// [`Strategy::Priority`] / [`Strategy::Auto`], a best-effort lower
-/// bound otherwise).
-pub(crate) fn strategy_run_partial<P>(
-    engine: Engine<P>,
-    cap: usize,
-    strategy: Strategy,
-    opts: &EngineOpts,
-    setup_ns: u64,
-) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    match strategy {
-        Strategy::SemiNaive => seminaive_run(engine, cap, opts, setup_ns),
-        Strategy::Worklist => {
-            run_frontier(engine, cap, opts, "worklist", setup_ns, FifoFrontier::new)
-        }
-        Strategy::Auto | Strategy::Priority => {
-            run_frontier(engine, cap, opts, "priority", setup_ns, |_| {
-                BucketFrontier::new()
-            })
+    /// Every strategy is multi-threaded: the semi-naïve loop fans
+    /// (plan × row-chunk) tasks per global iteration, and the frontier
+    /// drivers fan the same task shape per batch (with the adaptive
+    /// sequential fallback for sparse batches).
+    fn run(
+        self,
+        engine: Engine<P>,
+        cap: usize,
+        opts: &EngineOpts,
+        setup_ns: u64,
+    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
+        match self {
+            Strategy::SemiNaive => SemiNaive.run(engine, cap, opts, setup_ns),
+            Strategy::Worklist => run_frontier::<P, FifoFrontier>(engine, cap, opts, setup_ns),
+            Strategy::Auto | Strategy::Priority => {
+                run_frontier::<P, BucketFrontier<P>>(engine, cap, opts, setup_ns)
+            }
         }
     }
-}
 
-/// Dispatches a prepared [`Engine`] to the loop `strategy` names —
-/// the shared tail of every multi-strategy entry point (classic,
-/// interned-EDB, and demand-rewritten query evaluation). The classic
-/// error contract: a governed abort surfaces as the bare
-/// [`EvalError`], dropping the partial instance (use the `*_partial`
-/// entry points to keep it).
-pub(crate) fn strategy_run<P>(
-    engine: Engine<P>,
-    cap: usize,
-    strategy: Strategy,
-    opts: &EngineOpts,
-    setup_ns: u64,
-) -> Result<InternedOutcome<P>, EvalError>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    strategy_run_partial(engine, cap, strategy, opts, setup_ns).map_err(|b| EvalError::from(*b))
-}
-
-/// [`engine_eval_with_opts`] with **graceful degradation**: instead of
-/// dropping the partially evaluated instance on a governed abort
-/// (budget, deadline, cancellation, worker panic), the error channel
-/// carries a boxed [`AbortedEval`] — the typed [`EvalError`] plus a
-/// [`PartialOutput`](crate::output::PartialOutput) of the abort-time
-/// state. Under [`Strategy::Priority`] / [`Strategy::Auto`] the
-/// partial is **exact** on its settled frontier (settled-on-pop,
-/// Cor. 5.19): every marked row already holds its final fixpoint
-/// value. Under the other strategies nothing is marked and the partial
-/// is a pointwise lower bound of the least fixpoint (`J(t) ⊑ lfp`).
-/// Compile rejections ride the same channel with an empty partial.
-///
-/// The `Ok` side is unchanged — a run that converges (or hits the
-/// divergence cap) behaves exactly like [`engine_eval_interned`].
-///
-/// # Errors
-///
-/// Never fails with a bare error: every failure is an [`AbortedEval`]
-/// wrapping the same [`EvalError`] the classic entry points return.
-pub fn engine_eval_partial_with_opts<P>(
-    program: &Program<P>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    strategy: Strategy,
-    opts: &EngineOpts,
-) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    let t = Instant::now();
-    let engine = match setup_checked(program, pops_edb, bool_edb, &[]) {
-        Ok(engine) => engine,
-        Err(error) => return Err(empty_aborted(error)),
-    };
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    strategy_run_partial(engine, cap, strategy, opts, setup_ns)
-}
-
-/// [`engine_eval_partial_with_opts`] over an **interned EDB** — the
-/// warm-start primitive of [`crate::retry`]: feed a failed attempt's
-/// [`PartialOutput::interned`](crate::output::PartialOutput::interned)
-/// as `prev` (its interner is reused, so every id minted before the
-/// abort keeps its meaning) with the original EDB as `extra_pops`, and
-/// the retry resumes from a warm interner instead of starting cold.
-/// Name resolution prefers `extra_pops`, exactly like
-/// [`engine_eval_interned_edb`].
-///
-/// # Errors
-///
-/// As [`engine_eval_partial_with_opts`].
-pub fn engine_eval_partial_interned_edb<P>(
-    program: &Program<P>,
-    prev: &InternedOutput<P>,
-    extra_pops: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    strategy: Strategy,
-    opts: &EngineOpts,
-) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    let t = Instant::now();
-    let engine = match setup_interned_checked(program, prev, extra_pops, bool_edb, &[]) {
-        Ok(engine) => engine,
-        Err(error) => return Err(empty_aborted(error)),
-    };
-    let setup_ns = t.elapsed().as_nanos() as u64;
-    strategy_run_partial(engine, cap, strategy, opts, setup_ns)
+    /// The strategy picks how a fixpoint is reached *from scratch* (and
+    /// so governs a materialization's queries); a standing fixpoint is
+    /// always continued by the semi-naïve differential.
+    fn resume(
+        self,
+        engine: &mut Engine<P>,
+        state: &mut IdbState<P>,
+        plans: &RoundPlans<'_, P>,
+        cap: usize,
+        opts: &EngineOpts,
+        run: &mut Run,
+        start: usize,
+    ) -> Result<usize, LoopFail> {
+        SemiNaive.resume(engine, state, plans, cap, opts, run, start)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::engine_seminaive_eval;
-    use dlo_core::ast::{Atom, Factor, KeyFn, SumProduct, Term, UnaryFn};
+    use crate::driver::engine_eval_interned;
+    use crate::driver::tests::{eval, eval_with};
+    use dlo_core::ast::{Atom, Factor, KeyFn, Program, SumProduct, Term, UnaryFn};
     use dlo_core::eval::relational::relational_seminaive_eval;
     use dlo_core::examples_lib as ex;
-    use dlo_core::relation::Relation;
+    use dlo_core::relation::{BoolDatabase, Database, Relation};
     use dlo_core::tup;
     use dlo_pops::{MaxMin, MinNat, PreSemiring, Trop};
 
@@ -1198,12 +745,8 @@ mod tests {
             + Sync,
     {
         let reference = relational_seminaive_eval(program, pops, bools, 100_000).unwrap();
-        let fifo = engine_worklist_eval(program, pops, bools, 1_000_000)
-            .expect("compiles")
-            .unwrap();
-        let prio = engine_priority_eval(program, pops, bools, 1_000_000)
-            .expect("compiles")
-            .unwrap();
+        let fifo = eval(program, pops, bools, 1_000_000, Strategy::Worklist).unwrap();
+        let prio = eval(program, pops, bools, 1_000_000, Strategy::Priority).unwrap();
         assert_eq!(reference, fifo, "FIFO worklist differs from relational");
         assert_eq!(reference, prio, "priority frontier differs from relational");
         for strategy in [
@@ -1212,21 +755,20 @@ mod tests {
             Strategy::Worklist,
             Strategy::Priority,
         ] {
-            let seq = engine_eval(program, pops, bools, 1_000_000, strategy).expect("compiles");
-            let par = engine_eval_with_opts(
+            let seq = eval(program, pops, bools, 1_000_000, strategy);
+            let par = eval_with(
                 program,
                 pops,
                 bools,
                 1_000_000,
                 strategy,
                 &forced_parallel(),
-            )
-            .expect("compiles");
+            );
             assert_eq!(
                 seq, par,
-                "engine_eval({strategy:?}) differs between sequential and forced-parallel"
+                "{strategy:?} differs between sequential and forced-parallel"
             );
-            assert_eq!(reference, seq.unwrap(), "engine_eval({strategy:?}) differs");
+            assert_eq!(reference, seq.unwrap(), "{strategy:?} differs");
         }
         reference
     }
@@ -1269,10 +811,15 @@ mod tests {
         let mut edb = Database::new();
         edb.insert("E", Relation::from_pairs(2, g_edges));
         let program = ex::apsp_program::<Trop>();
-        let (out, steps) = engine_priority_eval(&program, &edb, &BoolDatabase::new(), 1_000_000)
-            .expect("compiles")
-            .converged()
-            .unwrap();
+        let (out, steps) = eval(
+            &program,
+            &edb,
+            &BoolDatabase::new(),
+            1_000_000,
+            Strategy::Priority,
+        )
+        .converged()
+        .unwrap();
         assert_eq!(out.get("T").unwrap().support_size(), 49 * 50 / 2);
         assert_eq!(steps, 49, "one frontier batch per distinct distance");
     }
@@ -1284,10 +831,15 @@ mod tests {
         // in bucket 2, and the stale bucket-10 entry must be skipped —
         // total: batch(1) = {(a,c),(c,b)}, batch(2) = {(a,b)}, done.
         let (program, edb) = ex::apsp_trop(&[("a", "b", 10.0), ("a", "c", 1.0), ("c", "b", 1.0)]);
-        let (out, steps) = engine_priority_eval(&program, &edb, &BoolDatabase::new(), 1_000_000)
-            .expect("compiles")
-            .converged()
-            .unwrap();
+        let (out, steps) = eval(
+            &program,
+            &edb,
+            &BoolDatabase::new(),
+            1_000_000,
+            Strategy::Priority,
+        )
+        .converged()
+        .unwrap();
         assert_eq!(
             out.get("T").unwrap().get(&tup!["a", "b"]),
             Trop::finite(2.0)
@@ -1336,13 +888,17 @@ mod tests {
         );
         let pops = Database::new();
         let bools = BoolDatabase::new();
-        let seq = engine_worklist_eval(&p, &pops, &bools, 25).expect("compiles");
+        let seq = eval(&p, &pops, &bools, 25, Strategy::Worklist);
         assert!(!seq.is_converged());
-        assert!(!engine_priority_eval(&p, &pops, &bools, 25)
-            .expect("compiles")
-            .is_converged());
-        let par = engine_worklist_eval_with_opts(&p, &pops, &bools, 25, &forced_parallel())
-            .expect("compiles");
+        assert!(!eval(&p, &pops, &bools, 25, Strategy::Priority).is_converged());
+        let par = eval_with(
+            &p,
+            &pops,
+            &bools,
+            25,
+            Strategy::Worklist,
+            &forced_parallel(),
+        );
         assert_eq!(seq, par, "capped divergence must be thread-invariant");
     }
 
@@ -1395,10 +951,15 @@ mod tests {
         // processed at 10, improved to 2 by the batch), generation 2 is
         // the re-queued improved row.
         let (program, edb) = ex::apsp_trop(&[("a", "b", 10.0), ("a", "c", 1.0), ("c", "b", 1.0)]);
-        let (out, steps) = engine_worklist_eval(&program, &edb, &BoolDatabase::new(), 1_000_000)
-            .expect("compiles")
-            .converged()
-            .unwrap();
+        let (out, steps) = eval(
+            &program,
+            &edb,
+            &BoolDatabase::new(),
+            1_000_000,
+            Strategy::Worklist,
+        )
+        .converged()
+        .unwrap();
         assert_eq!(
             out.get("T").unwrap().get(&tup!["a", "b"]),
             Trop::finite(2.0)
@@ -1409,10 +970,15 @@ mod tests {
     #[test]
     fn empty_program_converges_with_zero_batches() {
         let p = Program::<Trop>::new();
-        let (db, steps) = engine_priority_eval(&p, &Database::new(), &BoolDatabase::new(), 10)
-            .expect("compiles")
-            .converged()
-            .unwrap();
+        let (db, steps) = eval(
+            &p,
+            &Database::new(),
+            &BoolDatabase::new(),
+            10,
+            Strategy::Priority,
+        )
+        .converged()
+        .unwrap();
         assert_eq!(steps, 0);
         assert!(db.iter().next().is_none());
     }
@@ -1439,15 +1005,9 @@ mod tests {
         edb.insert("E", Relation::from_pairs(2, pairs));
         let program = ex::quadratic_tc_program::<MinNat>();
         let bools = BoolDatabase::new();
-        let semi = engine_seminaive_eval(&program, &edb, &bools, 100_000)
-            .expect("compiles")
-            .unwrap();
-        let fifo = engine_worklist_eval(&program, &edb, &bools, 10_000_000)
-            .expect("compiles")
-            .unwrap();
-        let prio = engine_priority_eval(&program, &edb, &bools, 10_000_000)
-            .expect("compiles")
-            .unwrap();
+        let semi = eval(&program, &edb, &bools, 100_000, SemiNaive).unwrap();
+        let fifo = eval(&program, &edb, &bools, 10_000_000, Strategy::Worklist).unwrap();
+        let prio = eval(&program, &edb, &bools, 10_000_000, Strategy::Priority).unwrap();
         assert_eq!(semi, fifo);
         assert_eq!(semi, prio);
         assert!(
@@ -1485,7 +1045,7 @@ mod tests {
         let program = ex::apsp_program::<Trop>();
         let bools = BoolDatabase::new();
         for strategy in [Strategy::Worklist, Strategy::Priority] {
-            let baseline = engine_eval_with_opts(
+            let baseline = eval_with(
                 &program,
                 &edb,
                 &bools,
@@ -1495,8 +1055,7 @@ mod tests {
                     threads: Some(1),
                     ..EngineOpts::default()
                 },
-            )
-            .expect("compiles");
+            );
             for threads in [2, 4] {
                 let opts = EngineOpts {
                     threads: Some(threads),
@@ -1504,9 +1063,7 @@ mod tests {
                     chunk_min: 2,
                     ..EngineOpts::default()
                 };
-                let got =
-                    engine_eval_with_opts(&program, &edb, &bools, 10_000_000, strategy, &opts)
-                        .expect("compiles");
+                let got = eval_with(&program, &edb, &bools, 10_000_000, strategy, &opts);
                 assert_eq!(
                     baseline, got,
                     "{strategy:?} at {threads} threads differs from single-threaded"
@@ -1532,9 +1089,7 @@ mod tests {
         .unwrap();
         assert!(steps > 0);
         assert_eq!(out.get("L", &["d".into()]), Some(&Trop::finite(8.0)));
-        let reference = engine_priority_eval(&program, &edb, &bools, 1_000_000)
-            .expect("compiles")
-            .unwrap();
+        let reference = eval(&program, &edb, &bools, 1_000_000, Strategy::Priority).unwrap();
         assert_eq!(out.materialize(), reference);
     }
 }

@@ -8,8 +8,9 @@
 //! Run with `cargo run --example company_control`.
 
 use datalog_o::core::examples_lib::company_control;
-use datalog_o::core::naive_eval;
-use datalog_o::pops::Pops;
+use datalog_o::core::{naive_eval, Edit};
+use datalog_o::pops::{NNReal, Pops};
+use datalog_o::{EngineOpts, Materialization, Naive};
 
 fn main() {
     let companies = ["acme", "beta", "corp", "dyne"];
@@ -43,4 +44,24 @@ fn main() {
     }
     // Transitive control: acme controls beta directly, corp through beta,
     // and dyne through the whole chain.
+
+    // The same program on the execution engine, kept live. ℝ₊ has no ⊖,
+    // so `Naive` is the one schedule that type-checks for it
+    // (`SemiNaive` or a `Strategy` here would not compile); the handle
+    // takes it at construction and then absorbs edit scripts like any
+    // other. Beta sells its corp stake to an outsider: acme falls to
+    // 40% of corp, and with corp gone so is its majority of dyne.
+    let mut live =
+        Materialization::new(&prog, &pops, &bools, 10_000, Naive, &EngineOpts::default())
+            .expect("compiles and converges");
+    let dyne = ["acme".into(), "dyne".into()];
+    let weight =
+        |live: &Materialization<NNReal, Naive>| live.get("T", &dyne).map_or(0.0, |v| v.get());
+    println!("\nlive: T(acme, dyne) = {:.2}", weight(&live));
+    live.apply(&[Edit::delete("S", vec!["beta".into(), "corp".into()])])
+        .expect("edit applies");
+    println!(
+        "after beta sells its corp stake: T(acme, dyne) = {:.2}",
+        weight(&live)
+    );
 }

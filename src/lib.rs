@@ -34,26 +34,23 @@ pub use dlo_provenance as provenance;
 pub use dlo_semilin as semilin;
 pub use dlo_wellfounded as wellfounded;
 
-// The engine backend's entry points at top level, next to the grounded
-// and relational backends re-exported through `core`.
+// The engine backend's surface at top level, next to the grounded and
+// relational backends re-exported through `core`: four entry points,
+// the schedule argument they take, and the result/option types.
 pub use dlo_engine::{
-    engine_eval, engine_eval_interned, engine_eval_interned_edb, engine_eval_partial_interned_edb,
-    engine_eval_partial_with_opts, engine_eval_with_opts, engine_naive_eval, engine_priority_eval,
-    engine_priority_eval_with_opts, engine_query_eval, engine_query_eval_interned_edb,
-    engine_query_eval_partial_with_opts, engine_query_eval_with_opts, engine_query_naive_eval,
-    engine_query_seminaive_eval, engine_seminaive_eval, engine_seminaive_eval_interned,
-    engine_seminaive_eval_interned_edb, engine_worklist_eval, engine_worklist_eval_with_opts,
-    eval_with_retry, AbortedEval, AbortedQuery, AttemptLog, BudgetClass, BudgetKind, CancelToken,
-    EngineOpts, EvalBudget, EvalError, EvalStats, InternedOutcome, InternedOutput, JoinMode,
-    JsonlSink, Materialization, MemorySink, PartialOutput, QueryAnswer, RetryFailure, RetryPolicy,
-    RetryReport, RuleProfile, SettledMark, Strategy, TraceEvent, TraceHandle, TraceSink,
+    engine_eval_interned, engine_eval_interned_edb, engine_query_eval_interned_edb,
+    engine_query_eval_with_opts, eval_with_retry, AbortedEval, AbortedQuery, AttemptLog,
+    BudgetClass, BudgetKind, CancelToken, EngineOpts, EvalBudget, EvalError, EvalStats,
+    InternedOutcome, InternedOutput, JoinMode, JsonlSink, Materialization, MemorySink, Naive,
+    PartialOutput, QueryAnswer, RetryFailure, RetryPolicy, RetryReport, RuleProfile, Schedule,
+    SemiNaive, SettledMark, Strategy, TraceEvent, TraceHandle, TraceSink,
 };
 
 /// Evaluates a program with the **default backend**: the execution
-/// engine's parallel semi-naïve driver ([`engine_seminaive_eval`]),
-/// which since the removal of the head-key-function fallback covers the
-/// full language surface natively (interned, indexed, multi-threaded) —
-/// including key functions in rule heads. Reach for the grounded or
+/// engine's parallel semi-naïve schedule ([`engine_eval_interned`] with
+/// [`SemiNaive`], decoded), which covers the full language surface
+/// natively (interned, indexed, multi-threaded) — including key
+/// functions in rule heads. Reach for the grounded or
 /// relational backends through [`core`] only for exotic POPS outside
 /// the naturally-ordered dioids, or for iteration traces — and for the
 /// totally ordered absorptive dioids (`Trop`, `MinNat`, `MaxMin`,
@@ -73,7 +70,15 @@ pub fn eval<P>(
 where
     P: pops::NaturallyOrdered + pops::CompleteDistributiveDioid + Send + Sync,
 {
-    engine_seminaive_eval(program, pops_edb, bool_edb, core::DEFAULT_CAP)
+    Ok(engine_eval_interned(
+        program,
+        pops_edb,
+        bool_edb,
+        core::DEFAULT_CAP,
+        SemiNaive,
+        &EngineOpts::default(),
+    )?
+    .materialize())
 }
 
 /// Default divergence cap for the frontier entry point. Frontier
@@ -85,8 +90,8 @@ where
 pub const FRONTIER_DEFAULT_CAP: usize = 100_000_000;
 
 /// Evaluates with the engine's **priority frontier**
-/// ([`engine_eval`] with [`Strategy::Auto`]): worklist-driven,
-/// settled-on-pop evaluation for totally ordered absorptive dioids
+/// ([`engine_eval_interned`] with [`Strategy::Auto`], decoded):
+/// worklist-driven, settled-on-pop evaluation for totally ordered absorptive dioids
 /// (Sec. 5 / Cor. 5.19 — every polynomial over a 0-stable semiring is
 /// `N`-stable, so per-fact change propagation terminates). On
 /// long-chain fixpoints this replaces one global iteration per chain
@@ -114,13 +119,15 @@ where
         + Send
         + Sync,
 {
-    engine_eval(
+    Ok(engine_eval_interned(
         program,
         pops_edb,
         bool_edb,
         FRONTIER_DEFAULT_CAP,
         Strategy::Auto,
-    )
+        &EngineOpts::default(),
+    )?
+    .materialize())
 }
 
 /// **Query-driven** evaluation on the default backend (the engine's
@@ -164,14 +171,15 @@ pub fn eval_query<P>(
 where
     P: pops::NaturallyOrdered + pops::CompleteDistributiveDioid + Send + Sync,
 {
-    engine_query_seminaive_eval(
+    Ok(engine_query_eval_with_opts(
         program,
         query,
         pops_edb,
         bool_edb,
         core::DEFAULT_CAP,
+        SemiNaive,
         &EngineOpts::default(),
-    )
+    )?)
 }
 
 /// [`eval_query`] on the **priority frontier**: the frontier is seeded
@@ -180,7 +188,7 @@ where
 /// batches exactly like head-key minting, and answers settle on pop —
 /// a single-source question against an all-pairs program does
 /// Dijkstra-from-the-source work instead of the full least fixpoint
-/// (`BENCH_magic.json` records the separation).
+/// (the `point-query` workload of `dlo_benchmark` measures it).
 ///
 /// # Errors
 ///
@@ -199,12 +207,13 @@ where
         + Send
         + Sync,
 {
-    engine_query_eval(
+    Ok(engine_query_eval_with_opts(
         program,
         query,
         pops_edb,
         bool_edb,
         FRONTIER_DEFAULT_CAP,
         Strategy::Auto,
-    )
+        &EngineOpts::default(),
+    )?)
 }

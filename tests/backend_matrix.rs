@@ -23,19 +23,31 @@ use datalog_o::core::{
     relational_seminaive_eval, BoolDatabase, Database, Program, ProgramParser, Query, Relation,
     UnaryFn,
 };
-use datalog_o::core::{FactDelete, FactInsert};
-use datalog_o::engine::engine_naive_eval_with_opts;
+use datalog_o::core::{Edit, EvalOutcome, FactDelete, FactInsert};
 use datalog_o::pops::{
-    Absorptive, Bool, CompleteDistributiveDioid, MinNat, NNReal, NaturallyOrdered,
+    Absorptive, Bool, CompleteDistributiveDioid, MinNat, NNReal, NaturallyOrdered, Pops,
     TotallyOrderedDioid, Trop, TropP,
 };
 use datalog_o::{
-    engine_eval, engine_eval_interned, engine_eval_with_opts, engine_naive_eval,
-    engine_query_eval_with_opts, engine_query_naive_eval, engine_query_seminaive_eval,
-    engine_seminaive_eval, EngineOpts, JoinMode, Materialization, Strategy,
+    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, EvalBudget, EvalStats, JoinMode,
+    Materialization, Naive, Schedule, SemiNaive, Strategy,
 };
 
 const CAP: usize = 100_000;
+
+/// One from-scratch evaluation under `schedule`, decoded.
+fn run<P: Pops, S: Schedule<P>>(
+    program: &Program<P>,
+    pops: &Database<P>,
+    bools: &BoolDatabase,
+    cap: usize,
+    schedule: S,
+    opts: &EngineOpts,
+) -> EvalOutcome<P> {
+    engine_eval_interned(program, pops, bools, cap, schedule, opts)
+        .expect("compiles")
+        .materialize()
+}
 
 /// Tuning that forces the frontier drivers' parallel batch path even on
 /// single-row batches (4 workers, fan-out threshold 1).
@@ -112,31 +124,39 @@ fn assert_matrix_all<P>(
         ),
         (
             "engine naive",
-            engine_naive_eval(program, pops, bools, CAP)
-                .expect("compiles")
-                .unwrap(),
+            run(program, pops, bools, CAP, Naive, &EngineOpts::default()).unwrap(),
         ),
         (
             "engine semi-naive",
-            engine_seminaive_eval(program, pops, bools, CAP)
-                .expect("compiles")
-                .unwrap(),
+            run(program, pops, bools, CAP, SemiNaive, &EngineOpts::default()).unwrap(),
         ),
         (
             "engine worklist",
-            engine_eval(program, pops, bools, CAP, Strategy::Worklist)
-                .expect("compiles")
-                .unwrap(),
+            run(
+                program,
+                pops,
+                bools,
+                CAP,
+                Strategy::Worklist,
+                &EngineOpts::default(),
+            )
+            .unwrap(),
         ),
         (
             "engine priority",
-            engine_eval(program, pops, bools, CAP, Strategy::Priority)
-                .expect("compiles")
-                .unwrap(),
+            run(
+                program,
+                pops,
+                bools,
+                CAP,
+                Strategy::Priority,
+                &EngineOpts::default(),
+            )
+            .unwrap(),
         ),
         (
             "engine worklist (parallel)",
-            engine_eval_with_opts(
+            run(
                 program,
                 pops,
                 bools,
@@ -144,12 +164,11 @@ fn assert_matrix_all<P>(
                 Strategy::Worklist,
                 &forced_parallel,
             )
-            .expect("compiles")
             .unwrap(),
         ),
         (
             "engine priority (parallel)",
-            engine_eval_with_opts(
+            run(
                 program,
                 pops,
                 bools,
@@ -157,7 +176,6 @@ fn assert_matrix_all<P>(
                 Strategy::Priority,
                 &forced_parallel,
             )
-            .expect("compiles")
             .unwrap(),
         ),
     ];
@@ -174,9 +192,7 @@ fn assert_matrix_all<P>(
             ..EngineOpts::default()
         };
         for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-            let got = engine_eval_with_opts(program, pops, bools, CAP, strategy, &opts)
-                .expect("compiles")
-                .unwrap();
+            let got = run(program, pops, bools, CAP, strategy, &opts).unwrap();
             assert_same_db(
                 scenario,
                 &format!("engine {strategy:?} ({} join)", mode.label()),
@@ -184,9 +200,7 @@ fn assert_matrix_all<P>(
                 &got,
             );
         }
-        let naive = engine_naive_eval_with_opts(program, pops, bools, CAP, &opts)
-            .expect("compiles")
-            .unwrap();
+        let naive = run(program, pops, bools, CAP, Naive, &opts).unwrap();
         assert_same_db(
             scenario,
             &format!("engine naive ({} join)", mode.label()),
@@ -194,6 +208,8 @@ fn assert_matrix_all<P>(
             &naive,
         );
     }
+    assert_loop_parity(scenario, program, pops, bools, Naive, 0);
+    assert_loop_parity(scenario, program, pops, bools, SemiNaive, 1);
 }
 
 /// The three naive legs, for POPS without `⊖` (no complete distributive
@@ -208,9 +224,7 @@ fn assert_matrix_naive<P>(
 {
     let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
     let rel = relational_naive_eval(program, pops, bools, CAP).unwrap();
-    let eng = engine_naive_eval(program, pops, bools, CAP)
-        .expect("compiles")
-        .unwrap();
+    let eng = run(program, pops, bools, CAP, Naive, &EngineOpts::default()).unwrap();
     assert_same_db(scenario, "relational naive", &grounded, &rel);
     assert_same_db(scenario, "engine naive", &grounded, &eng);
     for mode in [JoinMode::Merge, JoinMode::Hash] {
@@ -218,9 +232,7 @@ fn assert_matrix_naive<P>(
             join_mode: Some(mode),
             ..EngineOpts::default()
         };
-        let got = engine_naive_eval_with_opts(program, pops, bools, CAP, &opts)
-            .expect("compiles")
-            .unwrap();
+        let got = run(program, pops, bools, CAP, Naive, &opts).unwrap();
         assert_same_db(
             scenario,
             &format!("engine naive ({} join)", mode.label()),
@@ -228,6 +240,7 @@ fn assert_matrix_naive<P>(
             &got,
         );
     }
+    assert_loop_parity(scenario, program, pops, bools, Naive, 0);
 }
 
 /// One `#[test]` per oracle scenario. `all` runs the nine-leg matrix,
@@ -482,7 +495,7 @@ backend_matrix! {
     }
 }
 
-/// The demand legs: `engine_query_eval` under every strategy —
+/// The demand legs: `engine_query_eval_with_opts` under every schedule —
 /// sequential and with the parallel batch path forced — must return
 /// exactly the query-restriction of the grounded reference's full
 /// fixpoint, and every row of the demanded support must be value-exact
@@ -523,11 +536,13 @@ fn assert_query_matrix<P>(
     })
     .chain(std::iter::once((
         "query semi-naive (weak bounds)".to_string(),
-        engine_query_seminaive_eval(program, query, pops, bools, CAP, &defaults).expect("compiles"),
+        engine_query_eval_with_opts(program, query, pops, bools, CAP, SemiNaive, &defaults)
+            .expect("compiles"),
     )))
     .chain(std::iter::once((
         "query naive".to_string(),
-        engine_query_naive_eval(program, query, pops, bools, CAP, &defaults).expect("compiles"),
+        engine_query_eval_with_opts(program, query, pops, bools, CAP, Naive, &defaults)
+            .expect("compiles"),
     )))
     .collect();
     for (leg, qa) in &legs {
@@ -677,8 +692,16 @@ fn demand_leg_company_control_nnreal_naive() {
             datalog_o::core::QueryArg::Free,
         ],
     );
-    let qa = engine_query_naive_eval(&program, &query, &pops, &bools, CAP, &EngineOpts::default())
-        .expect("compiles");
+    let qa = engine_query_eval_with_opts(
+        &program,
+        &query,
+        &pops,
+        &bools,
+        CAP,
+        Naive,
+        &EngineOpts::default(),
+    )
+    .expect("compiles");
     assert!(qa.is_converged());
     let expected = query.restrict(grounded.get("T").unwrap());
     assert_eq!(expected, qa.answers());
@@ -713,7 +736,7 @@ fn divergence_agreement_nat_coefficient_blowup() {
         ),
         (
             "engine",
-            engine_naive_eval(&p, &pops, &bools, SMALL_CAP).expect("compiles"),
+            run(&p, &pops, &bools, SMALL_CAP, Naive, &EngineOpts::default()),
         ),
     ];
     for (backend, outcome) in legs {
@@ -760,7 +783,14 @@ fn divergence_agreement_unbounded_head_minting() {
         ),
         (
             "engine semi-naive",
-            engine_seminaive_eval(&p, &pops, &bools, SMALL_CAP).expect("compiles"),
+            run(
+                &p,
+                &pops,
+                &bools,
+                SMALL_CAP,
+                SemiNaive,
+                &EngineOpts::default(),
+            ),
         ),
         // The frontier drivers cap *batches* rather than global
         // iterations, but unbounded minting must still surface as the
@@ -768,35 +798,47 @@ fn divergence_agreement_unbounded_head_minting() {
         // the parallel batch path forced too.
         (
             "engine worklist",
-            engine_eval(&p, &pops, &bools, SMALL_CAP, Strategy::Worklist).expect("compiles"),
+            run(
+                &p,
+                &pops,
+                &bools,
+                SMALL_CAP,
+                Strategy::Worklist,
+                &EngineOpts::default(),
+            ),
         ),
         (
             "engine priority",
-            engine_eval(&p, &pops, &bools, SMALL_CAP, Strategy::Priority).expect("compiles"),
+            run(
+                &p,
+                &pops,
+                &bools,
+                SMALL_CAP,
+                Strategy::Priority,
+                &EngineOpts::default(),
+            ),
         ),
         (
             "engine worklist (parallel)",
-            engine_eval_with_opts(
+            run(
                 &p,
                 &pops,
                 &bools,
                 SMALL_CAP,
                 Strategy::Worklist,
                 &forced_parallel,
-            )
-            .expect("compiles"),
+            ),
         ),
         (
             "engine priority (parallel)",
-            engine_eval_with_opts(
+            run(
                 &p,
                 &pops,
                 &bools,
                 SMALL_CAP,
                 Strategy::Priority,
                 &forced_parallel,
-            )
-            .expect("compiles"),
+            ),
         ),
     ];
     for (backend, outcome) in legs {
@@ -843,19 +885,40 @@ fn stats_emits_cover_merges_across_strategies() {
     let legs = [
         (
             "naive",
-            engine_naive_eval(&program, &pops, &bools, CAP).expect("compiles"),
+            run(&program, &pops, &bools, CAP, Naive, &EngineOpts::default()),
         ),
         (
             "seminaive",
-            engine_eval(&program, &pops, &bools, CAP, Strategy::SemiNaive).expect("compiles"),
+            run(
+                &program,
+                &pops,
+                &bools,
+                CAP,
+                Strategy::SemiNaive,
+                &EngineOpts::default(),
+            ),
         ),
         (
             "worklist",
-            engine_eval(&program, &pops, &bools, CAP, Strategy::Worklist).expect("compiles"),
+            run(
+                &program,
+                &pops,
+                &bools,
+                CAP,
+                Strategy::Worklist,
+                &EngineOpts::default(),
+            ),
         ),
         (
             "priority",
-            engine_eval(&program, &pops, &bools, CAP, Strategy::Priority).expect("compiles"),
+            run(
+                &program,
+                &pops,
+                &bools,
+                CAP,
+                Strategy::Priority,
+                &EngineOpts::default(),
+            ),
         ),
     ];
     for (leg, out) in &legs {
@@ -1003,8 +1066,9 @@ fn incremental_leg_sssp_gradient_retraction() {
 }
 
 /// Company control (Ex. 4.3, ℝ₊) through a share sale: ⊕ = + is not
-/// idempotent, so the maintenance runs in **naive mode** (no ⊖-delta,
-/// no DRed value zero-out — full re-fixpoint from the marked state).
+/// idempotent, so the handle is built under [`Naive`] (no ⊖-delta, no
+/// DRed value zero-out — full re-fixpoint from the marked state) and
+/// from there runs the same `apply` / `rebuild` every other POPS does.
 /// Dyadic share weights keep float sums exact under any association
 /// order, so the grounded oracle comparison is bitwise.
 #[test]
@@ -1019,10 +1083,10 @@ fn incremental_leg_company_control_share_sale() {
             ("b", "d", 0.25),
         ],
     );
-    let scenario = "incremental company control (naive mode)";
+    let scenario = "incremental company control (naive schedule)";
+    let opts = EngineOpts::default();
     let mut edb = edb0.clone();
-    let mut mat = Materialization::new_naive(&program, &edb, &bools, CAP, &EngineOpts::default())
-        .expect("compiles");
+    let mut mat = Materialization::new(&program, &edb, &bools, CAP, Naive, &opts).expect("builds");
     let oracle = naive_eval_sparse(&program, &edb, &bools, CAP).unwrap();
     assert_same_db(
         scenario,
@@ -1031,32 +1095,139 @@ fn incremental_leg_company_control_share_sale() {
         &mat.output().materialize(),
     );
 
-    // b sells its 37.5% stake in c: a's transitive control of c through
-    // b collapses to the direct 25% holding.
-    edb.get_or_insert("S", 2)
-        .set(vec![k("b"), k("c")], NNReal::of(0.0));
-    mat.delete_naive(&[FactDelete::new("S", vec![k("b"), k("c")])])
-        .expect("edit applies");
-    let oracle = naive_eval_sparse(&program, &edb, &bools, CAP).unwrap();
-    assert_same_db(scenario, "after sale", &oracle, &mat.output().materialize());
+    // The edit script: b sells its 37.5% stake in c (a's transitive
+    // control of c through b collapses to the direct 25% holding); a
+    // buys it (shares ⊕-accumulate, a(→c) = 0.25 + 0.375 crosses the 50%
+    // control threshold of c, re-opening the c→d route); a newcomer e —
+    // a constant no relation mentions yet — buys into a.
+    let script: Vec<Edit<NNReal>> = vec![
+        Edit::delete("S", vec![k("b"), k("c")]),
+        Edit::insert("S", vec![k("a"), k("c")], NNReal::of(0.375)),
+        Edit::insert("S", vec![k("e"), k("a")], NNReal::of(0.75)),
+    ];
+    for (i, edit) in script.iter().enumerate() {
+        match edit {
+            Edit::Insert(f) => edb
+                .get_or_insert(&f.pred, 2)
+                .merge(f.tuple.clone(), f.value),
+            Edit::Delete(f) => edb
+                .get_or_insert(&f.pred, 2)
+                .set(f.tuple.clone(), NNReal::of(0.0)),
+        }
+        mat.apply(std::slice::from_ref(edit)).expect("edit applies");
+        let oracle = naive_eval_sparse(&program, &edb, &bools, CAP).unwrap();
+        let leg = format!("after edit {i}");
+        assert_same_db(scenario, &leg, &oracle, &mat.output().materialize());
+        let scratch = run(&program, &edb, &bools, CAP, Naive, &opts).unwrap();
+        assert_same_db(scenario, &leg, &scratch, &mat.output().materialize());
+    }
+    // The whole script in one `apply` lands on the same state.
+    let mut whole =
+        Materialization::new(&program, &edb0, &bools, CAP, Naive, &opts).expect("builds");
+    whole.apply(&script).expect("script applies");
+    assert_eq!(whole.output().materialize(), mat.output().materialize());
 
-    // a buys the stake: shares ⊕-accumulate, a(→c) = 0.25 + 0.375 and a
-    // crosses the 50% control threshold of c, re-opening the c→d route.
-    edb.get_or_insert("S", 2)
-        .merge(vec![k("a"), k("c")], NNReal::of(0.375));
-    mat.insert_naive(&[FactInsert::new(
-        "S",
-        vec![k("a"), k("c")],
-        NNReal::of(0.375),
-    )])
-    .expect("edit applies");
-    let oracle = naive_eval_sparse(&program, &edb, &bools, CAP).unwrap();
+    // A 1-step budget starves the next edit mid-flight: the handle is
+    // poisoned, refuses further work, and `rebuild()` recovers it —
+    // bit-identical to a fresh build over the edited EDB, with every id
+    // the live handle had assigned (the late-interned `e` included)
+    // unchanged.
+    let known: Vec<(datalog_o::core::Constant, u32)> = {
+        let interner = mat.output().interner();
+        (0..interner.len() as u32)
+            .map(|id| (interner.get(id).clone(), id))
+            .collect()
+    };
+    mat.set_budget(EvalBudget::default().with_max_steps(1));
+    let starved = mat
+        .apply(&[Edit::delete("S", vec![k("a"), k("b")])])
+        .expect_err("one step cannot rederive the cone");
+    assert_eq!(starved.kind(), "budget");
+    assert!(mat.poisoned().is_some());
+    assert!(mat.partial().is_some(), "the mid-flight state is kept");
+    let refused = mat
+        .apply(&script[1..2])
+        .expect_err("poisoned handles refuse edits");
+    assert_eq!(refused.kind(), "poisoned");
+    mat.set_budget(EvalBudget::default());
+    mat.rebuild().expect("rebuild recovers");
+    assert!(mat.poisoned().is_none() && mat.partial().is_none());
+    let edited = mat.edb().clone();
+    let mut fresh =
+        Materialization::new(&program, &edited, &bools, CAP, Naive, &opts).expect("builds");
+    assert_eq!(mat.output().materialize(), fresh.output().materialize());
+    assert_eq!(mat.last_stats().steps, fresh.last_stats().steps);
+    let oracle = naive_eval_sparse(&program, &edited, &bools, CAP).unwrap();
     assert_same_db(
         scenario,
-        "after purchase",
+        "after rebuild",
         &oracle,
         &mat.output().materialize(),
     );
+    let interner = mat.output().interner();
+    for (constant, id) in &known {
+        assert_eq!(interner.lookup(constant), Some(*id), "{constant:?} moved");
+    }
+}
+
+/// Loop parity: a [`Materialization`] build and a from-scratch run
+/// under the same schedule are the same rounds. At 1, 2 and 4 threads
+/// (fan-out forced) they produce the same interned rows in the same
+/// order, the same interner, and equal `EvalStats::invariants()` — up
+/// to what names the run: the stats label, the all-zero profile rows of
+/// the `@dlt` variant plans only a handle compiles, and the one count
+/// the semi-naïve from-scratch driver adds for the iteration that finds
+/// δ empty (`steps_over_rounds`, mirroring the relational backend).
+fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
+    scenario: &str,
+    program: &Program<P>,
+    pops: &Database<P>,
+    bools: &BoolDatabase,
+    schedule: S,
+    steps_over_rounds: u64,
+) {
+    let unnamed = |stats: &EvalStats, extra_steps: u64| {
+        let mut inv = stats.invariants();
+        inv.strategy.clear();
+        inv.steps += extra_steps;
+        inv.rules
+            .retain(|r| (r.rule as usize) < program.rules.len());
+        inv
+    };
+    for threads in [1usize, 2, 4] {
+        let opts = EngineOpts {
+            threads: Some(threads),
+            par_threshold: 1,
+            chunk_min: 2,
+            ..EngineOpts::default()
+        };
+        let leg = format!("{scenario}: loop parity @ {threads} threads");
+        let scratch =
+            engine_eval_interned(program, pops, bools, CAP, schedule, &opts).expect("compiles");
+        assert!(scratch.is_converged(), "{leg}");
+        let mut built =
+            Materialization::new(program, pops, bools, CAP, schedule, &opts).expect("builds");
+        assert_eq!(
+            unnamed(scratch.stats(), 0),
+            unnamed(built.last_stats(), steps_over_rounds),
+            "{leg}: stats"
+        );
+        let (scratch, built) = (scratch.output(), built.output());
+        let (ours, theirs) = (scratch.interner(), built.interner());
+        assert_eq!(ours.len(), theirs.len(), "{leg}: minted ids");
+        for id in 0..ours.len() as u32 {
+            assert_eq!(ours.get(id), theirs.get(id), "{leg}: id {id}");
+        }
+        for (pred, _) in scratch.predicates() {
+            let rows = |out: &datalog_o::InternedOutput<P>| -> Vec<(Vec<u32>, P)> {
+                let rel = out.relation(pred).expect("same predicates");
+                rel.iter()
+                    .map(|(_, k, v)| (k.to_vec(), v.clone()))
+                    .collect()
+            };
+            assert_eq!(rows(scratch), rows(built), "{leg}: rows of {pred}");
+        }
+    }
 }
 
 /// The tentpole invariance sweep: forced merge joins, forced hash
@@ -1081,8 +1252,7 @@ fn join_modes_bit_identical_across_threads() {
                     join_mode: mode,
                     ..EngineOpts::default()
                 };
-                let out = engine_eval_with_opts(&program, &pops, &bools, CAP, strategy, &opts)
-                    .expect("compiles");
+                let out = run(&program, &pops, &bools, CAP, strategy, &opts);
                 let s = out.stats().clone();
                 assert_eq!(
                     s.counters.merge_join_steps + s.counters.hash_join_steps,
@@ -1133,6 +1303,46 @@ fn join_modes_bit_identical_across_threads() {
     }
 }
 
+/// Merge joins ≡ hash joins in the wide-key regimes the arrangements
+/// exist for — the arity-4 labelled closure (three-column recursive
+/// probe) and the wide fact lookup (two masks sharing one sort order):
+/// same fixpoint, steps and deterministic counters under either forced
+/// mode, with every probe routed the way the mode says.
+#[test]
+fn join_modes_bit_identical_on_wide_keys() {
+    let bools = BoolDatabase::new();
+    let workloads = [
+        ("labelled closure (arity 4)", dlo_bench::labeled_tc4(3, 10)),
+        ("wide lookup", dlo_bench::wide_lookup(3000, 48, 7)),
+    ];
+    for (id, (program, edb)) in &workloads {
+        for strategy in [Strategy::SemiNaive, Strategy::Priority] {
+            let forced = |mode| {
+                let opts = EngineOpts {
+                    join_mode: Some(mode),
+                    ..EngineOpts::default()
+                };
+                run(program, edb, &bools, CAP, strategy, &opts)
+            };
+            let (hash, merge) = (forced(JoinMode::Hash), forced(JoinMode::Merge));
+            let (h, m) = (hash.stats().clone(), merge.stats().clone());
+            assert_eq!(
+                h.invariants(),
+                m.invariants(),
+                "{id}/{strategy:?}: counters"
+            );
+            assert_eq!(h.counters.merge_join_steps, 0, "{id}: forced hash arranged");
+            assert_eq!(m.counters.hash_join_steps, 0, "{id}: forced merge hashed");
+            assert!(m.counters.merge_join_steps > 0, "{id}: nothing arranged");
+            assert!(hash.is_converged(), "{id}/{strategy:?} converges");
+            assert_eq!(
+                hash, merge,
+                "{id}/{strategy:?}: join mode changed the fixpoint"
+            );
+        }
+    }
+}
+
 /// Planner-auto switches to merge joins past the packed-key width: an
 /// arity-3 join probes through a sorted arrangement with no forcing,
 /// and stays bit-identical to the grounded oracle at any thread count.
@@ -1172,8 +1382,7 @@ fn planner_auto_arranges_wide_relations() {
             chunk_min: 2,
             ..EngineOpts::default()
         };
-        let out = engine_eval_with_opts(&program, &pops, &bools, CAP, Strategy::SemiNaive, &opts)
-            .expect("compiles");
+        let out = run(&program, &pops, &bools, CAP, Strategy::SemiNaive, &opts);
         let s = out.stats().clone();
         assert!(
             s.counters.merge_join_steps > 0,
@@ -1208,8 +1417,7 @@ fn stats_invariants_identical_across_threads_and_entry_points() {
                 chunk_min: 2,
                 ..EngineOpts::default()
             };
-            let materialized = engine_eval_with_opts(&program, &pops, &bools, CAP, strategy, &opts)
-                .expect("compiles");
+            let materialized = run(&program, &pops, &bools, CAP, strategy, &opts);
             let interned = engine_eval_interned(&program, &pops, &bools, CAP, strategy, &opts)
                 .expect("compiles");
             assert_eq!(

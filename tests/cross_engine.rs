@@ -8,14 +8,28 @@ use datalog_o::core::{
     ground, ground_sparse, naive_eval_system, relational_naive_eval, relational_seminaive_eval,
     BoolDatabase, Database, EvalOutcome, Program, Relation,
 };
+use datalog_o::pops::Pops;
 use datalog_o::pops::{
     Bool, CompleteDistributiveDioid, NaturallyOrdered, PreSemiring, Trop, TropP,
 };
 use datalog_o::semilin::{
     fwk_closure, fwk_solve, linear_lfp, linear_lfp_auto, linear_naive_lfp, AffineSystem, Matrix,
 };
-use datalog_o::{engine_naive_eval, engine_seminaive_eval};
+use datalog_o::{engine_eval_interned, EngineOpts, Naive, Schedule, SemiNaive};
 use dlo_bench::{dijkstra, GraphInstance};
+
+/// One engine evaluation under `schedule`, decoded.
+fn run<P: Pops, S: Schedule<P>>(
+    program: &Program<P>,
+    pops: &Database<P>,
+    bools: &BoolDatabase,
+    cap: usize,
+    schedule: S,
+) -> datalog_o::core::EvalOutcome<P> {
+    engine_eval_interned(program, pops, bools, cap, schedule, &EngineOpts::default())
+        .expect("compiles")
+        .materialize()
+}
 
 #[test]
 fn engine_equals_dijkstra_equals_linear_lfp() {
@@ -157,12 +171,8 @@ where
 {
     let grounded = naive_eval_system(&ground_sparse(program, pops, bools), 100_000).unwrap();
     let relational = relational_naive_eval(program, pops, bools, 100_000).unwrap();
-    let eng_naive = engine_naive_eval(program, pops, bools, 100_000)
-        .expect("compiles")
-        .unwrap();
-    let eng_semi = engine_seminaive_eval(program, pops, bools, 100_000)
-        .expect("compiles")
-        .unwrap();
+    let eng_naive = run(program, pops, bools, 100_000, Naive).unwrap();
+    let eng_semi = run(program, pops, bools, 100_000, SemiNaive).unwrap();
     for (pred, r) in grounded.iter() {
         let empty = Relation::new(r.arity());
         assert_eq!(
@@ -194,9 +204,7 @@ fn engine_matches_grounded_and_relational_on_sssp_example_4_1() {
     let (program, edb) = datalog_o::core::examples_lib::sssp_trop("a");
     assert_engine_agrees(&program, &edb, &BoolDatabase::new());
     // Spot-check the paper's answers through the engine path.
-    let out = engine_seminaive_eval(&program, &edb, &BoolDatabase::new(), 1000)
-        .expect("compiles")
-        .unwrap();
+    let out = run(&program, &edb, &BoolDatabase::new(), 1000, SemiNaive).unwrap();
     let l = out.get("L").unwrap();
     assert_eq!(l.get(&vec!["a".into()]), Trop::finite(0.0));
     assert_eq!(l.get(&vec!["b".into()]), Trop::finite(1.0));
@@ -246,9 +254,7 @@ fn engine_matches_relational_on_company_control_example_4_3() {
     );
     let grounded = datalog_o::core::naive_eval_sparse(&program, &pops, &bools, 100_000).unwrap();
     let relational = relational_naive_eval(&program, &pops, &bools, 100_000).unwrap();
-    let eng = engine_naive_eval(&program, &pops, &bools, 100_000)
-        .expect("compiles")
-        .unwrap();
+    let eng = run(&program, &pops, &bools, 100_000, Naive).unwrap();
     for (pred, r) in grounded.iter() {
         let empty = Relation::new(r.arity());
         assert_eq!(
@@ -287,8 +293,7 @@ fn engine_seminaive_agrees_with_relational_seminaive_step_counts() {
         let rel = relational_seminaive_eval(&prog, &edb, &bools, 100_000)
             .converged()
             .expect("relational converges");
-        let eng = engine_seminaive_eval(&prog, &edb, &bools, 100_000)
-            .expect("compiles")
+        let eng = run(&prog, &edb, &bools, 100_000, SemiNaive)
             .converged()
             .expect("engine converges");
         assert_eq!(rel.0, eng.0, "fixpoints differ, seed {seed}");
@@ -346,8 +351,7 @@ fn engine_powered_win_move_matches_three_and_oracle() {
                         .map(|(i, _)| vec![(i as i64).into()]),
                 ),
             );
-            let out = engine_seminaive_eval(&program, &Database::<Bool>::new(), &bools, 1000)
-                .expect("compiles")
+            let out = run(&program, &Database::<Bool>::new(), &bools, 1000, SemiNaive)
                 .converged()
                 .expect("one alternating step converges")
                 .0;

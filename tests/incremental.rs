@@ -20,7 +20,7 @@ use datalog_o::core::{
     parse_program, parse_query, BoolDatabase, Constant, Database, Edit, Program, Relation, Tuple,
 };
 use datalog_o::pops::Trop;
-use datalog_o::{engine_eval_with_opts, EngineOpts, Materialization, Strategy};
+use datalog_o::{engine_eval_interned, EngineOpts, Materialization, Strategy};
 
 const CAP: usize = 100_000;
 
@@ -87,8 +87,9 @@ fn assert_differential(
         mirror(&mut mirror_edb, edit);
         let live = mat.output().materialize();
         for &strategy in strategies {
-            let scratch = engine_eval_with_opts(program, &mirror_edb, &bools, CAP, strategy, opts)
+            let scratch = engine_eval_interned(program, &mirror_edb, &bools, CAP, strategy, opts)
                 .expect("compiles")
+                .materialize()
                 .converged()
                 .unwrap_or_else(|| panic!("{scenario}: oracle diverged at step {step}"))
                 .0;
@@ -486,7 +487,7 @@ fn rebuild_keeps_minted_constant_ids_stable() {
 
     // And the recovered fixpoint still matches from-scratch.
     let edb_now = mat.edb().clone();
-    let oracle = engine_eval_with_opts(
+    let oracle = engine_eval_interned(
         &program,
         &edb_now,
         &bools,
@@ -495,6 +496,7 @@ fn rebuild_keeps_minted_constant_ids_stable() {
         &EngineOpts::default(),
     )
     .expect("compiles")
+    .materialize()
     .converged()
     .expect("oracle converges")
     .0;
@@ -635,7 +637,7 @@ fn poisoned_handle_exposes_partial_beside_the_poison() {
 
     // An interrupted *insert* leaves a pointwise lower bound of the
     // post-edit fixpoint (the maintenance loop only grows values).
-    let oracle = engine_eval_with_opts(
+    let oracle = engine_eval_interned(
         &program,
         mat.edb(),
         &bools,
@@ -644,6 +646,7 @@ fn poisoned_handle_exposes_partial_beside_the_poison() {
         &EngineOpts::default(),
     )
     .expect("from-scratch on the retained EDB")
+    .materialize()
     .converged()
     .expect("oracle converges")
     .0;

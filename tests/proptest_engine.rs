@@ -21,10 +21,24 @@ use datalog_o::pops::{
 };
 use datalog_o::semilin::{linear_lfp_auto, AffineSystem};
 use datalog_o::{
-    engine_eval, engine_eval_with_opts, engine_naive_eval, engine_query_eval_with_opts,
-    engine_seminaive_eval, EngineOpts, JoinMode, Materialization, Strategy as EngineStrategy,
+    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, JoinMode, Materialization,
+    Naive, Schedule, SemiNaive, Strategy as EngineStrategy,
 };
 use proptest::prelude::*;
+
+/// One from-scratch engine evaluation under `schedule`, decoded.
+fn run<P: Pops, S: Schedule<P>>(
+    program: &Program<P>,
+    pops: &Database<P>,
+    bools: &BoolDatabase,
+    cap: usize,
+    schedule: S,
+    opts: &EngineOpts,
+) -> EvalOutcome<P> {
+    engine_eval_interned(program, pops, bools, cap, schedule, opts)
+        .expect("compiles")
+        .materialize()
+}
 
 /// Tuning that forces the frontier drivers' parallel batch path even on
 /// single-row batches (`threads` workers, fan-out threshold 1).
@@ -244,10 +258,17 @@ where
     let edb = keyed_edb(n, edges, lift);
     let bools = keyed_bools(n);
     let rel_n = relational_naive_eval(&prog, &edb, &bools, 50_000);
-    let eng_n = engine_naive_eval(&prog, &edb, &bools, 50_000).expect("compiles");
+    let eng_n = run(&prog, &edb, &bools, 50_000, Naive, &EngineOpts::default());
     prop_assert_eq!(&rel_n, &eng_n, "naive backends disagree, spec {:?}", spec);
     let rel_s = relational_seminaive_eval(&prog, &edb, &bools, 50_000);
-    let eng_s = engine_seminaive_eval(&prog, &edb, &bools, 50_000).expect("compiles");
+    let eng_s = run(
+        &prog,
+        &edb,
+        &bools,
+        50_000,
+        SemiNaive,
+        &EngineOpts::default(),
+    );
     prop_assert_eq!(
         &rel_s,
         &eng_s,
@@ -265,7 +286,14 @@ where
         }
     };
     for strategy in [EngineStrategy::Worklist, EngineStrategy::Priority] {
-        let out = engine_eval(&prog, &edb, &bools, 5_000_000, strategy).expect("compiles");
+        let out = run(
+            &prog,
+            &edb,
+            &bools,
+            5_000_000,
+            strategy,
+            &EngineOpts::default(),
+        );
         let db = match out {
             EvalOutcome::Converged { output, .. } => output,
             EvalOutcome::Diverged { .. } => {
@@ -284,7 +312,7 @@ where
         // strategy at thread counts 1/2/4 (fan-out forced down to
         // single-row batches) must return the bit-identical full outcome
         // — database, step count, and minted-id order all included.
-        let baseline = engine_eval_with_opts(
+        let baseline = run(
             &prog,
             &edb,
             &bools,
@@ -294,18 +322,16 @@ where
                 threads: Some(1),
                 ..EngineOpts::default()
             },
-        )
-        .expect("compiles");
+        );
         for threads in [2usize, 4] {
-            let got = engine_eval_with_opts(
+            let got = run(
                 &prog,
                 &edb,
                 &bools,
                 5_000_000,
                 strategy,
                 &forced_parallel(threads),
-            )
-            .expect("compiles");
+            );
             prop_assert_eq!(
                 &baseline,
                 &got,
@@ -343,8 +369,7 @@ where
         + Send
         + Sync,
 {
-    let full = engine_seminaive_eval(prog, edb, bools, 100_000)
-        .expect("compiles")
+    let full = run(prog, edb, bools, 100_000, SemiNaive, &EngineOpts::default())
         .converged()
         .expect("bounded")
         .0;
@@ -543,8 +568,7 @@ where
 {
     let opts = EngineOpts::default();
     let mut mat =
-        Materialization::new(prog, &edb, bools, 100_000, EngineStrategy::SemiNaive, &opts)
-            .expect("compiles");
+        Materialization::new(prog, &edb, bools, 100_000, SemiNaive, &opts).expect("compiles");
     for (step, edit) in script.iter().enumerate() {
         match edit {
             Edit::Insert(f) => {
@@ -558,11 +582,17 @@ where
                 mat.delete(std::slice::from_ref(f)).expect("edit applies");
             }
         }
-        let oracle = engine_seminaive_eval(prog, &edb, bools, 100_000)
-            .expect("compiles")
-            .converged()
-            .expect("bounded program")
-            .0;
+        let oracle = run(
+            prog,
+            &edb,
+            bools,
+            100_000,
+            SemiNaive,
+            &EngineOpts::default(),
+        )
+        .converged()
+        .expect("bounded program")
+        .0;
         let got = mat.output().materialize();
         for (pred, r) in oracle.iter() {
             let empty = Relation::new(r.arity());
@@ -826,7 +856,7 @@ proptest! {
         ] {
             let (naive, naive_steps) = relational_naive_eval(&prog, &edb_t, &bools, 100_000)
                 .converged().expect("relational converges");
-            let (eng, eng_steps) = engine_seminaive_eval(&prog, &edb_t, &bools, 100_000).expect("compiles")
+            let (eng, eng_steps) = run(&prog, &edb_t, &bools, 100_000, SemiNaive, &EngineOpts::default())
                 .converged().expect("engine converges");
             for (pred, r) in naive.iter() {
                 let empty = Relation::new(r.arity());
@@ -856,7 +886,7 @@ proptest! {
         ] {
             let (naive, naive_steps) = relational_naive_eval(&prog, &edb_b, &bools, 100_000)
                 .converged().expect("relational converges");
-            let (eng, eng_steps) = engine_seminaive_eval(&prog, &edb_b, &bools, 100_000).expect("compiles")
+            let (eng, eng_steps) = run(&prog, &edb_b, &bools, 100_000, SemiNaive, &EngineOpts::default())
                 .converged().expect("engine converges");
             for (pred, r) in naive.iter() {
                 let empty = Relation::new(r.arity());
@@ -880,17 +910,16 @@ proptest! {
             P: NaturallyOrdered + CompleteDistributiveDioid + Absorptive
                 + TotallyOrderedDioid + Send + Sync,
         {
-            let semi = engine_seminaive_eval(prog, edb, bools, 100_000).expect("compiles")
+            let semi = run(prog, edb, bools, 100_000, SemiNaive, &EngineOpts::default())
                 .converged().expect("bounded").0;
             for strategy in [EngineStrategy::Worklist, EngineStrategy::Priority] {
-                let seq = engine_eval(prog, edb, bools, 10_000_000, strategy).expect("compiles");
+                let seq = run(prog, edb, bools, 10_000_000, strategy, &EngineOpts::default());
                 let got = seq.clone().converged().expect("bounded").0;
                 prop_assert_eq!(&semi, &got, "{:?} differs from semi-naive", strategy);
                 // The forced-parallel frontier (4 workers, single-row
                 // fan-out threshold) is bit-identical to the sequential
                 // run — full outcome, step counts included.
-                let par = engine_eval_with_opts(prog, edb, bools, 10_000_000, strategy,
-                    &forced_parallel(4)).expect("compiles");
+                let par = run(prog, edb, bools, 10_000_000, strategy, &forced_parallel(4));
                 prop_assert_eq!(&seq, &par,
                     "{:?} sequential vs forced-parallel outcomes differ", strategy);
             }
@@ -1023,17 +1052,15 @@ proptest! {
         ] {
             for strategy in [EngineStrategy::SemiNaive, EngineStrategy::Worklist,
                              EngineStrategy::Priority] {
-                let baseline = engine_eval_with_opts(&prog, &edb, &bools, 10_000_000, strategy,
-                    &EngineOpts {
+                let baseline = run(&prog, &edb, &bools, 10_000_000, strategy, &EngineOpts {
                         join_mode: Some(JoinMode::Hash),
                         ..EngineOpts::default()
-                    }).expect("compiles");
+                    });
                 for mode in [JoinMode::Merge, JoinMode::Auto] {
                     for threads in [1usize, 4] {
                         let mut opts = forced_parallel(threads);
                         opts.join_mode = Some(mode);
-                        let got = engine_eval_with_opts(&prog, &edb, &bools, 10_000_000,
-                            strategy, &opts).expect("compiles");
+                        let got = run(&prog, &edb, &bools, 10_000_000, strategy, &opts);
                         prop_assert_eq!(&baseline, &got,
                             "{:?}: {:?} join @ {} threads differs from sequential hash join",
                             strategy, mode, threads);
@@ -1055,8 +1082,7 @@ proptest! {
                          EngineStrategy::Priority] {
             let mut baseline = None;
             for threads in [1usize, 2, 4] {
-                let out = engine_eval_with_opts(&prog, &edb, &bools, 10_000_000, strategy,
-                    &forced_parallel(threads)).expect("compiles");
+                let out = run(&prog, &edb, &bools, 10_000_000, strategy, &forced_parallel(threads));
                 let s = out.stats();
                 prop_assert!(
                     s.counters.emits + s.counters.fresh_emits

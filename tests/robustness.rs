@@ -29,17 +29,30 @@ use datalog_o::core::ast::{Atom, Factor, SumProduct, Term};
 use datalog_o::core::{
     parse_program, parse_query, BoolDatabase, Database, EvalOutcome, FactInsert, Program, Relation,
 };
-use datalog_o::pops::{Pops, Trop};
+use datalog_o::pops::{NNReal, Pops, Trop};
 use datalog_o::{
-    engine_eval_partial_with_opts, engine_eval_with_opts, engine_naive_eval,
-    engine_query_eval_partial_with_opts, engine_query_eval_with_opts, engine_seminaive_eval,
-    eval_with_retry, BudgetClass, CancelToken, EngineOpts, EvalBudget, EvalError, EvalStats,
-    Materialization, RetryPolicy, Strategy,
+    engine_eval_interned, engine_eval_interned_edb, engine_query_eval_interned_edb,
+    engine_query_eval_with_opts, eval_with_retry, BudgetClass, CancelToken, EngineOpts, EvalBudget,
+    EvalError, EvalStats, Materialization, Naive, PartialOutput, RetryPolicy, Schedule, SemiNaive,
+    Strategy,
 };
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 
 const CAP: usize = 1_000_000;
+
+/// One evaluation under `schedule`, decoded, with the partial dropped:
+/// the shape most legs here assert on (outcome, or typed error).
+fn eval<P: Pops, S: Schedule<P>>(
+    program: &Program<P>,
+    edb: &Database<P>,
+    bools: &BoolDatabase,
+    cap: usize,
+    schedule: S,
+    opts: &EngineOpts,
+) -> Result<EvalOutcome<P>, EvalError> {
+    Ok(engine_eval_interned(program, edb, bools, cap, schedule, opts)?.materialize())
+}
 
 fn k(s: &str) -> datalog_o::core::Constant {
     s.into()
@@ -112,7 +125,8 @@ fn arity_over_32_is_a_typed_compile_error() {
     );
     let edb = Database::new();
     let bools = BoolDatabase::new();
-    let err = engine_naive_eval(&p, &edb, &bools, 10).expect_err("arity 33 must not compile");
+    let err = eval(&p, &edb, &bools, 10, Naive, &EngineOpts::default())
+        .expect_err("arity 33 must not compile");
     match &err {
         EvalError::Compile { detail } => {
             assert!(detail.contains("ArityTooLarge"), "got: {detail}");
@@ -123,14 +137,13 @@ fn arity_over_32_is_a_typed_compile_error() {
     assert!(err.stats().is_none(), "compile errors predate any run");
     // Same rejection from the semi-naïve, frontier, and query paths.
     assert_eq!(
-        engine_seminaive_eval(&p, &edb, &bools, 10)
+        eval(&p, &edb, &bools, 10, SemiNaive, &EngineOpts::default())
             .expect_err("semi-naive")
             .kind(),
         "compile"
     );
     for strategy in [Strategy::Worklist, Strategy::Priority] {
-        let e = engine_eval_with_opts(&p, &edb, &bools, 10, strategy, &EngineOpts::default())
-            .expect_err("frontier");
+        let e = eval(&p, &edb, &bools, 10, strategy, &EngineOpts::default()).expect_err("frontier");
         assert_eq!(e.kind(), "compile");
     }
     let mat = Materialization::new(
@@ -145,7 +158,7 @@ fn arity_over_32_is_a_typed_compile_error() {
 }
 
 /// One head predicate at two arities is rejected the same way (the
-/// in-crate regression covers `engine_naive_eval`; this pins the query
+/// in-crate regression covers the `Naive` schedule; this pins the query
 /// rewrite and Materialization fronts).
 #[test]
 fn mixed_arity_heads_are_typed_compile_errors_everywhere() {
@@ -164,7 +177,7 @@ fn mixed_arity_heads_are_typed_compile_errors_everywhere() {
     let edb = Database::new();
     let bools = BoolDatabase::new();
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        let e = engine_eval_with_opts(&p, &edb, &bools, 10, strategy, &EngineOpts::default())
+        let e = eval(&p, &edb, &bools, 10, strategy, &EngineOpts::default())
             .expect_err("mixed-arity heads must not compile");
         match &e {
             EvalError::Compile { detail } => {
@@ -184,7 +197,7 @@ fn mixed_arity_heads_are_typed_compile_errors_everywhere() {
         &EngineOpts::default(),
     )
     .expect_err("query front");
-    assert_eq!(e.kind(), "compile");
+    assert_eq!(e.error().kind(), "compile");
     let mat = Materialization::new(
         &p,
         &edb,
@@ -221,7 +234,7 @@ fn deadline_bounds_a_divergent_run() {
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
         let opts = opts_with(EvalBudget::default().with_deadline(deadline), None, 1);
         let t = Instant::now();
-        let err = engine_eval_with_opts(&program, &edb, &bools, usize::MAX, strategy, &opts)
+        let err = eval(&program, &edb, &bools, usize::MAX, strategy, &opts)
             .expect_err("negative cycle cannot converge");
         let elapsed = t.elapsed();
         assert_eq!(err.kind(), "deadline", "{strategy:?}");
@@ -244,7 +257,7 @@ fn pre_cancelled_token_stops_every_strategy() {
     token.cancel();
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
         let opts = opts_with(EvalBudget::default(), Some(token.clone()), 1);
-        let err = engine_eval_with_opts(&program, &edb, &bools, CAP, strategy, &opts)
+        let err = eval(&program, &edb, &bools, CAP, strategy, &opts)
             .expect_err("pre-cancelled run must not complete");
         assert_eq!(err.kind(), "cancelled", "{strategy:?}");
         let stats = err.stats().expect("cancelled carries stats");
@@ -270,8 +283,8 @@ fn budget_counters_are_thread_invariant() {
                 budget: EvalBudget::default().with_max_steps(1_000_000),
                 ..EngineOpts::default()
             };
-            let out = engine_eval_with_opts(&program, &edb, &bools, CAP, strategy, &opts)
-                .expect("well within budget");
+            let out =
+                eval(&program, &edb, &bools, CAP, strategy, &opts).expect("well within budget");
             let stats = out.stats().clone();
             assert!(stats.counters.budget_checks > 0, "{strategy:?}");
             match &baseline {
@@ -299,7 +312,7 @@ fn ungoverned_runs_record_no_governance_counters() {
     let edb = chain_edb(8);
     let bools = BoolDatabase::new();
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        let out = engine_eval_with_opts(
+        let out = eval(
             &program,
             &edb,
             &bools,
@@ -512,7 +525,7 @@ fn assert_governed_behavior(
     bools: &BoolDatabase,
 ) -> Result<(), TestCaseError> {
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        let free = engine_eval_with_opts(
+        let free = eval(
             program,
             edb,
             bools,
@@ -553,7 +566,7 @@ fn assert_governed_behavior(
             ),
         ];
         for (label, opts) in &regimes {
-            match engine_eval_with_opts(program, edb, bools, CAP, strategy, opts) {
+            match eval(program, edb, bools, CAP, strategy, opts) {
                 Ok(out) => prop_assert_eq!(
                     &free,
                     &out,
@@ -575,7 +588,7 @@ fn assert_governed_behavior(
         }
         // Re-running ungoverned after the governed failures is still
         // bit-identical: aborted runs leak no state.
-        let again = engine_eval_with_opts(
+        let again = eval(
             program,
             edb,
             bools,
@@ -622,8 +635,7 @@ proptest! {
         // fresh keys, so a zero ceiling must abort with the Rows/Minted
         // budget error rather than panicking.
         let opts = opts_with(EvalBudget::default().with_max_minted(0), None, 2);
-        match engine_eval_with_opts(&program, &edb, &BoolDatabase::new(), CAP,
-                                    Strategy::SemiNaive, &opts) {
+        match eval(&program, &edb, &BoolDatabase::new(), CAP, Strategy::SemiNaive, &opts) {
             Ok(_) => {}
             Err(err) => {
                 prop_assert_eq!(err.kind(), "budget");
@@ -659,8 +671,7 @@ proptest! {
         }
         prop_assert!(mat.poisoned().is_none());
         let got = mat.output().materialize();
-        let oracle = engine_seminaive_eval(&program, mat.edb(), &bools, CAP)
-            .expect("compiles")
+        let oracle = eval(&program, mat.edb(), &bools, CAP, SemiNaive, &EngineOpts::default()).expect("compiles")
             .converged()
             .expect("bounded")
             .0;
@@ -686,7 +697,7 @@ fn aborted_priority_run_returns_exact_settled_partial() {
     let program = apsp();
     let edb = chain_edb(200);
     let bools = BoolDatabase::new();
-    let full = engine_eval_with_opts(
+    let full = eval(
         &program,
         &edb,
         &bools,
@@ -706,9 +717,8 @@ fn aborted_priority_run_returns_exact_settled_partial() {
             budget: EvalBudget::default().with_max_steps(40),
             ..EngineOpts::default()
         };
-        let aborted =
-            engine_eval_partial_with_opts(&program, &edb, &bools, CAP, Strategy::Priority, &opts)
-                .expect_err("a 40-step budget must trip on a 200-node chain");
+        let aborted = engine_eval_interned(&program, &edb, &bools, CAP, Strategy::Priority, &opts)
+            .expect_err("a 40-step budget must trip on a 200-node chain");
         assert_eq!(aborted.error().kind(), "budget", "{threads} threads");
         assert_populated(aborted.error(), true);
         let partial = aborted.partial();
@@ -752,7 +762,7 @@ fn retry_escalation_reaches_the_full_fixpoint() {
     let program = apsp();
     let edb = chain_edb(120);
     let bools = BoolDatabase::new();
-    let full = engine_eval_with_opts(
+    let full = eval(
         &program,
         &edb,
         &bools,
@@ -825,7 +835,7 @@ fn aborted_query_returns_exact_settled_partial_answers() {
     let program = apsp();
     let edb = chain_edb(200);
     let bools = BoolDatabase::new();
-    let full = engine_eval_with_opts(
+    let full = eval(
         &program,
         &edb,
         &bools,
@@ -837,16 +847,9 @@ fn aborted_query_returns_exact_settled_partial_answers() {
     .unwrap();
     let q = parse_query("?- T(\"n0\", Y).").unwrap();
     let opts = opts_with(EvalBudget::default().with_max_steps(30), None, 1);
-    let aborted = engine_query_eval_partial_with_opts(
-        &program,
-        &q,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::Priority,
-        &opts,
-    )
-    .expect_err("a 30-step budget must trip on the demanded 200-chain");
+    let aborted =
+        engine_query_eval_with_opts(&program, &q, &edb, &bools, CAP, Strategy::Priority, &opts)
+            .expect_err("a 30-step budget must trip on the demanded 200-chain");
     assert_eq!(aborted.error().kind(), "budget");
     assert!(aborted.is_exact(), "priority query partials are exact");
     let partial_answers = aborted.partial_answers();
@@ -857,6 +860,132 @@ fn aborted_query_returns_exact_settled_partial_answers() {
         rows += 1;
     }
     assert!(rows > 0, "some answers settled before the abort");
+}
+
+/// What an abort must hand back, whichever entry point and schedule
+/// produced it: a partial sitting pointwise below the least fixpoint,
+/// exact on its settled rows precisely when the schedule settles on pop.
+fn assert_partial_below(
+    leg: &str,
+    partial: &PartialOutput<Trop>,
+    exact: bool,
+    full: &Database<Trop>,
+) {
+    assert_eq!(partial.is_exact(), exact, "{leg}: exactness");
+    // Magic (demand) relations of the query legs have no counterpart in
+    // the full fixpoint; every other row is bounded by it.
+    for (pred, rel) in partial.materialize().iter() {
+        let Some(full_rel) = full.get(pred) else {
+            continue;
+        };
+        for (t, v) in rel.support() {
+            assert!(v.leq(&full_rel.get(t)), "{leg}: {pred}({t:?}) above lfp");
+        }
+    }
+    if exact {
+        for (pred, rel) in partial.materialize_settled().iter() {
+            let Some(full_rel) = full.get(pred) else {
+                continue;
+            };
+            for (t, v) in rel.support() {
+                assert_eq!(full_rel.get(t), v.clone(), "{leg}: settled {pred}({t:?})");
+            }
+        }
+    }
+}
+
+/// All four entry points under `schedule`, stopped by a zero deadline
+/// and by one-step / one-row budgets: each returns `Err(aborted)` with
+/// the partial attached, and `EvalError::from(aborted)` is the variant
+/// the bare-error entry points used to return.
+fn assert_aborts_carry_partial<S: Schedule<Trop> + std::fmt::Debug>(schedule: S, exact: bool) {
+    let program = apsp();
+    let edb = chain_edb(40);
+    let bools = BoolDatabase::new();
+    let free = EngineOpts::default();
+    let prev = engine_eval_interned(&program, &edb, &bools, CAP, schedule, &free)
+        .expect("reference run")
+        .converged()
+        .expect("bounded")
+        .0;
+    let full = prev.materialize();
+    let q = parse_query("?- T(\"n0\", Y).").unwrap();
+    let regimes = [
+        (
+            "deadline-0",
+            EvalBudget::default().with_deadline(Duration::ZERO),
+            "deadline",
+        ),
+        ("steps-1", EvalBudget::default().with_max_steps(1), "budget"),
+        ("rows-1", EvalBudget::default().with_max_rows(1), "budget"),
+    ];
+    for (regime, budget, kind) in regimes {
+        let opts = opts_with(budget, None, 2);
+        let leg = format!("{schedule:?}/{regime}");
+        let evals = [
+            engine_eval_interned(&program, &edb, &bools, CAP, schedule, &opts),
+            engine_eval_interned_edb(&program, &prev, &edb, &bools, CAP, schedule, &opts),
+        ];
+        for ran in evals {
+            let aborted = ran.expect_err(&leg);
+            assert_partial_below(&leg, aborted.partial(), exact, &full);
+            assert_populated(aborted.error(), true);
+            assert_eq!(EvalError::from(aborted).kind(), kind, "{leg}");
+        }
+        let queries = [
+            engine_query_eval_with_opts(&program, &q, &edb, &bools, CAP, schedule, &opts),
+            engine_query_eval_interned_edb(&program, &q, &prev, &edb, &bools, CAP, schedule, &opts),
+        ];
+        for ran in queries {
+            let aborted = ran.expect_err(&leg);
+            assert_partial_below(&leg, aborted.partial(), exact, &full);
+            let full_t = full.get("T").expect("T in lfp");
+            for (t, v) in aborted.partial_answers().support() {
+                assert!(v.leq(&full_t.get(t)), "{leg}: answer T({t:?}) above lfp");
+            }
+            assert_eq!(EvalError::from(aborted).kind(), kind, "{leg}");
+        }
+    }
+}
+
+/// Aborts always carry the partial — there is no entry point left that
+/// drops it — and a compile rejection rides the same channel with an
+/// empty one. (That `SemiNaive` and `Strategy` are not schedules for a
+/// POPS without `⊖` is pinned by the `compile_fail` doctests in
+/// `dlo_engine`; `Naive` over `NNReal` type-checks below.)
+#[test]
+fn aborts_always_carry_the_partial() {
+    assert_aborts_carry_partial(Naive, false);
+    assert_aborts_carry_partial(SemiNaive, false);
+    assert_aborts_carry_partial(Strategy::SemiNaive, false);
+    assert_aborts_carry_partial(Strategy::Worklist, false);
+    assert_aborts_carry_partial(Strategy::Priority, true);
+    assert_aborts_carry_partial(Strategy::Auto, true);
+
+    let mut mixed = Program::<NNReal>::new();
+    mixed.rule(
+        Atom::new("T", vec![Term::v(0)]),
+        vec![SumProduct::new(vec![Factor::atom("A", vec![Term::v(0)])])],
+    );
+    mixed.rule(
+        Atom::new("T", vec![Term::v(0), Term::v(1)]),
+        vec![SumProduct::new(vec![Factor::atom(
+            "B",
+            vec![Term::v(0), Term::v(1)],
+        )])],
+    );
+    let (edb, bools, opts) = (Database::new(), BoolDatabase::new(), EngineOpts::default());
+    let rejected = engine_eval_interned(&mixed, &edb, &bools, 10, Naive, &opts)
+        .expect_err("mixed-arity heads must not compile");
+    assert_eq!(rejected.partial().interned().predicates().count(), 0);
+    assert_eq!(rejected.partial().settled().settled_rows(), 0);
+    assert_eq!(EvalError::from(rejected).kind(), "compile");
+    let q = parse_query("?- Nope(\"a\").").unwrap();
+    let rejected = engine_query_eval_with_opts(&mixed, &q, &edb, &bools, 10, Naive, &opts)
+        .expect_err("unknown query predicate");
+    assert!(rejected.partial_answers().is_empty());
+    assert_eq!(rejected.partial().interned().predicates().count(), 0);
+    assert_eq!(EvalError::from(rejected).kind(), "compile");
 }
 
 /// `BudgetClass` presets are ordered and terminate at `Unbounded`, and
@@ -875,7 +1004,7 @@ fn budget_classes_escalate_to_unbounded() {
     let program = apsp();
     let edb = chain_edb(8);
     let bools = BoolDatabase::new();
-    let free = engine_eval_with_opts(
+    let free = eval(
         &program,
         &edb,
         &bools,
@@ -884,7 +1013,7 @@ fn budget_classes_escalate_to_unbounded() {
         &EngineOpts::default(),
     )
     .expect("compiles");
-    let classed = engine_eval_with_opts(
+    let classed = eval(
         &program,
         &edb,
         &bools,
@@ -909,16 +1038,12 @@ proptest! {
         let program = apsp();
         let edb = random_edb(&edges);
         let bools = BoolDatabase::new();
-        let full = engine_eval_with_opts(
-            &program, &edb, &bools, CAP, Strategy::Priority, &EngineOpts::default(),
-        ).expect("reference").unwrap();
+        let full = eval(&program, &edb, &bools, CAP, Strategy::Priority, &EngineOpts::default()).expect("reference").unwrap();
         for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
             for max_steps in [0u64, 1, 2, 4] {
                 let opts = opts_with(
                     EvalBudget::default().with_max_steps(max_steps), None, 2);
-                let Err(aborted) = engine_eval_partial_with_opts(
-                    &program, &edb, &bools, CAP, strategy, &opts,
-                ) else { continue };
+                let Err(aborted) = engine_eval_interned(&program, &edb, &bools, CAP, strategy, &opts) else { continue };
                 prop_assert_eq!(aborted.error().kind(), "budget");
                 let partial = aborted.partial();
                 prop_assert_eq!(
@@ -975,9 +1100,7 @@ proptest! {
                     budget: EvalBudget::default().with_max_steps(max_steps),
                     ..EngineOpts::default()
                 };
-                let got = match engine_eval_partial_with_opts(
-                    &program, &edb, &bools, CAP, Strategy::Priority, &opts,
-                ) {
+                let got = match engine_eval_interned(&program, &edb, &bools, CAP, Strategy::Priority, &opts) {
                     Ok(_) => (true, Database::new()),
                     Err(aborted) => (false, aborted.partial().materialize_settled()),
                 };
@@ -1001,9 +1124,7 @@ proptest! {
         let program = apsp();
         let edb = random_edb(&edges);
         let bools = BoolDatabase::new();
-        let full = engine_eval_with_opts(
-            &program, &edb, &bools, CAP, Strategy::Priority, &EngineOpts::default(),
-        ).expect("reference").unwrap();
+        let full = eval(&program, &edb, &bools, CAP, Strategy::Priority, &EngineOpts::default()).expect("reference").unwrap();
         let policy = RetryPolicy::from_class(BudgetClass::Interactive)
             .with_ladder(vec![
                 EvalBudget::default().with_max_steps(1),

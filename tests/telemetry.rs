@@ -8,11 +8,11 @@
 use datalog_o::core::eval::stats::json;
 use datalog_o::core::examples_lib as ex;
 use datalog_o::core::{parse_query, BoolDatabase, Database};
+use datalog_o::engine::{JsonlSink, MemorySink, TraceEvent, TraceHandle};
 use datalog_o::pops::Trop;
 use datalog_o::{
-    engine_eval, engine_eval_interned, engine_eval_with_opts, engine_naive_eval, engine_query_eval,
-    engine_query_naive_eval, engine_query_seminaive_eval, engine_seminaive_eval, EngineOpts,
-    JoinMode, JsonlSink, MemorySink, Strategy, TraceEvent, TraceHandle,
+    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, JoinMode, Naive, SemiNaive,
+    Strategy,
 };
 
 const CAP: usize = 100_000;
@@ -46,7 +46,7 @@ fn memory_sink_receives_structured_event_stream() {
             ..EngineOpts::default()
         };
         let out =
-            engine_eval_with_opts(&program, &edb, &bools, CAP, strategy, &opts).expect("compiles");
+            engine_eval_interned(&program, &edb, &bools, CAP, strategy, &opts).expect("compiles");
         let stats = out.stats();
         let events = sink.events();
         let Some(TraceEvent::RunStart {
@@ -109,7 +109,7 @@ fn jsonl_sink_round_trips_through_the_parser() {
         trace: Some(TraceHandle::new(sink)),
         ..EngineOpts::default()
     };
-    let out = engine_eval_with_opts(&program, &edb, &bools, CAP, Strategy::Priority, &opts)
+    let out = engine_eval_interned(&program, &edb, &bools, CAP, Strategy::Priority, &opts)
         .expect("compiles");
     drop(opts); // drop the handle so the writer flushes before we read
     let text = std::fs::read_to_string(&path).expect("trace file written");
@@ -145,7 +145,15 @@ fn jsonl_sink_round_trips_through_the_parser() {
 fn explain_attributes_work_to_rules() {
     let (program, edb) = sssp();
     let bools = BoolDatabase::new();
-    let out = engine_eval(&program, &edb, &bools, CAP, Strategy::Auto).expect("compiles");
+    let out = engine_eval_interned(
+        &program,
+        &edb,
+        &bools,
+        CAP,
+        Strategy::Auto,
+        &EngineOpts::default(),
+    )
+    .expect("compiles");
     let stats = out.stats();
     let report = stats.explain();
     assert!(
@@ -201,7 +209,7 @@ fn join_mode_telemetry_attributes_probes_and_arranges() {
     );
     let bools = BoolDatabase::new();
     let run = |mode: JoinMode| {
-        engine_eval_with_opts(
+        engine_eval_interned(
             &program,
             &edb,
             &bools,
@@ -218,8 +226,8 @@ fn join_mode_telemetry_attributes_probes_and_arranges() {
     let merged = run(JoinMode::Merge);
     let hashed = run(JoinMode::Hash);
     assert_eq!(
-        merged.clone().unwrap(),
-        hashed.clone().unwrap(),
+        merged.output().materialize(),
+        hashed.output().materialize(),
         "join mode is a performance knob, not a semantics knob"
     );
 
@@ -235,11 +243,12 @@ fn join_mode_telemetry_attributes_probes_and_arranges() {
     // its forced-merge runs must bank arrange-phase time. (Semi-naïve
     // maintains arrangements incrementally inside row insertion —
     // counted by `arrange_batches_merged`, not timed.)
-    let naive = datalog_o::engine::engine_naive_eval_with_opts(
+    let naive = engine_eval_interned(
         &program,
         &edb,
         &bools,
         CAP,
+        Naive,
         &EngineOpts {
             join_mode: Some(JoinMode::Merge),
             ..EngineOpts::default()
@@ -250,7 +259,7 @@ fn join_mode_telemetry_attributes_probes_and_arranges() {
         naive.stats().phases.arrange > 0,
         "arrangement builds are timed under their own phase leg"
     );
-    assert_eq!(naive.unwrap(), merged.clone().unwrap());
+    assert_eq!(naive.output().materialize(), merged.output().materialize());
 
     let hc = &hashed.stats().counters;
     assert!(hc.hash_join_steps > 0, "forced hash probes prefix indexes");
@@ -299,68 +308,48 @@ fn join_mode_telemetry_attributes_probes_and_arranges() {
     );
 }
 
-/// Every public evaluation entry point — materializing, interned, and
-/// query-seeded, across all four strategies — returns stats with the
-/// strategy name, a step count, and emission counters filled in.
+/// Every public evaluation entry point — full and query-seeded, over a
+/// classic and an interned EDB — under every schedule returns stats
+/// with the strategy name, a step count, and emission counters filled
+/// in.
 #[test]
 fn every_entry_point_returns_populated_stats() {
-    let (program, edb) = sssp();
-    let bools = BoolDatabase::new();
-    let opts = EngineOpts::default();
-    let query = parse_query("?- L(d).").unwrap();
-    let mut legs: Vec<(String, datalog_o::EvalStats)> = vec![
-        (
-            "naive".into(),
-            engine_naive_eval(&program, &edb, &bools, CAP)
-                .expect("compiles")
-                .stats()
-                .clone(),
-        ),
-        (
-            "seminaive".into(),
-            engine_seminaive_eval(&program, &edb, &bools, CAP)
-                .expect("compiles")
-                .stats()
-                .clone(),
-        ),
-    ];
-    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        legs.push((
-            format!("engine_eval/{strategy:?}"),
-            engine_eval(&program, &edb, &bools, CAP, strategy)
-                .expect("compiles")
-                .stats()
-                .clone(),
-        ));
-        legs.push((
-            format!("engine_eval_interned/{strategy:?}"),
-            engine_eval_interned(&program, &edb, &bools, CAP, strategy, &opts)
-                .expect("compiles")
-                .stats()
-                .clone(),
-        ));
+    fn legs_of<S: datalog_o::Schedule<Trop> + std::fmt::Debug>(
+        schedule: S,
+        legs: &mut Vec<(String, datalog_o::EvalStats)>,
+    ) {
+        let (program, edb) = sssp();
+        let bools = BoolDatabase::new();
+        let opts = EngineOpts::default();
+        let query = parse_query("?- L(d).").unwrap();
+        let full =
+            engine_eval_interned(&program, &edb, &bools, CAP, schedule, &opts).expect("compiles");
+        let prev = full.output();
+        let chained =
+            datalog_o::engine_eval_interned_edb(&program, prev, &edb, &bools, CAP, schedule, &opts)
+                .expect("compiles");
+        let asked =
+            engine_query_eval_with_opts(&program, &query, &edb, &bools, CAP, schedule, &opts)
+                .expect("compiles");
+        let asked_chained = datalog_o::engine_query_eval_interned_edb(
+            &program, &query, prev, &edb, &bools, CAP, schedule, &opts,
+        )
+        .expect("compiles");
+        for (entry, stats) in [
+            ("engine_eval_interned", full.stats()),
+            ("engine_eval_interned_edb", chained.stats()),
+            ("engine_query_eval_with_opts", asked.stats()),
+            ("engine_query_eval_interned_edb", asked_chained.stats()),
+        ] {
+            legs.push((format!("{entry}/{schedule:?}"), stats.clone()));
+        }
     }
-    legs.push((
-        "engine_query_eval".into(),
-        engine_query_eval(&program, &query, &edb, &bools, CAP, Strategy::Auto)
-            .expect("compiles")
-            .stats()
-            .clone(),
-    ));
-    legs.push((
-        "engine_query_seminaive_eval".into(),
-        engine_query_seminaive_eval(&program, &query, &edb, &bools, CAP, &opts)
-            .expect("compiles")
-            .stats()
-            .clone(),
-    ));
-    legs.push((
-        "engine_query_naive_eval".into(),
-        engine_query_naive_eval(&program, &query, &edb, &bools, CAP, &opts)
-            .expect("compiles")
-            .stats()
-            .clone(),
-    ));
+    let mut legs = vec![];
+    legs_of(Naive, &mut legs);
+    legs_of(SemiNaive, &mut legs);
+    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
+        legs_of(strategy, &mut legs);
+    }
     for (leg, stats) in &legs {
         assert!(!stats.strategy.is_empty(), "{leg}: strategy recorded");
         assert!(stats.steps > 0, "{leg}: steps recorded");
@@ -397,7 +386,7 @@ fn iter_sample_records_every_kth_snapshot() {
     let (program, edb) = ex::sssp_trop_graph("n0", &edges, |i| 1.0 + i as f64);
     let bools = BoolDatabase::new();
 
-    let full = engine_eval_with_opts(
+    let full = engine_eval_interned(
         &program,
         &edb,
         &bools,
@@ -414,7 +403,7 @@ fn iter_sample_records_every_kth_snapshot() {
     );
 
     let sink = MemorySink::default();
-    let sampled = engine_eval_with_opts(
+    let sampled = engine_eval_interned(
         &program,
         &edb,
         &bools,
@@ -428,8 +417,8 @@ fn iter_sample_records_every_kth_snapshot() {
     )
     .expect("compiles");
     assert_eq!(
-        full.clone().unwrap(),
-        sampled.clone().unwrap(),
+        full.output().materialize(),
+        sampled.output().materialize(),
         "sampling never changes results"
     );
     let stats = sampled.stats();
@@ -472,7 +461,7 @@ fn dlo_stats_sample_env_fallback() {
     let (program, edb) = sssp();
     let bools = BoolDatabase::new();
     std::env::set_var("DLO_STATS_SAMPLE", "2");
-    let via_env = engine_eval_with_opts(
+    let via_env = engine_eval_interned(
         &program,
         &edb,
         &bools,
@@ -481,7 +470,7 @@ fn dlo_stats_sample_env_fallback() {
         &EngineOpts::default(),
     )
     .expect("compiles");
-    let explicit_wins = engine_eval_with_opts(
+    let explicit_wins = engine_eval_interned(
         &program,
         &edb,
         &bools,
@@ -494,7 +483,7 @@ fn dlo_stats_sample_env_fallback() {
     )
     .expect("compiles");
     std::env::remove_var("DLO_STATS_SAMPLE");
-    let unsampled = engine_eval_with_opts(
+    let unsampled = engine_eval_interned(
         &program,
         &edb,
         &bools,
@@ -516,7 +505,11 @@ fn dlo_stats_sample_env_fallback() {
         unsampled.stats().iterations,
         "an explicit iter_sample overrides the environment"
     );
-    assert_eq!(via_env.unwrap(), unsampled.unwrap(), "results unchanged");
+    assert_eq!(
+        via_env.output().materialize(),
+        unsampled.output().materialize(),
+        "results unchanged"
+    );
 }
 
 /// The `DLO_TRACE` environment fallback appends parseable JSONL without
@@ -530,7 +523,15 @@ fn dlo_trace_env_fallback_writes_jsonl() {
     let path = std::env::temp_dir().join(format!("dlo_trace_env_{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     std::env::set_var("DLO_TRACE", &path);
-    let out = engine_eval(&program, &edb, &bools, CAP, Strategy::Auto).expect("compiles");
+    let out = engine_eval_interned(
+        &program,
+        &edb,
+        &bools,
+        CAP,
+        Strategy::Auto,
+        &EngineOpts::default(),
+    )
+    .expect("compiles");
     std::env::remove_var("DLO_TRACE");
     assert!(out.is_converged());
     let text = std::fs::read_to_string(&path).expect("DLO_TRACE file written");
