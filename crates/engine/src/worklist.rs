@@ -54,6 +54,30 @@
 //! inner loop directly — sparse frontiers (the gradient workload pops
 //! 1–2 rows per batch) never pay a spawn.
 //!
+//! ## What a batch costs
+//!
+//! The priority discipline earns its Θ(n) pops only if each pop is
+//! O(rows in the batch), so nothing in the loop may grow with the
+//! number of *pending* buckets. One batch pays for: the pop (one B-tree
+//! descent, stale entries skipped by a value compare); marking and the
+//! governance checkpoint (a branch when ungoverned); staging the rows as Δ; the
+//! touched predicates' plans (inline under one unwind guard unless the
+//! summed first-step estimates reach the fan-out threshold — only then
+//! are the estimate and task lists built); merging the emissions (the
+//! mint clock is read only when a head key function produced fresh
+//! cells); and one stats row, whose queue depth is a count the queue
+//! maintains on push and pop. It used to be a walk over every pending
+//! bucket, and the gradient graph keeps n − 2 stale guesses pending for
+//! most of its n batches: 10.6 µs per one-row bucket on `sssp-sparse`
+//! (n = 6000) against 0.8 µs now, `reported.eval_s` 63.5 ms → 4.7 ms.
+//! Most of that 0.8 µs is not this module's: ≈ 8 heap allocations per
+//! [`run_plan`] call for its scratch vectors, and the hash merge of
+//! each emission in `ColumnRel::merge_changed`. (The bucket's own `Vec`
+//! is one more allocation; recycling it, or replacing the buckets with
+//! one binary heap of entries, was measured and bought nothing on
+//! `sssp-sparse` — the heap cost `apsp-dense`, whose buckets hold
+//! thousands of rows, a quarter of its speed.)
+//!
 //! Both disciplines fire the per-occurrence plans of
 //! [`crate::plan::CompiledProgram::worklist_plans`]: the changed row is
 //! staged as a one-batch Δ relation carrying its **full current value**
@@ -213,8 +237,15 @@ impl<P: TotallyOrderedDioid> Ord for BestFirst<P> {
 /// in a strictly better bucket, so it is processed first and the stale
 /// one skipped). Two entries for one row always carry distinct values,
 /// so a batch never holds a row twice.
+///
+/// A push or a pop costs one B-tree descent plus the rows it moves —
+/// nothing proportional to how much else is queued: `pending` is the
+/// entry count [`Frontier::depth`] reports, kept by `push` / `pop_into`
+/// and never re-walked.
 struct BucketFrontier<P> {
     buckets: BTreeMap<BestFirst<P>, Vec<(u32, u32)>>,
+    /// Entries queued across all buckets, stale ones included.
+    pending: usize,
 }
 
 impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
@@ -228,6 +259,7 @@ impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
     fn new(_nidb: usize) -> Self {
         BucketFrontier {
             buckets: BTreeMap::new(),
+            pending: 0,
         }
     }
 
@@ -236,10 +268,12 @@ impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
             .entry(BestFirst(val.clone()))
             .or_default()
             .push((pred as u32, row));
+        self.pending += 1;
     }
 
     fn pop_into(&mut self, new: &[ColumnRel<P>], batch: &mut Vec<(usize, u32)>) -> bool {
         while let Some((key, rows)) = self.buckets.pop_first() {
+            self.pending -= rows.len();
             for (pred, row) in rows {
                 if new[pred as usize].val(row) == &key.0 {
                     batch.push((pred as usize, row));
@@ -253,7 +287,13 @@ impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
     }
 
     fn depth(&self) -> usize {
-        self.buckets.values().map(|rows| rows.len()).sum()
+        // Debug builds re-derive the count the slow way, once per batch.
+        debug_assert_eq!(
+            self.pending,
+            self.buckets.values().map(Vec::len).sum::<usize>(),
+            "pending count drifted from the queued entries"
+        );
+        self.pending
     }
 }
 
@@ -347,6 +387,11 @@ fn apply_emissions<P: Pops, F: Frontier<P>>(
         buf.vals = vals; // hand the capacity back for the next batch
         buf.keys.clear();
     }
+    // Fresh head keys are the rare case: a batch without any reads no
+    // clock and touches no interner.
+    if fresh.iter().all(|facc| facc.is_empty()) {
+        return;
+    }
     let t_mint = Instant::now();
     let minted_before = interner.len();
     for (pred, facc) in fresh.iter_mut().enumerate() {
@@ -413,20 +458,25 @@ where
         idb_changed: &state.changed,
         idb_delta: &state.delta,
     };
+    // First-step work estimates via the driver's shared fan-out
+    // heuristic (for a worklist plan, step 0 is the forced-first Δ
+    // occurrence; seed plans scan EDBs). The frontier fires thousands
+    // of (often one-row) batches per run, so a batch that stays inline
+    // only sums them — single-threaded runs skip even that — and the
+    // estimate and task lists are built when it fans out.
     let threads = opts.effective_threads();
-    // Single-threaded runs skip even the estimate pass: the frontier
-    // fires thousands of (often tiny) batches per run, so per-batch
-    // bookkeeping must cost nothing when fan-out is off the table.
-    let run_sequential = |bufs: &mut [EmitBuf<P>],
-                          fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
-                          col: &mut Collector|
-     -> Result<(), Abort> {
-        for plan in plans {
-            let buf = &mut bufs[plan.head_pred];
-            let facc = &mut fresh[plan.head_pred];
-            let mut counters = ExecCounters::default();
-            let t = Instant::now();
-            catch_unwind(AssertUnwindSafe(|| {
+    let estimate = |plan: &&Plan<P>| engine.step0_estimate(plan, &state.new, &state.delta);
+    let fan_out = threads > 1
+        && plans.iter().map(|plan| estimate(plan).0).sum::<usize>() >= opts.par_threshold;
+    if !fan_out {
+        // One unwind guard around the whole batch: the first panicking
+        // plan stops it, with every earlier plan already accounted.
+        return catch_unwind(AssertUnwindSafe(|| {
+            for plan in plans {
+                let buf = &mut bufs[plan.head_pred];
+                let facc = &mut fresh[plan.head_pred];
+                let mut counters = ExecCounters::default();
+                let t = Instant::now();
                 run_plan(
                     plan,
                     &ctx,
@@ -435,30 +485,15 @@ where
                     &mut |key, v| buf.push(key, v),
                     &mut |key, v| merge_fresh(facc, key, v),
                 );
-            }))
-            .map_err(|p| Abort::WorkerPanic {
-                message: par::payload_message(p),
-            })?;
-            col.add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    };
-    if threads <= 1 {
-        return run_sequential(bufs, fresh, col);
+                col.add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
+            }
+        }))
+        .map_err(|p| Abort::WorkerPanic {
+            message: par::payload_message(p),
+        });
     }
 
-    // First-step work estimates (for a worklist plan, step 0 is the
-    // forced-first Δ occurrence; seed plans scan EDBs) and the task
-    // list, both via the driver's shared fan-out heuristic.
-    let estimates: Vec<(usize, bool)> = plans
-        .iter()
-        .map(|plan| engine.step0_estimate(plan, &state.new, &state.delta))
-        .collect();
-    let total: usize = estimates.iter().map(|(e, _)| e).sum();
-    if total < opts.par_threshold {
-        return run_sequential(bufs, fresh, col);
-    }
-
+    let estimates: Vec<(usize, bool)> = plans.iter().map(estimate).collect();
     let tasks = chunk_tasks(&estimates, threads, opts.chunk_min);
     let results = par::run_indexed(tasks.len(), threads, |ti| {
         let (pi, range) = tasks[ti];
@@ -847,6 +882,218 @@ mod tests {
         assert_eq!(steps, 2, "the stale bucket-10 entry must not be a batch");
     }
 
+    /// Deterministic xorshift stream for the randomized tests.
+    fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    /// Drives a frontier with random improve / pop sequences over three
+    /// predicates (re-improved rows leave stale entries behind) and
+    /// holds `depth()` to `walked` — the queued entries counted the
+    /// slow way — after every call, down to the final drain.
+    fn assert_depth_is_walked_count<F: Frontier<Trop>>(walked: impl Fn(&F) -> usize) {
+        for seed in 1..=24u64 {
+            let mut rng = xorshift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut new: Vec<ColumnRel<Trop>> = (0..3).map(|_| ColumnRel::new(1)).collect();
+            let mut frontier = F::new(new.len());
+            let mut batch: Vec<(usize, u32)> = Vec::new();
+            let mut pushes = 0;
+            for _ in 0..400 {
+                if !rng().is_multiple_of(4) {
+                    let pred = (rng() % 3) as usize;
+                    let key = [(rng() % 16) as u32];
+                    let val = Trop::finite((rng() % 64) as f64);
+                    let (row, changed) = new[pred].merge_changed(&key, val);
+                    if changed {
+                        frontier.push(pred, row, new[pred].val(row));
+                        pushes += 1;
+                    }
+                } else {
+                    batch.clear();
+                    frontier.pop_into(&new, &mut batch);
+                }
+                assert_eq!(frontier.depth(), walked(&frontier), "seed {seed}");
+            }
+            assert!(pushes > 48, "seed {seed}: rows were re-improved");
+            loop {
+                batch.clear();
+                let more = frontier.pop_into(&new, &mut batch);
+                assert_eq!(frontier.depth(), walked(&frontier), "seed {seed}: drain");
+                if !more {
+                    break;
+                }
+            }
+            assert_eq!(frontier.depth(), 0, "seed {seed}: drained");
+        }
+    }
+
+    #[test]
+    fn depth_is_the_walked_entry_count() {
+        assert_depth_is_walked_count::<BucketFrontier<Trop>>(|f| {
+            f.buckets.values().map(Vec::len).sum()
+        });
+        assert_depth_is_walked_count::<FifoFrontier>(|f| {
+            f.queued.iter().flatten().filter(|&&queued| queued).count()
+        });
+    }
+
+    /// Holds a priority run to its golden per-batch stats rows —
+    /// `[delta_rows, queue_depth, emits, inserted, improved, absorbed]`
+    /// — and to the stored order of `pred`'s rows (insertion order, so
+    /// it moves if a bucket hands its rows over in another order), at
+    /// every thread count and with the fan-out forced.
+    fn assert_batches_pinned(
+        program: &Program<Trop>,
+        edb: &Database<Trop>,
+        golden: &[[u64; 6]],
+        pred: &str,
+        golden_order: &[&str],
+    ) {
+        let sequential = |threads| EngineOpts {
+            threads: Some(threads),
+            ..EngineOpts::default()
+        };
+        for opts in [
+            sequential(1),
+            sequential(2),
+            sequential(4),
+            forced_parallel(),
+        ] {
+            let opts = EngineOpts {
+                iter_sample: Some(1),
+                ..opts
+            };
+            let out = engine_eval_interned(
+                program,
+                edb,
+                &BoolDatabase::new(),
+                1_000_000,
+                Strategy::Priority,
+                &opts,
+            )
+            .expect("compiles");
+            let rows: Vec<[u64; 6]> = out
+                .stats()
+                .iterations
+                .iter()
+                .map(|it| {
+                    [
+                        it.delta_rows,
+                        it.queue_depth,
+                        it.emits,
+                        it.inserted,
+                        it.improved,
+                        it.absorbed,
+                    ]
+                })
+                .collect();
+            assert_eq!(rows, golden, "stats rows at {:?} threads", opts.threads);
+            let output = out.output();
+            let order: Vec<String> = output
+                .relation(pred)
+                .expect("the IDB exists")
+                .iter()
+                .map(|(_, key, _)| {
+                    let names: Vec<String> = key
+                        .iter()
+                        .map(|&id| output.interner().get(id).to_string())
+                        .collect();
+                    names.join(" ")
+                })
+                .collect();
+            assert_eq!(
+                order, golden_order,
+                "row order at {:?} threads",
+                opts.threads
+            );
+        }
+    }
+
+    #[test]
+    fn priority_batches_are_pinned() {
+        // The stale-entry triangle of `priority_skips_stale_entries`:
+        // seed, bucket 1 = {(a,c), (c,b)} improving T(a,b) to 2, bucket
+        // 2 = {(a,b)} — the superseded bucket-10 entry stays queued
+        // (depth 1) and is never a batch.
+        let (program, edb) = ex::apsp_trop(&[("a", "b", 10.0), ("a", "c", 1.0), ("c", "b", 1.0)]);
+        assert_batches_pinned(
+            &program,
+            &edb,
+            &[[0, 3, 3, 3, 0, 0], [2, 2, 1, 0, 1, 0], [1, 1, 0, 0, 0, 0]],
+            "T",
+            &["a b", "a c", "c b"],
+        );
+
+        // Gradient n = 8 (unit chain plus jumps 0 → i of weight 3i):
+        // the source's batch queues one guess per node, each later
+        // batch settles one node and improves its successor, and the
+        // superseded guesses leave the queue only when their value
+        // comes up (n2's guess of 6 rides in n6's bucket).
+        let names: Vec<String> = (0..8).map(|i| format!("n{i}")).collect();
+        let mut edges: Vec<(&str, &str)> = (0..7).map(|i| (&*names[i], &*names[i + 1])).collect();
+        edges.extend((2..8).map(|i| (&*names[0], &*names[i])));
+        let weight = |edge: usize| {
+            if edge < 7 {
+                1.0
+            } else {
+                3.0 * (edge - 5) as f64
+            }
+        };
+        let (program, edb) = ex::sssp_trop_graph("n0", &edges, weight);
+        assert_batches_pinned(
+            &program,
+            &edb,
+            &[
+                [0, 1, 1, 1, 0, 0],
+                [1, 7, 7, 7, 0, 0],
+                [1, 7, 1, 0, 1, 0],
+                [1, 7, 1, 0, 1, 0],
+                [1, 7, 1, 0, 1, 0],
+                [1, 7, 1, 0, 1, 0],
+                [1, 7, 1, 0, 1, 0],
+                [1, 6, 1, 0, 1, 0],
+                [1, 5, 0, 0, 0, 0],
+            ],
+            "L",
+            &["n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"],
+        );
+
+        // Two lanes, where push order within a bucket is neither row
+        // order nor its reverse: bucket 1 inserts T(s,u) = 2 and then
+        // improves the earlier-stored T(t,w) from 7 to 2, so bucket 2
+        // holds the new row ahead of the old one, and their derivations
+        // T(s,u2), T(t,w2) are stored in that order.
+        let (program, edb) = ex::apsp_trop(&[
+            ("s", "m", 1.0),
+            ("m", "u", 1.0),
+            ("u", "u2", 1.0),
+            ("t", "n", 1.0),
+            ("n", "w", 1.0),
+            ("w", "w2", 1.0),
+            ("t", "w", 7.0),
+        ]);
+        assert_batches_pinned(
+            &program,
+            &edb,
+            &[
+                [0, 7, 7, 7, 0, 0],
+                [6, 5, 4, 3, 1, 0],
+                [4, 3, 2, 2, 0, 0],
+                [2, 1, 0, 0, 0, 0],
+            ],
+            "T",
+            &[
+                "m u", "n w", "s m", "t n", "t w", "u u2", "w w2", "m u2", "n w2", "s u", "s u2",
+                "t w2",
+            ],
+        );
+    }
+
     #[test]
     fn head_key_minting_works_under_both_disciplines() {
         use dlo_core::formula::{CmpOp, Formula};
@@ -986,13 +1233,7 @@ mod tests {
     #[test]
     fn random_graph_agrees_with_global_seminaive() {
         // A denser instance exercising batches with mixed improvements.
-        let mut s = 0xfeed_u64;
-        let mut rng = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut rng = xorshift(0xfeed);
         let mut pairs = vec![];
         for _ in 0..200 {
             let u = (rng() % 40) as i64;
@@ -1022,13 +1263,7 @@ mod tests {
         // outcomes (fixpoint AND batch counts) across thread counts with
         // the fan-out forced — chunk boundaries must not leak into the
         // staged emission order.
-        let mut s = 0xabcd_u64;
-        let mut rng = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut rng = xorshift(0xabcd);
         let mut pairs = vec![];
         for _ in 0..300 {
             let u = (rng() % 50) as i64;

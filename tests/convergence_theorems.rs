@@ -132,6 +132,47 @@ fn zero_stable_converges_within_n() {
     }
 }
 
+/// Corollary 5.19 as the priority frontier uses it: over a 0-stable,
+/// totally ordered dioid every fact is popped settled, so Example 4.1
+/// SSSP on the gradient graph is exactly `n` buckets, `2n − 2`
+/// emissions and `n` index probes — and the loop around them must stay
+/// linear too. Eight times the buckets may cost at most 20 times the
+/// evaluation time (linear is 8; a loop that touches every pending
+/// bucket per batch is 64). Timed in release builds only: debug builds
+/// re-derive the queue depth by walking it on every batch.
+#[cfg(not(debug_assertions))]
+#[test]
+fn priority_frontier_is_linear_in_settled_pops() {
+    use datalog_o::{engine_eval_interned, EngineOpts, Strategy};
+    let eval_ns = |n: usize| -> u64 {
+        let (program, edb) = dlo_bench::GraphInstance::gradient(n).sssp();
+        let runs = (0..3).map(|_| {
+            let out = engine_eval_interned(
+                &program,
+                &edb,
+                &BoolDatabase::new(),
+                100_000,
+                Strategy::Priority,
+                &EngineOpts::default(),
+            )
+            .expect("compiles");
+            assert!(out.is_converged());
+            let stats = out.stats();
+            assert_eq!(stats.steps as usize, n, "one bucket per node");
+            assert_eq!(stats.counters.emits as usize, 2 * n - 2);
+            assert_eq!(stats.counters.index_probes as usize, n);
+            stats.phases.eval
+        });
+        runs.min().expect("three runs")
+    };
+    let (small, large) = (eval_ns(2_000), eval_ns(16_000));
+    assert!(
+        large < 20 * small,
+        "8x the buckets took {:.1}x the time ({small} ns -> {large} ns)",
+        large as f64 / small as f64
+    );
+}
+
 /// Theorem 1.2 (converse direction): an unstable core diverges — MaxPlus
 /// with a positive cycle.
 #[test]

@@ -862,6 +862,79 @@ fn aborted_query_returns_exact_settled_partial_answers() {
     assert!(rows > 0, "some answers settled before the abort");
 }
 
+/// Failure paths enumerated, not sampled, for the frontier loop: on the
+/// gradient graph every bucket holds one node (`dist(i) = i`) while the
+/// superseded jump guesses sit stale in the queue, and a step budget of
+/// `k` stops the run at each bucket in turn. Budget 0 trips before the
+/// index build with nothing settled; a budget of `1 ≤ k < n` runs `k`
+/// buckets and trips at the next one, whose popped row is marked before
+/// the check — so exactly nodes `0..=k` are settled, at their final
+/// values, and no other row reads as final; `n` buckets fit a budget of
+/// `n`. Retrying with room to spare always ends at the ungoverned
+/// answer.
+#[test]
+fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
+    const N: usize = 32;
+    let graph = dlo_bench::GraphInstance::gradient(N);
+    let (program, edb) = graph.sssp();
+    let bools = BoolDatabase::new();
+    let ungoverned = eval(
+        &program,
+        &edb,
+        &bools,
+        CAP,
+        Strategy::Priority,
+        &EngineOpts::default(),
+    )
+    .expect("reference run");
+    let full = ungoverned.clone().unwrap();
+    let roomy = EvalBudget::default().with_max_steps(N as u64 + 8);
+    for threads in [1usize, 4] {
+        for k in 0..=N as u64 {
+            let leg = format!("max_steps {k} at {threads} threads");
+            let opts = opts_with(EvalBudget::default().with_max_steps(k), None, threads);
+            let run = engine_eval_interned(&program, &edb, &bools, CAP, Strategy::Priority, &opts);
+            if k == N as u64 {
+                let outcome = run.expect("n buckets fit a budget of n");
+                assert_eq!(outcome.stats().steps, k, "{leg}");
+                assert_eq!(outcome.materialize(), ungoverned, "{leg}");
+                continue;
+            }
+            let aborted = run.expect_err("fewer than n steps cannot finish");
+            assert_eq!(aborted.error().kind(), "budget", "{leg}");
+            let partial = aborted.partial();
+            assert!(partial.is_exact(), "{leg}: priority partials are exact");
+            let settled = if k == 0 { 0 } else { k as usize + 1 };
+            assert_eq!(partial.settled().settled_rows(), settled as u64, "{leg}");
+            for i in 0..N {
+                let expected = (i < settled).then(|| Trop::finite(i as f64));
+                assert_eq!(
+                    partial.settled_value("L", &[graph.node(i)]),
+                    expected.as_ref(),
+                    "{leg}: L({i})"
+                );
+            }
+            assert_partial_below(&leg, partial, true, &full);
+
+            let policy = RetryPolicy::from_class(BudgetClass::Interactive)
+                .with_ladder(vec![EvalBudget::default().with_max_steps(k), roomy.clone()]);
+            let (outcome, report) = eval_with_retry(
+                &program,
+                &edb,
+                &bools,
+                CAP,
+                Strategy::Priority,
+                &opts_with(EvalBudget::default(), None, threads),
+                policy,
+            )
+            .expect("the roomy rung converges");
+            assert_eq!(report.attempts_made(), 2, "{leg}");
+            assert_eq!(report.attempts[0].settled_rows, settled as u64, "{leg}");
+            assert_eq!(outcome.materialize(), ungoverned, "{leg}: retry");
+        }
+    }
+}
+
 /// What an abort must hand back, whichever entry point and schedule
 /// produced it: a partial sitting pointwise below the least fixpoint,
 /// exact on its settled rows precisely when the schedule settles on pop.
