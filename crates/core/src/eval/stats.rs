@@ -130,8 +130,14 @@ impl Counters {
 /// [`EvalStats::invariants`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
-    /// Program compile + EDB interning + state assembly.
+    /// Everything before the index builds: query rewrite, EDB load,
+    /// program compile, state assembly.
     pub setup: u64,
+    /// The part of `setup` spent loading the EDB — interning its
+    /// constants and assembling the interned columns, one pass. A
+    /// sub-interval of `setup`, so [`PhaseNanos::total`] does not add it
+    /// again; 0 for runs that load nothing (maintenance edits).
+    pub load: u64,
     /// EDB hash-prefix index builds.
     pub edb_index: u64,
     /// Sorted-arrangement builds and co-located index ensures (the
@@ -148,7 +154,7 @@ pub struct PhaseNanos {
 }
 
 impl PhaseNanos {
-    /// Sum of all phases, in nanoseconds.
+    /// Sum of all phases, in nanoseconds (`load` is inside `setup`).
     pub fn total(&self) -> u64 {
         self.setup + self.edb_index + self.arrange + self.eval + self.mint + self.decode
     }
@@ -299,9 +305,10 @@ impl EvalStats {
         let p = &self.phases;
         let _ = writeln!(
             s,
-            "phases (ms): setup {:.3} | edb index {:.3} | arrange {:.3} | eval {:.3} | \
-             mint {:.3} | decode {:.3}",
+            "phases (ms): setup {:.3} (load {:.3}) | edb index {:.3} | arrange {:.3} | \
+             eval {:.3} | mint {:.3} | decode {:.3}",
             ms(p.setup),
+            ms(p.load),
             ms(p.edb_index),
             ms(p.arrange),
             ms(p.eval),
@@ -378,6 +385,7 @@ impl EvalStats {
         w.key("phases");
         w.obj_open();
         w.u64_field("setup_ns", self.phases.setup);
+        w.u64_field("load_ns", self.phases.load);
         w.u64_field("edb_index_ns", self.phases.edb_index);
         w.u64_field("arrange_ns", self.phases.arrange);
         w.u64_field("eval_ns", self.phases.eval);
@@ -982,6 +990,10 @@ mod tests {
         };
         stats.counters.emits = 41;
         stats.counters.rows_inserted = 13;
+        stats.phases.setup = 900;
+        stats.phases.load = 600;
+        stats.phases.eval = 100;
+        assert_eq!(stats.phases.total(), 1000, "load sits inside setup");
         stats.push_iteration(IterStat {
             step: 0,
             delta_rows: 5,
@@ -1002,6 +1014,10 @@ mod tests {
         assert_eq!(parsed.get("steps").unwrap().as_u64(), Some(7));
         let counters = parsed.get("counters").unwrap();
         assert_eq!(counters.get("emits").unwrap().as_u64(), Some(41));
+        let phases = parsed.get("phases").unwrap();
+        assert_eq!(phases.get("setup_ns").unwrap().as_u64(), Some(900));
+        assert_eq!(phases.get("load_ns").unwrap().as_u64(), Some(600));
+        assert!(stats.explain().contains("setup 0.001 (load 0.001)"));
         let iters = parsed.get("iterations").unwrap().as_arr().unwrap();
         assert_eq!(iters.len(), 1);
         assert_eq!(iters[0].get("inserted").unwrap().as_u64(), Some(13));

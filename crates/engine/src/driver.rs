@@ -48,7 +48,7 @@ use crate::telemetry::Collector;
 use dlo_core::ast::Program;
 use dlo_core::eval::stats::EvalStats;
 use dlo_core::eval::{BudgetClass, CancelToken, EvalBudget, EvalError, TraceHandle};
-use dlo_core::relation::{BoolDatabase, Database, Relation};
+use dlo_core::relation::{BoolDatabase, Database};
 use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops, PreSemiring};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -179,6 +179,8 @@ pub(crate) struct Engine<P> {
     pub(crate) compiled: CompiledProgram<P>,
     pub(crate) pops_edb: Vec<Option<ColumnRel<P>>>,
     pub(crate) bool_edb: Vec<Option<ColumnRel<Bool>>>,
+    /// The active domain in constant order — filled in only when some
+    /// plan enumerates it ([`Engine::refresh_adom`]), empty otherwise.
     pub(crate) adom: Vec<u32>,
     /// Index masks needed on each IDB's `new` storage (serves both the
     /// `New` and `Old` sources).
@@ -195,6 +197,12 @@ pub(crate) struct Engine<P> {
     /// [`setup`] from [`EngineOpts::effective_join_mode`], before any
     /// probe structure is built.
     pub(crate) join_mode: JoinMode,
+    /// The part of [`setup`] spent in the bulk loader ([`load_db`]),
+    /// reported as [`PhaseNanos::load`](dlo_core::eval::stats::PhaseNanos)
+    /// by the run [`Run::open`] starts next. A
+    /// [`crate::Materialization`] zeroes it after its build: edits load
+    /// nothing.
+    pub(crate) load_ns: u64,
 }
 
 /// The three semi-naïve IDB states (shared with the incremental
@@ -206,33 +214,26 @@ pub(crate) struct IdbState<P> {
     pub(crate) delta: Vec<ColumnRel<P>>,
 }
 
-fn intern_rel<P: Pops>(rel: &Relation<P>, interner: &Interner) -> ColumnRel<P> {
-    let mut out = ColumnRel::new(rel.arity());
-    let mut key: Vec<u32> = Vec::with_capacity(rel.arity());
-    for (tuple, v) in rel.support() {
-        key.clear();
-        key.extend(tuple.iter().map(|c| {
-            interner
-                .lookup(c)
-                .expect("EDB constants are interned during setup")
-        }));
-        out.insert_row(&key, v.clone());
-    }
-    out
+/// Loads every relation of `db`, in the database's own (name) order —
+/// the order constants get their ids in. Relations the program turns
+/// out not to read are loaded all the same: their constants belong to
+/// the interned domain, and which relations are read is only known once
+/// the program is compiled, which has to come after (program constants
+/// are numbered after the EDB's).
+fn load_db<'a, P: Pops>(
+    db: &'a Database<P>,
+    interner: &mut Interner,
+) -> BTreeMap<&'a str, ColumnRel<P>> {
+    db.iter()
+        .map(|(name, rel)| (name.as_str(), interner.load_relation(rel)))
+        .collect()
 }
 
-fn intern_db_consts<P: Pops>(db: &Database<P>, interner: &mut Interner) {
-    for (_, rel) in db.iter() {
-        for (tuple, _) in rel.support() {
-            for c in tuple {
-                interner.intern(c);
-            }
-        }
-    }
-}
-
-/// Compiles `program` and interns its inputs — the setup every entry
-/// point and every [`crate::Materialization`] build starts from.
+/// Loads the EDB and compiles `program` — the setup every entry point
+/// and every [`crate::Materialization`] build starts from. The load is
+/// one pass per classic relation ([`Interner::load_relation`]), `P`
+/// relations first, Boolean relations after, program constants last:
+/// that order fixes every constant id and every EDB row id.
 ///
 /// With `prev`, a previous run's **interned output** serves as the POPS
 /// EDB: the interner is shared (cloned — ids keep their meaning, no
@@ -255,30 +256,25 @@ pub(crate) fn setup<P: Pops>(
     join_mode: JoinMode,
 ) -> Result<Engine<P>, EvalError> {
     let mut interner = prev.map_or_else(Interner::new, |p| p.interner().clone());
-    intern_db_consts(pops_db, &mut interner);
-    intern_db_consts(bool_db, &mut interner);
+    let t_load = Instant::now();
+    let mut pops_loaded = load_db(pops_db, &mut interner);
+    let mut bool_loaded = load_db(bool_db, &mut interner);
+    let load_ns = t_load.elapsed().as_nanos() as u64;
     let compiled = compile_demand(program, &mut interner, set_valued).map_err(compile_error)?;
     let pops_edb: Vec<Option<ColumnRel<P>>> = compiled
         .pops_edbs
         .iter()
         .map(|name| {
-            pops_db
-                .get(name)
-                .map(|r| intern_rel(r, &interner))
+            pops_loaded
+                .remove(name.as_str())
                 .or_else(|| prev.and_then(|p| p.relation(name).cloned()))
         })
         .collect();
     let bool_edb: Vec<Option<ColumnRel<Bool>>> = compiled
         .bool_edbs
         .iter()
-        .map(|name| bool_db.get(name).map(|r| intern_rel(r, &interner)))
+        .map(|name| bool_loaded.remove(name.as_str()))
         .collect();
-
-    // The active domain (EDB constants ∪ program constants) is exactly
-    // the interned set; enumerate it in constant order to mirror the
-    // relational backend.
-    let mut adom: Vec<u32> = (0..interner.len() as u32).collect();
-    adom.sort_by(|a, b| interner.get(*a).cmp(interner.get(*b)));
 
     let nidb = compiled.idbs.len();
     let mut idb_new_masks: Vec<Vec<u32>> = vec![vec![]; nidb];
@@ -299,17 +295,20 @@ pub(crate) fn setup<P: Pops>(
             }
         }
     }
-    Ok(Engine {
+    let mut engine = Engine {
         interner,
         compiled,
         pops_edb,
         bool_edb,
-        adom,
+        adom: vec![],
         idb_new_masks,
         idb_delta_masks,
         edb_reqs,
         join_mode,
-    })
+        load_ns,
+    };
+    engine.refresh_adom();
+    Ok(engine)
 }
 
 /// Renders a compiler rejection into the typed error every entry point
@@ -326,6 +325,29 @@ pub(crate) fn compile_error(e: CompileError) -> EvalError {
 }
 
 impl<P: Pops> Engine<P> {
+    /// Re-enumerates the active domain (EDB constants ∪ program
+    /// constants — exactly the interned set) in constant order, to
+    /// mirror the relational backend. Its one reader is the executor's
+    /// fill over slots no join step binds, so the sort runs only when
+    /// some compiled plan has such a slot; called at setup and again
+    /// whenever a [`crate::Materialization`] edit interns new constants.
+    pub(crate) fn refresh_adom(&mut self) {
+        let compiled = &self.compiled;
+        let fills = compiled
+            .seed_plans
+            .iter()
+            .chain(&compiled.delta_plans)
+            .chain(compiled.worklist_plans.iter().flatten())
+            .any(|plan| !plan.fill.is_empty());
+        if !fills {
+            return;
+        }
+        let interner = &self.interner;
+        let mut adom: Vec<u32> = (0..interner.len() as u32).collect();
+        adom.sort_by(|a, b| interner.get(*a).cmp(interner.get(*b)));
+        self.adom = adom;
+    }
+
     pub(crate) fn empty_idbs(&self) -> Vec<ColumnRel<P>> {
         self.compiled
             .idbs
@@ -546,8 +568,9 @@ impl Run {
     /// `settles_on_pop` says whether the loop marks rows final as it
     /// goes (the priority frontier) or settles nothing before
     /// convergence. `setup_ns` is the caller-measured time already
-    /// spent (compile and intern, or staging an edit): it is recorded
-    /// as the setup phase and backdated into the governor's deadline.
+    /// spent (load and compile, or staging an edit): it is recorded
+    /// as the setup phase and backdated into the governor's deadline;
+    /// the load inside it is `engine.load_ns`.
     pub(crate) fn open<P: Pops>(
         engine: &Engine<P>,
         label: &str,
@@ -561,6 +584,7 @@ impl Run {
                 label,
                 opts.effective_threads(),
                 setup_ns,
+                engine.load_ns,
                 engine.compiled.plan_metas_for(engine.join_mode),
                 opts,
             ),
@@ -1335,6 +1359,7 @@ pub(crate) mod tests {
     use dlo_core::eval::relational::{relational_naive_eval, relational_seminaive_eval};
     use dlo_core::eval::EvalOutcome;
     use dlo_core::examples_lib as ex;
+    use dlo_core::relation::Relation;
     use dlo_core::tup;
     use dlo_pops::{MinNat, Trop};
 

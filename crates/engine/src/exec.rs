@@ -80,14 +80,25 @@ impl ExecCounters {
 
 /// Everything a plan run reads: interned EDBs, the active domain, and
 /// the three IDB states of Theorem 6.5.
+///
+/// Join steps read relations by scan or through the probe structures
+/// the drivers ensured beforehand. The one exception is a Boolean guard
+/// atom in a rule condition (`eval_cformula`), which asks its
+/// `bool_edb` relation for a row **by full key**: EDB relations are
+/// bulk-loaded without a row map ([`ColumnRel::from_distinct_rows`]),
+/// so the first such read builds it — inside the plan run, behind the
+/// relation's `OnceLock`, which is why a shared `&ColumnRel` suffices
+/// even when that first read happens in a parallel batch.
 pub struct EvalCtx<'a, P> {
     /// The (frozen) constant table.
     pub interner: &'a Interner,
-    /// Active-domain constant ids, ascending by constant order.
+    /// Active-domain constant ids, ascending by constant order — empty
+    /// unless some plan of the program has slots to fill from it.
     pub adom: &'a [u32],
     /// `P`-EDB relations by `pops_edbs` table index (`None` = absent).
     pub pops_edb: &'a [Option<ColumnRel<P>>],
-    /// Boolean relations by `bool_edbs` table index (`None` = absent).
+    /// Boolean relations by `bool_edbs` table index (`None` = absent);
+    /// guard atoms read these by full key (see above).
     pub bool_edb: &'a [Option<ColumnRel<Bool>>],
     /// Per-IDB *new* state `J(t)`.
     pub idb_new: &'a [ColumnRel<P>],
@@ -161,17 +172,23 @@ pub(crate) fn eval_cformula<P: Pops>(f: &CFormula, slots: &[u32], ctx: &EvalCtx<
             if rel.arity() != args.len() {
                 return false;
             }
-            let mut key: Vec<u32> = Vec::with_capacity(args.len());
-            for a in args {
+            // Runs once per candidate valuation: the key lives on the
+            // stack (`ColumnRel::new` caps the arity at 32).
+            let mut key = [0u32; 32];
+            for (cell, a) in key.iter_mut().zip(args) {
                 let Some(ev) = eval_cterm(a, slots, ctx.interner) else {
                     return false;
                 };
                 let Some(id) = ev_to_id(ev, ctx.interner) else {
                     return false;
                 };
-                key.push(id);
+                *cell = id;
             }
-            rel.rowid(&key).is_some()
+            // The one full-key read of an EDB in a plan run — and so the
+            // one place a bulk-loaded guard relation's row map gets
+            // built, by whichever valuation (on whichever worker) asks
+            // first.
+            rel.rowid(&key[..args.len()]).is_some()
         }
         CFormula::Not(g) => !eval_cformula(g, slots, ctx),
         CFormula::And(a, b) => eval_cformula(a, slots, ctx) && eval_cformula(b, slots, ctx),

@@ -232,7 +232,7 @@ mod tests {
     use super::*;
 
     fn collector() -> Collector {
-        Collector::new("test", 1, 0, vec![], &EngineOpts::default())
+        Collector::new("test", 1, 0, 0, vec![], &EngineOpts::default())
     }
 
     #[test]

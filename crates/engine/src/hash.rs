@@ -10,14 +10,16 @@
 //! the classic multiply-xor "Fx" scheme (as popularized by Firefox and
 //! rustc): a couple of arithmetic ops per word, fully deterministic.
 //!
-//! Keys here are interned ids, never attacker-chosen strings, so hash
-//! flooding is not a concern.
+//! Keys here are interned ids — and, in [`crate::intern`], the constants
+//! of the caller's own EDB on their way to becoming ids (that module's
+//! docs say why that is the same trust) — never data from a third
+//! party, so hash flooding is not a concern.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative constant (high-entropy odd number, the 64-bit golden
 /// ratio) spreading each xored word across the hash.
-const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The hasher state: one 64-bit accumulator.
 #[derive(Default, Clone)]

@@ -355,6 +355,8 @@ where
             partial: None,
         };
         let mut run = m.open_run("build", t);
+        // The load belongs to the build's stats; edits load nothing.
+        m.engine.load_ns = 0;
         let plans = RoundPlans {
             full: &m.seed_plans,
             seed: &m.seed_plans,
@@ -660,15 +662,6 @@ where
             })
     }
 
-    /// Re-sorts the active domain after batch constants were interned
-    /// (mirrors the setup-time enumeration order).
-    fn refresh_adom(&mut self) {
-        let interner = &self.engine.interner;
-        let mut adom: Vec<u32> = (0..interner.len() as u32).collect();
-        adom.sort_by(|a, b| interner.get(*a).cmp(interner.get(*b)));
-        self.engine.adom = adom;
-    }
-
     /// Interns and stages an insert batch: snapshots `@old` where
     /// registered, builds the `@dlt` relations (duplicate tuples
     /// `⊕`-merge), and `⊕`-merges the rows into the live interned and
@@ -700,7 +693,7 @@ where
                 .merge(f.tuple.clone(), f.value.clone());
         }
         if self.engine.interner.len() > before_len {
-            self.refresh_adom();
+            self.engine.refresh_adom();
         }
         let mut touched = vec![];
         for (si, rows) in per_slot.into_iter().enumerate() {

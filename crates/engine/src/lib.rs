@@ -9,7 +9,8 @@
 //!
 //! * [`intern`] — constants become `u32`s; rows are flat `Vec<u32>`
 //!   slices, so join keys hash and compare without touching a single
-//!   `Arc<str>`;
+//!   `Arc<str>`; the EDB is loaded in one pass that interns while it
+//!   assembles the columns;
 //! * [`storage`] — relations carry lazily built **hash-prefix indexes**
 //!   per (relation, bound-column-set), maintained incrementally as the
 //!   monotone `new` state grows, plus **sorted columnar arrangements**
@@ -120,6 +121,45 @@
 //! A long-lived [`Materialization`] takes the same schedule argument at
 //! construction and keeps it: builds, rebuilds, edits, edit scripts,
 //! and queries are one set of methods for every POPS.
+//!
+//! ## What a run costs before step 0
+//!
+//! The paper's bounds count fixpoint *steps*; before the first one
+//! every schedule pays an O(|input|) term no schedule can amortize —
+//! the classic [`dlo_core::Database`] has to become interned columns.
+//! It costs **one scan**: [`Interner::load_relation`] walks each
+//! relation once, interns each constant as it meets it (one probe of an
+//! Fx-hashed map per stored constant, integers without building a
+//! `Constant`) and appends the id straight into pre-sized columns —
+//! `P` relations first, Boolean relations after, program constants
+//! last, which fixes every constant id and EDB row id. The full-key row
+//! map is *not* part of the load: a from-scratch run reads its EDB by
+//! scan and by prefix probe, so [`ColumnRel`] builds that map the first
+//! time something asks for a row by key — a Boolean guard atom in a
+//! rule condition, or a [`Materialization`] edit — and never otherwise.
+//! The active domain is sorted only for programs with a variable no
+//! join binds.
+//!
+//! [`PhaseNanos::setup`] is everything before the index builds, and
+//! [`PhaseNanos::load`] the part of it spent in that scan. On
+//! `dlo_benchmark`'s `wide-lookup` (300 000 arity-4 rows, 1.2 M stored
+//! constants) the load *is* setup — all but ≈ 0.05 ms of it, the rest
+//! being the compile — and setup was the operation: traced, seed 1,
+//! `reported.setup_s` 0.225 → 0.043 s and `bench.op_wall_median_s`
+//! 0.273 → 0.080 s against the two-pass, SipHash, map-per-row loader
+//! this replaced, with `reported.edb_index_s` (0.032 s, the one
+//! arrangement sort of `F`, now ≈ 40 % of the operation) and every
+//! work counter unchanged. What is left of the load is the walk over
+//! the classic `BTreeMap<Vec<Constant>, P>` itself — a pointer chase
+//! per tuple — which only a different input format would remove. The
+//! loader takes it in batches of a few hundred tuples and reads each
+//! batch's constants once before interning any, so the chase's cache
+//! misses overlap instead of each waiting behind four hash probes:
+//! worth little on a quiet host, but on a shared one the load no longer
+//! swings with memory latency (30 → 55–65 ms became 25–30 → 40 ms), and
+//! with it the operation's run-to-run spread halved ([`intern`]'s
+//! header has the measurement). A release-only test (`edb_load_is_one_cheap_pass`) holds the whole of
+//! setup under 3× one cloning walk over the same relation.
 //!
 //! ## Design note: magic sets — Bool-valued demand guarding POPS rules
 //!
@@ -287,8 +327,9 @@
 //! telemetry on the outcome: [`EvalStats`] carries per-run totals
 //! (emissions, index probes, tuples scanned, merge outcomes split into
 //! inserted / improved / absorbed / set-valued short-circuits, minted
-//! interner ids), wall-clock phase timers (setup, EDB indexing, the
-//! fixpoint loop, id minting, decode), per-iteration snapshots, and a
+//! interner ids), wall-clock phase timers (setup and the EDB load
+//! inside it, EDB indexing, the fixpoint loop, id minting, decode),
+//! per-iteration snapshots, and a
 //! **per-rule profile** attributing time and emissions to each
 //! compiled plan. `stats()` on [`dlo_core::EvalOutcome`],
 //! [`InternedOutcome`], and [`query::QueryAnswer`] exposes it;

@@ -6,7 +6,12 @@
 //! ids, keyed by a column bitmask; they are built lazily per
 //! `(relation, bound-column-set)` — once a mask is requested it is
 //! maintained incrementally by [`ColumnRel::insert_row`], so monotone
-//! relations (the semi-naïve `new` state) never pay a rebuild.
+//! relations (the semi-naïve `new` state) never pay a rebuild. The
+//! full-row map is lazy in the same way for relations loaded in bulk
+//! ([`ColumnRel::from_distinct_rows`], the EDB load path): a
+//! from-scratch run reads its EDB by scan and by prefix probe only, so
+//! the map is built the first time something reads such a relation *by
+//! full key* — see the [`ColumnRel`] docs for who does.
 //!
 //! ## Packed keys
 //!
@@ -23,6 +28,7 @@
 use crate::arrange::Arrangement;
 use crate::hash::FxHashMap;
 use dlo_pops::{Pops, PreSemiring};
+use std::sync::OnceLock;
 
 /// A column bitmask: bit `c` set ⇔ column `c` participates in the probe.
 pub type ColMask = u32;
@@ -129,10 +135,27 @@ enum KeyedMap<V> {
 
 impl<V> KeyedMap<V> {
     fn new(width: usize) -> Self {
+        KeyedMap::with_capacity(width, 0)
+    }
+
+    fn with_capacity(width: usize, entries: usize) -> Self {
         if width <= 2 {
-            KeyedMap::Packed(FxHashMap::default())
+            KeyedMap::Packed(FxHashMap::with_capacity_and_hasher(
+                entries,
+                Default::default(),
+            ))
         } else {
-            KeyedMap::Wide(FxHashMap::default())
+            KeyedMap::Wide(FxHashMap::with_capacity_and_hasher(
+                entries,
+                Default::default(),
+            ))
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            KeyedMap::Packed(m) => m.len(),
+            KeyedMap::Wide(m) => m.len(),
         }
     }
 
@@ -309,12 +332,36 @@ impl<P: PreSemiring> AccumMap<P> {
 
 /// An interned finite-support relation: flat rows, values, row map, and
 /// lazily built prefix indexes.
+///
+/// ## The row map, and who needs it
+///
+/// Scans ([`Self::iter`], [`Self::row`], [`Self::val`]) and prefix
+/// probes ([`Self::probe`], [`Self::probe_arranged`]) read the flat
+/// columns and the per-mask structures only. The **full-key row map**
+/// serves [`Self::rowid`], [`Self::get`], [`Self::insert_row`],
+/// [`Self::merge`] and [`Self::merge_changed`]. A relation made by
+/// [`Self::new`] carries it from the start — every IDB relation is
+/// written through `merge_changed` once per derivation — but one made
+/// by [`Self::from_distinct_rows`] (how the EDB is loaded) builds it
+/// **on first need**, inside whichever of those five methods asks
+/// first; nobody has to ensure it beforehand, and concurrent first
+/// readers of a shared relation block on one build. Over an EDB exactly
+/// two kinds of reader ever ask: a Boolean guard atom in a rule
+/// condition (`exec::eval_cformula`, possibly first from inside a
+/// parallel batch) and a [`Materialization`](crate::Materialization)
+/// edit (present-key checks and `⊕`-merges into the live relation). A
+/// from-scratch run of a program without guard atoms never builds it —
+/// for wide keys that is one `Box<[u32]>` and one hash insert per row
+/// not spent.
 #[derive(Clone, Debug)]
 pub struct ColumnRel<P> {
     arity: usize,
     keys: Vec<u32>,
     vals: Vec<P>,
-    map: KeyedMap<u32>,
+    /// Full key → row id. Unset only on a bulk-loaded relation nothing
+    /// has read by key yet; once set it is maintained by every
+    /// map-registering write.
+    map: OnceLock<KeyedMap<u32>>,
     indexes: FxHashMap<ColMask, KeyedMap<Vec<u32>>>,
     /// Sorted arrangements keyed by the mask that requested them; a
     /// clone shares their batches (`Arc`), not the row data.
@@ -343,7 +390,7 @@ impl<P: Pops> ColumnRel<P> {
             arity,
             keys: Vec::new(),
             vals: Vec::new(),
-            map: KeyedMap::new(arity),
+            map: OnceLock::from(KeyedMap::new(arity)),
             indexes: FxHashMap::default(),
             arrangements: FxHashMap::default(),
             index_builds: 0,
@@ -351,6 +398,43 @@ impl<P: Pops> ColumnRel<P> {
             version: 0,
             scratch: Vec::new(),
         }
+    }
+
+    /// A relation holding the given rows — `keys` row-major, one value
+    /// per row — **without** building the full-key row map: it is built
+    /// the first time a method that needs it runs (see the type docs).
+    /// The caller guarantees the keys are pairwise distinct (checked
+    /// when the map is built, in debug builds); the result is otherwise
+    /// indistinguishable from `insert_row`-ing the rows in order into
+    /// [`Self::new`] — same row ids, same [`Self::version`].
+    pub fn from_distinct_rows(arity: usize, keys: Vec<u32>, vals: Vec<P>) -> Self {
+        assert_eq!(keys.len(), vals.len() * arity, "row arity mismatch");
+        ColumnRel {
+            map: OnceLock::new(),
+            version: vals.len() as u64,
+            keys,
+            vals,
+            ..ColumnRel::new(arity)
+        }
+    }
+
+    /// The full-key row map, built from the stored rows if this is the
+    /// first call that needs it.
+    fn row_map(&self) -> &KeyedMap<u32> {
+        self.map.get_or_init(|| {
+            let mut map = KeyedMap::with_capacity(self.arity, self.len());
+            for r in 0..self.len() as u32 {
+                map.insert(self.row(r), r);
+            }
+            debug_assert_eq!(map.len(), self.len(), "bulk-loaded keys are distinct");
+            map
+        })
+    }
+
+    /// [`Self::row_map`] for the writers.
+    fn row_map_mut(&mut self) -> &mut KeyedMap<u32> {
+        self.row_map();
+        self.map.get_mut().expect("row map just ensured")
     }
 
     /// Removes every row while keeping the arity, every registered index
@@ -362,7 +446,9 @@ impl<P: Pops> ColumnRel<P> {
         self.version += 1;
         self.keys.clear();
         self.vals.clear();
-        self.map.clear();
+        if let Some(map) = self.map.get_mut() {
+            map.clear();
+        }
         for index in self.indexes.values_mut() {
             index.clear();
         }
@@ -399,7 +485,7 @@ impl<P: Pops> ColumnRel<P> {
 
     /// The row id holding `key`, if present.
     pub fn rowid(&self, key: &[u32]) -> Option<u32> {
-        self.map.get(key).copied()
+        self.row_map().get(key).copied()
     }
 
     /// The value at `key`, if present.
@@ -414,9 +500,12 @@ impl<P: Pops> ColumnRel<P> {
     /// every subsequent row boundary in the flat storage, silently
     /// corrupting the relation.
     pub fn insert_row(&mut self, key: &[u32], value: P) -> u32 {
-        debug_assert!(!self.map.contains_key(key), "insert_row on present key");
+        debug_assert!(
+            !self.row_map().contains_key(key),
+            "insert_row on present key"
+        );
         let r = self.append_row(key, value);
-        self.map.insert(key, r);
+        self.row_map_mut().insert(key, r);
         r
     }
 
@@ -471,7 +560,7 @@ impl<P: Pops> ColumnRel<P> {
     pub fn merge_changed(&mut self, key: &[u32], value: P) -> (u32, bool) {
         use std::collections::hash_map::Entry;
         let next = self.vals.len() as u32;
-        let existing = match &mut self.map {
+        let existing = match self.row_map_mut() {
             KeyedMap::Packed(m) => match m.entry(pack(key)) {
                 Entry::Occupied(e) => Some(*e.get()),
                 Entry::Vacant(e) => {
@@ -848,6 +937,97 @@ mod tests {
             builds,
             "refill is maintenance, not a rebuild"
         );
+    }
+
+    /// A bulk-loaded relation and its `insert_row`-built twin, arity 3
+    /// (boxed keys) or 2 (packed keys).
+    fn bulk_and_twin(arity: usize) -> (ColumnRel<Trop>, ColumnRel<Trop>) {
+        let rows: Vec<Vec<u32>> = (0..40u32)
+            .map(|r| [r % 5, r / 5, 7].into_iter().take(arity).collect())
+            .collect();
+        let mut twin = ColumnRel::new(arity);
+        for (r, key) in rows.iter().enumerate() {
+            twin.insert_row(key, Trop::finite(r as f64));
+        }
+        let bulk = ColumnRel::from_distinct_rows(
+            arity,
+            rows.concat(),
+            (0..40).map(|r| Trop::finite(r as f64)).collect(),
+        );
+        (bulk, twin)
+    }
+
+    fn assert_same_rows(a: &ColumnRel<Trop>, b: &ColumnRel<Trop>) {
+        assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
+        assert_eq!(a.version(), b.version());
+    }
+
+    #[test]
+    fn bulk_load_reads_and_merges_like_the_per_row_twin() {
+        for arity in [2, 3] {
+            let (bulk, twin) = bulk_and_twin(arity);
+            assert_same_rows(&bulk, &twin);
+            // A clone taken before anything read by key builds its own
+            // map; one taken after inherits it.
+            let early = bulk.clone();
+            let present: Vec<u32> = twin.row(17).to_vec();
+            let absent: Vec<u32> = vec![9; arity];
+            for rel in [&bulk, &early, &bulk.clone()] {
+                assert_eq!(rel.rowid(&present), Some(17));
+                assert_eq!(rel.rowid(&absent), None);
+                assert_eq!(rel.get(&present), twin.get(&present));
+            }
+            // Writers: an absorbed merge, an improving merge, an append.
+            let (mut bulk, mut twin, mut late) = (early, twin, bulk);
+            for rel in [&mut bulk, &mut twin, &mut late] {
+                assert_eq!(rel.merge_changed(&present, Trop::finite(99.0)), (17, false));
+                assert_eq!(rel.merge_changed(&present, Trop::finite(0.5)), (17, true));
+                assert_eq!(rel.merge(&absent, Trop::finite(1.0)), 40);
+                assert_eq!(rel.rowid(&absent), Some(40));
+            }
+            assert_same_rows(&bulk, &twin);
+            assert_same_rows(&late, &twin);
+        }
+    }
+
+    #[test]
+    fn bulk_load_clears_and_refills() {
+        for read_first in [false, true] {
+            let (mut bulk, mut twin) = bulk_and_twin(3);
+            if read_first {
+                assert_eq!(bulk.rowid(&[0, 0, 7]), Some(0));
+            }
+            for rel in [&mut bulk, &mut twin] {
+                rel.clear();
+                assert_eq!(rel.rowid(&[0, 0, 7]), None);
+                rel.insert_row(&[4, 4, 4], Trop::finite(1.0));
+                rel.merge(&[4, 4, 4], Trop::finite(0.25));
+                rel.merge(&[5, 5, 5], Trop::finite(2.0));
+            }
+            assert_same_rows(&bulk, &twin);
+            assert_eq!(bulk.get(&[4, 4, 4]), Some(&Trop::finite(0.25)));
+        }
+    }
+
+    #[test]
+    fn probe_structures_built_after_a_bulk_load_match_the_twin() {
+        let (mut bulk, mut twin) = bulk_and_twin(3);
+        for rel in [&mut bulk, &mut twin] {
+            rel.ensure_index(0b001);
+            rel.ensure_arranged(0b011);
+            // Maintained through later appends, like any other relation.
+            rel.insert_row(&[2, 50, 7], Trop::finite(0.0));
+        }
+        let mut found = (Vec::new(), Vec::new());
+        for a in 0..6 {
+            assert_eq!(bulk.probe(0b001, &[a]), twin.probe(0b001, &[a]));
+            for b in [0, 3, 50] {
+                bulk.probe_arranged(0b011, &[a, b], &mut found.0);
+                twin.probe_arranged(0b011, &[a, b], &mut found.1);
+                assert_eq!(found.0, found.1);
+            }
+        }
+        assert_eq!(bulk.index_builds(), twin.index_builds());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * per-iteration/per-batch [`IterStat`] snapshots, derived from
 //!   counter deltas around each step;
 //! * phase timings (setup is measured by the entry points and passed
-//!   in; EDB index build, mint, and eval are measured by the loops;
+//!   in, and so is the EDB load inside it, measured by
+//!   [`crate::driver::setup`]; EDB index build, mint, and eval are
+//!   measured by the loops;
 //!   decode by [`crate::output::InternedOutcome::materialize`]).
 //!
 //! Tracing resolves from [`crate::driver::EngineOpts::trace`], falling
@@ -59,12 +61,14 @@ fn resolve_trace(opts_trace: Option<&TraceHandle>) -> Option<TraceHandle> {
 
 impl Collector {
     /// Starts collection for one run: records the resolved strategy,
-    /// thread count, and setup time, and emits `RunStart` (plus the
-    /// setup `Phase` event) to the trace.
+    /// thread count, setup time and the part of it spent loading the
+    /// EDB, and emits `RunStart` (plus the setup `Phase` event) to the
+    /// trace.
     pub fn new(
         strategy: &str,
         threads: usize,
         setup_ns: u64,
+        load_ns: u64,
         metas: Vec<PlanMeta>,
         opts: &EngineOpts,
     ) -> Collector {
@@ -74,6 +78,7 @@ impl Collector {
             ..EvalStats::default()
         };
         stats.phases.setup = setup_ns;
+        stats.phases.load = load_ns;
         let trace = resolve_trace(opts.trace.as_ref());
         if let Some(t) = &trace {
             t.emit(&TraceEvent::RunStart {

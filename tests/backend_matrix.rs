@@ -24,6 +24,7 @@ use datalog_o::core::{
     UnaryFn,
 };
 use datalog_o::core::{Edit, EvalOutcome, FactDelete, FactInsert};
+use datalog_o::engine::{ColumnRel, Interner};
 use datalog_o::pops::{
     Absorptive, Bool, CompleteDistributiveDioid, MinNat, NNReal, NaturallyOrdered, Pops,
     TotallyOrderedDioid, Trop, TropP,
@@ -111,6 +112,7 @@ fn assert_matrix_all<P>(
         + Send
         + Sync,
 {
+    assert_bulk_load_bit_identical(scenario, program, pops, bools);
     let forced_parallel = forced_parallel();
     let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
     let legs: [(&str, Database<P>); 8] = [
@@ -222,6 +224,7 @@ fn assert_matrix_naive<P>(
 ) where
     P: NaturallyOrdered + Send + Sync,
 {
+    assert_bulk_load_bit_identical(scenario, program, pops, bools);
     let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
     let rel = relational_naive_eval(program, pops, bools, CAP).unwrap();
     let eng = run(program, pops, bools, CAP, Naive, &EngineOpts::default()).unwrap();
@@ -241,6 +244,88 @@ fn assert_matrix_naive<P>(
         );
     }
     assert_loop_parity(scenario, program, pops, bools, Naive, 0);
+}
+
+/// Loads `db` row by row through the public per-row API — every
+/// constant through [`Interner::intern`] in relation, tuple, column
+/// order, every row through [`ColumnRel::insert_row`]: the reference the
+/// one-pass loader must reproduce bit for bit.
+fn load_per_row<P: Pops>(db: &Database<P>, interner: &mut Interner) -> Vec<ColumnRel<P>> {
+    db.iter()
+        .map(|(_, rel)| {
+            let mut col = ColumnRel::new(rel.arity());
+            for (tuple, v) in rel.support() {
+                let key: Vec<u32> = tuple.iter().map(|c| interner.intern(c)).collect();
+                col.insert_row(&key, v.clone());
+            }
+            col
+        })
+        .collect()
+}
+
+/// The bulk loader against [`load_per_row`] on one scenario's EDB, `P`
+/// relations first and Boolean relations after (the order the engine
+/// loads them in): the same interner (`len`, every `get`, every
+/// `as_int`) and, per relation, the same `(row id, key, value)` sequence
+/// at the same version. A run of `program` over the same EDB must
+/// number those constants the same way — its output's interner starts
+/// with exactly the reference's ids, program constants only after.
+fn assert_bulk_load_bit_identical<P: NaturallyOrdered + Send + Sync>(
+    scenario: &str,
+    program: &Program<P>,
+    pops: &Database<P>,
+    bools: &BoolDatabase,
+) {
+    let mut reference = Interner::new();
+    let ref_pops = load_per_row(pops, &mut reference);
+    let ref_bools = load_per_row(bools, &mut reference);
+    let mut interner = Interner::new();
+    let got_pops: Vec<ColumnRel<P>> = pops
+        .iter()
+        .map(|(_, rel)| interner.load_relation(rel))
+        .collect();
+    let got_bools: Vec<ColumnRel<Bool>> = bools
+        .iter()
+        .map(|(_, rel)| interner.load_relation(rel))
+        .collect();
+    fn same_rows<Q: Pops>(scenario: &str, got: &[ColumnRel<Q>], want: &[ColumnRel<Q>]) {
+        assert_eq!(got.len(), want.len(), "{scenario}: relation count");
+        for (got, want) in got.iter().zip(want) {
+            assert_eq!(
+                got.iter().collect::<Vec<_>>(),
+                want.iter().collect::<Vec<_>>(),
+                "{scenario}: (row id, key, value) sequence"
+            );
+            assert_eq!(got.version(), want.version(), "{scenario}: version");
+            for (r, key, _) in want.iter() {
+                assert_eq!(got.rowid(key), Some(r), "{scenario}: row map");
+            }
+        }
+    }
+    same_rows(scenario, &got_pops, &ref_pops);
+    same_rows(scenario, &got_bools, &ref_bools);
+    let run = engine_eval_interned(program, pops, bools, CAP, Naive, &EngineOpts::default())
+        .expect("compiles");
+    let ran = run.output().interner();
+    assert_eq!(interner.len(), reference.len(), "{scenario}: interner size");
+    assert!(
+        ran.len() >= reference.len(),
+        "{scenario}: run interner size"
+    );
+    for id in 0..reference.len() as u32 {
+        for (side, other) in [("loader", &interner), ("run", ran)] {
+            assert_eq!(
+                other.get(id),
+                reference.get(id),
+                "{scenario}: {side} id {id}"
+            );
+            assert_eq!(
+                other.as_int(id),
+                reference.as_int(id),
+                "{scenario}: {side} id {id}"
+            );
+        }
+    }
 }
 
 /// One `#[test]` per oracle scenario. `all` runs the nine-leg matrix,
@@ -492,6 +577,141 @@ backend_matrix! {
         let program: Program<TropP<1>> = ex::single_source_program("a");
         let edb = ex::fig2a_graph(|w| TropP::<1>::from_costs(&[w]));
         (program, edb, BoolDatabase::new())
+    }
+}
+
+/// The loader on a relation no scenario above has: arity 4 (boxed row
+/// keys), string and integer constants mixed within a row and repeated
+/// across rows and relations, beside a Boolean relation sharing them.
+#[test]
+fn bulk_load_bit_identical_on_wide_mixed_constants() {
+    let mut pops = Database::new();
+    pops.insert(
+        "F",
+        Relation::from_pairs(
+            4,
+            (0..60i64).map(|r| {
+                let row = vec![
+                    (r % 7).into(),
+                    k(&format!("s{}", r % 5)),
+                    (r / 7 - 3).into(),
+                    k(&format!("{}", r % 7)),
+                ];
+                (row, Trop::finite(r as f64))
+            }),
+        ),
+    );
+    pops.insert(
+        "S",
+        Relation::from_pairs(
+            3,
+            (0..6i64).map(|r| {
+                (
+                    vec![r.into(), k(&format!("s{r}")), (-r).into()],
+                    Trop::finite(0.0),
+                )
+            }),
+        ),
+    );
+    let mut bools = BoolDatabase::new();
+    bools.insert(
+        "Keep",
+        bool_relation(2, (0..4i64).map(|r| vec![k("s1"), (r - 3).into()])),
+    );
+    let program: Program<Trop> =
+        parse_program("Out(A, D) :- S(A, B, C) * F(A, B, C2, D) | Keep(B, C2) && A != 99.")
+            .unwrap();
+    assert_bulk_load_bit_identical("wide mixed constants", &program, &pops, &bools);
+}
+
+/// Guard atoms are the one place a plan run reads an EDB relation by
+/// full key, and EDB relations are bulk-loaded without their row map:
+/// the first candidate valuation to reach the guard builds it — inside
+/// a parallel batch when the run fans out. Guards over a unary (packed
+/// key) and a ternary (boxed key) Boolean relation, every schedule, at
+/// 1, 2 and 4 workers with every batch forced to fan out, against the
+/// grounded reference.
+#[test]
+fn guard_atoms_read_bulk_loaded_relations_by_key() {
+    let src = "T(X, Y) :- E(X, Y) | Node(X) && Open(X, Y, day).\n\
+               T(X, Y) :- T(X, Z) * E(Z, Y) | Open(Z, Y, day) && !Closed(Y).";
+    let program: Program<Trop> = parse_program(src).unwrap();
+    let n = 40i64;
+    let edges = (0..n).flat_map(|u| {
+        [
+            (u, (u + 1) % n),
+            (u, (u * 7 + 3) % n),
+            (u, (u * 5 + 11) % n),
+        ]
+    });
+    let edges: Vec<(i64, i64)> = edges.filter(|(u, v)| u != v).collect();
+    let mut pops = Database::new();
+    pops.insert(
+        "E",
+        Relation::from_pairs(
+            2,
+            edges.iter().map(|&(u, v)| {
+                (
+                    vec![u.into(), v.into()],
+                    Trop::finite((1 + (u + v) % 4) as f64),
+                )
+            }),
+        ),
+    );
+    let mut bools = BoolDatabase::new();
+    bools.insert(
+        "Node",
+        bool_relation(1, (0..n).filter(|u| u % 9 != 4).map(|u| vec![u.into()])),
+    );
+    bools.insert(
+        "Closed",
+        bool_relation(1, [5i64, 17, 23].map(|u| vec![u.into()])),
+    );
+    bools.insert(
+        "Open",
+        bool_relation(
+            3,
+            edges
+                .iter()
+                .filter(|(u, v)| (u + 2 * v) % 5 != 0)
+                .map(|&(u, v)| {
+                    vec![
+                        u.into(),
+                        v.into(),
+                        k(if (u + v) % 11 == 0 { "night" } else { "day" }),
+                    ]
+                }),
+        ),
+    );
+    let grounded = naive_eval_sparse(&program, &pops, &bools, CAP).unwrap();
+    assert!(
+        grounded.get("T").is_some_and(|t| t.support_size() > 100),
+        "the guards must leave a non-trivial closure"
+    );
+    for threads in [1, 2, 4] {
+        let opts = EngineOpts {
+            threads: Some(threads),
+            ..forced_parallel()
+        };
+        let scenario = format!("guarded closure, {threads} forced-fan-out workers");
+        let legs = [
+            ("naive", run(&program, &pops, &bools, CAP, Naive, &opts)),
+            (
+                "semi-naive",
+                run(&program, &pops, &bools, CAP, SemiNaive, &opts),
+            ),
+            (
+                "worklist",
+                run(&program, &pops, &bools, CAP, Strategy::Worklist, &opts),
+            ),
+            (
+                "priority",
+                run(&program, &pops, &bools, CAP, Strategy::Priority, &opts),
+            ),
+        ];
+        for (leg, got) in legs {
+            assert_same_db(&scenario, leg, &grounded, &got.unwrap());
+        }
     }
 }
 

@@ -173,6 +173,77 @@ fn priority_frontier_is_linear_in_settled_pops() {
     );
 }
 
+/// Before step 0 every schedule pays one O(|input|) load of the classic
+/// EDB into interned columns, and it must stay one cheap pass: 200 000
+/// arity-4 rows over 124 distinct constants (strings and integers
+/// mixed) through a one-rule copy program, `phases.setup` held to
+/// `LOAD_OVER_WALK` times the cost of walking the same relation once and
+/// cloning every tuple — a ratio of two O(rows) passes over one
+/// structure on one host, min of 3 each, so host speed cancels.
+/// Measured on a 2-core shared host (release, three invocations each):
+/// 1.36 / 1.41 / 1.49 with the one-pass loader (≈ 32 ms against a
+/// ≈ 22 ms walk; 1.10 / 1.16 / 1.57 once it read each batch of tuples
+/// ahead of interning it); 6.25 / 6.93 / 7.23 with the loader it replaced (every
+/// constant interned and then looked up again through SipHash, and a
+/// boxed key hashed into a full-key row map per row, ≈ 143 ms). The
+/// threshold sits midway between the two on a log scale,
+/// √(1.42 · 6.8) ≈ 3.
+#[cfg(not(debug_assertions))]
+#[test]
+fn edb_load_is_one_cheap_pass() {
+    use datalog_o::{engine_eval_interned, EngineOpts, Strategy};
+    use std::hint::black_box;
+    use std::time::Instant;
+    const ROWS: i64 = 200_000;
+    const LOAD_OVER_WALK: f64 = 3.0;
+    let program = datalog_o::core::parse_program::<Trop>("Copy(A, B, C, D) :- F(A, B, C, D).")
+        .expect("parses");
+    let mut edb = Database::new();
+    edb.insert(
+        "F",
+        Relation::from_pairs(
+            4,
+            (0..ROWS).map(|r| {
+                let row = vec![
+                    (r % 40).into(),
+                    format!("b{}", r / 40 % 40).as_str().into(),
+                    (1000 + r / 1600 % 40).into(),
+                    format!("d{}", r / 64_000).as_str().into(),
+                ];
+                (row, Trop::finite(r as f64))
+            }),
+        ),
+    );
+    let setup_ns = (0..3).map(|_| {
+        let out = engine_eval_interned(
+            &program,
+            &edb,
+            &BoolDatabase::new(),
+            10,
+            Strategy::SemiNaive,
+            &EngineOpts::default(),
+        )
+        .expect("compiles");
+        assert_eq!(out.output().support_size("Copy"), ROWS as usize);
+        assert_eq!(out.output().interner().len(), 124);
+        out.stats().phases.setup
+    });
+    let setup_ns = setup_ns.min().expect("three runs");
+    let walk_ns = (0..3).map(|_| {
+        let t = Instant::now();
+        for (tuple, v) in edb.get("F").expect("inserted").support() {
+            black_box((tuple.clone(), *v));
+        }
+        t.elapsed().as_nanos() as u64
+    });
+    let walk_ns = walk_ns.min().expect("three walks");
+    assert!(
+        (setup_ns as f64) < LOAD_OVER_WALK * walk_ns as f64,
+        "loading {ROWS} rows took {:.2}x one cloning walk ({setup_ns} ns vs {walk_ns} ns)",
+        setup_ns as f64 / walk_ns as f64
+    );
+}
+
 /// Theorem 1.2 (converse direction): an unstable core diverges — MaxPlus
 /// with a positive cycle.
 #[test]

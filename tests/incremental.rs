@@ -19,8 +19,8 @@ use datalog_o::core::examples_lib as ex;
 use datalog_o::core::{
     parse_program, parse_query, BoolDatabase, Constant, Database, Edit, Program, Relation, Tuple,
 };
-use datalog_o::pops::Trop;
-use datalog_o::{engine_eval_interned, EngineOpts, Materialization, Strategy};
+use datalog_o::pops::{NNReal, Pops, Trop};
+use datalog_o::{engine_eval_interned, EngineOpts, Materialization, Naive, Schedule, Strategy};
 
 const CAP: usize = 100_000;
 
@@ -248,6 +248,177 @@ impl Lcg {
             .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
+}
+
+/// Everything observable about a handle after an edit: the edit's
+/// thread-invariant stats, every interner entry, and every maintained
+/// row with its id.
+type Observed<P> = (
+    datalog_o::EvalStats,
+    Vec<Constant>,
+    Vec<(String, Vec<(u32, Vec<u32>, P)>)>,
+);
+
+fn observe<P: Pops + Send + Sync, S: Schedule<P>>(mat: &mut Materialization<P, S>) -> Observed<P> {
+    let stats = mat.last_stats().invariants();
+    let out = mat.output();
+    let consts = (0..out.interner().len() as u32)
+        .map(|id| out.interner().get(id).clone())
+        .collect();
+    let preds: Vec<String> = out.predicates().map(|(p, _)| p.to_string()).collect();
+    let rows = preds
+        .into_iter()
+        .map(|p| {
+            let rel = out.relation(&p).expect("listed predicate");
+            let rows = rel.iter().map(|(r, key, v)| (r, key.to_vec(), v.clone()));
+            (p, rows.collect())
+        })
+        .collect();
+    (stats, consts, rows)
+}
+
+/// The engine loads the EDB without its full-key row map, and an edit is
+/// one of the two readers that need it (present-key checks on delete,
+/// `⊕`-merges on insert). Each `edit` is applied as the **first** edit
+/// of a fresh handle — the map is built by that edit — and again to a
+/// twin whose map an earlier no-op (`warm_up`, deleting an absent fact
+/// over known constants) already forced: stats, interner and every
+/// maintained row must agree bit for bit. The result must also be the
+/// from-scratch build on the edited EDB — same database, same constant
+/// ids (the edits here neither introduce nor orphan a first occurrence)
+/// — and the classic mirror must show a merged fact, never a second row.
+fn assert_first_edit_reads_the_bulk_loaded_edb<P, S>(
+    scenario: &str,
+    program: &Program<P>,
+    edb: &Database<P>,
+    schedule: S,
+    warm_up: &Edit<P>,
+    edits: &[Edit<P>],
+) where
+    P: Pops + Send + Sync,
+    S: Schedule<P>,
+{
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    let build = |edb: &Database<P>| {
+        Materialization::new(program, edb, &bools, CAP, schedule, &opts).expect("compiles")
+    };
+    for edit in edits {
+        let mut cold = build(edb);
+        let mut warm = build(edb);
+        warm.apply(std::slice::from_ref(warm_up)).expect("no-op");
+        assert_eq!(
+            warm.edb(),
+            edb,
+            "{scenario}: the warm-up must change nothing"
+        );
+        cold.apply(std::slice::from_ref(edit))
+            .expect("edit applies");
+        warm.apply(std::slice::from_ref(edit))
+            .expect("edit applies");
+        let (cold_seen, warm_seen) = (observe(&mut cold), observe(&mut warm));
+        assert_eq!(
+            cold_seen, warm_seen,
+            "{scenario}: {edit:?} cold vs warm row map"
+        );
+
+        let mut edited = edb.clone();
+        match edit {
+            Edit::Insert(f) => edited
+                .get_or_insert(&f.pred, f.tuple.len())
+                .merge(f.tuple.clone(), f.value.clone()),
+            Edit::Delete(f) => edited
+                .get_or_insert(&f.pred, f.tuple.len())
+                .set(f.tuple.clone(), P::bottom()),
+        }
+        assert_eq!(cold.edb(), &edited, "{scenario}: {edit:?} classic mirror");
+        let mut scratch = build(&edited);
+        assert_eq!(
+            cold.output().materialize(),
+            scratch.output().materialize(),
+            "{scenario}: {edit:?} vs from-scratch on the edited EDB"
+        );
+        assert_eq!(
+            cold_seen.1,
+            observe(&mut scratch).1,
+            "{scenario}: {edit:?} constant ids vs from-scratch"
+        );
+    }
+}
+
+#[test]
+fn first_edit_after_build_reads_the_edb_by_key() {
+    // Trop, the default frontier schedule: a worse and a better weight
+    // onto a present edge, an absent edge, a present edge.
+    let edges = base_edges();
+    let (u, v, w) = edges[1];
+    let edits = [
+        insert(u, v, w + 5.0),
+        insert(u, v, w / 2.0),
+        delete(edges[0].1, edges[0].0),
+        delete(u, v),
+    ];
+    let warm_up = delete(edges[0].1, edges[0].0);
+    assert!(!edges
+        .iter()
+        .any(|(a, b, _)| (*a, *b) == (edges[0].1, edges[0].0)));
+    for strategy in [Strategy::Auto, Strategy::SemiNaive] {
+        assert_first_edit_reads_the_bulk_loaded_edb(
+            &format!("trop {strategy:?}"),
+            &apsp_program(),
+            &edge_db(&edges),
+            strategy,
+            &warm_up,
+            &edits,
+        );
+    }
+
+    // ℝ₊ under the naive schedule (no `⊖`): `⊕` is `+`, so an insert
+    // onto a present fact must show the sum. Path weights over a DAG,
+    // dyadic so every association order is exact.
+    let program: Program<NNReal> =
+        parse_program("T(X, Y) :- S(X, Y) + T(X, Z) * S(Z, Y).").unwrap();
+    let fact = |u: &str, v: &str| vec![k(u), k(v)];
+    let mut edb = Database::new();
+    edb.insert(
+        "S",
+        Relation::from_pairs(
+            2,
+            [
+                ("a", "b", 0.5),
+                ("a", "c", 0.25),
+                ("b", "c", 0.75),
+                ("c", "d", 0.5),
+            ]
+            .map(|(u, v, w)| (fact(u, v), NNReal::of(w))),
+        ),
+    );
+    let edits = [
+        Edit::insert("S", fact("a", "c"), NNReal::of(0.125)),
+        Edit::delete("S", fact("d", "a")),
+        Edit::delete("S", fact("a", "c")),
+    ];
+    assert_first_edit_reads_the_bulk_loaded_edb(
+        "nnreal naive",
+        &program,
+        &edb,
+        Naive,
+        &Edit::delete("S", fact("d", "a")),
+        &edits,
+    );
+    let mut summed = Materialization::new(
+        &program,
+        &edb,
+        &BoolDatabase::new(),
+        CAP,
+        Naive,
+        &EngineOpts::default(),
+    )
+    .unwrap();
+    summed.apply(&edits[..1]).unwrap();
+    let s = summed.edb().get("S").unwrap();
+    assert_eq!(s.support_size(), 4, "merged, not duplicated");
+    assert_eq!(s.get(&fact("a", "c")), NNReal::of(0.375));
 }
 
 /// A random edit script over a fixed node universe: inserts twice as

@@ -363,9 +363,48 @@ fn every_entry_point_returns_populated_stats() {
             "{leg}: iteration snapshots recorded"
         );
         // Query entry points pay the rewrite inside setup; everyone
-        // times setup.
-        assert!(stats.phases.setup > 0, "{leg}: setup phase timed");
+        // times setup, and — the EDB being non-empty on every leg — the
+        // load inside it.
+        let phases = &stats.phases;
+        assert!(phases.setup > 0, "{leg}: setup phase timed");
+        assert!(phases.load > 0, "{leg}: EDB load timed");
+        assert!(phases.load <= phases.setup, "{leg}: load is part of setup");
+        assert_eq!(
+            phases.total(),
+            phases.setup
+                + phases.edb_index
+                + phases.arrange
+                + phases.eval
+                + phases.mint
+                + phases.decode,
+            "{leg}: load is not counted twice"
+        );
+        let report = stats.explain();
+        assert!(
+            report.contains(&format!("(load {:.3})", phases.load as f64 / 1e6)),
+            "{leg}: explain shows the load inside setup:\n{report}"
+        );
+        let v = json::parse(&stats.to_json()).expect("stats JSON parses");
+        assert_eq!(
+            v.get("phases")
+                .and_then(|p| p.get("load_ns"))
+                .and_then(|x| x.as_u64()),
+            Some(phases.load),
+            "{leg}: load_ns serialized"
+        );
     }
+    // A maintenance edit loads nothing: its build did.
+    let (program, edb) = sssp();
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    let mut live = datalog_o::Materialization::new(&program, &edb, &bools, CAP, Naive, &opts)
+        .expect("compiles");
+    let built = live.last_stats().phases;
+    assert!(built.load > 0 && built.load <= built.setup, "build loads");
+    let edge = live.edb().get("E").unwrap().support().next().unwrap();
+    let fact = datalog_o::core::FactInsert::new("E", edge.0.clone(), *edge.1);
+    let edit = live.insert(&[fact]).expect("edit applies").phases;
+    assert_eq!(edit.load, 0, "edits load nothing");
 }
 
 /// The [`EngineOpts::iter_sample`] knob keeps every k-th per-iteration
