@@ -44,20 +44,19 @@ pub struct Counters {
     /// interned domain (routed to the fresh accumulator for minting).
     pub fresh_emits: u64,
     /// Index probes issued by join steps (hash-prefix lookups plus
-    /// sorted-arrangement searches — the sum is join-mode-invariant).
+    /// sorted-arrangement searches).
     pub index_probes: u64,
-    /// Probes served by a sorted arrangement (merge-join path). The
-    /// merge/hash split depends on the configured join mode, so
-    /// [`EvalStats::invariants`] zeroes it; within one mode it is
-    /// thread-invariant.
+    /// Probes served by a sorted arrangement (merge-join path): the
+    /// probes into relations of arity > 2. Which structure serves a
+    /// probe is fixed by the relation's arity, so the split is a
+    /// function of the program and its input like every other counter.
     pub merge_join_steps: u64,
-    /// Probes served by a hash-prefix index (hash-join path). Mode-
-    /// dependent like [`Counters::merge_join_steps`];
+    /// Probes served by a hash-prefix index (hash-join path);
     /// `merge_join_steps + hash_join_steps = index_probes` always.
     pub hash_join_steps: u64,
     /// Arrangement spine batches folded by size-tiered merging while
-    /// appends maintained sorted runs. Mode-dependent (0 under hash
-    /// joins), thread-invariant within a mode.
+    /// appends maintained sorted runs (0 when no probed IDB relation is
+    /// wider than 2 columns).
     pub arrange_batches_merged: u64,
     /// Candidate tuples scanned: full-scan range lengths plus probe
     /// posting-list lengths, before per-row checks.
@@ -196,11 +195,10 @@ pub struct RuleProfile {
     pub label: String,
     /// Plan family: `"seed"`, `"delta"`, or `"worklist"`.
     pub kind: String,
-    /// Join strategy the active join mode resolves this plan to:
-    /// `"merge"` (every probing step arranged), `"hash"` (every
-    /// probing step hash-indexed), `"mixed"`, or `"scan"` (no probing
-    /// steps). Mode-dependent — zeroed (emptied) by
-    /// [`EvalStats::invariants`].
+    /// Which probe structures this plan's probing steps run against:
+    /// `"merge"` (every one a sorted arrangement), `"hash"` (every one
+    /// a hash-prefix index), `"mixed"`, or `"scan"` (no probing
+    /// steps). Fixed by the arities of the relations the plan probes.
     pub join: String,
     /// Emissions this plan produced.
     pub emits: u64,
@@ -235,8 +233,8 @@ pub struct EvalStats {
     /// Tasks fanned over the worker pool (environmental — depends on
     /// the thread count and parallel thresholds).
     pub tasks_spawned: u64,
-    /// Iterations/batches that ran their plans in parallel
-    /// (environmental).
+    /// Rounds that ran their plans in parallel (environmental; the
+    /// frontier strategies run every batch inline and report 0).
     pub parallel_batches: u64,
     /// Whole-run work counters (thread-invariant).
     pub counters: Counters,
@@ -256,26 +254,20 @@ pub struct EvalStats {
 
 impl EvalStats {
     /// The invariant projection: a copy with every environmental field
-    /// (timers, thread count, fan-out counts, per-rule times) zeroed,
-    /// **and** every join-strategy attribution field zeroed — the
-    /// merge/hash split of `index_probes`, the spine-merge count, and
-    /// the per-rule `join` tag depend on the configured join mode the
-    /// way timers depend on the host, not on the program. Two runs of
-    /// the same program at different `DLO_ENGINE_THREADS` *or*
-    /// different join modes produce **equal** projections; the
-    /// determinism tests assert exactly that.
+    /// (timers, thread count, fan-out counts, per-rule times) zeroed.
+    /// Everything left — the merge/hash split of `index_probes`, the
+    /// spine-merge count and the per-rule `join` tag included — is a
+    /// function of the program and its input: two runs of the same
+    /// program at different `DLO_ENGINE_THREADS` produce **equal**
+    /// projections; the determinism tests assert exactly that.
     pub fn invariants(&self) -> EvalStats {
         let mut inv = self.clone();
         inv.threads = 0;
         inv.tasks_spawned = 0;
         inv.parallel_batches = 0;
         inv.phases = PhaseNanos::default();
-        inv.counters.merge_join_steps = 0;
-        inv.counters.hash_join_steps = 0;
-        inv.counters.arrange_batches_merged = 0;
         for r in &mut inv.rules {
             r.time_ns = 0;
-            r.join.clear();
         }
         inv
     }
@@ -1131,9 +1123,12 @@ mod tests {
         };
         stats.phases.eval = 999;
         stats.counters.emits = 17;
+        stats.counters.merge_join_steps = 5;
+        stats.counters.arrange_batches_merged = 2;
         stats.rules.push(RuleProfile {
             time_ns: 555,
             emits: 17,
+            join: "merge".into(),
             ..RuleProfile::default()
         });
         let inv = stats.invariants();
@@ -1142,6 +1137,10 @@ mod tests {
         assert_eq!(inv.phases, PhaseNanos::default());
         assert_eq!(inv.rules[0].time_ns, 0);
         assert_eq!(inv.counters.emits, 17);
+        // Probe attribution is a function of the program: kept.
+        assert_eq!(inv.counters.merge_join_steps, 5);
+        assert_eq!(inv.counters.arrange_batches_merged, 2);
+        assert_eq!(inv.rules[0].join, "merge");
         assert_eq!(inv.strategy, "worklist");
         assert_eq!(inv.steps, 3);
     }

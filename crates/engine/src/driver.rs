@@ -43,7 +43,7 @@ use crate::intern::Interner;
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 use crate::par;
 use crate::plan::{compile_demand, CompileError, CompiledProgram, Plan, Source};
-use crate::storage::{AccumMap, ColMask, ColumnRel, JoinMode};
+use crate::storage::{AccumMap, ColMask, ColumnRel};
 use crate::telemetry::Collector;
 use dlo_core::ast::Program;
 use dlo_core::eval::stats::EvalStats;
@@ -81,12 +81,12 @@ pub struct EngineOpts {
     /// snapshot (step numbers divisible by `k`). Long incremental runs
     /// would otherwise saturate the snapshot cap
     /// ([`dlo_core::eval::stats::ITER_SNAPSHOT_CAP`]) with early
-    /// iterations and drop the interesting tail. `None` reads
-    /// `DLO_STATS_SAMPLE`, defaulting to `1` (record every step).
-    /// Sampled-out steps count into `iterations_dropped`, `last_iter`
-    /// is always maintained, and an attached trace sink still streams
-    /// every iteration event. Results are never affected.
-    pub iter_sample: Option<usize>,
+    /// iterations and drop the interesting tail. The default `1`
+    /// records every step (and `0` is read as `1`). Sampled-out steps
+    /// count into `iterations_dropped`, `last_iter` is always
+    /// maintained, and an attached trace sink still streams every
+    /// iteration event. Results are never affected.
+    pub iter_sample: usize,
     /// Resource ceilings for the run (wall-clock deadline, step /
     /// emitted-row / minted-id budgets), checked once per phase on the
     /// coordinating thread. The default is unlimited — ungoverned runs
@@ -98,11 +98,6 @@ pub struct EngineOpts {
     /// next phase boundary with [`EvalError::Cancelled`]. `None` (the
     /// default) skips the poll entirely.
     pub cancel: Option<CancelToken>,
-    /// Join-strategy selection ([`JoinMode`]): `None` reads the
-    /// `DLO_JOIN` environment variable, falling back to
-    /// [`JoinMode::Auto`]. Purely a performance knob — every mode is
-    /// bit-identical (see the arrangement design note in [`crate`]).
-    pub join_mode: Option<JoinMode>,
 }
 
 impl Default for EngineOpts {
@@ -112,10 +107,9 @@ impl Default for EngineOpts {
             par_threshold: PAR_THRESHOLD,
             chunk_min: CHUNK_MIN,
             trace: None,
-            iter_sample: None,
+            iter_sample: 1,
             budget: EvalBudget::unlimited(),
             cancel: None,
-            join_mode: None,
         }
     }
 }
@@ -136,27 +130,6 @@ impl EngineOpts {
 
     pub(crate) fn effective_threads(&self) -> usize {
         self.threads.unwrap_or_else(par::max_threads).max(1)
-    }
-
-    /// Resolves the join mode: the explicit knob wins, then `DLO_JOIN`,
-    /// then [`JoinMode::Auto`].
-    pub(crate) fn effective_join_mode(&self) -> JoinMode {
-        self.join_mode
-            .or_else(JoinMode::from_env)
-            .unwrap_or_default()
-    }
-
-    /// Resolves the iteration-snapshot sampling stride: the explicit
-    /// knob wins, then `DLO_STATS_SAMPLE`, then `1` (every step).
-    pub(crate) fn effective_iter_sample(&self) -> u64 {
-        match self.iter_sample {
-            Some(k) => (k as u64).max(1),
-            None => std::env::var("DLO_STATS_SAMPLE")
-                .ok()
-                .and_then(|s| s.trim().parse::<u64>().ok())
-                .filter(|&k| k >= 1)
-                .unwrap_or(1),
-        }
     }
 }
 
@@ -192,11 +165,6 @@ pub(crate) struct Engine<P> {
     /// [`Engine::build_edb_indexes`] — deferred so the builds can fan
     /// out over the worker pool once the caller knows its thread count.
     pub(crate) edb_reqs: Vec<(Source, ColMask)>,
-    /// The resolved [`JoinMode`] for this run: every ensure site reads
-    /// it to pick hash indexes vs sorted arrangements. Fixed at
-    /// [`setup`] from [`EngineOpts::effective_join_mode`], before any
-    /// probe structure is built.
-    pub(crate) join_mode: JoinMode,
     /// The part of [`setup`] spent in the bulk loader ([`load_db`]),
     /// reported as [`PhaseNanos::load`](dlo_core::eval::stats::PhaseNanos)
     /// by the run [`Run::open`] starts next. A
@@ -253,7 +221,6 @@ pub(crate) fn setup<P: Pops>(
     pops_db: &Database<P>,
     bool_db: &BoolDatabase,
     set_valued: &[String],
-    join_mode: JoinMode,
 ) -> Result<Engine<P>, EvalError> {
     let mut interner = prev.map_or_else(Interner::new, |p| p.interner().clone());
     let t_load = Instant::now();
@@ -304,7 +271,6 @@ pub(crate) fn setup<P: Pops>(
         idb_new_masks,
         idb_delta_masks,
         edb_reqs,
-        join_mode,
         load_ns,
     };
     engine.refresh_adom();
@@ -376,12 +342,24 @@ impl<P: Pops> Engine<P> {
             .collect()
     }
 
+    /// Everything a plan run reads, over the IDB state in `state`.
+    fn ctx<'a>(&'a self, state: &'a IdbState<P>) -> EvalCtx<'a, P> {
+        EvalCtx {
+            interner: &self.interner,
+            adom: &self.adom,
+            pops_edb: &self.pops_edb,
+            bool_edb: &self.bool_edb,
+            idb_new: &state.new,
+            idb_changed: &state.changed,
+            idb_delta: &state.delta,
+        }
+    }
+
     /// `(first-step work estimate, chunkable)` for a plan against the
-    /// given IDB states — the shared input of [`chunk_tasks`] for both
-    /// the global driver and the frontier batch executor. A probe-driven
+    /// given IDB states — the input of [`chunk_tasks`]. A probe-driven
     /// first step gets a flat estimate (its candidate count is unknown
     /// until the key is assembled); an unindexed scan is chunkable.
-    pub(crate) fn step0_estimate(
+    fn step0_estimate(
         &self,
         plan: &Plan<P>,
         new: &[ColumnRel<P>],
@@ -405,9 +383,9 @@ impl<P: Pops> Engine<P> {
 
 /// Builds the parallel task list from per-plan first-step estimates: one
 /// task per plan, with chunkable scan-driven plans split into first-step
-/// row ranges. Shared by the global driver's iterations and the frontier
-/// drivers' batches so both paths fan out with one heuristic.
-pub(crate) fn chunk_tasks(
+/// row ranges of at least `chunk_min` rows (and never fewer than one: a
+/// caller-supplied `chunk_min` of 0 must not stall the split).
+fn chunk_tasks(
     estimates: &[(usize, bool)],
     threads: usize,
     chunk_min: usize,
@@ -415,7 +393,7 @@ pub(crate) fn chunk_tasks(
     let mut tasks: Vec<(usize, Option<(usize, usize)>)> = vec![];
     for (pi, &(est, chunkable)) in estimates.iter().enumerate() {
         if chunkable && est > 2 * chunk_min {
-            let chunk = (est / (threads * 4)).max(chunk_min);
+            let chunk = (est / (threads * 4)).max(chunk_min).max(1);
             let mut lo = 0;
             while lo < est {
                 tasks.push((pi, Some((lo, (lo + chunk).min(est)))));
@@ -472,16 +450,15 @@ impl<P: Pops + Send> Engine<P> {
                 }
             }
         }
-        let mode = self.join_mode;
         par::run_each(work, threads, |w| match w {
             Work::Pops(rel, masks) => {
                 for mask in masks {
-                    rel.ensure_probe_for(mask, mode);
+                    rel.ensure_probe(mask);
                 }
             }
             Work::Bool(rel, masks) => {
                 for mask in masks {
-                    rel.ensure_probe_for(mask, mode);
+                    rel.ensure_probe(mask);
                 }
             }
         })
@@ -489,21 +466,16 @@ impl<P: Pops + Send> Engine<P> {
     }
 }
 
-/// Ensures every probe structure in `masks` on `rel` under `mode`
-/// ([`ColumnRel::ensure_probe_for`]), reporting whether any of them
+/// Ensures every probe structure in `masks` on `rel`
+/// ([`ColumnRel::ensure_probe`]), reporting whether any of them
 /// dispatched to a sorted arrangement — callers attribute the loop's
 /// wall-clock to the `arrange` phase leg only when one did (an
 /// approximation: a mixed loop's hash builds ride along, but the legs
 /// are timing-only and never affect results).
-pub(crate) fn ensure_probes<P: Pops>(
-    rel: &mut ColumnRel<P>,
-    masks: &[u32],
-    mode: JoinMode,
-) -> bool {
+pub(crate) fn ensure_probes<P: Pops>(rel: &mut ColumnRel<P>, masks: &[u32]) -> bool {
     let mut arranged = false;
     for &mask in masks {
-        arranged |= mode.arranged(rel.arity(), mask);
-        rel.ensure_probe_for(mask, mode);
+        arranged |= rel.ensure_probe(mask);
     }
     arranged
 }
@@ -585,7 +557,7 @@ impl Run {
                 opts.effective_threads(),
                 setup_ns,
                 engine.load_ns,
-                engine.compiled.plan_metas_for(engine.join_mode),
+                engine.compiled.plan_metas(),
                 opts,
             ),
             gov: Governor::new(opts, setup_ns),
@@ -643,10 +615,10 @@ impl Run {
         }
         let mut arranged = false;
         for (rel, masks) in state.new.iter_mut().zip(&new_masks) {
-            arranged |= ensure_probes(rel, masks, engine.join_mode);
+            arranged |= ensure_probes(rel, masks);
         }
         for (rel, masks) in state.delta.iter_mut().zip(&delta_masks) {
-            arranged |= ensure_probes(rel, masks, engine.join_mode);
+            arranged |= ensure_probes(rel, masks);
         }
         if arranged {
             self.col
@@ -769,11 +741,52 @@ pub(crate) fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
         .collect()
 }
 
-/// Runs one phase's plans, fanning out when the estimated work warrants
-/// it. A panicking plan (sequential or parallel) is contained and
-/// surfaced as [`Abort::WorkerPanic`] — deterministically, because the
-/// lowest-indexed panicking task wins in the pool and the sequential
-/// path visits tasks in the same order.
+/// Runs `plans` in order on the calling thread — the one plan runner
+/// behind every schedule: the naïve and semi-naïve rounds below their
+/// fan-out threshold ([`run_plans`]) and every frontier batch
+/// ([`crate::worklist`]). A plan's interned emissions land in its head
+/// predicate's entry of `sinks` through `land` ([`AccumMap::merge`] for
+/// the rounds, an ordered buffer for the frontier), its fresh head keys
+/// in `fresh`, its counters in `col`. One unwind guard covers the list:
+/// the first panicking plan stops it, every earlier plan already
+/// accounted, and surfaces as [`Abort::WorkerPanic`].
+pub(crate) fn run_plans_inline<'p, P: Pops, S>(
+    engine: &Engine<P>,
+    state: &IdbState<P>,
+    plans: impl IntoIterator<Item = &'p Plan<P>>,
+    sinks: &mut [S],
+    land: impl Fn(&mut S, &[u32], P),
+    fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
+    col: &mut Collector,
+) -> Result<(), Abort> {
+    let ctx = engine.ctx(state);
+    catch_unwind(AssertUnwindSafe(|| {
+        for plan in plans {
+            let sink = &mut sinks[plan.head_pred];
+            let facc = &mut fresh[plan.head_pred];
+            let mut counters = ExecCounters::default();
+            let t = Instant::now();
+            run_plan(
+                plan,
+                &ctx,
+                None,
+                &mut counters,
+                &mut |key, v| land(sink, key, v),
+                &mut |key, v| merge_fresh(facc, key, v),
+            );
+            col.add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
+        }
+    }))
+    .map_err(|p| Abort::WorkerPanic {
+        message: par::payload_message(p),
+    })
+}
+
+/// Runs one round's plans into fresh accumulators, fanning out when the
+/// estimated work warrants it. A panicking plan (inline or in a worker)
+/// is contained and surfaced as [`Abort::WorkerPanic`] —
+/// deterministically, because the lowest-indexed panicking task wins in
+/// the pool and the inline path visits plans in the same order.
 pub(crate) fn run_plans<P>(
     engine: &Engine<P>,
     plans: &[Plan<P>],
@@ -785,15 +798,6 @@ where
     P: Pops + Send + Sync,
 {
     let nidb = engine.compiled.idbs.len();
-    let ctx = EvalCtx {
-        interner: &engine.interner,
-        adom: &engine.adom,
-        pops_edb: &engine.pops_edb,
-        bool_edb: &engine.bool_edb,
-        idb_new: &state.new,
-        idb_changed: &state.changed,
-        idb_delta: &state.delta,
-    };
     let mut global: Accum<P> = engine.empty_accums();
     let mut global_fresh: FreshAccum<P> = (0..nidb).map(|_| BTreeMap::new()).collect();
     let threads = opts.effective_threads();
@@ -804,29 +808,19 @@ where
     let total: usize = estimates.iter().map(|(e, _)| e).sum();
 
     if threads <= 1 || total < opts.par_threshold {
-        for plan in plans {
-            let acc = &mut global[plan.head_pred];
-            let facc = &mut global_fresh[plan.head_pred];
-            let mut counters = ExecCounters::default();
-            let t = Instant::now();
-            catch_unwind(AssertUnwindSafe(|| {
-                run_plan(
-                    plan,
-                    &ctx,
-                    None,
-                    &mut counters,
-                    &mut |key, v| acc.merge(key, v),
-                    &mut |key, v| merge_fresh(facc, key, v),
-                );
-            }))
-            .map_err(|p| Abort::WorkerPanic {
-                message: par::payload_message(p),
-            })?;
-            col.add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
-        }
+        run_plans_inline(
+            engine,
+            state,
+            plans,
+            &mut global,
+            AccumMap::merge,
+            &mut global_fresh,
+            col,
+        )?;
         return Ok((global, global_fresh));
     }
 
+    let ctx = engine.ctx(state);
     let tasks = chunk_tasks(&estimates, threads, opts.chunk_min);
     let results = par::run_indexed(tasks.len(), threads, |ti| {
         let (pi, range) = tasks[ti];
@@ -1136,8 +1130,7 @@ pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
     schedule: S,
     opts: &EngineOpts,
 ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
-    let mode = opts.effective_join_mode();
-    let engine = setup(program, prev, pops_db, bool_db, set_valued, mode).map_err(empty_aborted)?;
+    let engine = setup(program, prev, pops_db, bool_db, set_valued).map_err(empty_aborted)?;
     schedule.run(engine, cap, opts, started.elapsed().as_nanos() as u64)
 }
 
@@ -1195,7 +1188,7 @@ where
         let t_arr = Instant::now();
         let mut arranged = false;
         for (pred, rel) in next.iter_mut().enumerate() {
-            arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], engine.join_mode);
+            arranged |= ensure_probes(rel, &engine.idb_new_masks[pred]);
             // A wholesale replacement must not alias the replaced
             // relation's version (snapshot dirty tracking).
             rel.succeed_version(&state.new[pred]);
@@ -1342,13 +1335,12 @@ pub(crate) fn apply_contrib<P>(
     drain_arrange_merges(state, col);
 }
 
-/// Ensures the per-iteration delta's probe structures under the
-/// engine's resolved [`JoinMode`]; returns whether any dispatched to an
-/// arrangement (see [`ensure_probes`]).
+/// Ensures the per-iteration delta's probe structures; returns whether
+/// any dispatched to an arrangement (see [`ensure_probes`]).
 pub(crate) fn ensure_delta_indexes<P: Pops>(engine: &Engine<P>, state: &mut IdbState<P>) -> bool {
     let mut arranged = false;
     for (pred, rel) in state.delta.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &engine.idb_delta_masks[pred], engine.join_mode);
+        arranged |= ensure_probes(rel, &engine.idb_delta_masks[pred]);
     }
     arranged
 }

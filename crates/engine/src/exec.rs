@@ -88,7 +88,7 @@ impl ExecCounters {
 /// bulk-loaded without a row map ([`ColumnRel::from_distinct_rows`]),
 /// so the first such read builds it — inside the plan run, behind the
 /// relation's `OnceLock`, which is why a shared `&ColumnRel` suffices
-/// even when that first read happens in a parallel batch.
+/// even when that first read happens in a fanned-out round.
 pub struct EvalCtx<'a, P> {
     /// The (frozen) constant table.
     pub interner: &'a Interner,

@@ -301,8 +301,7 @@ where
         // (the EDB relations themselves come from `pops_edb` — `prev`
         // holds no relations), so constant ids minted by earlier epochs
         // stay stable across the recovery.
-        let join_mode = opts.effective_join_mode();
-        let engine = setup(&aug, prev, pops_edb, bool_edb, &[], join_mode)?;
+        let engine = setup(&aug, prev, pops_edb, bool_edb, &[])?;
         let original = |plans: &[Plan<P>], original: bool| -> Vec<Plan<P>> {
             plans
                 .iter()
@@ -667,7 +666,6 @@ where
     /// `⊕`-merge), and `⊕`-merges the rows into the live interned and
     /// classic relations. Returns the touched slot indexes.
     fn stage_insert(&mut self, batch: &[FactInsert<P>]) -> Vec<usize> {
-        let mode = self.engine.join_mode;
         let before_len = self.engine.interner.len();
         let mut per_slot: Vec<Vec<(Vec<u32>, P)>> = (0..self.slots.len()).map(|_| vec![]).collect();
         for f in batch {
@@ -708,13 +706,13 @@ where
             if let Some(oi) = old {
                 let mut snap = self.engine.pops_edb[cur].clone();
                 if let Some(rel) = snap.as_mut() {
-                    ensure_probes(rel, &self.pops_masks[oi], mode);
+                    ensure_probes(rel, &self.pops_masks[oi]);
                 }
                 self.engine.pops_edb[oi] = snap;
             }
             if let Some(di) = dlt {
                 let mut d = ColumnRel::new(arity);
-                ensure_probes(&mut d, &self.pops_masks[di], mode);
+                ensure_probes(&mut d, &self.pops_masks[di]);
                 for (key, v) in &rows {
                     d.merge(key, v.clone());
                 }
@@ -722,7 +720,7 @@ where
             }
             if self.engine.pops_edb[cur].is_none() {
                 let mut r = ColumnRel::new(arity);
-                ensure_probes(&mut r, &self.pops_masks[cur], mode);
+                ensure_probes(&mut r, &self.pops_masks[cur]);
                 self.engine.pops_edb[cur] = Some(r);
             }
             let live = self.engine.pops_edb[cur].as_mut().expect("just ensured");
@@ -741,7 +739,6 @@ where
     /// propagation runs against the pre-delete state. Returns the
     /// deleted interned keys per touched slot.
     fn stage_delete(&mut self, batch: &[FactDelete]) -> Vec<(usize, HashSet<Box<[u32]>>)> {
-        let mode = self.engine.join_mode;
         let mut per_slot: Vec<HashSet<Box<[u32]>>> =
             (0..self.slots.len()).map(|_| HashSet::new()).collect();
         for f in batch {
@@ -785,13 +782,13 @@ where
             if let Some(oi) = old {
                 let mut snap = self.engine.pops_edb[cur].clone();
                 if let Some(rel) = snap.as_mut() {
-                    ensure_probes(rel, &self.pops_masks[oi], mode);
+                    ensure_probes(rel, &self.pops_masks[oi]);
                 }
                 self.engine.pops_edb[oi] = snap;
             }
             if let Some(di) = dlt {
                 let mut d = ColumnRel::new(arity);
-                ensure_probes(&mut d, &self.pops_masks[di], mode);
+                ensure_probes(&mut d, &self.pops_masks[di]);
                 let live = self.engine.pops_edb[cur].as_ref().expect("checked present");
                 for (_, row, v) in live.iter() {
                     if keys.contains(row) {
@@ -823,12 +820,11 @@ where
 
     /// Rebuilds the live interned relations without the deleted rows.
     fn apply_edb_deletes(&mut self, staged: &[(usize, HashSet<Box<[u32]>>)]) {
-        let mode = self.engine.join_mode;
         for (si, keys) in staged {
             let (cur, arity) = (self.slots[*si].cur, self.slots[*si].arity);
             let old_rel = self.engine.pops_edb[cur].take().expect("staged ⇒ present");
             let mut next = ColumnRel::new(arity);
-            ensure_probes(&mut next, &self.pops_masks[cur], mode);
+            ensure_probes(&mut next, &self.pops_masks[cur]);
             for (_, row, v) in old_rel.iter() {
                 if !keys.contains(row) {
                     next.insert_row(row, v.clone());
@@ -900,7 +896,6 @@ where
     /// (the zero-out step; surviving rows keep their exact values and
     /// row order, so all downstream drains stay deterministic).
     fn retract_affected(&mut self, affected: &[HashSet<u32>]) {
-        let mode = self.engine.join_mode;
         for (pred, rows) in affected.iter().enumerate() {
             if rows.is_empty() {
                 continue;
@@ -908,7 +903,7 @@ where
             let arity = self.engine.compiled.idbs[pred].1;
             let old = std::mem::replace(&mut self.state.new[pred], ColumnRel::new(arity));
             let mut next = ColumnRel::new(arity);
-            ensure_probes(&mut next, &self.engine.idb_new_masks[pred], mode);
+            ensure_probes(&mut next, &self.engine.idb_new_masks[pred]);
             for (r, row, v) in old.iter() {
                 if !rows.contains(&r) {
                     next.insert_row(row, v.clone());
@@ -1094,39 +1089,40 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::JoinMode;
     use crate::worklist::Strategy;
     use dlo_core::parser::parse_program;
     use dlo_core::relation::Relation;
     use dlo_core::tup;
     use dlo_pops::Trop;
 
-    /// Two independent quadratic closures, so an edit on one EDB leaves
-    /// the other IDB provably untouched.
+    /// Two independent labelled quadratic closures, so an edit on one
+    /// EDB leaves the other IDB provably untouched — at arity 3, past
+    /// the packed-key width, so both IDBs are probed through sorted
+    /// arrangements.
     fn two_tc() -> (Program<Trop>, Database<Trop>) {
         let program = parse_program(
-            "P(X, Z) :- EP(X, Z) + P(X, Y) * P(Y, Z).\n\
-             Q(X, Z) :- EQ(X, Z) + Q(X, Y) * Q(Y, Z).",
+            "P(L, X, Z) :- EP(L, X, Z) + P(L, X, Y) * P(L, Y, Z).\n\
+             Q(L, X, Z) :- EQ(L, X, Z) + Q(L, X, Y) * Q(L, Y, Z).",
         )
         .unwrap();
         let mut edb = Database::new();
         edb.insert(
             "EP",
             Relation::from_pairs(
-                2,
+                3,
                 vec![
-                    (tup!["a", "b"], Trop::finite(1.0)),
-                    (tup!["b", "c"], Trop::finite(1.0)),
+                    (tup!["l", "a", "b"], Trop::finite(1.0)),
+                    (tup!["l", "b", "c"], Trop::finite(1.0)),
                 ],
             ),
         );
         edb.insert(
             "EQ",
             Relation::from_pairs(
-                2,
+                3,
                 vec![
-                    (tup!["x", "y"], Trop::finite(2.0)),
-                    (tup!["y", "z"], Trop::finite(2.0)),
+                    (tup!["l", "x", "y"], Trop::finite(2.0)),
+                    (tup!["l", "y", "z"], Trop::finite(2.0)),
                 ],
             ),
         );
@@ -1140,10 +1136,6 @@ mod tests {
     /// uncopied — while still folding the edit into `P`.
     #[test]
     fn edits_keep_untouched_relations_and_share_arrangement_batches() {
-        let opts = EngineOpts {
-            join_mode: Some(JoinMode::Merge),
-            ..EngineOpts::default()
-        };
         let (program, edb) = two_tc();
         let mut m = Materialization::new(
             &program,
@@ -1151,7 +1143,7 @@ mod tests {
             &BoolDatabase::new(),
             100_000,
             Strategy::Auto,
-            &opts,
+            &EngineOpts::default(),
         )
         .unwrap();
         let snap1 = m.output().clone();
@@ -1160,12 +1152,16 @@ mod tests {
         let ver_p = m.version_for("P");
         assert!(ver_q > 0, "Q was derived, so its version moved");
 
-        m.insert(&[FactInsert::new("EP", tup!["c", "d"], Trop::finite(1.0))])
-            .unwrap();
+        m.insert(&[FactInsert::new(
+            "EP",
+            tup!["l", "c", "d"],
+            Trop::finite(1.0),
+        )])
+        .unwrap();
         let snap2 = m.output().clone();
 
         // The edit reached P…
-        let ad = tup!["a", "d"];
+        let ad = tup!["l", "a", "d"];
         assert_eq!(m.get("P", &ad), Some(&Trop::finite(3.0)));
         assert_eq!(snap2.get("P", &ad), Some(&Trop::finite(3.0)));
         assert!(m.version_for("P") > ver_p, "P's storage was edited");
@@ -1173,13 +1169,13 @@ mod tests {
         assert_eq!(m.index_builds_for("Q"), builds_q, "Q index churn");
         assert_eq!(m.version_for("Q"), ver_q, "Q storage churn");
 
-        // The quadratic rule probes Q's own state, so under forced
-        // merge mode Q carries at least one sorted arrangement — and
-        // the two epoch snapshots share its spine batches by pointer.
+        // The quadratic rule probes Q's own state, and Q is wider than
+        // a packed key, so it carries at least one sorted arrangement —
+        // and the two epoch snapshots share its spine batches by pointer.
         let (q1, q2) = (snap1.relation("Q").unwrap(), snap2.relation("Q").unwrap());
-        let shared_mask = (1u32..4)
+        let shared_mask = (1u32..8)
             .find(|&mask| q1.arrangement_for(mask).is_some())
-            .expect("merge mode arranges Q's probe masks");
+            .expect("arity-3 probe masks are arranged");
         let (a1, a2) = (
             q1.arrangement_for(shared_mask).unwrap(),
             q2.arrangement_for(shared_mask).unwrap(),
@@ -1210,10 +1206,11 @@ mod tests {
         .unwrap();
         let ver_p = m.version_for("P");
         let ver_q = m.version_for("Q");
-        m.delete(&[FactDelete::new("EP", tup!["a", "b"])]).unwrap();
+        m.delete(&[FactDelete::new("EP", tup!["l", "a", "b"])])
+            .unwrap();
         assert!(m.version_for("P") > ver_p, "delete must move P's version");
         assert_eq!(m.version_for("Q"), ver_q, "Q untouched by the delete");
-        let (ab, bc) = (tup!["a", "b"], tup!["b", "c"]);
+        let (ab, bc) = (tup!["l", "a", "b"], tup!["l", "b", "c"]);
         assert_eq!(m.get("P", &ab), None);
         let snap = m.output();
         assert_eq!(snap.get("P", &ab), None);

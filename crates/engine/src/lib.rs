@@ -13,8 +13,8 @@
 //!   assembles the columns;
 //! * [`storage`] — relations carry lazily built **hash-prefix indexes**
 //!   per (relation, bound-column-set), maintained incrementally as the
-//!   monotone `new` state grows, plus **sorted columnar arrangements**
-//!   ([`arrange`]) where the planner prefers merge probes;
+//!   monotone `new` state grows, or **sorted columnar arrangements**
+//!   ([`arrange`]) on relations wider than a packed key (arity > 2);
 //! * [`plan`] — a **rule compiler** greedily orders each sum-product's
 //!   atoms by bound-variable coverage and resolves every argument to a
 //!   column operation (probe / bind / check) at compile time;
@@ -26,9 +26,7 @@
 //!   packed-`u64` head accumulators for arities ≤ 2;
 //! * [`worklist`] — the **frontier drivers**: FIFO generation worklist
 //!   and bucketed best-first priority scheduling, per-row change
-//!   propagation instead of global iterations, each frontier batch
-//!   fanned over the same worker pool with a deterministic
-//!   (task-index, emit-order) merge;
+//!   propagation instead of global iterations;
 //! * [`query`] — **demand-driven evaluation**: a `?- T("a", Y).` goal
 //!   is magic-set rewritten (`dlo_core::demand`) and evaluated by any
 //!   of the loops, with the frontier seeded from the query constants;
@@ -253,17 +251,22 @@
 //!
 //! **Determinism.** Arranged probes collect matching row ids across
 //! all batches and sort them ascending — exactly the order hash
-//! posting lists hold (built ascending, maintained by append) — so
-//! merge-mode and hash-mode evaluation visit rows identically and stay
-//! **bit-identical** on every POPS, including non-associative f64
-//! `⊕`-folds. [`JoinMode`] is therefore purely a performance knob:
-//! `Auto` (default) arranges relations of arity > 2 (where packed-u64
-//! hash keys give out and boxed-slice hashing dominates), `Merge` /
-//! `Hash` force either structure, resolved per run from
-//! [`EngineOpts::join_mode`] or the `DLO_JOIN` environment variable.
-//! `explain()` attributes the chosen strategy per rule, and the
-//! `merge_join_steps` / `hash_join_steps` counters always sum to
-//! `index_probes`.
+//! posting lists hold (built ascending, maintained by append) — so a
+//! plan visits rows identically through either structure and results
+//! are **bit-identical** on every POPS, including non-associative f64
+//! `⊕`-folds (a storage-level property test compares the two head to
+//! head on every mask of arities 1–5). Which one a relation gets is
+//! therefore a cost question only, and the engine answers it itself, by
+//! one rule in [`storage`]: a probe mask on a relation of **arity > 2**
+//! — where packed-`u64` hash keys give out and a hash index would box a
+//! key per row per mask — is served by an arrangement, everything
+//! narrower by a packed hash index ([`ColumnRel::ensure_probe`]). There
+//! is no option to set: `dlo_benchmark`'s `wide-lookup` runs all 4000
+//! of its probes on the arranged side of the rule and the other four
+//! workloads run all of theirs on the hash side. `explain()` attributes
+//! the structure per rule, the `merge_join_steps` / `hash_join_steps`
+//! counters always sum to `index_probes`, and all three are functions
+//! of the program and its input — [`EvalStats::invariants`] keeps them.
 //!
 //! [`Strategy`] is bounded over the union of what its loops need, with
 //! `Auto` resolving to the priority frontier — callers over `Trop`,
@@ -296,30 +299,42 @@
 //!
 //! The FIFO worklist drains **generations** (everything queued when the
 //! drain starts — Bellman-Ford rounds restricted to changed rows):
-//! batches are large enough to parallelize and per-batch overhead is
-//! amortized, which beats per-row pops on unique-path workloads, but on
+//! per-batch overhead is amortized over the generation, which beats
+//! per-row pops on unique-path workloads, but on
 //! re-improvement-heavy instances (the gradient graph) it inherits the
 //! synchronous Θ(n²) update count — there the priority frontier, which
 //! only ever fires settled rows, is the right discipline and is what
 //! `Auto` picks.
 //!
-//! ## Parallelism: every strategy, one worker pool
+//! ## Parallelism: the semi-naïve round and the index builds
 //!
-//! All three loops fan work over the scoped-thread pool in [`par`],
-//! capped by `DLO_ENGINE_THREADS` (set `1` to force sequential
-//! execution; the default is `std::thread::available_parallelism`) or
-//! per call via [`EngineOpts::threads`]. The semi-naïve loop
-//! parallelizes each global iteration; the frontier drivers parallelize
-//! each **batch** (a FIFO generation or a priority value bucket),
-//! splitting (settled-row × worklist-plan) work into chunked tasks, and
-//! fall back to the sequential inner loop when a batch's estimated
-//! first-step work is below [`EngineOpts::par_threshold`] — sparse
-//! frontiers never pay a spawn, nor a task list: such a batch only sums
-//! its plans' estimates. EDB index builds also fan out, one
-//! relation per task. In every case results are **bit-identical at any
-//! thread count**: tasks are merged in task order, emission order is
-//! independent of chunk boundaries, and interner ids are minted
-//! single-threaded between phases.
+//! Two things fan over the scoped-thread pool in [`par`], capped by
+//! `DLO_ENGINE_THREADS` (set `1` to force sequential execution; the
+//! default is `std::thread::available_parallelism`) or per call via
+//! [`EngineOpts::threads`]: the **semi-naïve (and naïve) round**, whose
+//! (plan × first-step row chunk) tasks join into private accumulators
+//! once the round's estimated first-step work reaches
+//! [`EngineOpts::par_threshold`], and the **EDB index builds**, one
+//! relation per task, under every schedule. The frontier drivers run
+//! each batch on the coordinating thread: their emissions are merged
+//! into the state serially either way, and fanning the joins in front
+//! of that merge measured no gain on the dense batches it fired on
+//! (`apsp-dense` shape, n = 500 / m = 2000, 2-core host: two threads
+//! took 1.03–1.05× the time of one under priority and 1.01–1.04× under
+//! FIFO in one session, 0.93–1.09× with a median of 1.08× in another)
+//! and never fired on sparse ones. Results are **bit-identical at any
+//! thread count**: tasks are merged in task order and interner ids are
+//! minted single-threaded between phases.
+//!
+//! ## Environment variables
+//!
+//! The engine reads two, both deployment settings rather than
+//! semantics:
+//!
+//! | variable | read by | effect |
+//! |---|---|---|
+//! | `DLO_ENGINE_THREADS` | [`par::max_threads`], when [`EngineOpts::threads`] is `None` | worker-thread cap (`1` = sequential) |
+//! | `DLO_TRACE` | every run, when [`EngineOpts::trace`] is `None` | path of a JSONL file trace events are appended to |
 //!
 //! ## Observability: stats on every outcome, traces on demand
 //!
@@ -532,5 +547,5 @@ pub use query::{
     engine_query_eval_interned_edb, engine_query_eval_with_opts, AbortedQuery, QueryAnswer,
 };
 pub use retry::{eval_with_retry, AttemptLog, RetryFailure, RetryPolicy, RetryReport};
-pub use storage::{ColumnRel, JoinMode};
+pub use storage::ColumnRel;
 pub use worklist::Strategy;

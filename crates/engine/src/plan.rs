@@ -27,7 +27,7 @@
 //! arities.
 
 use crate::intern::Interner;
-use crate::storage::{ColMask, JoinMode};
+use crate::storage::{probes_arranged, ColMask};
 use dlo_core::ast::{Atom, KeyFn, Program, Rule, SumProduct, Term, UnaryFn, Var};
 use dlo_core::formula::{CmpOp, Formula};
 use dlo_pops::Pops;
@@ -239,10 +239,8 @@ pub struct CompiledProgram<P> {
     /// the same value).
     ///
     /// The per-group order is fixed at compile time (rule order, then
-    /// occurrence order) and doubles as the **task order** of the
-    /// parallel frontier: a batch's plans are fired — inline or fanned
-    /// over the worker pool — in exactly this sequence, so the merged
-    /// emission stream is thread-count-invariant.
+    /// occurrence order): a batch's plans are fired in exactly this
+    /// sequence, which fixes the emission stream the frontier merges.
     ///
     /// Compiled unconditionally — even for runs that never fire them —
     /// because a `Plan` is a one-off microsecond compile artifact
@@ -269,9 +267,11 @@ pub struct PlanMeta {
     pub label: String,
     /// Plan family: `"seed"`, `"delta"`, or `"worklist"`.
     pub kind: &'static str,
-    /// Join strategy over the plan's probing steps under the resolved
-    /// [`JoinMode`]: `"merge"` (all probes arranged), `"hash"` (all
-    /// hash-indexed), `"mixed"`, or `"scan"` (no probing step at all).
+    /// Which probe structures the plan's probing steps run against
+    /// (decided per step by relation arity, see
+    /// [`ColumnRel::ensure_probe`](crate::ColumnRel::ensure_probe)):
+    /// `"merge"` (all arranged), `"hash"` (all hash-indexed),
+    /// `"mixed"`, or `"scan"` (no probing step at all).
     pub join: &'static str,
 }
 
@@ -283,17 +283,9 @@ impl<P: Pops> CompiledProgram<P> {
             + self.worklist_plans.iter().map(|g| g.len()).sum::<usize>()
     }
 
-    /// Per-plan telemetry metadata, ordered by [`Plan::pid`], with join
-    /// strategies attributed under the default [`JoinMode`]. Drivers
-    /// use [`Self::plan_metas_for`] with the mode they resolved.
+    /// Per-plan telemetry metadata, ordered by [`Plan::pid`] — what
+    /// `explain()` reports per rule, the merge-vs-hash tag included.
     pub fn plan_metas(&self) -> Vec<PlanMeta> {
-        self.plan_metas_for(JoinMode::default())
-    }
-
-    /// Per-plan telemetry metadata with each plan's join strategy
-    /// resolved under `mode` — the per-occurrence merge-vs-hash choice
-    /// `explain()` reports.
-    pub fn plan_metas_for(&self, mode: JoinMode) -> Vec<PlanMeta> {
         let mut metas = vec![
             PlanMeta {
                 rule_idx: 0,
@@ -308,7 +300,7 @@ impl<P: Pops> CompiledProgram<P> {
                 rule_idx: plan.rule_idx,
                 label: plan.label.clone(),
                 kind,
-                join: plan_join(plan, mode),
+                join: plan_join(plan),
             };
         };
         for plan in &self.seed_plans {
@@ -829,16 +821,16 @@ impl Compiler<'_> {
     }
 }
 
-/// The join-strategy tag of one plan under `mode`: what each probing
-/// step dispatches to, folded across steps.
-fn plan_join<P: Pops>(plan: &Plan<P>, mode: JoinMode) -> &'static str {
+/// The join-strategy tag of one plan: what each probing step
+/// dispatches to, folded across steps.
+fn plan_join<P: Pops>(plan: &Plan<P>) -> &'static str {
     let mut merge = 0usize;
     let mut hash = 0usize;
     for step in &plan.steps {
         if step.mask == 0 {
             continue;
         }
-        if mode.arranged(step.arity, step.mask) {
+        if probes_arranged(step.arity, step.mask) {
             merge += 1;
         } else {
             hash += 1;

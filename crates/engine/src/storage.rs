@@ -33,63 +33,28 @@ use std::sync::OnceLock;
 /// A column bitmask: bit `c` set ⇔ column `c` participates in the probe.
 pub type ColMask = u32;
 
-/// Which probe structure joins run through.
+/// The one rule for which probe structure serves `mask` on a relation of
+/// `arity`: a sorted arrangement ([`ColumnRel::ensure_arranged`]) where
+/// the packed-`u64` hash fast path gives out — `arity > 2` — and a
+/// packed hash-prefix index ([`ColumnRel::ensure_index`]) elsewhere;
+/// `mask = 0` is a full scan and needs neither. Called by
+/// [`ColumnRel::ensure_probe`] (what gets built, and so what the
+/// executor probes) and by the planner's `explain()` tags, nowhere else.
 ///
-/// Resolution order at evaluation entry:
-/// [`EngineOpts::join_mode`](crate::EngineOpts) if set, else the
-/// `DLO_JOIN` environment variable (`auto` / `merge` / `hash`), else
-/// [`JoinMode::Auto`]. All three modes are bit-identical — arranged
-/// probes return row ids in the same ascending order hash posting
-/// lists hold — so the choice is purely a performance knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum JoinMode {
-    /// Planner heuristic: sorted arrangements where the packed-`u64`
-    /// hash fast path gives out (arity > 2), hash indexes elsewhere.
-    #[default]
-    Auto,
-    /// Force sorted arrangements for every non-trivial probe mask.
-    Merge,
-    /// Force hash-prefix indexes everywhere (the pre-arrangement
-    /// engine).
-    Hash,
-}
-
-impl JoinMode {
-    /// Reads `DLO_JOIN` (`auto` / `merge` / `hash`, case-insensitive);
-    /// `None` when unset or unrecognized.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("DLO_JOIN")
-            .ok()?
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "auto" => Some(JoinMode::Auto),
-            "merge" => Some(JoinMode::Merge),
-            "hash" => Some(JoinMode::Hash),
-            _ => None,
-        }
-    }
-
-    /// Whether a probe through `mask` on a relation of `arity` runs
-    /// against a sorted arrangement (else a hash-prefix index).
-    /// `mask = 0` is a full scan and needs neither.
-    pub fn arranged(self, arity: usize, mask: ColMask) -> bool {
-        mask != 0
-            && match self {
-                JoinMode::Hash => false,
-                JoinMode::Merge => true,
-                JoinMode::Auto => arity > 2,
-            }
-    }
-
-    /// Short label for telemetry and bench reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            JoinMode::Auto => "auto",
-            JoinMode::Merge => "merge",
-            JoinMode::Hash => "hash",
-        }
-    }
+/// Both structures hand a probe the same row ids in the same ascending
+/// order, so the choice is cost only, and the benchmark has a workload
+/// on each side of it (`baseline.json`): `wide-lookup` — two lookups
+/// into a 300k-row arity-4 table, the one leg where arrangements
+/// measured ahead (two masks share one sort order, where a boxed-key
+/// hash index pays a `Box<[u32]>` and a hash insert per row per mask) —
+/// runs all of its probes against arrangements
+/// (`reported.merge_join_steps` 4000, `reported.hash_join_steps` 0);
+/// `apsp-dense` (arity 2) runs all of its probes against packed hash
+/// indexes (`hash_join_steps` = `index_probes` = 239 605,
+/// `merge_join_steps` 0), as do `sssp-sparse`, `point-query` and
+/// `live-edits`.
+pub(crate) fn probes_arranged(arity: usize, mask: ColMask) -> bool {
+    mask != 0 && arity > 2
 }
 
 /// Projects `row` onto the columns of `mask`, ascending.
@@ -348,7 +313,7 @@ impl<P: PreSemiring> AccumMap<P> {
 /// readers of a shared relation block on one build. Over an EDB exactly
 /// two kinds of reader ever ask: a Boolean guard atom in a rule
 /// condition (`exec::eval_cformula`, possibly first from inside a
-/// parallel batch) and a [`Materialization`](crate::Materialization)
+/// fanned-out round) and a [`Materialization`](crate::Materialization)
 /// edit (present-key checks and `⊕`-merges into the live relation). A
 /// from-scratch run of a program without guard atoms never builds it —
 /// for wide keys that is one `Box<[u32]>` and one hash insert per row
@@ -643,18 +608,10 @@ impl<P: Pops> ColumnRel<P> {
         self.arrangements.insert(mask, arr);
     }
 
-    /// Whether probes through `mask` can run against a sorted
-    /// arrangement (directly or via a shared prefix order).
-    pub fn has_arranged(&self, mask: ColMask) -> bool {
-        mask != 0
-            && (self.arrangements.contains_key(&mask)
-                || self.arrangements.values().any(|a| a.serves(mask)))
-    }
-
     /// Collects into `out` (cleared first) the row ids whose
     /// `mask`-projection equals `key`, **sorted ascending** — the same
     /// visit order the hash path's posting lists produce, which is what
-    /// keeps merge- and hash-mode evaluation bit-identical. The
+    /// makes the two structures interchangeable under a plan. The
     /// arrangement must have been built via [`Self::ensure_arranged`].
     pub fn probe_arranged(&self, mask: ColMask, key: &[u32], out: &mut Vec<u32>) {
         out.clear();
@@ -669,14 +626,19 @@ impl<P: Pops> ColumnRel<P> {
         }
     }
 
-    /// Builds whichever probe structure `mode` selects for `mask` —
-    /// the single ensure entry point the drivers call.
-    pub fn ensure_probe_for(&mut self, mask: ColMask, mode: JoinMode) {
-        if mode.arranged(self.arity, mask) {
+    /// Builds the probe structure joins through `mask` run against —
+    /// the single ensure entry point the drivers call: a sorted
+    /// arrangement when the relation's arity exceeds the packed-key
+    /// width of 2, a hash-prefix index otherwise. Returns whether it was
+    /// the arrangement (the drivers time those builds separately).
+    pub fn ensure_probe(&mut self, mask: ColMask) -> bool {
+        let arranged = probes_arranged(self.arity, mask);
+        if arranged {
             self.ensure_arranged(mask);
         } else {
             self.ensure_index(mask);
         }
+        arranged
     }
 
     /// Monotone count of index/arrangement builds over this relation's
@@ -831,27 +793,59 @@ mod tests {
         );
     }
 
+    /// The one head-to-head comparison of the two probe structures: on
+    /// random rows of every arity 1–5, through every non-zero mask, a
+    /// hash-index probe and an arranged probe return the same row ids
+    /// in the same (ascending) order — with the structures built before
+    /// any row exists, midway, and after the last, so seeding,
+    /// incremental maintenance and spine merges are all crossed.
     #[test]
-    fn arranged_probes_match_hash_probes_in_order() {
-        let mut rel = ColumnRel::<Trop>::new(3);
-        rel.ensure_index(0b011);
-        rel.ensure_arranged(0b011);
-        for r in 0..50u32 {
-            rel.insert_row(&[r % 4, r % 3, r], Trop::finite(r as f64));
-        }
+    fn arranged_probes_match_hash_probes_on_every_mask() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut rng = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
         let mut out = Vec::new();
-        for a in 0..4 {
-            for b in 0..3 {
-                rel.probe_arranged(0b011, &[a, b], &mut out);
-                assert_eq!(out.as_slice(), rel.probe(0b011, &[a, b]));
+        for arity in 1..=5usize {
+            let masks = 1..(1u32 << arity);
+            let mut rel = ColumnRel::<Trop>::new(arity);
+            // A third of the masks are registered up front, a third
+            // after 60 rows, the rest after all 120.
+            let build = |rel: &mut ColumnRel<Trop>, phase: u32| {
+                for mask in masks.clone().filter(|m| m % 3 == phase) {
+                    rel.ensure_index(mask);
+                    rel.ensure_arranged(mask);
+                }
+            };
+            build(&mut rel, 0);
+            for r in 0..120u32 {
+                if r == 60 {
+                    build(&mut rel, 1);
+                }
+                // Small domain: posting lists hold many rows.
+                let key: Vec<u32> = (0..arity).map(|_| (rng() % 4) as u32).collect();
+                if rel.rowid(&key).is_none() {
+                    rel.insert_row(&key, Trop::finite(r as f64));
+                }
             }
-        }
-        // Late build (after rows exist): bulk seed sees everything.
-        rel.ensure_arranged(0b100);
-        rel.ensure_index(0b100);
-        for v in 0..50 {
-            rel.probe_arranged(0b100, &[v], &mut out);
-            assert_eq!(out.as_slice(), rel.probe(0b100, &[v]));
+            build(&mut rel, 2);
+            assert!(rel.len() > 3, "arity {arity}: rows were stored");
+            for mask in masks {
+                let width = mask.count_ones() as usize;
+                for _ in 0..40 {
+                    // Values 0–4: some keys are absent by construction.
+                    let key: Vec<u32> = (0..width).map(|_| (rng() % 5) as u32).collect();
+                    rel.probe_arranged(mask, &key, &mut out);
+                    assert_eq!(
+                        out.as_slice(),
+                        rel.probe(mask, &key),
+                        "arity {arity}, mask {mask:#b}, key {key:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -863,8 +857,8 @@ mod tests {
         // {0} ascending is a prefix of the [0, 1, 2] order: no new build.
         rel.ensure_arranged(0b001);
         assert_eq!(rel.index_builds(), builds);
-        assert!(rel.has_arranged(0b001));
-        assert!(!rel.has_arranged(0b010));
+        assert!(rel.arrangement_for(0b001).is_some());
+        assert!(rel.arrangement_for(0b010).is_none());
         rel.insert_row(&[1, 2, 3], Trop::finite(1.0));
         rel.insert_row(&[1, 5, 4], Trop::finite(2.0));
         rel.insert_row(&[2, 2, 5], Trop::finite(3.0));
@@ -898,27 +892,17 @@ mod tests {
     }
 
     #[test]
-    fn join_mode_policy_and_env_parsing() {
-        assert!(!JoinMode::Auto.arranged(2, 0b01));
-        assert!(JoinMode::Auto.arranged(3, 0b01));
-        assert!(JoinMode::Merge.arranged(1, 0b1));
-        assert!(!JoinMode::Merge.arranged(4, 0));
-        assert!(!JoinMode::Hash.arranged(4, 0b1111));
-        assert_eq!(JoinMode::Merge.label(), "merge");
-    }
-
-    #[test]
-    fn ensure_probe_for_dispatches_on_mode() {
-        let mut rel = ColumnRel::<Trop>::new(3);
-        rel.ensure_probe_for(0b001, JoinMode::Hash);
-        assert!(!rel.has_arranged(0b001));
-        assert_eq!(rel.index_builds(), 1);
-        rel.ensure_probe_for(0b010, JoinMode::Auto); // arity 3 → arranged
-        assert!(rel.has_arranged(0b010));
-        assert_eq!(rel.index_builds(), 2);
+    fn ensure_probe_dispatches_on_arity() {
+        let mut wide = ColumnRel::<Trop>::new(3);
+        assert!(wide.ensure_probe(0b010), "arity 3 → arranged");
+        assert!(wide.arrangement_for(0b010).is_some());
+        assert_eq!(wide.index_builds(), 1);
+        assert!(!wide.ensure_probe(0), "a full scan needs no structure");
+        assert_eq!(wide.index_builds(), 1);
         let mut narrow = ColumnRel::<Trop>::new(2);
-        narrow.ensure_probe_for(0b01, JoinMode::Auto); // arity 2 → hash
-        assert!(!narrow.has_arranged(0b01));
+        assert!(!narrow.ensure_probe(0b01), "arity 2 → packed hash index");
+        assert!(narrow.arrangement_for(0b01).is_none());
+        assert_eq!(narrow.probe(0b01, &[7]), &[0u32; 0]);
     }
 
     #[test]

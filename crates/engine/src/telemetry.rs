@@ -36,8 +36,8 @@ pub(crate) struct Collector {
     per_plan: Vec<(ExecCounters, u64)>,
     metas: Vec<PlanMeta>,
     trace: Option<TraceHandle>,
-    /// Snapshot sampling stride from [`EngineOpts::iter_sample`] /
-    /// `DLO_STATS_SAMPLE`: only steps divisible by this are pushed into
+    /// Snapshot sampling stride from [`EngineOpts::iter_sample`] (at
+    /// least 1): only steps divisible by this are pushed into
     /// [`EvalStats::iterations`] (sampled-out steps count as dropped;
     /// `last_iter` and the trace stream always see every step).
     iter_sample: u64,
@@ -96,7 +96,7 @@ impl Collector {
             per_plan,
             metas,
             trace,
-            iter_sample: opts.effective_iter_sample(),
+            iter_sample: (opts.iter_sample as u64).max(1),
         }
     }
 

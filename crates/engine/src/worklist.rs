@@ -1,6 +1,5 @@
 //! Worklist and priority-frontier evaluation: per-row change propagation
-//! instead of global Δ iterations, with frontier batches fanned over the
-//! worker pool.
+//! instead of global Δ iterations.
 //!
 //! The semi-naïve loop in [`crate::driver`] re-runs every delta plan
 //! against the *whole* Δ relation each round, so a program whose
@@ -34,25 +33,20 @@
 //!   improved after being pushed) are skipped lazily by comparing the
 //!   bucket value against the row's current value.
 //!
-//! ## Parallel batches
+//! ## Batches run on the coordinating thread
 //!
-//! A frontier batch is an embarrassingly parallel unit: every row in it
-//! is already merged into `new` (the priority discipline even guarantees
-//! it is *settled*), the interner is frozen while plans run, and the
-//! per-occurrence plans only read state. So each batch's
-//! (settled-row × worklist-plan) work is partitioned into tasks — one
-//! per plan, with large Δ scans split into first-step row chunks exactly
-//! like [`crate::driver`]'s global loop — and fanned over the scoped
-//! worker pool of [`crate::par`]. Each task buffers its emissions in an
-//! ordered `EmitBuf`; the merge walks tasks **in task order** and
-//! appends, so the staged emission sequence is byte-for-byte the one the
-//! sequential inner loop produces and results are bit-identical at any
-//! `DLO_ENGINE_THREADS` (every stock absorptive dioid's `⊕` is exact, so
-//! association is immaterial; the task-order merge additionally pins the
-//! fold order per key). Batches whose estimated first-step work falls
-//! below [`crate::driver::EngineOpts::par_threshold`] run the sequential
-//! inner loop directly — sparse frontiers (the gradient workload pops
-//! 1–2 rows per batch) never pay a spawn.
+//! A batch's (row × worklist-plan) work only reads state, so it could
+//! be fanned over the worker pool like a semi-naïve round. It is not,
+//! because that never paid: sparse frontiers pop one to a few rows per
+//! batch and never reach a fan-out threshold, and on dense ones
+//! (`apsp-dense` under priority: some twenty batches of thousands of
+//! rows) two threads measured 0.93–1.09× the time of one, median
+//! 1.07×, the emissions being merged into `new` serially either way
+//! ([`crate`]'s parallelism section has the readings). So every
+//! batch runs its plans inline through `driver::run_plans_inline` —
+//! the same runner the round loops use below their own threshold —
+//! and a frontier run reports `parallel_batches = 0` at any thread
+//! count. Threads still build the EDB indexes before the first batch.
 //!
 //! ## What a batch costs
 //!
@@ -61,9 +55,8 @@
 //! number of *pending* buckets. One batch pays for: the pop (one B-tree
 //! descent, stale entries skipped by a value compare); marking and the
 //! governance checkpoint (a branch when ungoverned); staging the rows as Δ; the
-//! touched predicates' plans (inline under one unwind guard unless the
-//! summed first-step estimates reach the fan-out threshold — only then
-//! are the estimate and task lists built); merging the emissions (the
+//! touched predicates' plans (inline, under one unwind guard); merging
+//! the emissions (the
 //! mint clock is read only when a head key function produced fresh
 //! cells); and one stats row, whose queue depth is a count the queue
 //! maintains on push and pop. It used to be a walk over every pending
@@ -71,12 +64,12 @@
 //! most of its n batches: 10.6 µs per one-row bucket on `sssp-sparse`
 //! (n = 6000) against 0.8 µs now, `reported.eval_s` 63.5 ms → 4.7 ms.
 //! Most of that 0.8 µs is not this module's: ≈ 8 heap allocations per
-//! [`run_plan`] call for its scratch vectors, and the hash merge of
-//! each emission in `ColumnRel::merge_changed`. (The bucket's own `Vec`
-//! is one more allocation; recycling it, or replacing the buckets with
-//! one binary heap of entries, was measured and bought nothing on
-//! `sssp-sparse` — the heap cost `apsp-dense`, whose buckets hold
-//! thousands of rows, a quarter of its speed.)
+//! [`crate::exec::run_plan`] call for its scratch vectors, and the hash
+//! merge of each emission in `ColumnRel::merge_changed`. (The bucket's
+//! own `Vec` is one more allocation; recycling it, or replacing the
+//! buckets with one binary heap of entries, was measured and bought
+//! nothing on `sssp-sparse` — the heap cost `apsp-dense`, whose buckets
+//! hold thousands of rows, a quarter of its speed.)
 //!
 //! Both disciplines fire the per-occurrence plans of
 //! [`crate::plan::CompiledProgram::worklist_plans`]: the changed row is
@@ -100,22 +93,19 @@
 //! comparable across strategies; fixpoints are.
 
 use crate::driver::{
-    chunk_tasks, drain_arrange_merges, merge_fresh, mint_key, Engine, EngineOpts, IdbState,
-    LoopFail, RoundPlans, Rounds, Run, SemiNaive,
+    drain_arrange_merges, mint_key, run_plans_inline, Engine, EngineOpts, IdbState, LoopFail,
+    RoundPlans, Rounds, Run, SemiNaive,
 };
-use crate::exec::{run_plan, EvalCtx, ExecCounters, HeadVal};
-use crate::govern::{Abort, Checkpoint};
+use crate::exec::HeadVal;
+use crate::govern::Checkpoint;
 use crate::intern::Interner;
 use crate::output::{AbortedEval, InternedOutcome, SettledMark};
-use crate::par;
-use crate::plan::Plan;
 use crate::storage::ColumnRel;
 use crate::telemetry::Collector;
 use dlo_pops::{
     Absorptive, CompleteDistributiveDioid, NaturallyOrdered, Pops, TotallyOrderedDioid,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// The runtime-chosen [`Schedule`](crate::Schedule): which evaluation
@@ -164,7 +154,7 @@ trait Frontier<P: Pops> {
 /// queued when the drain starts. Rows are de-duplicated by an enqueued
 /// flag — a row improved twice between generations is processed once, at
 /// its newest value — so a batch never holds the same row twice (the
-/// delta-staging invariant) and each generation is a full parallel unit.
+/// delta-staging invariant).
 struct FifoFrontier {
     queue: VecDeque<(u32, u32)>,
     queued: Vec<Vec<bool>>,
@@ -320,15 +310,6 @@ impl<P> EmitBuf<P> {
         self.keys.extend_from_slice(key);
         self.vals.push(v);
     }
-
-    /// Appends another buffer's emissions (the parallel merge step:
-    /// task-local buffers are concatenated in task order, reproducing
-    /// the sequential emission sequence exactly).
-    fn append(&mut self, mut other: EmitBuf<P>) {
-        debug_assert_eq!(self.arity, other.arity, "buffers keyed per predicate");
-        self.keys.extend_from_slice(&other.keys);
-        self.vals.append(&mut other.vals);
-    }
 }
 
 /// Merges every buffered emission into `new`, minting interner ids for
@@ -428,111 +409,9 @@ fn apply_emissions<P: Pops, F: Frontier<P>>(
     col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
 }
 
-/// Runs a batch's plans (in the given order) against the frontier state,
-/// staging emissions into `bufs`/`fresh` in (task-index, emit-order).
-///
-/// Below `opts.par_threshold` estimated first-step rows the plans run
-/// inline; above it, (plan × row-chunk) tasks fan out over
-/// [`par::run_indexed`] and task-local buffers are concatenated in task
-/// order — chunks partition a plan's first-step candidates in row order,
-/// so the concatenation is exactly the sequential emission sequence and
-/// the staged state is independent of the thread count.
-fn run_frontier_plans<P>(
-    engine: &Engine<P>,
-    plans: &[&Plan<P>],
-    state: &IdbState<P>,
-    bufs: &mut [EmitBuf<P>],
-    fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
-    opts: &EngineOpts,
-    col: &mut Collector,
-) -> Result<(), Abort>
-where
-    P: Pops + Send + Sync,
-{
-    let ctx = EvalCtx {
-        interner: &engine.interner,
-        adom: &engine.adom,
-        pops_edb: &engine.pops_edb,
-        bool_edb: &engine.bool_edb,
-        idb_new: &state.new,
-        idb_changed: &state.changed,
-        idb_delta: &state.delta,
-    };
-    // First-step work estimates via the driver's shared fan-out
-    // heuristic (for a worklist plan, step 0 is the forced-first Δ
-    // occurrence; seed plans scan EDBs). The frontier fires thousands
-    // of (often one-row) batches per run, so a batch that stays inline
-    // only sums them — single-threaded runs skip even that — and the
-    // estimate and task lists are built when it fans out.
-    let threads = opts.effective_threads();
-    let estimate = |plan: &&Plan<P>| engine.step0_estimate(plan, &state.new, &state.delta);
-    let fan_out = threads > 1
-        && plans.iter().map(|plan| estimate(plan).0).sum::<usize>() >= opts.par_threshold;
-    if !fan_out {
-        // One unwind guard around the whole batch: the first panicking
-        // plan stops it, with every earlier plan already accounted.
-        return catch_unwind(AssertUnwindSafe(|| {
-            for plan in plans {
-                let buf = &mut bufs[plan.head_pred];
-                let facc = &mut fresh[plan.head_pred];
-                let mut counters = ExecCounters::default();
-                let t = Instant::now();
-                run_plan(
-                    plan,
-                    &ctx,
-                    None,
-                    &mut counters,
-                    &mut |key, v| buf.push(key, v),
-                    &mut |key, v| merge_fresh(facc, key, v),
-                );
-                col.add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
-            }
-        }))
-        .map_err(|p| Abort::WorkerPanic {
-            message: par::payload_message(p),
-        });
-    }
-
-    let estimates: Vec<(usize, bool)> = plans.iter().map(estimate).collect();
-    let tasks = chunk_tasks(&estimates, threads, opts.chunk_min);
-    let results = par::run_indexed(tasks.len(), threads, |ti| {
-        let (pi, range) = tasks[ti];
-        let plan = plans[pi];
-        let mut buf = EmitBuf::new(engine.compiled.idbs[plan.head_pred].1);
-        let mut local_fresh: BTreeMap<Box<[HeadVal]>, P> = BTreeMap::new();
-        let mut counters = ExecCounters::default();
-        let t = Instant::now();
-        run_plan(
-            plan,
-            &ctx,
-            range,
-            &mut counters,
-            &mut |key, v| buf.push(key, v),
-            &mut |key, v| merge_fresh(&mut local_fresh, key, v),
-        );
-        let nanos = t.elapsed().as_nanos() as u64;
-        (plan.pid, plan.head_pred, buf, local_fresh, counters, nanos)
-    })
-    .map_err(|message| Abort::WorkerPanic { message })?;
-    col.parallel_batch(tasks.len());
-    // Deterministic merge: `run_indexed` returns results in task order,
-    // and appends reproduce the sequential emission sequence (counter
-    // sums are additive over a plan's chunks, so they are too).
-    for (pid, pred, local, local_fresh, counters, nanos) in results {
-        col.add_plan(pid, counters, nanos);
-        bufs[pred].append(local);
-        let facc = &mut fresh[pred];
-        for (key, v) in local_fresh {
-            merge_fresh(facc, &key, v);
-        }
-    }
-    Ok(())
-}
-
 /// The frontier loop over a prepared [`Engine`]: seed with
 /// `J(1) = F(0)`, then drain the queue batch by batch, firing the
-/// per-occurrence worklist plans of every touched predicate — in
-/// parallel when the batch is dense enough.
+/// per-occurrence worklist plans of every touched predicate.
 ///
 /// On a demand-rewritten program ([`dlo_core::demand`]) the seed phase
 /// contributes exactly the magic seed fact — every other sum-product
@@ -557,7 +436,7 @@ where
     // worklist plans probe.
     let wreqs = engine.compiled.worklist_index_requirements();
     run.drive(engine, &wreqs, cap, opts, |engine, state, run| {
-        drain_frontier(engine, state, F::new(nidb), cap, opts, run)
+        drain_frontier(engine, state, F::new(nidb), cap, run)
     })
 }
 
@@ -571,11 +450,10 @@ fn drain_frontier<P, F>(
     state: &mut IdbState<P>,
     mut frontier: F,
     cap: usize,
-    opts: &EngineOpts,
     run: &mut Run,
 ) -> Result<usize, LoopFail>
 where
-    P: Pops + Send + Sync,
+    P: Pops,
     F: Frontier<P>,
 {
     let nidb = engine.compiled.idbs.len();
@@ -591,19 +469,16 @@ where
     // sum-products contribute, eq. 65) and enqueue every inserted row.
     run.check(0, Checkpoint::Phase)?;
     let seed_before = run.col.stats.counters;
-    {
-        let seed_plans: Vec<&Plan<P>> = engine.compiled.seed_plans.iter().collect();
-        run_frontier_plans(
-            engine,
-            &seed_plans,
-            state,
-            &mut bufs,
-            &mut fresh,
-            opts,
-            &mut run.col,
-        )
-        .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
-    }
+    run_plans_inline(
+        engine,
+        state,
+        &engine.compiled.seed_plans,
+        &mut bufs,
+        EmitBuf::push,
+        &mut fresh,
+        &mut run.col,
+    )
+    .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
     apply_emissions(
         &mut engine.interner,
         &mut state.new,
@@ -620,9 +495,6 @@ where
 
     let mut batch: Vec<(usize, u32)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
-    // Reused plan-list scratch: sparse frontiers process thousands of
-    // 1–2 row batches per run, so the loop body allocates nothing.
-    let mut batch_plans: Vec<&Plan<P>> = Vec::new();
     let mut steps = 0usize;
     loop {
         batch.clear();
@@ -656,19 +528,16 @@ where
             let val = state.new[pred].val(row).clone();
             state.delta[pred].append_row(state.new[pred].row(row), val);
         }
-        batch_plans.clear();
-        batch_plans.extend(
-            touched
-                .iter()
-                .flat_map(|&pred| engine.compiled.worklist_plans_for(pred).iter()),
-        );
-        run_frontier_plans(
+        let batch_plans = touched
+            .iter()
+            .flat_map(|&pred| engine.compiled.worklist_plans_for(pred));
+        run_plans_inline(
             engine,
-            &batch_plans,
             state,
+            batch_plans,
             &mut bufs,
+            EmitBuf::push,
             &mut fresh,
-            opts,
             &mut run.col,
         )
         .map_err(LoopFail::at(F::CHECKPOINT, steps))?;
@@ -703,10 +572,9 @@ where
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
 
-    /// Every strategy is multi-threaded: the semi-naïve loop fans
-    /// (plan × row-chunk) tasks per global iteration, and the frontier
-    /// drivers fan the same task shape per batch (with the adaptive
-    /// sequential fallback for sparse batches).
+    /// Only the semi-naïve loop fans its rounds over the worker pool
+    /// ((plan × row-chunk) tasks per global iteration); the frontiers
+    /// run every batch on the coordinating thread (module docs).
     fn run(
         self,
         engine: Engine<P>,
@@ -752,20 +620,9 @@ mod tests {
     use dlo_core::tup;
     use dlo_pops::{MaxMin, MinNat, PreSemiring, Trop};
 
-    /// Tuning that forces the parallel batch path even on tiny batches.
-    fn forced_parallel() -> EngineOpts {
-        EngineOpts {
-            threads: Some(4),
-            par_threshold: 1,
-            chunk_min: 2,
-            ..EngineOpts::default()
-        }
-    }
-
-    /// Both frontier strategies and the forced-strategy dispatcher agree
-    /// with the relational reference on output databases — and the
-    /// forced-parallel frontier runs are bit-identical to the sequential
-    /// ones, including step counts.
+    /// Every [`Strategy`] agrees with the relational reference on
+    /// output databases — the dispatcher's semi-naïve arm also with its
+    /// round fan-out forced (threshold 1, tiny chunks, 4 workers).
     fn assert_frontier_matches_relational<P>(
         program: &Program<P>,
         pops: &Database<P>,
@@ -780,31 +637,30 @@ mod tests {
             + Sync,
     {
         let reference = relational_seminaive_eval(program, pops, bools, 100_000).unwrap();
-        let fifo = eval(program, pops, bools, 1_000_000, Strategy::Worklist).unwrap();
-        let prio = eval(program, pops, bools, 1_000_000, Strategy::Priority).unwrap();
-        assert_eq!(reference, fifo, "FIFO worklist differs from relational");
-        assert_eq!(reference, prio, "priority frontier differs from relational");
         for strategy in [
             Strategy::Auto,
             Strategy::SemiNaive,
             Strategy::Worklist,
             Strategy::Priority,
         ] {
-            let seq = eval(program, pops, bools, 1_000_000, strategy);
-            let par = eval_with(
-                program,
-                pops,
-                bools,
-                1_000_000,
-                strategy,
-                &forced_parallel(),
-            );
-            assert_eq!(
-                seq, par,
-                "{strategy:?} differs between sequential and forced-parallel"
-            );
-            assert_eq!(reference, seq.unwrap(), "{strategy:?} differs");
+            let got = eval(program, pops, bools, 1_000_000, strategy).unwrap();
+            assert_eq!(reference, got, "{strategy:?} differs from relational");
         }
+        let forced = EngineOpts {
+            threads: Some(4),
+            par_threshold: 1,
+            chunk_min: 2,
+            ..EngineOpts::default()
+        };
+        let fanned = eval_with(
+            program,
+            pops,
+            bools,
+            1_000_000,
+            Strategy::SemiNaive,
+            &forced,
+        );
+        assert_eq!(reference, fanned.unwrap(), "forced fan-out differs");
         reference
     }
 
@@ -946,7 +802,7 @@ mod tests {
     /// `[delta_rows, queue_depth, emits, inserted, improved, absorbed]`
     /// — and to the stored order of `pred`'s rows (insertion order, so
     /// it moves if a bucket hands its rows over in another order), at
-    /// every thread count and with the fan-out forced.
+    /// 1, 2 and 4 threads.
     fn assert_batches_pinned(
         program: &Program<Trop>,
         edb: &Database<Trop>,
@@ -954,19 +810,10 @@ mod tests {
         pred: &str,
         golden_order: &[&str],
     ) {
-        let sequential = |threads| EngineOpts {
-            threads: Some(threads),
-            ..EngineOpts::default()
-        };
-        for opts in [
-            sequential(1),
-            sequential(2),
-            sequential(4),
-            forced_parallel(),
-        ] {
+        for threads in [1, 2, 4] {
             let opts = EngineOpts {
-                iter_sample: Some(1),
-                ..opts
+                threads: Some(threads),
+                ..EngineOpts::default()
             };
             let out = engine_eval_interned(
                 program,
@@ -1120,7 +967,7 @@ mod tests {
     fn unbounded_minting_diverges_under_the_cap() {
         // N(i+1) :- N(i) with no guard: the active domain grows forever.
         // Both disciplines must hit the cap and report divergence, like
-        // the global backends do — sequential and forced-parallel alike.
+        // the global backends do.
         let mut p = Program::<MinNat>::new();
         p.rule(
             Atom::new("N", vec![Term::c(0)]),
@@ -1135,18 +982,8 @@ mod tests {
         );
         let pops = Database::new();
         let bools = BoolDatabase::new();
-        let seq = eval(&p, &pops, &bools, 25, Strategy::Worklist);
-        assert!(!seq.is_converged());
+        assert!(!eval(&p, &pops, &bools, 25, Strategy::Worklist).is_converged());
         assert!(!eval(&p, &pops, &bools, 25, Strategy::Priority).is_converged());
-        let par = eval_with(
-            &p,
-            &pops,
-            &bools,
-            25,
-            Strategy::Worklist,
-            &forced_parallel(),
-        );
-        assert_eq!(seq, par, "capped divergence must be thread-invariant");
     }
 
     #[test]
@@ -1258,11 +1095,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_frontier_is_bit_identical_across_thread_counts() {
-        // The dense random TC instance again, this time comparing full
-        // outcomes (fixpoint AND batch counts) across thread counts with
-        // the fan-out forced — chunk boundaries must not leak into the
-        // staged emission order.
+    fn frontier_is_bit_identical_across_thread_counts() {
+        // The dense random TC instance again, comparing full outcomes
+        // (fixpoint, batch counts and every deterministic counter)
+        // across thread counts: threads only build the EDB indexes
+        // under a frontier, and no batch fans out.
         let mut rng = xorshift(0xabcd);
         let mut pairs = vec![];
         for _ in 0..300 {
@@ -1280,29 +1117,26 @@ mod tests {
         let program = ex::apsp_program::<Trop>();
         let bools = BoolDatabase::new();
         for strategy in [Strategy::Worklist, Strategy::Priority] {
-            let baseline = eval_with(
-                &program,
-                &edb,
-                &bools,
-                10_000_000,
-                strategy,
-                &EngineOpts {
-                    threads: Some(1),
-                    ..EngineOpts::default()
-                },
-            );
-            for threads in [2, 4] {
+            let at = |threads| {
                 let opts = EngineOpts {
                     threads: Some(threads),
-                    par_threshold: 1,
-                    chunk_min: 2,
                     ..EngineOpts::default()
                 };
-                let got = eval_with(&program, &edb, &bools, 10_000_000, strategy, &opts);
+                eval_with(&program, &edb, &bools, 10_000_000, strategy, &opts)
+            };
+            let baseline = at(1);
+            for threads in [2, 4] {
+                let got = at(threads);
                 assert_eq!(
                     baseline, got,
                     "{strategy:?} at {threads} threads differs from single-threaded"
                 );
+                assert_eq!(
+                    baseline.stats().invariants(),
+                    got.stats().invariants(),
+                    "{strategy:?} at {threads} threads: counters"
+                );
+                assert_eq!(got.stats().parallel_batches, 0, "{strategy:?} fanned out");
             }
         }
     }

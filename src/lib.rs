@@ -41,9 +41,9 @@ pub use dlo_engine::{
     engine_eval_interned, engine_eval_interned_edb, engine_query_eval_interned_edb,
     engine_query_eval_with_opts, eval_with_retry, AbortedEval, AbortedQuery, AttemptLog,
     BudgetClass, BudgetKind, CancelToken, EngineOpts, EvalBudget, EvalError, EvalStats,
-    InternedOutcome, InternedOutput, JoinMode, JsonlSink, Materialization, MemorySink, Naive,
-    PartialOutput, QueryAnswer, RetryFailure, RetryPolicy, RetryReport, RuleProfile, Schedule,
-    SemiNaive, SettledMark, Strategy, TraceEvent, TraceHandle, TraceSink,
+    InternedOutcome, InternedOutput, JsonlSink, Materialization, MemorySink, Naive, PartialOutput,
+    QueryAnswer, RetryFailure, RetryPolicy, RetryReport, RuleProfile, Schedule, SemiNaive,
+    SettledMark, Strategy, TraceEvent, TraceHandle, TraceSink,
 };
 
 /// Evaluates a program with the **default backend**: the execution

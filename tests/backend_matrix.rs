@@ -1,13 +1,13 @@
 //! The backend matrix: every oracle scenario from `paper_examples.rs`
 //! and `textual_programs.rs` pushed through **all three** backends —
 //! grounded naive, relational (naive + semi-naive), and the execution
-//! engine (naive + parallel semi-naive + FIFO generation worklist +
-//! priority frontier, the frontier strategies both sequential and with
-//! the parallel batch path forced) — asserting identical output
-//! databases. `cross_engine.rs` spot-checks a subset against external
-//! oracles; this file is the exhaustive pairwise-agreement sweep, and
-//! since the engine lost its head-key-function fallback it proves the
-//! fast backend really is total over the language.
+//! engine (naive + semi-naive, inline and with the round fan-out
+//! forced, + FIFO generation worklist + priority frontier) — asserting
+//! identical output databases. `cross_engine.rs` spot-checks a subset
+//! against external oracles; this file is the exhaustive
+//! pairwise-agreement sweep, and since the engine lost its
+//! head-key-function fallback it proves the fast backend really is
+//! total over the language.
 //!
 //! Scenarios whose paper POPS is not naturally ordered (the lifted reals
 //! of Ex. 4.2, `THREE` of Sec. 7) cannot run on the relational/engine
@@ -30,7 +30,7 @@ use datalog_o::pops::{
     TotallyOrderedDioid, Trop, TropP,
 };
 use datalog_o::{
-    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, EvalBudget, EvalStats, JoinMode,
+    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, EvalBudget, EvalStats,
     Materialization, Naive, Schedule, SemiNaive, Strategy,
 };
 
@@ -50,8 +50,9 @@ fn run<P: Pops, S: Schedule<P>>(
         .materialize()
 }
 
-/// Tuning that forces the frontier drivers' parallel batch path even on
-/// single-row batches (4 workers, fan-out threshold 1).
+/// Tuning that forces the round loops' fan-out even on single-row
+/// rounds (4 workers, fan-out threshold 1). The frontier strategies run
+/// every batch inline whatever these say.
 fn forced_parallel() -> EngineOpts {
     EngineOpts {
         threads: Some(4),
@@ -91,12 +92,12 @@ fn assert_same_db<P: datalog_o::pops::Pops>(
     }
 }
 
-/// The full nine-leg matrix: grounded naive, relational
-/// naive/semi-naive, engine naive/semi-naive, the engine's two frontier
-/// strategies (FIFO generation worklist and bucketed priority), and
-/// both frontier strategies again with the parallel batch path forced
-/// (4 workers, fan-out threshold 1 — every batch fans out, however
-/// small). Every `all` scenario runs over a totally ordered absorptive
+/// The full eight-leg matrix: grounded naive, relational
+/// naive/semi-naive, engine naive/semi-naive, semi-naive again with the
+/// round fan-out forced (4 workers, fan-out threshold 1 — every round
+/// fans out, however small), and the engine's two frontier strategies
+/// (FIFO generation worklist and bucketed priority). Every `all`
+/// scenario runs over a totally ordered absorptive
 /// dioid (`Trop`, `MinNat`, `𝔹`), so the frontier legs apply; POPS
 /// without those markers use [`assert_matrix_naive`] below.
 fn assert_matrix_all<P>(
@@ -115,7 +116,7 @@ fn assert_matrix_all<P>(
     assert_bulk_load_bit_identical(scenario, program, pops, bools);
     let forced_parallel = forced_parallel();
     let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
-    let legs: [(&str, Database<P>); 8] = [
+    let legs: [(&str, Database<P>); 7] = [
         (
             "relational naive",
             relational_naive_eval(program, pops, bools, CAP).unwrap(),
@@ -131,6 +132,10 @@ fn assert_matrix_all<P>(
         (
             "engine semi-naive",
             run(program, pops, bools, CAP, SemiNaive, &EngineOpts::default()).unwrap(),
+        ),
+        (
+            "engine semi-naive (fanned out)",
+            run(program, pops, bools, CAP, SemiNaive, &forced_parallel).unwrap(),
         ),
         (
             "engine worklist",
@@ -156,59 +161,9 @@ fn assert_matrix_all<P>(
             )
             .unwrap(),
         ),
-        (
-            "engine worklist (parallel)",
-            run(
-                program,
-                pops,
-                bools,
-                CAP,
-                Strategy::Worklist,
-                &forced_parallel,
-            )
-            .unwrap(),
-        ),
-        (
-            "engine priority (parallel)",
-            run(
-                program,
-                pops,
-                bools,
-                CAP,
-                Strategy::Priority,
-                &forced_parallel,
-            )
-            .unwrap(),
-        ),
     ];
     for (backend, got) in &legs {
         assert_same_db(scenario, backend, &grounded, got);
-    }
-    // Join-strategy legs: merge joins forced on and forced off must
-    // both be bit-identical to the planner-auto legs above (and the
-    // grounded oracle) on every dioid strategy — the join mode is a
-    // performance knob, never a semantics knob.
-    for mode in [JoinMode::Merge, JoinMode::Hash] {
-        let opts = EngineOpts {
-            join_mode: Some(mode),
-            ..EngineOpts::default()
-        };
-        for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-            let got = run(program, pops, bools, CAP, strategy, &opts).unwrap();
-            assert_same_db(
-                scenario,
-                &format!("engine {strategy:?} ({} join)", mode.label()),
-                &grounded,
-                &got,
-            );
-        }
-        let naive = run(program, pops, bools, CAP, Naive, &opts).unwrap();
-        assert_same_db(
-            scenario,
-            &format!("engine naive ({} join)", mode.label()),
-            &grounded,
-            &naive,
-        );
     }
     assert_loop_parity(scenario, program, pops, bools, Naive, 0);
     assert_loop_parity(scenario, program, pops, bools, SemiNaive, 1);
@@ -230,19 +185,6 @@ fn assert_matrix_naive<P>(
     let eng = run(program, pops, bools, CAP, Naive, &EngineOpts::default()).unwrap();
     assert_same_db(scenario, "relational naive", &grounded, &rel);
     assert_same_db(scenario, "engine naive", &grounded, &eng);
-    for mode in [JoinMode::Merge, JoinMode::Hash] {
-        let opts = EngineOpts {
-            join_mode: Some(mode),
-            ..EngineOpts::default()
-        };
-        let got = run(program, pops, bools, CAP, Naive, &opts).unwrap();
-        assert_same_db(
-            scenario,
-            &format!("engine naive ({} join)", mode.label()),
-            &grounded,
-            &got,
-        );
-    }
     assert_loop_parity(scenario, program, pops, bools, Naive, 0);
 }
 
@@ -328,7 +270,7 @@ fn assert_bulk_load_bit_identical<P: NaturallyOrdered + Send + Sync>(
     }
 }
 
-/// One `#[test]` per oracle scenario. `all` runs the nine-leg matrix,
+/// One `#[test]` per oracle scenario. `all` runs the eight-leg matrix,
 /// `naive` the three naive legs; the block must evaluate to
 /// `(Program<P>, Database<P>, BoolDatabase)`.
 macro_rules! backend_matrix {
@@ -627,10 +569,10 @@ fn bulk_load_bit_identical_on_wide_mixed_constants() {
 /// Guard atoms are the one place a plan run reads an EDB relation by
 /// full key, and EDB relations are bulk-loaded without their row map:
 /// the first candidate valuation to reach the guard builds it — inside
-/// a parallel batch when the run fans out. Guards over a unary (packed
+/// a parallel round when the run fans out. Guards over a unary (packed
 /// key) and a ternary (boxed key) Boolean relation, every schedule, at
-/// 1, 2 and 4 workers with every batch forced to fan out, against the
-/// grounded reference.
+/// 1, 2 and 4 workers with every naïve and semi-naïve round forced to
+/// fan out, against the grounded reference.
 #[test]
 fn guard_atoms_read_bulk_loaded_relations_by_key() {
     let src = "T(X, Y) :- E(X, Y) | Node(X) && Open(X, Y, day).\n\
@@ -689,24 +631,28 @@ fn guard_atoms_read_bulk_loaded_relations_by_key() {
         "the guards must leave a non-trivial closure"
     );
     for threads in [1, 2, 4] {
-        let opts = EngineOpts {
+        let fanned = EngineOpts {
             threads: Some(threads),
             ..forced_parallel()
         };
-        let scenario = format!("guarded closure, {threads} forced-fan-out workers");
+        let inline = EngineOpts {
+            threads: Some(threads),
+            ..EngineOpts::default()
+        };
+        let scenario = format!("guarded closure, {threads} workers");
         let legs = [
-            ("naive", run(&program, &pops, &bools, CAP, Naive, &opts)),
+            ("naive", run(&program, &pops, &bools, CAP, Naive, &fanned)),
             (
                 "semi-naive",
-                run(&program, &pops, &bools, CAP, SemiNaive, &opts),
+                run(&program, &pops, &bools, CAP, SemiNaive, &fanned),
             ),
             (
                 "worklist",
-                run(&program, &pops, &bools, CAP, Strategy::Worklist, &opts),
+                run(&program, &pops, &bools, CAP, Strategy::Worklist, &inline),
             ),
             (
                 "priority",
-                run(&program, &pops, &bools, CAP, Strategy::Priority, &opts),
+                run(&program, &pops, &bools, CAP, Strategy::Priority, &inline),
             ),
         ];
         for (leg, got) in legs {
@@ -716,7 +662,7 @@ fn guard_atoms_read_bulk_loaded_relations_by_key() {
 }
 
 /// The demand legs: `engine_query_eval_with_opts` under every schedule —
-/// sequential and with the parallel batch path forced — must return
+/// the semi-naïve rounds also with their fan-out forced — must return
 /// exactly the query-restriction of the grounded reference's full
 /// fixpoint, and every row of the demanded support must be value-exact
 /// against it (magic sets never under- or over-derive a demanded row).
@@ -741,10 +687,9 @@ fn assert_query_matrix<P>(
     let defaults = EngineOpts::default();
     let legs: Vec<(String, datalog_o::QueryAnswer<P>)> = [
         (Strategy::SemiNaive, &defaults),
+        (Strategy::SemiNaive, &forced),
         (Strategy::Worklist, &defaults),
         (Strategy::Priority, &defaults),
-        (Strategy::Worklist, &forced),
-        (Strategy::Priority, &forced),
     ]
     .into_iter()
     .map(|(strategy, opts)| {
@@ -995,8 +940,7 @@ fn divergence_agreement_unbounded_head_minting() {
     const SMALL_CAP: usize = 25;
     let pops = Database::new();
     let bools = BoolDatabase::new();
-    let forced_parallel = forced_parallel();
-    let legs: [(&str, datalog_o::core::EvalOutcome<MinNat>); 6] = [
+    let legs: [(&str, datalog_o::core::EvalOutcome<MinNat>); 4] = [
         (
             "relational semi-naive",
             relational_seminaive_eval(&p, &pops, &bools, SMALL_CAP),
@@ -1014,8 +958,7 @@ fn divergence_agreement_unbounded_head_minting() {
         ),
         // The frontier drivers cap *batches* rather than global
         // iterations, but unbounded minting must still surface as the
-        // same capped divergence, cap named in the diagnostic — with
-        // the parallel batch path forced too.
+        // same capped divergence, cap named in the diagnostic.
         (
             "engine worklist",
             run(
@@ -1036,28 +979,6 @@ fn divergence_agreement_unbounded_head_minting() {
                 SMALL_CAP,
                 Strategy::Priority,
                 &EngineOpts::default(),
-            ),
-        ),
-        (
-            "engine worklist (parallel)",
-            run(
-                &p,
-                &pops,
-                &bools,
-                SMALL_CAP,
-                Strategy::Worklist,
-                &forced_parallel,
-            ),
-        ),
-        (
-            "engine priority (parallel)",
-            run(
-                &p,
-                &pops,
-                &bools,
-                SMALL_CAP,
-                Strategy::Priority,
-                &forced_parallel,
             ),
         ),
     ];
@@ -1395,9 +1316,11 @@ fn incremental_leg_company_control_share_sale() {
 /// (fan-out forced) they produce the same interned rows in the same
 /// order, the same interner, and equal `EvalStats::invariants()` — up
 /// to what names the run: the stats label, the all-zero profile rows of
-/// the `@dlt` variant plans only a handle compiles, and the one count
-/// the semi-naïve from-scratch driver adds for the iteration that finds
-/// δ empty (`steps_over_rounds`, mirroring the relational backend).
+/// the `@dlt` variant plans only a handle compiles, the spine merges of
+/// the IDB arrangements only those plans probe (a handle keeps them
+/// maintained for the edits to come), and the one count the semi-naïve
+/// from-scratch driver adds for the iteration that finds δ empty
+/// (`steps_over_rounds`, mirroring the relational backend).
 fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
     scenario: &str,
     program: &Program<P>,
@@ -1409,6 +1332,7 @@ fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
     let unnamed = |stats: &EvalStats, extra_steps: u64| {
         let mut inv = stats.invariants();
         inv.strategy.clear();
+        inv.counters.arrange_batches_merged = 0;
         inv.steps += extra_steps;
         inv.rules
             .retain(|r| (r.rule as usize) < program.rules.len());
@@ -1450,122 +1374,46 @@ fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
     }
 }
 
-/// The tentpole invariance sweep: forced merge joins, forced hash
-/// joins, and planner-auto are bit-identical to the grounded oracle at
-/// 1, 2, and 4 threads on every dioid strategy; the deterministic
-/// counters are thread-invariant within each (strategy, mode); each
-/// forced mode actually takes its path; and the two join counters
-/// always partition `index_probes`.
-#[test]
-fn join_modes_bit_identical_across_threads() {
-    let (program, pops) = stats_workload();
+/// The wide-key regimes the arrangements exist for, as full matrix
+/// scenarios — the arity-4 labelled closure (recursive IDB, three-column
+/// probe) and the wide fact lookup (two masks sharing one sort order) —
+/// and, under every engine schedule, every probe routed through a
+/// sorted arrangement: nothing in these programs is narrow enough for a
+/// packed hash index.
+fn assert_matrix_arranged(scenario: &str, program: &Program<Trop>, edb: &Database<Trop>) {
     let bools = BoolDatabase::new();
-    let grounded = naive_eval_sparse(&program, &pops, &bools, CAP).unwrap();
-    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        for mode in [None, Some(JoinMode::Merge), Some(JoinMode::Hash)] {
-            let mut seen = vec![];
-            for threads in [1usize, 2, 4] {
-                let opts = EngineOpts {
-                    threads: Some(threads),
-                    par_threshold: 1,
-                    chunk_min: 2,
-                    join_mode: mode,
-                    ..EngineOpts::default()
-                };
-                let out = run(&program, &pops, &bools, CAP, strategy, &opts);
-                let s = out.stats().clone();
-                assert_eq!(
-                    s.counters.merge_join_steps + s.counters.hash_join_steps,
-                    s.counters.index_probes,
-                    "{strategy:?}/{mode:?}: join counters must partition index_probes"
-                );
-                match mode {
-                    Some(JoinMode::Merge) => {
-                        assert!(
-                            s.counters.merge_join_steps > 0,
-                            "{strategy:?}: forced merge must probe arrangements"
-                        );
-                        assert_eq!(
-                            s.counters.hash_join_steps, 0,
-                            "{strategy:?}: forced merge must not probe hash indexes"
-                        );
-                    }
-                    // Planner-auto keeps the packed hash path on this
-                    // all-arity-2 workload, exactly like forced hash.
-                    Some(JoinMode::Hash) | Some(JoinMode::Auto) | None => {
-                        assert_eq!(
-                            s.counters.merge_join_steps, 0,
-                            "{strategy:?}/{mode:?}: no arrangements expected"
-                        );
-                        assert!(
-                            s.counters.hash_join_steps > 0,
-                            "{strategy:?}/{mode:?}: hash path must probe"
-                        );
-                    }
-                }
-                assert_same_db(
-                    "join_modes_bit_identical",
-                    &format!("{strategy:?}/{mode:?} @ {threads} threads"),
-                    &grounded,
-                    &out.unwrap(),
-                );
-                seen.push((threads, s.invariants()));
-            }
-            for pair in seen.windows(2) {
-                let (t0, s0) = &pair[0];
-                let (t1, s1) = &pair[1];
-                assert_eq!(
-                    s0, s1,
-                    "{strategy:?}/{mode:?}: stats differ between {t0} and {t1} threads"
-                );
-            }
-        }
+    assert_matrix_all(scenario, program, edb, &bools);
+    let opts = EngineOpts::default();
+    let mut legs = vec![("naive", run(program, edb, &bools, CAP, Naive, &opts))];
+    for (leg, strategy) in [
+        ("semi-naive", Strategy::SemiNaive),
+        ("worklist", Strategy::Worklist),
+        ("priority", Strategy::Priority),
+    ] {
+        legs.push((leg, run(program, edb, &bools, CAP, strategy, &opts)));
+    }
+    for (leg, out) in &legs {
+        let c = &out.stats().counters;
+        assert!(c.merge_join_steps > 0, "{scenario}/{leg}: nothing arranged");
+        assert_eq!(c.hash_join_steps, 0, "{scenario}/{leg}: hash-probed");
     }
 }
 
-/// Merge joins ≡ hash joins in the wide-key regimes the arrangements
-/// exist for — the arity-4 labelled closure (three-column recursive
-/// probe) and the wide fact lookup (two masks sharing one sort order):
-/// same fixpoint, steps and deterministic counters under either forced
-/// mode, with every probe routed the way the mode says.
 #[test]
-fn join_modes_bit_identical_on_wide_keys() {
-    let bools = BoolDatabase::new();
-    let workloads = [
-        ("labelled closure (arity 4)", dlo_bench::labeled_tc4(3, 10)),
-        ("wide lookup", dlo_bench::wide_lookup(3000, 48, 7)),
-    ];
-    for (id, (program, edb)) in &workloads {
-        for strategy in [Strategy::SemiNaive, Strategy::Priority] {
-            let forced = |mode| {
-                let opts = EngineOpts {
-                    join_mode: Some(mode),
-                    ..EngineOpts::default()
-                };
-                run(program, edb, &bools, CAP, strategy, &opts)
-            };
-            let (hash, merge) = (forced(JoinMode::Hash), forced(JoinMode::Merge));
-            let (h, m) = (hash.stats().clone(), merge.stats().clone());
-            assert_eq!(
-                h.invariants(),
-                m.invariants(),
-                "{id}/{strategy:?}: counters"
-            );
-            assert_eq!(h.counters.merge_join_steps, 0, "{id}: forced hash arranged");
-            assert_eq!(m.counters.hash_join_steps, 0, "{id}: forced merge hashed");
-            assert!(m.counters.merge_join_steps > 0, "{id}: nothing arranged");
-            assert!(hash.is_converged(), "{id}/{strategy:?} converges");
-            assert_eq!(
-                hash, merge,
-                "{id}/{strategy:?}: join mode changed the fixpoint"
-            );
-        }
-    }
+fn labelled_closure_wide_keys() {
+    let (program, edb) = dlo_bench::labeled_tc4(3, 10);
+    assert_matrix_arranged("labelled closure (arity 4)", &program, &edb);
 }
 
-/// Planner-auto switches to merge joins past the packed-key width: an
-/// arity-3 join probes through a sorted arrangement with no forcing,
-/// and stays bit-identical to the grounded oracle at any thread count.
+#[test]
+fn wide_lookup_wide_keys() {
+    let (program, edb) = dlo_bench::wide_lookup(3000, 48, 7);
+    assert_matrix_arranged("wide lookup", &program, &edb);
+}
+
+/// The engine switches to merge joins past the packed-key width: an
+/// arity-3 join probes through a sorted arrangement, and stays
+/// bit-identical to the grounded oracle at any thread count.
 #[test]
 fn planner_auto_arranges_wide_relations() {
     let src = "J(X, U) :- A(X, Y, Z) * B(Y, Z, U).";
@@ -1606,7 +1454,7 @@ fn planner_auto_arranges_wide_relations() {
         let s = out.stats().clone();
         assert!(
             s.counters.merge_join_steps > 0,
-            "auto mode must arrange the arity-3 probe side"
+            "the arity-3 probe side must be arranged"
         );
         assert_eq!(
             s.counters.hash_join_steps, 0,
@@ -1614,7 +1462,7 @@ fn planner_auto_arranges_wide_relations() {
         );
         assert_same_db(
             "planner_auto_arranges_wide",
-            &format!("auto @ {threads} threads"),
+            &format!("semi-naive @ {threads} threads"),
             &grounded,
             &out.unwrap(),
         );
@@ -1622,8 +1470,10 @@ fn planner_auto_arranges_wide_relations() {
 }
 
 /// The deterministic counters — everything except wall-clock timings,
-/// thread counts, and fan-out bookkeeping — are bit-identical at any
-/// thread count and across the materializing / interned entry points.
+/// thread counts, and fan-out bookkeeping, so probe attribution and
+/// `join` tags included — are bit-identical at any thread count and
+/// across the materializing / interned entry points. The semi-naïve
+/// rounds are forced to fan out; the frontiers never do.
 #[test]
 fn stats_invariants_identical_across_threads_and_entry_points() {
     let (program, pops) = stats_workload();
@@ -1631,13 +1481,21 @@ fn stats_invariants_identical_across_threads_and_entry_points() {
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
         let mut seen = vec![];
         for threads in [1usize, 2, 4] {
+            let fans = strategy == Strategy::SemiNaive;
             let opts = EngineOpts {
                 threads: Some(threads),
-                par_threshold: 1,
-                chunk_min: 2,
-                ..EngineOpts::default()
+                ..if fans {
+                    forced_parallel()
+                } else {
+                    EngineOpts::default()
+                }
             };
             let materialized = run(&program, &pops, &bools, CAP, strategy, &opts);
+            assert_eq!(
+                materialized.stats().parallel_batches > 0,
+                fans && threads > 1,
+                "{strategy:?} @ {threads} threads: fan-out bookkeeping"
+            );
             let interned = engine_eval_interned(&program, &pops, &bools, CAP, strategy, &opts)
                 .expect("compiles");
             assert_eq!(

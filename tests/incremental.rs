@@ -457,8 +457,9 @@ fn random_edit_scripts_match_from_scratch() {
 #[test]
 fn edits_are_bit_identical_at_any_thread_count() {
     // The same random script at 1, 2, and 4 workers — with the fan-out
-    // threshold forced down so the parallel path actually runs — must
-    // produce identical databases *after every step*.
+    // threshold forced down so the maintenance rounds (semi-naïve under
+    // every `Strategy`) actually run their parallel path — must produce
+    // identical databases *after every step*.
     let program = apsp_program();
     let edb = edge_db(&base_edges());
     let bools = BoolDatabase::new();

@@ -21,8 +21,8 @@ use datalog_o::pops::{
 };
 use datalog_o::semilin::{linear_lfp_auto, AffineSystem};
 use datalog_o::{
-    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, JoinMode, Materialization,
-    Naive, Schedule, SemiNaive, Strategy as EngineStrategy,
+    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, Materialization, Naive,
+    Schedule, SemiNaive, Strategy as EngineStrategy,
 };
 use proptest::prelude::*;
 
@@ -40,14 +40,22 @@ fn run<P: Pops, S: Schedule<P>>(
         .materialize()
 }
 
-/// Tuning that forces the frontier drivers' parallel batch path even on
-/// single-row batches (`threads` workers, fan-out threshold 1).
-fn forced_parallel(threads: usize) -> EngineOpts {
-    EngineOpts {
+/// `threads` workers for a run under `strategy`. The semi-naïve rounds
+/// are forced to fan out however small (threshold 1, two-row chunks);
+/// the frontier strategies run every batch inline, so they keep the
+/// default thresholds and the workers only build their EDB indexes.
+fn at_threads(strategy: EngineStrategy, threads: usize) -> EngineOpts {
+    let opts = EngineOpts {
         threads: Some(threads),
-        par_threshold: 1,
-        chunk_min: 2,
         ..EngineOpts::default()
+    };
+    match strategy {
+        EngineStrategy::SemiNaive => EngineOpts {
+            par_threshold: 1,
+            chunk_min: 2,
+            ..opts
+        },
+        _ => opts,
     }
 }
 
@@ -308,10 +316,10 @@ where
             strategy,
             spec
         );
-        // Parallel frontier determinism on the minting path: the same
-        // strategy at thread counts 1/2/4 (fan-out forced down to
-        // single-row batches) must return the bit-identical full outcome
-        // — database, step count, and minted-id order all included.
+        // Frontier determinism on the minting path: the same strategy
+        // at thread counts 1/2/4 must return the bit-identical full
+        // outcome — database, step count, and minted-id order all
+        // included.
         let baseline = run(
             &prog,
             &edb,
@@ -330,7 +338,7 @@ where
                 &bools,
                 5_000_000,
                 strategy,
-                &forced_parallel(threads),
+                &at_threads(strategy, threads),
             );
             prop_assert_eq!(
                 &baseline,
@@ -428,7 +436,7 @@ where
                 bools,
                 5_000_000,
                 strategy,
-                &forced_parallel(threads),
+                &at_threads(strategy, threads),
             )
             .expect("compiles");
             prop_assert_eq!(
@@ -913,15 +921,9 @@ proptest! {
             let semi = run(prog, edb, bools, 100_000, SemiNaive, &EngineOpts::default())
                 .converged().expect("bounded").0;
             for strategy in [EngineStrategy::Worklist, EngineStrategy::Priority] {
-                let seq = run(prog, edb, bools, 10_000_000, strategy, &EngineOpts::default());
-                let got = seq.clone().converged().expect("bounded").0;
+                let got = run(prog, edb, bools, 10_000_000, strategy, &EngineOpts::default())
+                    .converged().expect("bounded").0;
                 prop_assert_eq!(&semi, &got, "{:?} differs from semi-naive", strategy);
-                // The forced-parallel frontier (4 workers, single-row
-                // fan-out threshold) is bit-identical to the sequential
-                // run — full outcome, step counts included.
-                let par = run(prog, edb, bools, 10_000_000, strategy, &forced_parallel(4));
-                prop_assert_eq!(&seq, &par,
-                    "{:?} sequential vs forced-parallel outcomes differ", strategy);
             }
             Ok(())
         }
@@ -1037,39 +1039,6 @@ proptest! {
         prop_assert_eq!(sup_t, sup_b);
     }
 
-    /// Join-strategy invariance on random graphs: forced merge joins,
-    /// forced hash joins, and planner-auto return the bit-identical
-    /// full outcome on every dioid strategy, sequential and with the
-    /// parallel batch path forced — the join mode is a performance
-    /// knob, never a semantics knob.
-    #[test]
-    fn join_modes_agree_on_random_graphs((_n, edges) in edges_strategy()) {
-        let bools = BoolDatabase::new();
-        let edb = trop_edb(&edges);
-        for prog in [
-            datalog_o::core::examples_lib::apsp_program::<Trop>(),
-            datalog_o::core::examples_lib::quadratic_tc_program::<Trop>(),
-        ] {
-            for strategy in [EngineStrategy::SemiNaive, EngineStrategy::Worklist,
-                             EngineStrategy::Priority] {
-                let baseline = run(&prog, &edb, &bools, 10_000_000, strategy, &EngineOpts {
-                        join_mode: Some(JoinMode::Hash),
-                        ..EngineOpts::default()
-                    });
-                for mode in [JoinMode::Merge, JoinMode::Auto] {
-                    for threads in [1usize, 4] {
-                        let mut opts = forced_parallel(threads);
-                        opts.join_mode = Some(mode);
-                        let got = run(&prog, &edb, &bools, 10_000_000, strategy, &opts);
-                        prop_assert_eq!(&baseline, &got,
-                            "{:?}: {:?} join @ {} threads differs from sequential hash join",
-                            strategy, mode, threads);
-                    }
-                }
-            }
-        }
-    }
-
     /// Telemetry on random graphs: emits bound merges on every
     /// strategy, and the deterministic stats (timings masked by
     /// `EvalStats::invariants`) are bit-identical across thread counts.
@@ -1082,7 +1051,7 @@ proptest! {
                          EngineStrategy::Priority] {
             let mut baseline = None;
             for threads in [1usize, 2, 4] {
-                let out = run(&prog, &edb, &bools, 10_000_000, strategy, &forced_parallel(threads));
+                let out = run(&prog, &edb, &bools, 10_000_000, strategy, &at_threads(strategy, threads));
                 let s = out.stats();
                 prop_assert!(
                     s.counters.emits + s.counters.fresh_emits

@@ -209,6 +209,29 @@ fn mixed_arity_heads_are_typed_compile_errors_everywhere() {
     assert_eq!(mat.err().expect("materialization front").kind(), "compile");
 }
 
+/// Every `EngineOpts` value is public input. With `chunk_min: 0` and
+/// the fan-out threshold at 1, a 5-row scan asks the round's task split
+/// for chunks of `5 / (2 · 4) = 0` rows: a split that advanced by that
+/// would never end (its task list grows until the allocator aborts the
+/// process). It takes at least one row per chunk, and the run lands on
+/// the fixpoint.
+#[test]
+fn zero_chunk_min_terminates_at_the_fixpoint() {
+    let (program, edb, bools) = (apsp(), chain_edb(5), BoolDatabase::new());
+    let opts = EngineOpts {
+        chunk_min: 0,
+        par_threshold: 1,
+        threads: Some(2),
+        ..EngineOpts::default()
+    };
+    let got = eval(&program, &edb, &bools, CAP, SemiNaive, &opts).expect("compiles");
+    assert!(got.is_converged());
+    let closure = got.unwrap();
+    let paths = closure.get("T").expect("the closure exists");
+    assert_eq!(paths.support_size(), 15, "every i < j of six nodes");
+    assert_eq!(paths.get(&vec![k("n0"), k("n5")]), Trop::finite(5.0));
+}
+
 // ---------------------------------------------------------------------
 // Deadline-bounded termination on a genuinely divergent program.
 // ---------------------------------------------------------------------
@@ -276,13 +299,12 @@ fn budget_counters_are_thread_invariant() {
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
         let mut baseline: Option<(EvalOutcome<Trop>, EvalStats)> = None;
         for threads in [1usize, 2, 4] {
-            let opts = EngineOpts {
-                threads: Some(threads),
-                par_threshold: 1,
-                chunk_min: 2,
-                budget: EvalBudget::default().with_max_steps(1_000_000),
-                ..EngineOpts::default()
-            };
+            let budget = EvalBudget::default().with_max_steps(1_000_000);
+            let mut opts = opts_with(budget, None, threads);
+            if strategy == Strategy::SemiNaive {
+                // The one schedule with a fan-out to force.
+                (opts.par_threshold, opts.chunk_min) = (1, 2);
+            }
             let out =
                 eval(&program, &edb, &bools, CAP, strategy, &opts).expect("well within budget");
             let stats = out.stats().clone();
@@ -712,8 +734,6 @@ fn aborted_priority_run_returns_exact_settled_partial() {
     for threads in [1usize, 2, 4] {
         let opts = EngineOpts {
             threads: Some(threads),
-            par_threshold: 1,
-            chunk_min: 2,
             budget: EvalBudget::default().with_max_steps(40),
             ..EngineOpts::default()
         };
@@ -1168,8 +1188,6 @@ proptest! {
             for threads in [1usize, 2, 4] {
                 let opts = EngineOpts {
                     threads: Some(threads),
-                    par_threshold: 1,
-                    chunk_min: 2,
                     budget: EvalBudget::default().with_max_steps(max_steps),
                     ..EngineOpts::default()
                 };

@@ -7,24 +7,15 @@
 
 use datalog_o::core::eval::stats::json;
 use datalog_o::core::examples_lib as ex;
-use datalog_o::core::{parse_query, BoolDatabase, Database};
+use datalog_o::core::{parse_program, parse_query, BoolDatabase, Database};
 use datalog_o::engine::{JsonlSink, MemorySink, TraceEvent, TraceHandle};
 use datalog_o::pops::Trop;
 use datalog_o::{
-    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, JoinMode, Naive, SemiNaive,
+    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, EvalBudget, Naive, SemiNaive,
     Strategy,
 };
 
 const CAP: usize = 100_000;
-
-/// Serializes the tests whose assertions depend on per-iteration
-/// snapshot counts with the one that sets `DLO_STATS_SAMPLE`
-/// process-wide (test threads share the environment).
-static SNAPSHOT_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn snapshot_env_guard() -> std::sync::MutexGuard<'static, ()> {
-    SNAPSHOT_ENV.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn sssp() -> (datalog_o::core::Program<Trop>, Database<Trop>) {
     ex::sssp_trop("a")
@@ -36,7 +27,6 @@ fn sssp() -> (datalog_o::core::Program<Trop>, Database<Trop>) {
 /// stats' iteration snapshots), and a final converged `RunEnd`.
 #[test]
 fn memory_sink_receives_structured_event_stream() {
-    let _env = snapshot_env_guard();
     let (program, edb) = sssp();
     let bools = BoolDatabase::new();
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
@@ -99,7 +89,6 @@ fn memory_sink_receives_structured_event_stream() {
 /// streams in one file.
 #[test]
 fn jsonl_sink_round_trips_through_the_parser() {
-    let _env = snapshot_env_guard();
     let (program, edb) = sssp();
     let bools = BoolDatabase::new();
     let path = std::env::temp_dir().join(format!("dlo_trace_test_{}.jsonl", std::process::id()));
@@ -185,20 +174,21 @@ fn explain_attributes_work_to_rules() {
     );
 }
 
-/// The join-strategy telemetry added with the sorted arrangements:
-/// forcing merge joins routes every probing step through
-/// `merge_join_steps` (and times the `arrange` phase leg), forcing hash
-/// joins routes them all through `hash_join_steps`, the two always sum
-/// to `index_probes`, `explain()` tags each probing rule with the
-/// resolved strategy, and the stats JSON carries the new fields.
+/// Probe attribution: every index probe is served by exactly one of the
+/// two structures, picked by the probed relation's arity, so
+/// `merge_join_steps + hash_join_steps = index_probes` and a program
+/// whose relations all sit on one side of the arity-2 line runs every
+/// probe there — the quadratic closure (arity 2) on hash-prefix
+/// indexes, its labelled arity-4 twin on sorted arrangements (which
+/// also times the `arrange` phase leg). `explain()` tags each probing
+/// rule with the structure, and the stats JSON carries the fields.
 #[test]
-fn join_mode_telemetry_attributes_probes_and_arranges() {
-    // Quadratic TC probes the *IDB* on both sides of the recursive
-    // join, so forced merge mode arranges per-iteration relations (the
-    // `arrange` phase leg) rather than only the static EDB.
-    let program = ex::quadratic_tc_program::<Trop>();
-    let mut edb = Database::new();
-    edb.insert(
+fn probe_telemetry_partitions_index_probes_by_structure() {
+    // Both programs probe the *IDB* on both sides of the recursive
+    // join, so the wide one arranges per-iteration relations rather
+    // than only the static EDB.
+    let mut chain = Database::new();
+    chain.insert(
         "E",
         datalog_o::core::Relation::from_pairs(
             2,
@@ -207,105 +197,83 @@ fn join_mode_telemetry_attributes_probes_and_arranges() {
                 .map(|w| (vec![w[0].into(), w[1].into()], Trop::finite(1.0))),
         ),
     );
+    let labelled: datalog_o::core::Program<Trop> =
+        parse_program("R(X, Y, A, B) :- E4(X, Y, A, B) + R(X, Z, A, B) * R(Z, Y, A, B).").unwrap();
+    let workloads = [
+        ("hash", ex::quadratic_tc_program::<Trop>(), chain),
+        ("merge", labelled, dlo_bench::labeled_tc4(2, 5).1),
+    ];
     let bools = BoolDatabase::new();
-    let run = |mode: JoinMode| {
-        engine_eval_interned(
-            &program,
-            &edb,
-            &bools,
-            CAP,
-            Strategy::SemiNaive,
-            &EngineOpts {
-                join_mode: Some(mode),
-                ..EngineOpts::default()
-            },
-        )
-        .expect("compiles")
-    };
+    for (tag, program, edb) in &workloads {
+        let opts = EngineOpts::default();
+        let out = engine_eval_interned(program, edb, &bools, CAP, Strategy::SemiNaive, &opts)
+            .expect("compiles");
+        let stats = out.stats();
+        let c = &stats.counters;
+        assert!(c.index_probes > 0, "{tag}: the recursion probes");
+        assert_eq!(
+            c.merge_join_steps + c.hash_join_steps,
+            c.index_probes,
+            "{tag}: the split partitions the probe total"
+        );
+        let arranged = *tag == "merge";
+        let on_side = if arranged {
+            c.merge_join_steps
+        } else {
+            c.hash_join_steps
+        };
+        assert_eq!(on_side, c.index_probes, "{tag}: every probe on one side");
+        // Semi-naïve maintains arrangements incrementally inside row
+        // insertion — counted by `arrange_batches_merged`, not timed.
+        assert_eq!(
+            c.arrange_batches_merged > 0,
+            arranged,
+            "{tag}: spine merges"
+        );
 
-    let merged = run(JoinMode::Merge);
-    let hashed = run(JoinMode::Hash);
-    assert_eq!(
-        merged.output().materialize(),
-        hashed.output().materialize(),
-        "join mode is a performance knob, not a semantics knob"
-    );
+        // The naive driver re-ensures the rebuilt IDB's probe structures
+        // every iteration: arrangement builds bank time under their own
+        // phase leg, hash index builds never do.
+        let naive =
+            engine_eval_interned(program, edb, &bools, CAP, Naive, &opts).expect("compiles");
+        assert_eq!(
+            naive.stats().phases.arrange > 0,
+            arranged,
+            "{tag}: arrange leg"
+        );
+        assert_eq!(naive.output().materialize(), out.output().materialize());
 
-    let mc = &merged.stats().counters;
-    assert!(mc.merge_join_steps > 0, "forced merge probes arrangements");
-    assert_eq!(mc.hash_join_steps, 0, "forced merge never hash-probes");
-    assert_eq!(
-        mc.merge_join_steps + mc.hash_join_steps,
-        mc.index_probes,
-        "the split partitions the probe total"
-    );
-    // The naive driver re-arranges the rebuilt IDB every iteration, so
-    // its forced-merge runs must bank arrange-phase time. (Semi-naïve
-    // maintains arrangements incrementally inside row insertion —
-    // counted by `arrange_batches_merged`, not timed.)
-    let naive = engine_eval_interned(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Naive,
-        &EngineOpts {
-            join_mode: Some(JoinMode::Merge),
-            ..EngineOpts::default()
-        },
-    )
-    .expect("compiles");
-    assert!(
-        naive.stats().phases.arrange > 0,
-        "arrangement builds are timed under their own phase leg"
-    );
-    assert_eq!(naive.output().materialize(), merged.output().materialize());
+        // explain() tags each probing rule with its structure.
+        let tags: Vec<&str> = stats.rules.iter().map(|r| r.join.as_str()).collect();
+        assert!(
+            tags.contains(tag) && tags.iter().all(|t| t == tag || *t == "scan"),
+            "{tag}: profile tags rules: {tags:?}"
+        );
+        assert!(
+            stats.explain().contains(tag),
+            "{tag}: explain renders the tag"
+        );
 
-    let hc = &hashed.stats().counters;
-    assert!(hc.hash_join_steps > 0, "forced hash probes prefix indexes");
-    assert_eq!(hc.merge_join_steps, 0, "forced hash never merge-probes");
-    assert_eq!(hc.merge_join_steps + hc.hash_join_steps, hc.index_probes);
-    assert_eq!(
-        mc.index_probes, hc.index_probes,
-        "the probe total is mode-invariant"
-    );
-
-    // explain() tags each probing rule with the strategy it resolved to.
-    assert!(
-        merged.stats().rules.iter().any(|r| r.join == "merge"),
-        "merge-mode profile tags rules: {:?}",
-        merged.stats().rules
-    );
-    assert!(
-        hashed.stats().rules.iter().any(|r| r.join == "hash"),
-        "hash-mode profile tags rules: {:?}",
-        hashed.stats().rules
-    );
-    assert!(
-        merged.stats().explain().contains("merge"),
-        "explain renders the join tag"
-    );
-
-    // The JSON dialect carries the new counters and the arrange leg.
-    let v = json::parse(&merged.stats().to_json()).expect("stats JSON parses");
-    let counters = v.get("counters").expect("counters object");
-    assert_eq!(
-        counters.get("merge_join_steps").and_then(|x| x.as_u64()),
-        Some(mc.merge_join_steps)
-    );
-    assert_eq!(
-        counters.get("hash_join_steps").and_then(|x| x.as_u64()),
-        Some(mc.hash_join_steps)
-    );
-    assert!(
-        counters.get("arrange_batches_merged").is_some(),
-        "spine-merge counter serialized"
-    );
-    let phases = v.get("phases").expect("phases object");
-    assert_eq!(
-        phases.get("arrange_ns").and_then(|x| x.as_u64()),
-        Some(merged.stats().phases.arrange)
-    );
+        // The JSON dialect carries the counters and the arrange leg.
+        let v = json::parse(&stats.to_json()).expect("stats JSON parses");
+        let counters = v.get("counters").expect("counters object");
+        for (field, want) in [
+            ("merge_join_steps", c.merge_join_steps),
+            ("hash_join_steps", c.hash_join_steps),
+            ("arrange_batches_merged", c.arrange_batches_merged),
+        ] {
+            assert_eq!(
+                counters.get(field).and_then(|x| x.as_u64()),
+                Some(want),
+                "{tag}: {field} serialized"
+            );
+        }
+        let phases = v.get("phases").expect("phases object");
+        assert_eq!(
+            phases.get("arrange_ns").and_then(|x| x.as_u64()),
+            Some(stats.phases.arrange)
+        );
+    }
 }
 
 /// Every public evaluation entry point — full and query-seeded, over a
@@ -414,7 +382,6 @@ fn every_entry_point_returns_populated_stats() {
 /// and results are untouched.
 #[test]
 fn iter_sample_records_every_kth_snapshot() {
-    let _env = snapshot_env_guard();
     // A 14-node chain: the semi-naïve loop takes one step per link, so
     // there are enough iterations for the stride to matter.
     let names: Vec<String> = (0..14).map(|i| format!("n{i}")).collect();
@@ -449,7 +416,7 @@ fn iter_sample_records_every_kth_snapshot() {
         CAP,
         Strategy::SemiNaive,
         &EngineOpts {
-            iter_sample: Some(3),
+            iter_sample: 3,
             trace: Some(TraceHandle::new(sink.clone())),
             ..EngineOpts::default()
         },
@@ -492,63 +459,34 @@ fn iter_sample_records_every_kth_snapshot() {
     );
 }
 
-/// `DLO_STATS_SAMPLE` is the environment fallback for the same knob; an
-/// explicit `iter_sample` wins over it.
+/// The whole option surface, destructured with no `..`: adding a field
+/// to [`EngineOpts`] fails to compile here until its author has read
+/// this. The rule (simplicity-review guide, *Options*): a field needs
+/// two callers outside tests and examples that pass different values;
+/// with one value in use it is a constant, and what the engine can work
+/// out from its input it works out (which probe structure a relation
+/// gets is decided by its arity, not set here). `par_threshold` and
+/// `chunk_min` do not meet the rule — they are kept only because they
+/// are how the differential suites reach the semi-naïve fan-out on
+/// small inputs, and are next on the ROADMAP's diet list.
 #[test]
-fn dlo_stats_sample_env_fallback() {
-    let _env = snapshot_env_guard();
-    let (program, edb) = sssp();
-    let bools = BoolDatabase::new();
-    std::env::set_var("DLO_STATS_SAMPLE", "2");
-    let via_env = engine_eval_interned(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::SemiNaive,
-        &EngineOpts::default(),
-    )
-    .expect("compiles");
-    let explicit_wins = engine_eval_interned(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::SemiNaive,
-        &EngineOpts {
-            iter_sample: Some(1),
-            ..EngineOpts::default()
-        },
-    )
-    .expect("compiles");
-    std::env::remove_var("DLO_STATS_SAMPLE");
-    let unsampled = engine_eval_interned(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::SemiNaive,
-        &EngineOpts::default(),
-    )
-    .expect("compiles");
-    assert!(
-        via_env.stats().iterations.iter().all(|it| it.step % 2 == 0),
-        "env stride keeps even steps only"
-    );
-    assert!(
-        via_env.stats().iterations.len() < unsampled.stats().iterations.len(),
-        "env stride drops snapshots"
-    );
-    assert_eq!(
-        explicit_wins.stats().iterations,
-        unsampled.stats().iterations,
-        "an explicit iter_sample overrides the environment"
-    );
-    assert_eq!(
-        via_env.output().materialize(),
-        unsampled.output().materialize(),
-        "results unchanged"
-    );
+fn engine_opts_defaults_are_the_whole_option_surface() {
+    let EngineOpts {
+        threads,
+        par_threshold,
+        chunk_min,
+        trace,
+        iter_sample,
+        budget,
+        cancel,
+    } = EngineOpts::default();
+    assert_eq!(threads, None, "DLO_ENGINE_THREADS / available_parallelism");
+    assert_eq!(par_threshold, 4096);
+    assert_eq!(chunk_min, 1024);
+    assert!(trace.is_none(), "DLO_TRACE, else tracing off");
+    assert_eq!(iter_sample, 1, "every step is recorded");
+    assert_eq!(budget, EvalBudget::unlimited());
+    assert!(cancel.is_none());
 }
 
 /// The `DLO_TRACE` environment fallback appends parseable JSONL without
