@@ -286,6 +286,15 @@ impl EvalStats {
     /// The EXPLAIN/profile report: phase timings, whole-run totals,
     /// and per-plan observed costs sorted by time (descending, plan
     /// order on ties).
+    ///
+    /// The eval phase is split with the timers already taken: `plans` is
+    /// the sum of the per-plan times (the joins, up to handing each
+    /// emission over), and on a run that fanned nothing out the rest of
+    /// the phase — merging emissions into the relations, the frontier or
+    /// Δ bookkeeping between plans — is printed per emission as
+    /// `merge+queue`. With fanned-out rounds the per-plan times add up
+    /// CPU time across workers, not wall time, so the report says
+    /// `plans cpu` and prints no quotient.
     pub fn explain(&self) -> String {
         let ms = |ns: u64| ns as f64 / 1e6;
         let mut s = String::new();
@@ -295,19 +304,34 @@ impl EvalStats {
             self.strategy, self.steps, self.threads
         );
         let p = &self.phases;
+        let plans: u64 = self.rules.iter().map(|r| r.time_ns).sum();
+        let sequential = self.tasks_spawned == 0;
         let _ = writeln!(
             s,
             "phases (ms): setup {:.3} (load {:.3}) | edb index {:.3} | arrange {:.3} | \
-             eval {:.3} | mint {:.3} | decode {:.3}",
+             eval {:.3} ({} {:.3}) | mint {:.3} | decode {:.3}",
             ms(p.setup),
             ms(p.load),
             ms(p.edb_index),
             ms(p.arrange),
             ms(p.eval),
+            if sequential { "plans" } else { "plans cpu" },
+            ms(plans),
             ms(p.mint),
             ms(p.decode)
         );
         let c = &self.counters;
+        let emissions = c.emits + c.fresh_emits;
+        if sequential && emissions > 0 {
+            let rest = p.eval.saturating_sub(plans);
+            let _ = writeln!(
+                s,
+                "merge+queue (eval - plans): {:.3} ms / {} emissions = {:.1} ns per emission",
+                ms(rest),
+                emissions,
+                rest as f64 / emissions as f64
+            );
+        }
         let _ = writeln!(
             s,
             "totals: delta rows {} | emits {} (fresh {}) | probes {} (merge {} / hash {}) | \
@@ -1009,7 +1033,15 @@ mod tests {
         let phases = parsed.get("phases").unwrap();
         assert_eq!(phases.get("setup_ns").unwrap().as_u64(), Some(900));
         assert_eq!(phases.get("load_ns").unwrap().as_u64(), Some(600));
-        assert!(stats.explain().contains("setup 0.001 (load 0.001)"));
+        stats.rules[0].time_ns = 18;
+        let report = stats.explain();
+        assert!(report.contains("setup 0.001 (load 0.001)"));
+        // (100 − 18) ns of eval outside the plans over 41 emissions.
+        assert!(report.contains("= 2.0 ns per emission"), "{report}");
+        stats.tasks_spawned = 2;
+        let report = stats.explain();
+        assert!(report.contains("(plans cpu "), "{report}");
+        assert!(!report.contains("per emission"), "{report}");
         let iters = parsed.get("iterations").unwrap().as_arr().unwrap();
         assert_eq!(iters.len(), 1);
         assert_eq!(iters[0].get("inserted").unwrap().as_u64(), Some(13));

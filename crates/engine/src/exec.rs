@@ -21,7 +21,7 @@ use crate::arrange::Arrangement;
 use crate::hash::FxHashMap;
 use crate::intern::Interner;
 use crate::plan::{CFormula, CTerm, HeadOp, Plan, ProbeCol, Source, Step};
-use crate::storage::ColumnRel;
+use crate::storage::{ColumnRel, MAX_ARITY};
 use dlo_core::ast::KeyFn;
 use dlo_core::formula::CmpOp;
 use dlo_pops::{Bool, Pops};
@@ -173,8 +173,8 @@ pub(crate) fn eval_cformula<P: Pops>(f: &CFormula, slots: &[u32], ctx: &EvalCtx<
                 return false;
             }
             // Runs once per candidate valuation: the key lives on the
-            // stack (`ColumnRel::new` caps the arity at 32).
-            let mut key = [0u32; 32];
+            // stack.
+            let mut key = [0u32; MAX_ARITY];
             for (cell, a) in key.iter_mut().zip(args) {
                 let Some(ev) = eval_cterm(a, slots, ctx.interner) else {
                     return false;
@@ -258,7 +258,6 @@ pub fn run_plan<'a, P: Pops>(
         slots: vec![UNBOUND; plan.nslots],
         values: vec![None; plan.nfactors],
         row_keys: vec![None; plan.steps.len()],
-        probe_scratch: Vec::new(),
         arr_rows: vec![Vec::new(); plan.steps.len()],
         step_arr,
         counters,
@@ -328,12 +327,6 @@ struct Runner<'r, 'a, P: Pops> {
     slots: Vec<u32>,
     values: Vec<Option<&'a P>>,
     row_keys: Vec<Option<&'a [u32]>>,
-    /// Reusable probe-key buffer: one plan run probes indexes once per
-    /// candidate row across every step, so a fresh `Vec` per probe is
-    /// pure allocator traffic on the hot join path. Taken and restored
-    /// around each probe (the probed row list borrows the relation, not
-    /// the key, so the buffer is free again before recursing).
-    probe_scratch: Vec<u32>,
     /// Per-step-depth row buffers for arranged probes: an arrangement
     /// collects matches across spine batches into caller-owned storage
     /// (unlike a hash probe, which returns a borrowed posting list), and
@@ -418,23 +411,22 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
             return;
         }
 
-        let mut key = std::mem::take(&mut self.probe_scratch);
-        key.clear();
-        for p in &step.probe {
+        // One probe per candidate row of the step before: the key lives
+        // on the stack, at most one cell per column.
+        let mut key = [0u32; MAX_ARITY];
+        for (cell, p) in key.iter_mut().zip(&step.probe) {
             let id = match p {
                 ProbeCol::Const(id) => Some(*id),
                 ProbeCol::Slot(s) => Some(self.slots[*s]),
                 ProbeCol::Term(t) => eval_cterm(t, &self.slots, self.ctx.interner)
                     .and_then(|ev| ev_to_id(ev, self.ctx.interner)),
             };
-            match id {
-                Some(id) => key.push(id),
-                None => {
-                    self.probe_scratch = key;
-                    return; // un-interned probe value: no match
-                }
-            }
+            let Some(id) = id else {
+                return; // un-interned probe value: no match
+            };
+            *cell = id;
         }
+        let key = &key[..step.probe.len()];
         if let Some(arr) = self.step_arr[i] {
             // Arranged path: collect matches across spine batches into
             // this depth's buffer, sorted ascending — the exact order
@@ -443,11 +435,10 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
             // join fan-out, skip the sort outright.)
             let mut rows = std::mem::take(&mut self.arr_rows[i]);
             rows.clear();
-            arr.probe_into(&key, &mut rows);
+            arr.probe_into(key, &mut rows);
             if rows.len() > 1 {
                 rows.sort_unstable();
             }
-            self.probe_scratch = key;
             let (mut lo, mut hi) = (0, rows.len());
             if i == 0 {
                 if let Some((a, b)) = self.range0 {
@@ -463,10 +454,7 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
             }
             self.arr_rows[i] = rows;
         } else {
-            let mut rows = rel.probe(step.mask, &key);
-            // The row list borrows `rel`, not `key` — hand the buffer
-            // back before recursing so deeper steps reuse it.
-            self.probe_scratch = key;
+            let mut rows = rel.probe(step.mask, key);
             if i == 0 {
                 if let Some((a, b)) = self.range0 {
                     rows = &rows[a.min(rows.len())..b.min(rows.len())];
@@ -522,12 +510,13 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
             }
         }
         // Assemble the head key. The all-interned case (every program
-        // without head key functions) stays on the flat `u32` path; a
-        // computed cell outside the interned domain upgrades the key to
-        // `HeadVal`s and routes through `emit_fresh`.
-        let mut key: Vec<u32> = Vec::with_capacity(self.plan.head_cols.len());
+        // without head key functions) stays on the flat `u32` path — one
+        // key per emission, so it lives on the stack like the probe key;
+        // a computed cell outside the interned domain upgrades the key
+        // to `HeadVal`s and routes through `emit_fresh`.
+        let mut key = [0u32; MAX_ARITY];
         let mut fresh: Option<Vec<HeadVal>> = None;
-        for h in &self.plan.head_cols {
+        for (i, h) in self.plan.head_cols.iter().enumerate() {
             let hv = match h {
                 HeadOp::Slot(s) => HeadVal::Id(self.slots[*s]),
                 HeadOp::Const(id) => HeadVal::Id(*id),
@@ -547,9 +536,9 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
                 }
             };
             match (&mut fresh, hv) {
-                (None, HeadVal::Id(id)) => key.push(id),
+                (None, HeadVal::Id(id)) => key[i] = id,
                 (None, hv) => {
-                    let mut up: Vec<HeadVal> = key.iter().map(|&id| HeadVal::Id(id)).collect();
+                    let mut up: Vec<HeadVal> = key[..i].iter().map(|&id| HeadVal::Id(id)).collect();
                     up.push(hv);
                     fresh = Some(up);
                 }
@@ -559,7 +548,7 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
         match fresh {
             None => {
                 self.counters.emits += 1;
-                (self.emit)(&key, acc)
+                (self.emit)(&key[..self.plan.head_cols.len()], acc)
             }
             Some(up) => {
                 self.counters.fresh_emits += 1;

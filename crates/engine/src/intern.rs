@@ -60,29 +60,21 @@
 //! handed to this call, in this process — which is the trust every row
 //! map and index in [`crate::storage`] already extends to the same
 //! data one step later, so a caller who can craft colliding constants
-//! can only slow down their own evaluation. What Fx does *not* forgive
-//! is accidental structure: it multiplies by an odd constant, so the
-//! low bits of the hash depend only on the low bits of the key, and
-//! integer constants that share a power-of-two stride (ids packed as
-//! `hi << 16`, say) would all start probing in the same bucket. Integer
-//! keys are therefore spread by a bijection first (`spread`); interned
-//! ids, which every other Fx map in the crate is keyed by, are dense
-//! and need no such help.
+//! can only slow down their own evaluation. Accidental structure is the
+//! hasher's job, here as in every other map of the crate: integer
+//! constants that share a power-of-two stride (ids packed as `hi << 16`,
+//! say) multiply to hashes with equal low bits, and
+//! [`FxHasher::finish`](crate::hash::FxHasher) folds the high half of
+//! the product into the bits the table indexes by — `by_int` is keyed by
+//! the plain `i64` (the stride cases of
+//! `hash::tests::bucket_index_and_tag_see_every_column` hold that).
 
-use crate::hash::{FxHashMap, SEED};
+use crate::hash::FxHashMap;
 use crate::storage::ColumnRel;
 use dlo_core::relation::Relation;
 use dlo_core::value::Constant;
 use dlo_pops::Pops;
 use std::sync::Arc;
-
-/// A bijection on `u64` that moves the well-mixed high half of
-/// `i · odd` into the low bits the hash table indexes by (see the module
-/// docs: integer constants may share a power-of-two stride).
-#[inline]
-fn spread(i: i64) -> u64 {
-    (i as u64).wrapping_mul(SEED).rotate_left(32)
-}
 
 /// Tuples per batch of [`Interner::load_relation`]: a batch of arity-4
 /// tuples (≈ 100 bytes each) and the references to them stay inside the
@@ -103,8 +95,7 @@ fn first_word(c: &Constant) -> u64 {
 /// An append-only constant table with hashed reverse lookup.
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
-    /// Integer constants, keyed by [`spread`].
-    by_int: FxHashMap<u64, u32>,
+    by_int: FxHashMap<i64, u32>,
     by_str: FxHashMap<Arc<str>, u32>,
     consts: Vec<Constant>,
     /// `ints[id]` is `Some(i)` iff `consts[id]` is the integer `i`
@@ -139,7 +130,7 @@ impl Interner {
     /// keys; stable across repeated calls like [`Self::intern`]).
     pub fn intern_int(&mut self, i: i64) -> u32 {
         let next = self.consts.len() as u32;
-        let id = *self.by_int.entry(spread(i)).or_insert(next);
+        let id = *self.by_int.entry(i).or_insert(next);
         if id == next {
             self.consts.push(Constant::Int(i));
             self.ints.push(Some(i));
@@ -157,7 +148,7 @@ impl Interner {
 
     /// The id of the integer constant `i`, if interned.
     pub fn lookup_int(&self, i: i64) -> Option<u32> {
-        self.by_int.get(&spread(i)).copied()
+        self.by_int.get(&i).copied()
     }
 
     /// Loads a classic relation in **one pass**: each constant is
@@ -255,8 +246,8 @@ mod tests {
     #[test]
     fn strided_integers_and_strings_keep_their_own_ids() {
         // Keys sharing a power-of-two stride all multiply to hashes with
-        // equal low bits; `spread` is what keeps them apart in the
-        // table. Whatever the layout, ids are by first occurrence.
+        // equal low bits; the hasher's `finish` is what keeps them apart
+        // in the table. Whatever the layout, ids are by first occurrence.
         let mut i = Interner::new();
         for n in 0..1000i64 {
             assert_eq!(i.intern(&Constant::int(n << 20)), 2 * n as u32);

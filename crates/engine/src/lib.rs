@@ -292,10 +292,44 @@
 //! run Θ(n²) again — 10.6 µs per one-row bucket on `sssp-sparse`
 //! (n = 6000), against 0.8 µs now (`reported.eval_s` 63.5 ms → 4.7 ms).
 //! What remains per bucket is the plan executor's per-call scratch
-//! ([`exec::run_plan`], ≈ 8 heap allocations a call) and the hash merge
+//! ([`exec::run_plan`], ≈ 6 heap allocations a call — the probe and
+//! head keys live on the stack) and the hash merge
 //! of each emission (`ColumnRel::merge_changed`); a release-only test
 //! (`priority_frontier_is_linear_in_settled_pops`) holds the loop to
 //! linear scaling from 2000 to 16000 buckets.
+//!
+//! ## What one `⊕`-merge costs
+//!
+//! The step bounds become time bounds by charging O(1) per ground-rule
+//! instance — per emission merged into its head relation — and that
+//! merge is a probe of a hash map keyed by the whole row. It is O(1)
+//! only if the map's bucket index sees the whole key, and for two PRs'
+//! worth of measurements it did not: the hasher returned a bare
+//! `key · odd`, whose low bits (the ones `std`'s table indexes by)
+//! depend on the key's low bits alone, while `storage::pack` keeps
+//! column 0 of a pair in the high half. Every arity-2 row map, index
+//! and accumulator therefore started probing at a position set by the
+//! last column only — on `dlo_benchmark`'s `apsp-dense` the 239 605
+//! rows of `T` shared 500 probe starts — and the merge phase, not the
+//! joins, was three quarters of the evaluation. [`hash`]'s `finish`
+//! now adds the product's high half into its low half (the header
+//! there has the candidates and why this one), and on the same input
+//! with the same work counters `apsp-dense` `op_median_s` reads
+//! 0.317 → 0.188 reference s (0.59×, ten of ten alternating pairs) and
+//! `live-edits` 0.298 → 0.165 (0.55×; each delete there is a full
+//! rebuild through the same row map). Traced, seed 1, four alternating
+//! pairs on a host at 0.8 of reference speed, the saving sits where it
+//! should: `reported.eval_s` 0.386 → 0.206 s raw on `apsp-dense` with
+//! setup and decode unmoved, `incremental.delete_s` 0.425 → 0.259 s on
+//! `live-edits`. The workloads whose hot keys are single ids or already
+//! vary in their last column (`sssp-sparse`, `wide-lookup`,
+//! `point-query`) move by under 2 %.
+//! `EvalStats::explain()` shows the split that found it — `eval X
+//! (plans Y)` and, on a run that fanned nothing out, `merge+queue`
+//! (X − Y) per emission — and a release-only test
+//! (`merge_cost_is_independent_of_key_shape`) holds merging 250 000
+//! rows by `[a, b]` to under 1.6× merging them by `[a·n + b]`
+//! (measured 1.0–1.1×; 2.0–3.2× with the bare multiply).
 //!
 //! The FIFO worklist drains **generations** (everything queued when the
 //! drain starts — Bellman-Ford rounds restricted to changed rows):

@@ -27,7 +27,7 @@
 //! arities.
 
 use crate::intern::Interner;
-use crate::storage::{probes_arranged, ColMask};
+use crate::storage::{probes_arranged, ColMask, MAX_ARITY};
 use dlo_core::ast::{Atom, KeyFn, Program, Rule, SumProduct, Term, UnaryFn, Var};
 use dlo_core::formula::{CmpOp, Formula};
 use dlo_pops::Pops;
@@ -378,6 +378,11 @@ pub fn compile_demand<P: Pops>(
     };
     for rule in &program.rules {
         let name = &rule.head.pred;
+        // Body atoms are checked where they become binders; a head can
+        // be wide on its own (repeated variables, constants).
+        if rule.head.args.len() > MAX_ARITY {
+            return Err(CompileError::ArityTooLarge);
+        }
         match c.idbs.iter().find(|(n, _)| n == name) {
             // Columnar storage has one fixed arity per relation; a head
             // predicate used at two arities cannot be represented.
@@ -627,7 +632,7 @@ impl Compiler<'_> {
         let mut binders: Vec<Binder> = vec![];
         let mut occ = 0usize;
         for (fi, f) in sp.factors.iter().enumerate() {
-            if f.atom.args.len() > 32 {
+            if f.atom.args.len() > MAX_ARITY {
                 return Err(CompileError::ArityTooLarge);
             }
             let source = match self.idb_id(&f.atom.pred) {
@@ -654,7 +659,7 @@ impl Compiler<'_> {
             });
         }
         for a in sp.condition.conjunctive_atoms() {
-            if a.args.len() > 32 {
+            if a.args.len() > MAX_ARITY {
                 return Err(CompileError::ArityTooLarge);
             }
             binders.push(Binder {

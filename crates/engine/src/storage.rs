@@ -33,6 +33,11 @@ use std::sync::OnceLock;
 /// A column bitmask: bit `c` set ⇔ column `c` participates in the probe.
 pub type ColMask = u32;
 
+/// The widest relation the engine stores: one [`ColMask`] bit per
+/// column. The compiler rejects wider atoms and heads, and the executor
+/// sizes its stack key buffers by it.
+pub(crate) const MAX_ARITY: usize = 32;
+
 /// The one rule for which probe structure serves `mask` on a relation of
 /// `arity`: a sorted arrangement ([`ColumnRel::ensure_arranged`]) where
 /// the packed-`u64` hash fast path gives out — `arity > 2` — and a
@@ -80,6 +85,15 @@ pub fn project_into(row: &[u32], mask: ColMask, out: &mut Vec<u32>) {
 
 /// Packs a key of width ≤ 2 into one `u64` (width is fixed per map, so
 /// `[a]` and `[a, 0]` can never meet in the same map).
+///
+/// Column 0 of a pair lives in the **high** half — packed order is then
+/// lexicographic column order, which [`AccumMap::drain_sorted`] relies
+/// on — while a hash table picks its bucket from the *low* bits of the
+/// hash. What makes that safe is the hasher, not the packing:
+/// [`FxHasher::finish`](crate::hash::FxHasher) carries the high half of
+/// its product into the bucket index, so column 0 moves the probe start
+/// as much as column 1 does (`crate::hash` has the measurements from
+/// when it did not).
 #[inline]
 fn pack(key: &[u32]) -> u64 {
     match key {
@@ -91,7 +105,10 @@ fn pack(key: &[u32]) -> u64 {
 }
 
 /// A hash map keyed by id tuples of a fixed width: packed into `u64`s
-/// for width ≤ 2, boxed slices beyond.
+/// for width ≤ 2, boxed slices beyond. Neither variant mixes its keys:
+/// both rely on the crate's one hasher to let every column reach the
+/// bucket index (see [`pack`]; a boxed key has the same shape, every odd
+/// column being the high half of an 8-byte chunk).
 #[derive(Clone, Debug)]
 enum KeyedMap<V> {
     Packed(FxHashMap<u64, V>),
@@ -350,7 +367,7 @@ pub struct ColumnRel<P> {
 impl<P: Pops> ColumnRel<P> {
     /// An empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
-        assert!(arity <= 32, "engine supports arity ≤ 32");
+        assert!(arity <= MAX_ARITY, "engine supports arity ≤ 32");
         ColumnRel {
             arity,
             keys: Vec::new(),

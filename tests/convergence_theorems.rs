@@ -244,6 +244,63 @@ fn edb_load_is_one_cheap_pass() {
     );
 }
 
+/// The step bounds become time bounds by charging O(1) per ground-rule
+/// instance, i.e. per `⊕`-merge into the head relation, and that charge
+/// must not depend on which *column* of the key varies: 3 passes of
+/// n² = 250 000 merges in a fixed scrambled order through
+/// `ColumnRel::merge_changed`, once keyed by the pair `[a, b]` (packed
+/// with column 0 in the high half of a `u64`) and once by the single id
+/// `[a·n + b]` — the same cells, the same values, the same order, min of
+/// 3 each, so host speed cancels. Measured on a 2-core shared host
+/// (release): pair/single 1.0–1.1 with a hasher whose `finish` folds the
+/// high half of the product into the low bits; 2.0–3.2 with the bare
+/// multiply it replaced, under which the table's probe start depended on
+/// column 1 alone and the 250 000 rows shared 500 of them. The threshold
+/// sits between the two on a log scale, √(1.05 · 2.6) ≈ 1.6. If it
+/// trips, some packed map's bucket index stopped seeing column 0 —
+/// `hash.rs::FxHasher::finish` or `storage.rs::pack` changed; the unit
+/// test `bucket_index_and_tag_see_every_column` names the key shape.
+#[cfg(not(debug_assertions))]
+#[test]
+fn merge_cost_is_independent_of_key_shape() {
+    use datalog_o::engine::ColumnRel;
+    use std::hint::black_box;
+    use std::time::Instant;
+    const N: u64 = 500;
+    const PAIR_OVER_SINGLE: f64 = 1.6;
+    fn merge_ns<const W: usize>(keys: &[[u32; W]]) -> u64 {
+        let mut rel = ColumnRel::<Trop>::new(W);
+        let t = Instant::now();
+        // Pass 0 inserts every row, pass 1 improves it, pass 2 is
+        // absorbed — the three outcomes a fixpoint's merges have.
+        for value in [2.0, 1.0, 1.0] {
+            for key in keys {
+                black_box(rel.merge_changed(key, Trop::finite(value)));
+            }
+        }
+        let ns = t.elapsed().as_nanos() as u64;
+        assert_eq!(rel.len(), keys.len());
+        ns
+    }
+    // A multiplier coprime to n² walks every cell once, far from the
+    // previous one.
+    let cells = (0..N * N).map(|i| i * 2_654_435_761 % (N * N));
+    let (pairs, singles): (Vec<[u32; 2]>, Vec<[u32; 1]>) = cells
+        .map(|c| ([(c / N) as u32, (c % N) as u32], [c as u32]))
+        .unzip();
+    // The two shapes take turns, so a busy stretch on the host lands on
+    // both.
+    let (pair_ns, single_ns) = (0..3)
+        .map(|_| (merge_ns(&pairs), merge_ns(&singles)))
+        .reduce(|best, run| (best.0.min(run.0), best.1.min(run.1)))
+        .expect("three runs");
+    assert!(
+        (pair_ns as f64) < PAIR_OVER_SINGLE * single_ns as f64,
+        "merging by [a, b] took {:.2}x merging by [a*n + b] ({pair_ns} ns vs {single_ns} ns)",
+        pair_ns as f64 / single_ns as f64
+    );
+}
+
 /// Theorem 1.2 (converse direction): an unstable core diverges — MaxPlus
 /// with a positive cycle.
 #[test]

@@ -155,6 +155,23 @@ fn arity_over_32_is_a_typed_compile_error() {
         &EngineOpts::default(),
     );
     assert_eq!(mat.err().expect("materialization").kind(), "compile");
+    // A head can be wide on its own — 33 copies of one body variable —
+    // and it is the head key the executor assembles in a 32-cell buffer.
+    let mut q = Program::<Trop>::new();
+    q.rule(
+        Atom::new("W", vec![Term::v(0); 33]),
+        vec![SumProduct::new(vec![Factor::atom("A", vec![Term::v(0)])])],
+    );
+    let mut edb = Database::new();
+    edb.insert(
+        "A",
+        Relation::from_pairs(1, [(vec![1.into()], Trop::finite(1.0))]),
+    );
+    for strategy in [Strategy::SemiNaive, Strategy::Priority] {
+        let e =
+            eval(&q, &edb, &bools, 10, strategy, &EngineOpts::default()).expect_err("wide head");
+        assert_eq!(e.kind(), "compile");
+    }
 }
 
 /// One head predicate at two arities is rejected the same way (the

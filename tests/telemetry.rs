@@ -352,6 +352,41 @@ fn every_entry_point_returns_populated_stats() {
             report.contains(&format!("(load {:.3})", phases.load as f64 / 1e6)),
             "{leg}: explain shows the load inside setup:\n{report}"
         );
+        // Nothing this small fans out, so the per-plan times are wall
+        // time spent inside the eval phase: explain splits the phase
+        // into the plans and, per emission, everything around them.
+        assert_eq!(stats.tasks_spawned, 0, "{leg}: runs inline");
+        let plans: u64 = stats.rules.iter().map(|r| r.time_ns).sum();
+        assert!(
+            plans <= phases.eval,
+            "{leg}: plans ({plans} ns) run inside eval ({} ns)",
+            phases.eval
+        );
+        let ms = |ns: u64| ns as f64 / 1e6;
+        assert!(
+            report.contains(&format!(
+                "eval {:.3} (plans {:.3})",
+                ms(phases.eval),
+                ms(plans)
+            )),
+            "{leg}: explain shows the plans inside eval:\n{report}"
+        );
+        let split = report
+            .lines()
+            .find(|l| l.starts_with("merge+queue"))
+            .unwrap_or_else(|| panic!("{leg}: explain prints the merge+queue line:\n{report}"));
+        let per_emission: f64 = split
+            .rsplit("= ")
+            .next()
+            .and_then(|tail| tail.strip_suffix(" ns per emission"))
+            .and_then(|ns| ns.parse().ok())
+            .unwrap_or_else(|| panic!("{leg}: {split:?} ends in a number of ns"));
+        let emissions = stats.counters.emits + stats.counters.fresh_emits;
+        let want = (phases.eval - plans) as f64 / emissions as f64;
+        assert!(
+            (per_emission - want).abs() < 0.06,
+            "{leg}: {split:?} should read {want:.1}"
+        );
         let v = json::parse(&stats.to_json()).expect("stats JSON parses");
         assert_eq!(
             v.get("phases")
