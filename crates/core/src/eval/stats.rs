@@ -79,6 +79,14 @@ pub struct Counters {
     /// [`super::CancelToken`] polls performed at phase boundaries (0
     /// when no token is installed).
     pub cancel_polls: u64,
+    /// IDB rows a maintenance delete's marking pass put in the affected
+    /// cone (0 for everything that is not a delete).
+    pub cone_rows: u64,
+    /// IDB rows a maintenance delete dropped before rederiving — what
+    /// the rederive's `rows_inserted` is to be read against (0 for
+    /// everything that is not a delete, and for a delete stopped before
+    /// its zero-out).
+    pub rows_retracted: u64,
 }
 
 impl Counters {
@@ -99,6 +107,8 @@ impl Counters {
         self.minted_ids += other.minted_ids;
         self.budget_checks += other.budget_checks;
         self.cancel_polls += other.cancel_polls;
+        self.cone_rows += other.cone_rows;
+        self.rows_retracted += other.rows_retracted;
     }
 
     /// Field-wise difference (`self - earlier`), for per-iteration
@@ -121,6 +131,8 @@ impl Counters {
             minted_ids: self.minted_ids - earlier.minted_ids,
             budget_checks: self.budget_checks - earlier.budget_checks,
             cancel_polls: self.cancel_polls - earlier.cancel_polls,
+            cone_rows: self.cone_rows - earlier.cone_rows,
+            rows_retracted: self.rows_retracted - earlier.rows_retracted,
         }
     }
 }
@@ -294,7 +306,9 @@ impl EvalStats {
     /// Δ bookkeeping between plans — is printed per emission as
     /// `merge+queue`. With fanned-out rounds the per-plan times add up
     /// CPU time across workers, not wall time, so the report says
-    /// `plans cpu` and prints no quotient.
+    /// `plans cpu` and prints no quotient. A maintenance delete that
+    /// marked anything adds a `delete:` line: the cone, the rows
+    /// dropped, and how many of them the rederive brought back.
     pub fn explain(&self) -> String {
         let ms = |ns: u64| ns as f64 / 1e6;
         let mut s = String::new();
@@ -351,6 +365,16 @@ impl EvalStats {
             c.minted_ids,
             c.arrange_batches_merged
         );
+        if c.cone_rows > 0 {
+            // A delete that touched something. How far its syntactic
+            // cone over-reached: everything re-inserted was retracted
+            // for nothing.
+            let _ = writeln!(
+                s,
+                "delete: marked {} rows | retracted {} | re-inserted {}",
+                c.cone_rows, c.rows_retracted, c.rows_inserted
+            );
+        }
         if self.tasks_spawned > 0 {
             let _ = writeln!(
                 s,
@@ -453,6 +477,8 @@ fn write_counters(w: &mut json::Writer, c: &Counters) {
     w.u64_field("minted_ids", c.minted_ids);
     w.u64_field("budget_checks", c.budget_checks);
     w.u64_field("cancel_polls", c.cancel_polls);
+    w.u64_field("cone_rows", c.cone_rows);
+    w.u64_field("rows_retracted", c.rows_retracted);
     w.obj_close();
 }
 
@@ -1117,6 +1143,21 @@ mod tests {
         sum.add(&stats.counters);
         assert_eq!(sum.budget_checks, 9);
         assert_eq!(sum.cancel_polls, 4);
+    }
+
+    #[test]
+    fn delete_counters_sum_and_diff_like_the_rest() {
+        // A benchmark cycle sums its edits' counters with `add`; the
+        // per-step snapshots diff them with `since`.
+        let edit = Counters {
+            cone_rows: 7,
+            rows_retracted: 5,
+            ..Counters::default()
+        };
+        let mut cycle = edit;
+        cycle.add(&edit);
+        assert_eq!((cycle.cone_rows, cycle.rows_retracted), (14, 10));
+        assert_eq!(cycle.since(&edit), edit);
     }
 
     #[test]

@@ -156,15 +156,23 @@ pub(crate) struct Engine<P> {
     /// plan enumerates it ([`Engine::refresh_adom`]), empty otherwise.
     pub(crate) adom: Vec<u32>,
     /// Index masks needed on each IDB's `new` storage (serves both the
-    /// `New` and `Old` sources).
-    pub(crate) idb_new_masks: Vec<Vec<u32>>,
-    /// Index masks needed on each IDB's per-iteration delta.
-    pub(crate) idb_delta_masks: Vec<Vec<u32>>,
-    /// EDB-side `(source, mask)` index requirements of the seed and
-    /// semi-naïve delta plans, collected at setup and built by
+    /// `New` and `Old` sources). This and the three lists below are the
+    /// engine's whole probe plumbing, filled by
+    /// [`Engine::require_probes`]: the seed and semi-naïve delta plans'
+    /// requirements at setup, the worklist plans' on top when a frontier
+    /// will fire them. Every place that builds or rebuilds a relation —
+    /// [`Run::prepare`], the round loops, a [`crate::Materialization`]'s
+    /// staging, retraction and marking — ensures exactly these.
+    pub(crate) idb_new_masks: Vec<Vec<ColMask>>,
+    /// Index masks needed on each IDB's per-iteration delta (or staged
+    /// frontier batch).
+    pub(crate) idb_delta_masks: Vec<Vec<ColMask>>,
+    /// Index masks needed on each `pops_edb` slot, built by
     /// [`Engine::build_edb_indexes`] — deferred so the builds can fan
     /// out over the worker pool once the caller knows its thread count.
-    pub(crate) edb_reqs: Vec<(Source, ColMask)>,
+    pub(crate) pops_masks: Vec<Vec<ColMask>>,
+    /// Index masks needed on each `bool_edb` slot.
+    pub(crate) bool_masks: Vec<Vec<ColMask>>,
     /// The part of [`setup`] spent in the bulk loader ([`load_db`]),
     /// reported as [`PhaseNanos::load`](dlo_core::eval::stats::PhaseNanos)
     /// by the run [`Run::open`] starts next. A
@@ -244,35 +252,20 @@ pub(crate) fn setup<P: Pops>(
         .collect();
 
     let nidb = compiled.idbs.len();
-    let mut idb_new_masks: Vec<Vec<u32>> = vec![vec![]; nidb];
-    let mut idb_delta_masks: Vec<Vec<u32>> = vec![vec![]; nidb];
-    let mut edb_reqs: Vec<(Source, ColMask)> = vec![];
-    for (source, mask) in compiled.index_requirements() {
-        match source {
-            Source::PopsEdb(_) | Source::BoolEdb(_) => edb_reqs.push((source, mask)),
-            Source::IdbNew(i) | Source::IdbOld(i) => {
-                if !idb_new_masks[i].contains(&mask) {
-                    idb_new_masks[i].push(mask);
-                }
-            }
-            Source::IdbDelta(i) => {
-                if !idb_delta_masks[i].contains(&mask) {
-                    idb_delta_masks[i].push(mask);
-                }
-            }
-        }
-    }
+    let reqs = compiled.index_requirements();
     let mut engine = Engine {
         interner,
+        adom: vec![],
+        idb_new_masks: vec![vec![]; nidb],
+        idb_delta_masks: vec![vec![]; nidb],
+        pops_masks: vec![vec![]; pops_edb.len()],
+        bool_masks: vec![vec![]; bool_edb.len()],
         compiled,
         pops_edb,
         bool_edb,
-        adom: vec![],
-        idb_new_masks,
-        idb_delta_masks,
-        edb_reqs,
         load_ns,
     };
+    engine.require_probes(&reqs);
     engine.refresh_adom();
     Ok(engine)
 }
@@ -312,6 +305,23 @@ impl<P: Pops> Engine<P> {
         let mut adom: Vec<u32> = (0..interner.len() as u32).collect();
         adom.sort_by(|a, b| interner.get(*a).cmp(interner.get(*b)));
         self.adom = adom;
+    }
+
+    /// Folds `(source, mask)` probe requirements into the per-relation
+    /// mask lists (`Old` reads share `New`'s storage). Nothing is built
+    /// here: call before [`Run::prepare`].
+    pub(crate) fn require_probes(&mut self, reqs: &[(Source, ColMask)]) {
+        for &(source, mask) in reqs {
+            let masks = match source {
+                Source::PopsEdb(i) => &mut self.pops_masks[i],
+                Source::BoolEdb(i) => &mut self.bool_masks[i],
+                Source::IdbNew(i) | Source::IdbOld(i) => &mut self.idb_new_masks[i],
+                Source::IdbDelta(i) => &mut self.idb_delta_masks[i],
+            };
+            if !masks.contains(&mask) {
+                masks.push(mask);
+            }
+        }
     }
 
     pub(crate) fn empty_idbs(&self) -> Vec<ColumnRel<P>> {
@@ -407,43 +417,27 @@ fn chunk_tasks(
 }
 
 impl<P: Pops + Send> Engine<P> {
-    /// Builds every EDB-side index the compiled plans probe — the
-    /// seed/semi-naïve requirements collected at setup plus `extra`
-    /// (the frontier drivers pass their worklist-plan requirements;
-    /// IDB entries in `extra` are ignored, the caller owns those
-    /// relations) — fanning per-relation builds over `threads` scoped
-    /// workers. Builds are independent per relation and each index's
-    /// content is insertion-order determined, so parallel construction
-    /// is observation-equivalent to the old sequential loop. A panic in
-    /// a build is contained by the pool and surfaced as the abort the
-    /// drivers turn into [`EvalError::WorkerPanic`].
-    pub(crate) fn build_edb_indexes(
-        &mut self,
-        extra: &[(Source, ColMask)],
-        threads: usize,
-    ) -> Result<(), Abort> {
+    /// Builds every EDB-side index the engine's mask lists name
+    /// ([`Engine::require_probes`]), fanning per-relation builds over
+    /// `threads` scoped workers. Builds are independent per relation
+    /// and each index's content is insertion-order determined, so
+    /// parallel construction is observation-equivalent to a sequential
+    /// loop. A panic in a build is contained by the pool and surfaced
+    /// as the abort the drivers turn into [`EvalError::WorkerPanic`].
+    pub(crate) fn build_edb_indexes(&mut self, threads: usize) -> Result<(), Abort> {
         enum Work<'a, P> {
-            Pops(&'a mut ColumnRel<P>, Vec<ColMask>),
-            Bool(&'a mut ColumnRel<Bool>, Vec<ColMask>),
-        }
-        let mut pops_masks: Vec<Vec<ColMask>> = vec![vec![]; self.pops_edb.len()];
-        let mut bool_masks: Vec<Vec<ColMask>> = vec![vec![]; self.bool_edb.len()];
-        for &(source, mask) in self.edb_reqs.iter().chain(extra) {
-            match source {
-                Source::PopsEdb(i) if !pops_masks[i].contains(&mask) => pops_masks[i].push(mask),
-                Source::BoolEdb(i) if !bool_masks[i].contains(&mask) => bool_masks[i].push(mask),
-                _ => {}
-            }
+            Pops(&'a mut ColumnRel<P>, &'a [ColMask]),
+            Bool(&'a mut ColumnRel<Bool>, &'a [ColMask]),
         }
         let mut work: Vec<Work<'_, P>> = vec![];
-        for (rel, masks) in self.pops_edb.iter_mut().zip(pops_masks) {
+        for (rel, masks) in self.pops_edb.iter_mut().zip(&self.pops_masks) {
             if let Some(rel) = rel.as_mut() {
                 if !masks.is_empty() {
                     work.push(Work::Pops(rel, masks));
                 }
             }
         }
-        for (rel, masks) in self.bool_edb.iter_mut().zip(bool_masks) {
+        for (rel, masks) in self.bool_edb.iter_mut().zip(&self.bool_masks) {
             if let Some(rel) = rel.as_mut() {
                 if !masks.is_empty() {
                     work.push(Work::Bool(rel, masks));
@@ -452,14 +446,10 @@ impl<P: Pops + Send> Engine<P> {
         }
         par::run_each(work, threads, |w| match w {
             Work::Pops(rel, masks) => {
-                for mask in masks {
-                    rel.ensure_probe(mask);
-                }
+                ensure_probes(rel, masks);
             }
             Work::Bool(rel, masks) => {
-                for mask in masks {
-                    rel.ensure_probe(mask);
-                }
+                ensure_probes(rel, masks);
             }
         })
         .map_err(|message| Abort::WorkerPanic { message })
@@ -581,45 +571,30 @@ impl Run {
     /// The from-empty prelude: a pre-index checkpoint (a cancelled or
     /// already-over-deadline run stops before paying for the EDB index
     /// build), the EDB index build, and the probe structures of the
-    /// empty IDB state. `extra` adds the frontier drivers' worklist-plan
-    /// requirements: EDB entries are built with the rest, `New`/`Old`
-    /// entries join the engine's own masks on `state.new`, and `Delta`
-    /// entries go onto `state.delta` — ensured once, since
-    /// [`ColumnRel::clear`] keeps them registered. The eval stopwatch
-    /// restarts after the index build.
+    /// empty IDB state, all from the engine's mask lists
+    /// ([`Engine::require_probes`]). The masks on `state.delta` are what
+    /// a frontier stages its batches under — ensured once, since
+    /// [`ColumnRel::clear`] keeps them registered; the round loops
+    /// replace that relation every round and re-ensure it themselves.
+    /// The eval stopwatch restarts after the index build.
     pub(crate) fn prepare<P: Pops + Send>(
         &mut self,
         engine: &mut Engine<P>,
         state: &mut IdbState<P>,
         opts: &EngineOpts,
-        extra: &[(Source, ColMask)],
     ) -> Result<(), LoopFail> {
         self.check(0, Checkpoint::Phase)?;
         let t = Instant::now();
         engine
-            .build_edb_indexes(extra, opts.effective_threads())
+            .build_edb_indexes(opts.effective_threads())
             .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
         self.col.edb_index_phase(t.elapsed().as_nanos() as u64);
         self.t_eval = Instant::now();
-        let mut new_masks = engine.idb_new_masks.clone();
-        let mut delta_masks: Vec<Vec<u32>> = vec![vec![]; new_masks.len()];
-        for &(source, mask) in extra {
-            let masks = match source {
-                Source::IdbNew(i) | Source::IdbOld(i) => &mut new_masks[i],
-                Source::IdbDelta(i) => &mut delta_masks[i],
-                Source::PopsEdb(_) | Source::BoolEdb(_) => continue,
-            };
-            if !masks.contains(&mask) {
-                masks.push(mask);
-            }
-        }
         let mut arranged = false;
-        for (rel, masks) in state.new.iter_mut().zip(&new_masks) {
+        for (rel, masks) in state.new.iter_mut().zip(&engine.idb_new_masks) {
             arranged |= ensure_probes(rel, masks);
         }
-        for (rel, masks) in state.delta.iter_mut().zip(&delta_masks) {
-            arranged |= ensure_probes(rel, masks);
-        }
+        arranged |= ensure_delta_indexes(engine, state);
         if arranged {
             self.col
                 .arrange_phase(self.t_eval.elapsed().as_nanos() as u64);
@@ -670,14 +645,13 @@ impl Run {
     pub(crate) fn drive<P: Pops + Send>(
         mut self,
         mut engine: Engine<P>,
-        extra: &[(Source, ColMask)],
         cap: usize,
         opts: &EngineOpts,
         rounds: impl FnOnce(&mut Engine<P>, &mut IdbState<P>, &mut Run) -> Result<usize, LoopFail>,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
         let mut state = engine.empty_state();
         let result = self
-            .prepare(&mut engine, &mut state, opts, extra)
+            .prepare(&mut engine, &mut state, opts)
             .and_then(|()| rounds(&mut engine, &mut state, &mut self));
         match result {
             Ok(steps) => Ok(InternedOutcome::Converged {
@@ -872,10 +846,18 @@ mod sealed {
     /// take crate-private types, so nothing outside the crate can call
     /// them — hence the `private_interfaces` allowances on the impls.
     #[allow(private_interfaces)]
-    pub trait Rounds<P: Pops> {
+    pub trait Rounds<P: Pops>: Sized {
         /// Suffix of the `incremental-*` stats labels of a
         /// [`crate::Materialization`] maintained under this schedule.
         const MAINTENANCE_SUFFIX: &'static str;
+
+        /// Adds to the engine's mask lists whatever this schedule's
+        /// loops probe beyond the seed and semi-naïve delta plans'
+        /// requirements [`setup`] collected (the frontiers: their
+        /// worklist plans'). Called before [`Run::prepare`] — by the
+        /// schedule's own `run`, and by a [`crate::Materialization`]
+        /// build, whose edits rebuild relations from the same lists.
+        fn require_probes(self, _engine: &mut Engine<P>) {}
 
         /// The schedule's loop from the empty state over a prepared
         /// engine.
@@ -937,9 +919,10 @@ pub struct SemiNaive;
 pub(crate) struct RoundPlans<'a, P> {
     /// The program's full-application plans (what naïve rounds re-run).
     pub(crate) full: &'a [Plan<P>],
-    /// What the semi-naïve seed round folds in: every full plan at a
-    /// build, the telescoped `@dlt` variants at an insert, the affected
-    /// heads' plans after a retraction.
+    /// What the seed round of the semi-naïve rounds or of a frontier
+    /// folds in: every full plan at a build, the telescoped `@dlt`
+    /// variants at an insert, the affected heads' plans after a
+    /// retraction.
     pub(crate) seed: &'a [Plan<P>],
     /// Edit rows driving the seed round (its `delta_rows` stats cell).
     pub(crate) seed_rows: u64,
@@ -959,7 +942,7 @@ impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
         setup_ns: u64,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
         let run = Run::open(&engine, "naive", false, opts, setup_ns);
-        run.drive(engine, &[], cap, opts, |engine, state, run| {
+        run.drive(engine, cap, opts, |engine, state, run| {
             let plans = std::mem::take(&mut engine.compiled.seed_plans);
             naive_rounds(engine, state, &plans, cap, opts, run, 0)
         })
@@ -996,7 +979,7 @@ where
         setup_ns: u64,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
         let run = Run::open(&engine, "seminaive", false, opts, setup_ns);
-        run.drive(engine, &[], cap, opts, |engine, state, run| {
+        run.drive(engine, cap, opts, |engine, state, run| {
             let seed = std::mem::take(&mut engine.compiled.seed_plans);
             let delta = std::mem::take(&mut engine.compiled.delta_plans);
             let plans = RoundPlans {

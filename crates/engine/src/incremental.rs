@@ -23,7 +23,10 @@
 //! `J` is a pre-fixpoint of the grown immediate-consequence operator
 //! `F'`, the ordinary semi-naïve continuation from `J` with seed
 //! `δ = F'(J) ⊖ F(J)` converges to the new least fixpoint — *insert-only
-//! maintenance needs no retraction machinery at all*.
+//! maintenance needs no retraction machinery at all*. A frontier handle
+//! (below) runs the same variant plans as its seed round and needs no
+//! `⊖`: their contributions are `⊕`-merged into `J`, and every row that
+//! strictly improved is queued.
 //!
 //! ## Deletes: DRed generalized to dioid values
 //!
@@ -47,12 +50,33 @@
 //!    derivation reaching them ever touched a deleted fact).
 //! 3. **Rederive from surviving support**: one full application
 //!    `F'(surv)` of the original seed plans (restricted to predicates
-//!    with affected keys), whose contributions re-enter through the
-//!    standard semi-naïve advance, then run the delta loop to fixpoint.
-//!    The survivors form a pre-fixpoint of `F'` below the new fixpoint,
-//!    so the continuation converges to it; surviving keys self-absorb
-//!    in the advance (`F'(surv)ₖ ⊖ survₖ = 0`), which is what makes the
-//!    overapproximation harmless even when `⊕` is not idempotent.
+//!    with affected keys) seeds the handle's schedule, which then runs
+//!    to fixpoint. The survivors form a pre-fixpoint of `F'` below the
+//!    new fixpoint, so the continuation converges to it, and surviving
+//!    keys absorb their own re-derivation — every derivation of a
+//!    survivor reads survivors only, at unchanged values — which is
+//!    what makes the overapproximation harmless: in the semi-naïve
+//!    advance `F'(surv)ₖ ⊖ survₖ = 0` even when `⊕` is not idempotent;
+//!    under a frontier `survₖ ⊕ F'(surv)ₖ = survₖ` because an
+//!    absorptive `⊕` is, so only the zeroed keys that come back are
+//!    queued.
+//!
+//! ## The schedule that built it maintains it
+//!
+//! Every continuation above — the build from the empty state, an
+//! insert from the old fixpoint, a rederive from the survivors — is the
+//! handle's [`Schedule`] resumed from a pre-fixpoint with a seed plan
+//! list: all original plans, the `@dlt` variants, the affected heads'
+//! plans. [`crate::SemiNaive`] (and [`Strategy::SemiNaive`]) folds the
+//! seed in through the semi-naïve advance and runs global Δ rounds;
+//! [`Strategy::Worklist`] and [`Strategy::Priority`] / `Auto` merge it
+//! into the state, queue the strict improvements and drain their own
+//! queue (`worklist`'s one frontier loop, the same one a from-scratch
+//! run uses), so a build costs what the from-scratch run costs and an
+//! edit on a long dependency chain pays per improved row, not per
+//! round (Cor. 5.19). Only the DRed *marking* pass is schedule-blind:
+//! it propagates key sets through the semi-naïve delta plans in global
+//! rounds under every schedule.
 //!
 //! ## Naïve mode
 //!
@@ -100,9 +124,9 @@ use crate::driver::{
 };
 use crate::govern::Checkpoint;
 use crate::output::{InternedOutput, PartialOutput};
-use crate::plan::{Plan, Source, EDB_DELTA_SUFFIX, EDB_OLD_SUFFIX};
+use crate::plan::{Plan, EDB_DELTA_SUFFIX, EDB_OLD_SUFFIX};
 use crate::query::{engine_query_eval_interned_edb, QueryAnswer};
-use crate::storage::{ColMask, ColumnRel};
+use crate::storage::ColumnRel;
 use crate::worklist::Strategy;
 use dlo_core::ast::{Program, Rule};
 use dlo_core::edit::{Edit, FactDelete, FactInsert};
@@ -135,12 +159,15 @@ struct EditSlot {
 /// absorbing EDB edits incrementally (see the module docs for the
 /// algorithm and its correctness argument).
 ///
-/// [`Materialization::new`] takes the [`Schedule`] that builds it and
-/// fixes how every later edit continues the fixpoint:
-/// [`crate::SemiNaive`] and [`Strategy`] by the semi-naïve differential
-/// (needs `⊖`), [`crate::Naive`] by naïve rounds (any naturally ordered
-/// POPS). [`Materialization::query`] runs the magic-set demand path
-/// against the current epoch under the same schedule.
+/// [`Materialization::new`] takes the [`Schedule`] that builds it, and
+/// the schedule that built it maintains it: every later edit continues
+/// the fixpoint the way the build reached it — [`crate::SemiNaive`] by
+/// the semi-naïve differential (needs `⊖`), a [`Strategy`] by whichever
+/// loop it names (the semi-naïve rounds, or its own FIFO or priority
+/// queue seeded with the edit's contributions), [`crate::Naive`] by
+/// naïve rounds (any naturally ordered POPS).
+/// [`Materialization::query`] runs the magic-set demand path against
+/// the current epoch under the same schedule.
 pub struct Materialization<P: Pops, S = Strategy> {
     /// The original program (used by the query rewrite; the engine runs
     /// the augmented maintenance program).
@@ -156,9 +183,6 @@ pub struct Materialization<P: Pops, S = Strategy> {
     /// Original-rule semi-naïve delta plans (continuation loops and
     /// affected-set propagation).
     delta_plans: Vec<Plan<P>>,
-    /// Probe masks required per `pops_edb` slot, so relations staged or
-    /// rebuilt between edits carry the indexes the plans expect.
-    pops_masks: Vec<Vec<ColMask>>,
     slots: Vec<EditSlot>,
     /// The authoritative classic-form EDB at the current epoch (feeds
     /// the query path and differential testing).
@@ -249,10 +273,11 @@ where
     S: Schedule<P>,
 {
     /// Builds the materialization and runs the initial fixpoint under
-    /// `schedule`, which also fixes how edits continue it — naïve
+    /// `schedule`, which also continues it after every edit — naïve
     /// rounds for [`crate::Naive`], the semi-naïve differential for
-    /// [`crate::SemiNaive`] and every [`Strategy`] — and runs the
-    /// demand path behind [`Materialization::query`].
+    /// [`crate::SemiNaive`], the loop a [`Strategy`] names (under a
+    /// frontier the build does exactly the work of a from-scratch run)
+    /// — and runs the demand path behind [`Materialization::query`].
     ///
     /// # Errors
     ///
@@ -301,7 +326,12 @@ where
         // (the EDB relations themselves come from `pops_edb` — `prev`
         // holds no relations), so constant ids minted by earlier epochs
         // stay stable across the recovery.
-        let engine = setup(&aug, prev, pops_edb, bool_edb, &[])?;
+        let mut engine = setup(&aug, prev, pops_edb, bool_edb, &[])?;
+        // Only the original rules' plans ever fire as Δ-splits, and the
+        // schedule's probes join the engine's mask lists before anything
+        // is built: every later rebuild of a relation reads those lists.
+        engine.compiled.keep_worklist_plans_of_rules_below(n_rules);
+        schedule.require_probes(&mut engine);
         let original = |plans: &[Plan<P>], original: bool| -> Vec<Plan<P>> {
             plans
                 .iter()
@@ -312,14 +342,6 @@ where
         let seed_plans = original(&engine.compiled.seed_plans, true);
         let edit_plans = original(&engine.compiled.seed_plans, false);
         let delta_plans = original(&engine.compiled.delta_plans, true);
-        let mut pops_masks: Vec<Vec<ColMask>> = vec![vec![]; engine.pops_edb.len()];
-        for &(source, mask) in &engine.edb_reqs {
-            if let Source::PopsEdb(i) = source {
-                if !pops_masks[i].contains(&mask) {
-                    pops_masks[i].push(mask);
-                }
-            }
-        }
         let pos = |name: &str| engine.compiled.pops_edbs.iter().position(|n| n == name);
         let slots: Vec<EditSlot> = editable
             .into_iter()
@@ -338,7 +360,6 @@ where
             seed_plans,
             edit_plans,
             delta_plans,
-            pops_masks,
             slots,
             edb: pops_edb.clone(),
             bool_edb: bool_edb.clone(),
@@ -363,7 +384,7 @@ where
             delta: &m.delta_plans,
         };
         let result = run
-            .prepare(&mut m.engine, &mut m.state, &m.opts, &[])
+            .prepare(&mut m.engine, &mut m.state, &m.opts)
             .and_then(|()| {
                 schedule.resume(
                     &mut m.engine,
@@ -522,6 +543,18 @@ where
     /// can be *missing or below* their pre-edit values too — treat it
     /// as a snapshot for inspection, not a bound. Cleared by a
     /// successful rebuild.
+    ///
+    /// An edit's partial is always best-effort
+    /// ([`PartialOutput::is_exact`] is `false`). Under the priority
+    /// order the rows the edit popped before it stopped are marked in
+    /// [`PartialOutput::settled`] all the same, and they do hold their
+    /// post-edit values — a popped row is final for the reason it is
+    /// from scratch: everything not yet fired comes from a row still
+    /// queued at a value no better. But the marking covers only what
+    /// the edit queued: the standing rows it never touched are final
+    /// too and are not marked, so an edit's settled set is a subset of
+    /// the final rows, never the settled frontier of a from-scratch
+    /// run. Under every other schedule nothing is marked.
     pub fn partial(&self) -> Option<&PartialOutput<P>> {
         self.partial.as_ref()
     }
@@ -706,13 +739,13 @@ where
             if let Some(oi) = old {
                 let mut snap = self.engine.pops_edb[cur].clone();
                 if let Some(rel) = snap.as_mut() {
-                    ensure_probes(rel, &self.pops_masks[oi]);
+                    ensure_probes(rel, &self.engine.pops_masks[oi]);
                 }
                 self.engine.pops_edb[oi] = snap;
             }
             if let Some(di) = dlt {
                 let mut d = ColumnRel::new(arity);
-                ensure_probes(&mut d, &self.pops_masks[di]);
+                ensure_probes(&mut d, &self.engine.pops_masks[di]);
                 for (key, v) in &rows {
                     d.merge(key, v.clone());
                 }
@@ -720,7 +753,7 @@ where
             }
             if self.engine.pops_edb[cur].is_none() {
                 let mut r = ColumnRel::new(arity);
-                ensure_probes(&mut r, &self.pops_masks[cur]);
+                ensure_probes(&mut r, &self.engine.pops_masks[cur]);
                 self.engine.pops_edb[cur] = Some(r);
             }
             let live = self.engine.pops_edb[cur].as_mut().expect("just ensured");
@@ -782,13 +815,13 @@ where
             if let Some(oi) = old {
                 let mut snap = self.engine.pops_edb[cur].clone();
                 if let Some(rel) = snap.as_mut() {
-                    ensure_probes(rel, &self.pops_masks[oi]);
+                    ensure_probes(rel, &self.engine.pops_masks[oi]);
                 }
                 self.engine.pops_edb[oi] = snap;
             }
             if let Some(di) = dlt {
                 let mut d = ColumnRel::new(arity);
-                ensure_probes(&mut d, &self.pops_masks[di]);
+                ensure_probes(&mut d, &self.engine.pops_masks[di]);
                 let live = self.engine.pops_edb[cur].as_ref().expect("checked present");
                 for (_, row, v) in live.iter() {
                     if keys.contains(row) {
@@ -824,7 +857,7 @@ where
             let (cur, arity) = (self.slots[*si].cur, self.slots[*si].arity);
             let old_rel = self.engine.pops_edb[cur].take().expect("staged ⇒ present");
             let mut next = ColumnRel::new(arity);
-            ensure_probes(&mut next, &self.pops_masks[cur]);
+            ensure_probes(&mut next, &self.engine.pops_masks[cur]);
             for (_, row, v) in old_rel.iter() {
                 if !keys.contains(row) {
                     next.insert_row(row, v.clone());
@@ -877,6 +910,8 @@ where
                     }
                 });
             }
+            run.col.stats.counters.cone_rows +=
+                frontier.iter().map(|f| f.len() as u64).sum::<u64>();
             run.col.end_step(steps, delta_rows, 0, &before);
             if frontier.iter().all(|f| f.is_empty()) {
                 break;
@@ -920,12 +955,13 @@ where
 
     /// Absorbs an insert batch: `⊕`-merges the facts into the EDB and
     /// continues the fixpoint from the old one (a pre-fixpoint of the
-    /// grown operator). Under the semi-naïve schedules the variant
-    /// plans compute the telescoped differential `F'(J) ⊖ F(J)` driven
-    /// by the batch, the standard advance folds it in, and the delta
-    /// rounds continue; under [`crate::Naive`] the naïve rounds re-run
-    /// the original rules — often a single confirming step when the
-    /// edit is absorbed.
+    /// grown operator). The variant plans compute what the batch adds,
+    /// `F'(J) ⊖ F(J)`, telescoped over its occurrences: the semi-naïve
+    /// schedules fold it in through the standard advance and continue
+    /// with delta rounds; a frontier merges it into the state and
+    /// drains the rows it improved through its own queue; under
+    /// [`crate::Naive`] the naïve rounds re-run the original rules —
+    /// often a single confirming step when the edit is absorbed.
     ///
     /// Returns the edit's own [`EvalStats`].
     ///
@@ -969,9 +1005,13 @@ where
     /// the affected closure against the pre-delete state (purely
     /// key-syntactic, no `⊖` involved), drop the deleted EDB rows and
     /// the affected IDB rows, and let the schedule rederive from the
-    /// surviving support — seeded, under the semi-naïve schedules, by
-    /// one application of the affected heads' original rules. Deleting
-    /// absent facts is a no-op.
+    /// surviving support — seeded, under every schedule but
+    /// [`crate::Naive`], by one application of the affected heads'
+    /// original rules (survivors absorb it; the rows that come back
+    /// drive the semi-naïve delta rounds, or are queued on the
+    /// frontier). Deleting absent facts is a no-op. The edit's stats
+    /// count the marked cone and the retracted rows
+    /// (`counters.cone_rows`, `counters.rows_retracted`).
     ///
     /// Returns the edit's own [`EvalStats`].
     ///
@@ -1005,6 +1045,8 @@ where
         self.clear_edit_rels(&touched);
         self.apply_edb_deletes(staged);
         self.retract_affected(&affected);
+        run.col.stats.counters.rows_retracted +=
+            affected.iter().map(|a| a.len() as u64).sum::<u64>();
         if affected.iter().all(|a| a.is_empty()) {
             return Ok(steps);
         }

@@ -118,7 +118,12 @@
 //!
 //! A long-lived [`Materialization`] takes the same schedule argument at
 //! construction and keeps it: builds, rebuilds, edits, edit scripts,
-//! and queries are one set of methods for every POPS.
+//! and queries are one set of methods for every POPS, and the schedule
+//! that built the handle maintains it — a frontier handle builds,
+//! inserts and rederives through its own queue (the one loop in
+//! [`worklist`], seeded from the standing state instead of from `0`),
+//! so on a chain-shaped program an edit costs per improved row, not
+//! per global round, exactly like the from-scratch run.
 //!
 //! ## What a run costs before step 0
 //!
@@ -191,8 +196,9 @@
 //! [`incremental`]'s two edit paths are deliberately asymmetric.
 //! **Inserts need no retraction machinery on any POPS**: growing the
 //! EDB grows the immediate-consequence operator pointwise, so the old
-//! fixpoint is a pre-fixpoint of the new operator and the ordinary
-//! semi-naïve continuation — seeded with the *telescoped EDB
+//! fixpoint is a pre-fixpoint of the new operator and the handle's
+//! ordinary continuation (semi-naïve rounds, or a frontier's queue) —
+//! seeded with the *telescoped EDB
 //! differential* `F'(J) ⊖ F(J)`, computed by `@dlt`-variant plans that
 //! replay Theorem 6.5's prefix-new/Δ/suffix-old split over EDB
 //! occurrences — converges to the new least fixpoint in `O(|Δ|)`-driven
@@ -213,7 +219,10 @@
 //! the shrunk operator. Key-level overapproximation is sound for any
 //! naturally ordered POPS: value maps are monotone, so an instance that
 //! contributed `0` before the delete still contributes `0` after, and
-//! surviving keys self-absorb in the semi-naïve advance. Insert-only
+//! surviving keys absorb their own re-derivation — in the semi-naïve
+//! advance because `F'(surv)ₖ ⊖ survₖ = 0`, on a frontier because an
+//! absorptive `⊕` is idempotent — so only the zeroed keys that come
+//! back drive the continuation. Insert-only
 //! workloads should prefer [`Materialization::insert`] alone — the
 //! marking pass, the zero-out, and the rederive all exist purely to pay
 //! for deletion.
@@ -356,7 +365,12 @@
 //! (`apsp-dense` shape, n = 500 / m = 2000, 2-core host: two threads
 //! took 1.03–1.05× the time of one under priority and 1.01–1.04× under
 //! FIFO in one session, 0.93–1.09× with a median of 1.08× in another)
-//! and never fired on sparse ones. Results are **bit-identical at any
+//! and never fired on sparse ones. Maintenance follows its schedule:
+//! the builds and edits of a frontier [`Materialization`] run their
+//! batches on the coordinating thread too, so there only a
+//! [`SemiNaive`] (or [`Naive`]) handle's rounds and — under every
+//! schedule — a delete's marking rounds fan out. Results are
+//! **bit-identical at any
 //! thread count**: tasks are merged in task order and interner ids are
 //! minted single-threaded between phases.
 //!

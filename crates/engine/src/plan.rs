@@ -351,6 +351,22 @@ impl<P: Pops> CompiledProgram<P> {
     pub fn worklist_plans_for(&self, pred: usize) -> &[Plan<P>] {
         &self.worklist_plans[pred]
     }
+
+    /// Drops the worklist plans of every rule from `n_rules` on — the
+    /// variant rules a [`crate::Materialization`] appends, whose Δ-splits
+    /// only re-derive what the live relations already give — and
+    /// renumbers the kept ones, so plan ids stay the dense range
+    /// [`Self::plan_metas`] indexes by (worklist ids come last).
+    pub(crate) fn keep_worklist_plans_of_rules_below(&mut self, n_rules: usize) {
+        let mut pid = self.seed_plans.len() + self.delta_plans.len();
+        for group in &mut self.worklist_plans {
+            group.retain(|plan| plan.rule_idx < n_rules);
+            for plan in group {
+                plan.pid = pid;
+                pid += 1;
+            }
+        }
+    }
 }
 
 /// Compiles `program`, interning every program constant into `interner`.

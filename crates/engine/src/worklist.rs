@@ -47,6 +47,11 @@
 //! the same runner the round loops use below their own threshold —
 //! and a frontier run reports `parallel_batches = 0` at any thread
 //! count. Threads still build the EDB indexes before the first batch.
+//! Maintenance batches are the same batches: a [`crate::Materialization`]
+//! under a frontier [`Strategy`] builds, inserts and rederives through
+//! this loop (seeded from its standing state), inline like every other
+//! frontier run — of its work only a delete's marking rounds, which are
+//! semi-naïve rounds, can fan out.
 //!
 //! ## What a batch costs
 //!
@@ -100,6 +105,7 @@ use crate::exec::HeadVal;
 use crate::govern::Checkpoint;
 use crate::intern::Interner;
 use crate::output::{AbortedEval, InternedOutcome, SettledMark};
+use crate::plan::Plan;
 use crate::storage::ColumnRel;
 use crate::telemetry::Collector;
 use dlo_pops::{
@@ -409,9 +415,9 @@ fn apply_emissions<P: Pops, F: Frontier<P>>(
     col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
 }
 
-/// The frontier loop over a prepared [`Engine`]: seed with
-/// `J(1) = F(0)`, then drain the queue batch by batch, firing the
-/// per-occurrence worklist plans of every touched predicate.
+/// A from-scratch frontier run over a prepared [`Engine`]: the
+/// prelude, then [`drain_frontier`] from the empty state, seeded with
+/// `J(1) = F(0)` by the program's all-`New` plans.
 ///
 /// On a demand-rewritten program ([`dlo_core::demand`]) the seed phase
 /// contributes exactly the magic seed fact — every other sum-product
@@ -430,25 +436,45 @@ where
     P: Pops + Send + Sync,
     F: Frontier<P>,
 {
-    let nidb = engine.compiled.idbs.len();
     let run = Run::open(&engine, F::LABEL, F::SETTLES_ON_POP, opts, setup_ns);
-    // Index plumbing: the global drivers' `new` masks plus whatever the
-    // worklist plans probe.
-    let wreqs = engine.compiled.worklist_index_requirements();
-    run.drive(engine, &wreqs, cap, opts, |engine, state, run| {
-        drain_frontier(engine, state, F::new(nidb), cap, run)
+    run.drive(engine, cap, opts, |engine, state, run| {
+        let seed = std::mem::take(&mut engine.compiled.seed_plans);
+        drain_frontier::<P, F>(engine, state, &seed, 0, 0, cap, run)
     })
 }
 
-/// The body of [`run_frontier`] after the prelude; returns the number
-/// of batches processed. `state.changed` is never populated: with an
-/// empty changed map, `Old` reads ≡ `New` reads, which is exactly the
+/// The one frontier loop, behind every from-scratch run and every
+/// maintenance continuation: a seed round, then the queue drained
+/// batch by batch, each batch firing the per-occurrence worklist plans
+/// of every touched predicate. It starts from **any pre-fixpoint** in
+/// `state` that lies below the least fixpoint it is to reach — the
+/// empty state, a standing fixpoint whose EDB grew, the survivors of a
+/// retraction — provided `seed` covers every derivation the standing
+/// rows do not already account for: all plans from the empty state,
+/// the telescoped `@dlt` variants after an insert, the affected heads'
+/// plans after a zero-out. The seed round `⊕`-merges those
+/// contributions into `new` and queues every strict improvement; rows
+/// that merely re-derive their standing value absorb (`⊕` is
+/// idempotent on an absorptive POPS) and queue nothing. From there the
+/// module docs' arguments apply unchanged: any fair draining of
+/// improved rows reaches the least fixpoint above the start, and under
+/// the priority order a popped row is final — every derivation not yet
+/// fired comes from a row still queued at a value no better, and `⊗`
+/// cannot move a value back up.
+///
+/// The seed round is step `start` (its stats row reads `seed_rows` Δ
+/// rows); batches are numbered from `start + 1`, and the returned
+/// count is the last batch's number — the number of batches when
+/// `start` is 0. `state.changed` is never populated: with an empty
+/// changed map, `Old` reads ≡ `New` reads, which is exactly the
 /// worklist plans' contract (every non-Δ occurrence sees the live
 /// state).
 fn drain_frontier<P, F>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
-    mut frontier: F,
+    seed: &[Plan<P>],
+    seed_rows: u64,
+    start: usize,
     cap: usize,
     run: &mut Run,
 ) -> Result<usize, LoopFail>
@@ -457,6 +483,7 @@ where
     F: Frontier<P>,
 {
     let nidb = engine.compiled.idbs.len();
+    let mut frontier = F::new(nidb);
     let mut bufs: Vec<EmitBuf<P>> = engine
         .compiled
         .idbs
@@ -465,20 +492,20 @@ where
         .collect();
     let mut fresh: Vec<BTreeMap<Box<[HeadVal]>, P>> = (0..nidb).map(|_| BTreeMap::new()).collect();
 
-    // Seed: run the all-New plans against the empty state (only IDB-free
-    // sum-products contribute, eq. 65) and enqueue every inserted row.
-    run.check(0, Checkpoint::Phase)?;
+    // Seed: from the empty state only IDB-free sum-products contribute
+    // (eq. 65); every inserted or improved row is enqueued.
+    run.check(start, Checkpoint::Phase)?;
     let seed_before = run.col.stats.counters;
     run_plans_inline(
         engine,
         state,
-        &engine.compiled.seed_plans,
+        seed,
         &mut bufs,
         EmitBuf::push,
         &mut fresh,
         &mut run.col,
     )
-    .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
+    .map_err(LoopFail::at(Checkpoint::Phase, start))?;
     apply_emissions(
         &mut engine.interner,
         &mut state.new,
@@ -491,18 +518,18 @@ where
     );
     drain_arrange_merges(state, &mut run.col);
     run.col
-        .end_step(0, 0, frontier.depth() as u64, &seed_before);
+        .end_step(start, seed_rows, frontier.depth() as u64, &seed_before);
 
     let mut batch: Vec<(usize, u32)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
-    let mut steps = 0usize;
+    let mut steps = start;
     loop {
         batch.clear();
         if !frontier.pop_into(&state.new, &mut batch) {
             return Ok(steps);
         }
-        if steps == cap {
-            return Err(LoopFail::Diverged(cap));
+        if steps >= cap {
+            return Err(LoopFail::Diverged(steps));
         }
         // Settled-on-pop: a popped row's value is final the moment the
         // frontier hands it over (priority only) — independent of
@@ -572,16 +599,30 @@ where
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
 
+    /// The frontiers probe what their worklist plans probe, on top of
+    /// the engine's own lists; the semi-naïve arm adds nothing, so it
+    /// never pays for indexes only a frontier reads.
+    fn require_probes(self, engine: &mut Engine<P>) {
+        match self {
+            Strategy::SemiNaive => {}
+            Strategy::Worklist | Strategy::Auto | Strategy::Priority => {
+                let reqs = engine.compiled.worklist_index_requirements();
+                engine.require_probes(&reqs);
+            }
+        }
+    }
+
     /// Only the semi-naïve loop fans its rounds over the worker pool
     /// ((plan × row-chunk) tasks per global iteration); the frontiers
     /// run every batch on the coordinating thread (module docs).
     fn run(
         self,
-        engine: Engine<P>,
+        mut engine: Engine<P>,
         cap: usize,
         opts: &EngineOpts,
         setup_ns: u64,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
+        self.require_probes(&mut engine);
         match self {
             Strategy::SemiNaive => SemiNaive.run(engine, cap, opts, setup_ns),
             Strategy::Worklist => run_frontier::<P, FifoFrontier>(engine, cap, opts, setup_ns),
@@ -591,9 +632,9 @@ where
         }
     }
 
-    /// The strategy picks how a fixpoint is reached *from scratch* (and
-    /// so governs a materialization's queries); a standing fixpoint is
-    /// always continued by the semi-naïve differential.
+    /// The schedule that reached the fixpoint continues it: the same
+    /// dispatch as [`Rounds::run`], the frontiers seeded by
+    /// `plans.seed` from the standing state ([`drain_frontier`]).
     fn resume(
         self,
         engine: &mut Engine<P>,
@@ -604,7 +645,16 @@ where
         run: &mut Run,
         start: usize,
     ) -> Result<usize, LoopFail> {
-        SemiNaive.resume(engine, state, plans, cap, opts, run, start)
+        let (seed, rows) = (plans.seed, plans.seed_rows);
+        match self {
+            Strategy::SemiNaive => SemiNaive.resume(engine, state, plans, cap, opts, run, start),
+            Strategy::Worklist => {
+                drain_frontier::<P, FifoFrontier>(engine, state, seed, rows, start, cap, run)
+            }
+            Strategy::Auto | Strategy::Priority => {
+                drain_frontier::<P, BucketFrontier<P>>(engine, state, seed, rows, start, cap, run)
+            }
+        }
     }
 }
 

@@ -17,9 +17,13 @@
 
 use datalog_o::core::examples_lib as ex;
 use datalog_o::core::{
-    parse_program, parse_query, BoolDatabase, Constant, Database, Edit, Program, Relation, Tuple,
+    parse_program, parse_query, Atom, BoolDatabase, Constant, Database, Edit, Factor, Program,
+    Relation, SumProduct, Term, Tuple, UnaryFn,
 };
-use datalog_o::pops::{NNReal, Pops, Trop};
+use datalog_o::pops::{
+    Absorptive, CompleteDistributiveDioid, MaxMin, NNReal, NaturallyOrdered, Pops, PreSemiring,
+    TotallyOrderedDioid, Trop,
+};
 use datalog_o::{engine_eval_interned, EngineOpts, Materialization, Naive, Schedule, Strategy};
 
 const CAP: usize = 100_000;
@@ -56,57 +60,90 @@ fn delete(u: &str, v: &str) -> Edit<Trop> {
 
 /// Applies one edit to the classic mirror exactly as the engine defines
 /// edit semantics: insert `⊕`-merges, delete removes the fact.
-fn mirror(edb: &mut Database<Trop>, edit: &Edit<Trop>) {
+fn mirror<P: Pops>(edb: &mut Database<P>, edit: &Edit<P>) {
     match edit {
         Edit::Insert(f) => edb
             .get_or_insert(&f.pred, f.tuple.len())
-            .merge(f.tuple.clone(), f.value),
+            .merge(f.tuple.clone(), f.value.clone()),
         Edit::Delete(f) => edb
             .get_or_insert(&f.pred, f.tuple.len())
-            .set(f.tuple.clone(), Trop::INF),
+            .set(f.tuple.clone(), P::bottom()),
     }
 }
 
-/// Runs `script` through a [`Materialization`] and asserts that after
-/// every step it is bit-identical to the from-scratch fixpoint of the
-/// mirrored EDB under each of `strategies`.
-fn assert_differential(
+/// The POPS every [`Strategy`] is licensed over.
+trait FrontierPops:
+    NaturallyOrdered + CompleteDistributiveDioid + Absorptive + TotallyOrderedDioid + Send + Sync
+{
+}
+impl<P> FrontierPops for P where
+    P: NaturallyOrdered
+        + CompleteDistributiveDioid
+        + Absorptive
+        + TotallyOrderedDioid
+        + Send
+        + Sync
+{
+}
+
+/// Runs `script` through one [`Materialization`] under `Strategy::Auto`
+/// and one under each of `strategies` — the schedule that builds a
+/// handle also maintains it — and asserts that after every step each
+/// handle is bit-identical to the from-scratch fixpoint of the mirrored
+/// EDB under each of `strategies`.
+fn assert_differential<P: FrontierPops>(
     scenario: &str,
-    program: &Program<Trop>,
-    edb: &Database<Trop>,
-    script: &[Edit<Trop>],
+    program: &Program<P>,
+    edb: &Database<P>,
+    script: &[Edit<P>],
     strategies: &[Strategy],
     opts: &EngineOpts,
 ) {
     let bools = BoolDatabase::new();
-    let mut mat =
-        Materialization::new(program, edb, &bools, CAP, Strategy::Auto, opts).expect("compiles");
+    let mut handles = vec![Strategy::Auto];
+    handles.extend(strategies.iter().filter(|s| **s != Strategy::Auto));
+    let mut mats: Vec<(Strategy, Materialization<P>)> = handles
+        .into_iter()
+        .map(|handle| {
+            let mat = Materialization::new(program, edb, &bools, CAP, handle, opts);
+            (handle, mat.expect("compiles"))
+        })
+        .collect();
     let mut mirror_edb = edb.clone();
     for (step, edit) in script.iter().enumerate() {
-        mat.apply(std::slice::from_ref(edit)).expect("edit applies");
         mirror(&mut mirror_edb, edit);
-        let live = mat.output().materialize();
-        for &strategy in strategies {
-            let scratch = engine_eval_interned(program, &mirror_edb, &bools, CAP, strategy, opts)
-                .expect("compiles")
-                .materialize()
-                .converged()
-                .unwrap_or_else(|| panic!("{scenario}: oracle diverged at step {step}"))
-                .0;
-            for (pred, reference) in scratch.iter() {
-                let empty = Relation::new(reference.arity());
-                assert_eq!(
-                    reference,
-                    live.get(pred).unwrap_or(&empty),
-                    "{scenario}: step {step} ({edit:?}) differs from {strategy:?} oracle on {pred}"
+        let oracles: Vec<(Strategy, Database<P>)> = strategies
+            .iter()
+            .map(|&strategy| {
+                let scratch =
+                    engine_eval_interned(program, &mirror_edb, &bools, CAP, strategy, opts)
+                        .expect("compiles")
+                        .materialize()
+                        .converged()
+                        .unwrap_or_else(|| panic!("{scenario}: oracle diverged at step {step}"))
+                        .0;
+                (strategy, scratch)
+            })
+            .collect();
+        for (handle, mat) in &mut mats {
+            mat.apply(std::slice::from_ref(edit)).expect("edit applies");
+            let live = mat.output().materialize();
+            for (strategy, scratch) in &oracles {
+                let leg = format!(
+                    "{scenario}: step {step} ({edit:?}) on a {handle:?} handle vs the {strategy:?} oracle"
                 );
-            }
-            for (pred, r) in live.iter() {
-                if scratch.get(pred).is_none() {
-                    assert!(
-                        r.is_empty(),
-                        "{scenario}: step {step} kept extra atoms in {pred}"
+                for (pred, reference) in scratch.iter() {
+                    let empty = Relation::new(reference.arity());
+                    assert_eq!(
+                        reference,
+                        live.get(pred).unwrap_or(&empty),
+                        "{leg}: differs on {pred}"
                     );
+                }
+                for (pred, r) in live.iter() {
+                    if scratch.get(pred).is_none() {
+                        assert!(r.is_empty(), "{leg}: kept extra atoms in {pred}");
+                    }
                 }
             }
         }
@@ -457,9 +494,10 @@ fn random_edit_scripts_match_from_scratch() {
 #[test]
 fn edits_are_bit_identical_at_any_thread_count() {
     // The same random script at 1, 2, and 4 workers — with the fan-out
-    // threshold forced down so the maintenance rounds (semi-naïve under
-    // every `Strategy`) actually run their parallel path — must produce
-    // identical databases *after every step*.
+    // threshold forced down so what runs as global rounds under
+    // `Strategy::Auto` (each delete's marking) actually takes its
+    // parallel path — must produce identical databases *after every
+    // step*.
     let program = apsp_program();
     let edb = edge_db(&base_edges());
     let bools = BoolDatabase::new();
@@ -773,7 +811,12 @@ fn edits_leave_untouched_relations_indexes_alone() {
 /// A poisoned handle keeps the failed edit's mid-fixpoint state
 /// read-only next to the poison: `partial()` is `Some` (best-effort,
 /// not exact), its values sit at-or-below the post-edit fixpoint for an
-/// interrupted insert, and a successful rebuild clears it.
+/// interrupted insert, and a successful rebuild clears it. What the
+/// partial marks as settled depends on the schedule that maintained
+/// the handle: the round loops mark nothing; the priority order marks
+/// each row it pops, and those rows already hold their post-edit values
+/// — while `is_exact()` stays `false`, because the rows the edit never
+/// queued are final too and are not marked.
 #[test]
 fn poisoned_handle_exposes_partial_beside_the_poison() {
     use datalog_o::core::FactInsert;
@@ -805,6 +848,11 @@ fn poisoned_handle_exposes_partial_beside_the_poison() {
     assert!(
         !partial.is_exact(),
         "incremental partials are best-effort, never exact"
+    );
+    assert_eq!(
+        partial.settled().settled_rows(),
+        0,
+        "semi-naïve rounds settle nothing before they converge"
     );
 
     // An interrupted *insert* leaves a pointwise lower bound of the
@@ -843,4 +891,300 @@ fn poisoned_handle_exposes_partial_beside_the_poison() {
         mat.partial().is_none(),
         "rebuild clears the stashed partial"
     );
+
+    // The same edit on a priority handle, stopped after its seed round
+    // and one bucket: the seed queues what d→a at 0.5 derives from the
+    // standing rows, the first bucket — T(d,a) itself, the best of them
+    // — is popped, marked and fired, and the second is popped and marked
+    // before the budget check stops the edit.
+    let mut mat = Materialization::new(
+        &program,
+        &edb,
+        &bools,
+        CAP,
+        Strategy::Priority,
+        &EngineOpts::default(),
+    )
+    .expect("compiles");
+    mat.set_budget(EvalBudget::default().with_max_steps(1));
+    mat.insert(&[FactInsert::new(
+        "E",
+        vec![k("d"), k("a")],
+        Trop::finite(0.5),
+    )])
+    .expect_err("one step is the seed round and a single bucket");
+    let partial = mat.partial().expect("poisoned handle exposes its partial");
+    assert!(!partial.is_exact(), "an edit's partial is never exact");
+    assert!(
+        partial.settled().settled_rows() >= 2,
+        "both popped buckets are marked"
+    );
+    assert_eq!(
+        partial.settled_value("T", &[k("d"), k("a")]),
+        Some(&Trop::finite(0.5))
+    );
+    for (pred, rel) in partial.materialize_settled().iter() {
+        for (t, v) in rel.support() {
+            assert_eq!(
+                oracle.get(pred).unwrap().get(t),
+                *v,
+                "marked {pred}({t:?}) is already final"
+            );
+        }
+    }
+    assert!(
+        oracle.get("T").unwrap().support_size() as u64 > partial.settled().settled_rows(),
+        "the rows the edit never queued are final too, and unmarked"
+    );
+}
+
+/// `threads` workers with the round fan-out forced down, so whatever
+/// still runs as global rounds — a semi-naïve handle's maintenance, a
+/// delete's marking under every schedule — takes its parallel path.
+fn fanned(threads: usize) -> EngineOpts {
+    EngineOpts {
+        threads: Some(threads),
+        par_threshold: 1,
+        chunk_min: 2,
+        ..EngineOpts::default()
+    }
+}
+
+/// Worklist plans probe structures the semi-naïve plans never ask for,
+/// and every edit rebuilds relations: the `@dlt` / `@old` staging, the
+/// EDB without its deleted rows, the IDB without its cone, the Δ
+/// relations of the marking rounds. Each rebuild must carry what the
+/// frontier's next batch probes — a missing one is a panic from public
+/// input, not a wrong answer. Three shapes, each through an insert /
+/// delete / re-insert script on handles under every strategy at 1, 2
+/// and 4 threads:
+///
+/// * a value-function factor (its Δ-split exists only as a worklist
+///   plan; the semi-naïve loop recomputes the sum-product whole);
+/// * a constant-bound IDB occurrence (the batch staged as Δ is probed
+///   by that constant, not scanned);
+/// * both at once — the one shape where the probed Δ mask belongs to no
+///   semi-naïve plan at all, so nothing but the handle's own mask list
+///   re-ensures it after the marking rounds swap the Δ relations out.
+#[test]
+fn edits_keep_every_probe_the_worklist_plans_read() {
+    let cap_fn = || UnaryFn::new("cap", |v: &MaxMin| v.mul(&MaxMin::of(0.3)));
+    let widths = |edges: &[(&str, &str, f64)]| {
+        Relation::from_pairs(
+            2,
+            edges
+                .iter()
+                .map(|(u, v, w)| (vec![k(u), k(v)], MaxMin::of(*w))),
+        )
+    };
+    let widen = |u: &str, v: &str, w: f64| Edit::insert("E", vec![k(u), k(v)], MaxMin::of(w));
+    let cut = |u: &str, v: &str| Edit::<MaxMin>::delete("E", vec![k(u), k(v)]);
+
+    // R(X) :- S(X) + cap(R(Y)) * E(Y, X): capacity capped along hops.
+    let mut capped = Program::<MaxMin>::new();
+    capped.rule(
+        Atom::new("R", vec![Term::v(0)]),
+        vec![
+            SumProduct::new(vec![Factor::atom("S", vec![Term::v(0)])]),
+            SumProduct::new(vec![
+                Factor::wrapped("R", vec![Term::v(1)], cap_fn()),
+                Factor::atom("E", vec![Term::v(1), Term::v(0)]),
+            ]),
+        ],
+    );
+    let mut capped_edb = Database::new();
+    capped_edb.insert(
+        "S",
+        Relation::from_pairs(1, vec![(vec![k("s")], MaxMin::of(0.9))]),
+    );
+    capped_edb.insert("E", widths(&[("s", "a", 0.4), ("a", "b", 0.2)]));
+    let capped_script = [
+        widen("b", "c", 0.8),
+        cut("s", "a"),
+        widen("s", "a", 0.4),
+        cut("a", "b"),
+        widen("a", "b", 0.25),
+        widen("c", "s", 0.7),
+        cut("b", "c"),
+    ];
+
+    // Widest paths, and what "a" reaches one capped hop further on:
+    // T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, Y).
+    // R(Y)    :- cap(T("a", Z)) * E(Z, Y).
+    let mut capped_from_a = Program::<MaxMin>::new();
+    capped_from_a.rule(
+        Atom::new("T", vec![Term::v(0), Term::v(1)]),
+        vec![
+            SumProduct::new(vec![Factor::atom("E", vec![Term::v(0), Term::v(1)])]),
+            SumProduct::new(vec![
+                Factor::atom("T", vec![Term::v(0), Term::v(2)]),
+                Factor::atom("E", vec![Term::v(2), Term::v(1)]),
+            ]),
+        ],
+    );
+    capped_from_a.rule(
+        Atom::new("R", vec![Term::v(0)]),
+        vec![SumProduct::new(vec![
+            Factor::wrapped("T", vec![Term::c("a"), Term::v(1)], cap_fn()),
+            Factor::atom("E", vec![Term::v(1), Term::v(0)]),
+        ])],
+    );
+    let mut from_a_edb = Database::new();
+    from_a_edb.insert(
+        "E",
+        widths(&[("a", "b", 0.9), ("b", "c", 0.5), ("c", "d", 0.7)]),
+    );
+    let from_a_script = [
+        widen("a", "c", 0.6),
+        cut("a", "b"),
+        widen("a", "b", 0.9),
+        cut("b", "c"),
+        widen("b", "c", 0.2),
+        cut("a", "c"),
+    ];
+
+    // The same occurrence without the value function, over Trop.
+    let from_a: Program<Trop> = parse_program(
+        "T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, Y).\n\
+         R(Y) :- T(\"a\", Z) * E(Z, Y).",
+    )
+    .unwrap();
+    let trop_script = [
+        insert("d", "e", 2.0),
+        delete("b", "c"),
+        insert("b", "c", 2.0),
+        delete("a", "b"),
+        insert("a", "b", 0.5),
+    ];
+
+    for threads in [1, 2, 4] {
+        let opts = fanned(threads);
+        assert_differential(
+            &format!("value function at {threads} threads"),
+            &capped,
+            &capped_edb,
+            &capped_script,
+            &ALL_STRATEGIES,
+            &opts,
+        );
+        assert_differential(
+            &format!("constant-bound occurrence at {threads} threads"),
+            &from_a,
+            &edge_db(&base_edges()),
+            &trop_script,
+            &ALL_STRATEGIES,
+            &opts,
+        );
+        assert_differential(
+            &format!("constant-bound value function at {threads} threads"),
+            &capped_from_a,
+            &from_a_edb,
+            &from_a_script,
+            &ALL_STRATEGIES,
+            &opts,
+        );
+    }
+}
+
+/// The work counters a build is held to: what the frontier did, not how
+/// long it took.
+fn work(stats: &datalog_o::EvalStats) -> [u64; 6] {
+    let c = &stats.counters;
+    [
+        stats.steps,
+        c.emits,
+        c.index_probes,
+        c.tuples_scanned,
+        c.rows_inserted,
+        c.rows_improved,
+    ]
+}
+
+/// A frontier handle is built by the frontier: the same batches, plans
+/// and merges as the from-scratch run under the same strategy — not the
+/// semi-naïve rounds, and not one probe for the `@dlt` / `@old` variant
+/// rules the handle compiles beside the program's own.
+#[test]
+fn frontier_builds_do_exactly_the_from_scratch_work() {
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    let inputs = [("base", apsp_program(), edge_db(&base_edges())), {
+        let (program, edb) = dlo_bench::GraphInstance::gradient(64).sssp();
+        ("gradient-64", program, edb)
+    }];
+    for (name, program, edb) in &inputs {
+        for strategy in [Strategy::Worklist, Strategy::Priority] {
+            let scratch =
+                engine_eval_interned(program, edb, &bools, CAP, strategy, &opts).expect("compiles");
+            let built =
+                Materialization::new(program, edb, &bools, CAP, strategy, &opts).expect("compiles");
+            assert_eq!(
+                work(built.last_stats()),
+                work(scratch.stats()),
+                "{name} under {strategy:?}: [steps, emits, probes, scanned, inserted, improved]"
+            );
+        }
+    }
+}
+
+/// Cor. 5.19 on the maintenance path, as exact counts: on the gradient
+/// graph every node settles once, so under the priority order a build
+/// is `n` one-row buckets, a shortcut to the middle improves exactly the
+/// `n/2` nodes behind it, and retracting it touches the same half again
+/// — marking it, re-deriving it once per node — in work linear in `n`,
+/// where global rounds pay Θ(n) rounds of Θ(n) improvements.
+#[test]
+fn maintenance_on_the_gradient_graph_is_linear_in_counts() {
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    for n in [1000usize, 4000] {
+        let graph = dlo_bench::GraphInstance::gradient(n);
+        let (program, edb) = graph.sssp();
+        let from_scratch = |edb: &Database<Trop>| {
+            engine_eval_interned(&program, edb, &bools, CAP, Strategy::Auto, &opts)
+                .expect("compiles")
+                .materialize()
+                .unwrap()
+        };
+        let mut mat = Materialization::new(&program, &edb, &bools, CAP, Strategy::Auto, &opts)
+            .expect("compiles");
+        assert_eq!(mat.last_stats().steps, n as u64, "n = {n}: build buckets");
+        assert_eq!(mat.output().materialize(), from_scratch(&edb));
+
+        let shortcut = vec![graph.node(0), graph.node(n / 2)];
+        let stats = mat
+            .apply(&[Edit::insert("E", shortcut.clone(), Trop::finite(0.5))])
+            .expect("insert applies");
+        assert_eq!(
+            stats.counters.rows_improved,
+            n as u64 / 2,
+            "n = {n}: the shortcut improves the far half, each node once"
+        );
+        assert_eq!(stats.counters.rows_inserted, 0, "n = {n}");
+        assert_eq!(
+            mat.get("L", &[graph.node(n - 1)]),
+            Some(&Trop::finite(0.5 + (n - 1 - n / 2) as f64))
+        );
+        let edited = mat.edb().clone();
+        assert_eq!(mat.output().materialize(), from_scratch(&edited));
+
+        let stats = mat
+            .apply(&[Edit::delete("E", shortcut)])
+            .expect("delete applies")
+            .clone();
+        assert!(
+            stats.counters.emits <= 3 * n as u64,
+            "n = {n}: deleting the shortcut emitted {} rows",
+            stats.counters.emits
+        );
+        assert_eq!(stats.counters.cone_rows, n as u64 / 2, "n = {n}: the cone");
+        assert_eq!(stats.counters.rows_retracted, n as u64 / 2, "n = {n}");
+        assert_eq!(stats.counters.rows_inserted, n as u64 / 2, "n = {n}");
+        assert_eq!(
+            mat.get("L", &[graph.node(n - 1)]),
+            Some(&Trop::finite((n - 1) as f64))
+        );
+        let edited = mat.edb().clone();
+        assert_eq!(mat.output().materialize(), from_scratch(&edited));
+    }
 }

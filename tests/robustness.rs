@@ -27,7 +27,8 @@ use std::time::{Duration, Instant};
 
 use datalog_o::core::ast::{Atom, Factor, SumProduct, Term};
 use datalog_o::core::{
-    parse_program, parse_query, BoolDatabase, Database, EvalOutcome, FactInsert, Program, Relation,
+    parse_program, parse_query, BoolDatabase, Database, Edit, EvalOutcome, FactInsert, Program,
+    Relation,
 };
 use datalog_o::pops::{NNReal, Pops, Trop};
 use datalog_o::{
@@ -968,6 +969,91 @@ fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
             assert_eq!(report.attempts_made(), 2, "{leg}");
             assert_eq!(report.attempts[0].settled_rows, settled as u64, "{leg}");
             assert_eq!(outcome.materialize(), ungoverned, "{leg}: retry");
+        }
+    }
+}
+
+/// The same enumeration for edits on a live handle under both
+/// frontiers: the shortcut `0 → n/2` inserted into the gradient graph
+/// and retracted again, each stopped by a step budget of every `k`
+/// below the edit's own step count (an insert's seed round and one
+/// bucket or generation per improved batch; a delete's marking rounds
+/// first, then the same). Every stop is the typed budget error, poisons
+/// the handle and leaves its mid-flight state on `partial()` —
+/// best-effort, a pointwise lower bound of the post-edit fixpoint on an
+/// insert; what the priority order had popped by then is marked and
+/// already final, and FIFO generations mark nothing — and `rebuild()`
+/// under a lifted budget lands on the from-scratch build of the edited
+/// EDB. A budget of the step count itself lets the edit through.
+#[test]
+fn edits_abort_at_every_step_poison_and_rebuild() {
+    const N: usize = 32;
+    let graph = dlo_bench::GraphInstance::gradient(N);
+    let (program, edb) = graph.sssp();
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    let shortcut = vec![graph.node(0), graph.node(N / 2)];
+    let insert = [Edit::insert("E", shortcut.clone(), Trop::finite(0.5))];
+    let delete = [Edit::delete("E", shortcut)];
+    for strategy in [Strategy::Worklist, Strategy::Priority] {
+        let build = |edb: &Database<Trop>| {
+            Materialization::new(&program, edb, &bools, CAP, strategy, &opts)
+                .expect("ungoverned build succeeds")
+        };
+        let mut widened = build(&edb);
+        widened.apply(&insert).expect("ungoverned insert");
+        let widened_edb = widened.edb().clone();
+        for (kind, before, edit) in [("insert", &edb, &insert), ("delete", &widened_edb, &delete)] {
+            let mut reference = build(before);
+            let own_steps = reference.apply(edit).expect("ungoverned edit").steps;
+            let after = reference.output().materialize();
+            assert_eq!(after, build(reference.edb()).output().materialize());
+            assert!(own_steps as usize >= N / 2, "{strategy:?} {kind}");
+
+            let mut marked_somewhere = false;
+            for budget in 0..=own_steps {
+                let leg = format!("{strategy:?} {kind} under max_steps {budget}");
+                let mut mat = build(before);
+                mat.set_budget(EvalBudget::default().with_max_steps(budget));
+                if budget == own_steps {
+                    let stats = mat.apply(edit).expect("the edit's own step count fits");
+                    assert_eq!(stats.steps, own_steps, "{leg}");
+                    assert_eq!(mat.output().materialize(), after, "{leg}");
+                    continue;
+                }
+                let err = mat.apply(edit).expect_err("fewer steps cannot finish");
+                assert_eq!(err.kind(), "budget", "{leg}");
+                assert_populated(&err, true);
+                assert!(mat.poisoned().is_some(), "{leg}: poisoned");
+                let partial = mat.partial().expect("the poison keeps the partial");
+                if kind == "insert" {
+                    assert_partial_below(&leg, partial, false, &after);
+                }
+                assert!(
+                    !partial.is_exact(),
+                    "{leg}: an edit's partial is best-effort"
+                );
+                for (pred, rel) in partial.materialize_settled().iter() {
+                    for (t, v) in rel.support() {
+                        assert_eq!(after.get(pred).unwrap().get(t), *v, "{leg}: {pred}({t:?})");
+                        marked_somewhere = true;
+                    }
+                }
+                if strategy == Strategy::Worklist {
+                    assert_eq!(partial.settled().settled_rows(), 0, "{leg}");
+                }
+
+                mat.set_budget(EvalBudget::unlimited());
+                mat.rebuild().expect("ungoverned rebuild succeeds");
+                assert!(mat.poisoned().is_none() && mat.partial().is_none(), "{leg}");
+                assert_eq!(mat.edb(), reference.edb(), "{leg}: the edit's EDB effect");
+                assert_eq!(mat.output().materialize(), after, "{leg}: rebuilt");
+            }
+            assert_eq!(
+                marked_somewhere,
+                strategy == Strategy::Priority,
+                "{strategy:?} {kind}: rows marked on pop"
+            );
         }
     }
 }

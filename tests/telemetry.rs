@@ -395,6 +395,10 @@ fn every_entry_point_returns_populated_stats() {
             Some(phases.load),
             "{leg}: load_ns serialized"
         );
+        // Nothing here retracts anything.
+        let c = &stats.counters;
+        assert_eq!((c.cone_rows, c.rows_retracted), (0, 0), "{leg}");
+        assert!(!report.contains("delete:"), "{leg}:\n{report}");
     }
     // A maintenance edit loads nothing: its build did.
     let (program, edb) = sssp();
@@ -408,6 +412,107 @@ fn every_entry_point_returns_populated_stats() {
     let fact = datalog_o::core::FactInsert::new("E", edge.0.clone(), *edge.1);
     let edit = live.insert(&[fact]).expect("edit applies").phases;
     assert_eq!(edit.load, 0, "edits load nothing");
+}
+
+/// What a delete touched is on its stats: the rows its marking pass put
+/// in the cone, the rows it dropped, and — `rows_inserted` — how many of
+/// them the rederive brought back, all three on one `explain()` line.
+/// Builds, inserts and no-op deletes retract nothing and read 0. SSSP
+/// on the Fig. 2(a) graph with a leaf `d → e` hung on it: cutting the
+/// leaf touches one row, cutting `a → b` touches all of them — the
+/// cycle through `b → a` puts even the source in the syntactic cone.
+#[test]
+fn delete_stats_say_what_the_edit_touched() {
+    use datalog_o::core::Edit;
+    fn check<S: datalog_o::Schedule<Trop> + std::fmt::Debug>(schedule: S, reinserted: u64) {
+        let (program, edb) = sssp();
+        let bools = BoolDatabase::new();
+        let opts = EngineOpts::default();
+        let fact = |u: &str, v: &str| vec![u.into(), v.into()];
+        let mut live =
+            datalog_o::Materialization::new(&program, &edb, &bools, CAP, schedule, &opts)
+                .expect("compiles");
+        let untouched = |leg: &str, stats: &datalog_o::EvalStats| {
+            let c = &stats.counters;
+            assert_eq!(
+                (c.cone_rows, c.rows_retracted),
+                (0, 0),
+                "{schedule:?} {leg}"
+            );
+            let v = json::parse(&stats.to_json()).expect("stats JSON parses");
+            let counters = v.get("counters").expect("counters serialized");
+            for field in ["cone_rows", "rows_retracted"] {
+                assert_eq!(
+                    counters.get(field).and_then(|x| x.as_u64()),
+                    Some(0),
+                    "{schedule:?} {leg}: {field}"
+                );
+            }
+        };
+        untouched("build", live.last_stats());
+        assert!(!live.last_stats().explain().contains("delete:"));
+        let stats = live
+            .apply(&[Edit::insert("E", fact("d", "e"), Trop::finite(1.0))])
+            .expect("insert applies");
+        untouched("insert", stats);
+        assert!(!stats.explain().contains("delete:"));
+        let stats = live
+            .apply(&[Edit::delete("E", fact("e", "a"))])
+            .expect("deleting an absent fact is a no-op");
+        untouched("no-op delete", stats);
+        assert!(!stats.explain().contains("delete:"));
+
+        // L(e) alone hangs on d→e: marked, dropped, gone.
+        let stats = live
+            .apply(&[Edit::delete("E", fact("d", "e"))])
+            .expect("delete applies");
+        let c = &stats.counters;
+        assert_eq!(
+            (c.cone_rows, c.rows_retracted, c.rows_inserted),
+            (1, 1, 0),
+            "{schedule:?}"
+        );
+        assert!(
+            stats
+                .explain()
+                .contains("delete: marked 1 rows | retracted 1 | re-inserted 0"),
+            "{schedule:?}:\n{}",
+            stats.explain()
+        );
+        // a→b feeds b, and through b→a, b→c and c→d every other row,
+        // the source's own included: the cone is all four. b is gone
+        // for good; a, c (by a→c) and d come back.
+        let stats = live
+            .apply(&[Edit::delete("E", fact("a", "b"))])
+            .expect("delete applies")
+            .clone();
+        let c = &stats.counters;
+        assert_eq!((c.cone_rows, c.rows_retracted), (4, 4), "{schedule:?}");
+        assert_eq!(live.support_size("L"), 3, "{schedule:?}");
+        assert_eq!(c.rows_inserted, reinserted, "{schedule:?}");
+        assert!(
+            stats.explain().contains(&format!(
+                "delete: marked 4 rows | retracted 4 | re-inserted {reinserted}"
+            )),
+            "{schedule:?}:\n{}",
+            stats.explain()
+        );
+        let v = json::parse(&stats.to_json()).expect("stats JSON parses");
+        let counters = v.get("counters").expect("counters serialized");
+        for field in ["cone_rows", "rows_retracted"] {
+            assert_eq!(
+                counters.get(field).and_then(|x| x.as_u64()),
+                Some(4),
+                "{schedule:?}: {field}"
+            );
+        }
+    }
+    // The naïve rounds rebuild the state wholesale and count no merges.
+    check(Naive, 0);
+    check(SemiNaive, 3);
+    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
+        check(strategy, 3);
+    }
 }
 
 /// The [`EngineOpts::iter_sample`] knob keeps every k-th per-iteration
