@@ -10,13 +10,15 @@
 //!
 //! * **thread-invariant**: [`Counters`], `steps`, the per-iteration
 //!   [`IterStat`] snapshots, and the per-rule emit/probe/scan counts.
-//!   These are exact sums over a task decomposition whose work items
-//!   are fixed by the compiled plans, so they are bit-identical at any
-//!   `DLO_ENGINE_THREADS` — the cross-thread determinism tests compare
-//!   them directly via [`EvalStats::invariants`].
+//!   These are exact counts of work fixed by the compiled plans and
+//!   the input, done by the one thread that runs the fixpoint, so they
+//!   are bit-identical at any `DLO_ENGINE_THREADS` — the cross-thread
+//!   determinism tests compare them directly via
+//!   [`EvalStats::invariants`].
 //! * **environmental**: wall-clock phase timers ([`PhaseNanos`]),
-//!   per-rule `time_ns`, the resolved thread count, and parallel
-//!   fan-out counts. [`EvalStats::invariants`] zeroes these.
+//!   per-rule `time_ns`, the resolved thread count, and the two
+//!   fan-out counts (0 on every run now).
+//!   [`EvalStats::invariants`] zeroes these.
 //!
 //! A [`TraceSink`] optionally receives the same data as structured
 //! [`TraceEvent`]s while the run executes: [`JsonlSink`] appends one
@@ -240,13 +242,17 @@ pub struct EvalStats {
     /// Steps processed (global iterations or frontier batches —
     /// mirrors the outcome's step count).
     pub steps: u64,
-    /// Resolved worker-thread count (environmental).
+    /// Resolved worker-thread count (environmental): how many threads
+    /// the engine's EDB index builds may use — the fixpoint itself runs
+    /// on one.
     pub threads: u64,
-    /// Tasks fanned over the worker pool (environmental — depends on
-    /// the thread count and parallel thresholds).
+    /// Plan tasks fanned over the worker pool. No schedule fans its
+    /// plans out any more, so the engine reports 0 on every run (index
+    /// builds are not counted here); kept, with its JSON key, for the
+    /// benchmark that still reads it.
     pub tasks_spawned: u64,
-    /// Rounds that ran their plans in parallel (environmental; the
-    /// frontier strategies run every batch inline and report 0).
+    /// Rounds that ran their plans in parallel: 0 on every run, kept
+    /// for the same reader as [`EvalStats::tasks_spawned`].
     pub parallel_batches: u64,
     /// Whole-run work counters (thread-invariant).
     pub counters: Counters,
@@ -301,12 +307,9 @@ impl EvalStats {
     ///
     /// The eval phase is split with the timers already taken: `plans` is
     /// the sum of the per-plan times (the joins, up to handing each
-    /// emission over), and on a run that fanned nothing out the rest of
-    /// the phase — merging emissions into the relations, the frontier or
-    /// Δ bookkeeping between plans — is printed per emission as
-    /// `merge+queue`. With fanned-out rounds the per-plan times add up
-    /// CPU time across workers, not wall time, so the report says
-    /// `plans cpu` and prints no quotient. A maintenance delete that
+    /// emission over), and the rest of the phase — merging emissions
+    /// into the relations, the frontier or Δ bookkeeping between plans
+    /// — is printed per emission as `merge+queue`. A maintenance delete that
     /// marked anything adds a `delete:` line: the cone, the rows
     /// dropped, and how many of them the rederive brought back.
     pub fn explain(&self) -> String {
@@ -319,24 +322,22 @@ impl EvalStats {
         );
         let p = &self.phases;
         let plans: u64 = self.rules.iter().map(|r| r.time_ns).sum();
-        let sequential = self.tasks_spawned == 0;
         let _ = writeln!(
             s,
             "phases (ms): setup {:.3} (load {:.3}) | edb index {:.3} | arrange {:.3} | \
-             eval {:.3} ({} {:.3}) | mint {:.3} | decode {:.3}",
+             eval {:.3} (plans {:.3}) | mint {:.3} | decode {:.3}",
             ms(p.setup),
             ms(p.load),
             ms(p.edb_index),
             ms(p.arrange),
             ms(p.eval),
-            if sequential { "plans" } else { "plans cpu" },
             ms(plans),
             ms(p.mint),
             ms(p.decode)
         );
         let c = &self.counters;
         let emissions = c.emits + c.fresh_emits;
-        if sequential && emissions > 0 {
+        if emissions > 0 {
             let rest = p.eval.saturating_sub(plans);
             let _ = writeln!(
                 s,
@@ -373,13 +374,6 @@ impl EvalStats {
                 s,
                 "delete: marked {} rows | retracted {} | re-inserted {}",
                 c.cone_rows, c.rows_retracted, c.rows_inserted
-            );
-        }
-        if self.tasks_spawned > 0 {
-            let _ = writeln!(
-                s,
-                "parallelism: {} tasks over {} parallel batches",
-                self.tasks_spawned, self.parallel_batches
             );
         }
         if !self.rules.is_empty() {
@@ -1064,10 +1058,6 @@ mod tests {
         assert!(report.contains("setup 0.001 (load 0.001)"));
         // (100 − 18) ns of eval outside the plans over 41 emissions.
         assert!(report.contains("= 2.0 ns per emission"), "{report}");
-        stats.tasks_spawned = 2;
-        let report = stats.explain();
-        assert!(report.contains("(plans cpu "), "{report}");
-        assert!(!report.contains("per emission"), "{report}");
         let iters = parsed.get("iterations").unwrap().as_arr().unwrap();
         assert_eq!(iters.len(), 1);
         assert_eq!(iters[0].get("inserted").unwrap().as_u64(), Some(13));

@@ -1,6 +1,6 @@
 //! The evaluation drivers: the [`Schedule`] argument, the two full
-//! entry points, and the naïve and parallel semi-naïve round loops over
-//! compiled plans — shared by from-scratch runs and by every
+//! entry points, and the naïve and semi-naïve round loops over compiled
+//! plans — shared by from-scratch runs and by every
 //! [`crate::Materialization`] build and edit.
 //!
 //! The semi-naïve loop is the relation-level reading of Theorem 6.5
@@ -15,20 +15,22 @@
 //! until δ = 0
 //! ```
 //!
-//! Work per iteration is distributed over scoped worker threads: each
-//! (plan, first-step row chunk) task joins into a private accumulator,
-//! and accumulators are `⊕`-merged in task order, so results are
-//! deterministic regardless of the worker count.
+//! One thread runs the fixpoint: every round's plans run in order on
+//! the calling thread (`run_plans_inline`), `⊕`-merging into one
+//! accumulator per head predicate that is drained in sorted key order,
+//! so results are deterministic. Threads only build the EDB indexes
+//! before the first round (`Engine::build_edb_indexes`; [`crate`]'s
+//! parallelism section has the readings that decided it).
 //!
 //! ## Head-computed keys and dynamic interning
 //!
 //! Key functions in rule heads (`W(i+1) :- W(i) ⊗ V(i+1)`, Sec. 4.5)
 //! derive constants that may not exist in the interner when plans are
-//! compiled. The interner is frozen while a phase runs in parallel, so
+//! compiled. The interner is frozen while a phase's plans run, so
 //! the executor emits such cells as [`HeadVal::Fresh`] integers into a
 //! per-IDB *fresh accumulator* (an ordered map, for determinism); the
-//! drivers mint ids for them **between** phases — single-threaded, in
-//! sorted key order — and only then insert the rows. A row minted at
+//! drivers mint ids for them **between** phases, in sorted key order,
+//! and only then insert the rows. A row minted at
 //! iteration `t` is therefore first *visible* to joins at `t + 1`, which
 //! is exactly the semi-naïve contract: minted rows enter `new`, `δ`, and
 //! the `changed` map as ordinary appends, and every index on those
@@ -54,39 +56,22 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Below this much estimated first-step work an iteration runs on one
-/// thread (scoped-thread spawn is not free).
-const PAR_THRESHOLD: usize = 4096;
-/// Minimum first-step rows per parallel chunk.
-const CHUNK_MIN: usize = 1024;
-
-/// Tuning knobs for the engine drivers. [`Default`] is right for
-/// production use; tests use the knobs to force specific execution
-/// paths.
+/// Per-run settings of the engine drivers: how many threads build the
+/// EDB indexes, where trace events go, and when a run must stop. A run
+/// that completes returns the same result under any of them.
+/// [`Default`] is right for production use.
 #[derive(Clone, Debug)]
 pub struct EngineOpts {
-    /// Worker-thread cap; `None` reads `DLO_ENGINE_THREADS` /
+    /// Worker-thread cap of the EDB index builds, the one thing the
+    /// engine fans out (the fixpoint itself runs on the calling
+    /// thread); `None` reads `DLO_ENGINE_THREADS` /
     /// `available_parallelism`.
     pub threads: Option<usize>,
-    /// Minimum estimated first-step work before an iteration fans out.
-    pub par_threshold: usize,
-    /// Minimum first-step rows per parallel chunk.
-    pub chunk_min: usize,
     /// Structured trace sink for this run. `None` falls back to the
     /// `DLO_TRACE` environment variable (a JSONL path, appended to);
     /// unset there too means tracing is off. Tracing never changes
     /// results — only the timing fields of the returned stats.
     pub trace: Option<TraceHandle>,
-    /// Record every k-th per-iteration [`IterStat`](dlo_core::eval::stats::IterStat)
-    /// snapshot (step numbers divisible by `k`). Long incremental runs
-    /// would otherwise saturate the snapshot cap
-    /// ([`dlo_core::eval::stats::ITER_SNAPSHOT_CAP`]) with early
-    /// iterations and drop the interesting tail. The default `1`
-    /// records every step (and `0` is read as `1`). Sampled-out steps
-    /// count into `iterations_dropped`, `last_iter` is always
-    /// maintained, and an attached trace sink still streams every
-    /// iteration event. Results are never affected.
-    pub iter_sample: usize,
     /// Resource ceilings for the run (wall-clock deadline, step /
     /// emitted-row / minted-id budgets), checked once per phase on the
     /// coordinating thread. The default is unlimited — ungoverned runs
@@ -104,10 +89,7 @@ impl Default for EngineOpts {
     fn default() -> Self {
         EngineOpts {
             threads: None,
-            par_threshold: PAR_THRESHOLD,
-            chunk_min: CHUNK_MIN,
             trace: None,
-            iter_sample: 1,
             budget: EvalBudget::unlimited(),
             cancel: None,
         }
@@ -364,56 +346,6 @@ impl<P: Pops> Engine<P> {
             idb_delta: &state.delta,
         }
     }
-
-    /// `(first-step work estimate, chunkable)` for a plan against the
-    /// given IDB states — the input of [`chunk_tasks`]. A probe-driven
-    /// first step gets a flat estimate (its candidate count is unknown
-    /// until the key is assembled); an unindexed scan is chunkable.
-    fn step0_estimate(
-        &self,
-        plan: &Plan<P>,
-        new: &[ColumnRel<P>],
-        delta: &[ColumnRel<P>],
-    ) -> (usize, bool) {
-        match plan.steps.first() {
-            None => (1, false),
-            Some(step) if step.mask != 0 => (16, false),
-            Some(step) => {
-                let len = match step.source {
-                    Source::PopsEdb(i) => self.pops_edb[i].as_ref().map_or(0, |r| r.len()),
-                    Source::BoolEdb(i) => self.bool_edb[i].as_ref().map_or(0, |r| r.len()),
-                    Source::IdbNew(i) | Source::IdbOld(i) => new[i].len(),
-                    Source::IdbDelta(i) => delta[i].len(),
-                };
-                (len, true)
-            }
-        }
-    }
-}
-
-/// Builds the parallel task list from per-plan first-step estimates: one
-/// task per plan, with chunkable scan-driven plans split into first-step
-/// row ranges of at least `chunk_min` rows (and never fewer than one: a
-/// caller-supplied `chunk_min` of 0 must not stall the split).
-fn chunk_tasks(
-    estimates: &[(usize, bool)],
-    threads: usize,
-    chunk_min: usize,
-) -> Vec<(usize, Option<(usize, usize)>)> {
-    let mut tasks: Vec<(usize, Option<(usize, usize)>)> = vec![];
-    for (pi, &(est, chunkable)) in estimates.iter().enumerate() {
-        if chunkable && est > 2 * chunk_min {
-            let chunk = (est / (threads * 4)).max(chunk_min).max(1);
-            let mut lo = 0;
-            while lo < est {
-                tasks.push((pi, Some((lo, (lo + chunk).min(est)))));
-                lo += chunk;
-            }
-        } else {
-            tasks.push((pi, None));
-        }
-    }
-    tasks
 }
 
 impl<P: Pops + Send> Engine<P> {
@@ -471,9 +403,7 @@ pub(crate) fn ensure_probes<P: Pops>(rel: &mut ColumnRel<P>, masks: &[u32]) -> b
 }
 
 /// Drains the spine-merge counters every IDB relation accumulated since
-/// the last drain into the run's `arrange_batches_merged` total. All
-/// arrangement maintenance happens on the coordinating thread (inserts
-/// are single-threaded between phases), so the total is thread-invariant.
+/// the last drain into the run's `arrange_batches_merged` total.
 pub(crate) fn drain_arrange_merges<P: Pops>(state: &mut IdbState<P>, col: &mut Collector) {
     let mut merges = 0;
     for rel in state.new.iter_mut().chain(state.delta.iter_mut()) {
@@ -716,8 +646,8 @@ pub(crate) fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
 }
 
 /// Runs `plans` in order on the calling thread — the one plan runner
-/// behind every schedule: the naïve and semi-naïve rounds below their
-/// fan-out threshold ([`run_plans`]) and every frontier batch
+/// behind every schedule: the naïve and semi-naïve rounds and the DRed
+/// marking rounds ([`run_round`]) and every frontier batch
 /// ([`crate::worklist`]). A plan's interned emissions land in its head
 /// predicate's entry of `sinks` through `land` ([`AccumMap::merge`] for
 /// the rounds, an ordered buffer for the frontier), its fresh head keys
@@ -743,7 +673,6 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
             run_plan(
                 plan,
                 &ctx,
-                None,
                 &mut counters,
                 &mut |key, v| land(sink, key, v),
                 &mut |key, v| merge_fresh(facc, key, v),
@@ -756,85 +685,26 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     })
 }
 
-/// Runs one round's plans into fresh accumulators, fanning out when the
-/// estimated work warrants it. A panicking plan (inline or in a worker)
-/// is contained and surfaced as [`Abort::WorkerPanic`] —
-/// deterministically, because the lowest-indexed panicking task wins in
-/// the pool and the inline path visits plans in the same order.
-pub(crate) fn run_plans<P>(
+/// One global round: runs `plans` into fresh per-IDB accumulators, each
+/// emission `⊕`-merged once into its head predicate's [`AccumMap`].
+pub(crate) fn run_round<P: Pops>(
     engine: &Engine<P>,
     plans: &[Plan<P>],
     state: &IdbState<P>,
-    opts: &EngineOpts,
     col: &mut Collector,
-) -> Result<(Accum<P>, FreshAccum<P>), Abort>
-where
-    P: Pops + Send + Sync,
-{
-    let nidb = engine.compiled.idbs.len();
-    let mut global: Accum<P> = engine.empty_accums();
-    let mut global_fresh: FreshAccum<P> = (0..nidb).map(|_| BTreeMap::new()).collect();
-    let threads = opts.effective_threads();
-    let estimates: Vec<(usize, bool)> = plans
-        .iter()
-        .map(|p| engine.step0_estimate(p, &state.new, &state.delta))
-        .collect();
-    let total: usize = estimates.iter().map(|(e, _)| e).sum();
-
-    if threads <= 1 || total < opts.par_threshold {
-        run_plans_inline(
-            engine,
-            state,
-            plans,
-            &mut global,
-            AccumMap::merge,
-            &mut global_fresh,
-            col,
-        )?;
-        return Ok((global, global_fresh));
-    }
-
-    let ctx = engine.ctx(state);
-    let tasks = chunk_tasks(&estimates, threads, opts.chunk_min);
-    let results = par::run_indexed(tasks.len(), threads, |ti| {
-        let (pi, range) = tasks[ti];
-        let plan = &plans[pi];
-        let mut local: AccumMap<P> = AccumMap::new(engine.compiled.idbs[plan.head_pred].1);
-        let mut local_fresh: BTreeMap<Box<[HeadVal]>, P> = BTreeMap::new();
-        let mut counters = ExecCounters::default();
-        let t = Instant::now();
-        run_plan(
-            plan,
-            &ctx,
-            range,
-            &mut counters,
-            &mut |key, v| local.merge(key, v),
-            &mut |key, v| merge_fresh(&mut local_fresh, key, v),
-        );
-        let nanos = t.elapsed().as_nanos() as u64;
-        (
-            plan.pid,
-            plan.head_pred,
-            local,
-            local_fresh,
-            counters,
-            nanos,
-        )
-    })
-    .map_err(|message| Abort::WorkerPanic { message })?;
-    col.parallel_batch(tasks.len());
-    // `run_indexed` returns results in task order, so the `⊕`-merge
-    // association, the fresh-map contents, and the counter sums are all
-    // deterministic (chunks of one plan contribute additively).
-    for (pid, pred, local, local_fresh, counters, nanos) in results {
-        col.add_plan(pid, counters, nanos);
-        global[pred].absorb(local);
-        let facc = &mut global_fresh[pred];
-        for (key, v) in local_fresh {
-            merge_fresh(facc, &key, v);
-        }
-    }
-    Ok((global, global_fresh))
+) -> Result<(Accum<P>, FreshAccum<P>), Abort> {
+    let mut contrib = engine.empty_accums();
+    let mut fresh: FreshAccum<P> = contrib.iter().map(|_| BTreeMap::new()).collect();
+    run_plans_inline(
+        engine,
+        state,
+        plans,
+        &mut contrib,
+        AccumMap::merge,
+        &mut fresh,
+        col,
+    )?;
+    Ok((contrib, fresh))
 }
 
 mod sealed {
@@ -871,14 +741,12 @@ mod sealed {
 
         /// Maintenance: continues from the pre-fixpoint in `state` to
         /// the least fixpoint above it, numbering steps from `start`.
-        #[allow(clippy::too_many_arguments)]
         fn resume(
             self,
             engine: &mut Engine<P>,
             state: &mut IdbState<P>,
             plans: &RoundPlans<'_, P>,
             cap: usize,
-            opts: &EngineOpts,
             run: &mut Run,
             start: usize,
         ) -> Result<usize, LoopFail>;
@@ -909,9 +777,9 @@ impl<P: Pops, S: Rounds<P> + Copy> Schedule<P> for S {}
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Naive;
 
-/// The parallel semi-naïve schedule of Theorem 6.5. Agrees with
+/// The semi-naïve schedule of Theorem 6.5. Agrees with
 /// `relational_seminaive_eval` — same fixpoint, same step count —
-/// while running interned, indexed, and multi-threaded.
+/// while running interned and indexed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SemiNaive;
 
@@ -944,7 +812,7 @@ impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
         let run = Run::open(&engine, "naive", false, opts, setup_ns);
         run.drive(engine, cap, opts, |engine, state, run| {
             let plans = std::mem::take(&mut engine.compiled.seed_plans);
-            naive_rounds(engine, state, &plans, cap, opts, run, 0)
+            naive_rounds(engine, state, &plans, cap, run, 0)
         })
     }
 
@@ -954,13 +822,12 @@ impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
         state: &mut IdbState<P>,
         plans: &RoundPlans<'_, P>,
         cap: usize,
-        opts: &EngineOpts,
         run: &mut Run,
         start: usize,
     ) -> Result<usize, LoopFail> {
         // Naïve steps recompute full sums, so the differential seed
         // plans stay out: they would double-count.
-        naive_rounds(engine, state, plans.full, cap, opts, run, start)
+        naive_rounds(engine, state, plans.full, cap, run, start)
     }
 }
 
@@ -990,7 +857,7 @@ where
             };
             // The reported count includes the iteration that finds δ
             // empty, as the relational backend counts it.
-            match seminaive_rounds(engine, state, &plans, cap, opts, run, 0)? {
+            match seminaive_rounds(engine, state, &plans, cap, run, 0)? {
                 rounds if rounds < cap => Ok(rounds + 1),
                 _ => Err(LoopFail::Diverged(cap)),
             }
@@ -1003,11 +870,10 @@ where
         state: &mut IdbState<P>,
         plans: &RoundPlans<'_, P>,
         cap: usize,
-        opts: &EngineOpts,
         run: &mut Run,
         start: usize,
     ) -> Result<usize, LoopFail> {
-        seminaive_rounds(engine, state, plans, cap, opts, run, start)
+        seminaive_rounds(engine, state, plans, cap, run, start)
     }
 }
 
@@ -1122,23 +988,19 @@ pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
 /// pre-fixpoint (the old state after an insert, the survivors after a
 /// retraction) it converges to the least fixpoint above it. Steps are
 /// numbered from `start`; returns the step that found the fixpoint.
-pub(crate) fn naive_rounds<P>(
+pub(crate) fn naive_rounds<P: NaturallyOrdered>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
     plans: &[Plan<P>],
     cap: usize,
-    opts: &EngineOpts,
     run: &mut Run,
     start: usize,
-) -> Result<usize, LoopFail>
-where
-    P: NaturallyOrdered + Send + Sync,
-{
+) -> Result<usize, LoopFail> {
     let mut steps = start;
     loop {
         run.check(steps, Checkpoint::Iteration)?;
         let before = run.col.stats.counters;
-        let (contrib, fresh) = run_plans(engine, plans, state, opts, &mut run.col)
+        let (contrib, fresh) = run_round(engine, plans, state, &mut run.col)
             .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
         let mut next = engine.empty_idbs();
         for (pred, acc) in contrib.into_iter().enumerate() {
@@ -1199,12 +1061,11 @@ pub(crate) fn seminaive_rounds<P>(
     state: &mut IdbState<P>,
     plans: &RoundPlans<'_, P>,
     cap: usize,
-    opts: &EngineOpts,
     run: &mut Run,
     start: usize,
 ) -> Result<usize, LoopFail>
 where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+    P: NaturallyOrdered + CompleteDistributiveDioid,
 {
     let mut steps = start;
     let mut round = (plans.seed, plans.seed_rows, Checkpoint::Phase);
@@ -1212,7 +1073,7 @@ where
         let (round_plans, delta_rows, checkpoint) = round;
         run.check(steps, checkpoint)?;
         let before = run.col.stats.counters;
-        let (contrib, fresh) = run_plans(engine, round_plans, state, opts, &mut run.col)
+        let (contrib, fresh) = run_round(engine, round_plans, state, &mut run.col)
             .map_err(LoopFail::at(checkpoint, steps))?;
         apply_contrib(engine, state, contrib, fresh, &mut run.col);
         run.col.end_step(steps, delta_rows, 0, &before);
@@ -1241,71 +1102,63 @@ pub(crate) fn apply_contrib<P>(
     fresh: FreshAccum<P>,
     col: &mut Collector,
 ) where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+    P: NaturallyOrdered + CompleteDistributiveDioid,
 {
-    // Advance: δ' = contrib ⊖ new (pointwise), new' = new ⊕ contrib.
     let mut next_delta = engine.empty_idbs();
     for ch in &mut state.changed {
         ch.clear();
     }
+    let set_valued = &engine.compiled.set_valued;
+    let c = &mut col.stats.counters;
+    // Advance one key: δ' = v ⊖ new (pointwise), new' = new ⊕ v.
+    let mut land = |pred: usize, key: &[u32], v: P| {
+        let new = &mut state.new[pred];
+        if set_valued[pred] {
+            // Set-valued (magic) rows: present means settled —
+            // no merge, no delta for already-demanded bindings.
+            if new.rowid(key).is_none() {
+                next_delta[pred].append_row(key, P::one());
+                let r = new.insert_row(key, P::one());
+                state.changed[pred].insert(r, None);
+                c.rows_inserted += 1;
+            } else {
+                c.set_valued_shortcircuits += 1;
+            }
+            return;
+        }
+        let existing = new.get(key).cloned().unwrap_or_else(P::zero);
+        let diff = v.minus(&existing);
+        if diff.is_zero() {
+            c.merges_absorbed += 1;
+            return;
+        }
+        next_delta[pred].append_row(key, diff);
+        match new.rowid(key) {
+            Some(r) => {
+                let merged = existing.add(&v);
+                state.changed[pred].insert(r, Some(existing));
+                new.set_val(r, merged);
+                c.rows_improved += 1;
+            }
+            None => {
+                let r = new.insert_row(key, v);
+                state.changed[pred].insert(r, None);
+                c.rows_inserted += 1;
+            }
+        }
+    };
     for (pred, acc) in contrib.into_iter().enumerate() {
-        let sv = engine.compiled.set_valued[pred];
-        let c = &mut col.stats.counters;
-        acc.drain_sorted(|key, v| {
-            if sv {
-                // Set-valued (magic) rows: present means settled —
-                // no merge, no delta for already-demanded bindings.
-                if state.new[pred].rowid(key).is_none() {
-                    next_delta[pred].append_row(key, P::one());
-                    let r = state.new[pred].insert_row(key, P::one());
-                    state.changed[pred].insert(r, None);
-                    c.rows_inserted += 1;
-                } else {
-                    c.set_valued_shortcircuits += 1;
-                }
-                return;
-            }
-            let existing = state.new[pred].get(key).cloned().unwrap_or_else(P::zero);
-            let diff = v.minus(&existing);
-            if diff.is_zero() {
-                c.merges_absorbed += 1;
-                return;
-            }
-            next_delta[pred].append_row(key, diff);
-            match state.new[pred].rowid(key) {
-                Some(r) => {
-                    let merged = existing.add(&v);
-                    state.changed[pred].insert(r, Some(existing));
-                    state.new[pred].set_val(r, merged);
-                    c.rows_improved += 1;
-                }
-                None => {
-                    let r = state.new[pred].insert_row(key, v);
-                    state.changed[pred].insert(r, None);
-                    c.rows_inserted += 1;
-                }
-            }
-        });
+        acc.drain_sorted(|key, v| land(pred, key, v));
     }
     // Fresh head keys name rows that cannot exist yet (their minted
-    // cells were not interned when the phase ran), so δ' = v ⊖ 0 and
-    // the insert is always an append.
+    // cells were not interned when the phase ran): they land on the
+    // append arm, δ' = v ⊖ 0.
     let t_mint = Instant::now();
     let minted_before = engine.interner.len();
     for (pred, acc) in fresh.into_iter().enumerate() {
-        let sv = engine.compiled.set_valued[pred];
         for (key, v) in acc {
-            let v = if sv { P::one() } else { v };
             let key = mint_key(&mut engine.interner, &key);
-            let diff = v.minus(&P::zero());
-            if diff.is_zero() {
-                col.stats.counters.merges_absorbed += 1;
-                continue;
-            }
-            next_delta[pred].append_row(&key, diff);
-            let r = state.new[pred].insert_row(&key, v);
-            state.changed[pred].insert(r, None);
-            col.stats.counters.rows_inserted += 1;
+            land(pred, &key, v);
         }
     }
     col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
@@ -1331,9 +1184,8 @@ pub(crate) fn ensure_delta_indexes<P: Pops>(engine: &Engine<P>, state: &mut IdbS
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use dlo_core::eval::relational::{relational_naive_eval, relational_seminaive_eval};
+    use dlo_core::eval::relational::relational_naive_eval;
     use dlo_core::eval::EvalOutcome;
-    use dlo_core::examples_lib as ex;
     use dlo_core::relation::Relation;
     use dlo_core::tup;
     use dlo_pops::{MinNat, Trop};
@@ -1347,117 +1199,9 @@ pub(crate) mod tests {
         cap: usize,
         schedule: S,
     ) -> EvalOutcome<P> {
-        eval_with(program, pops, bools, cap, schedule, &EngineOpts::default())
-    }
-
-    /// [`eval`] with explicit options.
-    pub(crate) fn eval_with<P: Pops, S: Schedule<P>>(
-        program: &Program<P>,
-        pops: &Database<P>,
-        bools: &BoolDatabase,
-        cap: usize,
-        schedule: S,
-        opts: &EngineOpts,
-    ) -> EvalOutcome<P> {
-        engine_eval_interned(program, pops, bools, cap, schedule, opts)
+        engine_eval_interned(program, pops, bools, cap, schedule, &EngineOpts::default())
             .expect("compiles")
             .materialize()
-    }
-
-    fn assert_matches_relational<P>(program: &Program<P>, pops: &Database<P>, bools: &BoolDatabase)
-    where
-        P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-    {
-        let reference = relational_naive_eval(program, pops, bools, 100_000).unwrap();
-        let naive = eval(program, pops, bools, 100_000, Naive).unwrap();
-        let semi = eval(program, pops, bools, 100_000, SemiNaive).unwrap();
-        assert_eq!(reference, naive, "engine naive differs");
-        assert_eq!(reference, semi, "engine semi-naive differs");
-    }
-
-    #[test]
-    fn sssp_fig2a_matches_relational() {
-        let (program, edb) = ex::sssp_trop("a");
-        assert_matches_relational(&program, &edb, &BoolDatabase::new());
-        let out = eval(&program, &edb, &BoolDatabase::new(), 1000, SemiNaive).unwrap();
-        let l = out.get("L").unwrap();
-        assert_eq!(l.get(&tup!["a"]), Trop::finite(0.0));
-        assert_eq!(l.get(&tup!["d"]), Trop::finite(8.0));
-    }
-
-    #[test]
-    fn apsp_and_quadratic_tc_match_relational() {
-        let (program, edb) = ex::apsp_trop(&[
-            ("a", "b", 1.0),
-            ("b", "a", 2.0),
-            ("b", "c", 3.0),
-            ("c", "d", 4.0),
-            ("a", "c", 5.0),
-        ]);
-        assert_matches_relational(&program, &edb, &BoolDatabase::new());
-
-        let (program, edb) =
-            ex::quadratic_tc_bool(&[("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]);
-        assert_matches_relational(&program, &edb, &BoolDatabase::new());
-    }
-
-    #[test]
-    fn bool_guards_and_indicators_match_relational() {
-        // BOM over MinNat: a Boolean guard binding through the condition.
-        let program: Program<MinNat> = ex::bom_program();
-        let mut pops = Database::new();
-        pops.insert(
-            "C",
-            Relation::from_pairs(
-                1,
-                vec![
-                    (tup!["c"], MinNat::finite(1)),
-                    (tup!["d"], MinNat::finite(10)),
-                ],
-            ),
-        );
-        let mut bools = BoolDatabase::new();
-        bools.insert(
-            "E",
-            dlo_core::relation::bool_relation(2, vec![tup!["c", "d"]]),
-        );
-        assert_matches_relational(&program, &pops, &bools);
-
-        // SSSP with the {1 | X = s} indicator (equality pre-binding).
-        let program: Program<MinNat> = ex::single_source_program("s");
-        let mut edb = Database::new();
-        edb.insert(
-            "E",
-            Relation::from_pairs(
-                2,
-                vec![
-                    (tup!["s", "t"], MinNat::finite(2)),
-                    (tup!["t", "u"], MinNat::finite(3)),
-                ],
-            ),
-        );
-        assert_matches_relational(&program, &edb, &BoolDatabase::new());
-    }
-
-    #[test]
-    fn step_counts_match_the_relational_backend() {
-        let (program, edb) = ex::sssp_trop("a");
-        let bools = BoolDatabase::new();
-        let (_, rel_steps) = relational_seminaive_eval(&program, &edb, &bools, 1000)
-            .converged()
-            .unwrap();
-        let (_, eng_steps) = eval(&program, &edb, &bools, 1000, SemiNaive)
-            .converged()
-            .unwrap();
-        assert_eq!(rel_steps, eng_steps);
-
-        let (_, rel_naive) = relational_naive_eval(&program, &edb, &bools, 1000)
-            .converged()
-            .unwrap();
-        let (_, eng_naive) = eval(&program, &edb, &bools, 1000, Naive)
-            .converged()
-            .unwrap();
-        assert_eq!(rel_naive, eng_naive);
     }
 
     #[test]
@@ -1482,59 +1226,6 @@ pub(crate) mod tests {
         )
         .expect("capped divergence is Ok(Diverged), not an error")
         .is_converged());
-    }
-
-    #[test]
-    fn parallel_execution_is_deterministic_and_correct() {
-        // Force the fan-out path (threshold 1, tiny chunks, 4 workers)
-        // on a quadratic TC instance and require bit-identical results
-        // against the sequential run and the relational reference.
-        use dlo_bench_free_random_graph as graph;
-        let (program, edb) = graph(36, 150, 5);
-        let bools = BoolDatabase::new();
-        let parallel_opts = EngineOpts {
-            threads: Some(4),
-            par_threshold: 1,
-            chunk_min: 8,
-            ..EngineOpts::default()
-        };
-        let sequential_opts = EngineOpts {
-            threads: Some(1),
-            ..EngineOpts::default()
-        };
-        let par = eval_with(&program, &edb, &bools, 100_000, SemiNaive, &parallel_opts).unwrap();
-        let seq = eval_with(&program, &edb, &bools, 100_000, SemiNaive, &sequential_opts).unwrap();
-        let reference = relational_seminaive_eval(&program, &edb, &bools, 100_000).unwrap();
-        assert_eq!(par, seq, "parallel and sequential runs differ");
-        assert_eq!(par, reference, "engine differs from relational");
-        assert!(par.get("T").unwrap().support_size() > 500, "non-trivial TC");
-    }
-
-    /// A seeded random graph + quadratic TC program without depending
-    /// on dlo_bench (which depends on this crate).
-    fn dlo_bench_free_random_graph(
-        n: usize,
-        m: usize,
-        max_w: u64,
-    ) -> (Program<MinNat>, Database<MinNat>) {
-        let mut s = 0x5eed_u64;
-        let mut rng = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let mut pairs = vec![];
-        for _ in 0..m {
-            let u = (rng() % n as u64) as i64;
-            let v = (rng() % n as u64) as i64;
-            if u != v {
-                pairs.push((vec![u.into(), v.into()], MinNat::finite(1 + rng() % max_w)));
-            }
-        }
-        let mut db = Database::new();
-        db.insert("E", Relation::from_pairs(2, pairs));
-        (ex::quadratic_tc_program::<MinNat>(), db)
     }
 
     #[test]
@@ -1605,39 +1296,17 @@ pub(crate) mod tests {
             vec![SumProduct::new(vec![Factor::atom("N", vec![Term::v(0)])])
                 .with_condition(Formula::cmp(Term::v(0), CmpOp::Lt, Term::c(5)))],
         );
-        assert_matches_relational(&p, &Database::new(), &BoolDatabase::new());
-        let out = eval(&p, &Database::new(), &BoolDatabase::new(), 100, SemiNaive).unwrap();
+        let (pops, bools) = (Database::new(), BoolDatabase::new());
+        let reference = relational_naive_eval(&p, &pops, &bools, 100).unwrap();
+        let naive = eval(&p, &pops, &bools, 100, Naive).unwrap();
+        let out = eval(&p, &pops, &bools, 100, SemiNaive).unwrap();
+        assert_eq!(reference, naive, "engine naive differs");
+        assert_eq!(reference, out, "engine semi-naive differs");
         let n = out.get("N").unwrap();
         assert_eq!(n.support_size(), 6, "keys 0..=5");
         for i in 0..=5i64 {
             assert_eq!(n.get(&tup![i]), MinNat::finite(1), "N({i})");
         }
-    }
-
-    #[test]
-    fn head_keyed_prefix_runs_natively_and_counts_steps() {
-        // Example 4.5's prefix program in head-keyed form over Trop⁺
-        // (⊗ = +, one derivation per key ⇒ true prefix sums):
-        //   W(0)   :- V(0).
-        //   W(I+1) :- W(I) * V(I+1).
-        let values = [2.0, 4.0, 1.5, 3.0, 0.5];
-        let (p, edb) = ex::prefix_sum_keyed::<Trop>(&values, Trop::finite);
-        assert_matches_relational(&p, &edb, &BoolDatabase::new());
-        let out = eval(&p, &edb, &BoolDatabase::new(), 1000, SemiNaive).unwrap();
-        let w = out.get("W").unwrap();
-        let mut acc = 0.0;
-        for (i, v) in values.iter().enumerate() {
-            acc += v;
-            assert_eq!(w.get(&tup![i as i64]), Trop::finite(acc), "W({i})");
-        }
-        // Step counts still mirror the relational semi-naïve loop.
-        let (_, rel_steps) = relational_seminaive_eval(&p, &edb, &BoolDatabase::new(), 1000)
-            .converged()
-            .unwrap();
-        let (_, eng_steps) = eval(&p, &edb, &BoolDatabase::new(), 1000, SemiNaive)
-            .converged()
-            .unwrap();
-        assert_eq!(rel_steps, eng_steps);
     }
 
     #[test]

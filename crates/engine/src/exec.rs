@@ -31,8 +31,8 @@ const UNBOUND: u32 = u32::MAX;
 
 /// One cell of an emitted head key whose row includes a head-computed
 /// constant: either an id the (frozen) interner already knows, or an
-/// integer first derived this iteration. The interner cannot be extended
-/// while plans run in parallel, so `Fresh` cells travel by value and the
+/// integer first derived this iteration. The interner is frozen while a
+/// phase's plans run, so `Fresh` cells travel by value and the
 /// driver mints ids for them between iterations — deterministically,
 /// because fresh accumulators are ordered (`Ord` below) and drained in
 /// sorted order.
@@ -44,11 +44,8 @@ pub enum HeadVal {
     Fresh(i64),
 }
 
-/// Work counters for one plan run (or one chunked task of one), summed
-/// by the telemetry layer in deterministic task order. The counted
-/// events are fixed by the plan and the state it reads — chunking only
-/// partitions the first step's candidate rows — so totals are
-/// bit-identical at any thread count.
+/// Work counters for one plan run, summed by the telemetry layer. The
+/// counted events are fixed by the plan and the state it reads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecCounters {
     /// Index probes issued (hash or arranged — the split is below).
@@ -87,8 +84,7 @@ impl ExecCounters {
 /// `bool_edb` relation for a row **by full key**: EDB relations are
 /// bulk-loaded without a row map ([`ColumnRel::from_distinct_rows`]),
 /// so the first such read builds it — inside the plan run, behind the
-/// relation's `OnceLock`, which is why a shared `&ColumnRel` suffices
-/// even when that first read happens in a fanned-out round.
+/// relation's `OnceLock`, which is why a shared `&ColumnRel` suffices.
 pub struct EvalCtx<'a, P> {
     /// The (frozen) constant table.
     pub interner: &'a Interner,
@@ -186,8 +182,7 @@ pub(crate) fn eval_cformula<P: Pops>(f: &CFormula, slots: &[u32], ctx: &EvalCtx<
             }
             // The one full-key read of an EDB in a plan run — and so the
             // one place a bulk-loaded guard relation's row map gets
-            // built, by whichever valuation (on whichever worker) asks
-            // first.
+            // built, by whichever valuation asks first.
             rel.rowid(&key[..args.len()]).is_some()
         }
         CFormula::Not(g) => !eval_cformula(g, slots, ctx),
@@ -226,13 +221,11 @@ pub(crate) fn eval_cformula<P: Pops>(f: &CFormula, slots: &[u32], ctx: &EvalCtx<
 /// surviving valuation whose head key is fully interned, and
 /// `emit_fresh` for valuations whose head contains a key-function result
 /// outside the interned domain (the driver mints ids for those between
-/// iterations). `range0` optionally restricts the first step's candidate
-/// rows to `[lo, hi)` — the parallel driver's chunking hook. Probe,
-/// scan, and emit counts are accumulated into `counters`.
+/// iterations). Probe, scan, and emit counts are accumulated into
+/// `counters`.
 pub fn run_plan<'a, P: Pops>(
     plan: &Plan<P>,
     ctx: &EvalCtx<'a, P>,
-    range0: Option<(usize, usize)>,
     counters: &mut ExecCounters,
     emit: &mut dyn FnMut(&[u32], P),
     emit_fresh: &mut dyn FnMut(&[HeadVal], P),
@@ -254,7 +247,6 @@ pub fn run_plan<'a, P: Pops>(
     let mut runner = Runner {
         plan,
         ctx,
-        range0,
         slots: vec![UNBOUND; plan.nslots],
         values: vec![None; plan.nfactors],
         row_keys: vec![None; plan.steps.len()],
@@ -323,7 +315,6 @@ impl<'a, P: Pops> StepRel<'a, P> {
 struct Runner<'r, 'a, P: Pops> {
     plan: &'r Plan<P>,
     ctx: &'r EvalCtx<'a, P>,
-    range0: Option<(usize, usize)>,
     slots: Vec<u32>,
     values: Vec<Option<&'a P>>,
     row_keys: Vec<Option<&'a [u32]>>,
@@ -397,15 +388,8 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
         };
 
         if step.mask == 0 {
-            let (mut lo, mut hi) = (0, rel.len());
-            if i == 0 {
-                if let Some((a, b)) = self.range0 {
-                    lo = a.min(hi);
-                    hi = b.min(hi);
-                }
-            }
-            self.counters.scanned += (hi - lo) as u64;
-            for r in lo..hi {
+            self.counters.scanned += rel.len() as u64;
+            for r in 0..rel.len() {
                 visit(self, r as u32);
             }
             return;
@@ -439,27 +423,15 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
             if rows.len() > 1 {
                 rows.sort_unstable();
             }
-            let (mut lo, mut hi) = (0, rows.len());
-            if i == 0 {
-                if let Some((a, b)) = self.range0 {
-                    lo = a.min(hi);
-                    hi = b.min(hi);
-                }
-            }
             self.counters.probes += 1;
             self.counters.merge_probes += 1;
-            self.counters.scanned += (hi - lo) as u64;
-            for &r in &rows[lo..hi] {
+            self.counters.scanned += rows.len() as u64;
+            for &r in &rows {
                 visit(self, r);
             }
             self.arr_rows[i] = rows;
         } else {
-            let mut rows = rel.probe(step.mask, key);
-            if i == 0 {
-                if let Some((a, b)) = self.range0 {
-                    rows = &rows[a.min(rows.len())..b.min(rows.len())];
-                }
-            }
+            let rows = rel.probe(step.mask, key);
             self.counters.probes += 1;
             self.counters.hash_probes += 1;
             self.counters.scanned += rows.len() as u64;

@@ -80,7 +80,9 @@ pub(crate) enum Abort {
     },
     /// The run's [`CancelToken`] was flipped.
     Cancelled,
-    /// A worker panicked inside the pool (contained by [`crate::par`]).
+    /// An index build panicked inside the pool (contained by
+    /// [`crate::par`]) or a plan did on the coordinating thread
+    /// (contained by `driver::run_plans_inline`).
     WorkerPanic { message: String },
 }
 

@@ -98,8 +98,9 @@
 //!   [`dlo_core::edit::FactDelete`] removes the tuple's fact entirely.
 //!   Lower a value by deleting then re-inserting.
 //! * Results are **bit-identical to the from-scratch fixpoint on the
-//!   edited EDB** at any `DLO_ENGINE_THREADS` (same task-order merges,
-//!   sorted drains, and mint-between-phases as every other driver),
+//!   edited EDB** at any `DLO_ENGINE_THREADS` (one thread runs every
+//!   loop: same plan-order merges, sorted drains, and
+//!   mint-between-phases as every other driver),
 //!   with one documented caveat shared with the interned-EDB chain:
 //!   the active domain only ever grows — constants introduced by
 //!   earlier epochs remain enumerable by programs with unbound slots.
@@ -119,7 +120,7 @@
 //!   the derivation the interrupted edit began.
 
 use crate::driver::{
-    ensure_delta_indexes, ensure_probes, run_plans, setup, Engine, EngineOpts, IdbState, LoopFail,
+    ensure_delta_indexes, ensure_probes, run_round, setup, Engine, EngineOpts, IdbState, LoopFail,
     RoundPlans, Run, Schedule,
 };
 use crate::govern::Checkpoint;
@@ -385,17 +386,7 @@ where
         };
         let result = run
             .prepare(&mut m.engine, &mut m.state, &m.opts)
-            .and_then(|()| {
-                schedule.resume(
-                    &mut m.engine,
-                    &mut m.state,
-                    &plans,
-                    cap,
-                    &m.opts,
-                    &mut run,
-                    0,
-                )
-            });
+            .and_then(|()| schedule.resume(&mut m.engine, &mut m.state, &plans, cap, &mut run, 0));
         match result {
             Ok(steps) => {
                 m.settle();
@@ -562,31 +553,34 @@ where
     /// Validates a batch **before any staging**, so rejected edits
     /// leave the handle untouched (and unpoisoned): every predicate
     /// must be an editable EDB slot and every tuple must match its
-    /// arity.
+    /// arity. Returns each fact's slot index, in batch order — what the
+    /// staging helpers go by, so the check is made once.
     fn validate_edits<'a>(
         &self,
         facts: impl Iterator<Item = (&'a str, usize)>,
-    ) -> Result<(), EvalError> {
-        for (pred, arity) in facts {
-            let slot =
-                self.slots
+    ) -> Result<Vec<usize>, EvalError> {
+        facts
+            .map(|(pred, arity)| {
+                let si = self
+                    .slots
                     .iter()
-                    .find(|s| s.name == pred)
+                    .position(|s| s.name == pred)
                     .ok_or_else(|| EvalError::Compile {
                         detail: format!(
                             "edit targets {pred:?}, which is not an EDB predicate of the program"
                         ),
                     })?;
-            if arity != slot.arity {
-                return Err(EvalError::Compile {
-                    detail: format!(
-                        "edit on {pred:?} with arity {arity} (expected {})",
-                        slot.arity
-                    ),
-                });
-            }
-        }
-        Ok(())
+                let expected = self.slots[si].arity;
+                if arity != expected {
+                    return Err(EvalError::Compile {
+                        detail: format!(
+                            "edit on {pred:?} with arity {arity} (expected {expected})"
+                        ),
+                    });
+                }
+                Ok(si)
+            })
+            .collect()
     }
 
     /// One maintained value, decode-free: `None` if the tuple (or any
@@ -685,33 +679,16 @@ where
         }
     }
 
-    fn slot_index(&self, pred: &str) -> usize {
-        self.slots
-            .iter()
-            .position(|s| s.name == pred)
-            .unwrap_or_else(|| {
-                panic!("edit targets {pred:?}, which is not an EDB predicate of the program")
-            })
-    }
-
-    /// Interns and stages an insert batch: snapshots `@old` where
-    /// registered, builds the `@dlt` relations (duplicate tuples
-    /// `⊕`-merge), and `⊕`-merges the rows into the live interned and
-    /// classic relations. Returns the touched slot indexes.
-    fn stage_insert(&mut self, batch: &[FactInsert<P>]) -> Vec<usize> {
+    /// Interns and stages an insert batch (`slots[i]` is the validated
+    /// slot index of `batch[i]`): snapshots `@old` where registered,
+    /// builds the `@dlt` relations (duplicate tuples `⊕`-merge), and
+    /// `⊕`-merges the rows into the live interned and classic
+    /// relations. Returns the touched slot indexes.
+    fn stage_insert(&mut self, batch: &[FactInsert<P>], slots: &[usize]) -> Vec<usize> {
         let before_len = self.engine.interner.len();
         let mut per_slot: Vec<Vec<(Vec<u32>, P)>> = (0..self.slots.len()).map(|_| vec![]).collect();
-        for f in batch {
-            let si = self.slot_index(&f.pred);
+        for (f, &si) in batch.iter().zip(slots) {
             let slot = &self.slots[si];
-            assert_eq!(
-                f.tuple.len(),
-                slot.arity,
-                "insert into {:?} with arity {} (expected {})",
-                f.pred,
-                f.tuple.len(),
-                slot.arity
-            );
             let (name, arity) = (slot.name.clone(), slot.arity);
             let key: Vec<u32> = f
                 .tuple
@@ -764,27 +741,23 @@ where
         touched
     }
 
-    /// Stages a delete batch: `@dlt` holds the *present* targeted rows
+    /// Stages a delete batch (`slots[i]` is the validated slot index of
+    /// `batch[i]`): `@dlt` holds the *present* targeted rows
     /// at their current values, `@old` snapshots the pre-delete
     /// relation (so every telescoped variant enumerates marking
     /// instances), and the classic mirror drops the facts. The live
     /// interned relations are **not** touched yet — the affected-set
     /// propagation runs against the pre-delete state. Returns the
     /// deleted interned keys per touched slot.
-    fn stage_delete(&mut self, batch: &[FactDelete]) -> Vec<(usize, HashSet<Box<[u32]>>)> {
+    fn stage_delete(
+        &mut self,
+        batch: &[FactDelete],
+        slots: &[usize],
+    ) -> Vec<(usize, HashSet<Box<[u32]>>)> {
         let mut per_slot: Vec<HashSet<Box<[u32]>>> =
             (0..self.slots.len()).map(|_| HashSet::new()).collect();
-        for f in batch {
-            let si = self.slot_index(&f.pred);
+        for (f, &si) in batch.iter().zip(slots) {
             let slot = &self.slots[si];
-            assert_eq!(
-                f.tuple.len(),
-                slot.arity,
-                "delete from {:?} with arity {} (expected {})",
-                f.pred,
-                f.tuple.len(),
-                slot.arity
-            );
             let (name, arity, cur) = (slot.name.clone(), slot.arity, slot.cur);
             let key: Option<Vec<u32>> = f
                 .tuple
@@ -895,9 +868,8 @@ where
                 self.state.delta = delta;
                 ensure_delta_indexes(&self.engine, &mut self.state);
             }
-            let (contrib, _fresh) =
-                run_plans(&self.engine, plans, &self.state, &self.opts, &mut run.col)
-                    .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
+            let (contrib, _fresh) = run_round(&self.engine, plans, &self.state, &mut run.col)
+                .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
             frontier = vec![vec![]; nidb];
             for (pred, acc) in contrib.into_iter().enumerate() {
                 let new = &self.state.new[pred];
@@ -975,10 +947,10 @@ where
     /// (see the module docs).
     pub fn insert(&mut self, batch: &[FactInsert<P>]) -> Result<&EvalStats, EvalError> {
         self.check_poisoned()?;
-        self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
+        let slots = self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
         let t = Instant::now();
         self.epoch += 1;
-        let touched = self.stage_insert(batch);
+        let touched = self.stage_insert(batch, &slots);
         let mut run = self.open_run("insert", t);
         let plans = RoundPlans {
             full: &self.seed_plans,
@@ -991,7 +963,6 @@ where
             &mut self.state,
             &plans,
             self.cap,
-            &self.opts,
             &mut run,
             0,
         );
@@ -1020,10 +991,10 @@ where
     /// As [`Materialization::insert`].
     pub fn delete(&mut self, batch: &[FactDelete]) -> Result<&EvalStats, EvalError> {
         self.check_poisoned()?;
-        self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
+        let slots = self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
         let t = Instant::now();
         self.epoch += 1;
-        let staged = self.stage_delete(batch);
+        let staged = self.stage_delete(batch, &slots);
         let mut run = self.open_run("delete", t);
         if staged.is_empty() {
             self.last_stats = run.finish(0, true);
@@ -1067,7 +1038,6 @@ where
             &mut self.state,
             &plans,
             self.cap,
-            &self.opts,
             run,
             steps + 1,
         )

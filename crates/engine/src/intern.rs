@@ -7,7 +7,7 @@
 //! *dynamic*: programs whose rule **heads** apply a key function (`W(i+1)
 //! :- W(i) ⊗ V(i+1)`, Sec. 4.5) derive constants that did not exist at
 //! compile time, and the drivers mint fresh ids for them **between**
-//! iterations (the table is frozen while plans run in parallel, so the
+//! iterations (the table is frozen while a phase's plans run, so the
 //! executor only ever reads it). Minting goes through the same
 //! [`Interner::intern`] append path, which keeps the decode (`consts`)
 //! and integer (`ints`) side tables in sync by construction.

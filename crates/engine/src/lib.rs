@@ -1,4 +1,4 @@
-//! # dlo-engine — an interned, indexed, parallel datalog° engine
+//! # dlo-engine — an interned, indexed datalog° engine
 //!
 //! The production execution backend for datalog° over naturally ordered
 //! POPS, justified by Theorem 6.5 of *Convergence of Datalog over (Pre-)
@@ -20,10 +20,10 @@
 //!   column operation (probe / bind / check) at compile time;
 //! * [`exec`] — the join executor, including the `changed`-map trick
 //!   that serves `J(t)` and `J(t-1)` from one physical relation;
-//! * [`driver`] — naïve and **parallel semi-naïve** loops (prefix-new /
-//!   Δ / suffix-old per Theorem 6.5), fanning (plan × row-chunk) tasks
-//!   over scoped threads and `⊕`-merging deterministically, with
-//!   packed-`u64` head accumulators for arities ≤ 2;
+//! * [`driver`] — naïve and **semi-naïve** round loops (prefix-new /
+//!   Δ / suffix-old per Theorem 6.5) over one plan runner that every
+//!   schedule shares, `⊕`-merging deterministically into packed-`u64`
+//!   head accumulators for arities ≤ 2;
 //! * [`worklist`] — the **frontier drivers**: FIFO generation worklist
 //!   and bucketed best-first priority scheduling, per-row change
 //!   propagation instead of global iterations;
@@ -285,7 +285,7 @@
 //! instance behind `dlo_benchmark`'s `sssp-sparse` workload) the
 //! priority frontier is asymptotically faster: Θ(n) settled pops vs
 //! Θ(n²) round updates, measured at 170× the semi-naïve loop on 2000
-//! nodes and 830× on 6000 (evaluation phase, one thread pool of 2). On
+//! nodes and 830× on 6000 (evaluation phase). On
 //! unique-path workloads (chain TC) derivation counts are
 //! strategy-invariant and the frontier wins constant factors only.
 //!
@@ -334,8 +334,8 @@
 //! vary in their last column (`sssp-sparse`, `wide-lookup`,
 //! `point-query`) move by under 2 %.
 //! `EvalStats::explain()` shows the split that found it — `eval X
-//! (plans Y)` and, on a run that fanned nothing out, `merge+queue`
-//! (X − Y) per emission — and a release-only test
+//! (plans Y)` and `merge+queue` (X − Y) per emission — and a
+//! release-only test
 //! (`merge_cost_is_independent_of_key_shape`) holds merging 250 000
 //! rows by `[a, b]` to under 1.6× merging them by `[a·n + b]`
 //! (measured 1.0–1.1×; 2.0–3.2× with the bare multiply).
@@ -349,30 +349,53 @@
 //! only ever fires settled rows, is the right discipline and is what
 //! `Auto` picks.
 //!
-//! ## Parallelism: the semi-naïve round and the index builds
+//! ## Parallelism: one thread runs the fixpoint, threads build the indexes
 //!
-//! Two things fan over the scoped-thread pool in [`par`], capped by
-//! `DLO_ENGINE_THREADS` (set `1` to force sequential execution; the
-//! default is `std::thread::available_parallelism`) or per call via
-//! [`EngineOpts::threads`]: the **semi-naïve (and naïve) round**, whose
-//! (plan × first-step row chunk) tasks join into private accumulators
-//! once the round's estimated first-step work reaches
-//! [`EngineOpts::par_threshold`], and the **EDB index builds**, one
-//! relation per task, under every schedule. The frontier drivers run
-//! each batch on the coordinating thread: their emissions are merged
-//! into the state serially either way, and fanning the joins in front
-//! of that merge measured no gain on the dense batches it fired on
-//! (`apsp-dense` shape, n = 500 / m = 2000, 2-core host: two threads
-//! took 1.03–1.05× the time of one under priority and 1.01–1.04× under
-//! FIFO in one session, 0.93–1.09× with a median of 1.08× in another)
-//! and never fired on sparse ones. Maintenance follows its schedule:
-//! the builds and edits of a frontier [`Materialization`] run their
-//! batches on the coordinating thread too, so there only a
-//! [`SemiNaive`] (or [`Naive`]) handle's rounds and — under every
-//! schedule — a delete's marking rounds fan out. Results are
-//! **bit-identical at any
-//! thread count**: tasks are merged in task order and interner ids are
-//! minted single-threaded between phases.
+//! One thing fans over the scoped-thread pool in [`par`], capped by
+//! `DLO_ENGINE_THREADS` (the default is
+//! `std::thread::available_parallelism`) or per call via
+//! [`EngineOpts::threads`]: the **EDB index builds** before a run's
+//! first step, one relation per task, under every schedule. The
+//! fixpoint itself — naïve and semi-naïve rounds, frontier batches, a
+//! [`Materialization`]'s builds and edits, a delete's marking rounds —
+//! runs on the calling thread through one plan runner
+//! (`driver::run_plans_inline`). It did not always: rounds and dense
+//! frontier batches used to fan (plan × first-step row chunk) tasks
+//! over the pool, and three readings on a 2-core host decided what
+//! stayed (two single-thread copies of the probe side by side finished
+//! in 1.37× the time of one, so the second core was there):
+//!
+//! * **semi-naïve rounds, 0.99×** — `apsp-dense`'s shape (n = 500,
+//!   m = 2000) under [`SemiNaive`], 85 tasks over 10 fanned rounds and
+//!   1 788 950 emits on both sides: 0.2728 s at one thread against
+//!   0.2701 s at two, two threads ahead in 4 of 10 alternating pairs
+//!   (dense frontier batches had read 0.93–1.09×, median 1.07–1.08×,
+//!   before they went inline);
+//! * **a delete's marking rounds, 0.997×** — the one path
+//!   `dlo_benchmark` still fanned out (`live-edits`, 32–36 tasks over 4
+//!   rounds per delete): 0.0797 against 0.0795 s per insert + delete
+//!   cycle over 48 cycles, ahead in 24 of 48;
+//! * **EDB index builds, 0.64×** — `phases.edb_index` 67.9 → 43.4 ms on
+//!   `Out(X, Z) :- S(X) * A(X, Y) * B(Y, Z)` with two 300k-row probed
+//!   relations, every two-thread run ahead of every one-thread run, ten
+//!   a side.
+//!
+//! The rounds could not pay by construction, not by bad luck: each task
+//! `⊕`-merged its emissions into a private accumulator, then the
+//! coordinator folded every task's accumulator into the global one and
+//! drained that into the relations, both serially — each ground-rule
+//! instance merged twice, and the merge is the larger half of the loop
+//! (see *What one `⊕`-merge costs*). The joins in front of it were all
+//! a second thread could take. An index build has no such tail: each
+//! relation's indexes are built where they stay, by whichever worker
+//! holds the `&mut`. Parallel rounds that pay would shard the
+//! accumulator — and the relation behind it — by head key, so that no
+//! emission is merged twice; that is a different design, not a
+//! threshold to tune, and nothing of it is kept here. Results are
+//! **bit-identical at any thread count** trivially: plans run in plan
+//! order on one thread, accumulators drain in sorted key order, and
+//! interner ids are minted between phases; an index's content is
+//! determined by its relation's row order, not by who built it.
 //!
 //! ## Environment variables
 //!
@@ -381,7 +404,7 @@
 //!
 //! | variable | read by | effect |
 //! |---|---|---|
-//! | `DLO_ENGINE_THREADS` | [`par::max_threads`], when [`EngineOpts::threads`] is `None` | worker-thread cap (`1` = sequential) |
+//! | `DLO_ENGINE_THREADS` | [`par::max_threads`], when [`EngineOpts::threads`] is `None` | cap of the pool that builds the EDB indexes (`1` = build them sequentially) |
 //! | `DLO_TRACE` | every run, when [`EngineOpts::trace`] is `None` | path of a JSONL file trace events are appended to |
 //!
 //! ## Observability: stats on every outcome, traces on demand
@@ -407,12 +430,13 @@
 //! append one JSON object per event (`run_start`, `phase`,
 //! `iteration`, `run_end`) with no dependencies — the writer/parser
 //! pair lives in `dlo_core::eval::stats::json`. Events are emitted
-//! from the coordinating thread only, in deterministic order.
+//! from the thread that runs the fixpoint, in deterministic order.
 //!
 //! Determinism extends to the telemetry itself: everything except
-//! wall-clock fields, the thread count, and fan-out bookkeeping is
-//! **bit-identical at any `DLO_ENGINE_THREADS`** — counters are exact
-//! additive sums aggregated in task order, not sampled.
+//! wall-clock fields and the thread count is **bit-identical at any
+//! `DLO_ENGINE_THREADS`** — counters are exact counts, not sampled, of
+//! work one thread does in plan order ([`EvalStats::tasks_spawned`] and
+//! [`EvalStats::parallel_batches`] read 0 on every run).
 //! [`EvalStats::invariants`] masks the timing fields, which is what
 //! the cross-thread determinism tests compare.
 //!
@@ -447,12 +471,13 @@
 //!   (with `budget_checks` / `cancel_polls` counters and a trailing
 //!   `abort` trace event), and arrives with the abort-time instance
 //!   itself attached — see the graceful-degradation note below.
-//! * **Contained worker panics** ([`EvalError::WorkerPanic`]): every
-//!   parallel task body (and the sequential fallback) runs under
-//!   `catch_unwind`, the lowest-indexed panicking task wins
-//!   deterministically at any thread count, and the coordinating thread
-//!   converts it into the typed error instead of unwinding or aborting
-//!   the process.
+//! * **Contained panics** ([`EvalError::WorkerPanic`]): every index
+//!   build in the pool (and its sequential fallback) and every plan run
+//!   on the coordinating thread executes under `catch_unwind`; the
+//!   lowest-indexed panicking build — or the first panicking plan, in
+//!   plan order — wins deterministically at any thread count, and the
+//!   coordinating thread converts it into the typed error instead of
+//!   unwinding or aborting the process.
 //!
 //! Divergence is *not* an error here: hitting the iteration cap still
 //! returns `Ok` with [`InternedOutcome::Diverged`] (after
@@ -484,8 +509,8 @@
 //!   the settled frontier of the partial is **exact**: every settled
 //!   row carries precisely its least-fixpoint value, and
 //!   [`PartialOutput::materialize_settled`] is a sub-instance of the
-//!   answer (differentially pinned in `tests/robustness.rs` at 1, 2,
-//!   and 4 threads). An interrupted Dijkstra yields correct shortest
+//!   answer (differentially pinned in `tests/robustness.rs`). An
+//!   interrupted Dijkstra yields correct shortest
 //!   paths for everything it settled.
 //! * Under the other schedules every intermediate `J(t)` still sits
 //!   below the least fixpoint (`J(t) ⊑ lfp`, the loop invariant), so
@@ -541,12 +566,12 @@
 //! so the interner cannot be frozen for the whole run. The resolution is
 //! split-phase:
 //!
-//! * while a (possibly parallel) iteration runs, the interner **is**
+//! * while an iteration's plans run, the interner **is**
 //!   frozen — the executor emits head keys whose computed cells miss the
 //!   table as [`exec::HeadVal::Fresh`] integers into ordered per-IDB
 //!   accumulators;
 //! * between iterations, the driver mints ids for those integers in
-//!   sorted key order (deterministic, single-threaded) and inserts the
+//!   sorted key order (deterministic) and inserts the
 //!   rows. A fresh cell is by definition a constant no existing row
 //!   contains, so minted rows are always appends: they enter the `new`
 //!   state, the `δ` relation, and the `changed` map exactly like any
@@ -554,11 +579,10 @@
 //!
 //! Body-side key functions never mint — a computed probe value outside
 //! the interned domain simply matches nothing, which is the semantics of
-//! joining against finite supports. Minting is unaffected by the thread
-//! count: fresh accumulators are merged in task order and drained
-//! sorted, so results are bit-identical at any parallelism — under the
-//! frontier drivers ids are minted between batches exactly as the
-//! global drivers mint between iterations.
+//! joining against finite supports. Fresh accumulators are filled in
+//! plan order and drained sorted, so minted ids are the same on every
+//! run — under the frontier drivers ids are minted between batches
+//! exactly as the global drivers mint between iterations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

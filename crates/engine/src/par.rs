@@ -1,21 +1,23 @@
-//! Minimal scoped-thread parallelism (no external thread-pool crates).
+//! Minimal scoped-thread parallelism (no external thread-pool crates),
+//! for the one thing the engine fans out: the per-relation EDB index
+//! builds before a run's first step (`Engine::build_edb_indexes`). The
+//! fixpoint loops run on the calling thread under every schedule
+//! ([`crate`]'s parallelism section has the readings that decided it).
 //!
-//! One shared atomic counter hands task indexes to `min(threads, tasks)`
-//! scoped workers; each worker returns its `(index, result)` pairs and
-//! the caller reassembles them in task order, so the merge downstream is
-//! deterministic. Thread count comes from `DLO_ENGINE_THREADS` (set `1`
-//! to force sequential execution) or `std::thread::available_parallelism`.
+//! [`run_each`] deals owned work items round-robin to
+//! `min(threads, items)` scoped workers. Thread count comes from
+//! `DLO_ENGINE_THREADS` (set `1` to build the indexes sequentially) or
+//! `std::thread::available_parallelism`.
 //!
-//! **Panic containment:** every task body runs under
+//! **Panic containment:** every item runs under
 //! [`std::panic::catch_unwind`], on the sequential fallback too, so a
-//! panicking task never unwinds across the pool (which would abort the
-//! scope and take the process down with it). Both entry points return
+//! panicking item never unwinds across the pool (which would abort the
+//! scope and take the process down with it). [`run_each`] returns
 //! `Err(message)` carrying the payload of the *lowest-indexed*
-//! panicking task — deterministic at any thread count — and the drivers
+//! panicking item — deterministic at any thread count — and the drivers
 //! surface it as `EvalError::WorkerPanic`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The worker count the engine will use.
@@ -45,96 +47,16 @@ pub(crate) fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String 
     }
 }
 
-/// Runs `f(0..n)` across `threads` scoped workers, returning results in
-/// task order, or the contained panic message of the lowest-indexed
-/// panicking task. Falls back to a plain sequential map (with the same
-/// containment) when parallelism cannot help.
-pub fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, String>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Ok(t) => out.push(t),
-                Err(p) => return Err(payload_message(p)),
-            }
-        }
-        return Ok(out);
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut first_panic: Option<(usize, String)> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(n))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, T)> = vec![];
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break Ok(local);
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                            Ok(t) => local.push((i, t)),
-                            // Stop this worker at the panic; peers drain
-                            // the remaining indexes normally.
-                            Err(p) => break Err((i, payload_message(p), local)),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            // The scoped closure never unwinds (every task body is
-            // contained above), so join() only fails if the *runtime*
-            // killed the thread — propagate that as a panic message too
-            // rather than unwinding across the pool.
-            match h.join() {
-                Ok(Ok(local)) => {
-                    for (i, t) in local {
-                        slots[i] = Some(t);
-                    }
-                }
-                Ok(Err((i, msg, local))) => {
-                    for (j, t) in local {
-                        slots[j] = Some(t);
-                    }
-                    if first_panic.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                        first_panic = Some((i, msg));
-                    }
-                }
-                Err(p) => {
-                    let msg = payload_message(p);
-                    if first_panic.is_none() {
-                        first_panic = Some((usize::MAX, msg));
-                    }
-                }
-            }
-        }
-    });
-    if let Some((_, msg)) = first_panic {
-        return Err(msg);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("every task index visited"))
-        .collect())
-}
-
 /// Runs `f` over owned work items across `threads` scoped workers.
 ///
-/// Unlike [`run_indexed`] the items may hold mutable borrows (the
-/// parallel-index-build path hands each worker `&mut ColumnRel`s), so
-/// work cannot be handed out through a shared counter; items are dealt
-/// round-robin into per-worker buckets instead, which balances well when
-/// item costs are not front-loaded. Results are discarded — use this for
-/// effects on the items themselves, and only where those effects are
-/// order-independent (index builds are: each item owns its relation).
-/// A panicking item is contained like in [`run_indexed`]; the message of
-/// the lowest-numbered panicking item is returned.
+/// The items may hold mutable borrows (the index builds hand each worker
+/// `&mut ColumnRel`s), so work cannot be handed out through a shared
+/// counter; items are dealt round-robin into per-worker buckets instead,
+/// which balances well when item costs are not front-loaded. Results are
+/// discarded — use this for effects on the items themselves, and only
+/// where those effects are order-independent (index builds are: each
+/// item owns its relation). A panicking item is contained (module docs);
+/// the message of the lowest-numbered panicking item is returned.
 pub fn run_each<T, F>(work: Vec<T>, threads: usize, f: F) -> Result<(), String>
 where
     T: Send,
@@ -207,34 +129,6 @@ mod tests {
         let mut one = vec![0u32];
         run_each(one.iter_mut().collect::<Vec<_>>(), 8, |c| *c = 9).expect("no panics");
         assert_eq!(one, vec![9]);
-    }
-
-    #[test]
-    fn results_arrive_in_task_order() {
-        let out = run_indexed(100, 4, |i| i * i).expect("no panics");
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sequential_fallback_matches() {
-        assert_eq!(run_indexed(5, 1, |i| i + 1).unwrap(), vec![1, 2, 3, 4, 5]);
-        assert_eq!(run_indexed(0, 8, |i| i).unwrap(), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn panicking_task_is_contained_deterministically() {
-        // The lowest panicking index wins at every thread count, and
-        // the panic never unwinds out of the call.
-        for threads in [1, 2, 4, 8] {
-            let err = run_indexed(40, threads, |i| {
-                if i == 7 || i == 23 {
-                    panic!("task {i} exploded");
-                }
-                i
-            })
-            .expect_err("must contain the panic");
-            assert_eq!(err, "task 7 exploded", "threads={threads}");
-        }
     }
 
     #[test]

@@ -302,8 +302,7 @@ fn query_eval<P: Pops, S: Schedule<P>>(
 /// any POPS (see `dlo_core::demand`), so [`crate::Naive`] and
 /// [`crate::SemiNaive`] apply demand restriction to the weaker classes
 /// too. Results are bit-identical at any thread count, exactly as for
-/// the full-fixpoint entry points (enforced in
-/// `tests/proptest_engine.rs`).
+/// the full-fixpoint entry points: threads only build the EDB indexes.
 ///
 /// # Errors
 ///

@@ -279,37 +279,6 @@ impl<P: PreSemiring> AccumMap<P> {
             }
         }
     }
-
-    /// Moves every entry of `other` into `self` (used by the parallel
-    /// drivers to fold per-task accumulators in task order).
-    pub fn absorb(&mut self, other: AccumMap<P>) {
-        match (self, other) {
-            (AccumMap::Packed { map, .. }, AccumMap::Packed { map: o, .. }) => {
-                for (k, v) in o {
-                    match map.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let g = e.get_mut();
-                            *g = g.add(&v);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(v);
-                        }
-                    }
-                }
-            }
-            (AccumMap::Wide(m), AccumMap::Wide(o)) => {
-                for (k, v) in o {
-                    match m.get_mut(&k) {
-                        Some(g) => *g = g.add(&v),
-                        None => {
-                            m.insert(k, v);
-                        }
-                    }
-                }
-            }
-            _ => unreachable!("accumulators for one predicate share a width"),
-        }
-    }
 }
 
 /// An interned finite-support relation: flat rows, values, row map, and
@@ -329,9 +298,9 @@ impl<P: PreSemiring> AccumMap<P> {
 /// first; nobody has to ensure it beforehand, and concurrent first
 /// readers of a shared relation block on one build. Over an EDB exactly
 /// two kinds of reader ever ask: a Boolean guard atom in a rule
-/// condition (`exec::eval_cformula`, possibly first from inside a
-/// fanned-out round) and a [`Materialization`](crate::Materialization)
-/// edit (present-key checks and `⊕`-merges into the live relation). A
+/// condition (`exec::eval_cformula`) and a
+/// [`Materialization`](crate::Materialization) edit (present-key checks
+/// and `⊕`-merges into the live relation). A
 /// from-scratch run of a program without guard atoms never builds it —
 /// for wide keys that is one `Box<[u32]>` and one hash insert per row
 /// not spent.
@@ -795,19 +764,6 @@ mod tests {
         let mut keys: Vec<Vec<u32>> = vec![];
         acc.drain_sorted(|k, _| keys.push(k.to_vec()));
         assert_eq!(keys, vec![vec![0, 0, 1], vec![7, 0, 1]]);
-        // absorb folds a second accumulator in.
-        let mut a = AccumMap::<Trop>::new(1);
-        a.merge(&[3], Trop::finite(9.0));
-        let mut b = AccumMap::<Trop>::new(1);
-        b.merge(&[3], Trop::finite(2.0));
-        b.merge(&[4], Trop::finite(1.0));
-        a.absorb(b);
-        let mut seen: Vec<(Vec<u32>, Trop)> = vec![];
-        a.drain_sorted(|k, v| seen.push((k.to_vec(), v)));
-        assert_eq!(
-            seen,
-            vec![(vec![3], Trop::finite(2.0)), (vec![4], Trop::finite(1.0)),]
-        );
     }
 
     /// The one head-to-head comparison of the two probe structures: on

@@ -6,8 +6,8 @@
 //! drivers feed it:
 //!
 //! * per-plan [`crate::exec::ExecCounters`] plus wall-clock, keyed by
-//!   [`crate::plan::Plan::pid`] (summed in deterministic task order —
-//!   the counter totals are thread-invariant, only `time_ns` is not);
+//!   [`crate::plan::Plan::pid`] (the counter totals are functions of
+//!   the program and its input, only `time_ns` is not);
 //! * per-iteration/per-batch [`IterStat`] snapshots, derived from
 //!   counter deltas around each step;
 //! * phase timings (setup is measured by the entry points and passed
@@ -18,8 +18,8 @@
 //!
 //! Tracing resolves from [`crate::driver::EngineOpts::trace`], falling
 //! back to the `DLO_TRACE` environment variable (a JSONL path, opened
-//! in append mode). The collector emits every event from the
-//! coordinating thread only, so sinks never see concurrent calls.
+//! in append mode). The collector emits every event from the thread
+//! that runs the fixpoint, so sinks never see concurrent calls.
 
 use crate::driver::EngineOpts;
 use crate::exec::ExecCounters;
@@ -36,11 +36,6 @@ pub(crate) struct Collector {
     per_plan: Vec<(ExecCounters, u64)>,
     metas: Vec<PlanMeta>,
     trace: Option<TraceHandle>,
-    /// Snapshot sampling stride from [`EngineOpts::iter_sample`] (at
-    /// least 1): only steps divisible by this are pushed into
-    /// [`EvalStats::iterations`] (sampled-out steps count as dropped;
-    /// `last_iter` and the trace stream always see every step).
-    iter_sample: u64,
 }
 
 /// Resolves the active trace handle: an explicit [`TraceHandle`] on
@@ -96,7 +91,6 @@ impl Collector {
             per_plan,
             metas,
             trace,
-            iter_sample: (opts.iter_sample as u64).max(1),
         }
     }
 
@@ -137,15 +131,9 @@ impl Collector {
         self.stats.counters.tuples_scanned += counters.scanned;
     }
 
-    /// Records one parallel fan-out (environmental).
-    pub fn parallel_batch(&mut self, tasks: usize) {
-        self.stats.parallel_batches += 1;
-        self.stats.tasks_spawned += tasks as u64;
-    }
-
     /// Completes one iteration/batch: computes the snapshot from the
-    /// counter delta since `before`, pushes it (sample- and cap-aware),
-    /// and streams it to the trace.
+    /// counter delta since `before`, pushes it (cap-aware), and streams
+    /// it to the trace.
     pub fn end_step(&mut self, step: usize, delta_rows: u64, queue_depth: u64, before: &Counters) {
         self.stats.counters.delta_rows += delta_rows;
         let d = self.stats.counters.since(before);
@@ -160,14 +148,7 @@ impl Collector {
             absorbed: d.merges_absorbed,
             minted: d.minted_ids,
         };
-        if it.step.is_multiple_of(self.iter_sample) {
-            self.stats.push_iteration(it);
-        } else {
-            // Sampled out: accounted like a cap overflow, and still the
-            // freshest `last_iter`.
-            self.stats.iterations_dropped += 1;
-            self.stats.last_iter = Some(it);
-        }
+        self.stats.push_iteration(it);
         if let Some(t) = &self.trace {
             t.emit(&TraceEvent::Iteration(it));
         }

@@ -35,23 +35,21 @@
 //!
 //! ## Batches run on the coordinating thread
 //!
-//! A batch's (row × worklist-plan) work only reads state, so it could
-//! be fanned over the worker pool like a semi-naïve round. It is not,
-//! because that never paid: sparse frontiers pop one to a few rows per
-//! batch and never reach a fan-out threshold, and on dense ones
+//! Like every round of the other schedules: nothing in a fixpoint fans
+//! out. A batch's (row × worklist-plan) work only reads state, so it
+//! could be fanned over a worker pool, and once was; it never paid.
+//! Sparse frontiers pop one to a few rows per batch, and on dense ones
 //! (`apsp-dense` under priority: some twenty batches of thousands of
 //! rows) two threads measured 0.93–1.09× the time of one, median
 //! 1.07×, the emissions being merged into `new` serially either way
-//! ([`crate`]'s parallelism section has the readings). So every
-//! batch runs its plans inline through `driver::run_plans_inline` —
-//! the same runner the round loops use below their own threshold —
-//! and a frontier run reports `parallel_batches = 0` at any thread
-//! count. Threads still build the EDB indexes before the first batch.
-//! Maintenance batches are the same batches: a [`crate::Materialization`]
-//! under a frontier [`Strategy`] builds, inserts and rederives through
-//! this loop (seeded from its standing state), inline like every other
-//! frontier run — of its work only a delete's marking rounds, which are
-//! semi-naïve rounds, can fan out.
+//! ([`crate`]'s parallelism section has the readings, the semi-naïve
+//! rounds' included). So every batch runs its plans inline through
+//! `driver::run_plans_inline` — the one plan runner, which the round
+//! loops use too. Threads still build the EDB indexes before the first
+//! batch. Maintenance batches are the same batches: a
+//! [`crate::Materialization`] under a frontier [`Strategy`] builds,
+//! inserts and rederives through this loop (seeded from its standing
+//! state), and a delete's marking rounds are inline global rounds.
 //!
 //! ## What a batch costs
 //!
@@ -126,7 +124,7 @@ pub enum Strategy {
     /// frontier.
     #[default]
     Auto,
-    /// The global parallel semi-naïve loop (Theorem 6.5).
+    /// The global semi-naïve rounds (Theorem 6.5).
     SemiNaive,
     /// The FIFO generation worklist (sound for any absorptive POPS).
     Worklist,
@@ -340,77 +338,59 @@ fn apply_emissions<P: Pops, F: Frontier<P>>(
     settled: &mut SettledMark,
     col: &mut Collector,
 ) {
-    for (pred, buf) in bufs.iter_mut().enumerate() {
-        let arity = buf.arity;
-        let sv = set_valued[pred];
-        let mut vals = std::mem::take(&mut buf.vals);
-        let c = &mut col.stats.counters;
-        for (i, v) in vals.drain(..).enumerate() {
-            let key = &buf.keys[i * arity..(i + 1) * arity];
-            if sv {
-                if new[pred].rowid(key).is_none() {
-                    let row = new[pred].insert_row(key, P::one());
-                    frontier.push(pred, row, new[pred].val(row));
-                    c.rows_inserted += 1;
-                } else {
-                    c.set_valued_shortcircuits += 1;
+    let c = &mut col.stats.counters;
+    // The one merge loop: lands what is buffered, in buffer order, and
+    // empties the buffers.
+    let mut land_buffered = |bufs: &mut [EmitBuf<P>]| {
+        for (pred, buf) in bufs.iter_mut().enumerate() {
+            let (arity, sv, rel) = (buf.arity, set_valued[pred], &mut new[pred]);
+            let mut vals = std::mem::take(&mut buf.vals);
+            for (i, v) in vals.drain(..).enumerate() {
+                let key = &buf.keys[i * arity..(i + 1) * arity];
+                if sv {
+                    if rel.rowid(key).is_none() {
+                        let row = rel.insert_row(key, P::one());
+                        frontier.push(pred, row, rel.val(row));
+                        c.rows_inserted += 1;
+                    } else {
+                        c.set_valued_shortcircuits += 1;
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let len_before = new[pred].len();
-            let (row, changed) = new[pred].merge_changed(key, v);
-            if changed {
-                frontier.push(pred, row, new[pred].val(row));
-                if new[pred].len() > len_before {
-                    c.rows_inserted += 1;
+                let len_before = rel.len();
+                let (row, changed) = rel.merge_changed(key, v);
+                if changed {
+                    frontier.push(pred, row, rel.val(row));
+                    if rel.len() > len_before {
+                        c.rows_inserted += 1;
+                    } else {
+                        c.rows_improved += 1;
+                        settled.unmark(pred, row);
+                    }
                 } else {
-                    c.rows_improved += 1;
-                    settled.unmark(pred, row);
+                    c.merges_absorbed += 1;
                 }
-            } else {
-                c.merges_absorbed += 1;
             }
+            buf.vals = vals; // hand the capacity back for the next batch
+            buf.keys.clear();
         }
-        buf.vals = vals; // hand the capacity back for the next batch
-        buf.keys.clear();
-    }
+    };
+    land_buffered(bufs);
     // Fresh head keys are the rare case: a batch without any reads no
-    // clock and touches no interner.
+    // clock and touches no interner. Once minted they are interned keys
+    // like any other: buffered in their sorted order, landed the same
+    // way.
     if fresh.iter().all(|facc| facc.is_empty()) {
         return;
     }
     let t_mint = Instant::now();
     let minted_before = interner.len();
-    for (pred, facc) in fresh.iter_mut().enumerate() {
-        let sv = set_valued[pred];
-        let c = &mut col.stats.counters;
+    for (buf, facc) in bufs.iter_mut().zip(fresh.iter_mut()) {
         while let Some((key, v)) = facc.pop_first() {
-            let key = mint_key(interner, &key);
-            if sv {
-                if new[pred].rowid(&key).is_none() {
-                    let row = new[pred].insert_row(&key, P::one());
-                    frontier.push(pred, row, new[pred].val(row));
-                    c.rows_inserted += 1;
-                } else {
-                    c.set_valued_shortcircuits += 1;
-                }
-                continue;
-            }
-            let len_before = new[pred].len();
-            let (row, changed) = new[pred].merge_changed(&key, v);
-            if changed {
-                frontier.push(pred, row, new[pred].val(row));
-                if new[pred].len() > len_before {
-                    c.rows_inserted += 1;
-                } else {
-                    c.rows_improved += 1;
-                    settled.unmark(pred, row);
-                }
-            } else {
-                c.merges_absorbed += 1;
-            }
+            buf.push(&mint_key(interner, &key), v);
         }
     }
+    land_buffered(bufs);
     col.stats.counters.minted_ids += (interner.len() - minted_before) as u64;
     col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
 }
@@ -612,9 +592,6 @@ where
         }
     }
 
-    /// Only the semi-naïve loop fans its rounds over the worker pool
-    /// ((plan × row-chunk) tasks per global iteration); the frontiers
-    /// run every batch on the coordinating thread (module docs).
     fn run(
         self,
         mut engine: Engine<P>,
@@ -641,13 +618,12 @@ where
         state: &mut IdbState<P>,
         plans: &RoundPlans<'_, P>,
         cap: usize,
-        opts: &EngineOpts,
         run: &mut Run,
         start: usize,
     ) -> Result<usize, LoopFail> {
         let (seed, rows) = (plans.seed, plans.seed_rows);
         match self {
-            Strategy::SemiNaive => SemiNaive.resume(engine, state, plans, cap, opts, run, start),
+            Strategy::SemiNaive => SemiNaive.resume(engine, state, plans, cap, run, start),
             Strategy::Worklist => {
                 drain_frontier::<P, FifoFrontier>(engine, state, seed, rows, start, cap, run)
             }
@@ -662,7 +638,7 @@ where
 mod tests {
     use super::*;
     use crate::driver::engine_eval_interned;
-    use crate::driver::tests::{eval, eval_with};
+    use crate::driver::tests::eval;
     use dlo_core::ast::{Atom, Factor, KeyFn, Program, SumProduct, Term, UnaryFn};
     use dlo_core::eval::relational::relational_seminaive_eval;
     use dlo_core::examples_lib as ex;
@@ -671,8 +647,7 @@ mod tests {
     use dlo_pops::{MaxMin, MinNat, PreSemiring, Trop};
 
     /// Every [`Strategy`] agrees with the relational reference on
-    /// output databases — the dispatcher's semi-naïve arm also with its
-    /// round fan-out forced (threshold 1, tiny chunks, 4 workers).
+    /// output databases.
     fn assert_frontier_matches_relational<P>(
         program: &Program<P>,
         pops: &Database<P>,
@@ -696,21 +671,6 @@ mod tests {
             let got = eval(program, pops, bools, 1_000_000, strategy).unwrap();
             assert_eq!(reference, got, "{strategy:?} differs from relational");
         }
-        let forced = EngineOpts {
-            threads: Some(4),
-            par_threshold: 1,
-            chunk_min: 2,
-            ..EngineOpts::default()
-        };
-        let fanned = eval_with(
-            program,
-            pops,
-            bools,
-            1_000_000,
-            Strategy::SemiNaive,
-            &forced,
-        );
-        assert_eq!(reference, fanned.unwrap(), "forced fan-out differs");
         reference
     }
 
@@ -851,8 +811,7 @@ mod tests {
     /// Holds a priority run to its golden per-batch stats rows —
     /// `[delta_rows, queue_depth, emits, inserted, improved, absorbed]`
     /// — and to the stored order of `pred`'s rows (insertion order, so
-    /// it moves if a bucket hands its rows over in another order), at
-    /// 1, 2 and 4 threads.
+    /// it moves if a bucket hands its rows over in another order).
     fn assert_batches_pinned(
         program: &Program<Trop>,
         edb: &Database<Trop>,
@@ -860,55 +819,45 @@ mod tests {
         pred: &str,
         golden_order: &[&str],
     ) {
-        for threads in [1, 2, 4] {
-            let opts = EngineOpts {
-                threads: Some(threads),
-                ..EngineOpts::default()
-            };
-            let out = engine_eval_interned(
-                program,
-                edb,
-                &BoolDatabase::new(),
-                1_000_000,
-                Strategy::Priority,
-                &opts,
-            )
-            .expect("compiles");
-            let rows: Vec<[u64; 6]> = out
-                .stats()
-                .iterations
-                .iter()
-                .map(|it| {
-                    [
-                        it.delta_rows,
-                        it.queue_depth,
-                        it.emits,
-                        it.inserted,
-                        it.improved,
-                        it.absorbed,
-                    ]
-                })
-                .collect();
-            assert_eq!(rows, golden, "stats rows at {:?} threads", opts.threads);
-            let output = out.output();
-            let order: Vec<String> = output
-                .relation(pred)
-                .expect("the IDB exists")
-                .iter()
-                .map(|(_, key, _)| {
-                    let names: Vec<String> = key
-                        .iter()
-                        .map(|&id| output.interner().get(id).to_string())
-                        .collect();
-                    names.join(" ")
-                })
-                .collect();
-            assert_eq!(
-                order, golden_order,
-                "row order at {:?} threads",
-                opts.threads
-            );
-        }
+        let out = engine_eval_interned(
+            program,
+            edb,
+            &BoolDatabase::new(),
+            1_000_000,
+            Strategy::Priority,
+            &EngineOpts::default(),
+        )
+        .expect("compiles");
+        let rows: Vec<[u64; 6]> = out
+            .stats()
+            .iterations
+            .iter()
+            .map(|it| {
+                [
+                    it.delta_rows,
+                    it.queue_depth,
+                    it.emits,
+                    it.inserted,
+                    it.improved,
+                    it.absorbed,
+                ]
+            })
+            .collect();
+        assert_eq!(rows, golden, "stats rows");
+        let output = out.output();
+        let order: Vec<String> = output
+            .relation(pred)
+            .expect("the IDB exists")
+            .iter()
+            .map(|(_, key, _)| {
+                let names: Vec<String> = key
+                    .iter()
+                    .map(|&id| output.interner().get(id).to_string())
+                    .collect();
+                names.join(" ")
+            })
+            .collect();
+        assert_eq!(order, golden_order, "row order");
     }
 
     #[test]
@@ -1142,53 +1091,6 @@ mod tests {
             semi.get("T").unwrap().support_size() > 500,
             "non-trivial TC"
         );
-    }
-
-    #[test]
-    fn frontier_is_bit_identical_across_thread_counts() {
-        // The dense random TC instance again, comparing full outcomes
-        // (fixpoint, batch counts and every deterministic counter)
-        // across thread counts: threads only build the EDB indexes
-        // under a frontier, and no batch fans out.
-        let mut rng = xorshift(0xabcd);
-        let mut pairs = vec![];
-        for _ in 0..300 {
-            let u = (rng() % 50) as i64;
-            let v = (rng() % 50) as i64;
-            if u != v {
-                pairs.push((
-                    vec![u.into(), v.into()],
-                    Trop::finite((1 + rng() % 9) as f64),
-                ));
-            }
-        }
-        let mut edb = Database::new();
-        edb.insert("E", Relation::from_pairs(2, pairs));
-        let program = ex::apsp_program::<Trop>();
-        let bools = BoolDatabase::new();
-        for strategy in [Strategy::Worklist, Strategy::Priority] {
-            let at = |threads| {
-                let opts = EngineOpts {
-                    threads: Some(threads),
-                    ..EngineOpts::default()
-                };
-                eval_with(&program, &edb, &bools, 10_000_000, strategy, &opts)
-            };
-            let baseline = at(1);
-            for threads in [2, 4] {
-                let got = at(threads);
-                assert_eq!(
-                    baseline, got,
-                    "{strategy:?} at {threads} threads differs from single-threaded"
-                );
-                assert_eq!(
-                    baseline.stats().invariants(),
-                    got.stats().invariants(),
-                    "{strategy:?} at {threads} threads: counters"
-                );
-                assert_eq!(got.stats().parallel_batches, 0, "{strategy:?} fanned out");
-            }
-        }
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub use dlo_engine::{
 };
 
 /// Evaluates a program with the **default backend**: the execution
-/// engine's parallel semi-naïve schedule ([`engine_eval_interned`] with
+/// engine's semi-naïve schedule ([`engine_eval_interned`] with
 /// [`SemiNaive`], decoded), which covers the full language surface
-/// natively (interned, indexed, multi-threaded) — including key
+/// natively (interned and indexed) — including key
 /// functions in rule heads. Reach for the grounded or
 /// relational backends through [`core`] only for exotic POPS outside
 /// the naturally-ordered dioids, or for iteration traces — and for the
@@ -95,10 +95,10 @@ pub const FRONTIER_DEFAULT_CAP: usize = 100_000_000;
 /// (Sec. 5 / Cor. 5.19 — every polynomial over a 0-stable semiring is
 /// `N`-stable, so per-fact change propagation terminates). On
 /// long-chain fixpoints this replaces one global iteration per chain
-/// link with one bucket drain per distinct value, and dense batches fan
-/// (settled-row × plan) tasks over the `DLO_ENGINE_THREADS` worker pool
-/// with a deterministic merge — results are bit-identical at any thread
-/// count. The divergence cap is [`FRONTIER_DEFAULT_CAP`] (frontier
+/// link with one bucket drain per distinct value. Every batch runs on
+/// the calling thread (`DLO_ENGINE_THREADS` only sizes the pool that
+/// builds the EDB indexes beforehand), so results are bit-identical at
+/// any thread count. The divergence cap is [`FRONTIER_DEFAULT_CAP`] (frontier
 /// steps are finer-grained than global iterations). For pipelines that
 /// feed results back into the engine, [`engine_eval_interned`] skips
 /// the `Database` materialization entirely.
@@ -131,7 +131,7 @@ where
 }
 
 /// **Query-driven** evaluation on the default backend (the engine's
-/// parallel semi-naïve loop): the program is magic-set rewritten for
+/// semi-naïve loop): the program is magic-set rewritten for
 /// the query (`dlo_core::demand` — Bool-lattice demand predicates
 /// guarding the POPS rules, sound for any POPS), so only the fragment
 /// the query can reach is computed. The returned [`QueryAnswer`]

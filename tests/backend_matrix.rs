@@ -1,9 +1,8 @@
 //! The backend matrix: every oracle scenario from `paper_examples.rs`
 //! and `textual_programs.rs` pushed through **all three** backends —
 //! grounded naive, relational (naive + semi-naive), and the execution
-//! engine (naive + semi-naive, inline and with the round fan-out
-//! forced, + FIFO generation worklist + priority frontier) — asserting
-//! identical output databases. `cross_engine.rs` spot-checks a subset
+//! engine (naive + semi-naive + FIFO generation worklist + priority
+//! frontier) — asserting identical output databases. `cross_engine.rs` spot-checks a subset
 //! against external oracles; this file is the exhaustive
 //! pairwise-agreement sweep, and since the engine lost its
 //! head-key-function fallback it proves the fast backend really is
@@ -50,18 +49,6 @@ fn run<P: Pops, S: Schedule<P>>(
         .materialize()
 }
 
-/// Tuning that forces the round loops' fan-out even on single-row
-/// rounds (4 workers, fan-out threshold 1). The frontier strategies run
-/// every batch inline whatever these say.
-fn forced_parallel() -> EngineOpts {
-    EngineOpts {
-        threads: Some(4),
-        par_threshold: 1,
-        chunk_min: 2,
-        ..EngineOpts::default()
-    }
-}
-
 fn k(s: &str) -> datalog_o::core::Constant {
     s.into()
 }
@@ -92,14 +79,12 @@ fn assert_same_db<P: datalog_o::pops::Pops>(
     }
 }
 
-/// The full eight-leg matrix: grounded naive, relational
-/// naive/semi-naive, engine naive/semi-naive, semi-naive again with the
-/// round fan-out forced (4 workers, fan-out threshold 1 — every round
-/// fans out, however small), and the engine's two frontier strategies
-/// (FIFO generation worklist and bucketed priority). Every `all`
-/// scenario runs over a totally ordered absorptive
-/// dioid (`Trop`, `MinNat`, `𝔹`), so the frontier legs apply; POPS
-/// without those markers use [`assert_matrix_naive`] below.
+/// The full seven-leg matrix: grounded naive, relational
+/// naive/semi-naive, engine naive/semi-naive, and the engine's two
+/// frontier strategies (FIFO generation worklist and bucketed
+/// priority). Every `all` scenario runs over a totally ordered
+/// absorptive dioid (`Trop`, `MinNat`, `𝔹`), so the frontier legs
+/// apply; POPS without those markers use [`assert_matrix_naive`] below.
 fn assert_matrix_all<P>(
     scenario: &str,
     program: &Program<P>,
@@ -114,9 +99,8 @@ fn assert_matrix_all<P>(
         + Sync,
 {
     assert_bulk_load_bit_identical(scenario, program, pops, bools);
-    let forced_parallel = forced_parallel();
     let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
-    let legs: [(&str, Database<P>); 7] = [
+    let legs: [(&str, Database<P>); 6] = [
         (
             "relational naive",
             relational_naive_eval(program, pops, bools, CAP).unwrap(),
@@ -132,10 +116,6 @@ fn assert_matrix_all<P>(
         (
             "engine semi-naive",
             run(program, pops, bools, CAP, SemiNaive, &EngineOpts::default()).unwrap(),
-        ),
-        (
-            "engine semi-naive (fanned out)",
-            run(program, pops, bools, CAP, SemiNaive, &forced_parallel).unwrap(),
         ),
         (
             "engine worklist",
@@ -270,7 +250,7 @@ fn assert_bulk_load_bit_identical<P: NaturallyOrdered + Send + Sync>(
     }
 }
 
-/// One `#[test]` per oracle scenario. `all` runs the eight-leg matrix,
+/// One `#[test]` per oracle scenario. `all` runs the seven-leg matrix,
 /// `naive` the three naive legs; the block must evaluate to
 /// `(Program<P>, Database<P>, BoolDatabase)`.
 macro_rules! backend_matrix {
@@ -568,11 +548,9 @@ fn bulk_load_bit_identical_on_wide_mixed_constants() {
 
 /// Guard atoms are the one place a plan run reads an EDB relation by
 /// full key, and EDB relations are bulk-loaded without their row map:
-/// the first candidate valuation to reach the guard builds it — inside
-/// a parallel round when the run fans out. Guards over a unary (packed
-/// key) and a ternary (boxed key) Boolean relation, every schedule, at
-/// 1, 2 and 4 workers with every naïve and semi-naïve round forced to
-/// fan out, against the grounded reference.
+/// the first candidate valuation to reach the guard builds it. Guards
+/// over a unary (packed key) and a ternary (boxed key) Boolean relation,
+/// every schedule, against the grounded reference.
 #[test]
 fn guard_atoms_read_bulk_loaded_relations_by_key() {
     let src = "T(X, Y) :- E(X, Y) | Node(X) && Open(X, Y, day).\n\
@@ -630,40 +608,29 @@ fn guard_atoms_read_bulk_loaded_relations_by_key() {
         grounded.get("T").is_some_and(|t| t.support_size() > 100),
         "the guards must leave a non-trivial closure"
     );
-    for threads in [1, 2, 4] {
-        let fanned = EngineOpts {
-            threads: Some(threads),
-            ..forced_parallel()
-        };
-        let inline = EngineOpts {
-            threads: Some(threads),
-            ..EngineOpts::default()
-        };
-        let scenario = format!("guarded closure, {threads} workers");
-        let legs = [
-            ("naive", run(&program, &pops, &bools, CAP, Naive, &fanned)),
-            (
-                "semi-naive",
-                run(&program, &pops, &bools, CAP, SemiNaive, &fanned),
-            ),
-            (
-                "worklist",
-                run(&program, &pops, &bools, CAP, Strategy::Worklist, &inline),
-            ),
-            (
-                "priority",
-                run(&program, &pops, &bools, CAP, Strategy::Priority, &inline),
-            ),
-        ];
-        for (leg, got) in legs {
-            assert_same_db(&scenario, leg, &grounded, &got.unwrap());
-        }
+    let opts = EngineOpts::default();
+    let legs = [
+        ("naive", run(&program, &pops, &bools, CAP, Naive, &opts)),
+        (
+            "semi-naive",
+            run(&program, &pops, &bools, CAP, SemiNaive, &opts),
+        ),
+        (
+            "worklist",
+            run(&program, &pops, &bools, CAP, Strategy::Worklist, &opts),
+        ),
+        (
+            "priority",
+            run(&program, &pops, &bools, CAP, Strategy::Priority, &opts),
+        ),
+    ];
+    for (leg, got) in legs {
+        assert_same_db("guarded closure", leg, &grounded, &got.unwrap());
     }
 }
 
-/// The demand legs: `engine_query_eval_with_opts` under every schedule —
-/// the semi-naïve rounds also with their fan-out forced — must return
-/// exactly the query-restriction of the grounded reference's full
+/// The demand legs: `engine_query_eval_with_opts` under every schedule
+/// must return exactly the query-restriction of the grounded reference's full
 /// fixpoint, and every row of the demanded support must be value-exact
 /// against it (magic sets never under- or over-derive a demanded row).
 fn assert_query_matrix<P>(
@@ -683,33 +650,30 @@ fn assert_query_matrix<P>(
     let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
     let empty = Relation::new(query.arity());
     let expected = query.restrict(grounded.get(&query.pred).unwrap_or(&empty));
-    let forced = forced_parallel();
     let defaults = EngineOpts::default();
-    let legs: Vec<(String, datalog_o::QueryAnswer<P>)> = [
-        (Strategy::SemiNaive, &defaults),
-        (Strategy::SemiNaive, &forced),
-        (Strategy::Worklist, &defaults),
-        (Strategy::Priority, &defaults),
-    ]
-    .into_iter()
-    .map(|(strategy, opts)| {
-        (
-            format!("{strategy:?} ({} threads)", opts.threads.unwrap_or(1)),
-            engine_query_eval_with_opts(program, query, pops, bools, CAP, strategy, opts)
-                .expect("compiles"),
-        )
-    })
-    .chain(std::iter::once((
-        "query semi-naive (weak bounds)".to_string(),
-        engine_query_eval_with_opts(program, query, pops, bools, CAP, SemiNaive, &defaults)
-            .expect("compiles"),
-    )))
-    .chain(std::iter::once((
-        "query naive".to_string(),
-        engine_query_eval_with_opts(program, query, pops, bools, CAP, Naive, &defaults)
-            .expect("compiles"),
-    )))
-    .collect();
+    let legs: Vec<(String, datalog_o::QueryAnswer<P>)> =
+        [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority]
+            .into_iter()
+            .map(|strategy| {
+                (
+                    format!("{strategy:?}"),
+                    engine_query_eval_with_opts(
+                        program, query, pops, bools, CAP, strategy, &defaults,
+                    )
+                    .expect("compiles"),
+                )
+            })
+            .chain(std::iter::once((
+                "query semi-naive (weak bounds)".to_string(),
+                engine_query_eval_with_opts(program, query, pops, bools, CAP, SemiNaive, &defaults)
+                    .expect("compiles"),
+            )))
+            .chain(std::iter::once((
+                "query naive".to_string(),
+                engine_query_eval_with_opts(program, query, pops, bools, CAP, Naive, &defaults)
+                    .expect("compiles"),
+            )))
+            .collect();
     for (leg, qa) in &legs {
         assert!(qa.is_converged(), "{scenario}: {leg} diverged");
         assert_eq!(
@@ -1312,10 +1276,9 @@ fn incremental_leg_company_control_share_sale() {
 }
 
 /// Loop parity: a [`Materialization`] build and a from-scratch run
-/// under the same schedule are the same rounds. At 1, 2 and 4 threads
-/// (fan-out forced) they produce the same interned rows in the same
-/// order, the same interner, and equal `EvalStats::invariants()` — up
-/// to what names the run: the stats label, the all-zero profile rows of
+/// under the same schedule are the same rounds. They produce the same
+/// interned rows in the same order, the same interner, and equal
+/// `EvalStats::invariants()` — up to what names the run: the stats label, the all-zero profile rows of
 /// the `@dlt` variant plans only a handle compiles, the spine merges of
 /// the IDB arrangements only those plans probe (a handle keeps them
 /// maintained for the edits to come), and the one count the semi-naïve
@@ -1338,39 +1301,32 @@ fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
             .retain(|r| (r.rule as usize) < program.rules.len());
         inv
     };
-    for threads in [1usize, 2, 4] {
-        let opts = EngineOpts {
-            threads: Some(threads),
-            par_threshold: 1,
-            chunk_min: 2,
-            ..EngineOpts::default()
+    let opts = EngineOpts::default();
+    let leg = format!("{scenario}: loop parity");
+    let scratch =
+        engine_eval_interned(program, pops, bools, CAP, schedule, &opts).expect("compiles");
+    assert!(scratch.is_converged(), "{leg}");
+    let mut built =
+        Materialization::new(program, pops, bools, CAP, schedule, &opts).expect("builds");
+    assert_eq!(
+        unnamed(scratch.stats(), 0),
+        unnamed(built.last_stats(), steps_over_rounds),
+        "{leg}: stats"
+    );
+    let (scratch, built) = (scratch.output(), built.output());
+    let (ours, theirs) = (scratch.interner(), built.interner());
+    assert_eq!(ours.len(), theirs.len(), "{leg}: minted ids");
+    for id in 0..ours.len() as u32 {
+        assert_eq!(ours.get(id), theirs.get(id), "{leg}: id {id}");
+    }
+    for (pred, _) in scratch.predicates() {
+        let rows = |out: &datalog_o::InternedOutput<P>| -> Vec<(Vec<u32>, P)> {
+            let rel = out.relation(pred).expect("same predicates");
+            rel.iter()
+                .map(|(_, k, v)| (k.to_vec(), v.clone()))
+                .collect()
         };
-        let leg = format!("{scenario}: loop parity @ {threads} threads");
-        let scratch =
-            engine_eval_interned(program, pops, bools, CAP, schedule, &opts).expect("compiles");
-        assert!(scratch.is_converged(), "{leg}");
-        let mut built =
-            Materialization::new(program, pops, bools, CAP, schedule, &opts).expect("builds");
-        assert_eq!(
-            unnamed(scratch.stats(), 0),
-            unnamed(built.last_stats(), steps_over_rounds),
-            "{leg}: stats"
-        );
-        let (scratch, built) = (scratch.output(), built.output());
-        let (ours, theirs) = (scratch.interner(), built.interner());
-        assert_eq!(ours.len(), theirs.len(), "{leg}: minted ids");
-        for id in 0..ours.len() as u32 {
-            assert_eq!(ours.get(id), theirs.get(id), "{leg}: id {id}");
-        }
-        for (pred, _) in scratch.predicates() {
-            let rows = |out: &datalog_o::InternedOutput<P>| -> Vec<(Vec<u32>, P)> {
-                let rel = out.relation(pred).expect("same predicates");
-                rel.iter()
-                    .map(|(_, k, v)| (k.to_vec(), v.clone()))
-                    .collect()
-            };
-            assert_eq!(rows(scratch), rows(built), "{leg}: rows of {pred}");
-        }
+        assert_eq!(rows(scratch), rows(built), "{leg}: rows of {pred}");
     }
 }
 
@@ -1413,7 +1369,7 @@ fn wide_lookup_wide_keys() {
 
 /// The engine switches to merge joins past the packed-key width: an
 /// arity-3 join probes through a sorted arrangement, and stays
-/// bit-identical to the grounded oracle at any thread count.
+/// bit-identical to the grounded oracle.
 #[test]
 fn planner_auto_arranges_wide_relations() {
     let src = "J(X, U) :- A(X, Y, Z) * B(Y, Z, U).";
@@ -1443,75 +1399,135 @@ fn planner_auto_arranges_wide_relations() {
     );
     let bools = BoolDatabase::new();
     let grounded = naive_eval_sparse(&program, &pops, &bools, CAP).unwrap();
-    for threads in [1usize, 2, 4] {
-        let opts = EngineOpts {
-            threads: Some(threads),
-            par_threshold: 1,
-            chunk_min: 2,
-            ..EngineOpts::default()
-        };
-        let out = run(&program, &pops, &bools, CAP, Strategy::SemiNaive, &opts);
-        let s = out.stats().clone();
-        assert!(
-            s.counters.merge_join_steps > 0,
-            "the arity-3 probe side must be arranged"
-        );
-        assert_eq!(
-            s.counters.hash_join_steps, 0,
-            "no packed-width probes in this program"
-        );
-        assert_same_db(
-            "planner_auto_arranges_wide",
-            &format!("semi-naive @ {threads} threads"),
-            &grounded,
-            &out.unwrap(),
-        );
-    }
+    let opts = EngineOpts::default();
+    let out = run(&program, &pops, &bools, CAP, Strategy::SemiNaive, &opts);
+    let s = out.stats().clone();
+    assert!(
+        s.counters.merge_join_steps > 0,
+        "the arity-3 probe side must be arranged"
+    );
+    assert_eq!(
+        s.counters.hash_join_steps, 0,
+        "no packed-width probes in this program"
+    );
+    assert_same_db(
+        "planner_auto_arranges_wide",
+        "semi-naive",
+        &grounded,
+        &out.unwrap(),
+    );
 }
 
-/// The deterministic counters — everything except wall-clock timings,
-/// thread counts, and fan-out bookkeeping, so probe attribution and
-/// `join` tags included — are bit-identical at any thread count and
-/// across the materializing / interned entry points. The semi-naïve
-/// rounds are forced to fan out; the frontiers never do.
+/// What `threads` still does, in one place: it sizes the pool that builds
+/// the EDB indexes before the first step, and nothing else — one thread
+/// runs the fixpoint under every schedule. The program gives that build
+/// three work items (`A` and `B` probed by one column, the Boolean guard
+/// `Open` by its full key); at 1, 2 and 4 threads every schedule returns
+/// the same outcome and the same `EvalStats::invariants()`, records the
+/// thread count it was given, and fans no plan out. A `Materialization`
+/// built and edited at 4 threads matches its twin at 1 after every step.
 #[test]
-fn stats_invariants_identical_across_threads_and_entry_points() {
-    let (program, pops) = stats_workload();
-    let bools = BoolDatabase::new();
-    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        let mut seen = vec![];
+fn threads_build_the_edb_indexes_and_nothing_else() {
+    let src = "Hop(X, Z) :- A(X, Y) * B(Y, Z) | Open(X, Z).\n\
+               T(X, Z) :- Hop(X, Z) + T(X, Y) * A(Y, Z).";
+    let program: Program<Trop> = parse_program(src).unwrap();
+    let n = 24i64;
+    let edges = |stride: i64| {
+        Relation::from_pairs(
+            2,
+            (0..n).flat_map(move |u| {
+                [(u + 1) % n, (u * stride + 3) % n].map(|v| {
+                    (
+                        vec![u.into(), v.into()],
+                        Trop::finite((1 + (u + v) % 5) as f64),
+                    )
+                })
+            }),
+        )
+    };
+    let mut pops = Database::new();
+    pops.insert("A", edges(5));
+    pops.insert("B", edges(7));
+    let mut bools = BoolDatabase::new();
+    bools.insert(
+        "Open",
+        bool_relation(
+            2,
+            (0..n * n)
+                .filter(|i| i % 3 != 0)
+                .map(|i| vec![(i / n).into(), (i % n).into()]),
+        ),
+    );
+    fn at(threads: usize) -> EngineOpts {
+        EngineOpts {
+            threads: Some(threads),
+            ..EngineOpts::default()
+        }
+    }
+    fn check<S: Schedule<Trop> + std::fmt::Debug>(
+        schedule: S,
+        program: &Program<Trop>,
+        pops: &Database<Trop>,
+        bools: &BoolDatabase,
+    ) {
+        let run_at = |threads| run(program, pops, bools, CAP, schedule, &at(threads));
+        let base = run_at(1);
+        assert!(
+            base.stats().counters.index_probes > 100,
+            "{schedule:?}: the indexes are read"
+        );
         for threads in [1usize, 2, 4] {
-            let fans = strategy == Strategy::SemiNaive;
-            let opts = EngineOpts {
-                threads: Some(threads),
-                ..if fans {
-                    forced_parallel()
-                } else {
-                    EngineOpts::default()
-                }
-            };
-            let materialized = run(&program, &pops, &bools, CAP, strategy, &opts);
+            let got = run_at(threads);
+            let stats = got.stats();
+            assert_eq!(stats.threads, threads as u64, "{schedule:?}");
             assert_eq!(
-                materialized.stats().parallel_batches > 0,
-                fans && threads > 1,
-                "{strategy:?} @ {threads} threads: fan-out bookkeeping"
+                (stats.tasks_spawned, stats.parallel_batches),
+                (0, 0),
+                "{schedule:?} @ {threads} threads fanned plans out"
             );
-            let interned = engine_eval_interned(&program, &pops, &bools, CAP, strategy, &opts)
-                .expect("compiles");
             assert_eq!(
-                materialized.stats().invariants(),
-                interned.stats().invariants(),
-                "{strategy:?} @ {threads} threads: entry points disagree on stats"
+                base.stats().invariants(),
+                stats.invariants(),
+                "{schedule:?} @ {threads} threads: stats"
             );
-            seen.push((threads, materialized.stats().invariants()));
+            assert_eq!(base, got, "{schedule:?} @ {threads} threads: outcome");
         }
-        for pair in seen.windows(2) {
-            let (t0, s0) = &pair[0];
-            let (t1, s1) = &pair[1];
+    }
+    check(Naive, &program, &pops, &bools);
+    check(SemiNaive, &program, &pops, &bools);
+    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
+        check(strategy, &program, &pops, &bools);
+    }
+
+    let build = |threads| {
+        Materialization::new(&program, &pops, &bools, CAP, Strategy::Auto, &at(threads))
+            .expect("builds")
+    };
+    let (mut one, mut four) = (build(1), build(4));
+    let assert_twins =
+        |step: &str, one: &mut Materialization<Trop>, four: &mut Materialization<Trop>| {
+            assert_eq!(four.last_stats().threads, 4, "{step}");
             assert_eq!(
-                s0, s1,
-                "{strategy:?}: stats differ between {t0} and {t1} threads"
+                one.last_stats().invariants(),
+                four.last_stats().invariants(),
+                "{step}: handle stats at 4 threads"
             );
+            assert_eq!(
+                one.output().materialize(),
+                four.output().materialize(),
+                "{step}: handle state at 4 threads"
+            );
+        };
+    assert_twins("build", &mut one, &mut four);
+    for edit in [
+        Edit::insert("A", vec![2i64.into(), 17i64.into()], Trop::finite(0.5)),
+        Edit::delete("B", vec![3i64.into(), 4i64.into()]),
+    ] {
+        for handle in [&mut one, &mut four] {
+            handle
+                .apply(std::slice::from_ref(&edit))
+                .expect("edit applies");
         }
+        assert_twins(&format!("{edit:?}"), &mut one, &mut four);
     }
 }

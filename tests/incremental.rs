@@ -2,8 +2,8 @@
 //! — random and adversarial — is applied step by step to a live
 //! [`Materialization`] *and* mirrored on a classic [`Database`], and
 //! after **every** step the materialization must equal the from-scratch
-//! fixpoint of the edited EDB, across evaluation strategies and thread
-//! counts, values exact per row.
+//! fixpoint of the edited EDB, across evaluation strategies, values
+//! exact per row.
 //!
 //! The adversarial shapes target the places where incremental
 //! maintenance over dioids can silently go wrong:
@@ -492,47 +492,6 @@ fn random_edit_scripts_match_from_scratch() {
 }
 
 #[test]
-fn edits_are_bit_identical_at_any_thread_count() {
-    // The same random script at 1, 2, and 4 workers — with the fan-out
-    // threshold forced down so what runs as global rounds under
-    // `Strategy::Auto` (each delete's marking) actually takes its
-    // parallel path — must produce identical databases *after every
-    // step*.
-    let program = apsp_program();
-    let edb = edge_db(&base_edges());
-    let bools = BoolDatabase::new();
-    let script = random_script(42, 16, &["a", "b", "c", "d", "e"]);
-    let opts_for = |threads: usize| EngineOpts {
-        threads: Some(threads),
-        par_threshold: 1,
-        chunk_min: 2,
-        ..EngineOpts::default()
-    };
-    let mut mats: Vec<Materialization<Trop>> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| {
-            Materialization::new(&program, &edb, &bools, CAP, Strategy::Auto, &opts_for(t))
-                .expect("compiles")
-        })
-        .collect();
-    for (step, edit) in script.iter().enumerate() {
-        let mut snapshots = vec![];
-        for mat in &mut mats {
-            mat.apply(std::slice::from_ref(edit)).expect("edit applies");
-            snapshots.push(mat.output().materialize());
-        }
-        assert_eq!(
-            snapshots[0], snapshots[1],
-            "step {step}: threads 1 vs 2 differ"
-        );
-        assert_eq!(
-            snapshots[0], snapshots[2],
-            "step {step}: threads 1 vs 4 differ"
-        );
-    }
-}
-
-#[test]
 fn sssp_gradient_scripts_match_from_scratch() {
     // A single-source program (head arity 1) over the Fig. 2(a) graph:
     // deletes force rederivation chains through the source condition,
@@ -938,26 +897,13 @@ fn poisoned_handle_exposes_partial_beside_the_poison() {
     );
 }
 
-/// `threads` workers with the round fan-out forced down, so whatever
-/// still runs as global rounds — a semi-naïve handle's maintenance, a
-/// delete's marking under every schedule — takes its parallel path.
-fn fanned(threads: usize) -> EngineOpts {
-    EngineOpts {
-        threads: Some(threads),
-        par_threshold: 1,
-        chunk_min: 2,
-        ..EngineOpts::default()
-    }
-}
-
 /// Worklist plans probe structures the semi-naïve plans never ask for,
 /// and every edit rebuilds relations: the `@dlt` / `@old` staging, the
 /// EDB without its deleted rows, the IDB without its cone, the Δ
 /// relations of the marking rounds. Each rebuild must carry what the
 /// frontier's next batch probes — a missing one is a panic from public
 /// input, not a wrong answer. Three shapes, each through an insert /
-/// delete / re-insert script on handles under every strategy at 1, 2
-/// and 4 threads:
+/// delete / re-insert script on handles under every strategy:
 ///
 /// * a value-function factor (its Δ-split exists only as a worklist
 ///   plan; the semi-naïve loop recomputes the sum-product whole);
@@ -1057,33 +1003,31 @@ fn edits_keep_every_probe_the_worklist_plans_read() {
         insert("a", "b", 0.5),
     ];
 
-    for threads in [1, 2, 4] {
-        let opts = fanned(threads);
-        assert_differential(
-            &format!("value function at {threads} threads"),
-            &capped,
-            &capped_edb,
-            &capped_script,
-            &ALL_STRATEGIES,
-            &opts,
-        );
-        assert_differential(
-            &format!("constant-bound occurrence at {threads} threads"),
-            &from_a,
-            &edge_db(&base_edges()),
-            &trop_script,
-            &ALL_STRATEGIES,
-            &opts,
-        );
-        assert_differential(
-            &format!("constant-bound value function at {threads} threads"),
-            &capped_from_a,
-            &from_a_edb,
-            &from_a_script,
-            &ALL_STRATEGIES,
-            &opts,
-        );
-    }
+    let opts = EngineOpts::default();
+    assert_differential(
+        "value function",
+        &capped,
+        &capped_edb,
+        &capped_script,
+        &ALL_STRATEGIES,
+        &opts,
+    );
+    assert_differential(
+        "constant-bound occurrence",
+        &from_a,
+        &edge_db(&base_edges()),
+        &trop_script,
+        &ALL_STRATEGIES,
+        &opts,
+    );
+    assert_differential(
+        "constant-bound value function",
+        &capped_from_a,
+        &from_a_edb,
+        &from_a_script,
+        &ALL_STRATEGIES,
+        &opts,
+    );
 }
 
 /// The work counters a build is held to: what the frontier did, not how

@@ -40,25 +40,6 @@ fn run<P: Pops, S: Schedule<P>>(
         .materialize()
 }
 
-/// `threads` workers for a run under `strategy`. The semi-naïve rounds
-/// are forced to fan out however small (threshold 1, two-row chunks);
-/// the frontier strategies run every batch inline, so they keep the
-/// default thresholds and the workers only build their EDB indexes.
-fn at_threads(strategy: EngineStrategy, threads: usize) -> EngineOpts {
-    let opts = EngineOpts {
-        threads: Some(threads),
-        ..EngineOpts::default()
-    };
-    match strategy {
-        EngineStrategy::SemiNaive => EngineOpts {
-            par_threshold: 1,
-            chunk_min: 2,
-            ..opts
-        },
-        _ => opts,
-    }
-}
-
 /// Strategy: a random edge list over `n ≤ 8` integer nodes.
 fn edges_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize, u8)>)> {
     (3usize..8).prop_flat_map(|n| {
@@ -316,39 +297,6 @@ where
             strategy,
             spec
         );
-        // Frontier determinism on the minting path: the same strategy
-        // at thread counts 1/2/4 must return the bit-identical full
-        // outcome — database, step count, and minted-id order all
-        // included.
-        let baseline = run(
-            &prog,
-            &edb,
-            &bools,
-            5_000_000,
-            strategy,
-            &EngineOpts {
-                threads: Some(1),
-                ..EngineOpts::default()
-            },
-        );
-        for threads in [2usize, 4] {
-            let got = run(
-                &prog,
-                &edb,
-                &bools,
-                5_000_000,
-                strategy,
-                &at_threads(strategy, threads),
-            );
-            prop_assert_eq!(
-                &baseline,
-                &got,
-                "{:?} differs at {} threads, spec {:?}",
-                strategy,
-                threads,
-                spec
-            );
-        }
     }
     prop_assert!(
         matches!(rel_n, EvalOutcome::Converged { .. }),
@@ -360,8 +308,7 @@ where
 
 /// `eval_query` answers must be exactly the query-restriction of the
 /// full fixpoint — values and (decoded) minted keys alike — under every
-/// strategy, with the full query outcome (answers, demanded support,
-/// step count) bit-identical at `DLO_ENGINE_THREADS` ∈ {1, 2, 4}.
+/// strategy.
 fn assert_query_restriction<P>(
     label: &str,
     prog: &datalog_o::core::Program<P>,
@@ -388,33 +335,30 @@ where
         EngineStrategy::Worklist,
         EngineStrategy::Priority,
     ] {
-        let baseline = engine_query_eval_with_opts(
+        let answer = engine_query_eval_with_opts(
             prog,
             query,
             edb,
             bools,
             5_000_000,
             strategy,
-            &EngineOpts {
-                threads: Some(1),
-                ..EngineOpts::default()
-            },
+            &EngineOpts::default(),
         )
         .expect("compiles");
         prop_assert!(
-            baseline.is_converged(),
+            answer.is_converged(),
             "{label}: {strategy:?} query run diverged"
         );
         prop_assert_eq!(
             &expected,
-            &baseline.answers(),
+            &answer.answers(),
             "{}: {:?} answers are not the full-fixpoint restriction of {:?}",
             label,
             strategy,
             query
         );
         // Demanded support rows are value-exact against the full run.
-        for (pred, rel) in baseline.support().iter() {
+        for (pred, rel) in answer.support().iter() {
             let reference = full.get(pred);
             for (t, v) in rel.support() {
                 prop_assert_eq!(
@@ -427,42 +371,6 @@ where
                     t
                 );
             }
-        }
-        for threads in [2usize, 4] {
-            let got = engine_query_eval_with_opts(
-                prog,
-                query,
-                edb,
-                bools,
-                5_000_000,
-                strategy,
-                &at_threads(strategy, threads),
-            )
-            .expect("compiles");
-            prop_assert_eq!(
-                baseline.steps(),
-                got.steps(),
-                "{}: {:?} step counts differ at {} threads",
-                label,
-                strategy,
-                threads
-            );
-            prop_assert_eq!(
-                baseline.answers(),
-                got.answers(),
-                "{}: {:?} answers differ at {} threads",
-                label,
-                strategy,
-                threads
-            );
-            prop_assert_eq!(
-                baseline.support_with_demand(),
-                got.support_with_demand(),
-                "{}: {:?} demanded support differs at {} threads",
-                label,
-                strategy,
-                threads
-            );
         }
     }
     Ok(())
@@ -726,7 +634,7 @@ proptest! {
     /// Demand restriction on random graph programs (Trop/MinNat/Bool):
     /// single-source and point queries against the linear SSSP and
     /// all-pairs programs answer exactly the full fixpoint's
-    /// restriction, bit-identically at 1/2/4 threads.
+    /// restriction.
     #[test]
     fn query_answers_restrict_graph_programs((n, edges) in edges_strategy()) {
         let bools = BoolDatabase::new();
@@ -1051,7 +959,8 @@ proptest! {
                          EngineStrategy::Priority] {
             let mut baseline = None;
             for threads in [1usize, 2, 4] {
-                let out = run(&prog, &edb, &bools, 10_000_000, strategy, &at_threads(strategy, threads));
+                let opts = EngineOpts { threads: Some(threads), ..EngineOpts::default() };
+                let out = run(&prog, &edb, &bools, 10_000_000, strategy, &opts);
                 let s = out.stats();
                 prop_assert!(
                     s.counters.emits + s.counters.fresh_emits

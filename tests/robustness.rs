@@ -14,12 +14,11 @@
 //!   ungoverned run.
 //! * **Injected failures** — edits forced over a ceiling poison the
 //!   [`Materialization`]; `rebuild()` recovers bit-identically to a
-//!   from-scratch build of the retained EDB, across strategies and
-//!   thread counts {1, 2, 4}.
+//!   from-scratch build of the retained EDB, across strategies.
 //! * **Graceful degradation** — governed aborts carry a
 //!   `PartialOutput`: exact on the priority frontier's settled rows
-//!   (differentially pinned against the ungoverned fixpoint at 1, 2,
-//!   and 4 threads), a pointwise lower bound elsewhere; and
+//!   (differentially pinned against the ungoverned fixpoint), a
+//!   pointwise lower bound elsewhere; and
 //!   `eval_with_retry`'s budget-class escalation recovers the full
 //!   bit-identical fixpoint from a partial attempt.
 
@@ -227,29 +226,6 @@ fn mixed_arity_heads_are_typed_compile_errors_everywhere() {
     assert_eq!(mat.err().expect("materialization front").kind(), "compile");
 }
 
-/// Every `EngineOpts` value is public input. With `chunk_min: 0` and
-/// the fan-out threshold at 1, a 5-row scan asks the round's task split
-/// for chunks of `5 / (2 · 4) = 0` rows: a split that advanced by that
-/// would never end (its task list grows until the allocator aborts the
-/// process). It takes at least one row per chunk, and the run lands on
-/// the fixpoint.
-#[test]
-fn zero_chunk_min_terminates_at_the_fixpoint() {
-    let (program, edb, bools) = (apsp(), chain_edb(5), BoolDatabase::new());
-    let opts = EngineOpts {
-        chunk_min: 0,
-        par_threshold: 1,
-        threads: Some(2),
-        ..EngineOpts::default()
-    };
-    let got = eval(&program, &edb, &bools, CAP, SemiNaive, &opts).expect("compiles");
-    assert!(got.is_converged());
-    let closure = got.unwrap();
-    let paths = closure.get("T").expect("the closure exists");
-    assert_eq!(paths.support_size(), 15, "every i < j of six nodes");
-    assert_eq!(paths.get(&vec![k("n0"), k("n5")]), Trop::finite(5.0));
-}
-
 // ---------------------------------------------------------------------
 // Deadline-bounded termination on a genuinely divergent program.
 // ---------------------------------------------------------------------
@@ -318,11 +294,7 @@ fn budget_counters_are_thread_invariant() {
         let mut baseline: Option<(EvalOutcome<Trop>, EvalStats)> = None;
         for threads in [1usize, 2, 4] {
             let budget = EvalBudget::default().with_max_steps(1_000_000);
-            let mut opts = opts_with(budget, None, threads);
-            if strategy == Strategy::SemiNaive {
-                // The one schedule with a fan-out to force.
-                (opts.par_threshold, opts.chunk_min) = (1, 2);
-            }
+            let opts = opts_with(budget, None, threads);
             let out =
                 eval(&program, &edb, &bools, CAP, strategy, &opts).expect("well within budget");
             let stats = out.stats().clone();
@@ -376,16 +348,11 @@ fn ungoverned_runs_record_no_governance_counters() {
 /// [`EvalError::Poisoned`], `rebuild()` under a restored budget
 /// recovers, and the recovered state is bit-identical to a from-scratch
 /// build over the retained (post-edit) EDB.
-fn assert_poison_and_rebuild(strategy: Strategy, threads: usize) {
+fn assert_poison_and_rebuild(strategy: Strategy) {
     let program = apsp();
     let edb = chain_edb(12);
     let bools = BoolDatabase::new();
-    let opts = EngineOpts {
-        threads: Some(threads),
-        par_threshold: 1,
-        chunk_min: 2,
-        ..EngineOpts::default()
-    };
+    let opts = EngineOpts::default();
     let mut mat = Materialization::new(&program, &edb, &bools, CAP, strategy, &opts)
         .expect("ungoverned build succeeds");
     assert!(mat.poisoned().is_none());
@@ -399,7 +366,7 @@ fn assert_poison_and_rebuild(strategy: Strategy, threads: usize) {
     )];
     mat.set_budget(EvalBudget::default().with_max_rows(1));
     let err = mat.insert(&edit).expect_err("one-row ceiling must trip");
-    assert_eq!(err.kind(), "budget", "{strategy:?}/{threads}");
+    assert_eq!(err.kind(), "budget", "{strategy:?}");
     assert_populated(&err, true);
     let reason = mat.poisoned().expect("failed edit poisons").to_string();
     assert!(
@@ -444,7 +411,7 @@ fn assert_poison_and_rebuild(strategy: Strategy, threads: usize) {
     assert_eq!(
         recovered,
         scratch.output().materialize(),
-        "{strategy:?}/{threads}: recovered state is not the from-scratch fixpoint"
+        "{strategy:?}: recovered state is not the from-scratch fixpoint"
     );
 
     // And the recovered handle accepts edits again.
@@ -459,9 +426,7 @@ fn assert_poison_and_rebuild(strategy: Strategy, threads: usize) {
 #[test]
 fn poisoned_materialization_rebuilds_bit_identically() {
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        for threads in [1usize, 2, 4] {
-            assert_poison_and_rebuild(strategy, threads);
-        }
+        assert_poison_and_rebuild(strategy);
     }
 }
 
@@ -729,9 +694,8 @@ proptest! {
 
 /// The PR's acceptance differential: a priority-strategy run aborted by
 /// a step budget returns a partial whose **settled** rows carry exactly
-/// the ungoverned fixpoint's values — at 1, 2, and 4 threads — and the
-/// settled set itself is thread-invariant (budget aborts are
-/// deterministic: steps count value buckets).
+/// the ungoverned fixpoint's values (budget aborts are deterministic:
+/// steps count value buckets).
 #[test]
 fn aborted_priority_run_returns_exact_settled_partial() {
     let program = apsp();
@@ -748,46 +712,38 @@ fn aborted_priority_run_returns_exact_settled_partial() {
     .expect("reference run")
     .unwrap();
 
-    let mut settled_baseline: Option<Database<Trop>> = None;
-    for threads in [1usize, 2, 4] {
-        let opts = EngineOpts {
-            threads: Some(threads),
-            budget: EvalBudget::default().with_max_steps(40),
-            ..EngineOpts::default()
-        };
-        let aborted = engine_eval_interned(&program, &edb, &bools, CAP, Strategy::Priority, &opts)
-            .expect_err("a 40-step budget must trip on a 200-node chain");
-        assert_eq!(aborted.error().kind(), "budget", "{threads} threads");
-        assert_populated(aborted.error(), true);
-        let partial = aborted.partial();
-        assert!(partial.is_exact(), "priority partials are exact");
-        assert!(
-            partial.settled().settled_rows() > 0,
-            "{threads} threads: settled prefix must be non-empty"
-        );
-        let settled = partial.materialize_settled();
-        let mut checked = 0usize;
-        for (pred, rel) in settled.iter() {
-            let full_rel = full.get(pred).expect("settled pred exists in the fixpoint");
-            for (t, v) in rel.support() {
-                assert_eq!(
-                    full_rel.get(t),
-                    v.clone(),
-                    "{threads} threads: settled {pred}({t:?}) must be final"
-                );
-                checked += 1;
-            }
+    let opts = EngineOpts {
+        budget: EvalBudget::default().with_max_steps(40),
+        ..EngineOpts::default()
+    };
+    let aborted = engine_eval_interned(&program, &edb, &bools, CAP, Strategy::Priority, &opts)
+        .expect_err("a 40-step budget must trip on a 200-node chain");
+    assert_eq!(aborted.error().kind(), "budget");
+    assert_populated(aborted.error(), true);
+    let partial = aborted.partial();
+    assert!(partial.is_exact(), "priority partials are exact");
+    assert!(
+        partial.settled().settled_rows() > 0,
+        "settled prefix must be non-empty"
+    );
+    let settled = partial.materialize_settled();
+    let mut checked = 0usize;
+    for (pred, rel) in settled.iter() {
+        let full_rel = full.get(pred).expect("settled pred exists in the fixpoint");
+        for (t, v) in rel.support() {
+            assert_eq!(
+                full_rel.get(t),
+                v.clone(),
+                "settled {pred}({t:?}) must be final"
+            );
+            checked += 1;
         }
-        assert!(checked > 0, "the differential actually compared rows");
-        // Decode-free probe agrees with the decoded settled relation.
-        let t0 = vec![k("n0"), k("n1")];
-        if let Some(v) = partial.settled_value("T", &t0) {
-            assert_eq!(full.get("T").unwrap().get(&t0), v.clone());
-        }
-        match &settled_baseline {
-            None => settled_baseline = Some(settled),
-            Some(base) => assert_eq!(base, &settled, "settled set differs at {threads} threads"),
-        }
+    }
+    assert!(checked > 0, "the differential actually compared rows");
+    // Decode-free probe agrees with the decoded settled relation.
+    let t0 = vec![k("n0"), k("n1")];
+    if let Some(v) = partial.settled_value("T", &t0) {
+        assert_eq!(full.get("T").unwrap().get(&t0), v.clone());
     }
 }
 
@@ -927,49 +883,47 @@ fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
     .expect("reference run");
     let full = ungoverned.clone().unwrap();
     let roomy = EvalBudget::default().with_max_steps(N as u64 + 8);
-    for threads in [1usize, 4] {
-        for k in 0..=N as u64 {
-            let leg = format!("max_steps {k} at {threads} threads");
-            let opts = opts_with(EvalBudget::default().with_max_steps(k), None, threads);
-            let run = engine_eval_interned(&program, &edb, &bools, CAP, Strategy::Priority, &opts);
-            if k == N as u64 {
-                let outcome = run.expect("n buckets fit a budget of n");
-                assert_eq!(outcome.stats().steps, k, "{leg}");
-                assert_eq!(outcome.materialize(), ungoverned, "{leg}");
-                continue;
-            }
-            let aborted = run.expect_err("fewer than n steps cannot finish");
-            assert_eq!(aborted.error().kind(), "budget", "{leg}");
-            let partial = aborted.partial();
-            assert!(partial.is_exact(), "{leg}: priority partials are exact");
-            let settled = if k == 0 { 0 } else { k as usize + 1 };
-            assert_eq!(partial.settled().settled_rows(), settled as u64, "{leg}");
-            for i in 0..N {
-                let expected = (i < settled).then(|| Trop::finite(i as f64));
-                assert_eq!(
-                    partial.settled_value("L", &[graph.node(i)]),
-                    expected.as_ref(),
-                    "{leg}: L({i})"
-                );
-            }
-            assert_partial_below(&leg, partial, true, &full);
-
-            let policy = RetryPolicy::from_class(BudgetClass::Interactive)
-                .with_ladder(vec![EvalBudget::default().with_max_steps(k), roomy.clone()]);
-            let (outcome, report) = eval_with_retry(
-                &program,
-                &edb,
-                &bools,
-                CAP,
-                Strategy::Priority,
-                &opts_with(EvalBudget::default(), None, threads),
-                policy,
-            )
-            .expect("the roomy rung converges");
-            assert_eq!(report.attempts_made(), 2, "{leg}");
-            assert_eq!(report.attempts[0].settled_rows, settled as u64, "{leg}");
-            assert_eq!(outcome.materialize(), ungoverned, "{leg}: retry");
+    for k in 0..=N as u64 {
+        let leg = format!("max_steps {k}");
+        let opts = opts_with(EvalBudget::default().with_max_steps(k), None, 1);
+        let run = engine_eval_interned(&program, &edb, &bools, CAP, Strategy::Priority, &opts);
+        if k == N as u64 {
+            let outcome = run.expect("n buckets fit a budget of n");
+            assert_eq!(outcome.stats().steps, k, "{leg}");
+            assert_eq!(outcome.materialize(), ungoverned, "{leg}");
+            continue;
         }
+        let aborted = run.expect_err("fewer than n steps cannot finish");
+        assert_eq!(aborted.error().kind(), "budget", "{leg}");
+        let partial = aborted.partial();
+        assert!(partial.is_exact(), "{leg}: priority partials are exact");
+        let settled = if k == 0 { 0 } else { k as usize + 1 };
+        assert_eq!(partial.settled().settled_rows(), settled as u64, "{leg}");
+        for i in 0..N {
+            let expected = (i < settled).then(|| Trop::finite(i as f64));
+            assert_eq!(
+                partial.settled_value("L", &[graph.node(i)]),
+                expected.as_ref(),
+                "{leg}: L({i})"
+            );
+        }
+        assert_partial_below(&leg, partial, true, &full);
+
+        let policy = RetryPolicy::from_class(BudgetClass::Interactive)
+            .with_ladder(vec![EvalBudget::default().with_max_steps(k), roomy.clone()]);
+        let (outcome, report) = eval_with_retry(
+            &program,
+            &edb,
+            &bools,
+            CAP,
+            Strategy::Priority,
+            &opts_with(EvalBudget::default(), None, 1),
+            policy,
+        )
+        .expect("the roomy rung converges");
+        assert_eq!(report.attempts_made(), 2, "{leg}");
+        assert_eq!(report.attempts[0].settled_rows, settled as u64, "{leg}");
+        assert_eq!(outcome.materialize(), ungoverned, "{leg}: retry");
     }
 }
 

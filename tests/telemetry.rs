@@ -352,7 +352,7 @@ fn every_entry_point_returns_populated_stats() {
             report.contains(&format!("(load {:.3})", phases.load as f64 / 1e6)),
             "{leg}: explain shows the load inside setup:\n{report}"
         );
-        // Nothing this small fans out, so the per-plan times are wall
+        // One thread runs the plans, so the per-plan times are wall
         // time spent inside the eval phase: explain splits the phase
         // into the plans and, per emission, everything around them.
         assert_eq!(stats.tasks_spawned, 0, "{leg}: runs inline");
@@ -515,116 +515,23 @@ fn delete_stats_say_what_the_edit_touched() {
     }
 }
 
-/// The [`EngineOpts::iter_sample`] knob keeps every k-th per-iteration
-/// snapshot: recorded steps are exactly those divisible by `k`,
-/// sampled-out steps are accounted in `iterations_dropped`, `last_iter`
-/// survives, an attached trace sink still streams **every** iteration,
-/// and results are untouched.
-#[test]
-fn iter_sample_records_every_kth_snapshot() {
-    // A 14-node chain: the semi-naïve loop takes one step per link, so
-    // there are enough iterations for the stride to matter.
-    let names: Vec<String> = (0..14).map(|i| format!("n{i}")).collect();
-    let edges: Vec<(&str, &str)> = names
-        .windows(2)
-        .map(|w| (w[0].as_str(), w[1].as_str()))
-        .collect();
-    let (program, edb) = ex::sssp_trop_graph("n0", &edges, |i| 1.0 + i as f64);
-    let bools = BoolDatabase::new();
-
-    let full = engine_eval_interned(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::SemiNaive,
-        &EngineOpts::default(),
-    )
-    .expect("compiles");
-    let full_iters = &full.stats().iterations;
-    assert!(
-        full_iters.len() >= 10,
-        "chain run yields enough iterations to sample: {}",
-        full_iters.len()
-    );
-
-    let sink = MemorySink::default();
-    let sampled = engine_eval_interned(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::SemiNaive,
-        &EngineOpts {
-            iter_sample: 3,
-            trace: Some(TraceHandle::new(sink.clone())),
-            ..EngineOpts::default()
-        },
-    )
-    .expect("compiles");
-    assert_eq!(
-        full.output().materialize(),
-        sampled.output().materialize(),
-        "sampling never changes results"
-    );
-    let stats = sampled.stats();
-    let expected: Vec<_> = full_iters
-        .iter()
-        .copied()
-        .filter(|it| it.step % 3 == 0)
-        .collect();
-    assert_eq!(
-        stats.iterations, expected,
-        "recorded snapshots are exactly the steps divisible by the stride"
-    );
-    assert_eq!(
-        stats.iterations_dropped as usize,
-        full_iters.len() - expected.len(),
-        "sampled-out steps are accounted as dropped"
-    );
-    assert_eq!(
-        stats.last_iter,
-        full.stats().last_iter,
-        "the final step's snapshot survives sampling"
-    );
-    let traced = sink
-        .events()
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Iteration(_)))
-        .count();
-    assert_eq!(
-        traced,
-        full_iters.len(),
-        "the trace sink still streams every iteration"
-    );
-}
-
 /// The whole option surface, destructured with no `..`: adding a field
 /// to [`EngineOpts`] fails to compile here until its author has read
 /// this. The rule (simplicity-review guide, *Options*): a field needs
 /// two callers outside tests and examples that pass different values;
 /// with one value in use it is a constant, and what the engine can work
 /// out from its input it works out (which probe structure a relation
-/// gets is decided by its arity, not set here). `par_threshold` and
-/// `chunk_min` do not meet the rule — they are kept only because they
-/// are how the differential suites reach the semi-naïve fan-out on
-/// small inputs, and are next on the ROADMAP's diet list.
+/// gets is decided by its arity, not set here).
 #[test]
 fn engine_opts_defaults_are_the_whole_option_surface() {
     let EngineOpts {
         threads,
-        par_threshold,
-        chunk_min,
         trace,
-        iter_sample,
         budget,
         cancel,
     } = EngineOpts::default();
     assert_eq!(threads, None, "DLO_ENGINE_THREADS / available_parallelism");
-    assert_eq!(par_threshold, 4096);
-    assert_eq!(chunk_min, 1024);
     assert!(trace.is_none(), "DLO_TRACE, else tracing off");
-    assert_eq!(iter_sample, 1, "every step is recorded");
     assert_eq!(budget, EvalBudget::unlimited());
     assert!(cancel.is_none());
 }
