@@ -2,7 +2,7 @@
 //!
 //! Shared infrastructure for the `repro_*` binaries (one per table/figure
 //! of the paper — see DESIGN.md's experiment index and EXPERIMENTS.md for
-//! recorded outputs) and for the Criterion benches.
+//! recorded outputs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -207,7 +207,9 @@ pub struct RuleProfile {
     pub rule: u64,
     /// Human-readable plan skeleton, e.g. `T :- T * E [Δ@0]`.
     pub label: String,
-    /// Plan family: `"seed"`, `"delta"`, or `"worklist"`.
+    /// Plan family: `"seed"` or `"delta"`. The Δ family is one list
+    /// fired by every schedule, so a frontier run's batch plans read
+    /// `"delta"` like a semi-naïve round's.
     pub kind: String,
     /// Which probe structures this plan's probing steps run against:
     /// `"merge"` (every one a sorted arrangement), `"hash"` (every one

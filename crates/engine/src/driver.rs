@@ -139,10 +139,10 @@ pub(crate) struct Engine<P> {
     pub(crate) adom: Vec<u32>,
     /// Index masks needed on each IDB's `new` storage (serves both the
     /// `New` and `Old` sources). This and the three lists below are the
-    /// engine's whole probe plumbing, filled by
-    /// [`Engine::require_probes`]: the seed and semi-naïve delta plans'
-    /// requirements at setup, the worklist plans' on top when a frontier
-    /// will fire them. Every place that builds or rebuilds a relation —
+    /// engine's whole probe plumbing, filled once by [`setup`]
+    /// ([`Engine::require_probes`]) with what the seed plans and the Δ
+    /// family probe, the same under every schedule. Every place that
+    /// builds or rebuilds a relation —
     /// [`Run::prepare`], the round loops, a [`crate::Materialization`]'s
     /// staging, retraction and marking — ensures exactly these.
     pub(crate) idb_new_masks: Vec<Vec<ColMask>>,
@@ -178,13 +178,25 @@ pub(crate) struct IdbState<P> {
 /// the interned domain, and which relations are read is only known once
 /// the program is compiled, which has to come after (program constants
 /// are numbered after the EDB's).
+///
+/// A classic `Relation` checks tuple lengths in debug builds only, so a
+/// ragged tuple is input to reject, by name, not an invariant to assert.
 fn load_db<'a, P: Pops>(
     db: &'a Database<P>,
     interner: &mut Interner,
-) -> BTreeMap<&'a str, ColumnRel<P>> {
-    db.iter()
-        .map(|(name, rel)| (name.as_str(), interner.load_relation(rel)))
-        .collect()
+) -> Result<BTreeMap<&'a str, ColumnRel<P>>, EvalError> {
+    let mut loaded = BTreeMap::new();
+    for (name, rel) in db.iter() {
+        let rows = interner.try_load_relation(rel).map_err(|tuple| {
+            let (arity, found) = (rel.arity(), tuple.len());
+            let detail = format!(
+                "EDB relation {name:?} has arity {arity} but holds {tuple:?}, of arity {found}"
+            );
+            EvalError::Compile { detail }
+        })?;
+        loaded.insert(name.as_str(), rows);
+    }
+    Ok(loaded)
 }
 
 /// Loads the EDB and compiles `program` — the setup every entry point
@@ -204,7 +216,8 @@ fn load_db<'a, P: Pops>(
 /// matters for programs that enumerate unbound slots over the domain.
 ///
 /// Compiler rejections come back as [`EvalError::Compile`] (see
-/// [`compile_error`]).
+/// [`compile_error`]), and so does an EDB relation holding a tuple of
+/// the wrong length ([`load_db`]).
 pub(crate) fn setup<P: Pops>(
     program: &Program<P>,
     prev: Option<&InternedOutput<P>>,
@@ -214,8 +227,8 @@ pub(crate) fn setup<P: Pops>(
 ) -> Result<Engine<P>, EvalError> {
     let mut interner = prev.map_or_else(Interner::new, |p| p.interner().clone());
     let t_load = Instant::now();
-    let mut pops_loaded = load_db(pops_db, &mut interner);
-    let mut bool_loaded = load_db(bool_db, &mut interner);
+    let mut pops_loaded = load_db(pops_db, &mut interner)?;
+    let mut bool_loaded = load_db(bool_db, &mut interner)?;
     let load_ns = t_load.elapsed().as_nanos() as u64;
     let compiled = compile_demand(program, &mut interner, set_valued).map_err(compile_error)?;
     let pops_edb: Vec<Option<ColumnRel<P>>> = compiled
@@ -278,7 +291,6 @@ impl<P: Pops> Engine<P> {
             .seed_plans
             .iter()
             .chain(&compiled.delta_plans)
-            .chain(compiled.worklist_plans.iter().flatten())
             .any(|plan| !plan.fill.is_empty());
         if !fills {
             return;
@@ -567,7 +579,8 @@ impl Run {
     }
 
     /// A whole from-scratch evaluation: the prelude, then `rounds` (the
-    /// schedule's loop, returning its step count), then the outcome.
+    /// schedule's loop over the program's plans, returning its step
+    /// count), then the outcome.
     /// Hitting the cap is `Ok(Diverged)`; a governed abort returns the
     /// boxed [`AbortedEval`] — the typed error with the abort-time IDB
     /// state and the run's settled marking attached as a
@@ -577,12 +590,27 @@ impl Run {
         mut engine: Engine<P>,
         cap: usize,
         opts: &EngineOpts,
-        rounds: impl FnOnce(&mut Engine<P>, &mut IdbState<P>, &mut Run) -> Result<usize, LoopFail>,
+        rounds: impl FnOnce(
+            &mut Engine<P>,
+            &mut IdbState<P>,
+            &RoundPlans<'_, P>,
+            &mut Run,
+        ) -> Result<usize, LoopFail>,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
         let mut state = engine.empty_state();
+        // From the empty state every full plan seeds. The lists move
+        // out of the engine: the loop borrows it mutably, to mint.
+        let seed = std::mem::take(&mut engine.compiled.seed_plans);
+        let delta = std::mem::take(&mut engine.compiled.delta_plans);
+        let plans = RoundPlans {
+            full: &seed,
+            seed: &seed,
+            seed_rows: 0,
+            delta: &delta,
+        };
         let result = self
             .prepare(&mut engine, &mut state, opts)
-            .and_then(|()| rounds(&mut engine, &mut state, &mut self));
+            .and_then(|()| rounds(&mut engine, &mut state, &plans, &mut self));
         match result {
             Ok(steps) => Ok(InternedOutcome::Converged {
                 stats: self.finish(steps, true),
@@ -686,7 +714,9 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
 }
 
 /// One global round: runs `plans` into fresh per-IDB accumulators, each
-/// emission `⊕`-merged once into its head predicate's [`AccumMap`].
+/// emission `⊕`-merged once into its head predicate's [`AccumMap`]. A
+/// round skips the Δ family's [`Plan::frontier_only`] splits: their
+/// sum-product's whole-recompute plan is in the list beside them.
 pub(crate) fn run_round<P: Pops>(
     engine: &Engine<P>,
     plans: &[Plan<P>],
@@ -698,7 +728,7 @@ pub(crate) fn run_round<P: Pops>(
     run_plans_inline(
         engine,
         state,
-        plans,
+        plans.iter().filter(|plan| !plan.frontier_only),
         &mut contrib,
         AccumMap::merge,
         &mut fresh,
@@ -720,14 +750,6 @@ mod sealed {
         /// Suffix of the `incremental-*` stats labels of a
         /// [`crate::Materialization`] maintained under this schedule.
         const MAINTENANCE_SUFFIX: &'static str;
-
-        /// Adds to the engine's mask lists whatever this schedule's
-        /// loops probe beyond the seed and semi-naïve delta plans'
-        /// requirements [`setup`] collected (the frontiers: their
-        /// worklist plans'). Called before [`Run::prepare`] — by the
-        /// schedule's own `run`, and by a [`crate::Materialization`]
-        /// build, whose edits rebuild relations from the same lists.
-        fn require_probes(self, _engine: &mut Engine<P>) {}
 
         /// The schedule's loop from the empty state over a prepared
         /// engine.
@@ -783,7 +805,8 @@ pub struct Naive;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SemiNaive;
 
-/// The plans a maintenance continuation may run.
+/// The plans a loop may run: the program's from the empty state
+/// ([`Run::drive`]), an edit's for a maintenance continuation.
 pub(crate) struct RoundPlans<'a, P> {
     /// The program's full-application plans (what naïve rounds re-run).
     pub(crate) full: &'a [Plan<P>],
@@ -794,7 +817,8 @@ pub(crate) struct RoundPlans<'a, P> {
     pub(crate) seed: &'a [Plan<P>],
     /// Edit rows driving the seed round (its `delta_rows` stats cell).
     pub(crate) seed_rows: u64,
-    /// The semi-naïve delta plans.
+    /// The Δ family — the rounds' delta plans and the frontiers' batch
+    /// plans (a [`crate::Materialization`] passes the original rules').
     pub(crate) delta: &'a [Plan<P>],
 }
 
@@ -810,9 +834,8 @@ impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
         setup_ns: u64,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
         let run = Run::open(&engine, "naive", false, opts, setup_ns);
-        run.drive(engine, cap, opts, |engine, state, run| {
-            let plans = std::mem::take(&mut engine.compiled.seed_plans);
-            naive_rounds(engine, state, &plans, cap, run, 0)
+        run.drive(engine, cap, opts, |engine, state, plans, run| {
+            naive_rounds(engine, state, plans.full, cap, run, 0)
         })
     }
 
@@ -846,18 +869,10 @@ where
         setup_ns: u64,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
         let run = Run::open(&engine, "seminaive", false, opts, setup_ns);
-        run.drive(engine, cap, opts, |engine, state, run| {
-            let seed = std::mem::take(&mut engine.compiled.seed_plans);
-            let delta = std::mem::take(&mut engine.compiled.delta_plans);
-            let plans = RoundPlans {
-                full: &seed,
-                seed: &seed,
-                seed_rows: 0,
-                delta: &delta,
-            };
+        run.drive(engine, cap, opts, |engine, state, plans, run| {
             // The reported count includes the iteration that finds δ
             // empty, as the relational backend counts it.
-            match seminaive_rounds(engine, state, &plans, cap, run, 0)? {
+            match seminaive_rounds(engine, state, plans, cap, run, 0)? {
                 rounds if rounds < cap => Ok(rounds + 1),
                 _ => Err(LoopFail::Diverged(cap)),
             }
@@ -1226,52 +1241,6 @@ pub(crate) mod tests {
         )
         .expect("capped divergence is Ok(Diverged), not an error")
         .is_converged());
-    }
-
-    #[test]
-    fn mixed_arity_head_is_rejected_loudly() {
-        use crate::plan::CompileError;
-        use dlo_core::ast::{Atom, Factor, SumProduct, Term};
-        // T used at arity 1 and arity 2: columnar storage cannot hold
-        // both. There is no fallback backend any more, so the compiler
-        // rejects and the entry points return a typed compile error
-        // rather than silently corrupting flat storage.
-        let mut p = Program::<MinNat>::new();
-        p.rule(
-            Atom::new("T", vec![Term::v(0)]),
-            vec![SumProduct::new(vec![Factor::atom("A", vec![Term::v(0)])])],
-        );
-        p.rule(
-            Atom::new("T", vec![Term::v(0), Term::v(1)]),
-            vec![SumProduct::new(vec![Factor::atom(
-                "B",
-                vec![Term::v(0), Term::v(1)],
-            )])],
-        );
-        let mut interner = crate::intern::Interner::new();
-        assert!(matches!(
-            crate::plan::compile(&p, &mut interner),
-            Err(CompileError::HeadArityMismatch)
-        ));
-        let aborted = engine_eval_interned(
-            &p,
-            &Database::new(),
-            &BoolDatabase::new(),
-            10,
-            Naive,
-            &EngineOpts::default(),
-        )
-        .expect_err("mixed-arity heads must be a compile error");
-        assert_eq!(aborted.partial().interned().predicates().count(), 0);
-        let err = EvalError::from(aborted);
-        match &err {
-            EvalError::Compile { detail } => {
-                assert!(detail.contains("HeadArityMismatch"), "got: {detail}");
-            }
-            other => panic!("expected EvalError::Compile, got {other:?}"),
-        }
-        assert_eq!(err.kind(), "compile");
-        assert!(err.stats().is_none(), "compile errors predate any run");
     }
 
     #[test]

@@ -74,9 +74,9 @@
 //! queue (`worklist`'s one frontier loop, the same one a from-scratch
 //! run uses), so a build costs what the from-scratch run costs and an
 //! edit on a long dependency chain pays per improved row, not per
-//! round (Cor. 5.19). Only the DRed *marking* pass is schedule-blind:
-//! it propagates key sets through the semi-naïve delta plans in global
-//! rounds under every schedule.
+//! round (Cor. 5.19). All of them fire the original rules' Δ family,
+//! and so does the DRed *marking* pass, which propagates key sets
+//! through it in global rounds under every schedule.
 //!
 //! ## Naïve mode
 //!
@@ -181,8 +181,9 @@ pub struct Materialization<P: Pops, S = Strategy> {
     /// Variant-rule telescoped plans reading `@dlt`/`@old` (insert
     /// differential seed, delete affected-set seed).
     edit_plans: Vec<Plan<P>>,
-    /// Original-rule semi-naïve delta plans (continuation loops and
-    /// affected-set propagation).
+    /// The original rules' Δ family (continuation loops under every
+    /// schedule, and affected-set propagation); the variant rules'
+    /// splits would only re-derive what the live relations give.
     delta_plans: Vec<Plan<P>>,
     slots: Vec<EditSlot>,
     /// The authoritative classic-form EDB at the current epoch (feeds
@@ -327,12 +328,7 @@ where
         // (the EDB relations themselves come from `pops_edb` — `prev`
         // holds no relations), so constant ids minted by earlier epochs
         // stay stable across the recovery.
-        let mut engine = setup(&aug, prev, pops_edb, bool_edb, &[])?;
-        // Only the original rules' plans ever fire as Δ-splits, and the
-        // schedule's probes join the engine's mask lists before anything
-        // is built: every later rebuild of a relation reads those lists.
-        engine.compiled.keep_worklist_plans_of_rules_below(n_rules);
-        schedule.require_probes(&mut engine);
+        let engine = setup(&aug, prev, pops_edb, bool_edb, &[])?;
         let original = |plans: &[Plan<P>], original: bool| -> Vec<Plan<P>> {
             plans
                 .iter()
@@ -841,38 +837,45 @@ where
     }
 
     /// The DRed marking pass: the overapproximated affected set, as
-    /// row-id sets into the current IDB state. Runs the `@dlt` variant
-    /// plans to seed, then propagates key-sets through the original
-    /// delta plans (rows carry their full current values; only the
+    /// row-id sets into the current IDB state. Runs `seed` (the `@dlt`
+    /// variant plans), then propagates key-sets through `family`, the
+    /// Δ family (rows carry their full current values; only the
     /// emitted keys are used) until closure. Must run against the
     /// pre-delete state with empty `changed` maps. Returns the marking
     /// and the number of propagation steps it took.
-    fn affected_closure(&mut self, run: &mut Run) -> Result<(Vec<HashSet<u32>>, usize), LoopFail> {
-        let nidb = self.engine.compiled.idbs.len();
+    fn affected_closure(
+        engine: &Engine<P>,
+        state: &mut IdbState<P>,
+        seed: &[Plan<P>],
+        family: &[Plan<P>],
+        cap: usize,
+        run: &mut Run,
+    ) -> Result<(Vec<HashSet<u32>>, usize), LoopFail> {
+        let nidb = engine.compiled.idbs.len();
         let mut affected: Vec<HashSet<u32>> = (0..nidb).map(|_| HashSet::new()).collect();
         let mut frontier: Vec<Vec<u32>> = vec![vec![]; nidb];
         let mut steps = 0usize;
-        let mut plans = &self.edit_plans;
+        let mut round = seed;
         loop {
             run.check(steps, Checkpoint::Iteration)?;
             let before = run.col.stats.counters;
             let delta_rows: u64 = frontier.iter().map(|f| f.len() as u64).sum();
             if steps > 0 {
-                let mut delta = self.engine.empty_idbs();
+                let mut delta = engine.empty_idbs();
                 for (pred, rows) in frontier.iter().enumerate() {
-                    let new = &self.state.new[pred];
+                    let new = &state.new[pred];
                     for &r in rows {
                         delta[pred].append_row(new.row(r), new.val(r).clone());
                     }
                 }
-                self.state.delta = delta;
-                ensure_delta_indexes(&self.engine, &mut self.state);
+                state.delta = delta;
+                ensure_delta_indexes(engine, state);
             }
-            let (contrib, _fresh) = run_round(&self.engine, plans, &self.state, &mut run.col)
+            let (contrib, _fresh) = run_round(engine, round, state, &mut run.col)
                 .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
             frontier = vec![vec![]; nidb];
             for (pred, acc) in contrib.into_iter().enumerate() {
-                let new = &self.state.new[pred];
+                let new = &state.new[pred];
                 let (aff, front) = (&mut affected[pred], &mut frontier[pred]);
                 acc.drain_sorted(|key, _| {
                     if let Some(r) = new.rowid(key) {
@@ -888,14 +891,14 @@ where
             if frontier.iter().all(|f| f.is_empty()) {
                 break;
             }
-            if steps >= self.cap {
+            if steps >= cap {
                 return Err(LoopFail::Diverged(steps));
             }
             steps += 1;
-            plans = &self.delta_plans;
+            round = family;
         }
-        self.state.delta = self.engine.empty_idbs();
-        ensure_delta_indexes(&self.engine, &mut self.state);
+        state.delta = engine.empty_idbs();
+        ensure_delta_indexes(engine, state);
         Ok((affected, steps))
     }
 
@@ -1012,7 +1015,9 @@ where
         staged: &[(usize, HashSet<Box<[u32]>>)],
     ) -> Result<usize, LoopFail> {
         let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();
-        let (affected, steps) = self.affected_closure(run)?;
+        let (engine, state) = (&self.engine, &mut self.state);
+        let (seed, family) = (&self.edit_plans, &self.delta_plans);
+        let (affected, steps) = Self::affected_closure(engine, state, seed, family, self.cap, run)?;
         self.clear_edit_rels(&touched);
         self.apply_edb_deletes(staged);
         self.retract_affected(&affected);
@@ -1072,23 +1077,21 @@ where
     /// schedule) over the epoch's interner and the current classic EDB
     /// — decode-free chaining, exactly the PR-5 path, so the demanded
     /// fragment is recomputed rather than read from the materialized
-    /// state (subsumptive reuse is the ROADMAP's next step).
+    /// state (subsumptive reuse is the ROADMAP's next step). The handle
+    /// lends its interner and nothing else: every EDB name of the
+    /// rewritten program resolves against the classic EDB.
     ///
     /// # Errors
     ///
     /// As [`crate::engine_query_eval_interned_edb`] (the partial is
     /// dropped), plus [`EvalError::Poisoned`] when a prior edit on this
     /// handle failed mid-flight.
-    pub fn query(&mut self, query: &Query) -> Result<QueryAnswer<P>, EvalError> {
+    pub fn query(&self, query: &Query) -> Result<QueryAnswer<P>, EvalError> {
         self.check_poisoned()?;
-        // Always refresh: the snapshot survives edits (differential
-        // maintenance), so it may be stale rather than absent.
-        self.output();
-        let snap = self.snapshot.as_ref().expect("just built");
         Ok(engine_query_eval_interned_edb(
             &self.program,
             query,
-            snap,
+            &InternedOutput::new(self.engine.interner.clone(), vec![], vec![]),
             &self.edb,
             &self.bool_edb,
             self.cap,

@@ -165,7 +165,23 @@ impl Interner {
     /// each batch's constants once before interning any of them (the
     /// module docs say why: the tuples' cache misses then overlap
     /// instead of queueing behind the hash probes).
+    ///
+    /// # Panics
+    ///
+    /// On a tuple of the wrong length (a release build of `Relation`
+    /// lets one in): it would shift every later row of the flat storage.
     pub fn load_relation<P: Pops>(&mut self, rel: &Relation<P>) -> ColumnRel<P> {
+        let ragged = |tuple| panic!("row arity mismatch: {tuple:?} at arity {}", rel.arity());
+        self.try_load_relation(rel).unwrap_or_else(ragged)
+    }
+
+    /// [`Self::load_relation`], handing the first wrong-length tuple
+    /// back instead of panicking on it — the same compare in the same
+    /// pass, so checking input costs the loader nothing.
+    pub(crate) fn try_load_relation<'r, P: Pops>(
+        &mut self,
+        rel: &'r Relation<P>,
+    ) -> Result<ColumnRel<P>, &'r [Constant]> {
         let arity = rel.arity();
         let rows = rel.support_size();
         let mut keys: Vec<u32> = Vec::with_capacity(rows * arity);
@@ -193,14 +209,14 @@ impl Interner {
             }
             std::hint::black_box(warm);
             for &(tuple, v) in &batch {
-                // A wrong-length tuple would shift every later row
-                // boundary in the flat storage.
-                assert_eq!(tuple.len(), arity, "row arity mismatch");
+                if tuple.len() != arity {
+                    return Err(tuple);
+                }
                 keys.extend(tuple.iter().map(|c| self.intern(c)));
                 vals.push(v.clone());
             }
         }
-        ColumnRel::from_distinct_rows(arity, keys, vals)
+        Ok(ColumnRel::from_distinct_rows(arity, keys, vals))
     }
 
     /// Decodes an id.

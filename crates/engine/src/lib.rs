@@ -17,7 +17,9 @@
 //!   ([`arrange`]) on relations wider than a packed key (arity > 2);
 //! * [`plan`] — a **rule compiler** greedily orders each sum-product's
 //!   atoms by bound-variable coverage and resolves every argument to a
-//!   column operation (probe / bind / check) at compile time;
+//!   column operation (probe / bind / check) at compile time: a seed
+//!   plan per sum-product and **one Δ family** (Theorem 6.5's splits)
+//!   that the rounds, the marking pass and both frontiers all fire;
 //! * [`exec`] — the join executor, including the `changed`-map trick
 //!   that serves `J(t)` and `J(t-1)` from one physical relation;
 //! * [`driver`] — naïve and **semi-naïve** round loops (prefix-new /
@@ -26,7 +28,8 @@
 //!   head accumulators for arities ≤ 2;
 //! * [`worklist`] — the **frontier drivers**: FIFO generation worklist
 //!   and bucketed best-first priority scheduling, per-row change
-//!   propagation instead of global iterations;
+//!   propagation instead of global iterations — the same Δ family
+//!   with no round boundary (`changed` empty: `Old` reads as `New`);
 //! * [`query`] — **demand-driven evaluation**: a `?- T("a", Y).` goal
 //!   is magic-set rewritten (`dlo_core::demand`) and evaluated by any
 //!   of the loops, with the frontier seeded from the query constants;
@@ -291,8 +294,9 @@
 //!
 //! Θ(n) pops only pay off if a pop costs O(1), so the frontier loop
 //! holds one **per-batch cost model**: a batch pays for popping its
-//! bucket (one B-tree descent), for staging its rows as the Δ relation, for running the touched
-//! predicates' worklist plans, for merging the emissions, and for one
+//! bucket (one B-tree descent), for staging its rows as the Δ relation,
+//! for running the Δ-family plans those rows' predicates drive (grouped
+//! once per drain), for merging the emissions, and for one
 //! stats row — each proportional to the rows in the batch, none to how
 //! much else is queued. The queue depth in the stats row is a counter
 //! the queue keeps, not a walk over the pending buckets: on the

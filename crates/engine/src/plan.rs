@@ -1,11 +1,17 @@
 //! The rule compiler: sum-products → executable join plans.
 //!
-//! For each sum-product (and, for semi-naïve evaluation, each IDB
-//! occurrence `k` of Theorem 6.5's prefix-new / Δ / suffix-old split)
-//! the compiler emits a [`Plan`]: an ordered list of [`Step`]s whose
-//! atom arguments are resolved to *column positions* against interned
-//! constants — the executor never hashes a string or clones a
-//! `Constant`.
+//! For each sum-product, and for each IDB occurrence `k` of
+//! Theorem 6.5's prefix-new / Δ / suffix-old split of it, the compiler
+//! emits a [`Plan`]: an ordered list of [`Step`]s whose atom arguments
+//! are resolved to *column positions* against interned constants — the
+//! executor never hashes a string or clones a `Constant`.
+//!
+//! The splits are **one Δ family** ([`CompiledProgram::delta_plans`])
+//! that every loop fires — the semi-naïve rounds, the DRed marking
+//! rounds and both frontiers: a frontier has no round boundary, so its
+//! `changed` map is empty and a suffix `Old` read *is* a `New` read.
+//! The loops differ on one kind of sum-product only, an IDB factor
+//! under a value function (`Plan::frontier_only`).
 //!
 //! Atom order is chosen greedily by **bound-variable coverage**: after
 //! pre-binding `Var = const` equalities from the condition's conjunctive
@@ -28,9 +34,10 @@
 
 use crate::intern::Interner;
 use crate::storage::{probes_arranged, ColMask, MAX_ARITY};
-use dlo_core::ast::{Atom, KeyFn, Program, Rule, SumProduct, Term, UnaryFn, Var};
+use dlo_core::ast::{Atom, Factor, KeyFn, Program, Rule, SumProduct, Term, UnaryFn, Var};
 use dlo_core::formula::{CmpOp, Formula};
 use dlo_pops::Pops;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Reserved predicate-name suffix naming an **EDB edit delta** in the
@@ -171,8 +178,8 @@ pub enum HeadOp {
 /// An executable join plan for one sum-product variant.
 #[derive(Clone)]
 pub struct Plan<P> {
-    /// Global plan id, unique across a program's seed/delta/worklist
-    /// plans — the key the telemetry layer attributes observed costs
+    /// Global plan id, dense over a program's seed plans and then its
+    /// Δ family — the key the telemetry layer attributes observed costs
     /// to ([`CompiledProgram::plan_metas`] decodes it back to a rule).
     pub pid: usize,
     /// Index of the originating rule, in program source order.
@@ -203,6 +210,24 @@ pub struct Plan<P> {
     pub coeff: Option<P>,
     /// Deferred wildcard checks: `(step, column, term)`.
     pub post_checks: Vec<(usize, usize, CTerm)>,
+    /// Set on the `k`-splits of a sum-product with a value function on
+    /// an IDB factor. `⊖` does not pass through the function, so the
+    /// rounds, whose Δ rows are differences, never fire these; a
+    /// frontier's Δ rows carry **full current values**, so `func(Δ)` is
+    /// exact and the split is sound for idempotent `⊕`.
+    pub(crate) frontier_only: bool,
+}
+
+impl<P> Plan<P> {
+    /// The IDB whose Δ drives this plan (the Δ occurrence is forced
+    /// first) — what a frontier groups the Δ family by; `None` for an
+    /// all-`New` plan, which no frontier fires.
+    pub(crate) fn delta_pred(&self) -> Option<usize> {
+        match self.steps.first()?.source {
+            Source::IdbDelta(pred) => Some(pred),
+            _ => None,
+        }
+    }
 }
 
 /// Predicate tables and compiled plans for a program.
@@ -217,37 +242,19 @@ pub struct CompiledProgram<P> {
     /// All-`New` plans, one per (rule, sum-product): the naïve ICO, also
     /// used for semi-naïve seeding.
     pub seed_plans: Vec<Plan<P>>,
-    /// Semi-naïve differential plans: the `k`-split variants of every
-    /// sum-product with ≥ 1 plain IDB factor, plus one full-recompute
-    /// plan per sum-product whose IDB factors carry value functions
-    /// (those are not differentiable through ⊖). IDB-free sum-products
-    /// are covered by seeding alone (eq. 65).
+    /// The one Δ family, in compile order (rule, sum-product,
+    /// occurrence): for every sum-product with an IDB factor, its
+    /// `k`-splits — occurrence `k` reads Δ, the ones before it `New`,
+    /// the ones after it `Old`. The semi-naïve and DRed marking rounds
+    /// fire the list in order; a frontier fires, for each predicate
+    /// with rows in its batch, the plans that predicate's Δ drives
+    /// (`Plan::delta_pred`), in this order — which fixes the emission
+    /// stream it merges. A sum-product with a value function on an IDB
+    /// factor has both readings side by side: one whole-recompute plan
+    /// (all `New`, no Δ step) for the rounds, then its splits, marked
+    /// `frontier_only`. IDB-free sum-products are covered by
+    /// seeding alone (eq. 65).
     pub delta_plans: Vec<Plan<P>>,
-    /// Worklist plans, grouped by the Δ occurrence's IDB: for each
-    /// sum-product and each IDB occurrence `k`, one plan with occurrence
-    /// `k` reading Δ and **every other occurrence reading New** (no
-    /// prefix/suffix split — the frontier drivers have no global
-    /// iteration boundary to split against). `worklist_plans[p]` holds
-    /// every plan whose Δ occurrence is predicate `p`; firing them all
-    /// whenever a `p`-row improves covers every derivation that row
-    /// participates in.
-    ///
-    /// Unlike [`Self::delta_plans`], value-function-wrapped IDB factors
-    /// get the occurrence split too: worklist Δ relations carry **full
-    /// current values**, not `⊖` differences, so `func(Δ)` is exact and
-    /// the split is sound for idempotent `⊕` (re-derivations merge to
-    /// the same value).
-    ///
-    /// The per-group order is fixed at compile time (rule order, then
-    /// occurrence order): a batch's plans are fired in exactly this
-    /// sequence, which fixes the emission stream the frontier merges.
-    ///
-    /// Compiled unconditionally — even for runs that never fire them —
-    /// because a `Plan` is a one-off microsecond compile artifact
-    /// (O(rules × occurrences) of them per program), unlike *indexes*,
-    /// which cost per-row maintenance forever and are therefore gated
-    /// behind [`Self::worklist_index_requirements`].
-    pub worklist_plans: Vec<Vec<Plan<P>>>,
     /// Per-IDB **set-valued** flags (`true` for the magic predicates of
     /// a demand rewrite, `dlo_core::demand`): the drivers store such
     /// rows with value `1` on first insertion and never merge into
@@ -265,7 +272,7 @@ pub struct PlanMeta {
     pub rule_idx: usize,
     /// The plan's skeleton label (shared with [`Plan::label`]).
     pub label: String,
-    /// Plan family: `"seed"`, `"delta"`, or `"worklist"`.
+    /// Plan family: `"seed"` or `"delta"`.
     pub kind: &'static str,
     /// Which probe structures the plan's probing steps run against
     /// (decided per step by relation arity, see
@@ -278,95 +285,59 @@ pub struct PlanMeta {
 impl<P: Pops> CompiledProgram<P> {
     /// Total number of compiled plans (`pid`s run `0..total_plans()`).
     pub fn total_plans(&self) -> usize {
-        self.seed_plans.len()
-            + self.delta_plans.len()
-            + self.worklist_plans.iter().map(|g| g.len()).sum::<usize>()
+        self.seed_plans.len() + self.delta_plans.len()
     }
 
     /// Per-plan telemetry metadata, ordered by [`Plan::pid`] — what
     /// `explain()` reports per rule, the merge-vs-hash tag included.
     pub fn plan_metas(&self) -> Vec<PlanMeta> {
-        let mut metas = vec![
-            PlanMeta {
-                rule_idx: 0,
-                label: String::new(),
-                kind: "seed",
-                join: "scan",
-            };
-            self.total_plans()
-        ];
-        let fill = |metas: &mut Vec<PlanMeta>, plan: &Plan<P>, kind: &'static str| {
-            metas[plan.pid] = PlanMeta {
-                rule_idx: plan.rule_idx,
-                label: plan.label.clone(),
-                kind,
-                join: plan_join(plan),
-            };
+        let meta = |plan: &Plan<P>, kind| PlanMeta {
+            rule_idx: plan.rule_idx,
+            label: plan.label.clone(),
+            kind,
+            join: plan_join(plan),
         };
-        for plan in &self.seed_plans {
-            fill(&mut metas, plan, "seed");
-        }
-        for plan in &self.delta_plans {
-            fill(&mut metas, plan, "delta");
-        }
-        for plan in self.worklist_plans.iter().flatten() {
-            fill(&mut metas, plan, "worklist");
-        }
-        metas
+        let seed = self.seed_plans.iter().map(|plan| meta(plan, "seed"));
+        let delta = self.delta_plans.iter().map(|plan| meta(plan, "delta"));
+        seed.chain(delta).collect()
     }
 
-    /// All `(source, mask)` index requirements across the seed and
-    /// semi-naïve delta plans (what [`crate::driver`]'s loops read).
+    /// Every `(source, mask)` pair a seed or Δ-family plan probes: what
+    /// the engine's mask lists are filled from, under every schedule.
     pub fn index_requirements(&self) -> Vec<(Source, ColMask)> {
-        let mut out = vec![];
-        for plan in self.seed_plans.iter().chain(&self.delta_plans) {
-            for step in &plan.steps {
-                if step.mask != 0 && !out.contains(&(step.source, step.mask)) {
-                    out.push((step.source, step.mask));
-                }
-            }
-        }
-        out
+        probed(self.seed_plans.iter().chain(&self.delta_plans))
     }
 
-    /// All `(source, mask)` index requirements of the worklist plans —
-    /// kept separate from [`Self::index_requirements`] so the global
-    /// semi-naïve loop never pays for indexes only the frontier drivers
-    /// probe.
+    /// The subset of [`Self::index_requirements`] the frontier-fired
+    /// plans probe. Nothing in the engine reads it: it is kept **only**
+    /// because the frozen `dlo_benchmark` calls it (`layers.rs`) and
+    /// goes with that call in the next benchmark-only PR (ROADMAP).
     pub fn worklist_index_requirements(&self) -> Vec<(Source, ColMask)> {
-        let mut out = vec![];
-        for plan in self.worklist_plans.iter().flatten() {
-            for step in &plan.steps {
-                if step.mask != 0 && !out.contains(&(step.source, step.mask)) {
-                    out.push((step.source, step.mask));
-                }
-            }
-        }
-        out
+        probed(self.delta_plans.iter().filter(|p| p.delta_pred().is_some()))
     }
+}
 
-    /// The worklist plans fired when a row of IDB `pred` improves, in
-    /// the compile-time order the frontier drivers use as their
-    /// deterministic task order.
-    pub fn worklist_plans_for(&self, pred: usize) -> &[Plan<P>] {
-        &self.worklist_plans[pred]
-    }
-
-    /// Drops the worklist plans of every rule from `n_rules` on — the
-    /// variant rules a [`crate::Materialization`] appends, whose Δ-splits
-    /// only re-derive what the live relations already give — and
-    /// renumbers the kept ones, so plan ids stay the dense range
-    /// [`Self::plan_metas`] indexes by (worklist ids come last).
-    pub(crate) fn keep_worklist_plans_of_rules_below(&mut self, n_rules: usize) {
-        let mut pid = self.seed_plans.len() + self.delta_plans.len();
-        for group in &mut self.worklist_plans {
-            group.retain(|plan| plan.rule_idx < n_rules);
-            for plan in group {
-                plan.pid = pid;
-                pid += 1;
-            }
+/// The distinct `(source, mask)` pairs `plans` probe, in first-use order.
+fn probed<'a, P: 'a>(plans: impl Iterator<Item = &'a Plan<P>>) -> Vec<(Source, ColMask)> {
+    let mut out = vec![];
+    for step in plans.flat_map(|plan| &plan.steps) {
+        if step.mask != 0 && !out.contains(&(step.source, step.mask)) {
+            out.push((step.source, step.mask));
         }
     }
+    out
+}
+
+/// The Δ family as a frontier fires it: grouped by [`Plan::delta_pred`],
+/// each group in list order (an all-`New` plan falls in no group).
+pub(crate) fn by_delta_pred<P>(plans: &[Plan<P>], nidb: usize) -> Vec<Vec<&Plan<P>>> {
+    let mut groups = vec![vec![]; nidb];
+    for plan in plans {
+        if let Some(pred) = plan.delta_pred() {
+            groups[pred].push(plan);
+        }
+    }
+    groups
 }
 
 /// Compiles `program`, interning every program constant into `interner`.
@@ -411,65 +382,30 @@ pub fn compile_demand<P: Pops>(
     }
     let mut seed_plans = vec![];
     let mut delta_plans = vec![];
-    let mut worklist_plans: Vec<Vec<Plan<P>>> = vec![vec![]; c.idbs.len()];
     for (rule_idx, rule) in program.rules.iter().enumerate() {
         for sp in &rule.body {
-            let idb_occurrences: Vec<usize> = sp
-                .factors
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| c.idbs.iter().any(|(n, _)| n == &f.atom.pred))
-                .map(|(fi, _)| fi)
-                .collect();
-            let wrapped_idb = idb_occurrences
-                .iter()
-                .any(|&fi| sp.factors[fi].func.is_some());
-            seed_plans.push(c.compile_sp(rule_idx, rule, sp, &|_| OccSource::New, None)?);
-            if idb_occurrences.is_empty() {
-                continue; // eq. (65): constant sum-products never re-fire.
-            }
-            // Worklist variants: occurrence k reads Δ, everything else
-            // reads New (including value-function-wrapped factors — Δ
-            // carries full values, see `CompiledProgram::worklist_plans`).
-            for (k, &fi) in idb_occurrences.iter().enumerate() {
-                let sel = move |occ: usize| {
-                    if occ == k {
-                        OccSource::Delta
-                    } else {
-                        OccSource::New
-                    }
-                };
-                let pred = c
-                    .idb_id(&sp.factors[fi].atom.pred)
-                    .expect("occurrence list filtered on IDBs");
-                worklist_plans[pred].push(c.compile_sp(rule_idx, rule, sp, &sel, Some(k))?);
-            }
+            let is_idb = |f: &&Factor<P>| c.idbs.iter().any(|(n, _)| n == &f.atom.pred);
+            let idb_occurrences = sp.factors.iter().filter(is_idb).count();
+            let wrapped_idb = sp.factors.iter().filter(is_idb).any(|f| f.func.is_some());
+            let seed = c.compile_sp(rule_idx, rule, sp, None)?;
             if wrapped_idb {
-                // Value functions make the occurrence split unsound in
-                // general; re-derive the whole sum-product against the
-                // new state every iteration instead.
-                delta_plans.push(c.compile_sp(rule_idx, rule, sp, &|_| OccSource::New, None)?);
-            } else {
-                for k in 0..idb_occurrences.len() {
-                    let sel = move |occ: usize| match occ.cmp(&k) {
-                        std::cmp::Ordering::Less => OccSource::New,
-                        std::cmp::Ordering::Equal => OccSource::Delta,
-                        std::cmp::Ordering::Greater => OccSource::Old,
-                    };
-                    delta_plans.push(c.compile_sp(rule_idx, rule, sp, &sel, Some(k))?);
-                }
+                // The rounds re-derive the whole sum-product against
+                // the new state; the splits below are the frontiers'.
+                delta_plans.push(seed.clone());
+            }
+            seed_plans.push(seed);
+            // eq. (65): no IDB occurrence, nothing to split or re-fire.
+            for k in 0..idb_occurrences {
+                let mut split = c.compile_sp(rule_idx, rule, sp, Some(k))?;
+                split.frontier_only = wrapped_idb;
+                delta_plans.push(split);
             }
         }
     }
     let set_valued_flags = c.idbs.iter().map(|(n, _)| set_valued.contains(n)).collect();
-    // Assign global plan ids: seed, then delta, then worklist plans in
-    // group order — the key telemetry attributes observed costs to.
-    for (pid, plan) in seed_plans
-        .iter_mut()
-        .chain(delta_plans.iter_mut())
-        .chain(worklist_plans.iter_mut().flatten())
-        .enumerate()
-    {
+    // Assign global plan ids, seed plans then the Δ family — the key
+    // telemetry attributes observed costs to.
+    for (pid, plan) in seed_plans.iter_mut().chain(&mut delta_plans).enumerate() {
         plan.pid = pid;
     }
     Ok(CompiledProgram {
@@ -478,17 +414,8 @@ pub fn compile_demand<P: Pops>(
         bool_edbs: c.bool_edbs,
         seed_plans,
         delta_plans,
-        worklist_plans,
         set_valued: set_valued_flags,
     })
-}
-
-/// Which state the `i`-th IDB occurrence of a sum-product reads.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OccSource {
-    New,
-    Old,
-    Delta,
 }
 
 struct Compiler<'a> {
@@ -591,12 +518,14 @@ impl Compiler<'_> {
         vars.iter().all(|v| bound[slot_of[v]])
     }
 
+    /// Compiles one sum-product: all IDB occurrences reading `New`
+    /// when `delta_k` is `None`, else Theorem 6.5's split at IDB
+    /// occurrence `k` — `New` before it, Δ at it, `Old` after it.
     fn compile_sp<P: Pops>(
         &mut self,
         rule_idx: usize,
         rule: &Rule<P>,
         sp: &SumProduct<P>,
-        occ_source: &dyn Fn(usize) -> OccSource,
         delta_k: Option<usize>,
     ) -> Result<Plan<P>, CompileError> {
         // The profile-report skeleton: head and factor predicate names
@@ -652,20 +581,15 @@ impl Compiler<'_> {
                 return Err(CompileError::ArityTooLarge);
             }
             let source = match self.idb_id(&f.atom.pred) {
-                Some(p) => match occ_source(occ) {
-                    OccSource::New => {
-                        occ += 1;
-                        Source::IdbNew(p)
+                Some(p) => {
+                    let side = delta_k.map(|k| occ.cmp(&k));
+                    occ += 1;
+                    match side {
+                        None | Some(Ordering::Less) => Source::IdbNew(p),
+                        Some(Ordering::Equal) => Source::IdbDelta(p),
+                        Some(Ordering::Greater) => Source::IdbOld(p),
                     }
-                    OccSource::Old => {
-                        occ += 1;
-                        Source::IdbOld(p)
-                    }
-                    OccSource::Delta => {
-                        occ += 1;
-                        Source::IdbDelta(p)
-                    }
-                },
+                }
                 None => Source::PopsEdb(self.pops_edb_id(&f.atom.pred)),
             };
             binders.push(Binder {
@@ -838,6 +762,7 @@ impl Compiler<'_> {
             condition,
             coeff: sp.coeff.clone(),
             post_checks,
+            frontier_only: false,
         })
     }
 }
@@ -876,8 +801,9 @@ fn bind_atom_vars(atom: &Atom, slot_of: &HashMap<Var, usize>, bound: &mut [bool]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlo_core::ast::{Factor, SumProduct};
+    use dlo_core::demand::magic_rewrite;
     use dlo_core::parse_program;
+    use dlo_core::query::{Query, QueryArg};
     use dlo_pops::Trop;
 
     #[test]
@@ -901,58 +827,99 @@ mod tests {
         assert!(dp.fill.is_empty());
     }
 
-    #[test]
-    fn quadratic_tc_gets_two_delta_variants() {
-        let prog: dlo_core::Program<Trop> =
-            parse_program("T(X, Y) :- E(X, Y) + T(X, Z) * T(Z, Y).").unwrap();
-        let mut interner = Interner::new();
-        let c = compile(&prog, &mut interner).unwrap();
-        assert_eq!(c.delta_plans.len(), 2);
-        // k = 0: Δ then New; k = 1: Δ (occurrence 1) then New-prefix.
-        assert!(matches!(
-            c.delta_plans[0].steps[0].source,
-            Source::IdbDelta(0)
-        ));
-        assert!(matches!(
-            c.delta_plans[0].steps[1].source,
-            Source::IdbOld(0)
-        ));
-        assert!(matches!(
-            c.delta_plans[1].steps[0].source,
-            Source::IdbDelta(0)
-        ));
-        assert!(matches!(
-            c.delta_plans[1].steps[1].source,
-            Source::IdbNew(0)
-        ));
+    /// `plan`'s IDB reads in factor order — `N`ew, `D`elta, `O`ld —
+    /// behind a `!` when only a frontier may fire it.
+    fn shape<P>(plan: &Plan<P>) -> String {
+        let read = |s: &Step| match s.source {
+            Source::IdbNew(_) => Some((s.factor?.index, 'N')),
+            Source::IdbDelta(_) => Some((s.factor?.index, 'D')),
+            Source::IdbOld(_) => Some((s.factor?.index, 'O')),
+            Source::PopsEdb(_) | Source::BoolEdb(_) => None,
+        };
+        let mut reads: Vec<(usize, char)> = plan.steps.iter().filter_map(read).collect();
+        reads.sort();
+        let tag = if plan.frontier_only { "!" } else { "" };
+        tag.chars().chain(reads.iter().map(|r| r.1)).collect()
     }
 
     #[test]
-    fn worklist_plans_are_grouped_by_delta_pred() {
-        // Quadratic TC: two IDB occurrences ⇒ two worklist plans, both
-        // grouped under T, each driven by its Δ occurrence with the
-        // *other* occurrence reading New (never Old — there is no global
-        // iteration boundary in the frontier drivers).
-        let prog: dlo_core::Program<Trop> =
-            parse_program("T(X, Y) :- E(X, Y) + T(X, Z) * T(Z, Y).").unwrap();
-        let mut interner = Interner::new();
-        let c = compile(&prog, &mut interner).unwrap();
-        assert_eq!(c.worklist_plans.len(), 1);
-        let plans = &c.worklist_plans[0];
-        assert_eq!(plans.len(), 2);
-        for plan in plans {
-            assert!(matches!(plan.steps[0].source, Source::IdbDelta(0)));
-            assert!(matches!(plan.steps[1].source, Source::IdbNew(0)));
-            assert!(!plan
-                .steps
-                .iter()
-                .any(|s| matches!(s.source, Source::IdbOld(_))));
+    fn every_loop_fires_one_delta_family() {
+        let cap = UnaryFn::new("cap", Trop::clone);
+        let parser = dlo_core::parser::ProgramParser::<Trop>::new().with_func(cap);
+        let query = Query::new("T", vec![QueryArg::bound("a"), QueryArg::Free]);
+        // Program, its Δ family (Theorem 6.5's splits, once each, in
+        // compile order) and that of its magic rewrite for `?- T(a, Y)`.
+        // Only the last shape differs between the loops: the rounds'
+        // recompute plan (no Δ: no frontier groups it), then the split
+        // the rounds skip.
+        let cases = [
+            (
+                "T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, Y).",
+                "D",
+                Some("D D DO ND"),
+            ),
+            ("L(X) :- 1 | X = 0 + L(Z) * E(Z, X).", "D", None),
+            (
+                "O1(A, D) :- S(A, B, C) * F(A, B, C, D).\nO2(A) :- S4(A, B, C, D) * F(A, B, C, D).",
+                "",
+                None,
+            ),
+            (
+                "T(X, Y) :- E(X, Y) + T(X, Z) * T(Z, Y).",
+                "DO ND",
+                Some("DO ND"),
+            ),
+            (
+                "T(X, Y) :- E(X, Y) + T(X, Z) * T(Z, W) * T(W, Y).",
+                "DOO NDO NND",
+                None,
+            ),
+            (
+                "A(X, Y) :- E(X, Y) + B(X, Z) * E(Z, Y).\nB(X, Y) :- A(X, Z) * A(Z, Y).",
+                "D DO ND",
+                None,
+            ),
+            (
+                "P(L, X, Z) :- EP(L, X, Z) + P(L, X, Y) * P(L, Y, Z).",
+                "DO ND",
+                None,
+            ),
+            (
+                "SG(X, Y) :- F(X, Y) + U(X, A) * SG(A, B) * D(B, Y).",
+                "D",
+                None,
+            ),
+            ("R(X) :- S(X) + cap(R(Y)) * E(Y, X).", "N !D", None),
+        ];
+        for (text, family, magic_family) in cases {
+            let prog = parser.parse(text).unwrap();
+            let mut compiled = vec![(compile(&prog, &mut Interner::new()).unwrap(), family)];
+            if let Some(family) = magic_family {
+                let m = magic_rewrite(&prog, &query).unwrap();
+                let c = compile_demand(&m.program, &mut Interner::new(), &m.magic_preds);
+                compiled.push((c.unwrap(), family));
+            }
+            for (c, family) in compiled {
+                let shapes: Vec<String> = c.delta_plans.iter().map(shape).collect();
+                assert_eq!(shapes.join(" "), family, "{text}");
+                // Pids are dense: seed plans, then the family.
+                let pids = c.seed_plans.iter().chain(&c.delta_plans).map(|p| p.pid);
+                assert!(pids.eq(0..c.total_plans()), "{text}");
+                assert_eq!(c.plan_metas().len(), c.total_plans(), "{text}");
+                // A frontier fires, for Δ predicate `p`, the family's
+                // plans whose first step is `IdbDelta(p)`, in family
+                // order — every split (its Δ drives the join), nothing else.
+                let groups = by_delta_pred(&c.delta_plans, c.idbs.len());
+                for (p, fired) in groups.iter().enumerate() {
+                    let drives = |plan: &&Plan<Trop>| plan.steps[0].source == Source::IdbDelta(p);
+                    let family = c.delta_plans.iter().filter(drives).map(|plan| plan.pid);
+                    let fired = fired.iter().map(|plan| plan.pid);
+                    assert!(fired.eq(family), "{text}: Δ {p}");
+                }
+                let splits = shapes.iter().filter(|s| s.contains('D')).count();
+                assert_eq!(groups.concat().len(), splits, "{text}");
+            }
         }
-        // The delta masks worklist plans probe are reported separately.
-        let reqs = c.worklist_index_requirements();
-        assert!(reqs
-            .iter()
-            .any(|(s, _)| matches!(s, Source::IdbNew(0) | Source::IdbDelta(0))));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! ## Batches run on the coordinating thread
 //!
 //! Like every round of the other schedules: nothing in a fixpoint fans
-//! out. A batch's (row × worklist-plan) work only reads state, so it
+//! out. A batch's (row × plan) work only reads state, so it
 //! could be fanned over a worker pool, and once was; it never paid.
 //! Sparse frontiers pop one to a few rows per batch, and on dense ones
 //! (`apsp-dense` under priority: some twenty batches of thousands of
@@ -74,14 +74,14 @@
 //! nothing on `sssp-sparse` — the heap cost `apsp-dense`, whose buckets
 //! hold thousands of rows, a quarter of its speed.)
 //!
-//! Both disciplines fire the per-occurrence plans of
-//! [`crate::plan::CompiledProgram::worklist_plans`]: the changed row is
+//! Both disciplines fire the Δ family the semi-naïve rounds fire
+//! ([`crate::plan::CompiledProgram::delta_plans`]): the changed row is
 //! staged as a one-batch Δ relation carrying its **full current value**
 //! (not a `⊖` difference — no `CompleteDistributiveDioid` bound needed),
-//! and every other occurrence reads the live `new` state. On idempotent
-//! `⊕` the occasional re-derivation merges to the same value, so the
-//! scheme is sound without the prefix-new/suffix-old split of
-//! Theorem 6.5.
+//! and every other occurrence reads the live `new` state — the
+//! `changed` map stays empty, so a suffix-`Old` read of Theorem 6.5's
+//! split is a `New` read. On idempotent `⊕` the occasional
+//! re-derivation merges to the same value, so the scheme is sound.
 //!
 //! Head key functions work exactly as in the global drivers: the
 //! interner is frozen while plans run, fresh integer cells accumulate in
@@ -103,7 +103,7 @@ use crate::exec::HeadVal;
 use crate::govern::Checkpoint;
 use crate::intern::Interner;
 use crate::output::{AbortedEval, InternedOutcome, SettledMark};
-use crate::plan::Plan;
+use crate::plan::by_delta_pred;
 use crate::storage::ColumnRel;
 use crate::telemetry::Collector;
 use dlo_pops::{
@@ -404,7 +404,7 @@ fn apply_emissions<P: Pops, F: Frontier<P>>(
 /// carries a magic guard factor and finds it empty — so the frontier
 /// starts at the **query constants** instead of the whole EDB delta,
 /// and magic-fact derivation interleaves between batches exactly like
-/// head-key minting: a popped row fires the worklist plans whose Δ
+/// head-key minting: a popped row fires the Δ-family plans whose Δ
 /// occurrence it is, demand rows and answer rows alike.
 fn run_frontier<P, F>(
     engine: Engine<P>,
@@ -417,19 +417,18 @@ where
     F: Frontier<P>,
 {
     let run = Run::open(&engine, F::LABEL, F::SETTLES_ON_POP, opts, setup_ns);
-    run.drive(engine, cap, opts, |engine, state, run| {
-        let seed = std::mem::take(&mut engine.compiled.seed_plans);
-        drain_frontier::<P, F>(engine, state, &seed, 0, 0, cap, run)
+    run.drive(engine, cap, opts, |engine, state, plans, run| {
+        drain_frontier::<P, F>(engine, state, plans, 0, cap, run)
     })
 }
 
 /// The one frontier loop, behind every from-scratch run and every
 /// maintenance continuation: a seed round, then the queue drained
-/// batch by batch, each batch firing the per-occurrence worklist plans
-/// of every touched predicate. It starts from **any pre-fixpoint** in
+/// batch by batch, each batch firing the plans of `plans.delta` that a
+/// touched predicate's Δ drives. It starts from **any pre-fixpoint** in
 /// `state` that lies below the least fixpoint it is to reach — the
 /// empty state, a standing fixpoint whose EDB grew, the survivors of a
-/// retraction — provided `seed` covers every derivation the standing
+/// retraction — provided `plans.seed` covers every derivation the standing
 /// rows do not already account for: all plans from the empty state,
 /// the telescoped `@dlt` variants after an insert, the affected heads'
 /// plans after a zero-out. The seed round `⊕`-merges those
@@ -442,18 +441,16 @@ where
 /// fired comes from a row still queued at a value no better, and `⊗`
 /// cannot move a value back up.
 ///
-/// The seed round is step `start` (its stats row reads `seed_rows` Δ
-/// rows); batches are numbered from `start + 1`, and the returned
-/// count is the last batch's number — the number of batches when
-/// `start` is 0. `state.changed` is never populated: with an empty
-/// changed map, `Old` reads ≡ `New` reads, which is exactly the
-/// worklist plans' contract (every non-Δ occurrence sees the live
-/// state).
+/// The seed round is step `start` (its stats row reads
+/// `plans.seed_rows` Δ rows); batches are numbered from `start + 1`,
+/// and the returned count is the last batch's number — the number of
+/// batches when `start` is 0. `state.changed` is never populated: with
+/// an empty changed map `Old` reads ≡ `New` reads, so every non-Δ
+/// occurrence of a split sees the live state.
 fn drain_frontier<P, F>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
-    seed: &[Plan<P>],
-    seed_rows: u64,
+    plans: &RoundPlans<'_, P>,
     start: usize,
     cap: usize,
     run: &mut Run,
@@ -471,6 +468,7 @@ where
         .map(|(_, arity)| EmitBuf::new(*arity))
         .collect();
     let mut fresh: Vec<BTreeMap<Box<[HeadVal]>, P>> = (0..nidb).map(|_| BTreeMap::new()).collect();
+    let fired_by = by_delta_pred(plans.delta, nidb);
 
     // Seed: from the empty state only IDB-free sum-products contribute
     // (eq. 65); every inserted or improved row is enqueued.
@@ -479,7 +477,7 @@ where
     run_plans_inline(
         engine,
         state,
-        seed,
+        plans.seed,
         &mut bufs,
         EmitBuf::push,
         &mut fresh,
@@ -497,8 +495,12 @@ where
         &mut run.col,
     );
     drain_arrange_merges(state, &mut run.col);
-    run.col
-        .end_step(start, seed_rows, frontier.depth() as u64, &seed_before);
+    run.col.end_step(
+        start,
+        plans.seed_rows,
+        frontier.depth() as u64,
+        &seed_before,
+    );
 
     let mut batch: Vec<(usize, u32)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
@@ -537,7 +539,7 @@ where
         }
         let batch_plans = touched
             .iter()
-            .flat_map(|&pred| engine.compiled.worklist_plans_for(pred));
+            .flat_map(|&pred| fired_by[pred].iter().copied());
         run_plans_inline(
             engine,
             state,
@@ -579,27 +581,13 @@ where
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
 
-    /// The frontiers probe what their worklist plans probe, on top of
-    /// the engine's own lists; the semi-naïve arm adds nothing, so it
-    /// never pays for indexes only a frontier reads.
-    fn require_probes(self, engine: &mut Engine<P>) {
-        match self {
-            Strategy::SemiNaive => {}
-            Strategy::Worklist | Strategy::Auto | Strategy::Priority => {
-                let reqs = engine.compiled.worklist_index_requirements();
-                engine.require_probes(&reqs);
-            }
-        }
-    }
-
     fn run(
         self,
-        mut engine: Engine<P>,
+        engine: Engine<P>,
         cap: usize,
         opts: &EngineOpts,
         setup_ns: u64,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
-        self.require_probes(&mut engine);
         match self {
             Strategy::SemiNaive => SemiNaive.run(engine, cap, opts, setup_ns),
             Strategy::Worklist => run_frontier::<P, FifoFrontier>(engine, cap, opts, setup_ns),
@@ -611,7 +599,8 @@ where
 
     /// The schedule that reached the fixpoint continues it: the same
     /// dispatch as [`Rounds::run`], the frontiers seeded by
-    /// `plans.seed` from the standing state ([`drain_frontier`]).
+    /// `plans.seed` from the standing state and firing `plans.delta`
+    /// ([`drain_frontier`]).
     fn resume(
         self,
         engine: &mut Engine<P>,
@@ -621,14 +610,13 @@ where
         run: &mut Run,
         start: usize,
     ) -> Result<usize, LoopFail> {
-        let (seed, rows) = (plans.seed, plans.seed_rows);
         match self {
             Strategy::SemiNaive => SemiNaive.resume(engine, state, plans, cap, run, start),
             Strategy::Worklist => {
-                drain_frontier::<P, FifoFrontier>(engine, state, seed, rows, start, cap, run)
+                drain_frontier::<P, FifoFrontier>(engine, state, plans, start, cap, run)
             }
             Strategy::Auto | Strategy::Priority => {
-                drain_frontier::<P, BucketFrontier<P>>(engine, state, seed, rows, start, cap, run)
+                drain_frontier::<P, BucketFrontier<P>>(engine, state, plans, start, cap, run)
             }
         }
     }
@@ -687,15 +675,6 @@ mod tests {
             ("c", "d", 4.0),
             ("a", "c", 5.0),
         ]);
-        assert_frontier_matches_relational(&program, &edb, &BoolDatabase::new());
-    }
-
-    #[test]
-    fn quadratic_tc_covers_both_occurrences() {
-        // T ⊗ T: the worklist must fire a changed row in *each*
-        // occurrence position (left factor and right factor).
-        let (program, edb) =
-            ex::quadratic_tc_bool(&[("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]);
         assert_frontier_matches_relational(&program, &edb, &BoolDatabase::new());
     }
 
@@ -936,6 +915,29 @@ mod tests {
             &[
                 "m u", "n w", "s m", "t n", "t w", "u u2", "w w2", "m u2", "n w2", "s u", "s u2",
                 "t w2",
+            ],
+        );
+
+        // The same lanes under the quadratic rule `T :- E + T * T`,
+        // whose first split reads its other `T` through `Old` and the
+        // empty `changed` map — rows recorded when both read `New`. Bucket 1
+        // finds each two-hop pair from both sides (4 of 9 emits absorb)
+        // and T(t,w2) = 8 through the stale T(t,w) = 7; bucket 2 improves
+        // it to 3; the guesses 7 and 8 stay queued, never a batch.
+        let program = ex::quadratic_tc_program::<Trop>();
+        assert_batches_pinned(
+            &program,
+            &edb,
+            &[
+                [0, 7, 7, 7, 0, 0],
+                [6, 6, 9, 4, 1, 4],
+                [4, 4, 4, 1, 1, 2],
+                [2, 2, 0, 0, 0, 0],
+            ],
+            "T",
+            &[
+                "m u", "n w", "s m", "t n", "t w", "u u2", "w w2", "m u2", "n w2", "s u", "t w2",
+                "s u2",
             ],
         );
     }

@@ -152,6 +152,15 @@ fn linear_lfp_equals_naive_on_trop_p_random_systems() {
         let sys = AffineSystem { fns };
         assert_eq!(linear_lfp(&sys, P), naive, "Alg2 n={n}");
     }
+    // Lemma 5.20's cycle from one source: the naïve iteration takes its
+    // whole index (p+1)N − 1, plus the confirming step.
+    for n in [8usize, 16] {
+        let a = datalog_o::semilin::trop_p_cycle::<P>(n);
+        let mut b = vec![TropP::<P>::zero(); n];
+        b[0] = TropP::<P>::one();
+        let (naive, steps) = linear_naive_lfp(&a, &b, 1_000_000).unwrap();
+        assert_eq!((steps, &naive), ((P + 1) * n, &fwk_solve(&a, &b)), "n={n}");
+    }
 }
 
 #[test]

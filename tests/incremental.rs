@@ -514,6 +514,8 @@ fn sssp_gradient_scripts_match_from_scratch() {
     );
 }
 
+/// A query is a read — it goes through `&Materialization` — and leaves
+/// the maintained state the from-scratch fixpoint, rebuilt or not.
 #[test]
 fn queries_answer_against_the_current_epoch() {
     let program = apsp_program();
@@ -523,28 +525,37 @@ fn queries_answer_against_the_current_epoch() {
     let mut mat =
         Materialization::new(&program, &edb, &bools, CAP, Strategy::Auto, &opts).expect("compiles");
     let query = parse_query("?- T(\"a\", Y).").unwrap();
+    let ask = |mat: &Materialization<Trop>, to: &str| {
+        let answer = mat.query(&query).expect("query compiles");
+        answer.answers().get(&vec![k("a"), k(to)])
+    };
 
-    let before = mat.query(&query).expect("query compiles");
-    assert_eq!(
-        before.answers().get(&vec![k("a"), k("c")]),
-        Trop::finite(3.0)
-    );
+    assert_eq!(ask(&mat, "c"), Trop::finite(3.0));
     assert_eq!(mat.epoch(), 0);
 
     mat.apply(&[delete("b", "c"), insert("a", "e", 0.25)])
         .expect("edit applies");
     assert_eq!(mat.epoch(), 2);
-    let after = mat.query(&query).expect("query compiles");
-    assert_eq!(
-        after.answers().get(&vec![k("a"), k("c")]),
-        Trop::finite(9.0),
-        "query must see the post-delete optimum"
-    );
-    assert_eq!(
-        after.answers().get(&vec![k("a"), k("e")]),
-        Trop::finite(0.25),
-        "query must see the inserted edge"
-    );
+    for rebuilt in [false, true] {
+        if rebuilt {
+            mat.rebuild().expect("rebuilds");
+        }
+        let optimum = ask(&mat, "c");
+        assert_eq!(
+            optimum,
+            Trop::finite(9.0),
+            "query must see the post-delete optimum"
+        );
+        let inserted = ask(&mat, "e");
+        assert_eq!(
+            inserted,
+            Trop::finite(0.25),
+            "query must see the inserted edge"
+        );
+        let scratch = engine_eval_interned(&program, mat.edb(), &bools, CAP, Strategy::Auto, &opts);
+        let scratch = scratch.expect("compiles").materialize().unwrap();
+        assert_eq!(mat.output().materialize(), scratch, "rebuilt: {rebuilt}");
+    }
 }
 
 #[test]
@@ -897,23 +908,25 @@ fn poisoned_handle_exposes_partial_beside_the_poison() {
     );
 }
 
-/// Worklist plans probe structures the semi-naïve plans never ask for,
-/// and every edit rebuilds relations: the `@dlt` / `@old` staging, the
-/// EDB without its deleted rows, the IDB without its cone, the Δ
-/// relations of the marking rounds. Each rebuild must carry what the
-/// frontier's next batch probes — a missing one is a panic from public
-/// input, not a wrong answer. Three shapes, each through an insert /
-/// delete / re-insert script on handles under every strategy:
+/// A frontier fires splits the rounds never do — those of a
+/// sum-product with a value function on an IDB factor — and every edit
+/// rebuilds relations: the `@dlt` / `@old` staging, the EDB without its
+/// deleted rows, the IDB without its cone, the Δ relations of the
+/// marking rounds. Each rebuild must carry what the frontier's next
+/// batch probes (a missing one is a panic from public input, not a
+/// wrong answer), and does: the wrapped splits' masks sit in the one
+/// requirement list every relation is built from. Three shapes, each
+/// through an insert / delete / re-insert script under every strategy:
 ///
-/// * a value-function factor (its Δ-split exists only as a worklist
-///   plan; the semi-naïve loop recomputes the sum-product whole);
+/// * a value-function factor (the rounds recompute the sum-product
+///   whole; only a frontier fires its Δ-split);
 /// * a constant-bound IDB occurrence (the batch staged as Δ is probed
 ///   by that constant, not scanned);
 /// * both at once — the one shape where the probed Δ mask belongs to no
-///   semi-naïve plan at all, so nothing but the handle's own mask list
-///   re-ensures it after the marking rounds swap the Δ relations out.
+///   plan the rounds fire, so nothing but that list re-ensures it after
+///   the marking rounds swap the Δ relations out.
 #[test]
-fn edits_keep_every_probe_the_worklist_plans_read() {
+fn edits_keep_every_probe_the_wrapped_splits_read() {
     let cap_fn = || UnaryFn::new("cap", |v: &MaxMin| v.mul(&MaxMin::of(0.3)));
     let widths = |edges: &[(&str, &str, f64)]| {
         Relation::from_pairs(

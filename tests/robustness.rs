@@ -5,8 +5,9 @@
 //! Three legs:
 //!
 //! * **Compile regressions** — one test per [`EvalError::Compile`]
-//!   cause (arity > 32, mixed-arity heads) pinning that every entry
-//!   point returns the typed error instead of panicking.
+//!   cause (arity > 32, mixed-arity heads, ragged EDB tuples) pinning
+//!   that every entry point returns the typed error instead of
+//!   panicking.
 //! * **Governance properties** — random graph and keyed programs under
 //!   tiny budgets, zero deadlines, and pre-cancelled tokens: no panic
 //!   escapes, every error carries populated [`EvalStats`], and a
@@ -113,6 +114,54 @@ fn assert_populated(err: &EvalError, governed: bool) {
 // Compile regressions: one per CompileError cause.
 // ---------------------------------------------------------------------
 
+/// Every front — the full entry point under each schedule, the query
+/// rewrite, a [`Materialization`] build — rejects `program` over `edb`
+/// and `bools` with a typed compile error that names `cause` and
+/// predates any run.
+/// The fronts run under `catch_unwind`, so a panic reads as this
+/// check's failure, not as a crashed test binary.
+fn assert_compile_error_on_every_front(
+    program: &Program<Trop>,
+    edb: &Database<Trop>,
+    bools: &BoolDatabase,
+    query: &str,
+    cause: &str,
+) {
+    let opts = EngineOpts::default();
+    let query = parse_query(query).unwrap();
+    let errors = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let naive = engine_eval_interned(program, edb, bools, 10, Naive, &opts).expect_err("naive");
+        let partial = naive.partial().interned();
+        assert_eq!(
+            partial.predicates().count(),
+            0,
+            "nothing ran: the partial is empty"
+        );
+        let mut errors = vec![
+            EvalError::from(naive),
+            eval(program, edb, bools, 10, SemiNaive, &opts).expect_err("semi-naive"),
+        ];
+        for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
+            errors.push(eval(program, edb, bools, 10, strategy, &opts).expect_err("strategy"));
+        }
+        let on = Strategy::SemiNaive;
+        let answer = engine_query_eval_with_opts(program, &query, edb, bools, 10, on, &opts);
+        errors.push(answer.expect_err("query front").into());
+        let mat = Materialization::new(program, edb, bools, 10, on, &opts);
+        errors.push(mat.err().expect("materialization front"));
+        errors
+    }))
+    .expect("no front may panic on public input");
+    for err in errors {
+        match &err {
+            EvalError::Compile { detail } => assert!(detail.contains(cause), "got: {detail}"),
+            other => panic!("expected EvalError::Compile, got {other:?}"),
+        }
+        assert_eq!(err.kind(), "compile");
+        assert!(err.stats().is_none(), "compile errors predate any run");
+    }
+}
+
 /// An atom wider than the engine's 32-column storage limit is a typed
 /// compile error from every entry point — never a panic.
 #[test]
@@ -123,38 +172,9 @@ fn arity_over_32_is_a_typed_compile_error() {
         Atom::new("W", wide.clone()),
         vec![SumProduct::new(vec![Factor::atom("A", wide)])],
     );
-    let edb = Database::new();
-    let bools = BoolDatabase::new();
-    let err = eval(&p, &edb, &bools, 10, Naive, &EngineOpts::default())
-        .expect_err("arity 33 must not compile");
-    match &err {
-        EvalError::Compile { detail } => {
-            assert!(detail.contains("ArityTooLarge"), "got: {detail}");
-        }
-        other => panic!("expected EvalError::Compile, got {other:?}"),
-    }
-    assert_eq!(err.kind(), "compile");
-    assert!(err.stats().is_none(), "compile errors predate any run");
-    // Same rejection from the semi-naïve, frontier, and query paths.
-    assert_eq!(
-        eval(&p, &edb, &bools, 10, SemiNaive, &EngineOpts::default())
-            .expect_err("semi-naive")
-            .kind(),
-        "compile"
-    );
-    for strategy in [Strategy::Worklist, Strategy::Priority] {
-        let e = eval(&p, &edb, &bools, 10, strategy, &EngineOpts::default()).expect_err("frontier");
-        assert_eq!(e.kind(), "compile");
-    }
-    let mat = Materialization::new(
-        &p,
-        &edb,
-        &bools,
-        10,
-        Strategy::SemiNaive,
-        &EngineOpts::default(),
-    );
-    assert_eq!(mat.err().expect("materialization").kind(), "compile");
+    let all_w = format!("?- W({}).", vec!["X"; 33].join(", "));
+    let (none, bools) = (Database::new(), BoolDatabase::new());
+    assert_compile_error_on_every_front(&p, &none, &bools, &all_w, "ArityTooLarge");
     // A head can be wide on its own — 33 copies of one body variable —
     // and it is the head key the executor assembles in a 32-cell buffer.
     let mut q = Program::<Trop>::new();
@@ -167,16 +187,11 @@ fn arity_over_32_is_a_typed_compile_error() {
         "A",
         Relation::from_pairs(1, [(vec![1.into()], Trop::finite(1.0))]),
     );
-    for strategy in [Strategy::SemiNaive, Strategy::Priority] {
-        let e =
-            eval(&q, &edb, &bools, 10, strategy, &EngineOpts::default()).expect_err("wide head");
-        assert_eq!(e.kind(), "compile");
-    }
+    assert_compile_error_on_every_front(&q, &edb, &bools, &all_w, "ArityTooLarge");
 }
 
-/// One head predicate at two arities is rejected the same way (the
-/// in-crate regression covers the `Naive` schedule; this pins the query
-/// rewrite and Materialization fronts).
+/// One head predicate at two arities — columnar storage fixes one arity
+/// per relation — is rejected the same way.
 #[test]
 fn mixed_arity_heads_are_typed_compile_errors_everywhere() {
     let mut p = Program::<Trop>::new();
@@ -191,39 +206,31 @@ fn mixed_arity_heads_are_typed_compile_errors_everywhere() {
             vec![Term::v(0), Term::v(1)],
         )])],
     );
-    let edb = Database::new();
-    let bools = BoolDatabase::new();
-    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        let e = eval(&p, &edb, &bools, 10, strategy, &EngineOpts::default())
-            .expect_err("mixed-arity heads must not compile");
-        match &e {
-            EvalError::Compile { detail } => {
-                assert!(detail.contains("HeadArityMismatch"), "got: {detail}");
-            }
-            other => panic!("expected EvalError::Compile, got {other:?}"),
-        }
-    }
-    let q = parse_query("?- T(\"a\").").unwrap();
-    let e = engine_query_eval_with_opts(
-        &p,
-        &q,
-        &edb,
-        &bools,
-        10,
-        Strategy::SemiNaive,
-        &EngineOpts::default(),
-    )
-    .expect_err("query front");
-    assert_eq!(e.error().kind(), "compile");
-    let mat = Materialization::new(
-        &p,
-        &edb,
-        &bools,
-        10,
-        Strategy::SemiNaive,
-        &EngineOpts::default(),
+    let (edb, bools) = (Database::new(), BoolDatabase::new());
+    assert_compile_error_on_every_front(&p, &edb, &bools, "?- T(\"a\").", "HeadArityMismatch");
+}
+
+/// A ragged tuple in the EDB — `Relation` checks tuple lengths in debug
+/// builds only, so a release caller can build one — is malformed input,
+/// rejected by name where the EDB is loaded instead of tripping the
+/// loader's row-boundary assert. Release-only: a debug build trips
+/// `Relation::merge`'s own `debug_assert` while the database is made.
+#[cfg(not(debug_assertions))]
+#[test]
+fn ragged_edb_tuples_are_typed_compile_errors_everywhere() {
+    let text = "T(X, Y) :- E(X, Y) | G(X) + T(X, Z) * E(Z, Y).";
+    let program: Program<Trop> = parse_program(text).unwrap();
+    let query = "?- T(\"a\", Y).";
+    let (ab, w) = (vec![k("a"), k("b")], Trop::finite(1.0));
+    let (mut edb, mut bools) = (Database::new(), BoolDatabase::new());
+    edb.insert("E", Relation::from_pairs(2, [(ab.clone(), w)]));
+    bools.insert(
+        "G",
+        datalog_o::core::bool_relation(1, [vec![k("a")], ab.clone()]),
     );
-    assert_eq!(mat.err().expect("materialization front").kind(), "compile");
+    assert_compile_error_on_every_front(&program, &edb, &bools, query, "\"G\" has arity 1");
+    edb.insert("E", Relation::from_pairs(2, [(ab, w), (vec![k("b")], w)]));
+    assert_compile_error_on_every_front(&program, &edb, &bools, query, "\"E\" has arity 2");
 }
 
 // ---------------------------------------------------------------------
