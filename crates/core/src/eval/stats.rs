@@ -48,17 +48,20 @@ pub struct Counters {
     /// Index probes issued by join steps (hash-prefix lookups plus
     /// sorted-arrangement searches).
     pub index_probes: u64,
-    /// Probes served by a sorted arrangement (merge-join path): the
-    /// probes into relations of arity > 2. Which structure serves a
-    /// probe is fixed by the relation's arity, so the split is a
-    /// function of the program and its input like every other counter.
+    /// Probes served by a sorted run (merge-join path): the probes into
+    /// bulk-loaded EDB relations of arity > 2. Which structure serves a
+    /// probe is fixed by the relation's arity and by whether it has
+    /// grown since it was loaded, so the split is a function of the
+    /// program, its input and a handle's edit history like every other
+    /// counter.
     pub merge_join_steps: u64,
     /// Probes served by a hash-prefix index (hash-join path);
     /// `merge_join_steps + hash_join_steps = index_probes` always.
     pub hash_join_steps: u64,
-    /// Arrangement spine batches folded by size-tiered merging while
-    /// appends maintained sorted runs (0 when no probed IDB relation is
-    /// wider than 2 columns).
+    /// Reads 0 on every run: nothing merges sorted runs since the
+    /// engine stopped maintaining them under appends (a relation that
+    /// grows is probed by hash). Kept because the frozen benchmark reads
+    /// the field (`reported.arrange_batches_merged`).
     pub arrange_batches_merged: u64,
     /// Candidate tuples scanned: full-scan range lengths plus probe
     /// posting-list lengths, before per-row checks.
@@ -151,12 +154,13 @@ pub struct PhaseNanos {
     /// sub-interval of `setup`, so [`PhaseNanos::total`] does not add it
     /// again; 0 for runs that load nothing (maintenance edits).
     pub load: u64,
-    /// EDB hash-prefix index builds.
+    /// EDB hash-prefix index builds (0 on a run whose EDB build sorted
+    /// a relation: the whole build is under `arrange` then).
     pub edb_index: u64,
-    /// Sorted-arrangement builds and co-located index ensures (the
-    /// merge-join analogue of `edb_index`; spine merges riding row
-    /// appends are counted by
-    /// [`Counters::arrange_batches_merged`], not timed separately).
+    /// The bulk sorts: the EDB build before the first step, when it
+    /// sorted at least one relation of arity > 2 (hash builds running
+    /// beside the sort ride along). 0 on every other run — nothing
+    /// sorted is built or maintained once the fixpoint is under way.
     pub arrange: u64,
     /// The fixpoint loop itself (joins + merges).
     pub eval: u64,
@@ -212,9 +216,10 @@ pub struct RuleProfile {
     /// `"delta"` like a semi-naïve round's.
     pub kind: String,
     /// Which probe structures this plan's probing steps run against:
-    /// `"merge"` (every one a sorted arrangement), `"hash"` (every one
+    /// `"merge"` (every one a sorted run), `"hash"` (every one
     /// a hash-prefix index), `"mixed"`, or `"scan"` (no probing
-    /// steps). Fixed by the arities of the relations the plan probes.
+    /// steps). Fixed by which relations the plan probes: `"merge"` is
+    /// an EDB relation of arity > 2, as a from-scratch run reads it.
     pub join: String,
     /// Emissions this plan produced.
     pub emits: u64,

@@ -1,29 +1,32 @@
-//! Immutable sorted columnar runs with an LSM-style spine.
+//! Immutable sorted columnar runs: the probe structure of a relation
+//! that was loaded in bulk and is only read.
 //!
 //! An [`Arrangement`] is the sorted counterpart of a hash-prefix index:
 //! the relation's rows re-ordered by a **column permutation** that puts
 //! the probe columns first (ascending), so a bound-prefix probe becomes
 //! two binary searches over a contiguous `u32` run instead of a hash
-//! lookup through boxed keys. Rows live in immutable [`ArrangeBatch`]es
-//! behind `Arc`s, organized as a small spine:
+//! lookup through boxed keys. It is built once, by one sort over the
+//! rows the relation holds at that moment, and never changes:
 //!
-//! * **Appends are cheap.** A new row becomes a size-1 batch; batches
-//!   are merged size-tiered (merge while the newest batch has grown at
-//!   least as large as its predecessor), so `n` appends cost `O(n log
-//!   n)` total and the spine stays `O(log n)` deep — the classic
-//!   Bentley–Saxe / LSM amortization, and the shape of the
-//!   differential-dataflow spine the ROADMAP cites.
-//! * **Snapshots are free.** Cloning an arrangement clones `Arc`s, not
-//!   row data: a `Materialization` epoch can hand readers a frozen
-//!   spine while the writer keeps appending fresh batches on its own
-//!   clone.
-//! * **Probes stay deterministic.** A probe collects matching row ids
-//!   from every batch and sorts them ascending — exactly the order the
-//!   hash path's incrementally-maintained posting lists produce — so
-//!   merge-mode and hash-mode evaluation emit in the same sequence and
-//!   stay bit-identical even on POPS with non-associative `⊕` (f64).
+//! * **One run, no maintenance.** There is no append path. A relation
+//!   that grows after its runs were built drops them and answers through
+//!   hash indexes from then on
+//!   ([`ColumnRel::append_row`](crate::storage::ColumnRel::append_row)):
+//!   keeping a sorted order current under one-row appends measured
+//!   5–9× the hash index it would replace (see the crate docs), so the
+//!   two structures split the regimes instead of sharing them.
+//! * **Clones are free.** The run sits behind an `Arc`; cloning the
+//!   owning relation (an `@old` snapshot of a bulk EDB) copies a
+//!   pointer, not the sorted keys.
+//! * **Probes stay deterministic.** A run is ordered by permuted key
+//!   and then by row id, so the rows matching a key prefix come back
+//!   ascending only within one full key; the caller sorts them
+//!   ([`probe_arranged`](crate::storage::ColumnRel::probe_arranged)) —
+//!   exactly the order the hash path's posting lists hold — so both
+//!   structures emit in the same sequence and stay bit-identical even
+//!   on POPS with non-associative `⊕` (f64).
 //!
-//! Values are *not* copied into batches: probes return row ids into the
+//! Values are *not* copied into the run: probes return row ids into the
 //! owning [`ColumnRel`](crate::storage::ColumnRel)'s flat storage, the
 //! same contract as hash probes. Only permuted key copies are
 //! materialized, which is what the binary search touches.
@@ -125,83 +128,27 @@ impl ArrangeBatch {
     }
 }
 
-/// A relation's rows sorted by one column permutation, held as a spine
-/// of immutable batches. Cloning shares the batches (`Arc`), not the
-/// row data.
+/// A relation's rows sorted by one column permutation: one immutable
+/// run. Cloning shares the run (`Arc`), not the row data.
 #[derive(Clone, Debug)]
 pub struct Arrangement {
     arity: usize,
     perm: Vec<u32>,
-    spine: Vec<Arc<ArrangeBatch>>,
+    run: Arc<ArrangeBatch>,
 }
 
 impl Arrangement {
-    /// An empty arrangement ordered for probes through `mask`.
-    pub fn new(arity: usize, mask: ColMask) -> Self {
+    /// Sorts every row of `keys` (flat row-major, `keys.len() / arity`
+    /// rows, row id = position) into the order probes through `mask`
+    /// search: one sort, the only way an arrangement is made.
+    pub(crate) fn build(arity: usize, mask: ColMask, keys: &[u32]) -> Self {
         assert!(arity > 0, "arrangements require arity ≥ 1");
-        Arrangement {
-            arity,
-            perm: perm_for(arity, mask),
-            spine: Vec::new(),
-        }
-    }
-
-    /// Whether probes through `mask` can run against this sort order:
-    /// true iff the mask's columns, ascending, are exactly the leading
-    /// columns of the permutation.
-    pub fn serves(&self, mask: ColMask) -> bool {
-        let w = mask.count_ones() as usize;
-        if w == 0 || w > self.arity {
-            return false;
-        }
-        let mut j = 0;
-        for c in 0..self.arity as u32 {
-            if mask & (1 << c) != 0 {
-                if self.perm.get(j) != Some(&c) {
-                    return false;
-                }
-                j += 1;
-            }
-        }
-        j == w
-    }
-
-    /// Total rows across the spine.
-    pub fn len(&self) -> usize {
-        self.spine.iter().map(|b| b.len()).sum()
-    }
-
-    /// Whether no rows are arranged.
-    pub fn is_empty(&self) -> bool {
-        self.spine.iter().all(|b| b.is_empty())
-    }
-
-    /// The spine's batches, newest last (exposed so tests can pin the
-    /// copy-on-write contract via `Arc::ptr_eq`).
-    pub fn batches(&self) -> &[Arc<ArrangeBatch>] {
-        &self.spine
-    }
-
-    /// Drops every batch while keeping the sort order registered, so a
-    /// cleared relation keeps maintaining the arrangement on refill.
-    pub fn clear(&mut self) {
-        self.spine.clear();
-    }
-
-    /// Replaces the spine with one batch holding every row of `keys`
-    /// (flat row-major, `keys.len() / arity` rows) in sort order — the
-    /// bulk path [`ensure_arranged`](crate::storage::ColumnRel::ensure_arranged)
-    /// uses when an arrangement is first requested on a populated
-    /// relation: one sort instead of `n` tiered merges.
-    pub fn seed(&mut self, keys: &[u32]) {
-        let arity = self.arity;
-        let n = keys.len() / arity;
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        let perm = &self.perm;
-        idx.sort_unstable_by(|&a, &b| {
-            let ra = &keys[a as usize * arity..(a as usize + 1) * arity];
-            let rb = &keys[b as usize * arity..(b as usize + 1) * arity];
-            for &c in perm {
+        let perm = perm_for(arity, mask);
+        let row = |r: u32| &keys[r as usize * arity..(r as usize + 1) * arity];
+        let mut rows: Vec<u32> = (0..(keys.len() / arity) as u32).collect();
+        rows.sort_unstable_by(|&a, &b| {
+            let (ra, rb) = (row(a), row(b));
+            for &c in &perm {
                 match ra[c as usize].cmp(&rb[c as usize]) {
                     Ordering::Equal => continue,
                     o => return o,
@@ -209,91 +156,43 @@ impl Arrangement {
             }
             a.cmp(&b)
         });
-        let mut flat = Vec::with_capacity(n * arity);
-        for &r in &idx {
-            let row = &keys[r as usize * arity..(r as usize + 1) * arity];
-            for &c in perm {
-                flat.push(row[c as usize]);
-            }
+        let mut flat = Vec::with_capacity(keys.len());
+        for &r in &rows {
+            let key = row(r);
+            flat.extend(perm.iter().map(|&c| key[c as usize]));
         }
-        self.spine = vec![Arc::new(ArrangeBatch {
-            rows: idx,
-            keys: flat,
-        })];
+        Arrangement {
+            arity,
+            perm,
+            run: Arc::new(ArrangeBatch { rows, keys: flat }),
+        }
     }
 
-    /// Appends one row as a size-1 batch, then merges size-tiered.
-    /// Returns the number of batch merges performed (telemetry:
-    /// `arrange_batches_merged`).
-    pub fn push(&mut self, row: &[u32], rowid: u32) -> u64 {
-        debug_assert_eq!(row.len(), self.arity);
-        let keys: Vec<u32> = self.perm.iter().map(|&c| row[c as usize]).collect();
-        self.spine.push(Arc::new(ArrangeBatch {
-            rows: vec![rowid],
-            keys,
-        }));
-        let mut merges = 0;
-        while self.spine.len() >= 2 {
-            let n = self.spine.len();
-            if self.spine[n - 1].len() < self.spine[n - 2].len() {
-                break;
-            }
-            let b = self.spine.pop().expect("spine len ≥ 2");
-            let a = self.spine.pop().expect("spine len ≥ 2");
-            self.spine.push(Arc::new(self.merge(&a, &b)));
-            merges += 1;
-        }
-        merges
+    /// Whether probes through `mask` can run against this sort order:
+    /// true iff the mask's columns, ascending, are exactly the leading
+    /// columns of the permutation.
+    pub fn serves(&self, mask: ColMask) -> bool {
+        let leading: Vec<u32> = (0..ColMask::BITS)
+            .filter(|c| mask & (1 << c) != 0)
+            .collect();
+        !leading.is_empty() && self.perm.starts_with(&leading)
     }
 
-    fn merge(&self, a: &ArrangeBatch, b: &ArrangeBatch) -> ArrangeBatch {
-        let arity = self.arity;
-        let mut rows = Vec::with_capacity(a.len() + b.len());
-        let mut keys = Vec::with_capacity((a.len() + b.len()) * arity);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            let ka = &a.keys[i * arity..(i + 1) * arity];
-            let kb = &b.keys[j * arity..(j + 1) * arity];
-            let take_a = match ka.cmp(kb) {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => a.rows[i] <= b.rows[j],
-            };
-            if take_a {
-                rows.push(a.rows[i]);
-                keys.extend_from_slice(ka);
-                i += 1;
-            } else {
-                rows.push(b.rows[j]);
-                keys.extend_from_slice(kb);
-                j += 1;
-            }
-        }
-        while i < a.len() {
-            rows.push(a.rows[i]);
-            keys.extend_from_slice(&a.keys[i * arity..(i + 1) * arity]);
-            i += 1;
-        }
-        while j < b.len() {
-            rows.push(b.rows[j]);
-            keys.extend_from_slice(&b.keys[j * arity..(j + 1) * arity]);
-            j += 1;
-        }
-        ArrangeBatch { rows, keys }
+    /// The sorted run, as the one-element slice the benchmark's
+    /// `arrange.batches` reading counts.
+    pub fn batches(&self) -> &[Arc<ArrangeBatch>] {
+        std::slice::from_ref(&self.run)
     }
 
     /// Collects into `out` the row ids whose leading `key.len()`
-    /// permuted columns equal `key` — two binary searches per batch.
-    /// `out` is *not* cleared and *not* sorted here; the caller sorts
-    /// once after collecting across batches (see
+    /// permuted columns equal `key` — two binary searches. `out` is
+    /// *not* cleared and *not* sorted here; the caller sorts (see
     /// [`probe_arranged`](crate::storage::ColumnRel::probe_arranged)).
     pub fn probe_into(&self, key: &[u32], out: &mut Vec<u32>) {
         debug_assert!(!key.is_empty() && key.len() <= self.arity);
-        for batch in &self.spine {
-            let lo = batch.lower_bound(self.arity, key);
-            let hi = batch.upper_bound(self.arity, key, lo);
-            out.extend_from_slice(&batch.rows[lo..hi]);
-        }
+        let lo = self.run.lower_bound(self.arity, key);
+        let hi = self.run.upper_bound(self.arity, key, lo);
+        out.extend_from_slice(&self.run.rows[lo..hi]);
     }
 }
 
@@ -316,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn seeded_arrangement_answers_prefix_probes() {
+    fn built_arrangement_answers_prefix_probes() {
         // Rows of arity 3, probed on column 1 (mask 0b010).
         let rows: Vec<u32> = vec![
             5, 7, 1, // r0
@@ -324,10 +223,9 @@ mod tests {
             4, 3, 0, // r2
             5, 7, 0, // r3
         ];
-        let mut arr = Arrangement::new(3, 0b010);
-        arr.seed(&rows);
-        assert_eq!(arr.len(), 4);
+        let arr = Arrangement::build(3, 0b010, &rows);
         assert_eq!(arr.batches().len(), 1);
+        assert_eq!(arr.batches()[0].len(), 4);
         assert_eq!(probe(&arr, &[7]), vec![0, 1, 3]);
         assert_eq!(probe(&arr, &[3]), vec![2]);
         assert_eq!(probe(&arr, &[8]), Vec::<u32>::new());
@@ -342,65 +240,10 @@ mod tests {
     #[test]
     fn prefix_masks_share_one_sort_order() {
         // mask {0, 2} on arity 3 → perm [0, 2, 1]; mask {0} is a prefix.
-        let arr = Arrangement::new(3, 0b101);
+        let arr = Arrangement::build(3, 0b101, &[]);
         assert!(arr.serves(0b101));
         assert!(arr.serves(0b001));
         assert!(!arr.serves(0b100)); // [2] ≠ leading [0]
         assert!(!arr.serves(0b111)); // [0,1,2] ≠ [0,2,1]
-    }
-
-    #[test]
-    fn appends_tier_merge_and_probe_across_batches() {
-        let mut arr = Arrangement::new(2, 0b01);
-        let mut merges = 0;
-        // 8 appends: sizes collapse 1,1→2, …; counters add up.
-        for r in 0..8u32 {
-            merges += arr.push(&[r % 3, r], r);
-        }
-        assert_eq!(arr.len(), 8);
-        assert!(merges > 0);
-        assert!(arr.batches().len() <= 4, "spine stays logarithmic");
-        assert_eq!(probe(&arr, &[0]), vec![0, 3, 6]);
-        assert_eq!(probe(&arr, &[1]), vec![1, 4, 7]);
-        assert_eq!(probe(&arr, &[2]), vec![2, 5]);
-    }
-
-    #[test]
-    fn seed_then_append_keeps_bulk_batch_until_tier_catches_up() {
-        let rows: Vec<u32> = (0..6).flat_map(|r| vec![r % 2, r]).collect();
-        let mut arr = Arrangement::new(2, 0b01);
-        arr.seed(&rows);
-        let seeded = Arc::clone(&arr.batches()[0]);
-        arr.push(&[0, 6], 6);
-        arr.push(&[1, 7], 7);
-        // The bulk batch is untouched (shared, not rewritten) while the
-        // small appends merge among themselves.
-        assert!(Arc::ptr_eq(&arr.batches()[0], &seeded));
-        assert_eq!(probe(&arr, &[0]), vec![0, 2, 4, 6]);
-        assert_eq!(probe(&arr, &[1]), vec![1, 3, 5, 7]);
-    }
-
-    #[test]
-    fn clones_share_batches_and_diverge_on_append() {
-        let mut arr = Arrangement::new(2, 0b01);
-        for r in 0..4u32 {
-            arr.push(&[r, r], r);
-        }
-        let snap = arr.clone();
-        assert!(Arc::ptr_eq(&arr.batches()[0], &snap.batches()[0]));
-        arr.push(&[9, 9], 4);
-        assert_eq!(probe(&snap, &[9]), Vec::<u32>::new());
-        assert_eq!(probe(&arr, &[9]), vec![4]);
-    }
-
-    #[test]
-    fn clear_keeps_order_registered() {
-        let mut arr = Arrangement::new(2, 0b10);
-        arr.push(&[1, 2], 0);
-        arr.clear();
-        assert!(arr.is_empty());
-        assert!(arr.serves(0b10));
-        arr.push(&[3, 2], 0);
-        assert_eq!(probe(&arr, &[2]), vec![0]);
     }
 }

@@ -54,6 +54,7 @@ use dlo_core::relation::{BoolDatabase, Database};
 use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops, PreSemiring};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Per-run settings of the engine drivers: how many threads build the
@@ -368,7 +369,7 @@ impl<P: Pops + Send> Engine<P> {
     /// parallel construction is observation-equivalent to a sequential
     /// loop. A panic in a build is contained by the pool and surfaced
     /// as the abort the drivers turn into [`EvalError::WorkerPanic`].
-    pub(crate) fn build_edb_indexes(&mut self, threads: usize) -> Result<(), Abort> {
+    pub(crate) fn build_edb_indexes(&mut self, threads: usize) -> Result<bool, Abort> {
         enum Work<'a, P> {
             Pops(&'a mut ColumnRel<P>, &'a [ColMask]),
             Bool(&'a mut ColumnRel<Bool>, &'a [ColMask]),
@@ -388,40 +389,29 @@ impl<P: Pops + Send> Engine<P> {
                 }
             }
         }
-        par::run_each(work, threads, |w| match w {
-            Work::Pops(rel, masks) => {
-                ensure_probes(rel, masks);
-            }
-            Work::Bool(rel, masks) => {
-                ensure_probes(rel, masks);
-            }
+        let sorted = AtomicBool::new(false);
+        par::run_each(work, threads, |w| {
+            let any = match w {
+                Work::Pops(rel, masks) => ensure_probes(rel, masks),
+                Work::Bool(rel, masks) => ensure_probes(rel, masks),
+            };
+            sorted.fetch_or(any, Ordering::Relaxed);
         })
-        .map_err(|message| Abort::WorkerPanic { message })
+        .map_err(|message| Abort::WorkerPanic { message })?;
+        Ok(sorted.into_inner())
     }
 }
 
 /// Ensures every probe structure in `masks` on `rel`
-/// ([`ColumnRel::ensure_probe`]), reporting whether any of them
-/// dispatched to a sorted arrangement — callers attribute the loop's
-/// wall-clock to the `arrange` phase leg only when one did (an
-/// approximation: a mixed loop's hash builds ride along, but the legs
-/// are timing-only and never affect results).
+/// ([`ColumnRel::ensure_probe`]), reporting whether any of them was a
+/// sorted run — only a bulk-loaded EDB relation wider than a packed key
+/// gets one, so only [`Engine::build_edb_indexes`] reads the answer.
 pub(crate) fn ensure_probes<P: Pops>(rel: &mut ColumnRel<P>, masks: &[u32]) -> bool {
-    let mut arranged = false;
+    let mut sorted = false;
     for &mask in masks {
-        arranged |= rel.ensure_probe(mask);
+        sorted |= rel.ensure_probe(mask);
     }
-    arranged
-}
-
-/// Drains the spine-merge counters every IDB relation accumulated since
-/// the last drain into the run's `arrange_batches_merged` total.
-pub(crate) fn drain_arrange_merges<P: Pops>(state: &mut IdbState<P>, col: &mut Collector) {
-    let mut merges = 0;
-    for rel in state.new.iter_mut().chain(state.delta.iter_mut()) {
-        merges += rel.take_arrange_merges();
-    }
-    col.stats.counters.arrange_batches_merged += merges;
+    sorted
 }
 
 /// Consumes a finished engine into the decode-free output handle.
@@ -527,20 +517,24 @@ impl Run {
     ) -> Result<(), LoopFail> {
         self.check(0, Checkpoint::Phase)?;
         let t = Instant::now();
-        engine
+        let sorted = engine
             .build_edb_indexes(opts.effective_threads())
             .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
-        self.col.edb_index_phase(t.elapsed().as_nanos() as u64);
+        // One stopwatch over builds that may run side by side: the
+        // phase goes to the `arrange` leg whole when any of them was a
+        // bulk sort (hash builds beside it ride along), to `edb_index`
+        // otherwise. Timing only — results never depend on it.
+        let nanos = t.elapsed().as_nanos() as u64;
+        if sorted {
+            self.col.arrange_phase(nanos);
+        } else {
+            self.col.edb_index_phase(nanos);
+        }
         self.t_eval = Instant::now();
-        let mut arranged = false;
         for (rel, masks) in state.new.iter_mut().zip(&engine.idb_new_masks) {
-            arranged |= ensure_probes(rel, masks);
+            ensure_probes(rel, masks);
         }
-        arranged |= ensure_delta_indexes(engine, state);
-        if arranged {
-            self.col
-                .arrange_phase(self.t_eval.elapsed().as_nanos() as u64);
-        }
+        ensure_delta_indexes(engine, state);
         Ok(())
     }
 
@@ -1045,16 +1039,11 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
         if fixed {
             return Ok(steps);
         }
-        let t_arr = Instant::now();
-        let mut arranged = false;
         for (pred, rel) in next.iter_mut().enumerate() {
-            arranged |= ensure_probes(rel, &engine.idb_new_masks[pred]);
+            ensure_probes(rel, &engine.idb_new_masks[pred]);
             // A wholesale replacement must not alias the replaced
             // relation's version (snapshot dirty tracking).
             rel.succeed_version(&state.new[pred]);
-        }
-        if arranged {
-            run.col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
         }
         state.new = next;
         if steps >= cap {
@@ -1179,21 +1168,14 @@ pub(crate) fn apply_contrib<P>(
     col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
     col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
     state.delta = next_delta;
-    let t_arr = Instant::now();
-    if ensure_delta_indexes(engine, state) {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    drain_arrange_merges(state, col);
+    ensure_delta_indexes(engine, state);
 }
 
-/// Ensures the per-iteration delta's probe structures; returns whether
-/// any dispatched to an arrangement (see [`ensure_probes`]).
-pub(crate) fn ensure_delta_indexes<P: Pops>(engine: &Engine<P>, state: &mut IdbState<P>) -> bool {
-    let mut arranged = false;
+/// Ensures the per-iteration delta's probe structures.
+pub(crate) fn ensure_delta_indexes<P: Pops>(engine: &Engine<P>, state: &mut IdbState<P>) {
     for (pred, rel) in state.delta.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &engine.idb_delta_masks[pred]);
+        ensure_probes(rel, &engine.idb_delta_masks[pred]);
     }
-    arranged
 }
 
 #[cfg(test)]

@@ -13,8 +13,9 @@
 //!   assembles the columns;
 //! * [`storage`] — relations carry lazily built **hash-prefix indexes**
 //!   per (relation, bound-column-set), maintained incrementally as the
-//!   monotone `new` state grows, or **sorted columnar arrangements**
-//!   ([`arrange`]) on relations wider than a packed key (arity > 2);
+//!   monotone `new` state grows; a bulk-loaded EDB relation wider than
+//!   a packed key (arity > 2) is probed through one **sorted run**
+//!   ([`arrange`]) instead, for as long as nothing is appended to it;
 //! * [`plan`] — a **rule compiler** greedily orders each sum-product's
 //!   atoms by bound-variable coverage and resolves every argument to a
 //!   column operation (probe / bind / check) at compile time: a seed
@@ -153,9 +154,9 @@
 //! being the compile — and setup was the operation: traced, seed 1,
 //! `reported.setup_s` 0.225 → 0.043 s and `bench.op_wall_median_s`
 //! 0.273 → 0.080 s against the two-pass, SipHash, map-per-row loader
-//! this replaced, with `reported.edb_index_s` (0.032 s, the one
-//! arrangement sort of `F`, now ≈ 40 % of the operation) and every
-//! work counter unchanged. What is left of the load is the walk over
+//! this replaced, with the one sort of `F` (0.032 s, now ≈ 40 % of the
+//! operation; `reported.edb_index_s` then, `reported.arrange_s` since
+//! PR 21) and every work counter unchanged. What is left of the load is the walk over
 //! the classic `BTreeMap<Vec<Constant>, P>` itself — a pointer chase
 //! per tuple — which only a different input format would remove. The
 //! loader takes it in batches of a few hundred tuples and reads each
@@ -230,55 +231,87 @@
 //! marking pass, the zero-out, and the rederive all exist purely to pay
 //! for deletion.
 //!
-//! ## Design note: sorted arrangements — merge probes and epoch-shared snapshots
+//! ## Design note: two probe structures, one regime each
 //!
-//! [`arrange`] is the sorted counterpart of the hash-prefix index: a
-//! relation's rows re-ordered by a **column permutation** (probe
-//! columns first, ascending, then the rest), held as an LSM-style
-//! spine of immutable `Arc`-shared batches with size-tiered merging.
-//! Three contracts make it a drop-in second probe structure:
+//! A join step probes a relation through one of two structures, and
+//! which one is decided by what the relation can observe about itself —
+//! no option, no planner hint ([`ColumnRel::ensure_probe`], the one
+//! place):
 //!
-//! * **Sort orders.** The permutation for mask `m` starts with `m`'s
-//!   columns ascending, so the executor's probe key (always assembled
-//!   ascending) compares directly against a batch-key prefix — one
-//!   binary-search pair per batch answers the probe, and every mask
-//!   whose ascending column list is a prefix of the permutation rides
-//!   the same arrangement for free (`{c0}` on `{c0,c1}`'s order).
-//!   Range and prefix scans fall out of the same search.
-//! * **Spine merging.** Appends become size-1 batches, merged whenever
-//!   the newest batch has caught up with its predecessor — `O(log n)`
-//!   batches, `O(n log n)` total merge work (Bentley–Saxe), counted in
-//!   `arrange_batches_merged`. A bulk `ensure` on a populated relation
-//!   sorts once into a single batch instead.
-//! * **Snapshot contract.** Batches are immutable behind `Arc`s, so
-//!   cloning a relation (what a [`Materialization`] epoch snapshot
-//!   does) shares every batch without copying row data; the writer's
-//!   subsequent appends land in new batches the snapshot never sees.
-//!   This pairs with the **append-only interner**: a snapshot's ids
-//!   stay valid forever because ids are never reassigned, so frozen
-//!   batches and a cloned interner together form a consistent frozen
-//!   epoch. Values are *not* duplicated into batches — probes return
-//!   row ids into the relation's flat storage, the hash-probe
-//!   contract.
+//! * A relation that is **bulk** — loaded whole by the EDB loader
+//!   ([`ColumnRel::from_distinct_rows`]) and not appended to since —
+//!   and whose probe keys are too wide to pack into a `u64` (arity > 2)
+//!   gets a **sorted run** ([`arrange`]): its rows re-ordered by a
+//!   column permutation (probe columns first, ascending, then the
+//!   rest), one immutable `Arc`-shared array built by one sort. The
+//!   executor's probe key (always assembled ascending) compares directly
+//!   against a key prefix, so two binary searches answer a probe, and
+//!   every mask whose ascending column list is a prefix of the
+//!   permutation rides the same run for free (`{c0}` on `{c0,c1}`'s
+//!   order). Values are not duplicated — probes return row ids into the
+//!   relation's flat storage, the hash-probe contract — and a clone of
+//!   the relation (the `@old` snapshot of an edit) shares the run.
+//! * Everything else gets a **hash-prefix index**, maintained by every
+//!   append: every relation of arity ≤ 2 (packed keys), and every
+//!   relation that **grows while it is probed**, at any arity — the IDB
+//!   state, every Δ, `@dlt`, the relations a delete rebuilds. A
+//!   nonlinear rule is exactly the one that does this, one
+//!   `merge_changed` per derivation with `New` / `Old` probes in
+//!   between (Thm. 6.5).
 //!
-//! **Determinism.** Arranged probes collect matching row ids across
-//! all batches and sort them ascending — exactly the order hash
-//! posting lists hold (built ascending, maintained by append) — so a
-//! plan visits rows identically through either structure and results
-//! are **bit-identical** on every POPS, including non-associative f64
+//! A relation changes regime once, in one place: the **first append**
+//! to a relation holding sorted runs (a [`Materialization::insert`] of
+//! a new fact into a bulk-loaded wide EDB relation) drops them and
+//! builds the hash index of every mask they had been asked for
+//! (`ColumnRel::append_row`); from then on it is a grown relation like
+//! any other. The executor resolves, once per plan run, which structure
+//! a step's relation holds, so nothing else has to know.
+//!
+//! Until PR 21 the sorted side also served growing relations, through a
+//! Bentley–Saxe spine (size-1 batches per append, size-tiered merges,
+//! probes across all `O(log n)` batches). The measurements that retired
+//! it, on that commit's public [`ColumnRel`] API and this host — each
+//! structure owns one regime:
+//!
+//! | regime | sorted | hash |
+//! |---|---|---|
+//! | bulk, then read-only: 300 000 arity-4 rows, masks `0b0111` + `0b1111` (`wide-lookup`'s shape) | one run, 44–56 ms | two boxed-key indexes, 177–248 ms, plus 57–120 ms to drop them |
+//! | growing while probed: 200 000 arity-3 rows, register, then `merge_changed` + probe per row | spine, 384–431 ms | `KeyedMap::Wide` index, 51–82 ms |
+//! | the same at arity 4 | spine, 498–594 ms | 62–82 ms |
+//!
+//! and no workload of `dlo_benchmark` ever took the spine past its
+//! first batch (`arrange.batches` 1, `reported.arrange_batches_merged`
+//! 0 on all five). With the hash index on the growing side, in one
+//! process against the parent, identical `emits` / `index_probes` /
+//! rows: the labelled quadratic closure over an arity-3 IDB (55 084
+//! rows) 1802 → 1452 ms under the priority frontier, 1427 → 1206 FIFO,
+//! 1211 → 1033 semi-naïve; a [`Materialization`] of the linear twin
+//! over a 9578-row arity-3 EDB, build 2640 → 2149 ms, delete
+//! 3450 → 2752 ms, and the first insert — the one that pays the
+//! conversion — 2.6 → 2.9 ms. `tests/convergence_theorems.rs::`
+//! `wide_relation_growth_is_hash_priced` holds the growing side to a
+//! ratio against its arity-2 twin (3.2–3.5×; the spine read 22×).
+//!
+//! **Determinism.** A sorted probe's row ids are sorted ascending
+//! before the plan sees them — exactly the order hash posting lists
+//! hold (built ascending, maintained by append) — so a plan visits rows
+//! identically through either structure and results are
+//! **bit-identical** on every POPS, including non-associative f64
 //! `⊕`-folds (a storage-level property test compares the two head to
-//! head on every mask of arities 1–5). Which one a relation gets is
-//! therefore a cost question only, and the engine answers it itself, by
-//! one rule in [`storage`]: a probe mask on a relation of **arity > 2**
-//! — where packed-`u64` hash keys give out and a hash index would box a
-//! key per row per mask — is served by an arrangement, everything
-//! narrower by a packed hash index ([`ColumnRel::ensure_probe`]). There
-//! is no option to set: `dlo_benchmark`'s `wide-lookup` runs all 4000
-//! of its probes on the arranged side of the rule and the other four
-//! workloads run all of theirs on the hash side. `explain()` attributes
-//! the structure per rule, the `merge_join_steps` / `hash_join_steps`
-//! counters always sum to `index_probes`, and all three are functions
-//! of the program and its input — [`EvalStats::invariants`] keeps them.
+//! head on every mask of arities 1–5, across the conversion). An edited
+//! wide EDB relation therefore answers by hash where a from-scratch run
+//! over the same facts sorts afresh, with the same result.
+//! `dlo_benchmark`'s `wide-lookup` runs all 4000 of its probes on the
+//! sorted side of the rule and the other four workloads run all of
+//! theirs on the hash side. `explain()` tags each rule with the
+//! structure a from-scratch run gives it (`merge` only for probes into
+//! an EDB relation of arity > 2), the `merge_join_steps` /
+//! `hash_join_steps` counters always sum to `index_probes` and are the
+//! truth for the run at hand, and all three are functions of the
+//! program, its input and — for a handle — its edit history;
+//! [`EvalStats::invariants`] keeps them. `arrange_batches_merged` reads
+//! 0 under every schedule and stays only because the frozen benchmark
+//! reads the field; [`PhaseNanos::arrange`] times the bulk sorts.
 //!
 //! [`Strategy`] is bounded over the union of what its loops need, with
 //! `Auto` resolving to the priority frontier — callers over `Trop`,

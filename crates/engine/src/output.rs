@@ -57,8 +57,8 @@ impl<P: Pops> InternedOutput<P> {
     /// Replaces one predicate's storage in place —
     /// [`Materialization`](crate::incremental) refreshes only the
     /// relations whose [`ColumnRel::version`] moved since the snapshot
-    /// was taken, leaving untouched predicates' clones (and their
-    /// `Arc`-shared arrangement batches) alive across edit epochs.
+    /// was taken, leaving untouched predicates' clones alive across
+    /// edit epochs.
     pub(crate) fn update_relation(&mut self, idx: usize, rel: ColumnRel<P>) {
         self.rels[idx] = rel;
     }

@@ -274,11 +274,12 @@ pub struct PlanMeta {
     pub label: String,
     /// Plan family: `"seed"` or `"delta"`.
     pub kind: &'static str,
-    /// Which probe structures the plan's probing steps run against
-    /// (decided per step by relation arity, see
+    /// Which probe structures the plan's probing steps run against in
+    /// a from-scratch run (decided per step by what is probed, see
     /// [`ColumnRel::ensure_probe`](crate::ColumnRel::ensure_probe)):
-    /// `"merge"` (all arranged), `"hash"` (all hash-indexed),
-    /// `"mixed"`, or `"scan"` (no probing step at all).
+    /// `"merge"` (all sorted runs — EDB relations of arity > 2),
+    /// `"hash"` (all hash-indexed), `"mixed"`, or `"scan"` (no probing
+    /// step at all).
     pub join: &'static str,
 }
 
@@ -768,7 +769,13 @@ impl Compiler<'_> {
 }
 
 /// The join-strategy tag of one plan: what each probing step
-/// dispatches to, folded across steps.
+/// dispatches to, folded across steps. A step reads a sorted run only
+/// when its source is an EDB relation too wide for a packed key — IDB
+/// and Δ relations grow while they are probed and index by hash at any
+/// arity. The tag is what a from-scratch run does: an EDB relation a
+/// [`Materialization`](crate::Materialization) has inserted into probes
+/// by hash from that insert on, and `merge_join_steps` /
+/// `hash_join_steps` in the run's counters are the truth either way.
 fn plan_join<P: Pops>(plan: &Plan<P>) -> &'static str {
     let mut merge = 0usize;
     let mut hash = 0usize;
@@ -776,7 +783,8 @@ fn plan_join<P: Pops>(plan: &Plan<P>) -> &'static str {
         if step.mask == 0 {
             continue;
         }
-        if probes_arranged(step.arity, step.mask) {
+        let edb = matches!(step.source, Source::PopsEdb(_) | Source::BoolEdb(_));
+        if edb && probes_arranged(step.arity, step.mask) {
             merge += 1;
         } else {
             hash += 1;

@@ -1,4 +1,5 @@
-//! Interned columnar relations with hash-prefix indexes.
+//! Interned columnar relations with hash-prefix indexes, and sorted runs
+//! over the ones that were loaded whole.
 //!
 //! A [`ColumnRel`] stores rows in one flat `Vec<u32>` (row-major) with a
 //! parallel value vector and a full-row hash map for O(1) merge. Indexes
@@ -12,6 +13,26 @@
 //! from-scratch run reads its EDB by scan and by prefix probe only, so
 //! the map is built the first time something reads such a relation *by
 //! full key* — see the [`ColumnRel`] docs for who does.
+//!
+//! ## Two probe structures, one regime each
+//!
+//! A relation is in one of two regimes, and it knows which:
+//!
+//! * **bulk** — made by [`ColumnRel::from_distinct_rows`] and not
+//!   appended to since: the EDB of a run. Where its probe keys are too
+//!   wide to pack (`probes_arranged`, arity > 2) it is probed through an
+//!   immutable **sorted run** ([`crate::arrange`]): one sort serves
+//!   every mask that shares the order's prefix, no key is boxed.
+//! * **grown** — made by [`ColumnRel::new`] and filled row by row (the
+//!   IDB state, every Δ, every relation an edit rebuilds), or a bulk
+//!   relation from its first append on: probed through the hash index
+//!   every append keeps current, at any arity.
+//!
+//! [`ColumnRel::ensure_probe`] is the one place that decides, and
+//! [`ColumnRel::append_row`] the one place a relation changes regime:
+//! the first append drops the sorted runs and builds the hash index of
+//! every mask they had been asked for. Nothing sorted is ever
+//! maintained under appends — see the crate docs for what that cost.
 //!
 //! ## Packed keys
 //!
@@ -38,26 +59,30 @@ pub type ColMask = u32;
 /// sizes its stack key buffers by it.
 pub(crate) const MAX_ARITY: usize = 32;
 
-/// The one rule for which probe structure serves `mask` on a relation of
-/// `arity`: a sorted arrangement ([`ColumnRel::ensure_arranged`]) where
-/// the packed-`u64` hash fast path gives out — `arity > 2` — and a
-/// packed hash-prefix index ([`ColumnRel::ensure_index`]) elsewhere;
-/// `mask = 0` is a full scan and needs neither. Called by
-/// [`ColumnRel::ensure_probe`] (what gets built, and so what the
-/// executor probes) and by the planner's `explain()` tags, nowhere else.
+/// Whether probes through `mask` on a relation of `arity` are past the
+/// packed-`u64` hash fast path — `arity > 2` — and so worth a sorted run
+/// ([`ColumnRel::ensure_arranged`]) **where the relation is bulk**;
+/// `mask = 0` is a full scan and needs no structure. Half of the rule:
+/// [`ColumnRel::ensure_probe`] adds the relation's own bulk state (what
+/// gets built, and so what the executor probes), the planner's
+/// `explain()` tags add "is an EDB relation", and nobody else asks.
 ///
 /// Both structures hand a probe the same row ids in the same ascending
-/// order, so the choice is cost only, and the benchmark has a workload
-/// on each side of it (`baseline.json`): `wide-lookup` — two lookups
-/// into a 300k-row arity-4 table, the one leg where arrangements
-/// measured ahead (two masks share one sort order, where a boxed-key
-/// hash index pays a `Box<[u32]>` and a hash insert per row per mask) —
-/// runs all of its probes against arrangements
-/// (`reported.merge_join_steps` 4000, `reported.hash_join_steps` 0);
-/// `apsp-dense` (arity 2) runs all of its probes against packed hash
-/// indexes (`hash_join_steps` = `index_probes` = 239 605,
-/// `merge_join_steps` 0), as do `sssp-sparse`, `point-query` and
-/// `live-edits`.
+/// order, so the choice is cost only, and each owns a regime (parent of
+/// PR 21, this host). *Bulk, then read-only* — 300 000 arity-4 rows,
+/// masks `0b0111` + `0b1111`, `wide-lookup`'s shape: one sorted run
+/// 44–56 ms (the two masks share it), two boxed-key hash indexes
+/// 177–248 ms plus 57–120 ms to drop them. *Growing while probed* —
+/// 200 000 rows of arity 3–4, structure registered on the empty
+/// relation, then `merge_changed` and a probe per row: a boxed-key hash
+/// index 51–82 ms, a log-structured sorted spine 384–594 ms. The
+/// benchmark has a workload on each side (`baseline.json`):
+/// `wide-lookup` runs all of its probes against the sorted run of its
+/// bulk-loaded table (`reported.merge_join_steps` 4000,
+/// `reported.hash_join_steps` 0); `apsp-dense` (arity 2) runs all of
+/// its probes against packed hash indexes (`hash_join_steps` =
+/// `index_probes` = 239 605, `merge_join_steps` 0), as do `sssp-sparse`,
+/// `point-query` and `live-edits`.
 pub(crate) fn probes_arranged(arity: usize, mask: ColMask) -> bool {
     mask != 0 && arity > 2
 }
@@ -282,7 +307,8 @@ impl<P: PreSemiring> AccumMap<P> {
 }
 
 /// An interned finite-support relation: flat rows, values, row map, and
-/// lazily built prefix indexes.
+/// lazily built probe structures — hash-prefix indexes, and sorted runs
+/// while the relation is bulk (see the module docs).
 ///
 /// ## The row map, and who needs it
 ///
@@ -314,15 +340,18 @@ pub struct ColumnRel<P> {
     /// map-registering write.
     map: OnceLock<KeyedMap<u32>>,
     indexes: FxHashMap<ColMask, KeyedMap<Vec<u32>>>,
-    /// Sorted arrangements keyed by the mask that requested them; a
-    /// clone shares their batches (`Arc`), not the row data.
+    /// Sorted runs under every mask that asked for one (a mask whose
+    /// columns lead another's order shares that run); a clone shares
+    /// them (`Arc`), not the row data. Emptied by the first append.
     arrangements: FxHashMap<ColMask, Arrangement>,
+    /// Whether every row came from [`Self::from_distinct_rows`]: loaded
+    /// in one piece and not appended to or cleared since. What
+    /// [`Self::ensure_probe`] goes by.
+    bulk: bool,
     /// Monotone count of index/arrangement *builds* (not incremental
     /// maintenance) — `Materialization` pins its no-churn contract on
     /// this staying flat for untouched relations.
     index_builds: u64,
-    /// Spine merges since the last [`Self::take_arrange_merges`].
-    arrange_merges: u64,
     /// Monotone mutation counter: bumped on every row append, value
     /// overwrite, and clear. Equal versions ⟹ identical contents, which
     /// is what lets [`Materialization`](crate::incremental) skip
@@ -344,8 +373,8 @@ impl<P: Pops> ColumnRel<P> {
             map: OnceLock::from(KeyedMap::new(arity)),
             indexes: FxHashMap::default(),
             arrangements: FxHashMap::default(),
+            bulk: false,
             index_builds: 0,
-            arrange_merges: 0,
             version: 0,
             scratch: Vec::new(),
         }
@@ -362,6 +391,7 @@ impl<P: Pops> ColumnRel<P> {
         assert_eq!(keys.len(), vals.len() * arity, "row arity mismatch");
         ColumnRel {
             map: OnceLock::new(),
+            bulk: true,
             version: vals.len() as u64,
             keys,
             vals,
@@ -403,8 +433,25 @@ impl<P: Pops> ColumnRel<P> {
         for index in self.indexes.values_mut() {
             index.clear();
         }
-        for arr in self.arrangements.values_mut() {
-            arr.clear();
+        self.grow();
+    }
+
+    /// Ends the bulk regime — called by every append before its row
+    /// lands, and by [`Self::clear`] once the rows are gone: the sorted
+    /// runs are dropped (nothing maintains one) and every mask that had
+    /// been asked of them gets the hash index appends keep current, so
+    /// whoever probed a run finds an index (the executor looks for a run
+    /// first and an index otherwise, once per plan run). On a relation
+    /// holding no runs, which is every call but the first on a
+    /// bulk-loaded wide relation, this is one store and one length test.
+    #[inline]
+    fn grow(&mut self) {
+        self.bulk = false;
+        if self.arrangements.is_empty() {
+            return;
+        }
+        for mask in std::mem::take(&mut self.arrangements).into_keys() {
+            self.ensure_index(mask);
         }
     }
 
@@ -466,8 +513,14 @@ impl<P: Pops> ColumnRel<P> {
     /// nothing calls [`Self::rowid`]/[`Self::get`]/[`Self::merge`] on
     /// the relation. Indexes are still maintained. Mixing `append_row`
     /// with the map-dependent methods on one relation is a caller bug.
+    ///
+    /// The first append to a relation holding sorted runs turns them
+    /// into hash indexes (`grow`, above): a bulk-loaded wide EDB
+    /// relation a [`Materialization`](crate::Materialization) inserts a
+    /// new fact into pays one index build per probed mask, once.
     pub fn append_row(&mut self, key: &[u32], value: P) -> u32 {
         assert_eq!(key.len(), self.arity, "row arity mismatch");
+        self.grow();
         self.version += 1;
         let r = self.vals.len() as u32;
         self.keys.extend_from_slice(key);
@@ -479,11 +532,6 @@ impl<P: Pops> ColumnRel<P> {
                 None => index.insert(&self.scratch, vec![r]),
             }
         }
-        let mut merges = 0;
-        for arr in self.arrangements.values_mut() {
-            merges += arr.push(key, r);
-        }
-        self.arrange_merges += merges;
         r
     }
 
@@ -576,21 +624,20 @@ impl<P: Pops> ColumnRel<P> {
             .unwrap_or(&EMPTY)
     }
 
-    /// Builds the sorted arrangement for `mask` if no existing
-    /// arrangement serves it (subsequently maintained batch-wise by
-    /// [`Self::append_row`]/[`Self::insert_row`]). One bulk sort when
-    /// first requested on a populated relation; `mask = 0` needs no
-    /// arrangement.
+    /// Sorts the rows held now into a run serving `mask`, unless a run
+    /// already does (one whose order leads with `mask`'s columns is
+    /// shared, not rebuilt). The run is a picture of this moment: the
+    /// next append drops it and indexes `mask` by hash instead (see
+    /// [`Self::append_row`]). `mask = 0` needs no arrangement.
     pub fn ensure_arranged(&mut self, mask: ColMask) {
-        if mask == 0
-            || self.arrangements.contains_key(&mask)
-            || self.arrangements.values().any(|a| a.serves(mask))
-        {
+        if mask == 0 || self.arrangements.contains_key(&mask) {
             return;
         }
-        self.index_builds += 1;
-        let mut arr = Arrangement::new(self.arity, mask);
-        arr.seed(&self.keys);
+        let shared = self.arrangements.values().find(|a| a.serves(mask));
+        let arr = shared.cloned().unwrap_or_else(|| {
+            self.index_builds += 1;
+            Arrangement::build(self.arity, mask, &self.keys)
+        });
         self.arrangements.insert(mask, arr);
     }
 
@@ -601,30 +648,33 @@ impl<P: Pops> ColumnRel<P> {
     /// arrangement must have been built via [`Self::ensure_arranged`].
     pub fn probe_arranged(&self, mask: ColMask, key: &[u32], out: &mut Vec<u32>) {
         out.clear();
-        let arr = self
-            .arrangements
-            .get(&mask)
-            .or_else(|| self.arrangements.values().find(|a| a.serves(mask)))
-            .expect("probe_arranged before ensure_arranged");
-        arr.probe_into(key, out);
+        self.arrangement_for(mask)
+            .expect("probe_arranged before ensure_arranged")
+            .probe_into(key, out);
         if out.len() > 1 {
             out.sort_unstable();
         }
     }
 
     /// Builds the probe structure joins through `mask` run against —
-    /// the single ensure entry point the drivers call: a sorted
-    /// arrangement when the relation's arity exceeds the packed-key
-    /// width of 2, a hash-prefix index otherwise. Returns whether it was
-    /// the arrangement (the drivers time those builds separately).
+    /// the single ensure entry point the drivers call, and the one
+    /// place the structure is decided: a sorted run where
+    /// `probes_arranged` says the key is too wide for the packed hash
+    /// path **and** the relation is bulk (made by
+    /// [`Self::from_distinct_rows`], not appended to since); a
+    /// hash-prefix index otherwise, which is every relation made by
+    /// [`Self::new`] — the IDB state, every Δ, every relation an edit
+    /// rebuilds — and a bulk one from its first append on. Returns
+    /// whether it was the sorted run (the drivers time those builds
+    /// separately).
     pub fn ensure_probe(&mut self, mask: ColMask) -> bool {
-        let arranged = probes_arranged(self.arity, mask);
-        if arranged {
+        let sorted = self.bulk && probes_arranged(self.arity, mask);
+        if sorted {
             self.ensure_arranged(mask);
         } else {
             self.ensure_index(mask);
         }
-        arranged
+        sorted
     }
 
     /// Monotone count of index/arrangement builds over this relation's
@@ -647,19 +697,12 @@ impl<P: Pops> ColumnRel<P> {
         self.version = self.version.max(prev.version) + 1;
     }
 
-    /// Drains the spine-merge counter accumulated by appends since the
-    /// last call (telemetry: `arrange_batches_merged`).
-    pub fn take_arrange_merges(&mut self) -> u64 {
-        std::mem::take(&mut self.arrange_merges)
-    }
-
-    /// The arrangement serving `mask`, if built (test hook for the
-    /// copy-on-write snapshot contract).
+    /// The sorted run serving `mask`, if [`Self::ensure_arranged`] was
+    /// asked for one and no row has been appended since — what the
+    /// executor's per-plan-run dispatch goes by.
     #[doc(hidden)]
     pub fn arrangement_for(&self, mask: ColMask) -> Option<&Arrangement> {
-        self.arrangements
-            .get(&mask)
-            .or_else(|| self.arrangements.values().find(|a| a.serves(mask)))
+        self.arrangements.get(&mask)
     }
 
     /// Iterates `(row-id, key, value)` in insertion order.
@@ -769,9 +812,12 @@ mod tests {
     /// The one head-to-head comparison of the two probe structures: on
     /// random rows of every arity 1–5, through every non-zero mask, a
     /// hash-index probe and an arranged probe return the same row ids
-    /// in the same (ascending) order — with the structures built before
-    /// any row exists, midway, and after the last, so seeding,
-    /// incremental maintenance and spine merges are all crossed.
+    /// in the same (ascending) order. A third of the masks are asked for
+    /// a sorted run before any row exists and a third midway — the next
+    /// append turns those runs into hash indexes, maintained from there
+    /// — and after the last row every mask gets both structures, so
+    /// the bulk sort, the conversion and incremental index maintenance
+    /// are all crossed.
     #[test]
     fn arranged_probes_match_hash_probes_on_every_mask() {
         let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
@@ -785,18 +831,15 @@ mod tests {
         for arity in 1..=5usize {
             let masks = 1..(1u32 << arity);
             let mut rel = ColumnRel::<Trop>::new(arity);
-            // A third of the masks are registered up front, a third
-            // after 60 rows, the rest after all 120.
-            let build = |rel: &mut ColumnRel<Trop>, phase: u32| {
+            let arrange = |rel: &mut ColumnRel<Trop>, phase: u32| {
                 for mask in masks.clone().filter(|m| m % 3 == phase) {
-                    rel.ensure_index(mask);
                     rel.ensure_arranged(mask);
                 }
             };
-            build(&mut rel, 0);
+            arrange(&mut rel, 0);
             for r in 0..120u32 {
                 if r == 60 {
-                    build(&mut rel, 1);
+                    arrange(&mut rel, 1);
                 }
                 // Small domain: posting lists hold many rows.
                 let key: Vec<u32> = (0..arity).map(|_| (rng() % 4) as u32).collect();
@@ -804,8 +847,11 @@ mod tests {
                     rel.insert_row(&key, Trop::finite(r as f64));
                 }
             }
-            build(&mut rel, 2);
             assert!(rel.len() > 3, "arity {arity}: rows were stored");
+            for mask in masks.clone() {
+                rel.ensure_index(mask);
+                rel.ensure_arranged(mask);
+            }
             for mask in masks {
                 let width = mask.count_ones() as usize;
                 for _ in 0..40 {
@@ -825,6 +871,9 @@ mod tests {
     #[test]
     fn prefix_probe_reuses_wider_arrangement() {
         let mut rel = ColumnRel::<Trop>::new(3);
+        rel.insert_row(&[1, 2, 3], Trop::finite(1.0));
+        rel.insert_row(&[1, 5, 4], Trop::finite(2.0));
+        rel.insert_row(&[2, 2, 5], Trop::finite(3.0));
         rel.ensure_arranged(0b011);
         let builds = rel.index_builds();
         // {0} ascending is a prefix of the [0, 1, 2] order: no new build.
@@ -832,63 +881,67 @@ mod tests {
         assert_eq!(rel.index_builds(), builds);
         assert!(rel.arrangement_for(0b001).is_some());
         assert!(rel.arrangement_for(0b010).is_none());
-        rel.insert_row(&[1, 2, 3], Trop::finite(1.0));
-        rel.insert_row(&[1, 5, 4], Trop::finite(2.0));
-        rel.insert_row(&[2, 2, 5], Trop::finite(3.0));
         let mut out = Vec::new();
         rel.probe_arranged(0b001, &[1], &mut out);
         assert_eq!(out, vec![0, 1]);
     }
 
+    /// What an `@old` snapshot of a bulk EDB relies on: a clone shares
+    /// the sorted run, and keeps answering from it — without the new
+    /// row — after the original grew and went over to a hash index.
     #[test]
-    fn clone_shares_arrangement_batches() {
-        use std::sync::Arc;
-        let mut rel = ColumnRel::<Trop>::new(3);
-        rel.ensure_arranged(0b001);
-        for r in 0..10u32 {
-            rel.insert_row(&[r, r, r], Trop::finite(r as f64));
-        }
+    fn clone_keeps_the_shared_run_when_the_original_grows() {
+        let (mut rel, _) = bulk_and_twin(3);
+        assert!(rel.ensure_probe(0b001));
         let snap = rel.clone();
-        let a = rel.arrangement_for(0b001).unwrap().batches();
-        let b = snap.arrangement_for(0b001).unwrap().batches();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert!(Arc::ptr_eq(x, y), "snapshot copies Arcs, not rows");
-        }
-        // Writer appends diverge without touching the snapshot's view.
+        let run = |r: &ColumnRel<Trop>| r.arrangement_for(0b001).map(|a| a.batches()[0].clone());
+        assert!(
+            std::sync::Arc::ptr_eq(&run(&rel).unwrap(), &run(&snap).unwrap()),
+            "a clone copies the pointer, not the sorted keys"
+        );
         rel.insert_row(&[99, 0, 0], Trop::finite(0.0));
+        assert!(run(&rel).is_none());
+        assert_eq!(rel.probe(0b001, &[99]), &[40]);
         let mut out = Vec::new();
-        rel.probe_arranged(0b001, &[99], &mut out);
-        assert_eq!(out, vec![10]);
         snap.probe_arranged(0b001, &[99], &mut out);
         assert!(out.is_empty());
+        snap.probe_arranged(0b001, &[4], &mut out);
+        assert_eq!(out.as_slice(), rel.probe(0b001, &[4]));
     }
 
     #[test]
-    fn ensure_probe_dispatches_on_arity() {
-        let mut wide = ColumnRel::<Trop>::new(3);
-        assert!(wide.ensure_probe(0b010), "arity 3 → arranged");
+    fn ensure_probe_dispatches_on_arity_and_bulk_state() {
+        let (mut wide, mut grown) = bulk_and_twin(3);
+        assert!(wide.ensure_probe(0b010), "bulk, arity 3 → sorted run");
         assert!(wide.arrangement_for(0b010).is_some());
         assert_eq!(wide.index_builds(), 1);
         assert!(!wide.ensure_probe(0), "a full scan needs no structure");
         assert_eq!(wide.index_builds(), 1);
-        let mut narrow = ColumnRel::<Trop>::new(2);
+        assert!(!grown.ensure_probe(0b010), "grown row by row → hash index");
+        assert!(grown.arrangement_for(0b010).is_none());
+        assert_eq!(grown.probe(0b010, &[0]).len(), 5);
+        let mut empty = ColumnRel::<Trop>::new(3);
+        assert!(!empty.ensure_probe(0b010), "made to be grown → hash index");
+        let (mut narrow, _) = bulk_and_twin(2);
         assert!(!narrow.ensure_probe(0b01), "arity 2 → packed hash index");
         assert!(narrow.arrangement_for(0b01).is_none());
         assert_eq!(narrow.probe(0b01, &[7]), &[0u32; 0]);
+        // A bulk relation that was appended to is a grown one.
+        let (mut late, _) = bulk_and_twin(3);
+        late.insert_row(&[9, 9, 9], Trop::finite(0.0));
+        assert!(!late.ensure_probe(0b010));
     }
 
     #[test]
-    fn cleared_arrangement_resumes_maintenance() {
-        let mut rel = ColumnRel::<Trop>::new(3);
-        rel.ensure_arranged(0b001);
-        rel.insert_row(&[1, 0, 0], Trop::finite(1.0));
+    fn cleared_runs_come_back_as_hash_indexes() {
+        let (mut rel, _) = bulk_and_twin(3);
+        assert!(rel.ensure_probe(0b001));
         rel.clear();
+        assert!(rel.arrangement_for(0b001).is_none());
+        assert_eq!(rel.probe(0b001, &[2]), &[0u32; 0]);
         let builds = rel.index_builds();
         rel.insert_row(&[2, 0, 0], Trop::finite(2.0));
-        let mut out = Vec::new();
-        rel.probe_arranged(0b001, &[2], &mut out);
-        assert_eq!(out, vec![0]);
+        assert_eq!(rel.probe(0b001, &[2]), &[0]);
         assert_eq!(
             rel.index_builds(),
             builds,
@@ -966,25 +1019,42 @@ mod tests {
         }
     }
 
+    /// The two regimes against each other: a bulk relation answers masks
+    /// `0b011` and its prefix `0b001` from one sorted run, its
+    /// `insert_row` twin from two hash indexes; the first append turns
+    /// the run into hash indexes on **both** masks, and every probe —
+    /// before and after — matches the twin's.
     #[test]
     fn probe_structures_built_after_a_bulk_load_match_the_twin() {
         let (mut bulk, mut twin) = bulk_and_twin(3);
-        for rel in [&mut bulk, &mut twin] {
-            rel.ensure_index(0b001);
-            rel.ensure_arranged(0b011);
-            // Maintained through later appends, like any other relation.
-            rel.insert_row(&[2, 50, 7], Trop::finite(0.0));
+        for mask in [0b011, 0b001] {
+            assert!(bulk.ensure_probe(mask));
+            assert!(!twin.ensure_probe(mask));
         }
-        let mut found = (Vec::new(), Vec::new());
-        for a in 0..6 {
-            assert_eq!(bulk.probe(0b001, &[a]), twin.probe(0b001, &[a]));
-            for b in [0, 3, 50] {
-                bulk.probe_arranged(0b011, &[a, b], &mut found.0);
-                twin.probe_arranged(0b011, &[a, b], &mut found.1);
-                assert_eq!(found.0, found.1);
+        assert_eq!(bulk.index_builds(), 1, "the prefix mask shares the run");
+        let keys = |mask: ColMask| {
+            (0..6u32).flat_map(move |a| {
+                [0, 3, 50].map(|b| if mask == 0b011 { vec![a, b] } else { vec![a] })
+            })
+        };
+        let mut found = Vec::new();
+        for mask in [0b011, 0b001] {
+            for key in keys(mask) {
+                bulk.probe_arranged(mask, &key, &mut found);
+                assert_eq!(found.as_slice(), twin.probe(mask, &key));
             }
         }
-        assert_eq!(bulk.index_builds(), twin.index_builds());
+        for rel in [&mut bulk, &mut twin] {
+            rel.insert_row(&[2, 50, 7], Trop::finite(0.0));
+        }
+        assert_eq!(bulk.index_builds(), 3, "one sort, then one index per mask");
+        for mask in [0b011, 0b001] {
+            assert!(bulk.arrangement_for(mask).is_none());
+            for key in keys(mask) {
+                assert_eq!(bulk.probe(mask, &key), twin.probe(mask, &key));
+            }
+        }
+        assert_same_rows(&bulk, &twin);
     }
 
     #[test]

@@ -96,8 +96,8 @@
 //! comparable across strategies; fixpoints are.
 
 use crate::driver::{
-    drain_arrange_merges, mint_key, run_plans_inline, Engine, EngineOpts, IdbState, LoopFail,
-    RoundPlans, Rounds, Run, SemiNaive,
+    mint_key, run_plans_inline, Engine, EngineOpts, IdbState, LoopFail, RoundPlans, Rounds, Run,
+    SemiNaive,
 };
 use crate::exec::HeadVal;
 use crate::govern::Checkpoint;
@@ -494,7 +494,6 @@ where
         &mut run.settled,
         &mut run.col,
     );
-    drain_arrange_merges(state, &mut run.col);
     run.col.end_step(
         start,
         plans.seed_rows,
@@ -563,7 +562,6 @@ where
             &mut run.settled,
             &mut run.col,
         );
-        drain_arrange_merges(state, &mut run.col);
         run.col
             .end_step(steps, batch.len() as u64, frontier.depth() as u64, &before);
     }

@@ -1279,11 +1279,9 @@ fn incremental_leg_company_control_share_sale() {
 /// under the same schedule are the same rounds. They produce the same
 /// interned rows in the same order, the same interner, and equal
 /// `EvalStats::invariants()` — up to what names the run: the stats label, the all-zero profile rows of
-/// the `@dlt` variant plans only a handle compiles, the spine merges of
-/// the IDB arrangements only those plans probe (a handle keeps them
-/// maintained for the edits to come), and the one count the semi-naïve
-/// from-scratch driver adds for the iteration that finds δ empty
-/// (`steps_over_rounds`, mirroring the relational backend).
+/// the `@dlt` variant plans only a handle compiles, and the one count
+/// the semi-naïve from-scratch driver adds for the iteration that finds
+/// δ empty (`steps_over_rounds`, mirroring the relational backend).
 fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
     scenario: &str,
     program: &Program<P>,
@@ -1295,7 +1293,6 @@ fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
     let unnamed = |stats: &EvalStats, extra_steps: u64| {
         let mut inv = stats.invariants();
         inv.strategy.clear();
-        inv.counters.arrange_batches_merged = 0;
         inv.steps += extra_steps;
         inv.rules
             .retain(|r| (r.rule as usize) < program.rules.len());
@@ -1330,13 +1327,14 @@ fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
     }
 }
 
-/// The wide-key regimes the arrangements exist for, as full matrix
-/// scenarios — the arity-4 labelled closure (recursive IDB, three-column
-/// probe) and the wide fact lookup (two masks sharing one sort order) —
-/// and, under every engine schedule, every probe routed through a
-/// sorted arrangement: nothing in these programs is narrow enough for a
-/// packed hash index.
-fn assert_matrix_arranged(scenario: &str, program: &Program<Trop>, edb: &Database<Trop>) {
+/// A wide-key scenario through the full matrix, then from scratch under
+/// every engine schedule: each leg's counters, for the caller to say
+/// which structure its probes must have read.
+fn matrix_probe_counters(
+    scenario: &str,
+    program: &Program<Trop>,
+    edb: &Database<Trop>,
+) -> Vec<(&'static str, datalog_o::engine::Counters)> {
     let bools = BoolDatabase::new();
     assert_matrix_all(scenario, program, edb, &bools);
     let opts = EngineOpts::default();
@@ -1348,8 +1346,18 @@ fn assert_matrix_arranged(scenario: &str, program: &Program<Trop>, edb: &Databas
     ] {
         legs.push((leg, run(program, edb, &bools, CAP, strategy, &opts)));
     }
-    for (leg, out) in &legs {
-        let c = &out.stats().counters;
+    let legs = legs.iter().map(|(leg, out)| (*leg, out.stats().counters));
+    legs.collect()
+}
+
+/// The wide-key regimes the arrangements exist for, as full matrix
+/// scenarios — the arity-4 labelled closure (recursive IDB, three-column
+/// probe) and the wide fact lookup (two masks sharing one sort order) —
+/// and, under every engine schedule, every probe routed through a
+/// sorted arrangement: nothing in these programs is narrow enough for a
+/// packed hash index.
+fn assert_matrix_arranged(scenario: &str, program: &Program<Trop>, edb: &Database<Trop>) {
+    for (leg, c) in matrix_probe_counters(scenario, program, edb) {
         assert!(c.merge_join_steps > 0, "{scenario}/{leg}: nothing arranged");
         assert_eq!(c.hash_join_steps, 0, "{scenario}/{leg}: hash-probed");
     }
@@ -1365,6 +1373,118 @@ fn labelled_closure_wide_keys() {
 fn wide_lookup_wide_keys() {
     let (program, edb) = dlo_bench::wide_lookup(3000, 48, 7);
     assert_matrix_arranged("wide lookup", &program, &edb);
+}
+
+/// Labelled edges `E3(X, Y, A)`: per label `A` a weighted chain over
+/// six nodes with a long shortcut and a closing back edge, so closures
+/// improve rows after inserting them.
+fn labelled_edges(labels: i64) -> Database<Trop> {
+    let edge =
+        |x: i64, y: i64, a: i64, w: f64| (vec![x.into(), y.into(), a.into()], Trop::finite(w));
+    let mut pops = Database::new();
+    pops.insert(
+        "E3",
+        Relation::from_pairs(
+            3,
+            (0..labels).flat_map(|a| {
+                let chain = (0..5).map(move |i| edge(i, i + 1, a, (1 + a) as f64));
+                chain.chain([edge(0, 3, a, 5.0), edge(5, 0, a, 2.0)])
+            }),
+        ),
+    );
+    pops
+}
+
+/// The other side of the rule: a wide relation probed while it grows.
+/// The labelled quadratic closure joins its own arity-3 IDB with itself
+/// — `R(Z, Y, A)` probed on columns `{0, 2}`, and by the Δ plan that
+/// starts from the other occurrence `R(X, Z, A)` on `{1, 2}` — while
+/// `E3` is only scanned: under every schedule every probe is an IDB
+/// probe, every one is answered by a hash index, and the fixpoint is
+/// the grounded oracle's.
+#[test]
+fn labelled_quadratic_closure_probes_a_growing_wide_idb() {
+    let scenario = "labelled quadratic closure (arity 3)";
+    let program: Program<Trop> =
+        parse_program("R(X, Y, A) :- E3(X, Y, A) + R(X, Z, A) * R(Z, Y, A).").unwrap();
+    for (leg, c) in matrix_probe_counters(scenario, &program, &labelled_edges(3)) {
+        assert_eq!(
+            c.merge_join_steps + c.hash_join_steps,
+            c.index_probes,
+            "{scenario}/{leg}"
+        );
+        assert_eq!(c.merge_join_steps, 0, "{scenario}/{leg}: E3 is not probed");
+        assert!(c.hash_join_steps > 0, "{scenario}/{leg}: R is, by hash");
+    }
+}
+
+/// The linear twin on a [`Materialization`], where one relation crosses
+/// from one regime to the other: `E3` is bulk-loaded and probed through
+/// sorted runs by the build, the first insert appends to it — its runs
+/// become hash indexes, while the `@old` snapshot the two-hop rule
+/// registers still reads the shared runs for that one edit — and the
+/// delete rebuilds it as a grown relation. Every epoch, under every
+/// schedule, is the from-scratch run on the edited EDB (which sorts
+/// `E3` afresh) and the grounded oracle, whichever structure answered.
+#[test]
+fn labelled_linear_closure_edits_a_bulk_loaded_wide_edb() {
+    fn check<S: Schedule<Trop> + std::fmt::Debug>(schedule: S) {
+        let scenario = format!("labelled linear closure (arity 3, {schedule:?})");
+        let program: Program<Trop> = parse_program(
+            "R(X, Y, A) :- E3(X, Y, A) + R(X, Z, A) * E3(Z, Y, A).\n\
+             Hop2(X, Y, A) :- E3(X, Z, A) * E3(Z, Y, A).",
+        )
+        .unwrap();
+        let (mut edb, bools) = (labelled_edges(3), BoolDatabase::new());
+        let opts = EngineOpts::default();
+        let mut mat =
+            Materialization::new(&program, &edb, &bools, CAP, schedule, &opts).expect("builds");
+        let epoch = |leg: &str, mat: &mut Materialization<Trop, S>, edb: &Database<Trop>| {
+            let got = mat.output().materialize();
+            let oracle = naive_eval_sparse(&program, edb, &bools, CAP).unwrap();
+            assert_same_db(&scenario, leg, &oracle, &got);
+            let scratch = run(&program, edb, &bools, CAP, schedule, &opts);
+            let s = &scratch.stats().counters;
+            assert_eq!(
+                (s.merge_join_steps, s.hash_join_steps),
+                (s.index_probes, 0),
+                "{scenario}/{leg}: from scratch every probe reads a sorted run"
+            );
+            assert_eq!(scratch.unwrap(), got, "{scenario}/{leg}: from scratch");
+            let c = mat.last_stats().counters;
+            assert!(c.index_probes > 0, "{scenario}/{leg}: the edit probes");
+            assert_eq!(
+                c.merge_join_steps + c.hash_join_steps,
+                c.index_probes,
+                "{scenario}/{leg}"
+            );
+            c
+        };
+        let c = epoch("build", &mut mat, &edb);
+        assert_eq!(c.hash_join_steps, 0, "{scenario}: the build reads runs");
+
+        // A shortcut under label 0 that improves rows downstream.
+        let shortcut = vec![1i64.into(), 4i64.into(), 0i64.into()];
+        edb.get_or_insert("E3", 3)
+            .merge(shortcut.clone(), Trop::finite(0.5));
+        mat.insert(&[FactInsert::new("E3", shortcut, Trop::finite(0.5))])
+            .expect("edit applies");
+        let c = epoch("after insert", &mut mat, &edb);
+        assert!(c.hash_join_steps > 0, "{scenario}: the grown E3 reads hash");
+
+        // The chain's first hop under label 1: its cone must rederive.
+        let hop = vec![0i64.into(), 1i64.into(), 1i64.into()];
+        edb.get_or_insert("E3", 3).set(hop.clone(), Trop::INF);
+        mat.delete(&[FactDelete::new("E3", hop)])
+            .expect("edit applies");
+        let c = epoch("after delete", &mut mat, &edb);
+        assert_eq!(c.merge_join_steps, 0, "{scenario}: no run is left");
+    }
+    check(Naive);
+    check(SemiNaive);
+    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
+        check(strategy);
+    }
 }
 
 /// The engine switches to merge joins past the packed-key width: an

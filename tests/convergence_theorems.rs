@@ -358,6 +358,81 @@ fn merge_cost_is_independent_of_key_shape() {
     );
 }
 
+/// A nonlinear rule probes its IDB *while it grows* — Thm. 6.5's `New`
+/// and `Old` reads sit between the merges — so the O(1)-per-instance
+/// charge has to hold for a probed relation of any arity: 100 000
+/// distinct arity-3 rows `[a, b, c]` merged one by one into an empty
+/// relation whose probe structure for `{a, c}` was ensured up front,
+/// each merge followed by one probe (through whichever structure the
+/// relation holds, the executor's dispatch), against the arity-2 twin
+/// `[a·8 + c, b]` probed on its first column — the same groups, the same
+/// order, min of 3 each. Measured on a 2-core shared host (release):
+/// wide/narrow 3.2–3.5 with the boxed-key hash index a grown relation
+/// keeps (a box per key in the row map and in the index, against two
+/// packed `u64`s), 21.6–22.2 with the log-structured sorted spine that
+/// served arity > 2 until PR 21, whose every append merged runs and
+/// whose every probe searched all of them. The threshold, 6, leaves the
+/// hash index 1.7× of headroom and the spine 3.6× over it. If it trips,
+/// `ColumnRel::ensure_probe` is handing a relation made by
+/// `ColumnRel::new` something that is maintained by re-sorting.
+#[cfg(not(debug_assertions))]
+#[test]
+fn wide_relation_growth_is_hash_priced() {
+    use datalog_o::engine::ColumnRel;
+    use std::hint::black_box;
+    use std::time::Instant;
+    const GROUPS: u64 = 2000;
+    const PER_GROUP: u64 = 50;
+    const WIDE_OVER_NARROW: f64 = 6.0;
+    fn grow_ns<const W: usize>(keys: &[[u32; W]], mask: u32) -> u64 {
+        let cols = |key: &[u32; W]| -> Vec<u32> {
+            (0..W)
+                .filter(|c| mask >> c & 1 == 1)
+                .map(|c| key[c])
+                .collect()
+        };
+        let probes: Vec<Vec<u32>> = keys.iter().map(cols).collect();
+        let mut rel = ColumnRel::<Trop>::new(W);
+        rel.ensure_probe(mask);
+        let (mut found, mut hits) = (vec![], 0usize);
+        let t = Instant::now();
+        for (key, probe) in keys.iter().zip(&probes) {
+            black_box(rel.merge_changed(key, Trop::finite(1.0)));
+            hits += if rel.arrangement_for(mask).is_some() {
+                rel.probe_arranged(mask, probe, &mut found);
+                found.len()
+            } else {
+                rel.probe(mask, probe).len()
+            };
+        }
+        let ns = t.elapsed().as_nanos() as u64;
+        assert_eq!(rel.len(), keys.len());
+        // A group's i-th row finds itself and the i - 1 before it.
+        assert_eq!(hits as u64, GROUPS * PER_GROUP * (PER_GROUP + 1) / 2);
+        ns
+    }
+    // Groups are (a, c) with c < 8; a multiplier coprime to the row
+    // count lands each row far from the previous one.
+    let rows = GROUPS * PER_GROUP;
+    let cells = (0..rows).map(|i| i * 2_654_435_761 % rows);
+    let (wide, narrow): (Vec<[u32; 3]>, Vec<[u32; 2]>) = cells
+        .map(|cell| {
+            let (group, b) = ((cell / PER_GROUP) as u32, (cell % PER_GROUP) as u32);
+            ([group / 8, b, group % 8], [group, b])
+        })
+        .unzip();
+    let (wide_ns, narrow_ns) = (0..3)
+        .map(|_| (grow_ns(&wide, 0b101), grow_ns(&narrow, 0b01)))
+        .reduce(|best, run| (best.0.min(run.0), best.1.min(run.1)))
+        .expect("three runs");
+    assert!(
+        (wide_ns as f64) < WIDE_OVER_NARROW * narrow_ns as f64,
+        "growing and probing [a, b, c] took {:.2}x growing and probing [a*8 + c, b] \
+         ({wide_ns} ns vs {narrow_ns} ns)",
+        wide_ns as f64 / narrow_ns as f64
+    );
+}
+
 /// Theorem 1.2 (converse direction): an unstable core diverges — MaxPlus
 /// with a positive cycle.
 #[test]

@@ -175,18 +175,20 @@ fn explain_attributes_work_to_rules() {
 }
 
 /// Probe attribution: every index probe is served by exactly one of the
-/// two structures, picked by the probed relation's arity, so
-/// `merge_join_steps + hash_join_steps = index_probes` and a program
-/// whose relations all sit on one side of the arity-2 line runs every
-/// probe there — the quadratic closure (arity 2) on hash-prefix
-/// indexes, its labelled arity-4 twin on sorted arrangements (which
-/// also times the `arrange` phase leg). `explain()` tags each probing
-/// rule with the structure, and the stats JSON carries the fields.
+/// two structures, so `merge_join_steps + hash_join_steps =
+/// index_probes`, and which one is fixed by what is probed: a relation
+/// that grows while it is read — every IDB, every Δ — by a hash-prefix
+/// index at any arity, a bulk-loaded EDB relation wider than a packed
+/// key by its sorted run. The quadratic closure (arity 2) and its
+/// labelled arity-4 twin probe only their own IDB and run every probe on
+/// `hash`; the linear labelled closure probes its arity-4 EDB and runs
+/// every probe on `merge` — the one leg that sorts anything, so the one
+/// leg whose `arrange` phase reads non-zero. No schedule merges batches
+/// any more: `arrange_batches_merged` is 0 throughout. `explain()` tags
+/// each probing rule with the structure, and the stats JSON carries the
+/// fields.
 #[test]
 fn probe_telemetry_partitions_index_probes_by_structure() {
-    // Both programs probe the *IDB* on both sides of the recursive
-    // join, so the wide one arranges per-iteration relations rather
-    // than only the static EDB.
     let mut chain = Database::new();
     chain.insert(
         "E",
@@ -197,61 +199,63 @@ fn probe_telemetry_partitions_index_probes_by_structure() {
                 .map(|w| (vec![w[0].into(), w[1].into()], Trop::finite(1.0))),
         ),
     );
+    // Quadratic: both sides of the recursive join are the wide IDB.
     let labelled: datalog_o::core::Program<Trop> =
         parse_program("R(X, Y, A, B) :- E4(X, Y, A, B) + R(X, Z, A, B) * R(Z, Y, A, B).").unwrap();
+    // Linear: the recursive join probes the wide EDB.
+    let (labelled_linear, labels) = dlo_bench::labeled_tc4(2, 5);
     let workloads = [
-        ("hash", ex::quadratic_tc_program::<Trop>(), chain),
-        ("merge", labelled, dlo_bench::labeled_tc4(2, 5).1),
+        (
+            "quadratic",
+            "hash",
+            ex::quadratic_tc_program::<Trop>(),
+            chain,
+        ),
+        ("labelled quadratic", "hash", labelled, labels.clone()),
+        ("labelled linear", "merge", labelled_linear, labels),
     ];
     let bools = BoolDatabase::new();
-    for (tag, program, edb) in &workloads {
+    for (leg, tag, program, edb) in &workloads {
+        let tag = *tag;
         let opts = EngineOpts::default();
         let out = engine_eval_interned(program, edb, &bools, CAP, Strategy::SemiNaive, &opts)
             .expect("compiles");
-        let stats = out.stats();
-        let c = &stats.counters;
-        assert!(c.index_probes > 0, "{tag}: the recursion probes");
-        assert_eq!(
-            c.merge_join_steps + c.hash_join_steps,
-            c.index_probes,
-            "{tag}: the split partitions the probe total"
-        );
-        let arranged = *tag == "merge";
-        let on_side = if arranged {
-            c.merge_join_steps
-        } else {
-            c.hash_join_steps
-        };
-        assert_eq!(on_side, c.index_probes, "{tag}: every probe on one side");
-        // Semi-naïve maintains arrangements incrementally inside row
-        // insertion — counted by `arrange_batches_merged`, not timed.
-        assert_eq!(
-            c.arrange_batches_merged > 0,
-            arranged,
-            "{tag}: spine merges"
-        );
-
-        // The naive driver re-ensures the rebuilt IDB's probe structures
-        // every iteration: arrangement builds bank time under their own
-        // phase leg, hash index builds never do.
         let naive =
             engine_eval_interned(program, edb, &bools, CAP, Naive, &opts).expect("compiles");
-        assert_eq!(
-            naive.stats().phases.arrange > 0,
-            arranged,
-            "{tag}: arrange leg"
-        );
         assert_eq!(naive.output().materialize(), out.output().materialize());
+        let stats = out.stats();
+        let c = &stats.counters;
+        for stats in [stats, naive.stats()] {
+            let c = &stats.counters;
+            assert!(c.index_probes > 0, "{leg}: the recursion probes");
+            assert_eq!(
+                c.merge_join_steps + c.hash_join_steps,
+                c.index_probes,
+                "{leg}: the split partitions the probe total"
+            );
+            let sorted = tag == "merge";
+            let on_side = if sorted {
+                c.merge_join_steps
+            } else {
+                c.hash_join_steps
+            };
+            assert_eq!(on_side, c.index_probes, "{leg}: every probe on one side");
+            assert_eq!(c.arrange_batches_merged, 0, "{leg}: nothing merges runs");
+            // The phase leg times the bulk sort of a probed wide EDB
+            // relation and nothing else: a hash index build, over the
+            // EDB or over a wide IDB, never banks time there.
+            assert_eq!(stats.phases.arrange > 0, sorted, "{leg}: arrange leg");
+        }
 
         // explain() tags each probing rule with its structure.
         let tags: Vec<&str> = stats.rules.iter().map(|r| r.join.as_str()).collect();
         assert!(
-            tags.contains(tag) && tags.iter().all(|t| t == tag || *t == "scan"),
-            "{tag}: profile tags rules: {tags:?}"
+            tags.contains(&tag) && tags.iter().all(|t| *t == tag || *t == "scan"),
+            "{leg}: profile tags rules: {tags:?}"
         );
         assert!(
             stats.explain().contains(tag),
-            "{tag}: explain renders the tag"
+            "{leg}: explain renders the tag"
         );
 
         // The JSON dialect carries the counters and the arrange leg.
@@ -265,7 +269,7 @@ fn probe_telemetry_partitions_index_probes_by_structure() {
             assert_eq!(
                 counters.get(field).and_then(|x| x.as_u64()),
                 Some(want),
-                "{tag}: {field} serialized"
+                "{leg}: {field} serialized"
             );
         }
         let phases = v.get("phases").expect("phases object");
