@@ -85,12 +85,22 @@ pub struct Counters {
     /// when no token is installed).
     pub cancel_polls: u64,
     /// IDB rows a maintenance delete's marking pass put in the affected
-    /// cone (0 for everything that is not a delete).
+    /// cone (0 for everything that is not a delete): under a
+    /// `Strategy` handle the rows some derivation through a deleted
+    /// fact **attains** the stored value of, transitively; under
+    /// `Naive` / `SemiNaive` every row such a derivation reaches at all.
     pub cone_rows: u64,
-    /// IDB rows a maintenance delete dropped before rederiving — what
-    /// the rederive's `rows_inserted` is to be read against (0 for
-    /// everything that is not a delete, and for a delete stopped before
-    /// its zero-out).
+    /// Rows held, when the delete started, by the IDB relations its
+    /// cone was marked in — what `cone_rows` is a share of (0 when
+    /// nothing was marked).
+    pub cone_of_rows: u64,
+    /// IDB rows a maintenance delete took out of the state before
+    /// rederiving — zeroed in place under a `Strategy` handle, dropped
+    /// from storage under `Naive` / `SemiNaive` — and what the
+    /// rederive's `rows_inserted` (the rows that came back) is to be
+    /// read against: the difference is gone for good. 0 for everything
+    /// that is not a delete, and for a delete stopped before its
+    /// zero-out.
     pub rows_retracted: u64,
 }
 
@@ -113,6 +123,7 @@ impl Counters {
         self.budget_checks += other.budget_checks;
         self.cancel_polls += other.cancel_polls;
         self.cone_rows += other.cone_rows;
+        self.cone_of_rows += other.cone_of_rows;
         self.rows_retracted += other.rows_retracted;
     }
 
@@ -137,6 +148,7 @@ impl Counters {
             budget_checks: self.budget_checks - earlier.budget_checks,
             cancel_polls: self.cancel_polls - earlier.cancel_polls,
             cone_rows: self.cone_rows - earlier.cone_rows,
+            cone_of_rows: self.cone_of_rows - earlier.cone_of_rows,
             rows_retracted: self.rows_retracted - earlier.rows_retracted,
         }
     }
@@ -317,8 +329,9 @@ impl EvalStats {
     /// emission over), and the rest of the phase — merging emissions
     /// into the relations, the frontier or Δ bookkeeping between plans
     /// — is printed per emission as `merge+queue`. A maintenance delete that
-    /// marked anything adds a `delete:` line: the cone, the rows
-    /// dropped, and how many of them the rederive brought back.
+    /// marked anything adds a `delete:` line: the cone, the rows taken
+    /// out, how many of them the rederive brought back, and the cone's
+    /// share of the relations it was marked in.
     pub fn explain(&self) -> String {
         let ms = |ns: u64| ns as f64 / 1e6;
         let mut s = String::new();
@@ -374,13 +387,17 @@ impl EvalStats {
             c.arrange_batches_merged
         );
         if c.cone_rows > 0 {
-            // A delete that touched something. How far its syntactic
-            // cone over-reached: everything re-inserted was retracted
-            // for nothing.
+            // A delete that touched something: how much of the state it
+            // took out and put back, and what share of the relations it
+            // marked in that was.
             let _ = writeln!(
                 s,
-                "delete: marked {} rows | retracted {} | re-inserted {}",
-                c.cone_rows, c.rows_retracted, c.rows_inserted
+                "delete: marked {} rows | retracted {} | re-inserted {} | cone {:.1} % of {} rows",
+                c.cone_rows,
+                c.rows_retracted,
+                c.rows_inserted,
+                100.0 * c.cone_rows as f64 / c.cone_of_rows.max(1) as f64,
+                c.cone_of_rows
             );
         }
         if !self.rules.is_empty() {
@@ -479,6 +496,7 @@ fn write_counters(w: &mut json::Writer, c: &Counters) {
     w.u64_field("budget_checks", c.budget_checks);
     w.u64_field("cancel_polls", c.cancel_polls);
     w.u64_field("cone_rows", c.cone_rows);
+    w.u64_field("cone_of_rows", c.cone_of_rows);
     w.u64_field("rows_retracted", c.rows_retracted);
     w.obj_close();
 }

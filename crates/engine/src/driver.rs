@@ -45,7 +45,7 @@ use crate::intern::Interner;
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 use crate::par;
 use crate::plan::{compile_demand, CompileError, CompiledProgram, Plan, Source};
-use crate::storage::{AccumMap, ColMask, ColumnRel};
+use crate::storage::{probes_full_key, AccumMap, ColMask, ColumnRel};
 use crate::telemetry::Collector;
 use dlo_core::ast::Program;
 use dlo_core::eval::stats::EvalStats;
@@ -303,14 +303,21 @@ impl<P: Pops> Engine<P> {
     }
 
     /// Folds `(source, mask)` probe requirements into the per-relation
-    /// mask lists (`Old` reads share `New`'s storage). Nothing is built
-    /// here: call before [`Run::prepare`].
+    /// mask lists (`Old` reads share `New`'s storage). A full-key probe
+    /// of an IDB's standing state asks for nothing: the executor answers
+    /// it from the relation's row map (`storage::probes_full_key`).
+    /// Nothing is built here: call before [`Run::prepare`].
     pub(crate) fn require_probes(&mut self, reqs: &[(Source, ColMask)]) {
         for &(source, mask) in reqs {
             let masks = match source {
                 Source::PopsEdb(i) => &mut self.pops_masks[i],
                 Source::BoolEdb(i) => &mut self.bool_masks[i],
-                Source::IdbNew(i) | Source::IdbOld(i) => &mut self.idb_new_masks[i],
+                Source::IdbNew(i) | Source::IdbOld(i) => {
+                    if probes_full_key(self.compiled.idbs[i].1, mask) {
+                        continue;
+                    }
+                    &mut self.idb_new_masks[i]
+                }
                 Source::IdbDelta(i) => &mut self.idb_delta_masks[i],
             };
             if !masks.contains(&mask) {
@@ -745,6 +752,14 @@ mod sealed {
         /// [`crate::Materialization`] maintained under this schedule.
         const MAINTENANCE_SUFFIX: &'static str;
 
+        /// Whether the schedule's bounds license a
+        /// [`crate::Materialization`] to take deletes by **attaining
+        /// cone** (`crate::incremental`, "Deletes"): the argument needs
+        /// `Absorptive + TotallyOrderedDioid`, which is what
+        /// [`crate::Strategy`] is bounded over and [`Naive`] /
+        /// [`SemiNaive`] are not.
+        const ATTAINING_DELETES: bool;
+
         /// The schedule's loop from the empty state over a prepared
         /// engine.
         fn run(
@@ -819,6 +834,7 @@ pub(crate) struct RoundPlans<'a, P> {
 #[allow(private_interfaces)]
 impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
     const MAINTENANCE_SUFFIX: &'static str = "-naive";
+    const ATTAINING_DELETES: bool = false;
 
     fn run(
         self,
@@ -854,6 +870,7 @@ where
     P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
+    const ATTAINING_DELETES: bool = false;
 
     fn run(
         self,

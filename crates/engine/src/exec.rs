@@ -7,7 +7,10 @@
 //! carries a sorted arrangement serving the step's mask — through the
 //! arrangement's binary searches (a merge probe, dispatched per step
 //! on whichever structure exists; both yield row ids in identical
-//! ascending order). The *old* state `J(t-1)` is read through
+//! ascending order), or — when the key names every column of a
+//! standing IDB relation — through that relation's row map, which
+//! answers with the one row or none and needs no index of its own. The
+//! *old* state `J(t-1)` is read through
 //! the *new* state's storage plus the per-iteration `changed` map
 //! (appended rows are skipped, updated rows patched back), so `J(t)` and
 //! `J(t-1)` share one physical relation and one index set. A frontier
@@ -236,18 +239,21 @@ pub fn run_plan<'a, P: Pops>(
     emit: &mut dyn FnMut(&[u32], P),
     emit_fresh: &mut dyn FnMut(&[HeadVal], P),
 ) {
-    // Resolve each probing step's arrangement once per plan run: the
+    // Resolve each probing step's structure once per plan run: the
     // step → relation mapping is fixed for the run, and looking the
     // arrangement up per probe (a hash get plus a prefix-sharing scan)
     // would sit on the hot join path.
-    let step_arr: Vec<Option<&'a Arrangement>> = plan
+    let step_probe: Vec<StepProbe<'a>> = plan
         .steps
         .iter()
         .map(|s| {
-            if s.mask == 0 {
-                return None;
+            if s.reads_row_map() {
+                return StepProbe::RowMap;
             }
-            resolve_step(ctx, s).and_then(|rel| rel.arrangement_for(s.mask))
+            let arr = (s.mask != 0)
+                .then(|| resolve_step(ctx, s)?.arrangement_for(s.mask))
+                .flatten();
+            arr.map_or(StepProbe::Index, StepProbe::Arranged)
         })
         .collect();
     let mut runner = Runner {
@@ -257,7 +263,7 @@ pub fn run_plan<'a, P: Pops>(
         values: vec![None; plan.nfactors],
         row_keys: vec![None; plan.steps.len()],
         arr_rows: vec![Vec::new(); plan.steps.len()],
-        step_arr,
+        step_probe,
         counters,
         emit,
         emit_fresh,
@@ -266,6 +272,19 @@ pub fn run_plan<'a, P: Pops>(
         runner.slots[s] = id;
     }
     runner.step(0);
+}
+
+/// What answers a step's probes (a scanning step never asks).
+#[derive(Clone, Copy)]
+enum StepProbe<'a> {
+    /// A hash-prefix index ([`ColumnRel::probe`]).
+    Index,
+    /// A sorted run: binary searches, the merge-probe path.
+    Arranged(&'a Arrangement),
+    /// The full-key row map of a standing IDB relation
+    /// ([`ColumnRel::rowid`]): at most one row, no posting list behind
+    /// it — counted as a hash probe, which it is.
+    RowMap,
 }
 
 /// How a step's relation is read.
@@ -293,6 +312,12 @@ impl<'a, P: Pops> StepRel<'a, P> {
         match self {
             StepRel::Pops(r) | StepRel::PopsOld(r, _) => r.probe(mask, key),
             StepRel::Guard(r) => r.probe(mask, key),
+        }
+    }
+    fn rowid(&self, key: &[u32]) -> Option<u32> {
+        match self {
+            StepRel::Pops(r) | StepRel::PopsOld(r, _) => r.rowid(key),
+            StepRel::Guard(r) => r.rowid(key),
         }
     }
     /// The sorted arrangement serving `mask`, if one is built — the
@@ -330,10 +355,8 @@ struct Runner<'r, 'a, P: Pops> {
     /// giving each depth its own buffer keeps the recursion
     /// allocation-free in steady state.
     arr_rows: Vec<Vec<u32>>,
-    /// Per-step arrangement dispatch, resolved once in [`run_plan`]:
-    /// `Some` routes the step's probes through the sorted arrangement,
-    /// `None` through the hash-prefix index.
-    step_arr: Vec<Option<&'a Arrangement>>,
+    /// Per-step probe dispatch, resolved once in [`run_plan`].
+    step_probe: Vec<StepProbe<'a>>,
     counters: &'r mut ExecCounters,
     emit: &'r mut dyn FnMut(&[u32], P),
     emit_fresh: &'r mut dyn FnMut(&[HeadVal], P),
@@ -417,7 +440,7 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
             *cell = id;
         }
         let key = &key[..step.probe.len()];
-        if let Some(arr) = self.step_arr[i] {
+        if let StepProbe::Arranged(arr) = self.step_probe[i] {
             // Arranged path: collect matches across spine batches into
             // this depth's buffer, sorted ascending — the exact order
             // the hash posting lists hold, so both paths emit
@@ -437,7 +460,14 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
             }
             self.arr_rows[i] = rows;
         } else {
-            let rows = rel.probe(step.mask, key);
+            let hit;
+            let rows = match self.step_probe[i] {
+                StepProbe::RowMap => {
+                    hit = rel.rowid(key);
+                    hit.as_slice()
+                }
+                _ => rel.probe(step.mask, key),
+            };
             self.counters.probes += 1;
             self.counters.hash_probes += 1;
             self.counters.scanned += rows.len() as u64;

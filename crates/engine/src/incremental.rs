@@ -28,23 +28,118 @@
 //! `⊖`: their contributions are `⊕`-merged into `J`, and every row that
 //! strictly improved is queued.
 //!
-//! ## Deletes: DRed generalized to dioid values
+//! ## Deletes: two regimes, one continuation
 //!
 //! Deletion is where non-idempotent / non-invertible `⊕` bites: a
 //! deleted row's contributions are folded into downstream sums and
 //! cannot be subtracted pointwise (no general `⊖` restores them, and
 //! on absorptive dioids many distinct support sets share one value).
-//! The classical delete–rederive answer carries over to POPS values:
+//! The classical delete–rederive answer carries over to POPS values —
+//! mark a cone of rows that may change, take them out of the state,
+//! and let the handle's schedule re-derive them from what is left —
+//! and what the handle's [`Schedule`] is bounded over decides how
+//! small the cone can be and how it is taken out.
+//!
+//! ### Under a [`Strategy`]: the attaining cone, zeroed in place
+//!
+//! A [`Strategy`] is only a schedule for `Absorptive +
+//! TotallyOrderedDioid` POPS (the 0-stable case of Cor. 5.19): `⊕` is
+//! the maximum of a chain and `a ⊗ b ⊑ a`. There a row's value **is**
+//! the value of one derivation — an attaining one — and a row can only
+//! change if every attaining derivation is lost.
+//!
+//! 1. **Mark by attained value.** The `@dlt` variant plans (batch rows
+//!    at their old values) and then the Δ family, fed the newly marked
+//!    rows round by round, enumerate every ground instance that uses a
+//!    deleted fact or a marked row, all of it evaluated at the old
+//!    fixpoint `J`. Each round `⊕`-folds its contributions per head key,
+//!    and the head joins the cone only when the fold **equals** its
+//!    stored value: contributions at `J` are never above `J` (it is a
+//!    fixpoint), so equality says some instance of the round attains.
+//!
+//!    *Unmarked rows do not change.* Let `J′` be the fixpoint after the
+//!    delete and `W` the unmarked rows with `J′(x) ≠ J(x)` (so `J′(x) ⊏
+//!    J(x)`: deleting only lowers). Suppose `W` is not empty; let `v` be
+//!    the best value `J` holds on `W`, and among the rows of `W` holding
+//!    it let `x` be one that reached `v` **first** in the naïve iteration
+//!    `J(0) = 0, J(t+1) = F(J(t))` that built `J`, at step `t`. `⊕` is a
+//!    maximum, so one ground instance `r` of `x` had value `v` at
+//!    `J(t−1)`; by monotonicity `r` yields at least `v` at `J`, and at
+//!    most `v` because `J` is a fixpoint: `r` attains at `J`. Had `r`
+//!    used a deleted fact or a marked row, the round that enumerated it
+//!    would have folded to `v` and marked `x`; so `r` uses neither, and
+//!    is an instance of the edited program too. `J′(x) ⊏ v` then means
+//!    `r` yields less at `J′` than at `J`: some body row `b` of `r` has
+//!    `J′(b) ⊏ J(b)` and is unmarked — `b ∈ W`. Absorption makes a
+//!    product no better than any of its factors (`a ⊗ b ⊑ a ⊗ 1 = a`),
+//!    so `v ⊑ J(t−1)(b) ⊑ J(b)`, and `v` is the best value on `W`, so
+//!    `J(b) = v = J(t−1)(b)`: `b` held `v` a step before `x` did,
+//!    against the choice of `x`. Hence `W` is empty. ∎
+//!
+//!    Zero-weight cycles (rows attaining each other's values in a ring)
+//!    and a non-strict `⊗` (`MaxMin`: ties everywhere) are inside the
+//!    argument, and are what `tests/incremental.rs` generates. It needs
+//!    every IDB factor to enter the product as it is: a value function
+//!    on an IDB factor (the sum-products whose splits the compiler
+//!    marks `Plan::frontier_only`) may improve on its argument, and a
+//!    handle over such a program marks syntactically (below). The
+//!    arithmetic is the stored one — a variant plan multiplies the same
+//!    factors in the same order as the plan that stored the value — so
+//!    equality is exact on `f64` carriers too.
+//! 2. **Zero in place.** Marked rows are set to `0` where they stand:
+//!    row ids, row order and every index survive, and the executor
+//!    drops a derivation the moment its product is `0`. Nothing is
+//!    rebuilt, and no row moves — which is what keeps an edit's exact
+//!    work counters a function of the edit and not of the handle's
+//!    history: a frontier merges emissions one at a time, so what it
+//!    counts as improved or absorbed depends on row order, and a handle
+//!    that moved its cone to the end of the relation on every delete
+//!    would do different work for the same edit the second time.
+//! 3. **Re-derive only the cone.** The survivors are a pre-fixpoint of
+//!    the edited operator `F′` below its least fixpoint, and — every
+//!    attaining derivation of an unmarked row reads unmarked rows only
+//!    — `F′` leaves them where they are: all that is missing is
+//!    `F′(survivors)` on the marked keys. Beside the `@dlt` / `@old`
+//!    variants the handle compiles one **head-guarded variant** per
+//!    sum-product, `H(args) :- H@cone(args) * body`, `H@cone` an engine
+//!    relation staged per delete with the marked keys at `1` and forced
+//!    first by the join order exactly as `@dlt` is; behind the guard the
+//!    EDB atoms are joined ahead of the standing IDB, which is reached
+//!    last, by full key, through its row map. Those plans seed the
+//!    handle's schedule, which runs to the new fixpoint; a rule whose
+//!    head applies a key function cannot be guarded by key and seeds
+//!    with its full plan instead (its emissions outside the cone are
+//!    absorbed). Rows still `0` afterwards have no derivation left and
+//!    are dropped; the `@cone` relations are cleared on every exit.
+//!    Dropping is in place too where the lost rows are the relation's
+//!    tail (`ColumnRel::truncate`) — the delete that undoes the latest
+//!    insert loses exactly the rows that insert appended — and a rebuild
+//!    of the relation without them otherwise. The difference is a step,
+//!    not a slope: on the 87 321-row closure above the rebuild was
+//!    5–7 ms and 6.5 MiB of transient on top of a 1–4 ms delete, paid by
+//!    the edges that connect something new and by no others.
+//!
+//! A delete then costs its attaining cone: marking, zeroing and
+//! re-deriving are joins driven by the cone's rows. On a strongly
+//! connected 300-node digraph the syntactic cone of one edge is all
+//! 87 321 rows of the closure but one; the attaining cone is at most
+//! the rows the matching insert had improved (where nothing ties,
+//! exactly those), and a cycle of insert, query, delete, query scans
+//! 18 044 tuples where it scanned 885 232.
+//!
+//! ### Under [`crate::Naive`] / [`crate::SemiNaive`]: the syntactic cone, rebuilt
+//!
+//! Without a total order and absorption there is no attaining
+//! derivation to speak of (`⊕` may add), so the cone is DRed's:
 //!
 //! 1. **Overapproximate the affected set**: every IDB key whose
-//!    *derivation-uses* graph reaches a deleted EDB row, found by
-//!    running the same `@dlt` variant plans (batch rows at their old
-//!    values) and then propagating key-sets through the compiled delta
-//!    plans against the pre-edit state. This is per-fact supporting-rule
-//!    provenance read off the plans themselves — purely syntactic, so
-//!    it is sound for any POPS: joins enumerate instances by key, and a
-//!    zero-valued instance stays zero when inputs shrink (value maps
-//!    are monotone and deletions move values down the natural order).
+//!    *derivation-uses* graph reaches a deleted EDB row — the same
+//!    marking rounds, every emitted head key marked whatever its value.
+//!    This is per-fact supporting-rule provenance read off the plans
+//!    themselves — purely syntactic, so it is sound for any POPS: joins
+//!    enumerate instances by key, and a zero-valued instance stays zero
+//!    when inputs shrink (value maps are monotone and deletions move
+//!    values down the natural order).
 //! 2. **Zero out**: drop every affected row (storage is rebuilt without
 //!    them — the surviving rows keep their exact values, because no
 //!    derivation reaching them ever touched a deleted fact).
@@ -56,27 +151,28 @@
 //!    keys absorb their own re-derivation — every derivation of a
 //!    survivor reads survivors only, at unchanged values — which is
 //!    what makes the overapproximation harmless: in the semi-naïve
-//!    advance `F'(surv)ₖ ⊖ survₖ = 0` even when `⊕` is not idempotent;
-//!    under a frontier `survₖ ⊕ F'(surv)ₖ = survₖ` because an
-//!    absorptive `⊕` is, so only the zeroed keys that come back are
-//!    queued.
+//!    advance `F'(surv)ₖ ⊖ survₖ = 0` even when `⊕` is not idempotent.
+//!
+//! A [`Strategy`] handle over a program with a value function on an IDB
+//! factor takes this path as well (its frontier absorbs the survivors'
+//! re-derivation because an absorptive `⊕` is idempotent).
 //!
 //! ## The schedule that built it maintains it
 //!
 //! Every continuation above — the build from the empty state, an
 //! insert from the old fixpoint, a rederive from the survivors — is the
 //! handle's [`Schedule`] resumed from a pre-fixpoint with a seed plan
-//! list: all original plans, the `@dlt` variants, the affected heads'
-//! plans. [`crate::SemiNaive`] (and [`Strategy::SemiNaive`]) folds the
-//! seed in through the semi-naïve advance and runs global Δ rounds;
-//! [`Strategy::Worklist`] and [`Strategy::Priority`] / `Auto` merge it
-//! into the state, queue the strict improvements and drain their own
-//! queue (`worklist`'s one frontier loop, the same one a from-scratch
-//! run uses), so a build costs what the from-scratch run costs and an
-//! edit on a long dependency chain pays per improved row, not per
-//! round (Cor. 5.19). All of them fire the original rules' Δ family,
-//! and so does the DRed *marking* pass, which propagates key sets
-//! through it in global rounds under every schedule.
+//! list: all original plans, the `@dlt` variants, the plans that
+//! re-derive the cone. [`crate::SemiNaive`] (and [`Strategy::SemiNaive`])
+//! folds the seed in through the semi-naïve advance and runs global Δ
+//! rounds; [`Strategy::Worklist`] and [`Strategy::Priority`] / `Auto`
+//! merge it into the state, queue the strict improvements and drain
+//! their own queue (`worklist`'s one frontier loop, the same one a
+//! from-scratch run uses), so a build costs what the from-scratch run
+//! costs and an edit on a long dependency chain pays per improved row,
+//! not per round (Cor. 5.19). All of them fire the original rules' Δ
+//! family, and so does the *marking* pass of a delete, which propagates
+//! the marked rows through it in global rounds under every schedule.
 //!
 //! ## Naïve mode
 //!
@@ -124,12 +220,12 @@ use crate::driver::{
     RoundPlans, Run, Schedule,
 };
 use crate::govern::Checkpoint;
-use crate::output::{InternedOutput, PartialOutput};
-use crate::plan::{Plan, EDB_DELTA_SUFFIX, EDB_OLD_SUFFIX};
+use crate::output::{InternedOutput, PartialOutput, SettledMark};
+use crate::plan::{Plan, EDB_CONE_SUFFIX, EDB_DELTA_SUFFIX, EDB_OLD_SUFFIX};
 use crate::query::{engine_query_eval_interned_edb, QueryAnswer};
 use crate::storage::ColumnRel;
 use crate::worklist::Strategy;
-use dlo_core::ast::{Program, Rule};
+use dlo_core::ast::{Factor, Program, Rule, Term};
 use dlo_core::edit::{Edit, FactDelete, FactInsert};
 use dlo_core::eval::stats::EvalStats;
 use dlo_core::eval::{CancelToken, EvalBudget, EvalError};
@@ -185,6 +281,19 @@ pub struct Materialization<P: Pops, S = Strategy> {
     /// schedule, and affected-set propagation); the variant rules'
     /// splits would only re-derive what the live relations give.
     delta_plans: Vec<Plan<P>>,
+    /// What re-derives a delete's cone, filtered per delete to the
+    /// heads it marked: every seed plan on a syntactic handle; on an
+    /// attaining one the head-guarded `@cone` variants, beside the seed
+    /// plans of the rules whose head no guard can name (key functions).
+    rederive_plans: Vec<Plan<P>>,
+    /// Whether deletes go by the attaining cone (module docs): the
+    /// schedule's bounds license it and no IDB factor sits under a
+    /// value function.
+    attaining: bool,
+    /// Per IDB predicate, the `pops_edb` index of its `H@cone` relation
+    /// (`None` where no rule of `H` is head-guarded — on a syntactic
+    /// handle, everywhere).
+    cones: Vec<Option<usize>>,
     slots: Vec<EditSlot>,
     /// The authoritative classic-form EDB at the current epoch (feeds
     /// the query path and differential testing).
@@ -214,19 +323,45 @@ pub struct Materialization<P: Pops, S = Strategy> {
     partial: Option<PartialOutput<P>>,
 }
 
+/// The program a handle's engine compiles: the original rules, then
+/// the variant rules of [`maintenance_program`].
+struct MaintenanceProgram<P> {
+    program: Program<P>,
+    /// The editable EDB predicates `(name, arity)`, in first-use order.
+    editable: Vec<(String, usize)>,
+    /// Whether the handle deletes by attaining cone.
+    attaining: bool,
+    /// Per original rule, whether it has head-guarded variants.
+    guarded: Vec<bool>,
+    /// Index of the first head-guarded variant rule: the `@dlt`
+    /// variants sit between the original rules and this.
+    cone_rules: usize,
+}
+
 /// Appends the telescoped variant rules: for each sum-product and each
 /// EDB occurrence `i`, a copy reading `E@dlt` at `i`, `E@old` at
 /// earlier EDB occurrences, and the live relations elsewhere. Factor
 /// order (and with it `⊗` order) is preserved, which is what makes the
 /// telescoping identity exact for non-commutative value assembly.
-type MaintenanceProgram<P> = (Program<P>, Vec<(String, usize)>);
-
-fn maintenance_program<P: Pops>(program: &Program<P>) -> Result<MaintenanceProgram<P>, EvalError> {
+///
+/// With `attaining_schedule` (the handle's [`Schedule`] licenses the
+/// attaining cone) and no IDB factor under a value function — the
+/// sum-products the compiler marks `Plan::frontier_only`, which the
+/// attaining argument does not cover — the **head-guarded variants**
+/// follow: `H(args) :- H@cone(args) * body` for every sum-product of
+/// every rule whose head arguments are variables or constants. The
+/// guard holds `1`, the identity, in front of the factors, so a guarded
+/// derivation's value is the unguarded one's bit for bit.
+fn maintenance_program<P: Pops>(
+    program: &Program<P>,
+    attaining_schedule: bool,
+) -> Result<MaintenanceProgram<P>, EvalError> {
     let reserved = |pred: &str| EvalError::Compile {
         detail: format!("predicate {pred:?} uses the reserved '@' namespace"),
     };
     let idbs: HashSet<&str> = program.rules.iter().map(|r| r.head.pred.as_str()).collect();
     let mut editable: Vec<(String, usize)> = vec![];
+    let mut wrapped_idb = false;
     let mut out = program.clone();
     for rule in &program.rules {
         if rule.head.pred.contains('@') {
@@ -237,6 +372,7 @@ fn maintenance_program<P: Pops>(program: &Program<P>) -> Result<MaintenanceProgr
                 if f.atom.pred.contains('@') {
                     return Err(reserved(&f.atom.pred));
                 }
+                wrapped_idb |= f.func.is_some() && idbs.contains(f.atom.pred.as_str());
             }
             let edb_occs: Vec<usize> = sp
                 .factors
@@ -265,7 +401,63 @@ fn maintenance_program<P: Pops>(program: &Program<P>) -> Result<MaintenanceProgr
             }
         }
     }
-    Ok((out, editable))
+    let attaining = attaining_schedule && !wrapped_idb;
+    let cone_rules = out.rules.len();
+    let mut guarded = vec![false; program.rules.len()];
+    for (rule, guarded) in program.rules.iter().zip(&mut guarded) {
+        let nameable = |t: &Term| !matches!(t, Term::Apply(..));
+        *guarded = attaining && rule.head.args.iter().all(nameable);
+        if !*guarded {
+            continue;
+        }
+        let guard = format!("{}{}", rule.head.pred, EDB_CONE_SUFFIX);
+        for sp in &rule.body {
+            let mut gsp = sp.clone();
+            gsp.factors
+                .insert(0, Factor::atom(&guard, rule.head.args.clone()));
+            out.rules.push(Rule {
+                head: rule.head.clone(),
+                body: vec![gsp],
+            });
+        }
+    }
+    Ok(MaintenanceProgram {
+        program: out,
+        editable,
+        attaining,
+        guarded,
+        cone_rules,
+    })
+}
+
+/// A copy of `rels` for a poisoned handle's partial: an attaining
+/// delete stopped between its zero-out and the end of its continuation
+/// leaves rows at `0` in the live state — tombstones, not facts — and
+/// the copy leaves them out, with `settled` carried over to the row
+/// ids the kept rows get.
+fn without_tombstones<P: Pops>(
+    rels: &[ColumnRel<P>],
+    settled: SettledMark,
+) -> (Vec<ColumnRel<P>>, SettledMark) {
+    if !rels
+        .iter()
+        .flat_map(ColumnRel::iter)
+        .any(|(_, _, v)| v.is_zero())
+    {
+        return (rels.to_vec(), settled);
+    }
+    let mut kept_marks = SettledMark::best_effort(rels.len());
+    let kept = rels.iter().enumerate().map(|(pred, rel)| {
+        let mut kept = ColumnRel::new(rel.arity());
+        for (r, key, v) in rel.iter().filter(|(_, _, v)| !v.is_zero()) {
+            let at = kept.insert_row(key, v.clone());
+            if settled.is_settled(pred, r) {
+                kept_marks.mark(pred, at);
+            }
+        }
+        kept
+    });
+    (kept.collect(), kept_marks)
 }
 
 impl<P, S> Materialization<P, S>
@@ -321,25 +513,40 @@ where
                 });
             }
         }
-        let (aug, editable) = maintenance_program(program)?;
+        let aug = maintenance_program(program, S::ATTAINING_DELETES)?;
         let n_rules = program.rules.len();
         // Rebuild path: `prev` carries the retained interner forward
         // (the EDB relations themselves come from `pops_edb` — `prev`
         // holds no relations), so constant ids minted by earlier epochs
         // stay stable across the recovery.
-        let engine = setup(&aug, prev, pops_edb, bool_edb, &[])?;
-        let original = |plans: &[Plan<P>], original: bool| -> Vec<Plan<P>> {
-            plans
-                .iter()
-                .filter(|p| (p.rule_idx < n_rules) == original)
-                .cloned()
-                .collect()
+        let engine = setup(&aug.program, prev, pops_edb, bool_edb, &[])?;
+        // The rule list is the original rules, the `@dlt` variants, the
+        // head-guarded variants: `rule_idx` says which a plan is.
+        let rules = |plans: &[Plan<P>], rules: std::ops::Range<usize>| -> Vec<Plan<P>> {
+            let of = |p: &&Plan<P>| rules.contains(&p.rule_idx);
+            plans.iter().filter(of).cloned().collect()
         };
-        let seed_plans = original(&engine.compiled.seed_plans, true);
-        let edit_plans = original(&engine.compiled.seed_plans, false);
-        let delta_plans = original(&engine.compiled.delta_plans, true);
+        let seed_plans = rules(&engine.compiled.seed_plans, 0..n_rules);
+        let edit_plans = rules(&engine.compiled.seed_plans, n_rules..aug.cone_rules);
+        let delta_plans = rules(&engine.compiled.delta_plans, 0..n_rules);
+        debug_assert_eq!(
+            aug.attaining,
+            S::ATTAINING_DELETES && !delta_plans.iter().any(|p| p.frontier_only),
+            "the attaining cone is off exactly where a frontier-only split exists"
+        );
+        let mut rederive_plans = seed_plans.clone();
+        rederive_plans.retain(|p| !aug.guarded[p.rule_idx]);
+        rederive_plans.extend(rules(
+            &engine.compiled.seed_plans,
+            aug.cone_rules..usize::MAX,
+        ));
         let pos = |name: &str| engine.compiled.pops_edbs.iter().position(|n| n == name);
-        let slots: Vec<EditSlot> = editable
+        let idbs = engine.compiled.idbs.iter();
+        let cones = idbs
+            .map(|(name, _)| pos(&format!("{name}{EDB_CONE_SUFFIX}")))
+            .collect();
+        let slots: Vec<EditSlot> = aug
+            .editable
             .into_iter()
             .map(|(name, arity)| EditSlot {
                 cur: pos(&name).expect("every editable predicate is a compiled EDB"),
@@ -356,6 +563,9 @@ where
             seed_plans,
             edit_plans,
             delta_plans,
+            rederive_plans,
+            attaining: aug.attaining,
+            cones,
             slots,
             edb: pops_edb.clone(),
             bool_edb: bool_edb.clone(),
@@ -508,10 +718,11 @@ where
                     "epoch {} edit failed mid-flight ({}): rebuild() to recover",
                     self.epoch, err
                 ));
+                let (rels, settled) = without_tombstones(&self.state.new, settled);
                 let interned = InternedOutput::new(
                     self.engine.interner.clone(),
                     self.engine.compiled.idbs.clone(),
-                    self.state.new.clone(),
+                    rels,
                 );
                 let stats = err.stats().cloned().unwrap_or_default();
                 self.partial = Some(PartialOutput::new(interned, settled, stats));
@@ -527,8 +738,12 @@ where
     /// values along the natural order); for an interrupted **delete**
     /// the state may sit between the zero-out and the rederive, so rows
     /// can be *missing or below* their pre-edit values too — treat it
-    /// as a snapshot for inspection, not a bound. Cleared by a
-    /// successful rebuild.
+    /// as a snapshot for inspection, not a bound. Missing is the only
+    /// way a taken-out row shows: a [`Strategy`] handle zeroes its cone
+    /// in place, and the rows still at `0` when the edit stopped are
+    /// left out of the partial (and of [`Materialization::get`]), never
+    /// published as facts of value `0`. Cleared by a successful
+    /// rebuild.
     ///
     /// An edit's partial is always best-effort
     /// ([`PartialOutput::is_exact`] is `false`). Under the priority
@@ -593,7 +808,8 @@ where
             .iter()
             .map(|c| self.engine.interner.lookup(c))
             .collect();
-        self.idb(pred)?.get(&key?)
+        // A poisoned handle can hold rows an interrupted delete zeroed.
+        self.idb(pred)?.get(&key?).filter(|v| !v.is_zero())
     }
 
     /// Support size of one maintained IDB predicate (0 if unknown).
@@ -659,6 +875,22 @@ where
         }
     }
 
+    /// Stages one per-edit engine relation — an `@dlt` batch, an
+    /// `@cone` guard — in `pops_edb[slot]`: a fresh relation under the
+    /// probe masks its readers registered, loaded by `fill` (which is
+    /// handed the other EDB relations to read from).
+    fn stage_rel(
+        engine: &mut Engine<P>,
+        slot: usize,
+        arity: usize,
+        fill: impl FnOnce(&mut ColumnRel<P>, &[Option<ColumnRel<P>>]),
+    ) {
+        let mut rel = ColumnRel::new(arity);
+        ensure_probes(&mut rel, &engine.pops_masks[slot]);
+        fill(&mut rel, &engine.pops_edb);
+        engine.pops_edb[slot] = Some(rel);
+    }
+
     /// Stages the edit relations of touched slot `si`: `@old`, where
     /// registered, snapshots the live relation as it stands, and `@dlt`,
     /// where registered, is a fresh relation under its probe masks that
@@ -684,10 +916,9 @@ where
             self.engine.pops_edb[oi] = snap;
         }
         if let Some(di) = dlt {
-            let mut d = ColumnRel::new(arity);
-            ensure_probes(&mut d, &self.engine.pops_masks[di]);
-            fill(&mut d, self.engine.pops_edb[cur].as_ref());
-            self.engine.pops_edb[di] = Some(d);
+            Self::stage_rel(&mut self.engine, di, arity, |d, edb| {
+                fill(d, edb[cur].as_ref())
+            });
         }
     }
 
@@ -824,18 +1055,22 @@ where
         }
     }
 
-    /// The DRed marking pass: the overapproximated affected set, as
-    /// row-id sets into the current IDB state. Runs `seed` (the `@dlt`
-    /// variant plans), then propagates key-sets through `family`, the
-    /// Δ family (rows carry their full current values; only the
-    /// emitted keys are used) until closure. Must run against the
-    /// pre-delete state with empty `changed` maps. Returns the marking
-    /// and the number of propagation steps it took.
+    /// The marking pass: the affected cone, as row-id sets into the
+    /// current IDB state. Runs `seed` (the `@dlt` variant plans), then
+    /// propagates the newly marked rows through `family`, the Δ family
+    /// (rows carry their full current values) until closure. A head
+    /// key a round emits joins the cone — always, on a syntactic handle;
+    /// with `attaining`, only when the round's folded contribution
+    /// **equals** the stored value (everything is evaluated at the old
+    /// fixpoint, so a contribution is never above it). Must run against
+    /// the pre-delete state with empty `changed` maps. Returns the
+    /// marking and the number of propagation steps it took.
     fn affected_closure(
         engine: &Engine<P>,
         state: &mut IdbState<P>,
         seed: &[Plan<P>],
         family: &[Plan<P>],
+        attaining: bool,
         cap: usize,
         run: &mut Run,
     ) -> Result<(Vec<HashSet<u32>>, usize), LoopFail> {
@@ -865,9 +1100,9 @@ where
             for (pred, acc) in contrib.into_iter().enumerate() {
                 let new = &state.new[pred];
                 let (aff, front) = (&mut affected[pred], &mut frontier[pred]);
-                acc.drain_sorted(|key, _| {
+                acc.drain_sorted(|key, v| {
                     if let Some(r) = new.rowid(key) {
-                        if aff.insert(r) {
+                        if (!attaining || new.val(r) == &v) && aff.insert(r) {
                             front.push(r);
                         }
                     }
@@ -890,12 +1125,49 @@ where
         Ok((affected, steps))
     }
 
-    /// Rebuilds the affected IDB relations without the marked rows
-    /// (the zero-out step; surviving rows keep their exact values and
-    /// row order, so all downstream drains stay deterministic).
+    /// The attaining zero-out: every marked row is set to `0` **where it
+    /// stands** — row ids, row order and every index survive, and the
+    /// executor drops a derivation the moment its product is `0` — and
+    /// each marked predicate's keys are staged at `1`, in row order, as
+    /// the `H@cone` relation its head-guarded plans are driven by.
+    fn zero_affected(&mut self, affected: &[HashSet<u32>]) {
+        for (pred, rows) in affected.iter().enumerate() {
+            if rows.is_empty() {
+                continue;
+            }
+            let mut rows: Vec<u32> = rows.iter().copied().collect();
+            rows.sort_unstable();
+            let new = &mut self.state.new[pred];
+            for &r in &rows {
+                new.set_val(r, P::zero());
+            }
+            if let Some(ci) = self.cones[pred] {
+                Self::stage_rel(&mut self.engine, ci, new.arity(), |cone, _| {
+                    for &r in &rows {
+                        cone.append_row(new.row(r), P::one());
+                    }
+                });
+            }
+        }
+    }
+
+    /// Takes the given rows out of the affected IDB relations: the
+    /// syntactic zero-out, and what drops the rows an attaining delete
+    /// left at `0` (surviving rows keep their exact values and row
+    /// order, so all downstream drains stay deterministic). Rows that
+    /// are the relation's tail — what a delete undoing the latest insert
+    /// loses: the rows that insert appended — are truncated in place,
+    /// at the cost of those rows; anything else rebuilds the relation
+    /// without them.
     fn retract_affected(&mut self, affected: &[HashSet<u32>]) {
         for (pred, rows) in affected.iter().enumerate() {
             if rows.is_empty() {
+                continue;
+            }
+            let keep = self.state.new[pred].len() - rows.len();
+            if rows.iter().all(|&r| r as usize >= keep) {
+                self.state.new[pred].truncate(keep);
+                self.state.changed[pred].clear();
                 continue;
             }
             let arity = self.engine.compiled.idbs[pred].1;
@@ -964,16 +1236,22 @@ where
     }
 
     /// Absorbs a delete batch by delete–rederive (module docs): mark
-    /// the affected closure against the pre-delete state (purely
-    /// key-syntactic, no `⊖` involved), drop the deleted EDB rows and
-    /// the affected IDB rows, and let the schedule rederive from the
-    /// surviving support — seeded, under every schedule but
-    /// [`crate::Naive`], by one application of the affected heads'
-    /// original rules (survivors absorb it; the rows that come back
-    /// drive the semi-naïve delta rounds, or are queued on the
-    /// frontier). Deleting absent facts is a no-op. The edit's stats
-    /// count the marked cone and the retracted rows
-    /// (`counters.cone_rows`, `counters.rows_retracted`).
+    /// the affected cone against the pre-delete state (no `⊖`
+    /// involved), drop the deleted EDB rows, take the cone out of the
+    /// IDB state, and let the schedule rederive it from the surviving
+    /// support. A [`Strategy`] handle marks the rows whose stored value
+    /// a derivation through a deleted fact **attains**, zeroes them in
+    /// place — no row moves — and seeds its loop with head-guarded
+    /// plans that re-derive those keys only, so the delete costs its
+    /// cone; a [`crate::SemiNaive`] handle marks every row such a
+    /// derivation reaches, rebuilds the relations without them and
+    /// seeds with one application of the affected heads' original rules
+    /// (survivors absorb it); [`crate::Naive`] re-runs the naïve rounds
+    /// from the survivors. Deleting absent facts is a no-op. The edit's
+    /// stats count the marked cone, the rows of the relations it was
+    /// marked in, and the retracted rows (`counters.cone_rows`,
+    /// `counters.cone_of_rows`, `counters.rows_retracted`); the rows
+    /// that came back read as `rows_inserted`.
     ///
     /// Returns the edit's own [`EvalStats`].
     ///
@@ -996,7 +1274,8 @@ where
     }
 
     /// The governed tail of [`Materialization::delete`]: marking,
-    /// zero-out, rederive, continuation.
+    /// zero-out, rederive, continuation — and, on an attaining handle,
+    /// dropping what the continuation left at `0`.
     fn delete_run(
         &mut self,
         run: &mut Run,
@@ -1005,17 +1284,28 @@ where
         let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();
         let (engine, state) = (&self.engine, &mut self.state);
         let (seed, family) = (&self.edit_plans, &self.delta_plans);
-        let (affected, steps) = Self::affected_closure(engine, state, seed, family, self.cap, run)?;
+        let (mut affected, steps) =
+            Self::affected_closure(engine, state, seed, family, self.attaining, self.cap, run)?;
         self.clear_edit_rels(&touched);
         self.apply_edb_deletes(staged);
-        self.retract_affected(&affected);
-        run.col.stats.counters.rows_retracted +=
-            affected.iter().map(|a| a.len() as u64).sum::<u64>();
-        if affected.iter().all(|a| a.is_empty()) {
+        let marked: u64 = affected.iter().map(|a| a.len() as u64).sum();
+        if marked == 0 {
             return Ok(steps);
         }
+        let c = &mut run.col.stats.counters;
+        c.rows_retracted += marked;
+        for (rows, rel) in affected.iter().zip(&self.state.new) {
+            if !rows.is_empty() {
+                c.cone_of_rows += rel.len() as u64;
+            }
+        }
+        if self.attaining {
+            self.zero_affected(&affected);
+        } else {
+            self.retract_affected(&affected);
+        }
         let rederive: Vec<Plan<P>> = self
-            .seed_plans
+            .rederive_plans
             .iter()
             .filter(|p| !affected[p.head_pred].is_empty())
             .cloned()
@@ -1026,14 +1316,34 @@ where
             seed_rows: 0,
             delta: &self.delta_plans,
         };
-        self.schedule.resume(
+        let result = self.schedule.resume(
             &mut self.engine,
             &mut self.state,
             &plans,
             self.cap,
             run,
             steps + 1,
-        )
+        );
+        if !self.attaining {
+            return result;
+        }
+        for ci in self.cones.iter().flatten() {
+            self.engine.pops_edb[*ci] = None;
+        }
+        let steps = result?;
+        // What is still `0` has no derivation left: gone for good. The
+        // rest came back through a merge into a standing row, which the
+        // loops count as an improvement: re-file each row's return as
+        // the insertion it is.
+        for (rows, rel) in affected.iter_mut().zip(&self.state.new) {
+            rows.retain(|&r| rel.val(r).is_zero());
+        }
+        let gone: u64 = affected.iter().map(|a| a.len() as u64).sum();
+        self.retract_affected(&affected);
+        let c = &mut run.col.stats.counters;
+        c.rows_improved -= marked - gone;
+        c.rows_inserted += marked - gone;
+        Ok(steps)
     }
 
     /// Applies an edit script in order, one batch per edit, stopping at
@@ -1173,8 +1483,9 @@ mod tests {
         assert_eq!(m.version_for("Q"), ver_q, "Q storage churn");
     }
 
-    /// A delete rebuilds the touched IDB wholesale; the version must
-    /// move strictly (never alias the pre-edit version) so snapshot
+    /// A delete writes the touched IDB — zeroes rows in place, truncates
+    /// or rebuilds it without the rows that stay `0` — and the version must move
+    /// strictly (never alias the pre-edit version) so snapshot
     /// dirty-tracking re-clones it.
     #[test]
     fn delete_rederive_moves_versions_strictly() {
@@ -1199,5 +1510,52 @@ mod tests {
         let snap = m.output();
         assert_eq!(snap.get("P", &ab), None);
         assert_eq!(snap.get("P", &bc), Some(&Trop::finite(1.0)));
+    }
+
+    /// What an attaining handle re-derives a cone with: per sum-product
+    /// one plan driven by the `T@cone` scan, the EDB atom ahead of the
+    /// standing `T` (the tie the guard creates), and `T` reached by
+    /// full key through its row map — for which no posting-list index
+    /// is registered. A handle whose schedule does not license the
+    /// attaining cone compiles no guard and keeps the seed plans.
+    #[test]
+    fn guarded_plans_reach_the_standing_idb_last_and_by_its_row_map() {
+        use crate::plan::Source;
+        let program: Program<Trop> =
+            parse_program("T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, Y).").unwrap();
+        let mut edb = Database::new();
+        edb.insert(
+            "E",
+            Relation::from_pairs(2, vec![(tup!["a", "b"], Trop::finite(1.0))]),
+        );
+        let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+        let m = Materialization::new(&program, &edb, &bools, 1000, Strategy::Auto, &opts).unwrap();
+        assert!(m.attaining);
+        let cone = Source::PopsEdb(m.cones[0].expect("T is head-guarded"));
+        let (e, t) = (Source::PopsEdb(m.slots[0].cur), Source::IdbNew(0));
+        let reads: Vec<Vec<(Source, u32)>> = m
+            .rederive_plans
+            .iter()
+            .map(|p| p.steps.iter().map(|s| (s.source, s.mask)).collect())
+            .collect();
+        assert_eq!(
+            reads,
+            [
+                vec![(cone, 0), (e, 0b11)],
+                vec![(cone, 0), (e, 0b10), (t, 0b11)]
+            ]
+        );
+        assert!(m.rederive_plans[1].steps[2].reads_row_map());
+        assert_eq!(
+            m.engine.idb_new_masks[0],
+            [0b10],
+            "the @dlt variant's probe"
+        );
+
+        let m = Materialization::new(&program, &edb, &bools, 1000, crate::SemiNaive, &opts);
+        let m = m.unwrap();
+        assert!(!m.attaining && m.cones == [None]);
+        let pids = |plans: &[Plan<Trop>]| plans.iter().map(|p| p.pid).collect::<Vec<_>>();
+        assert_eq!(pids(&m.rederive_plans), pids(&m.seed_plans));
     }
 }

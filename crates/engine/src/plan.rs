@@ -33,7 +33,7 @@
 //! arities.
 
 use crate::intern::Interner;
-use crate::storage::{probes_arranged, ColMask, MAX_ARITY};
+use crate::storage::{probes_arranged, probes_full_key, ColMask, MAX_ARITY};
 use dlo_core::ast::{Atom, Factor, KeyFn, Program, Rule, SumProduct, Term, UnaryFn, Var};
 use dlo_core::formula::{CmpOp, Formula};
 use dlo_pops::Pops;
@@ -54,6 +54,13 @@ pub(crate) const EDB_DELTA_SUFFIX: &str = "@dlt";
 /// relation (`E@old`), read by occurrences left of the `@dlt`
 /// occurrence in a telescoped variant rule.
 pub(crate) const EDB_OLD_SUFFIX: &str = "@old";
+
+/// Reserved suffix for the **marked cone** of an IDB predicate
+/// (`H@cone`): the keys a delete zeroed, staged at value `1`, read by
+/// the head-guarded variants `H(args) :- H@cone(args) * body` that
+/// re-derive exactly those keys. Forced first like `@dlt`, for the same
+/// reason.
+pub(crate) const EDB_CONE_SUFFIX: &str = "@cone";
 
 /// Why a program cannot be compiled for the engine. Both variants are
 /// structural limits of the flat columnar storage (not language gaps
@@ -158,6 +165,16 @@ pub struct Step {
     pub wildcards: Vec<usize>,
     /// The factor this step supplies a value for (`None` for guards).
     pub factor: Option<FactorSlot>,
+}
+
+impl Step {
+    /// Whether this step looks one row of a standing IDB relation up by
+    /// its full key: answered by the relation's row map, not by a
+    /// posting-list index (see `storage::probes_full_key`).
+    pub(crate) fn reads_row_map(&self) -> bool {
+        matches!(self.source, Source::IdbNew(_) | Source::IdbOld(_))
+            && probes_full_key(self.arity, self.mask)
+    }
 }
 
 /// A head column emit operation.
@@ -628,9 +645,18 @@ impl Compiler<'_> {
             .or_else(|| {
                 binders.iter().position(|b| {
                     matches!(b.source, Source::PopsEdb(_))
-                        && b.atom.pred.ends_with(EDB_DELTA_SUFFIX)
+                        && (b.atom.pred.ends_with(EDB_DELTA_SUFFIX)
+                            || b.atom.pred.ends_with(EDB_CONE_SUFFIX))
                 })
             });
+        // A head guard (`H@cone`, see [`EDB_CONE_SUFFIX`]) binds the
+        // whole head at once, which ties a standing IDB occurrence
+        // against the EDB atoms around it: the IDB is the bigger
+        // relation (a closure's rows per source against a graph's edges
+        // per node), so there — and in no other plan — it loses the tie
+        // and is reached last, by full key.
+        let guard_driven =
+            forced.is_some_and(|di| binders[di].atom.pred.ends_with(EDB_CONE_SUFFIX));
         if let Some(di) = forced {
             order.push(di);
             remaining.retain(|&i| i != di);
@@ -638,7 +664,7 @@ impl Compiler<'_> {
         }
         while !remaining.is_empty() {
             let mut best = 0usize;
-            let mut best_score = (usize::MAX, usize::MAX, usize::MAX);
+            let mut best_score = (usize::MAX, usize::MAX, true, usize::MAX);
             for (ri, &bi) in remaining.iter().enumerate() {
                 let atom = binders[bi].atom;
                 let mut probeable = 0usize;
@@ -662,8 +688,11 @@ impl Compiler<'_> {
                     }
                 }
                 // Lexicographic: most probeable cols, fewest new vars,
+                // (behind a head guard) EDB before standing IDB,
                 // earliest textual position.
-                let score = (usize::MAX - probeable, new_vars.len(), bi);
+                let standing_idb = guard_driven
+                    && matches!(binders[bi].source, Source::IdbNew(_) | Source::IdbOld(_));
+                let score = (usize::MAX - probeable, new_vars.len(), standing_idb, bi);
                 if score < best_score {
                     best_score = score;
                     best = ri;

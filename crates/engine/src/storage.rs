@@ -87,6 +87,18 @@ pub(crate) fn probes_arranged(arity: usize, mask: ColMask) -> bool {
     mask != 0 && arity > 2
 }
 
+/// Whether a probe through `mask` names every column of a relation of
+/// `arity` — a lookup of at most one row. On a standing IDB relation,
+/// which always carries its full-key row map, that lookup **is**
+/// [`ColumnRel::rowid`]: the engine registers no posting-list index for
+/// it (`Engine::require_probes`) and the executor reads the row map
+/// (`exec::run_plan`). A posting list per key would be one one-element
+/// `Vec` per row — on an 87k-row closure, 4–5 MiB and a quarter of the
+/// build — to answer what the row map already does.
+pub(crate) fn probes_full_key(arity: usize, mask: ColMask) -> bool {
+    mask != 0 && mask.count_ones() as usize == arity
+}
+
 /// Projects `row` onto the columns of `mask`, ascending.
 pub fn project(row: &[u32], mask: ColMask) -> Box<[u32]> {
     let mut out = Vec::with_capacity(mask.count_ones() as usize);
@@ -195,6 +207,17 @@ impl<V> KeyedMap<V> {
             }
             KeyedMap::Wide(m) => {
                 m.insert(key.into(), v);
+            }
+        }
+    }
+
+    fn remove(&mut self, key: &[u32]) {
+        match self {
+            KeyedMap::Packed(m) => {
+                m.remove(&pack(key));
+            }
+            KeyedMap::Wide(m) => {
+                m.remove(key);
             }
         }
     }
@@ -453,6 +476,38 @@ impl<P: Pops> ColumnRel<P> {
         for mask in std::mem::take(&mut self.arrangements).into_keys() {
             self.ensure_index(mask);
         }
+    }
+
+    /// Drops every row from `len` on, **in place**: the rows before keep
+    /// their ids, order and values, the row map and every index lose
+    /// exactly the dropped rows' entries (posting lists are ascending, so
+    /// each dropped row is the last of its list), and nothing is rebuilt
+    /// — the cost is the dropped rows, not the relation. What an edit
+    /// that takes back the most recently appended rows calls instead of
+    /// copying the survivors into a fresh relation.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        self.grow();
+        self.version += 1;
+        for r in (len..self.len()).rev() {
+            let key = &self.keys[r * self.arity..(r + 1) * self.arity];
+            if let Some(map) = self.map.get_mut() {
+                map.remove(key);
+            }
+            for (&mask, index) in &mut self.indexes {
+                project_into(key, mask, &mut self.scratch);
+                let rows = index.get_mut(&self.scratch).expect("indexed row");
+                debug_assert_eq!(rows.last(), Some(&(r as u32)));
+                rows.pop();
+                if rows.is_empty() {
+                    index.remove(&self.scratch);
+                }
+            }
+        }
+        self.keys.truncate(len * self.arity);
+        self.vals.truncate(len);
     }
 
     /// The arity.
@@ -781,6 +836,51 @@ mod tests {
         assert_eq!(rel.probe(0b01, &[0]), &[0u32; 0]);
         rel.insert_row(&[0, 2], Trop::finite(2.0));
         assert_eq!(rel.probe(0b01, &[0]), &[0]);
+    }
+
+    #[test]
+    fn truncate_reads_like_never_having_appended_the_tail() {
+        for arity in [2, 3] {
+            let key = |a: u32, b: u32| {
+                if arity == 2 {
+                    vec![a, b]
+                } else {
+                    vec![a, b, a + b]
+                }
+            };
+            let mut rel = ColumnRel::<Trop>::new(arity);
+            let mut twin = ColumnRel::<Trop>::new(arity);
+            for r in [&mut rel, &mut twin] {
+                r.ensure_index(0b01);
+                r.ensure_index(0b10);
+                for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+                    r.insert_row(&key(a, b), Trop::finite(a as f64));
+                }
+            }
+            let before = rel.version();
+            rel.insert_row(&key(0, 3), Trop::finite(7.0));
+            rel.insert_row(&key(4, 2), Trop::finite(8.0));
+            rel.truncate(3);
+            assert!(rel.version() > before, "a truncation is a mutation");
+            assert_eq!(
+                rel.iter().collect::<Vec<_>>(),
+                twin.iter().collect::<Vec<_>>()
+            );
+            for (mask, k) in [(0b01, 0), (0b01, 4), (0b10, 2), (0b10, 3)] {
+                assert_eq!(
+                    rel.probe(mask, &[k]),
+                    twin.probe(mask, &[k]),
+                    "{mask:b} {k}"
+                );
+            }
+            assert_eq!(rel.rowid(&key(4, 2)), None);
+            assert_eq!(rel.rowid(&key(1, 2)), Some(2));
+            // The dropped keys come back as fresh rows, indexed again.
+            assert_eq!(rel.merge_changed(&key(4, 2), Trop::finite(1.0)), (3, true));
+            assert_eq!(rel.probe(0b01, &[4]), &[3]);
+            rel.truncate(9);
+            assert_eq!(rel.len(), 4, "a length past the end drops nothing");
+        }
     }
 
     #[test]

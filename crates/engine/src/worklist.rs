@@ -578,6 +578,7 @@ where
         + Sync,
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
+    const ATTAINING_DELETES: bool = true;
 
     fn run(
         self,

@@ -230,6 +230,69 @@ fn maintenance_is_linear_on_the_gradient_graph() {
     );
 }
 
+/// A delete pays for what it can change, not for the relation: on a
+/// random digraph of 300 nodes and 1 200 edges (weights 1–9; all-pairs
+/// closure `T` of ≈ 87 000 rows, strongly connected but for a few
+/// nodes) a fresh edge of weight 0.5 improves one to five percent of
+/// `T`, and inserting it and deleting it again on a handle under
+/// `Strategy::Auto` must take under 0.3× the build — min of 3 each, one
+/// host, so host speed cancels. Measured 0.08–0.10: the delete marks
+/// the rows whose stored value a path over the edge attains, zeroes
+/// them in place and re-derives them through head-guarded plans. With
+/// the syntactic cone — every row a path over the edge *reaches*, which
+/// on a strongly connected graph is all of them — the same cycle read
+/// 2.4: all but one row of `T` marked and dropped, the relation
+/// rebuilt, and one from-scratch frontier run to refill it. If this
+/// trips, `Materialization::delete_run` is marking without looking at
+/// values, or re-deriving with the full seed plans, or rebuilding `T`
+/// to take rows out. The exact counts behind it are
+/// `a_delete_scans_its_cone_not_the_relation` and
+/// `insert_then_delete_repeats_exactly_and_moves_no_row` in
+/// `tests/incremental.rs`, which also run in debug builds.
+#[cfg(not(debug_assertions))]
+#[test]
+fn delete_costs_its_cone_not_the_relation() {
+    use datalog_o::core::{examples_lib::apsp_program, Edit};
+    use datalog_o::{EngineOpts, Materialization, Strategy};
+    use std::time::Instant;
+    let graph = dlo_bench::GraphInstance::random(300, 1200, 9, 1);
+    let (program, edb) = (apsp_program::<Trop>(), graph.trop_edb());
+    let fresh = (0..300)
+        .map(|v| (7, v))
+        .find(|&(u, v)| u != v && !graph.edges.iter().any(|e| (e.0, e.1) == (u, v)))
+        .expect("node 7 has fewer than 299 out-edges");
+    let edge = vec![graph.node(fresh.0), graph.node(fresh.1)];
+    let (mut build, mut cycle) = (u64::MAX, u64::MAX);
+    for _ in 0..3 {
+        let t = Instant::now();
+        let mut mat = Materialization::new(
+            &program,
+            &edb,
+            &BoolDatabase::new(),
+            100_000,
+            Strategy::Auto,
+            &EngineOpts::default(),
+        )
+        .expect("compiles");
+        build = build.min(t.elapsed().as_nanos() as u64);
+        let rows = mat.support_size("T");
+        let t = Instant::now();
+        mat.apply(&[
+            Edit::insert("E", edge.clone(), Trop::finite(0.5)),
+            Edit::delete("E", edge.clone()),
+        ])
+        .expect("edits apply");
+        cycle = cycle.min(t.elapsed().as_nanos() as u64);
+        let cone = mat.last_stats().counters.cone_rows;
+        assert!(cone > 0 && mat.support_size("T") == rows, "cone {cone}");
+    }
+    assert!(
+        (cycle as f64) < 0.3 * build as f64,
+        "insert + delete took {:.2}x the build ({cycle} ns vs {build} ns)",
+        cycle as f64 / build as f64
+    );
+}
+
 /// Before step 0 every schedule pays one O(|input|) load of the classic
 /// EDB into interned columns, and it must stay one cheap pass: 200 000
 /// arity-4 rows over 124 distinct constants (strings and integers

@@ -1145,3 +1145,362 @@ fn maintenance_on_the_gradient_graph_is_linear_in_counts() {
         assert_eq!(mat.output().materialize(), from_scratch(&edited));
     }
 }
+
+/// A 20-edit script over seven nodes where ties are the rule: deletes
+/// as likely as inserts (a delete takes an edge that is there), values
+/// drawn from three by `value`, self-loops allowed. Starts from up to
+/// fourteen random edges.
+fn tie_heavy_script<P: Pops>(seed: u64, value: impl Fn(u64) -> P) -> (Database<P>, Vec<Edit<P>>) {
+    const NODES: [&str; 7] = ["n0", "n1", "n2", "n3", "n4", "n5", "n6"];
+    let mut rng = Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let mut present: Vec<(usize, usize)> = vec![];
+    let insert = |rng: &mut Lcg, present: &mut Vec<(usize, usize)>| {
+        let edge = ((rng.next() % 7) as usize, (rng.next() % 7) as usize);
+        if !present.contains(&edge) {
+            present.push(edge);
+        }
+        (
+            vec![k(NODES[edge.0]), k(NODES[edge.1])],
+            value(rng.next() % 3),
+        )
+    };
+    let base: Vec<(Tuple, P)> = (0..14).map(|_| insert(&mut rng, &mut present)).collect();
+    let mut edb = Database::new();
+    let mut e = Relation::new(2);
+    for (tuple, v) in base {
+        e.merge(tuple, v);
+    }
+    edb.insert("E", e);
+    let script = (0..20)
+        .map(|_| {
+            if rng.next().is_multiple_of(2) && !present.is_empty() {
+                let (u, v) = present.swap_remove((rng.next() % present.len() as u64) as usize);
+                Edit::delete("E", vec![k(NODES[u]), k(NODES[v])])
+            } else {
+                let (tuple, v) = insert(&mut rng, &mut present);
+                Edit::insert("E", tuple, v)
+            }
+        })
+        .collect();
+    (edb, script)
+}
+
+/// The attaining cone's soundness, where it is hardest, on the linear
+/// and the quadratic closure: `script_of(seed)` for 120 seeds, every
+/// handle — `Auto` and one per [`ALL_STRATEGIES`] — against every
+/// from-scratch oracle after every edit.
+fn assert_attaining_deletes_match_from_scratch<P: FrontierPops>(
+    pops: &str,
+    script_of: impl Fn(u64) -> (Database<P>, Vec<Edit<P>>),
+) {
+    let opts = EngineOpts::default();
+    let programs = [
+        ("linear", ex::apsp_program::<P>()),
+        ("quadratic", ex::quadratic_tc_program::<P>()),
+    ];
+    for seed in 1..=120 {
+        let (edb, script) = script_of(seed);
+        for (name, program) in &programs {
+            let scenario = format!("{pops} {name} seed {seed}");
+            assert_differential(&scenario, program, &edb, &script, &ALL_STRATEGIES, &opts);
+        }
+    }
+}
+
+/// Weights in {0, 1, 2} on `Trop`: a zero-weight cycle lets rows attain
+/// each other's values in a ring — marking any must mark all, and none
+/// may re-derive itself from the others.
+#[test]
+fn attaining_deletes_match_from_scratch_on_zero_weight_cycles() {
+    assert_attaining_deletes_match_from_scratch("Trop", |seed| {
+        tie_heavy_script(seed, |i| Trop::finite(i as f64))
+    });
+}
+
+/// Capacities in {0.25, 0.5, 0.75} on `MaxMin`: `⊗ = min` is
+/// non-strict, so most rows have many attaining derivations and most
+/// contributions tie.
+#[test]
+fn attaining_deletes_match_from_scratch_under_a_non_strict_product() {
+    assert_attaining_deletes_match_from_scratch("MaxMin", |seed| {
+        tie_heavy_script(seed, |i| MaxMin::of(0.25 * (i + 1) as f64))
+    });
+}
+
+/// The shapes beside the single closure: two mutually recursive IDBs
+/// (a cone that crosses predicates, one `@cone` relation each); a
+/// key-function head, which no guard can name — `W`'s second rule
+/// re-derives through its full seed plan, its first through a guard;
+/// and a value function on an IDB factor, where the attaining argument
+/// does not hold and every handle marks the syntactic cone.
+#[test]
+fn attaining_deletes_cover_two_idbs_key_function_heads_and_fall_back_on_value_functions() {
+    let opts = EngineOpts::default();
+    let bools = BoolDatabase::new();
+    let two_idbs: Program<Trop> = parse_program(
+        "A(X, Y) :- E(X, Y) + B(X, Z) * E(Z, Y).\n\
+         B(X, Y) :- A(X, Z) * A(Z, Y).",
+    )
+    .unwrap();
+    for seed in 1..=24 {
+        let (edb, script) = tie_heavy_script(seed, |i| Trop::finite(i as f64));
+        let scenario = format!("two IDBs seed {seed}");
+        assert_differential(&scenario, &two_idbs, &edb, &script, &ALL_STRATEGIES, &opts);
+    }
+
+    // W(0) :- V(0).  W(I + 1) :- W(I) * V(I + 1).  Prefix sums of
+    // 1, 2, …, 8 over Trop: W(i) hangs on every V(j ≤ i).
+    let values: Vec<f64> = (1..=8).map(f64::from).collect();
+    let (prefix, prefix_edb) = ex::prefix_sum_keyed(&values, Trop::finite);
+    let v = |i: i64| vec![Constant::Int(i)];
+    let prefix_script = [
+        Edit::delete("V", v(5)),
+        Edit::insert("V", v(5), Trop::finite(0.0)),
+        Edit::delete("V", v(0)),
+        Edit::insert("V", v(0), Trop::finite(1.0)),
+        Edit::delete("V", v(7)),
+    ];
+    assert_differential(
+        "key-function head",
+        &prefix,
+        &prefix_edb,
+        &prefix_script,
+        &ALL_STRATEGIES,
+        &opts,
+    );
+    let mut mat = Materialization::new(&prefix, &prefix_edb, &bools, CAP, Strategy::Auto, &opts)
+        .expect("compiles");
+    let c = mat.apply(&prefix_script[..1]).expect("applies").counters;
+    assert_eq!(
+        (
+            c.cone_rows,
+            c.rows_retracted,
+            c.rows_inserted,
+            c.cone_of_rows
+        ),
+        (3, 3, 0, 8),
+        "W(5), W(6), W(7) hang on V(5) and nothing brings them back"
+    );
+    let c = mat.apply(&prefix_script[1..3]).expect("applies").counters;
+    assert_eq!(
+        (c.cone_rows, c.rows_inserted, mat.support_size("W")),
+        (8, 0, 0),
+        "W(0), marked through its guarded rule, takes every row with it"
+    );
+
+    // R(X) :- S(X) + cap(R(Y)) * E(Y, X) on s → a → b → s: cutting
+    // s → a reaches R(s) again through b → s, at 0.2 against the 0.9
+    // R(s) holds from S. Syntactically that is the whole relation; by
+    // attained value it would be R(a) and R(b) only — as it is for the
+    // same rule without the value function.
+    let cap_fn = UnaryFn::new("cap", |v: &MaxMin| v.mul(&MaxMin::of(0.3)));
+    let body = |r: Factor<MaxMin>| {
+        let mut p = Program::<MaxMin>::new();
+        p.rule(
+            Atom::new("R", vec![Term::v(0)]),
+            vec![
+                SumProduct::new(vec![Factor::atom("S", vec![Term::v(0)])]),
+                SumProduct::new(vec![r, Factor::atom("E", vec![Term::v(1), Term::v(0)])]),
+            ],
+        );
+        p
+    };
+    let capped = body(Factor::wrapped("R", vec![Term::v(1)], cap_fn));
+    let plain = body(Factor::atom("R", vec![Term::v(1)]));
+    let mut ring = Database::new();
+    ring.insert(
+        "S",
+        Relation::from_pairs(1, vec![(vec![k("s")], MaxMin::of(0.9))]),
+    );
+    ring.insert(
+        "E",
+        Relation::from_pairs(
+            2,
+            [("s", "a", 0.4), ("a", "b", 0.2), ("b", "s", 0.7)]
+                .map(|(u, v, w)| (vec![k(u), k(v)], MaxMin::of(w))),
+        ),
+    );
+    let cut = [Edit::<MaxMin>::delete("E", vec![k("s"), k("a")])];
+    assert_differential("ring, capped", &capped, &ring, &cut, &ALL_STRATEGIES, &opts);
+    assert_differential("ring, plain", &plain, &ring, &cut, &ALL_STRATEGIES, &opts);
+    for strategy in [Strategy::Auto, Strategy::SemiNaive, Strategy::Worklist] {
+        for (program, cone) in [(&capped, 3), (&plain, 2)] {
+            let mut mat = Materialization::new(program, &ring, &bools, CAP, strategy, &opts)
+                .expect("compiles");
+            let c = mat.apply(&cut).expect("applies").counters;
+            assert_eq!((c.cone_rows, c.cone_of_rows), (cone, 3), "{strategy:?}");
+            assert_eq!(
+                mat.support_size("R"),
+                1,
+                "{strategy:?}: R(s) is what is left"
+            );
+        }
+    }
+}
+
+/// A delete costs its cone, in exact counts. Single-source distances on
+/// a 400-node unit chain with a shortcut `0 → 396`: four rows sit
+/// behind the shortcut, and retracting it marks those four, zeroes
+/// them where they stand and re-derives them through the head guard —
+/// `tuples_scanned` a small multiple of four, where the full seed plan
+/// alone reads all 400 rows of `L` once.
+#[test]
+fn a_delete_scans_its_cone_not_the_relation() {
+    const N: usize = 400;
+    let mut graph = dlo_bench::GraphInstance::path(N);
+    graph.edges.push((0, N - 4, 0.5));
+    let (program, edb) = graph.sssp();
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    let shortcut = vec![graph.node(0), graph.node(N - 4)];
+    for strategy in ALL_STRATEGIES {
+        let mut mat =
+            Materialization::new(&program, &edb, &bools, CAP, strategy, &opts).expect("compiles");
+        let before = observe(&mut mat).2;
+        let stats = mat
+            .apply(&[Edit::delete("E", shortcut.clone())])
+            .expect("delete applies")
+            .clone();
+        let c = &stats.counters;
+        assert_eq!(
+            (
+                c.cone_rows,
+                c.cone_of_rows,
+                c.rows_retracted,
+                c.rows_inserted
+            ),
+            (4, N as u64, 4, 4),
+            "{strategy:?}: the rows behind the shortcut, all back by the chain"
+        );
+        assert!(
+            c.tuples_scanned <= 16 * c.cone_rows && c.emits <= 8 * c.cone_rows,
+            "{strategy:?}: scanned {} rows and emitted {} for a cone of 4",
+            c.tuples_scanned,
+            c.emits
+        );
+        assert!(
+            stats.explain().contains("| cone 1.0 % of 400 rows"),
+            "{strategy:?}:\n{}",
+            stats.explain()
+        );
+        assert_eq!(
+            mat.get("L", &[graph.node(N - 1)]),
+            Some(&Trop::finite((N - 1) as f64))
+        );
+        // No row moved: same ids, same order, four values changed.
+        let after = observe(&mut mat).2;
+        assert_eq!(before.len(), after.len());
+        for ((pred, was), (_, is)) in before.iter().zip(&after) {
+            let ids = |rows: &[(u32, Vec<u32>, Trop)]| -> Vec<(u32, Vec<u32>)> {
+                rows.iter().map(|(r, key, _)| (*r, key.clone())).collect()
+            };
+            assert_eq!(
+                ids(was),
+                ids(is),
+                "{strategy:?}: {pred} kept its rows in place"
+            );
+            let moved = was.iter().zip(is).filter(|(a, b)| a.2 != b.2).count();
+            assert_eq!(moved, 4, "{strategy:?}");
+        }
+    }
+}
+
+/// The engine-level twin of the benchmark's repeat check: on a strongly
+/// connected digraph (a 60-ring plus chords), inserting a cheap chord
+/// and deleting it again is the same work the second time as the first
+/// — identical counters for the insert and for the delete — and leaves
+/// the state row for row what it was, ids and order included. A delete
+/// that rebuilt `T` with its cone at the end would pass the value check
+/// and fail both of these: the frontier merges emissions one by one, so
+/// `rows_improved` / `merges_absorbed` depend on row order.
+#[test]
+fn insert_then_delete_repeats_exactly_and_moves_no_row() {
+    const N: usize = 60;
+    let mut graph = dlo_bench::GraphInstance::cycle(N);
+    let mut rng = Lcg(7);
+    while graph.edges.len() < 3 * N {
+        let (u, v) = (
+            (rng.next() % N as u64) as usize,
+            (rng.next() % N as u64) as usize,
+        );
+        if u != v && (u + 1) % N != v && !graph.edges.iter().any(|e| (e.0, e.1) == (u, v)) {
+            graph.edges.push((u, v, (2 + rng.next() % 7) as f64));
+        }
+    }
+    let (program, edb) = (ex::apsp_program::<Trop>(), graph.trop_edb());
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    let chord = vec![graph.node(3), graph.node(40)];
+    assert!(!graph.edges.iter().any(|e| (e.0, e.1) == (3, 40)));
+    for strategy in ALL_STRATEGIES {
+        let mut mat =
+            Materialization::new(&program, &edb, &bools, CAP, strategy, &opts).expect("compiles");
+        assert_eq!(mat.support_size("T"), N * N, "strongly connected");
+        let standing = observe(&mut mat).2;
+        let mut cycles = vec![];
+        for _ in 0..2 {
+            let put = [Edit::insert("E", chord.clone(), Trop::finite(0.5))];
+            let inserted = mat.apply(&put).expect("insert applies").counters;
+            let cut = [Edit::delete("E", chord.clone())];
+            let deleted = mat.apply(&cut).expect("delete applies").counters;
+            assert_eq!(observe(&mut mat).2, standing, "{strategy:?}: rows moved");
+            // Paths over the chord end in .5 and no other does: nothing
+            // ties, so the cone is exactly the rows the insert improved
+            // (each counted once per improvement).
+            assert!(
+                deleted.cone_rows > 0 && deleted.cone_rows <= inserted.rows_improved,
+                "{strategy:?}: the cone is what the insert improved"
+            );
+            assert!(deleted.cone_rows < (N * N) as u64 / 4, "{strategy:?}");
+            cycles.push((inserted, deleted));
+        }
+        assert_eq!(
+            cycles[0], cycles[1],
+            "{strategy:?}: the second cycle's counters"
+        );
+    }
+}
+
+/// The same cycle with an edge that connects something new: a 40-ring,
+/// a separate edge `40 → 41`, and the bridge `3 → 40`. The insert
+/// appends `T(x, 40)` and `T(x, 41)` for every ring node `x`; the delete
+/// loses exactly those 80 rows for good — the relation's tail, taken
+/// back in place (`ColumnRel::truncate`) under either regime — and must
+/// leave the state row for row what it was and do the same work the
+/// second time round.
+#[test]
+fn a_delete_that_disconnects_takes_back_the_rows_its_insert_appended() {
+    fn cycle_twice<S: Schedule<Trop> + std::fmt::Debug>(schedule: S) {
+        const N: usize = 40;
+        let mut graph = dlo_bench::GraphInstance::cycle(N);
+        graph.edges.push((N, N + 1, 2.0));
+        let (program, edb) = (ex::apsp_program::<Trop>(), graph.trop_edb());
+        let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+        let bridge = vec![graph.node(3), graph.node(N)];
+        let mut mat =
+            Materialization::new(&program, &edb, &bools, CAP, schedule, &opts).expect("compiles");
+        assert_eq!(mat.support_size("T"), N * N + 1);
+        let standing = observe(&mut mat).2;
+        let mut cycles = vec![];
+        for _ in 0..2 {
+            let put = [Edit::insert("E", bridge.clone(), Trop::finite(0.5))];
+            let inserted = mat.apply(&put).expect("insert applies").counters;
+            assert_eq!(mat.support_size("T"), N * N + 1 + 2 * N);
+            let far = [graph.node(4), graph.node(N + 1)];
+            assert_eq!(mat.get("T", &far), Some(&Trop::finite(N as f64 + 1.5)));
+            let cut = [Edit::delete("E", bridge.clone())];
+            let deleted = mat.apply(&cut).expect("delete applies").counters;
+            assert_eq!(observe(&mut mat).2, standing, "{schedule:?}: rows moved");
+            assert_eq!(deleted.cone_rows, 2 * N as u64, "{schedule:?}");
+            assert_eq!(deleted.rows_retracted, 2 * N as u64, "{schedule:?}");
+            assert_eq!(deleted.rows_inserted, 0, "{schedule:?}: nothing comes back");
+            cycles.push((inserted, deleted));
+        }
+        assert_eq!(cycles[0], cycles[1], "{schedule:?}: the second cycle");
+    }
+    for strategy in ALL_STRATEGIES {
+        cycle_twice(strategy);
+    }
+    cycle_twice(datalog_o::SemiNaive);
+    cycle_twice(Naive);
+}

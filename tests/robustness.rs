@@ -30,7 +30,7 @@ use datalog_o::core::{
     parse_program, parse_query, BoolDatabase, Database, Edit, EvalOutcome, FactInsert, Program,
     Relation,
 };
-use datalog_o::pops::{NNReal, Pops, Trop};
+use datalog_o::pops::{NNReal, Pops, PreSemiring, Trop};
 use datalog_o::{
     engine_eval_interned, engine_eval_interned_edb, engine_query_eval_interned_edb,
     engine_query_eval_with_opts, eval_with_retry, BudgetClass, CancelToken, EngineOpts, EvalBudget,
@@ -946,6 +946,13 @@ fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
 /// already final, and FIFO generations mark nothing — and `rebuild()`
 /// under a lifted budget lands on the from-scratch build of the edited
 /// EDB. A budget of the step count itself lets the edit through.
+///
+/// A delete stopped after its marking has zeroed its cone in place —
+/// the sixteen rows behind the shortcut — and brought back only what
+/// its buckets reached: the live state holds rows at `0`. None of them
+/// may show: the partial leaves them out (its settled marks following
+/// the rows that stay), and a read through the poisoned handle finds
+/// no fact there.
 #[test]
 fn edits_abort_at_every_step_poison_and_rebuild() {
     const N: usize = 32;
@@ -972,6 +979,7 @@ fn edits_abort_at_every_step_poison_and_rebuild() {
             assert!(own_steps as usize >= N / 2, "{strategy:?} {kind}");
 
             let mut marked_somewhere = false;
+            let mut tombstones_somewhere = false;
             for budget in 0..=own_steps {
                 let leg = format!("{strategy:?} {kind} under max_steps {budget}");
                 let mut mat = build(before);
@@ -994,6 +1002,13 @@ fn edits_abort_at_every_step_poison_and_rebuild() {
                     !partial.is_exact(),
                     "{leg}: an edit's partial is best-effort"
                 );
+                let rows = partial.interned().relation("L").expect("L is derived");
+                assert!(rows.iter().all(|(_, _, v)| !v.is_zero()), "{leg}: a 0 row");
+                tombstones_somewhere |= rows.len() < N;
+                for i in 0..N {
+                    let read = mat.get("L", &[graph.node(i)]);
+                    assert_eq!(read, partial.interned().get("L", &[graph.node(i)]), "{leg}");
+                }
                 for (pred, rel) in partial.materialize_settled().iter() {
                     for (t, v) in rel.support() {
                         assert_eq!(after.get(pred).unwrap().get(t), *v, "{leg}: {pred}({t:?})");
@@ -1014,6 +1029,11 @@ fn edits_abort_at_every_step_poison_and_rebuild() {
                 marked_somewhere,
                 strategy == Strategy::Priority,
                 "{strategy:?} {kind}: rows marked on pop"
+            );
+            assert_eq!(
+                tombstones_somewhere,
+                kind == "delete",
+                "{strategy:?} {kind}: some stop fell between the zero-out and the last bucket"
             );
         }
     }
