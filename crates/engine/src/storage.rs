@@ -2,7 +2,9 @@
 //! over the ones that were loaded whole.
 //!
 //! A [`ColumnRel`] stores rows in one flat `Vec<u32>` (row-major) with a
-//! parallel value vector and a full-row hash map for O(1) merge. Indexes
+//! parallel value vector and a full-row map (hashed, or a slot table
+//! where the keys are dense — see "Packed and dense keys") for O(1)
+//! merge. Indexes
 //! are hash maps from a *bound-column projection* to the matching row
 //! ids, keyed by a column bitmask; they are built lazily per
 //! `(relation, bound-column-set)` — once a mask is requested it is
@@ -34,7 +36,7 @@
 //! every mask they had been asked for. Nothing sorted is ever
 //! maintained under appends — see the crate docs for what that cost.
 //!
-//! ## Packed keys
+//! ## Packed and dense keys
 //!
 //! Row maps and indexes over keys of **width ≤ 2** (the overwhelmingly
 //! common case: unary and binary relations, single-column probes) store
@@ -45,6 +47,24 @@
 //! *per derivation*: at 500k+ derivations the boxed-slice map was the
 //! single largest line item in the profile (hash + eq both dereference,
 //! plus an allocation and eventual free per stored key).
+//!
+//! A row map can do better still, because interned ids are dense from 0:
+//! where `row_map_dense` holds — width 1 or 2, the `side^width` keys
+//! below the largest id at most 8 per row and at most 2^24 — the row
+//! map is a **slot table** indexed by the key itself, and a merge is an
+//! array index instead of a hash probe. The rule is asked when a
+//! hashed map reaches a power-of-two row count ≥ 1 024, when a bulk
+//! relation's map is first built, and when a key lands outside a dense
+//! table (which doubles its side, or goes back to hashing); a
+//! [`ColumnRel::clear`] always returns to an empty hash map. Row ids,
+//! order and values never depend on the layout. On `dlo_benchmark`'s
+//! `apsp-dense`, `T` holds 239 605 of its 500² keys: it goes dense at
+//! 32 768 rows, its map shrinks from ≈ 8 MiB of buckets to a 976.6 KiB
+//! table, and the 959 442 merges of an operation stop missing the cache
+//! (on a 2-core shared host: merge+queue 82 → 41 ns per emission,
+//! `reported.eval_s` 107 → 74 ms, `op_median_s` −18 %). Posting-list
+//! indexes and accumulators stay hashed: their keys are projections,
+//! rarely dense, and an index holds a `Vec` per key anyway.
 
 use crate::arrange::Arrangement;
 use crate::hash::FxHashMap;
@@ -85,6 +105,23 @@ pub(crate) const MAX_ARITY: usize = 32;
 /// `point-query` and `live-edits`.
 pub(crate) fn probes_arranged(arity: usize, mask: ColMask) -> bool {
     mask != 0 && arity > 2
+}
+
+/// Whether a row map over keys of `width` whose ids all lie below
+/// `side` is a direct-addressed slot table ([`RowMap::Dense`]) rather
+/// than a hash map — width 1 or 2, at most 8 slots per row (`side^width
+/// ≤ 8·rows`: at 4 bytes a slot, no more than the ≈ 32 bytes a row the
+/// hashed map spends) and at most 2^24 slots (64 MiB). The one rule:
+/// asked by the lazy bulk build, by a hashed map whenever its row count
+/// reaches a power of two ≥ 1 024, and by a dense one whenever a key
+/// falls outside its table (see the module docs for what it buys).
+pub(crate) fn row_map_dense(width: usize, side: usize, rows: usize) -> bool {
+    let slots = match width {
+        1 => side,
+        2 => side.saturating_mul(side),
+        _ => return false,
+    };
+    slots <= rows.saturating_mul(8) && slots <= 1 << 24
 }
 
 /// Whether a probe through `mask` names every column of a relation of
@@ -195,11 +232,6 @@ impl<V> KeyedMap<V> {
     }
 
     #[inline]
-    fn contains_key(&self, key: &[u32]) -> bool {
-        self.get(key).is_some()
-    }
-
-    #[inline]
     fn insert(&mut self, key: &[u32], v: V) {
         match self {
             KeyedMap::Packed(m) => {
@@ -226,6 +258,211 @@ impl<V> KeyedMap<V> {
         match self {
             KeyedMap::Packed(m) => m.clear(),
             KeyedMap::Wide(m) => m.clear(),
+        }
+    }
+}
+
+/// A dense slot nobody holds.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// A hashed row map asks [`row_map_dense`] when its row count reaches a
+/// power of two at least this large: one scan of its keys per doubling.
+const DENSE_CHECK_MIN_ROWS: usize = 1024;
+
+/// A [`ColumnRel`]'s full key → row id map, in one of two layouts that
+/// answer identically: a [`KeyedMap`], or — where [`row_map_dense`]
+/// holds — a slot table indexed by the key itself (`[a]` at slot `a`,
+/// `[a, b]` at `a·side + b`, [`EMPTY_SLOT`] where no row is).
+#[derive(Clone, Debug)]
+enum RowMap {
+    Hashed(KeyedMap<u32>),
+    Dense { side: usize, slots: Vec<u32> },
+}
+
+/// The slot of `key` in a table of `side`, if every id is below `side`.
+#[inline]
+fn slot(side: usize, key: &[u32]) -> Option<usize> {
+    match *key {
+        [a] if (a as usize) < side => Some(a as usize),
+        [a, b] if (a as usize) < side && (b as usize) < side => {
+            Some(a as usize * side + b as usize)
+        }
+        _ => None,
+    }
+}
+
+impl RowMap {
+    fn new(width: usize) -> Self {
+        RowMap::Hashed(KeyedMap::new(width))
+    }
+
+    /// The map over `rows` distinct keys of `width`, stored row-major in
+    /// `keys`, laid out as [`row_map_dense`] says.
+    fn build(width: usize, rows: usize, keys: &[u32]) -> Self {
+        let side = keys.iter().max().map_or(0, |&id| id as usize + 1);
+        if row_map_dense(width, side, rows) {
+            return RowMap::dense(width, side, keys.chunks_exact(width).map(pack).zip(0..));
+        }
+        let mut map = KeyedMap::with_capacity(width, rows);
+        for r in 0..rows {
+            map.insert(&keys[r * width..(r + 1) * width], r as u32);
+        }
+        debug_assert_eq!(map.len(), rows, "bulk-loaded keys are distinct");
+        RowMap::Hashed(map)
+    }
+
+    /// A slot table of `side` holding `entries` (packed key, row id).
+    fn dense(width: usize, side: usize, entries: impl Iterator<Item = (u64, u32)>) -> Self {
+        let mut slots = vec![EMPTY_SLOT; side.pow(width as u32)];
+        for (k, r) in entries {
+            let i = (k >> 32) as usize * side + (k as u32) as usize;
+            debug_assert_eq!(slots[i], EMPTY_SLOT, "keys are distinct");
+            slots[i] = r;
+        }
+        RowMap::Dense { side, slots }
+    }
+
+    #[inline(always)]
+    fn get(&self, key: &[u32]) -> Option<u32> {
+        match self {
+            RowMap::Dense { side, slots } => {
+                slot(*side, key).and_then(|i| Some(slots[i]).filter(|&r| r != EMPTY_SLOT))
+            }
+            RowMap::Hashed(m) => m.get(key).copied(),
+        }
+    }
+
+    /// The row holding `key`, or — when there is none — `None` after
+    /// registering `key` at row `next`, the relation's row count: the
+    /// caller appends that row next. One map operation, except when the
+    /// layout changes: a key outside a dense table widens it, and a
+    /// hashed map that reaches a power-of-two row count asks whether to
+    /// go dense. Both live out of line, so that this — once per
+    /// emission — inlines into `ColumnRel::merge_changed`.
+    #[inline(always)]
+    fn get_or_insert(&mut self, key: &[u32], next: u32) -> Option<u32> {
+        use std::collections::hash_map::Entry;
+        match self {
+            RowMap::Dense { side, slots } => match slot(*side, key) {
+                Some(i) if slots[i] != EMPTY_SLOT => Some(slots[i]),
+                Some(i) => {
+                    slots[i] = next;
+                    None
+                }
+                None => self.widen_and_insert(key, next),
+            },
+            RowMap::Hashed(KeyedMap::Packed(m)) => match m.entry(pack(key)) {
+                Entry::Occupied(e) => Some(*e.get()),
+                Entry::Vacant(e) => {
+                    e.insert(next);
+                    let rows = next as usize + 1;
+                    if rows >= DENSE_CHECK_MIN_ROWS && rows.is_power_of_two() {
+                        self.densify(key.len(), rows);
+                    }
+                    None
+                }
+            },
+            // Wide keys would need an owned Box to use the entry API;
+            // keep the two-op sequence there (arity > 2 is rare), and
+            // they never go dense.
+            RowMap::Hashed(KeyedMap::Wide(m)) => match m.get(key) {
+                Some(&r) => Some(r),
+                None => {
+                    m.insert(key.into(), next);
+                    None
+                }
+            },
+        }
+    }
+
+    /// A packed hashed map of `rows` keys goes dense if the rule holds at
+    /// the side its largest id needs.
+    #[cold]
+    #[inline(never)]
+    fn densify(&mut self, width: usize, rows: usize) {
+        let RowMap::Hashed(KeyedMap::Packed(m)) = self else {
+            return;
+        };
+        let side = m
+            .keys()
+            .map(|&k| (k >> 32).max(k & u64::from(u32::MAX)))
+            .max()
+            .map_or(0, |id| id as usize + 1);
+        if row_map_dense(width, side, rows) {
+            *self = RowMap::dense(width, side, m.iter().map(|(&k, &r)| (k, r)));
+        }
+    }
+
+    /// A dense table meets `key`, which lies outside it: it is re-laid
+    /// out at `max(2·side, id + 1)` if the rule holds there for the rows
+    /// it will hold, hashed otherwise, and `key` is registered at `next`.
+    #[cold]
+    #[inline(never)]
+    fn widen_and_insert(&mut self, key: &[u32], next: u32) -> Option<u32> {
+        let RowMap::Dense { side, slots } = self else {
+            unreachable!("only a dense map widens");
+        };
+        let (width, side, slots) = (key.len(), *side, std::mem::take(slots));
+        let need = key.iter().max().map_or(0, |&id| id as usize + 1);
+        let wider = (2 * side).max(need);
+        let entries = slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| r != EMPTY_SLOT)
+            .map(|(i, &r)| ((((i / side) as u64) << 32) | (i % side) as u64, r));
+        *self = if row_map_dense(width, wider, next as usize + 1) {
+            RowMap::dense(width, wider, entries)
+        } else {
+            RowMap::Hashed(KeyedMap::Packed(entries.collect()))
+        };
+        self.get_or_insert(key, next)
+    }
+
+    fn remove(&mut self, key: &[u32]) {
+        match self {
+            RowMap::Dense { side, slots } => {
+                if let Some(i) = slot(*side, key) {
+                    slots[i] = EMPTY_SLOT;
+                }
+            }
+            RowMap::Hashed(m) => m.remove(key),
+        }
+    }
+
+    /// Empty and hashed: a relation refilled batch by batch (Δ, `@dlt`,
+    /// `@cone`) never pays for a table sized by an earlier batch.
+    fn clear(&mut self, width: usize) {
+        match self {
+            RowMap::Hashed(m) => m.clear(),
+            RowMap::Dense { .. } => *self = RowMap::new(width),
+        }
+    }
+
+    /// The layout and its approximate heap bytes, for `explain()`.
+    fn describe(&self, width: usize) -> String {
+        use std::mem::size_of;
+        let size = |bytes: usize| match bytes {
+            b if b >= 1 << 20 => format!("{:.1} MiB", b as f64 / (1 << 20) as f64),
+            b if b >= 1 << 10 => format!("{:.1} KiB", b as f64 / 1024.0),
+            b => format!("{b} B"),
+        };
+        match self {
+            RowMap::Dense { side, slots } => {
+                let power = if width == 2 { "²" } else { "" };
+                let bytes = slots.capacity() * size_of::<u32>();
+                format!("dense {side}{power} ({})", size(bytes))
+            }
+            RowMap::Hashed(m) => {
+                // One control byte per bucket besides the entry.
+                let bytes = match m {
+                    KeyedMap::Packed(m) => m.capacity() * (size_of::<(u64, u32)>() + 1),
+                    KeyedMap::Wide(m) => {
+                        m.capacity() * (size_of::<(Box<[u32]>, u32)>() + 1)
+                            + m.len() * width * size_of::<u32>()
+                    }
+                };
+                format!("hashed ({})", size(bytes))
+            }
         }
     }
 }
@@ -361,7 +598,7 @@ pub struct ColumnRel<P> {
     /// Full key → row id. Unset only on a bulk-loaded relation nothing
     /// has read by key yet; once set it is maintained by every
     /// map-registering write.
-    map: OnceLock<KeyedMap<u32>>,
+    map: OnceLock<RowMap>,
     indexes: FxHashMap<ColMask, KeyedMap<Vec<u32>>>,
     /// Sorted runs under every mask that asked for one (a mask whose
     /// columns lead another's order shares that run); a clone shares
@@ -393,7 +630,7 @@ impl<P: Pops> ColumnRel<P> {
             arity,
             keys: Vec::new(),
             vals: Vec::new(),
-            map: OnceLock::from(KeyedMap::new(arity)),
+            map: OnceLock::from(RowMap::new(arity)),
             indexes: FxHashMap::default(),
             arrangements: FxHashMap::default(),
             bulk: false,
@@ -424,19 +661,13 @@ impl<P: Pops> ColumnRel<P> {
 
     /// The full-key row map, built from the stored rows if this is the
     /// first call that needs it.
-    fn row_map(&self) -> &KeyedMap<u32> {
-        self.map.get_or_init(|| {
-            let mut map = KeyedMap::with_capacity(self.arity, self.len());
-            for r in 0..self.len() as u32 {
-                map.insert(self.row(r), r);
-            }
-            debug_assert_eq!(map.len(), self.len(), "bulk-loaded keys are distinct");
-            map
-        })
+    fn row_map(&self) -> &RowMap {
+        self.map
+            .get_or_init(|| RowMap::build(self.arity, self.len(), &self.keys))
     }
 
     /// [`Self::row_map`] for the writers.
-    fn row_map_mut(&mut self) -> &mut KeyedMap<u32> {
+    fn row_map_mut(&mut self) -> &mut RowMap {
         self.row_map();
         self.map.get_mut().expect("row map just ensured")
     }
@@ -451,7 +682,7 @@ impl<P: Pops> ColumnRel<P> {
         self.keys.clear();
         self.vals.clear();
         if let Some(map) = self.map.get_mut() {
-            map.clear();
+            map.clear(self.arity);
         }
         for index in self.indexes.values_mut() {
             index.clear();
@@ -510,6 +741,15 @@ impl<P: Pops> ColumnRel<P> {
         self.vals.truncate(len);
     }
 
+    /// The row map's layout and approximate heap bytes — `dense 500²
+    /// (976.6 KiB)`, `hashed (476.0 KiB)`, or `not built` on a
+    /// bulk-loaded relation nothing has read by key.
+    pub(crate) fn describe_row_map(&self) -> String {
+        self.map
+            .get()
+            .map_or_else(|| "not built".into(), |m| m.describe(self.arity))
+    }
+
     /// The arity.
     pub fn arity(&self) -> usize {
         self.arity
@@ -538,7 +778,7 @@ impl<P: Pops> ColumnRel<P> {
 
     /// The row id holding `key`, if present.
     pub fn rowid(&self, key: &[u32]) -> Option<u32> {
-        self.row_map().get(key).copied()
+        self.row_map().get(key)
     }
 
     /// The value at `key`, if present.
@@ -553,13 +793,10 @@ impl<P: Pops> ColumnRel<P> {
     /// every subsequent row boundary in the flat storage, silently
     /// corrupting the relation.
     pub fn insert_row(&mut self, key: &[u32], value: P) -> u32 {
-        debug_assert!(
-            !self.row_map().contains_key(key),
-            "insert_row on present key"
-        );
-        let r = self.append_row(key, value);
-        self.row_map_mut().insert(key, r);
-        r
+        let next = self.vals.len() as u32;
+        let present = self.row_map_mut().get_or_insert(key, next);
+        debug_assert!(present.is_none(), "insert_row on present key");
+        self.append_row(key, value)
     }
 
     /// Appends a row **without** registering it in the full-key row map
@@ -607,32 +844,13 @@ impl<P: Pops> ColumnRel<P> {
     /// naturally ordered POPS `old ⊕ v ≠ old` ⟺ the row strictly
     /// improved, no `⊖` needed).
     ///
-    /// One map operation per call on the packed path: the row map entry
-    /// is claimed and filled in a single probe (this runs once per
+    /// One map operation per call on both row-map layouts: the entry or
+    /// slot is claimed and filled in a single probe (this runs once per
     /// derivation, so the second hash+probe of a lookup-then-insert
     /// sequence was measurable at fixpoint scale).
     pub fn merge_changed(&mut self, key: &[u32], value: P) -> (u32, bool) {
-        use std::collections::hash_map::Entry;
         let next = self.vals.len() as u32;
-        let existing = match self.row_map_mut() {
-            KeyedMap::Packed(m) => match m.entry(pack(key)) {
-                Entry::Occupied(e) => Some(*e.get()),
-                Entry::Vacant(e) => {
-                    e.insert(next);
-                    None
-                }
-            },
-            // Wide keys would need an owned Box to use the entry API;
-            // keep the two-op sequence there (arity > 2 is rare).
-            KeyedMap::Wide(m) => match m.get(key) {
-                Some(&r) => Some(r),
-                None => {
-                    m.insert(key.into(), next);
-                    None
-                }
-            },
-        };
-        match existing {
+        match self.row_map_mut().get_or_insert(key, next) {
             Some(r) => {
                 let combined = self.vals[r as usize].add(&value);
                 if combined == self.vals[r as usize] {
@@ -1155,6 +1373,160 @@ mod tests {
             }
         }
         assert_same_rows(&bulk, &twin);
+    }
+
+    /// The row map's two layouts against a hash-map model: random
+    /// `merge_changed` / `insert_row` / `truncate` / `clone` steps, phase
+    /// by phase, each phase drawing ids below its bound until the model
+    /// holds its row target, then a `clear`. After every step the
+    /// relation answers like the model — `len`, the touched key's
+    /// `rowid` and `get`, the newest row — and every 64 steps and after
+    /// each truncate, clone and phase, for every row and for absent keys.
+    /// The phases cross each way the layout changes, checked at their
+    /// ends: going dense at 1 024 rows (width 1; width 2 over 40²) or
+    /// only at 2 048 (width 2 over 100², past 8 slots a row at 1 024),
+    /// widening while dense (ids past the side), and falling back to
+    /// hashed on an id no table can reach (8 192 at width 2 is 2^26
+    /// slots; 2^20 at width 1 is past 8 slots a row).
+    #[test]
+    fn row_map_layouts_answer_like_a_hash_map_model() {
+        /// (id bound, row target, an id to merge once before the phase's
+        /// draws, layout at the end — `None` for a phase that clears).
+        type Phase = (u32, usize, Option<u32>, Option<&'static str>);
+        let phases: [(usize, &[Phase]); 2] = [
+            (
+                1,
+                &[
+                    (2000, 1100, Some(1999), Some("dense 2000 ")),
+                    (5000, 2600, None, Some("dense 8000 ")),
+                    (5000, 2700, Some(1 << 20), Some("hashed")),
+                    (300, 200, None, None),
+                ],
+            ),
+            (
+                2,
+                &[
+                    (100, 1500, None, Some("hashed")),
+                    (100, 2100, None, Some("dense 100² ")),
+                    (100, 2200, None, None),
+                    (40, 1100, None, Some("dense 40² ")),
+                    (60, 1500, None, Some("dense 80² ")),
+                    (60, 1600, Some(8192), Some("hashed")),
+                ],
+            ),
+        ];
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut rng = move |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        for (width, phases) in phases {
+            let mut rel = ColumnRel::<Trop>::new(width);
+            let mut model: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
+            let mut rows: Vec<(Vec<u32>, Trop)> = Vec::new();
+            let check_all = |rel: &ColumnRel<Trop>,
+                             model: &FxHashMap<Vec<u32>, u32>,
+                             rows: &[(Vec<u32>, Trop)],
+                             at: &str| {
+                assert_eq!(rel.len(), rows.len(), "{at}");
+                for (r, key, v) in rel.iter() {
+                    assert_eq!(
+                        (key, v),
+                        (&rows[r as usize].0[..], &rows[r as usize].1),
+                        "{at}"
+                    );
+                    assert_eq!(model.get(key), Some(&r), "{at}");
+                    assert_eq!(rel.rowid(key), Some(r), "{at}: {key:?}");
+                }
+                for id in [0, 39, 99, 1999, 4999, 8191, 1 << 20, u32::MAX - 1] {
+                    let key = vec![id; width];
+                    assert_eq!(rel.rowid(&key), model.get(&key).copied(), "{at}: {key:?}");
+                }
+            };
+            for (phase, &(bound, target, far, layout)) in phases.iter().enumerate() {
+                let mut step = 0usize;
+                while rows.len() < target {
+                    step += 1;
+                    let at = format!("width {width}, phase {phase}, step {step}");
+                    let mut key: Vec<u32> = (0..width).map(|_| rng(bound as u64) as u32).collect();
+                    let mut op = rng(100);
+                    if let Some(id) = far.filter(|_| step == 1) {
+                        (key[width - 1], op) = (id, 99);
+                    }
+                    let value = Trop::finite(rng(16) as f64);
+                    match op {
+                        0 => {
+                            rel = rel.clone();
+                            check_all(&rel, &model, &rows, &at);
+                        }
+                        1 => {
+                            let len = rows.len().saturating_sub(rng(8) as usize);
+                            rel.truncate(len);
+                            for (key, _) in rows.drain(len..) {
+                                model.remove(&key);
+                            }
+                            check_all(&rel, &model, &rows, &at);
+                        }
+                        2..=16 if !model.contains_key(&key) => {
+                            let r = rel.insert_row(&key, value);
+                            assert_eq!(r as usize, rows.len(), "{at}");
+                            model.insert(key.clone(), r);
+                            rows.push((key.clone(), value));
+                        }
+                        _ => {
+                            let got = rel.merge_changed(&key, value);
+                            let want = match model.get(&key) {
+                                Some(&r) => {
+                                    let old = &mut rows[r as usize].1;
+                                    let new = old.add(&value);
+                                    let changed = new != *old;
+                                    *old = new;
+                                    (r, changed)
+                                }
+                                None => {
+                                    let r = rows.len() as u32;
+                                    model.insert(key.clone(), r);
+                                    rows.push((key.clone(), value));
+                                    (r, true)
+                                }
+                            };
+                            assert_eq!(got, want, "{at}: {key:?}");
+                        }
+                    }
+                    assert_eq!(rel.len(), rows.len(), "{at}");
+                    assert_eq!(rel.rowid(&key), model.get(&key).copied(), "{at}");
+                    assert_eq!(
+                        rel.get(&key),
+                        model.get(&key).map(|&r| &rows[r as usize].1),
+                        "{at}"
+                    );
+                    if let Some((last, v)) = rows.last() {
+                        let r = rows.len() as u32 - 1;
+                        assert_eq!((rel.row(r), rel.val(r)), (&last[..], v), "{at}");
+                    }
+                    if step.is_multiple_of(64) {
+                        check_all(&rel, &model, &rows, &at);
+                    }
+                }
+                let at = format!("width {width}, end of phase {phase}");
+                check_all(&rel, &model, &rows, &at);
+                match layout {
+                    Some(layout) => {
+                        let got = rel.describe_row_map();
+                        assert!(got.starts_with(layout), "{at}: {got}");
+                    }
+                    None => {
+                        rel.clear();
+                        model.clear();
+                        rows.clear();
+                        assert!(rel.describe_row_map().starts_with("hashed"), "{at}");
+                        check_all(&rel, &model, &rows, &at);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -67,8 +67,12 @@
 //! most of its n batches: 10.6 µs per one-row bucket on `sssp-sparse`
 //! (n = 6000) against 0.8 µs now, `reported.eval_s` 63.5 ms → 4.7 ms.
 //! Most of that 0.8 µs is not this module's: ≈ 8 heap allocations per
-//! [`crate::exec::run_plan`] call for its scratch vectors, and the hash
-//! merge of each emission in `ColumnRel::merge_changed`. (The bucket's
+//! [`crate::exec::run_plan`] call for its scratch vectors, and the
+//! merge of each emission in `ColumnRel::merge_changed` — an array
+//! index once the head relation's row map is a dense slot table (from
+//! 1 024 rows on for `sssp-sparse`'s `L`, 32 768 for `apsp-dense`'s
+//! `T`; `crate::storage`, "Packed and dense keys"), a hash probe on a
+//! relation too sparse in its ids for one. (The bucket's
 //! own `Vec` is one more allocation; recycling it, or replacing the
 //! buckets with one binary heap of entries, was measured and bought
 //! nothing on `sssp-sparse` — the heap cost `apsp-dense`, whose buckets

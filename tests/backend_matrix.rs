@@ -1487,6 +1487,96 @@ fn labelled_linear_closure_edits_a_bulk_loaded_wide_edb() {
     }
 }
 
+/// A 48-node near-complete digraph: every ordered pair but those with
+/// `(7u + v) % 5 == 0` (and the loops), integer weights 1–9, so every
+/// path sum is exact.
+fn near_complete_48() -> dlo_bench::GraphInstance {
+    const N: usize = 48;
+    let edges = (0..N).flat_map(|u| {
+        (0..N)
+            .filter(move |&v| u != v && (7 * u + v) % 5 != 0)
+            .map(move |v| (u, v, (1 + (3 * u + 5 * v) % 9) as f64))
+    });
+    dlo_bench::GraphInstance {
+        n: N,
+        edges: edges.collect(),
+    }
+}
+
+/// Shortest paths of at least one edge, by Floyd–Warshall — the
+/// reference the dense closure below is held to.
+fn floyd_warshall(graph: &dlo_bench::GraphInstance) -> Relation<Trop> {
+    let n = graph.n;
+    let mut d = vec![f64::INFINITY; n * n];
+    for &(u, v, w) in &graph.edges {
+        d[u * n + v] = d[u * n + v].min(w);
+    }
+    for m in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                d[i * n + j] = d[i * n + j].min(d[i * n + m] + d[m * n + j]);
+            }
+        }
+    }
+    let finite = (0..n * n).filter(|&c| d[c].is_finite());
+    Relation::from_pairs(
+        2,
+        finite.map(|c| {
+            let key = vec![graph.node(c / n), graph.node(c % n)];
+            (key, Trop::finite(d[c]))
+        }),
+    )
+}
+
+/// The scenario big enough for a direct-addressed row map: APSP on
+/// [`near_complete_48`], whose `T` holds all 48² = 2 304 pairs over ids
+/// 0–47 and so turns into a 48² slot table once it passes 1 024 rows
+/// (`storage::row_map_dense`). Every schedule — both round loops and
+/// every `Strategy` — lands on the Floyd–Warshall distances and reports
+/// the slot table in `explain()`, and builds a handle that is the
+/// from-scratch run, counters included.
+#[test]
+fn dense_apsp_runs_on_a_slot_table_under_every_schedule() {
+    fn check<S: Schedule<Trop> + std::fmt::Debug>(schedule: S, steps_over_rounds: u64) {
+        let graph = near_complete_48();
+        let (program, edb) = (ex::apsp_program::<Trop>(), graph.trop_edb());
+        let bools = BoolDatabase::new();
+        let out = engine_eval_interned(
+            &program,
+            &edb,
+            &bools,
+            CAP,
+            schedule,
+            &EngineOpts::default(),
+        )
+        .expect("compiles");
+        let explain = out.explain();
+        assert!(
+            explain.contains("T: 2304 rows, row map dense 48² (9.0 KiB)"),
+            "{schedule:?}:\n{explain}"
+        );
+        let db = out.materialize().unwrap();
+        assert_eq!(db.get("T"), Some(&floyd_warshall(&graph)), "{schedule:?}");
+        let scenario = format!("dense apsp, {schedule:?}");
+        assert_loop_parity(
+            &scenario,
+            &program,
+            &edb,
+            &bools,
+            schedule,
+            steps_over_rounds,
+        );
+    }
+    // The semi-naïve from-scratch loops count the round that finds δ
+    // empty, as in the matrix scenarios.
+    check(Naive, 0);
+    check(SemiNaive, 1);
+    check(Strategy::SemiNaive, 1);
+    for strategy in [Strategy::Auto, Strategy::Worklist, Strategy::Priority] {
+        check(strategy, 0);
+    }
+}
+
 /// The engine switches to merge joins past the packed-key width: an
 /// arity-3 join probes through a sorted arrangement, and stays
 /// bit-identical to the grounded oracle.

@@ -403,11 +403,16 @@ fn merge_cost_is_independent_of_key_shape() {
         ns
     }
     // A multiplier coprime to n² walks every cell once, far from the
-    // previous one.
+    // previous one. Both shapes carry one id at 2^24, past any slot
+    // table (`dense_row_map_merges_cheaper_than_hashed` times that
+    // layout), so both are merged through the hash map this measures.
+    const FAR: u32 = 1 << 24;
     let cells = (0..N * N).map(|i| i * 2_654_435_761 % (N * N));
-    let (pairs, singles): (Vec<[u32; 2]>, Vec<[u32; 1]>) = cells
+    let (mut pairs, mut singles): (Vec<[u32; 2]>, Vec<[u32; 1]>) = cells
         .map(|c| ([(c / N) as u32, (c % N) as u32], [c as u32]))
         .unzip();
+    pairs[0] = [FAR, 0];
+    singles[0] = [FAR];
     // The two shapes take turns, so a busy stretch on the host lands on
     // both.
     let (pair_ns, single_ns) = (0..3)
@@ -418,6 +423,60 @@ fn merge_cost_is_independent_of_key_shape() {
         (pair_ns as f64) < PAIR_OVER_SINGLE * single_ns as f64,
         "merging by [a, b] took {:.2}x merging by [a*n + b] ({pair_ns} ns vs {single_ns} ns)",
         pair_ns as f64 / single_ns as f64
+    );
+}
+
+/// The merge every schedule and every edit shares, on the shape that
+/// motivated direct-addressed row maps: 1 000 000 `merge_changed` calls
+/// into an arity-2 relation over ids below 500 holding 240 000 of the
+/// 500² pairs — a first pass inserts each, later passes improve or are
+/// absorbed, as on `apsp-dense` — against the same calls with every id
+/// multiplied by 4 096, too sparse for a slot table (`side²` past both
+/// 8 slots a row and 2^24), so hashed. Same rows, same order, same
+/// values, min of 3 each. Measured on a 2-core shared host (release):
+/// dense/hashed 0.19–0.29 with the slot table, 0.85–1.34 before it,
+/// when both relations hashed. The bound, 0.5, sits between the worst
+/// reading of each on a log scale (√(0.29 · 0.85) ≈ 0.50). If it trips,
+/// the relation never went dense (`storage.rs::row_map_dense`, and the
+/// power-of-two check in `RowMap::get_or_insert`) or the dense path
+/// grew a hash probe.
+#[cfg(not(debug_assertions))]
+#[test]
+fn dense_row_map_merges_cheaper_than_hashed() {
+    use datalog_o::engine::ColumnRel;
+    use std::hint::black_box;
+    use std::time::Instant;
+    const N: u64 = 500;
+    const MERGES: usize = 1_000_000;
+    const DENSE_OVER_HASHED: f64 = 0.5;
+    fn merge_ns(keys: &[[u32; 2]]) -> u64 {
+        let mut rel = ColumnRel::<Trop>::new(2);
+        let t = Instant::now();
+        for (i, key) in keys.iter().cycle().take(MERGES).enumerate() {
+            // Passes 0–4 at 3, 2, 2, 1, 1: inserted, improved, absorbed.
+            let value = [3.0, 2.0, 2.0, 1.0, 1.0][i / keys.len()];
+            black_box(rel.merge_changed(key, Trop::finite(value)));
+        }
+        let ns = t.elapsed().as_nanos() as u64;
+        assert_eq!(rel.len(), keys.len());
+        ns
+    }
+    // Every cell but one in 25, visited by a multiplier coprime to n²,
+    // far from the previous one.
+    let cells = (0..N * N)
+        .map(|i| i * 2_654_435_761 % (N * N))
+        .filter(|c| c % 25 != 0);
+    let dense: Vec<[u32; 2]> = cells.map(|c| [(c / N) as u32, (c % N) as u32]).collect();
+    assert_eq!(dense.len(), 240_000);
+    let sparse: Vec<[u32; 2]> = dense.iter().map(|k| k.map(|id| id * 4096)).collect();
+    let (dense_ns, hashed_ns) = (0..3)
+        .map(|_| (merge_ns(&dense), merge_ns(&sparse)))
+        .reduce(|best, run| (best.0.min(run.0), best.1.min(run.1)))
+        .expect("three runs");
+    assert!(
+        (dense_ns as f64) < DENSE_OVER_HASHED * hashed_ns as f64,
+        "merging over dense ids took {:.2}x merging over sparse ones ({dense_ns} ns vs {hashed_ns} ns)",
+        dense_ns as f64 / hashed_ns as f64
     );
 }
 

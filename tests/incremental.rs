@@ -1504,3 +1504,125 @@ fn a_delete_that_disconnects_takes_back_the_rows_its_insert_appended() {
     cycle_twice(datalog_o::SemiNaive);
     cycle_twice(Naive);
 }
+
+/// Edits on a closure whose row map is a slot table: APSP on a 48-node
+/// near-complete digraph (all ordered pairs but `(7u + v) % 5 == 0`,
+/// weights 1–9) keeps all 48² rows of `T` over ids 0–47, direct-addressed
+/// from 1 024 rows on. A cheap chord in and out, a missing pair added,
+/// an existing edge cut: every handle matches every from-scratch oracle
+/// after every edit, and the standing `T` stays dense throughout.
+#[test]
+fn edits_on_a_direct_addressed_closure_match_from_scratch() {
+    const N: usize = 48;
+    let mut graph = dlo_bench::GraphInstance {
+        n: N,
+        edges: vec![],
+    };
+    for u in 0..N {
+        for v in (0..N).filter(|&v| u != v && (7 * u + v) % 5 != 0) {
+            graph.edges.push((u, v, (1 + (3 * u + 5 * v) % 9) as f64));
+        }
+    }
+    let edge = |u: usize, v: usize| vec![graph.node(u), graph.node(v)];
+    assert_eq!((7 * 2 + 11) % 5, 0, "2 → 11 is a missing pair");
+    let script = [
+        Edit::insert("E", edge(3, 40), Trop::finite(0.5)),
+        Edit::insert("E", edge(2, 11), Trop::finite(1.0)),
+        Edit::delete("E", edge(3, 40)),
+        Edit::delete("E", edge(0, 1)),
+        Edit::insert("E", edge(0, 1), Trop::finite(9.0)),
+    ];
+    let (program, edb) = (ex::apsp_program::<Trop>(), graph.trop_edb());
+    let opts = EngineOpts::default();
+    assert_differential(
+        "dense APSP",
+        &program,
+        &edb,
+        &script,
+        &ALL_STRATEGIES,
+        &opts,
+    );
+    let mut mat = Materialization::new(
+        &program,
+        &edb,
+        &BoolDatabase::new(),
+        CAP,
+        Strategy::Auto,
+        &opts,
+    )
+    .expect("compiles");
+    for edit in &script {
+        mat.apply(std::slice::from_ref(edit)).expect("edit applies");
+        let explain = mat.output().explain();
+        assert!(
+            explain.contains("T: 2304 rows, row map dense 48²"),
+            "{edit:?}:\n{explain}"
+        );
+    }
+}
+
+/// The other way a slot table meets an edit: a head key function mints
+/// the keys, so the ids of `W` outgrow the table's side between
+/// batches. `W(I + 1) :- W(I) | I < 3100` walks from `V(1000)` to 3 100
+/// (2 101 rows, dense from 1 024, its side doubled twice as the build
+/// mints); inserting `V(-2500)` mints 3 500 more ids in one edit, past
+/// that side, and the table widens again; deletes and a re-insert take
+/// rows out and bring the minted ids back. Every handle matches every
+/// from-scratch oracle after every edit.
+#[test]
+fn minted_keys_widen_a_dense_row_map_between_edits() {
+    let program: Program<Trop> =
+        parse_program("W(I) :- V(I).\nW(I + 1) :- W(I) | I < 3100.").unwrap();
+    let v = |i: i64| vec![Constant::Int(i)];
+    let mut edb = Database::new();
+    edb.insert(
+        "V",
+        Relation::from_pairs(
+            1,
+            [(1000, 5.0), (2000, 3.0)].map(|(i, w)| (v(i), Trop::finite(w))),
+        ),
+    );
+    let script = [
+        Edit::insert("V", v(-2500), Trop::finite(4.0)),
+        Edit::insert("V", v(3000), Trop::finite(1.0)),
+        Edit::delete("V", v(2000)),
+        Edit::delete("V", v(-2500)),
+        Edit::insert("V", v(-2500), Trop::finite(2.0)),
+    ];
+    let opts = EngineOpts::default();
+    assert_differential(
+        "minted dense keys",
+        &program,
+        &edb,
+        &script,
+        &ALL_STRATEGIES,
+        &opts,
+    );
+    let mut mat = Materialization::new(
+        &program,
+        &edb,
+        &BoolDatabase::new(),
+        CAP,
+        Strategy::Auto,
+        &opts,
+    )
+    .expect("compiles");
+    let row_map_of_w = |mat: &mut Materialization<Trop>| {
+        let explain = mat.output().explain();
+        explain
+            .lines()
+            .find(|l| l.starts_with("W:"))
+            .map(str::to_owned)
+    };
+    let built = row_map_of_w(&mut mat).expect("W is an IDB");
+    assert!(
+        built.starts_with("W: 2101 rows, row map dense 4100 "),
+        "{built}"
+    );
+    mat.apply(&script[..1]).expect("edit applies");
+    let widened = row_map_of_w(&mut mat).expect("W is an IDB");
+    assert!(
+        widened.starts_with("W: 5601 rows, row map dense 8200 "),
+        "{widened}"
+    );
+}
