@@ -113,9 +113,11 @@ impl Query {
             })
     }
 
-    /// Restricts a relation to the rows matching this query.
+    /// Restricts a relation to the rows matching this query. A support
+    /// is distinct and already ordered, so the rows go into one bulk
+    /// build rather than one merge each.
     pub fn restrict<P: Pops>(&self, rel: &Relation<P>) -> Relation<P> {
-        Relation::from_pairs(
+        Relation::from_distinct_pairs(
             rel.arity(),
             rel.support()
                 .filter(|(t, _)| self.matches(t))

@@ -296,10 +296,7 @@ impl<P: Pops> Engine<P> {
         if !fills {
             return;
         }
-        let interner = &self.interner;
-        let mut adom: Vec<u32> = (0..interner.len() as u32).collect();
-        adom.sort_by(|a, b| interner.get(*a).cmp(interner.get(*b)));
-        self.adom = adom;
+        self.adom = self.interner.ids_in_constant_order();
     }
 
     /// Folds `(source, mask)` probe requirements into the per-relation

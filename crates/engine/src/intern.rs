@@ -219,6 +219,15 @@ impl Interner {
         Ok(ColumnRel::from_distinct_rows(arity, keys, vals))
     }
 
+    /// Every interned id, in `Constant` order: the active domain's
+    /// enumeration order, and — inverted — the rank table the decode
+    /// sorts rows by. Constants are distinct, so the order is total.
+    pub fn ids_in_constant_order(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = (0..self.len() as u32).collect();
+        ids.sort_unstable_by(|&a, &b| self.get(a).cmp(self.get(b)));
+        ids
+    }
+
     /// Decodes an id.
     pub fn get(&self, id: u32) -> &Constant {
         &self.consts[id as usize]

@@ -157,9 +157,13 @@
 //! being the compile — and setup was the operation: traced, seed 1,
 //! `reported.setup_s` 0.225 → 0.043 s and `bench.op_wall_median_s`
 //! 0.273 → 0.080 s against the two-pass, SipHash, map-per-row loader
-//! this replaced, with the one sort of `F` (0.032 s, now ≈ 40 % of the
-//! operation; `reported.edb_index_s` then, `reported.arrange_s` since
-//! PR 21) and every work counter unchanged. What is left of the load is the walk over
+//! this replaced, with every work counter unchanged. That left the one
+//! sorted run of `F` (`reported.arrange_s`) at about half the operation,
+//! until it became counting passes over the interned ids
+//! (`arrange::radix_order`) instead of a comparison sort: traced,
+//! seed 1, 53.7 → 25.5 ms, and `op_median_s` 0.0747 → 0.0571 reference
+//! seconds (seed 7: 0.0791 → 0.0600; ten of ten alternating runs on
+//! each). What is left of the load is the walk over
 //! the classic `BTreeMap<Vec<Constant>, P>` itself — a pointer chase
 //! per tuple — which only a different input format would remove. The
 //! loader takes it in batches of a few hundred tuples and reads each

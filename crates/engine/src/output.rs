@@ -17,6 +17,7 @@
 //! `dlo_core::eval::EvalOutcome`; `.materialize()` converts between the
 //! two on demand.
 
+use crate::arrange::radix_order;
 use crate::intern::Interner;
 use crate::storage::ColumnRel;
 use dlo_core::eval::{EvalError, EvalOutcome, EvalStats};
@@ -143,14 +144,13 @@ impl<P: Pops> InternedOutput<P> {
 }
 
 /// Rank over *all* currently interned ids (minting may have extended the
-/// table past the setup-time active domain): rank order is
-/// order-isomorphic to `Constant` order, so packed-rank comparisons give
-/// exactly the tuple order a `BTreeMap` bulk build wants.
+/// table past the setup-time active domain) — the inverse of
+/// [`Interner::ids_in_constant_order`]. Rank order is order-isomorphic
+/// to `Constant` order, so ordering rows by rank gives exactly the tuple
+/// order a `BTreeMap` bulk build wants.
 fn rank_table(interner: &Interner) -> Vec<u32> {
-    let mut ids: Vec<u32> = (0..interner.len() as u32).collect();
-    ids.sort_unstable_by(|a, b| interner.get(*a).cmp(interner.get(*b)));
-    let mut rank = vec![0u32; ids.len()];
-    for (pos, &id) in ids.iter().enumerate() {
+    let mut rank = vec![0u32; interner.len()];
+    for (pos, id) in interner.ids_in_constant_order().into_iter().enumerate() {
         rank[id as usize] = pos as u32;
     }
     rank
@@ -172,38 +172,24 @@ pub(crate) fn decode_db<P: Pops>(
     db
 }
 
-/// Decodes one interned relation with rows pre-ordered by interned rank,
-/// so `Relation::from_distinct_pairs` sees sorted keys and its internal
-/// sort degenerates to a linear scan.
+/// The row ids of `rel` in rank order — the counting passes of
+/// [`radix_order`] over each row's ranks, at any arity.
+fn decode_order<P: Pops>(rank: &[u32], rel: &ColumnRel<P>) -> Vec<u32> {
+    let max = rank.len().saturating_sub(1) as u32;
+    let key = |r: u32, c: usize| rank[rel.row(r)[c] as usize];
+    radix_order(rel.len(), rel.arity(), max, key, &mut Vec::new())
+}
+
+/// Decodes one interned relation with rows pre-ordered by interned rank
+/// ([`decode_order`]), so `Relation::from_distinct_pairs` sees sorted
+/// keys and its internal sort degenerates to a linear scan.
 fn decode_rel<P: Pops>(
     interner: &Interner,
     rank: &[u32],
     arity: usize,
     rel: &ColumnRel<P>,
 ) -> Relation<P> {
-    let order: Vec<u32> = if arity <= 2 {
-        let mut keyed: Vec<(u64, u32)> = (0..rel.len() as u32)
-            .map(|r| {
-                let packed = match rel.row(r) {
-                    [] => 0u64,
-                    [a] => rank[*a as usize] as u64,
-                    [a, b] => ((rank[*a as usize] as u64) << 32) | rank[*b as usize] as u64,
-                    _ => unreachable!("arity ≤ 2"),
-                };
-                (packed, r)
-            })
-            .collect();
-        keyed.sort_unstable_by_key(|&(k, _)| k);
-        keyed.into_iter().map(|(_, r)| r).collect()
-    } else {
-        let mut order: Vec<u32> = (0..rel.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let ra = rel.row(a).iter().map(|&id| rank[id as usize]);
-            let rb = rel.row(b).iter().map(|&id| rank[id as usize]);
-            ra.cmp(rb)
-        });
-        order
-    };
+    let order = decode_order(rank, rel);
     let pairs = order.into_iter().map(|r| {
         let tuple: Tuple = rel
             .row(r)
@@ -594,5 +580,62 @@ mod tests {
             reference.get("L"),
             "single-pred decode matches"
         );
+    }
+
+    /// The counting passes order a decode exactly as a comparator over
+    /// rank sequences does: over constants interned out of order —
+    /// integers and strings mixed, so id order is not constant order —
+    /// arity 1, 2 and 3 relations reach `from_distinct_pairs` in the
+    /// comparator's order, and decode to the relation built tuple by
+    /// tuple.
+    #[test]
+    fn decode_order_is_the_rank_comparator_order() {
+        use super::{decode_order, decode_rel, rank_table};
+        use crate::intern::Interner;
+        use crate::storage::ColumnRel;
+        use dlo_core::relation::Relation;
+        use dlo_core::value::Constant;
+        let mut interner = Interner::new();
+        for i in 0..300i64 {
+            let c = match i % 3 {
+                0 => Constant::int(1000 - i),
+                1 => Constant::str(&format!("s{}", (i * 7919) % 300)),
+                _ => Constant::int(i * 31 % 97 - 40),
+            };
+            interner.intern(&c);
+        }
+        let rank = rank_table(&interner);
+        let ids = interner.len() as u64;
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut rng = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % ids) as u32
+        };
+        for arity in 1..=3usize {
+            let mut rel = ColumnRel::<Trop>::new(arity);
+            for v in 0..2_000 {
+                let key: Vec<u32> = (0..arity).map(|_| rng()).collect();
+                if rel.rowid(&key).is_none() {
+                    rel.insert_row(&key, Trop::finite(v as f64));
+                }
+            }
+            let mut before: Vec<u32> = (0..rel.len() as u32).collect();
+            before.sort_unstable_by(|&a, &b| {
+                let ra = rel.row(a).iter().map(|&id| rank[id as usize]);
+                ra.cmp(rel.row(b).iter().map(|&id| rank[id as usize]))
+            });
+            assert_eq!(decode_order(&rank, &rel), before, "arity {arity}");
+            let tuple = |r: u32| -> Vec<Constant> {
+                rel.row(r)
+                    .iter()
+                    .map(|&id| interner.get(id).clone())
+                    .collect()
+            };
+            let one_by_one =
+                Relation::from_pairs(arity, rel.iter().map(|(r, _, v)| (tuple(r), *v)));
+            assert_eq!(decode_rel(&interner, &rank, arity, &rel), one_by_one);
+        }
     }
 }

@@ -107,7 +107,7 @@ impl<P: Pops> QueryAnswer<P> {
     /// `tests/backend_matrix.rs` and `tests/proptest_engine.rs`).
     pub fn answers(&self) -> Relation<P> {
         match self.outcome.output().materialize_pred(&self.query.pred) {
-            Some(rel) => self.query.restrict(&rel),
+            Some(rel) => restrict(&self.query, rel),
             None => Relation::new(self.query.arity()),
         }
     }
@@ -214,12 +214,24 @@ impl<P: Pops> AbortedQuery<P> {
     /// value; rows that did not settle before the abort are simply
     /// absent); otherwise a pointwise lower bound.
     pub fn partial_answers(&self) -> Relation<P> {
-        let db = self.partial.materialize_settled();
-        match db.get(&self.query.pred) {
-            Some(rel) => self.query.restrict(rel),
+        let settled = self.partial.materialize_settled();
+        match settled
+            .into_iter()
+            .find(|(name, _)| *name == self.query.pred)
+        {
+            Some((_, rel)) => restrict(&self.query, rel),
             None => Relation::new(self.query.arity()),
         }
     }
+}
+
+/// The rows of a freshly decoded `rel` that match `query`, moved out of
+/// it rather than cloned: a support is distinct and already ordered, so
+/// they go into one bulk build.
+fn restrict<P: Pops>(query: &Query, rel: Relation<P>) -> Relation<P> {
+    let arity = rel.arity();
+    let rows = rel.into_support().filter(|(t, _)| query.matches(t));
+    Relation::from_distinct_pairs(arity, rows)
 }
 
 impl<P: Pops> std::fmt::Display for AbortedQuery<P> {
