@@ -143,9 +143,9 @@ pub(crate) struct Engine<P> {
     /// engine's whole probe plumbing, filled once by [`setup`]
     /// ([`Engine::require_probes`]) with what the seed plans and the Δ
     /// family probe, the same under every schedule. Every place that
-    /// builds or rebuilds a relation —
-    /// [`Run::prepare`], the round loops, a [`crate::Materialization`]'s
-    /// staging, retraction and marking — ensures exactly these.
+    /// builds a relation — [`Run::prepare`], the round loops, a
+    /// [`crate::Materialization`]'s staging and marking — ensures exactly
+    /// these; the standing relations keep them through every edit.
     pub(crate) idb_new_masks: Vec<Vec<ColMask>>,
     /// Index masks needed on each IDB's per-iteration delta (or staged
     /// frontier batch).
@@ -1010,7 +1010,17 @@ pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
 /// fixpoint. From the empty state that is Algorithm 1; from any other
 /// pre-fixpoint (the old state after an insert, the survivors after a
 /// retraction) it converges to the least fixpoint above it. Steps are
-/// numbered from `start`; returns the step that found the fixpoint.
+/// numbered from `start`; returns the step that found the fixpoint,
+/// the first round that changed no row.
+///
+/// Each round computes `F(J)` whole, then lands it **in place**: a new
+/// key is inserted, a changed value overwritten, an equal one absorbed,
+/// and the landings are counted like every other loop's merges. That is
+/// `J ↦ F(J)` because every start is a pre-fixpoint — the empty state,
+/// the old fixpoint under an insert's grown operator, a delete's
+/// survivors with its cone at `0` — so `F(J) ⊒ J` pointwise, at every
+/// round after too (`F` is monotone): no row of `J` is missing from
+/// `F(J)` unless it is `0`, and no landed value lowers a row.
 pub(crate) fn naive_rounds<P: NaturallyOrdered>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
@@ -1025,41 +1035,45 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
         let before = run.col.stats.counters;
         let (contrib, fresh) = run_round(engine, plans, state, &mut run.col)
             .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
-        let mut next = engine.empty_idbs();
-        for (pred, acc) in contrib.into_iter().enumerate() {
+        let set_valued = &engine.compiled.set_valued;
+        let c = &mut run.col.stats.counters;
+        let mut land = |pred: usize, key: &[u32], v: P| {
             // Set-valued (magic) rows always hold `1`: demand is a set,
             // whatever `⊕`-sum the plans accumulated.
-            let sv = engine.compiled.set_valued[pred];
-            acc.drain_sorted(|key, v| {
-                next[pred].insert_row(key, if sv { P::one() } else { v });
-            });
+            let v = if set_valued[pred] { P::one() } else { v };
+            let new = &mut state.new[pred];
+            match new.rowid(key) {
+                Some(r) if *new.val(r) == v => c.merges_absorbed += 1,
+                Some(r) => {
+                    debug_assert!(new.val(r).leq(&v), "naïve rounds start at a pre-fixpoint");
+                    new.set_val(r, v);
+                    c.rows_improved += 1;
+                }
+                None => {
+                    new.insert_row(key, v);
+                    c.rows_inserted += 1;
+                }
+            }
+        };
+        for (pred, acc) in contrib.into_iter().enumerate() {
+            acc.drain_sorted(|key, v| land(pred, key, v));
         }
         let t_mint = Instant::now();
         let minted_before = engine.interner.len();
         for (pred, acc) in fresh.into_iter().enumerate() {
-            let sv = engine.compiled.set_valued[pred];
             for (key, v) in acc {
-                let key = mint_key(&mut engine.interner, &key);
-                next[pred].insert_row(&key, if sv { P::one() } else { v });
+                land(pred, &mint_key(&mut engine.interner, &key), v);
             }
         }
-        run.col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
+        let c = &mut run.col.stats.counters;
+        c.minted_ids += (engine.interner.len() - minted_before) as u64;
         run.col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-        let fixed = next
-            .iter()
-            .zip(&state.new)
-            .all(|(n, c)| n.len() == c.len() && n.iter().all(|(_, k, v)| c.get(k) == Some(v)));
+        let fixed =
+            c.rows_inserted + c.rows_improved == before.rows_inserted + before.rows_improved;
         run.col.end_step(steps, 0, 0, &before);
         if fixed {
             return Ok(steps);
         }
-        for (pred, rel) in next.iter_mut().enumerate() {
-            ensure_probes(rel, &engine.idb_new_masks[pred]);
-            // A wholesale replacement must not alias the replaced
-            // relation's version (snapshot dirty tracking).
-            rel.succeed_version(&state.new[pred]);
-        }
-        state.new = next;
         if steps >= cap {
             return Err(LoopFail::Diverged(steps));
         }

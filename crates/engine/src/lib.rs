@@ -221,22 +221,25 @@
 //! distinct support sets share the same value — neither lets the engine
 //! subtract one lost derivation pointwise (there is no general `⊖`
 //! inverse: `minus` solves `x ⊕ ? = y` only from below). The engine
-//! therefore **overapproximates the affected set** — every IDB key
-//! whose derivation-uses graph reaches a deleted EDB row, enumerated
-//! *by key* from per-fact supporting-rule provenance (the compiled
-//! delta plans themselves) — zeroes those rows out entirely, and
-//! rederives them from the surviving support, which is exact because
-//! survivors are untouched by construction and form a pre-fixpoint of
-//! the shrunk operator. Key-level overapproximation is sound for any
-//! naturally ordered POPS: value maps are monotone, so an instance that
-//! contributed `0` before the delete still contributes `0` after, and
-//! surviving keys absorb their own re-derivation — in the semi-naïve
-//! advance because `F'(surv)ₖ ⊖ survₖ = 0`, on a frontier because an
-//! absorptive `⊕` is idempotent — so only the zeroed keys that come
-//! back drive the continuation. Insert-only
-//! workloads should prefer [`Materialization::insert`] alone — the
-//! marking pass, the zero-out, and the rederive all exist purely to pay
-//! for deletion.
+//! therefore **marks a cone of keys and re-derives it**, one path on
+//! every handle: the cone is enumerated *by key* from per-fact
+//! supporting-rule provenance (the compiled delta plans themselves),
+//! zeroed where it stands, and re-derived from the surviving support by
+//! head-guarded plans that name exactly the zeroed keys — exact because
+//! the survivors are untouched by construction and form a pre-fixpoint
+//! of the shrunk operator, from which Kleene iteration reaches its least
+//! fixpoint. What the POPS licenses decides only how small the cone is:
+//! over any naturally ordered POPS, every key whose derivation-uses
+//! graph reaches a deleted EDB row (sound because value maps are
+//! monotone, so an instance that contributed `0` before the delete
+//! still contributes `0` after); over a totally ordered absorptive
+//! dioid, only the keys whose stored value a lost derivation attained.
+//! Rows stay where they are — zeroed, re-derived or, if nothing
+//! derives them any more, removed — so a row id is stable under every
+//! schedule and every edit unless a row stored before it is removed.
+//! Insert-only workloads should prefer
+//! [`Materialization::insert`] alone — the marking pass, the zero-out,
+//! and the rederive all exist purely to pay for deletion.
 //!
 //! ## Design note: two probe structures, one regime each
 //!
@@ -261,7 +264,7 @@
 //! * Everything else gets a **hash-prefix index**, maintained by every
 //!   append: every relation of arity ≤ 2 (packed keys), and every
 //!   relation that **grows while it is probed**, at any arity — the IDB
-//!   state, every Δ, `@dlt`, the relations a delete rebuilds. A
+//!   state, every Δ, `@dlt`, a live EDB relation an edit grew. A
 //!   nonlinear rule is exactly the one that does this, one
 //!   `merge_changed` per derivation with `New` / `Old` probes in
 //!   between (Thm. 6.5).

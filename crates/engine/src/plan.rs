@@ -773,6 +773,21 @@ impl Compiler<'_> {
             });
         }
 
+        // `exec` folds a derivation's product over the factor slots in
+        // index order, whatever order the steps join in. Each factor feeds
+        // the slot of its textual position, once: then every variant of a
+        // sum-product (Δ split, `@dlt`, `@cone`) multiplies in the rule's
+        // order and recomputes a stored value bit for bit, on `f64`
+        // carriers too — what the attaining delete's equality test needs.
+        debug_assert!(
+            steps.iter().filter(|s| s.factor.is_some()).count() == sp.factors.len()
+                && steps.iter().zip(&order).all(|(s, &bi)| {
+                    let atom =
+                        |f: FactorSlot| std::ptr::eq(binders[bi].atom, &sp.factors[f.index].atom);
+                    s.factor.is_none_or(atom)
+                }),
+            "a plan's factor slots are its rule's textual factor order"
+        );
         let fill: Vec<usize> = (0..nslots).filter(|&s| !bound[s]).collect();
         let condition = self.compile_formula(&sp.condition, &slot_of);
         Ok(Plan {

@@ -711,14 +711,41 @@ impl<P: Pops> ColumnRel<P> {
         }
     }
 
-    /// Drops every row from `len` on, **in place**: the rows before keep
-    /// their ids, order and values, the row map and every index lose
-    /// exactly the dropped rows' entries (posting lists are ascending, so
-    /// each dropped row is the last of its list), and nothing is rebuilt
-    /// — the cost is the dropped rows, not the relation. What an edit
-    /// that takes back the most recently appended rows calls instead of
-    /// copying the survivors into a fresh relation.
-    pub fn truncate(&mut self, len: usize) {
+    /// Takes the rows `rows` (ascending ids) out of the relation **in
+    /// place** — the one way rows leave a standing relation, an IDB a
+    /// delete re-derived or a live EDB relation. The survivors keep
+    /// their order, and every probe mask stays registered. When `rows`
+    /// are the tail, which is what a delete undoing the latest insert
+    /// loses, the survivors keep their ids too and the cost is the
+    /// dropped rows ([`Self::truncate`]). Otherwise the survivors are
+    /// re-laid from row 0, through [`Self::clear`] and the appends that
+    /// maintain the row map and every index, at the cost of the
+    /// relation.
+    pub(crate) fn remove_rows(&mut self, rows: &[u32]) {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "ascending row ids");
+        let keep = self.len() - rows.len();
+        if rows.first().is_none_or(|&r| r as usize >= keep) {
+            self.truncate(keep);
+            return;
+        }
+        let (keys, vals) = (
+            std::mem::take(&mut self.keys),
+            std::mem::take(&mut self.vals),
+        );
+        self.clear();
+        let mut gone = rows.iter().copied().peekable();
+        for (r, (key, v)) in keys.chunks_exact(self.arity).zip(vals).enumerate() {
+            if gone.next_if_eq(&(r as u32)).is_none() {
+                self.insert_row(key, v);
+            }
+        }
+    }
+
+    /// Drops every row from `len` on: the rows before keep their ids,
+    /// order and values, the row map and every index lose exactly the
+    /// dropped rows' entries (posting lists are ascending, so each
+    /// dropped row is the last of its list), and nothing is rebuilt.
+    fn truncate(&mut self, len: usize) {
         if len >= self.len() {
             return;
         }
@@ -964,14 +991,6 @@ impl<P: Pops> ColumnRel<P> {
         self.version
     }
 
-    /// Advances this relation's version strictly past `prev`'s — called
-    /// when a freshly built relation replaces `prev` wholesale
-    /// (delete–rederive), so version comparisons never alias across the
-    /// replacement.
-    pub fn succeed_version(&mut self, prev: &Self) {
-        self.version = self.version.max(prev.version) + 1;
-    }
-
     /// The sorted run serving `mask`, if [`Self::ensure_arranged`] was
     /// asked for one and no row has been appended since — what the
     /// executor's per-plan-run dispatch goes by.
@@ -1058,48 +1077,52 @@ mod tests {
         assert_eq!(rel.probe(0b01, &[0]), &[0]);
     }
 
+    /// `remove_rows` on the tail (in place, ids kept) and off it (the
+    /// survivors re-laid in order): either way the relation reads, row
+    /// for row and probe for probe, like one that only ever held the
+    /// survivors, and the removed keys come back as fresh rows.
     #[test]
-    fn truncate_reads_like_never_having_appended_the_tail() {
+    fn removed_rows_read_like_never_having_been_inserted() {
         for arity in [2, 3] {
-            let key = |a: u32, b: u32| {
-                if arity == 2 {
-                    vec![a, b]
-                } else {
-                    vec![a, b, a + b]
+            let key = |a: u32, b: u32| [a, b, a + b][..arity].to_vec();
+            let rows = [(0, 1), (0, 3), (0, 2), (1, 2), (4, 2)];
+            let holding = |kept: &[usize]| {
+                let mut rel = ColumnRel::<Trop>::new(arity);
+                rel.ensure_index(0b01);
+                rel.ensure_index(0b10);
+                for &i in kept {
+                    let (a, b) = rows[i];
+                    rel.insert_row(&key(a, b), Trop::finite((a + b) as f64));
                 }
+                rel
             };
-            let mut rel = ColumnRel::<Trop>::new(arity);
-            let mut twin = ColumnRel::<Trop>::new(arity);
-            for r in [&mut rel, &mut twin] {
-                r.ensure_index(0b01);
-                r.ensure_index(0b10);
-                for (a, b) in [(0, 1), (0, 2), (1, 2)] {
-                    r.insert_row(&key(a, b), Trop::finite(a as f64));
+            let mut rel = holding(&[0, 1, 2, 3, 4]);
+            for (gone, kept) in [(&[3, 4][..], &[0, 1, 2][..]), (&[1], &[0, 2])] {
+                let twin = holding(kept);
+                let before = rel.version();
+                rel.remove_rows(gone);
+                assert!(rel.version() > before, "a removal is a mutation");
+                assert_eq!(
+                    rel.iter().collect::<Vec<_>>(),
+                    twin.iter().collect::<Vec<_>>(),
+                    "{gone:?}"
+                );
+                for (mask, k) in [(0b01, 0), (0b01, 4), (0b10, 2), (0b10, 3)] {
+                    assert_eq!(
+                        rel.probe(mask, &[k]),
+                        twin.probe(mask, &[k]),
+                        "{mask:b} {k}"
+                    );
+                }
+                for &(a, b) in &rows {
+                    assert_eq!(rel.rowid(&key(a, b)), twin.rowid(&key(a, b)), "{gone:?}");
                 }
             }
-            let before = rel.version();
-            rel.insert_row(&key(0, 3), Trop::finite(7.0));
-            rel.insert_row(&key(4, 2), Trop::finite(8.0));
-            rel.truncate(3);
-            assert!(rel.version() > before, "a truncation is a mutation");
-            assert_eq!(
-                rel.iter().collect::<Vec<_>>(),
-                twin.iter().collect::<Vec<_>>()
-            );
-            for (mask, k) in [(0b01, 0), (0b01, 4), (0b10, 2), (0b10, 3)] {
-                assert_eq!(
-                    rel.probe(mask, &[k]),
-                    twin.probe(mask, &[k]),
-                    "{mask:b} {k}"
-                );
-            }
-            assert_eq!(rel.rowid(&key(4, 2)), None);
-            assert_eq!(rel.rowid(&key(1, 2)), Some(2));
-            // The dropped keys come back as fresh rows, indexed again.
-            assert_eq!(rel.merge_changed(&key(4, 2), Trop::finite(1.0)), (3, true));
-            assert_eq!(rel.probe(0b01, &[4]), &[3]);
-            rel.truncate(9);
-            assert_eq!(rel.len(), 4, "a length past the end drops nothing");
+            // A removed key comes back as a fresh row, indexed again.
+            assert_eq!(rel.merge_changed(&key(4, 2), Trop::finite(1.0)), (2, true));
+            assert_eq!(rel.probe(0b01, &[4]), &[2]);
+            rel.remove_rows(&[]);
+            assert_eq!(rel.len(), 3, "removing no row drops nothing");
         }
     }
 
@@ -1378,12 +1401,13 @@ mod tests {
     }
 
     /// The row map's two layouts against a hash-map model: random
-    /// `merge_changed` / `insert_row` / `truncate` / `clone` steps, phase
-    /// by phase, each phase drawing ids below its bound until the model
-    /// holds its row target, then a `clear`. After every step the
-    /// relation answers like the model — `len`, the touched key's
-    /// `rowid` and `get`, the newest row — and every 64 steps and after
-    /// each truncate, clone and phase, for every row and for absent keys.
+    /// `merge_changed` / `insert_row` / tail `remove_rows` / `clone`
+    /// steps, phase by phase, each phase drawing ids below its bound
+    /// until the model holds its row target, then a `clear`. After every
+    /// step the relation answers like the model — `len`, the touched
+    /// key's `rowid` and `get`, the newest row — and every 64 steps and
+    /// after each removal, clone and phase, for every row and for absent
+    /// keys.
     /// The phases cross each way the layout changes, checked at their
     /// ends: going dense at 1 024 rows (width 1; width 2 over 40²) or
     /// only at 2 048 (width 2 over 100², past 8 slots a row at 1 024),
@@ -1465,7 +1489,8 @@ mod tests {
                         }
                         1 => {
                             let len = rows.len().saturating_sub(rng(8) as usize);
-                            rel.truncate(len);
+                            let tail: Vec<u32> = (len as u32..rows.len() as u32).collect();
+                            rel.remove_rows(&tail);
                             for (key, _) in rows.drain(len..) {
                                 model.remove(&key);
                             }

@@ -934,25 +934,27 @@ fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
     }
 }
 
-/// The same enumeration for edits on a live handle under both
-/// frontiers: the shortcut `0 → n/2` inserted into the gradient graph
-/// and retracted again, each stopped by a step budget of every `k`
-/// below the edit's own step count (an insert's seed round and one
-/// bucket or generation per improved batch; a delete's marking rounds
-/// first, then the same). Every stop is the typed budget error, poisons
-/// the handle and leaves its mid-flight state on `partial()` —
-/// best-effort, a pointwise lower bound of the post-edit fixpoint on an
-/// insert; what the priority order had popped by then is marked and
-/// already final, and FIFO generations mark nothing — and `rebuild()`
-/// under a lifted budget lands on the from-scratch build of the edited
-/// EDB. A budget of the step count itself lets the edit through.
+/// The same enumeration for edits on a live handle under the semi-naïve
+/// rounds and both frontiers: the shortcut `0 → n/2` inserted into the
+/// gradient graph and retracted again, each stopped by a step budget of
+/// every `k` below the edit's own step count (an insert's seed round
+/// and one round, bucket or generation per improved batch; a delete's
+/// marking rounds first, then the same). Every stop is the typed budget
+/// error, poisons the handle and leaves its mid-flight state on
+/// `partial()` — best-effort, a pointwise lower bound of the post-edit
+/// fixpoint on an insert; what the priority order had popped by then is
+/// marked and already final, semi-naïve rounds and FIFO generations mark
+/// nothing — and `rebuild()` under a lifted budget lands on the
+/// from-scratch build of the edited EDB. A budget of the step count
+/// itself lets the edit through (one more under the semi-naïve rounds,
+/// whose count leaves out the seed round).
 ///
 /// A delete stopped after its marking has zeroed its cone in place —
 /// the sixteen rows behind the shortcut — and brought back only what
 /// its buckets reached: the live state holds rows at `0`. None of them
 /// may show: the partial leaves them out (its settled marks following
-/// the rows that stay), and a read through the poisoned handle finds
-/// no fact there.
+/// the rows that stay), and the poisoned handle's reads — `get`,
+/// `support_size`, `output()` — show exactly what the partial shows.
 #[test]
 fn edits_abort_at_every_step_poison_and_rebuild() {
     const N: usize = 32;
@@ -963,7 +965,7 @@ fn edits_abort_at_every_step_poison_and_rebuild() {
     let shortcut = vec![graph.node(0), graph.node(N / 2)];
     let insert = [Edit::insert("E", shortcut.clone(), Trop::finite(0.5))];
     let delete = [Edit::delete("E", shortcut)];
-    for strategy in [Strategy::Worklist, Strategy::Priority] {
+    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
         let build = |edb: &Database<Trop>| {
             Materialization::new(&program, edb, &bools, CAP, strategy, &opts)
                 .expect("ungoverned build succeeds")
@@ -980,11 +982,12 @@ fn edits_abort_at_every_step_poison_and_rebuild() {
 
             let mut marked_somewhere = false;
             let mut tombstones_somewhere = false;
-            for budget in 0..=own_steps {
+            let fits = own_steps + u64::from(strategy == Strategy::SemiNaive);
+            for budget in 0..=fits {
                 let leg = format!("{strategy:?} {kind} under max_steps {budget}");
                 let mut mat = build(before);
                 mat.set_budget(EvalBudget::default().with_max_steps(budget));
-                if budget == own_steps {
+                if budget == fits {
                     let stats = mat.apply(edit).expect("the edit's own step count fits");
                     assert_eq!(stats.steps, own_steps, "{leg}");
                     assert_eq!(mat.output().materialize(), after, "{leg}");
@@ -1015,8 +1018,15 @@ fn edits_abort_at_every_step_poison_and_rebuild() {
                         marked_somewhere = true;
                     }
                 }
-                if strategy == Strategy::Worklist {
+                if strategy != Strategy::Priority {
                     assert_eq!(partial.settled().settled_rows(), 0, "{leg}");
+                }
+                let shown = partial.interned().clone();
+                assert_eq!(mat.support_size("L"), shown.support_size("L"), "{leg}");
+                let out = mat.output();
+                for i in 0..N {
+                    let key = [graph.node(i)];
+                    assert_eq!(out.get("L", &key), shown.get("L", &key), "{leg}: L({i})");
                 }
 
                 mat.set_budget(EvalBudget::unlimited());
