@@ -91,8 +91,9 @@ pub(crate) const MAX_ARITY: usize = 32;
 /// order, so the choice is cost only, and each owns a regime (parent of
 /// PR 21, this host). *Bulk, then read-only* — 300 000 arity-4 rows,
 /// masks `0b0111` + `0b1111`, `wide-lookup`'s shape: one sorted run
-/// 44–56 ms by a comparison sort, 22–27 ms by the counting passes of
-/// [`crate::arrange::radix_order`] (the two masks share it), two
+/// 44–56 ms by a comparison sort, 22–27 ms by counting passes over the
+/// whole relation, 13–14 ms by [`crate::arrange::radix_order`]'s
+/// partition-first passes (traced; the two masks share the run), two
 /// boxed-key hash indexes
 /// 177–248 ms plus 57–120 ms to drop them. *Growing while probed* —
 /// 200 000 rows of arity 3–4, structure registered on the empty

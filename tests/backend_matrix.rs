@@ -1374,6 +1374,46 @@ fn wide_lookup_wide_keys() {
     assert_matrix_arranged("wide lookup", &program, &edb);
 }
 
+/// The two scenarios above intern fewer than 2^11 constants, so every
+/// column of their runs is one counting digit. Here `F` holds 6 000
+/// arity-4 rows over ≈ 3 000 constants (integers and strings), so each
+/// column spans two digits and a partition is the top digit of its
+/// leading column: `Out1` probes `F` through the prefix `{A, B, C}`
+/// (partitions are ranges of the load's rows), `Out2` through `{B, C,
+/// D}`, which leaves column 0 out (partitions scattered over the rows).
+#[test]
+fn wide_lookup_past_one_digit() {
+    let program: Program<Trop> = parse_program(
+        "Out1(A, D) :- S(A, B, C) * F(A, B, C, D).\n\
+         Out2(B, A) :- T(B, C, D) * F(A, B, C, D).",
+    )
+    .unwrap();
+    let id = |i: u64| -> datalog_o::core::Constant {
+        match i % 4 {
+            0 => format!("c{i}").as_str().into(),
+            _ => (i as i64).into(),
+        }
+    };
+    let mut facts = std::collections::BTreeMap::new();
+    for i in 0..6_000u64 {
+        let key = [i % 61, i * 7_919 % 3_001, i % 5, i * 104_729 % 2_999];
+        facts.insert(key.map(id).to_vec(), Trop::finite((1 + i % 9) as f64));
+    }
+    let rows = |cols: std::ops::Range<usize>, step: usize| -> Relation<Trop> {
+        let picked = facts.keys().step_by(step);
+        let tuples = picked.map(|t| (t[cols.clone()].to_vec(), Trop::finite(1.0)));
+        Relation::from_pairs(cols.len(), tuples)
+    };
+    let mut edb = Database::new();
+    edb.insert("S", rows(0..3, 97));
+    edb.insert("T", rows(1..4, 89));
+    edb.insert("F", Relation::from_pairs(4, facts.clone()));
+    let mut interner = Interner::new();
+    let f = interner.load_relation(edb.get("F").unwrap());
+    assert!(interner.len() > 1 << 11 && f.len() >= 5_000);
+    assert_matrix_arranged("wide lookup past one digit", &program, &edb);
+}
+
 /// Labelled edges `E3(X, Y, A)`: per label `A` a weighted chain over
 /// six nodes with a long shortcut and a closing back edge, so closures
 /// improve rows after inserting them.
