@@ -1,8 +1,9 @@
-//! # dlo-bench — reproduction harness and workloads
+//! # dlo-bench — seeded workloads
 //!
-//! Shared infrastructure for the `repro_*` binaries (one per table/figure
-//! of the paper — see DESIGN.md's experiment index and EXPERIMENTS.md for
-//! recorded outputs).
+//! Graph and program generators shared by the root integration tests
+//! (where the paper's theorems and examples are checked) and by the
+//! engine benchmark, `dlo_benchmark`, which lives in `src/bin/` with its
+//! own manifest.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

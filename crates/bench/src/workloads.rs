@@ -331,48 +331,6 @@ pub fn labeled_tc4(classes: usize, chain: usize) -> (dlo_core::Program<Trop>, Da
     (p, db)
 }
 
-/// Prints the host line every bench emits — `nproc`, the thread knob,
-/// and (on one core) the multi-core caveat: parallel legs on a
-/// single-core container measure scheduling overhead, never wall-clock
-/// speedup.
-pub fn print_host_note() {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let knob = std::env::var("DLO_ENGINE_THREADS").unwrap_or_else(|_| "unset".to_string());
-    println!("== host: nproc={nproc}, DLO_ENGINE_THREADS={knob}");
-    if nproc == 1 {
-        println!("!! single-core container: parallel numbers measure overhead, not speedup");
-    }
-    println!();
-}
-
-/// Prints a two-column table with a caption (the repro binaries' shared
-/// output format).
-pub fn print_table(caption: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("== {caption}");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.chars().count());
-            }
-        }
-    }
-    let fmt = |cells: &[String]| -> String {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let hdr: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt(&hdr));
-    for row in rows {
-        println!("{}", fmt(row));
-    }
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,7 @@
 //! variable per ground IDB atom, one provenance polynomial per variable.
 //! EDB values are substituted into coefficients during grounding.
 //!
-//! Two modes (see DESIGN.md):
+//! Two modes:
 //!
 //! * **dense** (default, always sound): bound variables not pinned by
 //!   positive Boolean condition atoms range over the full `D₀` — this is

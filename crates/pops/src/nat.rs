@@ -8,7 +8,7 @@
 //! Representation: `u64` with saturating arithmetic. Divergence detection in
 //! the engine happens via iteration caps long before saturation could be
 //! reached on any paper workload; saturation merely keeps the arithmetic
-//! total (documented substitution in DESIGN.md).
+//! total.
 
 use crate::traits::*;
 

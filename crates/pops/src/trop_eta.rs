@@ -10,7 +10,7 @@
 //! `⌈η/x₀⌉` where `x₀` is the least nonzero member), but no single `p`
 //! works for all elements — `{a}` with `a < η/(p+1)` defeats any `p`.
 //!
-//! *Substitution note (see DESIGN.md):* the paper uses real costs; we use
+//! *Substitution note:* the paper uses real costs; we use
 //! integer costs with a const-generic `η`, which preserves every stability
 //! phenomenon while keeping elements exactly comparable.
 

@@ -1,8 +1,10 @@
 //! Example 4.1 end-to-end: single-source shortest paths with the naïve and
 //! semi-naïve algorithms, full iteration trace, and the tropical delta
-//! rule of eq. (7).
+//! rule of eq. (7) — then the same program on the execution engine's
+//! priority frontier.
 //!
-//! Run with `cargo run --example shortest_paths`.
+//! Run with `cargo run --example shortest_paths`; set `DLO_TRACE=out.jsonl`
+//! to also write the engine run's event stream.
 
 use datalog_o::core::examples_lib::sssp_trop;
 use datalog_o::core::{ground_sparse, naive_eval_trace, seminaive_eval_system, BoolDatabase};
@@ -39,4 +41,12 @@ fn main() {
             .unwrap()
     );
     println!("naive and semi-naive agree (Theorem 6.4).");
+
+    // The engine settles each node once, best-first (Cor. 5.19: Trop⁺ is
+    // 0-stable), and reaches the same fixpoint.
+    let engine = datalog_o::eval_frontier(&program, &edb, &BoolDatabase::new())
+        .expect("compiles")
+        .unwrap();
+    assert_eq!(engine, out);
+    println!("the engine's priority frontier agrees.");
 }

@@ -2,8 +2,7 @@
 //!
 //! Umbrella crate re-exporting the full workspace: a production-quality
 //! implementation of *Convergence of Datalog over (Pre-) Semirings*
-//! (PODS 2022). See the README for a tour and DESIGN.md for the system
-//! inventory.
+//! (PODS 2022). See the README for a tour.
 //!
 //! ```
 //! use datalog_o::core::{parse_program, naive_eval, BoolDatabase, Database, Relation, Program};

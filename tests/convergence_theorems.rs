@@ -1,13 +1,29 @@
 //! Integration: the convergence theory of Sec. 3/5 exercised across
 //! crates — measured stability indexes against every bound of
-//! Theorem 1.2 / 5.12 and Lemma 5.20 on randomized workloads.
+//! Theorem 1.2 / 5.12, Theorem 3.4, Lemma 3.3, Lemma 5.20 / Cor. 5.21 and
+//! Prop. 5.3 / 5.4 on fixed and randomized workloads, the five
+//! convergence classes of Sec. 4.2, and Newton's method against naïve
+//! iteration.
 
+use datalog_o::core::examples_lib::quadratic_tc_program;
 use datalog_o::core::{
-    ground_sparse, naive_eval_system, BoolDatabase, Database, EvalOutcome, Relation,
+    ground_sparse, naive_eval_system, seminaive_eval_system, BoolDatabase, Database, EvalOutcome,
+    Program, Relation,
 };
-use datalog_o::fixpoint::{general_bound, linear_bound, trop_p_matrix_bound, zero_stable_bound};
-use datalog_o::pops::{stability, Bool, MaxPlus, Trop, TropEta, TropP};
-use datalog_o::semilin::{matrix_stability_index, trop_p_cycle, Matrix};
+use datalog_o::fixpoint::bounds::nested_bound;
+use datalog_o::fixpoint::{
+    clone_bound, general_bound, linear_bound, naive_lfp, nested_lfp, product_lfp,
+    trop_p_matrix_bound, zero_stable_bound, Outcome,
+};
+use datalog_o::pops::natpair_lex::{case_i_chain_lub, case_i_ico};
+use datalog_o::pops::stability::element_stability_index;
+use datalog_o::pops::{
+    Bool, MaxPlus, NatInf, NatPairLex, NaturallyOrdered, Pops, PreSemiring, Trop, TropEta, TropP,
+};
+use datalog_o::semilin::{
+    closure_fixpoint, fwk_closure, matrix_stability_index, newton_lfp, trop_p_cycle, Matrix,
+};
+use dlo_bench::GraphInstance;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,6 +37,17 @@ fn random_graph(rng: &mut StdRng, n: usize, m: usize) -> Vec<(usize, usize, f64)
         }
     }
     edges
+}
+
+/// The xorshift64 stream the fixed random matrices and elements below
+/// are drawn from.
+fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+    move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    }
 }
 
 fn trop_p_edb<const P: usize>(edges: &[(usize, usize, f64)]) -> Database<TropP<P>> {
@@ -40,95 +67,127 @@ fn trop_p_edb<const P: usize>(edges: &[(usize, usize, f64)]) -> Database<TropP<P
     db
 }
 
-/// Theorem 1.2, linear bound: random linear programs over Trop+_p converge
-/// within Σ (p+1)^i.
+/// Naïve steps to the fixpoint of the sparse grounding, and its number
+/// of ground atoms N.
+fn naive_steps<P: NaturallyOrdered>(program: &Program<P>, edb: &Database<P>) -> (usize, usize) {
+    let sys = ground_sparse(program, edb, &BoolDatabase::new());
+    match naive_eval_system(&sys, 1_000_000) {
+        EvalOutcome::Converged { steps, .. } => (steps, sys.num_vars()),
+        _ => panic!("must converge"),
+    }
+}
+
+/// Theorem 1.2 / 5.12, linear bound: linear programs over Trop+_p
+/// converge within Σ_{i≤N} (p+1)^i — SSSP over Trop+_1 on a path, a
+/// cycle, a random digraph and a grid, then on random graphs over
+/// Trop+_2.
 #[test]
 fn linear_programs_respect_linear_bound() {
+    // The bound itself over Trop+_1: Σ_{i=1..N} 2^i = 2^{N+1} − 2.
+    for n in 1..20 {
+        assert_eq!(linear_bound(1, n), (1 << (n + 1)) - 2, "N={n}");
+    }
+    for (name, g) in [
+        ("path(6)", GraphInstance::path(6)),
+        ("cycle(5)", GraphInstance::cycle(5)),
+        ("random(8,20)", GraphInstance::random(8, 20, 9, 11)),
+        ("grid(3)", GraphInstance::grid(3)),
+    ] {
+        let prog = dlo_bench::single_source_int_program::<TropP<1>>(0);
+        let (steps, n) = naive_steps(&prog, &trop_p_edb::<1>(&g.edges));
+        assert!(
+            (steps as u128) <= linear_bound(1, n),
+            "{name}: steps {steps} > bound"
+        );
+    }
+
     const P: usize = 2;
     let mut rng = StdRng::seed_from_u64(0xfeed);
     for trial in 0..10 {
         let n = rng.gen_range(3..7);
         let edges = random_graph(&mut rng, n, 2 * n);
         let prog = dlo_bench::single_source_int_program::<TropP<P>>(0);
-        let sys = ground_sparse(&prog, &trop_p_edb::<P>(&edges), &BoolDatabase::new());
-        match naive_eval_system(&sys, 1_000_000) {
-            EvalOutcome::Converged { steps, .. } => {
-                assert!(
-                    (steps as u128) <= linear_bound(P, sys.num_vars()),
-                    "trial {trial}: steps {steps} > bound"
-                );
-                // Linear programs also respect the matrix bound (p+1)N-1 + 1.
-                assert!(
-                    (steps as u128) <= trop_p_matrix_bound(P, sys.num_vars()) + 1,
-                    "trial {trial}"
-                );
-            }
-            _ => panic!("stable semiring must converge (Thm 5.10)"),
-        }
+        let (steps, n) = naive_steps(&prog, &trop_p_edb::<P>(&edges));
+        assert!(
+            (steps as u128) <= linear_bound(P, n),
+            "trial {trial}: steps {steps} > bound"
+        );
+        // Linear programs also respect the matrix bound (p+1)N-1 + 1.
+        assert!(
+            (steps as u128) <= trop_p_matrix_bound(P, n) + 1,
+            "trial {trial}"
+        );
     }
 }
 
-/// Theorem 1.2, general bound: quadratic programs over Trop+_p.
+/// Theorem 1.2 / 5.12, general bound: quadratic programs over Trop+_1
+/// converge within Σ_{i≤N} (p+2)^i — TC by squaring on a path, a cycle
+/// and random graphs.
 #[test]
 fn quadratic_programs_respect_general_bound() {
+    // The bound itself over Trop+_1: Σ_{i=1..N} 3^i = (3^{N+1} − 3) / 2.
+    for n in 1..20 {
+        assert_eq!(
+            general_bound(1, n),
+            (3u128.pow(n as u32 + 1) - 3) / 2,
+            "N={n}"
+        );
+    }
     const P: usize = 1;
+    let fixed = [GraphInstance::path(4).edges, GraphInstance::cycle(4).edges];
     let mut rng = StdRng::seed_from_u64(0xbead);
-    for _ in 0..6 {
+    let random = (0..6).map(|_| {
         let n = rng.gen_range(3..5);
-        let edges = random_graph(&mut rng, n, 2 * n);
-        let prog = datalog_o::core::examples_lib::quadratic_tc_program::<TropP<P>>();
-        let sys = ground_sparse(&prog, &trop_p_edb::<P>(&edges), &BoolDatabase::new());
-        match naive_eval_system(&sys, 1_000_000) {
-            EvalOutcome::Converged { steps, .. } => {
-                assert!((steps as u128) <= general_bound(P, sys.num_vars()));
-            }
-            _ => panic!("must converge"),
-        }
+        random_graph(&mut rng, n, 2 * n)
+    });
+    for edges in fixed.into_iter().chain(random) {
+        let (steps, n) = naive_steps(
+            &quadratic_tc_program::<TropP<P>>(),
+            &trop_p_edb::<P>(&edges),
+        );
+        assert!((steps as u128) <= general_bound(P, n), "{edges:?}");
     }
 }
 
-/// Corollary 5.19: 0-stable POPS converge within N steps (B and Trop+).
+/// Corollary 5.19: 0-stable POPS converge within N steps (B and Trop+),
+/// and SSSP down a path shows the bound is tight.
 #[test]
 fn zero_stable_converges_within_n() {
     let mut rng = StdRng::seed_from_u64(0xabc);
     for _ in 0..10 {
         let n = rng.gen_range(4..12);
-        let edges = random_graph(&mut rng, n, 3 * n);
+        let g = GraphInstance {
+            n,
+            edges: random_graph(&mut rng, n, 3 * n),
+        };
         // Trop+ SSSP.
         let prog = dlo_bench::single_source_int_program::<Trop>(0);
-        let mut edb = Database::new();
-        edb.insert(
-            "E",
-            Relation::from_pairs(
-                2,
-                edges.iter().map(|&(u, v, w)| {
-                    (vec![(u as i64).into(), (v as i64).into()], Trop::finite(w))
-                }),
-            ),
-        );
-        let sys = ground_sparse(&prog, &edb, &BoolDatabase::new());
-        let EvalOutcome::Converged { steps, .. } = naive_eval_system(&sys, 100_000) else {
-            panic!("0-stable must converge");
-        };
-        assert!((steps as u128) <= zero_stable_bound(sys.num_vars()));
+        let (steps, n) = naive_steps(&prog, &g.trop_edb());
+        assert!((steps as u128) <= zero_stable_bound(n));
 
         // Boolean quadratic TC.
-        let progb = datalog_o::core::examples_lib::quadratic_tc_program::<Bool>();
-        let mut edbb = Database::new();
-        edbb.insert(
-            "E",
-            Relation::from_pairs(
-                2,
-                edges
-                    .iter()
-                    .map(|&(u, v, _)| (vec![(u as i64).into(), (v as i64).into()], Bool(true))),
-            ),
+        let (steps, n) = naive_steps(&quadratic_tc_program::<Bool>(), &g.bool_edb());
+        assert!((steps as u128) <= zero_stable_bound(n));
+    }
+
+    // Tight on paths: SSSP down a path of N nodes takes N steps.
+    for n in [4usize, 8, 16, 32, 64] {
+        let (prog, edb) = GraphInstance::path(n).sssp();
+        let (steps, vars) = naive_steps(&prog, &edb);
+        assert!(
+            (steps as u128) <= zero_stable_bound(vars) && steps + 1 >= vars,
+            "path({n}): {steps} steps, N = {vars}"
         );
-        let sysb = ground_sparse(&progb, &edbb, &BoolDatabase::new());
-        let EvalOutcome::Converged { steps, .. } = naive_eval_system(&sysb, 100_000) else {
-            panic!("B must converge");
-        };
-        assert!((steps as u128) <= zero_stable_bound(sysb.num_vars()));
+    }
+    // Boolean TC by squaring stays within N = n² on paths too (it takes
+    // about log n steps).
+    for n in [8usize, 16] {
+        let edb = GraphInstance::path(n).bool_edb();
+        let (steps, vars) = naive_steps(&quadratic_tc_program::<Bool>(), &edb);
+        assert!(
+            (steps as u128) <= zero_stable_bound(vars),
+            "path({n}): {steps} steps, N = {vars}"
+        );
     }
 }
 
@@ -648,10 +707,7 @@ fn unstable_core_diverges_on_cycles() {
     let sys = ground_sparse(&prog, &edb, &BoolDatabase::new());
     assert!(!naive_eval_system(&sys, 200).is_converged());
     // The element driving it is indeed unstable:
-    assert_eq!(
-        stability::element_stability_index(&MaxPlus::finite(1.0), 100),
-        None
-    );
+    assert_eq!(element_stability_index(&MaxPlus::finite(1.0), 100), None);
     // With non-positive gains the same program converges (0-stable zone).
     let mut edb2 = Database::new();
     edb2.insert(
@@ -668,7 +724,7 @@ fn unstable_core_diverges_on_cycles() {
 }
 
 /// Theorem 5.10: stable but non-uniformly-stable semirings always
-/// converge, in value-dependent time (Trop+_eta).
+/// converge, in value-dependent time (Trop+_eta) — Sec. 4.2's case (iii).
 #[test]
 fn trop_eta_converges_with_value_dependent_steps() {
     type T = TropEta<32>;
@@ -686,18 +742,17 @@ fn trop_eta_converges_with_value_dependent_steps() {
         db
     };
     let prog = dlo_bench::single_source_int_program::<T>(0);
-    let steps = |w: u64| -> usize {
-        let sys = ground_sparse(&prog, &cycle(w), &BoolDatabase::new());
-        match naive_eval_system(&sys, 1_000_000) {
-            EvalOutcome::Converged { steps, .. } => steps,
-            _ => panic!("stable semiring must converge (Thm 5.10)"),
-        }
-    };
+    let steps = |w: u64| naive_steps(&prog, &cycle(w)).0;
     let (s16, s4, s1) = (steps(16), steps(4), steps(1));
     assert!(
         s16 < s4 && s4 < s1,
         "steps must grow as weights shrink: {s16} {s4} {s1}"
     );
+    // The same at the element level: over Trop+_{≤64} the index of
+    // x :- 1 ⊕ {w}·x grows as w shrinks.
+    let index = |w: u64| element_stability_index(&TropEta::<64>::singleton(w), 10_000).unwrap();
+    let (i8, i2, i1) = (index(8), index(2), index(1));
+    assert!(i8 < i2 && i2 < i1, "indexes {i8} {i2} {i1}");
 }
 
 /// Lemma 5.20 tightness at scale, plus the naïve-vs-matrix relationship:
@@ -711,17 +766,221 @@ fn cycle_matrix_and_program_agree_on_worst_case() {
         assert_eq!(q as u128, trop_p_matrix_bound(P, n));
 
         // The corresponding datalog° program on the same cycle.
-        let edges: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect();
         let prog = dlo_bench::single_source_int_program::<TropP<P>>(0);
-        let sys = ground_sparse(&prog, &trop_p_edb::<P>(&edges), &BoolDatabase::new());
-        let EvalOutcome::Converged { steps, .. } = naive_eval_system(&sys, 100_000) else {
-            panic!()
-        };
+        let (steps, _) = naive_steps(&prog, &trop_p_edb::<P>(&GraphInstance::cycle(n).edges));
         // Program steps track the matrix index up to the +1 seeding step.
         assert!(
             steps >= q.saturating_sub(1) && steps <= q + 1,
             "n={n}: {steps} vs {q}"
         );
-        let _ = Matrix::<TropP<P>>::identity(2);
     }
+    // Lemma 5.20 is exact for every p: the N-cycle's index is (p+1)N − 1,
+    // and the Floyd–Warshall–Kleene closure is the iterated one.
+    fn exact<const P: usize>(n: usize) {
+        let a = trop_p_cycle::<P>(n);
+        let (closure, q) = closure_fixpoint(&a, 100_000).unwrap();
+        assert_eq!(q as u128, trop_p_matrix_bound(P, n), "p={P}, N={n}");
+        assert_eq!(fwk_closure(&a), closure, "p={P}, N={n}: FWK");
+    }
+    exact::<0>(4);
+    exact::<0>(8);
+    exact::<1>(4);
+    exact::<1>(8);
+    exact::<2>(4);
+    exact::<2>(8);
+    exact::<3>(6);
+    exact::<4>(5);
+}
+
+/// Corollary 5.21: every N × N matrix over Trop+_p is ((p+1)N − 1)-stable
+/// — 20 random Trop+_2 matrices per N, each also closed by FWK to the
+/// iterated closure.
+#[test]
+fn cor_5_21_random_trop_p2_matrices_within_bound() {
+    const P: usize = 2;
+    let mut rng = xorshift(0x1234_5678_9abc_def0);
+    for n in [3usize, 5, 7, 9] {
+        for trial in 0..20 {
+            let a = Matrix::<TropP<P>>::from_fn(n, |_, _| {
+                if rng().is_multiple_of(3) {
+                    TropP::<P>::from_costs(&[(rng() % 9) as f64])
+                } else {
+                    TropP::<P>::zero()
+                }
+            });
+            let (closure, q) = closure_fixpoint(&a, 100_000).unwrap();
+            assert!(
+                q as u128 <= trop_p_matrix_bound(P, n),
+                "N={n} #{trial}: {q}"
+            );
+            assert_eq!(fwk_closure(&a), closure, "N={n} #{trial}: FWK");
+        }
+    }
+}
+
+/// Sec. 4.2: the five convergence classes, one witness each. Case (iii)
+/// is `trop_eta_converges_with_value_dependent_steps`.
+#[test]
+fn sec_4_2_five_convergence_classes() {
+    // (i) ℕ×ℕ lexicographic, F(x, y) = (x, y + 1): the Kleene chain stays
+    // below its lub (1, 0), which is not a fixpoint.
+    let lub = case_i_chain_lub();
+    assert_ne!(case_i_ico(lub), lub);
+    let mut x = NatPairLex::bottom();
+    for t in 0..100 {
+        assert!(x.leq(&lub), "J({t}) is not below the lub");
+        x = case_i_ico(x);
+    }
+
+    // (ii) ℕ ∪ {∞}, f(x) = x + 1: the lfp ∞ exists, naïve never reaches it.
+    let f = |x: &NatInf| x.add(&NatInf::one());
+    assert_eq!(f(&NatInf::Inf), NatInf::Inf);
+    assert!(matches!(
+        naive_lfp(f, NatInf::bottom(), 1000),
+        Outcome::Diverged { .. }
+    ));
+
+    // (iv) Trop+_2: steps depend on |ADom| only — the 6-cycle takes the
+    // same number for unit and for 1000× weights, within (p+1)N.
+    const P: usize = 2;
+    let steps = |scale: f64| {
+        let mut edges = GraphInstance::cycle(6).edges;
+        edges.iter_mut().for_each(|e| e.2 *= scale);
+        let prog = dlo_bench::single_source_int_program::<TropP<P>>(0);
+        naive_steps(&prog, &trop_p_edb::<P>(&edges)).0
+    };
+    let (unit, scaled) = (steps(1.0), steps(1000.0));
+    assert_eq!(unit, scaled);
+    assert!(unit <= (P + 1) * 6, "{unit} steps");
+
+    // (v) Trop+ is 0-stable: ≤ N steps on a random graph of 14 nodes.
+    let g = GraphInstance::random(14, 40, 9, 7);
+    let (prog, edb) = g.sssp();
+    let (steps, _) = naive_steps(&prog, &edb);
+    assert!(steps <= g.n, "{steps} steps");
+}
+
+/// Proposition 5.3: Trop+_p is p-stable, and tightly — its unit 1_p has
+/// stability index exactly p; 200 random Trop+_3 elements stay ≤ 3.
+#[test]
+fn prop_5_3_trop_p_is_p_stable_and_tight() {
+    fn unit_index<const P: usize>() -> Option<usize> {
+        element_stability_index(&TropP::<P>::one(), 200)
+    }
+    let units = [
+        unit_index::<0>(),
+        unit_index::<1>(),
+        unit_index::<2>(),
+        unit_index::<3>(),
+        unit_index::<4>(),
+        unit_index::<5>(),
+        unit_index::<6>(),
+        unit_index::<8>(),
+    ];
+    assert_eq!(units, [0, 1, 2, 3, 4, 5, 6, 8].map(Some));
+
+    let mut rng = xorshift(0x5eed_5eed_5eed_5eed);
+    for _ in 0..200 {
+        let costs: Vec<f64> = (0..rng() % 4).map(|_| (rng() % 20) as f64).collect();
+        let index = element_stability_index(&TropP::<3>::from_costs(&costs), 100);
+        assert!(index.is_some_and(|i| i <= 3), "{costs:?}: {index:?}");
+    }
+}
+
+/// Proposition 5.4: Trop+_{≤η} is stable but not uniformly — the index of
+/// {a} rises as a shrinks, stays ≤ η/a + 1, and reaches ≈ η at a = 1.
+#[test]
+fn prop_5_4_trop_eta_is_stable_but_not_uniformly() {
+    const ETA: u64 = 720;
+    let mut last = 0;
+    for a in [720, 360, 240, 120, 60, 30, 10, 5, 2, 1] {
+        let index = element_stability_index(&TropEta::<ETA>::singleton(a), 100_000).unwrap();
+        assert!(
+            index >= last && index as u64 <= ETA / a + 1,
+            "{{{a}}}: index {index} after {last}"
+        );
+        last = index;
+    }
+    assert!(last >= 700, "{{1}}: index {last}");
+}
+
+/// Theorem 3.4: a function on a product of posets whose components are
+/// p₁ ≥ … ≥ pₙ-stable is Eₙ-stable, Eₙ = p₁ + p₁p₂ + … + p₁⋯pₙ —
+/// witnessed by cascades on products of chains {0..pᵢ}: the first
+/// component counts up freely, each later one only while it trails its
+/// predecessor.
+#[test]
+fn thm_3_4_cascade_index_within_clone_bound() {
+    fn cascade_index(ps: &[usize]) -> usize {
+        let f = |x: &Vec<usize>| -> Vec<usize> {
+            (0..ps.len())
+                .map(|i| (x[i] + usize::from(i == 0 || x[i] < x[i - 1])).min(ps[i]))
+                .collect()
+        };
+        match naive_lfp(f, vec![0; ps.len()], 1_000_000) {
+            Outcome::Converged { steps, .. } => steps,
+            Outcome::Diverged { .. } => panic!("{ps:?} diverged"),
+        }
+    }
+    // (heights, measured index, Eₙ). The cascades stay far below Eₙ
+    // except at [3], so the bound's values are pinned as well; Eₙ sorts
+    // the heights descending first, which maximizes it.
+    let cases: [(&[usize], usize, u128); 6] = [
+        (&[3], 3, 3),
+        (&[3, 3], 4, 12),
+        (&[4, 2], 4, 12),
+        (&[4, 3, 2], 4, 40),
+        (&[5, 5, 5], 7, 155),
+        (&[2, 2, 2, 2], 5, 30),
+    ];
+    for (ps, index, bound) in cases {
+        assert_eq!(clone_bound(ps), bound, "E{ps:?}");
+        assert_eq!(cascade_index(ps), index, "{ps:?}");
+        assert!(index as u128 <= bound);
+    }
+}
+
+/// Lemma 3.3: the nested schedule of Fig. 1 computes the lfp of the
+/// product, and iterating the product directly stabilizes within
+/// pq + p + q steps.
+#[test]
+fn lemma_3_3_nested_lfp_is_the_product_lfp() {
+    let f = |x: &u32, y: &u32| (*x + u32::from(*y == 3)).min(5);
+    let g = |_: &u32, y: &u32| (*y + 1).min(3);
+    let nested = nested_lfp(f, g, 0, 0, 10_000).expect("converges");
+    let Outcome::Converged { value, steps } = product_lfp(f, g, 0, 0, 10_000) else {
+        panic!("the product iteration must converge");
+    };
+    assert_eq!(value, (nested.x, nested.y));
+    assert_eq!(nested_bound(5, 3), 23);
+    assert!(steps as u128 <= nested_bound(5, 3), "{steps} steps");
+}
+
+/// The introduction's alternative to naïve iteration: Newton's method
+/// reaches the lfp naïve and semi-naïve reach, in no more iterations
+/// than naïve — and within N on quadratic Boolean TC.
+#[test]
+fn newton_agrees_with_naive_in_fewer_iterations() {
+    for g in [
+        GraphInstance::path(48),
+        GraphInstance::grid(7),
+        GraphInstance::random(64, 256, 9, 77),
+    ] {
+        let (prog, edb) = g.sssp();
+        let sys = ground_sparse(&prog, &edb, &BoolDatabase::new());
+        let EvalOutcome::Converged { output, steps, .. } = naive_eval_system(&sys, 100_000) else {
+            panic!("Trop+ converges");
+        };
+        assert_eq!(seminaive_eval_system(&sys, 100_000).0.unwrap(), output);
+        let (nu, iterations) = newton_lfp(&sys, 1000).expect("Newton converges");
+        assert_eq!(sys.to_database(&nu), output, "N={}", g.n);
+        assert!(iterations <= steps, "N={}: {iterations} > {steps}", g.n);
+    }
+
+    let edb = GraphInstance::path(15).bool_edb();
+    let sys = ground_sparse(&quadratic_tc_program::<Bool>(), &edb, &BoolDatabase::new());
+    let output = naive_eval_system(&sys, 100_000).unwrap();
+    let (nu, iterations) = newton_lfp(&sys, 1000).expect("Newton converges");
+    assert_eq!(sys.to_database(&nu), output);
+    assert!(iterations <= sys.num_vars(), "{iterations} iterations");
 }
