@@ -103,8 +103,9 @@
 //! joins driven by the cone's rows. On a strongly connected 300-node
 //! digraph the syntactic cone of one edge is all 87 321 rows of the
 //! closure but one; the attaining cone is at most the rows the matching
-//! insert had improved (where nothing ties, exactly those), and a cycle
-//! of insert, query, delete, query scans 18 044 tuples where it scanned
+//! insert had improved (where nothing ties, exactly those): in a cycle
+//! of insert, query, delete, query on that graph the two edits scan
+//! 12 067 tuples, where with the syntactic cone the cycle scanned
 //! 885 232.
 //!
 //! ### The attaining cone
@@ -178,7 +179,7 @@
 //! the variant rules stay out, since naïve steps recompute full sums
 //! and the differential would double-count — landing each round in
 //! place. The schedule is fixed at [`Materialization::new`]; every
-//! edit, rebuild, and query after it is the same call for every POPS.
+//! edit and rebuild after it is the same call for every POPS.
 //!
 //! ## Contract
 //!
@@ -196,6 +197,11 @@
 //!   earlier epochs remain enumerable by programs with unbound slots.
 //! * Each edit produces its own [`EvalStats`] (per-phase, per-rule)
 //!   via [`Materialization::last_stats`].
+//! * The handle holds **one copy of the EDB**, the interned relations
+//!   its plans join against; [`Materialization::edb`] decodes them.
+//! * A query is a **read of the standing fixpoint**: one scan of the
+//!   queried relation, no re-evaluation, so its answers are the
+//!   restriction of the from-scratch fixpoint by construction.
 //! * Every public method returns `Result<_, `[`EvalError`]`>`. Invalid
 //!   batches (unknown predicate, arity mismatch) are rejected **before
 //!   any staging**, so they leave the handle untouched. An edit that
@@ -204,26 +210,28 @@
 //!   panic — leaves the interned state mid-fixpoint, so the handle is
 //!   **poisoned**: every subsequent edit or query returns
 //!   [`EvalError::Poisoned`] until [`Materialization::rebuild`]
-//!   re-derives the fixpoint from the retained classic EDB,
+//!   re-derives the fixpoint from the live EDB relations,
 //!   bit-identical to a from-scratch build.
-//!   The failed edit's EDB effect is retained: `rebuild()` completes
-//!   the derivation the interrupted edit began.
+//!   The failed edit's EDB effect is retained — a delete takes its
+//!   rows out of the EDB even when its marking fails —, so `rebuild()`
+//!   completes the derivation the interrupted edit began.
 
 use crate::driver::{
     ensure_delta_indexes, ensure_probes, run_round, setup, Engine, EngineOpts, IdbState, LoopFail,
     RoundPlans, Run, Schedule,
 };
 use crate::govern::Checkpoint;
-use crate::output::{InternedOutput, PartialOutput, SettledMark};
+use crate::output::{decode_db, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 use crate::plan::{Plan, EDB_CONE_SUFFIX, EDB_DELTA_SUFFIX, EDB_OLD_SUFFIX};
-use crate::query::{engine_query_eval_interned_edb, QueryAnswer};
+use crate::query::{unanswerable, QueryAnswer};
 use crate::storage::ColumnRel;
 use crate::worklist::Strategy;
 use dlo_core::ast::{Factor, Program, Rule, Term, UnaryFn};
+use dlo_core::demand::DemandError;
 use dlo_core::edit::{Edit, FactDelete, FactInsert};
 use dlo_core::eval::stats::EvalStats;
 use dlo_core::eval::{CancelToken, EvalBudget, EvalError};
-use dlo_core::query::Query;
+use dlo_core::query::{Query, QueryArg};
 use dlo_core::relation::{BoolDatabase, Database};
 use dlo_core::value::Constant;
 use dlo_pops::Pops;
@@ -257,11 +265,11 @@ struct EditSlot {
 /// loop it names (the semi-naïve rounds, or its own FIFO or priority
 /// queue seeded with the edit's contributions), [`crate::Naive`] by
 /// naïve rounds (any naturally ordered POPS).
-/// [`Materialization::query`] runs the magic-set demand path against
-/// the current epoch under the same schedule.
+/// [`Materialization::query`] reads the answer off the fixpoint the
+/// handle holds, and re-evaluates nothing.
 pub struct Materialization<P: Pops, S = Strategy> {
-    /// The original program (used by the query rewrite; the engine runs
-    /// the augmented maintenance program).
+    /// The original program (what [`Materialization::rebuild`] compiles
+    /// again; the engine runs the augmented maintenance program).
     program: Program<P>,
     engine: Engine<P>,
     state: IdbState<P>,
@@ -288,23 +296,13 @@ pub struct Materialization<P: Pops, S = Strategy> {
     /// (`None` where no rule of `H` is head-guarded).
     cones: Vec<Option<usize>>,
     slots: Vec<EditSlot>,
-    /// The authoritative classic-form EDB at the current epoch (feeds
-    /// the query path and differential testing).
-    edb: Database<P>,
     bool_edb: BoolDatabase,
     cap: usize,
     schedule: S,
     opts: EngineOpts,
     epoch: u64,
-    snapshot: Option<InternedOutput<P>>,
-    /// Per-IDB [`ColumnRel::version`]s captured when `snapshot` was
-    /// last refreshed — [`Materialization::output`] re-clones only the
-    /// relations whose version moved, so edits that never touch a
-    /// predicate leave its snapshot clone alive across epochs.
-    snap_versions: Vec<u64>,
-    /// Interner length at the last snapshot refresh (the interner is
-    /// append-only, so its length is its version).
-    snap_interner_len: usize,
+    /// [`Materialization::output`]'s snapshot and the epoch it shows.
+    snapshot: Option<(u64, InternedOutput<P>)>,
     last_stats: EvalStats,
     /// Set when an edit failed mid-flight (the interned state may be
     /// mid-fixpoint): every subsequent edit/query returns
@@ -472,8 +470,8 @@ where
     /// `schedule`, which also continues it after every edit — naïve
     /// rounds for [`crate::Naive`], the semi-naïve differential for
     /// [`crate::SemiNaive`], the loop a [`Strategy`] names (under a
-    /// frontier the build does exactly the work of a from-scratch run)
-    /// — and runs the demand path behind [`Materialization::query`].
+    /// frontier the build does exactly the work of a from-scratch run).
+    /// `pops_edb` is loaded into the interned relations and not kept.
     ///
     /// # Errors
     ///
@@ -570,15 +568,12 @@ where
             attaining: aug.attaining,
             cones,
             slots,
-            edb: pops_edb.clone(),
             bool_edb: bool_edb.clone(),
             cap,
             schedule,
             opts: opts.clone(),
             epoch: 0,
             snapshot: None,
-            snap_versions: vec![],
-            snap_interner_len: 0,
             last_stats: EvalStats::default(),
             poisoned: None,
             partial: None,
@@ -620,7 +615,9 @@ where
     }
 
     /// Recovers (or refreshes) the handle: re-derives the fixpoint from
-    /// the retained classic EDB and clears the poisoned bit (and the
+    /// the live EDB relations (decoded as [`Materialization::edb`]
+    /// returns them, in constant order, so the build is the one a fresh
+    /// handle on that EDB runs) and clears the poisoned bit (and the
     /// stashed [`Materialization::partial`]). The fixpoint agrees with
     /// a from-scratch build at any thread count, and the retained
     /// **interner is reused**, so constant ids minted by earlier epochs
@@ -640,7 +637,7 @@ where
         let prev = InternedOutput::new(self.engine.interner.clone(), vec![], vec![]);
         let mut fresh = Self::build(
             &self.program,
-            &self.edb,
+            &self.edb(),
             &self.bool_edb,
             self.cap,
             self.schedule,
@@ -663,9 +660,17 @@ where
         &self.last_stats
     }
 
-    /// The classic-form EDB at the current epoch (edits applied).
-    pub fn edb(&self) -> &Database<P> {
-        &self.edb
+    /// The EDB at the current epoch (edits applied), decoded from the
+    /// live interned relations the handle joins against, its only copy
+    /// of the EDB. Rows come in constant order, as a [`Database`] holds
+    /// them.
+    pub fn edb(&self) -> Database<P> {
+        let decode = |s: &EditSlot| {
+            let rel = std::slice::from_ref(self.engine.pops_edb[s.cur].as_ref()?);
+            let name = [(s.name.clone(), s.arity)];
+            Some(decode_db(&self.engine.interner, &name, rel))
+        };
+        self.slots.iter().filter_map(decode).flatten().collect()
     }
 
     /// Why the handle is poisoned, if it is: a previous edit failed
@@ -677,14 +682,15 @@ where
         self.poisoned.as_deref()
     }
 
-    /// Replaces the [`EvalBudget`] governing subsequent edits, queries,
-    /// and rebuilds (each run measures its deadline from its own start).
+    /// Replaces the [`EvalBudget`] governing subsequent edits and
+    /// rebuilds (each run measures its deadline from its own start). A
+    /// [`Materialization::query`] runs no loop, and no budget applies.
     pub fn set_budget(&mut self, budget: EvalBudget) {
         self.opts.budget = budget;
     }
 
     /// Installs (or clears) the [`CancelToken`] polled by subsequent
-    /// edits, queries, and rebuilds.
+    /// edits and rebuilds (a [`Materialization::query`] polls nothing).
     pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
         self.opts.cancel = cancel;
     }
@@ -824,43 +830,28 @@ where
         }
     }
 
-    /// The current epoch as a decode-free [`InternedOutput`] snapshot.
-    /// This is the epoch handle the ROADMAP's query server chains
-    /// further evaluations on.
+    /// The current epoch as a decode-free [`InternedOutput`] snapshot,
+    /// the handle further engine runs chain on.
     ///
-    /// The snapshot is maintained **differentially**: edits no longer
-    /// discard it wholesale — on the next call only the relations whose
-    /// [`ColumnRel::version`] moved since the last refresh are
-    /// re-cloned (and the interner only when minting extended it).
-    /// Untouched predicates keep their existing clones: no row data is
-    /// copied for them. A poisoned handle shows its
+    /// The snapshot is keyed by the [`Materialization::epoch`]: the
+    /// first call after an edit clones the interner and every IDB
+    /// relation once, later calls in the same epoch return that clone.
+    /// A poisoned handle shows its
     /// [`Materialization::partial`] instead, which holds no row a delete
     /// left at `0`.
     pub fn output(&mut self) -> &InternedOutput<P> {
         if let Some(partial) = &self.partial {
             return partial.interned();
         }
-        if let Some(snap) = self.snapshot.as_mut() {
-            if self.engine.interner.len() != self.snap_interner_len {
-                snap.set_interner(self.engine.interner.clone());
-                self.snap_interner_len = self.engine.interner.len();
-            }
-            for (pred, rel) in self.state.new.iter().enumerate() {
-                if rel.version() != self.snap_versions[pred] {
-                    snap.update_relation(pred, rel.clone());
-                    self.snap_versions[pred] = rel.version();
-                }
-            }
-        } else {
-            self.snapshot = Some(InternedOutput::new(
+        if !matches!(&self.snapshot, Some((epoch, _)) if *epoch == self.epoch) {
+            let snap = InternedOutput::new(
                 self.engine.interner.clone(),
                 self.engine.compiled.idbs.clone(),
                 self.state.new.clone(),
-            ));
-            self.snap_versions = self.state.new.iter().map(|r| r.version()).collect();
-            self.snap_interner_len = self.engine.interner.len();
+            );
+            self.snapshot = Some((self.epoch, snap));
         }
-        self.snapshot.as_ref().expect("just built")
+        &self.snapshot.as_ref().expect("just built").1
     }
 
     /// Monotone count of probe-structure builds over one maintained
@@ -937,23 +928,18 @@ where
     /// Interns and stages an insert batch (`slots[i]` is the validated
     /// slot index of `batch[i]`): snapshots `@old` where registered,
     /// builds the `@dlt` relations (duplicate tuples `⊕`-merge), and
-    /// `⊕`-merges the rows into the live interned and classic
-    /// relations. Returns the touched slot indexes.
+    /// `⊕`-merges the rows into the live relations. Returns the touched
+    /// slot indexes.
     fn stage_insert(&mut self, batch: &[FactInsert<P>], slots: &[usize]) -> Vec<usize> {
         let before_len = self.engine.interner.len();
         let mut per_slot: Vec<Vec<(Vec<u32>, P)>> = (0..self.slots.len()).map(|_| vec![]).collect();
         for (f, &si) in batch.iter().zip(slots) {
-            let slot = &self.slots[si];
-            let (name, arity) = (slot.name.clone(), slot.arity);
             let key: Vec<u32> = f
                 .tuple
                 .iter()
                 .map(|c| self.engine.interner.intern(c))
                 .collect();
             per_slot[si].push((key, f.value.clone()));
-            self.edb
-                .get_or_insert(&name, arity)
-                .merge(f.tuple.clone(), f.value.clone());
         }
         if self.engine.interner.len() > before_len {
             self.engine.refresh_adom();
@@ -987,29 +973,24 @@ where
     /// `batch[i]`): `@dlt` holds the *present* targeted rows
     /// at their current values, `@old` snapshots the pre-delete
     /// relation (so every telescoped variant enumerates marking
-    /// instances), and the classic mirror drops the facts. The live
-    /// interned relations are **not** touched yet — the affected-set
-    /// propagation runs against the pre-delete state. Returns the
+    /// instances). The live relations are **not** touched yet — the
+    /// affected-set propagation runs against the pre-delete state, and
+    /// [`Materialization::delete_run`] takes the rows out after it,
+    /// whether or not it failed. Returns the
     /// deleted rows' ids in the live relation, ascending, per touched
     /// slot.
     fn stage_delete(&mut self, batch: &[FactDelete], slots: &[usize]) -> Vec<(usize, Vec<u32>)> {
         let mut per_slot: Vec<Vec<u32>> = vec![vec![]; self.slots.len()];
         for (f, &si) in batch.iter().zip(slots) {
-            let slot = &self.slots[si];
-            let (name, arity, cur) = (slot.name.clone(), slot.arity, slot.cur);
             let key: Option<Vec<u32>> = f
                 .tuple
                 .iter()
                 .map(|c| self.engine.interner.lookup(c))
                 .collect();
-            let live = self.engine.pops_edb[cur].as_ref();
-            let Some(r) = key.and_then(|key| live?.rowid(&key)) else {
-                continue;
-            };
-            per_slot[si].push(r);
-            self.edb
-                .get_or_insert(&name, arity)
-                .set(f.tuple.clone(), P::bottom());
+            let live = self.engine.pops_edb[self.slots[si].cur].as_ref();
+            if let Some(r) = key.and_then(|key| live?.rowid(&key)) {
+                per_slot[si].push(r);
+            }
         }
         let mut staged = vec![];
         for (si, mut rows) in per_slot.into_iter().enumerate() {
@@ -1231,8 +1212,10 @@ where
     }
 
     /// The governed tail of [`Materialization::delete`]: mark, take the
-    /// deleted EDB rows out, zero the cone and stage its guards, resume
-    /// the schedule, take out what is still `0`.
+    /// deleted EDB rows out — also when the marking failed, so that
+    /// [`Materialization::rebuild`] sees the edited EDB —, zero the cone
+    /// and stage its guards, resume the schedule, take out what is
+    /// still `0`.
     fn delete_run(
         &mut self,
         run: &mut Run,
@@ -1241,10 +1224,11 @@ where
         let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();
         let (engine, state) = (&self.engine, &mut self.state);
         let (seed, family) = (&self.edit_plans, &self.delta_plans);
-        let (mut affected, steps) =
-            Self::affected_closure(engine, state, seed, family, self.attaining, self.cap, run)?;
+        let marking =
+            Self::affected_closure(engine, state, seed, family, self.attaining, self.cap, run);
         self.clear_edit_rels(&touched);
         self.apply_edb_deletes(staged);
+        let (mut affected, steps) = marking?;
         let marked: u64 = affected.iter().map(|a| a.len() as u64).sum();
         if marked == 0 {
             return Ok(steps);
@@ -1320,33 +1304,70 @@ where
         Ok(&self.last_stats)
     }
 
-    /// Answers a query against the **current epoch** through the
-    /// magic-set demand path: the original program is rewritten for the
-    /// query's binding pattern and evaluated (under the handle's
-    /// schedule) over the epoch's interner and the current classic EDB
-    /// — decode-free chaining, exactly the PR-5 path, so the demanded
-    /// fragment is recomputed rather than read from the materialized
-    /// state (subsumptive reuse is the ROADMAP's next step). The handle
-    /// lends its interner and nothing else: every EDB name of the
-    /// rewritten program resolves against the classic EDB.
+    /// Answers a query against the **current epoch** from the fixpoint
+    /// the handle holds: one scan of the queried IDB's standing relation
+    /// keeps the rows whose bound columns carry the query's constants,
+    /// and nothing is evaluated. The answer is converged in 0 steps with
+    /// no magic or dropped predicates, and its stats are the read's own
+    /// (`strategy` `"incremental-query"`, `tuples_scanned` the rows
+    /// scanned, `phases.eval` the read). [`QueryAnswer::answers`] is the
+    /// query's restriction of the fixpoint a from-scratch run on
+    /// [`Materialization::edb`] computes, bit for bit; a bound constant
+    /// the handle never interned matches no row. The read runs no loop,
+    /// so the handle's budget and cancel token do not apply to it.
     ///
     /// # Errors
     ///
-    /// As [`crate::engine_query_eval_interned_edb`] (the partial is
-    /// dropped), plus [`EvalError::Poisoned`] when a prior edit on this
-    /// handle failed mid-flight.
+    /// [`EvalError::Compile`] when the query names no IDB of the program
+    /// or has its arity wrong (the handle is untouched), and
+    /// [`EvalError::Poisoned`] when a prior edit on this handle failed
+    /// mid-flight.
     pub fn query(&self, query: &Query) -> Result<QueryAnswer<P>, EvalError> {
         self.check_poisoned()?;
-        Ok(engine_query_eval_interned_edb(
-            &self.program,
-            query,
-            &InternedOutput::new(self.engine.interner.clone(), vec![], vec![]),
-            &self.edb,
-            &self.bool_edb,
-            self.cap,
-            self.schedule,
-            &self.opts,
-        )?)
+        let t = Instant::now();
+        let idbs = &self.engine.compiled.idbs;
+        let pi = (idbs.iter().position(|(n, _)| *n == query.pred))
+            .ok_or_else(|| unanswerable(DemandError::UnknownPredicate(query.pred.clone())))?;
+        let (pred, arity) = idbs[pi].clone();
+        if query.arity() != arity {
+            let (expected, got) = (arity, query.arity());
+            return Err(unanswerable(DemandError::ArityMismatch {
+                pred,
+                expected,
+                got,
+            }));
+        }
+        let interner = &self.engine.interner;
+        let bound: Option<Vec<(usize, u32)>> = (query.args.iter().enumerate())
+            .filter_map(|(c, arg)| match arg {
+                QueryArg::Bound(k) => Some(interner.lookup(k).map(|id| (c, id))),
+                QueryArg::Free => None,
+            })
+            .collect();
+        let (rel, mut stats) = (&self.state.new[pi], EvalStats::default());
+        let (mut keys, mut vals) = (vec![], vec![]);
+        if let Some(bound) = bound {
+            stats.counters.tuples_scanned = rel.len() as u64;
+            let matches = |key: &[u32]| bound.iter().all(|&(c, id)| key[c] == id);
+            for (_, key, v) in rel.iter().filter(|(_, key, _)| matches(key)) {
+                keys.extend_from_slice(key);
+                vals.push(v.clone());
+            }
+        }
+        let rows = ColumnRel::from_distinct_rows(arity, keys, vals);
+        let output = InternedOutput::new(interner.clone(), vec![(pred, arity)], vec![rows]);
+        stats.strategy = "incremental-query".into();
+        stats.phases.eval = t.elapsed().as_nanos() as u64;
+        Ok(QueryAnswer {
+            outcome: InternedOutcome::Converged {
+                output,
+                steps: 0,
+                stats,
+            },
+            query: query.clone(),
+            magic_preds: vec![],
+            dropped_preds: vec![],
+        })
     }
 }
 
@@ -1395,8 +1416,8 @@ mod tests {
 
     /// The no-churn contract: an edit touching only `EP` must not
     /// rebuild `Q`'s probe structures and must not move `Q`'s version
-    /// (so the refreshed snapshot keeps `Q`'s existing clone), while
-    /// still folding the edit into `P`.
+    /// (its storage is not written), while still folding the edit into
+    /// `P` — in the handle and in the snapshot taken after it.
     #[test]
     fn edits_keep_untouched_relations() {
         let (program, edb) = two_tc();
@@ -1409,7 +1430,8 @@ mod tests {
             &EngineOpts::default(),
         )
         .unwrap();
-        // Take the first snapshot: the one below is then a refresh.
+        // A snapshot of the build's epoch: the edit below must not
+        // leave it standing.
         m.output();
         let builds_q = m.index_builds_for("Q");
         let ver_q = m.version_for("Q");
@@ -1436,8 +1458,8 @@ mod tests {
 
     /// A delete writes the touched IDB — zeroes rows in place, removes
     /// the rows that stay `0` — and the version must move strictly
-    /// (never alias the pre-edit version) so snapshot dirty-tracking
-    /// re-clones it.
+    /// (never alias the pre-edit version: equal versions claim equal
+    /// contents).
     #[test]
     fn delete_rederive_moves_versions_strictly() {
         let (program, edb) = two_tc();

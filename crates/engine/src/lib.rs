@@ -40,7 +40,8 @@
 //! * [`incremental`] — **incremental maintenance**: a long-lived
 //!   [`Materialization`] absorbs EDB edits — `⊕`-merge inserts by the
 //!   telescoped differential, deletes by dioid-valued delete–rederive —
-//!   without re-running the fixpoint from scratch;
+//!   without re-running the fixpoint from scratch, and answers queries
+//!   by reading the fixpoint it holds;
 //! * [`output`] — **decode-free result handles**
 //!   ([`InternedOutput`]/[`InternedOutcome`]): the fixpoint stays
 //!   interned and `Database` materialization is deferred until asked
@@ -558,9 +559,9 @@
 //! add a **poisoned bit**: if an edit fails mid-flight in a way that may
 //! have left interned state inconsistent, every subsequent call returns
 //! [`EvalError::Poisoned`] until [`Materialization::rebuild`] re-derives
-//! the fixpoint from the retained EDB — same fixpoint as a from-scratch
-//! construction, with the retained interner reused so constant ids stay
-//! stable across the recovery.
+//! the fixpoint from the live EDB relations — same fixpoint as a
+//! from-scratch construction, with the retained interner reused so
+//! constant ids stay stable across the recovery.
 //!
 //! ## Design note: graceful degradation — partial results on abort
 //!

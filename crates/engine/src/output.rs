@@ -56,22 +56,6 @@ impl<P: Pops> InternedOutput<P> {
         &self.interner
     }
 
-    /// Replaces one predicate's storage in place —
-    /// [`Materialization`](crate::incremental) refreshes only the
-    /// relations whose [`ColumnRel::version`] moved since the snapshot
-    /// was taken, leaving untouched predicates' clones alive across
-    /// edit epochs.
-    pub(crate) fn update_relation(&mut self, idx: usize, rel: ColumnRel<P>) {
-        self.rels[idx] = rel;
-    }
-
-    /// Replaces the interner — only needed when minting extended the
-    /// constant table since the snapshot (the interner is append-only,
-    /// so its length is its version).
-    pub(crate) fn set_interner(&mut self, interner: Interner) {
-        self.interner = interner;
-    }
-
     /// The IDB predicates `(name, arity)` in compilation order.
     pub fn predicates(&self) -> impl Iterator<Item = (&str, usize)> {
         self.idbs.iter().map(|(n, a)| (n.as_str(), *a))

@@ -22,7 +22,7 @@
 use crate::driver::{empty_aborted, evaluate, EngineOpts, Schedule};
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput};
 use dlo_core::ast::Program;
-use dlo_core::demand::magic_rewrite;
+use dlo_core::demand::{magic_rewrite, DemandError};
 use dlo_core::eval::{EvalError, EvalStats};
 use dlo_core::query::Query;
 use dlo_core::relation::{BoolDatabase, Database, Relation};
@@ -31,7 +31,10 @@ use dlo_pops::Pops;
 use std::time::Instant;
 
 /// The outcome of a query evaluation: the demand-restricted fixpoint in
-/// interned form, plus the query metadata needed to read it.
+/// interned form, plus the query metadata needed to read it. A
+/// [`crate::Materialization::query`] answer is a *standing* one: read off
+/// the fixpoint the handle holds, it carries only the answer rows, in 0
+/// steps, with no magic or dropped predicates.
 ///
 /// Everything is deferred: [`Self::get`] probes interned state,
 /// [`Self::answers`] decodes one predicate and restricts it to the
@@ -40,10 +43,10 @@ use std::time::Instant;
 /// run ([`crate::engine_eval_interned_edb`]) without any decode.
 #[derive(Clone, Debug)]
 pub struct QueryAnswer<P> {
-    outcome: InternedOutcome<P>,
-    query: Query,
-    magic_preds: Vec<String>,
-    dropped_preds: Vec<String>,
+    pub(crate) outcome: InternedOutcome<P>,
+    pub(crate) query: Query,
+    pub(crate) magic_preds: Vec<String>,
+    pub(crate) dropped_preds: Vec<String>,
 }
 
 impl<P: Pops> QueryAnswer<P> {
@@ -53,7 +56,8 @@ impl<P: Pops> QueryAnswer<P> {
     }
 
     /// Steps taken (global iterations or frontier batches, by
-    /// strategy), or `None` if the run hit its cap.
+    /// strategy; 0 on a standing answer), or `None` if the run hit its
+    /// cap.
     pub fn steps(&self) -> Option<usize> {
         match &self.outcome {
             InternedOutcome::Converged { steps, .. } => Some(*steps),
@@ -62,7 +66,8 @@ impl<P: Pops> QueryAnswer<P> {
     }
 
     /// The evaluation telemetry of the demanded run (rewrite + setup
-    /// time is folded into the `setup` phase).
+    /// time is folded into the `setup` phase), or of the read behind a
+    /// standing answer.
     pub fn stats(&self) -> &EvalStats {
         self.outcome.stats()
     }
@@ -115,7 +120,9 @@ impl<P: Pops> QueryAnswer<P> {
     /// The **full derived support**: every non-magic IDB row the
     /// demanded fragment computed, decoded. A strict subset of the full
     /// fixpoint's support in general, but value-exact on every row it
-    /// carries — the differential-testing surface.
+    /// carries — the differential-testing surface. A standing answer
+    /// has no demanded fragment: its support is the answer, the queried
+    /// predicate's matching rows and nothing else.
     pub fn support(&self) -> Database<P> {
         let out = self.outcome.output();
         let mut db = Database::new();
@@ -252,6 +259,14 @@ impl<P: Pops> From<Box<AbortedQuery<P>>> for EvalError {
     }
 }
 
+/// The typed error of a query the program cannot answer (an unknown
+/// predicate, a wrong arity), on every query front.
+pub(crate) fn unanswerable(e: DemandError) -> EvalError {
+    EvalError::Compile {
+        detail: format!("dlo_engine cannot evaluate this query: {e}"),
+    }
+}
+
 /// The shared body of the two query entry points: magic-set rewrite,
 /// then the schedule's loop over the rewritten program (the rewrite
 /// counts into the setup phase), with the query metadata attached to
@@ -278,12 +293,8 @@ fn query_eval<P: Pops, S: Schedule<P>>(
             dropped_preds: dropped.to_vec(),
         })
     };
-    let dp = magic_rewrite(program, query).map_err(|e| {
-        let error = EvalError::Compile {
-            detail: format!("dlo_engine cannot evaluate this query: {e}"),
-        };
-        aborted(empty_aborted(error), &[], &[])
-    })?;
+    let dp = magic_rewrite(program, query)
+        .map_err(|e| aborted(empty_aborted(unanswerable(e)), &[], &[]))?;
     let magic = &dp.magic_preds;
     match evaluate(
         t,

@@ -617,8 +617,8 @@ pub struct ColumnRel<P> {
     index_builds: u64,
     /// Monotone mutation counter: bumped on every row append, value
     /// overwrite, and clear. Equal versions ⟹ identical contents, which
-    /// is what lets [`Materialization`](crate::incremental) skip
-    /// re-cloning untouched relations across edit epochs.
+    /// is how the [`Materialization`](crate::incremental) tests pin that
+    /// an edit leaves the relations it does not touch alone.
     version: u64,
     /// Reusable projection buffer for index maintenance (never observed
     /// across calls; cloned relations just get an empty one).

@@ -18,7 +18,7 @@
 use datalog_o::core::examples_lib as ex;
 use datalog_o::core::{
     parse_program, parse_query, Atom, BoolDatabase, Constant, Database, Edit, Factor, Program,
-    Relation, SumProduct, Term, Tuple, UnaryFn,
+    Query, QueryArg, Relation, SumProduct, Term, Tuple, UnaryFn,
 };
 use datalog_o::pops::{
     Absorptive, CompleteDistributiveDioid, MaxMin, NNReal, NaturallyOrdered, Pops, PreSemiring,
@@ -86,11 +86,53 @@ impl<P> FrontierPops for P where
 {
 }
 
+/// Every query pattern on every IDB of the from-scratch fixpoint
+/// `scratch` — all free, each column bound alone and every column bound
+/// (to the first and to the last row's constants), and one column bound
+/// to a constant no EDB ever held — answered by `mat` from the state it
+/// holds is `Query::restrict` of `scratch`, bit for bit, and the answer
+/// holds those rows and no others.
+fn assert_queries_read_the_fixpoint<P: Pops + Send + Sync, S: Schedule<P>>(
+    leg: &str,
+    mat: &Materialization<P, S>,
+    scratch: &Database<P>,
+) {
+    for (pred, full) in scratch.iter() {
+        let arity = full.arity();
+        let mut queries = vec![Query::all(pred, arity)];
+        if arity > 0 {
+            let mut args = vec![QueryArg::Free; arity];
+            args[0] = QueryArg::bound("never held");
+            queries.push(Query::new(pred, args));
+        }
+        for (tuple, _) in [full.support().next(), full.support().last()]
+            .into_iter()
+            .flatten()
+        {
+            for c in 0..arity {
+                let mut args = vec![QueryArg::Free; arity];
+                args[c] = QueryArg::Bound(tuple[c].clone());
+                queries.push(Query::new(pred, args));
+            }
+            queries.push(Query::point(pred, tuple.clone()));
+        }
+        for q in &queries {
+            let answer = mat.query(q).unwrap_or_else(|e| panic!("{leg}: {q:?}: {e}"));
+            let expected = q.restrict(full);
+            assert_eq!(answer.answers(), expected, "{leg}: {q:?}");
+            // What the read kept, before `answers` restricts it again.
+            let kept = answer.support();
+            assert_eq!(kept.get(pred), Some(&expected), "{leg}: {q:?} kept");
+        }
+    }
+}
+
 /// Runs `script` through one [`Materialization`] under `Strategy::Auto`
 /// and one under each of `strategies` — the schedule that builds a
 /// handle also maintains it — and asserts that after every step each
 /// handle is bit-identical to the from-scratch fixpoint of the mirrored
-/// EDB under each of `strategies`.
+/// EDB under each of `strategies`, and answers every query pattern from
+/// the state it holds as that fixpoint's restriction.
 fn assert_differential<P: FrontierPops>(
     scenario: &str,
     program: &Program<P>,
@@ -127,6 +169,8 @@ fn assert_differential<P: FrontierPops>(
             .collect();
         for (handle, mat) in &mut mats {
             mat.apply(std::slice::from_ref(edit)).expect("edit applies");
+            let leg = format!("{scenario}: step {step} ({edit:?}) on a {handle:?} handle");
+            assert_queries_read_the_fixpoint(&leg, mat, &oracles[0].1);
             let live = mat.output().materialize();
             for (strategy, scratch) in &oracles {
                 let leg = format!(
@@ -323,7 +367,8 @@ fn observe<P: Pops + Send + Sync, S: Schedule<P>>(mat: &mut Materialization<P, S
 /// maintained row must agree bit for bit. The result must also be the
 /// from-scratch build on the edited EDB — same database, same constant
 /// ids (the edits here neither introduce nor orphan a first occurrence)
-/// — and the classic mirror must show a merged fact, never a second row.
+/// — the decoded EDB must show a merged fact, never a second row, and
+/// every query pattern must read the from-scratch fixpoint's restriction.
 fn assert_first_edit_reads_the_bulk_loaded_edb<P, S>(
     scenario: &str,
     program: &Program<P>,
@@ -345,7 +390,7 @@ fn assert_first_edit_reads_the_bulk_loaded_edb<P, S>(
         let mut warm = build(edb);
         warm.apply(std::slice::from_ref(warm_up)).expect("no-op");
         assert_eq!(
-            warm.edb(),
+            &warm.edb(),
             edb,
             "{scenario}: the warm-up must change nothing"
         );
@@ -368,13 +413,15 @@ fn assert_first_edit_reads_the_bulk_loaded_edb<P, S>(
                 .get_or_insert(&f.pred, f.tuple.len())
                 .set(f.tuple.clone(), P::bottom()),
         }
-        assert_eq!(cold.edb(), &edited, "{scenario}: {edit:?} classic mirror");
+        assert_eq!(cold.edb(), edited, "{scenario}: {edit:?} decoded EDB");
         let mut scratch = build(&edited);
+        let fixpoint = scratch.output().materialize();
         assert_eq!(
             cold.output().materialize(),
-            scratch.output().materialize(),
+            fixpoint,
             "{scenario}: {edit:?} vs from-scratch on the edited EDB"
         );
+        assert_queries_read_the_fixpoint(&format!("{scenario}: {edit:?}"), &cold, &fixpoint);
         assert_eq!(
             cold_seen.1,
             observe(&mut scratch).1,
@@ -453,7 +500,8 @@ fn first_edit_after_build_reads_the_edb_by_key() {
     )
     .unwrap();
     summed.apply(&edits[..1]).unwrap();
-    let s = summed.edb().get("S").unwrap();
+    let edb = summed.edb();
+    let s = edb.get("S").unwrap();
     assert_eq!(s.support_size(), 4, "merged, not duplicated");
     assert_eq!(s.get(&fact("a", "c")), NNReal::of(0.375));
 }
@@ -515,7 +563,10 @@ fn sssp_gradient_scripts_match_from_scratch() {
 }
 
 /// A query is a read — it goes through `&Materialization` — and leaves
-/// the maintained state the from-scratch fixpoint, rebuilt or not.
+/// the maintained state the from-scratch fixpoint, rebuilt or not. A
+/// handle never re-evaluates to answer: 0 steps, no magic predicates,
+/// nothing emitted, one scan of `T`. A query the program cannot answer
+/// is a compile error that leaves the handle healthy.
 #[test]
 fn queries_answer_against_the_current_epoch() {
     let program = apsp_program();
@@ -527,6 +578,11 @@ fn queries_answer_against_the_current_epoch() {
     let query = parse_query("?- T(\"a\", Y).").unwrap();
     let ask = |mat: &Materialization<Trop>, to: &str| {
         let answer = mat.query(&query).expect("query compiles");
+        assert_eq!(answer.steps(), Some(0), "no loop ran");
+        assert!(answer.magic_preds().is_empty(), "no rewrite ran");
+        let c = &answer.stats().counters;
+        assert_eq!(c.emits, 0, "nothing was derived");
+        assert_eq!(c.tuples_scanned, mat.support_size("T") as u64);
         answer.answers().get(&vec![k("a"), k(to)])
     };
 
@@ -552,9 +608,16 @@ fn queries_answer_against_the_current_epoch() {
             Trop::finite(0.25),
             "query must see the inserted edge"
         );
-        let scratch = engine_eval_interned(&program, mat.edb(), &bools, CAP, Strategy::Auto, &opts);
+        let scratch =
+            engine_eval_interned(&program, &mat.edb(), &bools, CAP, Strategy::Auto, &opts);
         let scratch = scratch.expect("compiles").materialize().unwrap();
         assert_eq!(mat.output().materialize(), scratch, "rebuilt: {rebuilt}");
+    }
+    for unanswerable in ["?- Nope(\"a\", Y).", "?- T(\"a\").", "?- E(\"a\", Y)."] {
+        let err = mat.query(&parse_query(unanswerable).unwrap());
+        let err = err.expect_err(unanswerable);
+        assert_eq!(err.kind(), "compile", "{unanswerable}: {err}");
+        assert!(mat.poisoned().is_none(), "{unanswerable}");
     }
 }
 
@@ -695,8 +758,6 @@ fn rebuild_keeps_minted_constant_ids_stable() {
 /// independent closures in one program, editing one EDB leaves the
 /// other IDB's lazy indexes *and* its row storage untouched — pinned
 /// by the engine's per-relation `index_builds` / `version` counters.
-/// (Before differential snapshot maintenance, every edit re-cloned and
-/// re-indexed every relation.)
 #[test]
 fn edits_leave_untouched_relations_indexes_alone() {
     let program: Program<Trop> = parse_program(
@@ -829,7 +890,7 @@ fn poisoned_handle_exposes_partial_beside_the_poison() {
     // post-edit fixpoint (the maintenance loop only grows values).
     let oracle = engine_eval_interned(
         &program,
-        mat.edb(),
+        &mat.edb(),
         &bools,
         CAP,
         Strategy::SemiNaive,
@@ -1255,11 +1316,9 @@ fn assert_round_handles_match_from_scratch<P: FrontierPops>(
                 .converged()
                 .expect("converges")
                 .0;
-            assert_eq!(
-                mat.output().materialize(),
-                scratch,
-                "{scenario}: step {step} ({edit:?}) on a {schedule:?} handle"
-            );
+            let leg = format!("{scenario}: step {step} ({edit:?}) on a {schedule:?} handle");
+            assert_eq!(mat.output().materialize(), scratch, "{leg}");
+            assert_queries_read_the_fixpoint(&leg, &mat, &scratch);
         }
     }
     check(scenario, program, edb, script, datalog_o::SemiNaive);

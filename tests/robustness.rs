@@ -412,7 +412,7 @@ fn assert_poison_and_rebuild(strategy: Strategy) {
     assert!(mat.epoch() > epoch_before, "epochs stay monotone");
 
     let recovered = mat.output().materialize();
-    let scratch = Materialization::new(&program, mat.edb(), &bools, CAP, strategy, &opts)
+    let scratch = Materialization::new(&program, &mat.edb(), &bools, CAP, strategy, &opts)
         .expect("from-scratch build on the retained EDB");
     let mut scratch = scratch;
     assert_eq!(
@@ -683,7 +683,7 @@ proptest! {
         }
         prop_assert!(mat.poisoned().is_none());
         let got = mat.output().materialize();
-        let oracle = eval(&program, mat.edb(), &bools, CAP, SemiNaive, &EngineOpts::default()).expect("compiles")
+        let oracle = eval(&program, &mat.edb(), &bools, CAP, SemiNaive, &EngineOpts::default()).expect("compiles")
             .converged()
             .expect("bounded")
             .0;
@@ -977,7 +977,7 @@ fn edits_abort_at_every_step_poison_and_rebuild() {
             let mut reference = build(before);
             let own_steps = reference.apply(edit).expect("ungoverned edit").steps;
             let after = reference.output().materialize();
-            assert_eq!(after, build(reference.edb()).output().materialize());
+            assert_eq!(after, build(&reference.edb()).output().materialize());
             assert!(own_steps as usize >= N / 2, "{strategy:?} {kind}");
 
             let mut marked_somewhere = false;

@@ -412,7 +412,8 @@ fn every_entry_point_returns_populated_stats() {
         .expect("compiles");
     let built = live.last_stats().phases;
     assert!(built.load > 0 && built.load <= built.setup, "build loads");
-    let edge = live.edb().get("E").unwrap().support().next().unwrap();
+    let edb = live.edb();
+    let edge = edb.get("E").unwrap().support().next().unwrap();
     let fact = datalog_o::core::FactInsert::new("E", edge.0.clone(), *edge.1);
     let edit = live.insert(&[fact]).expect("edit applies").phases;
     assert_eq!(edit.load, 0, "edits load nothing");
