@@ -21,10 +21,10 @@
 //!
 //! Governance inputs live here too: [`EvalBudget`] (deadline, step,
 //! emitted-row, and minted-id ceilings, checked at loop checkpoints so
-//! the hot per-tuple loops stay untouched), the [`BudgetClass`]
-//! presets an admission-control layer hands out, and [`CancelToken`]
-//! (a shared atomic flag a server thread can flip mid-run, polled at
-//! the same checkpoints).
+//! the hot per-tuple loops stay untouched) and [`CancelToken`] (a
+//! shared atomic flag a server thread can flip mid-run, polled at the
+//! same checkpoints). Escalation is the caller's: rerun with a larger
+//! [`EvalBudget`].
 
 use super::stats::EvalStats;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -107,83 +107,6 @@ impl EvalBudget {
     pub fn with_max_minted(mut self, minted: u64) -> EvalBudget {
         self.max_minted = Some(minted);
         self
-    }
-}
-
-/// Named budget presets — the admission-control vocabulary a server
-/// front-end hands out per query class, and the ladder the engine's
-/// retry loop climbs on [`EvalError::BudgetExhausted`] /
-/// [`EvalError::DeadlineExceeded`].
-///
-/// The presets are deliberately coarse: `Interactive` is sized for a
-/// human waiting on a prompt, `Batch` for a report job, `Unbounded`
-/// disables governance entirely. Escalation is deterministic:
-/// [`BudgetClass::next_up`] walks `Interactive → Batch → Unbounded`
-/// and stops.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BudgetClass {
-    /// A human is waiting: sub-second deadline, modest row/step room.
-    #[default]
-    Interactive,
-    /// A job can take a while, but not forever.
-    Batch,
-    /// No ceilings — governance off.
-    Unbounded,
-}
-
-impl BudgetClass {
-    /// The preset [`EvalBudget`] for this class.
-    pub fn budget(self) -> EvalBudget {
-        match self {
-            BudgetClass::Interactive => EvalBudget::unlimited()
-                .with_deadline(Duration::from_millis(500))
-                .with_max_steps(1 << 20)
-                .with_max_rows(1 << 24)
-                .with_max_minted(1 << 20),
-            BudgetClass::Batch => EvalBudget::unlimited()
-                .with_deadline(Duration::from_secs(60))
-                .with_max_steps(1 << 28)
-                .with_max_rows(1 << 36)
-                .with_max_minted(1 << 28),
-            BudgetClass::Unbounded => EvalBudget::unlimited(),
-        }
-    }
-
-    /// The next class up the escalation ladder, or `None` from
-    /// [`BudgetClass::Unbounded`].
-    pub fn next_up(self) -> Option<BudgetClass> {
-        match self {
-            BudgetClass::Interactive => Some(BudgetClass::Batch),
-            BudgetClass::Batch => Some(BudgetClass::Unbounded),
-            BudgetClass::Unbounded => None,
-        }
-    }
-
-    /// A stable lowercase tag (logging / report keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            BudgetClass::Interactive => "interactive",
-            BudgetClass::Batch => "batch",
-            BudgetClass::Unbounded => "unbounded",
-        }
-    }
-
-    /// The escalation ladder from `self` upward, as budgets:
-    /// `Interactive` yields `[interactive, batch, unbounded]`.
-    pub fn ladder(self) -> Vec<EvalBudget> {
-        let mut out = vec![self.budget()];
-        let mut cur = self;
-        while let Some(next) = cur.next_up() {
-            out.push(next.budget());
-            cur = next;
-        }
-        out
-    }
-}
-
-impl std::fmt::Display for BudgetClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -499,27 +422,6 @@ mod tests {
         };
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn budget_classes_escalate_deterministically() {
-        assert_eq!(BudgetClass::Interactive.next_up(), Some(BudgetClass::Batch));
-        assert_eq!(BudgetClass::Batch.next_up(), Some(BudgetClass::Unbounded));
-        assert_eq!(BudgetClass::Unbounded.next_up(), None);
-        assert!(BudgetClass::Interactive.budget().is_limited());
-        assert!(BudgetClass::Batch.budget().is_limited());
-        assert!(!BudgetClass::Unbounded.budget().is_limited());
-        // The interactive deadline is tighter than batch.
-        assert!(
-            BudgetClass::Interactive.budget().deadline.unwrap()
-                < BudgetClass::Batch.budget().deadline.unwrap()
-        );
-        let ladder = BudgetClass::Interactive.ladder();
-        assert_eq!(ladder.len(), 3);
-        assert_eq!(ladder[0], BudgetClass::Interactive.budget());
-        assert_eq!(ladder[2], EvalBudget::unlimited());
-        assert_eq!(BudgetClass::Batch.ladder().len(), 2);
-        assert_eq!(BudgetClass::Interactive.to_string(), "interactive");
     }
 
     #[test]

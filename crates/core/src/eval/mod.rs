@@ -4,11 +4,16 @@
 //! Three backends share the [`EvalOutcome`] contract: the grounded
 //! evaluators here ([`naive`]/[`seminaive`]), the tuple-at-a-time
 //! [`relational`] backend, and the interned execution engine in
-//! `dlo_engine`. All three are total over the language — the engine's
-//! old "falls back on head key functions" shim is gone; programs whose
-//! heads apply key functions (Sec. 4.5) evaluate natively on every
-//! backend, and the umbrella crate's default `eval` dispatches straight
-//! to the engine. The engine itself offers three evaluation
+//! `dlo_engine`. The relational backend and the engine are total over
+//! the language: programs whose heads apply key functions (Sec. 4.5)
+//! evaluate natively on both, and the umbrella crate's default `eval`
+//! dispatches straight to the engine. The grounded evaluators are not:
+//! grounding (`crate::ground`) enumerates D₀ = ADom ∪ program constants
+//! once, so a constant a head key function mints is never grounded
+//! again, and the grounded fixpoint of a keyed program can stop short
+//! (`N(0) :- $1.  N(I+1) :- N(I) | I < 5.` over `MinNat`: 2 rows of
+//! `N` when grounded, 6 from the relational backend and the engine). The
+//! engine itself offers three evaluation
 //! *strategies* (global semi-naïve, FIFO worklist, priority frontier —
 //! `dlo_engine::Strategy`), gated by POPS trait bounds; for totally
 //! ordered absorptive dioids the umbrella crate's `eval_frontier` runs
@@ -27,7 +32,7 @@ pub mod stats;
 use crate::ground::GroundSystem;
 use crate::relation::Database;
 use dlo_pops::Pops;
-pub use error::{BudgetClass, BudgetKind, CancelToken, EvalBudget, EvalError};
+pub use error::{BudgetKind, CancelToken, EvalBudget, EvalError};
 pub use stats::{
     Counters, EvalStats, IterStat, JsonlSink, MemorySink, PhaseNanos, RuleProfile, TraceEvent,
     TraceHandle, TraceSink,

@@ -49,7 +49,7 @@ use crate::storage::{probes_full_key, AccumMap, ColMask, ColumnRel};
 use crate::telemetry::Collector;
 use dlo_core::ast::Program;
 use dlo_core::eval::stats::EvalStats;
-use dlo_core::eval::{BudgetClass, CancelToken, EvalBudget, EvalError, TraceHandle};
+use dlo_core::eval::{CancelToken, EvalBudget, EvalError, TraceHandle};
 use dlo_core::relation::{BoolDatabase, Database};
 use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops, PreSemiring};
 use std::collections::BTreeMap;
@@ -98,19 +98,6 @@ impl Default for EngineOpts {
 }
 
 impl EngineOpts {
-    /// Options preset for a [`BudgetClass`]: the class's
-    /// [`EvalBudget`] with every other knob at its default. The
-    /// canonical starting point for governed runs —
-    /// `EngineOpts::for_class(BudgetClass::Interactive)` gives the
-    /// sub-second ceiling, and [`crate::retry`] escalates through the
-    /// remaining classes when it proves too tight.
-    pub fn for_class(class: BudgetClass) -> EngineOpts {
-        EngineOpts {
-            budget: class.budget(),
-            ..EngineOpts::default()
-        }
-    }
-
     pub(crate) fn effective_threads(&self) -> usize {
         self.threads.unwrap_or_else(par::max_threads).max(1)
     }
@@ -206,27 +193,21 @@ fn load_db<'a, P: Pops>(
 /// relations first, Boolean relations after, program constants last:
 /// that order fixes every constant id and every EDB row id.
 ///
-/// With `prev`, a previous run's **interned output** serves as the POPS
-/// EDB: the interner is shared (cloned — ids keep their meaning, no
-/// `Constant` round-trip), relation names resolve first against
-/// `pops_db` (fresh classic-form relations, e.g. the original edge
-/// list) and then against `prev`'s interned relations, which are reused
-/// storage-for-storage. The active domain is everything the shared
-/// interner knows — a superset of the paper's EDB ∪ program constants
-/// when `prev` interned more than the fed relations mention, which only
-/// matters for programs that enumerate unbound slots over the domain.
+/// `interner` is where the numbering starts: empty for a fresh run, a
+/// handle's own interner when [`crate::Materialization::rebuild`]
+/// re-derives its fixpoint, so ids minted before the rebuild keep
+/// their meaning.
 ///
 /// Compiler rejections come back as [`EvalError::Compile`] (see
 /// [`compile_error`]), and so does an EDB relation holding a tuple of
 /// the wrong length ([`load_db`]).
 pub(crate) fn setup<P: Pops>(
     program: &Program<P>,
-    prev: Option<&InternedOutput<P>>,
+    mut interner: Interner,
     pops_db: &Database<P>,
     bool_db: &BoolDatabase,
     set_valued: &[String],
 ) -> Result<Engine<P>, EvalError> {
-    let mut interner = prev.map_or_else(Interner::new, |p| p.interner().clone());
     let t_load = Instant::now();
     let mut pops_loaded = load_db(pops_db, &mut interner)?;
     let mut bool_loaded = load_db(bool_db, &mut interner)?;
@@ -235,11 +216,7 @@ pub(crate) fn setup<P: Pops>(
     let pops_edb: Vec<Option<ColumnRel<P>>> = compiled
         .pops_edbs
         .iter()
-        .map(|name| {
-            pops_loaded
-                .remove(name.as_str())
-                .or_else(|| prev.and_then(|p| p.relation(name).cloned()))
-        })
+        .map(|name| pops_loaded.remove(name.as_str()))
         .collect();
     let bool_edb: Vec<Option<ColumnRel<Bool>>> = compiled
         .bool_edbs
@@ -934,58 +911,7 @@ where
     S: Schedule<P>,
 {
     let t = Instant::now();
-    evaluate(
-        t,
-        program,
-        None,
-        pops_edb,
-        bool_edb,
-        &[],
-        cap,
-        schedule,
-        opts,
-    )
-}
-
-/// [`engine_eval_interned`] over an **interned EDB**: the previous
-/// run's [`InternedOutput`] serves as the POPS database (shared
-/// interner, relations reused storage-for-storage — no
-/// `Constant`/`Database` round-trip anywhere on the chain), with
-/// `extra_pops` overlaying fresh classic-form relations for names the
-/// interned output does not carry (e.g. the original edge list of a
-/// refine step). Name resolution prefers `extra_pops`. Feeding an
-/// aborted attempt's [`PartialOutput::interned`] as `prev` is the
-/// warm-start primitive of [`crate::retry`]: every id minted before the
-/// abort keeps its meaning.
-///
-/// # Errors
-///
-/// As [`engine_eval_interned`].
-pub fn engine_eval_interned_edb<P, S>(
-    program: &Program<P>,
-    prev: &InternedOutput<P>,
-    extra_pops: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    schedule: S,
-    opts: &EngineOpts,
-) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
-where
-    P: Pops,
-    S: Schedule<P>,
-{
-    let t = Instant::now();
-    evaluate(
-        t,
-        program,
-        Some(prev),
-        extra_pops,
-        bool_edb,
-        &[],
-        cap,
-        schedule,
-        opts,
-    )
+    evaluate(t, program, pops_edb, bool_edb, &[], cap, schedule, opts)
 }
 
 /// The one way in behind every entry point: [`setup`] (everything since
@@ -994,7 +920,6 @@ where
 pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
     started: Instant,
     program: &Program<P>,
-    prev: Option<&InternedOutput<P>>,
     pops_db: &Database<P>,
     bool_db: &BoolDatabase,
     set_valued: &[String],
@@ -1002,7 +927,8 @@ pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
     schedule: S,
     opts: &EngineOpts,
 ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
-    let engine = setup(program, prev, pops_db, bool_db, set_valued).map_err(empty_aborted)?;
+    let engine =
+        setup(program, Interner::new(), pops_db, bool_db, set_valued).map_err(empty_aborted)?;
     schedule.run(engine, cap, opts, started.elapsed().as_nanos() as u64)
 }
 

@@ -192,9 +192,10 @@
 //!   edited EDB** at any `DLO_ENGINE_THREADS` (one thread runs every
 //!   loop: same plan-order merges, sorted drains, and
 //!   mint-between-phases as every other driver),
-//!   with one documented caveat shared with the interned-EDB chain:
-//!   the active domain only ever grows — constants introduced by
-//!   earlier epochs remain enumerable by programs with unbound slots.
+//!   with one documented caveat, from [`Materialization::rebuild`]
+//!   keeping its interner: the active domain only ever grows —
+//!   constants introduced by earlier epochs remain enumerable by
+//!   programs with unbound slots.
 //! * Each edit produces its own [`EvalStats`] (per-phase, per-rule)
 //!   via [`Materialization::last_stats`].
 //! * The handle holds **one copy of the EDB**, the interned relations
@@ -221,6 +222,7 @@ use crate::driver::{
     RoundPlans, Run, Schedule,
 };
 use crate::govern::Checkpoint;
+use crate::intern::Interner;
 use crate::output::{decode_db, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 use crate::plan::{Plan, EDB_CONE_SUFFIX, EDB_DELTA_SUFFIX, EDB_OLD_SUFFIX};
 use crate::query::{unanswerable, QueryAnswer};
@@ -489,14 +491,24 @@ where
         schedule: S,
         opts: &EngineOpts,
     ) -> Result<Self, EvalError> {
-        Self::build(program, pops_edb, bool_edb, cap, schedule, opts, None)
+        Self::build(
+            program,
+            pops_edb,
+            bool_edb,
+            cap,
+            schedule,
+            opts,
+            Interner::new(),
+        )
     }
 
-    /// [`Materialization::new`] with an optional retained interner from
-    /// a previous epoch (the rebuild path): compile the maintenance
-    /// program, partition plans, resolve the edit slots, then run the
-    /// schedule from the empty state over the original rules (the
-    /// variant rules see empty `@dlt` and contribute nothing).
+    /// [`Materialization::new`] numbering from `interner`: compile the
+    /// maintenance program, partition plans, resolve the edit slots,
+    /// then run the schedule from the empty state over the original
+    /// rules (the variant rules see empty `@dlt` and contribute
+    /// nothing). `interner` is empty for a new handle and the retained
+    /// one of a previous epoch on the rebuild path, so constant ids
+    /// minted by earlier epochs stay stable across the recovery.
     fn build(
         program: &Program<P>,
         pops_edb: &Database<P>,
@@ -504,7 +516,7 @@ where
         cap: usize,
         schedule: S,
         opts: &EngineOpts,
-        prev: Option<&InternedOutput<P>>,
+        interner: Interner,
     ) -> Result<Self, EvalError> {
         let t = Instant::now();
         for (name, _) in pops_edb.iter() {
@@ -516,11 +528,7 @@ where
         }
         let aug = maintenance_program(program, S::ATTAINING_DELETES)?;
         let n_rules = program.rules.len();
-        // Rebuild path: `prev` carries the retained interner forward
-        // (the EDB relations themselves come from `pops_edb` — `prev`
-        // holds no relations), so constant ids minted by earlier epochs
-        // stay stable across the recovery.
-        let engine = setup(&aug.program, prev, pops_edb, bool_edb, &[])?;
+        let engine = setup(&aug.program, interner, pops_edb, bool_edb, &[])?;
         // The rule list is the original rules, the `@dlt` variants, the
         // head-guarded variants: `rule_idx` says which a plan is.
         let rules = |plans: &[Plan<P>], rules: std::ops::Range<usize>| -> Vec<Plan<P>> {
@@ -634,7 +642,6 @@ where
     /// As [`Materialization::new`].
     pub fn rebuild(&mut self) -> Result<&EvalStats, EvalError> {
         let epoch = self.epoch + 1;
-        let prev = InternedOutput::new(self.engine.interner.clone(), vec![], vec![]);
         let mut fresh = Self::build(
             &self.program,
             &self.edb(),
@@ -642,7 +649,7 @@ where
             self.cap,
             self.schedule,
             &self.opts,
-            Some(&prev),
+            self.engine.interner.clone(),
         )?;
         fresh.epoch = epoch;
         *self = fresh;
@@ -831,7 +838,7 @@ where
     }
 
     /// The current epoch as a decode-free [`InternedOutput`] snapshot,
-    /// the handle further engine runs chain on.
+    /// read without decoding the whole fixpoint.
     ///
     /// The snapshot is keyed by the [`Materialization::epoch`]: the
     /// first call after an edit clones the interner and every IDB

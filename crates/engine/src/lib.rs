@@ -48,18 +48,19 @@
 //!   for;
 //! * [`hash`] — the deterministic fast hasher behind every hot map.
 //!
-//! ## One way in: four entry points and a schedule argument
+//! ## One way in: two entry points and a schedule argument
 //!
 //! There is one object to compute — the least fixpoint of the
-//! immediate-consequence operator — and four functions that compute
-//! it, differing only in *what* is asked and *where the EDB lives*:
+//! immediate-consequence operator — and two functions that compute
+//! it, differing only in *what* is asked; both take the EDB as a
+//! classic `Database`:
 //!
-//! | | classic `Database` EDB | a previous run's [`InternedOutput`] as EDB |
-//! |---|---|---|
-//! | full fixpoint | [`engine_eval_interned`] | [`engine_eval_interned_edb`] |
-//! | `?-` query (magic sets) | [`engine_query_eval_with_opts`] | [`engine_query_eval_interned_edb`] |
+//! | | classic `Database` EDB |
+//! |---|---|
+//! | full fixpoint | [`engine_eval_interned`] |
+//! | `?-` query (magic sets) | [`engine_query_eval_with_opts`] |
 //!
-//! All four return interned output (`materialize()` decodes on demand)
+//! Both return interned output (`materialize()` decodes on demand)
 //! and, on failure, a boxed [`AbortedEval`] / [`AbortedQuery`] with the
 //! partial result attached. *How* the fixpoint is iterated is the
 //! [`Schedule`] argument — a value, not a function-name suffix — and
@@ -530,9 +531,7 @@
 //!   entry so compile/intern time counts), fixpoint phases
 //!   (`max_steps`), emitted rows, and minted ids; a shared
 //!   [`CancelToken`] on [`EngineOpts::cancel`] requests cooperative
-//!   cancellation from another thread. [`EngineOpts::for_class`] picks
-//!   a [`BudgetClass`] preset (`Interactive` / `Batch` / `Unbounded`)
-//!   instead of hand-tuning ceilings. Checks run at every loop
+//!   cancellation from another thread. Checks run at every loop
 //!   checkpoint — the seed phase, each global iteration, each worklist
 //!   generation, each priority **bucket** pop — on the coordinating
 //!   thread only, so governance costs a branch per checkpoint, the hot
@@ -591,17 +590,12 @@
 //!   not an answer — and its mark says so ([`SettledMark::is_exact`]
 //!   is `false`).
 //!
-//! On top of that channel, [`retry::eval_with_retry`] runs a
-//! deterministic **budget-class escalation ladder**: a run stopped by a
-//! recoverable limit (budget/deadline) is retried one [`BudgetClass`]
-//! rung up, warm-started from the aborted attempt's interner via the
-//! interned-EDB chain — ids already minted stay stable and are never
-//! re-interned, while the fixpoint is recomputed so every successful
-//! attempt stays bit-identical to a cold ungoverned run. A
-//! [`retry::RetryReport`] logs each attempt; exhausted ladders return
-//! [`retry::RetryFailure`] with the last partial attached. Long-lived
-//! [`Materialization`]s expose the same state read-only: a poisoned
-//! handle keeps its mid-flight partial on
+//! Escalation is the caller's loop: rerun with a larger [`EvalBudget`]
+//! (the `datalog_o` crate docs show it); a governed run that converges
+//! is bit-identical to an ungoverned one. To feed one run's result to
+//! another, decode it with `materialize()` and pass the `Database`.
+//! Long-lived [`Materialization`]s expose the same state read-only: a
+//! poisoned handle keeps its mid-flight partial on
 //! [`Materialization::partial`] until a rebuild clears it.
 //!
 //! The engine cross-checks against the other backends in
@@ -671,7 +665,6 @@ pub mod output;
 pub mod par;
 pub mod plan;
 pub mod query;
-pub mod retry;
 pub mod storage;
 pub(crate) mod telemetry;
 pub mod worklist;
@@ -680,17 +673,12 @@ pub use dlo_core::eval::stats::{
     Counters, EvalStats, IterStat, JsonlSink, MemorySink, PhaseNanos, RuleProfile, TraceEvent,
     TraceHandle, TraceSink,
 };
-pub use dlo_core::eval::{BudgetClass, BudgetKind, CancelToken, EvalBudget, EvalError};
-pub use driver::{
-    engine_eval_interned, engine_eval_interned_edb, EngineOpts, Naive, Schedule, SemiNaive,
-};
+pub use dlo_core::eval::{BudgetKind, CancelToken, EvalBudget, EvalError};
+pub use driver::{engine_eval_interned, EngineOpts, Naive, Schedule, SemiNaive};
 pub use incremental::Materialization;
 pub use intern::Interner;
 pub use output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 pub use plan::{compile, compile_demand, CompileError, CompiledProgram, Plan, PlanMeta};
-pub use query::{
-    engine_query_eval_interned_edb, engine_query_eval_with_opts, AbortedQuery, QueryAnswer,
-};
-pub use retry::{eval_with_retry, AttemptLog, RetryFailure, RetryPolicy, RetryReport};
+pub use query::{engine_query_eval_with_opts, AbortedQuery, QueryAnswer};
 pub use storage::ColumnRel;
 pub use worklist::Strategy;

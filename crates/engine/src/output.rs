@@ -393,9 +393,8 @@ impl<P: Pops> PartialOutput<P> {
         }
     }
 
-    /// The partial instance, interned. Feeding this back through
-    /// [`crate::engine_eval_interned_edb`] (as the retry module does) reuses
-    /// its interner, so a warm retry mints the same ids.
+    /// The partial instance, interned: read it without a decode, or
+    /// decode it with [`InternedOutput::materialize`].
     pub fn interned(&self) -> &InternedOutput<P> {
         &self.interned
     }

@@ -17,7 +17,7 @@
 //! query-restricted rows, the full derived support (everything the
 //! demanded fragment computed — the differential-testing surface: each
 //! of its rows must carry exactly its full-fixpoint value), and the
-//! raw [`InternedOutput`] for chaining into further engine runs.
+//! raw [`InternedOutput`] for reading without a decode.
 
 use crate::driver::{empty_aborted, evaluate, EngineOpts, Schedule};
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput};
@@ -39,8 +39,8 @@ use std::time::Instant;
 /// Everything is deferred: [`Self::get`] probes interned state,
 /// [`Self::answers`] decodes one predicate and restricts it to the
 /// query bindings, [`Self::support`] decodes the whole demanded
-/// fragment, and [`Self::into_interned`] hands the storage to a chained
-/// run ([`crate::engine_eval_interned_edb`]) without any decode.
+/// fragment, and [`Self::into_interned`] hands over the interned storage
+/// without any decode.
 #[derive(Clone, Debug)]
 pub struct QueryAnswer<P> {
     pub(crate) outcome: InternedOutcome<P>,
@@ -150,8 +150,8 @@ impl<P: Pops> QueryAnswer<P> {
         self.outcome.output()
     }
 
-    /// Consumes the answer into its [`InternedOutput`] for decode-free
-    /// chaining into [`crate::engine_eval_interned_edb`]-style runs.
+    /// Consumes the answer into its [`InternedOutput`], for decode-free
+    /// reads ([`InternedOutput::get`], [`InternedOutput::relation`]).
     pub fn into_interned(self) -> InternedOutput<P> {
         match self.outcome {
             InternedOutcome::Converged { output, .. } => output,
@@ -267,65 +267,15 @@ pub(crate) fn unanswerable(e: DemandError) -> EvalError {
     }
 }
 
-/// The shared body of the two query entry points: magic-set rewrite,
-/// then the schedule's loop over the rewritten program (the rewrite
-/// counts into the setup phase), with the query metadata attached to
-/// either side of the result.
-#[allow(clippy::too_many_arguments)]
-fn query_eval<P: Pops, S: Schedule<P>>(
-    program: &Program<P>,
-    query: &Query,
-    prev: Option<&InternedOutput<P>>,
-    pops_edb: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    schedule: S,
-    opts: &EngineOpts,
-) -> Result<QueryAnswer<P>, Box<AbortedQuery<P>>> {
-    let t = Instant::now();
-    let aborted = |aborted: Box<AbortedEval<P>>, magic: &[String], dropped: &[String]| {
-        let (error, partial) = aborted.into_parts();
-        Box::new(AbortedQuery {
-            error,
-            partial,
-            query: query.clone(),
-            magic_preds: magic.to_vec(),
-            dropped_preds: dropped.to_vec(),
-        })
-    };
-    let dp = magic_rewrite(program, query)
-        .map_err(|e| aborted(empty_aborted(unanswerable(e)), &[], &[]))?;
-    let magic = &dp.magic_preds;
-    match evaluate(
-        t,
-        &dp.program,
-        prev,
-        pops_edb,
-        bool_edb,
-        magic,
-        cap,
-        schedule,
-        opts,
-    ) {
-        Ok(outcome) => Ok(QueryAnswer {
-            outcome,
-            query: dp.query,
-            magic_preds: dp.magic_preds,
-            dropped_preds: dp.dropped_preds,
-        }),
-        Err(a) => Err(aborted(a, magic, &dp.dropped_preds)),
-    }
-}
-
 /// Query-driven evaluation under `schedule` (the query-seeded
 /// counterpart of [`crate::engine_eval_interned`]): magic-set rewrite,
-/// then the schedule's loop over the rewritten program. Under the
-/// priority frontier the magic seed pops first and demand spreads
-/// Dijkstra-interleaved with answers; the rewrite itself is sound for
-/// any POPS (see `dlo_core::demand`), so [`crate::Naive`] and
-/// [`crate::SemiNaive`] apply demand restriction to the weaker classes
-/// too. Results are bit-identical at any thread count, exactly as for
-/// the full-fixpoint entry points: threads only build the EDB indexes.
+/// then the schedule's loop over the rewritten program (the rewrite
+/// counts into the setup phase). Under the priority frontier the magic
+/// seed pops first and demand spreads Dijkstra-interleaved with
+/// answers; the rewrite itself is sound for any POPS (see
+/// `dlo_core::demand`), so [`crate::Naive`] and [`crate::SemiNaive`]
+/// apply demand restriction to the weaker classes too. Results are bit-identical at any thread count, exactly as for
+/// the full-fixpoint entry point: threads only build the EDB indexes.
 ///
 /// # Errors
 ///
@@ -349,51 +299,45 @@ where
     P: Pops,
     S: Schedule<P>,
 {
-    query_eval(
-        program, query, None, pops_edb, bool_edb, cap, schedule, opts,
-    )
-}
-
-/// [`engine_query_eval_with_opts`] over an **interned EDB** (see
-/// [`crate::engine_eval_interned_edb`]): the query-then-refine shape
-/// where a previous run's output is queried without ever leaving
-/// interned form.
-///
-/// # Errors
-///
-/// As [`engine_query_eval_with_opts`].
-#[allow(clippy::too_many_arguments)]
-pub fn engine_query_eval_interned_edb<P, S>(
-    program: &Program<P>,
-    query: &Query,
-    prev: &InternedOutput<P>,
-    extra_pops: &Database<P>,
-    bool_edb: &BoolDatabase,
-    cap: usize,
-    schedule: S,
-    opts: &EngineOpts,
-) -> Result<QueryAnswer<P>, Box<AbortedQuery<P>>>
-where
-    P: Pops,
-    S: Schedule<P>,
-{
-    query_eval(
-        program,
-        query,
-        Some(prev),
-        extra_pops,
+    let t = Instant::now();
+    let aborted = |aborted: Box<AbortedEval<P>>, magic: &[String], dropped: &[String]| {
+        let (error, partial) = aborted.into_parts();
+        Box::new(AbortedQuery {
+            error,
+            partial,
+            query: query.clone(),
+            magic_preds: magic.to_vec(),
+            dropped_preds: dropped.to_vec(),
+        })
+    };
+    let dp = magic_rewrite(program, query)
+        .map_err(|e| aborted(empty_aborted(unanswerable(e)), &[], &[]))?;
+    let magic = &dp.magic_preds;
+    match evaluate(
+        t,
+        &dp.program,
+        pops_edb,
         bool_edb,
+        magic,
         cap,
         schedule,
         opts,
-    )
+    ) {
+        Ok(outcome) => Ok(QueryAnswer {
+            outcome,
+            query: dp.query,
+            magic_preds: dp.magic_preds,
+            dropped_preds: dp.dropped_preds,
+        }),
+        Err(a) => Err(aborted(a, magic, &dp.dropped_preds)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::tests::eval;
-    use crate::driver::{engine_eval_interned, engine_eval_interned_edb, Naive, SemiNaive};
+    use crate::driver::{Naive, SemiNaive};
     use crate::worklist::Strategy;
     use dlo_core::examples_lib as ex;
     use dlo_core::query::QueryArg;
@@ -687,67 +631,6 @@ mod tests {
             );
             assert!(qa.answers().is_empty(), "2 is outside the active domain");
         }
-    }
-
-    #[test]
-    fn chained_interned_runs_share_the_interner() {
-        // Run APSP, then query the *output* for one source without any
-        // Database round-trip: engine_query_eval_interned_edb over the
-        // first run's InternedOutput, with a second program reading T
-        // as its EDB.
-        use dlo_core::parse_program;
-        let (program, edb) = ex::apsp_trop(&[
-            ("a", "b", 1.0),
-            ("b", "c", 3.0),
-            ("c", "d", 4.0),
-            ("a", "c", 5.0),
-        ]);
-        let bools = BoolDatabase::new();
-        let (prev, _) = engine_eval_interned(
-            &program,
-            &edb,
-            &bools,
-            1_000_000,
-            Strategy::Priority,
-            &EngineOpts::default(),
-        )
-        .expect("compiles")
-        .converged()
-        .unwrap();
-        // Refine: best cost to reach anything from X via the closed T.
-        let refine: dlo_core::Program<Trop> = parse_program("Best(X) :- T(X, Y).").unwrap();
-        let out = engine_eval_interned_edb(
-            &refine,
-            &prev,
-            &Database::new(),
-            &bools,
-            1_000_000,
-            Strategy::Priority,
-            &EngineOpts::default(),
-        )
-        .expect("compiles");
-        let (iout, _) = out.converged().unwrap();
-        assert_eq!(iout.get("Best", &["a".into()]), Some(&Trop::finite(1.0)));
-        // Query the same chained setup goal-directedly.
-        let q = Query::point("Best", vec!["c".into()]);
-        let qa = engine_query_eval_interned_edb(
-            &refine,
-            &q,
-            &prev,
-            &Database::new(),
-            &bools,
-            1_000_000,
-            Strategy::Priority,
-            &EngineOpts::default(),
-        )
-        .expect("query compiles");
-        assert_eq!(qa.answers().get(&tup!["c"]), Trop::finite(4.0));
-        // And the classic round-trip path agrees.
-        let materialized = prev.materialize();
-        let mut edb2 = Database::new();
-        edb2.insert("T", materialized.get("T").unwrap().clone());
-        let classic = eval(&refine, &edb2, &bools, 1000, SemiNaive).unwrap();
-        assert_eq!(iout.materialize(), classic);
     }
 
     #[test]

@@ -22,6 +22,31 @@
 //! assert_eq!(out.get("T").unwrap()
 //!               .get(&vec!["a".into(), "c".into()]), Trop::finite(4.0));
 //! ```
+//!
+//! A governed run that stops early fails with its partial attached;
+//! escalation is the caller's loop — rerun under a larger budget:
+//!
+//! ```
+//! use datalog_o::core::{parse_program, BoolDatabase, Database, Program, Relation};
+//! use datalog_o::pops::Trop;
+//! use datalog_o::{engine_eval_interned, EngineOpts, EvalBudget, SemiNaive};
+//!
+//! let program: Program<Trop> =
+//!     parse_program("T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, Y).").unwrap();
+//! let edge = |i: i64| (vec![i.into(), (i + 1).into()], Trop::finite(1.0));
+//! let mut edb = Database::new();
+//! edb.insert("E", Relation::from_pairs(2, (0..8).map(edge)));
+//! let bools = BoolDatabase::new();
+//! let run = |budget| {
+//!     let opts = EngineOpts { budget, ..EngineOpts::default() };
+//!     engine_eval_interned(&program, &edb, &bools, 10_000, SemiNaive, &opts)
+//! };
+//! let outcome = match run(EvalBudget::default().with_max_steps(2)) {
+//!     Err(aborted) if aborted.error().kind() == "budget" => run(EvalBudget::unlimited()).unwrap(),
+//!     _ => unreachable!("closing a 9-node chain takes more than 2 steps"),
+//! };
+//! assert_eq!(outcome.materialize(), datalog_o::eval(&program, &edb, &bools).unwrap());
+//! ```
 
 #![forbid(unsafe_code)]
 
@@ -34,15 +59,13 @@ pub use dlo_semilin as semilin;
 pub use dlo_wellfounded as wellfounded;
 
 // The engine backend's surface at top level, next to the grounded and
-// relational backends re-exported through `core`: four entry points,
+// relational backends re-exported through `core`: two entry points,
 // the schedule argument they take, and the result/option types.
 pub use dlo_engine::{
-    engine_eval_interned, engine_eval_interned_edb, engine_query_eval_interned_edb,
-    engine_query_eval_with_opts, eval_with_retry, AbortedEval, AbortedQuery, AttemptLog,
-    BudgetClass, BudgetKind, CancelToken, EngineOpts, EvalBudget, EvalError, EvalStats,
-    InternedOutcome, InternedOutput, JsonlSink, Materialization, MemorySink, Naive, PartialOutput,
-    QueryAnswer, RetryFailure, RetryPolicy, RetryReport, RuleProfile, Schedule, SemiNaive,
-    SettledMark, Strategy, TraceEvent, TraceHandle, TraceSink,
+    engine_eval_interned, engine_query_eval_with_opts, AbortedEval, AbortedQuery, BudgetKind,
+    CancelToken, EngineOpts, EvalBudget, EvalError, EvalStats, InternedOutcome, InternedOutput,
+    JsonlSink, Materialization, MemorySink, Naive, PartialOutput, QueryAnswer, RuleProfile,
+    Schedule, SemiNaive, SettledMark, Strategy, TraceEvent, TraceHandle, TraceSink,
 };
 
 /// Evaluates a program with the **default backend**: the execution
@@ -137,7 +160,7 @@ where
 /// exposes the query-restricted rows ([`QueryAnswer::answers`]), the
 /// full derived support for differential testing
 /// ([`QueryAnswer::support`]), and the interned storage for decode-free
-/// chaining.
+/// reads ([`QueryAnswer::interned`]).
 ///
 /// ```
 /// use datalog_o::core::{parse_program, parse_query, BoolDatabase, Database, Program, Relation};

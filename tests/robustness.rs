@@ -19,9 +19,7 @@
 //! * **Graceful degradation** — governed aborts carry a
 //!   `PartialOutput`: exact on the priority frontier's settled rows
 //!   (differentially pinned against the ungoverned fixpoint), a
-//!   pointwise lower bound elsewhere; and
-//!   `eval_with_retry`'s budget-class escalation recovers the full
-//!   bit-identical fixpoint from a partial attempt.
+//!   pointwise lower bound elsewhere.
 
 use std::time::{Duration, Instant};
 
@@ -32,10 +30,8 @@ use datalog_o::core::{
 };
 use datalog_o::pops::{NNReal, Pops, PreSemiring, Trop};
 use datalog_o::{
-    engine_eval_interned, engine_eval_interned_edb, engine_query_eval_interned_edb,
-    engine_query_eval_with_opts, eval_with_retry, BudgetClass, CancelToken, EngineOpts, EvalBudget,
-    EvalError, EvalStats, Materialization, Naive, PartialOutput, RetryPolicy, Schedule, SemiNaive,
-    Strategy,
+    engine_eval_interned, engine_query_eval_with_opts, CancelToken, EngineOpts, EvalBudget,
+    EvalError, EvalStats, Materialization, Naive, PartialOutput, Schedule, SemiNaive, Strategy,
 };
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
@@ -696,7 +692,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Graceful degradation: partial results on abort, retry escalation.
+// Graceful degradation: partial results on abort.
 // ---------------------------------------------------------------------
 
 /// The PR's acceptance differential: a priority-strategy run aborted by
@@ -754,80 +750,6 @@ fn aborted_priority_run_returns_exact_settled_partial() {
     }
 }
 
-/// `eval_with_retry` escalation: attempt 0 trips its step budget, the
-/// retry climbs one rung (warm-started from the partial's interner) and
-/// converges to the full bit-identical fixpoint, with the per-attempt
-/// report recording both rungs.
-#[test]
-fn retry_escalation_reaches_the_full_fixpoint() {
-    let program = apsp();
-    let edb = chain_edb(120);
-    let bools = BoolDatabase::new();
-    let full = eval(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::Priority,
-        &EngineOpts::default(),
-    )
-    .expect("reference run")
-    .unwrap();
-    let mut backoffs: Vec<usize> = vec![];
-    let policy = RetryPolicy::from_class(BudgetClass::Interactive)
-        .with_ladder(vec![
-            EvalBudget::default().with_max_steps(20),
-            EvalBudget::unlimited(),
-        ])
-        .with_backoff(move |attempt| backoffs.push(attempt));
-    let base = opts_with(EvalBudget::default(), None, 2);
-    let (outcome, report) = eval_with_retry(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::Priority,
-        &base,
-        policy,
-    )
-    .expect("the second rung is unbounded");
-    assert_eq!(report.attempts_made(), 2);
-    assert_eq!(report.attempts[0].outcome, "budget");
-    assert!(!report.attempts[0].warm_start);
-    assert!(report.attempts[0].settled_rows > 0, "partial was non-empty");
-    assert_eq!(report.attempts[1].outcome, "converged");
-    assert!(report.attempts[1].warm_start);
-    let (iout, _) = outcome.converged().expect("bounded");
-    assert_eq!(iout.materialize(), full, "escalated run is the fixpoint");
-}
-
-/// A non-recoverable stop (pre-cancelled token) fails immediately: no
-/// rungs are consumed beyond the first attempt, and the failure carries
-/// the attempt trail plus the last partial.
-#[test]
-fn retry_does_not_escalate_past_cancellation() {
-    let program = apsp();
-    let edb = chain_edb(16);
-    let bools = BoolDatabase::new();
-    let token = CancelToken::new();
-    token.cancel();
-    let policy = RetryPolicy::from_class(BudgetClass::Interactive);
-    let base = opts_with(EvalBudget::default(), Some(token), 1);
-    let failure = eval_with_retry(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::Priority,
-        &base,
-        policy,
-    )
-    .expect_err("cancellation is not recoverable");
-    assert_eq!(failure.error().kind(), "cancelled");
-    assert_eq!(failure.report.attempts_made(), 1);
-    assert_eq!(failure.report.attempts[0].outcome, "cancelled");
-}
-
 /// The query path degrades the same way: a demanded priority run
 /// stopped by its budget returns settled partial answers that are
 /// value-exact against the full fixpoint's query restriction.
@@ -871,8 +793,7 @@ fn aborted_query_returns_exact_settled_partial_answers() {
 /// buckets and trips at the next one, whose popped row is marked before
 /// the check — so exactly nodes `0..=k` are settled, at their final
 /// values, and no other row reads as final; `n` buckets fit a budget of
-/// `n`. Retrying with room to spare always ends at the ungoverned
-/// answer.
+/// `n`.
 #[test]
 fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
     const N: usize = 32;
@@ -889,7 +810,6 @@ fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
     )
     .expect("reference run");
     let full = ungoverned.clone().unwrap();
-    let roomy = EvalBudget::default().with_max_steps(N as u64 + 8);
     for k in 0..=N as u64 {
         let leg = format!("max_steps {k}");
         let opts = opts_with(EvalBudget::default().with_max_steps(k), None, 1);
@@ -915,22 +835,6 @@ fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
             );
         }
         assert_partial_below(&leg, partial, true, &full);
-
-        let policy = RetryPolicy::from_class(BudgetClass::Interactive)
-            .with_ladder(vec![EvalBudget::default().with_max_steps(k), roomy.clone()]);
-        let (outcome, report) = eval_with_retry(
-            &program,
-            &edb,
-            &bools,
-            CAP,
-            Strategy::Priority,
-            &opts_with(EvalBudget::default(), None, 1),
-            policy,
-        )
-        .expect("the roomy rung converges");
-        assert_eq!(report.attempts_made(), 2, "{leg}");
-        assert_eq!(report.attempts[0].settled_rows, settled as u64, "{leg}");
-        assert_eq!(outcome.materialize(), ungoverned, "{leg}: retry");
     }
 }
 
@@ -1081,7 +985,7 @@ fn assert_partial_below(
     }
 }
 
-/// All four entry points under `schedule`, stopped by a zero deadline
+/// Both entry points under `schedule`, stopped by a zero deadline
 /// and by one-step / one-row budgets: each returns `Err(aborted)` with
 /// the partial attached, and `EvalError::from(aborted)` is the variant
 /// the bare-error entry points used to return.
@@ -1109,20 +1013,18 @@ fn assert_aborts_carry_partial<S: Schedule<Trop> + std::fmt::Debug>(schedule: S,
     for (regime, budget, kind) in regimes {
         let opts = opts_with(budget, None, 2);
         let leg = format!("{schedule:?}/{regime}");
-        let evals = [
-            engine_eval_interned(&program, &edb, &bools, CAP, schedule, &opts),
-            engine_eval_interned_edb(&program, &prev, &edb, &bools, CAP, schedule, &opts),
-        ];
+        let evals = [engine_eval_interned(
+            &program, &edb, &bools, CAP, schedule, &opts,
+        )];
         for ran in evals {
             let aborted = ran.expect_err(&leg);
             assert_partial_below(&leg, aborted.partial(), exact, &full);
             assert_populated(aborted.error(), true);
             assert_eq!(EvalError::from(aborted).kind(), kind, "{leg}");
         }
-        let queries = [
-            engine_query_eval_with_opts(&program, &q, &edb, &bools, CAP, schedule, &opts),
-            engine_query_eval_interned_edb(&program, &q, &prev, &edb, &bools, CAP, schedule, &opts),
-        ];
+        let queries = [engine_query_eval_with_opts(
+            &program, &q, &edb, &bools, CAP, schedule, &opts,
+        )];
         for ran in queries {
             let aborted = ran.expect_err(&leg);
             assert_partial_below(&leg, aborted.partial(), exact, &full);
@@ -1173,43 +1075,6 @@ fn aborts_always_carry_the_partial() {
     assert!(rejected.partial_answers().is_empty());
     assert_eq!(rejected.partial().interned().predicates().count(), 0);
     assert_eq!(EvalError::from(rejected).kind(), "compile");
-}
-
-/// `BudgetClass` presets are ordered and terminate at `Unbounded`, and
-/// `EngineOpts::for_class` installs the preset budget.
-#[test]
-fn budget_classes_escalate_to_unbounded() {
-    assert_eq!(BudgetClass::Interactive.next_up(), Some(BudgetClass::Batch));
-    assert_eq!(BudgetClass::Batch.next_up(), Some(BudgetClass::Unbounded));
-    assert_eq!(BudgetClass::Unbounded.next_up(), None);
-    assert_eq!(BudgetClass::Interactive.ladder().len(), 3);
-    assert!(BudgetClass::Interactive.budget().is_limited());
-    assert!(!BudgetClass::Unbounded.budget().is_limited());
-    let opts = EngineOpts::for_class(BudgetClass::Interactive);
-    assert!(opts.budget.is_limited());
-    // An Unbounded-class run behaves like an ungoverned one.
-    let program = apsp();
-    let edb = chain_edb(8);
-    let bools = BoolDatabase::new();
-    let free = eval(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::Priority,
-        &EngineOpts::default(),
-    )
-    .expect("compiles");
-    let classed = eval(
-        &program,
-        &edb,
-        &bools,
-        CAP,
-        Strategy::Priority,
-        &EngineOpts::for_class(BudgetClass::Unbounded),
-    )
-    .expect("compiles");
-    assert_eq!(free, classed);
 }
 
 proptest! {
@@ -1299,29 +1164,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Retry-with-escalation on random graphs always ends at the
-    /// ungoverned fixpoint: whatever rung finally fits, the result is
-    /// bit-identical to a cold unbounded run.
-    #[test]
-    fn retry_escalation_converges_on_random_graphs(edges in edges_strategy()) {
-        let program = apsp();
-        let edb = random_edb(&edges);
-        let bools = BoolDatabase::new();
-        let full = eval(&program, &edb, &bools, CAP, Strategy::Priority, &EngineOpts::default()).expect("reference").unwrap();
-        let policy = RetryPolicy::from_class(BudgetClass::Interactive)
-            .with_ladder(vec![
-                EvalBudget::default().with_max_steps(1),
-                EvalBudget::default().with_max_steps(2),
-                EvalBudget::unlimited(),
-            ]);
-        let (outcome, report) = eval_with_retry(
-            &program, &edb, &bools, CAP, Strategy::Priority,
-            &opts_with(EvalBudget::default(), None, 2), policy,
-        ).expect("final rung is unbounded");
-        prop_assert!(report.attempts_made() >= 1);
-        let (iout, _) = outcome.converged().expect("bounded");
-        prop_assert_eq!(iout.materialize(), full);
     }
 }

@@ -280,8 +280,8 @@ fn probe_telemetry_partitions_index_probes_by_structure() {
     }
 }
 
-/// Every public evaluation entry point — full and query-seeded, over a
-/// classic and an interned EDB — under every schedule returns stats
+/// Both public evaluation entry points — full and query-seeded —
+/// under every schedule return stats
 /// with the strategy name, a step count, and emission counters filled
 /// in.
 #[test]
@@ -296,22 +296,12 @@ fn every_entry_point_returns_populated_stats() {
         let query = parse_query("?- L(d).").unwrap();
         let full =
             engine_eval_interned(&program, &edb, &bools, CAP, schedule, &opts).expect("compiles");
-        let prev = full.output();
-        let chained =
-            datalog_o::engine_eval_interned_edb(&program, prev, &edb, &bools, CAP, schedule, &opts)
-                .expect("compiles");
         let asked =
             engine_query_eval_with_opts(&program, &query, &edb, &bools, CAP, schedule, &opts)
                 .expect("compiles");
-        let asked_chained = datalog_o::engine_query_eval_interned_edb(
-            &program, &query, prev, &edb, &bools, CAP, schedule, &opts,
-        )
-        .expect("compiles");
         for (entry, stats) in [
             ("engine_eval_interned", full.stats()),
-            ("engine_eval_interned_edb", chained.stats()),
             ("engine_query_eval_with_opts", asked.stats()),
-            ("engine_query_eval_interned_edb", asked_chained.stats()),
         ] {
             legs.push((format!("{entry}/{schedule:?}"), stats.clone()));
         }
