@@ -553,24 +553,19 @@ impl Run {
         (error, self.settled)
     }
 
-    /// A whole from-scratch evaluation: the prelude, then `rounds` (the
-    /// schedule's loop over the program's plans, returning its step
-    /// count), then the outcome.
+    /// A whole from-scratch evaluation: the prelude, then `schedule`
+    /// resumed from the empty state with every full plan as seed, then
+    /// the outcome.
     /// Hitting the cap is `Ok(Diverged)`; a governed abort returns the
     /// boxed [`AbortedEval`] — the typed error with the abort-time IDB
     /// state and the run's settled marking attached as a
     /// [`PartialOutput`], both carrying the same completed stats.
-    pub(crate) fn drive<P: Pops + Send>(
+    pub(crate) fn drive<P: Pops + Send, S: Rounds<P>>(
         mut self,
         mut engine: Engine<P>,
         cap: usize,
         opts: &EngineOpts,
-        rounds: impl FnOnce(
-            &mut Engine<P>,
-            &mut IdbState<P>,
-            &RoundPlans<'_, P>,
-            &mut Run,
-        ) -> Result<usize, LoopFail>,
+        schedule: S,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
         let mut state = engine.empty_state();
         // From the empty state every full plan seeds. The lists move
@@ -585,7 +580,7 @@ impl Run {
         };
         let result = self
             .prepare(&mut engine, &mut state, opts)
-            .and_then(|()| rounds(&mut engine, &mut state, &plans, &mut self));
+            .and_then(|()| schedule.resume(&mut engine, &mut state, &plans, cap, &mut self, 0));
         match result {
             Ok(steps) => Ok(InternedOutcome::Converged {
                 stats: self.finish(steps, true),
@@ -726,26 +721,17 @@ mod sealed {
         /// [`crate::Materialization`] maintained under this schedule.
         const MAINTENANCE_SUFFIX: &'static str;
 
-        /// Whether the schedule's bounds license a
-        /// [`crate::Materialization`] to take deletes by **attaining
-        /// cone** (`crate::incremental`, "Deletes"): the argument needs
-        /// `Absorptive + TotallyOrderedDioid`, which is what
-        /// [`crate::Strategy`] is bounded over and [`Naive`] /
-        /// [`SemiNaive`] are not.
-        const ATTAINING_DELETES: bool;
+        /// The stats label of a from-scratch run, and whether its loop
+        /// marks rows final as it pops them (the priority frontier: the
+        /// run's settled marking is then exact).
+        fn label(self) -> (&'static str, bool);
 
-        /// The schedule's loop from the empty state over a prepared
-        /// engine.
-        fn run(
-            self,
-            engine: Engine<P>,
-            cap: usize,
-            opts: &EngineOpts,
-            setup_ns: u64,
-        ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>;
-
-        /// Maintenance: continues from the pre-fixpoint in `state` to
-        /// the least fixpoint above it, numbering steps from `start`.
+        /// The schedule's loop: continues from the pre-fixpoint in
+        /// `state` to the least fixpoint above it, numbering steps from
+        /// `start`, and returns the step count it reports. From the
+        /// empty state with every full plan as seed, that is a
+        /// from-scratch run ([`evaluate`]); from a standing fixpoint, a
+        /// [`crate::Materialization`] edit.
         fn resume(
             self,
             engine: &mut Engine<P>,
@@ -770,6 +756,13 @@ pub(crate) use sealed::Rounds;
 ///   rounds and the two frontiers, for the totally ordered absorptive
 ///   dioids that license all of them (Cor. 5.19).
 ///
+/// A schedule is only a loop. Every entry point runs it from the empty
+/// state, and a [`crate::Materialization`] built under it resumes the
+/// same loop from its standing fixpoint, so a handle reports the step
+/// counts a from-scratch run reports. Which rows a delete marks is the
+/// POPS's to say ([`dlo_pops::Pops::ABSORPTIVE_CHAIN`]), not the
+/// schedule's.
+///
 /// The trait is sealed: these three are the only implementations.
 pub trait Schedule<P: Pops>: Rounds<P> + Copy {}
 impl<P: Pops, S: Rounds<P> + Copy> Schedule<P> for S {}
@@ -778,13 +771,18 @@ impl<P: Pops, S: Rounds<P> + Copy> Schedule<P> for S {}
 /// the new state — all that is licensed without `⊖`. Agrees with
 /// `relational_naive_eval` step for step, including programs whose
 /// heads apply key functions (fresh constants are minted into the
-/// interner between iterations).
+/// interner between iterations). A [`crate::Materialization`] under it
+/// re-runs these rounds from its standing state after every edit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Naive;
 
 /// The semi-naïve schedule of Theorem 6.5. Agrees with
-/// `relational_seminaive_eval` — same fixpoint, same step count —
-/// while running interned and indexed.
+/// `relational_seminaive_eval` — same fixpoint, same step count, the
+/// iteration that finds δ empty included — while running interned and
+/// indexed. A [`crate::Materialization`] under it seeds the same rounds
+/// with each edit's differential, and over an absorptive chain its
+/// deletes mark the attaining cone, as [`crate::Strategy::SemiNaive`]'s
+/// do.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SemiNaive;
 
@@ -808,19 +806,9 @@ pub(crate) struct RoundPlans<'a, P> {
 #[allow(private_interfaces)]
 impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
     const MAINTENANCE_SUFFIX: &'static str = "-naive";
-    const ATTAINING_DELETES: bool = false;
 
-    fn run(
-        self,
-        engine: Engine<P>,
-        cap: usize,
-        opts: &EngineOpts,
-        setup_ns: u64,
-    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
-        let run = Run::open(&engine, "naive", false, opts, setup_ns);
-        run.drive(engine, cap, opts, |engine, state, plans, run| {
-            naive_rounds(engine, state, plans.full, cap, run, 0)
-        })
+    fn label(self) -> (&'static str, bool) {
+        ("naive", false)
     }
 
     fn resume(
@@ -844,24 +832,9 @@ where
     P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
-    const ATTAINING_DELETES: bool = false;
 
-    fn run(
-        self,
-        engine: Engine<P>,
-        cap: usize,
-        opts: &EngineOpts,
-        setup_ns: u64,
-    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
-        let run = Run::open(&engine, "seminaive", false, opts, setup_ns);
-        run.drive(engine, cap, opts, |engine, state, plans, run| {
-            // The reported count includes the iteration that finds δ
-            // empty, as the relational backend counts it.
-            match seminaive_rounds(engine, state, plans, cap, run, 0)? {
-                rounds if rounds < cap => Ok(rounds + 1),
-                _ => Err(LoopFail::Diverged(cap)),
-            }
-        })
+    fn label(self) -> (&'static str, bool) {
+        ("seminaive", false)
     }
 
     fn resume(
@@ -907,7 +880,7 @@ pub fn engine_eval_interned<P, S>(
     opts: &EngineOpts,
 ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
 where
-    P: Pops,
+    P: Pops + Send,
     S: Schedule<P>,
 {
     let t = Instant::now();
@@ -915,9 +888,10 @@ where
 }
 
 /// The one way in behind every entry point: [`setup`] (everything since
-/// `started` counts as setup time), then the schedule's loop.
+/// `started` counts as setup time), then the schedule's loop from the
+/// empty state ([`Run::drive`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
+pub(crate) fn evaluate<P: Pops + Send, S: Schedule<P>>(
     started: Instant,
     program: &Program<P>,
     pops_db: &Database<P>,
@@ -929,7 +903,10 @@ pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
 ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
     let engine =
         setup(program, Interner::new(), pops_db, bool_db, set_valued).map_err(empty_aborted)?;
-    schedule.run(engine, cap, opts, started.elapsed().as_nanos() as u64)
+    let (label, settles_on_pop) = schedule.label();
+    let setup_ns = started.elapsed().as_nanos() as u64;
+    let run = Run::open(&engine, label, settles_on_pop, opts, setup_ns);
+    run.drive(engine, cap, opts, schedule)
 }
 
 /// Naïve rounds `J ↦ F(J)` over `plans` from the state in `state`, to
@@ -1012,8 +989,9 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
 /// ([`apply_contrib`]) as step `start`, then `plans.delta` rounds run
 /// until every delta drains. From the empty state with the full plans
 /// as seed that is `J(1) = F(0)`, `δ(0) = J(1)`; a maintenance edit
-/// seeds the same loop from its differential instead. Returns the last
-/// round's step number.
+/// seeds the same loop from its differential instead. The returned
+/// count includes the iteration that finds δ empty, one past the last
+/// round's step number, as the relational backend counts it.
 pub(crate) fn seminaive_rounds<P>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
@@ -1035,11 +1013,11 @@ where
             .map_err(LoopFail::at(checkpoint, steps))?;
         apply_contrib(engine, state, contrib, fresh, &mut run.col);
         run.col.end_step(steps, delta_rows, 0, &before);
-        if state.delta.iter().all(|d| d.is_empty()) {
-            return Ok(steps);
-        }
         if steps >= cap {
             return Err(LoopFail::Diverged(steps));
+        }
+        if state.delta.iter().all(|d| d.is_empty()) {
+            return Ok(steps + 1);
         }
         steps += 1;
         let delta_rows = state.delta.iter().map(|d| d.len() as u64).sum();
@@ -1143,7 +1121,7 @@ pub(crate) mod tests {
 
     /// Evaluates under `schedule` with default options and decodes —
     /// shared by the other modules' unit tests.
-    pub(crate) fn eval<P: Pops, S: Schedule<P>>(
+    pub(crate) fn eval<P: Pops + Send, S: Schedule<P>>(
         program: &Program<P>,
         pops: &Database<P>,
         bools: &BoolDatabase,

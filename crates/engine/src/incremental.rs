@@ -37,8 +37,8 @@
 //! The classical delete–rederive answer carries over to POPS values,
 //! and every handle takes it the same way: mark a cone of rows that may
 //! change, zero it where it stands, and let the handle's schedule
-//! re-derive it from what is left. What the handle is bounded over
-//! decides only which rows the marking takes.
+//! re-derive it from what is left. The POPS decides only which rows
+//! the marking takes; the schedule never does.
 //!
 //! 1. **Mark.** The `@dlt` variant plans (batch rows at their old
 //!    values) and then the Δ family, fed the newly marked rows round by
@@ -46,16 +46,18 @@
 //!    or a marked row, all of it evaluated at the old fixpoint `J`.
 //!    Each round `⊕`-folds its contributions per head key, and one test
 //!    says which heads join the cone:
-//!    * **syntactic**, on every handle the attaining argument does not
-//!      cover: every head a round emits — DRed's cone, every key whose
+//!    * **syntactic**, wherever the attaining argument does not reach:
+//!      every head a round emits — DRed's cone, every key whose
 //!      derivation-uses graph reaches a deleted EDB row. It is read off
 //!      the plans, so it is sound for any POPS: joins enumerate
 //!      instances by key, a zero-valued instance stays zero when inputs
 //!      shrink (value maps are monotone and deletions move values down
 //!      the natural order), and no derivation of an unmarked row
 //!      touches a deleted fact, so it keeps its exact value.
-//!    * **attaining**, on a [`Strategy`] handle: a head whose fold
-//!      **equals** its stored value (below).
+//!    * **attaining**, on every handle over a POPS that is an
+//!      absorptive chain ([`dlo_pops::Pops::ABSORPTIVE_CHAIN`]: `Trop`,
+//!      `MinNat`, `MaxMin`, `Bool`), whatever its schedule: a head whose
+//!      fold **equals** its stored value (below).
 //! 2. **Zero in place.** Marked rows are set to `0` where they stand:
 //!    row ids, row order and every index survive, and the executor
 //!    drops a derivation the moment its product is `0` (the handle's
@@ -110,13 +112,13 @@
 //!
 //! ### The attaining cone
 //!
-//! A [`Strategy`] is only a schedule for `Absorptive +
-//! TotallyOrderedDioid` POPS (the 0-stable case of Cor. 5.19): `⊕` is
-//! the maximum of a chain and `a ⊗ b ⊑ a`. There a row's value **is**
-//! the value of one derivation — an attaining one — and a row can only
-//! change if every attaining derivation is lost. Contributions at `J`
-//! are never above `J` (it is a fixpoint), so a round's fold that
-//! equals the stored value says some instance of the round attains.
+//! Over an absorptive chain ([`dlo_pops::Pops::ABSORPTIVE_CHAIN`], the
+//! 0-stable case of Cor. 5.19) `⊕` is the maximum of a chain and
+//! `a ⊗ b ⊑ a`. There a row's value **is** the value of one derivation
+//! — an attaining one — and a row can only change if every attaining
+//! derivation is lost. Contributions at `J` are never above `J` (it is
+//! a fixpoint), so a round's fold that equals the stored value says
+//! some instance of the round attains.
 //!
 //! *Unmarked rows do not change.* Let `J′` be the fixpoint after the
 //! delete and `W` the unmarked rows with `J′(x) ≠ J(x)` (so `J′(x) ⊏
@@ -143,10 +145,15 @@
 //! every IDB factor to enter the product as it is: a value function
 //! on an IDB factor (the sum-products whose splits the compiler
 //! marks `Plan::frontier_only`) may improve on its argument, and a
-//! handle over such a program marks syntactically. The arithmetic is
-//! the stored one — a variant plan multiplies the same factors in the
-//! same order as the plan that stored the value — so equality is exact
-//! on `f64` carriers too.
+//! handle over such a program marks syntactically. So does a handle
+//! over any other POPS (`MaxPlus`, `NNReal`, …): a sum there can exceed
+//! each of its terms, so no derivation need attain it. Nothing in the
+//! argument names a schedule — the naïve iteration in it is the one
+//! that defines `J` — so a handle re-derives the cone with whichever
+//! loop it was built with. The arithmetic is the stored one — a
+//! variant plan multiplies the same factors in the same order as the
+//! plan that stored the value — so equality is exact on `f64` carriers
+//! too.
 //!
 //! ## The schedule that built it maintains it
 //!
@@ -154,10 +161,13 @@
 //! insert from the old fixpoint, a rederive from the survivors — is the
 //! handle's [`Schedule`] resumed from a pre-fixpoint with a seed plan
 //! list: all original plans, the `@dlt` variants, the plans that
-//! re-derive the cone. [`crate::SemiNaive`] (and [`Strategy::SemiNaive`])
-//! folds the seed in through the semi-naïve advance and runs global Δ
-//! rounds; [`Strategy::Worklist`] and [`Strategy::Priority`] / `Auto`
-//! merge it into the state, queue the strict improvements and drain
+//! re-derive the cone. A from-scratch run is the same call from the
+//! empty state, so a build is that run — rows, interner and step count
+//! included — and every edit reports steps the way it does.
+//! [`crate::SemiNaive`] (and [`Strategy::SemiNaive`]) folds the seed in
+//! through the semi-naïve advance and runs global Δ rounds;
+//! [`Strategy::Worklist`] and [`Strategy::Priority`] / `Auto` merge it
+//! into the state, queue the strict improvements and drain
 //! their own queue (`worklist`'s one frontier loop, the same one a
 //! from-scratch run uses), so a build costs what the from-scratch run
 //! costs and an edit on a long dependency chain pays per improved row,
@@ -291,8 +301,9 @@ pub struct Materialization<P: Pops, S = Strategy> {
     /// functions).
     rederive_plans: Vec<Plan<P>>,
     /// Whether a delete marks the attaining cone rather than the
-    /// syntactic one (module docs): the schedule's bounds license it
-    /// and no IDB factor sits under a value function.
+    /// syntactic one (module docs): `P` is an absorptive chain
+    /// ([`Pops::ABSORPTIVE_CHAIN`]) and no IDB factor sits under a value
+    /// function — whatever the schedule.
     attaining: bool,
     /// Per IDB predicate, the `pops_edb` index of its `H@cone` relation
     /// (`None` where no rule of `H` is head-guarded).
@@ -322,8 +333,6 @@ struct MaintenanceProgram<P> {
     program: Program<P>,
     /// The editable EDB predicates `(name, arity)`, in first-use order.
     editable: Vec<(String, usize)>,
-    /// Whether the handle marks a delete's attaining cone.
-    attaining: bool,
     /// Per original rule, whether it has head-guarded variants.
     guarded: Vec<bool>,
     /// Index of the first head-guarded variant rule: the `@dlt`
@@ -341,22 +350,14 @@ struct MaintenanceProgram<P> {
 /// body` for every sum-product of every rule whose head arguments are
 /// variables or constants. The guard holds `1`, the identity, in front
 /// of the factors, so a guarded derivation's value is the unguarded
-/// one's bit for bit. The handle marks the attaining cone where
-/// `attaining_schedule` (its [`Schedule`] licenses it) meets a program
-/// with no IDB factor under a value function — the sum-products the
-/// compiler marks `Plan::frontier_only`, which the attaining argument
-/// does not cover. Every value function of the handle's program maps
+/// one's bit for bit. Every value function of the handle's program maps
 /// `0` to `0`, whatever it makes of `0` itself.
-fn maintenance_program<P: Pops>(
-    program: &Program<P>,
-    attaining_schedule: bool,
-) -> Result<MaintenanceProgram<P>, EvalError> {
+fn maintenance_program<P: Pops>(program: &Program<P>) -> Result<MaintenanceProgram<P>, EvalError> {
     let reserved = |pred: &str| EvalError::Compile {
         detail: format!("predicate {pred:?} uses the reserved '@' namespace"),
     };
     let idbs: HashSet<&str> = program.rules.iter().map(|r| r.head.pred.as_str()).collect();
     let mut editable: Vec<(String, usize)> = vec![];
-    let mut wrapped_idb = false;
     let mut out = program.clone();
     for rule in &program.rules {
         if rule.head.pred.contains('@') {
@@ -367,7 +368,6 @@ fn maintenance_program<P: Pops>(
                 if f.atom.pred.contains('@') {
                     return Err(reserved(&f.atom.pred));
                 }
-                wrapped_idb |= f.func.is_some() && idbs.contains(f.atom.pred.as_str());
             }
             let edb_occs: Vec<usize> = sp
                 .factors
@@ -427,7 +427,6 @@ fn maintenance_program<P: Pops>(
     Ok(MaintenanceProgram {
         program: out,
         editable,
-        attaining: attaining_schedule && !wrapped_idb,
         guarded,
         cone_rules,
     })
@@ -526,7 +525,7 @@ where
                 });
             }
         }
-        let aug = maintenance_program(program, S::ATTAINING_DELETES)?;
+        let aug = maintenance_program(program)?;
         let n_rules = program.rules.len();
         let engine = setup(&aug.program, interner, pops_edb, bool_edb, &[])?;
         // The rule list is the original rules, the `@dlt` variants, the
@@ -538,11 +537,10 @@ where
         let seed_plans = rules(&engine.compiled.seed_plans, 0..n_rules);
         let edit_plans = rules(&engine.compiled.seed_plans, n_rules..aug.cone_rules);
         let delta_plans = rules(&engine.compiled.delta_plans, 0..n_rules);
-        debug_assert_eq!(
-            aug.attaining,
-            S::ATTAINING_DELETES && !delta_plans.iter().any(|p| p.frontier_only),
-            "the attaining cone is off exactly where a frontier-only split exists"
-        );
+        // The attaining argument covers every IDB factor that enters its
+        // product as it is; a frontier-only split is one under a value
+        // function.
+        let attaining = P::ABSORPTIVE_CHAIN && !delta_plans.iter().any(|p| p.frontier_only);
         let mut rederive_plans = seed_plans.clone();
         rederive_plans.retain(|p| !aug.guarded[p.rule_idx]);
         rederive_plans.extend(rules(
@@ -573,7 +571,7 @@ where
             edit_plans,
             delta_plans,
             rederive_plans,
-            attaining: aug.attaining,
+            attaining,
             cones,
             slots,
             bool_edb: bool_edb.clone(),
@@ -1189,14 +1187,16 @@ where
     /// stands — no row moves — and let the schedule re-derive it from
     /// the survivors, seeded by head-guarded plans that re-derive the
     /// marked keys only ([`crate::Naive`] re-runs its naïve rounds
-    /// instead), so the delete costs its cone. A [`Strategy`] handle
-    /// marks the rows whose stored value a derivation through a
-    /// deleted fact **attains**, every other handle every row such a
-    /// derivation reaches. Deleting absent facts is a no-op. The edit's
-    /// stats count the marked cone, the rows of the relations it was
-    /// marked in, and the retracted rows (`counters.cone_rows`,
-    /// `counters.cone_of_rows`, `counters.rows_retracted`); the rows
-    /// that came back read as `rows_inserted`.
+    /// instead), so the delete costs its cone. Over an absorptive chain
+    /// ([`Pops::ABSORPTIVE_CHAIN`]) every handle, whatever its schedule,
+    /// marks the rows whose stored value a derivation through a deleted
+    /// fact **attains**; over any other POPS, and where a value function
+    /// wraps an IDB factor, every row such a derivation reaches.
+    /// Deleting absent facts is a no-op. The edit's stats count the
+    /// marked cone, the rows of the relations it was marked in, and the
+    /// retracted rows (`counters.cone_rows`, `counters.cone_of_rows`,
+    /// `counters.rows_retracted`); the rows that came back read as
+    /// `rows_inserted`.
     ///
     /// Returns the edit's own [`EvalStats`].
     ///
@@ -1496,20 +1496,19 @@ mod tests {
     /// plan driven by the `T@cone` scan, the EDB atom ahead of the
     /// standing `T` (the tie the guard creates), and `T` reached by
     /// full key through its row map — for which no posting-list index
-    /// is registered. A handle whose schedule does not license the
-    /// attaining cone marks syntactically, and re-derives through the
-    /// same plans.
+    /// is registered. A handle over a POPS that is no absorptive chain
+    /// marks syntactically, and re-derives through the same plans.
     #[test]
     fn guarded_plans_reach_the_standing_idb_last_and_by_its_row_map() {
         use crate::plan::Source;
-        let program: Program<Trop> =
-            parse_program("T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, Y).").unwrap();
-        let mut edb = Database::new();
-        edb.insert(
-            "E",
-            Relation::from_pairs(2, vec![(tup!["a", "b"], Trop::finite(1.0))]),
-        );
-        fn assert_guarded<S: Schedule<Trop>>(m: &Materialization<Trop, S>) {
+        use dlo_core::examples_lib::apsp_program;
+        use dlo_pops::MaxPlus;
+        fn edge<P: Pops>(w: P) -> Database<P> {
+            let mut edb = Database::new();
+            edb.insert("E", Relation::from_pairs(2, vec![(tup!["a", "b"], w)]));
+            edb
+        }
+        fn assert_guarded<P: Pops + Send + Sync, S: Schedule<P>>(m: &Materialization<P, S>) {
             let cone = Source::PopsEdb(m.cones[0].expect("T is head-guarded"));
             let (e, t) = (Source::PopsEdb(m.slots[0].cur), Source::IdbNew(0));
             let reads: Vec<Vec<(Source, u32)>> = m
@@ -1532,9 +1531,11 @@ mod tests {
             );
         }
         let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+        let (program, edb) = (apsp_program(), edge(Trop::finite(1.0)));
         let m = Materialization::new(&program, &edb, &bools, 1000, Strategy::Auto, &opts).unwrap();
         assert!(m.attaining);
         assert_guarded(&m);
+        let (program, edb) = (apsp_program(), edge(MaxPlus::finite(1.0)));
         let m = Materialization::new(&program, &edb, &bools, 1000, crate::SemiNaive, &opts);
         let m = m.unwrap();
         assert!(!m.attaining);

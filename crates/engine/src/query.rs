@@ -296,7 +296,7 @@ pub fn engine_query_eval_with_opts<P, S>(
     opts: &EngineOpts,
 ) -> Result<QueryAnswer<P>, Box<AbortedQuery<P>>>
 where
-    P: Pops,
+    P: Pops + Send,
     S: Schedule<P>,
 {
     let t = Instant::now();

@@ -100,13 +100,12 @@
 //! comparable across strategies; fixpoints are.
 
 use crate::driver::{
-    mint_key, run_plans_inline, Engine, EngineOpts, IdbState, LoopFail, RoundPlans, Rounds, Run,
-    SemiNaive,
+    mint_key, run_plans_inline, Engine, IdbState, LoopFail, RoundPlans, Rounds, Run, SemiNaive,
 };
 use crate::exec::HeadVal;
 use crate::govern::Checkpoint;
 use crate::intern::Interner;
-use crate::output::{AbortedEval, InternedOutcome, SettledMark};
+use crate::output::SettledMark;
 use crate::plan::by_delta_pred;
 use crate::storage::ColumnRel;
 use crate::telemetry::Collector;
@@ -399,33 +398,6 @@ fn apply_emissions<P: Pops, F: Frontier<P>>(
     col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
 }
 
-/// A from-scratch frontier run over a prepared [`Engine`]: the
-/// prelude, then [`drain_frontier`] from the empty state, seeded with
-/// `J(1) = F(0)` by the program's all-`New` plans.
-///
-/// On a demand-rewritten program ([`dlo_core::demand`]) the seed phase
-/// contributes exactly the magic seed fact — every other sum-product
-/// carries a magic guard factor and finds it empty — so the frontier
-/// starts at the **query constants** instead of the whole EDB delta,
-/// and magic-fact derivation interleaves between batches exactly like
-/// head-key minting: a popped row fires the Δ-family plans whose Δ
-/// occurrence it is, demand rows and answer rows alike.
-fn run_frontier<P, F>(
-    engine: Engine<P>,
-    cap: usize,
-    opts: &EngineOpts,
-    setup_ns: u64,
-) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
-where
-    P: Pops + Send + Sync,
-    F: Frontier<P>,
-{
-    let run = Run::open(&engine, F::LABEL, F::SETTLES_ON_POP, opts, setup_ns);
-    run.drive(engine, cap, opts, |engine, state, plans, run| {
-        drain_frontier::<P, F>(engine, state, plans, 0, cap, run)
-    })
-}
-
 /// The one frontier loop, behind every from-scratch run and every
 /// maintenance continuation: a seed round, then the queue drained
 /// batch by batch, each batch firing the plans of `plans.delta` that a
@@ -444,6 +416,15 @@ where
 /// the priority order a popped row is final — every derivation not yet
 /// fired comes from a row still queued at a value no better, and `⊗`
 /// cannot move a value back up.
+///
+/// On a demand-rewritten program ([`dlo_core::demand`]) the seed round
+/// from the empty state contributes exactly the magic seed fact — every
+/// other sum-product carries a magic guard factor and finds it empty —
+/// so the frontier starts at the **query constants** instead of the
+/// whole EDB delta, and magic-fact derivation interleaves between
+/// batches exactly like head-key minting: a popped row fires the
+/// Δ-family plans whose Δ occurrence it is, demand rows and answer rows
+/// alike.
 ///
 /// The seed round is step `start` (its stats row reads
 /// `plans.seed_rows` Δ rows); batches are numbered from `start + 1`,
@@ -582,28 +563,22 @@ where
         + Sync,
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
-    const ATTAINING_DELETES: bool = true;
 
-    fn run(
-        self,
-        engine: Engine<P>,
-        cap: usize,
-        opts: &EngineOpts,
-        setup_ns: u64,
-    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
+    fn label(self) -> (&'static str, bool) {
+        fn of<P: Pops, F: Frontier<P>>() -> (&'static str, bool) {
+            (F::LABEL, F::SETTLES_ON_POP)
+        }
         match self {
-            Strategy::SemiNaive => SemiNaive.run(engine, cap, opts, setup_ns),
-            Strategy::Worklist => run_frontier::<P, FifoFrontier>(engine, cap, opts, setup_ns),
-            Strategy::Auto | Strategy::Priority => {
-                run_frontier::<P, BucketFrontier<P>>(engine, cap, opts, setup_ns)
-            }
+            Strategy::SemiNaive => Rounds::<P>::label(SemiNaive),
+            Strategy::Worklist => of::<P, FifoFrontier>(),
+            Strategy::Auto | Strategy::Priority => of::<P, BucketFrontier<P>>(),
         }
     }
 
-    /// The schedule that reached the fixpoint continues it: the same
-    /// dispatch as [`Rounds::run`], the frontiers seeded by
-    /// `plans.seed` from the standing state and firing `plans.delta`
-    /// ([`drain_frontier`]).
+    /// The loop the variant names: the semi-naïve rounds, or a frontier
+    /// seeded by `plans.seed` and firing `plans.delta`
+    /// ([`drain_frontier`]). Every type this impl admits is an
+    /// absorptive chain, so a handle under it marks the attaining cone.
     fn resume(
         self,
         engine: &mut Engine<P>,
@@ -613,6 +588,12 @@ where
         run: &mut Run,
         start: usize,
     ) -> Result<usize, LoopFail> {
+        const {
+            assert!(
+                P::ABSORPTIVE_CHAIN,
+                "an Absorptive + TotallyOrderedDioid POPS sets Pops::ABSORPTIVE_CHAIN"
+            )
+        };
         match self {
             Strategy::SemiNaive => SemiNaive.resume(engine, state, plans, cap, run, start),
             Strategy::Worklist => {
@@ -628,8 +609,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::engine_eval_interned;
     use crate::driver::tests::eval;
+    use crate::driver::{engine_eval_interned, EngineOpts};
     use dlo_core::ast::{Atom, Factor, KeyFn, Program, SumProduct, Term, UnaryFn};
     use dlo_core::eval::relational::relational_seminaive_eval;
     use dlo_core::examples_lib as ex;

@@ -45,6 +45,8 @@ impl TotallyOrderedDioid for Bool {
 }
 
 impl Pops for Bool {
+    const ABSORPTIVE_CHAIN: bool = true;
+
     fn bottom() -> Self {
         Bool(false)
     }

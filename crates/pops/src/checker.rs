@@ -111,6 +111,36 @@ pub fn absorptive_laws<S: Absorptive + FiniteCarrier>() -> Vec<Violation> {
     absorptive_laws_on(&S::carrier())
 }
 
+/// Checks the [`Pops::ABSORPTIVE_CHAIN`] contract on an explicit sample:
+/// `x ⊕ 1 = 1` and `x ⊑ 1` for every `x`, `⊑` total, and `x ⊕ y` the
+/// ⊑-greater of `x` and `y` — so a ⊕-sum is one of its terms. Needs no
+/// marker trait: it checks what a `true` const claims, whatever the
+/// type wears.
+pub fn absorptive_chain_laws_on<P: Pops>(sample: &[P]) -> Vec<Violation> {
+    let mut v = vec![];
+    let one = P::one();
+    for x in sample {
+        check(&mut v, x.add(&one) == one, || format!("{x:?} ⊕ 1 = 1"), x);
+        check(&mut v, x.leq(&one), || format!("{x:?} ⊑ 1"), x);
+        for y in sample {
+            check(
+                &mut v,
+                x.leq(y) || y.leq(x),
+                || format!("⊑ total at {x:?}, {y:?}"),
+                x,
+            );
+            let greater = if x.leq(y) { y } else { x };
+            check(
+                &mut v,
+                &x.add(y) == greater,
+                || format!("{x:?} ⊕ {y:?} is the ⊑-greater"),
+                x,
+            );
+        }
+    }
+    v
+}
+
 /// Checks the [`TotallyOrderedDioid`] contract on an explicit sample:
 /// `chain_cmp` must be a total order that *coincides* with `⊑`
 /// (`Less` ⟺ strictly below, `Equal` ⟺ equal), which also forces `⊑`
@@ -402,14 +432,17 @@ mod tests {
         // The frontier-engine gates, exhaustively on the full carrier.
         assert_clean(absorptive_laws::<Bool>(), "bool absorptive");
         assert_clean(chain_order_laws::<Bool>(), "bool chain order");
+        const { assert!(Bool::ABSORPTIVE_CHAIN) };
+        assert_clean(absorptive_chain_laws_on(&Bool::carrier()), "bool chain");
     }
 
     /// A deliberately *wrong* pair of marker impls: max-plus naturals,
     /// which are a perfectly good totally ordered dioid but are **not**
     /// absorptive (`max(0, a) = a` for `a > 0`), wearing the
-    /// `Absorptive` marker anyway — and a `chain_cmp` that disagrees
-    /// with `⊑`. The law checkers must catch both; this is the gate that
-    /// keeps a mis-marked POPS out of the engine's fast path.
+    /// `Absorptive` marker and the `ABSORPTIVE_CHAIN` const anyway — and
+    /// a `chain_cmp` that disagrees with `⊑`. The law checkers must catch
+    /// all three; this is the gate that keeps a mis-marked POPS out of
+    /// the engine's fast path and its attaining deletes.
     #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
     struct BadMaxNat(u64);
 
@@ -430,6 +463,7 @@ mod tests {
     impl Semiring for BadMaxNat {}
     impl Dioid for BadMaxNat {}
     impl Pops for BadMaxNat {
+        const ABSORPTIVE_CHAIN: bool = true; // WRONG: not absorptive
         fn bottom() -> Self {
             BadMaxNat(0)
         }
@@ -454,6 +488,11 @@ mod tests {
         assert!(
             !chain_order_laws_on(&sample).is_empty(),
             "a chain_cmp disagreeing with ⊑ must be caught"
+        );
+        const { assert!(BadMaxNat::ABSORPTIVE_CHAIN) };
+        assert!(
+            !absorptive_chain_laws_on(&sample).is_empty(),
+            "a non-absorptive chain claiming ABSORPTIVE_CHAIN must be caught"
         );
     }
 

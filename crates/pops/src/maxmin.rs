@@ -53,6 +53,8 @@ impl TotallyOrderedDioid for MaxMin {
 }
 
 impl Pops for MaxMin {
+    const ABSORPTIVE_CHAIN: bool = true;
+
     fn bottom() -> Self {
         MaxMin(F64::ZERO)
     }
@@ -110,6 +112,9 @@ mod tests {
         let v = crate::checker::absorptive_laws_on(&sample);
         assert!(v.is_empty(), "{v:?}");
         let v = crate::checker::chain_order_laws_on(&sample);
+        assert!(v.is_empty(), "{v:?}");
+        const { assert!(MaxMin::ABSORPTIVE_CHAIN) };
+        let v = crate::checker::absorptive_chain_laws_on(&sample);
         assert!(v.is_empty(), "{v:?}");
     }
 

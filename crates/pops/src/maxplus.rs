@@ -123,6 +123,8 @@ mod tests {
         // why MaxPlus must not carry the `Absorptive` marker: a
         // worklist over it has no termination guarantee.
         assert_ne!(MaxPlus::finite(5.0).add(&MaxPlus::one()), MaxPlus::one());
+        const { assert!(!MaxPlus::ABSORPTIVE_CHAIN) };
+        assert!(!crate::checker::absorptive_chain_laws_on(&sample).is_empty());
     }
 
     #[test]

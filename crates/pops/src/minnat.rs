@@ -55,6 +55,8 @@ impl TotallyOrderedDioid for MinNat {
 }
 
 impl Pops for MinNat {
+    const ABSORPTIVE_CHAIN: bool = true;
+
     fn bottom() -> Self {
         MinNat::INF
     }
@@ -114,6 +116,9 @@ mod tests {
         let v = crate::checker::absorptive_laws_on(&sample);
         assert!(v.is_empty(), "{v:?}");
         let v = crate::checker::chain_order_laws_on(&sample);
+        assert!(v.is_empty(), "{v:?}");
+        const { assert!(MinNat::ABSORPTIVE_CHAIN) };
+        let v = crate::checker::absorptive_chain_laws_on(&sample);
         assert!(v.is_empty(), "{v:?}");
     }
 

@@ -80,6 +80,15 @@ pub trait Pops: PreSemiring {
     /// The partial order `self ⊑ rhs`.
     fn leq(&self, rhs: &Self) -> bool;
 
+    /// Whether this POPS is an **absorptive chain**: `x ⊕ 1 = 1` for
+    /// every `x` (every element 0-stable, Sec. 5.1) and `⊑` is total, so
+    /// `⊕` picks the ⊑-greater of its arguments. Then a ⊕-sum equals one
+    /// of its terms: a fact's value is the value of one derivation, and
+    /// `x ⊗ y ⊑ x ⊗ 1 = x` (the 0-stable case of Cor. 5.19). `false`
+    /// unless an impl states it; [`crate::checker::absorptive_chain_laws_on`]
+    /// checks a `true`.
+    const ABSORPTIVE_CHAIN: bool = false;
+
     /// Whether this element equals `⊥`.
     fn is_bottom(&self) -> bool {
         *self == Self::bottom()
@@ -119,6 +128,10 @@ pub trait Dioid: Semiring {}
 /// a complete distributive dioid whose positive elements are *not*
 /// 0-stable (`max(0, a) = a` for `a > 0`), so it must **not** implement
 /// this marker.
+///
+/// A POPS that is absorptive *and* [`TotallyOrderedDioid`] states so in
+/// [`Pops::ABSORPTIVE_CHAIN`]; `dlo_engine`'s `Strategy` schedule, which
+/// needs both markers, refuses at compile time a type that does not.
 pub trait Absorptive: Dioid + Pops {}
 
 /// A dioid whose natural order `⊑` is **total**, with the order exposed
@@ -133,7 +146,8 @@ pub trait Absorptive: Dioid + Pops {}
 ///
 /// The contract — `chain_cmp` is a total order that coincides with `⊑`
 /// — is checked by [`crate::checker::chain_order_laws`] /
-/// [`crate::checker::chain_order_laws_on`].
+/// [`crate::checker::chain_order_laws_on`]. With [`Absorptive`] beside
+/// it, the type sets [`Pops::ABSORPTIVE_CHAIN`].
 pub trait TotallyOrderedDioid: Dioid + Pops {
     /// The total order: `Less` ⟺ `self ⊏ other` (strictly below in the
     /// natural order, i.e. strictly *worse*), `Equal` ⟺ `self == other`.

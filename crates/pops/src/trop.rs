@@ -72,6 +72,8 @@ impl TotallyOrderedDioid for Trop {
 }
 
 impl Pops for Trop {
+    const ABSORPTIVE_CHAIN: bool = true;
+
     fn bottom() -> Self {
         Trop::INF
     }
@@ -158,6 +160,9 @@ mod tests {
         let v = crate::checker::absorptive_laws_on(&sample);
         assert!(v.is_empty(), "{v:?}");
         let v = crate::checker::chain_order_laws_on(&sample);
+        assert!(v.is_empty(), "{v:?}");
+        const { assert!(Trop::ABSORPTIVE_CHAIN) };
+        let v = crate::checker::absorptive_chain_laws_on(&sample);
         assert!(v.is_empty(), "{v:?}");
     }
 

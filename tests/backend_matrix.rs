@@ -36,7 +36,7 @@ use datalog_o::{
 const CAP: usize = 100_000;
 
 /// One from-scratch evaluation under `schedule`, decoded.
-fn run<P: Pops, S: Schedule<P>>(
+fn run<P: Pops + Send, S: Schedule<P>>(
     program: &Program<P>,
     pops: &Database<P>,
     bools: &BoolDatabase,
@@ -100,23 +100,24 @@ fn assert_matrix_all<P>(
 {
     assert_bulk_load_bit_identical(scenario, program, pops, bools);
     let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
+    // The semi-naïve loop counts the round that finds δ empty, as the
+    // relational backend does.
+    let converged = |outcome: EvalOutcome<P>| outcome.converged().expect("converges");
+    let (rel_semi, rel_steps) = converged(relational_seminaive_eval(program, pops, bools, CAP));
+    let opts = EngineOpts::default();
+    let (eng_semi, eng_steps) = converged(run(program, pops, bools, CAP, SemiNaive, &opts));
+    assert_eq!(eng_steps, rel_steps, "{scenario}: semi-naive steps");
     let legs: [(&str, Database<P>); 6] = [
         (
             "relational naive",
             relational_naive_eval(program, pops, bools, CAP).unwrap(),
         ),
-        (
-            "relational semi-naive",
-            relational_seminaive_eval(program, pops, bools, CAP).unwrap(),
-        ),
+        ("relational semi-naive", rel_semi),
         (
             "engine naive",
             run(program, pops, bools, CAP, Naive, &EngineOpts::default()).unwrap(),
         ),
-        (
-            "engine semi-naive",
-            run(program, pops, bools, CAP, SemiNaive, &EngineOpts::default()).unwrap(),
-        ),
+        ("engine semi-naive", eng_semi),
         (
             "engine worklist",
             run(
@@ -145,8 +146,8 @@ fn assert_matrix_all<P>(
     for (backend, got) in &legs {
         assert_same_db(scenario, backend, &grounded, got);
     }
-    assert_loop_parity(scenario, program, pops, bools, Naive, 0);
-    assert_loop_parity(scenario, program, pops, bools, SemiNaive, 1);
+    assert_loop_parity(scenario, program, pops, bools, Naive);
+    assert_loop_parity(scenario, program, pops, bools, SemiNaive);
 }
 
 /// The three naive legs, for POPS without `⊖` (no complete distributive
@@ -165,7 +166,7 @@ fn assert_matrix_naive<P>(
     let eng = run(program, pops, bools, CAP, Naive, &EngineOpts::default()).unwrap();
     assert_same_db(scenario, "relational naive", &grounded, &rel);
     assert_same_db(scenario, "engine naive", &grounded, &eng);
-    assert_loop_parity(scenario, program, pops, bools, Naive, 0);
+    assert_loop_parity(scenario, program, pops, bools, Naive);
 }
 
 /// Loads `db` row by row through the public per-row API — every
@@ -1275,24 +1276,21 @@ fn incremental_leg_company_control_share_sale() {
 }
 
 /// Loop parity: a [`Materialization`] build and a from-scratch run
-/// under the same schedule are the same rounds. They produce the same
-/// interned rows in the same order, the same interner, and equal
-/// `EvalStats::invariants()` — up to what names the run: the stats label, the all-zero profile rows of
-/// the `@dlt` variant plans only a handle compiles, and the one count
-/// the semi-naïve from-scratch driver adds for the iteration that finds
-/// δ empty (`steps_over_rounds`, mirroring the relational backend).
+/// under the same schedule are the same loop from the same empty state.
+/// They produce the same interned rows in the same order, the same
+/// interner, and equal `EvalStats::invariants()`, step count included —
+/// up to what names the run: the stats label and the all-zero profile
+/// rows of the `@dlt` variant plans only a handle compiles.
 fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
     scenario: &str,
     program: &Program<P>,
     pops: &Database<P>,
     bools: &BoolDatabase,
     schedule: S,
-    steps_over_rounds: u64,
 ) {
-    let unnamed = |stats: &EvalStats, extra_steps: u64| {
+    let unnamed = |stats: &EvalStats| {
         let mut inv = stats.invariants();
         inv.strategy.clear();
-        inv.steps += extra_steps;
         inv.rules
             .retain(|r| (r.rule as usize) < program.rules.len());
         inv
@@ -1305,8 +1303,8 @@ fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
     let mut built =
         Materialization::new(program, pops, bools, CAP, schedule, &opts).expect("builds");
     assert_eq!(
-        unnamed(scratch.stats(), 0),
-        unnamed(built.last_stats(), steps_over_rounds),
+        unnamed(scratch.stats()),
+        unnamed(built.last_stats()),
         "{leg}: stats"
     );
     let (scratch, built) = (scratch.output(), built.output());
@@ -1576,7 +1574,7 @@ fn floyd_warshall(graph: &dlo_bench::GraphInstance) -> Relation<Trop> {
 /// from-scratch run, counters included.
 #[test]
 fn dense_apsp_runs_on_a_slot_table_under_every_schedule() {
-    fn check<S: Schedule<Trop> + std::fmt::Debug>(schedule: S, steps_over_rounds: u64) {
+    fn check<S: Schedule<Trop> + std::fmt::Debug>(schedule: S) {
         let graph = near_complete_48();
         let (program, edb) = (ex::apsp_program::<Trop>(), graph.trop_edb());
         let bools = BoolDatabase::new();
@@ -1597,22 +1595,17 @@ fn dense_apsp_runs_on_a_slot_table_under_every_schedule() {
         let db = out.materialize().unwrap();
         assert_eq!(db.get("T"), Some(&floyd_warshall(&graph)), "{schedule:?}");
         let scenario = format!("dense apsp, {schedule:?}");
-        assert_loop_parity(
-            &scenario,
-            &program,
-            &edb,
-            &bools,
-            schedule,
-            steps_over_rounds,
-        );
+        assert_loop_parity(&scenario, &program, &edb, &bools, schedule);
     }
-    // The semi-naïve from-scratch loops count the round that finds δ
-    // empty, as in the matrix scenarios.
-    check(Naive, 0);
-    check(SemiNaive, 1);
-    check(Strategy::SemiNaive, 1);
-    for strategy in [Strategy::Auto, Strategy::Worklist, Strategy::Priority] {
-        check(strategy, 0);
+    check(Naive);
+    check(SemiNaive);
+    for strategy in [
+        Strategy::Auto,
+        Strategy::SemiNaive,
+        Strategy::Worklist,
+        Strategy::Priority,
+    ] {
+        check(strategy);
     }
 }
 

@@ -19,7 +19,7 @@ use datalog_o::{engine_eval_interned, EngineOpts, Naive, Schedule, SemiNaive};
 use dlo_bench::{dijkstra, GraphInstance};
 
 /// One engine evaluation under `schedule`, decoded.
-fn run<P: Pops, S: Schedule<P>>(
+fn run<P: Pops + Send, S: Schedule<P>>(
     program: &Program<P>,
     pops: &Database<P>,
     bools: &BoolDatabase,

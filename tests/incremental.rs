@@ -1249,7 +1249,10 @@ fn tie_heavy_script<P: Pops>(seed: u64, value: impl Fn(u64) -> P) -> (Database<P
 /// The attaining cone's soundness, where it is hardest, on the linear
 /// and the quadratic closure: `script_of(seed)` for 120 seeds, every
 /// handle — `Auto` and one per [`ALL_STRATEGIES`] — against every
-/// from-scratch oracle after every edit.
+/// from-scratch oracle after every edit. On the first 30 seeds the
+/// `SemiNaive` and `Naive` handles too, which mark the same cone and
+/// re-derive it with their own rounds (on all 120 they would triple
+/// the test's time).
 fn assert_attaining_deletes_match_from_scratch<P: FrontierPops>(
     pops: &str,
     script_of: impl Fn(u64) -> (Database<P>, Vec<Edit<P>>),
@@ -1264,6 +1267,9 @@ fn assert_attaining_deletes_match_from_scratch<P: FrontierPops>(
         for (name, program) in &programs {
             let scenario = format!("{pops} {name} seed {seed}");
             assert_differential(&scenario, program, &edb, &script, &ALL_STRATEGIES, &opts);
+            if seed <= 30 {
+                assert_round_handles_match_from_scratch(&scenario, program, &edb, &script);
+            }
         }
     }
 }
@@ -1288,28 +1294,35 @@ fn attaining_deletes_match_from_scratch_under_a_non_strict_product() {
     });
 }
 
+/// The POPS the semi-naïve rounds are licensed over.
+trait RoundPops: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync {}
+impl<P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync> RoundPops for P {}
+
 /// `script` on a `SemiNaive` and a `Naive` handle: after every edit each
 /// is bit-identical to the from-scratch fixpoint of the mirrored EDB.
-fn assert_round_handles_match_from_scratch<P: FrontierPops>(
+/// Returns each handle's `cone_rows` per edit, `SemiNaive` first.
+fn assert_round_handles_match_from_scratch<P: RoundPops>(
     scenario: &str,
     program: &Program<P>,
     edb: &Database<P>,
     script: &[Edit<P>],
-) {
-    fn check<P: FrontierPops, S: Schedule<P> + std::fmt::Debug>(
+) -> [Vec<u64>; 2] {
+    fn check<P: RoundPops, S: Schedule<P> + std::fmt::Debug>(
         scenario: &str,
         program: &Program<P>,
         edb: &Database<P>,
         script: &[Edit<P>],
         schedule: S,
-    ) {
+    ) -> Vec<u64> {
         let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
         let mut mat =
             Materialization::new(program, edb, &bools, CAP, schedule, &opts).expect("compiles");
         let mut mirror_edb = edb.clone();
+        let mut cones = vec![];
         for (step, edit) in script.iter().enumerate() {
             mirror(&mut mirror_edb, edit);
-            mat.apply(std::slice::from_ref(edit)).expect("edit applies");
+            let stats = mat.apply(std::slice::from_ref(edit)).expect("edit applies");
+            cones.push(stats.counters.cone_rows);
             let scratch = engine_eval_interned(program, &mirror_edb, &bools, CAP, schedule, &opts)
                 .expect("compiles")
                 .materialize()
@@ -1320,9 +1333,93 @@ fn assert_round_handles_match_from_scratch<P: FrontierPops>(
             assert_eq!(mat.output().materialize(), scratch, "{leg}");
             assert_queries_read_the_fixpoint(&leg, &mat, &scratch);
         }
+        cones
     }
-    check(scenario, program, edb, script, datalog_o::SemiNaive);
-    check(scenario, program, edb, script, Naive);
+    [
+        check(scenario, program, edb, script, datalog_o::SemiNaive),
+        check(scenario, program, edb, script, Naive),
+    ]
+}
+
+/// Longest paths over `MaxPlus` on a DAG — every edge runs from a lower
+/// to a higher node id, so every path sum is finite. `MaxPlus` is a
+/// complete distributive dioid but no absorptive chain (`max(x, 0) ≠ 0`
+/// for a gain `x > 0`), so a value can be the sum of derivations none of
+/// which attains it, and every handle marks the **syntactic** cone: the
+/// `T(x, y)` with a path `x →* u → v →* y` through the deleted `u → v`.
+/// 24 random scripts over eight nodes, deletes as likely as inserts (a
+/// delete takes an edge that is there): after every edit both round
+/// handles are the from-scratch fixpoint, and every delete's
+/// `cone_rows` is that count on the EDB before it.
+#[test]
+fn syntactic_deletes_match_from_scratch_off_absorptive_chains() {
+    use datalog_o::pops::MaxPlus;
+    const N: u64 = 8;
+    let node = |i: u64| k(&format!("n{i}"));
+    for seed in 1..=24u64 {
+        let mut rng = Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut present: Vec<(u64, u64)> = vec![];
+        let insert = |rng: &mut Lcg, present: &mut Vec<(u64, u64)>| {
+            let from = rng.next() % (N - 1);
+            let edge = (from, from + 1 + rng.next() % (N - 1 - from));
+            if !present.contains(&edge) {
+                present.push(edge);
+            }
+            let gain = MaxPlus::finite((1 + rng.next() % 5) as f64);
+            Edit::insert("E", vec![node(edge.0), node(edge.1)], gain)
+        };
+        let mut edb = Database::new();
+        for _ in 0..12 {
+            mirror(&mut edb, &insert(&mut rng, &mut present));
+        }
+        let script: Vec<Edit<MaxPlus>> = (0..20)
+            .map(|_| {
+                if rng.next().is_multiple_of(2) && !present.is_empty() {
+                    let (u, v) = present.swap_remove((rng.next() % present.len() as u64) as usize);
+                    Edit::delete("E", vec![node(u), node(v)])
+                } else {
+                    insert(&mut rng, &mut present)
+                }
+            })
+            .collect();
+        // The syntactic cone of each delete, on the EDB it deletes from.
+        let mut before = edb.clone();
+        let expected: Vec<u64> = (script.iter())
+            .map(|edit| {
+                let cone = match edit {
+                    Edit::Delete(f) => {
+                        let edges: Vec<(&Constant, &Constant)> = (before.get("E").into_iter())
+                            .flat_map(|e| e.support().map(|(t, _)| (&t[0], &t[1])))
+                            .collect();
+                        let reach = |from: &Constant, forward: bool| {
+                            let mut seen = vec![from.clone()];
+                            let mut i = 0;
+                            while i < seen.len() {
+                                for &(a, b) in &edges {
+                                    let (near, far) = if forward { (a, b) } else { (b, a) };
+                                    if *near == seen[i] && !seen.contains(far) {
+                                        seen.push(far.clone());
+                                    }
+                                }
+                                i += 1;
+                            }
+                            seen.len() as u64
+                        };
+                        reach(&f.tuple[0], false) * reach(&f.tuple[1], true)
+                    }
+                    Edit::Insert(_) => 0,
+                };
+                mirror(&mut before, edit);
+                cone
+            })
+            .collect();
+        let scenario = format!("MaxPlus DAG seed {seed}");
+        let program = ex::apsp_program::<MaxPlus>();
+        let [semi, naive] =
+            assert_round_handles_match_from_scratch(&scenario, &program, &edb, &script);
+        assert_eq!(semi, expected, "{scenario}: SemiNaive cone_rows");
+        assert_eq!(naive, expected, "{scenario}: Naive cone_rows");
+    }
 }
 
 /// Inexact floats: weights in {0.1, 0.2, 0.7} on `Trop` under a
@@ -1512,10 +1609,11 @@ fn attaining_deletes_cover_two_idbs_key_function_heads_and_fall_back_on_value_fu
 /// behind the shortcut, and retracting it marks those four, zeroes
 /// them where they stand and re-derives them through the head guard —
 /// `tuples_scanned` a small multiple of four, where the full seed plan
-/// alone reads all 400 rows of `L` once. The syntactic cone is the same
-/// four rows, so a `SemiNaive` handle does the same; the naïve rounds
-/// re-run every rule, but land in place like every other loop: the same
-/// counts, and no row moved.
+/// alone reads all 400 rows of `L` once. Every handle marks the same
+/// four rows (here the syntactic cone is the attaining one), so a
+/// `SemiNaive` handle does the same; the naïve rounds re-run every
+/// rule, but land in place like every other loop: the same counts, and
+/// no row moved.
 #[test]
 fn a_delete_scans_its_cone_not_the_relation() {
     const N: usize = 400;
@@ -1587,10 +1685,12 @@ fn a_delete_scans_its_cone_not_the_relation() {
 /// and deleting it again is the same work the second time as the first
 /// — identical counters for the insert and for the delete — and leaves
 /// the state row for row what it was, ids and order included, on every
-/// handle. A delete that rebuilt `T` with its cone at the end would pass
-/// the value check and fail both of these: the frontier merges
+/// handle. A delete that rebuilt `T` with its cone at the end would
+/// pass the value check and fail both of these: the frontier merges
 /// emissions one by one, so `rows_improved` / `merges_absorbed` depend
-/// on row order.
+/// on row order. `Trop` is an absorptive chain, so every handle marks
+/// the same attaining cone, and a `SemiNaive` handle does exactly what
+/// a `Strategy::SemiNaive` one does.
 #[test]
 fn insert_then_delete_repeats_exactly_and_moves_no_row() {
     const N: usize = 60;
@@ -1644,8 +1744,17 @@ fn insert_then_delete_repeats_exactly_and_moves_no_row() {
             assert!(deleted.cone_rows < (N * N) as u64 / 4, "{strategy:?}");
         }
     }
-    cycle_twice(datalog_o::SemiNaive);
-    cycle_twice(Naive);
+    // `Trop` licenses the attaining cone whatever the schedule: a
+    // `SemiNaive` handle runs `Strategy::SemiNaive`'s loop and marks its
+    // cone, counter for counter, and a `Naive` handle marks it too.
+    let twin = cycle_twice(Strategy::SemiNaive);
+    assert_eq!(cycle_twice(datalog_o::SemiNaive), twin);
+    for ((_, naive), (_, semi)) in cycle_twice(Naive).iter().zip(&twin) {
+        assert_eq!(
+            naive.cone_rows, semi.cone_rows,
+            "Naive marks the attaining cone"
+        );
+    }
 }
 
 /// The same cycle with an edge that connects something new: a 40-ring,

@@ -27,7 +27,7 @@ use datalog_o::{
 use proptest::prelude::*;
 
 /// One from-scratch engine evaluation under `schedule`, decoded.
-fn run<P: Pops, S: Schedule<P>>(
+fn run<P: Pops + Send, S: Schedule<P>>(
     program: &Program<P>,
     pops: &Database<P>,
     bools: &BoolDatabase,

@@ -40,7 +40,7 @@ const CAP: usize = 1_000_000;
 
 /// One evaluation under `schedule`, decoded, with the partial dropped:
 /// the shape most legs here assert on (outcome, or typed error).
-fn eval<P: Pops, S: Schedule<P>>(
+fn eval<P: Pops + Send, S: Schedule<P>>(
     program: &Program<P>,
     edb: &Database<P>,
     bools: &BoolDatabase,
@@ -886,12 +886,11 @@ fn edits_abort_at_every_step_poison_and_rebuild() {
 
             let mut marked_somewhere = false;
             let mut tombstones_somewhere = false;
-            let fits = own_steps + u64::from(strategy == Strategy::SemiNaive);
-            for budget in 0..=fits {
+            for budget in 0..=own_steps {
                 let leg = format!("{strategy:?} {kind} under max_steps {budget}");
                 let mut mat = build(before);
                 mat.set_budget(EvalBudget::default().with_max_steps(budget));
-                if budget == fits {
+                if budget == own_steps {
                     let stats = mat.apply(edit).expect("the edit's own step count fits");
                     assert_eq!(stats.steps, own_steps, "{leg}");
                     assert_eq!(mat.output().materialize(), after, "{leg}");
