@@ -23,9 +23,9 @@ use crate::ast::{Atom, Program, SumProduct, Term, Var};
 use crate::eval::EvalOutcome;
 use crate::formula::{eval_args, eval_term, Formula, Valuation};
 use crate::relation::{BoolDatabase, Database, Relation};
-use crate::value::Constant;
+use crate::value::{Constant, Tuple};
 use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which state an IDB occurrence reads during a join (Theorem 6.5's
 /// prefix-new / delta / suffix-old split; naïve always reads `New`).
@@ -239,7 +239,8 @@ fn join<'a, P: Pops>(
 }
 
 /// Evaluates one sum-product under a choice of per-occurrence IDB sources,
-/// `⊕`-merging the results into `out`.
+/// pushing its derivations onto `out` (the caller `⊕`-folds them in one
+/// bulk build, [`derive_heads`]).
 #[allow(clippy::too_many_arguments)]
 fn eval_sum_product<P: NaturallyOrdered>(
     head: &Atom,
@@ -250,7 +251,7 @@ fn eval_sum_product<P: NaturallyOrdered>(
     occ_source: impl Fn(usize) -> IdbSource,
     states: IdbStates<'_, P>,
     adom: &[Constant],
-    out: &mut Relation<P>,
+    out: &mut Rows<P>,
 ) {
     let mut vars: Vec<Var> = vec![];
     head.vars(&mut vars);
@@ -321,18 +322,40 @@ fn eval_sum_product<P: NaturallyOrdered>(
                 }
             }
             if let Some(tuple) = eval_args(head, theta) {
-                out.merge(tuple, acc);
+                out.push((tuple, acc));
             }
         },
     );
 }
 
+/// Every head predicate, with an empty relation.
 fn empty_idbs<P: Pops>(program: &Program<P>) -> Database<P> {
-    let mut db = Database::new();
+    derive_heads(program, |_, _, _| {})
+}
+
+/// A head predicate's derivations, in the order they were found.
+type Rows<P> = Vec<(Tuple, P)>;
+
+/// Runs `eval` on every sum-product of every rule in program order,
+/// collecting each head predicate's derivations, then builds every head
+/// relation once — the same `⊕` fold, in the same order, as merging each
+/// derivation as it is found.
+fn derive_heads<P: Pops>(
+    program: &Program<P>,
+    mut eval: impl FnMut(&Atom, &SumProduct<P>, &mut Rows<P>),
+) -> Database<P> {
+    let mut rows: BTreeMap<&str, (usize, Rows<P>)> = BTreeMap::new();
     for rule in &program.rules {
-        db.get_or_insert(&rule.head.pred, rule.head.args.len());
+        let (_, out) = rows
+            .entry(&rule.head.pred)
+            .or_insert_with(|| (rule.head.args.len(), vec![]));
+        for sp in &rule.body {
+            eval(&rule.head, sp, out);
+        }
     }
-    db
+    rows.into_iter()
+        .map(|(pred, (arity, rows))| (pred.to_string(), Relation::from_pairs(arity, rows)))
+        .collect()
 }
 
 /// One application of the ICO over relations: `F(current)`.
@@ -344,33 +367,24 @@ fn apply_ico_relational<P: NaturallyOrdered>(
     adom: &[Constant],
     idb_preds: &BTreeSet<String>,
 ) -> Database<P> {
-    let mut next = empty_idbs(program);
     let states = IdbStates {
         new: current,
         old: current,
         delta: current,
     };
-    for rule in &program.rules {
-        for sp in &rule.body {
-            let mut out = next
-                .get(&rule.head.pred)
-                .cloned()
-                .expect("pre-seeded head relation");
-            eval_sum_product(
-                &rule.head,
-                sp,
-                pops_edb,
-                bool_edb,
-                idb_preds,
-                |_| IdbSource::New,
-                states,
-                adom,
-                &mut out,
-            );
-            next.insert(&rule.head.pred, out);
-        }
-    }
-    next
+    derive_heads(program, |head, sp, out| {
+        eval_sum_product(
+            head,
+            sp,
+            pops_edb,
+            bool_edb,
+            idb_preds,
+            |_| IdbSource::New,
+            states,
+            adom,
+            out,
+        )
+    })
 }
 
 fn program_adom<P: Pops>(
@@ -427,64 +441,63 @@ pub fn relational_seminaive_eval<P: CompleteDistributiveDioid + NaturallyOrdered
         if delta.iter().all(|(_, r)| r.is_empty()) {
             return EvalOutcome::from_converged(new, steps);
         }
-        let mut contrib = empty_idbs(program);
-        {
-            let states = IdbStates {
-                new: &new,
-                old: &old,
-                delta: &delta,
-            };
-            for rule in &program.rules {
-                for sp in &rule.body {
-                    let n_idb = sp
-                        .factors
-                        .iter()
-                        .filter(|f| idb_preds.contains(&f.atom.pred))
-                        .count();
-                    // Eq. (65): IDB-free sum-products never change.
-                    for k in 0..n_idb {
-                        let mut out = contrib
-                            .get(&rule.head.pred)
-                            .cloned()
-                            .expect("pre-seeded head relation");
-                        eval_sum_product(
-                            &rule.head,
-                            sp,
-                            pops_edb,
-                            bool_edb,
-                            &idb_preds,
-                            |occ| {
-                                use std::cmp::Ordering::*;
-                                match occ.cmp(&k) {
-                                    Less => IdbSource::New,
-                                    Equal => IdbSource::Delta,
-                                    Greater => IdbSource::Old,
-                                }
-                            },
-                            states,
-                            &adom,
-                            &mut out,
-                        );
-                        contrib.insert(&rule.head.pred, out);
-                    }
-                }
+        let states = IdbStates {
+            new: &new,
+            old: &old,
+            delta: &delta,
+        };
+        let contrib = derive_heads(program, |head, sp, out| {
+            let n_idb = sp
+                .factors
+                .iter()
+                .filter(|f| idb_preds.contains(&f.atom.pred))
+                .count();
+            // Eq. (65): IDB-free sum-products never change.
+            for k in 0..n_idb {
+                eval_sum_product(
+                    head,
+                    sp,
+                    pops_edb,
+                    bool_edb,
+                    &idb_preds,
+                    |occ| {
+                        use std::cmp::Ordering::*;
+                        match occ.cmp(&k) {
+                            Less => IdbSource::New,
+                            Equal => IdbSource::Delta,
+                            Greater => IdbSource::Old,
+                        }
+                    },
+                    states,
+                    &adom,
+                    out,
+                );
             }
-        }
+        });
         // δ' = contrib ⊖ new (pointwise on supports); new' = new ⊕ contrib.
-        let mut next_delta = empty_idbs(program);
-        let mut next_new = new.clone();
+        // A support holds each tuple once, so every difference is taken
+        // against `new` itself, and new' is `new`'s rows followed by the
+        // changed ones, folded in one bulk build.
+        let mut next_delta = Database::new();
+        let mut next_new = Database::new();
         for (pred, c) in contrib.iter() {
-            let cur = next_new.get_or_insert(pred, c.arity());
-            let mut d = Relation::new(c.arity());
+            let cur = new.get(pred);
+            let mut delta_rows = vec![];
+            let mut new_rows: Vec<(Tuple, P)> = cur
+                .into_iter()
+                .flat_map(|r| r.support())
+                .map(|(t, v)| (t.clone(), v.clone()))
+                .collect();
             for (t, v) in c.support() {
-                let existing = cur.get(t);
+                let existing = cur.map_or_else(P::bottom, |r| r.get(t));
                 let diff = v.minus(&existing);
                 if !diff.is_zero() {
-                    d.merge(t.clone(), diff);
-                    cur.merge(t.clone(), v.clone());
+                    delta_rows.push((t.clone(), diff));
+                    new_rows.push((t.clone(), v.clone()));
                 }
             }
-            next_delta.insert(pred, d);
+            next_delta.insert(pred, Relation::from_pairs(c.arity(), delta_rows));
+            next_new.insert(pred, Relation::from_pairs(c.arity(), new_rows));
         }
         old = new;
         new = next_new;

@@ -21,7 +21,7 @@ pub mod poly;
 
 use crate::ast::{Atom, Program, Term, Var};
 use crate::formula::{eval_args, eval_term, Valuation};
-use crate::relation::{BoolDatabase, Database};
+use crate::relation::{BoolDatabase, Database, Relation};
 use crate::value::{Constant, GroundAtom, Tuple};
 use dlo_pops::{NaturallyOrdered, Pops};
 use poly::{Monomial, Polynomial, VarOcc};
@@ -91,17 +91,21 @@ impl<P: Pops> GroundSystem<P> {
         self.polys.iter().flatten().all(|p| p.is_affine())
     }
 
-    /// Packs an assignment vector back into per-predicate relations.
+    /// Packs an assignment vector back into per-predicate relations, one
+    /// bulk build each; a predicate whose atoms are all `⊥` gets none.
     pub fn to_database(&self, x: &[P]) -> Database<P> {
-        let mut db = Database::new();
-        for (i, atom) in self.atoms.iter().enumerate() {
-            if !x[i].is_bottom() {
-                let arity = atom.tuple.len();
-                db.get_or_insert(&atom.pred, arity)
-                    .set(atom.tuple.clone(), x[i].clone());
+        let mut rows: BTreeMap<&str, Vec<(Tuple, P)>> = BTreeMap::new();
+        for (atom, v) in self.atoms.iter().zip(x) {
+            if !v.is_bottom() {
+                rows.entry(&atom.pred)
+                    .or_default()
+                    .push((atom.tuple.clone(), v.clone()));
             }
         }
-        db
+        let build = |rows: Vec<(Tuple, P)>| Relation::from_pairs(rows[0].0.len(), rows);
+        rows.into_iter()
+            .map(|(pred, rows)| (pred.to_string(), build(rows)))
+            .collect()
     }
 }
 
@@ -452,6 +456,36 @@ mod tests {
             sys.to_database(&x)
         };
         assert_eq!(run(&dense), run(&sparse));
+    }
+
+    /// One bulk build per predicate packs every iterate exactly as one
+    /// `set` per atom did, over two interleaved IDB predicates and
+    /// assignments that leave some atoms `⊥`.
+    #[test]
+    fn to_database_equals_the_per_atom_set() {
+        let mut p = sssp_program();
+        p.rule(
+            Atom::new("M", vec![Term::v(0)]),
+            vec![SumProduct::new(vec![
+                Factor::atom("L", vec![Term::v(1)]),
+                Factor::atom("E", vec![Term::v(0), Term::v(1)]),
+            ])],
+        );
+        let sys = ground(&p, &fig2a_edges(), &BoolDatabase::new());
+        let mut x = sys.bottom();
+        for _ in 0..6 {
+            let mut per_atom = Database::new();
+            for (atom, v) in sys.atoms.iter().zip(&x) {
+                if !v.is_bottom() {
+                    per_atom
+                        .get_or_insert(&atom.pred, atom.tuple.len())
+                        .set(atom.tuple.clone(), *v);
+                }
+            }
+            assert_eq!(sys.to_database(&x), per_atom);
+            x = sys.apply_ico(&x);
+        }
+        assert!(sys.to_database(&x).get("M").is_some_and(|m| !m.is_empty()));
     }
 
     #[test]

@@ -114,10 +114,10 @@ impl Query {
     }
 
     /// Restricts a relation to the rows matching this query. A support
-    /// is distinct and already ordered, so the rows go into one bulk
-    /// build rather than one merge each.
+    /// is already sorted, so the bulk build checks the order and does
+    /// not sort.
     pub fn restrict<P: Pops>(&self, rel: &Relation<P>) -> Relation<P> {
-        Relation::from_distinct_pairs(
+        Relation::from_pairs(
             rel.arity(),
             rel.support()
                 .filter(|(t, _)| self.matches(t))

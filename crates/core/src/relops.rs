@@ -20,11 +20,12 @@ pub fn map_values<P: Pops, Q: Pops>(rel: &Relation<P>, f: impl Fn(&P) -> Q) -> R
 /// `⊕`-union of two relations of equal arity.
 pub fn union<P: Pops>(a: &Relation<P>, b: &Relation<P>) -> Relation<P> {
     assert_eq!(a.arity(), b.arity(), "union arity mismatch");
-    let mut out = a.clone();
-    for (t, v) in b.support() {
-        out.merge(t.clone(), v.clone());
-    }
-    out
+    Relation::from_pairs(
+        a.arity(),
+        a.support()
+            .chain(b.support())
+            .map(|(t, v)| (t.clone(), v.clone())),
+    )
 }
 
 /// Projection onto the key columns `cols` (in the given order); tuples
@@ -55,13 +56,13 @@ pub fn select<P: Pops>(rel: &Relation<P>, keep: impl Fn(&Tuple) -> bool) -> Rela
 /// `⊗`-multiplying values — the `K`-relation join.
 pub fn join_on<P: Pops>(a: &Relation<P>, b: &Relation<P>, acol: usize, bcol: usize) -> Relation<P> {
     let arity = a.arity() + b.arity() - 1;
-    let mut out = Relation::new(arity);
     // Hash-join on the shared key.
     let mut index: std::collections::BTreeMap<&crate::value::Constant, Vec<(&Tuple, &P)>> =
         std::collections::BTreeMap::new();
     for (t, v) in b.support() {
         index.entry(&t[bcol]).or_default().push((t, v));
     }
+    let mut products = vec![];
     for (ta, va) in a.support() {
         if let Some(matches) = index.get(&ta[acol]) {
             for (tb, vb) in matches {
@@ -72,18 +73,74 @@ pub fn join_on<P: Pops>(a: &Relation<P>, b: &Relation<P>, acol: usize, bcol: usi
                         .filter(|(i, _)| *i != bcol)
                         .map(|(_, c)| c.clone()),
                 );
-                out.merge(key, va.mul(vb));
+                products.push((key, va.mul(vb)));
             }
         }
     }
-    out
+    Relation::from_pairs(arity, products)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tup;
-    use dlo_pops::{Nat, Trop};
+    use dlo_pops::{NNReal, Nat, PreSemiring, Trop};
+
+    /// Two overlapping relations over the reals whose `⊕` results depend
+    /// on the order of the terms.
+    fn overlapping_reals() -> (Relation<NNReal>, Relation<NNReal>) {
+        let r = |x: f64| NNReal::of(x);
+        let a = Relation::from_pairs(
+            2,
+            vec![
+                (tup!["a", "b"], r(0.1)),
+                (tup!["b", "b"], r(1e16)),
+                (tup!["b", "c"], r(0.2)),
+                (tup!["c", "a"], r(0.3)),
+            ],
+        );
+        let b = Relation::from_pairs(
+            2,
+            vec![
+                (tup!["a", "b"], r(0.2)),
+                (tup!["b", "a"], r(0.7)),
+                (tup!["b", "b"], r(1.0)),
+                (tup!["c", "a"], r(0.1)),
+            ],
+        );
+        (a, b)
+    }
+
+    #[test]
+    fn union_is_the_tuple_by_tuple_fold() {
+        let (a, b) = overlapping_reals();
+        let mut folded = a.clone();
+        for (t, v) in b.support() {
+            folded.merge(t.clone(), *v);
+        }
+        assert_eq!(union(&a, &b), folded);
+    }
+
+    #[test]
+    fn join_on_is_the_tuple_by_tuple_fold() {
+        let (a, b) = overlapping_reals();
+        for (acol, bcol) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+            let mut folded = Relation::new(3);
+            for (ta, va) in a.support() {
+                for (tb, vb) in b.support().filter(|(tb, _)| tb[bcol] == ta[acol]) {
+                    let mut key = ta.clone();
+                    key.extend(
+                        tb.iter()
+                            .enumerate()
+                            .filter(|&(i, _)| i != bcol)
+                            .map(|(_, c)| c.clone()),
+                    );
+                    folded.merge(key, va.mul(vb));
+                }
+            }
+            assert_eq!(join_on(&a, &b, acol, bcol), folded);
+        }
+    }
 
     fn edges() -> Relation<Trop> {
         Relation::from_pairs(

@@ -105,7 +105,7 @@ fn split_digits(bits: usize, widest: usize) -> (usize, usize) {
 ///   moves those runs as ranges ([`partition`]).
 ///
 /// Why the passes inside run in cache: a bulk relation is loaded in
-/// `BTreeMap` order ([`Interner::load_relation`](crate::Interner::load_relation)),
+/// sorted tuple order ([`Interner::load_relation`](crate::Interner::load_relation)),
 /// so the rows sharing a column-0 constant are one contiguous range of
 /// row ids, whatever ids the interner gave the constants. Under a mask
 /// that leads with column 0 each partition is such a range, and its

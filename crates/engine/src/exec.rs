@@ -1,7 +1,7 @@
 //! The join executor: runs one [`Plan`] against engine state.
 //!
 //! A plan run is a nested-loop join over the compiled steps — but each
-//! step, instead of scanning a `BTreeMap` support and unifying
+//! step, instead of scanning a sorted support and unifying
 //! `Constant`s, either scans a flat row range or probes with an
 //! interned key: through a hash-prefix index, or — when the relation
 //! carries a sorted arrangement serving the step's mask — through the

@@ -3,7 +3,7 @@
 //! The production execution backend for datalog° over naturally ordered
 //! POPS, justified by Theorem 6.5 of *Convergence of Datalog over (Pre-)
 //! Semirings* (PODS 2022). Where the relational backend
-//! (`dlo_core::eval::relational`) joins `BTreeMap` supports by unifying
+//! (`dlo_core::eval::relational`) joins sorted supports by unifying
 //! `Constant`s tuple-at-a-time, this crate compiles each program once
 //! and runs it on interned, columnar state:
 //!
@@ -172,12 +172,18 @@
 //! finished in cache: traced, seed 1, 33.0 → 13.3 ms, and `op_median_s`
 //! 0.0687 → 0.0548 (held-out seed 9: 0.0679 → 0.0546; ten of ten
 //! alternating runs on each).
-//! What is left of the load is the walk over
-//! the classic `BTreeMap<Vec<Constant>, P>` itself — a pointer chase
-//! per tuple — which only a different input format would remove. The
-//! loader takes it in batches of a few hundred tuples and reads each
-//! batch's constants once before interning any, so the chase's cache
-//! misses overlap instead of each waiting behind four hash probes:
+//! What was left of the load was the walk over the classic relation,
+//! then a `BTreeMap<Vec<Constant>, P>` — a tree node per tuple. A
+//! relation is now one sorted vector, so the walk reads a slice:
+//! traced, seed 1, `reported.setup_s` 36.1 → 29.4 ms (medians of four
+//! alternating runs; `reported.arrange_s` 9.6 ms on both sides), and
+//! `op_median_s` 0.0481 → 0.0380 reference seconds (held-out seed 7:
+//! 0.0458 → 0.0376; ten of ten alternating runs on each). What is left
+//! is one cache miss per tuple, each a separately allocated
+//! `Vec<Constant>`, which only a flat input format would remove. The
+//! loader takes the walk in batches of a few hundred tuples and reads
+//! each batch's constants once before interning any, so those misses
+//! overlap instead of each waiting behind four hash probes:
 //! worth little on a quiet host, but on a shared one the load no longer
 //! swings with memory latency (30 → 55–65 ms became 25–30 → 40 ms), and
 //! with it the operation's run-to-run spread halved ([`intern`]'s

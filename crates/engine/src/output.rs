@@ -2,9 +2,10 @@
 //! materialization cost.
 //!
 //! On large runs, materializing a [`Database`] — decoding every interned
-//! row back to `Constant` tuples and bulk-building rank-sorted
-//! `BTreeMap`s — is the single largest phase *after* the fixpoint itself
-//! (it was the largest overall before the rank-sorted bulk build). A
+//! row back to a `Constant` tuple of its own and handing the rows, in
+//! rank order, to one bulk build per relation that checks the order and
+//! does not sort — is the single largest phase *after* the fixpoint
+//! itself (it was the largest overall before the rank-ordered build). A
 //! pipeline that feeds results straight back into the engine, inspects a
 //! handful of values, or only needs support counts pays that full price
 //! for nothing. [`InternedOutput`] is the fix: it owns the final IDB
@@ -131,7 +132,7 @@ impl<P: Pops> InternedOutput<P> {
 /// table past the setup-time active domain) — the inverse of
 /// [`Interner::ids_in_constant_order`]. Rank order is order-isomorphic
 /// to `Constant` order, so ordering rows by rank gives exactly the tuple
-/// order a `BTreeMap` bulk build wants.
+/// order a `Relation` stores.
 fn rank_table(interner: &Interner) -> Vec<u32> {
     let mut rank = vec![0u32; interner.len()];
     for (pos, id) in interner.ids_in_constant_order().into_iter().enumerate() {
@@ -165,8 +166,8 @@ fn decode_order<P: Pops>(rank: &[u32], rel: &ColumnRel<P>) -> Vec<u32> {
 }
 
 /// Decodes one interned relation with rows pre-ordered by interned rank
-/// ([`decode_order`]), so `Relation::from_distinct_pairs` sees sorted
-/// keys and its internal sort degenerates to a linear scan.
+/// ([`decode_order`]), so `Relation::from_pairs` sees strictly increasing
+/// tuples: one linear check, no sort.
 fn decode_rel<P: Pops>(
     interner: &Interner,
     rank: &[u32],
@@ -182,7 +183,7 @@ fn decode_rel<P: Pops>(
             .collect();
         (tuple, rel.val(r).clone())
     });
-    Relation::from_distinct_pairs(arity, pairs)
+    Relation::from_pairs(arity, pairs)
 }
 
 /// The decode-free mirror of `dlo_core::eval::EvalOutcome`: same
@@ -456,17 +457,17 @@ impl<P: Pops> PartialOutput<P> {
             .zip(&self.interned.rels)
             .enumerate()
         {
-            let mut out = Relation::new(*arity);
-            for (row, key, val) in rel.iter() {
-                if self.settled.is_settled(idx, row) {
+            let settled = rel
+                .iter()
+                .filter(|&(row, _, _)| self.settled.is_settled(idx, row))
+                .map(|(_, key, val)| {
                     let tuple: Tuple = key
                         .iter()
                         .map(|&id| self.interned.interner.get(id).clone())
                         .collect();
-                    out.set(tuple, val.clone());
-                }
-            }
-            db.insert(name, out);
+                    (tuple, val.clone())
+                });
+            db.insert(name, Relation::from_pairs(*arity, settled));
         }
         db
     }
@@ -568,7 +569,7 @@ mod tests {
     /// The counting passes order a decode exactly as a comparator over
     /// rank sequences does: over constants interned out of order —
     /// integers and strings mixed, so id order is not constant order —
-    /// arity 1, 2 and 3 relations reach `from_distinct_pairs` in the
+    /// arity 1, 2 and 3 relations reach `from_pairs` in the
     /// comparator's order, and decode to the relation built tuple by
     /// tuple.
     #[test]

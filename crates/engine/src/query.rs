@@ -233,12 +233,12 @@ impl<P: Pops> AbortedQuery<P> {
 }
 
 /// The rows of a freshly decoded `rel` that match `query`, moved out of
-/// it rather than cloned: a support is distinct and already ordered, so
-/// they go into one bulk build.
+/// it rather than cloned: a support is already sorted, so the bulk build
+/// checks the order and does not sort.
 fn restrict<P: Pops>(query: &Query, rel: Relation<P>) -> Relation<P> {
     let arity = rel.arity();
     let rows = rel.into_support().filter(|(t, _)| query.matches(t));
-    Relation::from_distinct_pairs(arity, rows)
+    Relation::from_pairs(arity, rows)
 }
 
 impl<P: Pops> std::fmt::Display for AbortedQuery<P> {
