@@ -6,8 +6,7 @@
 //! [`relational`] backend, and the interned execution engine in
 //! `dlo_engine`. The relational backend and the engine are total over
 //! the language: programs whose heads apply key functions (Sec. 4.5)
-//! evaluate natively on both, and the umbrella crate's default `eval`
-//! dispatches straight to the engine. The grounded evaluators are not:
+//! evaluate natively on both. The grounded evaluators are not:
 //! grounding (`crate::ground`) enumerates D₀ = ADom ∪ program constants
 //! once, so a constant a head key function mints is never grounded
 //! again, and the grounded fixpoint of a keyed program can stop short
@@ -16,8 +15,8 @@
 //! engine itself offers three evaluation
 //! *strategies* (global semi-naïve, FIFO worklist, priority frontier —
 //! `dlo_engine::Strategy`), gated by POPS trait bounds; for totally
-//! ordered absorptive dioids the umbrella crate's `eval_frontier` runs
-//! the Dijkstra-style priority loop.
+//! ordered absorptive dioids `Strategy::Priority` runs the
+//! Dijkstra-style priority loop.
 //!
 //! For worklist/priority outcomes, `steps` counts frontier pops or
 //! batches rather than ICO applications — fixpoints agree across

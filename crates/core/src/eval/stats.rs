@@ -85,18 +85,19 @@ pub struct Counters {
     /// when no token is installed).
     pub cancel_polls: u64,
     /// IDB rows a maintenance delete's marking pass put in the affected
-    /// cone (0 for everything that is not a delete): under a
-    /// `Strategy` handle the rows some derivation through a deleted
-    /// fact **attains** the stored value of, transitively; under
-    /// `Naive` / `SemiNaive` every row such a derivation reaches at all.
+    /// cone (0 for everything that is not a delete). The POPS picks the
+    /// cone, never the schedule: over an absorptive chain
+    /// (`Pops::ABSORPTIVE_CHAIN`, with no IDB factor under a value
+    /// function) the rows some derivation through a deleted fact
+    /// **attains** the stored value of, transitively; otherwise every
+    /// row such a derivation reaches at all.
     pub cone_rows: u64,
     /// Rows held, when the delete started, by the IDB relations its
     /// cone was marked in — what `cone_rows` is a share of (0 when
     /// nothing was marked).
     pub cone_of_rows: u64,
     /// IDB rows a maintenance delete took out of the state before
-    /// rederiving — zeroed in place under a `Strategy` handle, dropped
-    /// from storage under `Naive` / `SemiNaive` — and what the
+    /// rederiving — zeroed in place, on every handle — and what the
     /// rederive's `rows_inserted` (the rows that came back) is to be
     /// read against: the difference is gone for good. 0 for everything
     /// that is not a delete, and for a delete stopped before its

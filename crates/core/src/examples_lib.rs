@@ -459,11 +459,6 @@ pub fn fig4_edges() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Constructs an arbitrary-POPS relation from string-keyed unary pairs.
-pub fn unary_relation<P: Pops>(pairs: &[(&str, P)]) -> Relation<P> {
-    Relation::from_pairs(1, pairs.iter().map(|(k, v)| (tup![*k], v.clone())))
-}
-
 /// A named constant helper (re-exported for harness code).
 pub fn konst(name: &str) -> Constant {
     Constant::str(name)

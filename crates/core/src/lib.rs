@@ -25,7 +25,6 @@
 
 pub mod ast;
 pub mod demand;
-pub mod diagnostics;
 pub mod display;
 pub mod edit;
 pub mod eval;
@@ -35,8 +34,6 @@ pub mod ground;
 pub mod parser;
 pub mod query;
 pub mod relation;
-pub mod relops;
-pub mod strata;
 pub mod value;
 
 pub use ast::{Atom, Factor, KeyFn, Program, Rule, SumProduct, Term, UnaryFn, Var};

@@ -113,16 +113,13 @@ impl Query {
             })
     }
 
-    /// Restricts a relation to the rows matching this query. A support
-    /// is already sorted, so the bulk build checks the order and does
-    /// not sort.
-    pub fn restrict<P: Pops>(&self, rel: &Relation<P>) -> Relation<P> {
-        Relation::from_pairs(
-            rel.arity(),
-            rel.support()
-                .filter(|(t, _)| self.matches(t))
-                .map(|(t, v)| (t.clone(), v.clone())),
-        )
+    /// Restricts a relation to the rows matching this query, moving them
+    /// out of `rel` rather than cloning them. A support is already
+    /// sorted, so the bulk build checks the order and does not sort.
+    pub fn restrict<P: Pops>(&self, rel: Relation<P>) -> Relation<P> {
+        let arity = rel.arity();
+        let rows = rel.into_support().filter(|(t, _)| self.matches(t));
+        Relation::from_pairs(arity, rows)
     }
 }
 
@@ -162,7 +159,7 @@ mod tests {
             ],
         );
         let q = Query::new("T", vec![QueryArg::bound("a"), QueryArg::Free]);
-        let r = q.restrict(&rel);
+        let r = q.restrict(rel);
         assert_eq!(r.support_size(), 2);
         assert_eq!(r.get(&tup!["a", "c"]), Trop::finite(2.0));
         assert!(r.get(&tup!["b", "c"]).is_bottom());

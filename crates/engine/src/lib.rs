@@ -61,7 +61,7 @@
 //! | `?-` query (magic sets) | [`engine_query_eval_with_opts`] |
 //!
 //! Both return interned output (`materialize()` decodes on demand)
-//! and, on failure, a boxed [`AbortedEval`] / [`AbortedQuery`] with the
+//! and, on failure, the one abort type: a boxed [`AbortedEval`] with the
 //! partial result attached. *How* the fixpoint is iterated is the
 //! [`Schedule`] argument — a value, not a function-name suffix — and
 //! which schedules are *sound* is a property of the POPS, expressed as
@@ -108,10 +108,9 @@
 //! The practical selection guide:
 //!
 //! * **Know the query? Use query-seeded evaluation first** —
-//!   [`engine_query_eval_with_opts`] (or `datalog_o::eval_query` /
-//!   `eval_frontier_query`). The magic-set rewrite is orthogonal to
-//!   the schedule: it shrinks *what* is computed, the schedule decides
-//!   *how*. A single-source question against the all-pairs program is
+//!   [`engine_query_eval_with_opts`]. The magic-set rewrite is
+//!   orthogonal to the schedule: it shrinks *what* is computed, the
+//!   schedule decides *how*. A single-source question against the all-pairs program is
 //!   two orders of magnitude cheaper than the full priority frontier
 //!   (the `point-query` workload of `dlo_benchmark` holds the line).
 //! * **Full fixpoint, totally ordered absorptive dioid** (`Trop`,
@@ -571,10 +570,9 @@
 //! ## Design note: graceful degradation — partial results on abort
 //!
 //! A governed abort does not discard the work done. The error side of
-//! every entry point is a boxed [`AbortedEval`] /
-//! [`query::AbortedQuery`]: the typed error **plus** a
-//! [`PartialOutput`] capturing the abort-time interned state and a
-//! per-row [`SettledMark`] (`From<Box<…>> for EvalError` keeps `?`
+//! both entry points is a boxed [`AbortedEval`]: the typed error
+//! **plus** a [`PartialOutput`] capturing the abort-time interned state
+//! and a per-row [`SettledMark`] (`From<Box<…>> for EvalError` keeps `?`
 //! working for callers that only want the error; a compile rejection
 //! carries an empty partial). How much that state means depends on the
 //! schedule:
@@ -595,6 +593,13 @@
 //!   the partial is a **pointwise lower bound** — a progress snapshot,
 //!   not an answer — and its mark says so ([`SettledMark::is_exact`]
 //!   is `false`).
+//!
+//! A query's partial is the state of the **demanded** fragment: the
+//! rewritten program's relations, the magic ones
+//! (`dlo_core::magic_pred`) included. Its partial answers are
+//! `dlo_core::Query::restrict` of the queried predicate's relation in
+//! [`PartialOutput::materialize_settled`] — exact or a lower bound by
+//! the same rule.
 //!
 //! Escalation is the caller's loop: rerun with a larger [`EvalBudget`]
 //! (the `datalog_o` crate docs show it); a governed run that converges
@@ -685,6 +690,6 @@ pub use incremental::Materialization;
 pub use intern::Interner;
 pub use output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 pub use plan::{compile, compile_demand, CompileError, CompiledProgram, Plan, PlanMeta};
-pub use query::{engine_query_eval_with_opts, AbortedQuery, QueryAnswer};
+pub use query::{engine_query_eval_with_opts, QueryAnswer};
 pub use storage::ColumnRel;
 pub use worklist::Strategy;

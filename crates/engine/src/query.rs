@@ -20,7 +20,7 @@
 //! raw [`InternedOutput`] for reading without a decode.
 
 use crate::driver::{empty_aborted, evaluate, EngineOpts, Schedule};
-use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput};
+use crate::output::{AbortedEval, InternedOutcome, InternedOutput};
 use dlo_core::ast::Program;
 use dlo_core::demand::{magic_rewrite, DemandError};
 use dlo_core::eval::{EvalError, EvalStats};
@@ -112,7 +112,7 @@ impl<P: Pops> QueryAnswer<P> {
     /// `tests/backend_matrix.rs` and `tests/proptest_engine.rs`).
     pub fn answers(&self) -> Relation<P> {
         match self.outcome.output().materialize_pred(&self.query.pred) {
-            Some(rel) => restrict(&self.query, rel),
+            Some(rel) => self.query.restrict(rel),
             None => Relation::new(self.query.arity()),
         }
     }
@@ -160,105 +160,6 @@ impl<P: Pops> QueryAnswer<P> {
     }
 }
 
-/// A query evaluation that was interrupted by governance: the typed
-/// error plus the abort-time [`PartialOutput`] of the **demanded**
-/// fragment, tagged with the query metadata needed to read it — the
-/// query-path counterpart of [`AbortedEval`].
-///
-/// Under the priority frontier [`Self::partial_answers`] is *exact*
-/// on the rows it carries: every settled row of the queried predicate
-/// holds its final demanded-fixpoint value (Cor. 5.19 settled-on-pop).
-/// Elsewhere the partial is a pointwise lower bound, useful as a
-/// progress snapshot but not as an answer.
-#[derive(Debug)]
-pub struct AbortedQuery<P> {
-    error: EvalError,
-    partial: PartialOutput<P>,
-    query: Query,
-    magic_preds: Vec<String>,
-    dropped_preds: Vec<String>,
-}
-
-impl<P: Pops> AbortedQuery<P> {
-    /// The typed error that stopped the run.
-    pub fn error(&self) -> &EvalError {
-        &self.error
-    }
-
-    /// Consumes the handle into its error (the partial is dropped).
-    pub fn into_error(self) -> EvalError {
-        self.error
-    }
-
-    /// The abort-time state of the demanded fragment.
-    pub fn partial(&self) -> &PartialOutput<P> {
-        &self.partial
-    }
-
-    /// Whether the settled frontier is exact (`Priority` strategy).
-    pub fn is_exact(&self) -> bool {
-        self.partial.is_exact()
-    }
-
-    /// The query this aborted run was answering.
-    pub fn query(&self) -> &Query {
-        &self.query
-    }
-
-    /// The generated magic predicates of the rewrite.
-    pub fn magic_preds(&self) -> &[String] {
-        &self.magic_preds
-    }
-
-    /// IDBs whose rules the rewrite dropped: no demand reaches them.
-    pub fn dropped_preds(&self) -> &[String] {
-        &self.dropped_preds
-    }
-
-    /// The **settled** rows of the queried predicate, restricted to the
-    /// query's bound constants and decoded — a partial answer. Exact
-    /// when [`Self::is_exact`] (each returned row carries its final
-    /// value; rows that did not settle before the abort are simply
-    /// absent); otherwise a pointwise lower bound.
-    pub fn partial_answers(&self) -> Relation<P> {
-        let settled = self.partial.materialize_settled();
-        match settled
-            .into_iter()
-            .find(|(name, _)| *name == self.query.pred)
-        {
-            Some((_, rel)) => restrict(&self.query, rel),
-            None => Relation::new(self.query.arity()),
-        }
-    }
-}
-
-/// The rows of a freshly decoded `rel` that match `query`, moved out of
-/// it rather than cloned: a support is already sorted, so the bulk build
-/// checks the order and does not sort.
-fn restrict<P: Pops>(query: &Query, rel: Relation<P>) -> Relation<P> {
-    let arity = rel.arity();
-    let rows = rel.into_support().filter(|(t, _)| query.matches(t));
-    Relation::from_pairs(arity, rows)
-}
-
-impl<P: Pops> std::fmt::Display for AbortedQuery<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} (partial query answer: {} settled rows{})",
-            self.error,
-            self.partial.settled().settled_rows(),
-            if self.is_exact() { ", exact" } else { "" },
-        )
-    }
-}
-
-impl<P: Pops> From<Box<AbortedQuery<P>>> for EvalError {
-    fn from(aborted: Box<AbortedQuery<P>>) -> EvalError {
-        aborted.error
-    }
-}
-
 /// The typed error of a query the program cannot answer (an unknown
 /// predicate, a wrong arity), on every query front.
 pub(crate) fn unanswerable(e: DemandError) -> EvalError {
@@ -274,18 +175,24 @@ pub(crate) fn unanswerable(e: DemandError) -> EvalError {
 /// seed pops first and demand spreads Dijkstra-interleaved with
 /// answers; the rewrite itself is sound for any POPS (see
 /// `dlo_core::demand`), so [`crate::Naive`] and [`crate::SemiNaive`]
-/// apply demand restriction to the weaker classes too. Results are bit-identical at any thread count, exactly as for
-/// the full-fixpoint entry point: threads only build the EDB indexes.
+/// apply demand restriction to the weaker classes too. Results are
+/// bit-identical at any thread count, exactly as for the full-fixpoint
+/// entry point: threads only build the EDB indexes.
 ///
 /// # Errors
 ///
-/// Every failure is a boxed [`AbortedQuery`]: the typed error (`?`
-/// converts it) plus the abort-time demanded state, whose settled rows
-/// are exact partial answers under the priority frontier (see
-/// [`AbortedQuery::partial_answers`]). The variants are those of
+/// Every failure is a boxed [`AbortedEval`], as for
+/// [`crate::engine_eval_interned`]: the typed error (`?` converts it)
+/// plus the abort-time state of the **demanded** fragment — the
+/// rewritten program's IDBs, its magic relations (`dlo_core::magic_pred`
+/// of each demanded predicate) included. The partial answers are
+/// [`Query::restrict`] of the queried predicate's relation in
+/// [`crate::PartialOutput::materialize_settled`]: exact under the
+/// priority frontier (Cor. 5.19, settled-on-pop), a pointwise lower
+/// bound otherwise. The variants are those of
 /// [`crate::engine_eval_interned`], plus [`EvalError::Compile`] on
-/// queries the rewrite rejects (unknown predicate, arity mismatch);
-/// compile-stage failures carry an empty partial.
+/// queries the rewrite rejects (unknown predicate, arity mismatch),
+/// which carries an empty partial.
 pub fn engine_query_eval_with_opts<P, S>(
     program: &Program<P>,
     query: &Query,
@@ -294,43 +201,29 @@ pub fn engine_query_eval_with_opts<P, S>(
     cap: usize,
     schedule: S,
     opts: &EngineOpts,
-) -> Result<QueryAnswer<P>, Box<AbortedQuery<P>>>
+) -> Result<QueryAnswer<P>, Box<AbortedEval<P>>>
 where
     P: Pops + Send,
     S: Schedule<P>,
 {
     let t = Instant::now();
-    let aborted = |aborted: Box<AbortedEval<P>>, magic: &[String], dropped: &[String]| {
-        let (error, partial) = aborted.into_parts();
-        Box::new(AbortedQuery {
-            error,
-            partial,
-            query: query.clone(),
-            magic_preds: magic.to_vec(),
-            dropped_preds: dropped.to_vec(),
-        })
-    };
-    let dp = magic_rewrite(program, query)
-        .map_err(|e| aborted(empty_aborted(unanswerable(e)), &[], &[]))?;
-    let magic = &dp.magic_preds;
-    match evaluate(
+    let dp = magic_rewrite(program, query).map_err(|e| empty_aborted(unanswerable(e)))?;
+    let outcome = evaluate(
         t,
         &dp.program,
         pops_edb,
         bool_edb,
-        magic,
+        &dp.magic_preds,
         cap,
         schedule,
         opts,
-    ) {
-        Ok(outcome) => Ok(QueryAnswer {
-            outcome,
-            query: dp.query,
-            magic_preds: dp.magic_preds,
-            dropped_preds: dp.dropped_preds,
-        }),
-        Err(a) => Err(aborted(a, magic, &dp.dropped_preds)),
-    }
+    )?;
+    Ok(QueryAnswer {
+        outcome,
+        query: dp.query,
+        magic_preds: dp.magic_preds,
+        dropped_preds: dp.dropped_preds,
+    })
 }
 
 #[cfg(test)]
@@ -409,7 +302,7 @@ mod tests {
         let t = support.get("T").unwrap();
         assert!(t.support().all(|(tu, _)| tu[0] == "a".into()), "{t:?}");
         let full = eval(&program, &edb, &bools, 1_000_000, Strategy::Priority).unwrap();
-        assert_eq!(&answers, &q.restrict(full.get("T").unwrap()));
+        assert_eq!(&answers, &q.restrict(full.get("T").unwrap().clone()));
     }
 
     #[test]
@@ -439,7 +332,7 @@ mod tests {
         .expect("query compiles");
         assert!(qa.is_converged(), "magic stays on the Bool lattice");
         let full = eval(&program, &pops, &bools, 1000, Naive).unwrap();
-        assert_eq!(&qa.answers(), &q.restrict(full.get("T").unwrap()));
+        assert_eq!(&qa.answers(), &q.restrict(full.get("T").unwrap().clone()));
         assert_eq!(
             qa.answers().get(&tup!["a", "d"]),
             full.get("T").unwrap().get(&tup!["a", "d"])
@@ -488,7 +381,7 @@ mod tests {
             )
             .expect("query compiles");
             assert!(qa.magic_preds().is_empty(), "all-free fallback");
-            assert_eq!(&qa.answers(), &q.restrict(full.get("N").unwrap()));
+            assert_eq!(&qa.answers(), &q.restrict(full.get("N").unwrap().clone()));
         }
     }
 
@@ -552,7 +445,7 @@ mod tests {
             )
             .expect("query compiles");
             assert!(!qa5.magic_preds().is_empty(), "rewrite applied");
-            assert_eq!(&qa5.answers(), &q5.restrict(full.get("R").unwrap()));
+            assert_eq!(&qa5.answers(), &q5.restrict(full.get("R").unwrap().clone()));
             assert_eq!(qa5.answers().support_size(), 1, "{strategy:?}");
 
             let qa7 = engine_query_eval_with_opts(
@@ -565,7 +458,7 @@ mod tests {
                 &EngineOpts::default(),
             )
             .expect("query compiles");
-            assert_eq!(&qa7.answers(), &q7.restrict(full.get("R").unwrap()));
+            assert_eq!(&qa7.answers(), &q7.restrict(full.get("R").unwrap().clone()));
             assert!(qa7.answers().is_empty(), "{strategy:?}: R(7) underivable");
             // The minted demand key 6 is really in the magic relation.
             let demand = qa7.support_with_demand();
@@ -626,7 +519,7 @@ mod tests {
             assert!(qa.magic_preds().is_empty(), "domain-enumeration fallback");
             assert_eq!(
                 &qa.answers(),
-                &q.restrict(full.get("A").unwrap()),
+                &q.restrict(full.get("A").unwrap().clone()),
                 "{strategy:?}: answers must stay a restriction of the full fixpoint"
             );
             assert!(qa.answers().is_empty(), "2 is outside the active domain");
@@ -673,7 +566,11 @@ mod tests {
             &EngineOpts::default(),
         )
         .expect_err("unknown predicate must be rejected");
-        assert!(err.partial_answers().is_empty(), "empty partial");
+        assert_eq!(
+            err.partial().interned().predicates().count(),
+            0,
+            "empty partial"
+        );
         let err = EvalError::from(err);
         assert_eq!(err.kind(), "compile");
         assert!(err.stats().is_none(), "no run happened");

@@ -8,6 +8,7 @@
 
 use datalog_o::core::examples_lib::sssp_trop;
 use datalog_o::core::{ground_sparse, naive_eval_trace, seminaive_eval_system, BoolDatabase};
+use datalog_o::{engine_eval_interned, EngineOpts, Strategy};
 
 fn main() {
     let (program, edb) = sssp_trop("a");
@@ -42,11 +43,20 @@ fn main() {
     );
     println!("naive and semi-naive agree (Theorem 6.4).");
 
-    // The engine settles each node once, best-first (Cor. 5.19: Trop⁺ is
-    // 0-stable), and reaches the same fixpoint.
-    let engine = datalog_o::eval_frontier(&program, &edb, &BoolDatabase::new())
-        .expect("compiles")
-        .unwrap();
+    // The engine's priority frontier settles each node once, best-first
+    // (Cor. 5.19: Trop⁺ is 0-stable), and reaches the same fixpoint. Its
+    // steps are one per settled value, well inside the cap of 1000.
+    let engine = engine_eval_interned(
+        &program,
+        &edb,
+        &BoolDatabase::new(),
+        1000,
+        Strategy::Priority,
+        &EngineOpts::default(),
+    )
+    .expect("compiles")
+    .materialize()
+    .unwrap();
     assert_eq!(engine, out);
     println!("the engine's priority frontier agrees.");
 }

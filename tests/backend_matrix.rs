@@ -650,7 +650,7 @@ fn assert_query_matrix<P>(
 {
     let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
     let empty = Relation::new(query.arity());
-    let expected = query.restrict(grounded.get(&query.pred).unwrap_or(&empty));
+    let expected = query.restrict(grounded.get(&query.pred).unwrap_or(&empty).clone());
     let defaults = EngineOpts::default();
     let legs: Vec<(String, datalog_o::QueryAnswer<P>)> =
         [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority]
@@ -833,7 +833,7 @@ fn demand_leg_company_control_nnreal_naive() {
     )
     .expect("compiles");
     assert!(qa.is_converged());
-    let expected = query.restrict(grounded.get("T").unwrap());
+    let expected = query.restrict(grounded.get("T").unwrap().clone());
     assert_eq!(expected, qa.answers());
 }
 

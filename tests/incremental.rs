@@ -118,7 +118,7 @@ fn assert_queries_read_the_fixpoint<P: Pops + Send + Sync, S: Schedule<P>>(
         }
         for q in &queries {
             let answer = mat.query(q).unwrap_or_else(|e| panic!("{leg}: {q:?}: {e}"));
-            let expected = q.restrict(full);
+            let expected = q.restrict(full.clone());
             assert_eq!(answer.answers(), expected, "{leg}: {q:?}");
             // What the read kept, before `answers` restricts it again.
             let kept = answer.support();

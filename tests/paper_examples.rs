@@ -4,11 +4,11 @@
 use datalog_o::core::examples_lib as ex;
 use datalog_o::core::{
     ground, ground_sparse, naive_eval, naive_eval_system, naive_eval_trace, parse_program,
-    seminaive_eval_system, BoolDatabase, Database, EvalOutcome, GroundAtom, Program,
+    seminaive_eval_system, BoolDatabase, Database, EvalOutcome, GroundAtom, Program, Trace,
 };
 use datalog_o::fixpoint::{general_bound, naive_lfp, Outcome};
 use datalog_o::pops::lifted::lreal;
-use datalog_o::pops::{Bool, Four, LiftedReal, PreSemiring, Three, Trop, TropEta, TropP};
+use datalog_o::pops::{Bool, Four, LiftedReal, Pops, PreSemiring, Three, Trop, TropEta, TropP};
 use datalog_o::semilin::{fwk_closure, Matrix};
 use datalog_o::wellfounded::{
     fig4_adjacency, fitting_lfp, well_founded, win_move_program, Literal, NegProgram, Wf,
@@ -18,6 +18,39 @@ use dlo_bench::GraphInstance;
 
 fn tup(names: &[&str]) -> Vec<datalog_o::core::Constant> {
     names.iter().map(|n| (*n).into()).collect()
+}
+
+/// The Kleene chain ascends, `J(t) ⊑ J(t+1)` pointwise at every step
+/// (Sec. 3: a monotone ICO started at `⊥`). Since `F(J(t)) = J(t+1)`,
+/// this is also the ICO's monotonicity on the chain.
+fn assert_chain_ascends<P: Pops>(trace: &Trace<P>) {
+    for (t, w) in trace.iterates.windows(2).enumerate() {
+        for ((a, b), atom) in w[0].iter().zip(&w[1]).zip(&trace.atoms) {
+            assert!(a.leq(b), "{atom}: J({t}) = {a:?} ⋢ J({}) = {b:?}", t + 1);
+        }
+    }
+}
+
+#[test]
+fn example_4_1_kleene_chain_ascends() {
+    // SSSP over Trop⁺ from `a`: the naïve iterates of the grounded
+    // program form an ascending chain up to the lfp.
+    let (prog, edb) = ex::sssp_trop("a");
+    let sys = ground(&prog, &edb, &BoolDatabase::new());
+    let trace = naive_eval_trace(&sys, 100);
+    assert!(trace.converged);
+    assert_chain_ascends(&trace);
+}
+
+#[test]
+fn sec_7_win_move_three_kleene_chain_ascends() {
+    // `not` is monotone in the knowledge order, so the grounded win-move
+    // program's Kleene chain over THREE ascends in it (Fig. 4).
+    let (prog, bools) = ex::win_move_three(&ex::fig4_edges());
+    let sys = ground(&prog, &Database::new(), &bools);
+    let trace = naive_eval_trace(&sys, 100);
+    assert!(trace.converged);
+    assert_chain_ascends(&trace);
 }
 
 #[test]

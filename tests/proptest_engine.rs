@@ -306,8 +306,8 @@ where
     Ok(())
 }
 
-/// `eval_query` answers must be exactly the query-restriction of the
-/// full fixpoint — values and (decoded) minted keys alike — under every
+/// Query answers must be exactly the query-restriction of the full
+/// fixpoint — values and (decoded) minted keys alike — under every
 /// strategy.
 fn assert_query_restriction<P>(
     label: &str,
@@ -329,7 +329,7 @@ where
         .expect("bounded")
         .0;
     let empty = Relation::new(query.arity());
-    let expected = query.restrict(full.get(&query.pred).unwrap_or(&empty));
+    let expected = query.restrict(full.get(&query.pred).unwrap_or(&empty).clone());
     for strategy in [
         EngineStrategy::SemiNaive,
         EngineStrategy::Worklist,

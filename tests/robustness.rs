@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 
 use datalog_o::core::ast::{Atom, Factor, SumProduct, Term};
 use datalog_o::core::{
-    parse_program, parse_query, BoolDatabase, Database, Edit, EvalOutcome, FactInsert, Program,
-    Relation,
+    magic_pred, parse_program, parse_query, BoolDatabase, Database, Edit, EvalOutcome, FactInsert,
+    Program, Relation,
 };
 use datalog_o::pops::{NNReal, Pops, PreSemiring, Trop};
 use datalog_o::{
@@ -774,8 +774,25 @@ fn aborted_query_returns_exact_settled_partial_answers() {
         engine_query_eval_with_opts(&program, &q, &edb, &bools, CAP, Strategy::Priority, &opts)
             .expect_err("a 30-step budget must trip on the demanded 200-chain");
     assert_eq!(aborted.error().kind(), "budget");
-    assert!(aborted.is_exact(), "priority query partials are exact");
-    let partial_answers = aborted.partial_answers();
+    assert!(
+        aborted.partial().is_exact(),
+        "priority query partials are exact"
+    );
+    // The partial is the demanded fragment's state: the queried
+    // predicate's magic relation is in it and holds the seed key.
+    let demanded = aborted.partial().interned();
+    let magic = magic_pred("T");
+    assert!(
+        demanded.predicates().any(|(name, _)| name == magic),
+        "the partial names {magic}"
+    );
+    assert_eq!(
+        demanded.get(&magic, &[k("n0")]),
+        Some(&Trop::one()),
+        "{magic} holds the seed key"
+    );
+    let settled = aborted.partial().materialize_settled();
+    let partial_answers = q.restrict(settled.get("T").expect("T in the partial").clone());
     let full_t = full.get("T").expect("T in fixpoint");
     let mut rows = 0usize;
     for (t, v) in partial_answers.support() {
@@ -1028,8 +1045,11 @@ fn assert_aborts_carry_partial<S: Schedule<Trop> + std::fmt::Debug>(schedule: S,
             let aborted = ran.expect_err(&leg);
             assert_partial_below(&leg, aborted.partial(), exact, &full);
             let full_t = full.get("T").expect("T in lfp");
-            for (t, v) in aborted.partial_answers().support() {
-                assert!(v.leq(&full_t.get(t)), "{leg}: answer T({t:?}) above lfp");
+            let settled = aborted.partial().materialize_settled();
+            if let Some(settled_t) = settled.get("T") {
+                for (t, v) in q.restrict(settled_t.clone()).support() {
+                    assert!(v.leq(&full_t.get(t)), "{leg}: answer T({t:?}) above lfp");
+                }
             }
             assert_eq!(EvalError::from(aborted).kind(), kind, "{leg}");
         }
@@ -1071,7 +1091,7 @@ fn aborts_always_carry_the_partial() {
     let q = parse_query("?- Nope(\"a\").").unwrap();
     let rejected = engine_query_eval_with_opts(&mixed, &q, &edb, &bools, 10, Naive, &opts)
         .expect_err("unknown query predicate");
-    assert!(rejected.partial_answers().is_empty());
+    assert_eq!(rejected.partial().materialize_settled().iter().count(), 0);
     assert_eq!(rejected.partial().interned().predicates().count(), 0);
     assert_eq!(EvalError::from(rejected).kind(), "compile");
 }

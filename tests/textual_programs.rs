@@ -3,9 +3,10 @@
 
 use datalog_o::core::{
     bool_relation, naive_eval, parse_program, BoolDatabase, Database, Program, ProgramParser,
-    Relation, UnaryFn,
+    Relation, UnaryFn, DEFAULT_CAP,
 };
 use datalog_o::pops::{Bool, LiftedReal, MinNat, NNReal, Three, Trop};
+use datalog_o::{engine_eval_interned, EngineOpts, SemiNaive};
 
 fn k(s: &str) -> datalog_o::core::Constant {
     s.into()
@@ -146,10 +147,9 @@ fn company_control_threshold_in_surface_syntax() {
 #[test]
 fn head_keyed_prefix_in_surface_syntax_via_default_eval() {
     // A key function in the rule *head*, straight from program text,
-    // through `datalog_o::eval` — which now dispatches to the execution
-    // engine for every program the parser accepts (no relational
-    // fallback). Over Trop⁺ each key has one derivation, so ⊗ = + gives
-    // prefix sums.
+    // through the engine's semi-naïve schedule — it evaluates every
+    // program the parser accepts (no relational fallback). Over Trop⁺
+    // each key has one derivation, so ⊗ = + gives prefix sums.
     let src = "
         W(0) :- V(0).
         W(I + 1) :- W(I) * V(I + 1).
@@ -168,9 +168,17 @@ fn head_keyed_prefix_in_surface_syntax_via_default_eval() {
             }),
         ),
     );
-    let out = datalog_o::eval(&p, &pops, &BoolDatabase::new())
-        .expect("compiles")
-        .unwrap();
+    let out = engine_eval_interned(
+        &p,
+        &pops,
+        &BoolDatabase::new(),
+        DEFAULT_CAP,
+        SemiNaive,
+        &EngineOpts::default(),
+    )
+    .expect("compiles")
+    .materialize()
+    .unwrap();
     let w = out.get("W").unwrap();
     for (i, want) in [1.0, 3.0, 6.0, 10.0, 15.0].iter().enumerate() {
         assert_eq!(
