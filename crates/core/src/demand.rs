@@ -80,8 +80,8 @@
 //! be kept set-valued by the evaluator: over a non-idempotent `⊕`
 //! (e.g. ℕ) re-deriving a magic fact would otherwise pump its value
 //! (`1 ⊕ 1 = 2`) forever around demand cycles. `dlo_engine` freezes
-//! magic rows at `1` on first insertion; backends without that
-//! handling (the relational and grounded references) still compute
+//! magic rows at `1` on first insertion; a backend without that
+//! handling (the grounded reference) still computes
 //! rewritten programs correctly over idempotent `⊕`, where `1 ⊕ 1 =
 //! 1` holds algebraically.
 
@@ -419,8 +419,8 @@ pub fn magic_rewrite<P: Pops>(
 /// of factors and conjunctive guard atoms bind, `Var = const` spine
 /// equalities pre-bind, and key-function arguments bind **nothing**
 /// (they are evaluated, not inverted). Leftover variables are
-/// enumerated over the active domain (`Plan::fill` in the engine, ADom
-/// enumeration in the relational backend).
+/// enumerated over the active domain (`Plan::fill` in the engine, `D₀`
+/// enumeration in the grounded backend).
 fn sp_enumerates<P>(rule: &Rule<P>, sp: &SumProduct<P>) -> bool {
     let mut bound: BTreeSet<Var> = BTreeSet::new();
     equality_spine_vars(&sp.condition, &mut bound);
@@ -538,7 +538,7 @@ fn restrict_formula(phi: &Formula, bound: &BTreeSet<Var>) -> Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::relational::relational_seminaive_eval;
+    use crate::eval::seminaive::seminaive_eval;
     use crate::examples_lib as ex;
     use crate::query::QueryArg;
     use crate::relation::{BoolDatabase, Database, Relation};
@@ -581,15 +581,15 @@ mod tests {
 
     #[test]
     fn rewritten_fixpoint_restricts_to_the_original() {
-        // Relational semi-naive on the rewritten program (Trop is
+        // Grounded semi-naive on the rewritten program (Trop is
         // idempotent, so set-valued clamping is not needed) must agree
         // with the full fixpoint on every demanded row.
         let (program, edb) = ex::sssp_trop("a");
         let bools = BoolDatabase::new();
-        let full = relational_seminaive_eval(&program, &edb, &bools, 1000).unwrap();
+        let full = seminaive_eval(&program, &edb, &bools, 1000).unwrap();
         let q = Query::point("L", vec!["d".into()]);
         let dp = magic_rewrite(&program, &q).unwrap();
-        let out = relational_seminaive_eval(&dp.program, &edb, &bools, 1000).unwrap();
+        let out = seminaive_eval(&dp.program, &edb, &bools, 1000).unwrap();
         let l = out.get("L").expect("demanded rows derived");
         // Every demanded row carries its exact full-fixpoint value…
         for (t, v) in l.support() {
@@ -715,8 +715,8 @@ mod tests {
         let dp = magic_rewrite(&program, &q).unwrap();
         assert!(dp.magic_preds.is_empty());
         let bools = BoolDatabase::new();
-        let full = relational_seminaive_eval(&program, &edb, &bools, 1000).unwrap();
-        let got = relational_seminaive_eval(&dp.program, &edb, &bools, 1000).unwrap();
+        let full = seminaive_eval(&program, &edb, &bools, 1000).unwrap();
+        let got = seminaive_eval(&dp.program, &edb, &bools, 1000).unwrap();
         assert_eq!(full, got);
     }
 

@@ -1,22 +1,18 @@
 //! Evaluation of grounded datalog° programs: the naïve algorithm
 //! (Algorithm 1) and the semi-naïve algorithm (Algorithm 3).
 //!
-//! Three backends share the [`EvalOutcome`] contract: the grounded
-//! evaluators here ([`naive`]/[`seminaive`]), the tuple-at-a-time
-//! [`relational`] backend, and the interned execution engine in
-//! `dlo_engine`. The relational backend and the engine are total over
-//! the language: programs whose heads apply key functions (Sec. 4.5)
-//! evaluate natively on both. The grounded evaluators are not:
-//! grounding (`crate::ground`) enumerates D₀ = ADom ∪ program constants
-//! once, so a constant a head key function mints is never grounded
-//! again, and the grounded fixpoint of a keyed program can stop short
-//! (`N(0) :- $1.  N(I+1) :- N(I) | I < 5.` over `MinNat`: 2 rows of
-//! `N` when grounded, 6 from the relational backend and the engine). The
-//! engine itself offers three evaluation
-//! *strategies* (global semi-naïve, FIFO worklist, priority frontier —
-//! `dlo_engine::Strategy`), gated by POPS trait bounds; for totally
-//! ordered absorptive dioids `Strategy::Priority` runs the
-//! Dijkstra-style priority loop.
+//! Two evaluator families share the [`EvalOutcome`] contract: the
+//! grounded evaluators here ([`naive`]/[`seminaive`]), the repository's
+//! one reference semantics, and the interned execution engine in
+//! `dlo_engine`, which is checked against them. Both are total over the
+//! language: a program whose heads apply key functions (Sec. 4.5) is
+//! grounded again over the constants it mints until none is new
+//! (`crate::ground`), so `N(0) :- $1.  N(I+1) :- N(I) | I < 5.` over
+//! `MinNat` gives the 6 rows of `N` the engine gives. The engine itself
+//! offers three evaluation *strategies* (global semi-naïve, FIFO
+//! worklist, priority frontier — `dlo_engine::Strategy`), gated by POPS
+//! trait bounds; for totally ordered absorptive dioids
+//! `Strategy::Priority` runs the Dijkstra-style priority loop.
 //!
 //! For worklist/priority outcomes, `steps` counts frontier pops or
 //! batches rather than ICO applications — fixpoints agree across
@@ -24,7 +20,6 @@
 
 pub mod error;
 pub mod naive;
-pub mod relational;
 pub mod seminaive;
 pub mod stats;
 

@@ -6,7 +6,7 @@
 
 use super::{to_outcome, EvalOutcome, Trace};
 use crate::ast::Program;
-use crate::ground::{ground, ground_sparse, GroundSystem};
+use crate::ground::{eval_closed, GroundSystem};
 use crate::relation::{BoolDatabase, Database};
 use dlo_pops::{NaturallyOrdered, Pops};
 
@@ -47,33 +47,39 @@ pub fn naive_eval_trace<P: Pops>(sys: &GroundSystem<P>, cap: usize) -> Trace<P> 
 }
 
 /// Grounds (dense) and evaluates a program: the generic entry point, sound
-/// for every POPS including non-semirings like the lifted reals.
+/// for every POPS including non-semirings like the lifted reals. The
+/// grounding closes over the constants head key functions mint
+/// (`crate::ground`'s module docs).
 pub fn naive_eval<P: Pops>(
     program: &Program<P>,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
     cap: usize,
 ) -> EvalOutcome<P> {
-    let sys = ground(program, pops_edb, bool_edb);
-    naive_eval_system(&sys, cap)
+    eval_closed(program, pops_edb, bool_edb, false, cap, |sys| {
+        naive_eval_system(sys, cap)
+    })
 }
 
 /// Grounds (sparse) and evaluates a program over a naturally ordered
-/// semiring — the scalable path used by the benchmarks.
+/// semiring, closing over minted constants as [`naive_eval`] does — the
+/// reference the execution engine's naïve loop is checked against.
 pub fn naive_eval_sparse<P: NaturallyOrdered>(
     program: &Program<P>,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
     cap: usize,
 ) -> EvalOutcome<P> {
-    let sys = ground_sparse(program, pops_edb, bool_edb);
-    naive_eval_system(&sys, cap)
+    eval_closed(program, pops_edb, bool_edb, true, cap, |sys| {
+        naive_eval_system(sys, cap)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::examples_lib as ex;
+    use crate::ground::ground;
     use crate::tup;
     use crate::value::GroundAtom;
     use dlo_pops::{PreSemiring, Trop};

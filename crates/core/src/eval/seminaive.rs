@@ -20,7 +20,7 @@
 
 use super::{to_outcome, EvalOutcome};
 use crate::ast::Program;
-use crate::ground::{ground_sparse, GroundSystem};
+use crate::ground::{eval_closed, GroundSystem};
 use crate::relation::{BoolDatabase, Database};
 use dlo_pops::{CompleteDistributiveDioid, NaturallyOrdered};
 
@@ -136,18 +136,20 @@ pub fn seminaive_eval_system<P: CompleteDistributiveDioid>(
     (to_outcome(sys, Err(new), cap), stats)
 }
 
-/// Grounds (sparse) and evaluates with the semi-naïve algorithm. The
-/// `NaturallyOrdered` bound justifies sparse grounding; every complete
-/// distributive dioid is naturally ordered (Prop. 6.1), so this is the
-/// natural pairing.
+/// Grounds (sparse) and evaluates with the semi-naïve algorithm, closing
+/// over the constants head key functions mint (`crate::ground`'s module
+/// docs). The `NaturallyOrdered` bound justifies sparse grounding; every
+/// complete distributive dioid is naturally ordered (Prop. 6.1), so this
+/// is the natural pairing.
 pub fn seminaive_eval<P: CompleteDistributiveDioid + NaturallyOrdered>(
     program: &Program<P>,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
     cap: usize,
 ) -> EvalOutcome<P> {
-    let sys = ground_sparse(program, pops_edb, bool_edb);
-    seminaive_eval_system(&sys, cap).0
+    eval_closed(program, pops_edb, bool_edb, true, cap, |sys| {
+        seminaive_eval_system(sys, cap).0
+    })
 }
 
 #[cfg(test)]

@@ -16,10 +16,22 @@
 //!   joins on the supports of EDB POPS atoms and drops zero-coefficient
 //!   monomials — sound because `0 = ⊥` is absorbing, and the standard
 //!   trick for scaling to large instances.
+//!
+//! A head key function (`N(I + 1) :- N(I)`, Sec. 4.5) derives constants
+//! outside `D₀`. The evaluators ([`crate::eval`]) therefore ground over
+//! `D₀` plus the constants minted so far, evaluate, and — when the
+//! output holds a constant outside both — re-ground and restart from
+//! `⊥` (`eval_closed`) until no new constant appears. A minted
+//! constant reaches a body only through an IDB factor, so only a
+//! variable that is a bare argument of an IDB factor ranges over the
+//! minted constants; every other unbound variable ranges over `D₀`, as
+//! in the execution engine. [`ground`] and [`ground_sparse`] are one
+//! grounding over `D₀` (what the iteration traces show).
 
 pub mod poly;
 
 use crate::ast::{Atom, Program, Term, Var};
+use crate::eval::EvalOutcome;
 use crate::formula::{eval_args, eval_term, Valuation};
 use crate::relation::{BoolDatabase, Database, Relation};
 use crate::value::{Constant, GroundAtom, Tuple};
@@ -109,46 +121,92 @@ impl<P: Pops> GroundSystem<P> {
     }
 }
 
-/// Grounding configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GroundOptions {
-    /// Join on EDB POPS supports and drop zero-coefficient monomials
-    /// (sound only for naturally ordered semirings — enforced by using
-    /// [`ground_sparse`]).
-    sparse: bool,
+/// `D₀`: the active domain of both EDBs plus the program's constants
+/// (Sec. 4.3) — what a variable no atom binds ranges over in every
+/// backend.
+pub fn domain<P: Pops>(
+    program: &Program<P>,
+    pops_edb: &Database<P>,
+    bool_edb: &BoolDatabase,
+) -> BTreeSet<Constant> {
+    let mut d0 = pops_edb.active_domain();
+    d0.extend(bool_edb.active_domain());
+    d0.extend(program.constants());
+    d0
 }
 
-/// Grounds a program (dense mode — sound for every POPS).
+/// Grounds a program over `D₀` once (dense mode — sound for every POPS).
+/// A program whose heads mint constants needs more than one grounding:
+/// [`crate::naive_eval`] closes over them.
 pub fn ground<P: Pops>(
     program: &Program<P>,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
 ) -> GroundSystem<P> {
-    ground_with(program, pops_edb, bool_edb, GroundOptions { sparse: false })
+    let d0 = domain(program, pops_edb, bool_edb);
+    ground_with(program, pops_edb, bool_edb, &d0, &BTreeSet::new(), false)
 }
 
-/// Grounds a program in sparse mode; the `NaturallyOrdered` bound witnesses
-/// `⊥ = 0` with absorbing `0`, which makes support-joins and
-/// zero-coefficient dropping semantics-preserving.
+/// Grounds a program over `D₀` once in sparse mode; the
+/// `NaturallyOrdered` bound witnesses `⊥ = 0` with absorbing `0`, which
+/// makes support-joins and zero-coefficient dropping
+/// semantics-preserving. As with [`ground`], [`crate::naive_eval_sparse`]
+/// and [`crate::seminaive_eval`] close over minted constants.
 pub fn ground_sparse<P: NaturallyOrdered>(
     program: &Program<P>,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
 ) -> GroundSystem<P> {
-    ground_with(program, pops_edb, bool_edb, GroundOptions { sparse: true })
+    let d0 = domain(program, pops_edb, bool_edb);
+    ground_with(program, pops_edb, bool_edb, &d0, &BTreeSet::new(), true)
+}
+
+/// Evaluates `program` with `eval` on its grounding closed over the
+/// constants its heads mint: ground over `D₀ ∪ minted`, evaluate from
+/// `⊥`, and while the output holds a constant outside both, add it and
+/// start again. `steps` is the last round's, so it counts what one
+/// evaluation over the closed domain takes. A domain still growing
+/// after `cap` rounds is `Diverged { cap }`, with the last round's
+/// output. `sparse` joins on EDB supports, sound only for the
+/// naturally ordered callers.
+pub(crate) fn eval_closed<P: Pops>(
+    program: &Program<P>,
+    pops_edb: &Database<P>,
+    bool_edb: &BoolDatabase,
+    sparse: bool,
+    cap: usize,
+    eval: impl Fn(&GroundSystem<P>) -> EvalOutcome<P>,
+) -> EvalOutcome<P> {
+    let d0 = domain(program, pops_edb, bool_edb);
+    let mut minted = BTreeSet::new();
+    let mut last = Database::new();
+    for _ in 0..=cap {
+        let sys = ground_with(program, pops_edb, bool_edb, &d0, &minted, sparse);
+        let outcome = eval(&sys);
+        let EvalOutcome::Converged { output, .. } = &outcome else {
+            return outcome;
+        };
+        let before = minted.len();
+        let fresh = output.active_domain().into_iter();
+        minted.extend(fresh.filter(|c| !d0.contains(c)));
+        if minted.len() == before {
+            return outcome;
+        }
+        last = output.clone();
+    }
+    EvalOutcome::from_diverged(last, cap)
 }
 
 fn ground_with<P: Pops>(
     program: &Program<P>,
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
-    opts: GroundOptions,
+    d0: &BTreeSet<Constant>,
+    minted: &BTreeSet<Constant>,
+    sparse: bool,
 ) -> GroundSystem<P> {
-    // D₀: active domains plus program constants (Sec. 4.3).
-    let mut adom: BTreeSet<Constant> = pops_edb.active_domain();
-    adom.extend(bool_edb.active_domain());
-    adom.extend(program.constants());
-    let adom: Vec<Constant> = adom.into_iter().collect();
+    let adom: Vec<Constant> = d0.iter().cloned().collect();
+    let wide: Vec<Constant> = d0.union(minted).cloned().collect();
 
     let idb_preds: BTreeSet<String> = program.idb_preds().into_iter().collect();
     let idb_arities: BTreeMap<String, usize> = program
@@ -177,7 +235,7 @@ fn ground_with<P: Pops>(
                 .into_iter()
                 .map(|a| (a, BindSource::Bool))
                 .collect();
-            if opts.sparse {
+            if sparse {
                 for f in &sp.factors {
                     if !idb_preds.contains(&f.atom.pred) {
                         binding.push((&f.atom, BindSource::Pops));
@@ -185,11 +243,25 @@ fn ground_with<P: Pops>(
                 }
             }
 
+            // A minted constant reaches the body only through an IDB
+            // factor's support, so only a bare IDB argument ranges over it.
+            let dom_of = |v: &Var| -> &[Constant] {
+                let bare_idb_arg = sp.factors.iter().any(|f| {
+                    idb_preds.contains(&f.atom.pred) && f.atom.args.contains(&Term::Var(*v))
+                });
+                if bare_idb_arg {
+                    &wide
+                } else {
+                    &adom
+                }
+            };
+            let doms: Vec<&[Constant]> = vars.iter().map(dom_of).collect();
+
             let mut seen: BTreeSet<Vec<Constant>> = BTreeSet::new();
             enumerate(
                 &binding,
                 &vars,
-                &adom,
+                &doms,
                 pops_edb,
                 bool_edb,
                 &mut Valuation::new(),
@@ -231,7 +303,7 @@ fn ground_with<P: Pops>(
                             coeff = coeff.mul(&v);
                         }
                     }
-                    if opts.sparse && coeff.is_zero() {
+                    if sparse && coeff.is_zero() {
                         return; // 0 is absorbing here: the monomial vanishes
                     }
                     let Some(head_tuple) = eval_args(&rule.head, theta) else {
@@ -251,7 +323,7 @@ fn ground_with<P: Pops>(
     // sum 0). This matters on POPS where 0 ≠ ⊥ — e.g. win-move over THREE,
     // where a sink node's Win value is 0 (false), not ⊥ (Sec. 7.2). Sparse
     // mode targets naturally ordered semirings where 0 = ⊥ and skips this.
-    if !opts.sparse {
+    if !sparse {
         for (pred, arity) in &idb_arities {
             let mut tuple: Vec<usize> = vec![0; *arity];
             if adom.is_empty() && *arity > 0 {
@@ -289,13 +361,13 @@ enum BindSource {
     Pops,
 }
 
-/// Nested-loop join over the binding atoms, then full-`ADom` enumeration of
-/// any still-unbound variables.
+/// Nested-loop join over the binding atoms, then enumeration of any
+/// still-unbound variable `vars[i]` over its domain `doms[i]`.
 #[allow(clippy::too_many_arguments)]
 fn enumerate<P: Pops>(
     binding: &[(&Atom, BindSource)],
     vars: &[Var],
-    adom: &[Constant],
+    doms: &[&[Constant]],
     pops_edb: &Database<P>,
     bool_edb: &BoolDatabase,
     theta: &mut Valuation,
@@ -303,25 +375,24 @@ fn enumerate<P: Pops>(
     visit: &mut impl FnMut(&Valuation),
 ) {
     if depth == binding.len() {
-        // Enumerate leftover variables over the active domain.
         fn fill(
             vars: &[Var],
-            adom: &[Constant],
+            doms: &[&[Constant]],
             theta: &mut Valuation,
             visit: &mut impl FnMut(&Valuation),
         ) {
-            match vars.iter().find(|v| !theta.contains_key(v)) {
+            match vars.iter().position(|v| !theta.contains_key(v)) {
                 None => visit(theta),
-                Some(&v) => {
-                    for c in adom {
-                        theta.insert(v, c.clone());
-                        fill(vars, adom, theta, visit);
+                Some(i) => {
+                    for c in doms[i] {
+                        theta.insert(vars[i], c.clone());
+                        fill(vars, doms, theta, visit);
                     }
-                    theta.remove(&v);
+                    theta.remove(&vars[i]);
                 }
             }
         }
-        fill(vars, adom, theta, visit);
+        fill(vars, doms, theta, visit);
         return;
     }
 
@@ -375,7 +446,7 @@ fn enumerate<P: Pops>(
         enumerate(
             binding,
             vars,
-            adom,
+            doms,
             pops_edb,
             bool_edb,
             theta,
@@ -395,7 +466,7 @@ mod tests {
     use crate::formula::Formula;
     use crate::relation::{bool_relation, Relation};
     use crate::tup;
-    use dlo_pops::{LiftedReal, Trop};
+    use dlo_pops::{LiftedReal, MinNat, Trop};
 
     /// SSSP program (Example 4.1): L(x) :- [x=a] ⊕ ⊕_z L(z) ⊗ E(z,x).
     fn sssp_program() -> Program<Trop> {
@@ -570,5 +641,105 @@ mod tests {
         assert_eq!(poly.monomials.len(), 3);
         // The C(a) coefficient is ⊥ — kept in dense mode (it must poison).
         assert!(poly.monomials.iter().any(|m| m.coeff.is_bottom()));
+    }
+
+    /// Both grounded evaluators of a naturally ordered program, which
+    /// must agree; returns the naïve output.
+    fn naive_and_seminaive<P: dlo_pops::CompleteDistributiveDioid + NaturallyOrdered>(
+        program: &Program<P>,
+        pops: &Database<P>,
+        bools: &BoolDatabase,
+    ) -> Database<P> {
+        let naive = crate::naive_eval_sparse(program, pops, bools, 1000).unwrap();
+        let semi = crate::seminaive_eval(program, pops, bools, 1000).unwrap();
+        assert_eq!(naive, semi, "naive and semi-naive disagree");
+        naive
+    }
+
+    #[test]
+    fn condition_guards_and_indicators_work() {
+        // The SSSP program's indicator {1 | X = s} over MinNat.
+        let program: Program<MinNat> = crate::examples_lib::single_source_program("s");
+        let mut edb = Database::new();
+        edb.insert(
+            "E",
+            Relation::from_pairs(
+                2,
+                vec![
+                    (tup!["s", "t"], MinNat::finite(2)),
+                    (tup!["t", "u"], MinNat::finite(3)),
+                ],
+            ),
+        );
+        let out = naive_and_seminaive(&program, &edb, &BoolDatabase::new());
+        assert_eq!(out.get("L").unwrap().get(&tup!["u"]), MinNat(5));
+    }
+
+    #[test]
+    fn bool_condition_atoms_bind_through_guards() {
+        // BOM-style over MinNat: T(x) :- C(x) ⊕ Σ{T(y) | E(x,y)}.
+        let program: Program<MinNat> = crate::examples_lib::bom_program();
+        let mut pops = Database::new();
+        pops.insert(
+            "C",
+            Relation::from_pairs(
+                1,
+                vec![
+                    (tup!["c"], MinNat::finite(1)),
+                    (tup!["d"], MinNat::finite(10)),
+                ],
+            ),
+        );
+        let mut bools = BoolDatabase::new();
+        bools.insert("E", bool_relation(2, vec![tup!["c", "d"]]));
+        let out = naive_and_seminaive(&program, &pops, &bools);
+        // With ⊕ = min: T(c) = min(C(c), T(d)) = min(1, 10) = 1.
+        assert_eq!(out.get("T").unwrap().get(&tup!["c"]), MinNat(1));
+    }
+
+    #[test]
+    fn wildcard_key_function_args_are_rechecked() {
+        use crate::ast::KeyFn;
+        // R(X) :- A(X - 1) ⊗ V(X): the A factor binds before X is, so
+        // its key-function argument is a wildcard there and must be
+        // re-verified once the valuation completes — otherwise every
+        // (A-tuple, V-tuple) pair survives.
+        let mut p = Program::<Trop>::new();
+        p.rule(
+            Atom::new("R", vec![Term::v(0)]),
+            vec![SumProduct::new(vec![
+                Factor::atom(
+                    "A",
+                    vec![Term::Apply(KeyFn::AddInt(-1), Box::new(Term::v(0)))],
+                ),
+                Factor::atom("V", vec![Term::v(0)]),
+            ])],
+        );
+        let mut db = Database::new();
+        db.insert(
+            "A",
+            Relation::from_pairs(
+                1,
+                vec![
+                    (tup![0i64], Trop::finite(10.0)),
+                    (tup![5i64], Trop::finite(70.0)),
+                ],
+            ),
+        );
+        db.insert(
+            "V",
+            Relation::from_pairs(
+                1,
+                vec![
+                    (tup![1i64], Trop::finite(1.0)),
+                    (tup![6i64], Trop::finite(2.0)),
+                ],
+            ),
+        );
+        let out = naive_and_seminaive(&p, &db, &BoolDatabase::new());
+        let r = out.get("R").unwrap();
+        assert_eq!(r.support_size(), 2);
+        assert_eq!(r.get(&tup![1i64]), Trop::finite(11.0), "A(0) ⊗ V(1)");
+        assert_eq!(r.get(&tup![6i64]), Trop::finite(72.0), "A(5) ⊗ V(6)");
     }
 }

@@ -41,7 +41,6 @@ pub use demand::{magic_pred, magic_rewrite, DemandError, DemandProgram};
 pub use display::{render_program, render_rule, PrintValue};
 pub use edit::{Edit, FactDelete, FactInsert};
 pub use eval::naive::{naive_eval, naive_eval_sparse, naive_eval_system, naive_eval_trace};
-pub use eval::relational::{relational_naive_eval, relational_seminaive_eval};
 pub use eval::seminaive::{seminaive_eval, seminaive_eval_system, WorkStats};
 pub use eval::{BudgetKind, CancelToken, EvalBudget, EvalError, EvalOutcome, Trace, DEFAULT_CAP};
 pub use formula::{CmpOp, Formula};

@@ -4,8 +4,8 @@
 //! [`crate::Materialization`] build and edit.
 //!
 //! The semi-naïve loop is the relation-level reading of Theorem 6.5
-//! (mirroring `dlo_core::eval::relational::relational_seminaive_eval`
-//! step for step, so outcomes and step counts agree):
+//! (its outcomes and step counts agree with the grounded reference,
+//! `dlo_core::seminaive_eval`):
 //!
 //! ```text
 //! J(1) ← F(0);  δ(0) ← J(1)
@@ -50,6 +50,7 @@ use crate::telemetry::Collector;
 use dlo_core::ast::Program;
 use dlo_core::eval::stats::EvalStats;
 use dlo_core::eval::{CancelToken, EvalBudget, EvalError, TraceHandle};
+use dlo_core::ground::domain;
 use dlo_core::relation::{BoolDatabase, Database};
 use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops, PreSemiring};
 use std::collections::BTreeMap;
@@ -122,8 +123,11 @@ pub(crate) struct Engine<P> {
     pub(crate) compiled: CompiledProgram<P>,
     pub(crate) pops_edb: Vec<Option<ColumnRel<P>>>,
     pub(crate) bool_edb: Vec<Option<ColumnRel<Bool>>>,
-    /// The active domain in constant order — filled in only when some
-    /// plan enumerates it ([`Engine::refresh_adom`]), empty otherwise.
+    /// `D₀` — the EDB's constants and the program's
+    /// ([`dlo_core::ground::domain`]) — as ids in constant order: what
+    /// the executor's fill enumerates for a slot no join step binds,
+    /// as the grounded reference does. Filled in by [`setup`] only when
+    /// some plan has such a slot ([`Engine::fills`]), empty otherwise.
     pub(crate) adom: Vec<u32>,
     /// Index masks needed on each IDB's `new` storage (serves both the
     /// `New` and `Old` sources). This and the three lists below are the
@@ -239,7 +243,10 @@ pub(crate) fn setup<P: Pops>(
         load_ns,
     };
     engine.require_probes(&reqs);
-    engine.refresh_adom();
+    if engine.fills() {
+        let d0 = domain(program, pops_db, bool_db);
+        engine.adom = d0.iter().map(|c| engine.interner.intern(c)).collect();
+    }
     Ok(engine)
 }
 
@@ -248,8 +255,7 @@ pub(crate) fn setup<P: Pops>(
 /// one head predicate at two arities) land here; there is no slower
 /// backend to fall back to any more — the engine is total over the
 /// language, and programs outside these representation limits are
-/// malformed for every backend (the relational backend debug-asserts on
-/// mixed-arity heads).
+/// malformed for every backend.
 pub(crate) fn compile_error(e: CompileError) -> EvalError {
     EvalError::Compile {
         detail: format!("dlo_engine cannot represent this program in columnar storage: {e:?}"),
@@ -257,23 +263,12 @@ pub(crate) fn compile_error(e: CompileError) -> EvalError {
 }
 
 impl<P: Pops> Engine<P> {
-    /// Re-enumerates the active domain (EDB constants ∪ program
-    /// constants — exactly the interned set) in constant order, to
-    /// mirror the relational backend. Its one reader is the executor's
-    /// fill over slots no join step binds, so the sort runs only when
-    /// some compiled plan has such a slot; called at setup and again
-    /// whenever a [`crate::Materialization`] edit interns new constants.
-    pub(crate) fn refresh_adom(&mut self) {
+    /// Whether some compiled plan has a slot no join step binds — the
+    /// only reader of [`Engine::adom`].
+    pub(crate) fn fills(&self) -> bool {
         let compiled = &self.compiled;
-        let fills = compiled
-            .seed_plans
-            .iter()
-            .chain(&compiled.delta_plans)
-            .any(|plan| !plan.fill.is_empty());
-        if !fills {
-            return;
-        }
-        self.adom = self.interner.ids_in_constant_order();
+        let mut plans = compiled.seed_plans.iter().chain(&compiled.delta_plans);
+        plans.any(|plan| !plan.fill.is_empty())
     }
 
     /// Folds `(source, mask)` probe requirements into the per-relation
@@ -769,15 +764,15 @@ impl<P: Pops, S: Rounds<P> + Copy> Schedule<P> for S {}
 
 /// The naïve schedule `J(t+1) = F(J(t))`, every IDB occurrence reading
 /// the new state — all that is licensed without `⊖`. Agrees with
-/// `relational_naive_eval` step for step, including programs whose
+/// the grounded `naive_eval_sparse` step for step, including programs whose
 /// heads apply key functions (fresh constants are minted into the
 /// interner between iterations). A [`crate::Materialization`] under it
 /// re-runs these rounds from its standing state after every edit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Naive;
 
-/// The semi-naïve schedule of Theorem 6.5. Agrees with
-/// `relational_seminaive_eval` — same fixpoint, same step count, the
+/// The semi-naïve schedule of Theorem 6.5. Agrees with the grounded
+/// `seminaive_eval` — same fixpoint, same step count, the
 /// iteration that finds δ empty included — while running interned and
 /// indexed. A [`crate::Materialization`] under it seeds the same rounds
 /// with each edit's differential, and over an absorptive chain its
@@ -991,7 +986,7 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
 /// as seed that is `J(1) = F(0)`, `δ(0) = J(1)`; a maintenance edit
 /// seeds the same loop from its differential instead. The returned
 /// count includes the iteration that finds δ empty, one past the last
-/// round's step number, as the relational backend counts it.
+/// round's step number, as the grounded `seminaive_eval` counts it.
 pub(crate) fn seminaive_rounds<P>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
@@ -1113,7 +1108,7 @@ pub(crate) fn ensure_delta_indexes<P: Pops>(engine: &Engine<P>, state: &mut IdbS
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use dlo_core::eval::relational::relational_naive_eval;
+    use dlo_core::eval::naive::naive_eval_sparse;
     use dlo_core::eval::EvalOutcome;
     use dlo_core::relation::Relation;
     use dlo_core::tup;
@@ -1180,7 +1175,7 @@ pub(crate) mod tests {
                 .with_condition(Formula::cmp(Term::v(0), CmpOp::Lt, Term::c(5)))],
         );
         let (pops, bools) = (Database::new(), BoolDatabase::new());
-        let reference = relational_naive_eval(&p, &pops, &bools, 100).unwrap();
+        let reference = naive_eval_sparse(&p, &pops, &bools, 100).unwrap();
         let naive = eval(&p, &pops, &bools, 100, Naive).unwrap();
         let out = eval(&p, &pops, &bools, 100, SemiNaive).unwrap();
         assert_eq!(reference, naive, "engine naive differs");

@@ -21,8 +21,8 @@
 //!
 //! Valuations are provably visited at most once per derivation (rows are
 //! unique per relation and every column is probed, bound, or checked),
-//! so no per-valuation dedup set is needed — unlike the relational
-//! backend's `seen` tree.
+//! so no per-valuation dedup set is needed — unlike the grounding's
+//! `seen` tree (`dlo_core::ground`).
 
 use crate::arrange::Arrangement;
 use crate::hash::FxHashMap;
@@ -477,8 +477,8 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
         }
     }
 
-    /// Enumerates the active domain for slots no step binds (the
-    /// relational backend's leftover-variable enumeration).
+    /// Enumerates the active domain `D₀` for slots no step binds (the
+    /// grounding's leftover-variable enumeration).
     fn fill(&mut self, j: usize) {
         let Some(&slot) = self.plan.fill.get(j) else {
             self.leaf();
@@ -530,7 +530,7 @@ impl<'a, P: Pops> Runner<'_, 'a, P> {
                 HeadOp::Const(id) => HeadVal::Id(*id),
                 HeadOp::Computed(t) => {
                     // Unevaluable head terms (type mismatch) drop the
-                    // derivation, mirroring the relational `eval_args`.
+                    // derivation, mirroring the grounding's `eval_args`.
                     let Some(ev) = eval_cterm(t, &self.slots, self.ctx.interner) else {
                         return;
                     };

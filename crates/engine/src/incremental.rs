@@ -201,11 +201,12 @@
 //! * Results are **bit-identical to the from-scratch fixpoint on the
 //!   edited EDB** at any `DLO_ENGINE_THREADS` (one thread runs every
 //!   loop: same plan-order merges, sorted drains, and
-//!   mint-between-phases as every other driver),
-//!   with one documented caveat, from [`Materialization::rebuild`]
-//!   keeping its interner: the active domain only ever grows —
-//!   constants introduced by earlier epochs remain enumerable by
-//!   programs with unbound slots.
+//!   mint-between-phases as every other driver). A slot no join step
+//!   binds ranges over the edited EDB's `D₀`, never over constants
+//!   minted or dropped by earlier epochs: an edit that changes `D₀`
+//!   under such a program re-derives the fixpoint the way
+//!   [`Materialization::rebuild`] does (its stats are a build's), and
+//!   if that fails, the handle stays as it was before the edit.
 //! * Each edit produces its own [`EvalStats`] (per-phase, per-rule)
 //!   via [`Materialization::last_stats`].
 //! * The handle holds **one copy of the EDB**, the interned relations
@@ -243,6 +244,7 @@ use dlo_core::demand::DemandError;
 use dlo_core::edit::{Edit, FactDelete, FactInsert};
 use dlo_core::eval::stats::EvalStats;
 use dlo_core::eval::{CancelToken, EvalBudget, EvalError};
+use dlo_core::ground::domain;
 use dlo_core::query::{Query, QueryArg};
 use dlo_core::relation::{BoolDatabase, Database};
 use dlo_core::value::Constant;
@@ -309,6 +311,9 @@ pub struct Materialization<P: Pops, S = Strategy> {
     /// (`None` where no rule of `H` is head-guarded).
     cones: Vec<Option<usize>>,
     slots: Vec<EditSlot>,
+    /// The EDB relations the program does not read: no edit can name
+    /// them, but their constants are part of `D₀`.
+    unread: Database<P>,
     bool_edb: BoolDatabase,
     cap: usize,
     schedule: S,
@@ -563,6 +568,8 @@ where
                 arity,
             })
             .collect();
+        let unread = pops_edb.iter().filter(|(name, _)| pos(name).is_none());
+        let unread = unread.map(|(n, r)| (n.clone(), r.clone())).collect();
         let mut m = Materialization {
             program: program.clone(),
             state: engine.empty_state(),
@@ -574,6 +581,7 @@ where
             attaining,
             cones,
             slots,
+            unread,
             bool_edb: bool_edb.clone(),
             cap,
             schedule,
@@ -639,10 +647,17 @@ where
     ///
     /// As [`Materialization::new`].
     pub fn rebuild(&mut self) -> Result<&EvalStats, EvalError> {
+        self.rebuild_from(&self.edb())
+    }
+
+    /// [`Materialization::rebuild`] on `pops_edb` instead of the live
+    /// EDB: also how an edit that moves `D₀` finishes
+    /// ([`Materialization::moved_edb`]).
+    fn rebuild_from(&mut self, pops_edb: &Database<P>) -> Result<&EvalStats, EvalError> {
         let epoch = self.epoch + 1;
         let mut fresh = Self::build(
             &self.program,
-            &self.edb(),
+            pops_edb,
             &self.bool_edb,
             self.cap,
             self.schedule,
@@ -667,15 +682,35 @@ where
 
     /// The EDB at the current epoch (edits applied), decoded from the
     /// live interned relations the handle joins against, its only copy
-    /// of the EDB. Rows come in constant order, as a [`Database`] holds
-    /// them.
+    /// of the relations its program reads, beside the ones it does not
+    /// read as they were given. Rows come in constant order, as a
+    /// [`Database`] holds them.
     pub fn edb(&self) -> Database<P> {
         let decode = |s: &EditSlot| {
             let rel = std::slice::from_ref(self.engine.pops_edb[s.cur].as_ref()?);
             let name = [(s.name.clone(), s.arity)];
             Some(decode_db(&self.engine.interner, &name, rel))
         };
-        self.slots.iter().filter_map(decode).flatten().collect()
+        let live = self.slots.iter().filter_map(decode).flatten();
+        live.chain(self.unread.iter().map(|(n, r)| (n.clone(), r.clone())))
+            .collect()
+    }
+
+    /// The handle's EDB after `edit`, if the edit changes its `D₀`
+    /// ([`dlo_core::ground::domain`]) under a program with a fill slot
+    /// ([`Engine::fills`]). The standing fixpoint ranged those slots
+    /// over the old `D₀`, and no continuation revisits them, so such an
+    /// edit re-derives through [`Materialization::rebuild_from`].
+    fn moved_edb(&self, edit: impl FnOnce(&mut Database<P>)) -> Option<Database<P>> {
+        if !self.engine.fills() {
+            return None;
+        }
+        let mut edb = self.edb();
+        edit(&mut edb);
+        let d0 = domain(&self.program, &edb, &self.bool_edb);
+        let interner = &self.engine.interner;
+        let standing = self.engine.adom.iter().map(|&id| interner.get(id));
+        (!d0.iter().eq(standing)).then_some(edb)
     }
 
     /// Why the handle is poisoned, if it is: a previous edit failed
@@ -936,7 +971,6 @@ where
     /// `⊕`-merges the rows into the live relations. Returns the touched
     /// slot indexes.
     fn stage_insert(&mut self, batch: &[FactInsert<P>], slots: &[usize]) -> Vec<usize> {
-        let before_len = self.engine.interner.len();
         let mut per_slot: Vec<Vec<(Vec<u32>, P)>> = (0..self.slots.len()).map(|_| vec![]).collect();
         for (f, &si) in batch.iter().zip(slots) {
             let key: Vec<u32> = f
@@ -945,9 +979,6 @@ where
                 .map(|c| self.engine.interner.intern(c))
                 .collect();
             per_slot[si].push((key, f.value.clone()));
-        }
-        if self.engine.interner.len() > before_len {
-            self.engine.refresh_adom();
         }
         let mut touched = vec![];
         for (si, rows) in per_slot.into_iter().enumerate() {
@@ -1157,6 +1188,15 @@ where
     pub fn insert(&mut self, batch: &[FactInsert<P>]) -> Result<&EvalStats, EvalError> {
         self.check_poisoned()?;
         let slots = self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
+        let moved = self.moved_edb(|edb| {
+            for f in batch {
+                let rel = edb.get_or_insert(&f.pred, f.tuple.len());
+                rel.merge(f.tuple.clone(), f.value.clone());
+            }
+        });
+        if let Some(edb) = moved {
+            return self.rebuild_from(&edb);
+        }
         let t = Instant::now();
         self.epoch += 1;
         let touched = self.stage_insert(batch, &slots);
@@ -1206,6 +1246,15 @@ where
     pub fn delete(&mut self, batch: &[FactDelete]) -> Result<&EvalStats, EvalError> {
         self.check_poisoned()?;
         let slots = self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
+        let moved = self.moved_edb(|edb| {
+            for f in batch {
+                let rel = edb.get_or_insert(&f.pred, f.tuple.len());
+                rel.set(f.tuple.clone(), P::bottom());
+            }
+        });
+        if let Some(edb) = moved {
+            return self.rebuild_from(&edb);
+        }
         let t = Instant::now();
         self.epoch += 1;
         let staged = self.stage_delete(batch, &slots);

@@ -223,9 +223,9 @@ impl Interner {
         Ok(ColumnRel::from_distinct_rows(arity, keys, vals))
     }
 
-    /// Every interned id, in `Constant` order: the active domain's
-    /// enumeration order, and — inverted — the rank table the decode
-    /// sorts rows by. Constants are distinct, so the order is total.
+    /// Every interned id, in `Constant` order — inverted, the rank
+    /// table the decode sorts rows by. Constants are distinct, so the
+    /// order is total.
     pub fn ids_in_constant_order(&self) -> Vec<u32> {
         let mut ids: Vec<u32> = (0..self.len() as u32).collect();
         ids.sort_unstable_by(|&a, &b| self.get(a).cmp(self.get(b)));

@@ -2,9 +2,9 @@
 //!
 //! The production execution backend for datalog° over naturally ordered
 //! POPS, justified by Theorem 6.5 of *Convergence of Datalog over (Pre-)
-//! Semirings* (PODS 2022). Where the relational backend
-//! (`dlo_core::eval::relational`) joins sorted supports by unifying
-//! `Constant`s tuple-at-a-time, this crate compiles each program once
+//! Semirings* (PODS 2022). Where the grounded reference
+//! (`dlo_core::eval`) expands the program into one polynomial per
+//! ground atom over `Constant`s, this crate compiles each program once
 //! and runs it on interned, columnar state:
 //!
 //! * [`intern`] — constants become `u32`s; rows are flat `Vec<u32>`
@@ -148,8 +148,8 @@
 //! scan and by prefix probe, so [`ColumnRel`] builds that map the first
 //! time something asks for a row by key — a Boolean guard atom in a
 //! rule condition, or a [`Materialization`] edit — and never otherwise.
-//! The active domain is sorted only for programs with a variable no
-//! join binds.
+//! The active domain `D₀` is collected only for programs with a
+//! variable no join binds.
 //!
 //! [`PhaseNanos::setup`] is everything before the index builds, and
 //! [`PhaseNanos::load`] the part of it spent in that scan. On
@@ -635,7 +635,7 @@
 //!
 //! The engine is **total over the language**: head key functions, body
 //! key functions, conditions, Boolean guards, coefficients, and value
-//! functions all evaluate natively — there is no relational fallback.
+//! functions all evaluate natively — there is no fallback backend.
 //!
 //! ## Design note: head key functions and dynamic interning
 //!

@@ -186,7 +186,7 @@ pub enum HeadOp {
     Const(u32),
     /// A key function over bound slots, evaluated at emit time. An
     /// unevaluable term (e.g. `+1` on a string) drops the derivation —
-    /// mirroring the relational backend's `eval_args` — and a result
+    /// mirroring the grounding's `eval_args` — and a result
     /// outside the interned domain is emitted as a *fresh* cell for the
     /// driver to mint (see [`crate::exec::HeadVal`]).
     Computed(CTerm),
@@ -505,9 +505,9 @@ impl Compiler<'_> {
         }
     }
 
-    /// Mirrors the relational backend's `equality_bindings`: pre-binds
-    /// `Var = const` equalities on the conjunctive spine, first
-    /// occurrence winning.
+    /// Pre-binds `Var = const` equalities on the conjunctive spine,
+    /// first occurrence winning (the grounding enumerates such a
+    /// variable over `D₀` and lets the condition filter it).
     fn equality_bindings(
         &mut self,
         phi: &Formula,
@@ -560,7 +560,7 @@ impl Compiler<'_> {
             label.push_str(&format!(" [\u{0394}@{k}]"));
         }
         // Slot layout: head vars first, then remaining sum-product vars
-        // (the relational backend's `vars` order).
+        // (the grounding's `vars` order).
         let mut vars: Vec<Var> = vec![];
         rule.head.vars(&mut vars);
         for v in sp.vars() {

@@ -612,15 +612,15 @@ mod tests {
     use crate::driver::tests::eval;
     use crate::driver::{engine_eval_interned, EngineOpts};
     use dlo_core::ast::{Atom, Factor, KeyFn, Program, SumProduct, Term, UnaryFn};
-    use dlo_core::eval::relational::relational_seminaive_eval;
+    use dlo_core::eval::seminaive::seminaive_eval;
     use dlo_core::examples_lib as ex;
     use dlo_core::relation::{BoolDatabase, Database, Relation};
     use dlo_core::tup;
     use dlo_pops::{MaxMin, MinNat, PreSemiring, Trop};
 
-    /// Every [`Strategy`] agrees with the relational reference on
+    /// Every [`Strategy`] agrees with the grounded reference on
     /// output databases.
-    fn assert_frontier_matches_relational<P>(
+    fn assert_frontier_matches_grounded<P>(
         program: &Program<P>,
         pops: &Database<P>,
         bools: &BoolDatabase,
@@ -633,7 +633,7 @@ mod tests {
             + Send
             + Sync,
     {
-        let reference = relational_seminaive_eval(program, pops, bools, 100_000).unwrap();
+        let reference = seminaive_eval(program, pops, bools, 100_000).unwrap();
         for strategy in [
             Strategy::Auto,
             Strategy::SemiNaive,
@@ -641,15 +641,15 @@ mod tests {
             Strategy::Priority,
         ] {
             let got = eval(program, pops, bools, 1_000_000, strategy).unwrap();
-            assert_eq!(reference, got, "{strategy:?} differs from relational");
+            assert_eq!(reference, got, "{strategy:?} differs from grounded");
         }
         reference
     }
 
     #[test]
-    fn sssp_and_apsp_match_relational() {
+    fn sssp_and_apsp_match_grounded() {
         let (program, edb) = ex::sssp_trop("a");
-        let out = assert_frontier_matches_relational(&program, &edb, &BoolDatabase::new());
+        let out = assert_frontier_matches_grounded(&program, &edb, &BoolDatabase::new());
         assert_eq!(out.get("L").unwrap().get(&tup!["d"]), Trop::finite(8.0));
 
         let (program, edb) = ex::apsp_trop(&[
@@ -659,7 +659,7 @@ mod tests {
             ("c", "d", 4.0),
             ("a", "c", 5.0),
         ]);
-        assert_frontier_matches_relational(&program, &edb, &BoolDatabase::new());
+        assert_frontier_matches_grounded(&program, &edb, &BoolDatabase::new());
     }
 
     #[test]
@@ -944,7 +944,7 @@ mod tests {
             vec![SumProduct::new(vec![Factor::atom("N", vec![Term::v(0)])])
                 .with_condition(Formula::cmp(Term::v(0), CmpOp::Lt, Term::c(5)))],
         );
-        let out = assert_frontier_matches_relational(&p, &Database::new(), &BoolDatabase::new());
+        let out = assert_frontier_matches_grounded(&p, &Database::new(), &BoolDatabase::new());
         assert_eq!(out.get("N").unwrap().support_size(), 6);
     }
 
@@ -1005,7 +1005,7 @@ mod tests {
                 ],
             ),
         );
-        let out = assert_frontier_matches_relational(&p, &edb, &BoolDatabase::new());
+        let out = assert_frontier_matches_grounded(&p, &edb, &BoolDatabase::new());
         let r = out.get("R").unwrap();
         // ⊗ = min on MaxMin: R(a) = min(cap(0.9) = 0.3, 0.4) = 0.3,
         // R(b) = min(cap(0.3) = 0.3, 0.2) = 0.2.

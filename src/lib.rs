@@ -60,8 +60,8 @@ pub use dlo_provenance as provenance;
 pub use dlo_semilin as semilin;
 pub use dlo_wellfounded as wellfounded;
 
-// The engine backend's surface at top level, next to the grounded and
-// relational backends re-exported through `core`: two entry points,
+// The engine backend's surface at top level, next to the grounded
+// reference re-exported through `core`: two entry points,
 // the schedule argument they take, and the result/option types.
 pub use dlo_engine::{
     engine_eval_interned, engine_query_eval_with_opts, AbortedEval, BudgetKind, CancelToken,

@@ -1,26 +1,26 @@
 //! The backend matrix: every oracle scenario from `paper_examples.rs`
-//! and `textual_programs.rs` pushed through **all three** backends —
-//! grounded naive, relational (naive + semi-naive), and the execution
-//! engine (naive + semi-naive + FIFO generation worklist + priority
-//! frontier) — asserting identical output databases. `cross_engine.rs` spot-checks a subset
+//! and `textual_programs.rs` pushed through **both** evaluator families
+//! — the grounded reference (naive and semi-naive, closed over the
+//! constants head key functions mint) and the execution engine (naive,
+//! semi-naive, FIFO generation worklist and priority frontier) —
+//! asserting identical output databases. `cross_engine.rs` spot-checks a subset
 //! against external oracles; this file is the exhaustive
 //! pairwise-agreement sweep, and since the engine lost its
 //! head-key-function fallback it proves the fast backend really is
 //! total over the language.
 //!
 //! Scenarios whose paper POPS is not naturally ordered (the lifted reals
-//! of Ex. 4.2, `THREE` of Sec. 7) cannot run on the relational/engine
-//! backends at all — the grounded backend is their reference — so the
+//! of Ex. 4.2, `THREE` of Sec. 7) cannot run on the sparse grounding or
+//! the engine at all — the dense grounding is their reference — so the
 //! matrix runs those programs over a naturally ordered carrier instead
 //! (`MinNat`, `𝔹`), which exercises the identical rule shapes. POPS that
 //! are naturally ordered but not complete distributive dioids (`ℝ₊`,
-//! `Trop⁺_1`) run the three naive legs only.
+//! `Trop⁺_1`) run the two naive legs only.
 
 use datalog_o::core::examples_lib as ex;
 use datalog_o::core::{
-    bool_relation, naive_eval_sparse, parse_program, parse_query, relational_naive_eval,
-    relational_seminaive_eval, BoolDatabase, Database, Program, ProgramParser, Query, Relation,
-    UnaryFn,
+    bool_relation, naive_eval, naive_eval_sparse, parse_program, parse_query, seminaive_eval,
+    BoolDatabase, Database, Program, ProgramParser, Query, Relation, UnaryFn,
 };
 use datalog_o::core::{Edit, EvalOutcome, FactDelete, FactInsert};
 use datalog_o::engine::{ColumnRel, Interner};
@@ -79,8 +79,8 @@ fn assert_same_db<P: datalog_o::pops::Pops>(
     }
 }
 
-/// The full seven-leg matrix: grounded naive, relational
-/// naive/semi-naive, engine naive/semi-naive, and the engine's two
+/// The full six-leg matrix: grounded naive/semi-naive, engine
+/// naive/semi-naive, and the engine's two
 /// frontier strategies (FIFO generation worklist and bucketed
 /// priority). Every `all` scenario runs over a totally ordered
 /// absorptive dioid (`Trop`, `MinNat`, `𝔹`), so the frontier legs
@@ -99,24 +99,19 @@ fn assert_matrix_all<P>(
         + Sync,
 {
     assert_bulk_load_bit_identical(scenario, program, pops, bools);
-    let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
-    // The semi-naïve loop counts the round that finds δ empty, as the
-    // relational backend does.
     let converged = |outcome: EvalOutcome<P>| outcome.converged().expect("converges");
-    let (rel_semi, rel_steps) = converged(relational_seminaive_eval(program, pops, bools, CAP));
+    let (grounded, naive_steps) = converged(naive_eval_sparse(program, pops, bools, CAP));
+    // The semi-naïve loop counts the round that finds δ empty, as the
+    // grounded one does.
+    let (semi, semi_steps) = converged(seminaive_eval(program, pops, bools, CAP));
     let opts = EngineOpts::default();
+    let (eng_naive, eng_naive_steps) = converged(run(program, pops, bools, CAP, Naive, &opts));
     let (eng_semi, eng_steps) = converged(run(program, pops, bools, CAP, SemiNaive, &opts));
-    assert_eq!(eng_steps, rel_steps, "{scenario}: semi-naive steps");
-    let legs: [(&str, Database<P>); 6] = [
-        (
-            "relational naive",
-            relational_naive_eval(program, pops, bools, CAP).unwrap(),
-        ),
-        ("relational semi-naive", rel_semi),
-        (
-            "engine naive",
-            run(program, pops, bools, CAP, Naive, &EngineOpts::default()).unwrap(),
-        ),
+    assert_eq!(eng_naive_steps, naive_steps, "{scenario}: naive steps");
+    assert_eq!(eng_steps, semi_steps, "{scenario}: semi-naive steps");
+    let legs: [(&str, Database<P>); 5] = [
+        ("grounded semi-naive", semi),
+        ("engine naive", eng_naive),
         ("engine semi-naive", eng_semi),
         (
             "engine worklist",
@@ -150,8 +145,8 @@ fn assert_matrix_all<P>(
     assert_loop_parity(scenario, program, pops, bools, SemiNaive);
 }
 
-/// The three naive legs, for POPS without `⊖` (no complete distributive
-/// dioid structure): grounded, relational naive, engine naive.
+/// The two naive legs, for POPS without `⊖` (no complete distributive
+/// dioid structure): grounded naive, engine naive.
 fn assert_matrix_naive<P>(
     scenario: &str,
     program: &Program<P>,
@@ -162,9 +157,7 @@ fn assert_matrix_naive<P>(
 {
     assert_bulk_load_bit_identical(scenario, program, pops, bools);
     let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
-    let rel = relational_naive_eval(program, pops, bools, CAP).unwrap();
     let eng = run(program, pops, bools, CAP, Naive, &EngineOpts::default()).unwrap();
-    assert_same_db(scenario, "relational naive", &grounded, &rel);
     assert_same_db(scenario, "engine naive", &grounded, &eng);
     assert_loop_parity(scenario, program, pops, bools, Naive);
 }
@@ -251,8 +244,8 @@ fn assert_bulk_load_bit_identical<P: NaturallyOrdered + Send + Sync>(
     }
 }
 
-/// One `#[test]` per oracle scenario. `all` runs the seven-leg matrix,
-/// `naive` the three naive legs; the block must evaluate to
+/// One `#[test]` per oracle scenario. `all` runs the six-leg matrix,
+/// `naive` the two naive legs; the block must evaluate to
 /// `(Program<P>, Database<P>, BoolDatabase)`.
 macro_rules! backend_matrix {
     ($(all $name:ident => $setup:block)*) => {
@@ -327,6 +320,38 @@ backend_matrix! {
     all prefix_head_keyed_sec_4_5 => {
         let (program, edb) = ex::prefix_sum_keyed::<Trop>(&[2.0, 4.0, 1.5, 3.0, 0.5], Trop::finite);
         (program, edb, BoolDatabase::new())
+    }
+
+    // Sec. 4.5 — a counter whose heads mint the keys 1…4: the grounding
+    // must close over them (one grounding over D₀ = {0, 5} gives 2 rows).
+    all head_minted_counter_minnat => {
+        let src = "N(0) :- $1.\nN(I + 1) :- N(I) | I < 5.";
+        let program: Program<MinNat> = parse_program(src).unwrap();
+        let (pops, bools) = (Database::new(), BoolDatabase::new());
+        let out = naive_eval_sparse(&program, &pops, &bools, CAP).unwrap();
+        assert_eq!(out.get("N").unwrap().support_size(), 6, "N(0) … N(5)");
+        assert_eq!(naive_eval(&program, &pops, &bools, CAP).unwrap(), out, "dense grounding");
+        (program, pops, bools)
+    }
+
+    // A minted key reaches a body only through an IDB factor: `X` in
+    // `V(X + 1)` ranges over D₀ = {0, 1}, never over the minted -1, so
+    // R(-1) is R(0) ⊗ E(0, 1) = 7, not V(0) = 1.
+    all minted_keys_stay_out_of_edb_key_functions_trop => {
+        let src = "R(X) :- V(X + 1).\nR(Y - 2) :- R(X) * E(X, Y).";
+        let program: Program<Trop> = parse_program(src).unwrap();
+        let mut pops = Database::new();
+        let v = [(0i64, 1.0), (1, 2.0)].map(|(i, w)| (vec![i.into()], Trop::finite(w)));
+        pops.insert("V", Relation::from_pairs(1, v));
+        let e = (vec![0i64.into(), 1i64.into()], Trop::finite(5.0));
+        pops.insert("E", Relation::from_pairs(2, [e]));
+        let bools = BoolDatabase::new();
+        let out = naive_eval_sparse(&program, &pops, &bools, CAP).unwrap();
+        let r = out.get("R").unwrap();
+        assert_eq!(r.get(&vec![(-1i64).into()]), Trop::finite(7.0), "R(-1)");
+        assert_eq!(r.get(&vec![0i64.into()]), Trop::finite(2.0), "R(0)");
+        assert_eq!(r.support_size(), 2);
+        (program, pops, bools)
     }
 
     // Sec. 4.5 — the surface-syntax prefix program (body key function
@@ -860,10 +885,7 @@ fn divergence_agreement_nat_coefficient_blowup() {
     let bools = BoolDatabase::new();
     let legs: [(&str, datalog_o::core::EvalOutcome<Nat>); 3] = [
         ("grounded", naive_eval_sparse(&p, &pops, &bools, SMALL_CAP)),
-        (
-            "relational",
-            relational_naive_eval(&p, &pops, &bools, SMALL_CAP),
-        ),
+        ("grounded dense", naive_eval(&p, &pops, &bools, SMALL_CAP)),
         (
             "engine",
             run(&p, &pops, &bools, SMALL_CAP, Naive, &EngineOpts::default()),
@@ -884,8 +906,9 @@ fn divergence_agreement_nat_coefficient_blowup() {
 }
 
 /// Unbounded head-key minting is the other road to divergence (case (i):
-/// the active domain grows forever). The semi-naive backends — including
-/// the engine's dynamic interner — must agree on that too.
+/// the active domain grows forever). The grounded backends — whose
+/// domain closure never closes — and the engine's semi-naive and
+/// frontier loops, with its dynamic interner, must agree on that too.
 #[test]
 fn divergence_agreement_unbounded_head_minting() {
     use datalog_o::core::ast::{Atom, Factor, KeyFn, SumProduct, Term};
@@ -905,10 +928,14 @@ fn divergence_agreement_unbounded_head_minting() {
     const SMALL_CAP: usize = 25;
     let pops = Database::new();
     let bools = BoolDatabase::new();
-    let legs: [(&str, datalog_o::core::EvalOutcome<MinNat>); 4] = [
+    let legs: [(&str, datalog_o::core::EvalOutcome<MinNat>); 5] = [
         (
-            "relational semi-naive",
-            relational_seminaive_eval(&p, &pops, &bools, SMALL_CAP),
+            "grounded naive",
+            naive_eval_sparse(&p, &pops, &bools, SMALL_CAP),
+        ),
+        (
+            "grounded semi-naive",
+            seminaive_eval(&p, &pops, &bools, SMALL_CAP),
         ),
         (
             "engine semi-naive",

@@ -5,7 +5,7 @@
 //! anywhere is a bug in exactly one layer — these tests triangulate.
 
 use datalog_o::core::{
-    ground, ground_sparse, naive_eval_system, relational_naive_eval, relational_seminaive_eval,
+    ground, ground_sparse, naive_eval, naive_eval_sparse, naive_eval_system, seminaive_eval,
     BoolDatabase, Database, EvalOutcome, Program, Relation,
 };
 use datalog_o::pops::Pops;
@@ -172,22 +172,22 @@ fn winmove_three_way_on_larger_random_graphs() {
     }
 }
 
-/// Four-way agreement on every IDB: grounded (sparse) naive, relational
-/// naive, engine naive, engine semi-naive.
+/// Four-way agreement on every IDB: grounded (sparse) naive, grounded
+/// semi-naive, engine naive, engine semi-naive.
 fn assert_engine_agrees<P>(program: &Program<P>, pops: &Database<P>, bools: &BoolDatabase)
 where
     P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
 {
-    let grounded = naive_eval_system(&ground_sparse(program, pops, bools), 100_000).unwrap();
-    let relational = relational_naive_eval(program, pops, bools, 100_000).unwrap();
+    let grounded = naive_eval_sparse(program, pops, bools, 100_000).unwrap();
+    let grounded_semi = seminaive_eval(program, pops, bools, 100_000).unwrap();
     let eng_naive = run(program, pops, bools, 100_000, Naive).unwrap();
     let eng_semi = run(program, pops, bools, 100_000, SemiNaive).unwrap();
     for (pred, r) in grounded.iter() {
         let empty = Relation::new(r.arity());
         assert_eq!(
             r,
-            relational.get(pred).unwrap_or(&empty),
-            "relational {pred}"
+            grounded_semi.get(pred).unwrap_or(&empty),
+            "grounded semi {pred}"
         );
         assert_eq!(
             r,
@@ -208,7 +208,7 @@ where
 }
 
 #[test]
-fn engine_matches_grounded_and_relational_on_sssp_example_4_1() {
+fn engine_matches_grounded_on_sssp_example_4_1() {
     // Example 4.1: SSSP over Trop⁺ on the Fig. 2(a) graph.
     let (program, edb) = datalog_o::core::examples_lib::sssp_trop("a");
     assert_engine_agrees(&program, &edb, &BoolDatabase::new());
@@ -222,7 +222,7 @@ fn engine_matches_grounded_and_relational_on_sssp_example_4_1() {
 }
 
 #[test]
-fn engine_matches_grounded_and_relational_on_bom_example_4_2() {
+fn engine_matches_grounded_on_bom_example_4_2() {
     // Example 4.2 (bill of material) on the Fig. 2(b) subpart graph,
     // over MinNat (a complete distributive dioid, so every backend runs).
     use datalog_o::pops::MinNat;
@@ -245,10 +245,11 @@ fn engine_matches_grounded_and_relational_on_bom_example_4_2() {
 }
 
 #[test]
-fn engine_matches_relational_on_company_control_example_4_3() {
+fn engine_matches_grounded_on_company_control_example_4_3() {
     // Example 4.3 over ℝ₊ with the monotone threshold wrapped around the
     // IDB factor. ℝ₊ is naturally ordered but not a dioid (⊕ = +), so
-    // the semi-naïve backends are out; naive paths must still agree.
+    // the semi-naïve backends are out; the naive paths — sparse and
+    // dense grounding, the engine — must still agree.
     // Share weights are dyadic so float sums are exact under any
     // association order.
     let (program, pops, bools) = datalog_o::core::examples_lib::company_control(
@@ -261,16 +262,12 @@ fn engine_matches_relational_on_company_control_example_4_3() {
             ("b", "d", 0.25),
         ],
     );
-    let grounded = datalog_o::core::naive_eval_sparse(&program, &pops, &bools, 100_000).unwrap();
-    let relational = relational_naive_eval(&program, &pops, &bools, 100_000).unwrap();
+    let grounded = naive_eval_sparse(&program, &pops, &bools, 100_000).unwrap();
+    let dense = naive_eval(&program, &pops, &bools, 100_000).unwrap();
     let eng = run(&program, &pops, &bools, 100_000, Naive).unwrap();
     for (pred, r) in grounded.iter() {
         let empty = Relation::new(r.arity());
-        assert_eq!(
-            r,
-            relational.get(pred).unwrap_or(&empty),
-            "relational {pred}"
-        );
+        assert_eq!(r, dense.get(pred).unwrap_or(&empty), "dense {pred}");
         assert_eq!(r, eng.get(pred).unwrap_or(&empty), "engine {pred}");
     }
     // a controls d transitively: T(a, d) must accumulate past 0.5.
@@ -279,7 +276,7 @@ fn engine_matches_relational_on_company_control_example_4_3() {
 }
 
 #[test]
-fn engine_matches_grounded_and_relational_on_tc_random_graphs() {
+fn engine_matches_grounded_on_tc_random_graphs() {
     for seed in [71u64, 72, 73] {
         let g = GraphInstance::random(12, 30, 9, seed);
         // Trop: linear APSP and the quadratic TC rule.
@@ -294,19 +291,19 @@ fn engine_matches_grounded_and_relational_on_tc_random_graphs() {
 }
 
 #[test]
-fn engine_seminaive_agrees_with_relational_seminaive_step_counts() {
+fn engine_seminaive_agrees_with_grounded_seminaive_step_counts() {
     for seed in [81u64, 82] {
         let g = GraphInstance::random(10, 24, 5, seed);
         let (prog, edb) = g.sssp();
         let bools = BoolDatabase::new();
-        let rel = relational_seminaive_eval(&prog, &edb, &bools, 100_000)
+        let gnd = seminaive_eval(&prog, &edb, &bools, 100_000)
             .converged()
-            .expect("relational converges");
+            .expect("grounded converges");
         let eng = run(&prog, &edb, &bools, 100_000, SemiNaive)
             .converged()
             .expect("engine converges");
-        assert_eq!(rel.0, eng.0, "fixpoints differ, seed {seed}");
-        assert_eq!(rel.1, eng.1, "step counts differ, seed {seed}");
+        assert_eq!(gnd.0, eng.0, "fixpoints differ, seed {seed}");
+        assert_eq!(gnd.1, eng.1, "step counts differ, seed {seed}");
     }
 }
 

@@ -24,7 +24,9 @@ use datalog_o::pops::{
     Absorptive, CompleteDistributiveDioid, MaxMin, NNReal, NaturallyOrdered, Pops, PreSemiring,
     TotallyOrderedDioid, Trop,
 };
-use datalog_o::{engine_eval_interned, EngineOpts, Materialization, Naive, Schedule, Strategy};
+use datalog_o::{
+    engine_eval_interned, EngineOpts, Materialization, Naive, Schedule, SemiNaive, Strategy,
+};
 
 const CAP: usize = 100_000;
 
@@ -751,6 +753,98 @@ fn rebuild_keeps_minted_constant_ids_stable() {
             live.get(pred).unwrap_or(&empty),
             "rebuilt {pred} differs from from-scratch"
         );
+    }
+}
+
+/// One edit on a fresh handle under `schedule` against the
+/// from-scratch run on the edited EDB, with `R`'s rows pinned.
+fn assert_edit_matches_from_scratch<S: Schedule<Trop>>(
+    case: &str,
+    program: &Program<Trop>,
+    edb: &Database<Trop>,
+    edit: &Edit<Trop>,
+    want_r: &[(i64, f64)],
+    schedule: S,
+) {
+    let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+    let mut mat =
+        Materialization::new(program, edb, &bools, CAP, schedule, &opts).expect("compiles");
+    mat.apply(std::slice::from_ref(edit)).expect("edit applies");
+    let mut edited = edb.clone();
+    mirror(&mut edited, edit);
+    assert_eq!(mat.edb(), edited, "{case}: the edit's EDB effect");
+    let scratch = engine_eval_interned(program, &edited, &bools, CAP, schedule, &opts)
+        .expect("compiles")
+        .materialize()
+        .unwrap();
+    let live = mat.output().materialize();
+    let schedule = std::any::type_name::<S>();
+    assert_eq!(live, scratch, "{case}: {schedule} handle vs from-scratch");
+    let want: Vec<(Tuple, Trop)> = want_r
+        .iter()
+        .map(|&(x, w)| (vec![x.into()], Trop::finite(w)))
+        .collect();
+    let r = live.get("R").unwrap().support();
+    let got: Vec<(Tuple, Trop)> = r.map(|(t, v)| (t.clone(), *v)).collect();
+    assert_eq!(got, want, "{case}: {schedule} R");
+}
+
+/// `X` in `R(X) :- V(X + 1)` is bound by no atom, so it ranges over
+/// `D₀` — the live EDB's constants and the program's. An edit that
+/// grows or shrinks `D₀` must re-derive what `X` reaches, and a
+/// constant the heads minted (`R(-1)` below) never joins `D₀`.
+#[test]
+fn edits_that_move_d0_match_from_scratch() {
+    let src = "R(X) :- V(X + 1).\nR(Y - 2) :- R(X) * E(X, Y).\nS(X) :- W(X).";
+    let program: Program<Trop> = parse_program(src).unwrap();
+    let unary = |rows: &[(i64, f64)]| {
+        let rows = rows.iter().map(|&(x, w)| (vec![x.into()], Trop::finite(w)));
+        Relation::from_pairs(1, rows)
+    };
+    let db = |v: &[(i64, f64)], w: &[(i64, f64)], e: &[(i64, i64, f64)]| {
+        let mut db = Database::new();
+        db.insert("V", unary(v));
+        db.insert("W", unary(w));
+        let e = e
+            .iter()
+            .map(|&(x, y, c)| (vec![x.into(), y.into()], Trop::finite(c)));
+        db.insert("E", Relation::from_pairs(2, e));
+        db
+    };
+    let cases = [
+        (
+            "an insert grows D₀: R(-1) = V(0)",
+            db(&[(0, 1.0)], &[], &[]),
+            Edit::insert("W", vec![(-1i64).into()], Trop::finite(1.0)),
+            vec![(-1, 1.0)],
+        ),
+        (
+            "a delete shrinks D₀: R(0) = V(1) goes",
+            db(&[(1, 2.0)], &[(0, 9.0)], &[]),
+            Edit::delete("W", vec![0i64.into()]),
+            vec![],
+        ),
+        (
+            "an insert after minting: -1 stays out of D₀",
+            db(&[(0, 1.0), (1, 2.0)], &[], &[(0, 1, 5.0)]),
+            Edit::insert("V", vec![5i64.into()], Trop::finite(3.0)),
+            vec![(-1, 7.0), (0, 2.0)],
+        ),
+        (
+            "a relation no rule reads keeps its constants in D₀",
+            {
+                let mut edb = db(&[(0, 1.0)], &[], &[]);
+                edb.insert("U", unary(&[(-1, 1.0)]));
+                edb
+            },
+            Edit::insert("W", vec![3i64.into()], Trop::finite(1.0)),
+            vec![(-1, 1.0)],
+        ),
+    ];
+    for (case, edb, edit, want) in &cases {
+        assert_edit_matches_from_scratch(case, &program, edb, edit, want, Naive);
+        assert_edit_matches_from_scratch(case, &program, edb, edit, want, SemiNaive);
+        assert_edit_matches_from_scratch(case, &program, edb, edit, want, Strategy::Priority);
     }
 }
 

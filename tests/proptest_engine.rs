@@ -10,9 +10,9 @@
 use datalog_o::core::ast::{Atom, Factor, KeyFn, SumProduct, Term};
 use datalog_o::core::formula::{CmpOp, Formula};
 use datalog_o::core::{
-    bool_relation, ground, ground_sparse, naive_eval_system, parse_program, relational_naive_eval,
-    relational_seminaive_eval, render_program, seminaive_eval_system, BoolDatabase, Database,
-    EvalOutcome, Program, Relation,
+    bool_relation, ground, ground_sparse, naive_eval_sparse, naive_eval_system, parse_program,
+    render_program, seminaive_eval, seminaive_eval_system, BoolDatabase, Database, EvalOutcome,
+    Program, Relation,
 };
 use datalog_o::core::{Edit, Query, QueryArg};
 use datalog_o::pops::{
@@ -226,7 +226,7 @@ fn keyed_bools(n: usize) -> BoolDatabase {
     db
 }
 
-/// Engine ≡ relational on one POPS, naïve-vs-naïve and
+/// Engine ≡ grounded on one POPS, naïve-vs-naïve and
 /// semi-naïve-vs-semi-naïve, comparing the *full* outcome (database and
 /// step count).
 fn assert_keyed_agreement<P>(
@@ -246,10 +246,10 @@ where
     let prog = keyed_program::<P>(spec);
     let edb = keyed_edb(n, edges, lift);
     let bools = keyed_bools(n);
-    let rel_n = relational_naive_eval(&prog, &edb, &bools, 50_000);
+    let gnd_n = naive_eval_sparse(&prog, &edb, &bools, 50_000);
     let eng_n = run(&prog, &edb, &bools, 50_000, Naive, &EngineOpts::default());
-    prop_assert_eq!(&rel_n, &eng_n, "naive backends disagree, spec {:?}", spec);
-    let rel_s = relational_seminaive_eval(&prog, &edb, &bools, 50_000);
+    prop_assert_eq!(&gnd_n, &eng_n, "naive backends disagree, spec {:?}", spec);
+    let gnd_s = seminaive_eval(&prog, &edb, &bools, 50_000);
     let eng_s = run(
         &prog,
         &edb,
@@ -259,7 +259,7 @@ where
         &EngineOpts::default(),
     );
     prop_assert_eq!(
-        &rel_s,
+        &gnd_s,
         &eng_s,
         "semi-naive backends disagree, spec {:?}",
         spec
@@ -267,7 +267,7 @@ where
     // The frontier strategies reach the same fixpoint; their step
     // counts (pops/batches) differ from global iterations by design, so
     // compare the output databases only.
-    let reference = match &rel_s {
+    let reference = match &gnd_s {
         EvalOutcome::Converged { output, .. } => output,
         EvalOutcome::Diverged { .. } => {
             prop_assert!(false, "keyed programs are bounded, spec {:?}", spec);
@@ -293,13 +293,13 @@ where
         prop_assert_eq!(
             reference,
             &db,
-            "engine {:?} disagrees with relational semi-naive, spec {:?}",
+            "engine {:?} disagrees with grounded semi-naive, spec {:?}",
             strategy,
             spec
         );
     }
     prop_assert!(
-        matches!(rel_n, EvalOutcome::Converged { .. }),
+        matches!(gnd_n, EvalOutcome::Converged { .. }),
         "keyed programs are bounded, spec {:?}",
         spec
     );
@@ -619,7 +619,7 @@ proptest! {
 
     /// Random key-function programs (head + body shifts, comparisons,
     /// Boolean guards): the engine's native head-key path agrees with
-    /// the relational backend on Trop, Bool, and MinNat — databases and
+    /// the grounded backend on Trop, Bool, and MinNat — databases and
     /// step counts both.
     #[test]
     fn engine_agrees_on_random_keyed_programs(
@@ -728,41 +728,12 @@ proptest! {
         prop_assert_eq!(naivem, semim.unwrap());
     }
 
-    /// The relational backend (naive and semi-naive) agrees with the
-    /// grounded backend on random graphs over Trop and MinNat, for both
-    /// the linear SSSP/APSP programs and the quadratic TC rule.
-    #[test]
-    fn relational_backends_equal_grounded((_n, edges) in edges_strategy()) {
-        let edb = trop_edb(&edges);
-        let bools = BoolDatabase::new();
-        for prog in [
-            dlo_bench::single_source_int_program::<Trop>(0),
-            datalog_o::core::examples_lib::apsp_program::<Trop>(),
-            datalog_o::core::examples_lib::quadratic_tc_program::<Trop>(),
-        ] {
-            let grounded = naive_eval_system(
-                &ground_sparse(&prog, &edb, &bools), 100_000).unwrap();
-            let rel = relational_naive_eval(&prog, &edb, &bools, 100_000).unwrap();
-            let semi = relational_seminaive_eval(&prog, &edb, &bools, 100_000).unwrap();
-            for (pred, r) in grounded.iter() {
-                let empty = Relation::new(r.arity());
-                prop_assert_eq!(r, rel.get(pred).unwrap_or(&empty));
-                prop_assert_eq!(r, semi.get(pred).unwrap_or(&empty));
-            }
-            for (pred, r) in rel.iter() {
-                if grounded.get(pred).is_none() {
-                    prop_assert!(r.is_empty());
-                }
-            }
-        }
-    }
-
     /// The execution engine (interned + indexed + parallel semi-naïve)
-    /// agrees with the relational backend on random programs over Trop
+    /// agrees with the grounded backend on random programs over Trop
     /// and Bool: same fixpoint, and the semi-naïve step count never
     /// exceeds the naïve count by more than the final no-change check.
     #[test]
-    fn engine_agrees_with_relational((_n, edges) in edges_strategy()) {
+    fn engine_agrees_with_grounded((_n, edges) in edges_strategy()) {
         let bools = BoolDatabase::new();
         let edb_t = trop_edb(&edges);
         for prog in [
@@ -770,8 +741,8 @@ proptest! {
             datalog_o::core::examples_lib::apsp_program::<Trop>(),
             datalog_o::core::examples_lib::quadratic_tc_program::<Trop>(),
         ] {
-            let (naive, naive_steps) = relational_naive_eval(&prog, &edb_t, &bools, 100_000)
-                .converged().expect("relational converges");
+            let (naive, naive_steps) = naive_eval_sparse(&prog, &edb_t, &bools, 100_000)
+                .converged().expect("grounded converges");
             let (eng, eng_steps) = run(&prog, &edb_t, &bools, 100_000, SemiNaive, &EngineOpts::default())
                 .converged().expect("engine converges");
             for (pred, r) in naive.iter() {
@@ -800,8 +771,8 @@ proptest! {
             datalog_o::core::examples_lib::apsp_program::<Bool>(),
             datalog_o::core::examples_lib::quadratic_tc_program::<Bool>(),
         ] {
-            let (naive, naive_steps) = relational_naive_eval(&prog, &edb_b, &bools, 100_000)
-                .converged().expect("relational converges");
+            let (naive, naive_steps) = naive_eval_sparse(&prog, &edb_b, &bools, 100_000)
+                .converged().expect("grounded converges");
             let (eng, eng_steps) = run(&prog, &edb_b, &bools, 100_000, SemiNaive, &EngineOpts::default())
                 .converged().expect("engine converges");
             for (pred, r) in naive.iter() {

@@ -148,7 +148,7 @@ fn company_control_threshold_in_surface_syntax() {
 fn head_keyed_prefix_in_surface_syntax_via_default_eval() {
     // A key function in the rule *head*, straight from program text,
     // through the engine's semi-naïve schedule — it evaluates every
-    // program the parser accepts (no relational fallback). Over Trop⁺
+    // program the parser accepts (no fallback backend). Over Trop⁺
     // each key has one derivation, so ⊗ = + gives prefix sums.
     let src = "
         W(0) :- V(0).
