@@ -66,9 +66,11 @@ pub struct Counters {
     /// Candidate tuples scanned: full-scan range lengths plus probe
     /// posting-list lengths, before per-row checks.
     pub tuples_scanned: u64,
-    /// Accumulated rows inserted as brand-new keys.
+    /// Rows that entered the support: a brand-new key, or a row at `0`
+    /// taking a value — a maintenance delete's zeroed row coming back is
+    /// an insertion, counted by the step that lands it.
     pub rows_inserted: u64,
-    /// Accumulated rows that strictly improved an existing key's value.
+    /// Rows of the support whose value strictly improved.
     pub rows_improved: u64,
     /// Merges absorbed without change (`old ⊕ new = old`).
     pub merges_absorbed: u64,
@@ -98,10 +100,10 @@ pub struct Counters {
     pub cone_of_rows: u64,
     /// IDB rows a maintenance delete took out of the state before
     /// rederiving — zeroed in place, on every handle — and what the
-    /// rederive's `rows_inserted` (the rows that came back) is to be
-    /// read against: the difference is gone for good. 0 for everything
-    /// that is not a delete, and for a delete stopped before its
-    /// zero-out.
+    /// rederive's `rows_inserted` (the zeroed rows that came back, each
+    /// an insertion) is to be read against: the difference is gone for
+    /// good. 0 for everything that is not a delete, and for a delete
+    /// stopped before its zero-out.
     pub rows_retracted: u64,
 }
 

@@ -31,8 +31,7 @@
 //!   5–9× the hash index it would replace (see the crate docs), so the
 //!   two structures split the regimes instead of sharing them.
 //! * **Clones are free.** The run sits behind an `Arc`; cloning the
-//!   owning relation (an `@old` snapshot of a bulk EDB) copies a
-//!   pointer, not the sorted keys.
+//!   owning relation copies a pointer, not the sorted keys.
 //! * **Probes stay deterministic.** A run is ordered by permuted key
 //!   and then by row id, so the rows matching a key prefix come back
 //!   ascending only within one full key; the caller sorts them

@@ -48,7 +48,7 @@ use crate::plan::{compile_demand, CompileError, CompiledProgram, Plan, Source};
 use crate::storage::{probes_full_key, AccumMap, ColMask, ColumnRel};
 use crate::telemetry::Collector;
 use dlo_core::ast::Program;
-use dlo_core::eval::stats::EvalStats;
+use dlo_core::eval::stats::{Counters, EvalStats};
 use dlo_core::eval::{CancelToken, EvalBudget, EvalError, TraceHandle};
 use dlo_core::ground::domain;
 use dlo_core::relation::{BoolDatabase, Database};
@@ -629,7 +629,7 @@ pub(crate) fn merge_fresh<P: PreSemiring>(
 /// injectively to brand-new ids (they were not interned when the phase
 /// ran) and `Id` cells predate the phase, so a minted row can collide
 /// neither with another minted row nor with any row already stored.
-pub(crate) fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
+fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
     key.iter()
         .map(|hv| match hv {
             HeadVal::Id(id) => *id,
@@ -787,8 +787,8 @@ pub(crate) struct RoundPlans<'a, P> {
     /// The program's full-application plans (what naïve rounds re-run).
     pub(crate) full: &'a [Plan<P>],
     /// What the seed round of the semi-naïve rounds or of a frontier
-    /// folds in: every full plan at a build, the telescoped `@dlt`
-    /// variants at an insert, the affected heads' plans after a
+    /// folds in: every full plan at a build, the `@dlt` variants at an
+    /// insert, the affected heads' plans after a
     /// retraction.
     pub(crate) seed: &'a [Plan<P>],
     /// Edit rows driving the seed round (its `delta_rows` stats cell).
@@ -911,14 +911,14 @@ pub(crate) fn evaluate<P: Pops + Send, S: Schedule<P>>(
 /// numbered from `start`; returns the step that found the fixpoint,
 /// the first round that changed no row.
 ///
-/// Each round computes `F(J)` whole, then lands it **in place**: a new
-/// key is inserted, a changed value overwritten, an equal one absorbed,
-/// and the landings are counted like every other loop's merges. That is
-/// `J ↦ F(J)` because every start is a pre-fixpoint — the empty state,
-/// the old fixpoint under an insert's grown operator, a delete's
-/// survivors with its cone at `0` — so `F(J) ⊒ J` pointwise, at every
-/// round after too (`F` is monotone): no row of `J` is missing from
-/// `F(J)` unless it is `0`, and no landed value lowers a row.
+/// Each round computes `F(J)` whole, then lands it **in place**
+/// ([`land`]): a new key is inserted, a changed value overwritten, an
+/// equal one absorbed. That is `J ↦ F(J)` because every start is a
+/// pre-fixpoint — the empty state, the old fixpoint under an insert's
+/// grown operator, a delete's survivors with its cone at `0` — so
+/// `F(J) ⊒ J` pointwise, at every round after too (`F` is monotone): no
+/// row of `J` is missing from `F(J)` unless it is `0`, and no landed
+/// value lowers a row.
 pub(crate) fn naive_rounds<P: NaturallyOrdered>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
@@ -931,41 +931,17 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
     loop {
         run.check(steps, Checkpoint::Iteration)?;
         let before = run.col.stats.counters;
-        let (contrib, fresh) = run_round(engine, plans, state, &mut run.col)
+        let mut phase = run_round(engine, plans, state, &mut run.col)
             .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
-        let set_valued = &engine.compiled.set_valued;
-        let c = &mut run.col.stats.counters;
-        let mut land = |pred: usize, key: &[u32], v: P| {
-            // Set-valued (magic) rows always hold `1`: demand is a set,
-            // whatever `⊕`-sum the plans accumulated.
-            let v = if set_valued[pred] { P::one() } else { v };
-            let new = &mut state.new[pred];
-            match new.rowid(key) {
-                Some(r) if *new.val(r) == v => c.merges_absorbed += 1,
-                Some(r) => {
-                    debug_assert!(new.val(r).leq(&v), "naïve rounds start at a pre-fixpoint");
-                    new.set_val(r, v);
-                    c.rows_improved += 1;
-                }
-                None => {
-                    new.insert_row(key, v);
-                    c.rows_inserted += 1;
-                }
-            }
-        };
-        for (pred, acc) in contrib.into_iter().enumerate() {
-            acc.drain_sorted(|key, v| land(pred, key, v));
-        }
-        let t_mint = Instant::now();
-        let minted_before = engine.interner.len();
-        for (pred, acc) in fresh.into_iter().enumerate() {
-            for (key, v) in acc {
-                land(pred, &mint_key(&mut engine.interner, &key), v);
-            }
-        }
-        let c = &mut run.col.stats.counters;
-        c.minted_ids += (engine.interner.len() - minted_before) as u64;
-        run.col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
+        let (new, col) = (&mut state.new, &mut run.col);
+        land(engine, new, &mut phase, col, |_, _, _, old, v| {
+            debug_assert!(
+                old.is_none_or(|old| old.leq(&v)),
+                "naïve rounds start at a pre-fixpoint"
+            );
+            (old != Some(&v)).then_some(v)
+        });
+        let c = &run.col.stats.counters;
         let fixed =
             c.rows_inserted + c.rows_improved == before.rows_inserted + before.rows_improved;
         run.col.end_step(steps, 0, 0, &before);
@@ -1004,9 +980,9 @@ where
         let (round_plans, delta_rows, checkpoint) = round;
         run.check(steps, checkpoint)?;
         let before = run.col.stats.counters;
-        let (contrib, fresh) = run_round(engine, round_plans, state, &mut run.col)
+        let mut phase = run_round(engine, round_plans, state, &mut run.col)
             .map_err(LoopFail::at(checkpoint, steps))?;
-        apply_contrib(engine, state, contrib, fresh, &mut run.col);
+        apply_contrib(engine, state, &mut phase, &mut run.col);
         run.col.end_step(steps, delta_rows, 0, &before);
         if steps >= cap {
             return Err(LoopFail::Diverged(steps));
@@ -1020,17 +996,15 @@ where
     }
 }
 
-/// The semi-naïve **advance**: merges one phase's accumulated
-/// contributions into the IDB state — `δ' = contrib ⊖ new` (pointwise
-/// on supports), `new' = new ⊕ contrib` — minting fresh head keys
-/// between phases, and leaves `state.delta` holding the next
-/// iteration's indexed delta — every round of [`seminaive_rounds`],
-/// seed round included.
+/// The semi-naïve **advance**: lands one phase's accumulated
+/// contributions in the IDB state ([`land`]) — `δ' = contrib ⊖ new`
+/// (pointwise on supports), `new' = new ⊕ contrib` — and leaves
+/// `state.delta` holding the next iteration's indexed delta — every
+/// round of [`seminaive_rounds`], seed round included.
 pub(crate) fn apply_contrib<P>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
-    contrib: Accum<P>,
-    fresh: FreshAccum<P>,
+    phase: &mut (Accum<P>, FreshAccum<P>),
     col: &mut Collector,
 ) where
     P: NaturallyOrdered + CompleteDistributiveDioid,
@@ -1039,63 +1013,112 @@ pub(crate) fn apply_contrib<P>(
     for ch in &mut state.changed {
         ch.clear();
     }
-    let set_valued = &engine.compiled.set_valued;
-    let c = &mut col.stats.counters;
-    // Advance one key: δ' = v ⊖ new (pointwise), new' = new ⊕ v.
-    let mut land = |pred: usize, key: &[u32], v: P| {
-        let new = &mut state.new[pred];
-        if set_valued[pred] {
-            // Set-valued (magic) rows: present means settled —
-            // no merge, no delta for already-demanded bindings.
-            if new.rowid(key).is_none() {
-                next_delta[pred].append_row(key, P::one());
-                let r = new.insert_row(key, P::one());
-                state.changed[pred].insert(r, None);
-                c.rows_inserted += 1;
-            } else {
-                c.set_valued_shortcircuits += 1;
-            }
-            return;
-        }
-        let existing = new.get(key).cloned().unwrap_or_else(P::zero);
-        let diff = v.minus(&existing);
+    let (zero, new, changed) = (P::zero(), &mut state.new, &mut state.changed);
+    land(engine, new, phase, col, |pred, key, r, old, v| {
+        let diff = v.minus(old.unwrap_or(&zero));
         if diff.is_zero() {
-            c.merges_absorbed += 1;
-            return;
+            return None;
         }
         next_delta[pred].append_row(key, diff);
-        match new.rowid(key) {
-            Some(r) => {
-                let merged = existing.add(&v);
-                state.changed[pred].insert(r, Some(existing));
-                new.set_val(r, merged);
-                c.rows_improved += 1;
-            }
-            None => {
-                let r = new.insert_row(key, v);
-                state.changed[pred].insert(r, None);
-                c.rows_inserted += 1;
-            }
-        }
-    };
-    for (pred, acc) in contrib.into_iter().enumerate() {
-        acc.drain_sorted(|key, v| land(pred, key, v));
-    }
-    // Fresh head keys name rows that cannot exist yet (their minted
-    // cells were not interned when the phase ran): they land on the
-    // append arm, δ' = v ⊖ 0.
-    let t_mint = Instant::now();
-    let minted_before = engine.interner.len();
-    for (pred, acc) in fresh.into_iter().enumerate() {
-        for (key, v) in acc {
-            let key = mint_key(&mut engine.interner, &key);
-            land(pred, &key, v);
-        }
-    }
-    col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
-    col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
+        changed[pred].insert(r, old.cloned());
+        Some(old.map(|old| old.add(&v)).unwrap_or(v))
+    });
     state.delta = next_delta;
     ensure_delta_indexes(engine, state);
+}
+
+/// A phase's buffered emissions, per head predicate: the rounds'
+/// accumulators, a frontier's ordered buffers.
+pub(crate) trait Emissions<P> {
+    /// Hands every emission to `land` as `(pred, key, value)`, in the
+    /// order the loop lands them, and leaves the buffers empty.
+    fn drain(&mut self, land: impl FnMut(usize, &[u32], P));
+}
+
+impl<P: PreSemiring> Emissions<P> for Accum<P> {
+    /// Predicate by predicate, each in ascending key order
+    /// ([`AccumMap::drain_sorted`]).
+    fn drain(&mut self, mut land: impl FnMut(usize, &[u32], P)) {
+        for (pred, acc) in std::mem::take(self).into_iter().enumerate() {
+            acc.drain_sorted(|key, v| land(pred, key, v));
+        }
+    }
+}
+
+/// The one landing step every loop's rows go through — the naïve
+/// rounds, the semi-naïve advance, a frontier batch. It lands a phase's
+/// interned emissions, then its fresh keys, in `new`, and each loop
+/// passes only its
+/// `rule`: handed `(pred, key, row, stored, value)`, it returns the
+/// value to store, or `None` to absorb ([`ColumnRel::land`]). The step
+/// owns what the loops share:
+///
+/// * a set-valued (magic) row is inserted at `1` once — demand is a
+///   set, whatever `⊕`-sum the plans accumulated — and every later
+///   emission to it is a `set_valued_shortcircuits`, `rule` unasked;
+/// * fresh head keys are minted between phases, in the sorted order of
+///   their accumulators (`mint_key`), and land like any other key: the
+///   clock is read only when there are some;
+/// * each landing is counted once: `rows_inserted` when the row enters
+///   the support (absent, or at `0` — a delete's zeroed row coming
+///   back), `rows_improved` when a row of the support rises,
+///   `merges_absorbed` when `rule` declines.
+#[inline(always)]
+pub(crate) fn land<P: Pops>(
+    engine: &mut Engine<P>,
+    new: &mut [ColumnRel<P>],
+    (emitted, fresh): &mut (impl Emissions<P>, FreshAccum<P>),
+    col: &mut Collector,
+    mut rule: impl FnMut(usize, &[u32], u32, Option<&P>, P) -> Option<P>,
+) {
+    let (interner, set_valued) = (&mut engine.interner, &engine.compiled.set_valued);
+    let c = &mut col.stats.counters;
+    emitted.drain(|pred, key, v| land_row(new, set_valued, pred, key, v, c, &mut rule));
+    if fresh.iter().all(BTreeMap::is_empty) {
+        return;
+    }
+    let t_mint = Instant::now();
+    let minted_before = interner.len();
+    for (pred, facc) in fresh.iter_mut().enumerate() {
+        while let Some((key, v)) = facc.pop_first() {
+            let key = mint_key(interner, &key);
+            land_row(new, set_valued, pred, &key, v, c, &mut rule);
+        }
+    }
+    c.minted_ids += (interner.len() - minted_before) as u64;
+    col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
+}
+
+/// [`land`] for one emission.
+#[inline(always)]
+fn land_row<P: Pops>(
+    new: &mut [ColumnRel<P>],
+    set_valued: &[bool],
+    pred: usize,
+    key: &[u32],
+    v: P,
+    c: &mut Counters,
+    rule: &mut impl FnMut(usize, &[u32], u32, Option<&P>, P) -> Option<P>,
+) {
+    let (set_valued, mut present, mut held) = (set_valued[pred], false, false);
+    let (_, stored) = new[pred].land(key, |r, old| {
+        present = old.is_some();
+        held = old.is_some_and(|old| !old.is_zero());
+        match (set_valued, present) {
+            (true, true) => None,
+            (true, false) => rule(pred, key, r, None, P::one()),
+            (false, _) => rule(pred, key, r, old, v),
+        }
+    });
+    if stored && held {
+        c.rows_improved += 1;
+    } else if stored {
+        c.rows_inserted += 1;
+    } else if set_valued && present {
+        c.set_valued_shortcircuits += 1;
+    } else {
+        c.merges_absorbed += 1;
+    }
 }
 
 /// Ensures the per-iteration delta's probe structures.

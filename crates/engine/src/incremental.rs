@@ -1,28 +1,34 @@
 //! Incremental maintenance: a live [`Materialization`] that absorbs
 //! EDB edits without re-running the fixpoint from scratch.
 //!
-//! ## Inserts: telescoping the EDB differential
+//! ## Inserts: one variant per EDB occurrence
 //!
-//! For an edit `E ↦ E ⊕ ΔE` the new fixpoint's seed difference
-//! telescopes over the EDB *occurrences* of each sum-product exactly
-//! like Theorem 6.5 telescopes over IDB occurrences: for a body with
-//! occurrences `E₁ … Eₙ` of edited relations,
+//! For an edit `E ↦ E′ = E ⊕ ΔE`, expand a sum-product over its EDB
+//! occurrences `E₁ … Eₙ` by distributivity of `⊗` over `⊕`: every term
+//! of `F′(J)` that is not a term of `F(J)` carries `ΔE` at some
+//! occurrence `i`, and the **variant** `i` — `ΔEᵢ` there, the live,
+//! edited relations at every other occurrence — enumerates it:
 //!
 //! ```text
-//! F'(J) ⊖ F(J) = ⊕ᵢ  (E@old …)  ⊗ ΔEᵢ ⊗ (E@new …)
-//!                    └ j < i ┘            └ j > i ┘
+//! F′(J) = F(J) ⊕ ⊕ᵢ  E′₁ ⊗ … ⊗ ΔEᵢ ⊗ … ⊗ E′ₙ
 //! ```
 //!
-//! which is exact under distributivity of `⊗` over `⊕` — no dioid
-//! structure needed for the identity itself. [`Materialization::new`]
-//! compiles these *variant rules* once (predicates renamed with the
-//! reserved `@dlt`/`@old` suffixes, which resolve to engine EDB slots
-//! populated per edit), so every edit reuses the same plans; the
-//! `@dlt` binder is forced first by the join order, making the edit
-//! seed `O(|Δ|·join)` instead of a full scan. Because the old fixpoint
+//! An instance with edited facts at two occurrences is enumerated by
+//! two variants, so the identity needs `⊕` idempotent — and that is
+//! exactly where the variants' values are used: only [`crate::SemiNaive`]
+//! and a [`Strategy`] fold an insert's variants into values, and both
+//! are bounded by a dioid (Theorem 6.5; `dlo_pops::checker::dioid_laws`
+//! checks the law), whose fold does not change when a term repeats.
+//! [`crate::Naive`] inserts never run them (below). [`Materialization::new`]
+//! compiles the variant rules once (occurrence `i` renamed with the
+//! reserved `@dlt` suffix, an engine EDB slot populated per edit), so
+//! every edit reuses the same plans; the `@dlt` binder is forced first
+//! by the join order, making the edit seed `O(|Δ|·join)` instead of a
+//! full scan. No other relation is staged: the other occurrences read
+//! the live EDB, which already holds the edit. Because the old fixpoint
 //! `J` is a pre-fixpoint of the grown immediate-consequence operator
-//! `F'`, the ordinary semi-naïve continuation from `J` with seed
-//! `δ = F'(J) ⊖ F(J)` converges to the new least fixpoint — *insert-only
+//! `F′`, the ordinary semi-naïve continuation from `J` seeded with the
+//! variants converges to the new least fixpoint — *insert-only
 //! maintenance needs no retraction machinery at all*. A frontier handle
 //! (below) runs the same variant plans as its seed round and needs no
 //! `⊖`: their contributions are `⊕`-merged into `J`, and every row that
@@ -44,6 +50,10 @@
 //!    values) and then the Δ family, fed the newly marked rows round by
 //!    round, enumerate every ground instance that uses a deleted fact
 //!    or a marked row, all of it evaluated at the old fixpoint `J`.
+//!    The marking runs before any live relation changes, so a variant
+//!    reads the pre-delete EDB at its other occurrences: an instance
+//!    with deleted facts at two occurrences is enumerated twice, which
+//!    marks nothing a single enumeration would not.
 //!    Each round `⊕`-folds its contributions per head key, and one test
 //!    says which heads join the cone:
 //!    * **syntactic**, wherever the attaining argument does not reach:
@@ -77,7 +87,7 @@
 //!    are (every derivation that counts for one reads unmarked rows
 //!    only: every derivation under the syntactic test, every attaining
 //!    one under the other), so all that is missing is `F′(survivors)`
-//!    on the marked keys. Beside the `@dlt` / `@old` variants the handle
+//!    on the marked keys. Beside the `@dlt` variants the handle
 //!    compiles one **head-guarded variant** per sum-product, `H(args) :-
 //!    H@cone(args) * body`, `H@cone` an engine relation staged per
 //!    delete with the marked keys at `1` and forced first by the join
@@ -208,7 +218,12 @@
 //!   [`Materialization::rebuild`] does (its stats are a build's), and
 //!   if that fails, the handle stays as it was before the edit.
 //! * Each edit produces its own [`EvalStats`] (per-phase, per-rule)
-//!   via [`Materialization::last_stats`].
+//!   via [`Materialization::last_stats`], landed through the one step
+//!   every loop lands through, so its per-step rows sum to its totals.
+//! * An edit stages only its batch (`@dlt`) and, for a delete, its
+//!   cone's guards (`@cone`): a variant reads the live EDB at every
+//!   other occurrence — after an insert's merge, before a delete's
+//!   removal.
 //! * The handle holds **one copy of the EDB**, the interned relations
 //!   its plans join against; [`Materialization::edb`] decodes them.
 //! * A query is a **read of the standing fixpoint**: one scan of the
@@ -235,7 +250,7 @@ use crate::driver::{
 use crate::govern::Checkpoint;
 use crate::intern::Interner;
 use crate::output::{decode_db, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
-use crate::plan::{Plan, EDB_CONE_SUFFIX, EDB_DELTA_SUFFIX, EDB_OLD_SUFFIX};
+use crate::plan::{Plan, EDB_CONE_SUFFIX, EDB_DELTA_SUFFIX};
 use crate::query::{unanswerable, QueryAnswer};
 use crate::storage::ColumnRel;
 use crate::worklist::Strategy;
@@ -262,10 +277,6 @@ struct EditSlot {
     cur: usize,
     /// `pops_edb` index of the `name@dlt` edit-batch relation.
     dlt: Option<usize>,
-    /// `pops_edb` index of the `name@old` pre-edit snapshot (only
-    /// registered when some sum-product mentions the predicate at two
-    /// or more occurrences).
-    old: Option<usize>,
 }
 
 /// A long-lived materialized fixpoint over an interned engine state,
@@ -290,8 +301,8 @@ pub struct Materialization<P: Pops, S = Strategy> {
     /// Original-rule full-application plans (initial build, naïve
     /// edits, delete rederive).
     seed_plans: Vec<Plan<P>>,
-    /// Variant-rule telescoped plans reading `@dlt`/`@old` (insert
-    /// differential seed, delete affected-set seed).
+    /// Variant-rule plans reading `@dlt` (insert differential seed,
+    /// delete affected-set seed).
     edit_plans: Vec<Plan<P>>,
     /// The original rules' Δ family (continuation loops under every
     /// schedule, and affected-set propagation); the variant rules'
@@ -345,11 +356,12 @@ struct MaintenanceProgram<P> {
     cone_rules: usize,
 }
 
-/// Appends the telescoped variant rules: for each sum-product and each
-/// EDB occurrence `i`, a copy reading `E@dlt` at `i`, `E@old` at
-/// earlier EDB occurrences, and the live relations elsewhere. Factor
-/// order (and with it `⊗` order) is preserved, which is what makes the
-/// telescoping identity exact for non-commutative value assembly.
+/// Appends the variant rules: for each sum-product and each EDB
+/// occurrence `i`, a copy reading `E@dlt` at `i` and the live relations
+/// everywhere else (module docs: exact wherever a variant's values are
+/// used). Factor order (and with it `⊗` order) is preserved, so a
+/// variant's value is the original's bit for bit under non-commutative
+/// value assembly.
 ///
 /// The **head-guarded variants** follow: `H(args) :- H@cone(args) *
 /// body` for every sum-product of every rule whose head arguments are
@@ -386,14 +398,10 @@ fn maintenance_program<P: Pops>(program: &Program<P>) -> Result<MaintenanceProgr
                     editable.push((f.atom.pred.clone(), f.atom.args.len()));
                 }
             }
-            for (vi, &fi) in edb_occs.iter().enumerate() {
+            for &fi in &edb_occs {
                 let mut vsp = sp.clone();
                 vsp.factors[fi].atom.pred =
                     format!("{}{}", vsp.factors[fi].atom.pred, EDB_DELTA_SUFFIX);
-                for &fj in &edb_occs[..vi] {
-                    vsp.factors[fj].atom.pred =
-                        format!("{}{}", vsp.factors[fj].atom.pred, EDB_OLD_SUFFIX);
-                }
                 out.rules.push(Rule {
                     head: rule.head.clone(),
                     body: vec![vsp],
@@ -563,7 +571,6 @@ where
             .map(|(name, arity)| EditSlot {
                 cur: pos(&name).expect("every editable predicate is a compiled EDB"),
                 dlt: pos(&format!("{name}{EDB_DELTA_SUFFIX}")),
-                old: pos(&format!("{name}{EDB_OLD_SUFFIX}")),
                 name,
                 arity,
             })
@@ -934,30 +941,18 @@ where
         engine.pops_edb[slot] = Some(rel);
     }
 
-    /// Stages the edit relations of touched slot `si`: `@old`, where
-    /// registered, snapshots the live relation as it stands, and `@dlt`,
-    /// where registered, is a fresh relation under its probe masks that
-    /// `fill` loads with the batch (it is handed the live relation to
-    /// read values from).
+    /// Stages the `@dlt` relation of touched slot `si`, where
+    /// registered: a fresh relation under its probe masks that `fill`
+    /// loads with the batch (it is handed the live relation to read
+    /// values from).
     fn stage_edit_rels(
         &mut self,
         si: usize,
         fill: impl FnOnce(&mut ColumnRel<P>, Option<&ColumnRel<P>>),
     ) {
         let EditSlot {
-            cur,
-            dlt,
-            old,
-            arity,
-            ..
+            cur, dlt, arity, ..
         } = self.slots[si];
-        if let Some(oi) = old {
-            let mut snap = self.engine.pops_edb[cur].clone();
-            if let Some(rel) = snap.as_mut() {
-                ensure_probes(rel, &self.engine.pops_masks[oi]);
-            }
-            self.engine.pops_edb[oi] = snap;
-        }
         if let Some(di) = dlt {
             Self::stage_rel(&mut self.engine, di, arity, |d, edb| {
                 fill(d, edb[cur].as_ref())
@@ -966,10 +961,10 @@ where
     }
 
     /// Interns and stages an insert batch (`slots[i]` is the validated
-    /// slot index of `batch[i]`): snapshots `@old` where registered,
-    /// builds the `@dlt` relations (duplicate tuples `⊕`-merge), and
-    /// `⊕`-merges the rows into the live relations. Returns the touched
-    /// slot indexes.
+    /// slot index of `batch[i]`): builds the `@dlt` relations (duplicate
+    /// tuples `⊕`-merge) and `⊕`-merges the rows into the live
+    /// relations, which the variants read at their other occurrences.
+    /// Returns the touched slot indexes.
     fn stage_insert(&mut self, batch: &[FactInsert<P>], slots: &[usize]) -> Vec<usize> {
         let mut per_slot: Vec<Vec<(Vec<u32>, P)>> = (0..self.slots.len()).map(|_| vec![]).collect();
         for (f, &si) in batch.iter().zip(slots) {
@@ -1006,11 +1001,10 @@ where
     }
 
     /// Stages a delete batch (`slots[i]` is the validated slot index of
-    /// `batch[i]`): `@dlt` holds the *present* targeted rows
-    /// at their current values, `@old` snapshots the pre-delete
-    /// relation (so every telescoped variant enumerates marking
-    /// instances). The live relations are **not** touched yet — the
-    /// affected-set propagation runs against the pre-delete state, and
+    /// `batch[i]`): `@dlt` holds the *present* targeted rows at their
+    /// current values. The live relations are **not** touched yet — the
+    /// affected-set propagation runs against the pre-delete state, which
+    /// the variants read at their other occurrences, and
     /// [`Materialization::delete_run`] takes the rows out after it,
     /// whether or not it failed. Returns the
     /// deleted rows' ids in the live relation, ascending, per touched
@@ -1046,18 +1040,15 @@ where
         staged
     }
 
-    /// Clears the `@dlt` relations (masks stay registered) and drops
-    /// the `@old` snapshots of the touched slots.
+    /// Clears the `@dlt` relations of the touched slots (masks stay
+    /// registered).
     fn clear_edit_rels(&mut self, touched: &[usize]) {
         for &si in touched {
-            let (dlt, old) = (self.slots[si].dlt, self.slots[si].old);
-            if let Some(di) = dlt {
-                if let Some(rel) = self.engine.pops_edb[di].as_mut() {
-                    rel.clear();
-                }
-            }
-            if let Some(oi) = old {
-                self.engine.pops_edb[oi] = None;
+            let dlt = self.slots[si]
+                .dlt
+                .and_then(|di| self.engine.pops_edb[di].as_mut());
+            if let Some(rel) = dlt {
+                rel.clear();
             }
         }
     }
@@ -1167,10 +1158,10 @@ where
 
     /// Absorbs an insert batch: `⊕`-merges the facts into the EDB and
     /// continues the fixpoint from the old one (a pre-fixpoint of the
-    /// grown operator). The variant plans compute what the batch adds,
-    /// `F'(J) ⊖ F(J)`, telescoped over its occurrences: the semi-naïve
-    /// schedules fold it in through the standard advance and continue
-    /// with delta rounds; a frontier merges it into the state and
+    /// grown operator). The variant plans enumerate what the batch
+    /// adds, one per EDB occurrence, reading the edited EDB elsewhere:
+    /// the semi-naïve schedules fold it in through the standard advance
+    /// and continue with delta rounds; a frontier merges it into the state and
     /// drains the rows it improved through its own queue; under
     /// [`crate::Naive`] the naïve rounds re-run the original rules —
     /// often a single confirming step when the edit is absorbed.
@@ -1322,18 +1313,12 @@ where
         }
         let steps = result?;
         // What is still `0` has no derivation left: gone for good. The
-        // rest came back through a merge into a standing row, which the
-        // loops count as an improvement: re-file each row's return as
+        // rest came back, each counted by the step that landed it as
         // the insertion it is.
-        let mut gone = 0;
         for (rows, rel) in affected.iter_mut().zip(&mut self.state.new) {
             rows.retain(|&r| rel.val(r).is_zero());
-            gone += rows.len() as u64;
             rel.remove_rows(rows);
         }
-        let c = &mut run.col.stats.counters;
-        c.rows_improved -= marked - gone;
-        c.rows_inserted += marked - gone;
         Ok(steps)
     }
 

@@ -38,8 +38,9 @@
 //!   is magic-set rewritten (`dlo_core::demand`) and evaluated by any
 //!   of the loops, with the frontier seeded from the query constants;
 //! * [`incremental`] — **incremental maintenance**: a long-lived
-//!   [`Materialization`] absorbs EDB edits — `⊕`-merge inserts by the
-//!   telescoped differential, deletes by dioid-valued delete–rederive —
+//!   [`Materialization`] absorbs EDB edits — `⊕`-merge inserts by one
+//!   variant per edited EDB occurrence, deletes by dioid-valued
+//!   delete–rederive —
 //!   without re-running the fixpoint from scratch, and answers queries
 //!   by reading the fixpoint it holds;
 //! * [`output`] — **decode-free result handles**
@@ -223,13 +224,15 @@
 //! EDB grows the immediate-consequence operator pointwise, so the old
 //! fixpoint is a pre-fixpoint of the new operator and the handle's
 //! ordinary continuation (semi-naïve rounds, or a frontier's queue) —
-//! seeded with the *telescoped EDB
-//! differential* `F'(J) ⊖ F(J)`, computed by `@dlt`-variant plans that
-//! replay Theorem 6.5's prefix-new/Δ/suffix-old split over EDB
-//! occurrences — converges to the new least fixpoint in `O(|Δ|)`-driven
-//! work. **Deletes are where idempotence would be quietly assumed**:
-//! classical DRed over the Boolean lattice can re-derive a deleted
-//! fact's value by finding *any* alternative derivation, but over a
+//! seeded with the *EDB differential*, computed by `@dlt`-variant plans
+//! that read the edit batch at one EDB occurrence and the live, edited
+//! EDB at every other — exact wherever it is folded into values,
+//! because only the dioid-bounded schedules fold it and an idempotent
+//! `⊕` absorbs an instance two variants both enumerate — converges to
+//! the new least fixpoint in `O(|Δ|)`-driven work. **Deletes are where
+//! idempotence would be quietly assumed**: classical DRed over the
+//! Boolean lattice can re-derive a deleted fact's value by finding
+//! *any* alternative derivation, but over a
 //! non-idempotent `⊕` (counting `Nat`, `ℝ₊` sums) a fact's value folds
 //! *every* derivation together, and over an absorptive dioid (`Trop`)
 //! distinct support sets share the same value — neither lets the engine
@@ -274,13 +277,13 @@
 //!   permutation rides the same run for free (`{c0}` on `{c0,c1}`'s
 //!   order). Values are not duplicated — probes return row ids into the
 //!   relation's flat storage, the hash-probe contract — and a clone of
-//!   the relation (the `@old` snapshot of an edit) shares the run.
+//!   the relation shares the run (an `Arc`), never copies it.
 //! * Everything else gets a **hash-prefix index**, maintained by every
 //!   append: every relation of arity ≤ 2 (packed keys), and every
 //!   relation that **grows while it is probed**, at any arity — the IDB
 //!   state, every Δ, `@dlt`, a live EDB relation an edit grew. A
 //!   nonlinear rule is exactly the one that does this, one
-//!   `merge_changed` per derivation with `New` / `Old` probes in
+//!   `ColumnRel::land` per derivation with `New` / `Old` probes in
 //!   between (Thm. 6.5).
 //!
 //! A relation changes regime once, in one place: the **first append**
@@ -364,7 +367,7 @@
 //! What remains per bucket is the plan executor's per-call scratch
 //! ([`exec::run_plan`], ≈ 6 heap allocations a call — the probe and
 //! head keys live on the stack) and the merge of each emission
-//! (`ColumnRel::merge_changed`, an array index where the head's row map
+//! (`ColumnRel::land`, an array index where the head's row map
 //! is direct-addressed — see below); a release-only test
 //! (`priority_frontier_is_linear_in_settled_pops`) holds the loop to
 //! linear scaling from 2000 to 16000 buckets.

@@ -112,12 +112,8 @@ impl<P: Pops> InternedOutput<P> {
     pub fn materialize_pred(&self, pred: &str) -> Option<Relation<P>> {
         let i = self.idbs.iter().position(|(n, _)| n == pred)?;
         let rank = rank_table(&self.interner);
-        Some(decode_rel(
-            &self.interner,
-            &rank,
-            self.idbs[i].1,
-            &self.rels[i],
-        ))
+        let (arity, rel) = (self.idbs[i].1, &self.rels[i]);
+        Some(decode_rel(&self.interner, &rank, arity, rel, |_| true))
     }
 
     /// Decodes the full output into a [`Database`] — the one expensive
@@ -152,7 +148,7 @@ pub(crate) fn decode_db<P: Pops>(
     let rank = rank_table(interner);
     let mut db = Database::new();
     for ((name, arity), rel) in idbs.iter().zip(rels) {
-        db.insert(name, decode_rel(interner, &rank, *arity, rel));
+        db.insert(name, decode_rel(interner, &rank, *arity, rel, |_| true));
     }
     db
 }
@@ -165,16 +161,21 @@ fn decode_order<P: Pops>(rank: &[u32], rel: &ColumnRel<P>) -> Vec<u32> {
     radix_order(rel.len(), rel.arity(), max, key, &mut Vec::new())
 }
 
-/// Decodes one interned relation with rows pre-ordered by interned rank
-/// ([`decode_order`]), so `Relation::from_pairs` sees strictly increasing
-/// tuples: one linear check, no sort.
+/// Decodes the rows of one interned relation that `keep` says yes to,
+/// pre-ordered by interned rank ([`decode_order`]), so
+/// `Relation::from_pairs` sees strictly increasing tuples: one linear
+/// check, no sort.
 fn decode_rel<P: Pops>(
     interner: &Interner,
     rank: &[u32],
     arity: usize,
     rel: &ColumnRel<P>,
+    keep: impl Fn(u32) -> bool,
 ) -> Relation<P> {
-    let order = decode_order(rank, rel);
+    let mut order = decode_order(rank, rel);
+    // Filtered before the map, so `from_pairs` collects an exact-size
+    // iterator into one allocation.
+    order.retain(|&r| keep(r));
     let pairs = order.into_iter().map(|r| {
         let tuple: Tuple = rel
             .row(r)
@@ -449,25 +450,16 @@ impl<P: Pops> PartialOutput<P> {
     /// sub-instance of the least fixpoint, bit-identical on every key
     /// it contains. Empty when nothing is settled.
     pub fn materialize_settled(&self) -> Database<P> {
+        let InternedOutput {
+            interner,
+            idbs,
+            rels,
+        } = &self.interned;
+        let rank = rank_table(interner);
         let mut db = Database::new();
-        for (idx, ((name, arity), rel)) in self
-            .interned
-            .idbs
-            .iter()
-            .zip(&self.interned.rels)
-            .enumerate()
-        {
-            let settled = rel
-                .iter()
-                .filter(|&(row, _, _)| self.settled.is_settled(idx, row))
-                .map(|(_, key, val)| {
-                    let tuple: Tuple = key
-                        .iter()
-                        .map(|&id| self.interned.interner.get(id).clone())
-                        .collect();
-                    (tuple, val.clone())
-                });
-            db.insert(name, Relation::from_pairs(*arity, settled));
+        for (pred, ((name, arity), rel)) in idbs.iter().zip(rels).enumerate() {
+            let settled = |row| self.settled.is_settled(pred, row);
+            db.insert(name, decode_rel(interner, &rank, *arity, rel, settled));
         }
         db
     }
@@ -619,7 +611,8 @@ mod tests {
             };
             let one_by_one =
                 Relation::from_pairs(arity, rel.iter().map(|(r, _, v)| (tuple(r), *v)));
-            assert_eq!(decode_rel(&interner, &rank, arity, &rel), one_by_one);
+            let decoded = decode_rel(&interner, &rank, arity, &rel, |_| true);
+            assert_eq!(decoded, one_by_one);
         }
     }
 }

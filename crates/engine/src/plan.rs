@@ -50,11 +50,6 @@ use std::collections::HashMap;
 /// by the tiny batch instead of scanning the big stored relations.
 pub(crate) const EDB_DELTA_SUFFIX: &str = "@dlt";
 
-/// Reserved suffix for the **pre-edit snapshot** of an edited EDB
-/// relation (`E@old`), read by occurrences left of the `@dlt`
-/// occurrence in a telescoped variant rule.
-pub(crate) const EDB_OLD_SUFFIX: &str = "@old";
-
 /// Reserved suffix for the **marked cone** of an IDB predicate
 /// (`H@cone`): the keys a delete zeroed, staged at value `1`, read by
 /// the head-guarded variants `H(args) :- H@cone(args) * body` that

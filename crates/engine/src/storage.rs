@@ -341,7 +341,7 @@ impl RowMap {
     /// layout changes: a key outside a dense table widens it, and a
     /// hashed map that reaches a power-of-two row count asks whether to
     /// go dense. Both live out of line, so that this — once per
-    /// emission — inlines into `ColumnRel::merge_changed`.
+    /// emission — inlines into `ColumnRel::land`.
     #[inline(always)]
     fn get_or_insert(&mut self, key: &[u32], next: u32) -> Option<u32> {
         use std::collections::hash_map::Entry;
@@ -579,11 +579,11 @@ impl<P: PreSemiring> AccumMap<P> {
 /// probes ([`Self::probe`], [`Self::probe_arranged`]) read the flat
 /// columns and the per-mask structures only. The **full-key row map**
 /// serves [`Self::rowid`], [`Self::get`], [`Self::insert_row`],
-/// [`Self::merge`] and [`Self::merge_changed`]. A relation made by
-/// [`Self::new`] carries it from the start — every IDB relation is
-/// written through `merge_changed` once per derivation — but one made
-/// by [`Self::from_distinct_rows`] (how the EDB is loaded) builds it
-/// **on first need**, inside whichever of those five methods asks
+/// [`Self::merge`], [`Self::merge_changed`] and `land`. A relation
+/// made by [`Self::new`] carries it from the start — every IDB relation
+/// is written through `land` once per derivation — but one made by
+/// [`Self::from_distinct_rows`] (how the EDB is loaded) builds it **on
+/// first need**, inside whichever of those methods asks
 /// first; nobody has to ensure it beforehand, and concurrent first
 /// readers of a shared relation block on one build. Over an EDB exactly
 /// two kinds of reader ever ask: a Boolean guard atom in a rule
@@ -870,27 +870,48 @@ impl<P: Pops> ColumnRel<P> {
     }
 
     /// [`Self::merge`] that also reports whether the stored value
-    /// actually changed — the worklist drivers' improvement test (on
-    /// naturally ordered POPS `old ⊕ v ≠ old` ⟺ the row strictly
-    /// improved, no `⊖` needed).
+    /// actually changed (on naturally ordered POPS `old ⊕ v ≠ old` ⟺
+    /// the row strictly improved, no `⊖` needed).
+    pub fn merge_changed(&mut self, key: &[u32], value: P) -> (u32, bool) {
+        self.land(key, |_, old| match old {
+            Some(old) => Some(old.add(&value)).filter(|merged| merged != old),
+            None => Some(value),
+        })
+    }
+
+    /// The one write every fixpoint loop lands a row through: `rule` is
+    /// handed the row id `key` lands at and its stored value (`None`
+    /// if absent), and returns the value to store, or `None` to leave
+    /// the relation as it was. Returns that row id and whether `rule`
+    /// stored (the id names no row when an absent key was not stored).
     ///
     /// One map operation per call on both row-map layouts: the entry or
     /// slot is claimed and filled in a single probe (this runs once per
     /// derivation, so the second hash+probe of a lookup-then-insert
-    /// sequence was measurable at fixpoint scale).
-    pub fn merge_changed(&mut self, key: &[u32], value: P) -> (u32, bool) {
+    /// sequence was measurable at fixpoint scale). An absent key `rule`
+    /// declines costs a second, to give the claim back.
+    #[inline(always)]
+    pub(crate) fn land(
+        &mut self,
+        key: &[u32],
+        rule: impl FnOnce(u32, Option<&P>) -> Option<P>,
+    ) -> (u32, bool) {
         let next = self.vals.len() as u32;
         match self.row_map_mut().get_or_insert(key, next) {
-            Some(r) => {
-                let combined = self.vals[r as usize].add(&value);
-                if combined == self.vals[r as usize] {
-                    (r, false)
-                } else {
-                    self.set_val(r, combined);
+            Some(r) => match rule(r, Some(&self.vals[r as usize])) {
+                Some(v) => {
+                    self.set_val(r, v);
                     (r, true)
                 }
-            }
-            None => (self.append_row(key, value), true),
+                None => (r, false),
+            },
+            None => match rule(next, None) {
+                Some(v) => (self.append_row(key, v), true),
+                None => {
+                    self.row_map_mut().remove(key);
+                    (next, false)
+                }
+            },
         }
     }
 
@@ -1230,9 +1251,10 @@ mod tests {
         assert_eq!(out, vec![0, 1]);
     }
 
-    /// What an `@old` snapshot of a bulk EDB relies on: a clone shares
-    /// the sorted run, and keeps answering from it — without the new
-    /// row — after the original grew and went over to a hash index.
+    /// A clone of a bulk EDB relation shares the sorted run, and keeps
+    /// answering from it — without the new row — after the original
+    /// grew and went over to a hash index: the run is never copied and
+    /// never changes under a reader.
     #[test]
     fn clone_keeps_the_shared_run_when_the_original_grows() {
         let (mut rel, _) = bulk_and_twin(3);

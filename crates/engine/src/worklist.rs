@@ -68,7 +68,7 @@
 //! (n = 6000) against 0.8 µs now, `reported.eval_s` 63.5 ms → 4.7 ms.
 //! Most of that 0.8 µs is not this module's: ≈ 8 heap allocations per
 //! [`crate::exec::run_plan`] call for its scratch vectors, and the
-//! merge of each emission in `ColumnRel::merge_changed` — an array
+//! merge of each emission in `ColumnRel::land` — an array
 //! index once the head relation's row map is a dense slot table (from
 //! 1 024 rows on for `sssp-sparse`'s `L`, 32 768 for `apsp-dense`'s
 //! `T`; `crate::storage`, "Packed and dense keys"), a hash probe on a
@@ -87,11 +87,12 @@
 //! split is a `New` read. On idempotent `⊕` the occasional
 //! re-derivation merges to the same value, so the scheme is sound.
 //!
-//! Head key functions work exactly as in the global drivers: the
-//! interner is frozen while plans run, fresh integer cells accumulate in
-//! ordered buffers, and ids are minted between batches
-//! (`driver::mint_key`); minted rows enter `new` as appends and
-//! are pushed like any other improvement.
+//! A batch's emissions land through the step every loop lands through
+//! (`driver::land`), so head key functions work exactly as in the
+//! global drivers: the interner is frozen while plans run, fresh
+//! integer cells accumulate in ordered buffers, and ids are minted
+//! between batches; minted rows enter `new` as appends and are pushed
+//! like any other improvement.
 //!
 //! `steps` in the returned outcome counts processed frontier batches —
 //! FIFO generations for the worklist driver, value buckets for the
@@ -100,20 +101,16 @@
 //! comparable across strategies; fixpoints are.
 
 use crate::driver::{
-    mint_key, run_plans_inline, Engine, IdbState, LoopFail, RoundPlans, Rounds, Run, SemiNaive,
+    land, run_plans_inline, Emissions, Engine, FreshAccum, IdbState, LoopFail, RoundPlans, Rounds,
+    Run, SemiNaive,
 };
-use crate::exec::HeadVal;
 use crate::govern::Checkpoint;
-use crate::intern::Interner;
-use crate::output::SettledMark;
 use crate::plan::by_delta_pred;
 use crate::storage::ColumnRel;
-use crate::telemetry::Collector;
 use dlo_pops::{
     Absorptive, CompleteDistributiveDioid, NaturallyOrdered, Pops, TotallyOrderedDioid,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
 
 /// The runtime-chosen [`Schedule`](crate::Schedule): which evaluation
 /// loop runs, for the totally ordered absorptive dioids (`Trop`,
@@ -319,83 +316,50 @@ impl<P> EmitBuf<P> {
     }
 }
 
-/// Merges every buffered emission into `new`, minting interner ids for
-/// fresh head keys, and pushes each strictly improved row. Set-valued
-/// (magic) predicates take the demand path instead: a new binding is
-/// inserted at `1` and pushed once; an existing one is left untouched —
-/// demand rows are settled the moment they exist, on any POPS.
-///
-/// `settled` is the run's settled-row marking: an improvement to an
-/// *existing* row defensively unmarks it (under the priority
-/// discipline a popped row can never improve — Cor. 5.19 — so the
-/// unmark never fires there; it keeps the marking sound by
-/// construction rather than by theorem).
-#[allow(clippy::too_many_arguments)]
-fn apply_emissions<P: Pops, F: Frontier<P>>(
-    interner: &mut Interner,
-    new: &mut [ColumnRel<P>],
-    set_valued: &[bool],
-    bufs: &mut [EmitBuf<P>],
-    fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
-    frontier: &mut F,
-    settled: &mut SettledMark,
-    col: &mut Collector,
-) {
-    let c = &mut col.stats.counters;
-    // The one merge loop: lands what is buffered, in buffer order, and
-    // empties the buffers.
-    let mut land_buffered = |bufs: &mut [EmitBuf<P>]| {
-        for (pred, buf) in bufs.iter_mut().enumerate() {
-            let (arity, sv, rel) = (buf.arity, set_valued[pred], &mut new[pred]);
-            let mut vals = std::mem::take(&mut buf.vals);
+impl<P> Emissions<P> for Vec<EmitBuf<P>> {
+    /// Predicate by predicate, each in emission order.
+    fn drain(&mut self, mut land: impl FnMut(usize, &[u32], P)) {
+        for (pred, buf) in self.iter_mut().enumerate() {
+            let (arity, mut vals) = (buf.arity, std::mem::take(&mut buf.vals));
             for (i, v) in vals.drain(..).enumerate() {
-                let key = &buf.keys[i * arity..(i + 1) * arity];
-                if sv {
-                    if rel.rowid(key).is_none() {
-                        let row = rel.insert_row(key, P::one());
-                        frontier.push(pred, row, rel.val(row));
-                        c.rows_inserted += 1;
-                    } else {
-                        c.set_valued_shortcircuits += 1;
-                    }
-                    continue;
-                }
-                let len_before = rel.len();
-                let (row, changed) = rel.merge_changed(key, v);
-                if changed {
-                    frontier.push(pred, row, rel.val(row));
-                    if rel.len() > len_before {
-                        c.rows_inserted += 1;
-                    } else {
-                        c.rows_improved += 1;
-                        settled.unmark(pred, row);
-                    }
-                } else {
-                    c.merges_absorbed += 1;
-                }
+                land(pred, &buf.keys[i * arity..(i + 1) * arity], v);
             }
             buf.vals = vals; // hand the capacity back for the next batch
             buf.keys.clear();
         }
-    };
-    land_buffered(bufs);
-    // Fresh head keys are the rare case: a batch without any reads no
-    // clock and touches no interner. Once minted they are interned keys
-    // like any other: buffered in their sorted order, landed the same
-    // way.
-    if fresh.iter().all(|facc| facc.is_empty()) {
-        return;
     }
-    let t_mint = Instant::now();
-    let minted_before = interner.len();
-    for (buf, facc) in bufs.iter_mut().zip(fresh.iter_mut()) {
-        while let Some((key, v)) = facc.pop_first() {
-            buf.push(&mint_key(interner, &key), v);
-        }
-    }
-    land_buffered(bufs);
-    col.stats.counters.minted_ids += (interner.len() - minted_before) as u64;
-    col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
+}
+
+/// Lands a batch's buffered emissions in `state.new` ([`land`]) by the
+/// frontier's rule: `⊕`-merge, and queue every row that strictly
+/// improved. `settled` is the run's settled-row marking: an
+/// improvement to a stored row defensively unmarks it (under the
+/// priority discipline a popped row can never improve — Cor. 5.19 — so
+/// the unmark never fires there; it keeps the marking sound by
+/// construction rather than by theorem).
+fn land_batch<P: Pops, F: Frontier<P>>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    phase: &mut (Vec<EmitBuf<P>>, FreshAccum<P>),
+    frontier: &mut F,
+    run: &mut Run,
+) {
+    let (new, settled, col) = (&mut state.new, &mut run.settled, &mut run.col);
+    land(engine, new, phase, col, |pred, _, r, old, v| {
+        let v = match old {
+            Some(old) => {
+                let merged = old.add(&v);
+                if merged == *old {
+                    return None;
+                }
+                settled.unmark(pred, r);
+                merged
+            }
+            None => v,
+        };
+        frontier.push(pred, r, &v);
+        Some(v)
+    });
 }
 
 /// The one frontier loop, behind every from-scratch run and every
@@ -406,7 +370,7 @@ fn apply_emissions<P: Pops, F: Frontier<P>>(
 /// empty state, a standing fixpoint whose EDB grew, the survivors of a
 /// retraction — provided `plans.seed` covers every derivation the standing
 /// rows do not already account for: all plans from the empty state,
-/// the telescoped `@dlt` variants after an insert, the affected heads'
+/// the `@dlt` variants after an insert, the affected heads'
 /// plans after a zero-out. The seed round `⊕`-merges those
 /// contributions into `new` and queues every strict improvement; rows
 /// that merely re-derive their standing value absorb (`⊕` is
@@ -446,13 +410,9 @@ where
 {
     let nidb = engine.compiled.idbs.len();
     let mut frontier = F::new(nidb);
-    let mut bufs: Vec<EmitBuf<P>> = engine
-        .compiled
-        .idbs
-        .iter()
-        .map(|(_, arity)| EmitBuf::new(*arity))
-        .collect();
-    let mut fresh: Vec<BTreeMap<Box<[HeadVal]>, P>> = (0..nidb).map(|_| BTreeMap::new()).collect();
+    let idbs = engine.compiled.idbs.iter();
+    let bufs: Vec<EmitBuf<P>> = idbs.map(|(_, arity)| EmitBuf::new(*arity)).collect();
+    let mut phase = (bufs, (0..nidb).map(|_| BTreeMap::new()).collect::<Vec<_>>());
     let fired_by = by_delta_pred(plans.delta, nidb);
 
     // Seed: from the empty state only IDB-free sum-products contribute
@@ -463,22 +423,13 @@ where
         engine,
         state,
         plans.seed,
-        &mut bufs,
+        &mut phase.0,
         EmitBuf::push,
-        &mut fresh,
+        &mut phase.1,
         &mut run.col,
     )
     .map_err(LoopFail::at(Checkpoint::Phase, start))?;
-    apply_emissions(
-        &mut engine.interner,
-        &mut state.new,
-        &engine.compiled.set_valued,
-        &mut bufs,
-        &mut fresh,
-        &mut frontier,
-        &mut run.settled,
-        &mut run.col,
-    );
+    land_batch(engine, state, &mut phase, &mut frontier, run);
     run.col.end_step(
         start,
         plans.seed_rows,
@@ -528,25 +479,16 @@ where
             engine,
             state,
             batch_plans,
-            &mut bufs,
+            &mut phase.0,
             EmitBuf::push,
-            &mut fresh,
+            &mut phase.1,
             &mut run.col,
         )
         .map_err(LoopFail::at(F::CHECKPOINT, steps))?;
         for &pred in &touched {
             state.delta[pred].clear();
         }
-        apply_emissions(
-            &mut engine.interner,
-            &mut state.new,
-            &engine.compiled.set_valued,
-            &mut bufs,
-            &mut fresh,
-            &mut frontier,
-            &mut run.settled,
-            &mut run.col,
-        );
+        land_batch(engine, state, &mut phase, &mut frontier, run);
         run.col
             .end_step(steps, batch.len() as u64, frontier.depth() as u64, &before);
     }

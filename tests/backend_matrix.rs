@@ -1485,9 +1485,8 @@ fn labelled_quadratic_closure_probes_a_growing_wide_idb() {
 /// The linear twin on a [`Materialization`], where one relation crosses
 /// from one regime to the other: `E3` is bulk-loaded and probed through
 /// sorted runs by the build, the first insert appends to it — its runs
-/// become hash indexes, while the `@old` snapshot the two-hop rule
-/// registers still reads the shared runs for that one edit — and the
-/// delete rebuilds it as a grown relation. Every epoch, under every
+/// become hash indexes, which the two-hop rule's variants read too —
+/// and the delete rebuilds it as a grown relation. Every epoch, under every
 /// schedule, is the from-scratch run on the edited EDB (which sorts
 /// `E3` afresh) and the grounded oracle, whichever structure answered.
 #[test]

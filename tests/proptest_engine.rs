@@ -12,7 +12,7 @@ use datalog_o::core::formula::{CmpOp, Formula};
 use datalog_o::core::{
     bool_relation, ground, ground_sparse, naive_eval_sparse, naive_eval_system, parse_program,
     render_program, seminaive_eval, seminaive_eval_system, BoolDatabase, Database, EvalOutcome,
-    Program, Relation,
+    ParseValue, Program, Relation,
 };
 use datalog_o::core::{Edit, Query, QueryArg};
 use datalog_o::pops::{
@@ -470,21 +470,45 @@ fn pinned_keyed_edb<P: Pops>(
 /// Applies `script` one edit at a time to a [`Materialization`] and a
 /// mirrored classic EDB, asserting after **every** step that the live
 /// materialization decodes to exactly the from-scratch engine fixpoint
-/// on the mirrored EDB. Inserts are `⊕`-merges; deletes remove the key
-/// (mirrored as `set(⊥)`).
+/// on the mirrored EDB — on one handle under each of [`Naive`],
+/// [`SemiNaive`] and the priority frontier. Inserts are `⊕`-merges;
+/// deletes remove the key (mirrored as `set(⊥)`).
 fn assert_edit_script_differential<P>(
+    label: &str,
+    prog: &Program<P>,
+    edb: Database<P>,
+    bools: &BoolDatabase,
+    script: &[Edit<P>],
+) -> Result<(), TestCaseError>
+where
+    P: NaturallyOrdered
+        + CompleteDistributiveDioid
+        + Absorptive
+        + TotallyOrderedDioid
+        + Send
+        + Sync,
+{
+    assert_script_on(label, prog, edb.clone(), bools, script, Naive)?;
+    assert_script_on(label, prog, edb.clone(), bools, script, SemiNaive)?;
+    assert_script_on(label, prog, edb, bools, script, EngineStrategy::Priority)
+}
+
+/// [`assert_edit_script_differential`] on one handle under `schedule`.
+fn assert_script_on<P, S>(
     label: &str,
     prog: &Program<P>,
     mut edb: Database<P>,
     bools: &BoolDatabase,
     script: &[Edit<P>],
+    schedule: S,
 ) -> Result<(), TestCaseError>
 where
     P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+    S: Schedule<P> + std::fmt::Debug,
 {
     let opts = EngineOpts::default();
     let mut mat =
-        Materialization::new(prog, &edb, bools, 100_000, SemiNaive, &opts).expect("compiles");
+        Materialization::new(prog, &edb, bools, 100_000, schedule, &opts).expect("compiles");
     for (step, edit) in script.iter().enumerate() {
         match edit {
             Edit::Insert(f) => {
@@ -515,8 +539,9 @@ where
             prop_assert_eq!(
                 r,
                 got.get(pred).unwrap_or(&empty),
-                "{}: step {} ({:?} {:?}): {} diverges from from-scratch",
+                "{} on a {:?} handle: step {} ({:?} {:?}): {} diverges from from-scratch",
                 label,
+                schedule,
                 step,
                 edit.pred(),
                 edit,
@@ -527,8 +552,9 @@ where
             if oracle.get(pred).is_none() {
                 prop_assert!(
                     r.is_empty(),
-                    "{}: step {}: stale rows in {}",
+                    "{} on a {:?} handle: step {}: stale rows in {}",
                     label,
+                    schedule,
                     step,
                     pred
                 );
@@ -536,6 +562,45 @@ where
         }
     }
     Ok(())
+}
+
+/// A closure whose base sum-product joins two EDB relations, `E` and
+/// `F`: an edit to either is read by the other's occurrence.
+fn two_edb_join_program<P: Pops + ParseValue>() -> Program<P> {
+    parse_program("R(X, Z) :- E(X, Y) * F(Y, Z) + R(X, Y) * E(Y, Z).").unwrap()
+}
+
+/// `E` from the edges, `F` from the same edges turned around.
+fn two_edb_join_edb<P: Pops>(edges: &[(usize, usize, u8)], lift: impl Fn(u8) -> P) -> Database<P> {
+    let rel = |flip: bool| {
+        let rows = edges.iter().map(|&(u, v, w)| {
+            let (a, b) = if flip { (v, u) } else { (u, v) };
+            (vec![(a as i64).into(), (b as i64).into()], lift(w))
+        });
+        Relation::from_pairs(2, rows)
+    };
+    let mut db = Database::new();
+    db.insert("E", rel(false));
+    db.insert("F", rel(true));
+    db
+}
+
+/// [`graph_script`] over both relations of [`two_edb_join_program`]: an
+/// op with an even weight edits `F`, an odd one `E`.
+fn two_edb_join_script<P: Pops>(
+    ops: &[(u8, usize, usize, u8)],
+    lift: impl Fn(u8) -> P,
+) -> Vec<Edit<P>> {
+    let mut script = graph_script(ops, lift);
+    for (edit, &(_, _, _, w)) in script.iter_mut().zip(ops) {
+        if w % 2 == 0 {
+            match edit {
+                Edit::Insert(f) => f.pred = "F".into(),
+                Edit::Delete(f) => f.pred = "F".into(),
+            }
+        }
+    }
+    script
 }
 
 proptest! {
@@ -580,6 +645,20 @@ proptest! {
             edb_b,
             &bools,
             &graph_script(&ops, |_| Bool(true)),
+        )?;
+        assert_edit_script_differential(
+            "join/trop",
+            &two_edb_join_program::<Trop>(),
+            two_edb_join_edb(&edges, |w| Trop::finite(w as f64)),
+            &bools,
+            &two_edb_join_script(&ops, |w| Trop::finite(w as f64)),
+        )?;
+        assert_edit_script_differential(
+            "join/bool",
+            &two_edb_join_program::<Bool>(),
+            two_edb_join_edb(&edges, |_| Bool(true)),
+            &bools,
+            &two_edb_join_script(&ops, |_| Bool(true)),
         )?;
     }
 

@@ -523,6 +523,62 @@ fn delete_stats_say_what_the_edit_touched() {
     }
 }
 
+/// A delete whose cone comes back reports each row once, where it
+/// lands: on a 12-node unit ring the chord 0→6 at 0.5 shortens paths,
+/// and deleting it zeroes them and re-derives every one. Under every
+/// schedule the per-step `inserted` / `improved` rows of its stats, and
+/// the `Iteration` events of its trace, sum to its totals.
+#[test]
+fn a_deletes_steps_add_up_to_its_totals() {
+    use datalog_o::core::{Edit, Relation};
+    fn check<S: datalog_o::Schedule<Trop> + std::fmt::Debug>(schedule: S) {
+        let program = ex::apsp_program::<Trop>();
+        let edge = |u: i64, v: i64| vec![u.into(), v.into()];
+        let ring = (0..12).map(|i| (edge(i, (i + 1) % 12), Trop::finite(1.0)));
+        let mut edb = Database::new();
+        edb.insert("E", Relation::from_pairs(2, ring));
+        let sink = MemorySink::default();
+        let opts = EngineOpts {
+            trace: Some(TraceHandle::new(sink.clone())),
+            ..EngineOpts::default()
+        };
+        let bools = BoolDatabase::new();
+        let mut live =
+            datalog_o::Materialization::new(&program, &edb, &bools, CAP, schedule, &opts)
+                .expect("compiles");
+        live.apply(&[Edit::insert("E", edge(0, 6), Trop::finite(0.5))])
+            .expect("insert applies");
+        let seen = sink.events().len();
+        let stats = live
+            .apply(&[Edit::delete("E", edge(0, 6))])
+            .expect("delete applies")
+            .clone();
+        let c = &stats.counters;
+        assert!(c.rows_inserted > 0, "{schedule:?}: the cone comes back");
+        let sum = |field: fn(&datalog_o::core::eval::stats::IterStat) -> u64| {
+            stats.iterations.iter().map(field).sum::<u64>()
+        };
+        assert_eq!(
+            (sum(|it| it.inserted), sum(|it| it.improved)),
+            (c.rows_inserted, c.rows_improved),
+            "{schedule:?}: per-step rows against the totals"
+        );
+        let traced: Vec<_> = sink.events()[seen..]
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Iteration(it) => Some(*it),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced, stats.iterations, "{schedule:?}: traced steps");
+    }
+    check(Naive);
+    check(SemiNaive);
+    for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
+        check(strategy);
+    }
+}
+
 /// The whole option surface, destructured with no `..`: adding a field
 /// to [`EngineOpts`] fails to compile here until its author has read
 /// this. The rule (simplicity-review guide, *Options*): a field needs
