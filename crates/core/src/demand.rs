@@ -45,6 +45,10 @@
 //!    {absent, present} regardless of the POPS — concretely, engine
 //!    drivers store every magic row with value `1` and never merge
 //!    into it again (see `set-valued` handling in `dlo_engine`).
+//!    Hence a magic rule whose head *is* its guard is not emitted: APSP
+//!    queried as `T(s, Y)` would get `m_T(X) :- m_T(X) ⊗ demand(E(Z, Y))`,
+//!    which can only re-derive the fact it reads, yet would scan `E`
+//!    once for every demanded `X`.
 //!
 //! 3. **Guarded rules** (answer restriction). Every rule of an adorned
 //!    predicate with at least one bound position gets the magic factor
@@ -348,10 +352,14 @@ pub fn magic_rewrite<P: Pops>(
                 );
                 let mut factors: Vec<Factor<P>> = vec![];
                 if guarded(&rule.head.pred) {
-                    factors.push(Factor::atom(
+                    let guard = Factor::atom(
                         &note_magic(&rule.head.pred),
                         bound_head_args(&rule.head, ap),
-                    ));
+                    );
+                    if guard.atom == head {
+                        continue; // derives only the fact it reads (step 2)
+                    }
+                    factors.push(guard);
                 }
                 for ef in sp.factors.iter().filter(|f| !is_idb(&f.atom.pred)) {
                     factors.push(Factor::wrapped(
@@ -622,6 +630,23 @@ mod tests {
         assert_eq!(dp.adornments["T"], vec![false, true]);
         let seed = &dp.program.rules[0];
         assert_eq!(seed.head.args, vec![Term::c("d")]);
+    }
+
+    #[test]
+    fn source_bound_apsp_has_no_identity_magic_rule() {
+        // Query T("a", Y): the occurrence T(X, Z) demands m_T(X), its
+        // rule's own guard. Demand is set-valued, so that rule could
+        // only re-derive what it reads: the rewrite is the seed and the
+        // guarded rule alone.
+        let program = ex::apsp_program::<Trop>();
+        let q = Query::new("T", vec![QueryArg::bound("a"), QueryArg::Free]);
+        let dp = magic_rewrite(&program, &q).unwrap();
+        assert_eq!(dp.adornments["T"], vec![true, false]);
+        for rule in &dp.program.rules {
+            let mut first = rule.body.iter().filter_map(|sp| sp.factors.first());
+            assert!(first.all(|f| f.atom != rule.head), "{rule:?}");
+        }
+        assert_eq!(dp.program.rules.len(), 2);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! key functions never mint: a result the interner does not know cannot
 //! match any stored row.
 
-use crate::exec::{run_plan, EvalCtx, ExecCounters, HeadVal};
+use crate::exec::{run_plan, EvalCtx, ExecCounters, HeadVal, Scratch};
 use crate::govern::{abort_error, Abort, Checkpoint, Governor};
 use crate::hash::FxHashMap;
 use crate::intern::Interner;
@@ -430,6 +430,8 @@ pub(crate) struct Run {
     /// Rows known final at any point of the run: marked on pop by the
     /// priority frontier, empty (best effort) everywhere else.
     pub(crate) settled: SettledMark,
+    /// The plan runner's buffers, lent to every plan the run fires.
+    pub(crate) scratch: Scratch,
     t_eval: Instant,
 }
 
@@ -464,6 +466,7 @@ impl Run {
             } else {
                 SettledMark::best_effort(nidb)
             },
+            scratch: Scratch::default(),
             t_eval: Instant::now(),
         }
     }
@@ -500,12 +503,7 @@ impl Run {
         // phase goes to the `arrange` leg whole when any of them was a
         // bulk sort (hash builds beside it ride along), to `edb_index`
         // otherwise. Timing only — results never depend on it.
-        let nanos = t.elapsed().as_nanos() as u64;
-        if sorted {
-            self.col.arrange_phase(nanos);
-        } else {
-            self.col.edb_index_phase(nanos);
-        }
+        self.col.index_phase(sorted, t.elapsed().as_nanos() as u64);
         self.t_eval = Instant::now();
         for (rel, masks) in state.new.iter_mut().zip(&engine.idb_new_masks) {
             ensure_probes(rel, masks);
@@ -644,9 +642,10 @@ fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
 /// ([`crate::worklist`]). A plan's interned emissions land in its head
 /// predicate's entry of `sinks` through `land` ([`AccumMap::merge`] for
 /// the rounds, an ordered buffer for the frontier), its fresh head keys
-/// in `fresh`, its counters in `col`. One unwind guard covers the list:
-/// the first panicking plan stops it, every earlier plan already
-/// accounted, and surfaces as [`Abort::WorkerPanic`].
+/// in `fresh`, its counters in `run`'s collector; every plan works in
+/// `run`'s buffers, so a warm run allocates nothing. One unwind guard
+/// covers the list: the first panicking plan stops it, every earlier
+/// plan already accounted, and surfaces as [`Abort::WorkerPanic`].
 pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     engine: &Engine<P>,
     state: &IdbState<P>,
@@ -654,7 +653,7 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     sinks: &mut [S],
     land: impl Fn(&mut S, &[u32], P),
     fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
-    col: &mut Collector,
+    run: &mut Run,
 ) -> Result<(), Abort> {
     let ctx = engine.ctx(state);
     catch_unwind(AssertUnwindSafe(|| {
@@ -666,11 +665,13 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
             run_plan(
                 plan,
                 &ctx,
+                &mut run.scratch,
                 &mut counters,
-                &mut |key, v| land(sink, key, v),
-                &mut |key, v| merge_fresh(facc, key, v),
+                |key, v| land(sink, key, v),
+                |key, v| merge_fresh(facc, key, v),
             );
-            col.add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
+            run.col
+                .add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
         }
     }))
     .map_err(|p| Abort::WorkerPanic {
@@ -686,7 +687,7 @@ pub(crate) fn run_round<P: Pops>(
     engine: &Engine<P>,
     plans: &[Plan<P>],
     state: &IdbState<P>,
-    col: &mut Collector,
+    run: &mut Run,
 ) -> Result<(Accum<P>, FreshAccum<P>), Abort> {
     let mut contrib = engine.empty_accums();
     let mut fresh: FreshAccum<P> = contrib.iter().map(|_| BTreeMap::new()).collect();
@@ -697,7 +698,7 @@ pub(crate) fn run_round<P: Pops>(
         &mut contrib,
         AccumMap::merge,
         &mut fresh,
-        col,
+        run,
     )?;
     Ok((contrib, fresh))
 }
@@ -931,7 +932,7 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
     loop {
         run.check(steps, Checkpoint::Iteration)?;
         let before = run.col.stats.counters;
-        let mut phase = run_round(engine, plans, state, &mut run.col)
+        let mut phase = run_round(engine, plans, state, run)
             .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
         let (new, col) = (&mut state.new, &mut run.col);
         land(engine, new, &mut phase, col, |_, _, _, old, v| {
@@ -980,8 +981,8 @@ where
         let (round_plans, delta_rows, checkpoint) = round;
         run.check(steps, checkpoint)?;
         let before = run.col.stats.counters;
-        let mut phase = run_round(engine, round_plans, state, &mut run.col)
-            .map_err(LoopFail::at(checkpoint, steps))?;
+        let mut phase =
+            run_round(engine, round_plans, state, run).map_err(LoopFail::at(checkpoint, steps))?;
         apply_contrib(engine, state, &mut phase, &mut run.col);
         run.col.end_step(steps, delta_rows, 0, &before);
         if steps >= cap {

@@ -1100,7 +1100,7 @@ where
                 state.delta = delta;
                 ensure_delta_indexes(engine, state);
             }
-            let (contrib, _fresh) = run_round(engine, round, state, &mut run.col)
+            let (contrib, _fresh) = run_round(engine, round, state, run)
                 .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
             frontier = vec![vec![]; nidb];
             for (pred, acc) in contrib.into_iter().enumerate() {

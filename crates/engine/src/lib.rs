@@ -363,11 +363,12 @@
 //! gradient graph the first pop queues n − 2 guesses that stay pending
 //! (stale) for most of the run, and walking them every batch made the
 //! run Θ(n²) again — 10.6 µs per one-row bucket on `sssp-sparse`
-//! (n = 6000), against 0.8 µs now (`reported.eval_s` 63.5 ms → 4.7 ms).
-//! What remains per bucket is the plan executor's per-call scratch
-//! ([`exec::run_plan`], ≈ 6 heap allocations a call — the probe and
-//! head keys live on the stack) and the merge of each emission
-//! (`ColumnRel::land`, an array index where the head's row map
+//! (n = 6000), against ≈ 0.8 µs now (`reported.eval_s` 63.5 ms →
+//! 4.6 ms, median of five traced runs on a shared 2-core host). What
+//! remains per bucket is the plan runs — which allocate nothing: the
+//! executor works in buffers the loop lends ([`exec::Scratch`]) and
+//! keeps probe and head keys on the stack — and the merge of each
+//! emission (`ColumnRel::land`, an array index where the head's row map
 //! is direct-addressed — see below); a release-only test
 //! (`priority_frontier_is_linear_in_settled_pops`) holds the loop to
 //! linear scaling from 2000 to 16000 buckets.

@@ -155,9 +155,6 @@ pub struct Step {
     /// `(column, term)` equality checks evaluable once this step's binds
     /// are in place (repeated variables, key functions over bound vars).
     pub checks: Vec<(usize, CTerm)>,
-    /// Columns accepted now and re-verified at emit time
-    /// (key-function terms whose variables bind only later).
-    pub wildcards: Vec<usize>,
     /// The factor this step supplies a value for (`None` for guards).
     pub factor: Option<FactorSlot>,
 }
@@ -205,15 +202,14 @@ pub struct Plan<P> {
     pub head_cols: Vec<HeadOp>,
     /// Number of valuation slots (head vars ∪ sum-product vars).
     pub nslots: usize,
-    /// Number of factors (value positions).
-    pub nfactors: usize,
     /// Slots pre-bound by `Var = const` equalities in the condition's
     /// conjunctive spine.
     pub pre_bound: Vec<(usize, u32)>,
     /// Ordered join steps.
     pub steps: Vec<Step>,
-    /// Per-factor value transforms, by factor index.
-    pub factor_funcs: Vec<Option<UnaryFn<P>>>,
+    /// Per factor, in factor order: the step that supplies its value
+    /// and the value transform applied to it.
+    pub factors: Vec<(usize, Option<UnaryFn<P>>)>,
     /// Slots bound by no step: enumerated over the active domain.
     pub fill: Vec<usize>,
     /// The full compiled condition, evaluated per valuation.
@@ -712,7 +708,6 @@ impl Compiler<'_> {
             let mut probe = vec![];
             let mut binds = vec![];
             let mut checks = vec![];
-            let mut wildcards = vec![];
             let mut local_bound: Vec<usize> = vec![];
             for (col, t) in atom.args.iter().enumerate() {
                 match t {
@@ -746,7 +741,6 @@ impl Compiler<'_> {
                             {
                                 checks.push((col, ct));
                             } else {
-                                wildcards.push(col);
                                 post_checks.push((steps.len(), col, ct));
                             }
                         }
@@ -763,7 +757,6 @@ impl Compiler<'_> {
                 probe,
                 binds,
                 checks,
-                wildcards,
                 factor: binder.factor,
             });
         }
@@ -783,6 +776,12 @@ impl Compiler<'_> {
                 }),
             "a plan's factor slots are its rule's textual factor order"
         );
+        let mut factors: Vec<_> = sp.factors.iter().map(|f| (0, f.func.clone())).collect();
+        for (si, step) in steps.iter().enumerate() {
+            if let Some(f) = step.factor {
+                factors[f.index].0 = si;
+            }
+        }
         let fill: Vec<usize> = (0..nslots).filter(|&s| !bound[s]).collect();
         let condition = self.compile_formula(&sp.condition, &slot_of);
         Ok(Plan {
@@ -794,10 +793,9 @@ impl Compiler<'_> {
                 .expect("head is an IDB by construction"),
             head_cols,
             nslots,
-            nfactors: sp.factors.len(),
             pre_bound,
+            factors,
             steps,
-            factor_funcs: sp.factors.iter().map(|f| f.func.clone()).collect(),
             fill,
             condition,
             coeff: sp.coeff.clone(),
@@ -903,7 +901,7 @@ mod tests {
             (
                 "T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, Y).",
                 "D",
-                Some("D D DO ND"),
+                Some("D DO ND"),
             ),
             ("L(X) :- 1 | X = 0 + L(Z) * E(Z, X).", "D", None),
             (

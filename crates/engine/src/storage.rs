@@ -147,10 +147,10 @@ pub fn project(row: &[u32], mask: ColMask) -> Box<[u32]> {
 }
 
 /// [`project`] into a caller-owned scratch buffer (cleared first) — the
-/// allocation-free variant the hot paths use: index maintenance in
-/// [`ColumnRel::insert_row`] and the executor's probe-key assembly both
-/// run once per candidate row, so a fresh `Box<[u32]>` per call shows up
-/// directly in join profiles.
+/// allocation-free variant index maintenance uses: it runs once per
+/// row ([`ColumnRel::insert_row`]), so a fresh `Box<[u32]>` per call
+/// would show up directly in build profiles. (The executor assembles
+/// its probe keys on the stack.)
 pub fn project_into(row: &[u32], mask: ColMask, out: &mut Vec<u32>) {
     out.clear();
     for (c, &v) in row.iter().enumerate() {
@@ -187,7 +187,7 @@ fn pack(key: &[u32]) -> u64 {
 /// bucket index (see [`pack`]; a boxed key has the same shape, every odd
 /// column being the high half of an 8-byte chunk).
 #[derive(Clone, Debug)]
-enum KeyedMap<V> {
+pub(crate) enum KeyedMap<V> {
     Packed(FxHashMap<u64, V>),
     Wide(FxHashMap<Box<[u32]>, V>),
 }
@@ -219,7 +219,7 @@ impl<V> KeyedMap<V> {
     }
 
     #[inline]
-    fn get(&self, key: &[u32]) -> Option<&V> {
+    pub(crate) fn get(&self, key: &[u32]) -> Option<&V> {
         match self {
             KeyedMap::Packed(m) => m.get(&pack(key)),
             KeyedMap::Wide(m) => m.get(key),
@@ -277,7 +277,7 @@ const DENSE_CHECK_MIN_ROWS: usize = 1024;
 /// holds — a slot table indexed by the key itself (`[a]` at slot `a`,
 /// `[a, b]` at `a·side + b`, [`EMPTY_SLOT`] where no row is).
 #[derive(Clone, Debug)]
-enum RowMap {
+pub(crate) enum RowMap {
     Hashed(KeyedMap<u32>),
     Dense { side: usize, slots: Vec<u32> },
 }
@@ -326,7 +326,7 @@ impl RowMap {
     }
 
     #[inline(always)]
-    fn get(&self, key: &[u32]) -> Option<u32> {
+    pub(crate) fn get(&self, key: &[u32]) -> Option<u32> {
         match self {
             RowMap::Dense { side, slots } => {
                 slot(*side, key).and_then(|i| Some(slots[i]).filter(|&r| r != EMPTY_SLOT))
@@ -664,7 +664,7 @@ impl<P: Pops> ColumnRel<P> {
 
     /// The full-key row map, built from the stored rows if this is the
     /// first call that needs it.
-    fn row_map(&self) -> &RowMap {
+    pub(crate) fn row_map(&self) -> &RowMap {
         self.map
             .get_or_init(|| RowMap::build(self.arity, self.len(), &self.keys))
     }
@@ -939,13 +939,14 @@ impl<P: Pops> ColumnRel<P> {
     /// The row ids whose `mask`-projection equals `key`. The index must
     /// have been built via [`Self::ensure_index`].
     pub fn probe(&self, mask: ColMask, key: &[u32]) -> &[u32] {
-        static EMPTY: [u32; 0] = [];
-        self.indexes
-            .get(&mask)
-            .expect("probe before ensure_index")
-            .get(key)
-            .map(|v| v.as_slice())
-            .unwrap_or(&EMPTY)
+        let index = self.index(mask).expect("probe before ensure_index");
+        index.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    /// The hash-prefix index on `mask`, if built — what the executor
+    /// resolves once per plan run and then probes directly.
+    pub(crate) fn index(&self, mask: ColMask) -> Option<&KeyedMap<Vec<u32>>> {
+        self.indexes.get(&mask)
     }
 
     /// Sorts the rows held now into a run serving `mask`, unless a run

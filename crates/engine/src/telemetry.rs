@@ -94,26 +94,20 @@ impl Collector {
         }
     }
 
-    /// Records the EDB index-build phase.
-    pub fn edb_index_phase(&mut self, nanos: u64) {
-        self.stats.phases.edb_index += nanos;
+    /// Records the EDB index-build phase: the `arrange` leg of
+    /// [`dlo_core::eval::stats::PhaseNanos`] when the build sorted
+    /// something (hash builds beside it ride along), `edb_index`
+    /// otherwise.
+    pub fn index_phase(&mut self, sorted: bool, nanos: u64) {
+        let phases = &mut self.stats.phases;
+        let (name, total) = match sorted {
+            true => ("arrange", &mut phases.arrange),
+            false => ("edb_index", &mut phases.edb_index),
+        };
+        *total += nanos;
         if let Some(t) = &self.trace {
-            t.emit(&TraceEvent::Phase {
-                name: "edb_index".to_string(),
-                nanos,
-            });
-        }
-    }
-
-    /// Records time spent building/maintaining sorted arrangements
-    /// (the `arrange` leg of [`dlo_core::eval::stats::PhaseNanos`]).
-    pub fn arrange_phase(&mut self, nanos: u64) {
-        self.stats.phases.arrange += nanos;
-        if let Some(t) = &self.trace {
-            t.emit(&TraceEvent::Phase {
-                name: "arrange".to_string(),
-                nanos,
-            });
+            let name = name.to_string();
+            t.emit(&TraceEvent::Phase { name, nanos });
         }
     }
 

@@ -65,10 +65,11 @@
 //! maintains on push and pop. It used to be a walk over every pending
 //! bucket, and the gradient graph keeps n − 2 stale guesses pending for
 //! most of its n batches: 10.6 µs per one-row bucket on `sssp-sparse`
-//! (n = 6000) against 0.8 µs now, `reported.eval_s` 63.5 ms → 4.7 ms.
-//! Most of that 0.8 µs is not this module's: ≈ 8 heap allocations per
-//! [`crate::exec::run_plan`] call for its scratch vectors, and the
-//! merge of each emission in `ColumnRel::land` — an array
+//! (n = 6000) against ≈ 0.8 µs now, `reported.eval_s` 63.5 ms → 4.6 ms
+//! (median of five traced runs, shared 2-core host). Most of that is
+//! not this module's: the plan runs of [`crate::exec::run_plan`], which
+//! allocate nothing (their buffers are the run's, lent batch after
+//! batch), and the merge of each emission in `ColumnRel::land` — an array
 //! index once the head relation's row map is a dense slot table (from
 //! 1 024 rows on for `sssp-sparse`'s `L`, 32 768 for `apsp-dense`'s
 //! `T`; `crate::storage`, "Packed and dense keys"), a hash probe on a
@@ -426,7 +427,7 @@ where
         &mut phase.0,
         EmitBuf::push,
         &mut phase.1,
-        &mut run.col,
+        run,
     )
     .map_err(LoopFail::at(Checkpoint::Phase, start))?;
     land_batch(engine, state, &mut phase, &mut frontier, run);
@@ -482,7 +483,7 @@ where
             &mut phase.0,
             EmitBuf::push,
             &mut phase.1,
-            &mut run.col,
+            run,
         )
         .map_err(LoopFail::at(F::CHECKPOINT, steps))?;
         for &pred in &touched {
