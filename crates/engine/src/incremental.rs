@@ -226,9 +226,13 @@
 //!   removal.
 //! * The handle holds **one copy of the EDB**, the interned relations
 //!   its plans join against; [`Materialization::edb`] decodes them.
-//! * A query is a **read of the standing fixpoint**: one scan of the
-//!   queried relation, no re-evaluation, so its answers are the
-//!   restriction of the from-scratch fixpoint by construction.
+//! * A query is a **read of the standing fixpoint**: it reads only its
+//!   answer's rows — through the queried relation's index on the
+//!   query's bound columns, built by the first query of that adornment
+//!   and kept current by every edit like the indexes the plans probe —
+//!   and re-evaluates nothing, so its answers are the restriction of
+//!   the from-scratch fixpoint by construction. An index a query made
+//!   changes no edit's work counters, steps or results.
 //! * Every public method returns `Result<_, `[`EvalError`]`>`. Invalid
 //!   batches (unknown predicate, arity mismatch) are rejected **before
 //!   any staging**, so they leave the handle untouched. An edit that
@@ -252,7 +256,7 @@ use crate::intern::Interner;
 use crate::output::{decode_db, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 use crate::plan::{Plan, EDB_CONE_SUFFIX, EDB_DELTA_SUFFIX};
 use crate::query::{unanswerable, QueryAnswer};
-use crate::storage::ColumnRel;
+use crate::storage::{ColMask, ColumnRel};
 use crate::worklist::Strategy;
 use dlo_core::ast::{Factor, Program, Rule, Term, UnaryFn};
 use dlo_core::demand::DemandError;
@@ -903,8 +907,10 @@ where
 
     /// Monotone count of probe-structure builds over one maintained
     /// IDB relation's lifetime — the churn probe the incremental tests pin: edits must
-    /// never rebuild probe structures for relations they do not touch.
-    /// Returns 0 for unknown predicates.
+    /// never rebuild probe structures for relations they do not touch,
+    /// and a [`Materialization::query`] builds one only for an
+    /// adornment no plan or earlier query indexed. Returns 0 for
+    /// unknown predicates. A rebuild starts the count again.
     pub fn index_builds_for(&self, pred: &str) -> u64 {
         self.idb(pred).map_or(0, ColumnRel::index_builds)
     }
@@ -1346,13 +1352,25 @@ where
     }
 
     /// Answers a query against the **current epoch** from the fixpoint
-    /// the handle holds: one scan of the queried IDB's standing relation
-    /// keeps the rows whose bound columns carry the query's constants,
-    /// and nothing is evaluated. The answer is converged in 0 steps with
-    /// no magic or dropped predicates, and its stats are the read's own
-    /// (`strategy` `"incremental-query"`, `tuples_scanned` the rows
-    /// scanned, `phases.eval` the read). [`QueryAnswer::answers`] is the
-    /// query's restriction of the fixpoint a from-scratch run on
+    /// the handle holds, reading only the answer's rows, and nothing is
+    /// evaluated. The bound columns form a mask: a query binding some
+    /// columns probes the queried IDB's standing relation through a
+    /// hash index on that mask, a query binding every column reads its
+    /// row map (zero or one row), and a query binding none copies the
+    /// relation. The first query of an adornment on a predicate builds
+    /// its index, once: the relation keeps every registered index
+    /// current through every later edit, and a rebuild, or an edit that
+    /// moves `D₀`, starts from fresh state, where the next such query
+    /// builds it again. Past that one O(|IDB|) build a query costs its
+    /// answer rows; the build is why it takes `&mut self`.
+    /// Rows come in ascending row order, as a scan would meet them.
+    ///
+    /// The answer is converged in 0 steps with no magic or dropped
+    /// predicates, and its stats are the read's own (`strategy`
+    /// `"incremental-query"`, `tuples_scanned` the rows read, which are
+    /// the answer's rows, `phases.eval` the read, the index build
+    /// included when this query made it). [`QueryAnswer::answers`] is
+    /// the query's restriction of the fixpoint a from-scratch run on
     /// [`Materialization::edb`] computes, bit for bit; a bound constant
     /// the handle never interned matches no row. The read runs no loop,
     /// so the handle's budget and cancel token do not apply to it.
@@ -1360,10 +1378,10 @@ where
     /// # Errors
     ///
     /// [`EvalError::Compile`] when the query names no IDB of the program
-    /// or has its arity wrong (the handle is untouched), and
-    /// [`EvalError::Poisoned`] when a prior edit on this handle failed
-    /// mid-flight.
-    pub fn query(&self, query: &Query) -> Result<QueryAnswer<P>, EvalError> {
+    /// or has its arity wrong, and [`EvalError::Poisoned`] when a prior
+    /// edit on this handle failed mid-flight. A failed query leaves the
+    /// handle untouched: it builds no index.
+    pub fn query(&mut self, query: &Query) -> Result<QueryAnswer<P>, EvalError> {
         self.check_poisoned()?;
         let t = Instant::now();
         let idbs = &self.engine.compiled.idbs;
@@ -1379,22 +1397,34 @@ where
             }));
         }
         let interner = &self.engine.interner;
-        let bound: Option<Vec<(usize, u32)>> = (query.args.iter().enumerate())
+        let mut mask: ColMask = 0;
+        let key: Option<Vec<u32>> = (query.args.iter().enumerate())
             .filter_map(|(c, arg)| match arg {
-                QueryArg::Bound(k) => Some(interner.lookup(k).map(|id| (c, id))),
+                QueryArg::Bound(k) => {
+                    mask |= 1 << c;
+                    Some(interner.lookup(k))
+                }
                 QueryArg::Free => None,
             })
             .collect();
-        let (rel, mut stats) = (&self.state.new[pi], EvalStats::default());
-        let (mut keys, mut vals) = (vec![], vec![]);
-        if let Some(bound) = bound {
-            stats.counters.tuples_scanned = rel.len() as u64;
-            let matches = |key: &[u32]| bound.iter().all(|&(c, id)| key[c] == id);
-            for (_, key, v) in rel.iter().filter(|(_, key, _)| matches(key)) {
-                keys.extend_from_slice(key);
-                vals.push(v.clone());
-            }
+        let partial = mask != 0 && (mask.count_ones() as usize) < arity;
+        let rel = &mut self.state.new[pi];
+        if partial && key.is_some() {
+            rel.ensure_index(mask);
         }
+        let (mut keys, mut vals) = (vec![], vec![]);
+        let copy = |r: u32| {
+            keys.extend_from_slice(rel.row(r));
+            vals.push(rel.val(r).clone());
+        };
+        match key {
+            None => {}
+            Some(_) if mask == 0 => (0..rel.len() as u32).for_each(copy),
+            Some(key) if partial => rel.probe(mask, &key).iter().copied().for_each(copy),
+            Some(key) => rel.rowid(&key).into_iter().for_each(copy),
+        }
+        let mut stats = EvalStats::default();
+        stats.counters.tuples_scanned = vals.len() as u64;
         let rows = ColumnRel::from_distinct_rows(arity, keys, vals);
         let output = InternedOutput::new(interner.clone(), vec![(pred, arity)], vec![rows]);
         stats.strategy = "incremental-query".into();

@@ -25,7 +25,8 @@ use datalog_o::pops::{
     TotallyOrderedDioid, Trop,
 };
 use datalog_o::{
-    engine_eval_interned, EngineOpts, Materialization, Naive, Schedule, SemiNaive, Strategy,
+    engine_eval_interned, EngineOpts, EvalBudget, Materialization, Naive, Schedule, SemiNaive,
+    Strategy,
 };
 
 const CAP: usize = 100_000;
@@ -92,11 +93,11 @@ impl<P> FrontierPops for P where
 /// `scratch` — all free, each column bound alone and every column bound
 /// (to the first and to the last row's constants), and one column bound
 /// to a constant no EDB ever held — answered by `mat` from the state it
-/// holds is `Query::restrict` of `scratch`, bit for bit, and the answer
-/// holds those rows and no others.
+/// holds is `Query::restrict` of `scratch`, bit for bit, the answer
+/// holds those rows and no others, and the read touched no other row.
 fn assert_queries_read_the_fixpoint<P: Pops + Send + Sync, S: Schedule<P>>(
     leg: &str,
-    mat: &Materialization<P, S>,
+    mat: &mut Materialization<P, S>,
     scratch: &Database<P>,
 ) {
     for (pred, full) in scratch.iter() {
@@ -125,6 +126,8 @@ fn assert_queries_read_the_fixpoint<P: Pops + Send + Sync, S: Schedule<P>>(
             // What the read kept, before `answers` restricts it again.
             let kept = answer.support();
             assert_eq!(kept.get(pred), Some(&expected), "{leg}: {q:?} kept");
+            let read = answer.stats().counters.tuples_scanned;
+            assert_eq!(read, expected.support_size() as u64, "{leg}: {q:?} read");
         }
     }
 }
@@ -507,7 +510,7 @@ fn assert_first_edit_reads_the_bulk_loaded_edb<P, S>(
             fixpoint,
             "{scenario}: {edit:?} vs from-scratch on the edited EDB"
         );
-        assert_queries_read_the_fixpoint(&format!("{scenario}: {edit:?}"), &cold, &fixpoint);
+        assert_queries_read_the_fixpoint(&format!("{scenario}: {edit:?}"), &mut cold, &fixpoint);
         assert_eq!(
             cold_seen.1,
             observe(&mut scratch).1,
@@ -648,10 +651,10 @@ fn sssp_gradient_scripts_match_from_scratch() {
     );
 }
 
-/// A query is a read — it goes through `&Materialization` — and leaves
-/// the maintained state the from-scratch fixpoint, rebuilt or not. A
-/// handle never re-evaluates to answer: 0 steps, no magic predicates,
-/// nothing emitted, one scan of `T`. A query the program cannot answer
+/// A query is a read: it leaves the maintained state the from-scratch
+/// fixpoint, rebuilt or not. A handle never re-evaluates to answer: 0
+/// steps, no magic predicates, nothing emitted, and it reads the
+/// answer's rows of `T` and no others. A query the program cannot answer
 /// is a compile error that leaves the handle healthy.
 #[test]
 fn queries_answer_against_the_current_epoch() {
@@ -662,17 +665,17 @@ fn queries_answer_against_the_current_epoch() {
     let mut mat =
         Materialization::new(&program, &edb, &bools, CAP, Strategy::Auto, &opts).expect("compiles");
     let query = parse_query("?- T(\"a\", Y).").unwrap();
-    let ask = |mat: &Materialization<Trop>, to: &str| {
+    let ask = |mat: &mut Materialization<Trop>, to: &str| {
         let answer = mat.query(&query).expect("query compiles");
         assert_eq!(answer.steps(), Some(0), "no loop ran");
         assert!(answer.magic_preds().is_empty(), "no rewrite ran");
         let c = &answer.stats().counters;
         assert_eq!(c.emits, 0, "nothing was derived");
-        assert_eq!(c.tuples_scanned, mat.support_size("T") as u64);
+        assert_eq!(c.tuples_scanned, answer.answers().support_size() as u64);
         answer.answers().get(&vec![k("a"), k(to)])
     };
 
-    assert_eq!(ask(&mat, "c"), Trop::finite(3.0));
+    assert_eq!(ask(&mut mat, "c"), Trop::finite(3.0));
     assert_eq!(mat.epoch(), 0);
 
     mat.apply(&[delete("b", "c"), insert("a", "e", 0.25)])
@@ -682,13 +685,13 @@ fn queries_answer_against_the_current_epoch() {
         if rebuilt {
             mat.rebuild().expect("rebuilds");
         }
-        let optimum = ask(&mat, "c");
+        let optimum = ask(&mut mat, "c");
         assert_eq!(
             optimum,
             Trop::finite(9.0),
             "query must see the post-delete optimum"
         );
-        let inserted = ask(&mat, "e");
+        let inserted = ask(&mut mat, "e");
         assert_eq!(
             inserted,
             Trop::finite(0.25),
@@ -705,6 +708,237 @@ fn queries_answer_against_the_current_epoch() {
         assert_eq!(err.kind(), "compile", "{unanswerable}: {err}");
         assert!(mat.poisoned().is_none(), "{unanswerable}");
     }
+}
+
+/// Nodes on the ring of [`ring_with_tail`].
+const RING: usize = 12;
+
+/// The ring `0 → 1 → … → RING-1 → 0` and the tail `RING → RING+1`,
+/// which the bridge `3 → RING` connects: the graph the index-lifecycle
+/// tests below edit.
+fn ring_with_tail() -> dlo_bench::GraphInstance {
+    let mut graph = dlo_bench::GraphInstance::cycle(RING);
+    graph.edges.push((RING, RING + 1, 2.0));
+    graph
+}
+
+/// Whether every row of `pred` that `after` lost sat at or past
+/// `after`'s length in `before` — the relation's tail — and not in its
+/// middle.
+fn lost_only_its_tail(before: &Observed<Trop>, after: &Observed<Trop>, pred: &str) -> bool {
+    let rows = |o: &Observed<Trop>| {
+        let (_, rows) = o.2.iter().find(|(p, _)| p == pred).expect("listed");
+        rows.iter()
+            .map(|(r, key, _)| (key.clone(), *r))
+            .collect::<std::collections::HashMap<_, _>>()
+    };
+    let (before, after) = (rows(before), rows(after));
+    let lost = before.iter().filter(|(key, _)| !after.contains_key(*key));
+    lost.map(|(_, &r)| r as usize).all(|r| r >= after.len())
+}
+
+/// A query's index follows every way an edit changes the queried
+/// relation. Every query pattern is asked once after the build, which
+/// registers `T`'s first-column index, and then after each of: an
+/// insert (rows appended), the delete of that insert (the tail taken
+/// back in place), a delete that loses rows from the middle of `T`
+/// (the survivors re-laid), an edit that moves `D₀` (`R(X) :- V(X + 1)`
+/// ranges over it, so the handle re-derives from fresh state), and
+/// `rebuild()`. Every answer is the from-scratch restriction, bit for
+/// bit, and reads its own rows only. The edits that keep the state keep
+/// the index, with no build; the two that start afresh drop it, and
+/// the next query builds it again.
+#[test]
+fn a_query_index_follows_every_edit_shape() {
+    fn shapes<S: Schedule<Trop> + std::fmt::Debug>(schedule: S) {
+        let graph = ring_with_tail();
+        let program: Program<Trop> =
+            parse_program("T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, Y).\nR(X) :- V(X + 1).").unwrap();
+        let mut edb = graph.trop_edb();
+        let v = [(vec![graph.node(1)], Trop::finite(1.0))];
+        edb.insert("V", Relation::from_pairs(1, v));
+        let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+        let mut mat =
+            Materialization::new(&program, &edb, &bools, CAP, schedule, &opts).expect("compiles");
+        let ask = |leg: &str, mat: &mut Materialization<Trop, S>, edb: &Database<Trop>| {
+            let scratch = engine_eval_interned(&program, edb, &bools, CAP, schedule, &opts)
+                .expect("compiles")
+                .materialize()
+                .unwrap();
+            assert_eq!(mat.output().materialize(), scratch, "{leg}");
+            assert_queries_read_the_fixpoint(leg, mat, &scratch);
+        };
+        let built = mat.index_builds_for("T");
+        ask(&format!("{schedule:?}: build"), &mut mat, &edb);
+        let indexed = mat.index_builds_for("T");
+        assert_eq!(indexed, built + 1, "{schedule:?}: T(x, Y) is indexed");
+
+        let bridge = vec![graph.node(3), graph.node(RING)];
+        let ring_cut = vec![graph.node(0), graph.node(1)];
+        let new_node = vec![graph.node(RING + 1), graph.node(RING + 2)];
+        // Per edit: whether the `T` rows it loses are all its tail
+        // (`None`: it loses none), and whether it starts afresh.
+        let script = [
+            (
+                "an insert appends",
+                Edit::insert("E", bridge.clone(), Trop::finite(0.5)),
+                None,
+                false,
+            ),
+            (
+                "its delete takes the tail",
+                Edit::delete("E", bridge),
+                Some(true),
+                false,
+            ),
+            (
+                "a ring cut re-lays",
+                Edit::delete("E", ring_cut),
+                Some(false),
+                false,
+            ),
+            (
+                "a new constant moves D₀",
+                Edit::insert("E", new_node, Trop::finite(1.0)),
+                None,
+                true,
+            ),
+        ];
+        for (shape, edit, tail, fresh) in &script {
+            let leg = format!("{schedule:?}: {shape}");
+            let before = observe(&mut mat);
+            mirror(&mut edb, edit);
+            mat.apply(std::slice::from_ref(edit)).expect("edit applies");
+            if let Some(tail) = tail {
+                let lost = lost_only_its_tail(&before, &observe(&mut mat), "T");
+                assert_eq!(lost, *tail, "{leg}: the rows lost are the tail");
+            }
+            let expected = if *fresh { built } else { indexed };
+            assert_eq!(mat.index_builds_for("T"), expected, "{leg}: builds");
+            ask(&leg, &mut mat, &edb);
+            assert_eq!(mat.index_builds_for("T"), indexed, "{leg}: builds");
+        }
+        mat.rebuild().expect("rebuilds");
+        assert_eq!(mat.index_builds_for("T"), built, "{schedule:?}: rebuilt");
+        ask(&format!("{schedule:?}: rebuild"), &mut mat, &edb);
+        assert_eq!(mat.index_builds_for("T"), indexed, "{schedule:?}: rebuilt");
+    }
+    for strategy in ALL_STRATEGIES {
+        shapes(strategy);
+    }
+    shapes(SemiNaive);
+    shapes(Naive);
+}
+
+/// An index a query made is invisible to evaluation. Twin handles run
+/// one edit script, every edit shape in it; one twin is asked every
+/// adornment of `T` after the build and after every edit, the other is
+/// never asked. After every edit the twins' stats (counters, steps,
+/// per-rule profile) and rows are identical, row ids included, and the
+/// asked twin's answers are the quiet twin's restrictions. Only the
+/// first query of an adornment may build (the first-column one must;
+/// all-free and full-key reads never do), and neither a repeat query
+/// nor an edit builds again. A query that fails — an unknown
+/// predicate, the wrong arity, or a poisoned handle — builds nothing,
+/// and neither does a bound constant the handle never interned, which
+/// answers with no rows.
+#[test]
+fn a_query_index_is_invisible_to_evaluation() {
+    fn twins<S: Schedule<Trop> + std::fmt::Debug>(schedule: S) {
+        let graph = ring_with_tail();
+        let (program, edb) = (ex::apsp_program::<Trop>(), graph.trop_edb());
+        let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+        let new = || Materialization::new(&program, &edb, &bools, CAP, schedule, &opts);
+        let (mut asked, mut quiet) = (new().expect("compiles"), new().expect("compiles"));
+        let (from, to) = (graph.node(3), graph.node(RING));
+        let bound = |c: &Constant| QueryArg::Bound(c.clone());
+        let adornments = [
+            Query::all("T", 2),
+            Query::new("T", vec![bound(&from), QueryArg::Free]),
+            Query::new("T", vec![QueryArg::Free, bound(&to)]),
+            Query::point("T", vec![from.clone(), to.clone()]),
+        ];
+
+        let builds = asked.index_builds_for("T");
+        let never = Query::new("T", vec![QueryArg::bound("never held"), QueryArg::Free]);
+        let answer = asked.query(&never).expect("answers");
+        assert_eq!(answer.answers().support_size(), 0, "{schedule:?}");
+        for failing in [
+            Query::new("Nope", vec![bound(&from), QueryArg::Free]),
+            Query::new("T", vec![bound(&from)]),
+        ] {
+            let err = asked.query(&failing).expect_err("unanswerable");
+            assert_eq!(err.kind(), "compile", "{schedule:?}: {failing:?}");
+        }
+        assert_eq!(
+            asked.index_builds_for("T"),
+            builds,
+            "{schedule:?}: failed reads"
+        );
+        let mut poisoned = new().expect("compiles");
+        poisoned.set_budget(EvalBudget::default().with_max_rows(1));
+        let bridge = vec![from.clone(), to.clone()];
+        let put = [Edit::insert("E", bridge.clone(), Trop::finite(0.5))];
+        poisoned.apply(&put).expect_err("a one-row ceiling trips");
+        let err = poisoned.query(&adornments[1]).expect_err("poisoned");
+        assert_eq!(err.kind(), "poisoned", "{schedule:?}");
+        assert_eq!(
+            poisoned.index_builds_for("T"),
+            builds,
+            "{schedule:?}: poisoned"
+        );
+
+        // Per adornment, how many index builds its query made.
+        let ask_all = |asked: &mut Materialization<Trop, S>,
+                       quiet: &mut Materialization<Trop, S>,
+                       leg: &str| {
+            let standing = quiet.output().materialize().get("T").cloned();
+            let standing = standing.unwrap_or_else(|| Relation::new(2));
+            let builds = |m: &Materialization<Trop, S>| m.index_builds_for("T");
+            let rises: Vec<u64> = (adornments.iter())
+                .map(|q| {
+                    let before = builds(asked);
+                    let answer = asked.query(q).expect("answers");
+                    let want = q.restrict(standing.clone());
+                    assert_eq!(answer.answers(), want, "{leg}: {q:?}");
+                    builds(asked) - before
+                })
+                .collect();
+            rises
+        };
+        let first = ask_all(&mut asked, &mut quiet, &format!("{schedule:?}: build"));
+        // `T(x, Y)` has no index until it is asked; `T(X, y)` has one
+        // from the build: the `E@dlt` variant probes `T` by its second
+        // column.
+        assert_eq!(first, [0, 1, 0, 0], "{schedule:?}");
+
+        let script = [
+            Edit::insert("E", bridge.clone(), Trop::finite(0.5)),
+            Edit::delete("E", bridge.clone()),
+            Edit::delete("E", vec![graph.node(0), graph.node(1)]),
+            Edit::insert("E", bridge, Trop::finite(0.5)),
+            Edit::insert("E", vec![graph.node(0), graph.node(1)], Trop::finite(4.0)),
+        ];
+        for (step, edit) in script.iter().enumerate() {
+            let leg = format!("{schedule:?}: step {step} ({edit:?})");
+            asked
+                .apply(std::slice::from_ref(edit))
+                .expect("edit applies");
+            quiet
+                .apply(std::slice::from_ref(edit))
+                .expect("edit applies");
+            assert_eq!(observe(&mut asked), observe(&mut quiet), "{leg}");
+            let quiet_builds = quiet.index_builds_for("T");
+            assert_eq!(asked.index_builds_for("T"), quiet_builds + 1, "{leg}");
+            let again = ask_all(&mut asked, &mut quiet, &leg);
+            assert_eq!(again, [0; 4], "{leg}: repeated queries");
+        }
+    }
+    for strategy in ALL_STRATEGIES {
+        twins(strategy);
+    }
+    twins(SemiNaive);
+    twins(Naive);
 }
 
 #[test]
@@ -1509,7 +1743,7 @@ fn assert_round_handles_match_from_scratch<P: RoundPops>(
                 .0;
             let leg = format!("{scenario}: step {step} ({edit:?}) on a {schedule:?} handle");
             assert_eq!(mat.output().materialize(), scratch, "{leg}");
-            assert_queries_read_the_fixpoint(&leg, &mat, &scratch);
+            assert_queries_read_the_fixpoint(&leg, &mut mat, &scratch);
         }
         cones
     }
