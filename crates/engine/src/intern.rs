@@ -18,16 +18,35 @@
 //! results are different — they name a new row rather than probe an
 //! existing one, hence the mint path.
 //!
-//! ## One pass, one probe per constant
+//! ## One pass, one probe per memo miss
 //!
 //! The EDB is loaded by [`Interner::load_relation`]: one walk over a
 //! classic relation that interns each constant as it is met and appends
 //! the id straight into the columns of the [`ColumnRel`] under
-//! construction — every stored constant costs exactly one probe of the
-//! reverse map. That map is two [`FxHashMap`]s, one per constant kind,
-//! so integers are resolved without building or hashing a `Constant`
-//! (the executor's [`Interner::lookup_int`] on computed keys takes the
-//! same path).
+//! construction. The reverse map is two [`FxHashMap`]s, one per
+//! constant kind, so integers are resolved without building or hashing
+//! a `Constant` (the executor's [`Interner::lookup_int`] on computed
+//! keys takes the same path).
+//!
+//! **Why an integer memo in front of the map.** An EDB's integers
+//! repeat: `wide-lookup`'s `F` holds 1.2 M integer occurrences over only
+//! 134 distinct values, and a probe of `by_int` costs ≈ 8 ns there. So
+//! each load keeps a direct-mapped memo of 256 `(integer,
+//! id)` pairs on its stack, indexed by the integer's low bits: a hit
+//! returns the stored id with one compare, a miss probes the map
+//! through [`Interner::intern_int`] and overwrites the slot. Only a
+//! miss touches the map, and it interns exactly what a plain walk
+//! would, in the same order — every id, every row and every counter
+//! stay the same. Strings take the map as before. Measured on a 2-core
+//! shared host (release, 30–40 alternating loads per variant in one
+//! process, medians): `load_relation` of a 300 000-row arity-4 relation
+//! over 134 integers 29.4–32.3 ms → 17.4–18.9 ms, and of an 80 000-edge
+//! graph over 20 000 nodes (few hits but the repeated source column)
+//! 3.9–4.9 ms → 3.5–4.4 ms. The memo makes the loop short, but the
+//! read-ahead below still pays: the same memo in a plain walk without
+//! it read 23.9–25.8 ms and 4.4–5.3 ms. (The benchmark's layer probe
+//! `intern.intern_ns_per_const` times [`Interner::intern`] itself, which
+//! has no memo, so that reading does not move.)
 //!
 //! **Why the walk reads ahead.** A classic relation is one sorted
 //! vector of `(tuple, value)` pairs, so the walk reads a slice — but
@@ -84,6 +103,12 @@ use std::sync::Arc;
 /// tuples (≈ 100 bytes each) and the references to them stay inside the
 /// first-level cache between the read-ahead and the interning.
 const LOAD_BATCH: usize = 256;
+
+/// Slots of the memo [`Interner::load_relation`] keeps in front of
+/// [`Interner::intern_int`]: an integer `i` is remembered in slot
+/// `i mod MEMO_SLOTS`, so up to this many distinct small integers are
+/// each probed in the reverse map once per load.
+const MEMO_SLOTS: usize = 256;
 
 /// The word of `c` that interning it reads first — the integer, or the
 /// first byte of the string. [`Interner::load_relation`] reads it ahead
@@ -168,7 +193,10 @@ impl Interner {
     /// The pass moves in batches of a few hundred tuples, and reads
     /// each batch's constants once before interning any of them (the
     /// module docs say why: the tuples' cache misses then overlap
-    /// instead of queueing behind the hash probes).
+    /// instead of queueing behind the hash probes). An integer is
+    /// looked up in a small memo local to this call before the reverse
+    /// map, so a repeated integer costs one compare, not a probe (the
+    /// module docs have the measurement).
     ///
     /// # Panics
     ///
@@ -192,6 +220,20 @@ impl Interner {
         let mut vals: Vec<P> = Vec::with_capacity(rows);
         let mut support = rel.support();
         let mut batch: Vec<(&[Constant], &P)> = Vec::with_capacity(LOAD_BATCH.min(rows));
+        // Direct-mapped `(integer, id)` memo, local to this load. Slot
+        // `s` starts out holding `s + 1`, which belongs in another slot,
+        // so an empty slot never matches an integer (`0` is not id 0).
+        let mut memo: [(i64, u32); MEMO_SLOTS] = std::array::from_fn(|s| (s as i64 + 1, 0));
+        let mut intern = |c: &Constant| match c {
+            Constant::Int(i) => {
+                let slot = &mut memo[*i as usize % MEMO_SLOTS];
+                if slot.0 != *i {
+                    *slot = (*i, self.intern_int(*i));
+                }
+                slot.1
+            }
+            Constant::Str(_) => self.intern(c),
+        };
         loop {
             batch.clear();
             batch.extend(
@@ -216,7 +258,7 @@ impl Interner {
                 if tuple.len() != arity {
                     return Err(tuple);
                 }
-                keys.extend(tuple.iter().map(|c| self.intern(c)));
+                keys.extend(tuple.iter().map(&mut intern));
                 vals.push(v.clone());
             }
         }
@@ -227,9 +269,25 @@ impl Interner {
     /// table the decode sorts rows by. Constants are distinct, so the
     /// order is total.
     pub fn ids_in_constant_order(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = (0..self.len() as u32).collect();
-        ids.sort_unstable_by(|&a, &b| self.get(a).cmp(self.get(b)));
-        ids
+        self.in_constant_order(0..self.len() as u32)
+    }
+
+    /// `ids` sorted by the constants they name: the integers first (a
+    /// `Constant::Int` orders before every `Str`), sorted by value
+    /// straight from the flat side table, then the strings. On 20 000
+    /// integers that sort reads ≈ 1.0 ms where comparing the constants
+    /// through [`Self::get`] read ≈ 1.6 ms.
+    pub(crate) fn in_constant_order(&self, ids: impl IntoIterator<Item = u32>) -> Vec<u32> {
+        let (mut ints, mut strs) = (Vec::new(), Vec::new());
+        for id in ids {
+            match self.ints[id as usize] {
+                Some(i) => ints.push((i, id)),
+                None => strs.push(id),
+            }
+        }
+        ints.sort_unstable();
+        strs.sort_unstable_by(|&a, &b| self.get(a).cmp(self.get(b)));
+        ints.into_iter().map(|(_, id)| id).chain(strs).collect()
     }
 
     /// Decodes an id.
@@ -331,6 +389,111 @@ mod tests {
             ]
         );
         assert_eq!(col.rowid(&[b, three]), Some(1));
+    }
+
+    /// Loads `tuples` (at arity `tuples[0].len()`) into an interner that
+    /// already holds `pre`, and holds every id and every row to a plain
+    /// walk that interns the support's constants one by one through
+    /// [`Interner::intern`] — the load's memo may change neither.
+    fn assert_loads_like_a_plain_walk(pre: &[Constant], tuples: Vec<Vec<Constant>>) {
+        use dlo_core::relation::Relation;
+        use dlo_pops::Trop;
+        let arity = tuples[0].len();
+        let pairs = tuples
+            .into_iter()
+            .zip(1..)
+            .map(|(t, w)| (t, Trop::finite(w as f64)));
+        let rel = Relation::from_pairs(arity, pairs);
+        let (mut loaded, mut plain) = (Interner::new(), Interner::new());
+        for c in pre {
+            loaded.intern(c);
+            plain.intern(c);
+        }
+        let col = loaded.load_relation(&rel);
+        let want: Vec<(u32, Vec<u32>, Trop)> = (0..)
+            .zip(rel.support())
+            .map(|(r, (t, v))| (r, t.iter().map(|c| plain.intern(c)).collect(), *v))
+            .collect();
+        let got: Vec<(u32, Vec<u32>, Trop)> =
+            col.iter().map(|(r, k, v)| (r, k.to_vec(), *v)).collect();
+        assert_eq!(got, want);
+        assert_eq!((loaded.consts, loaded.ints), (plain.consts, plain.ints));
+        assert_eq!(loaded.by_int, plain.by_int);
+    }
+
+    fn ints(row: &[i64]) -> Vec<Constant> {
+        row.iter().map(|&i| Constant::int(i)).collect()
+    }
+
+    #[test]
+    fn load_memo_keeps_colliding_integers_apart() {
+        // `k << 8` and `k << 16` all share slot 0 of the memo, `k` walks
+        // every slot, and each tuple mixes the three, so every slot is
+        // refilled by a different integer many times.
+        let rows = (0..600i64).map(|k| ints(&[k << 8, (k * 7 % 600) << 16, k, -(k << 8)]));
+        assert_loads_like_a_plain_walk(&[], rows.collect());
+        let rows = (0..600i64).map(|k| ints(&[(k % 3) << 16, k << 8, (k % 5) << 8]));
+        assert_loads_like_a_plain_walk(&[Constant::int(1 << 8)], rows.collect());
+    }
+
+    #[test]
+    fn load_memo_handles_zero_signs_and_extremes() {
+        let edge = [
+            0,
+            1,
+            -1,
+            255,
+            256,
+            -256,
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX,
+            i64::MAX - 255,
+        ];
+        let rows = edge
+            .iter()
+            .flat_map(|&a| edge.iter().map(move |&b| ints(&[a, b])));
+        assert_loads_like_a_plain_walk(&[], rows.collect());
+        let rows = edge.iter().map(|&a| ints(&[a]));
+        assert_loads_like_a_plain_walk(&[Constant::int(7), Constant::str("x")], rows.collect());
+    }
+
+    #[test]
+    fn load_memo_never_reads_an_empty_slot_as_zero() {
+        // The first constant, 5, takes id 0; `0` only comes later, and
+        // must get an id of its own (an empty slot is not `(0, id 0)`).
+        let rows = vec![ints(&[5, 0]), ints(&[5, 256]), ints(&[6, 0]), ints(&[7, 1])];
+        assert_loads_like_a_plain_walk(&[], rows.clone());
+        assert_loads_like_a_plain_walk(&[Constant::int(9)], rows);
+    }
+
+    #[test]
+    fn load_memo_leaves_strings_to_their_own_map() {
+        let rows = (0..300i64).map(|k| {
+            let s = Constant::str(&format!("{}", k % 17));
+            vec![
+                Constant::int(k % 17),
+                s,
+                Constant::int(k << 8),
+                Constant::str(""),
+            ]
+        });
+        assert_loads_like_a_plain_walk(&[Constant::str("3")], rows.collect());
+    }
+
+    /// A debug build of `Relation` refuses a ragged tuple where it is
+    /// made, so only a release build can hand one to the loader.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn load_reports_the_first_ragged_tuple() {
+        use dlo_core::relation::Relation;
+        use dlo_pops::Trop;
+        let rows = [&[1, 2][..], &[1, 3], &[1, 2, 3], &[2], &[2, 1]];
+        let pairs = rows.iter().map(|r| (ints(r), Trop::finite(1.0)));
+        let rel = Relation::from_pairs(2, pairs);
+        let mut i = Interner::new();
+        let err = i.try_load_relation(&rel).err();
+        assert_eq!(err, Some(&ints(&[1, 2, 3])[..]));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::arrange::radix_order;
 use crate::intern::Interner;
 use crate::storage::ColumnRel;
 use dlo_core::eval::{EvalError, EvalOutcome, EvalStats};
+use dlo_core::query::{Query, QueryArg};
 use dlo_core::relation::{Database, Relation};
 use dlo_core::value::{Constant, Tuple};
 use dlo_pops::Pops;
@@ -114,6 +115,51 @@ impl<P: Pops> InternedOutput<P> {
         let rank = rank_table(&self.interner);
         let (arity, rel) = (self.idbs[i].1, &self.rels[i]);
         Some(decode_rel(&self.interner, &rank, arity, rel, |_| true))
+    }
+
+    /// Decodes only the rows of the queried predicate that match
+    /// `query`'s bound constants — its answers, bit-identical to
+    /// [`Query::restrict`] of [`Self::materialize_pred`]. The bound
+    /// constants are tested as ids, and only the ids the kept rows hold
+    /// are ranked, so the decode costs the answers, not the whole
+    /// interner. `None` when the predicate is no IDB of the program.
+    pub(crate) fn materialize_answers(&self, query: &Query) -> Option<Relation<P>> {
+        let i = self.idbs.iter().position(|(n, _)| *n == query.pred)?;
+        let (arity, rel) = (self.idbs[i].1, &self.rels[i]);
+        // A query of another arity, or a constant the run never
+        // interned, matches no row.
+        if query.arity() != arity {
+            return Some(Relation::new(arity));
+        }
+        let mut ids: Vec<(usize, u32)> = Vec::new();
+        for (col, arg) in query.args.iter().enumerate() {
+            if let QueryArg::Bound(c) = arg {
+                match self.interner.lookup(c) {
+                    Some(id) => ids.push((col, id)),
+                    None => return Some(Relation::new(arity)),
+                }
+            }
+        }
+        let keep = |r: u32| ids.iter().all(|&(col, id)| rel.row(r)[col] == id);
+        // `rank` first marks the ids the kept rows hold (with 1), then
+        // ranks them among themselves; every other id keeps rank 0, and
+        // `keep` drops its rows after the counting passes, whatever
+        // order those put them in.
+        let mut rank = vec![0u32; self.interner.len()];
+        let mut held: Vec<u32> = Vec::new();
+        for r in (0..rel.len() as u32).filter(|&r| keep(r)) {
+            for &id in rel.row(r) {
+                if rank[id as usize] == 0 {
+                    rank[id as usize] = 1;
+                    held.push(id);
+                }
+            }
+        }
+        let order = self.interner.in_constant_order(held);
+        for (pos, &id) in order.iter().enumerate() {
+            rank[id as usize] = pos as u32;
+        }
+        Some(decode_rel(&self.interner, &rank, arity, rel, keep))
     }
 
     /// Decodes the full output into a [`Database`] — the one expensive
@@ -614,5 +660,64 @@ mod tests {
             let decoded = decode_rel(&interner, &rank, arity, &rel, |_| true);
             assert_eq!(decoded, one_by_one);
         }
+    }
+
+    /// A query's decode reads only the matching rows and ranks only the
+    /// ids they hold, and answers exactly what restricting the whole
+    /// decode does: over constants interned out of order (integers and
+    /// strings mixed), for every adornment of an arity-3 relation, for a
+    /// constant the run never saw, and for a pattern of another arity.
+    #[test]
+    fn matching_decode_is_the_restricted_full_decode() {
+        use super::InternedOutput;
+        use crate::intern::Interner;
+        use crate::storage::ColumnRel;
+        use dlo_core::query::{Query, QueryArg};
+        use dlo_core::relation::Relation;
+        use dlo_core::value::Constant;
+        let mut interner = Interner::new();
+        for i in 0..60i64 {
+            let c = match i % 3 {
+                0 => Constant::int(100 - i),
+                1 => Constant::str(&format!("s{}", (i * 7) % 60)),
+                _ => Constant::int(i * 31 % 97 - 40),
+            };
+            interner.intern(&c);
+        }
+        let ids = interner.len() as u32;
+        let mut rel = ColumnRel::<Trop>::new(3);
+        for r in 0..3_000u32 {
+            let key = [r % 5, r * 7 % ids, r * 13 % ids];
+            if rel.rowid(&key).is_none() {
+                rel.insert_row(&key, Trop::finite(r as f64));
+            }
+        }
+        let consts: Vec<Constant> = rel
+            .row(17)
+            .iter()
+            .map(|&id| interner.get(id).clone())
+            .collect();
+        let out = InternedOutput::new(interner, vec![("T".to_string(), 3)], vec![rel]);
+        let full = out.materialize_pred("T").expect("an IDB");
+        let unseen = Constant::str("never interned");
+        for mask in 0..8 {
+            for miss in [false, true] {
+                let args: Vec<QueryArg> = (0..3)
+                    .map(|c| match (mask >> c & 1 == 1, miss && c == 2) {
+                        (false, _) => QueryArg::Free,
+                        (true, false) => QueryArg::Bound(consts[c].clone()),
+                        (true, true) => QueryArg::Bound(unseen.clone()),
+                    })
+                    .collect();
+                let query = Query::new("T", args);
+                let want = query.restrict(full.clone());
+                let got = out.materialize_answers(&query).expect("an IDB");
+                assert_eq!(got, want, "mask {mask:03b}, unseen {miss}");
+                assert!(miss && mask & 4 != 0 || got.support_size() > 0);
+            }
+        }
+        let short = Query::all("T", 2);
+        assert_eq!(out.materialize_answers(&short), Some(Relation::new(3)));
+        assert_eq!(out.materialize_answers(&Query::all("U", 3)), None);
     }
 }

@@ -109,12 +109,14 @@ impl<P: Pops> QueryAnswer<P> {
     /// rows matching the query's bound constants, decoded. This is the
     /// answer in the magic-sets sense — exactly the query-matching
     /// slice of the full fixpoint (cross-checked in
-    /// `tests/backend_matrix.rs` and `tests/proptest_engine.rs`).
+    /// `tests/backend_matrix.rs` and `tests/proptest_engine.rs`). Only
+    /// the matching rows are decoded, and only the constants they hold
+    /// are ranked.
     pub fn answers(&self) -> Relation<P> {
-        match self.outcome.output().materialize_pred(&self.query.pred) {
-            Some(rel) => self.query.restrict(rel),
-            None => Relation::new(self.query.arity()),
-        }
+        self.outcome
+            .output()
+            .materialize_answers(&self.query)
+            .unwrap_or_else(|| Relation::new(self.query.arity()))
     }
 
     /// The **full derived support**: every non-magic IDB row the
