@@ -17,8 +17,12 @@
 //! For worklist/priority outcomes, `steps` counts frontier pops or
 //! batches rather than ICO applications — fixpoints agree across
 //! backends, step counts only within one discipline.
+//!
+//! A grounded run stops at its fixpoint or at its iteration cap and
+//! nowhere else: deadlines, step and row budgets, cancellation, the
+//! typed `EvalError` and trace sinks are the engine's run-time
+//! governance (`dlo_engine`'s `govern` and `telemetry` modules).
 
-pub mod error;
 pub mod naive;
 pub mod seminaive;
 pub mod stats;
@@ -26,11 +30,7 @@ pub mod stats;
 use crate::ground::GroundSystem;
 use crate::relation::Database;
 use dlo_pops::Pops;
-pub use error::{BudgetKind, CancelToken, EvalBudget, EvalError};
-pub use stats::{
-    Counters, EvalStats, IterStat, JsonlSink, MemorySink, PhaseNanos, RuleProfile, TraceEvent,
-    TraceHandle, TraceSink,
-};
+pub use stats::{Counters, EvalStats, IterStat, PhaseNanos, RuleProfile};
 
 /// Default iteration cap used by the convenience entry points. High enough
 /// for every workload in the repository; all entry points also take an
@@ -134,24 +134,13 @@ impl<P: Pops> EvalOutcome<P> {
     /// (Sec. 4.2 cases (i)/(ii)) is diagnosable without re-running
     /// under a tracer.
     pub fn unwrap(self) -> Database<P> {
-        match self.into_result() {
-            Ok(output) => output,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The converged output, or the typed [`EvalError::Diverged`] the
-    /// panic-free entry points report: it carries the same atom-sample
-    /// and final-snapshot diagnostic as the [`EvalOutcome::unwrap`]
-    /// panic, plus the run's [`EvalStats`].
-    pub fn into_result(self) -> Result<Database<P>, EvalError> {
         match self {
-            EvalOutcome::Converged { output, .. } => Ok(output),
-            EvalOutcome::Diverged { last, cap, stats } => Err(EvalError::Diverged {
-                cap,
-                diagnostic: divergence_diagnostic(&last, &stats),
-                stats: Box::new(stats),
-            }),
+            EvalOutcome::Converged { output, .. } => output,
+            EvalOutcome::Diverged { last, cap, stats } => panic!(
+                "datalog° evaluation diverged: no fixpoint within the \
+                 iteration cap ({cap}); {}",
+                divergence_diagnostic(&last, &stats)
+            ),
         }
     }
 
@@ -169,13 +158,12 @@ impl<P: Pops> EvalOutcome<P> {
     }
 }
 
-/// The divergence report shared by [`EvalOutcome::unwrap`] and
-/// [`EvalError::Diverged`]: a sample of atoms from the last computed
-/// instance and — when the backend recorded telemetry — the final
-/// step's stats snapshot (last Δ size, frontier queue depth), which is
-/// what distinguishes "still pumping huge deltas" from "cap merely too
-/// low".
-pub(crate) fn divergence_diagnostic<P: Pops>(last: &Database<P>, stats: &EvalStats) -> String {
+/// The divergence report of [`EvalOutcome::unwrap`]: a sample of atoms
+/// from the last computed instance and — when the backend recorded
+/// telemetry — the final step's stats snapshot (last Δ size, frontier
+/// queue depth), which is what distinguishes "still pumping huge
+/// deltas" from "cap merely too low".
+fn divergence_diagnostic<P: Pops>(last: &Database<P>, stats: &EvalStats) -> String {
     const SAMPLE: usize = 5;
     let mut atoms: Vec<String> = vec![];
     let mut total = 0usize;
@@ -314,44 +302,6 @@ mod tests {
         assert!(msg.contains("final step 29"), "got: {msg}");
         assert!(msg.contains("12 delta row(s)"), "got: {msg}");
         assert!(msg.contains("queue depth 4"), "got: {msg}");
-    }
-
-    #[test]
-    fn diverged_into_result_carries_the_unwrap_diagnostic_and_stats() {
-        let mut last = Database::<Nat>::new();
-        let mut rel = Relation::new(1);
-        rel.set(tup!["u"], Nat(64));
-        last.insert("X", rel);
-        let mut stats = EvalStats {
-            strategy: "seminaive".into(),
-            ..EvalStats::default()
-        };
-        stats.push_iteration(IterStat {
-            step: 29,
-            delta_rows: 12,
-            ..IterStat::default()
-        });
-        let outcome = EvalOutcome::Diverged {
-            last,
-            cap: 30,
-            stats,
-        };
-        let err = outcome.into_result().expect_err("diverged must error");
-        match &err {
-            EvalError::Diverged {
-                cap,
-                diagnostic,
-                stats,
-            } => {
-                assert_eq!(*cap, 30);
-                assert!(diagnostic.contains("X(u)"), "got: {diagnostic}");
-                assert!(diagnostic.contains("12 delta row(s)"), "got: {diagnostic}");
-                assert_eq!(stats.strategy, "seminaive");
-            }
-            other => panic!("expected Diverged, got {other:?}"),
-        }
-        let text = err.to_string();
-        assert!(text.contains("iteration cap (30)"), "got: {text}");
     }
 
     #[test]

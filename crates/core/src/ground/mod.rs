@@ -124,6 +124,15 @@ impl<P: Pops> GroundSystem<P> {
 /// `D₀`: the active domain of both EDBs plus the program's constants
 /// (Sec. 4.3) — what a variable no atom binds ranges over in every
 /// backend.
+///
+/// That range is the finite `D₀` only, never the infinite key domain
+/// and never a key a head function minted: in `R(X) :- V(X + 1)` the
+/// variable `X` takes the values of `D₀`, so over `V = {0, 1}` the rule
+/// gives `R(0)` the value `V(1)` and gives `R(-1)` nothing, even where
+/// another rule mints `-1`. This is the paper's finite reading of
+/// Sec. 4.3, it keeps every grounding finite, and the
+/// `minted_keys_stay_out_of_edb_key_functions_trop` scenario of
+/// `tests/backend_matrix.rs` pins it on every backend.
 pub fn domain<P: Pops>(
     program: &Program<P>,
     pops_edb: &Database<P>,

@@ -39,17 +39,16 @@
 //! match any stored row.
 
 use crate::exec::{run_plan, EvalCtx, ExecCounters, HeadVal, Scratch};
-use crate::govern::{abort_error, Abort, Checkpoint, Governor};
+use crate::govern::{abort_error, CancelToken, Checkpoint, EvalBudget, EvalError, Governor};
 use crate::hash::FxHashMap;
 use crate::intern::Interner;
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 use crate::par;
 use crate::plan::{compile_demand, CompileError, CompiledProgram, Plan, Source};
 use crate::storage::{probes_full_key, AccumMap, ColMask, ColumnRel};
-use crate::telemetry::Collector;
+use crate::telemetry::{Collector, TraceHandle};
 use dlo_core::ast::Program;
 use dlo_core::eval::stats::{Counters, EvalStats};
-use dlo_core::eval::{CancelToken, EvalBudget, EvalError, TraceHandle};
 use dlo_core::ground::domain;
 use dlo_core::relation::{BoolDatabase, Database};
 use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops, PreSemiring};
@@ -344,8 +343,8 @@ impl<P: Pops + Send> Engine<P> {
     /// and each index's content is insertion-order determined, so
     /// parallel construction is observation-equivalent to a sequential
     /// loop. A panic in a build is contained by the pool and surfaced
-    /// as the abort the drivers turn into [`EvalError::WorkerPanic`].
-    pub(crate) fn build_edb_indexes(&mut self, threads: usize) -> Result<bool, Abort> {
+    /// as [`EvalError::WorkerPanic`].
+    pub(crate) fn build_edb_indexes(&mut self, threads: usize) -> Result<bool, EvalError> {
         enum Work<'a, P> {
             Pops(&'a mut ColumnRel<P>, &'a [ColMask]),
             Bool(&'a mut ColumnRel<Bool>, &'a [ColMask]),
@@ -373,7 +372,10 @@ impl<P: Pops + Send> Engine<P> {
             };
             sorted.fetch_or(any, Ordering::Relaxed);
         })
-        .map_err(|message| Abort::WorkerPanic { message })?;
+        .map_err(|message| EvalError::WorkerPanic {
+            message,
+            stats: Box::default(),
+        })?;
         Ok(sorted.into_inner())
     }
 }
@@ -400,7 +402,7 @@ pub(crate) enum LoopFail {
     /// Governed interruption or contained worker panic, at the
     /// checkpoint granularity that caught it, after `steps` steps.
     Abort {
-        abort: Abort,
+        error: EvalError,
         checkpoint: Checkpoint,
         steps: usize,
     },
@@ -409,10 +411,10 @@ pub(crate) enum LoopFail {
 }
 
 impl LoopFail {
-    /// Tags an [`Abort`] with where the loop was when it fired.
-    pub(crate) fn at(checkpoint: Checkpoint, steps: usize) -> impl FnOnce(Abort) -> LoopFail {
-        move |abort| LoopFail::Abort {
-            abort,
+    /// Tags a governed stop with where the loop was when it fired.
+    pub(crate) fn at(checkpoint: Checkpoint, steps: usize) -> impl FnOnce(EvalError) -> LoopFail {
+        move |error| LoopFail::Abort {
+            error,
             checkpoint,
             steps,
         }
@@ -528,12 +530,12 @@ impl Run {
         let eval_ns = self.t_eval.elapsed().as_nanos() as u64;
         let error = match fail {
             LoopFail::Abort {
-                abort,
+                error,
                 checkpoint,
                 steps,
             } => {
                 let settled_rows = self.settled.settled_rows();
-                abort_error(abort, checkpoint, settled_rows, self.col, steps, eval_ns)
+                abort_error(error, checkpoint, settled_rows, self.col, steps, eval_ns)
             }
             LoopFail::Diverged(steps) => EvalError::Diverged {
                 cap,
@@ -645,7 +647,7 @@ fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
 /// in `fresh`, its counters in `run`'s collector; every plan works in
 /// `run`'s buffers, so a warm run allocates nothing. One unwind guard
 /// covers the list: the first panicking plan stops it, every earlier
-/// plan already accounted, and surfaces as [`Abort::WorkerPanic`].
+/// plan already accounted, and surfaces as [`EvalError::WorkerPanic`].
 pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     engine: &Engine<P>,
     state: &IdbState<P>,
@@ -654,7 +656,7 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     land: impl Fn(&mut S, &[u32], P),
     fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
     run: &mut Run,
-) -> Result<(), Abort> {
+) -> Result<(), EvalError> {
     let ctx = engine.ctx(state);
     catch_unwind(AssertUnwindSafe(|| {
         for plan in plans {
@@ -674,8 +676,9 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
                 .add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
         }
     }))
-    .map_err(|p| Abort::WorkerPanic {
+    .map_err(|p| EvalError::WorkerPanic {
         message: par::payload_message(p),
+        stats: Box::default(),
     })
 }
 
@@ -688,7 +691,7 @@ pub(crate) fn run_round<P: Pops>(
     plans: &[Plan<P>],
     state: &IdbState<P>,
     run: &mut Run,
-) -> Result<(Accum<P>, FreshAccum<P>), Abort> {
+) -> Result<(Accum<P>, FreshAccum<P>), EvalError> {
     let mut contrib = engine.empty_accums();
     let mut fresh: FreshAccum<P> = contrib.iter().map(|_| BTreeMap::new()).collect();
     run_plans_inline(

@@ -251,7 +251,7 @@ use crate::driver::{
     ensure_delta_indexes, ensure_probes, run_round, setup, Engine, EngineOpts, IdbState, LoopFail,
     RoundPlans, Run, Schedule,
 };
-use crate::govern::Checkpoint;
+use crate::govern::{CancelToken, Checkpoint, EvalBudget, EvalError};
 use crate::intern::Interner;
 use crate::output::{decode_db, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 use crate::plan::{Plan, EDB_CONE_SUFFIX, EDB_DELTA_SUFFIX};
@@ -262,7 +262,6 @@ use dlo_core::ast::{Factor, Program, Rule, Term, UnaryFn};
 use dlo_core::demand::DemandError;
 use dlo_core::edit::{Edit, FactDelete, FactInsert};
 use dlo_core::eval::stats::EvalStats;
-use dlo_core::eval::{CancelToken, EvalBudget, EvalError};
 use dlo_core::ground::domain;
 use dlo_core::query::{Query, QueryArg};
 use dlo_core::relation::{BoolDatabase, Database};

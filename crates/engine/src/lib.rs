@@ -520,8 +520,8 @@
 //! [`TraceSink`] — [`JsonlSink`] for files, [`MemorySink`] for tests)
 //! through [`EngineOpts::trace`], or set `DLO_TRACE=out.jsonl` to
 //! append one JSON object per event (`run_start`, `phase`,
-//! `iteration`, `run_end`) with no dependencies — the writer/parser
-//! pair lives in `dlo_core::eval::stats::json`. Events are emitted
+//! `iteration`, `abort`, `run_end`) with no dependencies — the
+//! writer/parser pair lives in `dlo_core::eval::stats::json`. Events are emitted
 //! from the thread that runs the fixpoint, in deterministic order.
 //!
 //! Determinism extends to the telemetry itself: everything except
@@ -559,7 +559,8 @@
 //!   [`EvalError::BudgetExhausted`] / [`EvalError::DeadlineExceeded`] /
 //!   [`EvalError::Cancelled`] carries the final [`EvalStats`] snapshot
 //!   (with `budget_checks` / `cancel_polls` counters and a trailing
-//!   `abort` trace event), and arrives with the abort-time instance
+//!   `abort` trace event whose `reason` is the error's `Display`), and
+//!   arrives with the abort-time instance
 //!   itself attached — see the graceful-degradation note below.
 //! * **Contained panics** ([`EvalError::WorkerPanic`]): every index
 //!   build in the pool (and its sequential fallback) and every plan run
@@ -570,9 +571,9 @@
 //!   unwinding or aborting the process.
 //!
 //! Divergence is *not* an error here: hitting the iteration cap still
-//! returns `Ok` with [`InternedOutcome::Diverged`] (after
-//! `materialize()`, `into_result()` converts it into
-//! [`EvalError::Diverged`] when a capped run should be error-shaped). Long-lived [`Materialization`]s
+//! returns `Ok` with [`InternedOutcome::Diverged`]; only a
+//! [`Materialization`] build or edit that hits it fails, with
+//! [`EvalError::Diverged`]. Long-lived [`Materialization`]s
 //! add a **poisoned bit**: if an edit fails mid-flight in a way that may
 //! have left interned state inconsistent, every subsequent call returns
 //! [`EvalError::Poisoned`] until [`Materialization::rebuild`] re-derives
@@ -693,16 +694,14 @@ pub mod storage;
 pub(crate) mod telemetry;
 pub mod worklist;
 
-pub use dlo_core::eval::stats::{
-    Counters, EvalStats, IterStat, JsonlSink, MemorySink, PhaseNanos, RuleProfile, TraceEvent,
-    TraceHandle, TraceSink,
-};
-pub use dlo_core::eval::{BudgetKind, CancelToken, EvalBudget, EvalError};
+pub use dlo_core::eval::stats::{Counters, EvalStats, IterStat, PhaseNanos, RuleProfile};
 pub use driver::{engine_eval_interned, EngineOpts, Naive, Schedule, SemiNaive};
+pub use govern::{BudgetKind, CancelToken, EvalBudget, EvalError};
 pub use incremental::Materialization;
 pub use intern::Interner;
 pub use output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 pub use plan::{compile, compile_demand, CompileError, CompiledProgram, Plan, PlanMeta};
 pub use query::{engine_query_eval_with_opts, QueryAnswer};
 pub use storage::ColumnRel;
+pub use telemetry::{JsonlSink, MemorySink, TraceEvent, TraceHandle, TraceSink};
 pub use worklist::Strategy;

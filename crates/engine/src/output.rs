@@ -19,9 +19,10 @@
 //! two on demand.
 
 use crate::arrange::radix_order;
+use crate::govern::EvalError;
 use crate::intern::Interner;
 use crate::storage::ColumnRel;
-use dlo_core::eval::{EvalError, EvalOutcome, EvalStats};
+use dlo_core::eval::{EvalOutcome, EvalStats};
 use dlo_core::query::{Query, QueryArg};
 use dlo_core::relation::{Database, Relation};
 use dlo_core::value::{Constant, Tuple};

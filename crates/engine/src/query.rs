@@ -20,10 +20,11 @@
 //! raw [`InternedOutput`] for reading without a decode.
 
 use crate::driver::{empty_aborted, evaluate, EngineOpts, Schedule};
+use crate::govern::EvalError;
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput};
 use dlo_core::ast::Program;
 use dlo_core::demand::{magic_rewrite, DemandError};
-use dlo_core::eval::{EvalError, EvalStats};
+use dlo_core::eval::EvalStats;
 use dlo_core::query::Query;
 use dlo_core::relation::{BoolDatabase, Database, Relation};
 use dlo_core::value::Constant;

@@ -11,8 +11,8 @@ use datalog_o::core::{parse_program, parse_query, BoolDatabase, Database};
 use datalog_o::engine::{JsonlSink, MemorySink, TraceEvent, TraceHandle};
 use datalog_o::pops::Trop;
 use datalog_o::{
-    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, EvalBudget, Naive, SemiNaive,
-    Strategy,
+    engine_eval_interned, engine_query_eval_with_opts, CancelToken, EngineOpts, EvalBudget,
+    EvalError, Naive, SemiNaive, Strategy,
 };
 
 const CAP: usize = 100_000;
@@ -632,4 +632,100 @@ fn dlo_trace_env_fallback_writes_jsonl() {
         }
     }
     assert!(saw_end, "stream contains a run_end event");
+}
+
+/// Every governed stop streams exactly one `Abort` event: its `reason`
+/// is the returned error's `Display`, its `granularity` names the
+/// checkpoint that fired, and a non-converged `RunEnd` with the error's
+/// step count closes the stream. Four stops, one per way in: a step
+/// budget crossed at a semi-naïve round and a token cancelled before
+/// the run (`engine_eval_interned`), a deadline already past when the
+/// query's run starts (`engine_query_eval_with_opts`), and a step
+/// budget crossed at a bucket of a live handle's insert.
+#[test]
+fn every_governed_stop_traces_one_abort_with_its_error() {
+    fn assert_one_abort(leg: &str, events: &[TraceEvent], error: &EvalError, checkpoint: &str) {
+        let aborts: Vec<(&str, &str)> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Abort {
+                    reason,
+                    granularity,
+                    ..
+                } => Some((reason.as_str(), granularity.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            aborts,
+            [(error.to_string().as_str(), checkpoint)],
+            "{leg}: {events:?}"
+        );
+        let steps = error.stats().expect("a run-phase error").steps;
+        assert_eq!(
+            events.last(),
+            Some(&TraceEvent::RunEnd {
+                steps,
+                converged: false
+            }),
+            "{leg}"
+        );
+    }
+    let (program, edb) = sssp();
+    let bools = BoolDatabase::new();
+    let traced = |budget: EvalBudget, cancel: Option<CancelToken>| {
+        let sink = MemorySink::default();
+        let opts = EngineOpts {
+            trace: Some(TraceHandle::new(sink.clone())),
+            budget,
+            cancel,
+            ..EngineOpts::default()
+        };
+        (sink, opts)
+    };
+
+    let (sink, opts) = traced(EvalBudget::unlimited().with_max_steps(2), None);
+    let aborted = engine_eval_interned(&program, &edb, &bools, CAP, SemiNaive, &opts)
+        .expect_err("two rounds do not reach the fixpoint");
+    assert_eq!(aborted.error().kind(), "budget");
+    assert_one_abort("step budget", &sink.events(), aborted.error(), "iteration");
+
+    let token = CancelToken::new();
+    token.cancel();
+    let (sink, opts) = traced(EvalBudget::unlimited(), Some(token));
+    let aborted = engine_eval_interned(&program, &edb, &bools, CAP, Strategy::Priority, &opts)
+        .expect_err("a cancelled run stops");
+    assert_eq!(aborted.error().kind(), "cancelled");
+    assert_one_abort("cancelled", &sink.events(), aborted.error(), "phase");
+
+    let deadline = EvalBudget::unlimited().with_deadline(std::time::Duration::ZERO);
+    let (sink, opts) = traced(deadline, None);
+    let query = parse_query("?- L(d).").unwrap();
+    let aborted = engine_query_eval_with_opts(
+        &program,
+        &query,
+        &edb,
+        &bools,
+        CAP,
+        Strategy::Priority,
+        &opts,
+    )
+    .expect_err("the deadline has passed by the first checkpoint");
+    assert_eq!(aborted.error().kind(), "deadline");
+    assert_one_abort("deadline", &sink.events(), aborted.error(), "phase");
+
+    // The build converges ungoverned; the insert shortens `a → c` to
+    // 1.5, which settles `c` and then `d` in two buckets, and a budget
+    // of one step stops it at the second.
+    let (sink, opts) = traced(EvalBudget::unlimited(), None);
+    let mut live =
+        datalog_o::Materialization::new(&program, &edb, &bools, CAP, Strategy::Priority, &opts)
+            .expect("builds");
+    let built = sink.events().len();
+    live.set_budget(EvalBudget::unlimited().with_max_steps(1));
+    let shortcut =
+        datalog_o::core::FactInsert::new("E", vec!["a".into(), "c".into()], Trop::finite(1.5));
+    let error = live.insert(&[shortcut]).expect_err("one bucket of two");
+    assert_eq!(error.kind(), "budget");
+    assert_one_abort("edit", &sink.events()[built..], &error, "bucket");
 }
