@@ -51,8 +51,10 @@ pub struct Counters {
     /// program, its input and a handle's edit history like every other
     /// counter.
     pub merge_join_steps: u64,
-    /// Probes served by a hash-prefix index (hash-join path);
-    /// `merge_join_steps + hash_join_steps = index_probes` always.
+    /// Probes served by a posting-list probe (hash-join path): hashed,
+    /// or a bulk relation's direct table (an EDB column of arity ≤ 2
+    /// dense enough to address by id); `merge_join_steps +
+    /// hash_join_steps = index_probes` always.
     pub hash_join_steps: u64,
     /// Reads 0 on every run: nothing merges sorted runs since the
     /// engine stopped maintaining them under appends (a relation that
@@ -452,7 +454,9 @@ impl EvalStats {
         w.key("iterations");
         w.arr_open();
         for it in &self.iterations {
-            write_iter(&mut w, it);
+            w.obj_open();
+            it.write_fields(&mut w);
+            w.obj_close();
         }
         w.arr_close();
         w.u64_field("iterations_dropped", self.iterations_dropped);
@@ -500,18 +504,21 @@ fn write_counters(w: &mut json::Writer, c: &Counters) {
     w.obj_close();
 }
 
-fn write_iter(w: &mut json::Writer, it: &IterStat) {
-    w.obj_open();
-    w.u64_field("step", it.step);
-    w.u64_field("delta_rows", it.delta_rows);
-    w.u64_field("queue_depth", it.queue_depth);
-    w.u64_field("emits", it.emits);
-    w.u64_field("fresh_emits", it.fresh_emits);
-    w.u64_field("inserted", it.inserted);
-    w.u64_field("improved", it.improved);
-    w.u64_field("absorbed", it.absorbed);
-    w.u64_field("minted", it.minted);
-    w.obj_close();
+impl IterStat {
+    /// Writes the nine fields into the object `w` has open — the one
+    /// encoding of a snapshot, shared by [`EvalStats::to_json`]'s
+    /// `iterations` and the engine's `iteration` trace event.
+    pub fn write_fields(&self, w: &mut json::Writer) {
+        w.u64_field("step", self.step);
+        w.u64_field("delta_rows", self.delta_rows);
+        w.u64_field("queue_depth", self.queue_depth);
+        w.u64_field("emits", self.emits);
+        w.u64_field("fresh_emits", self.fresh_emits);
+        w.u64_field("inserted", self.inserted);
+        w.u64_field("improved", self.improved);
+        w.u64_field("absorbed", self.absorbed);
+        w.u64_field("minted", self.minted);
+    }
 }
 
 pub mod json {

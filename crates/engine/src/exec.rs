@@ -43,7 +43,7 @@ use crate::arrange::Arrangement;
 use crate::hash::FxHashMap;
 use crate::intern::Interner;
 use crate::plan::{CFormula, CTerm, HeadOp, Plan, ProbeCol, Source, Step};
-use crate::storage::{ColumnRel, KeyedMap, RowMap, MAX_ARITY};
+use crate::storage::{ColumnRel, Postings, RowMap, MAX_ARITY};
 use dlo_core::ast::KeyFn;
 use dlo_core::formula::CmpOp;
 use dlo_pops::{Bool, Pops};
@@ -76,7 +76,8 @@ pub struct ExecCounters {
     pub probes: u64,
     /// Probes answered by a sorted arrangement's binary searches.
     pub merge_probes: u64,
-    /// Probes answered by a hash-prefix index.
+    /// Probes answered by a posting-list probe: a hash-prefix index, a
+    /// bulk relation's direct table, or a standing relation's row map.
     pub hash_probes: u64,
     /// Candidate tuples scanned (full-scan ranges + probe posting
     /// lists, before per-row checks).
@@ -314,9 +315,9 @@ enum Probe<'a> {
     /// missing or of another arity: the factor is all-`0`, the guard
     /// all-false.
     Scan(u32),
-    /// A hash-prefix index (`None` until ensured: a probe then panics,
-    /// as [`ColumnRel::probe`] does).
-    Index(Option<&'a KeyedMap<Vec<u32>>>),
+    /// A posting-list index, hashed or a bulk relation's table (`None`
+    /// until ensured: a probe then panics, as [`ColumnRel::probe`] does).
+    Index(Option<&'a Postings>),
     /// A sorted run: binary searches, the merge-probe path.
     Arranged(&'a Arrangement),
     /// The full-key row map of a standing IDB relation
@@ -346,7 +347,7 @@ impl<'a> Probe<'a> {
 enum Cursor<'a> {
     /// A range of row ids: a scan, or a row-map hit (one row or none).
     Rows(Range<u32>),
-    /// A hash posting list.
+    /// A posting list (a hash index's, or a slice of a table).
     List(slice::Iter<'a, u32>),
     /// An arranged probe's matches: `matches[next..]`, the top of the
     /// stack, which this depth filled from `start` on.
@@ -525,8 +526,7 @@ impl<'a, P: Pops, E: FnMut(&[u32], P), F: FnMut(&[HeadVal], P)> Join<'_, 'a, P, 
             }
             Probe::Index(index) => {
                 counters.hash_probes += 1;
-                let index = index.expect("probe before ensure_index");
-                let rows = index.get(key).map_or(&[][..], Vec::as_slice);
+                let rows = index.expect("probe before ensure_index").get(key);
                 depth.cursor = Cursor::List(rows.iter());
                 rows.len()
             }

@@ -5,8 +5,9 @@
 //! parallel value vector and a full-row map (hashed, or a slot table
 //! where the keys are dense — see "Packed and dense keys") for O(1)
 //! merge. Indexes
-//! are hash maps from a *bound-column projection* to the matching row
-//! ids, keyed by a column bitmask; they are built lazily per
+//! map a *bound-column projection* to the matching row ids (`Postings`:
+//! hashed, or a bulk relation's posting table), keyed by a column
+//! bitmask; they are built lazily per
 //! `(relation, bound-column-set)` — once a mask is requested it is
 //! maintained incrementally by [`ColumnRel::insert_row`], so monotone
 //! relations (the semi-naïve `new` state) never pay a rebuild. The
@@ -16,25 +17,35 @@
 //! the map is built the first time something reads such a relation *by
 //! full key* — see the [`ColumnRel`] docs for who does.
 //!
-//! ## Two probe structures, one regime each
+//! ## Two regimes, three probe structures
 //!
 //! A relation is in one of two regimes, and it knows which:
 //!
 //! * **bulk** — made by [`ColumnRel::from_distinct_rows`] and not
-//!   appended to since: the EDB of a run. Where its probe keys are too
-//!   wide to pack (`probes_arranged`, arity > 2) it is probed through an
-//!   immutable **sorted run** ([`crate::arrange`]): one sort serves
-//!   every mask that shares the order's prefix, no key is boxed.
+//!   appended to since: the EDB of a run. Nothing grows it while a run
+//!   reads it, so what it is probed through is built once and never
+//!   maintained (Ascent's `update_indices` before `run`). Where its
+//!   probe keys are too wide to pack (`probes_arranged`, arity > 2) that
+//!   is an immutable **sorted run** ([`crate::arrange`]): one sort serves
+//!   every mask that shares the order's prefix, no key is boxed. A
+//!   one-column mask of arity ≤ 2 gets a **posting table**
+//!   (`Postings::Table`) where its column passes `row_map_dense`'s
+//!   rule: interned ids are dense from 0, so one counting pass over the
+//!   column and one stable scatter lay every key's row ids out in one
+//!   array, and a probe reads two offsets — no `Vec` per key, no hash
+//!   per probe. A sparser column, and a two-column mask, keep the hash
+//!   index.
 //! * **grown** — made by [`ColumnRel::new`] and filled row by row (the
 //!   IDB state, every Δ, every relation an edit rebuilds), or a bulk
 //!   relation from its first append on: probed through the hash index
 //!   every append keeps current, at any arity.
 //!
-//! [`ColumnRel::ensure_probe`] is the one place that decides, and
-//! [`ColumnRel::append_row`] the one place a relation changes regime:
-//! the first append drops the sorted runs and builds the hash index of
-//! every mask they had been asked for. Nothing sorted is ever
-//! maintained under appends — see the crate docs for what that cost.
+//! [`ColumnRel::ensure_probe`] is the one place that decides, and the
+//! first append (`ColumnRel::grow`, run by every append) the one place a
+//! relation changes regime: it drops the sorted runs and the tables and
+//! builds the hash index of every mask they had been asked for. Nothing
+//! sorted or counted is ever maintained under appends — see the crate
+//! docs for what that cost.
 //!
 //! ## Packed and dense keys
 //!
@@ -62,9 +73,12 @@
 //! 32 768 rows, its map shrinks from ≈ 8 MiB of buckets to a 976.6 KiB
 //! table, and the 959 442 merges of an operation stop missing the cache
 //! (on a 2-core shared host: merge+queue 82 → 41 ns per emission,
-//! `reported.eval_s` 107 → 74 ms, `op_median_s` −18 %). Posting-list
-//! indexes and accumulators stay hashed: their keys are projections,
-//! rarely dense, and an index holds a `Vec` per key anyway.
+//! `reported.eval_s` 107 → 74 ms, `op_median_s` −18 %). Accumulators
+//! and the posting-list indexes of grown relations stay hashed: their
+//! keys are projections, rarely dense, and an index that appends keep
+//! current holds a `Vec` per key anyway. A bulk relation's one-column
+//! index is the exception (above): it is never appended to while read,
+//! so its posting lists can share one array.
 
 use crate::arrange::Arrangement;
 use crate::hash::FxHashMap;
@@ -87,7 +101,7 @@ pub(crate) const MAX_ARITY: usize = 32;
 /// gets built, and so what the executor probes), the planner's
 /// `explain()` tags add "is an EDB relation", and nobody else asks.
 ///
-/// Both structures hand a probe the same row ids in the same ascending
+/// Every structure hands a probe the same row ids in the same ascending
 /// order, so the choice is cost only, and each owns a regime (parent of
 /// PR 21, this host). *Bulk, then read-only* — 300 000 arity-4 rows,
 /// masks `0b0111` + `0b1111`, `wide-lookup`'s shape: one sorted run
@@ -102,10 +116,15 @@ pub(crate) const MAX_ARITY: usize = 32;
 /// benchmark has a workload on each side (`baseline.json`):
 /// `wide-lookup` runs all of its probes against the sorted run of its
 /// bulk-loaded table (`reported.merge_join_steps` 4000,
-/// `reported.hash_join_steps` 0); `apsp-dense` (arity 2) runs all of
-/// its probes against packed hash indexes (`hash_join_steps` =
-/// `index_probes` = 239 605, `merge_join_steps` 0), as do `sssp-sparse`,
-/// `point-query` and `live-edits`.
+/// `reported.hash_join_steps` 0). At arity ≤ 2 a bulk relation's
+/// one-column probes go to its posting table, which counts as a hash
+/// probe: `apsp-dense` runs all of its probes against the table of its
+/// `E` (`hash_join_steps` = `index_probes` = 239 605,
+/// `merge_join_steps` 0), as does `sssp-sparse` (6 000); `point-query`
+/// runs all but one of each run's 19 618 probes against `E`'s table
+/// and that one against a hash index; `live-edits` builds its handle
+/// through tables, but its first insert grows `E`, so every timed edit
+/// and query probes hash indexes.
 pub(crate) fn probes_arranged(arity: usize, mask: ColMask) -> bool {
     mask != 0 && arity > 2
 }
@@ -470,6 +489,95 @@ impl RowMap {
     }
 }
 
+/// A posting-list index over one mask: the row ids whose projection is
+/// each key, ascending by row id in either layout, so a probe answers
+/// the same list whichever one holds the mask.
+#[derive(Clone, Debug)]
+pub(crate) enum Postings {
+    /// Hashed by the projected key: what every append keeps current.
+    Hashed(KeyedMap<Vec<u32>>),
+    /// A bulk relation's one-column index over ids below `side` (see
+    /// the module docs), in one allocation: `cells[..side + 2]` are the
+    /// starts, offsets into `cells` itself, and the row ids follow, so
+    /// key `k`'s rows are `cells[cells[k]..cells[k + 1]]`. Never
+    /// maintained — the first append turns it into [`Postings::Hashed`].
+    Table { side: usize, cells: Vec<u32> },
+}
+
+impl Postings {
+    /// The hash index over `mask` of the `len` rows of `arity` stored
+    /// row-major in `keys`.
+    fn hash(arity: usize, mask: ColMask, keys: &[u32], len: usize) -> Self {
+        let width = mask.count_ones() as usize;
+        let mut index: KeyedMap<Vec<u32>> = KeyedMap::new(width);
+        let mut key: Vec<u32> = Vec::with_capacity(width);
+        for r in 0..len {
+            project_into(&keys[r * arity..(r + 1) * arity], mask, &mut key);
+            match index.get_mut(&key) {
+                Some(rows) => rows.push(r as u32),
+                None => index.insert(&key, vec![r as u32]),
+            }
+        }
+        Postings::Hashed(index)
+    }
+
+    /// The direct-addressed table of column `col` (< `arity`) of the
+    /// `len` rows stored row-major in `keys`, or `None` where
+    /// [`row_map_dense`] finds the column too sparse for one. One
+    /// counting pass fills the starts, shifted by one so that the stable
+    /// scatter that follows leaves them holding every key's start. One
+    /// allocation, not two: the table of `apsp-dense`'s 2 000-row `E`
+    /// as two buffers raised that workload's `peak_rss_mb` from 49.1 to
+    /// 51.3 MiB in 6 of 7 15-second runs (glibc's placement of
+    /// them), as one it read 49.1–49.2 in 7 of 7.
+    fn table(arity: usize, col: usize, keys: &[u32], len: usize) -> Option<Self> {
+        let column = || keys.iter().skip(col).step_by(arity);
+        let side = column().max().map_or(0, |&id| id as usize + 1);
+        if !row_map_dense(1, side, len) {
+            return None;
+        }
+        let mut cells = vec![0u32; side + 2 + len];
+        (cells[0], cells[1]) = ((side + 2) as u32, (side + 2) as u32);
+        for &k in column() {
+            cells[k as usize + 2] += 1;
+        }
+        for i in 2..side + 2 {
+            cells[i] += cells[i - 1];
+        }
+        // `cells[k + 1]` is `k`'s next free cell, and ends as `k + 1`'s
+        // start.
+        for (r, &k) in column().enumerate() {
+            let next = cells[k as usize + 1];
+            cells[next as usize] = r as u32;
+            cells[k as usize + 1] = next + 1;
+        }
+        Some(Postings::Table { side, cells })
+    }
+
+    /// The row ids whose projection is `key`, ascending.
+    #[inline]
+    pub(crate) fn get(&self, key: &[u32]) -> &[u32] {
+        match self {
+            Postings::Hashed(index) => index.get(key).map_or(&[], Vec::as_slice),
+            Postings::Table { side, cells } => match key[0] as usize {
+                k if k < *side => &cells[cells[k] as usize..cells[k + 1] as usize],
+                _ => &[],
+            },
+        }
+    }
+
+    /// The hash index appends maintain — the only layout a relation
+    /// holds once it has grown.
+    fn hashed(&mut self) -> &mut KeyedMap<Vec<u32>> {
+        match self {
+            Postings::Hashed(index) => index,
+            Postings::Table { .. } => {
+                unreachable!("the first append turns tables into hash indexes")
+            }
+        }
+    }
+}
+
 /// A `⊕`-merge accumulator with `KeyedMap`-style packed keys: widths
 /// ≤ 2 key an `FxHashMap<u64, P>` (inline hash, no per-key allocation),
 /// wider keys fall back to boxed slices. This is the per-iteration head
@@ -602,7 +710,9 @@ pub struct ColumnRel<P> {
     /// has read by key yet; once set it is maintained by every
     /// map-registering write.
     map: OnceLock<RowMap>,
-    indexes: FxHashMap<ColMask, KeyedMap<Vec<u32>>>,
+    /// Posting-list indexes by mask: hashed, or — on a bulk relation —
+    /// a one-column table (see the module docs).
+    indexes: FxHashMap<ColMask, Postings>,
     /// Sorted runs under every mask that asked for one (a mask whose
     /// columns lead another's order shares that run); a clone shares
     /// them (`Arc`), not the row data. Emptied by the first append.
@@ -688,26 +798,41 @@ impl<P: Pops> ColumnRel<P> {
             map.clear(self.arity);
         }
         for index in self.indexes.values_mut() {
-            index.clear();
+            match index {
+                Postings::Hashed(index) => index.clear(),
+                Postings::Table { .. } => *index = Postings::Hashed(KeyedMap::new(1)),
+            }
         }
         self.grow();
     }
 
     /// Ends the bulk regime — called by every append before its row
     /// lands, and by [`Self::clear`] once the rows are gone: the sorted
-    /// runs are dropped (nothing maintains one) and every mask that had
-    /// been asked of them gets the hash index appends keep current, so
-    /// whoever probed a run finds an index (the executor looks for a run
-    /// first and an index otherwise, once per plan run). On a relation
-    /// holding no runs, which is every call but the first on a
-    /// bulk-loaded wide relation, this is one store and one length test.
+    /// runs and the posting tables are dropped (nothing maintains one)
+    /// and every mask that had been asked of them gets the hash index
+    /// appends keep current, so whoever probed a run finds an index (the
+    /// executor looks for a run first and an index otherwise, once per
+    /// plan run). On a grown relation holding no runs, which is every
+    /// call but the first, this is two tests.
     #[inline]
     fn grow(&mut self) {
-        self.bulk = false;
-        if self.arrangements.is_empty() {
-            return;
+        if std::mem::take(&mut self.bulk) || !self.arrangements.is_empty() {
+            self.rehash();
         }
-        for mask in std::mem::take(&mut self.arrangements).into_keys() {
+    }
+
+    /// [`Self::grow`]'s one-time work, out of the append path.
+    #[cold]
+    #[inline(never)]
+    fn rehash(&mut self) {
+        let tables = self
+            .indexes
+            .iter()
+            .filter(|(_, i)| matches!(i, Postings::Table { .. }));
+        let mut masks: Vec<ColMask> = tables.map(|(&mask, _)| mask).collect();
+        masks.extend(std::mem::take(&mut self.arrangements).into_keys());
+        for mask in masks {
+            self.indexes.remove(&mask);
             self.ensure_index(mask);
         }
     }
@@ -758,6 +883,7 @@ impl<P: Pops> ColumnRel<P> {
                 map.remove(key);
             }
             for (&mask, index) in &mut self.indexes {
+                let index = index.hashed();
                 project_into(key, mask, &mut self.scratch);
                 let rows = index.get_mut(&self.scratch).expect("indexed row");
                 debug_assert_eq!(rows.last(), Some(&(r as u32)));
@@ -848,6 +974,7 @@ impl<P: Pops> ColumnRel<P> {
         self.keys.extend_from_slice(key);
         self.vals.push(value);
         for (&mask, index) in &mut self.indexes {
+            let index = index.hashed();
             project_into(key, mask, &mut self.scratch);
             match index.get_mut(&self.scratch) {
                 Some(rows) => rows.push(r),
@@ -915,37 +1042,45 @@ impl<P: Pops> ColumnRel<P> {
         }
     }
 
-    /// Builds the index for `mask` if missing (subsequently maintained by
-    /// [`Self::insert_row`]). `mask = 0` (full scan) needs no index.
+    /// Builds the hash index for `mask` if missing (subsequently
+    /// maintained by [`Self::insert_row`]). `mask = 0` (full scan) needs
+    /// no index.
     pub fn ensure_index(&mut self, mask: ColMask) {
+        self.ensure_postings(mask, false);
+    }
+
+    /// [`Self::ensure_index`], except that where `table` is set and the
+    /// column of a one-column `mask` is dense enough, the index is a
+    /// [`Postings::Table`] — [`Self::ensure_probe`] sets it on a bulk
+    /// relation.
+    fn ensure_postings(&mut self, mask: ColMask, table: bool) {
         if mask == 0 || self.indexes.contains_key(&mask) {
             return;
         }
         self.index_builds += 1;
-        let width = mask.count_ones() as usize;
-        let mut index: KeyedMap<Vec<u32>> = KeyedMap::new(width);
-        let mut key: Vec<u32> = Vec::with_capacity(width);
-        for r in 0..self.vals.len() {
-            let s = r * self.arity;
-            project_into(&self.keys[s..s + self.arity], mask, &mut key);
-            match index.get_mut(&key) {
-                Some(rows) => rows.push(r as u32),
-                None => index.insert(&key, vec![r as u32]),
-            }
-        }
+        let (arity, keys, len) = (self.arity, &self.keys[..], self.len());
+        // A mask naming a column the relation lacks (an atom of another
+        // arity, which no probe reads) is hashed as before.
+        let col = mask.trailing_zeros() as usize;
+        let index = (table && mask.count_ones() == 1 && col < arity)
+            .then(|| Postings::table(arity, col, keys, len))
+            .flatten()
+            .unwrap_or_else(|| Postings::hash(arity, mask, keys, len));
         self.indexes.insert(mask, index);
     }
 
-    /// The row ids whose `mask`-projection equals `key`. The index must
-    /// have been built via [`Self::ensure_index`].
+    /// The row ids whose `mask`-projection equals `key`, ascending. The
+    /// index must have been built via [`Self::ensure_index`] or
+    /// [`Self::ensure_probe`].
     pub fn probe(&self, mask: ColMask, key: &[u32]) -> &[u32] {
-        let index = self.index(mask).expect("probe before ensure_index");
-        index.get(key).map_or(&[], Vec::as_slice)
+        self.index(mask)
+            .expect("probe before ensure_index")
+            .get(key)
     }
 
-    /// The hash-prefix index on `mask`, if built — what the executor
+    /// The posting-list index on `mask`, if built — what the executor
     /// resolves once per plan run and then probes directly.
-    pub(crate) fn index(&self, mask: ColMask) -> Option<&KeyedMap<Vec<u32>>> {
+    pub(crate) fn index(&self, mask: ColMask) -> Option<&Postings> {
         self.indexes.get(&mask)
     }
 
@@ -983,21 +1118,21 @@ impl<P: Pops> ColumnRel<P> {
 
     /// Builds the probe structure joins through `mask` run against —
     /// the single ensure entry point the drivers call, and the one
-    /// place the structure is decided: a sorted run where
-    /// `probes_arranged` says the key is too wide for the packed hash
-    /// path **and** the relation is bulk (made by
-    /// [`Self::from_distinct_rows`], not appended to since); a
-    /// hash-prefix index otherwise, which is every relation made by
-    /// [`Self::new`] — the IDB state, every Δ, every relation an edit
-    /// rebuilds — and a bulk one from its first append on. Returns
-    /// whether it was the sorted run (the drivers time those builds
-    /// separately).
+    /// place the structure is decided. On a bulk relation (made by
+    /// [`Self::from_distinct_rows`], not appended to since): a sorted
+    /// run where `probes_arranged` says the key is too wide for the
+    /// packed hash path, and a posting table for a one-column mask whose
+    /// column `row_map_dense` admits. A hash-prefix index otherwise,
+    /// which is every relation made by [`Self::new`] — the IDB state,
+    /// every Δ, every relation an edit rebuilds — and a bulk one from
+    /// its first append on. Returns whether it was the sorted run (the
+    /// drivers time those builds separately).
     pub fn ensure_probe(&mut self, mask: ColMask) -> bool {
         let sorted = self.bulk && probes_arranged(self.arity, mask);
         if sorted {
             self.ensure_arranged(mask);
         } else {
-            self.ensure_index(mask);
+            self.ensure_postings(mask, self.bulk);
         }
         sorted
     }
@@ -1175,7 +1310,9 @@ mod tests {
         assert_eq!(keys, vec![vec![0, 0, 1], vec![7, 0, 1]]);
     }
 
-    /// The one head-to-head comparison of the two probe structures: on
+    /// The sorted run against the hash index on a relation grown row by
+    /// row (`every_probe_structure_answers_every_key_alike` crosses all
+    /// three structures on bulk relations): on
     /// random rows of every arity 1–5, through every non-zero mask, a
     /// hash-index probe and an arranged probe return the same row ids
     /// in the same (ascending) order. A third of the masks are asked for
@@ -1232,6 +1369,239 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The rows `rel` answers a probe of `key` through `mask` with,
+    /// through whichever structure holds the mask.
+    fn probed(rel: &ColumnRel<Trop>, mask: ColMask, key: &[u32]) -> Vec<u32> {
+        let mut out = Vec::new();
+        if rel.arrangement_for(mask).is_some() {
+            rel.probe_arranged(mask, key, &mut out);
+        } else {
+            out.extend_from_slice(rel.probe(mask, key));
+        }
+        out
+    }
+
+    /// Every probe structure a bulk relation can hold — the posting
+    /// table (dense ids), the hash index (ids spread past 8 slots a row,
+    /// or two columns) and the sorted run (arity > 2) — answers every
+    /// key of every mask, on `from_distinct_rows` relations of arity
+    /// 1–5, with `ensure_index`'s posting list: the same row ids in the
+    /// same order. Then each way out of the bulk regime — the first
+    /// append, a `clear` and refill, `remove_rows` on the tail and off
+    /// it — leaves every mask answering like a hash index built afresh
+    /// over the rows that are left, and no table or run behind.
+    #[test]
+    fn every_probe_structure_answers_every_key_alike() {
+        let mut seed = 0x51_7cc1_b727_220a_u64;
+        let mut rng = move |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        // Column `c`'s ids are drawn below 5 and multiplied by
+        // `scale(c)`: 1 keeps a column dense, 1 000 spreads it past any
+        // table.
+        type Scale = fn(usize) -> u32;
+        type Edit = fn(&mut ColumnRel<Trop>, &[u32]);
+        let regimes: [(&str, Scale); 3] = [
+            ("dense", |_| 1),
+            ("sparse", |_| 1000),
+            ("mixed", |c| if c % 2 == 1 { 1000 } else { 1 }),
+        ];
+        for arity in 1..=5usize {
+            for (regime, scale) in regimes {
+                let mut keys: Vec<Vec<u32>> = Vec::new();
+                for _ in 0..80 {
+                    let key: Vec<u32> = (0..arity).map(|c| rng(5) as u32 * scale(c)).collect();
+                    if !keys.contains(&key) {
+                        keys.push(key);
+                    }
+                }
+                let vals = (0..keys.len()).map(|r| Trop::finite(r as f64)).collect();
+                let base = ColumnRel::from_distinct_rows(arity, keys.concat(), vals);
+                let masks = || 1..(1 as ColMask) << arity;
+                // Present projections, ids just past the largest, and
+                // one no table can reach.
+                let probes = |rel: &ColumnRel<Trop>, mask: ColMask| {
+                    let mut found: Vec<Vec<u32>> = rel
+                        .iter()
+                        .map(|(_, key, _)| project(key, mask).into_vec())
+                        .collect();
+                    let width = mask.count_ones() as usize;
+                    for id in [5, 4001, 5000, u32::MAX - 1] {
+                        found.push(vec![id; width]);
+                    }
+                    found
+                };
+                let at = |mask: ColMask, key: &[u32]| {
+                    format!("{regime} arity {arity}, mask {mask:#b}, key {key:?}")
+                };
+                let mut hashed = base.clone();
+                let mut bulk = base.clone();
+                for mask in masks() {
+                    hashed.ensure_index(mask);
+                    let sorted = bulk.ensure_probe(mask);
+                    assert_eq!(sorted, arity > 2, "{regime} arity {arity}, mask {mask:#b}");
+                    let one_column = mask.count_ones() == 1;
+                    let dense = scale(mask.trailing_zeros() as usize) == 1;
+                    let table = matches!(bulk.index(mask), Some(Postings::Table { .. }));
+                    assert_eq!(
+                        table,
+                        !sorted && one_column && dense,
+                        "{regime} arity {arity}, mask {mask:#b}: a table exactly where the column is dense"
+                    );
+                }
+                for mask in masks() {
+                    for key in probes(&base, mask) {
+                        assert_eq!(
+                            probed(&bulk, mask, &key),
+                            hashed.probe(mask, &key),
+                            "{}",
+                            at(mask, &key)
+                        );
+                    }
+                }
+                // Out of the bulk regime, four ways.
+                assert!(base.len() >= 4, "{regime} arity {arity}: rows to remove");
+                let absent: Vec<u32> = (0..arity).map(|c| 6 * scale(c)).collect();
+                let edits: [(&str, Edit); 4] = [
+                    ("append", |rel, absent| {
+                        rel.insert_row(absent, Trop::finite(0.5));
+                    }),
+                    ("clear", |rel, absent| {
+                        let first = rel.row(0).to_vec();
+                        rel.clear();
+                        rel.insert_row(absent, Trop::finite(0.5));
+                        rel.insert_row(&first, Trop::finite(1.5));
+                    }),
+                    ("remove the tail", |rel, _| {
+                        let len = rel.len() as u32;
+                        rel.remove_rows(&[len - 2, len - 1]);
+                    }),
+                    ("remove off the tail", |rel, _| rel.remove_rows(&[0, 2])),
+                ];
+                for (edit, apply) in edits {
+                    let mut rel = bulk.clone();
+                    apply(&mut rel, &absent);
+                    let mut fresh = ColumnRel::<Trop>::new(arity);
+                    for (_, key, v) in rel.iter() {
+                        fresh.insert_row(key, *v);
+                    }
+                    for mask in masks() {
+                        fresh.ensure_index(mask);
+                        assert!(
+                            rel.arrangement_for(mask).is_none(),
+                            "{edit}: a run survived"
+                        );
+                        let index = rel.index(mask).expect("every mask stays indexed");
+                        assert!(
+                            matches!(index, Postings::Hashed(_)),
+                            "{edit}: a table survived"
+                        );
+                        let appended = project(&absent, mask).into_vec();
+                        for key in probes(&base, mask).into_iter().chain([appended]) {
+                            assert_eq!(
+                                rel.probe(mask, &key),
+                                fresh.probe(mask, &key),
+                                "{edit}: {}",
+                                at(mask, &key)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A bulk relation's one-column index is one counting pass and one
+    /// scatter into two arrays, so building and dropping it costs a small
+    /// part of the hash index it replaces: on `point-query`'s shape
+    /// (80 000 arity-2 rows over 20 000 ids, probed on column 0), the
+    /// table's build + drop must take under half of `ensure_index`'s
+    /// hash build + drop, the median of 15 alternating pairs. Measured
+    /// on a 2-core shared host, five invocations: 0.17–0.19 (table
+    /// 0.64–0.77 ms, hash index 2.5–4.1 ms). It trips when
+    /// `ensure_probe` stops building the table for this column (1.0,
+    /// `row_map_dense`'s rule) or the table grows a `Vec` per key
+    /// (0.54–0.58, three invocations of a scratch mutant). It does not
+    /// see a counting pass through a hash map (0.37–0.41) or a second
+    /// pass projecting every row (0.29): both stay far under the hash
+    /// index, so read `point-query`'s traced `reported.edb_index_s`
+    /// (≈ 0.4–0.5 ms) for those.
+    /// An empty bulk relation gets a table on either column too, and it
+    /// answers nothing.
+    #[test]
+    fn an_empty_bulk_relation_gets_empty_tables() {
+        let mut rel = ColumnRel::<Trop>::from_distinct_rows(2, vec![], vec![]);
+        for mask in [0b01, 0b10] {
+            assert!(!rel.ensure_probe(mask));
+            assert!(matches!(rel.index(mask), Some(Postings::Table { .. })));
+            assert_eq!(rel.probe(mask, &[0]), &[0u32; 0]);
+        }
+    }
+
+    /// A relation loaded at another arity than the atom that probes it
+    /// (the executor then scans none of its rows) is still indexed on
+    /// the atom's masks, and a mask past its columns gets no table.
+    #[test]
+    fn a_mask_past_the_arity_is_hashed() {
+        for arity in [0, 1] {
+            let keys = vec![3; arity];
+            let mut rel = ColumnRel::from_distinct_rows(arity, keys, vec![Trop::finite(1.0)]);
+            assert!(!rel.ensure_probe(0b10));
+            assert!(matches!(rel.index(0b10), Some(Postings::Hashed(_))));
+        }
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn bulk_one_column_index_is_one_counting_pass() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        const ROWS: u32 = 80_000;
+        const IDS: u32 = 20_000;
+        const TABLE_OVER_HASHED: f64 = 0.5;
+        // Each source four times, scattered; the four destinations of a
+        // source differ by multiples of 4 999.
+        let keys: Vec<u32> = (0..ROWS)
+            .flat_map(|i| [i * 7919 % IDS, (i * 15_761 + i / IDS * 4999) % IDS])
+            .collect();
+        let vals = (0..ROWS).map(|r| Trop::finite(r as f64)).collect();
+        let base = ColumnRel::from_distinct_rows(2, keys, vals);
+        let build_and_drop_ns = |table: bool| {
+            let mut rel = base.clone();
+            let t = Instant::now();
+            if table {
+                rel.ensure_probe(0b01);
+            } else {
+                rel.ensure_index(0b01);
+            }
+            let index = rel.indexes.remove(&0b01).expect("built");
+            assert_eq!(matches!(index, Postings::Table { .. }), table);
+            drop(black_box(index));
+            t.elapsed().as_nanos() as f64
+        };
+        let mut ratios: Vec<f64> = (0..15)
+            .map(|i| match i % 2 {
+                0 => {
+                    let table = build_and_drop_ns(true);
+                    table / build_and_drop_ns(false)
+                }
+                _ => {
+                    let hashed = build_and_drop_ns(false);
+                    build_and_drop_ns(true) / hashed
+                }
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let median = ratios[ratios.len() / 2];
+        assert!(
+            median < TABLE_OVER_HASHED,
+            "the posting table's build + drop took {median:.2}x the hash index's (sorted ratios {ratios:.2?})"
+        );
     }
 
     #[test]

@@ -102,15 +102,7 @@ impl TraceEvent {
             }
             TraceEvent::Iteration(it) => {
                 w.str_field("event", "iteration");
-                w.u64_field("step", it.step);
-                w.u64_field("delta_rows", it.delta_rows);
-                w.u64_field("queue_depth", it.queue_depth);
-                w.u64_field("emits", it.emits);
-                w.u64_field("fresh_emits", it.fresh_emits);
-                w.u64_field("inserted", it.inserted);
-                w.u64_field("improved", it.improved);
-                w.u64_field("absorbed", it.absorbed);
-                w.u64_field("minted", it.minted);
+                it.write_fields(&mut w);
             }
             TraceEvent::Abort {
                 reason,

@@ -127,6 +127,49 @@ fn jsonl_sink_round_trips_through_the_parser() {
     );
 }
 
+/// An iteration snapshot has one JSON encoding: the `iteration` events
+/// of a traced run, less their `event` tag, are the objects of its
+/// stats block's `iterations` array, field for field and in order.
+#[test]
+fn traced_iterations_encode_like_the_stats_iterations() {
+    let (program, edb) = sssp();
+    let bools = BoolDatabase::new();
+    for strategy in [Strategy::SemiNaive, Strategy::Priority] {
+        let sink = MemorySink::default();
+        let opts = EngineOpts {
+            trace: Some(TraceHandle::new(sink.clone())),
+            ..EngineOpts::default()
+        };
+        let out =
+            engine_eval_interned(&program, &edb, &bools, CAP, strategy, &opts).expect("compiles");
+        let traced: Vec<json::Value> = sink
+            .events()
+            .iter()
+            .map(|e| json::parse(&e.to_json()).expect("event JSON parses"))
+            .filter_map(|v| match v {
+                json::Value::Obj(mut fields) if is_iteration(&fields) => {
+                    fields.remove(0);
+                    Some(json::Value::Obj(fields))
+                }
+                _ => None,
+            })
+            .collect();
+        let stats = json::parse(&out.stats().to_json()).expect("stats JSON parses");
+        let recorded = stats.get("iterations").and_then(|v| v.as_arr());
+        assert!(traced.len() > 1, "{strategy:?}: several steps traced");
+        assert!(
+            traced
+                .iter()
+                .any(|v| v.get("emits").and_then(|e| e.as_u64()) > Some(0)),
+            "{strategy:?}: the snapshots carry counts"
+        );
+        assert_eq!(Some(traced.as_slice()), recorded, "{strategy:?}");
+    }
+    fn is_iteration(fields: &[(String, json::Value)]) -> bool {
+        matches!(fields.first(), Some((k, json::Value::Str(tag))) if k == "event" && tag == "iteration")
+    }
+}
+
 /// `explain()` renders a per-rule profile: every compiled plan of the
 /// SSSP program shows up with its rule skeleton, and the phase/counter
 /// headline agrees with the raw stats.
