@@ -9,13 +9,13 @@
 //! grounded again over the constants it mints until none is new
 //! (`crate::ground`), so `N(0) :- $1.  N(I+1) :- N(I) | I < 5.` over
 //! `MinNat` gives the 6 rows of `N` the engine gives. The engine itself
-//! offers three evaluation *strategies* (global semi-naïve, FIFO
-//! worklist, priority frontier — `dlo_engine::Strategy`), gated by POPS
-//! trait bounds; for totally ordered absorptive dioids
-//! `Strategy::Priority` runs the Dijkstra-style priority loop.
+//! offers two evaluation *strategies* (global semi-naïve, priority
+//! frontier — `dlo_engine::Strategy`), gated by POPS trait bounds; for
+//! totally ordered absorptive dioids `Strategy::Priority` runs the
+//! Dijkstra-style priority loop.
 //!
-//! For worklist/priority outcomes, `steps` counts frontier pops or
-//! batches rather than ICO applications — fixpoints agree across
+//! For priority outcomes, `steps` counts frontier batches rather than
+//! ICO applications — fixpoints agree across
 //! backends, step counts only within one discipline.
 //!
 //! A grounded run stops at its fixpoint or at its iteration cap and

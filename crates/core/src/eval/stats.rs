@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Rows read from Δ relations (semi-naïve) or frontier batches
-    /// (worklist/priority) — the "delta rows in" of each step.
+    /// (priority) — the "delta rows in" of each step.
     pub delta_rows: u64,
     /// Head-key emissions that reached an accumulator (post condition,
     /// post zero-short-circuit).
@@ -256,7 +256,7 @@ pub const ITER_SNAPSHOT_CAP: usize = 4096;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Strategy that produced the outcome: `"naive"`, `"seminaive"`,
-    /// `"worklist"`, or `"priority"` (empty for backends that predate
+    /// or `"priority"` (empty for backends that predate
     /// telemetry, e.g. the grounded reference evaluators).
     pub strategy: String,
     /// Steps processed (global iterations or frontier batches —

@@ -21,8 +21,8 @@
 //! A [`Governor`] is created by each driver right next to its
 //! [`Collector`] and consulted at every loop checkpoint — the
 //! **phase** boundaries (before the EDB index build and at the seed
-//! round), each naïve/semi-naïve **iteration** top, each FIFO worklist
-//! **generation**, and each priority-frontier **bucket** pop. A
+//! round), each naïve/semi-naïve **iteration** top, and each
+//! priority-frontier **bucket** pop. A
 //! post-merge re-check would be redundant: the very next loop-top
 //! checkpoint fires before any further join work starts. All
 //! checks run on the coordinating thread — never inside the per-tuple
@@ -50,8 +50,8 @@ use std::time::{Duration, Instant};
 /// Which [`EvalBudget`] ceiling a run exhausted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BudgetKind {
-    /// [`EvalBudget::max_steps`]: iterations / generations / frontier
-    /// batches, whichever the strategy counts.
+    /// [`EvalBudget::max_steps`]: iterations or frontier batches,
+    /// whichever the schedule counts.
     Steps,
     /// [`EvalBudget::max_rows`]: rows emitted by rule bodies.
     Rows,
@@ -72,14 +72,14 @@ impl std::fmt::Display for BudgetKind {
 
 /// Resource ceilings for one evaluation. The default is unlimited;
 /// every limit is independent and checked at phase boundaries
-/// (iteration / generation / frontier-batch starts), so a runaway query
+/// (iteration / frontier-batch starts), so a runaway query
 /// stops within one phase of crossing a line — never mid-merge.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EvalBudget {
     /// Wall-clock ceiling for the whole run (setup included).
     pub deadline: Option<Duration>,
-    /// Ceiling on evaluation steps (iterations, generations, or
-    /// frontier batches, depending on the strategy).
+    /// Ceiling on evaluation steps (iterations or frontier batches,
+    /// depending on the schedule).
     pub max_steps: Option<u64>,
     /// Ceiling on rows emitted by rule bodies (pre-merge).
     pub max_rows: Option<u64>,
@@ -336,8 +336,6 @@ pub(crate) enum Checkpoint {
     Phase,
     /// A naïve / semi-naïve global iteration.
     Iteration,
-    /// A FIFO worklist generation.
-    Generation,
     /// A priority-frontier bucket pop.
     Bucket,
 }
@@ -347,7 +345,6 @@ impl Checkpoint {
         match self {
             Checkpoint::Phase => "phase",
             Checkpoint::Iteration => "iteration",
-            Checkpoint::Generation => "generation",
             Checkpoint::Bucket => "bucket",
         }
     }
@@ -379,7 +376,7 @@ impl Governor {
 
     /// One phase-boundary check. `steps` is the number of phases the
     /// driver has **completed** (in its own step semantics: global
-    /// iterations, generations, or frontier batches); a step budget of
+    /// iterations or frontier batches); a step budget of
     /// `n` therefore allows at most `n` phases to run. Row and minted-id
     /// ceilings compare the live counters the same way (`used ≥ limit`
     /// aborts), so a run stops within one phase of crossing a line —

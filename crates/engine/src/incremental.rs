@@ -174,16 +174,17 @@
 //! re-derive the cone. A from-scratch run is the same call from the
 //! empty state, so a build is that run — rows, interner and step count
 //! included — and every edit reports steps the way it does.
-//! [`crate::SemiNaive`] (and [`Strategy::SemiNaive`]) folds the seed in
+//! [`crate::SemiNaive`] (and [`Strategy::SemiNaive`], and
+//! [`Strategy::Worklist`], another name for it) folds the seed in
 //! through the semi-naïve advance and runs global Δ rounds;
-//! [`Strategy::Worklist`] and [`Strategy::Priority`] / `Auto` merge it
-//! into the state, queue the strict improvements and drain
-//! their own queue (`worklist`'s one frontier loop, the same one a
-//! from-scratch run uses), so a build costs what the from-scratch run
-//! costs and an edit on a long dependency chain pays per improved row,
-//! not per round (Cor. 5.19). All of them fire the original rules' Δ
-//! family, and so does the *marking* pass of a delete, which propagates
-//! the marked rows through it in global rounds under every schedule.
+//! [`Strategy::Priority`] / `Auto` merge it into the state, queue the
+//! strict improvements and drain the queue (`worklist`'s one frontier
+//! loop, the same one a from-scratch run uses), so a build costs what
+//! the from-scratch run costs and an edit on a long dependency chain
+//! pays per improved row, not per round (Cor. 5.19). All of them fire
+//! the original rules' Δ family, and so does the *marking* pass of a
+//! delete, which propagates the marked rows through it in global rounds
+//! under every schedule.
 //! Every loop changes the standing relations in place, so a row keeps
 //! its id under every schedule and every edit, unless a delete takes
 //! out for good a row stored before it (`ColumnRel::remove_rows` then
@@ -290,8 +291,8 @@ struct EditSlot {
 /// the schedule that built it maintains it: every later edit continues
 /// the fixpoint the way the build reached it — [`crate::SemiNaive`] by
 /// the semi-naïve differential (needs `⊖`), a [`Strategy`] by whichever
-/// loop it names (the semi-naïve rounds, or its own FIFO or priority
-/// queue seeded with the edit's contributions), [`crate::Naive`] by
+/// loop it names (the semi-naïve rounds, or the priority frontier
+/// seeded with the edit's contributions), [`crate::Naive`] by
 /// naïve rounds (any naturally ordered POPS).
 /// [`Materialization::query`] reads the answer off the fixpoint the
 /// handle holds, and re-evaluates nothing.

@@ -23,17 +23,17 @@
 //!   atoms by bound-variable coverage and resolves every argument to a
 //!   column operation (probe / bind / check) at compile time: a seed
 //!   plan per sum-product and **one Δ family** (Theorem 6.5's splits)
-//!   that the rounds, the marking pass and both frontiers all fire;
+//!   that the rounds, the marking pass and the frontier all fire;
 //! * [`exec`] — the join executor, including the `changed`-map trick
 //!   that serves `J(t)` and `J(t-1)` from one physical relation;
 //! * [`driver`] — naïve and **semi-naïve** round loops (prefix-new /
 //!   Δ / suffix-old per Theorem 6.5) over one plan runner that every
 //!   schedule shares, `⊕`-merging deterministically into packed-`u64`
 //!   head accumulators for arities ≤ 2;
-//! * [`worklist`] — the **frontier drivers**: FIFO generation worklist
-//!   and bucketed best-first priority scheduling, per-row change
-//!   propagation instead of global iterations — the same Δ family
-//!   with no round boundary (`changed` empty: `Old` reads as `New`);
+//! * [`worklist`] — the **priority frontier**: bucketed best-first
+//!   scheduling, per-row change propagation instead of global
+//!   iterations — the same Δ family with no round boundary (`changed`
+//!   empty: `Old` reads as `New`);
 //! * [`query`] — **demand-driven evaluation**: a `?- T("a", Y).` goal
 //!   is magic-set rewritten (`dlo_core::demand`) and evaluated by any
 //!   of the loops, with the frontier seeded from the query constants;
@@ -71,16 +71,16 @@
 //! | schedule | argument | requires | sound because |
 //! |---|---|---|---|
 //! | naïve | [`Naive`] | `NaturallyOrdered` | Algorithm 1 (monotone ICO iteration) |
-//! | semi-naïve | [`SemiNaive`] (or [`Strategy::SemiNaive`]) | `+ CompleteDistributiveDioid` | Theorem 6.5 (`⊖`-differentials) |
-//! | FIFO worklist | [`Strategy::Worklist`] | `+ Absorptive` (offered through [`Strategy`], see below) | Cor. 5.19: over a 0-stable (absorptive, `x ⊕ 1 = 1`) semiring every polynomial is `N`-stable, so each fact strictly improves finitely often and a per-fact change queue drains |
-//! | priority frontier | [`Strategy::Priority`] / [`Strategy::Auto`] | `+ TotallyOrderedDioid` | absorption makes `⊗` non-improving (`x ⊗ y ⊑ x`), so with a total order the ⊑-greatest pending fact can never be improved again: popped ⇒ settled (Dijkstra) |
+//! | semi-naïve | [`SemiNaive`] (or [`Strategy::SemiNaive`], or [`Strategy::Worklist`], another name for it) | `+ CompleteDistributiveDioid` | Theorem 6.5 (`⊖`-differentials) |
+//! | priority frontier | [`Strategy::Priority`] / [`Strategy::Auto`] | `+ Absorptive + TotallyOrderedDioid` (offered through [`Strategy`], see below) | Cor. 5.19: over a 0-stable (absorptive, `x ⊕ 1 = 1`) semiring each fact strictly improves finitely often, and absorption makes `⊗` non-improving (`x ⊗ y ⊑ x`), so with a total order the ⊑-greatest pending fact can never be improved again: popped ⇒ settled (Dijkstra) |
 //!
 //! The gate is in the types: [`Schedule`] is sealed, [`SemiNaive`]
 //! implements it only over complete distributive dioids and
 //! [`Strategy`] only over totally ordered absorptive ones (every
 //! absorptive POPS in `dlo_pops` — `Trop`, `MinNat`, `MaxMin`, `𝔹` —
-//! is also totally ordered, so the FIFO worklist needs no weaker
-//! schedule type of its own). An unsound pair is a compile error, never
+//! is also totally ordered and a complete distributive dioid, so
+//! [`Strategy`] offers the semi-naïve rounds too). An unsound pair is a
+//! compile error, never
 //! a runtime "unsupported strategy":
 //!
 //! ```compile_fail
@@ -333,9 +333,10 @@
 //! 0 on all five). With the hash index on the growing side, in one
 //! process against the parent, identical `emits` / `index_probes` /
 //! rows: the labelled quadratic closure over an arity-3 IDB (55 084
-//! rows) 1802 → 1452 ms under the priority frontier, 1427 → 1206 FIFO,
-//! 1211 → 1033 semi-naïve; a [`Materialization`] of the linear twin
-//! over a 9578-row arity-3 EDB, build 2640 → 2149 ms, delete
+//! rows) 1802 → 1452 ms under the priority frontier, 1427 → 1206 under
+//! the FIFO worklist the engine had then, 1211 → 1033 semi-naïve; a
+//! [`Materialization`] of the linear twin over a 9578-row arity-3 EDB,
+//! build 2640 → 2149 ms, delete
 //! 3450 → 2752 ms, and the first insert — the one that pays the
 //! conversion — 2.6 → 2.9 ms. `tests/convergence_theorems.rs::`
 //! `wide_relation_growth_is_hash_priced` holds the growing side to a
@@ -445,14 +446,14 @@
 //! spread 4 096 apart (measured 0.19–0.29×; 0.85–1.34× while both
 //! hashed).
 //!
-//! The FIFO worklist drains **generations** (everything queued when the
-//! drain starts — Bellman-Ford rounds restricted to changed rows):
-//! per-batch overhead is amortized over the generation, which beats
-//! per-row pops on unique-path workloads, but on
-//! re-improvement-heavy instances (the gradient graph) it inherits the
-//! synchronous Θ(n²) update count — there the priority frontier, which
-//! only ever fires settled rows, is the right discipline and is what
-//! `Auto` picks.
+//! There is one frontier discipline. A FIFO worklist drained in
+//! generations (everything queued when the drain starts) stood beside
+//! it until it was found slower than the priority frontier on all five
+//! `dlo_benchmark` workloads: on re-improvement-heavy instances (the
+//! gradient graph) it inherits the synchronous Θ(n²) update count,
+//! while the priority frontier only ever fires settled rows.
+//! [`Strategy::Worklist`] now names the semi-naïve rounds, which every
+//! POPS [`Strategy`] admits can run.
 //!
 //! ## Parallelism: one thread runs the fixpoint, threads build the indexes
 //!
@@ -563,8 +564,8 @@
 //!   (`max_steps`), emitted rows, and minted ids; a shared
 //!   [`CancelToken`] on [`EngineOpts::cancel`] requests cooperative
 //!   cancellation from another thread. Checks run at every loop
-//!   checkpoint — the seed phase, each global iteration, each worklist
-//!   generation, each priority **bucket** pop — on the coordinating
+//!   checkpoint — the seed phase, each global iteration, each priority
+//!   **bucket** pop — on the coordinating
 //!   thread only, so governance costs a branch per checkpoint, the hot
 //!   per-tuple loops are untouched, and a governed run stops within
 //!   one checkpoint of crossing a line (the abort trace event records

@@ -66,9 +66,9 @@ pub enum TraceEvent {
         steps: u64,
         /// Which checkpoint granularity detected the stop: `"phase"`
         /// (seed/setup boundary), `"iteration"` (naïve/semi-naïve
-        /// loop), `"generation"` (FIFO worklist batch), or `"bucket"`
-        /// (priority frontier pop). Distinguishes a deadline caught at
-        /// a coarse boundary from one caught mid-loop.
+        /// loop), or `"bucket"` (priority frontier pop). Distinguishes
+        /// a deadline caught at a coarse boundary from one caught
+        /// mid-loop.
         granularity: String,
         /// Rows already settled (exact under the priority strategy's
         /// settled-on-pop invariant, 0 when nothing is provably
@@ -344,7 +344,7 @@ impl Collector {
     /// cancellation, or contained worker panic); `reason` is the
     /// error's `Display`. `granularity` names
     /// the checkpoint that detected the stop (`"phase"`,
-    /// `"iteration"`, `"generation"`, or `"bucket"`); `settled_rows`
+    /// `"iteration"`, or `"bucket"`); `settled_rows`
     /// is the number of rows provably settled at that moment (exact
     /// under the priority strategy, 0 elsewhere). Always followed by
     /// the `RunEnd { converged: false }` that [`Collector::finish`]

@@ -1,5 +1,5 @@
-//! Worklist and priority-frontier evaluation: per-row change propagation
-//! instead of global Δ iterations.
+//! The priority frontier: per-row change propagation instead of global
+//! Δ iterations.
 //!
 //! The semi-naïve loop in [`crate::driver`] re-runs every delta plan
 //! against the *whole* Δ relation each round, so a program whose
@@ -11,27 +11,22 @@
 //! loop exploits: by Corollary 5.19 every polynomial over a 0-stable
 //! semiring is `N`-stable, so each ground fact's value strictly improves
 //! at most a bounded number of times before it settles. That licenses a
-//! **worklist**: keep a per-`(relation, row)` change queue, and when a
+//! **frontier**: keep a per-`(relation, row)` change queue, and when a
 //! row's value strictly improves (in the natural order), re-fire only
 //! the rules that row can feed.
 //!
-//! Two queue disciplines, picked by [`Strategy`]:
-//!
-//! * **FIFO worklist** ([`Strategy::Worklist`]; the argument needs only
-//!   `Absorptive`) — the queue is drained one **generation** at a time:
-//!   every row pending when the drain starts forms one batch
-//!   (Bellman-Ford-style rounds restricted to changed rows); a row
-//!   improved again by a later generation is simply re-queued.
-//! * **Priority frontier** ([`Strategy::Priority`], needs
-//!   `Absorptive + TotallyOrderedDioid`) — a *bucketed best-first*
-//!   queue keyed by value: the ⊑-greatest pending bucket is drained as
-//!   one batch. Because `⊗` can only move values down the chain
-//!   (`x ⊗ y ⊑ x ⊗ 1 = x` by monotonicity + absorption), no future
-//!   derivation can improve a popped best-value row: every fact is
-//!   popped **settled**, Dijkstra-style, and the whole fixpoint is one
-//!   near-linear pass over the derivations. Stale queue entries (rows
-//!   improved after being pushed) are skipped lazily by comparing the
-//!   bucket value against the row's current value.
+//! One queue discipline, [`Strategy::Priority`] (and `Auto`, which
+//! names it): a *bucketed best-first* queue keyed by value, needing
+//! `Absorptive + TotallyOrderedDioid`. The ⊑-greatest pending bucket is
+//! drained as one batch. Because `⊗` can only move values down the
+//! chain (`x ⊗ y ⊑ x ⊗ 1 = x` by monotonicity + absorption), no future
+//! derivation can improve a popped best-value row: every fact is popped
+//! **settled**, Dijkstra-style, and the whole fixpoint is one
+//! near-linear pass over the derivations. Stale queue entries (rows
+//! improved after being pushed) are skipped lazily by comparing the
+//! bucket value against the row's current value. The other two
+//! [`Strategy`] variants name the semi-naïve rounds (Theorem 6.5):
+//! every POPS `Strategy` admits is a complete distributive dioid.
 //!
 //! ## Batches run on the coordinating thread
 //!
@@ -79,7 +74,7 @@
 //! nothing on `sssp-sparse` — the heap cost `apsp-dense`, whose buckets
 //! hold thousands of rows, a quarter of its speed.)
 //!
-//! Both disciplines fire the Δ family the semi-naïve rounds fire
+//! The frontier fires the Δ family the semi-naïve rounds fire
 //! ([`crate::plan::CompiledProgram::delta_plans`]): the changed row is
 //! staged as a one-batch Δ relation carrying its **full current value**
 //! (not a `⊖` difference — no `CompleteDistributiveDioid` bound needed),
@@ -95,11 +90,10 @@
 //! between batches; minted rows enter `new` as appends and are pushed
 //! like any other improvement.
 //!
-//! `steps` in the returned outcome counts processed frontier batches —
-//! FIFO generations for the worklist driver, value buckets for the
-//! priority one — and the `cap` bounds that count (divergence through
-//! unbounded head-key minting is still caught). Step counts are **not**
-//! comparable across strategies; fixpoints are.
+//! `steps` in the returned outcome counts processed value buckets, and
+//! the `cap` bounds that count (divergence through unbounded head-key
+//! minting is still caught). Step counts are **not** comparable with
+//! the rounds' counts; fixpoints are.
 
 use crate::driver::{
     land, run_plans_inline, Emissions, Engine, FreshAccum, IdbState, LoopFail, RoundPlans, Rounds,
@@ -108,14 +102,12 @@ use crate::driver::{
 use crate::govern::Checkpoint;
 use crate::plan::by_delta_pred;
 use crate::storage::ColumnRel;
-use dlo_pops::{
-    Absorptive, CompleteDistributiveDioid, NaturallyOrdered, Pops, TotallyOrderedDioid,
-};
-use std::collections::{BTreeMap, VecDeque};
+use dlo_pops::{Absorptive, CompleteDistributiveDioid, NaturallyOrdered, TotallyOrderedDioid};
+use std::collections::BTreeMap;
 
 /// The runtime-chosen [`Schedule`](crate::Schedule): which evaluation
 /// loop runs, for the totally ordered absorptive dioids (`Trop`,
-/// `MinNat`, `MaxMin`, `Bool`) whose bounds license all of them. POPS
+/// `MinNat`, `MaxMin`, `Bool`) whose bounds license both of them. POPS
 /// with weaker structure pass [`crate::Naive`] or [`SemiNaive`]
 /// instead — this enum does not implement `Schedule` for them, so an
 /// unsound choice is a compile error, never a runtime one.
@@ -127,80 +119,13 @@ pub enum Strategy {
     Auto,
     /// The global semi-naïve rounds (Theorem 6.5).
     SemiNaive,
-    /// The FIFO generation worklist (sound for any absorptive POPS).
+    /// Another name for [`Strategy::SemiNaive`]: the same rounds, label
+    /// and step count. It stays only while the benchmark harness names
+    /// it.
     Worklist,
     /// The bucketed best-first frontier (Dijkstra semantics; needs a
     /// total natural order on top of absorption).
     Priority,
-}
-
-/// A frontier queue: how improved rows wait to be re-fired.
-trait Frontier<P: Pops> {
-    /// The stats label of runs under this discipline.
-    const LABEL: &'static str;
-    /// Whether a popped row is final (Cor. 5.19): the run's settled
-    /// marking is then exact and rows are marked on pop.
-    const SETTLES_ON_POP: bool;
-    /// The checkpoint granularity of one batch.
-    const CHECKPOINT: Checkpoint;
-    /// An empty queue over `nidb` predicates.
-    fn new(nidb: usize) -> Self;
-    /// Records that `(pred, row)` improved to `val`.
-    fn push(&mut self, pred: usize, row: u32, val: &P);
-    /// Moves the next batch of work into `batch` (cleared by the
-    /// caller); `false` when the frontier is drained.
-    fn pop_into(&mut self, new: &[ColumnRel<P>], batch: &mut Vec<(usize, u32)>) -> bool;
-    /// Pending entries (stale ones included — a deterministic queue
-    /// measure, reported per batch in the stats).
-    fn depth(&self) -> usize;
-}
-
-/// FIFO discipline, drained in **generations**: one batch is everything
-/// queued when the drain starts. Rows are de-duplicated by an enqueued
-/// flag — a row improved twice between generations is processed once, at
-/// its newest value — so a batch never holds the same row twice (the
-/// delta-staging invariant).
-struct FifoFrontier {
-    queue: VecDeque<(u32, u32)>,
-    queued: Vec<Vec<bool>>,
-}
-
-impl<P: Pops> Frontier<P> for FifoFrontier {
-    const LABEL: &'static str = "worklist";
-    // FIFO generations give no per-row guarantee: the partial stays a
-    // best-effort lower bound with nothing marked.
-    const SETTLES_ON_POP: bool = false;
-    const CHECKPOINT: Checkpoint = Checkpoint::Generation;
-
-    fn new(nidb: usize) -> Self {
-        FifoFrontier {
-            queue: VecDeque::new(),
-            queued: vec![vec![]; nidb],
-        }
-    }
-
-    fn push(&mut self, pred: usize, row: u32, _val: &P) {
-        let flags = &mut self.queued[pred];
-        if row as usize >= flags.len() {
-            flags.resize(row as usize + 1, false);
-        }
-        if !flags[row as usize] {
-            flags[row as usize] = true;
-            self.queue.push_back((pred as u32, row));
-        }
-    }
-
-    fn pop_into(&mut self, _new: &[ColumnRel<P>], batch: &mut Vec<(usize, u32)>) -> bool {
-        while let Some((pred, row)) = self.queue.pop_front() {
-            self.queued[pred as usize][row as usize] = false;
-            batch.push((pred as usize, row));
-        }
-        !batch.is_empty()
-    }
-
-    fn depth(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// Bucket key ordered best-first: the ⊑-greatest value is the
@@ -235,29 +160,24 @@ impl<P: TotallyOrderedDioid> Ord for BestFirst<P> {
 ///
 /// A push or a pop costs one B-tree descent plus the rows it moves —
 /// nothing proportional to how much else is queued: `pending` is the
-/// entry count [`Frontier::depth`] reports, kept by `push` / `pop_into`
-/// and never re-walked.
+/// entry count [`BucketFrontier::depth`] reports, kept by `push` /
+/// `pop_into` and never re-walked.
 struct BucketFrontier<P> {
     buckets: BTreeMap<BestFirst<P>, Vec<(u32, u32)>>,
     /// Entries queued across all buckets, stale ones included.
     pending: usize,
 }
 
-impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
-    const LABEL: &'static str = "priority";
-    // `⊗` cannot move a best value back up, so marking rows on pop
-    // yields an abort-time partial that is *exact* on the marked
-    // frontier.
-    const SETTLES_ON_POP: bool = true;
-    const CHECKPOINT: Checkpoint = Checkpoint::Bucket;
-
-    fn new(_nidb: usize) -> Self {
+impl<P: TotallyOrderedDioid> BucketFrontier<P> {
+    /// An empty queue.
+    fn new() -> Self {
         BucketFrontier {
             buckets: BTreeMap::new(),
             pending: 0,
         }
     }
 
+    /// Records that `(pred, row)` improved to `val`.
     fn push(&mut self, pred: usize, row: u32, val: &P) {
         self.buckets
             .entry(BestFirst(val.clone()))
@@ -266,6 +186,8 @@ impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
         self.pending += 1;
     }
 
+    /// Moves the best live bucket into `batch` (cleared by the caller);
+    /// `false` when the frontier is drained.
     fn pop_into(&mut self, new: &[ColumnRel<P>], batch: &mut Vec<(usize, u32)>) -> bool {
         while let Some((key, rows)) = self.buckets.pop_first() {
             self.pending -= rows.len();
@@ -281,6 +203,8 @@ impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
         false
     }
 
+    /// Pending entries (stale ones included — a deterministic queue
+    /// measure, reported per batch in the stats).
     fn depth(&self) -> usize {
         // Debug builds re-derive the count the slow way, once per batch.
         debug_assert_eq!(
@@ -334,15 +258,14 @@ impl<P> Emissions<P> for Vec<EmitBuf<P>> {
 /// Lands a batch's buffered emissions in `state.new` ([`land`]) by the
 /// frontier's rule: `⊕`-merge, and queue every row that strictly
 /// improved. `settled` is the run's settled-row marking: an
-/// improvement to a stored row defensively unmarks it (under the
-/// priority discipline a popped row can never improve — Cor. 5.19 — so
-/// the unmark never fires there; it keeps the marking sound by
-/// construction rather than by theorem).
-fn land_batch<P: Pops, F: Frontier<P>>(
+/// improvement to a stored row defensively unmarks it (a popped row can
+/// never improve — Cor. 5.19 — so the unmark never fires; it keeps the
+/// marking sound by construction rather than by theorem).
+fn land_batch<P: TotallyOrderedDioid>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
     phase: &mut (Vec<EmitBuf<P>>, FreshAccum<P>),
-    frontier: &mut F,
+    frontier: &mut BucketFrontier<P>,
     run: &mut Run,
 ) {
     let (new, settled, col) = (&mut state.new, &mut run.settled, &mut run.col);
@@ -377,8 +300,8 @@ fn land_batch<P: Pops, F: Frontier<P>>(
 /// that merely re-derive their standing value absorb (`⊕` is
 /// idempotent on an absorptive POPS) and queue nothing. From there the
 /// module docs' arguments apply unchanged: any fair draining of
-/// improved rows reaches the least fixpoint above the start, and under
-/// the priority order a popped row is final — every derivation not yet
+/// improved rows reaches the least fixpoint above the start, and in
+/// best-first order a popped row is final — every derivation not yet
 /// fired comes from a row still queued at a value no better, and `⊗`
 /// cannot move a value back up.
 ///
@@ -397,20 +320,16 @@ fn land_batch<P: Pops, F: Frontier<P>>(
 /// batches when `start` is 0. `state.changed` is never populated: with
 /// an empty changed map `Old` reads ≡ `New` reads, so every non-Δ
 /// occurrence of a split sees the live state.
-fn drain_frontier<P, F>(
+fn drain_frontier<P: TotallyOrderedDioid>(
     engine: &mut Engine<P>,
     state: &mut IdbState<P>,
     plans: &RoundPlans<'_, P>,
     start: usize,
     cap: usize,
     run: &mut Run,
-) -> Result<usize, LoopFail>
-where
-    P: Pops,
-    F: Frontier<P>,
-{
+) -> Result<usize, LoopFail> {
     let nidb = engine.compiled.idbs.len();
-    let mut frontier = F::new(nidb);
+    let mut frontier = BucketFrontier::new();
     let idbs = engine.compiled.idbs.iter();
     let bufs: Vec<EmitBuf<P>> = idbs.map(|(_, arity)| EmitBuf::new(*arity)).collect();
     let mut phase = (bufs, (0..nidb).map(|_| BTreeMap::new()).collect::<Vec<_>>());
@@ -450,21 +369,19 @@ where
             return Err(LoopFail::Diverged(steps));
         }
         // Settled-on-pop: a popped row's value is final the moment the
-        // frontier hands it over (priority only) — independent of
-        // whether its derivations ever fire — so marking precedes the
-        // governance check and a mid-run abort still counts this batch.
-        if F::SETTLES_ON_POP {
-            for &(pred, row) in &batch {
-                run.settled.mark(pred, row);
-            }
+        // frontier hands it over — independent of whether its
+        // derivations ever fire — so marking precedes the governance
+        // check and a mid-run abort still counts this batch.
+        for &(pred, row) in &batch {
+            run.settled.mark(pred, row);
         }
-        run.check(steps, F::CHECKPOINT)?;
+        run.check(steps, Checkpoint::Bucket)?;
         steps += 1;
         let before = run.col.stats.counters;
 
         // Stage the batch as per-pred Δ relations carrying full current
-        // values (a batch never holds the same row twice: both
-        // disciplines de-duplicate — see their docs).
+        // values (a batch never holds the same row twice — see
+        // `BucketFrontier`).
         touched.clear();
         for &(pred, row) in &batch {
             if state.delta[pred].is_empty() {
@@ -485,7 +402,7 @@ where
             &mut phase.1,
             run,
         )
-        .map_err(LoopFail::at(F::CHECKPOINT, steps))?;
+        .map_err(LoopFail::at(Checkpoint::Bucket, steps))?;
         for &pred in &touched {
             state.delta[pred].clear();
         }
@@ -507,19 +424,16 @@ where
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
 
+    /// The frontier marks rows on pop: its settled marking is exact.
     fn label(self) -> (&'static str, bool) {
-        fn of<P: Pops, F: Frontier<P>>() -> (&'static str, bool) {
-            (F::LABEL, F::SETTLES_ON_POP)
-        }
         match self {
-            Strategy::SemiNaive => Rounds::<P>::label(SemiNaive),
-            Strategy::Worklist => of::<P, FifoFrontier>(),
-            Strategy::Auto | Strategy::Priority => of::<P, BucketFrontier<P>>(),
+            Strategy::SemiNaive | Strategy::Worklist => Rounds::<P>::label(SemiNaive),
+            Strategy::Auto | Strategy::Priority => ("priority", true),
         }
     }
 
-    /// The loop the variant names: the semi-naïve rounds, or a frontier
-    /// seeded by `plans.seed` and firing `plans.delta`
+    /// The loop the variant names: the semi-naïve rounds, or the
+    /// frontier seeded by `plans.seed` and firing `plans.delta`
     /// ([`drain_frontier`]). Every type this impl admits is an
     /// absorptive chain, so a handle under it marks the attaining cone.
     fn resume(
@@ -538,12 +452,11 @@ where
             )
         };
         match self {
-            Strategy::SemiNaive => SemiNaive.resume(engine, state, plans, cap, run, start),
-            Strategy::Worklist => {
-                drain_frontier::<P, FifoFrontier>(engine, state, plans, start, cap, run)
+            Strategy::SemiNaive | Strategy::Worklist => {
+                SemiNaive.resume(engine, state, plans, cap, run, start)
             }
             Strategy::Auto | Strategy::Priority => {
-                drain_frontier::<P, BucketFrontier<P>>(engine, state, plans, start, cap, run)
+                drain_frontier(engine, state, plans, start, cap, run)
             }
         }
     }
@@ -664,15 +577,15 @@ mod tests {
         }
     }
 
-    /// Drives a frontier with random improve / pop sequences over three
-    /// predicates (re-improved rows leave stale entries behind) and
-    /// holds `depth()` to `walked` — the queued entries counted the
+    /// Drives the frontier with random improve / pop sequences over
+    /// three predicates (re-improved rows leave stale entries behind)
+    /// and holds `depth()` to `walked` — the queued entries counted the
     /// slow way — after every call, down to the final drain.
-    fn assert_depth_is_walked_count<F: Frontier<Trop>>(walked: impl Fn(&F) -> usize) {
+    fn assert_depth_is_walked_count(walked: impl Fn(&BucketFrontier<Trop>) -> usize) {
         for seed in 1..=24u64 {
             let mut rng = xorshift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let mut new: Vec<ColumnRel<Trop>> = (0..3).map(|_| ColumnRel::new(1)).collect();
-            let mut frontier = F::new(new.len());
+            let mut frontier = BucketFrontier::new();
             let mut batch: Vec<(usize, u32)> = Vec::new();
             let mut pushes = 0;
             for _ in 0..400 {
@@ -706,12 +619,7 @@ mod tests {
 
     #[test]
     fn depth_is_the_walked_entry_count() {
-        assert_depth_is_walked_count::<BucketFrontier<Trop>>(|f| {
-            f.buckets.values().map(Vec::len).sum()
-        });
-        assert_depth_is_walked_count::<FifoFrontier>(|f| {
-            f.queued.iter().flatten().filter(|&&queued| queued).count()
-        });
+        assert_depth_is_walked_count(|f| f.buckets.values().map(Vec::len).sum());
     }
 
     /// Holds a priority run to its golden per-batch stats rows —
@@ -954,29 +862,6 @@ mod tests {
         // R(b) = min(cap(0.3) = 0.3, 0.2) = 0.2.
         assert_eq!(r.get(&tup!["a"]), MaxMin::of(0.3));
         assert_eq!(r.get(&tup!["b"]), MaxMin::of(0.2));
-    }
-
-    #[test]
-    fn fifo_requeues_improved_rows_across_generations() {
-        // The triangle from `priority_skips_stale_entries` under FIFO
-        // generations: generation 1 is the three seed rows (T(a,b)
-        // processed at 10, improved to 2 by the batch), generation 2 is
-        // the re-queued improved row.
-        let (program, edb) = ex::apsp_trop(&[("a", "b", 10.0), ("a", "c", 1.0), ("c", "b", 1.0)]);
-        let (out, steps) = eval(
-            &program,
-            &edb,
-            &BoolDatabase::new(),
-            1_000_000,
-            Strategy::Worklist,
-        )
-        .converged()
-        .unwrap();
-        assert_eq!(
-            out.get("T").unwrap().get(&tup!["a", "b"]),
-            Trop::finite(2.0)
-        );
-        assert_eq!(steps, 2, "one seed generation plus one re-fire generation");
     }
 
     #[test]

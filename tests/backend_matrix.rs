@@ -2,9 +2,10 @@
 //! and `textual_programs.rs` pushed through **both** evaluator families
 //! — the grounded reference (naive and semi-naive, closed over the
 //! constants head key functions mint) and the execution engine (naive,
-//! semi-naive, FIFO generation worklist and priority frontier) —
-//! asserting identical output databases. `cross_engine.rs` spot-checks a subset
-//! against external oracles; this file is the exhaustive
+//! semi-naive, the semi-naive rounds again under their `Worklist`
+//! name, and the priority frontier) — asserting identical output
+//! databases. `cross_engine.rs` spot-checks a subset against external
+//! oracles; this file is the exhaustive
 //! pairwise-agreement sweep, and since the engine lost its
 //! head-key-function fallback it proves the fast backend really is
 //! total over the language.
@@ -80,11 +81,12 @@ fn assert_same_db<P: datalog_o::pops::Pops>(
 }
 
 /// The full six-leg matrix: grounded naive/semi-naive, engine
-/// naive/semi-naive, and the engine's two
-/// frontier strategies (FIFO generation worklist and bucketed
-/// priority). Every `all` scenario runs over a totally ordered
-/// absorptive dioid (`Trop`, `MinNat`, `𝔹`), so the frontier legs
-/// apply; POPS without those markers use [`assert_matrix_naive`] below.
+/// naive/semi-naive, and the engine's two [`Strategy`] legs
+/// (`Worklist`, another name for the semi-naive rounds, and the
+/// bucketed priority frontier). Every `all` scenario runs over a
+/// totally ordered absorptive dioid (`Trop`, `MinNat`, `𝔹`), so the
+/// `Strategy` legs apply; POPS without those markers use
+/// [`assert_matrix_naive`] below.
 fn assert_matrix_all<P>(
     scenario: &str,
     program: &Program<P>,
@@ -1031,7 +1033,7 @@ fn stats_emits_cover_merges_across_strategies() {
             ),
         ),
         (
-            "worklist",
+            "seminaive",
             run(
                 &program,
                 &pops,
@@ -1195,6 +1197,119 @@ fn incremental_leg_sssp_gradient_retraction() {
             &mat.output().materialize(),
         );
     }
+}
+
+/// What one schedule must share with another to be its name: the
+/// stats label, the step count, the exact counters and every
+/// per-iteration `[delta_rows, queue_depth, emits, inserted, improved,
+/// absorbed]` row.
+fn run_signature(stats: &EvalStats) -> (String, u64, datalog_o::engine::Counters, Vec<[u64; 6]>) {
+    let rows = stats.iterations.iter().map(|it| {
+        [
+            it.delta_rows,
+            it.queue_depth,
+            it.emits,
+            it.inserted,
+            it.improved,
+            it.absorbed,
+        ]
+    });
+    (
+        stats.strategy.clone(),
+        stats.steps,
+        stats.counters,
+        rows.collect(),
+    )
+}
+
+/// [`Strategy::Worklist`] is another name for [`Strategy::SemiNaive`]:
+/// from scratch, under `query`, and through a [`Materialization`]
+/// driven by `script` one edit at a time, both give the same output and
+/// the same [`run_signature`] after every step.
+fn assert_worklist_is_seminaive<P>(
+    scenario: &str,
+    program: &Program<P>,
+    pops: &Database<P>,
+    query: &Query,
+    script: &[Edit<P>],
+) where
+    P: NaturallyOrdered
+        + CompleteDistributiveDioid
+        + Absorptive
+        + TotallyOrderedDioid
+        + Send
+        + Sync,
+{
+    let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+    let [worklist, semi] = [Strategy::Worklist, Strategy::SemiNaive].map(|strategy| {
+        let out =
+            engine_eval_interned(program, pops, &bools, CAP, strategy, &opts).expect("compiles");
+        (run_signature(out.stats()), out.materialize())
+    });
+    assert_eq!(worklist, semi, "{scenario}: from scratch");
+
+    let [worklist, semi] = [Strategy::Worklist, Strategy::SemiNaive].map(|strategy| {
+        let qa = engine_query_eval_with_opts(program, query, pops, &bools, CAP, strategy, &opts)
+            .expect("compiles");
+        (run_signature(qa.stats()), qa.support_with_demand())
+    });
+    assert_eq!(worklist, semi, "{scenario}: under {query:?}");
+
+    let [mut worklist, mut semi] = [Strategy::Worklist, Strategy::SemiNaive].map(|strategy| {
+        Materialization::new(program, pops, &bools, CAP, strategy, &opts).expect("builds")
+    });
+    let snapshot = |mat: &mut Materialization<P>| {
+        (run_signature(mat.last_stats()), mat.output().materialize())
+    };
+    assert_eq!(
+        snapshot(&mut worklist),
+        snapshot(&mut semi),
+        "{scenario}: build"
+    );
+    for edit in script {
+        for mat in [&mut worklist, &mut semi] {
+            mat.apply(std::slice::from_ref(edit)).expect("edit applies");
+        }
+        let (worklist, semi) = (snapshot(&mut worklist), snapshot(&mut semi));
+        assert_eq!(worklist, semi, "{scenario}: after {edit:?}");
+    }
+}
+
+#[test]
+fn worklist_is_another_name_for_seminaive() {
+    let (program, edb) = ex::sssp_trop("a");
+    assert_worklist_is_seminaive(
+        "sssp_trop_example_4_1",
+        &program,
+        &edb,
+        &parse_query("?- L(d).").unwrap(),
+        &[
+            Edit::delete("E", vec![k("b"), k("c")]),
+            Edit::insert("E", vec![k("b"), k("d")], Trop::finite(1.5)),
+            Edit::insert("E", vec![k("b"), k("c")], Trop::finite(3.0)),
+        ],
+    );
+
+    let edges = [
+        ("a", "b", 1.0),
+        ("b", "a", 2.0),
+        ("b", "c", 3.0),
+        ("c", "d", 4.0),
+        ("a", "c", 5.0),
+    ];
+    let (program, edb) = ex::apsp_trop(&edges);
+    let script = [
+        Edit::insert("E", vec![k("d"), k("a")], Trop::finite(1.0)),
+        Edit::delete("E", vec![k("a"), k("b")]),
+    ];
+    let query = parse_query("?- T(a, Y).").unwrap();
+    assert_worklist_is_seminaive("apsp_trop_example_1_1", &program, &edb, &query, &script);
+
+    // The quadratic rule reads its second `T` through `Old`: the rounds'
+    // split, not a frontier's.
+    let program = ex::quadratic_tc_program::<Trop>();
+    let (_, edb) = ex::apsp_trop(&edges);
+    assert_worklist_is_seminaive("quadratic tc", &program, &edb, &query, &script);
 }
 
 /// Company control (Ex. 4.3, ℝ₊) through a share sale: ⊕ = + is not

@@ -264,9 +264,10 @@ where
         "semi-naive backends disagree, spec {:?}",
         spec
     );
-    // The frontier strategies reach the same fixpoint; their step
-    // counts (pops/batches) differ from global iterations by design, so
-    // compare the output databases only.
+    // The `Strategy` loops reach the same fixpoint: the priority
+    // frontier, whose step counts (buckets) differ from global
+    // iterations by design, and `Worklist`, another name for the
+    // semi-naïve rounds — so compare the output databases only.
     let reference = match &gnd_s {
         EvalOutcome::Converged { output, .. } => output,
         EvalOutcome::Diverged { .. } => {
@@ -863,8 +864,9 @@ proptest! {
         }
     }
 
-    /// The frontier strategies (FIFO worklist, bucketed priority) reach
-    /// the same fixpoints as the global semi-naive engine on random
+    /// The `Strategy` loops (`Worklist`, another name for the semi-naïve
+    /// rounds, and the bucketed priority frontier) reach the same
+    /// fixpoints as the global semi-naive engine on random
     /// graph programs over the totally ordered absorptive dioids —
     /// Trop (APSP/SSSP/quadratic TC), MinNat, and Bool.
     #[test]

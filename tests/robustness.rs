@@ -856,16 +856,17 @@ fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
 }
 
 /// The same enumeration for edits on a live handle under the semi-naïve
-/// rounds and both frontiers: the shortcut `0 → n/2` inserted into the
-/// gradient graph and retracted again, each stopped by a step budget of
-/// every `k` below the edit's own step count (an insert's seed round
-/// and one round, bucket or generation per improved batch; a delete's
+/// rounds (named twice: `SemiNaive` and `Worklist`) and the priority
+/// frontier: the shortcut `0 → n/2` inserted into the gradient graph
+/// and retracted again, each stopped by a step budget of every `k`
+/// below the edit's own step count (an insert's seed round and one
+/// round or bucket per improved batch; a delete's
 /// marking rounds first, then the same). Every stop is the typed budget
 /// error, poisons the handle and leaves its mid-flight state on
 /// `partial()` — best-effort, a pointwise lower bound of the post-edit
 /// fixpoint on an insert; what the priority order had popped by then is
-/// marked and already final, semi-naïve rounds and FIFO generations mark
-/// nothing — and `rebuild()` under a lifted budget lands on the
+/// marked and already final, semi-naïve rounds mark nothing — and
+/// `rebuild()` under a lifted budget lands on the
 /// from-scratch build of the edited EDB. A budget of the step count
 /// itself lets the edit through (one more under the semi-naïve rounds,
 /// whose count leaves out the seed round).
