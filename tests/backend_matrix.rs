@@ -1,14 +1,15 @@
 //! The backend matrix: every oracle scenario from `paper_examples.rs`
-//! and `textual_programs.rs` pushed through **both** evaluator families
-//! — the grounded reference (naive and semi-naive, closed over the
-//! constants head key functions mint) and the execution engine (naive,
-//! semi-naive, the semi-naive rounds again under their `Worklist`
-//! name, and the priority frontier) — asserting identical output
-//! databases. `cross_engine.rs` spot-checks a subset against external
-//! oracles; this file is the exhaustive
-//! pairwise-agreement sweep, and since the engine lost its
-//! head-key-function fallback it proves the fast backend really is
-//! total over the language.
+//! and `textual_programs.rs` pushed through the differential oracle
+//! (`dlo_bench::oracle`) — the grounded reference (naive and
+//! semi-naive, closed over the constants head key functions mint)
+//! against every engine loop the POPS licenses (naive, semi-naive, the
+//! priority frontier), from scratch, as a handle, and under every query
+//! pattern — and through the bulk loader's bit-identity check.
+//! `cross_engine.rs` spot-checks a subset against external oracles;
+//! this file is the exhaustive pairwise-agreement sweep, and since the
+//! engine lost its head-key-function fallback it proves the fast backend
+//! really is total over the language. `worklist_is_another_name_for_seminaive`
+//! pins the `Strategy` aliases the oracle does not run.
 //!
 //! Scenarios whose paper POPS is not naturally ordered (the lifted reals
 //! of Ex. 4.2, `THREE` of Sec. 7) cannot run on the sparse grounding or
@@ -16,14 +17,14 @@
 //! matrix runs those programs over a naturally ordered carrier instead
 //! (`MinNat`, `𝔹`), which exercises the identical rule shapes. POPS that
 //! are naturally ordered but not complete distributive dioids (`ℝ₊`,
-//! `Trop⁺_1`) run the two naive legs only.
+//! `Trop⁺_1`) run the naive legs only.
 
 use datalog_o::core::examples_lib as ex;
 use datalog_o::core::{
     bool_relation, naive_eval, naive_eval_sparse, parse_program, parse_query, seminaive_eval,
     BoolDatabase, Database, Program, ProgramParser, Query, Relation, UnaryFn,
 };
-use datalog_o::core::{Edit, EvalOutcome, FactDelete, FactInsert};
+use datalog_o::core::{Edit, QueryArg};
 use datalog_o::engine::{ColumnRel, Interner};
 use datalog_o::pops::{
     Absorptive, Bool, CompleteDistributiveDioid, MinNat, NNReal, NaturallyOrdered, Pops,
@@ -34,134 +35,10 @@ use datalog_o::{
     Materialization, Naive, Schedule, SemiNaive, Strategy,
 };
 
-const CAP: usize = 100_000;
-
-/// One from-scratch evaluation under `schedule`, decoded.
-fn run<P: Pops + Send, S: Schedule<P>>(
-    program: &Program<P>,
-    pops: &Database<P>,
-    bools: &BoolDatabase,
-    cap: usize,
-    schedule: S,
-    opts: &EngineOpts,
-) -> EvalOutcome<P> {
-    engine_eval_interned(program, pops, bools, cap, schedule, opts)
-        .expect("compiles")
-        .materialize()
-}
+use dlo_bench::oracle::{self, Case, CAP};
 
 fn k(s: &str) -> datalog_o::core::Constant {
     s.into()
-}
-
-/// Asserts `got` carries exactly the relations of `reference` (empty
-/// relations are equivalent to absent ones on both sides).
-fn assert_same_db<P: datalog_o::pops::Pops>(
-    scenario: &str,
-    backend: &str,
-    reference: &Database<P>,
-    got: &Database<P>,
-) {
-    for (pred, r) in reference.iter() {
-        let empty = Relation::new(r.arity());
-        assert_eq!(
-            r,
-            got.get(pred).unwrap_or(&empty),
-            "{scenario}: {backend} differs on {pred}"
-        );
-    }
-    for (pred, r) in got.iter() {
-        if reference.get(pred).is_none() {
-            assert!(
-                r.is_empty(),
-                "{scenario}: {backend} derived extra atoms in {pred}"
-            );
-        }
-    }
-}
-
-/// The full six-leg matrix: grounded naive/semi-naive, engine
-/// naive/semi-naive, and the engine's two [`Strategy`] legs
-/// (`Worklist`, another name for the semi-naive rounds, and the
-/// bucketed priority frontier). Every `all` scenario runs over a
-/// totally ordered absorptive dioid (`Trop`, `MinNat`, `𝔹`), so the
-/// `Strategy` legs apply; POPS without those markers use
-/// [`assert_matrix_naive`] below.
-fn assert_matrix_all<P>(
-    scenario: &str,
-    program: &Program<P>,
-    pops: &Database<P>,
-    bools: &BoolDatabase,
-) where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    assert_bulk_load_bit_identical(scenario, program, pops, bools);
-    let converged = |outcome: EvalOutcome<P>| outcome.converged().expect("converges");
-    let (grounded, naive_steps) = converged(naive_eval_sparse(program, pops, bools, CAP));
-    // The semi-naïve loop counts the round that finds δ empty, as the
-    // grounded one does.
-    let (semi, semi_steps) = converged(seminaive_eval(program, pops, bools, CAP));
-    let opts = EngineOpts::default();
-    let (eng_naive, eng_naive_steps) = converged(run(program, pops, bools, CAP, Naive, &opts));
-    let (eng_semi, eng_steps) = converged(run(program, pops, bools, CAP, SemiNaive, &opts));
-    assert_eq!(eng_naive_steps, naive_steps, "{scenario}: naive steps");
-    assert_eq!(eng_steps, semi_steps, "{scenario}: semi-naive steps");
-    let legs: [(&str, Database<P>); 5] = [
-        ("grounded semi-naive", semi),
-        ("engine naive", eng_naive),
-        ("engine semi-naive", eng_semi),
-        (
-            "engine worklist",
-            run(
-                program,
-                pops,
-                bools,
-                CAP,
-                Strategy::Worklist,
-                &EngineOpts::default(),
-            )
-            .unwrap(),
-        ),
-        (
-            "engine priority",
-            run(
-                program,
-                pops,
-                bools,
-                CAP,
-                Strategy::Priority,
-                &EngineOpts::default(),
-            )
-            .unwrap(),
-        ),
-    ];
-    for (backend, got) in &legs {
-        assert_same_db(scenario, backend, &grounded, got);
-    }
-    assert_loop_parity(scenario, program, pops, bools, Naive);
-    assert_loop_parity(scenario, program, pops, bools, SemiNaive);
-}
-
-/// The two naive legs, for POPS without `⊖` (no complete distributive
-/// dioid structure): grounded naive, engine naive.
-fn assert_matrix_naive<P>(
-    scenario: &str,
-    program: &Program<P>,
-    pops: &Database<P>,
-    bools: &BoolDatabase,
-) where
-    P: NaturallyOrdered + Send + Sync,
-{
-    assert_bulk_load_bit_identical(scenario, program, pops, bools);
-    let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
-    let eng = run(program, pops, bools, CAP, Naive, &EngineOpts::default()).unwrap();
-    assert_same_db(scenario, "engine naive", &grounded, &eng);
-    assert_loop_parity(scenario, program, pops, bools, Naive);
 }
 
 /// Loads `db` row by row through the public per-row API — every
@@ -246,22 +123,24 @@ fn assert_bulk_load_bit_identical<P: NaturallyOrdered + Send + Sync>(
     }
 }
 
-/// One `#[test]` per oracle scenario. `all` runs the six-leg matrix,
-/// `naive` the two naive legs; the block must evaluate to
-/// `(Program<P>, Database<P>, BoolDatabase)`.
+/// One `#[test]` per oracle scenario: the bulk loader's bit-identity,
+/// then the oracle — `all` over every loop, `naive` over the naive loop;
+/// the block must evaluate to `(Program<P>, Database<P>, BoolDatabase)`.
 macro_rules! backend_matrix {
     ($(all $name:ident => $setup:block)*) => {
         $(#[test]
         fn $name() {
             let (program, pops, bools) = $setup;
-            assert_matrix_all(stringify!($name), &program, &pops, &bools);
+            assert_bulk_load_bit_identical(stringify!($name), &program, &pops, &bools);
+            Case::new(stringify!($name), &program, &pops).bools(&bools).check();
         })*
     };
     ($(naive $name:ident => $setup:block)*) => {
         $(#[test]
         fn $name() {
             let (program, pops, bools) = $setup;
-            assert_matrix_naive(stringify!($name), &program, &pops, &bools);
+            assert_bulk_load_bit_identical(stringify!($name), &program, &pops, &bools);
+            Case::new(stringify!($name), &program, &pops).bools(&bools).check_naive();
         })*
     };
 }
@@ -631,108 +510,21 @@ fn guard_atoms_read_bulk_loaded_relations_by_key() {
                 }),
         ),
     );
-    let grounded = naive_eval_sparse(&program, &pops, &bools, CAP).unwrap();
+    let report = Case::new("guarded closure", &program, &pops)
+        .bools(&bools)
+        .check();
     assert!(
-        grounded.get("T").is_some_and(|t| t.support_size() > 100),
+        report.lfp.get("T").is_some_and(|t| t.support_size() > 100),
         "the guards must leave a non-trivial closure"
     );
-    let opts = EngineOpts::default();
-    let legs = [
-        ("naive", run(&program, &pops, &bools, CAP, Naive, &opts)),
-        (
-            "semi-naive",
-            run(&program, &pops, &bools, CAP, SemiNaive, &opts),
-        ),
-        (
-            "worklist",
-            run(&program, &pops, &bools, CAP, Strategy::Worklist, &opts),
-        ),
-        (
-            "priority",
-            run(&program, &pops, &bools, CAP, Strategy::Priority, &opts),
-        ),
-    ];
-    for (leg, got) in legs {
-        assert_same_db("guarded closure", leg, &grounded, &got.unwrap());
-    }
-}
-
-/// The demand legs: `engine_query_eval_with_opts` under every schedule
-/// must return exactly the query-restriction of the grounded reference's full
-/// fixpoint, and every row of the demanded support must be value-exact
-/// against it (magic sets never under- or over-derive a demanded row).
-fn assert_query_matrix<P>(
-    scenario: &str,
-    program: &Program<P>,
-    pops: &Database<P>,
-    bools: &BoolDatabase,
-    query: &Query,
-) where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    let grounded = naive_eval_sparse(program, pops, bools, CAP).unwrap();
-    let empty = Relation::new(query.arity());
-    let expected = query.restrict(grounded.get(&query.pred).unwrap_or(&empty).clone());
-    let defaults = EngineOpts::default();
-    let legs: Vec<(String, datalog_o::QueryAnswer<P>)> =
-        [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority]
-            .into_iter()
-            .map(|strategy| {
-                (
-                    format!("{strategy:?}"),
-                    engine_query_eval_with_opts(
-                        program, query, pops, bools, CAP, strategy, &defaults,
-                    )
-                    .expect("compiles"),
-                )
-            })
-            .chain(std::iter::once((
-                "query semi-naive (weak bounds)".to_string(),
-                engine_query_eval_with_opts(program, query, pops, bools, CAP, SemiNaive, &defaults)
-                    .expect("compiles"),
-            )))
-            .chain(std::iter::once((
-                "query naive".to_string(),
-                engine_query_eval_with_opts(program, query, pops, bools, CAP, Naive, &defaults)
-                    .expect("compiles"),
-            )))
-            .collect();
-    for (leg, qa) in &legs {
-        assert!(qa.is_converged(), "{scenario}: {leg} diverged");
-        assert_eq!(
-            &expected,
-            &qa.answers(),
-            "{scenario}: {leg} answers differ from the grounded restriction for {query:?}"
-        );
-        for (pred, rel) in qa.support().iter() {
-            let reference = grounded.get(pred);
-            for (t, v) in rel.support() {
-                assert_eq!(
-                    reference.map(|r| r.get(t)),
-                    Some(v.clone()),
-                    "{scenario}: {leg} demanded row {pred}({t:?}) is not value-exact"
-                );
-            }
-        }
-    }
 }
 
 #[test]
 fn demand_leg_sssp_point_query() {
     let (program, edb) = ex::sssp_trop("a");
-    let query = parse_query("?- L(d).").unwrap();
-    assert_query_matrix(
-        "sssp_trop_example_4_1",
-        &program,
-        &edb,
-        &BoolDatabase::new(),
-        &query,
-    );
+    let query = [parse_query("?- L(d).").unwrap()];
+    let case = Case::new("sssp_trop_example_4_1", &program, &edb);
+    case.queries(&query).check();
 }
 
 #[test]
@@ -744,12 +536,10 @@ fn demand_leg_apsp_single_source_and_single_sink() {
         ("c", "d", 4.0),
         ("a", "c", 5.0),
     ]);
-    let bools = BoolDatabase::new();
     // Source-bound (adornment bf) and sink-bound (fb) both restrict.
-    for src in ["?- T(a, Y).", "?- T(X, d).", "?- T(b, c)."] {
-        let query = parse_query(src).unwrap();
-        assert_query_matrix("apsp_trop_example_1_1", &program, &edb, &bools, &query);
-    }
+    let queries = ["?- T(a, Y).", "?- T(X, d).", "?- T(b, c)."].map(|q| parse_query(q).unwrap());
+    let case = Case::new("apsp_trop_example_1_1", &program, &edb);
+    case.queries(&queries).check();
 }
 
 #[test]
@@ -769,10 +559,9 @@ fn demand_leg_bom_point_lookup() {
         ),
     );
     let bools = ex::fig2b_bool_edges();
-    for part in ["a", "c", "d"] {
-        let query = Query::point("T", vec![part.into()]);
-        assert_query_matrix("bom_minnat_example_4_2", &program, &pops, &bools, &query);
-    }
+    let queries = ["a", "c", "d"].map(|part| Query::point("T", vec![part.into()]));
+    let case = Case::new("bom_minnat_example_4_2", &program, &pops).bools(&bools);
+    case.queries(&queries).check();
 }
 
 #[test]
@@ -789,12 +578,10 @@ fn demand_leg_reachability_bool() {
                 .map(|(x, y)| vec![k(x), k(y)]),
         ),
     );
-    let bools = BoolDatabase::new();
     // Both a reachable and an unreachable point query.
-    for node in ["b", "d"] {
-        let query = Query::point("Reach", vec![node.into()]);
-        assert_query_matrix("reach_surface_syntax_bool", &program, &pops, &bools, &query);
-    }
+    let queries = ["b", "d"].map(|node| Query::point("Reach", vec![node.into()]));
+    let case = Case::new("reach_surface_syntax_bool", &program, &pops);
+    case.queries(&queries).check();
 }
 
 #[test]
@@ -803,28 +590,18 @@ fn demand_leg_quadratic_tc_falls_back_to_full() {
     // query path must still answer correctly (full computation plus
     // restriction).
     let (program, edb) = ex::quadratic_tc_bool(&[("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]);
-    let query = parse_query("?- T(a, Y).").unwrap();
-    assert_query_matrix(
-        "quadratic_tc_bool_guarded",
-        &program,
-        &edb,
-        &BoolDatabase::new(),
-        &query,
-    );
+    let query = [parse_query("?- T(a, Y).").unwrap()];
+    let case = Case::new("quadratic_tc_bool_guarded", &program, &edb);
+    case.queries(&query).check();
 }
 
 #[test]
 fn demand_leg_head_keyed_prefix() {
     // Head-key-function program: demand propagation itself mints keys.
     let (program, edb) = ex::prefix_sum_keyed::<Trop>(&[2.0, 4.0, 1.5, 3.0, 0.5], Trop::finite);
-    let query = parse_query("?- W(3).").unwrap();
-    assert_query_matrix(
-        "prefix_head_keyed_sec_4_5",
-        &program,
-        &edb,
-        &BoolDatabase::new(),
-        &query,
-    );
+    let query = [parse_query("?- W(3).").unwrap()];
+    let case = Case::new("prefix_head_keyed_sec_4_5", &program, &edb);
+    case.queries(&query).check();
 }
 
 #[test]
@@ -841,27 +618,9 @@ fn demand_leg_company_control_nnreal_naive() {
             ("b", "d", 0.25),
         ],
     );
-    let grounded = naive_eval_sparse(&program, &pops, &bools, CAP).unwrap();
-    let query = Query::new(
-        "T",
-        vec![
-            datalog_o::core::QueryArg::bound("a"),
-            datalog_o::core::QueryArg::Free,
-        ],
-    );
-    let qa = engine_query_eval_with_opts(
-        &program,
-        &query,
-        &pops,
-        &bools,
-        CAP,
-        Naive,
-        &EngineOpts::default(),
-    )
-    .expect("compiles");
-    assert!(qa.is_converged());
-    let expected = query.restrict(grounded.get("T").unwrap().clone());
-    assert_eq!(expected, qa.answers());
+    let query = [Query::new("T", vec![QueryArg::bound("a"), QueryArg::Free])];
+    let case = Case::new("company_control_example_4_3", &program, &pops).bools(&bools);
+    case.queries(&query).check_naive();
 }
 
 /// Satellite: divergence agreement. A non-stable program under a small
@@ -890,7 +649,8 @@ fn divergence_agreement_nat_coefficient_blowup() {
         ("grounded dense", naive_eval(&p, &pops, &bools, SMALL_CAP)),
         (
             "engine",
-            run(&p, &pops, &bools, SMALL_CAP, Naive, &EngineOpts::default()),
+            oracle::scratch(&p, &pops, &bools, SMALL_CAP, Naive, &EngineOpts::default())
+                .materialize(),
         ),
     ];
     for (backend, outcome) in legs {
@@ -930,6 +690,8 @@ fn divergence_agreement_unbounded_head_minting() {
     const SMALL_CAP: usize = 25;
     let pops = Database::new();
     let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    let strategy = |s: Strategy| oracle::scratch(&p, &pops, &bools, SMALL_CAP, s, &opts);
     let legs: [(&str, datalog_o::core::EvalOutcome<MinNat>); 5] = [
         (
             "grounded naive",
@@ -941,39 +703,18 @@ fn divergence_agreement_unbounded_head_minting() {
         ),
         (
             "engine semi-naive",
-            run(
-                &p,
-                &pops,
-                &bools,
-                SMALL_CAP,
-                SemiNaive,
-                &EngineOpts::default(),
-            ),
+            oracle::scratch(&p, &pops, &bools, SMALL_CAP, SemiNaive, &opts).materialize(),
         ),
         // The frontier drivers cap *batches* rather than global
         // iterations, but unbounded minting must still surface as the
         // same capped divergence, cap named in the diagnostic.
         (
             "engine worklist",
-            run(
-                &p,
-                &pops,
-                &bools,
-                SMALL_CAP,
-                Strategy::Worklist,
-                &EngineOpts::default(),
-            ),
+            strategy(Strategy::Worklist).materialize(),
         ),
         (
             "engine priority",
-            run(
-                &p,
-                &pops,
-                &bools,
-                SMALL_CAP,
-                Strategy::Priority,
-                &EngineOpts::default(),
-            ),
+            strategy(Strategy::Priority).materialize(),
         ),
     ];
     for (backend, outcome) in legs {
@@ -1016,44 +757,16 @@ fn stats_workload() -> (Program<Trop>, Database<Trop>) {
 fn stats_emits_cover_merges_across_strategies() {
     let (program, pops) = stats_workload();
     let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    let strategy = |s: Strategy| oracle::scratch(&program, &pops, &bools, CAP, s, &opts);
     let legs = [
         (
             "naive",
-            run(&program, &pops, &bools, CAP, Naive, &EngineOpts::default()),
+            oracle::scratch(&program, &pops, &bools, CAP, Naive, &opts),
         ),
-        (
-            "seminaive",
-            run(
-                &program,
-                &pops,
-                &bools,
-                CAP,
-                Strategy::SemiNaive,
-                &EngineOpts::default(),
-            ),
-        ),
-        (
-            "seminaive",
-            run(
-                &program,
-                &pops,
-                &bools,
-                CAP,
-                Strategy::Worklist,
-                &EngineOpts::default(),
-            ),
-        ),
-        (
-            "priority",
-            run(
-                &program,
-                &pops,
-                &bools,
-                CAP,
-                Strategy::Priority,
-                &EngineOpts::default(),
-            ),
-        ),
+        ("seminaive", strategy(Strategy::SemiNaive)),
+        ("seminaive", strategy(Strategy::Worklist)),
+        ("priority", strategy(Strategy::Priority)),
     ];
     for (leg, out) in &legs {
         let s = out.stats();
@@ -1124,86 +837,57 @@ fn stats_iteration_inserts_sum_to_final_support() {
 /// (the adversarial case for delete-rederive: the deleted edge carried
 /// the unique shortest route, so the affected distances must settle on
 /// strictly worse survivors, not resurrect the old values). Runs the
-/// whole script under every dioid strategy.
+/// whole script through the oracle, and pins the distances on a handle
+/// under every `Strategy` name.
 #[test]
 fn incremental_leg_sssp_gradient_retraction() {
-    let (program, edb0) = ex::sssp_trop("a");
-    let bools = BoolDatabase::new();
+    let (program, edb) = ex::sssp_trop("a");
+    // Fig. 2(a): a→b 1, b→a 2, b→c 3, c→d 4, a→c 5. L(c) = 4 via b.
+    // Retracting the b→c hop lengthens every shortest path through it —
+    // L(c) falls back to the direct a→c edge, L(d) follows; a new b→d
+    // shortcut improves the lengthened distance back down; reinserting
+    // the retracted edge at its old weight restores the original optimum.
+    let script = [
+        Edit::delete("E", vec![k("b"), k("c")]),
+        Edit::insert("E", vec![k("b"), k("d")], Trop::finite(1.5)),
+        Edit::insert("E", vec![k("b"), k("c")], Trop::finite(3.0)),
+    ];
+    let pins: [&[(&str, f64)]; 4] = [
+        &[("c", 4.0)],
+        &[("c", 5.0), ("d", 9.0)],
+        &[("d", 2.5)],
+        &[("c", 4.0)],
+    ];
+    let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        let scenario = format!("incremental sssp ({strategy:?})");
-        let mut edb = edb0.clone();
-        let mut mat = Materialization::new(
-            &program,
-            &edb,
-            &bools,
-            CAP,
-            strategy,
-            &EngineOpts::default(),
-        )
-        .expect("compiles");
-        // Fig. 2(a): a→b 1, b→a 2, b→c 3, c→d 4, a→c 5. L(c) = 4 via b.
-        assert_eq!(mat.get("L", &[k("c")]), Some(&Trop::finite(4.0)));
-
-        // Retract the b→c hop: every shortest path through it lengthens
-        // — L(c) falls back to the direct a→c edge, L(d) follows.
-        edb.get_or_insert("E", 2)
-            .set(vec![k("b"), k("c")], Trop::INF);
-        mat.delete(&[FactDelete::new("E", vec![k("b"), k("c")])])
-            .expect("edit applies");
-        assert_eq!(mat.get("L", &[k("c")]), Some(&Trop::finite(5.0)));
-        assert_eq!(mat.get("L", &[k("d")]), Some(&Trop::finite(9.0)));
-        let oracle = naive_eval_sparse(&program, &edb, &bools, CAP).unwrap();
-        assert_same_db(
-            &scenario,
-            "after retraction",
-            &oracle,
-            &mat.output().materialize(),
-        );
-
-        // A new b→d shortcut improves the lengthened distance back down.
-        edb.get_or_insert("E", 2)
-            .merge(vec![k("b"), k("d")], Trop::finite(1.5));
-        mat.insert(&[FactInsert::new(
-            "E",
-            vec![k("b"), k("d")],
-            Trop::finite(1.5),
-        )])
-        .expect("edit applies");
-        assert_eq!(mat.get("L", &[k("d")]), Some(&Trop::finite(2.5)));
-        let oracle = naive_eval_sparse(&program, &edb, &bools, CAP).unwrap();
-        assert_same_db(
-            &scenario,
-            "after shortcut",
-            &oracle,
-            &mat.output().materialize(),
-        );
-
-        // Reinsert the retracted edge at its old weight: the original
-        // optimum is restored exactly.
-        edb.get_or_insert("E", 2)
-            .merge(vec![k("b"), k("c")], Trop::finite(3.0));
-        mat.insert(&[FactInsert::new(
-            "E",
-            vec![k("b"), k("c")],
-            Trop::finite(3.0),
-        )])
-        .expect("edit applies");
-        assert_eq!(mat.get("L", &[k("c")]), Some(&Trop::finite(4.0)));
-        let oracle = naive_eval_sparse(&program, &edb, &bools, CAP).unwrap();
-        assert_same_db(
-            &scenario,
-            "after reinsert",
-            &oracle,
-            &mat.output().materialize(),
-        );
+        let mut mat =
+            Materialization::new(&program, &edb, &bools, CAP, strategy, &opts).expect("compiles");
+        for (step, pins) in pins.iter().enumerate() {
+            if step > 0 {
+                mat.apply(&script[step - 1..step]).expect("edit applies");
+            }
+            for &(node, d) in *pins {
+                let got = mat.get("L", &[k(node)]);
+                assert_eq!(
+                    got,
+                    Some(&Trop::finite(d)),
+                    "{strategy:?} {step}: L({node})"
+                );
+            }
+        }
     }
+    Case::new("incremental sssp", &program, &edb)
+        .script(&script)
+        .check();
 }
 
 /// What one schedule must share with another to be its name: the
 /// stats label, the step count, the exact counters and every
 /// per-iteration `[delta_rows, queue_depth, emits, inserted, improved,
 /// absorbed]` row.
-fn run_signature(stats: &EvalStats) -> (String, u64, datalog_o::engine::Counters, Vec<[u64; 6]>) {
+type Signature = (String, u64, datalog_o::engine::Counters, Vec<[u64; 6]>);
+
+fn run_signature(stats: &EvalStats) -> Signature {
     let rows = stats.iterations.iter().map(|it| {
         [
             it.delta_rows,
@@ -1222,11 +906,72 @@ fn run_signature(stats: &EvalStats) -> (String, u64, datalog_o::engine::Counters
     )
 }
 
-/// [`Strategy::Worklist`] is another name for [`Strategy::SemiNaive`]:
-/// from scratch, under `query`, and through a [`Materialization`]
-/// driven by `script` one edit at a time, both give the same output and
-/// the same [`run_signature`] after every step.
-fn assert_worklist_is_seminaive<P>(
+/// A handle's [`run_signature`] and decoded state after its build or
+/// last edit, for [`assert_same_loop`].
+fn snapshot<P: Pops + Send + Sync, S: Schedule<P>>(
+    mat: &mut Materialization<P, S>,
+) -> (Signature, Database<P>) {
+    (run_signature(mat.last_stats()), mat.output().materialize())
+}
+
+/// `a` is another name for `b`'s loop: from scratch, under `query`, and
+/// through a [`Materialization`] driven by `script` one edit at a time,
+/// both give the same output and the same [`run_signature`] after every
+/// step.
+fn assert_same_loop<P, A, B>(
+    scenario: &str,
+    program: &Program<P>,
+    pops: &Database<P>,
+    query: &Query,
+    script: &[Edit<P>],
+    (a, b): (A, B),
+) where
+    P: Pops + Send + Sync,
+    A: Schedule<P> + std::fmt::Debug,
+    B: Schedule<P>,
+{
+    let scenario = format!("{scenario}: {a:?}");
+    let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+    let from_scratch =
+        |out: datalog_o::InternedOutcome<P>| (run_signature(out.stats()), out.materialize());
+    assert_eq!(
+        from_scratch(oracle::scratch(program, pops, &bools, CAP, a, &opts)),
+        from_scratch(oracle::scratch(program, pops, &bools, CAP, b, &opts)),
+        "{scenario}: from scratch"
+    );
+    let demand = |qa: Result<datalog_o::QueryAnswer<P>, _>| {
+        let qa = qa.expect("compiles");
+        (run_signature(qa.stats()), qa.support_with_demand())
+    };
+    assert_eq!(
+        demand(engine_query_eval_with_opts(
+            program, query, pops, &bools, CAP, a, &opts
+        )),
+        demand(engine_query_eval_with_opts(
+            program, query, pops, &bools, CAP, b, &opts
+        )),
+        "{scenario}: under {query:?}"
+    );
+    let mut ours = Materialization::new(program, pops, &bools, CAP, a, &opts).expect("builds");
+    let mut theirs = Materialization::new(program, pops, &bools, CAP, b, &opts).expect("builds");
+    assert_eq!(
+        snapshot(&mut ours),
+        snapshot(&mut theirs),
+        "{scenario}: build"
+    );
+    for edit in script {
+        ours.apply(std::slice::from_ref(edit))
+            .expect("edit applies");
+        theirs
+            .apply(std::slice::from_ref(edit))
+            .expect("edit applies");
+        let leg = format!("{scenario}: after {edit:?}");
+        assert_eq!(snapshot(&mut ours), snapshot(&mut theirs), "{leg}");
+    }
+}
+
+/// Each [`Strategy`] alias against the loop it names.
+fn assert_aliases<P>(
     scenario: &str,
     program: &Program<P>,
     pops: &Database<P>,
@@ -1240,45 +985,18 @@ fn assert_worklist_is_seminaive<P>(
         + Send
         + Sync,
 {
-    let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
-    let [worklist, semi] = [Strategy::Worklist, Strategy::SemiNaive].map(|strategy| {
-        let out =
-            engine_eval_interned(program, pops, &bools, CAP, strategy, &opts).expect("compiles");
-        (run_signature(out.stats()), out.materialize())
-    });
-    assert_eq!(worklist, semi, "{scenario}: from scratch");
-
-    let [worklist, semi] = [Strategy::Worklist, Strategy::SemiNaive].map(|strategy| {
-        let qa = engine_query_eval_with_opts(program, query, pops, &bools, CAP, strategy, &opts)
-            .expect("compiles");
-        (run_signature(qa.stats()), qa.support_with_demand())
-    });
-    assert_eq!(worklist, semi, "{scenario}: under {query:?}");
-
-    let [mut worklist, mut semi] = [Strategy::Worklist, Strategy::SemiNaive].map(|strategy| {
-        Materialization::new(program, pops, &bools, CAP, strategy, &opts).expect("builds")
-    });
-    let snapshot = |mat: &mut Materialization<P>| {
-        (run_signature(mat.last_stats()), mat.output().materialize())
-    };
-    assert_eq!(
-        snapshot(&mut worklist),
-        snapshot(&mut semi),
-        "{scenario}: build"
-    );
-    for edit in script {
-        for mat in [&mut worklist, &mut semi] {
-            mat.apply(std::slice::from_ref(edit)).expect("edit applies");
-        }
-        let (worklist, semi) = (snapshot(&mut worklist), snapshot(&mut semi));
-        assert_eq!(worklist, semi, "{scenario}: after {edit:?}");
-    }
+    let worklist = (Strategy::Worklist, Strategy::SemiNaive);
+    assert_same_loop(scenario, program, pops, query, script, worklist);
+    let rounds = (Strategy::SemiNaive, SemiNaive);
+    assert_same_loop(scenario, program, pops, query, script, rounds);
+    let auto = (Strategy::Auto, Strategy::Priority);
+    assert_same_loop(scenario, program, pops, query, script, auto);
 }
 
 #[test]
 fn worklist_is_another_name_for_seminaive() {
     let (program, edb) = ex::sssp_trop("a");
-    assert_worklist_is_seminaive(
+    assert_aliases(
         "sssp_trop_example_4_1",
         &program,
         &edb,
@@ -1303,13 +1021,13 @@ fn worklist_is_another_name_for_seminaive() {
         Edit::delete("E", vec![k("a"), k("b")]),
     ];
     let query = parse_query("?- T(a, Y).").unwrap();
-    assert_worklist_is_seminaive("apsp_trop_example_1_1", &program, &edb, &query, &script);
+    assert_aliases("apsp_trop_example_1_1", &program, &edb, &query, &script);
 
     // The quadratic rule reads its second `T` through `Old`: the rounds'
     // split, not a frontier's.
     let program = ex::quadratic_tc_program::<Trop>();
     let (_, edb) = ex::apsp_trop(&edges);
-    assert_worklist_is_seminaive("quadratic tc", &program, &edb, &query, &script);
+    assert_aliases("quadratic tc", &program, &edb, &query, &script);
 }
 
 /// Company control (Ex. 4.3, ℝ₊) through a share sale: ⊕ = + is not
@@ -1332,16 +1050,6 @@ fn incremental_leg_company_control_share_sale() {
     );
     let scenario = "incremental company control (naive schedule)";
     let opts = EngineOpts::default();
-    let mut edb = edb0.clone();
-    let mut mat = Materialization::new(&program, &edb, &bools, CAP, Naive, &opts).expect("builds");
-    let oracle = naive_eval_sparse(&program, &edb, &bools, CAP).unwrap();
-    assert_same_db(
-        scenario,
-        "initial build",
-        &oracle,
-        &mat.output().materialize(),
-    );
-
     // The edit script: b sells its 37.5% stake in c (a's transitive
     // control of c through b collapses to the direct 25% holding); a
     // buys it (shares ⊕-accumulate, a(→c) = 0.25 + 0.375 crosses the 50%
@@ -1352,23 +1060,14 @@ fn incremental_leg_company_control_share_sale() {
         Edit::insert("S", vec![k("a"), k("c")], NNReal::of(0.375)),
         Edit::insert("S", vec![k("e"), k("a")], NNReal::of(0.75)),
     ];
-    for (i, edit) in script.iter().enumerate() {
-        match edit {
-            Edit::Insert(f) => edb
-                .get_or_insert(&f.pred, 2)
-                .merge(f.tuple.clone(), f.value),
-            Edit::Delete(f) => edb
-                .get_or_insert(&f.pred, 2)
-                .set(f.tuple.clone(), NNReal::of(0.0)),
-        }
+    let case = Case::new(scenario, &program, &edb0).bools(&bools);
+    case.script(&script).check_naive();
+    // The whole script in one `apply` lands on the state the edits one
+    // at a time reach.
+    let mut mat = Materialization::new(&program, &edb0, &bools, CAP, Naive, &opts).expect("builds");
+    for edit in &script {
         mat.apply(std::slice::from_ref(edit)).expect("edit applies");
-        let oracle = naive_eval_sparse(&program, &edb, &bools, CAP).unwrap();
-        let leg = format!("after edit {i}");
-        assert_same_db(scenario, &leg, &oracle, &mat.output().materialize());
-        let scratch = run(&program, &edb, &bools, CAP, Naive, &opts).unwrap();
-        assert_same_db(scenario, &leg, &scratch, &mat.output().materialize());
     }
-    // The whole script in one `apply` lands on the same state.
     let mut whole =
         Materialization::new(&program, &edb0, &bools, CAP, Naive, &opts).expect("builds");
     whole.apply(&script).expect("script applies");
@@ -1404,89 +1103,27 @@ fn incremental_leg_company_control_share_sale() {
         Materialization::new(&program, &edited, &bools, CAP, Naive, &opts).expect("builds");
     assert_eq!(mat.output().materialize(), fresh.output().materialize());
     assert_eq!(mat.last_stats().steps, fresh.last_stats().steps);
-    let oracle = naive_eval_sparse(&program, &edited, &bools, CAP).unwrap();
-    assert_same_db(
-        scenario,
-        "after rebuild",
-        &oracle,
-        &mat.output().materialize(),
-    );
+    let grounded = naive_eval_sparse(&program, &edited, &bools, CAP).unwrap();
+    let rebuilt = mat.output().materialize();
+    oracle::assert_same_facts(&format!("{scenario}: rebuild"), &grounded, &rebuilt);
     let interner = mat.output().interner();
     for (constant, id) in &known {
         assert_eq!(interner.lookup(constant), Some(*id), "{constant:?} moved");
     }
 }
 
-/// Loop parity: a [`Materialization`] build and a from-scratch run
-/// under the same schedule are the same loop from the same empty state.
-/// They produce the same interned rows in the same order, the same
-/// interner, and equal `EvalStats::invariants()`, step count included —
-/// up to what names the run: the stats label and the all-zero profile
-/// rows of the `@dlt` variant plans only a handle compiles.
-fn assert_loop_parity<P: Pops + Send + Sync, S: Schedule<P>>(
-    scenario: &str,
-    program: &Program<P>,
-    pops: &Database<P>,
-    bools: &BoolDatabase,
-    schedule: S,
-) {
-    let unnamed = |stats: &EvalStats| {
-        let mut inv = stats.invariants();
-        inv.strategy.clear();
-        inv.rules
-            .retain(|r| (r.rule as usize) < program.rules.len());
-        inv
-    };
-    let opts = EngineOpts::default();
-    let leg = format!("{scenario}: loop parity");
-    let scratch =
-        engine_eval_interned(program, pops, bools, CAP, schedule, &opts).expect("compiles");
-    assert!(scratch.is_converged(), "{leg}");
-    let mut built =
-        Materialization::new(program, pops, bools, CAP, schedule, &opts).expect("builds");
-    assert_eq!(
-        unnamed(scratch.stats()),
-        unnamed(built.last_stats()),
-        "{leg}: stats"
-    );
-    let (scratch, built) = (scratch.output(), built.output());
-    let (ours, theirs) = (scratch.interner(), built.interner());
-    assert_eq!(ours.len(), theirs.len(), "{leg}: minted ids");
-    for id in 0..ours.len() as u32 {
-        assert_eq!(ours.get(id), theirs.get(id), "{leg}: id {id}");
-    }
-    for (pred, _) in scratch.predicates() {
-        let rows = |out: &datalog_o::InternedOutput<P>| -> Vec<(Vec<u32>, P)> {
-            let rel = out.relation(pred).expect("same predicates");
-            rel.iter()
-                .map(|(_, k, v)| (k.to_vec(), v.clone()))
-                .collect()
-        };
-        assert_eq!(rows(scratch), rows(built), "{leg}: rows of {pred}");
-    }
-}
-
-/// A wide-key scenario through the full matrix, then from scratch under
-/// every engine schedule: each leg's counters, for the caller to say
-/// which structure its probes must have read.
+/// A wide-key scenario through the full matrix: each loop's counters
+/// from scratch, for the caller to say which structure its probes must
+/// have read.
 fn matrix_probe_counters(
     scenario: &str,
     program: &Program<Trop>,
     edb: &Database<Trop>,
-) -> Vec<(&'static str, datalog_o::engine::Counters)> {
-    let bools = BoolDatabase::new();
-    assert_matrix_all(scenario, program, edb, &bools);
-    let opts = EngineOpts::default();
-    let mut legs = vec![("naive", run(program, edb, &bools, CAP, Naive, &opts))];
-    for (leg, strategy) in [
-        ("semi-naive", Strategy::SemiNaive),
-        ("worklist", Strategy::Worklist),
-        ("priority", Strategy::Priority),
-    ] {
-        legs.push((leg, run(program, edb, &bools, CAP, strategy, &opts)));
-    }
-    let legs = legs.iter().map(|(leg, out)| (*leg, out.stats().counters));
-    legs.collect()
+) -> Vec<(String, datalog_o::engine::Counters)> {
+    assert_bulk_load_bit_identical(scenario, program, edb, &BoolDatabase::new());
+    let report = Case::new(scenario, program, edb).check();
+    let loops = report.loops.into_iter();
+    loops.map(|l| (l.name, l.scratch.counters)).collect()
 }
 
 /// The wide-key regimes the arrangements exist for, as full matrix
@@ -1606,62 +1243,66 @@ fn labelled_quadratic_closure_probes_a_growing_wide_idb() {
 /// `E3` afresh) and the grounded oracle, whichever structure answered.
 #[test]
 fn labelled_linear_closure_edits_a_bulk_loaded_wide_edb() {
-    fn check<S: Schedule<Trop> + std::fmt::Debug>(schedule: S) {
+    fn check<S: Schedule<Trop> + std::fmt::Debug>(
+        schedule: S,
+        program: &Program<Trop>,
+        edb: &Database<Trop>,
+        script: &[Edit<Trop>],
+    ) {
         let scenario = format!("labelled linear closure (arity 3, {schedule:?})");
-        let program: Program<Trop> = parse_program(
-            "R(X, Y, A) :- E3(X, Y, A) + R(X, Z, A) * E3(Z, Y, A).\n\
-             Hop2(X, Y, A) :- E3(X, Z, A) * E3(Z, Y, A).",
-        )
-        .unwrap();
-        let (mut edb, bools) = (labelled_edges(3), BoolDatabase::new());
-        let opts = EngineOpts::default();
+        let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
         let mut mat =
-            Materialization::new(&program, &edb, &bools, CAP, schedule, &opts).expect("builds");
-        let epoch = |leg: &str, mat: &mut Materialization<Trop, S>, edb: &Database<Trop>| {
-            let got = mat.output().materialize();
-            let oracle = naive_eval_sparse(&program, edb, &bools, CAP).unwrap();
-            assert_same_db(&scenario, leg, &oracle, &got);
-            let scratch = run(&program, edb, &bools, CAP, schedule, &opts);
+            Materialization::new(program, edb, &bools, CAP, schedule, &opts).expect("builds");
+        let mut edited = edb.clone();
+        for step in 0..=script.len() {
+            if step > 0 {
+                oracle::mirror(&mut edited, &script[step - 1]);
+                mat.apply(&script[step - 1..step]).expect("edit applies");
+            }
+            let leg = format!("{scenario}, step {step}");
+            let scratch = oracle::scratch(program, &edited, &bools, CAP, schedule, &opts);
             let s = &scratch.stats().counters;
             assert_eq!(
                 (s.merge_join_steps, s.hash_join_steps),
                 (s.index_probes, 0),
-                "{scenario}/{leg}: from scratch every probe reads a sorted run"
+                "{leg}: from scratch every probe reads a sorted run"
             );
-            assert_eq!(scratch.unwrap(), got, "{scenario}/{leg}: from scratch");
             let c = mat.last_stats().counters;
-            assert!(c.index_probes > 0, "{scenario}/{leg}: the edit probes");
+            assert!(c.index_probes > 0, "{leg}: the edit probes");
             assert_eq!(
                 c.merge_join_steps + c.hash_join_steps,
                 c.index_probes,
-                "{scenario}/{leg}"
+                "{leg}"
             );
-            c
-        };
-        let c = epoch("build", &mut mat, &edb);
-        assert_eq!(c.hash_join_steps, 0, "{scenario}: the build reads runs");
-
-        // A shortcut under label 0 that improves rows downstream.
-        let shortcut = vec![1i64.into(), 4i64.into(), 0i64.into()];
-        edb.get_or_insert("E3", 3)
-            .merge(shortcut.clone(), Trop::finite(0.5));
-        mat.insert(&[FactInsert::new("E3", shortcut, Trop::finite(0.5))])
-            .expect("edit applies");
-        let c = epoch("after insert", &mut mat, &edb);
-        assert!(c.hash_join_steps > 0, "{scenario}: the grown E3 reads hash");
-
-        // The chain's first hop under label 1: its cone must rederive.
-        let hop = vec![0i64.into(), 1i64.into(), 1i64.into()];
-        edb.get_or_insert("E3", 3).set(hop.clone(), Trop::INF);
-        mat.delete(&[FactDelete::new("E3", hop)])
-            .expect("edit applies");
-        let c = epoch("after delete", &mut mat, &edb);
-        assert_eq!(c.merge_join_steps, 0, "{scenario}: no run is left");
+            match step {
+                0 => assert_eq!(c.hash_join_steps, 0, "{leg}: the build reads runs"),
+                1 => assert!(c.hash_join_steps > 0, "{leg}: the grown E3 reads hash"),
+                _ => assert_eq!(c.merge_join_steps, 0, "{leg}: no run is left"),
+            }
+        }
     }
-    check(Naive);
-    check(SemiNaive);
+    let program: Program<Trop> = parse_program(
+        "R(X, Y, A) :- E3(X, Y, A) + R(X, Z, A) * E3(Z, Y, A).\n\
+         Hop2(X, Y, A) :- E3(X, Z, A) * E3(Z, Y, A).",
+    )
+    .unwrap();
+    let edb = labelled_edges(3);
+    // A shortcut under label 0 that improves rows downstream, then the
+    // chain's first hop under label 1, whose cone must rederive.
+    let script = [
+        Edit::insert(
+            "E3",
+            vec![1i64.into(), 4i64.into(), 0i64.into()],
+            Trop::finite(0.5),
+        ),
+        Edit::delete("E3", vec![0i64.into(), 1i64.into(), 1i64.into()]),
+    ];
+    let case = Case::new("labelled linear closure (arity 3)", &program, &edb);
+    case.script(&script).check();
+    check(Naive, &program, &edb, &script);
+    check(SemiNaive, &program, &edb, &script);
     for strategy in [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority] {
-        check(strategy);
+        check(strategy, &program, &edb, &script);
     }
 }
 
@@ -1735,9 +1376,11 @@ fn dense_apsp_runs_on_a_slot_table_under_every_schedule() {
         );
         let db = out.materialize().unwrap();
         assert_eq!(db.get("T"), Some(&floyd_warshall(&graph)), "{schedule:?}");
-        let scenario = format!("dense apsp, {schedule:?}");
-        assert_loop_parity(&scenario, &program, &edb, &bools, schedule);
     }
+    let (program, edb) = (ex::apsp_program::<Trop>(), near_complete_48().trop_edb());
+    Case::new("dense apsp", &program, &edb)
+        .engine_reference()
+        .check();
     check(Naive);
     check(SemiNaive);
     for strategy in [
@@ -1780,24 +1423,15 @@ fn planner_auto_arranges_wide_relations() {
             ],
         ),
     );
-    let bools = BoolDatabase::new();
-    let grounded = naive_eval_sparse(&program, &pops, &bools, CAP).unwrap();
-    let opts = EngineOpts::default();
-    let out = run(&program, &pops, &bools, CAP, Strategy::SemiNaive, &opts);
-    let s = out.stats().clone();
+    let report = Case::new("planner_auto_arranges_wide", &program, &pops).check();
+    let c = report.of("SemiNaive").scratch.counters;
     assert!(
-        s.counters.merge_join_steps > 0,
+        c.merge_join_steps > 0,
         "the arity-3 probe side must be arranged"
     );
     assert_eq!(
-        s.counters.hash_join_steps, 0,
+        c.hash_join_steps, 0,
         "no packed-width probes in this program"
-    );
-    assert_same_db(
-        "planner_auto_arranges_wide",
-        "semi-naive",
-        &grounded,
-        &out.unwrap(),
     );
 }
 
@@ -1853,7 +1487,9 @@ fn threads_build_the_edb_indexes_and_nothing_else() {
         pops: &Database<Trop>,
         bools: &BoolDatabase,
     ) {
-        let run_at = |threads| run(program, pops, bools, CAP, schedule, &at(threads));
+        let run_at = |threads| {
+            oracle::scratch(program, pops, bools, CAP, schedule, &at(threads)).materialize()
+        };
         let base = run_at(1);
         assert!(
             base.stats().counters.index_probes > 100,

@@ -19,6 +19,13 @@
 //! * a boxed row-map key per row in `Interner::try_load_relation`: the
 //!   join gate reads 10 116 → 40 122, the copy gate 10 225 → 40 251.
 //!
+//! Two more gates are ratchets, not size-independence: a converged SSSP
+//! run on the same path allocates per bucket (priority) or per round
+//! (semi-naïve), and the gate holds that rate to what it is today, so
+//! one more heap buffer per plan run trips both (seeded at the top of
+//! `exec::run_plan`: priority 4 196 → 16 211 calls at n = 2 000 → 8 000,
+//! bound 10 260; semi-naïve 16 186 → 64 199, bound 58 250).
+//!
 //! What they do not catch: anything that allocates log-many times in
 //! the row count — a posting table that counts its keys through an
 //! `FxHashMap` grows the map only at each doubling (128 → 136) — nor
@@ -30,7 +37,7 @@
 
 use datalog_o::core::{parse_program, BoolDatabase, Constant, Database, Program, Relation};
 use datalog_o::pops::Trop;
-use datalog_o::{engine_eval_interned, EngineOpts, Strategy};
+use datalog_o::{engine_eval_interned, EngineOpts, Schedule, SemiNaive, Strategy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -103,33 +110,42 @@ fn edb(n: i64) -> Database<Trop> {
     db
 }
 
-/// Allocation calls of one from-scratch run of `program` over
-/// [`edb`]`(n)`, from the classic `Database` in to the interned
-/// outcome out.
-fn run_calls(program: &Program<Trop>, n: i64) -> u64 {
+/// Allocation calls of one from-scratch run of `program` under
+/// `schedule` over [`edb`]`(n)`, from the classic `Database` in to the
+/// interned outcome out.
+fn run_calls<S: Schedule<Trop>>(program: &Program<Trop>, schedule: S, n: i64) -> u64 {
     let (edb, bools) = (edb(n), BoolDatabase::new());
     let opts = EngineOpts {
         threads: Some(1),
         ..EngineOpts::default()
     };
     let (calls, bytes) = allocations(|| {
-        engine_eval_interned(program, &edb, &bools, 100, Strategy::Auto, &opts).expect("compiles")
+        engine_eval_interned(program, &edb, &bools, 1 << 20, schedule, &opts).expect("compiles")
     });
     eprintln!("n = {n}: {calls} allocation calls, {bytes} bytes");
     calls
 }
 
-/// Holds `program`'s allocation calls at `4n` rows to at most `slack`
-/// more than at `n`.
-fn assert_size_independent(source: &str, slack: u64) {
+/// Holds `program`'s allocation calls under `schedule` at `4n` rows of
+/// `E` to at most `per_row` more per added row, plus `slack`, than at
+/// `n`.
+fn assert_calls<S: Schedule<Trop>>(source: &str, schedule: S, n: i64, per_row: u64, slack: u64) {
     let program: Program<Trop> = parse_program(source).expect("parses");
-    let n = 10_000;
-    let (small, large) = (run_calls(&program, n), run_calls(&program, 4 * n));
-    assert!(
-        large <= small + slack,
-        "`{source}`: {small} allocation calls at n = {n}, {large} at 4n: \
-         something allocates per row or per key"
+    let (small, large) = (
+        run_calls(&program, schedule, n),
+        run_calls(&program, schedule, 4 * n),
     );
+    let bound = small + 3 * n as u64 * per_row + slack;
+    assert!(
+        large <= bound,
+        "`{source}`: {small} allocation calls at n = {n}, {large} at 4n, more than {bound}: \
+         something allocates more per row or per step than it did"
+    );
+}
+
+/// [`assert_calls`] at no calls per row: buffer doublings only.
+fn assert_size_independent(source: &str, slack: u64) {
+    assert_calls(source, Strategy::Auto, 10_000, 0, slack);
 }
 
 /// The EDB load of a bulk relation and the posting table of its column
@@ -145,4 +161,32 @@ fn a_bulk_load_and_its_posting_table_allocate_independently_of_size() {
 #[test]
 fn a_copied_relation_allocates_independently_of_size() {
     assert_size_independent("C(X, Y) :- E(X, Y).", 64);
+}
+
+/// Ex. 4.1's single-source distances on [`edb`]`(n)`'s path: `n + 1`
+/// rows of `L`, each settled by its own step — one one-row bucket of the
+/// priority frontier, one round of the semi-naïve loop.
+const SSSP: &str = "L(X) :- 1 | X = 0.\nL(X) :- L(Z) * E(Z, X).";
+
+/// A converged priority run allocates about one call per bucket
+/// (2 193 → 8 208 calls at n = 2 000 → 8 000 in a debug build): the
+/// `Vec` `BucketFrontier` makes for each bucket (`worklist.rs`). This
+/// is a ratchet, not a target: the gate holds the rate at its measured
+/// one call per bucket, plus a slack of 64 calls for buffer doublings,
+/// so anything that allocates once more per plan run (a bucket runs its
+/// plans once) trips it. Taking the per-bucket `Vec` out is a later
+/// change, which lowers the rate here.
+#[test]
+fn a_priority_run_allocates_one_call_per_bucket() {
+    assert_calls(SSSP, Strategy::Priority, 2_000, 1, 64);
+}
+
+/// A converged semi-naïve run allocates about seven calls per round
+/// (14 183 → 56 196 at n = 2 000 → 8 000 in a debug build): the
+/// rounds' Δ relations and their buffers. A ratchet like the priority
+/// one: seven calls per round plus a slack of 64, so one more
+/// allocation per plan run (two plans fire per round) trips it.
+#[test]
+fn a_semi_naive_run_allocates_seven_calls_per_round() {
+    assert_calls(SSSP, SemiNaive, 2_000, 7, 64);
 }

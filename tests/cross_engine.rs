@@ -3,33 +3,20 @@
 //! datalog° engine ↔ affine systems / `LinearLFP` ↔ matrix closures ↔
 //! classical graph algorithms ↔ game-theoretic oracles. Disagreement
 //! anywhere is a bug in exactly one layer — these tests triangulate.
+//! The engine ↔ grounded legs go through the differential oracle
+//! (`dlo_bench::oracle`).
 
 use datalog_o::core::{
-    ground, ground_sparse, naive_eval, naive_eval_sparse, naive_eval_system, seminaive_eval,
-    BoolDatabase, Database, EvalOutcome, Program, Relation,
+    ground, ground_sparse, naive_eval, naive_eval_system, BoolDatabase, Database, EvalOutcome,
+    Program, Relation,
 };
-use datalog_o::pops::Pops;
-use datalog_o::pops::{
-    Bool, CompleteDistributiveDioid, NaturallyOrdered, PreSemiring, Trop, TropP,
-};
+use datalog_o::pops::{Bool, PreSemiring, Trop, TropP};
 use datalog_o::semilin::{
     fwk_closure, fwk_solve, linear_lfp, linear_lfp_auto, linear_naive_lfp, AffineSystem, Matrix,
 };
-use datalog_o::{engine_eval_interned, EngineOpts, Naive, Schedule, SemiNaive};
+use datalog_o::{EngineOpts, SemiNaive};
+use dlo_bench::oracle::{self, assert_same_facts, Case};
 use dlo_bench::{dijkstra, GraphInstance};
-
-/// One engine evaluation under `schedule`, decoded.
-fn run<P: Pops + Send, S: Schedule<P>>(
-    program: &Program<P>,
-    pops: &Database<P>,
-    bools: &BoolDatabase,
-    cap: usize,
-    schedule: S,
-) -> datalog_o::core::EvalOutcome<P> {
-    engine_eval_interned(program, pops, bools, cap, schedule, &EngineOpts::default())
-        .expect("compiles")
-        .materialize()
-}
 
 #[test]
 fn engine_equals_dijkstra_equals_linear_lfp() {
@@ -172,49 +159,13 @@ fn winmove_three_way_on_larger_random_graphs() {
     }
 }
 
-/// Four-way agreement on every IDB: grounded (sparse) naive, grounded
-/// semi-naive, engine naive, engine semi-naive.
-fn assert_engine_agrees<P>(program: &Program<P>, pops: &Database<P>, bools: &BoolDatabase)
-where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-{
-    let grounded = naive_eval_sparse(program, pops, bools, 100_000).unwrap();
-    let grounded_semi = seminaive_eval(program, pops, bools, 100_000).unwrap();
-    let eng_naive = run(program, pops, bools, 100_000, Naive).unwrap();
-    let eng_semi = run(program, pops, bools, 100_000, SemiNaive).unwrap();
-    for (pred, r) in grounded.iter() {
-        let empty = Relation::new(r.arity());
-        assert_eq!(
-            r,
-            grounded_semi.get(pred).unwrap_or(&empty),
-            "grounded semi {pred}"
-        );
-        assert_eq!(
-            r,
-            eng_naive.get(pred).unwrap_or(&empty),
-            "engine naive {pred}"
-        );
-        assert_eq!(
-            r,
-            eng_semi.get(pred).unwrap_or(&empty),
-            "engine semi {pred}"
-        );
-    }
-    for (pred, r) in eng_semi.iter() {
-        if grounded.get(pred).is_none() {
-            assert!(r.is_empty(), "engine derived extra atoms in {pred}");
-        }
-    }
-}
-
 #[test]
 fn engine_matches_grounded_on_sssp_example_4_1() {
     // Example 4.1: SSSP over Trop⁺ on the Fig. 2(a) graph.
     let (program, edb) = datalog_o::core::examples_lib::sssp_trop("a");
-    assert_engine_agrees(&program, &edb, &BoolDatabase::new());
-    // Spot-check the paper's answers through the engine path.
-    let out = run(&program, &edb, &BoolDatabase::new(), 1000, SemiNaive).unwrap();
-    let l = out.get("L").unwrap();
+    // The paper's answers, which the oracle holds every loop to.
+    let lfp = Case::new("sssp", &program, &edb).check().lfp;
+    let l = lfp.get("L").unwrap();
     assert_eq!(l.get(&vec!["a".into()]), Trop::finite(0.0));
     assert_eq!(l.get(&vec!["b".into()]), Trop::finite(1.0));
     assert_eq!(l.get(&vec!["c".into()]), Trop::finite(4.0));
@@ -241,7 +192,7 @@ fn engine_matches_grounded_on_bom_example_4_2() {
         ),
     );
     let bools = datalog_o::core::examples_lib::fig2b_bool_edges();
-    assert_engine_agrees(&program, &pops, &bools);
+    Case::new("bom", &program, &pops).bools(&bools).check();
 }
 
 #[test]
@@ -262,16 +213,12 @@ fn engine_matches_grounded_on_company_control_example_4_3() {
             ("b", "d", 0.25),
         ],
     );
-    let grounded = naive_eval_sparse(&program, &pops, &bools, 100_000).unwrap();
+    let case = Case::new("company control", &program, &pops).bools(&bools);
+    let lfp = case.check_naive().lfp;
     let dense = naive_eval(&program, &pops, &bools, 100_000).unwrap();
-    let eng = run(&program, &pops, &bools, 100_000, Naive).unwrap();
-    for (pred, r) in grounded.iter() {
-        let empty = Relation::new(r.arity());
-        assert_eq!(r, dense.get(pred).unwrap_or(&empty), "dense {pred}");
-        assert_eq!(r, eng.get(pred).unwrap_or(&empty), "engine {pred}");
-    }
+    assert_same_facts("dense grounding", &lfp, &dense);
     // a controls d transitively: T(a, d) must accumulate past 0.5.
-    let t = eng.get("T").unwrap();
+    let t = lfp.get("T").unwrap();
     assert!(t.get(&vec!["a".into(), "d".into()]).0.get() > 0.5);
 }
 
@@ -281,12 +228,12 @@ fn engine_matches_grounded_on_tc_random_graphs() {
         let g = GraphInstance::random(12, 30, 9, seed);
         // Trop: linear APSP and the quadratic TC rule.
         let apsp = datalog_o::core::examples_lib::apsp_program::<Trop>();
-        assert_engine_agrees(&apsp, &g.trop_edb(), &BoolDatabase::new());
+        Case::new("apsp", &apsp, &g.trop_edb()).check();
         let quad = datalog_o::core::examples_lib::quadratic_tc_program::<Trop>();
-        assert_engine_agrees(&quad, &g.trop_edb(), &BoolDatabase::new());
+        Case::new("quadratic", &quad, &g.trop_edb()).check();
         // Bool: plain transitive closure.
         let tc = datalog_o::core::examples_lib::apsp_program::<Bool>();
-        assert_engine_agrees(&tc, &g.bool_edb(), &BoolDatabase::new());
+        Case::new("tc", &tc, &g.bool_edb()).check();
     }
 }
 
@@ -295,15 +242,9 @@ fn engine_seminaive_agrees_with_grounded_seminaive_step_counts() {
     for seed in [81u64, 82] {
         let g = GraphInstance::random(10, 24, 5, seed);
         let (prog, edb) = g.sssp();
-        let bools = BoolDatabase::new();
-        let gnd = seminaive_eval(&prog, &edb, &bools, 100_000)
-            .converged()
-            .expect("grounded converges");
-        let eng = run(&prog, &edb, &bools, 100_000, SemiNaive)
-            .converged()
-            .expect("engine converges");
-        assert_eq!(gnd.0, eng.0, "fixpoints differ, seed {seed}");
-        assert_eq!(gnd.1, eng.1, "step counts differ, seed {seed}");
+        // The oracle holds the semi-naive loop to the grounded
+        // semi-naive fixpoint and step count.
+        Case::new(format!("sssp seed {seed}"), &prog, &edb).check();
     }
 }
 
@@ -357,7 +298,10 @@ fn engine_powered_win_move_matches_three_and_oracle() {
                         .map(|(i, _)| vec![(i as i64).into()]),
                 ),
             );
-            let out = run(&program, &Database::<Bool>::new(), &bools, 1000, SemiNaive)
+            let opts = EngineOpts::default();
+            let edb = Database::<Bool>::new();
+            let out = oracle::scratch(&program, &edb, &bools, 1000, SemiNaive, &opts)
+                .materialize()
                 .converged()
                 .expect("one alternating step converges")
                 .0;

@@ -1,9 +1,11 @@
-//! The incremental-maintenance differential harness: every edit script
-//! — random and adversarial — is applied step by step to a live
-//! [`Materialization`] *and* mirrored on a classic [`Database`], and
-//! after **every** step the materialization must equal the from-scratch
-//! fixpoint of the edited EDB, across evaluation strategies, values
-//! exact per row.
+//! Incremental maintenance: every edit script — random and adversarial
+//! — goes through the differential oracle (`dlo_bench::oracle`), which
+//! applies it step by step to a live [`Materialization`] under every
+//! loop the POPS licenses *and* mirrors it on a classic [`Database`];
+//! after **every** step each handle must hold the grounded least
+//! fixpoint of the edited EDB, values exact per row, and answer every
+//! query pattern from the state it holds. The tests here keep their own
+//! pins beside it: counters, cones, row ids, index lifecycles.
 //!
 //! The adversarial shapes target the places where incremental
 //! maintenance over dioids can silently go wrong:
@@ -17,8 +19,8 @@
 
 use datalog_o::core::examples_lib as ex;
 use datalog_o::core::{
-    naive_eval_sparse, parse_program, parse_query, Atom, BoolDatabase, Constant, Database, Edit,
-    Factor, Program, Query, QueryArg, Relation, SumProduct, Term, Tuple, UnaryFn,
+    parse_program, parse_query, Atom, BoolDatabase, Constant, Database, Edit, Factor, Program,
+    Query, QueryArg, Relation, SumProduct, Term, Tuple, UnaryFn,
 };
 use datalog_o::pops::{
     Absorptive, CompleteDistributiveDioid, MaxMin, NNReal, NaturallyOrdered, Pops, PreSemiring,
@@ -28,6 +30,8 @@ use datalog_o::{
     engine_eval_interned, EngineOpts, EvalBudget, Materialization, Naive, Schedule, SemiNaive,
     Strategy,
 };
+
+use dlo_bench::oracle::{self, Case};
 
 const CAP: usize = 100_000;
 
@@ -61,144 +65,6 @@ fn delete(u: &str, v: &str) -> Edit<Trop> {
     Edit::delete("E", vec![k(u), k(v)])
 }
 
-/// Applies one edit to the classic mirror exactly as the engine defines
-/// edit semantics: insert `⊕`-merges, delete removes the fact.
-fn mirror<P: Pops>(edb: &mut Database<P>, edit: &Edit<P>) {
-    match edit {
-        Edit::Insert(f) => edb
-            .get_or_insert(&f.pred, f.tuple.len())
-            .merge(f.tuple.clone(), f.value.clone()),
-        Edit::Delete(f) => edb
-            .get_or_insert(&f.pred, f.tuple.len())
-            .set(f.tuple.clone(), P::bottom()),
-    }
-}
-
-/// The POPS every [`Strategy`] is licensed over.
-trait FrontierPops:
-    NaturallyOrdered + CompleteDistributiveDioid + Absorptive + TotallyOrderedDioid + Send + Sync
-{
-}
-impl<P> FrontierPops for P where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync
-{
-}
-
-/// Every query pattern on every IDB of the from-scratch fixpoint
-/// `scratch` — all free, each column bound alone and every column bound
-/// (to the first and to the last row's constants), and one column bound
-/// to a constant no EDB ever held — answered by `mat` from the state it
-/// holds is `Query::restrict` of `scratch`, bit for bit, the answer
-/// holds those rows and no others, and the read touched no other row.
-fn assert_queries_read_the_fixpoint<P: Pops + Send + Sync, S: Schedule<P>>(
-    leg: &str,
-    mat: &mut Materialization<P, S>,
-    scratch: &Database<P>,
-) {
-    for (pred, full) in scratch.iter() {
-        let arity = full.arity();
-        let mut queries = vec![Query::all(pred, arity)];
-        if arity > 0 {
-            let mut args = vec![QueryArg::Free; arity];
-            args[0] = QueryArg::bound("never held");
-            queries.push(Query::new(pred, args));
-        }
-        for (tuple, _) in [full.support().next(), full.support().last()]
-            .into_iter()
-            .flatten()
-        {
-            for c in 0..arity {
-                let mut args = vec![QueryArg::Free; arity];
-                args[c] = QueryArg::Bound(tuple[c].clone());
-                queries.push(Query::new(pred, args));
-            }
-            queries.push(Query::point(pred, tuple.clone()));
-        }
-        for q in &queries {
-            let answer = mat.query(q).unwrap_or_else(|e| panic!("{leg}: {q:?}: {e}"));
-            let expected = q.restrict(full.clone());
-            assert_eq!(answer.answers(), expected, "{leg}: {q:?}");
-            // What the read kept, before `answers` restricts it again.
-            let kept = answer.support();
-            assert_eq!(kept.get(pred), Some(&expected), "{leg}: {q:?} kept");
-            let read = answer.stats().counters.tuples_scanned;
-            assert_eq!(read, expected.support_size() as u64, "{leg}: {q:?} read");
-        }
-    }
-}
-
-/// Runs `script` through one [`Materialization`] under `Strategy::Auto`
-/// and one under each of `strategies` — the schedule that builds a
-/// handle also maintains it — and asserts that after every step each
-/// handle is bit-identical to the from-scratch fixpoint of the mirrored
-/// EDB under each of `strategies`, and answers every query pattern from
-/// the state it holds as that fixpoint's restriction.
-fn assert_differential<P: FrontierPops>(
-    scenario: &str,
-    program: &Program<P>,
-    edb: &Database<P>,
-    script: &[Edit<P>],
-    strategies: &[Strategy],
-    opts: &EngineOpts,
-) {
-    let bools = BoolDatabase::new();
-    let mut handles = vec![Strategy::Auto];
-    handles.extend(strategies.iter().filter(|s| **s != Strategy::Auto));
-    let mut mats: Vec<(Strategy, Materialization<P>)> = handles
-        .into_iter()
-        .map(|handle| {
-            let mat = Materialization::new(program, edb, &bools, CAP, handle, opts);
-            (handle, mat.expect("compiles"))
-        })
-        .collect();
-    let mut mirror_edb = edb.clone();
-    for (step, edit) in script.iter().enumerate() {
-        mirror(&mut mirror_edb, edit);
-        let oracles: Vec<(Strategy, Database<P>)> = strategies
-            .iter()
-            .map(|&strategy| {
-                let scratch =
-                    engine_eval_interned(program, &mirror_edb, &bools, CAP, strategy, opts)
-                        .expect("compiles")
-                        .materialize()
-                        .converged()
-                        .unwrap_or_else(|| panic!("{scenario}: oracle diverged at step {step}"))
-                        .0;
-                (strategy, scratch)
-            })
-            .collect();
-        for (handle, mat) in &mut mats {
-            mat.apply(std::slice::from_ref(edit)).expect("edit applies");
-            let leg = format!("{scenario}: step {step} ({edit:?}) on a {handle:?} handle");
-            assert_queries_read_the_fixpoint(&leg, mat, &oracles[0].1);
-            let live = mat.output().materialize();
-            for (strategy, scratch) in &oracles {
-                let leg = format!(
-                    "{scenario}: step {step} ({edit:?}) on a {handle:?} handle vs the {strategy:?} oracle"
-                );
-                for (pred, reference) in scratch.iter() {
-                    let empty = Relation::new(reference.arity());
-                    assert_eq!(
-                        reference,
-                        live.get(pred).unwrap_or(&empty),
-                        "{leg}: differs on {pred}"
-                    );
-                }
-                for (pred, r) in live.iter() {
-                    if scratch.get(pred).is_none() {
-                        assert!(r.is_empty(), "{leg}: kept extra atoms in {pred}");
-                    }
-                }
-            }
-        }
-    }
-}
-
 const ALL_STRATEGIES: [Strategy; 3] = [Strategy::SemiNaive, Strategy::Worklist, Strategy::Priority];
 
 /// The Fig. 2(a)-flavoured base graph every adversarial script starts
@@ -222,14 +88,9 @@ fn insert_only_scripts_match_from_scratch() {
         insert("e", "a", 0.5), // closes a cycle
         insert("c", "c", 0.0), // zero-weight self-loop
     ];
-    assert_differential(
-        "insert-only",
-        &apsp_program(),
-        &edge_db(&base_edges()),
-        &script,
-        &ALL_STRATEGIES,
-        &EngineOpts::default(),
-    );
+    Case::new("insert-only", &apsp_program(), &edge_db(&base_edges()))
+        .script(&script)
+        .check();
 }
 
 #[test]
@@ -241,14 +102,9 @@ fn delete_only_scripts_match_from_scratch() {
         delete("a", "c"), // deleting an absent fact is a no-op
         delete("a", "b"), // empties the reachable set
     ];
-    assert_differential(
-        "delete-only",
-        &apsp_program(),
-        &edge_db(&base_edges()),
-        &script,
-        &ALL_STRATEGIES,
-        &EngineOpts::default(),
-    );
+    Case::new("delete-only", &apsp_program(), &edge_db(&base_edges()))
+        .script(&script)
+        .check();
 }
 
 #[test]
@@ -262,14 +118,9 @@ fn interleaved_scripts_match_from_scratch() {
         delete("c", "d"),
         insert("c", "d", 4.0),
     ];
-    assert_differential(
-        "interleaved",
-        &apsp_program(),
-        &edge_db(&base_edges()),
-        &script,
-        &ALL_STRATEGIES,
-        &EngineOpts::default(),
-    );
+    Case::new("interleaved", &apsp_program(), &edge_db(&base_edges()))
+        .script(&script)
+        .check();
 }
 
 #[test]
@@ -282,47 +133,13 @@ fn delete_then_reinsert_restores_exact_values() {
         delete("a", "b"),
         insert("a", "b", 1.0), // back to the original optimum
     ];
-    assert_differential(
+    Case::new(
         "delete-then-reinsert",
         &apsp_program(),
         &edge_db(&base_edges()),
-        &script,
-        &ALL_STRATEGIES,
-        &EngineOpts::default(),
-    );
-}
-
-/// One edit on a fresh handle under `schedule` against the grounded
-/// fixpoint of the edited EDB, a relation absent from either side read
-/// as empty.
-fn assert_edit_matches_grounded<S: Schedule<Trop>>(
-    case: &str,
-    program: &Program<Trop>,
-    edb: &Database<Trop>,
-    edit: &Edit<Trop>,
-    schedule: S,
-) {
-    let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
-    let mut mat =
-        Materialization::new(program, edb, &bools, CAP, schedule, &opts).expect("compiles");
-    mat.apply(std::slice::from_ref(edit)).expect("edit applies");
-    let mut edited = edb.clone();
-    mirror(&mut edited, edit);
-    let reference = naive_eval_sparse(program, &edited, &bools, CAP).unwrap();
-    let live = mat.output().materialize();
-    let leg = format!(
-        "{case}: {edit:?} on a {} handle",
-        std::any::type_name::<S>()
-    );
-    for (pred, want) in reference.iter() {
-        let empty = Relation::new(want.arity());
-        assert_eq!(want, live.get(pred).unwrap_or(&empty), "{leg}: {pred}");
-    }
-    for (pred, got) in live.iter() {
-        if reference.get(pred).is_none() {
-            assert!(got.is_empty(), "{leg}: kept extra atoms in {pred}");
-        }
-    }
+    )
+    .script(&script)
+    .check();
 }
 
 /// Every single insert or delete on each EDB relation of a sum-product
@@ -367,11 +184,8 @@ fn edits_to_joins_of_two_edb_relations_match_from_scratch() {
         let program: Program<Trop> = parse_program(src).unwrap();
         let read = |edit: &&Edit<Trop>| src.contains(&format!("{}(", edit.pred()));
         for edit in edits.iter().filter(read) {
-            assert_edit_matches_grounded(src, &program, &edb, edit, Naive);
-            assert_edit_matches_grounded(src, &program, &edb, edit, SemiNaive);
-            for strategy in ALL_STRATEGIES {
-                assert_edit_matches_grounded(src, &program, &edb, edit, strategy);
-            }
+            let script = std::slice::from_ref(edit);
+            Case::new(src, &program, &edb).script(script).check();
         }
     }
 }
@@ -397,14 +211,9 @@ fn deleting_the_only_shortest_path_lengthens_the_optimum() {
         "optimum must lengthen to the surviving direct edge"
     );
     // And the full state still matches from-scratch.
-    assert_differential(
-        "only-shortest-path",
-        &program,
-        &edb,
-        &[delete("b", "c")],
-        &ALL_STRATEGIES,
-        &opts,
-    );
+    Case::new("only-shortest-path", &program, &edb)
+        .script(&[delete("b", "c")])
+        .check();
 }
 
 /// A tiny deterministic LCG — no external crates, stable across runs.
@@ -494,14 +303,7 @@ fn assert_first_edit_reads_the_bulk_loaded_edb<P, S>(
         );
 
         let mut edited = edb.clone();
-        match edit {
-            Edit::Insert(f) => edited
-                .get_or_insert(&f.pred, f.tuple.len())
-                .merge(f.tuple.clone(), f.value.clone()),
-            Edit::Delete(f) => edited
-                .get_or_insert(&f.pred, f.tuple.len())
-                .set(f.tuple.clone(), P::bottom()),
-        }
+        oracle::mirror(&mut edited, edit);
         assert_eq!(cold.edb(), edited, "{scenario}: {edit:?} decoded EDB");
         let mut scratch = build(&edited);
         let fixpoint = scratch.output().materialize();
@@ -510,7 +312,7 @@ fn assert_first_edit_reads_the_bulk_loaded_edb<P, S>(
             fixpoint,
             "{scenario}: {edit:?} vs from-scratch on the edited EDB"
         );
-        assert_queries_read_the_fixpoint(&format!("{scenario}: {edit:?}"), &mut cold, &fixpoint);
+        oracle::assert_reads(&format!("{scenario}: {edit:?}"), &mut cold, &fixpoint);
         assert_eq!(
             cold_seen.1,
             observe(&mut scratch).1,
@@ -617,14 +419,13 @@ fn random_edit_scripts_match_from_scratch() {
     let nodes = ["a", "b", "c", "d", "e", "f"];
     for seed in [3, 17, 99] {
         let script = random_script(seed, 24, &nodes);
-        assert_differential(
-            &format!("random-{seed}"),
+        Case::new(
+            format!("random-{seed}"),
             &apsp_program(),
             &edge_db(&base_edges()),
-            &script,
-            &[Strategy::SemiNaive],
-            &EngineOpts::default(),
-        );
+        )
+        .script(&script)
+        .check();
     }
 }
 
@@ -641,14 +442,9 @@ fn sssp_gradient_scripts_match_from_scratch() {
         insert("b", "d", 1.0),
         delete("a", "b"),
     ];
-    assert_differential(
-        "sssp-gradient",
-        &program,
-        &edb,
-        &script,
-        &ALL_STRATEGIES,
-        &EngineOpts::default(),
-    );
+    Case::new("sssp-gradient", &program, &edb)
+        .script(&script)
+        .check();
 }
 
 /// A query is a read: it leaves the maintained state the from-scratch
@@ -766,7 +562,7 @@ fn a_query_index_follows_every_edit_shape() {
                 .materialize()
                 .unwrap();
             assert_eq!(mat.output().materialize(), scratch, "{leg}");
-            assert_queries_read_the_fixpoint(leg, mat, &scratch);
+            oracle::assert_reads(leg, mat, &scratch);
         };
         let built = mat.index_builds_for("T");
         ask(&format!("{schedule:?}: build"), &mut mat, &edb);
@@ -807,7 +603,7 @@ fn a_query_index_follows_every_edit_shape() {
         for (shape, edit, tail, fresh) in &script {
             let leg = format!("{schedule:?}: {shape}");
             let before = observe(&mut mat);
-            mirror(&mut edb, edit);
+            oracle::mirror(&mut edb, edit);
             mat.apply(std::slice::from_ref(edit)).expect("edit applies");
             if let Some(tail) = tail {
                 let lost = lost_only_its_tail(&before, &observe(&mut mat), "T");
@@ -1074,39 +870,6 @@ fn rebuild_keeps_minted_constant_ids_stable() {
     }
 }
 
-/// One edit on a fresh handle under `schedule` against the
-/// from-scratch run on the edited EDB, with `R`'s rows pinned.
-fn assert_edit_matches_from_scratch<S: Schedule<Trop>>(
-    case: &str,
-    program: &Program<Trop>,
-    edb: &Database<Trop>,
-    edit: &Edit<Trop>,
-    want_r: &[(i64, f64)],
-    schedule: S,
-) {
-    let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
-    let mut mat =
-        Materialization::new(program, edb, &bools, CAP, schedule, &opts).expect("compiles");
-    mat.apply(std::slice::from_ref(edit)).expect("edit applies");
-    let mut edited = edb.clone();
-    mirror(&mut edited, edit);
-    assert_eq!(mat.edb(), edited, "{case}: the edit's EDB effect");
-    let scratch = engine_eval_interned(program, &edited, &bools, CAP, schedule, &opts)
-        .expect("compiles")
-        .materialize()
-        .unwrap();
-    let live = mat.output().materialize();
-    let schedule = std::any::type_name::<S>();
-    assert_eq!(live, scratch, "{case}: {schedule} handle vs from-scratch");
-    let want: Vec<(Tuple, Trop)> = want_r
-        .iter()
-        .map(|&(x, w)| (vec![x.into()], Trop::finite(w)))
-        .collect();
-    let r = live.get("R").unwrap().support();
-    let got: Vec<(Tuple, Trop)> = r.map(|(t, v)| (t.clone(), *v)).collect();
-    assert_eq!(got, want, "{case}: {schedule} R");
-}
-
 /// `X` in `R(X) :- V(X + 1)` is bound by no atom, so it ranges over
 /// `D₀` — the live EDB's constants and the program's. An edit that
 /// grows or shrinks `D₀` must re-derive what `X` reaches, and a
@@ -1160,9 +923,14 @@ fn edits_that_move_d0_match_from_scratch() {
         ),
     ];
     for (case, edb, edit, want) in &cases {
-        assert_edit_matches_from_scratch(case, &program, edb, edit, want, Naive);
-        assert_edit_matches_from_scratch(case, &program, edb, edit, want, SemiNaive);
-        assert_edit_matches_from_scratch(case, &program, edb, edit, want, Strategy::Priority);
+        let lfp = Case::new(*case, &program, edb)
+            .script(std::slice::from_ref(edit))
+            .check()
+            .lfp;
+        let r = lfp.get("R").into_iter().flat_map(|r| r.support());
+        let got: Vec<(i64, Trop)> = r.map(|(t, v)| (t[0].as_int().unwrap(), *v)).collect();
+        let want: Vec<(i64, Trop)> = want.iter().map(|&(x, w)| (x, Trop::finite(w))).collect();
+        assert_eq!(got, want, "{case}: R");
     }
 }
 
@@ -1489,31 +1257,19 @@ fn edits_keep_every_probe_the_wrapped_splits_read() {
         insert("a", "b", 0.5),
     ];
 
-    let opts = EngineOpts::default();
-    assert_differential(
-        "value function",
-        &capped,
-        &capped_edb,
-        &capped_script,
-        &ALL_STRATEGIES,
-        &opts,
-    );
-    assert_differential(
+    Case::new("value function", &capped, &capped_edb)
+        .script(&capped_script)
+        .check();
+    Case::new(
         "constant-bound occurrence",
         &from_a,
         &edge_db(&base_edges()),
-        &trop_script,
-        &ALL_STRATEGIES,
-        &opts,
-    );
-    assert_differential(
-        "constant-bound value function",
-        &capped_from_a,
-        &from_a_edb,
-        &from_a_script,
-        &ALL_STRATEGIES,
-        &opts,
-    );
+    )
+    .script(&trop_script)
+    .check();
+    Case::new("constant-bound value function", &capped_from_a, &from_a_edb)
+        .script(&from_a_script)
+        .check();
 }
 
 /// The work counters a build is held to: what the frontier did, not how
@@ -1659,17 +1415,21 @@ fn tie_heavy_script<P: Pops>(seed: u64, value: impl Fn(u64) -> P) -> (Database<P
 }
 
 /// The attaining cone's soundness, where it is hardest, on the linear
-/// and the quadratic closure: `script_of(seed)` for 120 seeds, every
-/// handle — `Auto` and one per [`ALL_STRATEGIES`] — against every
-/// from-scratch oracle after every edit. On the first 30 seeds the
-/// `SemiNaive` and `Naive` handles too, which mark the same cone and
-/// re-derive it with their own rounds (on all 120 they would triple
-/// the test's time).
-fn assert_attaining_deletes_match_from_scratch<P: FrontierPops>(
+/// and the quadratic closure: `script_of(seed)` for 120 seeds through
+/// the oracle — naïve, semi-naïve and priority handles, which mark the
+/// same attaining cone and re-derive it each with its own loop — after
+/// every edit.
+fn assert_attaining_deletes_match_from_scratch<P>(
     pops: &str,
     script_of: impl Fn(u64) -> (Database<P>, Vec<Edit<P>>),
-) {
-    let opts = EngineOpts::default();
+) where
+    P: NaturallyOrdered
+        + CompleteDistributiveDioid
+        + Absorptive
+        + TotallyOrderedDioid
+        + Send
+        + Sync,
+{
     let programs = [
         ("linear", ex::apsp_program::<P>()),
         ("quadratic", ex::quadratic_tc_program::<P>()),
@@ -1678,10 +1438,7 @@ fn assert_attaining_deletes_match_from_scratch<P: FrontierPops>(
         let (edb, script) = script_of(seed);
         for (name, program) in &programs {
             let scenario = format!("{pops} {name} seed {seed}");
-            assert_differential(&scenario, program, &edb, &script, &ALL_STRATEGIES, &opts);
-            if seed <= 30 {
-                assert_round_handles_match_from_scratch(&scenario, program, &edb, &script);
-            }
+            Case::new(scenario, program, &edb).script(&script).check();
         }
     }
 }
@@ -1704,53 +1461,6 @@ fn attaining_deletes_match_from_scratch_under_a_non_strict_product() {
     assert_attaining_deletes_match_from_scratch("MaxMin", |seed| {
         tie_heavy_script(seed, |i| MaxMin::of(0.25 * (i + 1) as f64))
     });
-}
-
-/// The POPS the semi-naïve rounds are licensed over.
-trait RoundPops: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync {}
-impl<P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync> RoundPops for P {}
-
-/// `script` on a `SemiNaive` and a `Naive` handle: after every edit each
-/// is bit-identical to the from-scratch fixpoint of the mirrored EDB.
-/// Returns each handle's `cone_rows` per edit, `SemiNaive` first.
-fn assert_round_handles_match_from_scratch<P: RoundPops>(
-    scenario: &str,
-    program: &Program<P>,
-    edb: &Database<P>,
-    script: &[Edit<P>],
-) -> [Vec<u64>; 2] {
-    fn check<P: RoundPops, S: Schedule<P> + std::fmt::Debug>(
-        scenario: &str,
-        program: &Program<P>,
-        edb: &Database<P>,
-        script: &[Edit<P>],
-        schedule: S,
-    ) -> Vec<u64> {
-        let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
-        let mut mat =
-            Materialization::new(program, edb, &bools, CAP, schedule, &opts).expect("compiles");
-        let mut mirror_edb = edb.clone();
-        let mut cones = vec![];
-        for (step, edit) in script.iter().enumerate() {
-            mirror(&mut mirror_edb, edit);
-            let stats = mat.apply(std::slice::from_ref(edit)).expect("edit applies");
-            cones.push(stats.counters.cone_rows);
-            let scratch = engine_eval_interned(program, &mirror_edb, &bools, CAP, schedule, &opts)
-                .expect("compiles")
-                .materialize()
-                .converged()
-                .expect("converges")
-                .0;
-            let leg = format!("{scenario}: step {step} ({edit:?}) on a {schedule:?} handle");
-            assert_eq!(mat.output().materialize(), scratch, "{leg}");
-            assert_queries_read_the_fixpoint(&leg, &mut mat, &scratch);
-        }
-        cones
-    }
-    [
-        check(scenario, program, edb, script, datalog_o::SemiNaive),
-        check(scenario, program, edb, script, Naive),
-    ]
 }
 
 /// Longest paths over `MaxPlus` on a DAG — every edge runs from a lower
@@ -1782,7 +1492,7 @@ fn syntactic_deletes_match_from_scratch_off_absorptive_chains() {
         };
         let mut edb = Database::new();
         for _ in 0..12 {
-            mirror(&mut edb, &insert(&mut rng, &mut present));
+            oracle::mirror(&mut edb, &insert(&mut rng, &mut present));
         }
         let script: Vec<Edit<MaxPlus>> = (0..20)
             .map(|_| {
@@ -1821,16 +1531,19 @@ fn syntactic_deletes_match_from_scratch_off_absorptive_chains() {
                     }
                     Edit::Insert(_) => 0,
                 };
-                mirror(&mut before, edit);
+                oracle::mirror(&mut before, edit);
                 cone
             })
             .collect();
         let scenario = format!("MaxPlus DAG seed {seed}");
         let program = ex::apsp_program::<MaxPlus>();
-        let [semi, naive] =
-            assert_round_handles_match_from_scratch(&scenario, &program, &edb, &script);
-        assert_eq!(semi, expected, "{scenario}: SemiNaive cone_rows");
-        assert_eq!(naive, expected, "{scenario}: Naive cone_rows");
+        let report = Case::new(&scenario, &program, &edb)
+            .script(&script)
+            .check_rounds();
+        for handle in &report.loops {
+            let cones: Vec<u64> = handle.edits.iter().map(|s| s.counters.cone_rows).collect();
+            assert_eq!(cones, expected, "{scenario}: {} cone_rows", handle.name);
+        }
     }
 }
 
@@ -1847,12 +1560,11 @@ fn deletes_match_from_scratch_under_inexact_float_products() {
     let program: Program<Trop> =
         parse_program("T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, W) * E(W, Y).").unwrap();
     assert_ne!((0.1 + 0.2) + 0.7, 0.1 + (0.2 + 0.7));
-    let opts = EngineOpts::default();
     for seed in 1..=24 {
         let (edb, script) = tie_heavy_script(seed, |i| Trop::finite([0.1, 0.2, 0.7][i as usize]));
         let scenario = format!("three factors seed {seed}");
-        assert_differential(&scenario, &program, &edb, &script, &ALL_STRATEGIES, &opts);
-        assert_round_handles_match_from_scratch(&scenario, &program, &edb, &script);
+        let case = Case::new(scenario, &program, &edb).script(&script);
+        case.engine_reference().check();
     }
 }
 
@@ -1893,16 +1605,9 @@ fn a_zeroed_row_is_no_fact_to_a_value_function() {
         Edit::insert("S", vec![k("s")], MaxMin::of(0.9)),
         Edit::delete("E", vec![k("s"), k("a")]),
     ];
-    let opts = EngineOpts::default();
-    assert_differential(
-        "lifted ring",
-        &program,
-        &ring,
-        &script,
-        &ALL_STRATEGIES,
-        &opts,
-    );
-    assert_round_handles_match_from_scratch("lifted ring", &program, &ring, &script);
+    Case::new("lifted ring", &program, &ring)
+        .script(&script)
+        .check();
 }
 
 /// The shapes beside the single closure: two mutually recursive IDBs
@@ -1923,7 +1628,7 @@ fn attaining_deletes_cover_two_idbs_key_function_heads_and_fall_back_on_value_fu
     for seed in 1..=24 {
         let (edb, script) = tie_heavy_script(seed, |i| Trop::finite(i as f64));
         let scenario = format!("two IDBs seed {seed}");
-        assert_differential(&scenario, &two_idbs, &edb, &script, &ALL_STRATEGIES, &opts);
+        Case::new(scenario, &two_idbs, &edb).script(&script).check();
     }
 
     // W(0) :- V(0).  W(I + 1) :- W(I) * V(I + 1).  Prefix sums of
@@ -1938,14 +1643,9 @@ fn attaining_deletes_cover_two_idbs_key_function_heads_and_fall_back_on_value_fu
         Edit::insert("V", v(0), Trop::finite(1.0)),
         Edit::delete("V", v(7)),
     ];
-    assert_differential(
-        "key-function head",
-        &prefix,
-        &prefix_edb,
-        &prefix_script,
-        &ALL_STRATEGIES,
-        &opts,
-    );
+    Case::new("key-function head", &prefix, &prefix_edb)
+        .script(&prefix_script)
+        .check();
     let mut mat = Materialization::new(&prefix, &prefix_edb, &bools, CAP, Strategy::Auto, &opts)
         .expect("compiles");
     let c = mat.apply(&prefix_script[..1]).expect("applies").counters;
@@ -1999,8 +1699,10 @@ fn attaining_deletes_cover_two_idbs_key_function_heads_and_fall_back_on_value_fu
         ),
     );
     let cut = [Edit::<MaxMin>::delete("E", vec![k("s"), k("a")])];
-    assert_differential("ring, capped", &capped, &ring, &cut, &ALL_STRATEGIES, &opts);
-    assert_differential("ring, plain", &plain, &ring, &cut, &ALL_STRATEGIES, &opts);
+    Case::new("ring, capped", &capped, &ring)
+        .script(&cut)
+        .check();
+    Case::new("ring, plain", &plain, &ring).script(&cut).check();
     for strategy in [Strategy::Auto, Strategy::SemiNaive, Strategy::Worklist] {
         for (program, cone) in [(&capped, 3), (&plain, 2)] {
             let mut mat = Materialization::new(program, &ring, &bools, CAP, strategy, &opts)
@@ -2242,14 +1944,8 @@ fn edits_on_a_direct_addressed_closure_match_from_scratch() {
     ];
     let (program, edb) = (ex::apsp_program::<Trop>(), graph.trop_edb());
     let opts = EngineOpts::default();
-    assert_differential(
-        "dense APSP",
-        &program,
-        &edb,
-        &script,
-        &ALL_STRATEGIES,
-        &opts,
-    );
+    let case = Case::new("dense APSP", &program, &edb).script(&script);
+    case.engine_reference().check();
     let mut mat = Materialization::new(
         &program,
         &edb,
@@ -2298,14 +1994,8 @@ fn minted_keys_widen_a_dense_row_map_between_edits() {
         Edit::insert("V", v(-2500), Trop::finite(2.0)),
     ];
     let opts = EngineOpts::default();
-    assert_differential(
-        "minted dense keys",
-        &program,
-        &edb,
-        &script,
-        &ALL_STRATEGIES,
-        &opts,
-    );
+    let case = Case::new("minted dense keys", &program, &edb).script(&script);
+    case.past_naive_reach().check();
     let mut mat = Materialization::new(
         &program,
         &edb,

@@ -1,5 +1,8 @@
 //! Property tests over the engine: randomized programs and instances.
 //!
+//! * the differential oracle (`dlo_bench::oracle`) on random graph and
+//!   key-function programs, from scratch, under queries and through
+//!   random edit scripts;
 //! * Theorem 6.4: semi-naïve ≡ naïve on random graphs over the complete
 //!   distributive dioids;
 //! * sparse ≡ dense grounding on naturally ordered semirings;
@@ -8,37 +11,18 @@
 //! * engine vs Dijkstra on weighted random graphs.
 
 use datalog_o::core::ast::{Atom, Factor, KeyFn, SumProduct, Term};
+use datalog_o::core::examples_lib as ex;
 use datalog_o::core::formula::{CmpOp, Formula};
 use datalog_o::core::{
-    bool_relation, ground, ground_sparse, naive_eval_sparse, naive_eval_system, parse_program,
-    render_program, seminaive_eval, seminaive_eval_system, BoolDatabase, Database, EvalOutcome,
-    ParseValue, Program, Relation,
+    bool_relation, ground, ground_sparse, naive_eval_system, parse_program, render_program,
+    seminaive_eval_system, BoolDatabase, Database, ParseValue, Program, Relation,
 };
 use datalog_o::core::{Edit, Query, QueryArg};
-use datalog_o::pops::{
-    Absorptive, Bool, CompleteDistributiveDioid, MaxMin, MinNat, NaturallyOrdered, Pops,
-    TotallyOrderedDioid, Trop,
-};
+use datalog_o::pops::{Bool, MaxMin, MinNat, Pops, Trop};
 use datalog_o::semilin::{linear_lfp_auto, AffineSystem};
-use datalog_o::{
-    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, Materialization, Naive,
-    Schedule, SemiNaive, Strategy as EngineStrategy,
-};
+use datalog_o::{EngineOpts, Strategy as EngineStrategy};
+use dlo_bench::oracle::{self, Case, Report};
 use proptest::prelude::*;
-
-/// One from-scratch engine evaluation under `schedule`, decoded.
-fn run<P: Pops + Send, S: Schedule<P>>(
-    program: &Program<P>,
-    pops: &Database<P>,
-    bools: &BoolDatabase,
-    cap: usize,
-    schedule: S,
-    opts: &EngineOpts,
-) -> EvalOutcome<P> {
-    engine_eval_interned(program, pops, bools, cap, schedule, opts)
-        .expect("compiles")
-        .materialize()
-}
 
 /// Strategy: a random edge list over `n ≤ 8` integer nodes.
 fn edges_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize, u8)>)> {
@@ -81,6 +65,15 @@ fn minnat_edb(edges: &[(usize, usize, u8)]) -> Database<MinNat> {
             }),
         ),
     );
+    db
+}
+
+fn bool_edb(edges: &[(usize, usize, u8)]) -> Database<Bool> {
+    let pairs = edges
+        .iter()
+        .map(|&(u, v, _)| vec![(u as i64).into(), (v as i64).into()]);
+    let mut db = Database::new();
+    db.insert("E", bool_relation(2, pairs));
     db
 }
 
@@ -226,157 +219,6 @@ fn keyed_bools(n: usize) -> BoolDatabase {
     db
 }
 
-/// Engine ≡ grounded on one POPS, naïve-vs-naïve and
-/// semi-naïve-vs-semi-naïve, comparing the *full* outcome (database and
-/// step count).
-fn assert_keyed_agreement<P>(
-    spec: &KeyedSpec,
-    n: usize,
-    edges: &[(usize, usize, u8)],
-    lift: impl Fn(u8) -> P,
-) -> Result<(), TestCaseError>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    let prog = keyed_program::<P>(spec);
-    let edb = keyed_edb(n, edges, lift);
-    let bools = keyed_bools(n);
-    let gnd_n = naive_eval_sparse(&prog, &edb, &bools, 50_000);
-    let eng_n = run(&prog, &edb, &bools, 50_000, Naive, &EngineOpts::default());
-    prop_assert_eq!(&gnd_n, &eng_n, "naive backends disagree, spec {:?}", spec);
-    let gnd_s = seminaive_eval(&prog, &edb, &bools, 50_000);
-    let eng_s = run(
-        &prog,
-        &edb,
-        &bools,
-        50_000,
-        SemiNaive,
-        &EngineOpts::default(),
-    );
-    prop_assert_eq!(
-        &gnd_s,
-        &eng_s,
-        "semi-naive backends disagree, spec {:?}",
-        spec
-    );
-    // The `Strategy` loops reach the same fixpoint: the priority
-    // frontier, whose step counts (buckets) differ from global
-    // iterations by design, and `Worklist`, another name for the
-    // semi-naïve rounds — so compare the output databases only.
-    let reference = match &gnd_s {
-        EvalOutcome::Converged { output, .. } => output,
-        EvalOutcome::Diverged { .. } => {
-            prop_assert!(false, "keyed programs are bounded, spec {:?}", spec);
-            unreachable!()
-        }
-    };
-    for strategy in [EngineStrategy::Worklist, EngineStrategy::Priority] {
-        let out = run(
-            &prog,
-            &edb,
-            &bools,
-            5_000_000,
-            strategy,
-            &EngineOpts::default(),
-        );
-        let db = match out {
-            EvalOutcome::Converged { output, .. } => output,
-            EvalOutcome::Diverged { .. } => {
-                prop_assert!(false, "{:?} diverged on bounded keyed program", strategy);
-                unreachable!()
-            }
-        };
-        prop_assert_eq!(
-            reference,
-            &db,
-            "engine {:?} disagrees with grounded semi-naive, spec {:?}",
-            strategy,
-            spec
-        );
-    }
-    prop_assert!(
-        matches!(gnd_n, EvalOutcome::Converged { .. }),
-        "keyed programs are bounded, spec {:?}",
-        spec
-    );
-    Ok(())
-}
-
-/// Query answers must be exactly the query-restriction of the full
-/// fixpoint — values and (decoded) minted keys alike — under every
-/// strategy.
-fn assert_query_restriction<P>(
-    label: &str,
-    prog: &datalog_o::core::Program<P>,
-    edb: &Database<P>,
-    bools: &BoolDatabase,
-    query: &Query,
-) -> Result<(), TestCaseError>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    let full = run(prog, edb, bools, 100_000, SemiNaive, &EngineOpts::default())
-        .converged()
-        .expect("bounded")
-        .0;
-    let empty = Relation::new(query.arity());
-    let expected = query.restrict(full.get(&query.pred).unwrap_or(&empty).clone());
-    for strategy in [
-        EngineStrategy::SemiNaive,
-        EngineStrategy::Worklist,
-        EngineStrategy::Priority,
-    ] {
-        let answer = engine_query_eval_with_opts(
-            prog,
-            query,
-            edb,
-            bools,
-            5_000_000,
-            strategy,
-            &EngineOpts::default(),
-        )
-        .expect("compiles");
-        prop_assert!(
-            answer.is_converged(),
-            "{label}: {strategy:?} query run diverged"
-        );
-        prop_assert_eq!(
-            &expected,
-            &answer.answers(),
-            "{}: {:?} answers are not the full-fixpoint restriction of {:?}",
-            label,
-            strategy,
-            query
-        );
-        // Demanded support rows are value-exact against the full run.
-        for (pred, rel) in answer.support().iter() {
-            let reference = full.get(pred);
-            for (t, v) in rel.support() {
-                prop_assert_eq!(
-                    reference.map(|r| r.get(t)),
-                    Some(v.clone()),
-                    "{}: {:?} demanded row {}({:?}) not value-exact",
-                    label,
-                    strategy,
-                    pred,
-                    t
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
 /// A random graph plus a random edit script over its node space:
 /// `(n, edges, ops)` where each op is `(kind, u, v, w)` — `kind == 0`
 /// deletes, anything else inserts.
@@ -468,103 +310,6 @@ fn pinned_keyed_edb<P: Pops>(
     db
 }
 
-/// Applies `script` one edit at a time to a [`Materialization`] and a
-/// mirrored classic EDB, asserting after **every** step that the live
-/// materialization decodes to exactly the from-scratch engine fixpoint
-/// on the mirrored EDB — on one handle under each of [`Naive`],
-/// [`SemiNaive`] and the priority frontier. Inserts are `⊕`-merges;
-/// deletes remove the key (mirrored as `set(⊥)`).
-fn assert_edit_script_differential<P>(
-    label: &str,
-    prog: &Program<P>,
-    edb: Database<P>,
-    bools: &BoolDatabase,
-    script: &[Edit<P>],
-) -> Result<(), TestCaseError>
-where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
-{
-    assert_script_on(label, prog, edb.clone(), bools, script, Naive)?;
-    assert_script_on(label, prog, edb.clone(), bools, script, SemiNaive)?;
-    assert_script_on(label, prog, edb, bools, script, EngineStrategy::Priority)
-}
-
-/// [`assert_edit_script_differential`] on one handle under `schedule`.
-fn assert_script_on<P, S>(
-    label: &str,
-    prog: &Program<P>,
-    mut edb: Database<P>,
-    bools: &BoolDatabase,
-    script: &[Edit<P>],
-    schedule: S,
-) -> Result<(), TestCaseError>
-where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-    S: Schedule<P> + std::fmt::Debug,
-{
-    let opts = EngineOpts::default();
-    let mut mat =
-        Materialization::new(prog, &edb, bools, 100_000, schedule, &opts).expect("compiles");
-    for (step, edit) in script.iter().enumerate() {
-        match edit {
-            Edit::Insert(f) => {
-                edb.get_or_insert(&f.pred, f.tuple.len())
-                    .merge(f.tuple.clone(), f.value.clone());
-                mat.insert(std::slice::from_ref(f)).expect("edit applies");
-            }
-            Edit::Delete(f) => {
-                edb.get_or_insert(&f.pred, f.tuple.len())
-                    .set(f.tuple.clone(), P::bottom());
-                mat.delete(std::slice::from_ref(f)).expect("edit applies");
-            }
-        }
-        let oracle = run(
-            prog,
-            &edb,
-            bools,
-            100_000,
-            SemiNaive,
-            &EngineOpts::default(),
-        )
-        .converged()
-        .expect("bounded program")
-        .0;
-        let got = mat.output().materialize();
-        for (pred, r) in oracle.iter() {
-            let empty = Relation::new(r.arity());
-            prop_assert_eq!(
-                r,
-                got.get(pred).unwrap_or(&empty),
-                "{} on a {:?} handle: step {} ({:?} {:?}): {} diverges from from-scratch",
-                label,
-                schedule,
-                step,
-                edit.pred(),
-                edit,
-                pred
-            );
-        }
-        for (pred, r) in got.iter() {
-            if oracle.get(pred).is_none() {
-                prop_assert!(
-                    r.is_empty(),
-                    "{} on a {:?} handle: step {}: stale rows in {}",
-                    label,
-                    schedule,
-                    step,
-                    pred
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
 /// A closure whose base sum-product joins two EDB relations, `E` and
 /// `F`: an edit to either is read by the other's occurrence.
 fn two_edb_join_program<P: Pops + ParseValue>() -> Program<P> {
@@ -615,52 +360,23 @@ proptest! {
     fn incremental_edits_match_from_scratch(
         (_n, edges, ops) in edited_graph_strategy(),
     ) {
-        let bools = BoolDatabase::new();
-        assert_edit_script_differential(
-            "apsp/trop",
-            &datalog_o::core::examples_lib::apsp_program::<Trop>(),
-            trop_edb(&edges),
-            &bools,
-            &graph_script(&ops, |w| Trop::finite(w as f64)),
-        )?;
-        assert_edit_script_differential(
-            "apsp/minnat",
-            &datalog_o::core::examples_lib::apsp_program::<MinNat>(),
-            minnat_edb(&edges),
-            &bools,
-            &graph_script(&ops, |w| MinNat::finite(w as u64)),
-        )?;
-        let mut edb_b = Database::new();
-        edb_b.insert(
-            "E",
-            Relation::from_pairs(
-                2,
-                edges.iter().map(|&(u, v, _)| {
-                    (vec![(u as i64).into(), (v as i64).into()], Bool(true))
-                }),
-            ),
-        );
-        assert_edit_script_differential(
-            "apsp/bool",
-            &datalog_o::core::examples_lib::apsp_program::<Bool>(),
-            edb_b,
-            &bools,
-            &graph_script(&ops, |_| Bool(true)),
-        )?;
-        assert_edit_script_differential(
-            "join/trop",
-            &two_edb_join_program::<Trop>(),
-            two_edb_join_edb(&edges, |w| Trop::finite(w as f64)),
-            &bools,
-            &two_edb_join_script(&ops, |w| Trop::finite(w as f64)),
-        )?;
-        assert_edit_script_differential(
-            "join/bool",
-            &two_edb_join_program::<Bool>(),
-            two_edb_join_edb(&edges, |_| Bool(true)),
-            &bools,
-            &two_edb_join_script(&ops, |_| Bool(true)),
-        )?;
+        Case::new("apsp/trop", &ex::apsp_program::<Trop>(), &trop_edb(&edges))
+            .script(&graph_script(&ops, |w| Trop::finite(w as f64)))
+            .check();
+        Case::new("apsp/minnat", &ex::apsp_program::<MinNat>(), &minnat_edb(&edges))
+            .script(&graph_script(&ops, |w| MinNat::finite(w as u64)))
+            .check();
+        Case::new("apsp/bool", &ex::apsp_program::<Bool>(), &bool_edb(&edges))
+            .script(&graph_script(&ops, |_| Bool(true)))
+            .check();
+        let join = two_edb_join_edb(&edges, |w| Trop::finite(w as f64));
+        Case::new("join/trop", &two_edb_join_program::<Trop>(), &join)
+            .script(&two_edb_join_script(&ops, |w| Trop::finite(w as f64)))
+            .check();
+        let join = two_edb_join_edb(&edges, |_| Bool(true));
+        Case::new("join/bool", &two_edb_join_program::<Bool>(), &join)
+            .script(&two_edb_join_script(&ops, |_| Bool(true)))
+            .check();
     }
 
     /// Incremental maintenance on random keyed programs — the minting
@@ -673,28 +389,22 @@ proptest! {
         spec in keyed_spec_strategy(),
         (n, edges, ops) in edited_graph_strategy(),
     ) {
-        let bools = keyed_bools(n);
-        assert_edit_script_differential(
-            "keyed/trop",
-            &pinned_keyed_program::<Trop>(&spec),
-            pinned_keyed_edb(n, &edges, |w| Trop::finite(w as f64)),
-            &bools,
-            &keyed_script(&ops, spec.use_edge, |w| Trop::finite(w as f64)),
-        )?;
-        assert_edit_script_differential(
-            "keyed/minnat",
-            &pinned_keyed_program::<MinNat>(&spec),
-            pinned_keyed_edb(n, &edges, |w| MinNat::finite(w as u64)),
-            &bools,
-            &keyed_script(&ops, spec.use_edge, |w| MinNat::finite(w as u64)),
-        )?;
-        assert_edit_script_differential(
-            "keyed/bool",
-            &pinned_keyed_program::<Bool>(&spec),
-            pinned_keyed_edb(n, &edges, |_| Bool(true)),
-            &bools,
-            &keyed_script(&ops, spec.use_edge, |_| Bool(true)),
-        )?;
+        let (bools, label) = (keyed_bools(n), format!("keyed {spec:?}"));
+        let edb = pinned_keyed_edb(n, &edges, |w| Trop::finite(w as f64));
+        Case::new(&label, &pinned_keyed_program::<Trop>(&spec), &edb)
+            .bools(&bools)
+            .script(&keyed_script(&ops, spec.use_edge, |w| Trop::finite(w as f64)))
+            .check();
+        let edb = pinned_keyed_edb(n, &edges, |w| MinNat::finite(w as u64));
+        Case::new(&label, &pinned_keyed_program::<MinNat>(&spec), &edb)
+            .bools(&bools)
+            .script(&keyed_script(&ops, spec.use_edge, |w| MinNat::finite(w as u64)))
+            .check();
+        let edb = pinned_keyed_edb(n, &edges, |_| Bool(true));
+        Case::new(&label, &pinned_keyed_program::<Bool>(&spec), &edb)
+            .bools(&bools)
+            .script(&keyed_script(&ops, spec.use_edge, |_| Bool(true)))
+            .check();
     }
 
     /// Random key-function programs (head + body shifts, comparisons,
@@ -706,9 +416,13 @@ proptest! {
         spec in keyed_spec_strategy(),
         (n, edges) in edges_strategy(),
     ) {
-        assert_keyed_agreement::<Trop>(&spec, n, &edges, |w| Trop::finite(w as f64))?;
-        assert_keyed_agreement::<MinNat>(&spec, n, &edges, |w| MinNat::finite(w as u64))?;
-        assert_keyed_agreement::<Bool>(&spec, n, &edges, |_| Bool(true))?;
+        let (bools, label) = (keyed_bools(n), format!("keyed {spec:?}"));
+        let edb = keyed_edb(n, &edges, |w| Trop::finite(w as f64));
+        Case::new(&label, &keyed_program::<Trop>(&spec), &edb).bools(&bools).check();
+        let edb = keyed_edb(n, &edges, |w| MinNat::finite(w as u64));
+        Case::new(&label, &keyed_program::<MinNat>(&spec), &edb).bools(&bools).check();
+        let edb = keyed_edb(n, &edges, |_| Bool(true));
+        Case::new(&label, &keyed_program::<Bool>(&spec), &edb).bools(&bools).check();
     }
 
     /// Demand restriction on random graph programs (Trop/MinNat/Bool):
@@ -717,34 +431,19 @@ proptest! {
     /// restriction.
     #[test]
     fn query_answers_restrict_graph_programs((n, edges) in edges_strategy()) {
-        let bools = BoolDatabase::new();
         let mid = (n / 2) as i64;
         let edb_t = trop_edb(&edges);
         let sssp = dlo_bench::single_source_int_program::<Trop>(0);
-        assert_query_restriction("sssp/point", &sssp, &edb_t, &bools,
-            &Query::point("L", vec![mid.into()]))?;
-        let apsp = datalog_o::core::examples_lib::apsp_program::<Trop>();
-        assert_query_restriction("apsp/source", &apsp, &edb_t, &bools,
-            &Query::new("T", vec![QueryArg::bound(0i64), QueryArg::Free]))?;
-        assert_query_restriction("apsp/sink", &apsp, &edb_t, &bools,
-            &Query::new("T", vec![QueryArg::Free, QueryArg::bound(mid)]))?;
-        let edb_m = minnat_edb(&edges);
-        let apsp_m = datalog_o::core::examples_lib::apsp_program::<MinNat>();
-        assert_query_restriction("apsp/minnat", &apsp_m, &edb_m, &bools,
-            &Query::new("T", vec![QueryArg::bound(0i64), QueryArg::Free]))?;
-        let mut edb_b = Database::new();
-        edb_b.insert(
-            "E",
-            Relation::from_pairs(
-                2,
-                edges.iter().map(|&(u, v, _)| {
-                    (vec![(u as i64).into(), (v as i64).into()], Bool(true))
-                }),
-            ),
-        );
-        let apsp_b = datalog_o::core::examples_lib::apsp_program::<Bool>();
-        assert_query_restriction("apsp/bool", &apsp_b, &edb_b, &bools,
-            &Query::new("T", vec![QueryArg::bound(0i64), QueryArg::Free]))?;
+        let point = [Query::point("L", vec![mid.into()])];
+        Case::new("sssp/point", &sssp, &edb_t).queries(&point).check();
+        let source = [Query::new("T", vec![QueryArg::bound(0i64), QueryArg::Free])];
+        let sink = [Query::new("T", vec![QueryArg::Free, QueryArg::bound(mid)])];
+        Case::new("apsp/source", &ex::apsp_program::<Trop>(), &edb_t).queries(&source).check();
+        Case::new("apsp/sink", &ex::apsp_program::<Trop>(), &edb_t).queries(&sink).check();
+        let apsp_m = ex::apsp_program::<MinNat>();
+        Case::new("apsp/minnat", &apsp_m, &minnat_edb(&edges)).queries(&source).check();
+        let apsp_b = ex::apsp_program::<Bool>();
+        Case::new("apsp/bool", &apsp_b, &bool_edb(&edges)).queries(&source).check();
     }
 
     /// Demand restriction on random keyed programs (head/body key
@@ -755,22 +454,17 @@ proptest! {
         spec in keyed_spec_strategy(),
         (n, edges) in edges_strategy(),
     ) {
-        let q = Query::point("R", vec![(n as i64 / 2).into()]);
-        {
-            let prog = keyed_program::<Trop>(&spec);
-            let edb = keyed_edb(n, &edges, |w| Trop::finite(w as f64));
-            assert_query_restriction("keyed/trop", &prog, &edb, &keyed_bools(n), &q)?;
-        }
-        {
-            let prog = keyed_program::<MinNat>(&spec);
-            let edb = keyed_edb(n, &edges, |w| MinNat::finite(w as u64));
-            assert_query_restriction("keyed/minnat", &prog, &edb, &keyed_bools(n), &q)?;
-        }
-        {
-            let prog = keyed_program::<Bool>(&spec);
-            let edb = keyed_edb(n, &edges, |_| Bool(true));
-            assert_query_restriction("keyed/bool", &prog, &edb, &keyed_bools(n), &q)?;
-        }
+        let q = [Query::point("R", vec![(n as i64 / 2).into()])];
+        let (bools, label) = (keyed_bools(n), format!("keyed {spec:?}"));
+        let edb = keyed_edb(n, &edges, |w| Trop::finite(w as f64));
+        let prog = keyed_program::<Trop>(&spec);
+        Case::new(&label, &prog, &edb).bools(&bools).queries(&q).check();
+        let edb = keyed_edb(n, &edges, |w| MinNat::finite(w as u64));
+        let prog = keyed_program::<MinNat>(&spec);
+        Case::new(&label, &prog, &edb).bools(&bools).queries(&q).check();
+        let edb = keyed_edb(n, &edges, |_| Bool(true));
+        let prog = keyed_program::<Bool>(&spec);
+        Case::new(&label, &prog, &edb).bools(&bools).queries(&q).check();
     }
 
     /// Theorem 6.4 over Trop: semi-naïve = naïve (SSSP, APSP).
@@ -780,7 +474,7 @@ proptest! {
         let edb = trop_edb(&edges);
         for prog in [
             dlo_bench::single_source_int_program::<Trop>(0),
-            datalog_o::core::examples_lib::apsp_program::<Trop>(),
+            ex::apsp_program::<Trop>(),
         ] {
             let sys = ground_sparse(&prog, &edb, &BoolDatabase::new());
             let naive = naive_eval_system(&sys, 100_000).unwrap();
@@ -794,120 +488,61 @@ proptest! {
     #[test]
     fn seminaive_equals_naive_other_dioids((_n, edges) in edges_strategy()) {
         let edb = minnat_edb(&edges);
-        let prog = datalog_o::core::examples_lib::quadratic_tc_program::<MinNat>();
+        let prog = ex::quadratic_tc_program::<MinNat>();
         let sys = ground_sparse(&prog, &edb, &BoolDatabase::new());
         let naive = naive_eval_system(&sys, 100_000).unwrap();
         let (semi, _) = seminaive_eval_system(&sys, 100_000);
         prop_assert_eq!(naive, semi.unwrap());
 
         let edbm = maxmin_edb(&edges);
-        let progm = datalog_o::core::examples_lib::apsp_program::<MaxMin>();
+        let progm = ex::apsp_program::<MaxMin>();
         let sysm = ground_sparse(&progm, &edbm, &BoolDatabase::new());
         let naivem = naive_eval_system(&sysm, 100_000).unwrap();
         let (semim, _) = seminaive_eval_system(&sysm, 100_000);
         prop_assert_eq!(naivem, semim.unwrap());
     }
 
-    /// The execution engine (interned + indexed + parallel semi-naïve)
-    /// agrees with the grounded backend on random programs over Trop
-    /// and Bool: same fixpoint, and the semi-naïve step count never
-    /// exceeds the naïve count by more than the final no-change check.
+    /// The execution engine agrees with the grounded backend on random
+    /// programs over Trop and Bool: same fixpoint, and the semi-naïve
+    /// step count never exceeds the naïve count by more than the final
+    /// no-change check.
     #[test]
     fn engine_agrees_with_grounded((_n, edges) in edges_strategy()) {
-        let bools = BoolDatabase::new();
+        fn semi_within_naive(report: Report<impl datalog_o::pops::Pops>) {
+            let semi = report.of("SemiNaive").scratch.steps;
+            let naive = report.naive_steps.expect("grounded") as u64;
+            assert!(semi <= naive + 1, "engine took {semi} steps, naive {naive}");
+        }
         let edb_t = trop_edb(&edges);
         for prog in [
             dlo_bench::single_source_int_program::<Trop>(0),
-            datalog_o::core::examples_lib::apsp_program::<Trop>(),
-            datalog_o::core::examples_lib::quadratic_tc_program::<Trop>(),
+            ex::apsp_program::<Trop>(),
+            ex::quadratic_tc_program::<Trop>(),
         ] {
-            let (naive, naive_steps) = naive_eval_sparse(&prog, &edb_t, &bools, 100_000)
-                .converged().expect("grounded converges");
-            let (eng, eng_steps) = run(&prog, &edb_t, &bools, 100_000, SemiNaive, &EngineOpts::default())
-                .converged().expect("engine converges");
-            for (pred, r) in naive.iter() {
-                let empty = Relation::new(r.arity());
-                prop_assert_eq!(r, eng.get(pred).unwrap_or(&empty));
-            }
-            for (pred, r) in eng.iter() {
-                if naive.get(pred).is_none() {
-                    prop_assert!(r.is_empty());
-                }
-            }
-            prop_assert!(eng_steps <= naive_steps + 1,
-                "engine took {} steps, naive {}", eng_steps, naive_steps);
+            semi_within_naive(Case::new("trop", &prog, &edb_t).check());
         }
-        let mut edb_b = Database::new();
-        edb_b.insert(
-            "E",
-            Relation::from_pairs(
-                2,
-                edges.iter().map(|&(u, v, _)| {
-                    (vec![(u as i64).into(), (v as i64).into()], Bool(true))
-                }),
-            ),
-        );
-        for prog in [
-            datalog_o::core::examples_lib::apsp_program::<Bool>(),
-            datalog_o::core::examples_lib::quadratic_tc_program::<Bool>(),
-        ] {
-            let (naive, naive_steps) = naive_eval_sparse(&prog, &edb_b, &bools, 100_000)
-                .converged().expect("grounded converges");
-            let (eng, eng_steps) = run(&prog, &edb_b, &bools, 100_000, SemiNaive, &EngineOpts::default())
-                .converged().expect("engine converges");
-            for (pred, r) in naive.iter() {
-                let empty = Relation::new(r.arity());
-                prop_assert_eq!(r, eng.get(pred).unwrap_or(&empty));
-            }
-            prop_assert!(eng_steps <= naive_steps + 1,
-                "engine took {} steps, naive {}", eng_steps, naive_steps);
+        let edb_b = bool_edb(&edges);
+        for prog in [ex::apsp_program::<Bool>(), ex::quadratic_tc_program::<Bool>()] {
+            semi_within_naive(Case::new("bool", &prog, &edb_b).check());
         }
     }
 
-    /// The `Strategy` loops (`Worklist`, another name for the semi-naïve
-    /// rounds, and the bucketed priority frontier) reach the same
-    /// fixpoints as the global semi-naive engine on random
-    /// graph programs over the totally ordered absorptive dioids —
-    /// Trop (APSP/SSSP/quadratic TC), MinNat, and Bool.
+    /// The priority frontier reaches the same fixpoints as the global
+    /// semi-naïve engine on random graph programs over the totally
+    /// ordered absorptive dioids — Trop (APSP/SSSP/quadratic TC),
+    /// MinNat, and Bool.
     #[test]
     fn frontier_strategies_agree_with_seminaive((_n, edges) in edges_strategy()) {
-        let bools = BoolDatabase::new();
-        fn check<P>(prog: &datalog_o::core::Program<P>, edb: &Database<P>,
-                    bools: &BoolDatabase) -> Result<(), TestCaseError>
-        where
-            P: NaturallyOrdered + CompleteDistributiveDioid + Absorptive
-                + TotallyOrderedDioid + Send + Sync,
-        {
-            let semi = run(prog, edb, bools, 100_000, SemiNaive, &EngineOpts::default())
-                .converged().expect("bounded").0;
-            for strategy in [EngineStrategy::Worklist, EngineStrategy::Priority] {
-                let got = run(prog, edb, bools, 10_000_000, strategy, &EngineOpts::default())
-                    .converged().expect("bounded").0;
-                prop_assert_eq!(&semi, &got, "{:?} differs from semi-naive", strategy);
-            }
-            Ok(())
-        }
         let edb_t = trop_edb(&edges);
         for prog in [
             dlo_bench::single_source_int_program::<Trop>(0),
-            datalog_o::core::examples_lib::apsp_program::<Trop>(),
-            datalog_o::core::examples_lib::quadratic_tc_program::<Trop>(),
+            ex::apsp_program::<Trop>(),
+            ex::quadratic_tc_program::<Trop>(),
         ] {
-            check(&prog, &edb_t, &bools)?;
+            Case::new("trop", &prog, &edb_t).check();
         }
-        let edb_m = minnat_edb(&edges);
-        check(&datalog_o::core::examples_lib::quadratic_tc_program::<MinNat>(), &edb_m, &bools)?;
-        let mut edb_b = Database::new();
-        edb_b.insert(
-            "E",
-            Relation::from_pairs(
-                2,
-                edges.iter().map(|&(u, v, _)| {
-                    (vec![(u as i64).into(), (v as i64).into()], Bool(true))
-                }),
-            ),
-        );
-        check(&datalog_o::core::examples_lib::apsp_program::<Bool>(), &edb_b, &bools)?;
+        Case::new("minnat", &ex::quadratic_tc_program::<MinNat>(), &minnat_edb(&edges)).check();
+        Case::new("bool", &ex::apsp_program::<Bool>(), &bool_edb(&edges)).check();
     }
 
     /// Sparse and dense grounding agree on naturally ordered semirings.
@@ -982,16 +617,7 @@ proptest! {
         let prog_t = dlo_bench::single_source_int_program::<Trop>(0);
         let prog_b = dlo_bench::single_source_int_program::<Bool>(0);
         let edb_t = trop_edb(&edges);
-        let mut edb_b = Database::new();
-        edb_b.insert(
-            "E",
-            Relation::from_pairs(
-                2,
-                edges.iter().map(|&(u, v, _)| {
-                    (vec![(u as i64).into(), (v as i64).into()], Bool(true))
-                }),
-            ),
-        );
+        let edb_b = bool_edb(&edges);
         let out_t = naive_eval_system(&ground_sparse(&prog_t, &edb_t, &BoolDatabase::new()), 100_000).unwrap();
         let out_b = naive_eval_system(&ground_sparse(&prog_b, &edb_b, &BoolDatabase::new()), 100_000).unwrap();
         let sup_t: Vec<_> = out_t.get("L").map(|r| r.support().map(|(t, _)| t.clone()).collect()).unwrap_or_default();
@@ -1004,7 +630,7 @@ proptest! {
     /// `EvalStats::invariants`) are bit-identical across thread counts.
     #[test]
     fn stats_deterministic_across_threads((_n, edges) in edges_strategy()) {
-        let prog = datalog_o::core::examples_lib::apsp_program::<Trop>();
+        let prog = ex::apsp_program::<Trop>();
         let edb = trop_edb(&edges);
         let bools = BoolDatabase::new();
         for strategy in [EngineStrategy::SemiNaive, EngineStrategy::Worklist,
@@ -1012,7 +638,7 @@ proptest! {
             let mut baseline = None;
             for threads in [1usize, 2, 4] {
                 let opts = EngineOpts { threads: Some(threads), ..EngineOpts::default() };
-                let out = run(&prog, &edb, &bools, 10_000_000, strategy, &opts);
+                let out = oracle::scratch(&prog, &edb, &bools, 10_000_000, strategy, &opts);
                 let s = out.stats();
                 prop_assert!(
                     s.counters.emits + s.counters.fresh_emits
