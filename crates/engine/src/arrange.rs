@@ -1,54 +1,77 @@
-//! Immutable sorted columnar runs: the probe structure of a relation
-//! that was loaded in bulk and is only read.
+//! Immutable sorted runs: the probe structure of a relation that was
+//! loaded in bulk and is only read.
 //!
 //! An [`Arrangement`] is the sorted counterpart of a hash-prefix index:
-//! the relation's rows re-ordered by a **column permutation** that puts
-//! the probe columns first (ascending), so a bound-prefix probe becomes
-//! two binary searches over a contiguous `u32` run instead of a hash
-//! lookup through boxed keys. It is built once, by counting passes over
-//! the rows the relation holds at that moment, and never changes:
+//! the relation's rows in the order of a **column permutation** that
+//! puts the probe columns first (ascending), so a bound-prefix probe
+//! becomes two binary searches over a contiguous run instead of a hash
+//! lookup through boxed keys. It is made once, over the rows the
+//! relation holds at that moment, and never changes. There are two
+//! kinds:
 //!
-//! * **Sorted by counting, in the comparator's order.** The keys are
-//!   interned ids, dense from 0, so the run is ordered by
-//!   `radix_order` — one counting pass that partitions the rows by the
-//!   leading permuted column, then least-significant-digit counting
-//!   passes inside each partition, in cache — and not by comparisons.
-//!   Every pass is stable and the first reads the rows in row-id order,
-//!   so the run is exactly the one a comparison sort by `(permuted key,
-//!   row id)` gives, which is the order the probes below rely on (debug
-//!   builds check it on every run). On `dlo_benchmark`'s `wide-lookup`
-//!   (300 000 arity-4 rows over ids below 134) traced
-//!   `reported.arrange_s` reads 13.3 ms against 33.0 ms for the same
-//!   passes run over the whole relation (medians of five alternating
-//!   runs, seed 1, 2-core shared host), which had replaced a comparison
-//!   sort at 53.7 ms. The same kernel orders every decode by constant rank
-//!   ([`crate::output`]).
+//! * **A loaded relation is its own run.** The loader walks a classic
+//!   relation's support, which is strictly ascending in tuple order, so
+//!   its rows ascend by *constant rank*
+//!   ([`Interner::load_relation`](crate::Interner::load_relation)).
+//!   Under a mask that is a prefix of the columns the permutation is the
+//!   identity, and the run is those rows as they lie: a probe maps its
+//!   key ids through the interner's rank table
+//!   ([`Interner::rank_table`](crate::Interner::rank_table), shared by
+//!   every such run of an evaluation), binary-searches the relation's
+//!   own keys by rank, and answers with one range of row ids, already
+//!   ascending. An id past the table's end was interned after the load
+//!   and matches nothing. Nothing is sorted and no key is copied: on
+//!   `dlo_benchmark`'s `wide-lookup` (300 000 arity-4 rows over 134
+//!   integers, masks `0b0111` + `0b1111`) traced `reported.arrange_s`
+//!   reads ≈ 0.02 ms against 6.6–10.5 ms for the counting sort below,
+//!   and `peak_rss_mb` 61.9 against 67.5 MiB on seed 1 (2-core shared
+//!   host). Debug builds check the order where the run is made.
+//! * **Sorted by counting, in the comparator's order.** Every other run
+//!   — a mask that is no prefix, a bulk relation the loader did not
+//!   make, and [`ColumnRel::ensure_arranged`](crate::storage::ColumnRel::ensure_arranged)
+//!   — holds row ids and permuted key copies ordered by
+//!   `radix_order`: the keys are interned ids, dense from 0, so one
+//!   counting pass partitions the rows by the leading permuted column,
+//!   then least-significant-digit counting passes finish each
+//!   partition, in cache — no comparisons. Every pass is stable and the
+//!   first reads the rows in row-id order, so the run is exactly the one
+//!   a comparison sort by `(permuted key, row id)` gives, which is the
+//!   order the probes below rely on (debug builds check it on every
+//!   run). On `wide-lookup`'s table that sort read 13.3 ms against
+//!   33.0 ms for the same passes run over the whole relation (medians of
+//!   five alternating runs, seed 1, 2-core shared host), which had
+//!   replaced a comparison sort at 53.7 ms. The same kernel orders every
+//!   decode by constant rank ([`crate::output`]).
 //! * **One run, no maintenance.** There is no append path. A relation
-//!   that grows after its runs were built drops them and answers through
+//!   that grows after its runs were made drops them and answers through
 //!   hash indexes from then on
 //!   ([`ColumnRel::append_row`](crate::storage::ColumnRel::append_row)):
 //!   keeping a sorted order current under one-row appends measured
 //!   5–9× the hash index it would replace (see the crate docs), so the
 //!   two structures split the regimes instead of sharing them.
-//! * **Clones are free.** The run sits behind an `Arc`; cloning the
-//!   owning relation copies a pointer, not the sorted keys.
-//! * **Probes stay deterministic.** A run is ordered by permuted key
-//!   and then by row id, so the rows matching a key prefix come back
-//!   ascending only within one full key; the caller sorts them
-//!   ([`probe_arranged`](crate::storage::ColumnRel::probe_arranged)) —
-//!   exactly the order the hash path's posting lists hold — so both
-//!   structures emit in the same sequence and stay bit-identical even
-//!   on POPS with non-associative `⊕` (f64).
+//! * **Clones are free.** A sorted run, and a load-order run's rank
+//!   table, sit behind an `Arc`; cloning the owning relation copies a
+//!   pointer, not the sorted keys.
+//! * **Probes stay deterministic.** A load-order run's matches are one
+//!   range of row ids. A sorted run is ordered by permuted key and then
+//!   by row id, so the rows matching a key prefix come back ascending
+//!   only within one full key, and the caller sorts them
+//!   ([`probe_arranged`](crate::storage::ColumnRel::probe_arranged)).
+//!   Either way a probe yields exactly the order the hash path's
+//!   posting lists hold, so every structure emits in the same sequence
+//!   and stays bit-identical even on POPS with non-associative `⊕`
+//!   (f64).
 //!
-//! Values are *not* copied into the run: probes return row ids into the
+//! Values are *not* copied into a run: probes return row ids into the
 //! owning [`ColumnRel`](crate::storage::ColumnRel)'s flat storage, the
-//! same contract as hash probes. Only permuted key copies are
-//! materialized, which is what the binary search touches.
+//! same contract as hash probes. A sorted run copies only the permuted
+//! keys, which is what its binary search touches.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::storage::ColMask;
+use crate::storage::{ColMask, MAX_ARITY};
 
 /// The widest digit [`radix_order`] counts by: a histogram of 2^11
 /// `u32` counters is 8 KiB, which stays in the first-level cache while
@@ -345,65 +368,81 @@ impl ArrangeBatch {
         }
         Ordering::Equal
     }
+}
 
-    /// First position whose key prefix is `≥ key`.
-    fn lower_bound(&self, arity: usize, key: &[u32]) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.prefix_cmp(arity, mid, key) == Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// First position past `from` whose key prefix is `> key`. Join
-    /// fan-outs are usually tiny, so this gallops: a short linear scan
-    /// from `from` (already positioned by [`Self::lower_bound`]) covers
-    /// the common case in O(match) instead of another O(log n) search,
-    /// with a binary-search fallback for long runs.
-    fn upper_bound(&self, arity: usize, key: &[u32], from: usize) -> usize {
-        const LINEAR: usize = 8;
-        let mut i = from;
-        let stop = (from + LINEAR).min(self.len());
-        while i < stop {
-            if self.prefix_cmp(arity, i, key) != Ordering::Equal {
-                return i;
-            }
-            i += 1;
-        }
-        let (mut lo, mut hi) = (i, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.prefix_cmp(arity, mid, key) == Ordering::Greater {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
+/// The positions of `0..len` where `cmp` is `Equal`, for a `cmp` that
+/// runs `Less`, then `Equal`, then `Greater` along the positions: a
+/// binary search for the first, then a gallop for the end. Join
+/// fan-outs are usually tiny, so a short linear scan from the first
+/// match covers the common case in O(match) instead of another
+/// O(log n) search, with a binary-search fallback for long runs.
+#[inline]
+fn equal_range(len: usize, cmp: impl Fn(usize) -> Ordering) -> Range<usize> {
+    const LINEAR: usize = 8;
+    let first = first_not(0, len, |i| cmp(i) == Ordering::Less);
+    let stop = (first + LINEAR).min(len);
+    match (first..stop).find(|&i| cmp(i) != Ordering::Equal) {
+        Some(end) => first..end,
+        None => first..first_not(stop, len, |i| cmp(i) != Ordering::Greater),
     }
 }
 
-/// A relation's rows sorted by one column permutation: one immutable
-/// run. Cloning shares the run (`Arc`), not the row data.
+/// The first position of `lo..hi` where `before` is false (`hi` if
+/// none), for a `before` that holds up to some position and not after:
+/// a binary search.
+#[inline]
+fn first_not(mut lo: usize, mut hi: usize, before: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// What a probe of an [`Arrangement`] found.
+pub(crate) enum Found<'a> {
+    /// A load-order run's matches: one range of the owning relation's
+    /// row ids, ascending.
+    Rows(Range<u32>),
+    /// A sorted run's matches, in (permuted key, row id) order —
+    /// ascending by row id only within one full key, so the caller
+    /// sorts them.
+    Run(&'a [u32]),
+}
+
+/// How an [`Arrangement`] holds its order.
+#[derive(Clone, Debug)]
+enum Run {
+    /// Row ids and permuted key copies, sorted by [`radix_order`].
+    Sorted(Arc<ArrangeBatch>),
+    /// The owning relation's own rows, which ascend by the constant
+    /// ranks of this table ([`Interner::rank_table`](crate::Interner::rank_table)):
+    /// nothing is copied or sorted.
+    Loaded(Arc<[u32]>),
+}
+
+/// A relation's rows in the order of one column permutation: a sorted
+/// run, or — for a loaded relation under a prefix mask — the rows as
+/// they lie. Cloning shares the run or the rank table (`Arc`), not the
+/// row data.
 #[derive(Clone, Debug)]
 pub struct Arrangement {
     arity: usize,
     perm: Vec<u32>,
-    run: Arc<ArrangeBatch>,
+    run: Run,
 }
 
 impl Arrangement {
     /// Orders every row of `keys` (flat row-major, `keys.len() / arity`
     /// rows, row id = position) the way probes through `mask` search: one
     /// [`radix_order`] over the permuted columns, bounded by one scan for
-    /// the largest id — the only way an arrangement is made. The key copy
-    /// is a slice copy per row where the permutation is the identity (a
-    /// mask that is a prefix of the columns).
+    /// the largest id. The key copy is a slice copy per row where the
+    /// permutation is the identity (a mask that is a prefix of the
+    /// columns).
     pub(crate) fn build(arity: usize, mask: ColMask, keys: &[u32]) -> Self {
         assert!(arity > 0, "arrangements require arity ≥ 1");
         let perm = perm_for(arity, mask);
@@ -427,7 +466,32 @@ impl Arrangement {
         Arrangement {
             arity,
             perm,
-            run: Arc::new(ArrangeBatch { rows, keys: flat }),
+            run: Run::Sorted(Arc::new(ArrangeBatch { rows, keys: flat })),
+        }
+    }
+
+    /// The run the rows of `keys` already are, for every prefix mask:
+    /// the caller guarantees that they ascend by `rank` (the loader's
+    /// order, [`Interner::load_relation`](crate::Interner::load_relation)),
+    /// which debug builds check here, and that every id they hold lies
+    /// inside `rank`.
+    pub(crate) fn in_load_order(arity: usize, rank: Arc<[u32]>, keys: &[u32]) -> Self {
+        assert!(arity > 0, "arrangements require arity ≥ 1");
+        debug_assert!(
+            {
+                let ranks = |r: usize| {
+                    keys[r * arity..][..arity]
+                        .iter()
+                        .map(|&id| rank[id as usize])
+                };
+                (1..keys.len() / arity).all(|r| ranks(r - 1).lt(ranks(r)))
+            },
+            "a loaded relation out of constant order"
+        );
+        Arrangement {
+            arity,
+            perm: (0..arity as u32).collect(),
+            run: Run::Loaded(rank),
         }
     }
 
@@ -442,20 +506,46 @@ impl Arrangement {
     }
 
     /// The sorted run, as the one-element slice the benchmark's
-    /// `arrange.batches` reading counts.
+    /// `arrange.batches` reading counts — empty for a load-order run,
+    /// which sorted nothing.
     pub fn batches(&self) -> &[Arc<ArrangeBatch>] {
-        std::slice::from_ref(&self.run)
+        match &self.run {
+            Run::Sorted(run) => std::slice::from_ref(run),
+            Run::Loaded(_) => &[],
+        }
     }
 
-    /// Collects into `out` the row ids whose leading `key.len()`
-    /// permuted columns equal `key` — two binary searches. `out` is
-    /// *not* cleared and *not* sorted here; the caller sorts (see
-    /// [`probe_arranged`](crate::storage::ColumnRel::probe_arranged)).
-    pub fn probe_into(&self, key: &[u32], out: &mut Vec<u32>) {
+    /// The rows whose leading `key.len()` permuted columns equal `key`
+    /// — two binary searches; `keys` are the owning relation's rows,
+    /// which a load-order run searches (a sorted run searches its own
+    /// copies). A key id past a load-order run's rank table names a
+    /// constant interned after the load, which no row holds.
+    #[inline]
+    pub(crate) fn probe<'s>(&'s self, keys: &[u32], key: &[u32]) -> Found<'s> {
         debug_assert!(!key.is_empty() && key.len() <= self.arity);
-        let lo = self.run.lower_bound(self.arity, key);
-        let hi = self.run.upper_bound(self.arity, key, lo);
-        out.extend_from_slice(&self.run.rows[lo..hi]);
+        let arity = self.arity;
+        match &self.run {
+            Run::Sorted(run) => {
+                let at = equal_range(run.len(), |i| run.prefix_cmp(arity, i, key));
+                Found::Run(&run.rows[at])
+            }
+            Run::Loaded(rank) => {
+                let mut want = [0u32; MAX_ARITY];
+                for (w, &id) in want.iter_mut().zip(key) {
+                    match rank.get(id as usize) {
+                        Some(&r) => *w = r,
+                        None => return Found::Rows(0..0),
+                    }
+                }
+                let want = &want[..key.len()];
+                let at = equal_range(keys.len() / arity, |i| {
+                    let row = &keys[i * arity..][..want.len()];
+                    let ranks = row.iter().map(|&id| rank[id as usize]);
+                    ranks.cmp(want.iter().copied())
+                });
+                Found::Rows(at.start as u32..at.end as u32)
+            }
+        }
     }
 }
 
@@ -463,9 +553,11 @@ impl Arrangement {
 mod tests {
     use super::*;
 
-    fn probe(arr: &Arrangement, key: &[u32]) -> Vec<u32> {
-        let mut out = Vec::new();
-        arr.probe_into(key, &mut out);
+    fn probe(arr: &Arrangement, keys: &[u32], key: &[u32]) -> Vec<u32> {
+        let mut out = match arr.probe(keys, key) {
+            Found::Rows(rows) => rows.collect(),
+            Found::Run(rows) => rows.to_vec(),
+        };
         out.sort_unstable();
         out
     }
@@ -553,7 +645,7 @@ mod tests {
             "{what}"
         );
         let arr = Arrangement::build(arity, mask, keys);
-        assert_eq!(arr.run.rows, want, "{what}: the run");
+        assert_eq!(arr.batches()[0].rows, want, "{what}: the run");
     }
 
     /// The shapes the partition pass meets: rows grouped by column 0 as
@@ -660,9 +752,9 @@ mod tests {
         let arr = Arrangement::build(3, 0b010, &rows);
         assert_eq!(arr.batches().len(), 1);
         assert_eq!(arr.batches()[0].len(), 4);
-        assert_eq!(probe(&arr, &[7]), vec![0, 1, 3]);
-        assert_eq!(probe(&arr, &[3]), vec![2]);
-        assert_eq!(probe(&arr, &[8]), Vec::<u32>::new());
+        assert_eq!(probe(&arr, &rows, &[7]), vec![0, 1, 3]);
+        assert_eq!(probe(&arr, &rows, &[3]), vec![2]);
+        assert_eq!(probe(&arr, &rows, &[8]), Vec::<u32>::new());
         // Two-column probe rides the same order: perm = [1, 0, 2], so
         // mask {1} is its own prefix but {0,1} is not ({0,1} ascending
         // = [0,1] ≠ perm prefix [1,0]).

@@ -55,6 +55,7 @@ use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops, PreSemir
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Per-run settings of the engine drivers: how many threads build the
@@ -364,11 +365,16 @@ impl<P: Pops + Send> Engine<P> {
                 }
             }
         }
+        // The interner's rank table, ranked once for every loaded
+        // relation that searches its rows as they lie.
+        let rank = OnceLock::new();
+        let rank = || Arc::clone(rank.get_or_init(|| Arc::from(self.interner.rank_table())));
         let sorted = AtomicBool::new(false);
         par::run_each(work, threads, |w| {
+            let rank: &dyn Fn() -> Arc<[u32]> = &rank;
             let any = match w {
-                Work::Pops(rel, masks) => ensure_probes(rel, masks),
-                Work::Bool(rel, masks) => ensure_probes(rel, masks),
+                Work::Pops(rel, masks) => ensure_probes(rel, masks, Some(rank)),
+                Work::Bool(rel, masks) => ensure_probes(rel, masks, Some(rank)),
             };
             sorted.fetch_or(any, Ordering::Relaxed);
         })
@@ -381,13 +387,18 @@ impl<P: Pops + Send> Engine<P> {
 }
 
 /// Ensures every probe structure in `masks` on `rel`
-/// ([`ColumnRel::ensure_probe`]), reporting whether any of them was a
-/// sorted run — only a bulk-loaded EDB relation wider than a packed key
-/// gets one, so only [`Engine::build_edb_indexes`] reads the answer.
-pub(crate) fn ensure_probes<P: Pops>(rel: &mut ColumnRel<P>, masks: &[u32]) -> bool {
+/// ([`ColumnRel::ensure_probe`], handed `rank`), reporting whether any
+/// of them was a sorted run — only a bulk-loaded EDB relation wider
+/// than a packed key gets one, so only [`Engine::build_edb_indexes`]
+/// hands over a rank table or reads the answer.
+pub(crate) fn ensure_probes<P: Pops>(
+    rel: &mut ColumnRel<P>,
+    masks: &[u32],
+    rank: Option<&dyn Fn() -> Arc<[u32]>>,
+) -> bool {
     let mut sorted = false;
     for &mask in masks {
-        sorted |= rel.ensure_probe(mask);
+        sorted |= rel.ensure_probe(mask, rank);
     }
     sorted
 }
@@ -508,7 +519,7 @@ impl Run {
         self.col.index_phase(sorted, t.elapsed().as_nanos() as u64);
         self.t_eval = Instant::now();
         for (rel, masks) in state.new.iter_mut().zip(&engine.idb_new_masks) {
-            ensure_probes(rel, masks);
+            ensure_probes(rel, masks, None);
         }
         ensure_delta_indexes(engine, state);
         Ok(())
@@ -1128,7 +1139,7 @@ fn land_row<P: Pops>(
 /// Ensures the per-iteration delta's probe structures.
 pub(crate) fn ensure_delta_indexes<P: Pops>(engine: &Engine<P>, state: &mut IdbState<P>) {
     for (pred, rel) in state.delta.iter_mut().enumerate() {
-        ensure_probes(rel, &engine.idb_delta_masks[pred]);
+        ensure_probes(rel, &engine.idb_delta_masks[pred], None);
     }
 }
 

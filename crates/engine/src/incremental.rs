@@ -942,7 +942,7 @@ where
         fill: impl FnOnce(&mut ColumnRel<P>, &[Option<ColumnRel<P>>]),
     ) {
         let mut rel = ColumnRel::new(arity);
-        ensure_probes(&mut rel, &engine.pops_masks[slot]);
+        ensure_probes(&mut rel, &engine.pops_masks[slot], None);
         fill(&mut rel, &engine.pops_edb);
         engine.pops_edb[slot] = Some(rel);
     }
@@ -996,7 +996,7 @@ where
             let masks = &self.engine.pops_masks[cur];
             let live = self.engine.pops_edb[cur].get_or_insert_with(|| {
                 let mut r = ColumnRel::new(arity);
-                ensure_probes(&mut r, masks);
+                ensure_probes(&mut r, masks, None);
                 r
             });
             for (key, v) in rows {

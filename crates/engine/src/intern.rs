@@ -190,6 +190,16 @@ impl Interner {
     /// row map until something reads it by key
     /// ([`ColumnRel::from_distinct_rows`]).
     ///
+    /// **The order contract.** A classic relation's support is strictly
+    /// ascending in tuple order, and this walk keeps it: row `r + 1`'s
+    /// constants are lexicographically greater than row `r`'s, so under
+    /// any [`Self::rank_table`] taken after the load the rows ascend by
+    /// constant rank, whatever ids the constants got. The result
+    /// records that (`ColumnRel::from_loaded_rows`), and a prefix
+    /// probe of a wider-than-packed relation searches these rows as they
+    /// lie instead of sorting a copy ([`crate::arrange`]); debug builds
+    /// check the order when that run is made.
+    ///
     /// The pass moves in batches of a few hundred tuples, and reads
     /// each batch's constants once before interning any of them (the
     /// module docs say why: the tuples' cache misses then overlap
@@ -262,14 +272,23 @@ impl Interner {
                 vals.push(v.clone());
             }
         }
-        Ok(ColumnRel::from_distinct_rows(arity, keys, vals))
+        Ok(ColumnRel::from_loaded_rows(arity, keys, vals))
     }
 
-    /// Every interned id, in `Constant` order — inverted, the rank
-    /// table the decode sorts rows by. Constants are distinct, so the
-    /// order is total.
-    pub fn ids_in_constant_order(&self) -> Vec<u32> {
-        self.in_constant_order(0..self.len() as u32)
+    /// The rank of every interned id: `rank[id]` is the position of
+    /// [`Self::get`]`(id)` among all interned constants in `Constant`
+    /// order. Constants are distinct, so ranks are too, and ordering ids
+    /// by rank is ordering them by the constants they name — the one
+    /// table the decode orders rows by ([`crate::output`]) and a loaded
+    /// relation's run searches by ([`crate::arrange`]). Ids interned
+    /// after the call lie past its end.
+    pub fn rank_table(&self) -> Vec<u32> {
+        let mut rank = vec![0u32; self.len()];
+        let order = self.in_constant_order(0..self.len() as u32);
+        for (pos, id) in order.into_iter().enumerate() {
+            rank[id as usize] = pos as u32;
+        }
+        rank
     }
 
     /// `ids` sorted by the constants they name: the integers first (a

@@ -197,7 +197,11 @@
 //! `phases.eval` 0.99× and 1.00×), and `op_median_s` 0.0402 → 0.0311
 //! (ten of ten alternating runs).
 //! A release-only test (`edb_load_is_one_cheap_pass`) holds the whole of
-//! setup under 3× one cloning walk over the same relation.
+//! setup under 3× one cloning walk over the same relation. Since the
+//! walk keeps the classic relation's order, the sorted run of `F` is no
+//! longer built either: both of `wide-lookup`'s masks are prefixes of
+//! `F`'s columns, so each probe searches the loaded rows by constant
+//! rank ([`arrange`]), and traced `reported.arrange_s` reads ≈ 0.02 ms.
 //!
 //! ## Design note: magic sets — Bool-valued demand guarding POPS rules
 //!
@@ -286,7 +290,12 @@
 //!   permutation rides the same run for free (`{c0}` on `{c0,c1}`'s
 //!   order). Values are not duplicated — probes return row ids into the
 //!   relation's flat storage, the hash-probe contract — and a clone of
-//!   the relation shares the run (an `Arc`), never copies it.
+//!   the relation shares the run (an `Arc`), never copies it. A
+//!   relation the loader made needs no sort at all under a prefix mask
+//!   (`{c0}`, `{c0,c1}`, …): the loader keeps its classic relation's
+//!   ascending tuple order, so the rows already ascend by constant rank,
+//!   and the run is the rows as they lie, searched by rank through the
+//!   interner's [`Interner::rank_table`].
 //! * A bulk relation of arity ≤ 2 probed on one column gets a
 //!   **posting table** where the column is dense enough
 //!   (`storage::row_map_dense`'s rule, at most 8 slots a row): interned

@@ -113,7 +113,7 @@ impl<P: Pops> InternedOutput<P> {
     /// build), leaving every other predicate interned.
     pub fn materialize_pred(&self, pred: &str) -> Option<Relation<P>> {
         let i = self.idbs.iter().position(|(n, _)| n == pred)?;
-        let rank = rank_table(&self.interner);
+        let rank = self.interner.rank_table();
         let (arity, rel) = (self.idbs[i].1, &self.rels[i]);
         Some(decode_rel(&self.interner, &rank, arity, rel, |_| true))
     }
@@ -171,19 +171,6 @@ impl<P: Pops> InternedOutput<P> {
     }
 }
 
-/// Rank over *all* currently interned ids (minting may have extended the
-/// table past the setup-time active domain) — the inverse of
-/// [`Interner::ids_in_constant_order`]. Rank order is order-isomorphic
-/// to `Constant` order, so ordering rows by rank gives exactly the tuple
-/// order a `Relation` stores.
-fn rank_table(interner: &Interner) -> Vec<u32> {
-    let mut rank = vec![0u32; interner.len()];
-    for (pos, id) in interner.ids_in_constant_order().into_iter().enumerate() {
-        rank[id as usize] = pos as u32;
-    }
-    rank
-}
-
 /// The full rank-sorted decode of interned IDB storage — shared by
 /// [`InternedOutput::materialize`] and the classic `Database`-returning
 /// driver entry points.
@@ -192,7 +179,7 @@ pub(crate) fn decode_db<P: Pops>(
     idbs: &[(String, usize)],
     rels: &[ColumnRel<P>],
 ) -> Database<P> {
-    let rank = rank_table(interner);
+    let rank = interner.rank_table();
     let mut db = Database::new();
     for ((name, arity), rel) in idbs.iter().zip(rels) {
         db.insert(name, decode_rel(interner, &rank, *arity, rel, |_| true));
@@ -502,7 +489,7 @@ impl<P: Pops> PartialOutput<P> {
             idbs,
             rels,
         } = &self.interned;
-        let rank = rank_table(interner);
+        let rank = interner.rank_table();
         let mut db = Database::new();
         for (pred, ((name, arity), rel)) in idbs.iter().zip(rels).enumerate() {
             let settled = |row| self.settled.is_settled(pred, row);
@@ -613,7 +600,7 @@ mod tests {
     /// tuple.
     #[test]
     fn decode_order_is_the_rank_comparator_order() {
-        use super::{decode_order, decode_rel, rank_table};
+        use super::{decode_order, decode_rel};
         use crate::intern::Interner;
         use crate::storage::ColumnRel;
         use dlo_core::relation::Relation;
@@ -627,7 +614,7 @@ mod tests {
             };
             interner.intern(&c);
         }
-        let rank = rank_table(&interner);
+        let rank = interner.rank_table();
         let ids = interner.len() as u64;
         let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
         let mut rng = move || {

@@ -26,8 +26,13 @@
 //!   reads it, so what it is probed through is built once and never
 //!   maintained (Ascent's `update_indices` before `run`). Where its
 //!   probe keys are too wide to pack (`probes_arranged`, arity > 2) that
-//!   is an immutable **sorted run** ([`crate::arrange`]): one sort serves
-//!   every mask that shares the order's prefix, no key is boxed. A
+//!   is an immutable **sorted run** ([`crate::arrange`]), which serves
+//!   every mask that shares the order's prefix, and no key is boxed.
+//!   A relation the loader made (`ColumnRel::from_loaded_rows`)
+//!   already ascends by constant rank, so under a mask that is a prefix
+//!   of its columns its run is its own rows, searched through the
+//!   interner's rank table: no sort, no key copy. Any other mask, and a
+//!   bulk relation the loader did not make, gets a counting sort. A
 //!   one-column mask of arity ≤ 2 gets a **posting table**
 //!   (`Postings::Table`) where its column passes `row_map_dense`'s
 //!   rule: interned ids are dense from 0, so one counting pass over the
@@ -80,10 +85,10 @@
 //! index is the exception (above): it is never appended to while read,
 //! so its posting lists can share one array.
 
-use crate::arrange::Arrangement;
+use crate::arrange::{Arrangement, Found};
 use crate::hash::FxHashMap;
 use dlo_pops::{Pops, PreSemiring};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A column bitmask: bit `c` set ⇔ column `c` participates in the probe.
 pub type ColMask = u32;
@@ -102,8 +107,11 @@ pub(crate) const MAX_ARITY: usize = 32;
 /// `explain()` tags add "is an EDB relation", and nobody else asks.
 ///
 /// Every structure hands a probe the same row ids in the same ascending
-/// order, so the choice is cost only, and each owns a regime (parent of
-/// PR 21, this host). *Bulk, then read-only* — 300 000 arity-4 rows,
+/// order, so the choice is cost only, and each owns a regime (measured
+/// on a 2-core shared host while the log-structured spine still served
+/// growing relations, and before a loaded relation's prefix masks
+/// searched its rows as they lie — see [`crate::arrange`]). *Bulk, then
+/// read-only* — 300 000 arity-4 rows,
 /// masks `0b0111` + `0b1111`, `wide-lookup`'s shape: one sorted run
 /// 44–56 ms by a comparison sort, 22–27 ms by counting passes over the
 /// whole relation, 13–14 ms by [`crate::arrange::radix_order`]'s
@@ -717,10 +725,8 @@ pub struct ColumnRel<P> {
     /// columns lead another's order shares that run); a clone shares
     /// them (`Arc`), not the row data. Emptied by the first append.
     arrangements: FxHashMap<ColMask, Arrangement>,
-    /// Whether every row came from [`Self::from_distinct_rows`]: loaded
-    /// in one piece and not appended to or cleared since. What
-    /// [`Self::ensure_probe`] goes by.
-    bulk: bool,
+    /// How the rows came, and so what [`Self::ensure_probe`] builds.
+    regime: Regime,
     /// Monotone count of index/arrangement *builds* (not incremental
     /// maintenance) — `Materialization` pins its no-churn contract on
     /// this staying flat for untouched relations.
@@ -735,6 +741,19 @@ pub struct ColumnRel<P> {
     scratch: Vec<u32>,
 }
 
+/// A [`ColumnRel`]'s regime (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Regime {
+    /// Made by [`ColumnRel::new`], or appended to or cleared since it
+    /// was made in one piece.
+    Grown,
+    /// Made in one piece by [`ColumnRel::from_distinct_rows`].
+    Bulk,
+    /// Made in one piece by the loader ([`ColumnRel::from_loaded_rows`]):
+    /// bulk, and its rows ascend by constant rank.
+    Loaded,
+}
+
 impl<P: Pops> ColumnRel<P> {
     /// An empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
@@ -746,7 +765,7 @@ impl<P: Pops> ColumnRel<P> {
             map: OnceLock::from(RowMap::new(arity)),
             indexes: FxHashMap::default(),
             arrangements: FxHashMap::default(),
-            bulk: false,
+            regime: Regime::Grown,
             index_builds: 0,
             version: 0,
             scratch: Vec::new(),
@@ -764,11 +783,23 @@ impl<P: Pops> ColumnRel<P> {
         assert_eq!(keys.len(), vals.len() * arity, "row arity mismatch");
         ColumnRel {
             map: OnceLock::new(),
-            bulk: true,
+            regime: Regime::Bulk,
             version: vals.len() as u64,
             keys,
             vals,
             ..ColumnRel::new(arity)
+        }
+    }
+
+    /// [`Self::from_distinct_rows`] for the loader
+    /// ([`Interner::load_relation`](crate::Interner::load_relation)),
+    /// whose rows ascend by constant rank: the caller guarantees that
+    /// order, which lets [`Self::ensure_probe`] search a prefix mask
+    /// through the rows as they lie (checked there, in debug builds).
+    pub(crate) fn from_loaded_rows(arity: usize, keys: Vec<u32>, vals: Vec<P>) -> Self {
+        ColumnRel {
+            regime: Regime::Loaded,
+            ..ColumnRel::from_distinct_rows(arity, keys, vals)
         }
     }
 
@@ -816,7 +847,9 @@ impl<P: Pops> ColumnRel<P> {
     /// call but the first, this is two tests.
     #[inline]
     fn grow(&mut self) {
-        if std::mem::take(&mut self.bulk) || !self.arrangements.is_empty() {
+        if std::mem::replace(&mut self.regime, Regime::Grown) != Regime::Grown
+            || !self.arrangements.is_empty()
+        {
             self.rehash();
         }
     }
@@ -919,6 +952,12 @@ impl<P: Pops> ColumnRel<P> {
     /// Whether there are no rows.
     pub fn is_empty(&self) -> bool {
         self.vals.is_empty()
+    }
+
+    /// Every row's key columns, row-major: what a load-order run
+    /// searches.
+    pub(crate) fn keys(&self) -> &[u32] {
+        &self.keys
     }
 
     /// The key columns of row `r`.
@@ -1090,13 +1129,19 @@ impl<P: Pops> ColumnRel<P> {
     /// next append drops it and indexes `mask` by hash instead (see
     /// [`Self::append_row`]). `mask = 0` needs no arrangement.
     pub fn ensure_arranged(&mut self, mask: ColMask) {
+        self.arrange(mask, |rel| Arrangement::build(rel.arity, mask, &rel.keys));
+    }
+
+    /// Registers under `mask` the arrangement of another mask that
+    /// serves it, or else the one `build` makes (one more build).
+    fn arrange(&mut self, mask: ColMask, build: impl FnOnce(&Self) -> Arrangement) {
         if mask == 0 || self.arrangements.contains_key(&mask) {
             return;
         }
         let shared = self.arrangements.values().find(|a| a.serves(mask));
         let arr = shared.cloned().unwrap_or_else(|| {
             self.index_builds += 1;
-            Arrangement::build(self.arity, mask, &self.keys)
+            build(self)
         });
         self.arrangements.insert(mask, arr);
     }
@@ -1105,14 +1150,21 @@ impl<P: Pops> ColumnRel<P> {
     /// `mask`-projection equals `key`, **sorted ascending** — the same
     /// visit order the hash path's posting lists produce, which is what
     /// makes the two structures interchangeable under a plan. The
-    /// arrangement must have been built via [`Self::ensure_arranged`].
+    /// arrangement must have been built via [`Self::ensure_arranged`]
+    /// or [`Self::ensure_probe`].
     pub fn probe_arranged(&self, mask: ColMask, key: &[u32], out: &mut Vec<u32>) {
         out.clear();
-        self.arrangement_for(mask)
-            .expect("probe_arranged before ensure_arranged")
-            .probe_into(key, out);
-        if out.len() > 1 {
-            out.sort_unstable();
+        let arr = self
+            .arrangement_for(mask)
+            .expect("probe_arranged before ensure_arranged");
+        match arr.probe(&self.keys, key) {
+            Found::Rows(rows) => out.extend(rows),
+            Found::Run(rows) => {
+                out.extend_from_slice(rows);
+                if out.len() > 1 {
+                    out.sort_unstable();
+                }
+            }
         }
     }
 
@@ -1122,17 +1174,29 @@ impl<P: Pops> ColumnRel<P> {
     /// [`Self::from_distinct_rows`], not appended to since): a sorted
     /// run where `probes_arranged` says the key is too wide for the
     /// packed hash path, and a posting table for a one-column mask whose
-    /// column `row_map_dense` admits. A hash-prefix index otherwise,
-    /// which is every relation made by [`Self::new`] — the IDB state,
-    /// every Δ, every relation an edit rebuilds — and a bulk one from
-    /// its first append on. Returns whether it was the sorted run (the
-    /// drivers time those builds separately).
-    pub fn ensure_probe(&mut self, mask: ColMask) -> bool {
-        let sorted = self.bulk && probes_arranged(self.arity, mask);
-        if sorted {
-            self.ensure_arranged(mask);
-        } else {
-            self.ensure_postings(mask, self.bulk);
+    /// column `row_map_dense` admits. The sorted run of a relation the
+    /// loader made, under a mask that is a prefix of its columns, is
+    /// the rows as they lie, searched by constant rank, where `rank`
+    /// hands over the interner's [`rank_table`](crate::Interner::rank_table)
+    /// (called once at most); without `rank`, and under any other mask,
+    /// it is [`Self::ensure_arranged`]'s counting sort. A hash-prefix
+    /// index otherwise, which is every relation made by [`Self::new`] —
+    /// the IDB state, every Δ, every relation an edit rebuilds — and a
+    /// bulk one from its first append on. Returns whether it was a
+    /// sorted run (the drivers time those builds separately).
+    pub fn ensure_probe(&mut self, mask: ColMask, rank: Option<&dyn Fn() -> Arc<[u32]>>) -> bool {
+        let bulk = self.regime != Regime::Grown;
+        let sorted = bulk && probes_arranged(self.arity, mask);
+        // Columns `0..k` for some `k`: `perm_for` is the identity.
+        let prefix = mask & mask.wrapping_add(1) == 0;
+        match rank {
+            Some(rank) if sorted && prefix && self.regime == Regime::Loaded => {
+                self.arrange(mask, |rel| {
+                    Arrangement::in_load_order(rel.arity, rank(), &rel.keys)
+                });
+            }
+            _ if sorted => self.ensure_arranged(mask),
+            _ => self.ensure_postings(mask, bulk),
         }
         sorted
     }
@@ -1149,9 +1213,9 @@ impl<P: Pops> ColumnRel<P> {
         self.version
     }
 
-    /// The sorted run serving `mask`, if [`Self::ensure_arranged`] was
-    /// asked for one and no row has been appended since — what the
-    /// executor's per-plan-run dispatch goes by.
+    /// The sorted run serving `mask`, if [`Self::ensure_arranged`] or
+    /// [`Self::ensure_probe`] made one and no row has been appended
+    /// since — what the executor's per-plan-run dispatch goes by.
     #[doc(hidden)]
     pub fn arrangement_for(&self, mask: ColMask) -> Option<&Arrangement> {
         self.arrangements.get(&mask)
@@ -1443,7 +1507,7 @@ mod tests {
                 let mut bulk = base.clone();
                 for mask in masks() {
                     hashed.ensure_index(mask);
-                    let sorted = bulk.ensure_probe(mask);
+                    let sorted = bulk.ensure_probe(mask, None);
                     assert_eq!(sorted, arity > 2, "{regime} arity {arity}, mask {mask:#b}");
                     let one_column = mask.count_ones() == 1;
                     let dense = scale(mask.trailing_zeros() as usize) == 1;
@@ -1516,6 +1580,135 @@ mod tests {
         }
     }
 
+    /// A loaded relation searched as it lies against its counting sort
+    /// and its hash index. The constants mix strings and integers, and
+    /// another relation interns one of them first, so id order is not
+    /// constant order. At arity 3 and 4, through every prefix mask
+    /// (the rows as they lie, no batch) and one mask that is no prefix
+    /// (a counting sort even with a rank table), all three structures
+    /// answer every present projection, random keys (most of them
+    /// absent), an id interned after the rank table, and an id past
+    /// every table with the same rows in the same order. After one
+    /// append the relation answers through hash indexes alone, and
+    /// like an index built afresh.
+    #[test]
+    fn a_loaded_relation_answers_like_its_sorted_run_and_its_hash_index() {
+        use crate::Interner;
+        use dlo_core::relation::Relation;
+        use dlo_core::Constant;
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut rng = move |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        let constant = |i: u64| match i % 3 {
+            0 => Constant::str(&format!("s{}", 11 - i)),
+            _ => Constant::int(40 - i as i64),
+        };
+        for arity in [3usize, 4] {
+            let mut interner = Interner::new();
+            let first = Relation::from_pairs(1, [(vec![constant(7)], Trop::finite(1.0))]);
+            interner.load_relation(&first);
+            let tuples = (0..400).map(|v| {
+                let tuple: Vec<Constant> = (0..arity).map(|_| constant(rng(9))).collect();
+                (tuple, Trop::finite(v as f64))
+            });
+            let loaded = interner.load_relation(&Relation::from_pairs(arity, tuples));
+            let table: Arc<[u32]> = interner.rank_table().into();
+            let rank: &dyn Fn() -> Arc<[u32]> = &|| Arc::clone(&table);
+            let late = interner.intern(&Constant::str("interned after the run"));
+            let prefixes = (1..=arity).map(|w| (1 as ColMask) << w).map(|m| m - 1);
+            let masks: Vec<ColMask> = prefixes.chain([0b101]).collect();
+            let (mut own, mut sorted, mut hashed) = (loaded.clone(), loaded.clone(), loaded);
+            for &mask in &masks {
+                assert!(
+                    own.ensure_probe(mask, Some(rank)),
+                    "arity {arity}, mask {mask:#b}"
+                );
+                let batches = own.arrangement_for(mask).map(|a| a.batches().len());
+                let prefix = mask & mask.wrapping_add(1) == 0;
+                assert_eq!(batches, Some(usize::from(!prefix)), "mask {mask:#b}");
+                sorted.ensure_arranged(mask);
+                hashed.ensure_index(mask);
+            }
+            let ids = interner.len() as u64;
+            for &mask in &masks {
+                let width = mask.count_ones() as usize;
+                let mut keys: Vec<Vec<u32>> = own
+                    .iter()
+                    .map(|(_, key, _)| project(key, mask).into_vec())
+                    .collect();
+                keys.extend((0..200).map(|_| (0..width).map(|_| rng(ids) as u32).collect()));
+                let mut past = keys[0].clone();
+                for id in [late, u32::MAX - 1] {
+                    *past.last_mut().unwrap() = id;
+                    keys.extend([past.clone(), vec![id; width]]);
+                }
+                for key in &keys {
+                    let want = hashed.probe(mask, key);
+                    let at = format!("arity {arity}, mask {mask:#b}, key {key:?}");
+                    assert_eq!(probed(&own, mask, key), want, "load order, {at}");
+                    assert_eq!(probed(&sorted, mask, key), want, "counting sort, {at}");
+                }
+            }
+            let absent = vec![late; arity];
+            own.append_row(&absent, Trop::finite(0.5));
+            hashed.append_row(&absent, Trop::finite(0.5));
+            for &mask in &masks {
+                assert!(
+                    own.arrangement_for(mask).is_none(),
+                    "mask {mask:#b}: a run survived"
+                );
+                let index = own.index(mask);
+                assert!(matches!(index, Some(Postings::Hashed(_))), "mask {mask:#b}");
+                for (_, key, _) in hashed.iter() {
+                    let key = project(key, mask);
+                    assert_eq!(own.probe(mask, &key), hashed.probe(mask, &key));
+                }
+            }
+        }
+    }
+
+    /// The loader's order is a contract, not a guess: a relation that
+    /// claims it and breaks it is refused where its run is made.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a loaded relation out of constant order")]
+    fn a_loaded_relation_out_of_order_is_refused() {
+        let keys = vec![0, 1, 2, 0, 0, 2];
+        let vals = vec![Trop::finite(1.0), Trop::finite(2.0)];
+        let mut rel = ColumnRel::from_loaded_rows(3, keys, vals);
+        let identity: &dyn Fn() -> Arc<[u32]> = &|| Arc::from([0, 1, 2]);
+        rel.ensure_probe(0b001, Some(identity));
+    }
+
+    /// An empty bulk relation gets a table on either column too, and it
+    /// answers nothing.
+    #[test]
+    fn an_empty_bulk_relation_gets_empty_tables() {
+        let mut rel = ColumnRel::<Trop>::from_distinct_rows(2, vec![], vec![]);
+        for mask in [0b01, 0b10] {
+            assert!(!rel.ensure_probe(mask, None));
+            assert!(matches!(rel.index(mask), Some(Postings::Table { .. })));
+            assert_eq!(rel.probe(mask, &[0]), &[0u32; 0]);
+        }
+    }
+
+    /// A relation loaded at another arity than the atom that probes it
+    /// (the executor then scans none of its rows) is still indexed on
+    /// the atom's masks, and a mask past its columns gets no table.
+    #[test]
+    fn a_mask_past_the_arity_is_hashed() {
+        for arity in [0, 1] {
+            let keys = vec![3; arity];
+            let mut rel = ColumnRel::from_distinct_rows(arity, keys, vec![Trop::finite(1.0)]);
+            assert!(!rel.ensure_probe(0b10, None));
+            assert!(matches!(rel.index(0b10), Some(Postings::Hashed(_))));
+        }
+    }
+
     /// A bulk relation's one-column index is one counting pass and one
     /// scatter into two arrays, so building and dropping it costs a small
     /// part of the hash index it replaces: on `point-query`'s shape
@@ -1531,31 +1724,6 @@ mod tests {
     /// pass projecting every row (0.29): both stay far under the hash
     /// index, so read `point-query`'s traced `reported.edb_index_s`
     /// (≈ 0.4–0.5 ms) for those.
-    /// An empty bulk relation gets a table on either column too, and it
-    /// answers nothing.
-    #[test]
-    fn an_empty_bulk_relation_gets_empty_tables() {
-        let mut rel = ColumnRel::<Trop>::from_distinct_rows(2, vec![], vec![]);
-        for mask in [0b01, 0b10] {
-            assert!(!rel.ensure_probe(mask));
-            assert!(matches!(rel.index(mask), Some(Postings::Table { .. })));
-            assert_eq!(rel.probe(mask, &[0]), &[0u32; 0]);
-        }
-    }
-
-    /// A relation loaded at another arity than the atom that probes it
-    /// (the executor then scans none of its rows) is still indexed on
-    /// the atom's masks, and a mask past its columns gets no table.
-    #[test]
-    fn a_mask_past_the_arity_is_hashed() {
-        for arity in [0, 1] {
-            let keys = vec![3; arity];
-            let mut rel = ColumnRel::from_distinct_rows(arity, keys, vec![Trop::finite(1.0)]);
-            assert!(!rel.ensure_probe(0b10));
-            assert!(matches!(rel.index(0b10), Some(Postings::Hashed(_))));
-        }
-    }
-
     #[cfg(not(debug_assertions))]
     #[test]
     fn bulk_one_column_index_is_one_counting_pass() {
@@ -1575,7 +1743,7 @@ mod tests {
             let mut rel = base.clone();
             let t = Instant::now();
             if table {
-                rel.ensure_probe(0b01);
+                rel.ensure_probe(0b01, None);
             } else {
                 rel.ensure_index(0b01);
             }
@@ -1629,7 +1797,7 @@ mod tests {
     #[test]
     fn clone_keeps_the_shared_run_when_the_original_grows() {
         let (mut rel, _) = bulk_and_twin(3);
-        assert!(rel.ensure_probe(0b001));
+        assert!(rel.ensure_probe(0b001, None));
         let snap = rel.clone();
         let run = |r: &ColumnRel<Trop>| r.arrangement_for(0b001).map(|a| a.batches()[0].clone());
         assert!(
@@ -1649,30 +1817,42 @@ mod tests {
     #[test]
     fn ensure_probe_dispatches_on_arity_and_bulk_state() {
         let (mut wide, mut grown) = bulk_and_twin(3);
-        assert!(wide.ensure_probe(0b010), "bulk, arity 3 → sorted run");
+        assert!(wide.ensure_probe(0b010, None), "bulk, arity 3 → sorted run");
         assert!(wide.arrangement_for(0b010).is_some());
         assert_eq!(wide.index_builds(), 1);
-        assert!(!wide.ensure_probe(0), "a full scan needs no structure");
+        assert!(
+            !wide.ensure_probe(0, None),
+            "a full scan needs no structure"
+        );
         assert_eq!(wide.index_builds(), 1);
-        assert!(!grown.ensure_probe(0b010), "grown row by row → hash index");
+        assert!(
+            !grown.ensure_probe(0b010, None),
+            "grown row by row → hash index"
+        );
         assert!(grown.arrangement_for(0b010).is_none());
         assert_eq!(grown.probe(0b010, &[0]).len(), 5);
         let mut empty = ColumnRel::<Trop>::new(3);
-        assert!(!empty.ensure_probe(0b010), "made to be grown → hash index");
+        assert!(
+            !empty.ensure_probe(0b010, None),
+            "made to be grown → hash index"
+        );
         let (mut narrow, _) = bulk_and_twin(2);
-        assert!(!narrow.ensure_probe(0b01), "arity 2 → packed hash index");
+        assert!(
+            !narrow.ensure_probe(0b01, None),
+            "arity 2 → packed hash index"
+        );
         assert!(narrow.arrangement_for(0b01).is_none());
         assert_eq!(narrow.probe(0b01, &[7]), &[0u32; 0]);
         // A bulk relation that was appended to is a grown one.
         let (mut late, _) = bulk_and_twin(3);
         late.insert_row(&[9, 9, 9], Trop::finite(0.0));
-        assert!(!late.ensure_probe(0b010));
+        assert!(!late.ensure_probe(0b010, None));
     }
 
     #[test]
     fn cleared_runs_come_back_as_hash_indexes() {
         let (mut rel, _) = bulk_and_twin(3);
-        assert!(rel.ensure_probe(0b001));
+        assert!(rel.ensure_probe(0b001, None));
         rel.clear();
         assert!(rel.arrangement_for(0b001).is_none());
         assert_eq!(rel.probe(0b001, &[2]), &[0u32; 0]);
@@ -1765,8 +1945,8 @@ mod tests {
     fn probe_structures_built_after_a_bulk_load_match_the_twin() {
         let (mut bulk, mut twin) = bulk_and_twin(3);
         for mask in [0b011, 0b001] {
-            assert!(bulk.ensure_probe(mask));
-            assert!(!twin.ensure_probe(mask));
+            assert!(bulk.ensure_probe(mask, None));
+            assert!(!twin.ensure_probe(mask, None));
         }
         assert_eq!(bulk.index_builds(), 1, "the prefix mask shares the run");
         let keys = |mask: ColMask| {

@@ -19,6 +19,13 @@
 //! * a boxed row-map key per row in `Interner::try_load_relation`: the
 //!   join gate reads 10 116 → 40 122, the copy gate 10 225 → 40 251.
 //!
+//! One gate counts bytes instead of calls: a prefix probe of a loaded
+//! arity-4 relation may allocate nothing per row beyond the load's own
+//! columns. A counting sort of that relation (a key copy and a row-id
+//! vector, which every such probe paid before a loaded relation became
+//! its own run) reads 485 563 → 1 805 563 bytes against a bound of
+//! 1 221 947.
+//!
 //! Two more gates are ratchets, not size-independence: a converged SSSP
 //! run on the same path allocates per bucket (priority) or per round
 //! (semi-naïve), and the gate holds that rate to what it is today, so
@@ -110,10 +117,41 @@ fn edb(n: i64) -> Database<Trop> {
     db
 }
 
-/// Allocation calls of one from-scratch run of `program` under
-/// `schedule` over [`edb`]`(n)`, from the classic `Database` in to the
-/// interned outcome out.
-fn run_calls<S: Schedule<Trop>>(program: &Program<Trop>, schedule: S, n: i64) -> u64 {
+/// The EDB of the sorted-run gates: `S` holds the one row
+/// `S(0, 0, 0)`, `P` the one row `P(0, 0)`, and `F` the `n` rows
+/// `(i / 4096, i / 256 % 16, i / 16 % 16, i % 16)` — a bulk arity-4
+/// relation over at most 16 integers at any `n` below 65 536, so the
+/// interner does not grow with `n`, and from `n` = 4 096 on neither do
+/// the rows a probe of `(A, B, C) = (0, 0, 0)` or of `(A, C) = (0, 0)`
+/// matches.
+fn wide_edb(n: i64) -> Database<Trop> {
+    let mut db = Database::new();
+    let ints = |row: &[i64]| row.iter().map(|&c| Constant::from(c)).collect::<Vec<_>>();
+    db.insert(
+        "S",
+        Relation::from_pairs(3, [(ints(&[0, 0, 0]), Trop::finite(1.0))]),
+    );
+    db.insert(
+        "P",
+        Relation::from_pairs(2, [(ints(&[0, 0]), Trop::finite(1.0))]),
+    );
+    let rows = (0..n).map(|i| {
+        let row = ints(&[i / 4096, i / 256 % 16, i / 16 % 16, i % 16]);
+        (row, Trop::finite((1 + i % 9) as f64))
+    });
+    db.insert("F", Relation::from_pairs(4, rows));
+    db
+}
+
+/// Allocation calls and bytes of one from-scratch run of `program`
+/// under `schedule` over `edb(n)`, from the classic `Database` in to
+/// the interned outcome out.
+fn run_counts<S: Schedule<Trop>>(
+    program: &Program<Trop>,
+    schedule: S,
+    edb: fn(i64) -> Database<Trop>,
+    n: i64,
+) -> (u64, u64) {
     let (edb, bools) = (edb(n), BoolDatabase::new());
     let opts = EngineOpts {
         threads: Some(1),
@@ -123,18 +161,31 @@ fn run_calls<S: Schedule<Trop>>(program: &Program<Trop>, schedule: S, n: i64) ->
         engine_eval_interned(program, &edb, &bools, 1 << 20, schedule, &opts).expect("compiles")
     });
     eprintln!("n = {n}: {calls} allocation calls, {bytes} bytes");
-    calls
+    (calls, bytes)
 }
 
-/// Holds `program`'s allocation calls under `schedule` at `4n` rows of
-/// `E` to at most `per_row` more per added row, plus `slack`, than at
-/// `n`.
-fn assert_calls<S: Schedule<Trop>>(source: &str, schedule: S, n: i64, per_row: u64, slack: u64) {
+/// `program`'s allocation counts under `schedule` over `edb(n)` and
+/// over `edb(4n)`.
+fn counts_at_n_and_4n<S: Schedule<Trop>>(
+    source: &str,
+    schedule: S,
+    edb: fn(i64) -> Database<Trop>,
+    n: i64,
+) -> [(u64, u64); 2] {
     let program: Program<Trop> = parse_program(source).expect("parses");
-    let (small, large) = (
-        run_calls(&program, schedule, n),
-        run_calls(&program, schedule, 4 * n),
-    );
+    [n, 4 * n].map(|n| run_counts(&program, schedule, edb, n))
+}
+
+/// Holds `program`'s allocation calls under `schedule` over `edb(4n)`
+/// to at most `per_row` more per added row, plus `slack`, than over
+/// `edb(n)`.
+fn assert_calls<S: Schedule<Trop>>(
+    source: &str,
+    schedule: S,
+    edb: fn(i64) -> Database<Trop>,
+    (n, per_row, slack): (i64, u64, u64),
+) {
+    let [(small, _), (large, _)] = counts_at_n_and_4n(source, schedule, edb, n);
     let bound = small + 3 * n as u64 * per_row + slack;
     assert!(
         large <= bound,
@@ -143,9 +194,10 @@ fn assert_calls<S: Schedule<Trop>>(source: &str, schedule: S, n: i64, per_row: u
     );
 }
 
-/// [`assert_calls`] at no calls per row: buffer doublings only.
+/// [`assert_calls`] over [`edb`] at no calls per row: buffer doublings
+/// only.
 fn assert_size_independent(source: &str, slack: u64) {
-    assert_calls(source, Strategy::Auto, 10_000, 0, slack);
+    assert_calls(source, Strategy::Auto, edb, (10_000, 0, slack));
 }
 
 /// The EDB load of a bulk relation and the posting table of its column
@@ -178,7 +230,7 @@ const SSSP: &str = "L(X) :- 1 | X = 0.\nL(X) :- L(Z) * E(Z, X).";
 /// change, which lowers the rate here.
 #[test]
 fn a_priority_run_allocates_one_call_per_bucket() {
-    assert_calls(SSSP, Strategy::Priority, 2_000, 1, 64);
+    assert_calls(SSSP, Strategy::Priority, edb, (2_000, 1, 64));
 }
 
 /// A converged semi-naïve run allocates about seven calls per round
@@ -188,5 +240,36 @@ fn a_priority_run_allocates_one_call_per_bucket() {
 /// allocation per plan run (two plans fire per round) trips it.
 #[test]
 fn a_semi_naive_run_allocates_seven_calls_per_round() {
-    assert_calls(SSSP, SemiNaive, 2_000, 7, 64);
+    assert_calls(SSSP, SemiNaive, edb, (2_000, 7, 64));
+}
+
+/// A probe of a loaded wide relation through a prefix of its columns
+/// searches the rows as they lie: the run allocates no byte per row,
+/// so over [`wide_edb`] the whole run at `4n` rows of `F` may allocate
+/// no more per added row than the load's own columns — four `u32` ids
+/// and one value — plus a constant for buffers that do not grow with
+/// `n`. A counting sort of `F` (a key copy and a row-id vector, ≈ 20
+/// bytes a row) breaks it by ≈ 600 000 bytes at n = 10 000.
+#[test]
+fn a_prefix_probe_of_a_loaded_relation_allocates_no_bytes_per_row() {
+    const SLACK: u64 = 16 << 10;
+    let source = "Out(A, D) :- S(A, B, C) * F(A, B, C, D).";
+    let n = 10_000;
+    let [(_, small), (_, large)] = counts_at_n_and_4n(source, Strategy::Auto, wide_edb, n);
+    let columns = (4 * std::mem::size_of::<u32>() + std::mem::size_of::<Trop>()) as u64;
+    let bound = small + 3 * n as u64 * columns + SLACK;
+    assert!(
+        large <= bound,
+        "`{source}`: {small} bytes at n = {n}, {large} at 4n, more than {bound}: \
+         something beside the load allocates per row of F"
+    );
+}
+
+/// A probe through a mask that is no prefix of `F`'s columns gets a
+/// counting sort of `F` (`arrange::radix_order`): its buffers grow with
+/// the rows, but their number does not.
+#[test]
+fn a_counting_sort_of_a_wide_relation_allocates_independently_of_size() {
+    let source = "Out(A, D) :- P(A, C) * F(A, B, C, D).";
+    assert_calls(source, Strategy::Auto, wide_edb, (10_000, 0, 32));
 }

@@ -284,9 +284,11 @@ fn probe_telemetry_partitions_index_probes_by_structure() {
             };
             assert_eq!(on_side, c.index_probes, "{leg}: every probe on one side");
             assert_eq!(c.arrange_batches_merged, 0, "{leg}: nothing merges runs");
-            // The phase leg times the bulk sort of a probed wide EDB
-            // relation and nothing else: a hash index build, over the
-            // EDB or over a wide IDB, never banks time there.
+            // The phase leg times the sorted runs of a probed wide EDB
+            // relation — a counting sort, or a loaded relation's own
+            // rows and the rank table they are searched by — and
+            // nothing else: a hash index build, over the EDB or over a
+            // wide IDB, never banks time there.
             assert_eq!(stats.phases.arrange > 0, sorted, "{leg}: arrange leg");
         }
 
