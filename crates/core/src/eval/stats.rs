@@ -9,7 +9,8 @@
 //! split into two determinism classes:
 //!
 //! * **thread-invariant**: [`Counters`], `steps`, the per-iteration
-//!   [`IterStat`] snapshots, and the per-rule emit/probe/scan counts.
+//!   [`IterStat`] snapshots, and the per-rule emit/probe/scan/run
+//!   counts — which runs were timed included.
 //!   These are exact counts of work fixed by the compiled plans and
 //!   the input, done by the one thread that runs the fixpoint, so they
 //!   are bit-identical at any `DLO_ENGINE_THREADS` — the cross-thread
@@ -218,6 +219,14 @@ pub struct IterStat {
 /// Observed cost of one compiled plan, attributed by the plan's stable
 /// id. `time_ns` is environmental; every other field is
 /// thread-invariant.
+///
+/// Every run of the plan is counted, but not every run is timed: the
+/// engine reads the clock on every run of a step whose Δ holds many
+/// rows, and on one run in a fixed number of the others (the first
+/// included), so that a frontier of one-row batches does not pay a
+/// clock pair per run. `time_ns` is the timed nanoseconds of each kind
+/// scaled by its runs over its timed runs, and the plans' times
+/// together never exceed the eval phase.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RuleProfile {
     /// Rule index in program source order.
@@ -242,7 +251,13 @@ pub struct RuleProfile {
     pub probes: u64,
     /// Candidate tuples this plan scanned.
     pub scanned: u64,
-    /// Wall-clock nanoseconds spent running this plan.
+    /// Times this plan ran.
+    pub runs: u64,
+    /// Runs of this plan whose wall-clock was read: a deterministic
+    /// sample of [`RuleProfile::runs`], fixed by the steps' Δ sizes.
+    pub timed_runs: u64,
+    /// Estimated wall-clock nanoseconds spent running this plan: its
+    /// timed runs' time, scaled up to all its runs.
     pub time_ns: u64,
 }
 
@@ -327,7 +342,8 @@ impl EvalStats {
     ///
     /// The eval phase is split with the timers already taken: `plans` is
     /// the sum of the per-plan times (the joins, up to handing each
-    /// emission over), and the rest of the phase — merging emissions
+    /// emission over; sampled and scaled, see [`RuleProfile`]), and the
+    /// rest of the phase — merging emissions
     /// into the relations, the frontier or Δ bookkeeping between plans
     /// — is printed per emission as `merge+queue`. A maintenance delete that
     /// marked anything adds a `delete:` line: the cone, the rows taken
@@ -402,7 +418,15 @@ impl EvalStats {
             );
         }
         if !self.rules.is_empty() {
-            let _ = writeln!(s, "per-plan costs (by observed time):");
+            let (runs, timed) = self
+                .rules
+                .iter()
+                .fold((0, 0), |(n, t), r| (n + r.runs, t + r.timed_runs));
+            let _ = writeln!(
+                s,
+                "per-plan costs (by observed time; sampled: {timed} of {runs} plan runs timed, \
+                 each plan's time scaled to all its runs):"
+            );
             let mut order: Vec<usize> = (0..self.rules.len()).collect();
             order.sort_by(|&a, &b| {
                 self.rules[b]
@@ -415,7 +439,7 @@ impl EvalStats {
                 let _ = writeln!(
                     s,
                     "  [{:<8}] r{}  {:<40}  join {:<5} emits {:<10} probes {:<10} \
-                     scanned {:<12} time {:.3}ms",
+                     scanned {:<12} runs {:<8} time {:.3}ms",
                     r.kind,
                     r.rule,
                     r.label,
@@ -423,6 +447,7 @@ impl EvalStats {
                     r.emits,
                     r.probes,
                     r.scanned,
+                    r.runs,
                     ms(r.time_ns)
                 );
             }
@@ -472,6 +497,8 @@ impl EvalStats {
             w.u64_field("fresh_emits", r.fresh_emits);
             w.u64_field("probes", r.probes);
             w.u64_field("scanned", r.scanned);
+            w.u64_field("runs", r.runs);
+            w.u64_field("timed_runs", r.timed_runs);
             w.u64_field("time_ns", r.time_ns);
             w.obj_close();
         }
@@ -880,6 +907,8 @@ mod tests {
             kind: "delta".into(),
             emits: 41,
             probes: 9,
+            runs: 7,
+            timed_runs: 1,
             ..RuleProfile::default()
         });
         let parsed = json::parse(&stats.to_json()).expect("valid JSON");
@@ -900,6 +929,12 @@ mod tests {
         assert_eq!(iters[0].get("inserted").unwrap().as_u64(), Some(13));
         let rules = parsed.get("rules").unwrap().as_arr().unwrap();
         assert_eq!(rules[0].get("label").unwrap().as_str(), Some("T :- T * E"));
+        assert_eq!(rules[0].get("runs").unwrap().as_u64(), Some(7));
+        assert_eq!(rules[0].get("timed_runs").unwrap().as_u64(), Some(1));
+        assert!(
+            report.contains("sampled: 1 of 7 plan runs timed"),
+            "{report}"
+        );
     }
 
     #[test]
@@ -957,6 +992,8 @@ mod tests {
         stats.rules.push(RuleProfile {
             time_ns: 555,
             emits: 17,
+            runs: 40,
+            timed_runs: 3,
             join: "merge".into(),
             ..RuleProfile::default()
         });
@@ -970,6 +1007,8 @@ mod tests {
         assert_eq!(inv.counters.merge_join_steps, 5);
         assert_eq!(inv.counters.arrange_batches_merged, 2);
         assert_eq!(inv.rules[0].join, "merge");
+        // Which runs were timed is a function of the counts: kept.
+        assert_eq!((inv.rules[0].runs, inv.rules[0].timed_runs), (40, 3));
         assert_eq!(inv.strategy, "worklist");
         assert_eq!(inv.steps, 3);
     }

@@ -46,7 +46,7 @@ use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput,
 use crate::par;
 use crate::plan::{compile_demand, CompileError, CompiledProgram, Plan, Source};
 use crate::storage::{probes_full_key, AccumMap, ColMask, ColumnRel};
-use crate::telemetry::{Collector, TraceHandle};
+use crate::telemetry::{Collector, TraceHandle, PLAN_CLOCK_ALL_FROM_ROWS};
 use dlo_core::ast::Program;
 use dlo_core::eval::stats::{Counters, EvalStats};
 use dlo_core::ground::domain;
@@ -433,11 +433,11 @@ impl LoopFail {
 }
 
 /// One governed run over a prepared [`Engine`]: the stats collector,
-/// the governor, the settled-row marking, and the eval stopwatch —
-/// opened once per from-scratch evaluation and once per
-/// [`crate::Materialization`] build or edit, so every loop is governed
-/// and accounted for the same way.
-pub(crate) struct Run {
+/// the governor, the settled-row marking, the eval stopwatch, and the
+/// buffers its plans and rounds work in — opened once per from-scratch
+/// evaluation and once per [`crate::Materialization`] build or edit, so
+/// every loop is governed and accounted for the same way.
+pub(crate) struct Run<P> {
     pub(crate) col: Collector,
     gov: Governor,
     /// Rows known final at any point of the run: marked on pop by the
@@ -445,10 +445,20 @@ pub(crate) struct Run {
     pub(crate) settled: SettledMark,
     /// The plan runner's buffers, lent to every plan the run fires.
     pub(crate) scratch: Scratch,
+    /// A round's head accumulators and fresh-key buffers
+    /// ([`run_round`]), kept like `scratch`: made by the run's first
+    /// round, filled by each round and drained by its landing, so a warm
+    /// round allocates nothing (and a frontier run none of it).
+    pub(crate) round: (Accum<P>, FreshAccum<P>),
+    /// The Δ relations the next semi-naïve round reads, made by the
+    /// first advance ([`apply_contrib`]): cleared, filled and swapped
+    /// with [`IdbState::delta`], so the two sets keep their capacity and
+    /// their registered probe masks between rounds.
+    pub(crate) next_delta: Vec<ColumnRel<P>>,
     t_eval: Instant,
 }
 
-impl Run {
+impl<P: Pops> Run<P> {
     /// Starts collection and governance under the stats label `label`.
     /// `settles_on_pop` says whether the loop marks rows final as it
     /// goes (the priority frontier) or settles nothing before
@@ -456,13 +466,13 @@ impl Run {
     /// spent (load and compile, or staging an edit): it is recorded
     /// as the setup phase and backdated into the governor's deadline;
     /// the load inside it is `engine.load_ns`.
-    pub(crate) fn open<P: Pops>(
+    pub(crate) fn open(
         engine: &Engine<P>,
         label: &str,
         settles_on_pop: bool,
         opts: &EngineOpts,
         setup_ns: u64,
-    ) -> Run {
+    ) -> Run<P> {
         let nidb = engine.compiled.idbs.len();
         Run {
             col: Collector::new(
@@ -480,6 +490,8 @@ impl Run {
                 SettledMark::best_effort(nidb)
             },
             scratch: Scratch::default(),
+            round: (vec![], vec![]),
+            next_delta: vec![],
             t_eval: Instant::now(),
         }
     }
@@ -498,15 +510,19 @@ impl Run {
     /// empty IDB state, all from the engine's mask lists
     /// ([`Engine::require_probes`]). The masks on `state.delta` are what
     /// a frontier stages its batches under — ensured once, since
-    /// [`ColumnRel::clear`] keeps them registered; the round loops
-    /// replace that relation every round and re-ensure it themselves.
+    /// [`ColumnRel::clear`] keeps them registered; the round loops swap
+    /// it with the run's `next_delta` every round and ensure them on
+    /// whichever set comes in.
     /// The eval stopwatch restarts after the index build.
-    pub(crate) fn prepare<P: Pops + Send>(
+    pub(crate) fn prepare(
         &mut self,
         engine: &mut Engine<P>,
         state: &mut IdbState<P>,
         opts: &EngineOpts,
-    ) -> Result<(), LoopFail> {
+    ) -> Result<(), LoopFail>
+    where
+        P: Send,
+    {
         self.check(0, Checkpoint::Phase)?;
         let t = Instant::now();
         let sorted = engine
@@ -566,13 +582,16 @@ impl Run {
     /// boxed [`AbortedEval`] — the typed error with the abort-time IDB
     /// state and the run's settled marking attached as a
     /// [`PartialOutput`], both carrying the same completed stats.
-    pub(crate) fn drive<P: Pops + Send, S: Rounds<P>>(
+    pub(crate) fn drive<S: Rounds<P>>(
         mut self,
         mut engine: Engine<P>,
         cap: usize,
         opts: &EngineOpts,
         schedule: S,
-    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
+    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
+    where
+        P: Send,
+    {
         let mut state = engine.empty_state();
         // From the empty state every full plan seeds. The lists move
         // out of the engine: the loop borrows it mutably, to mint.
@@ -659,6 +678,12 @@ fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
 /// `run`'s buffers, so a warm run allocates nothing. One unwind guard
 /// covers the list: the first panicking plan stops it, every earlier
 /// plan already accounted, and surfaces as [`EvalError::WorkerPanic`].
+///
+/// `rows` is the size of the step's driving Δ (a round's Δ rows, a
+/// batch's rows): from [`PLAN_CLOCK_ALL_FROM_ROWS`] on, every plan run
+/// is timed; below it, one run of each plan in
+/// [`crate::PLAN_CLOCK_PERIOD`] ([`Collector::plan_clock`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     engine: &Engine<P>,
     state: &IdbState<P>,
@@ -666,15 +691,17 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     sinks: &mut [S],
     land: impl Fn(&mut S, &[u32], P),
     fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
-    run: &mut Run,
+    rows: u64,
+    run: &mut Run<P>,
 ) -> Result<(), EvalError> {
     let ctx = engine.ctx(state);
+    let whole = rows >= PLAN_CLOCK_ALL_FROM_ROWS;
     catch_unwind(AssertUnwindSafe(|| {
         for plan in plans {
             let sink = &mut sinks[plan.head_pred];
             let facc = &mut fresh[plan.head_pred];
             let mut counters = ExecCounters::default();
-            let t = Instant::now();
+            let clock = run.col.plan_clock(plan.pid, whole);
             run_plan(
                 plan,
                 &ctx,
@@ -683,8 +710,7 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
                 |key, v| land(sink, key, v),
                 |key, v| merge_fresh(facc, key, v),
             );
-            run.col
-                .add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
+            run.col.add_plan(plan.pid, counters, whole, clock);
         }
     }))
     .map_err(|p| EvalError::WorkerPanic {
@@ -693,28 +719,38 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     })
 }
 
-/// One global round: runs `plans` into fresh per-IDB accumulators, each
-/// emission `⊕`-merged once into its head predicate's [`AccumMap`]. A
-/// round skips the Δ family's [`Plan::frontier_only`] splits: their
-/// sum-product's whole-recompute plan is in the list beside them.
+/// One global round: runs `plans` into the run's per-IDB accumulators
+/// (`run.round`, left empty by the last round's landing), each emission
+/// `⊕`-merged once into its head predicate's [`AccumMap`]; `rows` is
+/// the round's driving Δ ([`run_plans_inline`]). A round skips the Δ
+/// family's [`Plan::frontier_only`] splits: their sum-product's
+/// whole-recompute plan is in the list beside them. The caller drains
+/// `run.round` — the naïve and semi-naïve rounds through [`land`], the
+/// delete's marking rounds by hand — before the next round.
 pub(crate) fn run_round<P: Pops>(
     engine: &Engine<P>,
     plans: &[Plan<P>],
     state: &IdbState<P>,
-    run: &mut Run,
-) -> Result<(Accum<P>, FreshAccum<P>), EvalError> {
-    let mut contrib = engine.empty_accums();
-    let mut fresh: FreshAccum<P> = contrib.iter().map(|_| BTreeMap::new()).collect();
-    run_plans_inline(
+    rows: u64,
+    run: &mut Run<P>,
+) -> Result<(), EvalError> {
+    let nidb = engine.compiled.idbs.len();
+    if run.round.0.len() != nidb {
+        run.round = (engine.empty_accums(), vec![BTreeMap::new(); nidb]);
+    }
+    let (mut contrib, mut fresh) = std::mem::take(&mut run.round);
+    let ran = run_plans_inline(
         engine,
         state,
         plans.iter().filter(|plan| !plan.frontier_only),
         &mut contrib,
         AccumMap::merge,
         &mut fresh,
+        rows,
         run,
-    )?;
-    Ok((contrib, fresh))
+    );
+    run.round = (contrib, fresh);
+    ran
 }
 
 mod sealed {
@@ -748,7 +784,7 @@ mod sealed {
             state: &mut IdbState<P>,
             plans: &RoundPlans<'_, P>,
             cap: usize,
-            run: &mut Run,
+            run: &mut Run<P>,
             start: usize,
         ) -> Result<usize, LoopFail>;
     }
@@ -827,7 +863,7 @@ impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
         state: &mut IdbState<P>,
         plans: &RoundPlans<'_, P>,
         cap: usize,
-        run: &mut Run,
+        run: &mut Run<P>,
         start: usize,
     ) -> Result<usize, LoopFail> {
         // Naïve steps recompute full sums, so the differential seed
@@ -853,7 +889,7 @@ where
         state: &mut IdbState<P>,
         plans: &RoundPlans<'_, P>,
         cap: usize,
-        run: &mut Run,
+        run: &mut Run<P>,
         start: usize,
     ) -> Result<usize, LoopFail> {
         seminaive_rounds(engine, state, plans, cap, run, start)
@@ -939,17 +975,19 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
     state: &mut IdbState<P>,
     plans: &[Plan<P>],
     cap: usize,
-    run: &mut Run,
+    run: &mut Run<P>,
     start: usize,
 ) -> Result<usize, LoopFail> {
     let mut steps = start;
     loop {
         run.check(steps, Checkpoint::Iteration)?;
         let before = run.col.stats.counters;
-        let mut phase = run_round(engine, plans, state, run)
+        // A naïve round reads the whole state: its Δ is every row.
+        let rows = state.new.iter().map(|rel| rel.len() as u64).sum();
+        run_round(engine, plans, state, rows, run)
             .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
-        let (new, col) = (&mut state.new, &mut run.col);
-        land(engine, new, &mut phase, col, |_, _, _, old, v| {
+        let (new, phase, col) = (&mut state.new, &mut run.round, &mut run.col);
+        land(engine, new, phase, col, |_, _, _, old, v| {
             debug_assert!(
                 old.is_none_or(|old| old.leq(&v)),
                 "naïve rounds start at a pre-fixpoint"
@@ -983,7 +1021,7 @@ pub(crate) fn seminaive_rounds<P>(
     state: &mut IdbState<P>,
     plans: &RoundPlans<'_, P>,
     cap: usize,
-    run: &mut Run,
+    run: &mut Run<P>,
     start: usize,
 ) -> Result<usize, LoopFail>
 where
@@ -995,9 +1033,9 @@ where
         let (round_plans, delta_rows, checkpoint) = round;
         run.check(steps, checkpoint)?;
         let before = run.col.stats.counters;
-        let mut phase =
-            run_round(engine, round_plans, state, run).map_err(LoopFail::at(checkpoint, steps))?;
-        apply_contrib(engine, state, &mut phase, &mut run.col);
+        run_round(engine, round_plans, state, delta_rows, run)
+            .map_err(LoopFail::at(checkpoint, steps))?;
+        apply_contrib(engine, state, run);
         run.col.end_step(steps, delta_rows, 0, &before);
         if steps >= cap {
             return Err(LoopFail::Diverged(steps));
@@ -1011,20 +1049,24 @@ where
     }
 }
 
-/// The semi-naïve **advance**: lands one phase's accumulated
-/// contributions in the IDB state ([`land`]) — `δ' = contrib ⊖ new`
-/// (pointwise on supports), `new' = new ⊕ contrib` — and leaves
-/// `state.delta` holding the next iteration's indexed delta — every
-/// round of [`seminaive_rounds`], seed round included.
-pub(crate) fn apply_contrib<P>(
-    engine: &mut Engine<P>,
-    state: &mut IdbState<P>,
-    phase: &mut (Accum<P>, FreshAccum<P>),
-    col: &mut Collector,
-) where
+/// The semi-naïve **advance**: lands the round's accumulated
+/// contributions (`run.round`) in the IDB state ([`land`]) —
+/// `δ' = contrib ⊖ new` (pointwise on supports), `new' = new ⊕ contrib`
+/// — and leaves `state.delta` holding the next iteration's indexed
+/// delta — every round of [`seminaive_rounds`], seed round included. δ'
+/// is written into the run's cleared `next_delta`, which then trades
+/// places with the Δ just read.
+pub(crate) fn apply_contrib<P>(engine: &mut Engine<P>, state: &mut IdbState<P>, run: &mut Run<P>)
+where
     P: NaturallyOrdered + CompleteDistributiveDioid,
 {
-    let mut next_delta = engine.empty_idbs();
+    if run.next_delta.len() != state.delta.len() {
+        run.next_delta = engine.empty_idbs();
+    }
+    let (phase, col, next_delta) = (&mut run.round, &mut run.col, &mut run.next_delta);
+    for rel in next_delta.iter_mut() {
+        rel.clear();
+    }
     for ch in &mut state.changed {
         ch.clear();
     }
@@ -1038,7 +1080,7 @@ pub(crate) fn apply_contrib<P>(
         changed[pred].insert(r, old.cloned());
         Some(old.map(|old| old.add(&v)).unwrap_or(v))
     });
-    state.delta = next_delta;
+    std::mem::swap(&mut state.delta, next_delta);
     ensure_delta_indexes(engine, state);
 }
 
@@ -1052,9 +1094,9 @@ pub(crate) trait Emissions<P> {
 
 impl<P: PreSemiring> Emissions<P> for Accum<P> {
     /// Predicate by predicate, each in ascending key order
-    /// ([`AccumMap::drain_sorted`]).
+    /// ([`AccumMap::drain_sorted`]); the maps keep their capacity.
     fn drain(&mut self, mut land: impl FnMut(usize, &[u32], P)) {
-        for (pred, acc) in std::mem::take(self).into_iter().enumerate() {
+        for (pred, acc) in self.iter_mut().enumerate() {
             acc.drain_sorted(|key, v| land(pred, key, v));
         }
     }

@@ -786,9 +786,10 @@ mod tests {
         assert!(plans.len() == 1 && plans[0].steps.len() == 2);
         let mut sinks = vec![vec![]];
         let mut fresh = vec![BTreeMap::new()];
-        let mut fire = |run: &mut Run| {
+        let mut fire = |run: &mut Run<Trop>| {
             let land = |s: &mut Vec<_>, k: &[u32], v| s.push((k.to_vec(), v));
-            let ran = run_plans_inline(&engine, &state, plans, &mut sinks, land, &mut fresh, run);
+            let ran =
+                run_plans_inline(&engine, &state, plans, &mut sinks, land, &mut fresh, 5, run);
             assert!(ran.is_ok());
             footprint(&run.scratch)
         };

@@ -268,7 +268,7 @@ use dlo_core::query::{Query, QueryArg};
 use dlo_core::relation::{BoolDatabase, Database};
 use dlo_core::value::Constant;
 use dlo_pops::Pops;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::time::Instant;
 
 /// Engine EDB-slot bookkeeping for one editable predicate.
@@ -629,7 +629,7 @@ where
     /// `incremental-<kind>` (plus the schedule's suffix); everything
     /// since `started` — compile and intern, or staging — is its setup
     /// time.
-    fn open_run(&self, kind: &str, started: Instant) -> Run {
+    fn open_run(&self, kind: &str, started: Instant) -> Run<P> {
         Run::open(
             &self.engine,
             &format!("incremental-{kind}{}", S::MAINTENANCE_SUFFIX),
@@ -763,7 +763,7 @@ where
     /// passes the error through.
     fn close_edit(
         &mut self,
-        run: Run,
+        run: Run<P>,
         result: Result<usize, LoopFail>,
     ) -> Result<&EvalStats, EvalError> {
         match result {
@@ -1084,7 +1084,7 @@ where
         family: &[Plan<P>],
         attaining: bool,
         cap: usize,
-        run: &mut Run,
+        run: &mut Run<P>,
     ) -> Result<(Vec<Vec<u32>>, usize), LoopFail> {
         let nidb = engine.compiled.idbs.len();
         let mut affected: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); nidb];
@@ -1096,22 +1096,23 @@ where
             let before = run.col.stats.counters;
             let delta_rows: u64 = frontier.iter().map(|f| f.len() as u64).sum();
             if steps > 0 {
-                let mut delta = engine.empty_idbs();
                 for (pred, rows) in frontier.iter().enumerate() {
-                    let new = &state.new[pred];
+                    let (new, delta) = (&state.new[pred], &mut state.delta[pred]);
+                    delta.clear();
                     for &r in rows {
-                        delta[pred].append_row(new.row(r), new.val(r).clone());
+                        delta.append_row(new.row(r), new.val(r).clone());
                     }
                 }
-                state.delta = delta;
                 ensure_delta_indexes(engine, state);
             }
-            let (contrib, _fresh) = run_round(engine, round, state, run)
+            run_round(engine, round, state, delta_rows, run)
                 .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
-            frontier = vec![vec![]; nidb];
-            for (pred, acc) in contrib.into_iter().enumerate() {
+            // A head key no id names yet is in no standing row.
+            run.round.1.iter_mut().for_each(BTreeMap::clear);
+            for (pred, acc) in run.round.0.iter_mut().enumerate() {
                 let new = &state.new[pred];
                 let (aff, front) = (&mut affected[pred], &mut frontier[pred]);
+                front.clear();
                 acc.drain_sorted(|key, v| {
                     if let Some(r) = new.rowid(key) {
                         if (!attaining || new.val(r) == &v) && aff.insert(r) {
@@ -1132,8 +1133,7 @@ where
             steps += 1;
             round = family;
         }
-        state.delta = engine.empty_idbs();
-        ensure_delta_indexes(engine, state);
+        state.delta.iter_mut().for_each(ColumnRel::clear);
         let ascending = |rows: BTreeSet<u32>| rows.into_iter().collect();
         Ok((affected.into_iter().map(ascending).collect(), steps))
     }
@@ -1271,7 +1271,7 @@ where
     /// still `0`.
     fn delete_run(
         &mut self,
-        run: &mut Run,
+        run: &mut Run<P>,
         staged: &[(usize, Vec<u32>)],
     ) -> Result<usize, LoopFail> {
         let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();

@@ -532,7 +532,12 @@
 //! inside it, EDB indexing, the fixpoint loop, id minting, decode),
 //! per-iteration snapshots, and a
 //! **per-rule profile** attributing time and emissions to each
-//! compiled plan. `stats()` on [`dlo_core::EvalOutcome`],
+//! compiled plan. The profile counts every plan run but times a
+//! sample: every run of a step of many Δ rows, one in
+//! [`PLAN_CLOCK_PERIOD`] of the others, each plan's time scaled to all
+//! its runs ([`RuleProfile::runs`], [`RuleProfile::timed_runs`]) — a
+//! clock pair per run was a sixth of a one-row frontier batch.
+//! `stats()` on [`dlo_core::EvalOutcome`],
 //! [`InternedOutcome`], and [`query::QueryAnswer`] exposes it;
 //! `explain()` renders the profile as a report. Collection is
 //! always-on: the counters ride the execution state the loops already
@@ -550,7 +555,8 @@
 //! Determinism extends to the telemetry itself: everything except
 //! wall-clock fields and the thread count is **bit-identical at any
 //! `DLO_ENGINE_THREADS`** — counters are exact counts, not sampled, of
-//! work one thread does in plan order ([`EvalStats::tasks_spawned`] and
+//! work one thread does in plan order, and which plan runs were timed
+//! is a function of those counts ([`EvalStats::tasks_spawned`] and
 //! [`EvalStats::parallel_batches`] read 0 on every run).
 //! [`EvalStats::invariants`] masks the timing fields, which is what
 //! the cross-thread determinism tests compare.
@@ -726,5 +732,5 @@ pub use output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput, Se
 pub use plan::{compile, compile_demand, CompileError, CompiledProgram, Plan, PlanMeta};
 pub use query::{engine_query_eval_with_opts, QueryAnswer};
 pub use storage::ColumnRel;
-pub use telemetry::{JsonlSink, MemorySink, TraceEvent, TraceHandle, TraceSink};
+pub use telemetry::{JsonlSink, MemorySink, TraceEvent, TraceHandle, TraceSink, PLAN_CLOCK_PERIOD};
 pub use worklist::Strategy;

@@ -592,6 +592,10 @@ impl Postings {
 /// accumulator of the semi-naïve driver — one `merge` per derivation, so
 /// at fixpoint scale the boxed-slice map it replaces was a top line item
 /// (hash + eq dereference, plus an allocation per stored key).
+///
+/// An accumulator is reused round after round: [`AccumMap::drain_sorted`]
+/// empties it through a sort buffer it keeps, and the map and the buffer
+/// keep their capacity, so a warm round allocates nothing here.
 #[derive(Debug)]
 pub enum AccumMap<P> {
     /// Keys of width ≤ 2, packed into `u64`s (width fixed per map).
@@ -600,9 +604,16 @@ pub enum AccumMap<P> {
         width: usize,
         /// Packed key → accumulated value.
         map: FxHashMap<u64, P>,
+        /// The drain's sort buffer, empty between drains.
+        sorted: Vec<(u64, P)>,
     },
     /// Keys of width > 2, boxed.
-    Wide(FxHashMap<Box<[u32]>, P>),
+    Wide {
+        /// Key → accumulated value.
+        map: FxHashMap<Box<[u32]>, P>,
+        /// The drain's sort buffer, empty between drains.
+        sorted: Vec<(Box<[u32]>, P)>,
+    },
 }
 
 impl<P: PreSemiring> AccumMap<P> {
@@ -612,9 +623,13 @@ impl<P: PreSemiring> AccumMap<P> {
             AccumMap::Packed {
                 width,
                 map: FxHashMap::default(),
+                sorted: Vec::new(),
             }
         } else {
-            AccumMap::Wide(FxHashMap::default())
+            AccumMap::Wide {
+                map: FxHashMap::default(),
+                sorted: Vec::new(),
+            }
         }
     }
 
@@ -622,7 +637,7 @@ impl<P: PreSemiring> AccumMap<P> {
     pub fn len(&self) -> usize {
         match self {
             AccumMap::Packed { map, .. } => map.len(),
-            AccumMap::Wide(m) => m.len(),
+            AccumMap::Wide { map, .. } => map.len(),
         }
     }
 
@@ -644,10 +659,10 @@ impl<P: PreSemiring> AccumMap<P> {
                     e.insert(v);
                 }
             },
-            AccumMap::Wide(m) => match m.get_mut(key) {
+            AccumMap::Wide { map, .. } => match map.get_mut(key) {
                 Some(g) => *g = g.add(&v),
                 None => {
-                    m.insert(key.into(), v);
+                    map.insert(key.into(), v);
                 }
             },
         }
@@ -661,12 +676,12 @@ impl<P: PreSemiring> AccumMap<P> {
     /// row-insertion order (and with it the `⊕`-fold association on
     /// POPS whose addition is not exactly associative, e.g. f64 sums)
     /// vary run to run.
-    pub fn drain_sorted(self, mut out: impl FnMut(&[u32], P)) {
+    pub fn drain_sorted(&mut self, mut out: impl FnMut(&[u32], P)) {
         match self {
-            AccumMap::Packed { width, map } => {
-                let mut entries: Vec<(u64, P)> = map.into_iter().collect();
-                entries.sort_unstable_by_key(|&(k, _)| k);
-                for (k, v) in entries {
+            AccumMap::Packed { width, map, sorted } => {
+                sorted.extend(map.drain());
+                sorted.sort_unstable_by_key(|&(k, _)| k);
+                for (k, v) in sorted.drain(..) {
                     match width {
                         0 => out(&[], v),
                         1 => out(&[k as u32], v),
@@ -674,10 +689,10 @@ impl<P: PreSemiring> AccumMap<P> {
                     }
                 }
             }
-            AccumMap::Wide(m) => {
-                let mut entries: Vec<(Box<[u32]>, P)> = m.into_iter().collect();
-                entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                for (k, v) in entries {
+            AccumMap::Wide { map, sorted } => {
+                sorted.extend(map.drain());
+                sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                for (k, v) in sorted.drain(..) {
                     out(&k, v);
                 }
             }
@@ -1372,6 +1387,12 @@ mod tests {
         let mut keys: Vec<Vec<u32>> = vec![];
         acc.drain_sorted(|k, _| keys.push(k.to_vec()));
         assert_eq!(keys, vec![vec![0, 0, 1], vec![7, 0, 1]]);
+        // A drained accumulator is empty and takes the next round.
+        assert!(acc.is_empty());
+        acc.merge(&[5, 5, 5], Trop::finite(1.0));
+        keys.clear();
+        acc.drain_sorted(|k, _| keys.push(k.to_vec()));
+        assert_eq!(keys, vec![vec![5, 5, 5]]);
     }
 
     /// The sorted run against the hash index on a relation grown row by

@@ -11,9 +11,12 @@
 //! One [`Collector`] lives for the duration of one evaluation. The
 //! drivers feed it:
 //!
-//! * per-plan [`crate::exec::ExecCounters`] plus wall-clock, keyed by
-//!   [`crate::plan::Plan::pid`] (the counter totals are functions of
-//!   the program and its input, only `time_ns` is not);
+//! * per-plan [`crate::exec::ExecCounters`] and run counts plus
+//!   wall-clock, keyed by [`crate::plan::Plan::pid`] (the counter
+//!   totals are functions of the program and its input, only `time_ns`
+//!   is not). The clock is sampled ([`Collector::plan_clock`]): a step
+//!   of one Δ row runs its plans in well under a microsecond, so a
+//!   clock pair per run would be a sixth of such a run's eval phase;
 //! * per-iteration/per-batch [`IterStat`] snapshots, derived from
 //!   counter deltas around each step;
 //! * phase timings (setup is measured by the entry points and passed
@@ -33,6 +36,22 @@ use crate::plan::PlanMeta;
 use dlo_core::eval::stats::{json, Counters, EvalStats, IterStat, RuleProfile};
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+/// A step whose Δ holds at least this many rows times every plan run it
+/// fires. A plan run costs ≈ 100 ns a Δ row on `apsp-dense`'s batches
+/// (2-core shared host, where a clock pair costs ≈ 62 ns); at this size
+/// it costs ≥ 6.4 µs even at a quarter of that rate, so the pair is
+/// under 1 % of the run.
+pub(crate) const PLAN_CLOCK_ALL_FROM_ROWS: u64 = 256;
+
+/// Of the runs a smaller step fires, each plan times one in this many,
+/// counted per plan from its first run (which is timed). Its time is
+/// scaled up by the runs over the timed runs; the counts stay exact.
+/// On the 6 000 one-row batches of the gradient graph that is 377
+/// timed runs of 6 002: ≈ 23 µs of clock in a ≈ 2.2 ms eval, where a
+/// pair per run was ≈ 0.37 ms.
+pub const PLAN_CLOCK_PERIOD: u64 = 16;
 
 /// A structured evaluation event, streamed to a [`TraceSink`] while the
 /// run executes.
@@ -225,9 +244,44 @@ pub(crate) struct Collector {
     /// The stats under construction; the loops add counters directly.
     pub stats: EvalStats,
     /// Per-pid aggregation, folded into [`EvalStats::rules`] on finish.
-    per_plan: Vec<(ExecCounters, u64)>,
+    per_plan: Vec<PlanTally>,
     metas: Vec<PlanMeta>,
     trace: Option<TraceHandle>,
+}
+
+/// One plan's counters, and its runs in two strata, indexed by `whole`:
+/// `strata[0]` the runs of steps under [`PLAN_CLOCK_ALL_FROM_ROWS`] Δ
+/// rows, one in [`PLAN_CLOCK_PERIOD`] timed, `strata[1]` the runs of
+/// larger steps, all timed. Each stratum is scaled on its own: the few
+/// timed runs of small steps must not stand for the large ones.
+#[derive(Clone, Copy, Default)]
+struct PlanTally {
+    counters: ExecCounters,
+    strata: [Stratum; 2],
+}
+
+impl PlanTally {
+    /// The plan's estimated time, over both strata.
+    fn time_ns(&self) -> u128 {
+        self.strata.iter().map(Stratum::time_ns).sum()
+    }
+}
+
+/// Runs of one stratum, those of them timed, and the time of those.
+#[derive(Clone, Copy, Default)]
+struct Stratum {
+    runs: u64,
+    timed: u64,
+    ns: u64,
+}
+
+impl Stratum {
+    /// The timed nanoseconds scaled by the runs over the timed runs.
+    fn time_ns(&self) -> u128 {
+        (self.ns as u128 * self.runs as u128)
+            .checked_div(self.timed as u128)
+            .unwrap_or(0)
+    }
 }
 
 /// Resolves the active trace handle: an explicit [`TraceHandle`] on
@@ -277,7 +331,7 @@ impl Collector {
                 nanos: setup_ns,
             });
         }
-        let per_plan = vec![(ExecCounters::default(), 0u64); metas.len()];
+        let per_plan = vec![PlanTally::default(); metas.len()];
         Collector {
             stats,
             per_plan,
@@ -303,12 +357,37 @@ impl Collector {
         }
     }
 
-    /// Attributes one plan execution's counters and wall-clock to its
-    /// pid, and adds the counters to the whole-run totals.
-    pub fn add_plan(&mut self, pid: usize, counters: ExecCounters, nanos: u64) {
-        let (acc, ns) = &mut self.per_plan[pid];
-        acc.add(&counters);
-        *ns += nanos;
+    /// Starts the clock on the next run of plan `pid` if that run is
+    /// timed: every run of a `whole` step (one of at least
+    /// [`PLAN_CLOCK_ALL_FROM_ROWS`] Δ rows), and of the others the
+    /// plan's first and every [`PLAN_CLOCK_PERIOD`]-th after. The choice
+    /// is a function of the counts only, so `timed_runs` is as
+    /// deterministic as `runs`.
+    #[inline]
+    pub fn plan_clock(&self, pid: usize, whole: bool) -> Option<Instant> {
+        let sampled_runs = self.per_plan[pid].strata[0].runs;
+        (whole || sampled_runs.is_multiple_of(PLAN_CLOCK_PERIOD)).then(Instant::now)
+    }
+
+    /// Attributes one plan run's counters, and its wall-clock when
+    /// [`Collector::plan_clock`] started one, to its pid, and adds the
+    /// counters to the whole-run totals.
+    #[inline]
+    pub fn add_plan(
+        &mut self,
+        pid: usize,
+        counters: ExecCounters,
+        whole: bool,
+        clock: Option<Instant>,
+    ) {
+        let tally = &mut self.per_plan[pid];
+        tally.counters.add(&counters);
+        let stratum = &mut tally.strata[whole as usize];
+        stratum.runs += 1;
+        if let Some(t) = clock {
+            stratum.timed += 1;
+            stratum.ns += t.elapsed().as_nanos() as u64;
+        }
         self.stats.counters.emits += counters.emits;
         self.stats.counters.fresh_emits += counters.fresh_emits;
         self.stats.counters.index_probes += counters.probes;
@@ -362,24 +441,31 @@ impl Collector {
 
     /// Finishes the run: stamps steps and the eval-loop wall-clock,
     /// folds the per-pid aggregation into [`EvalStats::rules`], emits
-    /// `RunEnd`, and returns the completed stats.
+    /// `RunEnd`, and returns the completed stats. The plans' estimated
+    /// times are scaled down together where they would sum past the
+    /// eval phase they ran in, so `Σ time_ns ≤ phases.eval` always.
     pub fn finish(mut self, steps: usize, converged: bool, eval_ns: u64) -> EvalStats {
         self.stats.steps = steps as u64;
-        self.stats.phases.eval = eval_ns.saturating_sub(self.stats.phases.mint);
+        let eval = eval_ns.saturating_sub(self.stats.phases.mint);
+        self.stats.phases.eval = eval;
+        let total: u128 = self.per_plan.iter().map(PlanTally::time_ns).sum();
+        let (cap, total) = ((eval as u128).min(total), total.max(1));
         self.stats.rules = self
             .per_plan
             .iter()
             .zip(&self.metas)
-            .map(|(&(c, ns), meta)| RuleProfile {
+            .map(|(t, meta)| RuleProfile {
                 rule: meta.rule_idx as u64,
                 label: meta.label.clone(),
                 kind: meta.kind.to_string(),
                 join: meta.join.to_string(),
-                emits: c.emits,
-                fresh_emits: c.fresh_emits,
-                probes: c.probes,
-                scanned: c.scanned,
-                time_ns: ns,
+                emits: t.counters.emits,
+                fresh_emits: t.counters.fresh_emits,
+                probes: t.counters.probes,
+                scanned: t.counters.scanned,
+                runs: t.strata.iter().map(|s| s.runs).sum(),
+                timed_runs: t.strata.iter().map(|s| s.timed).sum(),
+                time_ns: (t.time_ns() * cap / total) as u64,
             })
             .collect();
         if let Some(t) = &self.trace {
@@ -441,6 +527,57 @@ mod tests {
         assert_eq!(parsed.get("steps").unwrap().as_u64(), Some(42));
         assert_eq!(parsed.get("granularity").unwrap().as_str(), Some("bucket"));
         assert_eq!(parsed.get("settled_rows").unwrap().as_u64(), Some(17));
+    }
+
+    /// A collector over `plans` plans with tracing off.
+    fn collector(plans: usize) -> Collector {
+        let meta = |i| PlanMeta {
+            rule_idx: i,
+            label: format!("r{i}"),
+            kind: "delta",
+            join: "hash",
+        };
+        let metas = (0..plans).map(meta).collect();
+        let opts = EngineOpts::default();
+        Collector::new("test", 1, 0, 0, metas, &opts)
+    }
+
+    #[test]
+    fn small_steps_time_one_run_in_the_period_and_whole_steps_every_run() {
+        let mut col = collector(2);
+        let runs = 3 * PLAN_CLOCK_PERIOD + 1;
+        for _ in 0..runs {
+            let clock = col.plan_clock(0, false);
+            col.add_plan(0, ExecCounters::default(), false, clock);
+            let clock = col.plan_clock(1, true);
+            assert!(clock.is_some(), "a whole step times every run");
+            col.add_plan(1, ExecCounters::default(), true, clock);
+        }
+        let stats = col.finish(0, true, u64::MAX);
+        let counts: Vec<_> = stats.rules.iter().map(|r| (r.runs, r.timed_runs)).collect();
+        assert_eq!(counts, [(runs, 4), (runs, runs)]);
+    }
+
+    #[test]
+    fn scaled_plan_times_stay_inside_the_eval_phase() {
+        // One timed run of 10 ms stands for sixteen: the estimate, 160
+        // ms, is capped to the 1 ms eval phase, and so are the
+        // plans' estimates together.
+        let mut col = collector(3);
+        let long_ago = Instant::now() - std::time::Duration::from_millis(10);
+        for pid in 0..3 {
+            for i in 0..PLAN_CLOCK_PERIOD {
+                let clock = (i == 0).then_some(long_ago);
+                col.add_plan(pid, ExecCounters::default(), false, clock);
+            }
+        }
+        let eval = 1_000_000;
+        let stats = col.finish(0, true, eval);
+        let plans: u64 = stats.rules.iter().map(|r| r.time_ns).sum();
+        assert!(plans <= eval, "plans {plans} ns inside eval {eval} ns");
+        assert!(plans > eval - 3, "capped, not dropped: {plans} ns");
+        let timed: Vec<_> = stats.rules.iter().map(|r| r.timed_runs).collect();
+        assert_eq!(timed, [1, 1, 1]);
     }
 
     #[test]

@@ -50,7 +50,8 @@
 //!
 //! The priority discipline earns its Θ(n) pops only if each pop is
 //! O(rows in the batch), so nothing in the loop may grow with the
-//! number of *pending* buckets. One batch pays for: the pop (one B-tree
+//! number of *pending* buckets, and a one-row batch should pay for its
+//! row, not for itself. One batch pays for: the pop (one B-tree
 //! descent, stale entries skipped by a value compare); marking and the
 //! governance checkpoint (a branch when ungoverned); staging the rows as Δ; the
 //! touched predicates' plans (inline, under one unwind guard); merging
@@ -60,19 +61,30 @@
 //! maintains on push and pop. It used to be a walk over every pending
 //! bucket, and the gradient graph keeps n − 2 stale guesses pending for
 //! most of its n batches: 10.6 µs per one-row bucket on `sssp-sparse`
-//! (n = 6000) against ≈ 0.8 µs now, `reported.eval_s` 63.5 ms → 4.6 ms
-//! (median of five traced runs, shared 2-core host). Most of that is
-//! not this module's: the plan runs of [`crate::exec::run_plan`], which
+//! (n = 6000), `reported.eval_s` 63.5 ms → 4.6 ms (median of five
+//! traced runs, shared 2-core host). Most of what is left is not this
+//! module's: the plan runs of [`crate::exec::run_plan`], which
 //! allocate nothing (their buffers are the run's, lent batch after
 //! batch), and the merge of each emission in `ColumnRel::land` — an array
 //! index once the head relation's row map is a dense slot table (from
 //! 1 024 rows on for `sssp-sparse`'s `L`, 32 768 for `apsp-dense`'s
 //! `T`; `crate::storage`, "Packed and dense keys"), a hash probe on a
-//! relation too sparse in its ids for one. (The bucket's
-//! own `Vec` is one more allocation; recycling it, or replacing the
-//! buckets with one binary heap of entries, was measured and bought
-//! nothing on `sssp-sparse` — the heap cost `apsp-dense`, whose buckets
-//! hold thousands of rows, a quarter of its speed.)
+//! relation too sparse in its ids for one.
+//!
+//! Nor may a batch pay a fixed cost its row does not need. A `Bucket`
+//! holds its first entry inline and spills into a `Vec` at the second,
+//! so a one-row bucket allocates nothing, while a bucket of thousands
+//! of rows (`apsp-dense`) grows its `Vec` (`tests/costs.rs` holds a
+//! priority run to no allocation per bucket). The plan runner reads the
+//! clock on one run in [`crate::PLAN_CLOCK_PERIOD`] of a small batch
+//! and counts them all: a clock pair costs ≈ 62 ns here, a one-row plan
+//! run ≈ 0.35 µs. On the gradient graph at n = 6000 the two costs were
+//! a fifth of eval: with a `Vec` per bucket and a clock pair per run,
+//! 300 alternating in-process pairs read 5.35 ms against 4.27 ms (the
+//! shared 2-core host in a slow phase). One binary heap of entries instead
+//! of the buckets was measured and bought nothing on `sssp-sparse` (920
+//! vs 990 µs); it cost `apsp-dense`, whose buckets hold thousands of
+//! rows, a quarter of its speed.
 //!
 //! The frontier fires the Δ family the semi-naïve rounds fire
 //! ([`crate::plan::CompiledProgram::delta_plans`]): the changed row is
@@ -103,6 +115,7 @@ use crate::govern::Checkpoint;
 use crate::plan::by_delta_pred;
 use crate::storage::ColumnRel;
 use dlo_pops::{Absorptive, CompleteDistributiveDioid, NaturallyOrdered, TotallyOrderedDioid};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// The runtime-chosen [`Schedule`](crate::Schedule): which evaluation
@@ -163,9 +176,24 @@ impl<P: TotallyOrderedDioid> Ord for BestFirst<P> {
 /// entry count [`BucketFrontier::depth`] reports, kept by `push` /
 /// `pop_into` and never re-walked.
 struct BucketFrontier<P> {
-    buckets: BTreeMap<BestFirst<P>, Vec<(u32, u32)>>,
+    buckets: BTreeMap<BestFirst<P>, Bucket>,
     /// Entries queued across all buckets, stale ones included.
     pending: usize,
+}
+
+/// One bucket's `(pred, row)` entries in push order: the first held
+/// inline, the rest in a `Vec` that allocates from the second entry on.
+/// A one-row bucket — every bucket of a sparse frontier — allocates
+/// nothing; a bucket of thousands of rows grows its `Vec` as it would.
+struct Bucket {
+    first: (u32, u32),
+    rest: Vec<(u32, u32)>,
+}
+
+impl Bucket {
+    fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
 }
 
 impl<P: TotallyOrderedDioid> BucketFrontier<P> {
@@ -179,19 +207,23 @@ impl<P: TotallyOrderedDioid> BucketFrontier<P> {
 
     /// Records that `(pred, row)` improved to `val`.
     fn push(&mut self, pred: usize, row: u32, val: &P) {
-        self.buckets
-            .entry(BestFirst(val.clone()))
-            .or_default()
-            .push((pred as u32, row));
+        let entry = (pred as u32, row);
+        match self.buckets.entry(BestFirst(val.clone())) {
+            Entry::Vacant(bucket) => {
+                let rest = Vec::new();
+                bucket.insert(Bucket { first: entry, rest });
+            }
+            Entry::Occupied(mut bucket) => bucket.get_mut().rest.push(entry),
+        }
         self.pending += 1;
     }
 
     /// Moves the best live bucket into `batch` (cleared by the caller);
     /// `false` when the frontier is drained.
     fn pop_into(&mut self, new: &[ColumnRel<P>], batch: &mut Vec<(usize, u32)>) -> bool {
-        while let Some((key, rows)) = self.buckets.pop_first() {
-            self.pending -= rows.len();
-            for (pred, row) in rows {
+        while let Some((key, bucket)) = self.buckets.pop_first() {
+            self.pending -= bucket.len();
+            for (pred, row) in std::iter::once(bucket.first).chain(bucket.rest) {
                 if new[pred as usize].val(row) == &key.0 {
                     batch.push((pred as usize, row));
                 }
@@ -209,7 +241,7 @@ impl<P: TotallyOrderedDioid> BucketFrontier<P> {
         // Debug builds re-derive the count the slow way, once per batch.
         debug_assert_eq!(
             self.pending,
-            self.buckets.values().map(Vec::len).sum::<usize>(),
+            self.buckets.values().map(Bucket::len).sum::<usize>(),
             "pending count drifted from the queued entries"
         );
         self.pending
@@ -266,7 +298,7 @@ fn land_batch<P: TotallyOrderedDioid>(
     state: &mut IdbState<P>,
     phase: &mut (Vec<EmitBuf<P>>, FreshAccum<P>),
     frontier: &mut BucketFrontier<P>,
-    run: &mut Run,
+    run: &mut Run<P>,
 ) {
     let (new, settled, col) = (&mut state.new, &mut run.settled, &mut run.col);
     land(engine, new, phase, col, |pred, _, r, old, v| {
@@ -326,7 +358,7 @@ fn drain_frontier<P: TotallyOrderedDioid>(
     plans: &RoundPlans<'_, P>,
     start: usize,
     cap: usize,
-    run: &mut Run,
+    run: &mut Run<P>,
 ) -> Result<usize, LoopFail> {
     let nidb = engine.compiled.idbs.len();
     let mut frontier = BucketFrontier::new();
@@ -346,6 +378,7 @@ fn drain_frontier<P: TotallyOrderedDioid>(
         &mut phase.0,
         EmitBuf::push,
         &mut phase.1,
+        plans.seed_rows,
         run,
     )
     .map_err(LoopFail::at(Checkpoint::Phase, start))?;
@@ -400,6 +433,7 @@ fn drain_frontier<P: TotallyOrderedDioid>(
             &mut phase.0,
             EmitBuf::push,
             &mut phase.1,
+            batch.len() as u64,
             run,
         )
         .map_err(LoopFail::at(Checkpoint::Bucket, steps))?;
@@ -442,7 +476,7 @@ where
         state: &mut IdbState<P>,
         plans: &RoundPlans<'_, P>,
         cap: usize,
-        run: &mut Run,
+        run: &mut Run<P>,
         start: usize,
     ) -> Result<usize, LoopFail> {
         const {
@@ -619,7 +653,7 @@ mod tests {
 
     #[test]
     fn depth_is_the_walked_entry_count() {
-        assert_depth_is_walked_count(|f| f.buckets.values().map(Vec::len).sum());
+        assert_depth_is_walked_count(|f| f.buckets.values().map(Bucket::len).sum());
     }
 
     /// Holds a priority run to its golden per-batch stats rows —

@@ -19,32 +19,41 @@
 //! * a boxed row-map key per row in `Interner::try_load_relation`: the
 //!   join gate reads 10 116 → 40 122, the copy gate 10 225 → 40 251.
 //!
-//! One gate counts bytes instead of calls: a prefix probe of a loaded
-//! arity-4 relation may allocate nothing per row beyond the load's own
-//! columns. A counting sort of that relation (a key copy and a row-id
-//! vector, which every such probe paid before a loaded relation became
-//! its own run) reads 485 563 → 1 805 563 bytes against a bound of
-//! 1 221 947.
+//! Two gates count bytes instead of calls, for what allocates log-many
+//! times in the row count but more bytes per row than it should:
 //!
-//! Two more gates are ratchets, not size-independence: a converged SSSP
-//! run on the same path allocates per bucket (priority) or per round
-//! (semi-naïve), and the gate holds that rate to what it is today, so
-//! one more heap buffer per plan run trips both (seeded at the top of
-//! `exec::run_plan`: priority 4 196 → 16 211 calls at n = 2 000 → 8 000,
-//! bound 10 260; semi-naïve 16 186 → 64 199, bound 58 250).
+//! * a prefix probe of a loaded arity-4 relation may allocate nothing
+//!   per row beyond the load's own columns. A counting sort of that
+//!   relation (a key copy and a row-id vector, which every such probe
+//!   paid before a loaded relation became its own run) reads 485 563 →
+//!   1 805 563 bytes against a bound of 1 221 947;
+//! * the load of [`edb`] and `E`'s posting table are held to their
+//!   measured bytes per row. A table that counts its keys through an
+//!   `FxHashMap` grows the map only at each doubling (the join gate
+//!   reads 127 → 135 calls) but reads 2 155 554 → 8 577 250 bytes here,
+//!   against a bound of 7 771 090.
 //!
-//! What they do not catch: anything that allocates log-many times in
-//! the row count — a posting table that counts its keys through an
-//! `FxHashMap` grows the map only at each doubling (128 → 136) — nor
-//! time spent without allocating (a second pass over the rows). The
-//! release timing guards
+//! Two more gates hold a converged SSSP run on the same path to no
+//! allocation per step — per bucket of the priority frontier, per round
+//! of the semi-naïve loop — so one more heap buffer per plan run trips
+//! both (seeded at the top of `exec::run_plan` when the rates were one
+//! and seven calls per step: priority 4 196 → 16 211 calls at n = 2 000
+//! → 8 000, semi-naïve 16 186 → 64 199).
+//!
+//! What they do not catch: time spent without allocating (a second pass
+//! over the rows). The release timing guards
 //! (`storage::tests::bulk_one_column_index_is_one_counting_pass`,
 //! `tests/convergence_theorems.rs::edb_load_is_one_cheap_pass`) stay
 //! for those.
 
-use datalog_o::core::{parse_program, BoolDatabase, Constant, Database, Program, Relation};
+use datalog_o::core::{
+    parse_program, BoolDatabase, Constant, Database, FactInsert, Program, Relation,
+};
+use datalog_o::engine::PLAN_CLOCK_PERIOD;
 use datalog_o::pops::Trop;
-use datalog_o::{engine_eval_interned, EngineOpts, Schedule, SemiNaive, Strategy};
+use datalog_o::{
+    engine_eval_interned, EngineOpts, EvalStats, Materialization, Schedule, SemiNaive, Strategy,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -96,14 +105,36 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The allocation calls and bytes of this thread while `f` runs. What
+/// This thread's minor page faults so far (`minflt` of
+/// `/proc/thread-self/stat`), where the host has that file. Reported,
+/// never gated: how often the heap touches fresh pages is glibc's and
+/// the kernel's to decide.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // After the parenthesised command name: state, ppid, pgrp,
+    // session, tty_nr, tpgid, flags, minflt.
+    let fields = stat.rsplit_once(')')?.1;
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// The allocation calls and bytes of this thread while `f` runs, and
+/// the line that reports them with the minor page faults beside. What
 /// `f` returns is dropped after the count closes.
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, u64) {
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, u64, String) {
+    let faults = minor_faults();
     let (calls, bytes) = (CALLS.with(Cell::get), BYTES.with(Cell::get));
     let kept = f();
     let counts = (CALLS.with(Cell::get) - calls, BYTES.with(Cell::get) - bytes);
+    let faults = match (faults, minor_faults()) {
+        (Some(before), Some(after)) => format!("{} minor page faults", after - before),
+        _ => "minor page faults not readable".to_string(),
+    };
     drop(kept);
-    counts
+    let line = format!(
+        "{} allocation calls, {} bytes, {faults}",
+        counts.0, counts.1
+    );
+    (counts.0, counts.1, line)
 }
 
 /// The EDB of both gates: `A` holds the one row `A(0, 0)`, `E` the `n`
@@ -157,10 +188,10 @@ fn run_counts<S: Schedule<Trop>>(
         threads: Some(1),
         ..EngineOpts::default()
     };
-    let (calls, bytes) = allocations(|| {
+    let (calls, bytes, line) = allocations(|| {
         engine_eval_interned(program, &edb, &bools, 1 << 20, schedule, &opts).expect("compiles")
     });
-    eprintln!("n = {n}: {calls} allocation calls, {bytes} bytes");
+    eprintln!("n = {n}: {line}");
     (calls, bytes)
 }
 
@@ -220,27 +251,126 @@ fn a_copied_relation_allocates_independently_of_size() {
 /// priority frontier, one round of the semi-naïve loop.
 const SSSP: &str = "L(X) :- 1 | X = 0.\nL(X) :- L(Z) * E(Z, X).";
 
-/// A converged priority run allocates about one call per bucket
-/// (2 193 → 8 208 calls at n = 2 000 → 8 000 in a debug build): the
-/// `Vec` `BucketFrontier` makes for each bucket (`worklist.rs`). This
-/// is a ratchet, not a target: the gate holds the rate at its measured
-/// one call per bucket, plus a slack of 64 calls for buffer doublings,
-/// so anything that allocates once more per plan run (a bucket runs its
-/// plans once) trips it. Taking the per-bucket `Vec` out is a later
-/// change, which lowers the rate here.
+/// A converged priority run allocates nothing per bucket (192 → 207
+/// calls at n = 2 000 → 8 000 in a debug build: the state's columns and
+/// row map doubling, and the queue's B-tree nodes). A one-row bucket
+/// holds its entry inline (`worklist.rs`, `Bucket`); the `Vec` each
+/// bucket made before read 2 193 → 8 208. The gate is 0 calls per
+/// bucket plus a slack of 64 for buffer doublings, so anything that
+/// allocates once per bucket or per plan run (a bucket runs its plans
+/// once) trips it.
 #[test]
-fn a_priority_run_allocates_one_call_per_bucket() {
-    assert_calls(SSSP, Strategy::Priority, edb, (2_000, 1, 64));
+fn a_priority_run_allocates_nothing_per_bucket() {
+    assert_calls(SSSP, Strategy::Priority, edb, (2_000, 0, 64));
 }
 
-/// A converged semi-naïve run allocates about seven calls per round
-/// (14 183 → 56 196 at n = 2 000 → 8 000 in a debug build): the
-/// rounds' Δ relations and their buffers. A ratchet like the priority
-/// one: seven calls per round plus a slack of 64, so one more
-/// allocation per plan run (two plans fire per round) trips it.
+/// A converged semi-naïve run allocates nothing per round (182 → 195
+/// calls at n = 2 000 → 8 000 in a debug build): a round's accumulators,
+/// fresh-key buffers and sort buffer, and the Δ relations the next round
+/// reads, are the run's, cleared and swapped between rounds
+/// (`driver::Run`). Rebuilding them per round read seven calls a round
+/// (14 183 → 56 196). Gate: 0 calls per round plus a slack of 64, so one
+/// more allocation per round or per plan run (two plans fire per round)
+/// trips it.
 #[test]
-fn a_semi_naive_run_allocates_seven_calls_per_round() {
-    assert_calls(SSSP, SemiNaive, edb, (2_000, 7, 64));
+fn a_semi_naive_run_allocates_nothing_per_round() {
+    assert_calls(SSSP, SemiNaive, edb, (2_000, 0, 64));
+}
+
+/// The plan clock on [`SSSP`]'s one-row steps is a sample: every plan
+/// run is counted, and each plan times its first run and one in
+/// [`PLAN_CLOCK_PERIOD`] after — a count, so the gate is exact, in debug
+/// builds too. A clock read per run would read `timed_runs` = `runs`.
+#[test]
+fn one_row_steps_time_one_plan_run_in_n() {
+    let program: Program<Trop> = parse_program(SSSP).expect("parses");
+    let (edb, bools) = (edb(2_000), BoolDatabase::new());
+    let opts = EngineOpts::default();
+    let check = |stats: &EvalStats, leg: &str| {
+        let runs: u64 = stats.rules.iter().map(|r| r.runs).sum();
+        let timed: u64 = stats.rules.iter().map(|r| r.timed_runs).sum();
+        let bound = runs.div_ceil(PLAN_CLOCK_PERIOD) + stats.rules.len() as u64;
+        assert!(
+            runs > 2_000,
+            "{leg}: {runs} plan runs, one or more per step"
+        );
+        assert!(
+            timed <= bound,
+            "{leg}: {timed} of {runs} plan runs timed, more than {bound}"
+        );
+    };
+    let priority = engine_eval_interned(&program, &edb, &bools, 1 << 20, Strategy::Priority, &opts);
+    check(priority.expect("compiles").stats(), "priority");
+    let rounds = engine_eval_interned(&program, &edb, &bools, 1 << 20, SemiNaive, &opts);
+    check(rounds.expect("compiles").stats(), "semi-naïve");
+}
+
+/// The bytes of the load of [`edb`]`(n)` and of `E`'s posting table,
+/// at n = 10 000 and 40 000 rows: the run at `4n` may allocate at most
+/// [`LOAD_AND_TABLE_BYTES_PER_ROW`] more per added row, plus a slack.
+/// The rate is measured, not derived: each row of `E` brings a new
+/// integer constant, so it is mostly the interner's (its maps and
+/// tables growing by doubling, every reallocation counted at its new
+/// size), then `E`'s two id columns and values, then the table's offset
+/// and row id. A posting table that counts its keys through an
+/// `FxHashMap` allocates only log-many times, so the call gates above
+/// miss it; its ≈ 30 bytes a row trip this one by ≈ 0.8 MB (the
+/// module docs have the reading).
+#[test]
+fn a_bulk_load_and_its_posting_table_hold_their_bytes_per_row() {
+    const SLACK: u64 = 64 << 10;
+    let source = "J(X, Z) :- A(X, Y) * E(Y, Z).";
+    let n = 10_000;
+    let [(_, small), (_, large)] = counts_at_n_and_4n(source, Strategy::Auto, edb, n);
+    let bound = small + 3 * n as u64 * LOAD_AND_TABLE_BYTES_PER_ROW + SLACK;
+    assert!(
+        large <= bound,
+        "`{source}`: {small} bytes at n = {n}, {large} at 4n, more than {bound}: \
+         the load or E's posting table allocates more per row than it did"
+    );
+}
+
+/// What [`a_bulk_load_and_its_posting_table_hold_their_bytes_per_row`]
+/// measures per row of `E`, rounded up.
+const LOAD_AND_TABLE_BYTES_PER_ROW: u64 = 185;
+
+/// A one-edge insert into a standing [`SSSP`] handle over [`edb`]`(n)`
+/// costs its cone, not the relation: the shortcut `0 → n − 1` improves
+/// `L(n − 1)` alone (and re-derives `L(n)` at no gain), at every `n`.
+/// The handle first takes the shortcut `0 → n`, whose insert is the
+/// first append to the bulk `E` and re-hashes it once; the second
+/// insert is the one counted, at n = 10 000 and 40 000, and it may
+/// allocate at most a constant more calls at `4n`.
+#[test]
+fn a_one_edge_insert_allocates_for_its_cone() {
+    const SLACK: u64 = 16;
+    let program: Program<Trop> = parse_program(SSSP).expect("parses");
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts {
+        threads: Some(1),
+        ..EngineOpts::default()
+    };
+    let shortcut = |to: i64| {
+        let edge = vec![Constant::from(0), to.into()];
+        [FactInsert::new("E", edge, Trop::finite(1.0))]
+    };
+    let [small, large] = [10_000, 40_000].map(|n: i64| {
+        let mut handle =
+            Materialization::new(&program, &edb(n), &bools, 1 << 20, Strategy::Auto, &opts)
+                .expect("builds");
+        handle.insert(&shortcut(n)).expect("inserts");
+        let (calls, _, line) = allocations(|| {
+            let stats = handle.insert(&shortcut(n - 1)).expect("inserts");
+            assert_eq!(stats.counters.rows_improved, 1, "the cone is L(n - 1)");
+        });
+        eprintln!("second insert at n = {n}: {line}");
+        calls
+    });
+    assert!(
+        large <= small + SLACK,
+        "a one-edge insert: {small} allocation calls at n = 10 000, {large} at 40 000, \
+         more than {SLACK} more: something in the insert allocates per row of the relation"
+    );
 }
 
 /// A probe of a loaded wide relation through a prefix of its columns

@@ -8,11 +8,11 @@
 use datalog_o::core::eval::stats::json;
 use datalog_o::core::examples_lib as ex;
 use datalog_o::core::{parse_program, parse_query, BoolDatabase, Database};
-use datalog_o::engine::{JsonlSink, MemorySink, TraceEvent, TraceHandle};
+use datalog_o::engine::{JsonlSink, MemorySink, TraceEvent, TraceHandle, PLAN_CLOCK_PERIOD};
 use datalog_o::pops::Trop;
 use datalog_o::{
     engine_eval_interned, engine_query_eval_with_opts, CancelToken, EngineOpts, EvalBudget,
-    EvalError, Naive, SemiNaive, Strategy,
+    EvalError, EvalStats, Naive, SemiNaive, Strategy,
 };
 
 const CAP: usize = 100_000;
@@ -773,4 +773,82 @@ fn every_governed_stop_traces_one_abort_with_its_error() {
     let error = live.insert(&[shortcut]).expect_err("one bucket of two");
     assert_eq!(error.kind(), "budget");
     assert_one_abort("edit", &sink.events()[built..], &error, "bucket");
+}
+
+/// Every plan run is counted and a deterministic sample of them timed.
+/// `runs` and `timed_runs` agree between two runs of one program, and
+/// `runs` is the number of times the loop fired each plan: a seed plan
+/// once, a Δ plan once per frontier batch, or once per round after the
+/// seed round. On a 200-node chain every step is one row, so each plan
+/// times its first run and one in `PLAN_CLOCK_PERIOD` after, and the
+/// plans' sampled times stay inside the eval phase.
+#[test]
+fn plan_runs_are_counted_exactly_and_timed_on_a_sample() {
+    fn check<S: datalog_o::Schedule<Trop> + std::fmt::Debug>(
+        schedule: S,
+        delta_runs: fn(u64) -> u64,
+    ) {
+        let names: Vec<String> = (0..200).map(|i| format!("n{i}")).collect();
+        let edges: Vec<(&str, &str)> = names.windows(2).map(|w| (&*w[0], &*w[1])).collect();
+        let (program, edb) = ex::sssp_trop_graph("n0", &edges, |_| 1.0);
+        let bools = BoolDatabase::new();
+        let opts = EngineOpts::default();
+        let run = || {
+            let out = engine_eval_interned(&program, &edb, &bools, CAP, schedule, &opts);
+            out.expect("compiles").stats().clone()
+        };
+        let (first, second) = (run(), run());
+        let counts = |stats: &EvalStats| -> Vec<(u64, u64)> {
+            stats.rules.iter().map(|r| (r.runs, r.timed_runs)).collect()
+        };
+        assert_eq!(
+            counts(&first),
+            counts(&second),
+            "{schedule:?}: counts repeat"
+        );
+        let mut fired = 0;
+        for rule in &first.rules {
+            let want = match rule.kind.as_str() {
+                "seed" => 1,
+                _ => delta_runs(first.steps),
+            };
+            assert_eq!(rule.runs, want, "{schedule:?}: runs of {}", rule.label);
+            let sample = rule.runs.div_ceil(PLAN_CLOCK_PERIOD);
+            assert_eq!(
+                rule.timed_runs, sample,
+                "{schedule:?}: timed runs of {}",
+                rule.label
+            );
+            fired += want;
+        }
+        let runs: u64 = first.rules.iter().map(|r| r.runs).sum();
+        assert_eq!(runs, fired, "{schedule:?}: Σ runs is the plan runs fired");
+        assert!(
+            runs > 2 * PLAN_CLOCK_PERIOD,
+            "{schedule:?}: a sample, not all"
+        );
+        let plans: u64 = first.rules.iter().map(|r| r.time_ns).sum();
+        assert!(
+            plans <= first.phases.eval,
+            "{schedule:?}: plans inside eval"
+        );
+        let timed: u64 = first.rules.iter().map(|r| r.timed_runs).sum();
+        let report = first.explain();
+        let sampled = format!("sampled: {timed} of {runs} plan runs timed");
+        assert!(
+            report.contains(&sampled),
+            "{schedule:?}: explain says so:\n{report}"
+        );
+        let json = json::parse(&first.to_json()).expect("valid JSON");
+        let rules = json.get("rules").unwrap().as_arr().unwrap();
+        for (rule, parsed) in first.rules.iter().zip(rules) {
+            assert_eq!(parsed.get("runs").unwrap().as_u64(), Some(rule.runs));
+            assert_eq!(
+                parsed.get("timed_runs").unwrap().as_u64(),
+                Some(rule.timed_runs)
+            );
+        }
+    }
+    check(Strategy::Priority, |batches| batches);
+    check(SemiNaive, |rounds| rounds - 1);
 }
