@@ -982,8 +982,9 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
     loop {
         run.check(steps, Checkpoint::Iteration)?;
         let before = run.col.stats.counters;
-        // A naïve round reads the whole state: its Δ is every row.
-        let rows = state.new.iter().map(|rel| rel.len() as u64).sum();
+        // A naïve round reads the whole state: its Δ is every row but
+        // the tombstones.
+        let rows = state.new.iter().map(|rel| rel.support_size() as u64).sum();
         run_round(engine, plans, state, rows, run)
             .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
         let (new, phase, col) = (&mut state.new, &mut run.round, &mut run.col);

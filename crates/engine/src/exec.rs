@@ -80,7 +80,7 @@ pub struct ExecCounters {
     /// bulk relation's direct table, or a standing relation's row map.
     pub hash_probes: u64,
     /// Candidate tuples scanned (full-scan ranges + probe posting
-    /// lists, before per-row checks).
+    /// lists, before per-row checks; tombstones not counted).
     pub scanned: u64,
     /// Fully interned head-key emissions.
     pub emits: u64,
@@ -477,6 +477,12 @@ impl<'a, P: Pops, E: FnMut(&[u32], P), F: FnMut(&[HeadVal], P)> Join<'_, 'a, P, 
             let Some((key, val)) = depth.rel.row(r) else {
                 continue; // row absent from the old state
             };
+            if val.is_some_and(P::is_zero) {
+                // A tombstone (`storage::ColumnRel`) is no row to meet:
+                // the open counted it, so the count gives it back.
+                self.counters.scanned -= 1;
+                continue;
+            }
             for &(col, slot) in &step.binds {
                 self.slots[slot] = key[col];
             }

@@ -101,15 +101,18 @@
 //!    instead. A rule whose head applies a key function cannot be
 //!    guarded by key and seeds with its full plan (its emissions outside
 //!    the cone are absorbed). Rows still `0` afterwards have no
-//!    derivation left and leave through `ColumnRel::remove_rows`; the
-//!    `@cone` relations are dropped on every exit. Where the lost rows
-//!    are the relation's tail — the delete that undoes the latest insert
-//!    loses exactly the rows that insert appended — that is in place, at
-//!    the cost of those rows; other rows re-lay the relation's
-//!    survivors. The difference is a step, not a slope: on the 87 321-row
-//!    closure below a re-lay was 5–7 ms and 6.5 MiB of transient on top
-//!    of a 1–4 ms delete, paid by the edges that connect something new
-//!    and by no others.
+//!    derivation left, and that is all it takes for them to leave: a
+//!    row at `0` is no fact (a K-relation's support leaves it out), so
+//!    it stays where it stands as a **tombstone** — its id, its row-map
+//!    entry and its postings kept — that every reader skips
+//!    (`storage::ColumnRel`). A later insert that derives its key again
+//!    merges into the `0` and gets the same id back. The deleted EDB
+//!    facts leave the same way, so a loaded relation keeps its sorted
+//!    runs and posting tables. Nothing is re-laid, whichever rows are
+//!    lost, until a relation's tombstones are more than half its rows:
+//!    the delete that made them then compacts it (`ColumnRel::compact`),
+//!    a step that depends on the edits alone. The `@cone` relations are
+//!    dropped on every exit.
 //!
 //! A delete then costs its cone: marking, zeroing and re-deriving are
 //! joins driven by the cone's rows. On a strongly connected 300-node
@@ -185,10 +188,11 @@
 //! the original rules' Δ family, and so does the *marking* pass of a
 //! delete, which propagates the marked rows through it in global rounds
 //! under every schedule.
-//! Every loop changes the standing relations in place, so a row keeps
-//! its id under every schedule and every edit, unless a delete takes
-//! out for good a row stored before it (`ColumnRel::remove_rows` then
-//! re-lays the survivors, in order).
+//! Every loop changes the standing relations in place, and a delete
+//! leaves what it loses for good where it stands, at `0`, so a row
+//! keeps its id under every schedule and every edit, and a key that
+//! comes back comes back at its old id. Only a compaction moves rows
+//! (the survivors, in order).
 //!
 //! ## Naïve mode
 //!
@@ -254,7 +258,7 @@ use crate::driver::{
 };
 use crate::govern::{CancelToken, Checkpoint, EvalBudget, EvalError};
 use crate::intern::Interner;
-use crate::output::{decode_db, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
+use crate::output::{decode_db, InternedOutcome, InternedOutput, PartialOutput};
 use crate::plan::{Plan, EDB_CONE_SUFFIX, EDB_DELTA_SUFFIX};
 use crate::query::{unanswerable, QueryAnswer};
 use crate::storage::{ColMask, ColumnRel};
@@ -447,36 +451,6 @@ fn maintenance_program<P: Pops>(program: &Program<P>) -> Result<MaintenanceProgr
         guarded,
         cone_rules,
     })
-}
-
-/// A copy of `rels` for a poisoned handle's partial: a delete stopped
-/// between its zero-out and the end of its continuation
-/// leaves rows at `0` in the live state — tombstones, not facts — and
-/// the copy leaves them out, with `settled` carried over to the row
-/// ids the kept rows get.
-fn without_tombstones<P: Pops>(
-    rels: &[ColumnRel<P>],
-    settled: SettledMark,
-) -> (Vec<ColumnRel<P>>, SettledMark) {
-    if !rels
-        .iter()
-        .flat_map(ColumnRel::iter)
-        .any(|(_, _, v)| v.is_zero())
-    {
-        return (rels.to_vec(), settled);
-    }
-    let mut kept_marks = SettledMark::best_effort(rels.len());
-    let kept = rels.iter().enumerate().map(|(pred, rel)| {
-        let mut kept = ColumnRel::new(rel.arity());
-        for (r, key, v) in rel.iter().filter(|(_, _, v)| !v.is_zero()) {
-            let at = kept.insert_row(key, v.clone());
-            if settled.is_settled(pred, r) {
-                kept_marks.mark(pred, at);
-            }
-        }
-        kept
-    });
-    (kept.collect(), kept_marks)
 }
 
 impl<P, S> Materialization<P, S>
@@ -778,11 +752,10 @@ where
                     "epoch {} edit failed mid-flight ({}): rebuild() to recover",
                     self.epoch, err
                 ));
-                let (rels, settled) = without_tombstones(&self.state.new, settled);
                 let interned = InternedOutput::new(
                     self.engine.interner.clone(),
                     self.engine.compiled.idbs.clone(),
-                    rels,
+                    self.state.new.clone(),
                 );
                 let stats = err.stats().cloned().unwrap_or_default();
                 self.partial = Some(PartialOutput::new(interned, settled, stats));
@@ -799,12 +772,13 @@ where
     /// the state may sit between the zero-out and the rederive, so rows
     /// can be *missing or below* their pre-edit values too — treat it
     /// as a snapshot for inspection, not a bound. Missing is the only
-    /// way a taken-out row shows: a delete zeroes its cone in place,
-    /// and the rows still at `0` when the edit stopped are left out of
-    /// the partial — and of [`Materialization::get`],
-    /// [`Materialization::support_size`] and [`Materialization::output`],
-    /// which show the partial while the poison stands — never published
-    /// as facts of value `0`. Cleared by a successful rebuild.
+    /// way a taken-out row shows: a delete zeroes its cone in place, and
+    /// the partial holds the state as the edit left it, rows still at
+    /// `0` included — tombstones, which its readers skip, as do
+    /// [`Materialization::get`], [`Materialization::support_size`] and
+    /// [`Materialization::output`], which show the partial while the
+    /// poison stands: never published as facts of value `0`. Cleared by
+    /// a successful rebuild.
     ///
     /// An edit's partial is always best-effort
     /// ([`PartialOutput::is_exact`] is `false`). Under the priority
@@ -869,16 +843,12 @@ where
             .iter()
             .map(|c| self.engine.interner.lookup(c))
             .collect();
-        // A poisoned handle can hold rows an interrupted delete zeroed.
-        self.idb(pred)?.get(&key?).filter(|v| !v.is_zero())
+        self.idb(pred)?.get(&key?)
     }
 
     /// Support size of one maintained IDB predicate (0 if unknown).
     pub fn support_size(&self, pred: &str) -> usize {
-        match &self.partial {
-            Some(partial) => partial.interned().support_size(pred),
-            None => self.idb(pred).map_or(0, ColumnRel::len),
-        }
+        self.idb(pred).map_or(0, ColumnRel::support_size)
     }
 
     /// The current epoch as a decode-free [`InternedOutput`] snapshot,
@@ -888,8 +858,8 @@ where
     /// first call after an edit clones the interner and every IDB
     /// relation once, later calls in the same epoch return that clone.
     /// A poisoned handle shows its
-    /// [`Materialization::partial`] instead, which holds no row a delete
-    /// left at `0`.
+    /// [`Materialization::partial`] instead, whose readers skip every
+    /// row a delete left at `0`.
     pub fn output(&mut self) -> &InternedOutput<P> {
         if let Some(partial) = &self.partial {
             return partial.interned();
@@ -1007,11 +977,12 @@ where
     }
 
     /// Stages a delete batch (`slots[i]` is the validated slot index of
-    /// `batch[i]`): `@dlt` holds the *present* targeted rows at their
-    /// current values. The live relations are **not** touched yet — the
-    /// affected-set propagation runs against the pre-delete state, which
-    /// the variants read at their other occurrences, and
-    /// [`Materialization::delete_run`] takes the rows out after it,
+    /// `batch[i]`): `@dlt` holds the *present* targeted rows (a
+    /// tombstone is none) at their current values. The live relations
+    /// are **not** touched yet — the affected-set propagation runs
+    /// against the pre-delete state, which the variants read at their
+    /// other occurrences, and [`Materialization::delete_run`] takes the
+    /// rows out after it,
     /// whether or not it failed. Returns the
     /// deleted rows' ids in the live relation, ascending, per touched
     /// slot.
@@ -1024,7 +995,7 @@ where
                 .map(|c| self.engine.interner.lookup(c))
                 .collect();
             let live = self.engine.pops_edb[self.slots[si].cur].as_ref();
-            if let Some(r) = key.and_then(|key| live?.rowid(&key)) {
+            if let Some(r) = key.and_then(|key| live?.live_rowid(&key)) {
                 per_slot[si].push(r);
             }
         }
@@ -1059,11 +1030,17 @@ where
         }
     }
 
-    /// Takes the deleted rows out of the live interned relations.
+    /// Takes the deleted rows out of the live interned relations: each
+    /// is set to `0` where it stands, a tombstone, and a relation whose
+    /// tombstones this makes more than half its rows is compacted.
     fn apply_edb_deletes(&mut self, staged: &[(usize, Vec<u32>)]) {
         for (si, rows) in staged {
             let live = self.engine.pops_edb[self.slots[*si].cur].as_mut();
-            live.expect("staged ⇒ present").remove_rows(rows);
+            let live = live.expect("staged ⇒ present");
+            for &r in rows {
+                live.set_val(r, P::zero());
+            }
+            live.compact();
         }
     }
 
@@ -1267,8 +1244,8 @@ where
     /// The governed tail of [`Materialization::delete`]: mark, take the
     /// deleted EDB rows out — also when the marking failed, so that
     /// [`Materialization::rebuild`] sees the edited EDB —, zero the cone
-    /// and stage its guards, resume the schedule, take out what is
-    /// still `0`.
+    /// and stage its guards, resume the schedule, and compact a relation
+    /// whose tombstones are now more than half its rows.
     fn delete_run(
         &mut self,
         run: &mut Run<P>,
@@ -1281,7 +1258,7 @@ where
             Self::affected_closure(engine, state, seed, family, self.attaining, self.cap, run);
         self.clear_edit_rels(&touched);
         self.apply_edb_deletes(staged);
-        let (mut affected, steps) = marking?;
+        let (affected, steps) = marking?;
         let marked: u64 = affected.iter().map(|a| a.len() as u64).sum();
         if marked == 0 {
             return Ok(steps);
@@ -1290,7 +1267,7 @@ where
         c.rows_retracted += marked;
         for (rows, rel) in affected.iter().zip(&self.state.new) {
             if !rows.is_empty() {
-                c.cone_of_rows += rel.len() as u64;
+                c.cone_of_rows += rel.support_size() as u64;
             }
         }
         self.zero_affected(&affected);
@@ -1318,13 +1295,12 @@ where
             self.engine.pops_edb[*ci] = None;
         }
         let steps = result?;
-        // What is still `0` has no derivation left: gone for good. The
-        // rest came back, each counted by the step that landed it as
-        // the insertion it is.
-        for (rows, rel) in affected.iter_mut().zip(&mut self.state.new) {
-            rows.retain(|&r| rel.val(r).is_zero());
-            rel.remove_rows(rows);
-        }
+        // What is still `0` has no derivation left: a tombstone, gone
+        // for good where it stands. The rest came back, each counted by
+        // the step that landed it as the insertion it is. Only deletes
+        // add tombstones, and each offers every relation a compaction,
+        // so one this delete did not touch stays as it is.
+        self.state.new.iter_mut().for_each(ColumnRel::compact);
         Ok(steps)
     }
 
@@ -1414,8 +1390,10 @@ where
         }
         let (mut keys, mut vals) = (vec![], vec![]);
         let copy = |r: u32| {
-            keys.extend_from_slice(rel.row(r));
-            vals.push(rel.val(r).clone());
+            if !rel.val(r).is_zero() {
+                keys.extend_from_slice(rel.row(r));
+                vals.push(rel.val(r).clone());
+            }
         };
         match key {
             None => {}

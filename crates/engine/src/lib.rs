@@ -265,8 +265,10 @@
 //! still contributes `0` after); over a totally ordered absorptive
 //! dioid, only the keys whose stored value a lost derivation attained.
 //! Rows stay where they are — zeroed, re-derived or, if nothing
-//! derives them any more, removed — so a row id is stable under every
-//! schedule and every edit unless a row stored before it is removed.
+//! derives them any more, left at `0` as tombstones that every reader
+//! skips — so a row id is stable under every schedule and every edit,
+//! and a key that comes back comes back at its id, until a relation
+//! whose tombstones pass half its rows is compacted.
 //! Insert-only workloads should prefer
 //! [`Materialization::insert`] alone — the marking pass, the zero-out,
 //! and the rederive all exist purely to pay for deletion.

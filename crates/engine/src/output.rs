@@ -72,14 +72,16 @@ impl<P: Pops> InternedOutput<P> {
             .map(|i| &self.rels[i])
     }
 
-    /// Support size of `pred` (0 when absent) — no decode.
+    /// Support size of `pred` (0 when absent) — no decode, and no row a
+    /// delete left at `0`.
     pub fn support_size(&self, pred: &str) -> usize {
-        self.relation(pred).map_or(0, |r| r.len())
+        self.relation(pred).map_or(0, ColumnRel::support_size)
     }
 
     /// The value of `pred(tuple)`, if present: the tuple's constants are
     /// looked up in the interner (a constant the run never saw cannot
-    /// name a row) and the packed row map is probed — no decode.
+    /// name a row) and the packed row map is probed — no decode. A row
+    /// at `0` is absent.
     pub fn get(&self, pred: &str, tuple: &[Constant]) -> Option<&P> {
         let rel = self.relation(pred)?;
         if tuple.len() != rel.arity() {

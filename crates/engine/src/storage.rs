@@ -15,7 +15,10 @@
 //! ([`ColumnRel::from_distinct_rows`], the EDB load path): a
 //! from-scratch run reads its EDB by scan and by prefix probe only, so
 //! the map is built the first time something reads such a relation *by
-//! full key* — see the [`ColumnRel`] docs for who does.
+//! full key* — see the [`ColumnRel`] docs for who does. A row at `0` is
+//! a tombstone: it keeps its place, readers skip it, and a relation
+//! whose tombstones outnumber its other rows is compacted (the
+//! [`ColumnRel`] docs again).
 //!
 //! ## Two regimes, three probe structures
 //!
@@ -724,6 +727,20 @@ impl<P: PreSemiring> AccumMap<P> {
 /// from-scratch run of a program without guard atoms never builds it —
 /// for wide keys that is one `Box<[u32]>` and one hash insert per row
 /// not spent.
+///
+/// ## Tombstones
+///
+/// A row at `0` is no fact — a K-relation's support leaves it out — and
+/// that is how a row leaves a standing relation: [`Self::set_val`] with
+/// `0` leaves it where it stands, with its id, its row-map entry, its
+/// postings, and the relation's regime, runs and tables. Readers skip
+/// it ([`Self::iter`], [`Self::get`], the executor's join loop), and a
+/// later write of the same key through [`Self::merge`] or `land` meets
+/// the row at `0` and brings it back at its id (`0 ⊕ v = v`). The
+/// relation counts its tombstones exactly, so its support size is
+/// O(1), and once they are more than half its rows [`Self::compact`]
+/// re-lays the rest. Only a [`Materialization`](crate::Materialization)
+/// delete makes tombstones: a from-scratch run never stores a `0`.
 #[derive(Clone, Debug)]
 pub struct ColumnRel<P> {
     arity: usize,
@@ -742,6 +759,10 @@ pub struct ColumnRel<P> {
     arrangements: FxHashMap<ColMask, Arrangement>,
     /// How the rows came, and so what [`Self::ensure_probe`] builds.
     regime: Regime,
+    /// How many rows hold `0` (see "Tombstones" above), kept exact by
+    /// every write of a value. A `u32`, as row ids are, so that it fills
+    /// the padding after `regime` and the relation does not grow.
+    tombstones: u32,
     /// Monotone count of index/arrangement *builds* (not incremental
     /// maintenance) — `Materialization` pins its no-churn contract on
     /// this staying flat for untouched relations.
@@ -781,6 +802,7 @@ impl<P: Pops> ColumnRel<P> {
             indexes: FxHashMap::default(),
             arrangements: FxHashMap::default(),
             regime: Regime::Grown,
+            tombstones: 0,
             index_builds: 0,
             version: 0,
             scratch: Vec::new(),
@@ -793,9 +815,11 @@ impl<P: Pops> ColumnRel<P> {
     /// The caller guarantees the keys are pairwise distinct (checked
     /// when the map is built, in debug builds); the result is otherwise
     /// indistinguishable from `insert_row`-ing the rows in order into
-    /// [`Self::new`] — same row ids, same [`Self::version`].
+    /// [`Self::new`] — same row ids, same [`Self::version`]. No value is
+    /// `0`: a relation made in one piece holds no tombstone.
     pub fn from_distinct_rows(arity: usize, keys: Vec<u32>, vals: Vec<P>) -> Self {
         assert_eq!(keys.len(), vals.len() * arity, "row arity mismatch");
+        debug_assert!(!vals.iter().any(P::is_zero), "a bulk row at 0");
         ColumnRel {
             map: OnceLock::new(),
             regime: Regime::Bulk,
@@ -838,6 +862,7 @@ impl<P: Pops> ColumnRel<P> {
     /// dominate.
     pub fn clear(&mut self) {
         self.version += 1;
+        self.tombstones = 0;
         self.keys.clear();
         self.vals.clear();
         if let Some(map) = self.map.get_mut() {
@@ -885,64 +910,27 @@ impl<P: Pops> ColumnRel<P> {
         }
     }
 
-    /// Takes the rows `rows` (ascending ids) out of the relation **in
-    /// place** — the one way rows leave a standing relation, an IDB a
-    /// delete re-derived or a live EDB relation. The survivors keep
-    /// their order, and every probe mask stays registered. When `rows`
-    /// are the tail, which is what a delete undoing the latest insert
-    /// loses, the survivors keep their ids too and the cost is the
-    /// dropped rows ([`Self::truncate`]). Otherwise the survivors are
-    /// re-laid from row 0, through [`Self::clear`] and the appends that
-    /// maintain the row map and every index, at the cost of the
-    /// relation.
-    pub(crate) fn remove_rows(&mut self, rows: &[u32]) {
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "ascending row ids");
-        let keep = self.len() - rows.len();
-        if rows.first().is_none_or(|&r| r as usize >= keep) {
-            self.truncate(keep);
+    /// Once tombstones are more than half the rows, re-lays the live
+    /// rows from row 0, in order, through [`Self::clear`] and the
+    /// appends that maintain the row map and every index — at the cost
+    /// of the relation, and the one step that moves row ids. Below that
+    /// it does nothing, so whether it runs is a function of the
+    /// relation's edits.
+    pub(crate) fn compact(&mut self) {
+        if self.tombstones as usize * 2 <= self.len() {
             return;
         }
+        let arity = self.arity;
         let (keys, vals) = (
             std::mem::take(&mut self.keys),
             std::mem::take(&mut self.vals),
         );
         self.clear();
-        let mut gone = rows.iter().copied().peekable();
-        for (r, (key, v)) in keys.chunks_exact(self.arity).zip(vals).enumerate() {
-            if gone.next_if_eq(&(r as u32)).is_none() {
-                self.insert_row(key, v);
+        for (r, v) in vals.into_iter().enumerate() {
+            if !v.is_zero() {
+                self.insert_row(&keys[r * arity..(r + 1) * arity], v);
             }
         }
-    }
-
-    /// Drops every row from `len` on: the rows before keep their ids,
-    /// order and values, the row map and every index lose exactly the
-    /// dropped rows' entries (posting lists are ascending, so each
-    /// dropped row is the last of its list), and nothing is rebuilt.
-    fn truncate(&mut self, len: usize) {
-        if len >= self.len() {
-            return;
-        }
-        self.grow();
-        self.version += 1;
-        for r in (len..self.len()).rev() {
-            let key = &self.keys[r * self.arity..(r + 1) * self.arity];
-            if let Some(map) = self.map.get_mut() {
-                map.remove(key);
-            }
-            for (&mask, index) in &mut self.indexes {
-                let index = index.hashed();
-                project_into(key, mask, &mut self.scratch);
-                let rows = index.get_mut(&self.scratch).expect("indexed row");
-                debug_assert_eq!(rows.last(), Some(&(r as u32)));
-                rows.pop();
-                if rows.is_empty() {
-                    index.remove(&self.scratch);
-                }
-            }
-        }
-        self.keys.truncate(len * self.arity);
-        self.vals.truncate(len);
     }
 
     /// The row map's layout and approximate heap bytes — `dense 500²
@@ -959,9 +947,14 @@ impl<P: Pops> ColumnRel<P> {
         self.arity
     }
 
-    /// Number of rows.
+    /// Number of rows, tombstones included.
     pub fn len(&self) -> usize {
         self.vals.len()
+    }
+
+    /// Number of rows that are no tombstone: the support.
+    pub(crate) fn support_size(&self) -> usize {
+        self.len() - self.tombstones as usize
     }
 
     /// Whether there are no rows.
@@ -991,9 +984,14 @@ impl<P: Pops> ColumnRel<P> {
         self.row_map().get(key)
     }
 
-    /// The value at `key`, if present.
+    /// [`Self::rowid`], unless the row is a tombstone.
+    pub(crate) fn live_rowid(&self, key: &[u32]) -> Option<u32> {
+        self.rowid(key).filter(|&r| !self.val(r).is_zero())
+    }
+
+    /// The value at `key`, if present and no tombstone.
     pub fn get(&self, key: &[u32]) -> Option<&P> {
-        self.rowid(key).map(|r| self.val(r))
+        self.live_rowid(key).map(|r| self.val(r))
     }
 
     /// Appends a fresh row (caller guarantees `key` is absent) and
@@ -1024,6 +1022,7 @@ impl<P: Pops> ColumnRel<P> {
         assert_eq!(key.len(), self.arity, "row arity mismatch");
         self.grow();
         self.version += 1;
+        self.tombstones += u32::from(value.is_zero());
         let r = self.vals.len() as u32;
         self.keys.extend_from_slice(key);
         self.vals.push(value);
@@ -1038,10 +1037,14 @@ impl<P: Pops> ColumnRel<P> {
         r
     }
 
-    /// Overwrites the value of row `r` (keys unchanged, indexes intact).
+    /// Overwrites the value of row `r` (keys unchanged, indexes intact):
+    /// `0` makes the row a tombstone where it stands, and any other
+    /// value brings a tombstone back at its id.
     pub fn set_val(&mut self, r: u32, value: P) {
         self.version += 1;
-        self.vals[r as usize] = value;
+        self.tombstones += u32::from(value.is_zero());
+        let old = std::mem::replace(&mut self.vals[r as usize], value);
+        self.tombstones -= u32::from(old.is_zero());
     }
 
     /// `⊕`-merges `value` at `key` (insert when absent), returning the
@@ -1236,9 +1239,11 @@ impl<P: Pops> ColumnRel<P> {
         self.arrangements.get(&mask)
     }
 
-    /// Iterates `(row-id, key, value)` in insertion order.
+    /// Iterates `(row-id, key, value)` in insertion order, tombstones
+    /// left out.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32], &P)> {
-        (0..self.vals.len() as u32).map(move |r| (r, self.row(r), self.val(r)))
+        let rows = (0..self.vals.len() as u32).map(move |r| (r, self.row(r), self.val(r)));
+        rows.filter(|(_, _, v)| !v.is_zero())
     }
 }
 
@@ -1314,12 +1319,14 @@ mod tests {
         assert_eq!(rel.probe(0b01, &[0]), &[0]);
     }
 
-    /// `remove_rows` on the tail (in place, ids kept) and off it (the
-    /// survivors re-laid in order): either way the relation reads, row
-    /// for row and probe for probe, like one that only ever held the
-    /// survivors, and the removed keys come back as fresh rows.
+    /// A row set to `0` is a tombstone where it stands: its id, its
+    /// row-map entry and its postings stay, and the readers skip it
+    /// (`iter`, `get`, the support size). A merge of its key brings it
+    /// back at its id. Once tombstones are more than half the rows,
+    /// `compact` re-lays the rest, and the relation then reads, row for
+    /// row and probe for probe, like one that only ever held them.
     #[test]
-    fn removed_rows_read_like_never_having_been_inserted() {
+    fn a_row_at_zero_stays_where_it_stands_until_compaction() {
         for arity in [2, 3] {
             let key = |a: u32, b: u32| [a, b, a + b][..arity].to_vec();
             let rows = [(0, 1), (0, 3), (0, 2), (1, 2), (4, 2)];
@@ -1333,17 +1340,8 @@ mod tests {
                 }
                 rel
             };
-            let mut rel = holding(&[0, 1, 2, 3, 4]);
-            for (gone, kept) in [(&[3, 4][..], &[0, 1, 2][..]), (&[1], &[0, 2])] {
-                let twin = holding(kept);
-                let before = rel.version();
-                rel.remove_rows(gone);
-                assert!(rel.version() > before, "a removal is a mutation");
-                assert_eq!(
-                    rel.iter().collect::<Vec<_>>(),
-                    twin.iter().collect::<Vec<_>>(),
-                    "{gone:?}"
-                );
+            // Probe for probe and id for id, `rel` reads like `twin`.
+            let reads_like = |rel: &ColumnRel<Trop>, twin: &ColumnRel<Trop>| {
                 for (mask, k) in [(0b01, 0), (0b01, 4), (0b10, 2), (0b10, 3)] {
                     assert_eq!(
                         rel.probe(mask, &[k]),
@@ -1352,14 +1350,37 @@ mod tests {
                     );
                 }
                 for &(a, b) in &rows {
-                    assert_eq!(rel.rowid(&key(a, b)), twin.rowid(&key(a, b)), "{gone:?}");
+                    assert_eq!(rel.rowid(&key(a, b)), twin.rowid(&key(a, b)));
                 }
+            };
+            let mut rel = holding(&[0, 1, 2, 3, 4]);
+            let standing = rel.clone();
+            for r in [1, 3] {
+                let before = rel.version();
+                rel.set_val(r, Trop::zero());
+                assert!(rel.version() > before, "a tombstone is a mutation");
             }
-            // A removed key comes back as a fresh row, indexed again.
-            assert_eq!(rel.merge_changed(&key(4, 2), Trop::finite(1.0)), (2, true));
-            assert_eq!(rel.probe(0b01, &[4]), &[2]);
-            rel.remove_rows(&[]);
-            assert_eq!(rel.len(), 3, "removing no row drops nothing");
+            rel.compact();
+            assert_eq!((rel.len(), rel.support_size()), (5, 3), "2 of 5 stay");
+            let live: Vec<u32> = rel.iter().map(|(r, _, _)| r).collect();
+            assert_eq!((live, rel.get(&key(0, 3))), (vec![0, 2, 4], None));
+            reads_like(&rel, &standing);
+            assert_eq!(rel.merge_changed(&key(0, 3), Trop::finite(3.0)), (1, true));
+            assert_eq!(rel.support_size(), 4, "back at its id");
+            for r in [0, 2] {
+                rel.set_val(r, Trop::zero());
+            }
+            rel.compact();
+            let twin = holding(&[1, 4]);
+            assert_eq!(rel.len(), 2, "3 of 5 are compacted");
+            assert_eq!(
+                rel.iter().collect::<Vec<_>>(),
+                twin.iter().collect::<Vec<_>>()
+            );
+            reads_like(&rel, &twin);
+            // A compacted key comes back as a fresh row, indexed again.
+            assert_eq!(rel.merge_changed(&key(0, 1), Trop::finite(1.0)), (2, true));
+            assert_eq!(rel.probe(0b01, &[0]), &[0, 2]);
         }
     }
 
@@ -1474,9 +1495,10 @@ mod tests {
     /// key of every mask, on `from_distinct_rows` relations of arity
     /// 1–5, with `ensure_index`'s posting list: the same row ids in the
     /// same order. Then each way out of the bulk regime — the first
-    /// append, a `clear` and refill, `remove_rows` on the tail and off
-    /// it — leaves every mask answering like a hash index built afresh
-    /// over the rows that are left, and no table or run behind.
+    /// append, a `clear` and refill, a compaction — leaves every mask
+    /// answering like a hash index built afresh over the rows that are
+    /// left, and no table or run behind. A tombstone is no way out: the
+    /// runs and tables stay, and answer as before.
     #[test]
     fn every_probe_structure_answers_every_key_alike() {
         let mut seed = 0x51_7cc1_b727_220a_u64;
@@ -1549,10 +1571,23 @@ mod tests {
                         );
                     }
                 }
-                // Out of the bulk regime, four ways.
+                // A tombstone keeps every structure, row ids included.
+                let mut stood = bulk.clone();
+                stood.set_val(1, Trop::zero());
+                for mask in masks() {
+                    let table = |rel: &ColumnRel<Trop>| {
+                        matches!(rel.index(mask), Some(Postings::Table { .. }))
+                    };
+                    let run = |rel: &ColumnRel<Trop>| rel.arrangement_for(mask).is_some();
+                    assert_eq!((table(&stood), run(&stood)), (table(&bulk), run(&bulk)));
+                    for key in probes(&base, mask) {
+                        assert_eq!(probed(&stood, mask, &key), probed(&bulk, mask, &key));
+                    }
+                }
+                // Out of the bulk regime, three ways.
                 assert!(base.len() >= 4, "{regime} arity {arity}: rows to remove");
                 let absent: Vec<u32> = (0..arity).map(|c| 6 * scale(c)).collect();
-                let edits: [(&str, Edit); 4] = [
+                let edits: [(&str, Edit); 3] = [
                     ("append", |rel, absent| {
                         rel.insert_row(absent, Trop::finite(0.5));
                     }),
@@ -1562,11 +1597,12 @@ mod tests {
                         rel.insert_row(absent, Trop::finite(0.5));
                         rel.insert_row(&first, Trop::finite(1.5));
                     }),
-                    ("remove the tail", |rel, _| {
-                        let len = rel.len() as u32;
-                        rel.remove_rows(&[len - 2, len - 1]);
+                    ("compact", |rel, _| {
+                        for r in 0..=rel.len() as u32 / 2 {
+                            rel.set_val(r, Trop::zero());
+                        }
+                        rel.compact();
                     }),
-                    ("remove off the tail", |rel, _| rel.remove_rows(&[0, 2])),
                 ];
                 for (edit, apply) in edits {
                     let mut rel = bulk.clone();
@@ -1996,13 +2032,15 @@ mod tests {
     }
 
     /// The row map's two layouts against a hash-map model: random
-    /// `merge_changed` / `insert_row` / tail `remove_rows` / `clone`
-    /// steps, phase by phase, each phase drawing ids below its bound
+    /// `merge_changed` / `insert_row` / tombstone / `clone` steps, phase
+    /// by phase, each phase drawing ids below its bound
     /// until the model holds its row target, then a `clear`. After every
     /// step the relation answers like the model — `len`, the touched
     /// key's `rowid` and `get`, the newest row — and every 64 steps and
-    /// after each removal, clone and phase, for every row and for absent
-    /// keys.
+    /// after each tombstone, clone and phase, for every row and for
+    /// absent keys. A tombstone keeps its key in the model and its value
+    /// at `0`; once they are more than half the rows, the relation and
+    /// the model are both compacted.
     /// The phases cross each way the layout changes, checked at their
     /// ends: going dense at 1 024 rows (width 1; width 2 over 40²) or
     /// only at 2 048 (width 2 over 100², past 8 slots a row at 1 024),
@@ -2019,7 +2057,7 @@ mod tests {
                 1,
                 &[
                     (2000, 1100, Some(1999), Some("dense 2000 ")),
-                    (5000, 2600, None, Some("dense 8000 ")),
+                    (5000, 2600, None, Some("dense 8192 ")),
                     (5000, 2700, Some(1 << 20), Some("hashed")),
                     (300, 200, None, None),
                 ],
@@ -2052,6 +2090,8 @@ mod tests {
                              rows: &[(Vec<u32>, Trop)],
                              at: &str| {
                 assert_eq!(rel.len(), rows.len(), "{at}");
+                let live = rows.iter().filter(|(_, v)| !v.is_zero()).count();
+                assert_eq!((rel.support_size(), rel.iter().count()), (live, live));
                 for (r, key, v) in rel.iter() {
                     assert_eq!(
                         (key, v),
@@ -2082,12 +2122,16 @@ mod tests {
                             rel = rel.clone();
                             check_all(&rel, &model, &rows, &at);
                         }
-                        1 => {
-                            let len = rows.len().saturating_sub(rng(8) as usize);
-                            let tail: Vec<u32> = (len as u32..rows.len() as u32).collect();
-                            rel.remove_rows(&tail);
-                            for (key, _) in rows.drain(len..) {
-                                model.remove(&key);
+                        1 if !rows.is_empty() => {
+                            let r = rng(rows.len() as u64) as usize;
+                            rel.set_val(r as u32, Trop::zero());
+                            rows[r].1 = Trop::zero();
+                            rel.compact();
+                            let dead = rows.iter().filter(|(_, v)| v.is_zero()).count();
+                            if dead * 2 > rows.len() {
+                                rows.retain(|(_, v)| !v.is_zero());
+                                let ids = rows.iter().zip(0..);
+                                model = ids.map(|((key, _), r)| (key.clone(), r)).collect();
                             }
                             check_all(&rel, &model, &rows, &at);
                         }
@@ -2121,7 +2165,7 @@ mod tests {
                     assert_eq!(rel.rowid(&key), model.get(&key).copied(), "{at}");
                     assert_eq!(
                         rel.get(&key),
-                        model.get(&key).map(|&r| &rows[r as usize].1),
+                        (model.get(&key).map(|&r| &rows[r as usize].1)).filter(|v| !v.is_zero()),
                         "{at}"
                     );
                     if let Some((last, v)) = rows.last() {

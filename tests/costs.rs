@@ -17,7 +17,12 @@
 //! * a `Vec` per key in `storage::Postings::table`: the join gate reads
 //!   10 116 → 40 122;
 //! * a boxed row-map key per row in `Interner::try_load_relation`: the
-//!   join gate reads 10 116 → 40 122, the copy gate 10 225 → 40 251.
+//!   join gate reads 10 116 → 40 122, the copy gate 10 225 → 40 251;
+//! * a delete that re-lays the relation around the row it loses, which
+//!   every non-tail delete did before a row at `0` stayed where it
+//!   stands: the delete gate reads 20 117 → 80 121;
+//! * a projection boxed per row in the hash-index build: the hash-index
+//!   gate reads 20 113 → 80 121.
 //!
 //! Two gates count bytes instead of calls, for what allocates log-many
 //! times in the row count but more bytes per row than it should:
@@ -47,7 +52,7 @@
 //! for those.
 
 use datalog_o::core::{
-    parse_program, BoolDatabase, Constant, Database, FactInsert, Program, Relation,
+    parse_program, BoolDatabase, Constant, Database, FactDelete, FactInsert, Program, Relation,
 };
 use datalog_o::engine::PLAN_CLOCK_PERIOD;
 use datalog_o::pops::Trop;
@@ -370,6 +375,72 @@ fn a_one_edge_insert_allocates_for_its_cone() {
         large <= small + SLACK,
         "a one-edge insert: {small} allocation calls at n = 10 000, {large} at 40 000, \
          more than {SLACK} more: something in the insert allocates per row of the relation"
+    );
+}
+
+/// A one-edge delete from a standing [`SSSP`] handle over [`edb`]`(n)`
+/// costs its cone, not the relation. The handle first takes the
+/// shortcut `0 → n − 1`, the first append to the bulk `E`, which
+/// re-hashes it once; the loaded edge `n − 1 → n` then lies before the
+/// shortcut in `E`, and its cone is `L(n)` alone, which no other path
+/// reaches, so the delete leaves both rows at `0` where they stand. At
+/// n = 10 000 and 40 000 the delete may allocate at most a constant more
+/// calls and bytes at `4n`. A delete that re-lays `E` around its lost
+/// row, as deletes did before a row at `0` stayed in place, reads
+/// 20 117 → 80 121 calls and 611 293 → 2 424 157 bytes here (debug
+/// build); the delete that leaves it in place reads 90 calls and 7 029
+/// bytes at either size.
+#[test]
+fn a_one_edge_delete_allocates_for_its_cone() {
+    const CALL_SLACK: u64 = 16;
+    const BYTE_SLACK: u64 = 4 << 10;
+    let program: Program<Trop> = parse_program(SSSP).expect("parses");
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts {
+        threads: Some(1),
+        ..EngineOpts::default()
+    };
+    let [small, large] = [10_000, 40_000].map(|n: i64| {
+        let mut handle =
+            Materialization::new(&program, &edb(n), &bools, 1 << 20, Strategy::Auto, &opts)
+                .expect("builds");
+        let shortcut = vec![Constant::from(0), (n - 1).into()];
+        let insert = [FactInsert::new("E", shortcut, Trop::finite(1.0))];
+        handle.insert(&insert).expect("inserts");
+        let last = [FactDelete::new("E", vec![(n - 1).into(), n.into()])];
+        let (calls, bytes, line) = allocations(|| {
+            let stats = handle.delete(&last).expect("deletes");
+            assert_eq!(stats.counters.cone_rows, 1, "the cone is L(n)");
+        });
+        eprintln!("delete at n = {n}: {line}");
+        (calls, bytes)
+    });
+    assert!(
+        large.0 <= small.0 + CALL_SLACK && large.1 <= small.1 + BYTE_SLACK,
+        "a one-edge delete: {small:?} allocation (calls, bytes) at n = 10 000, {large:?} at \
+         40 000, more than ({CALL_SLACK}, {BYTE_SLACK}) more: something in the delete allocates \
+         per row of the relation"
+    );
+}
+
+/// One hash-index build over a bulk relation: `E`'s two-column mask,
+/// which the one `A` row probes. A bulk relation's one-column masks get
+/// posting tables; a two-column mask gets the hash index, whose posting
+/// lists are one `Vec` per key, and each of `E`'s rows is its own key.
+/// So the run at `4n` may allocate one call more per added row than at
+/// `n`, plus a slack for doublings: beyond its posting lists the build
+/// allocates independently of size (10 113 → 40 121 calls in a debug
+/// build, 8 more than the `n` lists). A projection boxed per row
+/// instead of written into the index's scratch buffer reads one call
+/// more per row and trips it (20 113 → 80 121, against a bound of
+/// 50 177).
+#[test]
+fn a_hash_index_build_allocates_one_posting_list_per_key() {
+    assert_calls(
+        "J(X, Y) :- A(X, Y) * E(X, Y).",
+        Strategy::Auto,
+        edb,
+        (10_000, 1, 64),
     );
 }
 

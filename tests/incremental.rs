@@ -536,9 +536,9 @@ fn lost_only_its_tail(before: &Observed<Trop>, after: &Observed<Trop>, pred: &st
 /// A query's index follows every way an edit changes the queried
 /// relation. Every query pattern is asked once after the build, which
 /// registers `T`'s first-column index, and then after each of: an
-/// insert (rows appended), the delete of that insert (the tail taken
-/// back in place), a delete that loses rows from the middle of `T`
-/// (the survivors re-laid), an edit that moves `D₀` (`R(X) :- V(X + 1)`
+/// insert (rows appended), the delete of that insert (the tail left at
+/// `0`), a delete that loses rows from the middle of `T` (tombstones
+/// where they stand), an edit that moves `D₀` (`R(X) :- V(X + 1)`
 /// ranges over it, so the handle re-derives from fresh state), and
 /// `rebuild()`. Every answer is the from-scratch restriction, bit for
 /// bit, and reads its own rows only. The edits that keep the state keep
@@ -588,7 +588,7 @@ fn a_query_index_follows_every_edit_shape() {
                 false,
             ),
             (
-                "a ring cut re-lays",
+                "a ring cut leaves tombstones",
                 Edit::delete("E", ring_cut),
                 Some(false),
                 false,
@@ -1874,10 +1874,11 @@ fn insert_then_delete_repeats_exactly_and_moves_no_row() {
 /// The same cycle with an edge that connects something new: a 40-ring,
 /// a separate edge `40 → 41`, and the bridge `3 → 40`. The insert
 /// appends `T(x, 40)` and `T(x, 41)` for every ring node `x`; the delete
-/// loses exactly those 80 rows for good — the relation's tail, taken
-/// back in place (`ColumnRel::remove_rows`) on every handle — and must
-/// leave the state row for row what it was and do the same work the
-/// second time round.
+/// loses exactly those 80 rows for good — tombstones where they stand,
+/// which every reader skips, on every handle — and must leave the state
+/// as its readers see it row for row what it was, and do the same work
+/// the second time round, when the insert brings the 80 rows back at
+/// their ids.
 #[test]
 fn a_delete_that_disconnects_takes_back_the_rows_its_insert_appended() {
     fn cycle_twice<S: Schedule<Trop> + std::fmt::Debug>(schedule: S) {
@@ -1913,6 +1914,95 @@ fn a_delete_that_disconnects_takes_back_the_rows_its_insert_appended() {
     }
     cycle_twice(datalog_o::SemiNaive);
     cycle_twice(Naive);
+}
+
+/// The same graph with the bridge `3 → 40` loaded: its row of `E` and
+/// the 80 rows of `T` it derives lie in the middle of their relations,
+/// not at the tail. Deleting the bridge leaves them at `0` where they
+/// stand, and putting it back brings every one of them back at its id:
+/// after each cycle the state is row for row what the build left, ids
+/// included, and the second cycle does exactly the first one's work, on
+/// every handle.
+#[test]
+fn a_loaded_bridge_deleted_and_put_back_comes_back_at_its_row_ids() {
+    fn cycle_twice<S: Schedule<Trop> + std::fmt::Debug>(schedule: S) {
+        const N: usize = 40;
+        let mut graph = dlo_bench::GraphInstance::cycle(N);
+        graph.edges.extend([(3, N, 0.5), (N, N + 1, 2.0)]);
+        let (program, edb) = (ex::apsp_program::<Trop>(), graph.trop_edb());
+        let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+        let bridge = vec![graph.node(3), graph.node(N)];
+        let mut mat =
+            Materialization::new(&program, &edb, &bools, CAP, schedule, &opts).expect("compiles");
+        assert_eq!(mat.support_size("T"), N * N + 1 + 2 * N);
+        let standing = observe(&mut mat).2;
+        let mut cycles = vec![];
+        for _ in 0..2 {
+            let cut = [Edit::delete("E", bridge.clone())];
+            let deleted = mat.apply(&cut).expect("delete applies").counters;
+            assert_eq!(mat.support_size("T"), N * N + 1, "{schedule:?}");
+            assert_eq!(deleted.rows_retracted, 2 * N as u64, "{schedule:?}");
+            let put = [Edit::insert("E", bridge.clone(), Trop::finite(0.5))];
+            let inserted = mat.apply(&put).expect("insert applies").counters;
+            assert_eq!(observe(&mut mat).2, standing, "{schedule:?}: rows moved");
+            cycles.push((deleted, inserted));
+        }
+        assert_eq!(cycles[0], cycles[1], "{schedule:?}: the second cycle");
+    }
+    for strategy in ALL_STRATEGIES {
+        cycle_twice(strategy);
+    }
+    cycle_twice(datalog_o::SemiNaive);
+    cycle_twice(Naive);
+}
+
+/// Deletes that leave more than half of a relation at `0` compact it.
+/// Five cuts of an 8-ring: the first turns the closure's 64 rows of `T`
+/// into a path's 28, the third leaves 8 of those 28, the fifth 3 of 8,
+/// and the fifth also leaves 5 of `E`'s 8 rows at `0`. The oracle holds
+/// every handle to the least fixpoint at every step; beside it, two
+/// handles given the script hold the same rows at the same ids, and the
+/// compacted `T` holds its live rows only, at ids `0..len()`.
+#[test]
+fn deletes_past_half_a_relation_compact_it_alike_on_every_handle() {
+    const N: usize = 8;
+    let graph = dlo_bench::GraphInstance::cycle(N);
+    let (program, edb) = (ex::apsp_program::<Trop>(), graph.trop_edb());
+    let cut = |i: usize| Edit::delete("E", vec![graph.node(i), graph.node((i + 1) % N)]);
+    let script: Vec<Edit<Trop>> = [0, 2, 4, 6, 1].map(cut).into();
+    Case::new("ring cuts past half", &program, &edb)
+        .script(&script)
+        .check();
+    fn twice<S: Schedule<Trop> + std::fmt::Debug>(
+        schedule: S,
+        program: &Program<Trop>,
+        edb: &Database<Trop>,
+        script: &[Edit<Trop>],
+    ) {
+        let (bools, opts) = (BoolDatabase::new(), EngineOpts::default());
+        let run = || {
+            let mut mat =
+                Materialization::new(program, edb, &bools, CAP, schedule, &opts).expect("compiles");
+            mat.apply(script).expect("the script applies");
+            let len = mat.output().relation("T").expect("derived").len();
+            (observe(&mut mat).2, len)
+        };
+        let ((rows, len), twin) = (run(), run());
+        assert_eq!((&rows, len), (&twin.0, twin.1), "{schedule:?}");
+        let (_, t) = rows.iter().find(|(p, _)| p == "T").expect("listed");
+        let ids: Vec<u32> = t.iter().map(|(r, _, _)| *r).collect();
+        assert_eq!(
+            ids,
+            (0..len as u32).collect::<Vec<_>>(),
+            "{schedule:?}: compacted"
+        );
+        assert_eq!(len, 3, "{schedule:?}: 3 → 4, 5 → 6 and 7 → 0 are left");
+    }
+    for strategy in ALL_STRATEGIES {
+        twice(strategy, &program, &edb, &script);
+    }
+    twice(datalog_o::SemiNaive, &program, &edb, &script);
+    twice(Naive, &program, &edb, &script);
 }
 
 /// Edits on a closure whose row map is a slot table: APSP on a 48-node

@@ -873,9 +873,9 @@ fn priority_abort_at_every_bucket_keeps_the_exact_settled_prefix() {
 ///
 /// A delete stopped after its marking has zeroed its cone in place —
 /// the sixteen rows behind the shortcut — and brought back only what
-/// its buckets reached: the live state holds rows at `0`. None of them
-/// may show: the partial leaves them out (its settled marks following
-/// the rows that stay), and the poisoned handle's reads — `get`,
+/// its buckets reached: the live state holds rows at `0`, tombstones
+/// that the partial holds as they stand. None of them may show: the
+/// partial's readers skip them, and the poisoned handle's reads — `get`,
 /// `support_size`, `output()` — show exactly what the partial shows.
 #[test]
 fn edits_abort_at_every_step_poison_and_rebuild() {
@@ -928,7 +928,7 @@ fn edits_abort_at_every_step_poison_and_rebuild() {
                 );
                 let rows = partial.interned().relation("L").expect("L is derived");
                 assert!(rows.iter().all(|(_, _, v)| !v.is_zero()), "{leg}: a 0 row");
-                tombstones_somewhere |= rows.len() < N;
+                tombstones_somewhere |= rows.iter().count() < rows.len();
                 for i in 0..N {
                     let read = mat.get("L", &[graph.node(i)]);
                     assert_eq!(read, partial.interned().get("L", &[graph.node(i)]), "{leg}");
