@@ -88,7 +88,7 @@ use dlo_pops::{
 pub const CAP: usize = 100_000;
 
 /// One from-scratch engine run under `schedule`.
-pub fn scratch<P: Pops + Send, S: Schedule<P>>(
+pub fn scratch<P: Pops, S: Schedule<P>>(
     program: &Program<P>,
     edb: &Database<P>,
     bools: &BoolDatabase,
@@ -186,7 +186,7 @@ fn adornments<P: Pops>(lfp: &Database<P>) -> Vec<Query> {
 /// `lfp` (the fixpoint the handle must hold), asked of `mat`, is
 /// `Query::restrict` of `lfp` bit for bit, the answer holds those rows
 /// and no others, and the read touched no other row.
-pub fn assert_reads<P: Pops + Send + Sync, S: Schedule<P>>(
+pub fn assert_reads<P: Pops, S: Schedule<P>>(
     leg: &str,
     mat: &mut Materialization<P, S>,
     lfp: &Database<P>,
@@ -196,7 +196,7 @@ pub fn assert_reads<P: Pops + Send + Sync, S: Schedule<P>>(
     }
 }
 
-fn assert_read<P: Pops + Send + Sync, S: Schedule<P>>(
+fn assert_read<P: Pops, S: Schedule<P>>(
     leg: &str,
     mat: &mut Materialization<P, S>,
     lfp: &Database<P>,
@@ -216,12 +216,7 @@ fn assert_read<P: Pops + Send + Sync, S: Schedule<P>>(
 }
 
 /// Check 5: `q` through the demand path under `schedule`.
-fn assert_demand<P: Pops + Send + Sync, S: Schedule<P>>(
-    leg: &str,
-    at: &At<'_, P>,
-    schedule: S,
-    q: &Query,
-) {
+fn assert_demand<P: Pops, S: Schedule<P>>(leg: &str, at: &At<'_, P>, schedule: S, q: &Query) {
     let opts = EngineOpts::default();
     let answer = engine_query_eval_with_opts(at.program, q, at.edb, at.bools, CAP, schedule, &opts)
         .expect("compiles");
@@ -370,7 +365,7 @@ impl<'a, P: Pops> Case<'a, P> {
     }
 }
 
-impl<P: NaturallyOrdered + Send + Sync> Case<'_, P> {
+impl<P: NaturallyOrdered> Case<'_, P> {
     /// The naïve loop alone: all a naturally ordered POPS licenses
     /// without `⊖`.
     pub fn check_naive(self) -> Report<P> {
@@ -383,7 +378,7 @@ impl<P: NaturallyOrdered + Send + Sync> Case<'_, P> {
     }
 }
 
-impl<P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync> Case<'_, P> {
+impl<P: NaturallyOrdered + CompleteDistributiveDioid> Case<'_, P> {
     /// The naïve and the semi-naïve loop (Thm. 6.5: over a complete
     /// distributive dioid the semi-naïve rounds compute the naïve
     /// iterates' limit).
@@ -406,12 +401,7 @@ impl<P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync> Case<'_, P> 
 
 impl<P> Case<'_, P>
 where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
+    P: NaturallyOrdered + CompleteDistributiveDioid + Absorptive + TotallyOrderedDioid,
 {
     /// Every loop: naïve, semi-naïve, and the priority frontier, which
     /// an absorptive total order licenses (Cor. 5.19: each row settles
@@ -426,14 +416,14 @@ where
 }
 
 /// The naïve loop, held to the grounded naïve step count.
-fn naive<P: NaturallyOrdered + Send + Sync>() -> Box<dyn Loop<P>> {
+fn naive<P: NaturallyOrdered>() -> Box<dyn Loop<P>> {
     Box::new(Leg::new(Naive, |at| at.naive_steps))
 }
 
 /// The semi-naïve loop, held to the grounded semi-naïve step count.
 fn semi_naive<P>() -> Box<dyn Loop<P>>
 where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+    P: NaturallyOrdered + CompleteDistributiveDioid,
 {
     Box::new(Leg::new(SemiNaive, |at| at.semi_steps))
 }
@@ -478,7 +468,7 @@ fn grounded_lfp<P: NaturallyOrdered>(
     (lfp, Some(steps))
 }
 
-fn engine_naive<P: NaturallyOrdered + Send + Sync>(
+fn engine_naive<P: NaturallyOrdered>(
     program: &Program<P>,
     edb: &Database<P>,
     bools: &BoolDatabase,
@@ -494,14 +484,14 @@ fn engine_semi_naive<P>(
     bools: &BoolDatabase,
 ) -> (Database<P>, Option<usize>)
 where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+    P: NaturallyOrdered + CompleteDistributiveDioid,
 {
     let run = scratch(program, edb, bools, CAP, SemiNaive, &EngineOpts::default());
     let (out, _) = run.converged().expect("the semi-naive run converges");
     (out.materialize(), None)
 }
 
-impl<P: NaturallyOrdered + Send + Sync> Case<'_, P> {
+impl<P: NaturallyOrdered> Case<'_, P> {
     fn run(
         self,
         mut loops: Vec<Box<dyn Loop<P>>>,
@@ -629,7 +619,7 @@ impl<P: Pops, S> Leg<P, S> {
 
 impl<P, S> Loop<P> for Leg<P, S>
 where
-    P: NaturallyOrdered + Send + Sync,
+    P: NaturallyOrdered,
     S: Schedule<P> + Debug,
 {
     fn step(&mut self, at: &At<'_, P>, demand_patterns: bool) {
@@ -716,7 +706,7 @@ where
 /// `run` are the same loop from the same empty state, up to what names
 /// the run — the stats label, and the all-zero profile rows of the
 /// `@dlt` variant plans only a handle compiles.
-fn assert_parity<P: Pops + Send + Sync, S: Schedule<P>>(
+fn assert_parity<P: Pops, S: Schedule<P>>(
     leg: &str,
     program: &Program<P>,
     run: &InternedOutcome<P>,

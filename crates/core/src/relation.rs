@@ -126,6 +126,13 @@ impl<P: Pops> Relation<P> {
         self.entries.iter().map(|(t, v)| (t, v))
     }
 
+    /// The support as the one sorted slice it is stored in: the pairs
+    /// [`Self::support`] walks, for a reader that splits them into
+    /// contiguous parts (the engine's parted EDB load).
+    pub fn support_slice(&self) -> &[(Tuple, P)] {
+        &self.entries
+    }
+
     /// Consumes the relation into its `(tuple, value)` pairs, in tuple
     /// order — the owned counterpart of [`Self::support`], used by
     /// alternative backends (e.g. `dlo_engine`) to convert without

@@ -18,8 +18,9 @@
 //! One thread runs the fixpoint: every round's plans run in order on
 //! the calling thread (`run_plans_inline`), `⊕`-merging into one
 //! accumulator per head predicate that is drained in sorted key order,
-//! so results are deterministic. Threads only build the EDB indexes
-//! before the first round (`Engine::build_edb_indexes`; [`crate`]'s
+//! so results are deterministic. Threads only load the EDB (a large
+//! relation in parts, `load_db`) and build its indexes
+//! (`Engine::build_edb_indexes`) before the first round ([`crate`]'s
 //! parallelism section has the readings that decided it).
 //!
 //! ## Head-computed keys and dynamic interning
@@ -41,7 +42,7 @@
 use crate::exec::{run_plan, EvalCtx, ExecCounters, HeadVal, Scratch};
 use crate::govern::{abort_error, CancelToken, Checkpoint, EvalBudget, EvalError, Governor};
 use crate::hash::FxHashMap;
-use crate::intern::Interner;
+use crate::intern::{Interner, LoadError};
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput, SettledMark};
 use crate::par;
 use crate::plan::{compile_demand, CompileError, CompiledProgram, Plan, Source};
@@ -58,16 +59,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Per-run settings of the engine drivers: how many threads build the
-/// EDB indexes, where trace events go, and when a run must stop. A run
+/// Per-run settings of the engine drivers: how many threads load the
+/// EDB and build its indexes, where trace events go, and when a run
+/// must stop. A run
 /// that completes returns the same result under any of them.
 /// [`Default`] is right for production use.
 #[derive(Clone, Debug)]
 pub struct EngineOpts {
-    /// Worker-thread cap of the EDB index builds, the one thing the
-    /// engine fans out (the fixpoint itself runs on the calling
-    /// thread); `None` reads `DLO_ENGINE_THREADS` /
-    /// `available_parallelism`.
+    /// Worker-thread cap of the two things the engine fans out: the
+    /// load of a large EDB relation, in up to this many parts, and the
+    /// EDB index builds (the fixpoint itself runs on the calling
+    /// thread); `Some(1)` is the sequential pass. `None` reads
+    /// `DLO_ENGINE_THREADS` / `available_parallelism`.
     pub threads: Option<usize>,
     /// Structured trace sink for this run. `None` falls back to the
     /// `DLO_TRACE` environment variable (a JSONL path, appended to);
@@ -165,27 +168,40 @@ pub(crate) struct IdbState<P> {
 }
 
 /// Loads every relation of `db`, in the database's own (name) order —
-/// the order constants get their ids in. Relations the program turns
-/// out not to read are loaded all the same: their constants belong to
-/// the interned domain, and which relations are read is only known once
-/// the program is compiled, which has to come after (program constants
-/// are numbered after the EDB's).
+/// the order constants get their ids in — each on up to `threads`
+/// workers ([`Interner::try_load_relation`]: a large relation is
+/// interned in parts, with the ids of the one-part pass). Relations the
+/// program turns out not to read are loaded all the same: their
+/// constants belong to the interned domain, and which relations are
+/// read is only known once the program is compiled, which has to come
+/// after (program constants are numbered after the EDB's).
 ///
 /// A classic `Relation` checks tuple lengths in debug builds only, so a
-/// ragged tuple is input to reject, by name, not an invariant to assert.
+/// ragged tuple is input to reject, by name, not an invariant to
+/// assert. A panicking part comes back as [`EvalError::WorkerPanic`],
+/// like a panicking index build.
 fn load_db<'a, P: Pops>(
     db: &'a Database<P>,
     interner: &mut Interner,
+    threads: usize,
 ) -> Result<BTreeMap<&'a str, ColumnRel<P>>, EvalError> {
     let mut loaded = BTreeMap::new();
     for (name, rel) in db.iter() {
-        let rows = interner.try_load_relation(rel).map_err(|tuple| {
-            let (arity, found) = (rel.arity(), tuple.len());
-            let detail = format!(
-                "EDB relation {name:?} has arity {arity} but holds {tuple:?}, of arity {found}"
-            );
-            EvalError::Compile { detail }
-        })?;
+        let rows = interner
+            .try_load_relation(rel, threads)
+            .map_err(|error| match error {
+                LoadError::Ragged(tuple) => {
+                    let (arity, found) = (rel.arity(), tuple.len());
+                    let detail = format!(
+                        "EDB relation {name:?} has arity {arity} but holds {tuple:?}, of arity {found}"
+                    );
+                    EvalError::Compile { detail }
+                }
+                LoadError::Panic(message) => EvalError::WorkerPanic {
+                    message,
+                    stats: Box::default(),
+                },
+            })?;
         loaded.insert(name.as_str(), rows);
     }
     Ok(loaded)
@@ -193,9 +209,10 @@ fn load_db<'a, P: Pops>(
 
 /// Loads the EDB and compiles `program` — the setup every entry point
 /// and every [`crate::Materialization`] build starts from. The load is
-/// one pass per classic relation ([`Interner::load_relation`]), `P`
-/// relations first, Boolean relations after, program constants last:
-/// that order fixes every constant id and every EDB row id.
+/// one pass per classic relation ([`Interner::load_relation`]; in parts
+/// on up to `threads` workers when a relation is large), `P` relations
+/// first, Boolean relations after, program constants last: that order
+/// fixes every constant id and every EDB row id, at any thread count.
 ///
 /// `interner` is where the numbering starts: empty for a fresh run, a
 /// handle's own interner when [`crate::Materialization::rebuild`]
@@ -211,10 +228,11 @@ pub(crate) fn setup<P: Pops>(
     pops_db: &Database<P>,
     bool_db: &BoolDatabase,
     set_valued: &[String],
+    threads: usize,
 ) -> Result<Engine<P>, EvalError> {
     let t_load = Instant::now();
-    let mut pops_loaded = load_db(pops_db, &mut interner)?;
-    let mut bool_loaded = load_db(bool_db, &mut interner)?;
+    let mut pops_loaded = load_db(pops_db, &mut interner, threads)?;
+    let mut bool_loaded = load_db(bool_db, &mut interner, threads)?;
     let load_ns = t_load.elapsed().as_nanos() as u64;
     let compiled = compile_demand(program, &mut interner, set_valued).map_err(compile_error)?;
     let pops_edb: Vec<Option<ColumnRel<P>>> = compiled
@@ -335,9 +353,7 @@ impl<P: Pops> Engine<P> {
             idb_delta: &state.delta,
         }
     }
-}
 
-impl<P: Pops + Send> Engine<P> {
     /// Builds every EDB-side index the engine's mask lists name
     /// ([`Engine::require_probes`]), fanning per-relation builds over
     /// `threads` scoped workers. Builds are independent per relation
@@ -519,10 +535,7 @@ impl<P: Pops> Run<P> {
         engine: &mut Engine<P>,
         state: &mut IdbState<P>,
         opts: &EngineOpts,
-    ) -> Result<(), LoopFail>
-    where
-        P: Send,
-    {
+    ) -> Result<(), LoopFail> {
         self.check(0, Checkpoint::Phase)?;
         let t = Instant::now();
         let sorted = engine
@@ -588,10 +601,7 @@ impl<P: Pops> Run<P> {
         cap: usize,
         opts: &EngineOpts,
         schedule: S,
-    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
-    where
-        P: Send,
-    {
+    ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
         let mut state = engine.empty_state();
         // From the empty state every full plan seeds. The lists move
         // out of the engine: the loop borrows it mutably, to mint.
@@ -850,7 +860,7 @@ pub(crate) struct RoundPlans<'a, P> {
 }
 
 #[allow(private_interfaces)]
-impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
+impl<P: NaturallyOrdered> Rounds<P> for Naive {
     const MAINTENANCE_SUFFIX: &'static str = "-naive";
 
     fn label(self) -> (&'static str, bool) {
@@ -875,7 +885,7 @@ impl<P: NaturallyOrdered + Send + Sync> Rounds<P> for Naive {
 #[allow(private_interfaces)]
 impl<P> Rounds<P> for SemiNaive
 where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+    P: NaturallyOrdered + CompleteDistributiveDioid,
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
 
@@ -926,7 +936,7 @@ pub fn engine_eval_interned<P, S>(
     opts: &EngineOpts,
 ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>>
 where
-    P: Pops + Send,
+    P: Pops,
     S: Schedule<P>,
 {
     let t = Instant::now();
@@ -937,7 +947,7 @@ where
 /// `started` counts as setup time), then the schedule's loop from the
 /// empty state ([`Run::drive`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate<P: Pops + Send, S: Schedule<P>>(
+pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
     started: Instant,
     program: &Program<P>,
     pops_db: &Database<P>,
@@ -947,8 +957,16 @@ pub(crate) fn evaluate<P: Pops + Send, S: Schedule<P>>(
     schedule: S,
     opts: &EngineOpts,
 ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
-    let engine =
-        setup(program, Interner::new(), pops_db, bool_db, set_valued).map_err(empty_aborted)?;
+    let threads = opts.effective_threads();
+    let engine = setup(
+        program,
+        Interner::new(),
+        pops_db,
+        bool_db,
+        set_valued,
+        threads,
+    )
+    .map_err(empty_aborted)?;
     let (label, settles_on_pop) = schedule.label();
     let setup_ns = started.elapsed().as_nanos() as u64;
     let run = Run::open(&engine, label, settles_on_pop, opts, setup_ns);
@@ -1197,7 +1215,7 @@ pub(crate) mod tests {
 
     /// Evaluates under `schedule` with default options and decodes —
     /// shared by the other modules' unit tests.
-    pub(crate) fn eval<P: Pops + Send, S: Schedule<P>>(
+    pub(crate) fn eval<P: Pops, S: Schedule<P>>(
         program: &Program<P>,
         pops: &Database<P>,
         bools: &BoolDatabase,

@@ -779,7 +779,7 @@ mod tests {
         let mut edb = Database::new();
         edb.insert("E", e);
         let bools = BoolDatabase::new();
-        let mut engine = setup(&program, Interner::new(), &edb, &bools, &[]).unwrap();
+        let mut engine = setup(&program, Interner::new(), &edb, &bools, &[], 1).unwrap();
         let mut state = engine.empty_state();
         let opts = EngineOpts::default();
         let mut run = Run::open(&engine, "test", false, &opts, 0);

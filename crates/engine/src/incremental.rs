@@ -455,7 +455,7 @@ fn maintenance_program<P: Pops>(program: &Program<P>) -> Result<MaintenanceProgr
 
 impl<P, S> Materialization<P, S>
 where
-    P: Pops + Send + Sync,
+    P: Pops,
     S: Schedule<P>,
 {
     /// Builds the materialization and runs the initial fixpoint under
@@ -518,7 +518,8 @@ where
         }
         let aug = maintenance_program(program)?;
         let n_rules = program.rules.len();
-        let engine = setup(&aug.program, interner, pops_edb, bool_edb, &[])?;
+        let threads = opts.effective_threads();
+        let engine = setup(&aug.program, interner, pops_edb, bool_edb, &[], threads)?;
         // The rule list is the original rules, the `@dlt` variants, the
         // head-guarded variants: `rule_idx` says which a plan is.
         let rules = |plans: &[Plan<P>], rules: std::ops::Range<usize>| -> Vec<Plan<P>> {
@@ -1550,7 +1551,7 @@ mod tests {
             edb.insert("E", Relation::from_pairs(2, vec![(tup!["a", "b"], w)]));
             edb
         }
-        fn assert_guarded<P: Pops + Send + Sync, S: Schedule<P>>(m: &Materialization<P, S>) {
+        fn assert_guarded<P: Pops, S: Schedule<P>>(m: &Materialization<P, S>) {
             let cone = Source::PopsEdb(m.cones[0].expect("T is head-guarded"));
             let (e, t) = (Source::PopsEdb(m.slots[0].cur), Source::IdbNew(0));
             let reads: Vec<Vec<(Source, u32)>> = m

@@ -75,6 +75,27 @@
 //! intrinsic; a plain read whose result is kept alive does the same
 //! work.)
 //!
+//! **Why a large relation loads in parts.** Read-ahead shortens the
+//! wait, but one core still has only so many misses in flight, and the
+//! load is the one pass of a run that is bound by memory latency rather
+//! than by a dependency chain. A second core brings its own outstanding
+//! misses and page walks. So the engine's entry points split a relation
+//! of at least two parts of `LOAD_PART_ROWS` rows into up to
+//! [`crate::EngineOpts::threads`] contiguous parts of its support
+//! (`Interner::load_parts`), run side by side on the pool that builds
+//! the indexes ([`crate::par::run_each`]). Part 0 interns into the
+//! caller's interner, each later part into a local interner of its own;
+//! every part writes straight into its slice of the pre-sized columns.
+//! The sequential tail is short: each later part's *distinct*
+//! constants are interned into the caller's table in that part's
+//! first-seen order, which is exactly the order the one-part pass
+//! would have given them ids in, and its ids are rewritten in place.
+//! Ids, rows, values and the order contract are those of the one-part
+//! pass at any part count. Unlike the rounds (see the crate's
+//! parallelism section), nothing here is merged twice: the tail costs
+//! one map probe per distinct constant of a later part and one pass
+//! over its ids.
+//!
 //! **Why Fx and not SipHash here.** The load is an O(|input|) term no
 //! schedule can amortize, and on a 300k-row arity-4 EDB the SipHash
 //! probes (≈ 60 ns each, paid twice per constant by the two-pass loader
@@ -95,7 +116,7 @@
 use crate::hash::FxHashMap;
 use crate::storage::ColumnRel;
 use dlo_core::relation::Relation;
-use dlo_core::value::Constant;
+use dlo_core::value::{Constant, Tuple};
 use dlo_pops::Pops;
 use std::sync::Arc;
 
@@ -119,6 +140,73 @@ fn first_word(c: &Constant) -> u64 {
         Constant::Int(i) => *i as u64,
         Constant::Str(s) => s.as_bytes().first().map_or(0, |&b| u64::from(b)),
     }
+}
+
+/// Rows a part of a parted load ([`Interner::load_parts`]) holds at
+/// least: a relation is split over the worker pool only where every
+/// part gets this many rows, because a part's own fixed cost — a thread,
+/// a local interner, and on the calling thread the re-interning of the
+/// part's distinct constants and one pass over its ids — has to be
+/// paid back by its share of the memory-latency pass.
+pub(crate) const LOAD_PART_ROWS: usize = 16_384;
+
+/// Why a load produced no relation.
+#[derive(Debug, PartialEq)]
+pub(crate) enum LoadError<'r> {
+    /// The first tuple of the wrong length, in support order.
+    Ragged(&'r [Constant]),
+    /// A part panicked; the pool's message ([`crate::par::run_each`]).
+    Panic(String),
+}
+
+/// One part of a load: interns the constants of `tuples` into
+/// `interner`, through a memo of its own, and writes their ids into
+/// `keys` and their values into `vals` (`arity` and one slot a row), in
+/// batches read ahead as the module docs say. Stops at the first tuple
+/// of the wrong length and hands it back.
+fn load_part<'r, P: Pops>(
+    interner: &mut Interner,
+    arity: usize,
+    tuples: &'r [(Tuple, P)],
+    keys: &mut [u32],
+    vals: &mut [P],
+) -> Result<(), &'r [Constant]> {
+    // Direct-mapped `(integer, id)` memo, local to this part. Slot `s`
+    // starts out holding `s + 1`, which belongs in another slot, so an
+    // empty slot never matches an integer (`0` is not id 0).
+    let mut memo: [(i64, u32); MEMO_SLOTS] = std::array::from_fn(|s| (s as i64 + 1, 0));
+    let mut intern = |c: &Constant| match c {
+        Constant::Int(i) => {
+            let slot = &mut memo[*i as usize % MEMO_SLOTS];
+            if slot.0 != *i {
+                *slot = (*i, interner.intern_int(*i));
+            }
+            slot.1
+        }
+        Constant::Str(_) => interner.intern(c),
+    };
+    let mut keys = keys.iter_mut();
+    for (batch, vals) in tuples.chunks(LOAD_BATCH).zip(vals.chunks_mut(LOAD_BATCH)) {
+        // Read-ahead: these loads depend on nothing but the batch, so
+        // their misses are in flight together.
+        let mut warm = 0;
+        for (tuple, _) in batch {
+            for c in tuple {
+                warm ^= first_word(c);
+            }
+        }
+        std::hint::black_box(warm);
+        for ((tuple, v), val) in batch.iter().zip(vals) {
+            if tuple.len() != arity {
+                return Err(tuple);
+            }
+            for (c, id) in tuple.iter().zip(keys.by_ref()) {
+                *id = intern(c);
+            }
+            *val = v.clone();
+        }
+    }
+    Ok(())
 }
 
 /// An append-only constant table with hashed reverse lookup.
@@ -181,7 +269,7 @@ impl Interner {
     }
 
     /// Loads a classic relation in **one pass**: each constant is
-    /// interned as it is met and its id appended straight into the
+    /// interned as it is met and its id written straight into the
     /// pre-sized columns of the result, in support order (so row `r` is
     /// the `r`-th supported tuple, and ids are assigned in
     /// tuple-then-column order). A classic relation is a map, so its
@@ -208,68 +296,98 @@ impl Interner {
     /// map, so a repeated integer costs one compare, not a probe (the
     /// module docs have the measurement).
     ///
+    /// This is the one-part load on the calling thread; the engine's
+    /// own entry points split a large relation over their worker pool
+    /// (module docs), with the same result.
+    ///
     /// # Panics
     ///
     /// On a tuple of the wrong length (a release build of `Relation`
     /// lets one in): it would shift every later row of the flat storage.
     pub fn load_relation<P: Pops>(&mut self, rel: &Relation<P>) -> ColumnRel<P> {
-        let ragged = |tuple| panic!("row arity mismatch: {tuple:?} at arity {}", rel.arity());
-        self.try_load_relation(rel).unwrap_or_else(ragged)
+        match self.load_parts(rel, 1) {
+            Ok(rows) => rows,
+            Err(LoadError::Ragged(tuple)) => {
+                panic!("row arity mismatch: {tuple:?} at arity {}", rel.arity())
+            }
+            Err(LoadError::Panic(message)) => panic!("{message}"),
+        }
     }
 
-    /// [`Self::load_relation`], handing the first wrong-length tuple
-    /// back instead of panicking on it — the same compare in the same
-    /// pass, so checking input costs the loader nothing.
+    /// [`Self::load_relation`] on up to `threads` workers: a relation of
+    /// at least `threads` × [`LOAD_PART_ROWS`] rows is loaded in
+    /// `threads` parts ([`Self::load_parts`]), a smaller one in as many
+    /// parts as it has [`LOAD_PART_ROWS`] rows, and below that in one.
+    /// The first wrong-length tuple comes back instead of a panic — the
+    /// same compare in the same pass, so checking input costs the
+    /// loader nothing.
     pub(crate) fn try_load_relation<'r, P: Pops>(
         &mut self,
         rel: &'r Relation<P>,
-    ) -> Result<ColumnRel<P>, &'r [Constant]> {
-        let arity = rel.arity();
-        let rows = rel.support_size();
-        let mut keys: Vec<u32> = Vec::with_capacity(rows * arity);
-        let mut vals: Vec<P> = Vec::with_capacity(rows);
-        let mut support = rel.support();
-        let mut batch: Vec<(&[Constant], &P)> = Vec::with_capacity(LOAD_BATCH.min(rows));
-        // Direct-mapped `(integer, id)` memo, local to this load. Slot
-        // `s` starts out holding `s + 1`, which belongs in another slot,
-        // so an empty slot never matches an integer (`0` is not id 0).
-        let mut memo: [(i64, u32); MEMO_SLOTS] = std::array::from_fn(|s| (s as i64 + 1, 0));
-        let mut intern = |c: &Constant| match c {
-            Constant::Int(i) => {
-                let slot = &mut memo[*i as usize % MEMO_SLOTS];
-                if slot.0 != *i {
-                    *slot = (*i, self.intern_int(*i));
-                }
-                slot.1
+        threads: usize,
+    ) -> Result<ColumnRel<P>, LoadError<'r>> {
+        self.load_parts(rel, threads.min(rel.support_size() / LOAD_PART_ROWS))
+    }
+
+    /// Loads `rel` in `parts` contiguous parts of its support (at least
+    /// one), side by side on the worker pool ([`crate::par::run_each`]),
+    /// with the result of the one-part pass bit for bit: the same ids,
+    /// rows, values and order contract.
+    ///
+    /// Part 0 interns into `self`, every later part into a fresh local
+    /// interner of its own; each writes its rows' ids and values
+    /// straight into its own slice of the result's pre-sized columns.
+    /// A constant's id is fixed by its first occurrence in support
+    /// order, so after the parts join, each later part's local
+    /// constants are interned into `self` in local-id order — that
+    /// part's first-seen order — and its slice of ids is rewritten in
+    /// place through the map that makes. The first wrong-length tuple
+    /// of the lowest part that has one is the first of the support; a
+    /// panicking part is contained by the pool and comes back as
+    /// [`LoadError::Panic`].
+    pub(crate) fn load_parts<'r, P: Pops>(
+        &mut self,
+        rel: &'r Relation<P>,
+        parts: usize,
+    ) -> Result<ColumnRel<P>, LoadError<'r>> {
+        let (arity, support) = (rel.arity(), rel.support_slice());
+        let rows = support.len();
+        let parts = parts.max(1);
+        let start = |part: usize| rows * part / parts;
+        let mut keys = vec![0u32; rows * arity];
+        let mut vals = vec![P::zero(); rows];
+        let mut locals: Vec<Interner> = (1..parts).map(|_| Interner::new()).collect();
+        let mut ragged: Vec<Option<&'r [Constant]>> = vec![None; parts];
+        {
+            let interners = std::iter::once(&mut *self).chain(&mut locals);
+            let (mut keys, mut vals) = (&mut keys[..], &mut vals[..]);
+            let mut work = Vec::with_capacity(parts);
+            for ((part, interner), ragged) in (0..parts).zip(interners).zip(&mut ragged) {
+                let len = start(part + 1) - start(part);
+                let (k, rest) = std::mem::take(&mut keys).split_at_mut(len * arity);
+                keys = rest;
+                let (v, rest) = std::mem::take(&mut vals).split_at_mut(len);
+                vals = rest;
+                let tuples = &support[start(part)..start(part + 1)];
+                work.push((interner, tuples, k, v, ragged));
             }
-            Constant::Str(_) => self.intern(c),
-        };
-        loop {
-            batch.clear();
-            batch.extend(
-                support
-                    .by_ref()
-                    .take(LOAD_BATCH)
-                    .map(|(tuple, v)| (tuple.as_slice(), v)),
-            );
-            if batch.is_empty() {
-                break;
-            }
-            // Read-ahead: these loads depend on nothing but the batch,
-            // so their misses are in flight together.
-            let mut warm = 0;
-            for (tuple, _) in &batch {
-                for c in *tuple {
-                    warm ^= first_word(c);
-                }
-            }
-            std::hint::black_box(warm);
-            for &(tuple, v) in &batch {
-                if tuple.len() != arity {
-                    return Err(tuple);
-                }
-                keys.extend(tuple.iter().map(&mut intern));
-                vals.push(v.clone());
+            crate::par::run_each(work, parts, |(interner, tuples, k, v, ragged)| {
+                *ragged = load_part(interner, arity, tuples, k, v).err();
+            })
+            .map_err(LoadError::Panic)?;
+        }
+        if let Some(tuple) = ragged.into_iter().flatten().next() {
+            return Err(LoadError::Ragged(tuple));
+        }
+        for (part, local) in (1..).zip(&locals) {
+            let ids: Vec<u32> = (0..local.len() as u32)
+                .map(|id| match local.as_int(id) {
+                    Some(i) => self.intern_int(i),
+                    None => self.intern(local.get(id)),
+                })
+                .collect();
+            for id in &mut keys[start(part) * arity..start(part + 1) * arity] {
+                *id = ids[*id as usize];
             }
         }
         Ok(ColumnRel::from_loaded_rows(arity, keys, vals))
@@ -511,8 +629,141 @@ mod tests {
         let pairs = rows.iter().map(|r| (ints(r), Trop::finite(1.0)));
         let rel = Relation::from_pairs(2, pairs);
         let mut i = Interner::new();
-        let err = i.try_load_relation(&rel).err();
-        assert_eq!(err, Some(&ints(&[1, 2, 3])[..]));
+        let err = i.try_load_relation(&rel, 1).err();
+        assert_eq!(err, Some(LoadError::Ragged(&ints(&[1, 2, 3])[..])));
+        // Split, the first ragged tuple of the lowest part that holds
+        // one is still the first of the support — also when a later
+        // part holds another, and whichever part the first lands in.
+        let rows = (0..20i64).map(|k| match k {
+            13 => ints(&[k, 1, 1]),
+            17 => ints(&[k]),
+            _ => ints(&[k, 0]),
+        });
+        let rel = Relation::from_pairs(2, rows.map(|r| (r, Trop::finite(1.0))));
+        for parts in 1..=7 {
+            let err = Interner::new().load_parts(&rel, parts).err();
+            let want = LoadError::Ragged(&ints(&[13, 1, 1])[..]);
+            assert_eq!(err, Some(want), "{parts} parts");
+        }
+    }
+
+    /// Loads `rel` at 1 to 7 parts, each time into an interner holding
+    /// `pre`, and holds every load to the one-part load: the same
+    /// interner (constants, integer side table, both reverse maps) and
+    /// the same relation — keys, values, version and regime, the
+    /// load-order flag, all in its `Debug` rendering.
+    fn assert_parts_load_alike(pre: &[Constant], rel: &Relation<dlo_pops::Trop>) {
+        let seeded = || {
+            let mut i = Interner::new();
+            for c in pre {
+                i.intern(c);
+            }
+            i
+        };
+        let mut one = seeded();
+        let want = format!("{:?}", one.load_parts(rel, 1).expect("loads"));
+        for parts in 1..=7 {
+            let mut i = seeded();
+            let got = format!("{:?}", i.load_parts(rel, parts).expect("loads"));
+            assert_eq!(got, want, "{parts} parts: relation");
+            assert_eq!(
+                (&i.consts, &i.ints),
+                (&one.consts, &one.ints),
+                "{parts} parts"
+            );
+            assert_eq!(
+                (&i.by_int, &i.by_str),
+                (&one.by_int, &one.by_str),
+                "{parts} parts"
+            );
+        }
+    }
+
+    #[test]
+    fn a_load_in_parts_is_the_one_part_load_bit_for_bit() {
+        use dlo_pops::Trop;
+        let weight = |k: i64| Trop::finite((1 + k % 9) as f64);
+        // Integers that repeat across every part boundary, a column on
+        // a power-of-two stride (one memo slot for all of it), and
+        // strings that first appear in late parts.
+        let rows = (0..500i64).map(|k| {
+            let row = vec![
+                Constant::int(k % 37),
+                Constant::int((k * 7 % 50) << 16),
+                Constant::str(&format!("s{}", k / 60)),
+                Constant::int(k),
+            ];
+            (row, weight(k))
+        });
+        let rel = Relation::from_pairs(4, rows);
+        assert_parts_load_alike(&[], &rel);
+        // Pre-seeded, as a rebuild's interner is: some constants the
+        // parts meet already have ids, in another order.
+        let pre = [
+            Constant::int(400),
+            Constant::str("s3"),
+            Constant::int(5 << 16),
+        ];
+        assert_parts_load_alike(&pre, &rel);
+        // More parts than rows, and no rows at all.
+        let few = (0..3i64).map(|k| (vec![Constant::int(2 - k), Constant::str("x")], weight(k)));
+        let few = Relation::from_pairs(2, few);
+        assert_parts_load_alike(&pre, &few);
+        assert_parts_load_alike(&pre, &Relation::new(3));
+        // Arity 0: one empty tuple, no key column.
+        let unit = Relation::from_pairs(0, [(vec![], Trop::finite(2.0))]);
+        assert_parts_load_alike(&[], &unit);
+    }
+
+    /// A POPS whose `clone` panics on one value: what a panicking part
+    /// looks like to the load.
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Fragile(u8);
+
+    impl Clone for Fragile {
+        fn clone(&self) -> Self {
+            assert_ne!(self.0, 13, "cloned the fragile value");
+            Fragile(self.0)
+        }
+    }
+
+    impl dlo_pops::PreSemiring for Fragile {
+        fn zero() -> Self {
+            Fragile(0)
+        }
+        fn one() -> Self {
+            Fragile(1)
+        }
+        fn add(&self, rhs: &Self) -> Self {
+            Fragile(self.0.max(rhs.0))
+        }
+        fn mul(&self, rhs: &Self) -> Self {
+            Fragile(self.0.min(rhs.0))
+        }
+    }
+
+    impl Pops for Fragile {
+        fn bottom() -> Self {
+            Fragile(0)
+        }
+        fn leq(&self, rhs: &Self) -> bool {
+            self.0 <= rhs.0
+        }
+    }
+
+    #[test]
+    fn a_panicking_part_is_contained_at_every_part_count() {
+        let rows = (0..40i64).map(|k| (ints(&[k]), Fragile(if k == 29 { 13 } else { 2 })));
+        let rel = Relation::from_pairs(1, rows);
+        for parts in 1..=5 {
+            let err = Interner::new().load_parts(&rel, parts).err();
+            let want = "assertion `left != right` failed: cloned the fragile value";
+            let got = match err {
+                Some(LoadError::Panic(message)) => message,
+                other => panic!("{parts} parts: {other:?}"),
+            };
+            assert!(got.starts_with(want), "{parts} parts: {got}");
+        }
     }
 
     #[test]

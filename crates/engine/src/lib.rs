@@ -466,13 +466,21 @@
 //! [`Strategy::Worklist`] now names the semi-naïve rounds, which every
 //! POPS [`Strategy`] admits can run.
 //!
-//! ## Parallelism: one thread runs the fixpoint, threads build the indexes
+//! ## Parallelism: one thread runs the fixpoint, threads load the EDB
 //!
-//! One thing fans over the scoped-thread pool in [`par`], capped by
+//! Two things fan over the scoped-thread pool in [`par`], capped by
 //! `DLO_ENGINE_THREADS` (the default is
 //! `std::thread::available_parallelism`) or per call via
-//! [`EngineOpts::threads`]: the **EDB index builds** before a run's
-//! first step, one relation per task, under every schedule. The
+//! [`EngineOpts::threads`], both before a run's first step and under
+//! every schedule: the **EDB load**, where a relation of at least two
+//! parts of `LOAD_PART_ROWS` (16 384) rows is interned in up to that many
+//! contiguous parts (the [`intern`] module docs say how the parts merge
+//! into the one table with the sequential pass's ids), and the **EDB
+//! index builds**, one relation per task. The load is bound by memory
+//! latency and its sequential tail is one probe per distinct constant
+//! of a later part, so a second core halves most of it; on
+//! `dlo_benchmark`'s `wide-lookup`, where the load is most of the
+//! operation, that is what `par.t2_over_t1` reads. The
 //! fixpoint itself — naïve and semi-naïve rounds, frontier batches, a
 //! [`Materialization`]'s builds and edits, a delete's marking rounds —
 //! runs on the calling thread through one plan runner
@@ -521,7 +529,7 @@
 //!
 //! | variable | read by | effect |
 //! |---|---|---|
-//! | `DLO_ENGINE_THREADS` | [`par::max_threads`], when [`EngineOpts::threads`] is `None` | cap of the pool that builds the EDB indexes (`1` = build them sequentially) |
+//! | `DLO_ENGINE_THREADS` | [`par::max_threads`], when [`EngineOpts::threads`] is `None` | cap of the pool that loads large EDB relations in parts and builds the EDB indexes (`1` = load and build sequentially) |
 //! | `DLO_TRACE` | every run, when [`EngineOpts::trace`] is `None` | path of a JSONL file trace events are appended to |
 //!
 //! ## Observability: stats on every outcome, traces on demand

@@ -1,12 +1,18 @@
 //! Minimal scoped-thread parallelism (no external thread-pool crates),
-//! for the one thing the engine fans out: the per-relation EDB index
-//! builds before a run's first step (`Engine::build_edb_indexes`). The
-//! fixpoint loops run on the calling thread under every schedule
-//! ([`crate`]'s parallelism section has the readings that decided it).
+//! for the two things the engine fans out before a run's first step:
+//! the parts of a large EDB relation's load
+//! ([`Interner::load_parts`](crate::Interner)) and the per-relation EDB
+//! index builds (`Engine::build_edb_indexes`). Both are passes over
+//! memory with no shared accumulator behind them — a load part's tail
+//! is one probe per distinct constant — which is why they pay where
+//! the rounds did not. The fixpoint loops run on the calling thread
+//! under every schedule ([`crate`]'s parallelism section has the
+//! readings that decided it).
 //!
 //! [`run_each`] deals owned work items round-robin to
-//! `min(threads, items)` scoped workers. Thread count comes from
-//! `DLO_ENGINE_THREADS` (set `1` to build the indexes sequentially) or
+//! `min(threads, items)` buckets, runs the first on the calling thread
+//! and each other on a scoped worker. Thread count comes from
+//! `DLO_ENGINE_THREADS` (set `1` to load and build sequentially) or
 //! `std::thread::available_parallelism`.
 //!
 //! **Panic containment:** every item runs under
@@ -62,57 +68,41 @@ where
     T: Send,
     F: Fn(T) + Sync,
 {
-    let n = work.len();
-    if threads <= 1 || n <= 1 {
-        for w in work {
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(w))) {
-                return Err(payload_message(p));
-            }
-        }
-        return Ok(());
-    }
-    let nbuckets = threads.min(n);
+    let nbuckets = threads.min(work.len()).max(1);
     let mut buckets: Vec<Vec<(usize, T)>> = (0..nbuckets).map(|_| Vec::new()).collect();
     for (i, w) in work.into_iter().enumerate() {
         buckets[i % nbuckets].push((i, w));
     }
-    let mut first_panic: Option<(usize, String)> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                let f = &f;
-                scope.spawn(move || {
-                    for (i, w) in bucket {
-                        if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(w))) {
-                            return Err((i, payload_message(p)));
-                        }
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(())) => {}
-                Ok(Err((i, msg))) => {
-                    if first_panic.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                        first_panic = Some((i, msg));
-                    }
-                }
-                Err(p) => {
-                    let msg = payload_message(p);
-                    if first_panic.is_none() {
-                        first_panic = Some((usize::MAX, msg));
-                    }
-                }
+    let run_bucket = |bucket: Vec<(usize, T)>| {
+        for (i, w) in bucket {
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(w))) {
+                return Err((i, payload_message(p)));
             }
         }
+        Ok(())
+    };
+    // Bucket 0 runs on the calling thread, which would only wait
+    // otherwise; one bucket (one thread, or one item) spawns nothing.
+    let mut buckets = buckets.into_iter();
+    let own = buckets.next().expect("at least one bucket");
+    let results: Vec<std::thread::Result<Result<(), (usize, String)>>> =
+        std::thread::scope(|scope| {
+            let run_bucket = &run_bucket;
+            let spawned: Vec<_> = buckets
+                .map(|b| scope.spawn(move || run_bucket(b)))
+                .collect();
+            let own = Ok(run_bucket(own));
+            std::iter::once(own)
+                .chain(spawned.into_iter().map(|h| h.join()))
+                .collect()
+        });
+    let panics = results.into_iter().filter_map(|result| match result {
+        Ok(done) => done.err(),
+        Err(p) => Some((usize::MAX, payload_message(p))),
     });
-    match first_panic {
-        Some((_, msg)) => Err(msg),
-        None => Ok(()),
-    }
+    panics
+        .min_by_key(|&(i, _)| i)
+        .map_or(Ok(()), |(_, msg)| Err(msg))
 }
 
 #[cfg(test)]

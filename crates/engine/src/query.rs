@@ -206,7 +206,7 @@ pub fn engine_query_eval_with_opts<P, S>(
     opts: &EngineOpts,
 ) -> Result<QueryAnswer<P>, Box<AbortedEval<P>>>
 where
-    P: Pops + Send,
+    P: Pops,
     S: Schedule<P>,
 {
     let t = Instant::now();

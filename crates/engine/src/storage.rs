@@ -738,7 +738,7 @@ impl<P: PreSemiring> AccumMap<P> {
 /// later write of the same key through [`Self::merge`] or `land` meets
 /// the row at `0` and brings it back at its id (`0 ⊕ v = v`). The
 /// relation counts its tombstones exactly, so its support size is
-/// O(1), and once they are more than half its rows [`Self::compact`]
+/// O(1), and once they are more than half its rows `Self::compact`
 /// re-lays the rest. Only a [`Materialization`](crate::Materialization)
 /// delete makes tombstones: a from-scratch run never stores a `0`.
 #[derive(Clone, Debug)]

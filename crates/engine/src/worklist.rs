@@ -449,12 +449,7 @@ fn drain_frontier<P: TotallyOrderedDioid>(
 #[allow(private_interfaces)]
 impl<P> Rounds<P> for Strategy
 where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
+    P: NaturallyOrdered + CompleteDistributiveDioid + Absorptive + TotallyOrderedDioid,
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
 
@@ -516,12 +511,7 @@ mod tests {
         bools: &BoolDatabase,
     ) -> Database<P>
     where
-        P: NaturallyOrdered
-            + CompleteDistributiveDioid
-            + Absorptive
-            + TotallyOrderedDioid
-            + Send
-            + Sync,
+        P: NaturallyOrdered + CompleteDistributiveDioid + Absorptive + TotallyOrderedDioid,
     {
         let reference = seminaive_eval(program, pops, bools, 100_000).unwrap();
         for strategy in [

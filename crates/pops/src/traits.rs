@@ -20,7 +20,11 @@ use std::hash::Hash;
 /// (the paper only considers commutative pre-semirings), and `⊗` distributes
 /// over `⊕`. The absorption rule `0 ⊗ x = 0` is **not** required; structures
 /// for which it holds additionally implement the [`Semiring`] marker.
-pub trait PreSemiring: Clone + Eq + Ord + Hash + Debug + 'static {
+///
+/// Elements are plain data, so the trait asks for `Send + Sync`: an
+/// engine may read one relation's values from several threads (the
+/// parted EDB load does) without every signature repeating the bound.
+pub trait PreSemiring: Clone + Eq + Ord + Hash + Debug + Send + Sync + 'static {
     /// The additive identity `0`.
     fn zero() -> Self;
     /// The multiplicative identity `1`.

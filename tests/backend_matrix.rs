@@ -65,7 +65,7 @@ fn load_per_row<P: Pops>(db: &Database<P>, interner: &mut Interner) -> Vec<Colum
 /// at the same version. A run of `program` over the same EDB must
 /// number those constants the same way — its output's interner starts
 /// with exactly the reference's ids, program constants only after.
-fn assert_bulk_load_bit_identical<P: NaturallyOrdered + Send + Sync>(
+fn assert_bulk_load_bit_identical<P: NaturallyOrdered>(
     scenario: &str,
     program: &Program<P>,
     pops: &Database<P>,
@@ -908,9 +908,7 @@ fn run_signature(stats: &EvalStats) -> Signature {
 
 /// A handle's [`run_signature`] and decoded state after its build or
 /// last edit, for [`assert_same_loop`].
-fn snapshot<P: Pops + Send + Sync, S: Schedule<P>>(
-    mat: &mut Materialization<P, S>,
-) -> (Signature, Database<P>) {
+fn snapshot<P: Pops, S: Schedule<P>>(mat: &mut Materialization<P, S>) -> (Signature, Database<P>) {
     (run_signature(mat.last_stats()), mat.output().materialize())
 }
 
@@ -926,7 +924,7 @@ fn assert_same_loop<P, A, B>(
     script: &[Edit<P>],
     (a, b): (A, B),
 ) where
-    P: Pops + Send + Sync,
+    P: Pops,
     A: Schedule<P> + std::fmt::Debug,
     B: Schedule<P>,
 {
@@ -978,12 +976,7 @@ fn assert_aliases<P>(
     query: &Query,
     script: &[Edit<P>],
 ) where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
+    P: NaturallyOrdered + CompleteDistributiveDioid + Absorptive + TotallyOrderedDioid,
 {
     let worklist = (Strategy::Worklist, Strategy::SemiNaive);
     assert_same_loop(scenario, program, pops, query, script, worklist);
@@ -1435,9 +1428,11 @@ fn planner_auto_arranges_wide_relations() {
     );
 }
 
-/// What `threads` still does, in one place: it sizes the pool that builds
-/// the EDB indexes before the first step, and nothing else — one thread
-/// runs the fixpoint under every schedule. The program gives that build
+/// What `threads` still does, in one place: it sizes the pool that loads
+/// a large EDB relation in parts and builds the EDB indexes before the
+/// first step, and nothing else — one thread runs the fixpoint under
+/// every schedule. (This EDB is below the load's minimum part size; the
+/// next test splits one.) The program gives that build
 /// three work items (`A` and `B` probed by one column, the Boolean guard
 /// `Open` by its full key); at 1, 2 and 4 threads every schedule returns
 /// the same outcome and the same `EvalStats::invariants()`, records the
@@ -1549,4 +1544,97 @@ fn threads_build_the_edb_indexes_and_nothing_else() {
         }
         assert_twins(&format!("{edit:?}"), &mut one, &mut four);
     }
+}
+
+/// The parted load at every entry point: `F` holds 40 000 rows, above
+/// the load's minimum part size, so at 2 and 4 threads it is interned
+/// in parts. Every schedule returns the outcome, the
+/// `EvalStats::invariants()` and the interner ids of one thread; a
+/// `Materialization` built, edited and rebuilt at 4 threads matches its
+/// twin at 1 after every step, interner included.
+#[test]
+fn threads_load_a_large_edb_relation_in_parts_with_the_same_ids() {
+    let src = "Q(X, Z) :- S(X) * F(X, Y, Z).";
+    let program: Program<Trop> = parse_program(src).unwrap();
+    let rows = (0..40_000i64).map(|k| {
+        let row = vec![
+            (k / 400).into(),
+            k.into(),
+            format!("z{}", k * 7 % 1_000).as_str().into(),
+        ];
+        (row, Trop::finite((1 + k % 9) as f64))
+    });
+    let mut pops = Database::new();
+    pops.insert("F", Relation::from_pairs(3, rows));
+    let seeds = [3i64, 77, 99].map(|x| (vec![x.into()], Trop::finite(0.5)));
+    pops.insert("S", Relation::from_pairs(1, seeds));
+    let bools = BoolDatabase::new();
+    let at = |threads| EngineOpts {
+        threads: Some(threads),
+        ..EngineOpts::default()
+    };
+    fn ids(i: &Interner) -> Vec<datalog_o::core::Constant> {
+        (0..i.len() as u32).map(|id| i.get(id).clone()).collect()
+    }
+    fn twins(step: &str, one: &mut Materialization<Trop>, four: &mut Materialization<Trop>) {
+        assert_eq!(
+            one.last_stats().invariants(),
+            four.last_stats().invariants(),
+            "{step}: stats"
+        );
+        let (a, b) = (one.output().clone(), four.output());
+        assert_eq!(ids(a.interner()), ids(b.interner()), "{step}: ids");
+        assert_eq!(a.materialize(), b.materialize(), "{step}: state");
+    }
+    fn run<S: Schedule<Trop>>(
+        program: &Program<Trop>,
+        pops: &Database<Trop>,
+        bools: &BoolDatabase,
+        schedule: S,
+        opts: &EngineOpts,
+    ) -> datalog_o::engine::InternedOutcome<Trop> {
+        engine_eval_interned(program, pops, bools, CAP, schedule, opts).expect("compiles")
+    }
+    macro_rules! check {
+        ($schedule:expr) => {
+            let base = run(&program, &pops, &bools, $schedule, &at(1));
+            for threads in [1usize, 2, 4] {
+                let got = run(&program, &pops, &bools, $schedule, &at(threads));
+                let what = format!("{:?} @ {threads} threads", $schedule);
+                assert_eq!(
+                    base.stats().invariants(),
+                    got.stats().invariants(),
+                    "{what}"
+                );
+                assert_eq!(
+                    ids(base.output().interner()),
+                    ids(got.output().interner()),
+                    "{what}"
+                );
+                assert_eq!(
+                    base.output().materialize(),
+                    got.output().materialize(),
+                    "{what}"
+                );
+            }
+        };
+    }
+    check!(Naive);
+    check!(SemiNaive);
+    check!(Strategy::Priority);
+
+    let build = |threads| {
+        Materialization::new(&program, &pops, &bools, CAP, Strategy::Auto, &at(threads))
+            .expect("builds")
+    };
+    let (mut one, mut four) = (build(1), build(4));
+    twins("build", &mut one, &mut four);
+    for handle in [&mut one, &mut four] {
+        let edit = Edit::insert("S", vec![5i64.into()], Trop::finite(1.0));
+        handle.apply(&[edit]).expect("edit applies");
+    }
+    twins("insert", &mut one, &mut four);
+    one.rebuild().expect("rebuilds");
+    four.rebuild().expect("rebuilds");
+    twins("rebuild", &mut one, &mut four);
 }

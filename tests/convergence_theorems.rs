@@ -405,7 +405,12 @@ fn edb_load_is_one_cheap_pass() {
             &BoolDatabase::new(),
             10,
             Strategy::SemiNaive,
-            &EngineOpts::default(),
+            // One thread: a parted load would hide a per-row regression
+            // of up to the thread count behind the other cores.
+            &EngineOpts {
+                threads: Some(1),
+                ..EngineOpts::default()
+            },
         )
         .expect("compiles");
         assert_eq!(out.output().support_size("Copy"), ROWS as usize);

@@ -188,9 +188,21 @@ fn run_counts<S: Schedule<Trop>>(
     edb: fn(i64) -> Database<Trop>,
     n: i64,
 ) -> (u64, u64) {
+    run_counts_at(program, schedule, edb, n, 1)
+}
+
+/// [`run_counts`] at `threads` engine threads: what is counted is the
+/// calling thread's share of the run.
+fn run_counts_at<S: Schedule<Trop>>(
+    program: &Program<Trop>,
+    schedule: S,
+    edb: fn(i64) -> Database<Trop>,
+    n: i64,
+    threads: usize,
+) -> (u64, u64) {
     let (edb, bools) = (edb(n), BoolDatabase::new());
     let opts = EngineOpts {
-        threads: Some(1),
+        threads: Some(threads),
         ..EngineOpts::default()
     };
     let (calls, bytes, line) = allocations(|| {
@@ -463,6 +475,25 @@ fn a_prefix_probe_of_a_loaded_relation_allocates_no_bytes_per_row() {
         large <= bound,
         "`{source}`: {small} bytes at n = {n}, {large} at 4n, more than {bound}: \
          something beside the load allocates per row of F"
+    );
+}
+
+/// A parted load: at two engine threads, `F` of [`wide_edb`] at 40 000
+/// and 64 000 rows — both above two parts of the load's minimum part
+/// size — is loaded in two parts. Part 0 runs on the calling thread,
+/// which is what is counted, through the code every part runs, and the
+/// merge tail runs there too; its calls may not grow with the rows. A
+/// part that collected its own columns and concatenated them would add
+/// its buffers' doublings; one that allocated per row, thousands.
+#[test]
+fn a_parted_load_allocates_independently_of_size() {
+    let program = parse_program("Out(A, D) :- S(A, B, C) * F(A, B, C, D).").expect("parses");
+    let [small, large] =
+        [40_000, 64_000].map(|n| run_counts_at(&program, Strategy::Auto, wide_edb, n, 2).0);
+    assert!(
+        large <= small + 8,
+        "a parted load allocated {small} calls at 40 000 rows, {large} at 64 000: \
+         a part allocates with its rows"
     );
 }
 

@@ -238,7 +238,7 @@ type Observed<P> = (
     Vec<(String, Vec<(u32, Vec<u32>, P)>)>,
 );
 
-fn observe<P: Pops + Send + Sync, S: Schedule<P>>(mat: &mut Materialization<P, S>) -> Observed<P> {
+fn observe<P: Pops, S: Schedule<P>>(mat: &mut Materialization<P, S>) -> Observed<P> {
     let stats = mat.last_stats().invariants();
     let out = mat.output();
     let consts = (0..out.interner().len() as u32)
@@ -275,7 +275,7 @@ fn assert_first_edit_reads_the_bulk_loaded_edb<P, S>(
     warm_up: &Edit<P>,
     edits: &[Edit<P>],
 ) where
-    P: Pops + Send + Sync,
+    P: Pops,
     S: Schedule<P>,
 {
     let bools = BoolDatabase::new();
@@ -1423,12 +1423,7 @@ fn assert_attaining_deletes_match_from_scratch<P>(
     pops: &str,
     script_of: impl Fn(u64) -> (Database<P>, Vec<Edit<P>>),
 ) where
-    P: NaturallyOrdered
-        + CompleteDistributiveDioid
-        + Absorptive
-        + TotallyOrderedDioid
-        + Send
-        + Sync,
+    P: NaturallyOrdered + CompleteDistributiveDioid + Absorptive + TotallyOrderedDioid,
 {
     let programs = [
         ("linear", ex::apsp_program::<P>()),

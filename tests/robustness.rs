@@ -40,7 +40,7 @@ const CAP: usize = 1_000_000;
 
 /// One evaluation under `schedule`, decoded, with the partial dropped:
 /// the shape most legs here assert on (outcome, or typed error).
-fn eval<P: Pops + Send, S: Schedule<P>>(
+fn eval<P: Pops, S: Schedule<P>>(
     program: &Program<P>,
     edb: &Database<P>,
     bools: &BoolDatabase,
