@@ -1586,42 +1586,43 @@ fn threads_load_a_large_edb_relation_in_parts_with_the_same_ids() {
         assert_eq!(ids(a.interner()), ids(b.interner()), "{step}: ids");
         assert_eq!(a.materialize(), b.materialize(), "{step}: state");
     }
-    fn run<S: Schedule<Trop>>(
+    fn check<S: Schedule<Trop> + std::fmt::Debug>(
+        schedule: S,
         program: &Program<Trop>,
         pops: &Database<Trop>,
         bools: &BoolDatabase,
-        schedule: S,
-        opts: &EngineOpts,
-    ) -> datalog_o::engine::InternedOutcome<Trop> {
-        engine_eval_interned(program, pops, bools, CAP, schedule, opts).expect("compiles")
-    }
-    macro_rules! check {
-        ($schedule:expr) => {
-            let base = run(&program, &pops, &bools, $schedule, &at(1));
-            for threads in [1usize, 2, 4] {
-                let got = run(&program, &pops, &bools, $schedule, &at(threads));
-                let what = format!("{:?} @ {threads} threads", $schedule);
-                assert_eq!(
-                    base.stats().invariants(),
-                    got.stats().invariants(),
-                    "{what}"
-                );
-                assert_eq!(
-                    ids(base.output().interner()),
-                    ids(got.output().interner()),
-                    "{what}"
-                );
-                assert_eq!(
-                    base.output().materialize(),
-                    got.output().materialize(),
-                    "{what}"
-                );
-            }
+    ) {
+        let run = |threads| {
+            let opts = EngineOpts {
+                threads: Some(threads),
+                ..EngineOpts::default()
+            };
+            engine_eval_interned(program, pops, bools, CAP, schedule, &opts).expect("compiles")
         };
+        let base = run(1);
+        for threads in [1usize, 2, 4] {
+            let got = run(threads);
+            let what = format!("{schedule:?} @ {threads} threads");
+            assert_eq!(
+                base.stats().invariants(),
+                got.stats().invariants(),
+                "{what}"
+            );
+            assert_eq!(
+                ids(base.output().interner()),
+                ids(got.output().interner()),
+                "{what}"
+            );
+            assert_eq!(
+                base.output().materialize(),
+                got.output().materialize(),
+                "{what}"
+            );
+        }
     }
-    check!(Naive);
-    check!(SemiNaive);
-    check!(Strategy::Priority);
+    check(Naive, &program, &pops, &bools);
+    check(SemiNaive, &program, &pops, &bools);
+    check(Strategy::Priority, &program, &pops, &bools);
 
     let build = |threads| {
         Materialization::new(&program, &pops, &bools, CAP, Strategy::Auto, &at(threads))
