@@ -12,7 +12,8 @@
 //!   [`IterStat`] snapshots, and the per-rule emit/probe/scan/run
 //!   counts — which runs were timed included.
 //!   These are exact counts of work fixed by the compiled plans and
-//!   the input, done by the one thread that runs the fixpoint, so they
+//!   the input — a fixpoint run in shards sums its shards', which split
+//!   the work, not the count of shards — so they
 //!   are bit-identical at any `DLO_ENGINE_THREADS` — the cross-thread
 //!   determinism tests compare them directly via
 //!   [`EvalStats::invariants`].
@@ -278,8 +279,8 @@ pub struct EvalStats {
     /// mirrors the outcome's step count).
     pub steps: u64,
     /// Resolved worker-thread count (environmental): how many threads
-    /// the engine's EDB index builds may use — the fixpoint itself runs
-    /// on one.
+    /// the engine's EDB load and index builds, and the shards of a
+    /// decomposable fixpoint, may use at once.
     pub threads: u64,
     /// Plan tasks fanned over the worker pool. No schedule fans its
     /// plans out any more, so the engine reports 0 on every run (index

@@ -15,12 +15,17 @@
 //! until δ = 0
 //! ```
 //!
-//! One thread runs the fixpoint: every round's plans run in order on
-//! the calling thread (`run_plans_inline`), `⊕`-merging into one
-//! accumulator per head predicate that is drained in sorted key order,
-//! so results are deterministic. Threads only load the EDB (a large
-//! relation in parts, `load_db`) and build its indexes
-//! (`Engine::build_edb_indexes`) before the first round ([`crate`]'s
+//! Each loop runs its rounds' plans in order on its own thread
+//! (`run_plans_inline`), `⊕`-merging into one accumulator per head
+//! predicate that is drained in sorted key order, so results are
+//! deterministic. Threads load the EDB (a large relation in parts,
+//! `load_db`) and build its indexes (`Engine::build_edb_indexes`)
+//! before the first round, and run the shards of a decomposable
+//! fixpoint (`Run::shards`): after its seed step, a from-scratch run
+//! of a program whose rows split by a shard column
+//! ([`CompiledProgram::shard_cols`]) runs one whole loop per shard of
+//! the rows, a constant number of shards at any thread count
+//! (`Shards`), and concatenates their relations ([`crate`]'s
 //! parallelism section has the readings that decided it).
 //!
 //! ## Head-computed keys and dynamic interning
@@ -47,9 +52,10 @@ use crate::output::{AbortedEval, InternedOutcome, InternedOutput, PartialOutput,
 use crate::par;
 use crate::plan::{compile_demand, CompileError, CompiledProgram, Plan, Source};
 use crate::storage::{probes_full_key, AccumMap, ColMask, ColumnRel};
-use crate::telemetry::{Collector, TraceHandle, PLAN_CLOCK_ALL_FROM_ROWS};
+use crate::telemetry::{add_step, Collector, TraceHandle, PLAN_CLOCK_ALL_FROM_ROWS};
+use crate::worklist::Queue;
 use dlo_core::ast::Program;
-use dlo_core::eval::stats::{Counters, EvalStats};
+use dlo_core::eval::stats::{Counters, EvalStats, IterStat};
 use dlo_core::ground::domain;
 use dlo_core::relation::{BoolDatabase, Database};
 use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops, PreSemiring};
@@ -66,11 +72,12 @@ use std::time::Instant;
 /// [`Default`] is right for production use.
 #[derive(Clone, Debug)]
 pub struct EngineOpts {
-    /// Worker-thread cap of the two things the engine fans out: the
-    /// load of a large EDB relation, in up to this many parts, and the
-    /// EDB index builds (the fixpoint itself runs on the calling
-    /// thread); `Some(1)` is the sequential pass. `None` reads
-    /// `DLO_ENGINE_THREADS` / `available_parallelism`.
+    /// Worker-thread cap of the three things the engine fans out: the
+    /// load of a large EDB relation, in up to this many parts, the EDB
+    /// index builds, and the shards of a decomposable fixpoint (how
+    /// many of them run at once — never how many there are); `Some(1)`
+    /// runs each in sequence. `None` reads `DLO_ENGINE_THREADS` /
+    /// `available_parallelism`.
     pub threads: Option<usize>,
     /// Structured trace sink for this run. `None` falls back to the
     /// `DLO_TRACE` environment variable (a JSONL path, appended to);
@@ -78,8 +85,8 @@ pub struct EngineOpts {
     /// results — only the timing fields of the returned stats.
     pub trace: Option<TraceHandle>,
     /// Resource ceilings for the run (wall-clock deadline, step /
-    /// emitted-row / minted-id budgets), checked once per phase on the
-    /// coordinating thread. The default is unlimited — ungoverned runs
+    /// emitted-row / minted-id budgets), checked once per phase by the
+    /// loop that runs it. The default is unlimited — ungoverned runs
     /// pay nothing. An exhausted ceiling returns the matching
     /// [`EvalError`] variant carrying the stats accumulated so far.
     pub budget: EvalBudget,
@@ -120,9 +127,11 @@ pub(crate) type Accum<P> = Vec<AccumMap<P>>;
 pub(crate) type FreshAccum<P> = Vec<BTreeMap<Box<[HeadVal]>, P>>;
 
 /// The compiled program plus interned, indexed inputs (shared with the
-/// frontier drivers in [`crate::worklist`]).
+/// frontier drivers in [`crate::worklist`]): what every loop reads and
+/// none writes, so the shards of a run share one. The interner that
+/// gives the ids meaning stays beside it ([`Ids`]), as the one thing a
+/// loop writes besides its IDB state.
 pub(crate) struct Engine<P> {
-    pub(crate) interner: Interner,
     pub(crate) compiled: CompiledProgram<P>,
     pub(crate) pops_edb: Vec<Option<ColumnRel<P>>>,
     pub(crate) bool_edb: Vec<Option<ColumnRel<Bool>>>,
@@ -217,24 +226,24 @@ fn load_db<'a, P: Pops>(
 /// `interner` is where the numbering starts: empty for a fresh run, a
 /// handle's own interner when [`crate::Materialization::rebuild`]
 /// re-derives its fixpoint, so ids minted before the rebuild keep
-/// their meaning.
+/// their meaning; it ends holding every EDB and program constant.
 ///
 /// Compiler rejections come back as [`EvalError::Compile`] (see
 /// [`compile_error`]), and so does an EDB relation holding a tuple of
 /// the wrong length ([`load_db`]).
 pub(crate) fn setup<P: Pops>(
     program: &Program<P>,
-    mut interner: Interner,
+    interner: &mut Interner,
     pops_db: &Database<P>,
     bool_db: &BoolDatabase,
     set_valued: &[String],
     threads: usize,
 ) -> Result<Engine<P>, EvalError> {
     let t_load = Instant::now();
-    let mut pops_loaded = load_db(pops_db, &mut interner, threads)?;
-    let mut bool_loaded = load_db(bool_db, &mut interner, threads)?;
+    let mut pops_loaded = load_db(pops_db, interner, threads)?;
+    let mut bool_loaded = load_db(bool_db, interner, threads)?;
     let load_ns = t_load.elapsed().as_nanos() as u64;
-    let compiled = compile_demand(program, &mut interner, set_valued).map_err(compile_error)?;
+    let compiled = compile_demand(program, interner, set_valued).map_err(compile_error)?;
     let pops_edb: Vec<Option<ColumnRel<P>>> = compiled
         .pops_edbs
         .iter()
@@ -249,7 +258,6 @@ pub(crate) fn setup<P: Pops>(
     let nidb = compiled.idbs.len();
     let reqs = compiled.index_requirements();
     let mut engine = Engine {
-        interner,
         adom: vec![],
         idb_new_masks: vec![vec![]; nidb],
         idb_delta_masks: vec![vec![]; nidb],
@@ -263,7 +271,7 @@ pub(crate) fn setup<P: Pops>(
     engine.require_probes(&reqs);
     if engine.fills() {
         let d0 = domain(program, pops_db, bool_db);
-        engine.adom = d0.iter().map(|c| engine.interner.intern(c)).collect();
+        engine.adom = d0.iter().map(|c| interner.intern(c)).collect();
     }
     Ok(engine)
 }
@@ -342,9 +350,9 @@ impl<P: Pops> Engine<P> {
     }
 
     /// Everything a plan run reads, over the IDB state in `state`.
-    fn ctx<'a>(&'a self, state: &'a IdbState<P>) -> EvalCtx<'a, P> {
+    fn ctx<'a>(&'a self, interner: &'a Interner, state: &'a IdbState<P>) -> EvalCtx<'a, P> {
         EvalCtx {
-            interner: &self.interner,
+            interner,
             adom: &self.adom,
             pops_edb: &self.pops_edb,
             bool_edb: &self.bool_edb,
@@ -361,7 +369,11 @@ impl<P: Pops> Engine<P> {
     /// parallel construction is observation-equivalent to a sequential
     /// loop. A panic in a build is contained by the pool and surfaced
     /// as [`EvalError::WorkerPanic`].
-    pub(crate) fn build_edb_indexes(&mut self, threads: usize) -> Result<bool, EvalError> {
+    pub(crate) fn build_edb_indexes(
+        &mut self,
+        interner: &Interner,
+        threads: usize,
+    ) -> Result<bool, EvalError> {
         enum Work<'a, P> {
             Pops(&'a mut ColumnRel<P>, &'a [ColMask]),
             Bool(&'a mut ColumnRel<Bool>, &'a [ColMask]),
@@ -384,7 +396,7 @@ impl<P: Pops> Engine<P> {
         // The interner's rank table, ranked once for every loaded
         // relation that searches its rows as they lie.
         let rank = OnceLock::new();
-        let rank = || Arc::clone(rank.get_or_init(|| Arc::from(self.interner.rank_table())));
+        let rank = || Arc::clone(rank.get_or_init(|| Arc::from(interner.rank_table())));
         let sorted = AtomicBool::new(false);
         par::run_each(work, threads, |w| {
             let rank: &dyn Fn() -> Arc<[u32]> = &rank;
@@ -420,8 +432,12 @@ pub(crate) fn ensure_probes<P: Pops>(
 }
 
 /// Consumes a finished engine into the decode-free output handle.
-pub(crate) fn finish<P: Pops>(engine: Engine<P>, rels: Vec<ColumnRel<P>>) -> InternedOutput<P> {
-    InternedOutput::new(engine.interner, engine.compiled.idbs, rels)
+pub(crate) fn finish<P: Pops>(
+    engine: Engine<P>,
+    interner: Interner,
+    rels: Vec<ColumnRel<P>>,
+) -> InternedOutput<P> {
+    InternedOutput::new(interner, engine.compiled.idbs, rels)
 }
 
 /// Why a round loop stopped short of its fixpoint.
@@ -448,14 +464,48 @@ impl LoopFail {
     }
 }
 
+/// The interner a loop's plans read constants through and its landing
+/// mints head-computed keys into ([`land`]): the run's own, or — in a
+/// shard ([`Run::shards`]) — the run's, shared read-only. A program that
+/// runs in shards has no head key function
+/// ([`CompiledProgram::shard_cols`]), so a shard never mints.
+pub(crate) enum Ids<'a> {
+    /// The run's interner.
+    Own(&'a mut Interner),
+    /// The run's interner, read by every shard at once.
+    Shared(&'a Interner),
+}
+
+impl Ids<'_> {
+    /// The constants a plan run reads.
+    pub(crate) fn get(&self) -> &Interner {
+        match self {
+            Ids::Own(interner) => interner,
+            Ids::Shared(interner) => interner,
+        }
+    }
+
+    /// Where minted ids go.
+    fn mint(&mut self) -> &mut Interner {
+        match self {
+            Ids::Own(interner) => interner,
+            Ids::Shared(_) => unreachable!("a shard's program has no head key function"),
+        }
+    }
+}
+
 /// One governed run over a prepared [`Engine`]: the stats collector,
 /// the governor, the settled-row marking, the eval stopwatch, and the
 /// buffers its plans and rounds work in — opened once per from-scratch
 /// evaluation and once per [`crate::Materialization`] build or edit, so
-/// every loop is governed and accounted for the same way.
+/// every loop is governed and accounted for the same way. A shard of a
+/// run is a run of its own ([`Run::shards`]) under the same governor.
 pub(crate) struct Run<P> {
     pub(crate) col: Collector,
-    gov: Governor,
+    gov: Arc<Governor>,
+    /// The emits this run has reported to the governor, which counts
+    /// them over every shard of the run ([`Run::check`]).
+    reported: u64,
     /// Rows known final at any point of the run: marked on pop by the
     /// priority frontier, empty (best effort) everywhere else.
     pub(crate) settled: SettledMark,
@@ -499,7 +549,8 @@ impl<P: Pops> Run<P> {
                 engine.compiled.plan_metas(),
                 opts,
             ),
-            gov: Governor::new(opts, setup_ns),
+            gov: Arc::new(Governor::new(opts, setup_ns)),
+            reported: 0,
             settled: if settles_on_pop {
                 SettledMark::exact_empty(nidb)
             } else {
@@ -512,11 +563,13 @@ impl<P: Pops> Run<P> {
         }
     }
 
-    /// One governance checkpoint after `steps` completed steps.
+    /// One governance checkpoint after `steps` completed steps, which
+    /// first reports the run's emits since its last one.
     #[inline]
     pub(crate) fn check(&mut self, steps: usize, checkpoint: Checkpoint) -> Result<(), LoopFail> {
+        let fresh = self.unreported();
         self.gov
-            .check(steps as u64, &mut self.col)
+            .check(steps as u64, fresh, &mut self.col)
             .map_err(LoopFail::at(checkpoint, steps))
     }
 
@@ -533,13 +586,14 @@ impl<P: Pops> Run<P> {
     pub(crate) fn prepare(
         &mut self,
         engine: &mut Engine<P>,
+        interner: &Interner,
         state: &mut IdbState<P>,
         opts: &EngineOpts,
     ) -> Result<(), LoopFail> {
         self.check(0, Checkpoint::Phase)?;
         let t = Instant::now();
         let sorted = engine
-            .build_edb_indexes(opts.effective_threads())
+            .build_edb_indexes(interner, opts.effective_threads())
             .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
         // One stopwatch over builds that may run side by side: the
         // phase goes to the `arrange` leg whole when any of them was a
@@ -589,8 +643,10 @@ impl<P: Pops> Run<P> {
     }
 
     /// A whole from-scratch evaluation: the prelude, then `schedule`
-    /// resumed from the empty state with every full plan as seed, then
-    /// the outcome.
+    /// from the empty state with every full plan as seed — its seed
+    /// step, then the rest of its loop, in `shards` where the program
+    /// decomposes and the seed landed enough rows ([`Run::shards`]) —
+    /// then the outcome.
     /// Hitting the cap is `Ok(Diverged)`; a governed abort returns the
     /// boxed [`AbortedEval`] — the typed error with the abort-time IDB
     /// state and the run's settled marking attached as a
@@ -598,13 +654,15 @@ impl<P: Pops> Run<P> {
     pub(crate) fn drive<S: Rounds<P>>(
         mut self,
         mut engine: Engine<P>,
+        mut interner: Interner,
         cap: usize,
         opts: &EngineOpts,
         schedule: S,
+        shards: Shards,
     ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
         let mut state = engine.empty_state();
         // From the empty state every full plan seeds. The lists move
-        // out of the engine: the loop borrows it mutably, to mint.
+        // out of the engine, which the loops share read-only.
         let seed = std::mem::take(&mut engine.compiled.seed_plans);
         let delta = std::mem::take(&mut engine.compiled.delta_plans);
         let plans = RoundPlans {
@@ -614,27 +672,311 @@ impl<P: Pops> Run<P> {
             delta: &delta,
         };
         let result = self
-            .prepare(&mut engine, &mut state, opts)
-            .and_then(|()| schedule.resume(&mut engine, &mut state, &plans, cap, &mut self, 0));
+            .prepare(&mut engine, &interner, &mut state, opts)
+            .and_then(|()| {
+                let (engine, ids) = (&engine, &mut Ids::Own(&mut interner));
+                let mut queue = schedule.seed(engine, ids, &mut state, &plans, &mut self, 0)?;
+                let count = shards.count(engine, &state, &plans, S::SHARDS);
+                if count == 1 {
+                    return schedule.drain(
+                        engine, ids, &mut state, &mut queue, &plans, cap, &mut self, 0,
+                    );
+                }
+                let threads = opts.effective_threads();
+                let interner = ids.get();
+                self.shards(
+                    engine, interner, &mut state, queue, &plans, cap, schedule, count, threads,
+                )
+            });
         match result {
             Ok(steps) => Ok(InternedOutcome::Converged {
                 stats: self.finish(steps, true),
-                output: finish(engine, state.new),
+                output: finish(engine, interner, state.new),
                 steps,
             }),
             Err(LoopFail::Diverged(_)) => Ok(InternedOutcome::Diverged {
                 stats: self.finish(cap, false),
-                last: finish(engine, state.new),
+                last: finish(engine, interner, state.new),
                 cap,
             }),
             Err(fail) => {
                 let (error, settled) = self.fail(cap, fail);
                 let stats = error.stats().cloned().unwrap_or_default();
-                let partial = PartialOutput::new(finish(engine, state.new), settled, stats);
+                let output = finish(engine, interner, state.new);
+                let partial = PartialOutput::new(output, settled, stats);
                 Err(Box::new(AbortedEval::new(error, partial)))
             }
         }
     }
+
+    /// The rest of a from-scratch loop after its seed step 0, in
+    /// `count` shards on up to `threads` threads: the rows the seed
+    /// landed, and the queue entries naming them, move to shard
+    /// `h(id in the predicate's shard column) mod count`
+    /// ([`split_state`]); each shard runs the schedule's loop
+    /// ([`Rounds::drain`]) as a run of its own — its own buffers,
+    /// accumulators, Δ, queue, settled marking and collector, this
+    /// run's governor — against the one engine and interner, read-only,
+    /// over [`par::run_each`] (shard 0 on the calling thread); then the
+    /// shards' relations are concatenated in shard order into
+    /// `state.new`, and their settled marks, counters, plan tallies and
+    /// step rows merged into this run's ([`Rounds::merge`]).
+    ///
+    /// No rule connects two shards' rows ([`CompiledProgram::shard_cols`]),
+    /// so each emission is merged once, in its own shard, and a shard's
+    /// loop meets its rows in the order the one-shard loop does: values,
+    /// counters and steps are those of one shard, and `count` — a
+    /// constant, never the thread count — fixes row order and plan-clock
+    /// samples, so threads only decide how many shards run at once.
+    #[allow(clippy::too_many_arguments)]
+    fn shards<S: Rounds<P>>(
+        &mut self,
+        engine: &Engine<P>,
+        interner: &Interner,
+        state: &mut IdbState<P>,
+        queue: Queue<P>,
+        plans: &RoundPlans<'_, P>,
+        cap: usize,
+        schedule: S,
+        count: usize,
+        threads: usize,
+    ) -> Result<usize, LoopFail> {
+        // The seed's emits count toward every shard's row budget.
+        let fresh = self.unreported();
+        self.gov.spend(fresh);
+        let whole = std::mem::replace(state, engine.empty_state());
+        let (parts, route) = split_state(engine, whole, count);
+        let queues = schedule.split(queue, &route, count);
+        drop(route);
+        struct Shard<P, Q> {
+            run: Run<P>,
+            state: IdbState<P>,
+            queue: Q,
+            result: Option<Result<usize, LoopFail>>,
+        }
+        let mut shards: Vec<Shard<P, Queue<P>>> = parts
+            .into_iter()
+            .zip(queues)
+            .map(|(state, queue)| Shard {
+                run: self.shard(engine),
+                state,
+                queue,
+                result: None,
+            })
+            .collect();
+        let panicked = par::run_each(shards.iter_mut().collect(), threads, |shard| {
+            let Shard {
+                run,
+                state,
+                queue,
+                result,
+            } = shard;
+            let ids = &mut Ids::Shared(interner);
+            *result = Some(schedule.drain(engine, ids, state, queue, plans, cap, run, 0));
+        })
+        .err();
+
+        let mut parts: Vec<Vec<ColumnRel<P>>> = state.new.iter().map(|_| vec![]).collect();
+        let (mut logs, mut failed) = (Vec::with_capacity(count), None);
+        for shard in shards {
+            let Shard {
+                run,
+                state: part,
+                queue,
+                result,
+            } = shard;
+            let offsets: Vec<u32> = parts
+                .iter()
+                .map(|rels| rels.iter().map(|rel| rel.len() as u32).sum())
+                .collect();
+            self.settled.append(run.settled, &offsets);
+            logs.push((queue, self.col.absorb(run.col)));
+            for (rels, rel) in parts.iter_mut().zip(part.new) {
+                rels.push(rel);
+            }
+            // The first abort in shard order, else the first overrun.
+            if let Some(Err(fail)) = result {
+                let abort = matches!(fail, LoopFail::Abort { .. });
+                if failed.is_none() || abort && matches!(failed, Some(LoopFail::Diverged(_))) {
+                    failed = Some(fail);
+                }
+            }
+        }
+        state.new = parts.into_iter().map(ColumnRel::concat).collect();
+        let (steps, rows) = schedule.merge(logs, 0);
+        for row in rows {
+            self.col.push_step(row);
+        }
+        let failed = match panicked {
+            Some(message) => {
+                let stats = Box::default();
+                let error = EvalError::WorkerPanic { message, stats };
+                Some(LoopFail::at(Checkpoint::Phase, steps)(error))
+            }
+            None => failed,
+        };
+        match failed {
+            Some(LoopFail::Abort {
+                error, checkpoint, ..
+            }) => Err(LoopFail::Abort {
+                error,
+                checkpoint,
+                steps,
+            }),
+            // Each shard counts its own batches, so the cap is judged on
+            // the merged count.
+            Some(LoopFail::Diverged(_)) => Err(LoopFail::Diverged(steps)),
+            None if steps > cap => Err(LoopFail::Diverged(steps)),
+            None => Ok(steps),
+        }
+    }
+
+    /// The emits of this run not yet reported to its governor.
+    fn unreported(&mut self) -> u64 {
+        let emits = self.col.stats.counters.emits;
+        emits - std::mem::replace(&mut self.reported, emits)
+    }
+
+    /// A run of one shard of this one ([`Run::shards`]): fresh buffers
+    /// and marking, a collector that keeps its step rows for the merge
+    /// and streams nothing, and this run's governor.
+    fn shard(&self, engine: &Engine<P>) -> Run<P> {
+        let nidb = engine.compiled.idbs.len();
+        Run {
+            col: self.col.shard(),
+            gov: Arc::clone(&self.gov),
+            reported: 0,
+            settled: match self.settled.is_exact() {
+                true => SettledMark::exact_empty(nidb),
+                false => SettledMark::best_effort(nidb),
+            },
+            scratch: Scratch::default(),
+            round: (vec![], vec![]),
+            next_delta: vec![],
+            t_eval: Instant::now(),
+        }
+    }
+}
+
+/// How many shards a decomposable fixpoint from the empty state runs
+/// in, and from how many rows landed by its seed step on ([`Run::drive`];
+/// [`Shards::DEFAULT`] behind every entry point).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Shards {
+    /// Shards, whatever the thread count: it fixes row ids, counters
+    /// and the plan clock's samples.
+    pub(crate) count: usize,
+    /// Rows the seed must land before the loop splits.
+    pub(crate) min_rows: usize,
+}
+
+impl Shards {
+    /// What every entry point runs with, from sweeps on a shared 2-core
+    /// host.
+    ///
+    /// `count` 2. `apsp-dense` (seed 1, 3 s runs of `dlo_benchmark`)
+    /// read `op_median_s` 0.076–0.086 s at 2 shards, 0.081–0.084 at 4,
+    /// 0.088–0.091 at 8 and 0.081–0.084 at 16, against 0.112–0.125 in
+    /// one; `peak_rss_mb` 52.1, 53.3, 55.4 and 54.5 against 49.0: the
+    /// bytes are the one-shard run's (49.1 under
+    /// `GLIBC_TUNABLES=glibc.malloc.arena_max=1`), the rest is what
+    /// the worker thread's allocator arena keeps, which grows with the
+    /// shards it runs. Two shards also keep a closure's rows dense
+    /// enough for a direct-addressed row map (`storage::row_map_dense`).
+    ///
+    /// `min_rows` 512. On random APSP graphs of `4n` edges (medians of
+    /// 31 runs, both schedules) 2 shards read 1.35–1.68× one shard at 57
+    /// seed rows (the threads and buffers of a split are ≈ 0.1 ms),
+    /// 0.70–1.2× at 123 and 251 rows — the host's phases move those
+    /// runs more than the split does — and 0.57–0.74× from 507 rows on.
+    pub(crate) const DEFAULT: Shards = Shards {
+        count: 2,
+        min_rows: 512,
+    };
+
+    /// The shards the rest of a loop runs in after its seed step:
+    /// `count` when the program has shard columns, `plans` a Δ family,
+    /// the schedule shards (`sharded`) and the seed landed `min_rows`
+    /// rows or more; else 1.
+    fn count<P: Pops>(
+        self,
+        engine: &Engine<P>,
+        state: &IdbState<P>,
+        plans: &RoundPlans<'_, P>,
+        sharded: bool,
+    ) -> usize {
+        let rows: usize = state.new.iter().map(ColumnRel::len).sum();
+        let decomposes = engine.compiled.shard_cols.is_some() && !plans.delta.is_empty();
+        match sharded && decomposes && rows >= self.min_rows {
+            true => self.count.max(1),
+            false => 1,
+        }
+    }
+}
+
+/// Per IDB, where each row of a split state went: `(shard, row id)`.
+pub(crate) type Route = Vec<Vec<(u32, u32)>>;
+
+/// The shard of a row whose shard column holds `id`: a multiplicative
+/// hash, so that dense, strided and clustered ids spread alike.
+fn shard_of(id: u32, count: usize) -> usize {
+    ((u64::from(id).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % count as u64) as usize
+}
+
+/// `state`'s rows moved to `count` shards by their id in their
+/// predicate's shard column ([`shard_of`]), each shard's relations in
+/// the order the rows stood in `state` — so a shard's loop meets its
+/// rows as the one-shard loop does — and carrying every probe structure
+/// the loops read; the `changed` marks follow their rows. Returns the
+/// shards' states and where each row of `state.new` went. No value is
+/// cloned.
+fn split_state<P: Pops>(
+    engine: &Engine<P>,
+    state: IdbState<P>,
+    count: usize,
+) -> (Vec<IdbState<P>>, Route) {
+    let cols = engine.compiled.shard_cols.as_deref();
+    let cols = cols.expect("a program split into shards has shard columns");
+    let mut parts: Vec<IdbState<P>> = (0..count)
+        .map(|_| {
+            let mut part = engine.empty_state();
+            for (rel, masks) in part.new.iter_mut().zip(&engine.idb_new_masks) {
+                ensure_probes(rel, masks, None);
+            }
+            ensure_delta_indexes(engine, &mut part);
+            part
+        })
+        .collect();
+    let IdbState {
+        new,
+        changed,
+        delta,
+    } = state;
+    let mut route: Route = Vec::with_capacity(new.len());
+    for (pred, rel) in new.into_iter().enumerate() {
+        let (arity, col) = (rel.arity(), cols[pred]);
+        let (keys, vals) = rel.into_rows();
+        let mut to = Vec::with_capacity(vals.len());
+        for (key, v) in keys.chunks_exact(arity).zip(vals) {
+            let s = shard_of(key[col], count);
+            to.push((s as u32, parts[s].new[pred].insert_row(key, v)));
+        }
+        route.push(to);
+    }
+    for (pred, rel) in delta.into_iter().enumerate() {
+        let (arity, col) = (rel.arity(), cols[pred]);
+        let (keys, vals) = rel.into_rows();
+        for (key, v) in keys.chunks_exact(arity).zip(vals) {
+            parts[shard_of(key[col], count)].delta[pred].append_row(key, v);
+        }
+    }
+    for (pred, marks) in changed.into_iter().enumerate() {
+        for (row, old) in marks {
+            let (s, row) = route[pred][row as usize];
+            parts[s as usize].changed[pred].insert(row, old);
+        }
+    }
+    (parts, route)
 }
 
 /// Wraps a pre-run failure (a compile rejection) into the error channel
@@ -681,7 +1023,8 @@ fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
 /// Runs `plans` in order on the calling thread — the one plan runner
 /// behind every schedule: the naïve and semi-naïve rounds and the DRed
 /// marking rounds ([`run_round`]) and every frontier batch
-/// ([`crate::worklist`]). A plan's interned emissions land in its head
+/// ([`crate::worklist`]), in one shard or in many ([`Run::shards`]). A
+/// plan's interned emissions land in its head
 /// predicate's entry of `sinks` through `land` ([`AccumMap::merge`] for
 /// the rounds, an ordered buffer for the frontier), its fresh head keys
 /// in `fresh`, its counters in `run`'s collector; every plan works in
@@ -696,6 +1039,7 @@ fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     engine: &Engine<P>,
+    interner: &Interner,
     state: &IdbState<P>,
     plans: impl IntoIterator<Item = &'p Plan<P>>,
     sinks: &mut [S],
@@ -704,7 +1048,7 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
     rows: u64,
     run: &mut Run<P>,
 ) -> Result<(), EvalError> {
-    let ctx = engine.ctx(state);
+    let ctx = engine.ctx(interner, state);
     let whole = rows >= PLAN_CLOCK_ALL_FROM_ROWS;
     catch_unwind(AssertUnwindSafe(|| {
         for plan in plans {
@@ -739,6 +1083,7 @@ pub(crate) fn run_plans_inline<'p, P: Pops, S>(
 /// delete's marking rounds by hand — before the next round.
 pub(crate) fn run_round<P: Pops>(
     engine: &Engine<P>,
+    interner: &Interner,
     plans: &[Plan<P>],
     state: &IdbState<P>,
     rows: u64,
@@ -751,6 +1096,7 @@ pub(crate) fn run_round<P: Pops>(
     let (mut contrib, mut fresh) = std::mem::take(&mut run.round);
     let ran = run_plans_inline(
         engine,
+        interner,
         state,
         plans.iter().filter(|plan| !plan.frontier_only),
         &mut contrib,
@@ -771,32 +1117,97 @@ mod sealed {
     /// which impls exist and what they are bounded over. The methods
     /// take crate-private types, so nothing outside the crate can call
     /// them — hence the `private_interfaces` allowances on the impls.
+    ///
+    /// A schedule's loop is a seed step, then the rest: [`Rounds::seed`]
+    /// and [`Rounds::drain`], which [`Rounds::resume`] runs back to
+    /// back. A from-scratch run may run the rest in shards
+    /// ([`Run::shards`]), each shard its own `drain` from its part of
+    /// the state and queue ([`Rounds::split`]), and merges their step
+    /// rows as the one loop would have counted them ([`Rounds::merge`]).
     #[allow(private_interfaces)]
-    pub trait Rounds<P: Pops>: Sized {
+    pub trait Rounds<P: Pops>: Sized + Copy + Send + Sync {
         /// Suffix of the `incremental-*` stats labels of a
         /// [`crate::Materialization`] maintained under this schedule.
         const MAINTENANCE_SUFFIX: &'static str;
+
+        /// Whether the rest of a from-scratch loop may run in shards:
+        /// every loop's but the naïve rounds', which re-run the full
+        /// plans over the whole state each round.
+        const SHARDS: bool;
 
         /// The stats label of a from-scratch run, and whether its loop
         /// marks rows final as it pops them (the priority frontier: the
         /// run's settled marking is then exact).
         fn label(self) -> (&'static str, bool);
 
-        /// The schedule's loop: continues from the pre-fixpoint in
-        /// `state` to the least fixpoint above it, numbering steps from
-        /// `start`, and returns the step count it reports. From the
-        /// empty state with every full plan as seed, that is a
-        /// from-scratch run ([`evaluate`]); from a standing fixpoint, a
-        /// [`crate::Materialization`] edit.
-        fn resume(
+        /// The loop's seed step, numbered `start`: folds `plans.seed`
+        /// into `state` and returns what the rest of the loop carries
+        /// besides the IDB state — a frontier's queue, none for the
+        /// rounds.
+        fn seed(
             self,
-            engine: &mut Engine<P>,
+            engine: &Engine<P>,
+            ids: &mut Ids<'_>,
             state: &mut IdbState<P>,
+            plans: &RoundPlans<'_, P>,
+            run: &mut Run<P>,
+            start: usize,
+        ) -> Result<Queue<P>, LoopFail>;
+
+        /// The rest of the loop after its seed step `start`, to the
+        /// least fixpoint; returns the step count it reports.
+        #[allow(clippy::too_many_arguments)]
+        fn drain(
+            self,
+            engine: &Engine<P>,
+            ids: &mut Ids<'_>,
+            state: &mut IdbState<P>,
+            queue: &mut Queue<P>,
             plans: &RoundPlans<'_, P>,
             cap: usize,
             run: &mut Run<P>,
             start: usize,
         ) -> Result<usize, LoopFail>;
+
+        /// The schedule's loop: continues from the pre-fixpoint in
+        /// `state` to the least fixpoint above it, numbering steps from
+        /// `start`, and returns the step count it reports. From the
+        /// empty state with every full plan as seed, that is a
+        /// from-scratch run ([`Run::drive`]); from a standing fixpoint,
+        /// a [`crate::Materialization`] edit.
+        #[allow(clippy::too_many_arguments)]
+        fn resume(
+            self,
+            engine: &Engine<P>,
+            ids: &mut Ids<'_>,
+            state: &mut IdbState<P>,
+            plans: &RoundPlans<'_, P>,
+            cap: usize,
+            run: &mut Run<P>,
+            start: usize,
+        ) -> Result<usize, LoopFail> {
+            let mut queue = self.seed(engine, ids, state, plans, run, start)?;
+            self.drain(engine, ids, state, &mut queue, plans, cap, run, start)
+        }
+
+        /// `queue` split into `count` shards' queues by `route`, the
+        /// shards of the state it names ([`split_state`]): the rounds
+        /// carry none.
+        fn split(self, queue: Queue<P>, route: &Route, count: usize) -> Vec<Queue<P>> {
+            debug_assert!(queue.is_none() && !route.is_empty());
+            (0..count).map(|_| None).collect()
+        }
+
+        /// The step count and step rows of the one-shard loop, merged
+        /// from each shard's queue and step rows (in shard order) after
+        /// the seed step `start`: the rounds' ([`merge_rounds`]).
+        fn merge(
+            self,
+            shards: Vec<(Queue<P>, Vec<IterStat>)>,
+            start: usize,
+        ) -> (usize, Vec<IterStat>) {
+            merge_rounds(shards.into_iter().map(|(_, rows)| rows), start)
+        }
     }
 }
 pub(crate) use sealed::Rounds;
@@ -862,23 +1273,39 @@ pub(crate) struct RoundPlans<'a, P> {
 #[allow(private_interfaces)]
 impl<P: NaturallyOrdered> Rounds<P> for Naive {
     const MAINTENANCE_SUFFIX: &'static str = "-naive";
+    const SHARDS: bool = false;
 
     fn label(self) -> (&'static str, bool) {
         ("naive", false)
     }
 
-    fn resume(
+    /// Naïve rounds have no seed step: each recomputes the full sums,
+    /// so the differential seed plans stay out — they would
+    /// double-count.
+    fn seed(
         self,
-        engine: &mut Engine<P>,
+        _: &Engine<P>,
+        _: &mut Ids<'_>,
+        _: &mut IdbState<P>,
+        _: &RoundPlans<'_, P>,
+        _: &mut Run<P>,
+        _: usize,
+    ) -> Result<Queue<P>, LoopFail> {
+        Ok(None)
+    }
+
+    fn drain(
+        self,
+        engine: &Engine<P>,
+        ids: &mut Ids<'_>,
         state: &mut IdbState<P>,
+        _: &mut Queue<P>,
         plans: &RoundPlans<'_, P>,
         cap: usize,
         run: &mut Run<P>,
         start: usize,
     ) -> Result<usize, LoopFail> {
-        // Naïve steps recompute full sums, so the differential seed
-        // plans stay out: they would double-count.
-        naive_rounds(engine, state, plans.full, cap, run, start)
+        naive_rounds(engine, ids, state, plans.full, cap, run, start)
     }
 }
 
@@ -888,22 +1315,71 @@ where
     P: NaturallyOrdered + CompleteDistributiveDioid,
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
+    const SHARDS: bool = true;
 
     fn label(self) -> (&'static str, bool) {
         ("seminaive", false)
     }
 
-    fn resume(
+    fn seed(
         self,
-        engine: &mut Engine<P>,
+        engine: &Engine<P>,
+        ids: &mut Ids<'_>,
         state: &mut IdbState<P>,
+        plans: &RoundPlans<'_, P>,
+        run: &mut Run<P>,
+        start: usize,
+    ) -> Result<Queue<P>, LoopFail> {
+        let (seed, rows) = (plans.seed, plans.seed_rows);
+        seminaive_step(
+            engine,
+            ids,
+            state,
+            seed,
+            rows,
+            Checkpoint::Phase,
+            start,
+            run,
+        )?;
+        Ok(None)
+    }
+
+    fn drain(
+        self,
+        engine: &Engine<P>,
+        ids: &mut Ids<'_>,
+        state: &mut IdbState<P>,
+        _: &mut Queue<P>,
         plans: &RoundPlans<'_, P>,
         cap: usize,
         run: &mut Run<P>,
         start: usize,
     ) -> Result<usize, LoopFail> {
-        seminaive_rounds(engine, state, plans, cap, run, start)
+        seminaive_rounds(engine, ids, state, plans.delta, cap, run, start)
     }
+}
+
+/// The step count and rows of semi-naïve rounds run in shards after
+/// the seed round `start`: a shard's Δ at round `t` is the one-shard
+/// Δ's rows of its groups, so round `t` of the one loop is round `t` of
+/// every shard whose Δ was not yet empty — its row sums theirs — and
+/// the loop ends with its longest shard, one step past its last round.
+pub(crate) fn merge_rounds(
+    shards: impl Iterator<Item = Vec<IterStat>>,
+    start: usize,
+) -> (usize, Vec<IterStat>) {
+    let mut merged: Vec<IterStat> = vec![];
+    for row in shards.flatten() {
+        let i = row.step as usize - start - 1;
+        if merged.len() <= i {
+            merged.resize(i + 1, IterStat::default());
+        }
+        add_step(&mut merged[i], &row);
+    }
+    for (i, row) in merged.iter_mut().enumerate() {
+        row.step = (start + 1 + i) as u64;
+    }
+    (start + 1 + merged.len(), merged)
 }
 
 /// Evaluates `program` under `schedule`, returning the **decode-free**
@@ -940,12 +1416,24 @@ where
     S: Schedule<P>,
 {
     let t = Instant::now();
-    evaluate(t, program, pops_edb, bool_edb, &[], cap, schedule, opts)
+    let shards = Shards::DEFAULT;
+    evaluate(
+        t,
+        program,
+        pops_edb,
+        bool_edb,
+        &[],
+        cap,
+        schedule,
+        opts,
+        shards,
+    )
 }
 
 /// The one way in behind every entry point: [`setup`] (everything since
 /// `started` counts as setup time), then the schedule's loop from the
-/// empty state ([`Run::drive`]).
+/// empty state ([`Run::drive`]), in `shards` where the program
+/// decomposes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
     started: Instant,
@@ -956,11 +1444,13 @@ pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
     cap: usize,
     schedule: S,
     opts: &EngineOpts,
+    shards: Shards,
 ) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
     let threads = opts.effective_threads();
+    let mut interner = Interner::new();
     let engine = setup(
         program,
-        Interner::new(),
+        &mut interner,
         pops_db,
         bool_db,
         set_valued,
@@ -970,7 +1460,7 @@ pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
     let (label, settles_on_pop) = schedule.label();
     let setup_ns = started.elapsed().as_nanos() as u64;
     let run = Run::open(&engine, label, settles_on_pop, opts, setup_ns);
-    run.drive(engine, cap, opts, schedule)
+    run.drive(engine, interner, cap, opts, schedule, shards)
 }
 
 /// Naïve rounds `J ↦ F(J)` over `plans` from the state in `state`, to
@@ -989,7 +1479,8 @@ pub(crate) fn evaluate<P: Pops, S: Schedule<P>>(
 /// row of `J` is missing from `F(J)` unless it is `0`, and no landed
 /// value lowers a row.
 pub(crate) fn naive_rounds<P: NaturallyOrdered>(
-    engine: &mut Engine<P>,
+    engine: &Engine<P>,
+    ids: &mut Ids<'_>,
     state: &mut IdbState<P>,
     plans: &[Plan<P>],
     cap: usize,
@@ -1003,10 +1494,10 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
         // A naïve round reads the whole state: its Δ is every row but
         // the tombstones.
         let rows = state.new.iter().map(|rel| rel.support_size() as u64).sum();
-        run_round(engine, plans, state, rows, run)
+        run_round(engine, ids.get(), plans, state, rows, run)
             .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
         let (new, phase, col) = (&mut state.new, &mut run.round, &mut run.col);
-        land(engine, new, phase, col, |_, _, _, old, v| {
+        land(engine, ids, new, phase, col, |_, _, _, old, v| {
             debug_assert!(
                 old.is_none_or(|old| old.leq(&v)),
                 "naïve rounds start at a pre-fixpoint"
@@ -1027,18 +1518,44 @@ pub(crate) fn naive_rounds<P: NaturallyOrdered>(
     }
 }
 
-/// Semi-naïve rounds (Theorem 6.5) from the state in `state`: a seed
-/// round folds the contributions of `plans.seed` in through the advance
-/// ([`apply_contrib`]) as step `start`, then `plans.delta` rounds run
-/// until every delta drains. From the empty state with the full plans
-/// as seed that is `J(1) = F(0)`, `δ(0) = J(1)`; a maintenance edit
-/// seeds the same loop from its differential instead. The returned
-/// count includes the iteration that finds δ empty, one past the last
-/// round's step number, as the grounded `seminaive_eval` counts it.
-pub(crate) fn seminaive_rounds<P>(
-    engine: &mut Engine<P>,
+/// One semi-naïve step numbered `step` (Theorem 6.5): the governance
+/// checkpoint, one round of `plans` driven by `rows` Δ rows, the
+/// advance ([`apply_contrib`]) and the step's stats row. From the
+/// empty state with the full plans as seed, the seed step is
+/// `J(1) = F(0)`, `δ(0) = J(1)`; a maintenance edit seeds the same
+/// loop from its differential instead.
+#[allow(clippy::too_many_arguments)]
+fn seminaive_step<P>(
+    engine: &Engine<P>,
+    ids: &mut Ids<'_>,
     state: &mut IdbState<P>,
-    plans: &RoundPlans<'_, P>,
+    plans: &[Plan<P>],
+    rows: u64,
+    checkpoint: Checkpoint,
+    step: usize,
+    run: &mut Run<P>,
+) -> Result<(), LoopFail>
+where
+    P: NaturallyOrdered + CompleteDistributiveDioid,
+{
+    run.check(step, checkpoint)?;
+    let before = run.col.stats.counters;
+    run_round(engine, ids.get(), plans, state, rows, run)
+        .map_err(LoopFail::at(checkpoint, step))?;
+    apply_contrib(engine, ids, state, run);
+    run.col.end_step(step, rows, 0, &before);
+    Ok(())
+}
+
+/// The semi-naïve rounds after the seed step `start`: `delta` rounds
+/// until every delta drains. The returned count includes the iteration
+/// that finds δ empty, one past the last round's step number, as the
+/// grounded `seminaive_eval` counts it.
+pub(crate) fn seminaive_rounds<P>(
+    engine: &Engine<P>,
+    ids: &mut Ids<'_>,
+    state: &mut IdbState<P>,
+    delta: &[Plan<P>],
     cap: usize,
     run: &mut Run<P>,
     start: usize,
@@ -1047,15 +1564,7 @@ where
     P: NaturallyOrdered + CompleteDistributiveDioid,
 {
     let mut steps = start;
-    let mut round = (plans.seed, plans.seed_rows, Checkpoint::Phase);
     loop {
-        let (round_plans, delta_rows, checkpoint) = round;
-        run.check(steps, checkpoint)?;
-        let before = run.col.stats.counters;
-        run_round(engine, round_plans, state, delta_rows, run)
-            .map_err(LoopFail::at(checkpoint, steps))?;
-        apply_contrib(engine, state, run);
-        run.col.end_step(steps, delta_rows, 0, &before);
         if steps >= cap {
             return Err(LoopFail::Diverged(steps));
         }
@@ -1063,8 +1572,17 @@ where
             return Ok(steps + 1);
         }
         steps += 1;
-        let delta_rows = state.delta.iter().map(|d| d.len() as u64).sum();
-        round = (plans.delta, delta_rows, Checkpoint::Iteration);
+        let rows = state.delta.iter().map(|d| d.len() as u64).sum();
+        seminaive_step(
+            engine,
+            ids,
+            state,
+            delta,
+            rows,
+            Checkpoint::Iteration,
+            steps,
+            run,
+        )?;
     }
 }
 
@@ -1072,11 +1590,15 @@ where
 /// contributions (`run.round`) in the IDB state ([`land`]) —
 /// `δ' = contrib ⊖ new` (pointwise on supports), `new' = new ⊕ contrib`
 /// — and leaves `state.delta` holding the next iteration's indexed
-/// delta — every round of [`seminaive_rounds`], seed round included. δ'
+/// delta — every step of the rounds, seed step included. δ'
 /// is written into the run's cleared `next_delta`, which then trades
 /// places with the Δ just read.
-pub(crate) fn apply_contrib<P>(engine: &mut Engine<P>, state: &mut IdbState<P>, run: &mut Run<P>)
-where
+pub(crate) fn apply_contrib<P>(
+    engine: &Engine<P>,
+    ids: &mut Ids<'_>,
+    state: &mut IdbState<P>,
+    run: &mut Run<P>,
+) where
     P: NaturallyOrdered + CompleteDistributiveDioid,
 {
     if run.next_delta.len() != state.delta.len() {
@@ -1090,7 +1612,7 @@ where
         ch.clear();
     }
     let (zero, new, changed) = (P::zero(), &mut state.new, &mut state.changed);
-    land(engine, new, phase, col, |pred, key, r, old, v| {
+    land(engine, ids, new, phase, col, |pred, key, r, old, v| {
         let diff = v.minus(old.unwrap_or(&zero));
         if diff.is_zero() {
             return None;
@@ -1132,28 +1654,30 @@ impl<P: PreSemiring> Emissions<P> for Accum<P> {
 /// * a set-valued (magic) row is inserted at `1` once — demand is a
 ///   set, whatever `⊕`-sum the plans accumulated — and every later
 ///   emission to it is a `set_valued_shortcircuits`, `rule` unasked;
-/// * fresh head keys are minted between phases, in the sorted order of
-///   their accumulators (`mint_key`), and land like any other key: the
-///   clock is read only when there are some;
+/// * fresh head keys are minted into `ids` between phases, in the
+///   sorted order of their accumulators (`mint_key`), and land like any
+///   other key: the clock is read only when there are some;
 /// * each landing is counted once: `rows_inserted` when the row enters
 ///   the support (absent, or at `0` — a delete's zeroed row coming
 ///   back), `rows_improved` when a row of the support rises,
 ///   `merges_absorbed` when `rule` declines.
 #[inline(always)]
 pub(crate) fn land<P: Pops>(
-    engine: &mut Engine<P>,
+    engine: &Engine<P>,
+    ids: &mut Ids<'_>,
     new: &mut [ColumnRel<P>],
     (emitted, fresh): &mut (impl Emissions<P>, FreshAccum<P>),
     col: &mut Collector,
     mut rule: impl FnMut(usize, &[u32], u32, Option<&P>, P) -> Option<P>,
 ) {
-    let (interner, set_valued) = (&mut engine.interner, &engine.compiled.set_valued);
+    let set_valued = &engine.compiled.set_valued;
     let c = &mut col.stats.counters;
     emitted.drain(|pred, key, v| land_row(new, set_valued, pred, key, v, c, &mut rule));
     if fresh.iter().all(BTreeMap::is_empty) {
         return;
     }
     let t_mint = Instant::now();
+    let interner = ids.mint();
     let minted_before = interner.len();
     for (pred, facc) in fresh.iter_mut().enumerate() {
         while let Some((key, v)) = facc.pop_first() {
@@ -1325,6 +1849,294 @@ pub(crate) mod tests {
         for _ in 0..5 {
             let again = eval(&p, &edb, &bools, 1000, Naive).unwrap();
             assert_eq!(first, again, "engine result varied across runs");
+        }
+    }
+
+    /// A run of `program` under `schedule` in `count` shards from one
+    /// seed row on, at `threads` threads.
+    fn eval_in_shards<P: Pops, S: Schedule<P>>(
+        program: &Program<P>,
+        edb: &Database<P>,
+        schedule: S,
+        count: usize,
+        threads: usize,
+    ) -> InternedOutcome<P> {
+        let opts = EngineOpts {
+            threads: Some(threads),
+            ..EngineOpts::default()
+        };
+        let shards = Shards { count, min_rows: 1 };
+        let bools = BoolDatabase::new();
+        let t = Instant::now();
+        evaluate(
+            t,
+            program,
+            edb,
+            &bools,
+            &[],
+            1_000_000,
+            schedule,
+            &opts,
+            shards,
+        )
+        .map_err(|aborted| aborted.to_string())
+        .expect("converges")
+    }
+
+    /// A random APSP-shaped graph: `n` nodes, about `3n` edges, weights
+    /// from `weight(1..=9)`.
+    fn random_graph<P: Pops>(seed: u64, n: u64, weight: impl Fn(u64) -> P) -> Database<P> {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut rng = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut e = Relation::new(2);
+        for _ in 0..3 * n {
+            let (x, y, w) = (rng() % n, rng() % n, 1 + rng() % 9);
+            e.set(vec![(x as i64).into(), (y as i64).into()], weight(w));
+        }
+        let mut edb = Database::new();
+        edb.insert("E", e);
+        edb
+    }
+
+    /// A run in 2, 3 or 5 shards at 1 or 2 threads decodes bit for bit
+    /// to the one-shard run, with every counter, the step count and
+    /// every step row equal — only the plan runs differ, which is how
+    /// the test knows the shards ran.
+    fn assert_shards_are_one<P: Pops, S: Schedule<P> + std::fmt::Debug>(
+        program: &Program<P>,
+        edb: &Database<P>,
+        schedule: S,
+    ) {
+        let one = eval_in_shards(program, edb, schedule, 1, 1);
+        let runs = |out: &InternedOutcome<P>| out.stats().rules.iter().map(|r| r.runs).sum::<u64>();
+        for (count, threads) in [(2, 1), (3, 2), (5, 2)] {
+            let got = eval_in_shards(program, edb, schedule, count, threads);
+            let what = format!("{schedule:?} in {count} shards at {threads} threads");
+            assert_eq!(
+                got.output().materialize(),
+                one.output().materialize(),
+                "{what}"
+            );
+            let (a, b) = (got.stats(), one.stats());
+            assert_eq!(a.counters, b.counters, "{what}: counters");
+            assert_eq!(a.steps, b.steps, "{what}: steps");
+            assert_eq!(a.iterations, b.iterations, "{what}: step rows");
+            assert_eq!(a.last_iter, b.last_iter, "{what}: last row");
+            assert!(runs(&got) > runs(&one), "{what}: the shards ran");
+        }
+    }
+
+    #[test]
+    fn a_run_in_shards_is_the_one_shard_run() {
+        use crate::Strategy;
+        use dlo_core::examples_lib::apsp_program;
+        use dlo_pops::Bool;
+        for seed in 1..=4 {
+            let edb = random_graph(seed, 24, |w| Trop::finite(w as f64));
+            let program = apsp_program::<Trop>();
+            assert_shards_are_one(&program, &edb, SemiNaive);
+            assert_shards_are_one(&program, &edb, Strategy::SemiNaive);
+            assert_shards_are_one(&program, &edb, Strategy::Priority);
+            let edb = random_graph(seed, 24, MinNat::finite);
+            let program = apsp_program::<MinNat>();
+            assert_shards_are_one(&program, &edb, SemiNaive);
+            assert_shards_are_one(&program, &edb, Strategy::Priority);
+            // Over `Bool` every row is `1`: the frontier pops that one
+            // value once per generation of rows.
+            let edb = random_graph(seed, 24, |_| Bool::TRUE);
+            let program = apsp_program::<Bool>();
+            assert_shards_are_one(&program, &edb, SemiNaive);
+            assert_shards_are_one(&program, &edb, Strategy::Priority);
+        }
+    }
+
+    /// Governed aborts of a small run in 3 shards at one thread, at
+    /// every step ceiling up to its step count and at row ceilings
+    /// across its emissions: the partial is a lower bound of the least
+    /// fixpoint with no row at `0`, and under the frontier its settled
+    /// rows, remapped into the concatenated relations, carry their
+    /// least-fixpoint values exactly.
+    #[test]
+    fn a_sharded_run_aborts_at_every_checkpoint_below_its_fixpoint() {
+        use crate::{EvalBudget, Strategy};
+        use dlo_core::examples_lib::apsp_program;
+        let (program, edb) = (
+            apsp_program::<Trop>(),
+            random_graph(7, 12, |w| Trop::finite(w as f64)),
+        );
+        let bools = BoolDatabase::new();
+        for strategy in [Strategy::SemiNaive, Strategy::Priority] {
+            let one = eval_in_shards(&program, &edb, strategy, 1, 1);
+            let lfp = one.output().materialize();
+            let (steps, emits) = (one.stats().steps, one.stats().counters.emits);
+            let budgets = (0..=steps)
+                .map(|k| EvalBudget::unlimited().with_max_steps(k))
+                .chain(
+                    (0..emits)
+                        .step_by(7)
+                        .map(|r| EvalBudget::unlimited().with_max_rows(r)),
+                );
+            let mut aborts = 0;
+            for budget in budgets {
+                let what = format!("{strategy:?} under {budget:?}");
+                let opts = EngineOpts {
+                    threads: Some(1),
+                    budget,
+                    ..EngineOpts::default()
+                };
+                let shards = Shards {
+                    count: 3,
+                    min_rows: 1,
+                };
+                let t = Instant::now();
+                let Err(aborted) = evaluate(
+                    t,
+                    &program,
+                    &edb,
+                    &bools,
+                    &[],
+                    1 << 20,
+                    strategy,
+                    &opts,
+                    shards,
+                ) else {
+                    continue;
+                };
+                aborts += 1;
+                assert_eq!(aborted.error().kind(), "budget", "{what}");
+                let partial = aborted.partial();
+                let rel = partial.interned().relation("T").expect("T is the IDB");
+                assert!(
+                    rel.iter().all(|(_, _, v)| !v.is_zero()),
+                    "{what}: a row at 0"
+                );
+                for (pred, rel) in partial.materialize().iter() {
+                    for (tuple, v) in rel.support() {
+                        let want = lfp.get(pred).expect("an IDB").get(tuple);
+                        assert!(v.leq(&want), "{what}: {tuple:?} above the fixpoint");
+                    }
+                }
+                let settled = partial.materialize_settled();
+                for (pred, rel) in settled.iter() {
+                    for (tuple, v) in rel.support() {
+                        assert_eq!(*v, lfp.get(pred).expect("an IDB").get(tuple), "{what}");
+                    }
+                }
+                assert_eq!(partial.is_exact(), strategy == Strategy::Priority, "{what}");
+                let counted = settled
+                    .iter()
+                    .map(|(_, rel)| rel.support_size() as u64)
+                    .sum::<u64>();
+                assert_eq!(
+                    counted,
+                    partial.settled().settled_rows(),
+                    "{what}: marks remapped"
+                );
+            }
+            assert!(aborts > steps, "{strategy:?}: {aborts} aborts");
+        }
+    }
+
+    /// A POPS whose `clone` panics on one value: `MinNat` otherwise.
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Fragile(MinNat);
+
+    impl Clone for Fragile {
+        fn clone(&self) -> Self {
+            assert_ne!(self.0, MinNat::finite(13), "cloned the fragile value");
+            Fragile(self.0)
+        }
+    }
+
+    impl PreSemiring for Fragile {
+        fn zero() -> Self {
+            Fragile(MinNat::zero())
+        }
+        fn one() -> Self {
+            Fragile(MinNat::one())
+        }
+        fn add(&self, rhs: &Self) -> Self {
+            Fragile(self.0.add(&rhs.0))
+        }
+        fn mul(&self, rhs: &Self) -> Self {
+            Fragile(self.0.mul(&rhs.0))
+        }
+    }
+
+    impl Pops for Fragile {
+        const ABSORPTIVE_CHAIN: bool = true;
+        fn bottom() -> Self {
+            Fragile(MinNat::bottom())
+        }
+        fn leq(&self, rhs: &Self) -> bool {
+            self.0.leq(&rhs.0)
+        }
+    }
+
+    impl dlo_pops::Semiring for Fragile {}
+    impl dlo_pops::Dioid for Fragile {}
+    impl NaturallyOrdered for Fragile {}
+    impl dlo_pops::Absorptive for Fragile {}
+    impl dlo_pops::TotallyOrderedDioid for Fragile {
+        fn chain_cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.chain_cmp(&other.0)
+        }
+    }
+    impl CompleteDistributiveDioid for Fragile {
+        fn minus(&self, rhs: &Self) -> Self {
+            Fragile(self.0.minus(&rhs.0))
+        }
+    }
+
+    /// A shard whose loop panics outside any plan run — the frontier
+    /// cloning a path cost of 13 into its queue — is contained by the
+    /// pool and surfaces as [`EvalError::WorkerPanic`], at one thread
+    /// and at two.
+    #[test]
+    fn a_panicking_shard_is_a_worker_panic() {
+        use crate::Strategy;
+        use dlo_core::examples_lib::apsp_program;
+        // A unit-weight chain of 20 edges: its seed holds no 13, its
+        // paths do.
+        let mut e = Relation::new(2);
+        for i in 0..20i64 {
+            e.set(vec![i.into(), (i + 1).into()], Fragile(MinNat::finite(1)));
+        }
+        let mut edb = Database::new();
+        edb.insert("E", e);
+        let program = apsp_program::<Fragile>();
+        for threads in [1, 2] {
+            let opts = EngineOpts {
+                threads: Some(threads),
+                ..EngineOpts::default()
+            };
+            let shards = Shards {
+                count: 2,
+                min_rows: 1,
+            };
+            let (t, bools) = (Instant::now(), BoolDatabase::new());
+            let got = evaluate(
+                t,
+                &program,
+                &edb,
+                &bools,
+                &[],
+                1 << 20,
+                Strategy::Priority,
+                &opts,
+                shards,
+            );
+            let error = got.expect_err("the shard panics").error().clone();
+            assert_eq!(error.kind(), "worker_panic", "{threads} threads: {error}");
+            assert!(
+                error.to_string().contains("cloned the fragile value"),
+                "{error}"
+            );
         }
     }
 

@@ -779,11 +779,14 @@ mod tests {
         let mut edb = Database::new();
         edb.insert("E", e);
         let bools = BoolDatabase::new();
-        let mut engine = setup(&program, Interner::new(), &edb, &bools, &[], 1).unwrap();
+        let mut interner = Interner::new();
+        let mut engine = setup(&program, &mut interner, &edb, &bools, &[], 1).unwrap();
         let mut state = engine.empty_state();
         let opts = EngineOpts::default();
         let mut run = Run::open(&engine, "test", false, &opts, 0);
-        run.prepare(&mut engine, &mut state, &opts).ok().unwrap();
+        run.prepare(&mut engine, &interner, &mut state, &opts)
+            .ok()
+            .unwrap();
         let edges = engine.pops_edb[0].as_ref().unwrap();
         for (_, key, v) in edges.iter() {
             state.delta[0].append_row(&key[1..], *v);
@@ -794,8 +797,9 @@ mod tests {
         let mut fresh = vec![BTreeMap::new()];
         let mut fire = |run: &mut Run<Trop>| {
             let land = |s: &mut Vec<_>, k: &[u32], v| s.push((k.to_vec(), v));
-            let ran =
-                run_plans_inline(&engine, &state, plans, &mut sinks, land, &mut fresh, 5, run);
+            let ran = run_plans_inline(
+                &engine, &interner, &state, plans, &mut sinks, land, &mut fresh, 5, run,
+            );
             assert!(ran.is_ok());
             footprint(&run.scratch)
         };

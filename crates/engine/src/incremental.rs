@@ -214,9 +214,10 @@
 //!   [`dlo_core::edit::FactDelete`] removes the tuple's fact entirely.
 //!   Lower a value by deleting then re-inserting.
 //! * Results are **bit-identical to the from-scratch fixpoint on the
-//!   edited EDB** at any `DLO_ENGINE_THREADS` (one thread runs every
-//!   loop: same plan-order merges, sorted drains, and
-//!   mint-between-phases as every other driver). A slot no join step
+//!   edited EDB** at any `DLO_ENGINE_THREADS` (a handle's builds and
+//!   edits run one loop on the calling thread — never in shards: same
+//!   plan-order merges, sorted drains, and mint-between-phases as every
+//!   other driver). A slot no join step
 //!   binds ranges over the edited EDB's `D₀`, never over constants
 //!   minted or dropped by earlier epochs: an edit that changes `D₀`
 //!   under such a program re-derives the fixpoint the way
@@ -253,8 +254,8 @@
 //!   completes the derivation the interrupted edit began.
 
 use crate::driver::{
-    ensure_delta_indexes, ensure_probes, run_round, setup, Engine, EngineOpts, IdbState, LoopFail,
-    RoundPlans, Run, Schedule,
+    ensure_delta_indexes, ensure_probes, run_round, setup, Engine, EngineOpts, IdbState, Ids,
+    LoopFail, RoundPlans, Run, Schedule,
 };
 use crate::govern::{CancelToken, Checkpoint, EvalBudget, EvalError};
 use crate::intern::Interner;
@@ -305,6 +306,9 @@ pub struct Materialization<P: Pops, S = Strategy> {
     /// again; the engine runs the augmented maintenance program).
     program: Program<P>,
     engine: Engine<P>,
+    /// The constants the handle's rows are interned against, kept
+    /// across every edit and rebuild.
+    interner: Interner,
     state: IdbState<P>,
     /// Original-rule full-application plans (initial build, naïve
     /// edits, delete rederive).
@@ -506,7 +510,7 @@ where
         cap: usize,
         schedule: S,
         opts: &EngineOpts,
-        interner: Interner,
+        mut interner: Interner,
     ) -> Result<Self, EvalError> {
         let t = Instant::now();
         for (name, _) in pops_edb.iter() {
@@ -519,7 +523,14 @@ where
         let aug = maintenance_program(program)?;
         let n_rules = program.rules.len();
         let threads = opts.effective_threads();
-        let engine = setup(&aug.program, interner, pops_edb, bool_edb, &[], threads)?;
+        let engine = setup(
+            &aug.program,
+            &mut interner,
+            pops_edb,
+            bool_edb,
+            &[],
+            threads,
+        )?;
         // The rule list is the original rules, the `@dlt` variants, the
         // head-guarded variants: `rule_idx` says which a plan is.
         let rules = |plans: &[Plan<P>], rules: std::ops::Range<usize>| -> Vec<Plan<P>> {
@@ -560,6 +571,7 @@ where
             program: program.clone(),
             state: engine.empty_state(),
             engine,
+            interner,
             seed_plans,
             edit_plans,
             delta_plans,
@@ -588,8 +600,11 @@ where
             delta: &m.delta_plans,
         };
         let result = run
-            .prepare(&mut m.engine, &mut m.state, &m.opts)
-            .and_then(|()| schedule.resume(&mut m.engine, &mut m.state, &plans, cap, &mut run, 0));
+            .prepare(&mut m.engine, &m.interner, &mut m.state, &m.opts)
+            .and_then(|()| {
+                let ids = &mut Ids::Own(&mut m.interner);
+                schedule.resume(&m.engine, ids, &mut m.state, &plans, cap, &mut run, 0)
+            });
         match result {
             Ok(steps) => {
                 m.settle();
@@ -648,7 +663,7 @@ where
             self.cap,
             self.schedule,
             &self.opts,
-            self.engine.interner.clone(),
+            self.interner.clone(),
         )?;
         fresh.epoch = epoch;
         *self = fresh;
@@ -675,7 +690,7 @@ where
         let decode = |s: &EditSlot| {
             let rel = std::slice::from_ref(self.engine.pops_edb[s.cur].as_ref()?);
             let name = [(s.name.clone(), s.arity)];
-            Some(decode_db(&self.engine.interner, &name, rel))
+            Some(decode_db(&self.interner, &name, rel))
         };
         let live = self.slots.iter().filter_map(decode).flatten();
         live.chain(self.unread.iter().map(|(n, r)| (n.clone(), r.clone())))
@@ -694,7 +709,7 @@ where
         let mut edb = self.edb();
         edit(&mut edb);
         let d0 = domain(&self.program, &edb, &self.bool_edb);
-        let interner = &self.engine.interner;
+        let interner = &self.interner;
         let standing = self.engine.adom.iter().map(|&id| interner.get(id));
         (!d0.iter().eq(standing)).then_some(edb)
     }
@@ -754,7 +769,7 @@ where
                     self.epoch, err
                 ));
                 let interned = InternedOutput::new(
-                    self.engine.interner.clone(),
+                    self.interner.clone(),
                     self.engine.compiled.idbs.clone(),
                     self.state.new.clone(),
                 );
@@ -840,10 +855,7 @@ where
     /// One maintained value, decode-free: `None` if the tuple (or any
     /// of its constants) is not in the fixpoint's support.
     pub fn get(&self, pred: &str, tuple: &[Constant]) -> Option<&P> {
-        let key: Option<Vec<u32>> = tuple
-            .iter()
-            .map(|c| self.engine.interner.lookup(c))
-            .collect();
+        let key: Option<Vec<u32>> = tuple.iter().map(|c| self.interner.lookup(c)).collect();
         self.idb(pred)?.get(&key?)
     }
 
@@ -867,7 +879,7 @@ where
         }
         if !matches!(&self.snapshot, Some((epoch, _)) if *epoch == self.epoch) {
             let snap = InternedOutput::new(
-                self.engine.interner.clone(),
+                self.interner.clone(),
                 self.engine.compiled.idbs.clone(),
                 self.state.new.clone(),
             );
@@ -945,11 +957,7 @@ where
     fn stage_insert(&mut self, batch: &[FactInsert<P>], slots: &[usize]) -> Vec<usize> {
         let mut per_slot: Vec<Vec<(Vec<u32>, P)>> = (0..self.slots.len()).map(|_| vec![]).collect();
         for (f, &si) in batch.iter().zip(slots) {
-            let key: Vec<u32> = f
-                .tuple
-                .iter()
-                .map(|c| self.engine.interner.intern(c))
-                .collect();
+            let key: Vec<u32> = f.tuple.iter().map(|c| self.interner.intern(c)).collect();
             per_slot[si].push((key, f.value.clone()));
         }
         let mut touched = vec![];
@@ -990,11 +998,7 @@ where
     fn stage_delete(&mut self, batch: &[FactDelete], slots: &[usize]) -> Vec<(usize, Vec<u32>)> {
         let mut per_slot: Vec<Vec<u32>> = vec![vec![]; self.slots.len()];
         for (f, &si) in batch.iter().zip(slots) {
-            let key: Option<Vec<u32>> = f
-                .tuple
-                .iter()
-                .map(|c| self.engine.interner.lookup(c))
-                .collect();
+            let key: Option<Vec<u32>> = f.tuple.iter().map(|c| self.interner.lookup(c)).collect();
             let live = self.engine.pops_edb[self.slots[si].cur].as_ref();
             if let Some(r) = key.and_then(|key| live?.live_rowid(&key)) {
                 per_slot[si].push(r);
@@ -1055,8 +1059,10 @@ where
     /// fixpoint, so a contribution is never above it). Must run against
     /// the pre-delete state with empty `changed` maps. Returns the
     /// marking and the number of propagation steps it took.
+    #[allow(clippy::too_many_arguments)]
     fn affected_closure(
         engine: &Engine<P>,
+        interner: &Interner,
         state: &mut IdbState<P>,
         seed: &[Plan<P>],
         family: &[Plan<P>],
@@ -1083,7 +1089,7 @@ where
                 }
                 ensure_delta_indexes(engine, state);
             }
-            run_round(engine, round, state, delta_rows, run)
+            run_round(engine, interner, round, state, delta_rows, run)
                 .map_err(LoopFail::at(Checkpoint::Iteration, steps))?;
             // A head key no id names yet is in no standing row.
             run.round.1.iter_mut().for_each(BTreeMap::clear);
@@ -1183,7 +1189,8 @@ where
             delta: &self.delta_plans,
         };
         let result = self.schedule.resume(
-            &mut self.engine,
+            &self.engine,
+            &mut Ids::Own(&mut self.interner),
             &mut self.state,
             &plans,
             self.cap,
@@ -1255,8 +1262,16 @@ where
         let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();
         let (engine, state) = (&self.engine, &mut self.state);
         let (seed, family) = (&self.edit_plans, &self.delta_plans);
-        let marking =
-            Self::affected_closure(engine, state, seed, family, self.attaining, self.cap, run);
+        let marking = Self::affected_closure(
+            engine,
+            &self.interner,
+            state,
+            seed,
+            family,
+            self.attaining,
+            self.cap,
+            run,
+        );
         self.clear_edit_rels(&touched);
         self.apply_edb_deletes(staged);
         let (affected, steps) = marking?;
@@ -1285,7 +1300,8 @@ where
             delta: &self.delta_plans,
         };
         let result = self.schedule.resume(
-            &mut self.engine,
+            &self.engine,
+            &mut Ids::Own(&mut self.interner),
             &mut self.state,
             &plans,
             self.cap,
@@ -1373,7 +1389,7 @@ where
                 got,
             }));
         }
-        let interner = &self.engine.interner;
+        let interner = &self.interner;
         let mut mask: ColMask = 0;
         let key: Option<Vec<u32>> = (query.args.iter().enumerate())
             .filter_map(|(c, arg)| match arg {

@@ -466,12 +466,12 @@
 //! [`Strategy::Worklist`] now names the semi-naïve rounds, which every
 //! POPS [`Strategy`] admits can run.
 //!
-//! ## Parallelism: one thread runs the fixpoint, threads load the EDB
+//! ## Parallelism: threads load the EDB and run a decomposable fixpoint in shards
 //!
-//! Two things fan over the scoped-thread pool in [`par`], capped by
+//! Three things fan over the scoped-thread pool in [`par`], capped by
 //! `DLO_ENGINE_THREADS` (the default is
 //! `std::thread::available_parallelism`) or per call via
-//! [`EngineOpts::threads`], both before a run's first step and under
+//! [`EngineOpts::threads`]. Two come before a run's first step, under
 //! every schedule: the **EDB load**, where a relation of at least two
 //! parts of `LOAD_PART_ROWS` (16 384) rows is interned in up to that many
 //! contiguous parts (the [`intern`] module docs say how the parts merge
@@ -480,15 +480,39 @@
 //! latency and its sequential tail is one probe per distinct constant
 //! of a later part, so a second core halves most of it; on
 //! `dlo_benchmark`'s `wide-lookup`, where the load is most of the
-//! operation, that is what `par.t2_over_t1` reads. The
-//! fixpoint itself — naïve and semi-naïve rounds, frontier batches, a
-//! [`Materialization`]'s builds and edits, a delete's marking rounds —
-//! runs on the calling thread through one plan runner
-//! (`driver::run_plans_inline`). It did not always: rounds and dense
-//! frontier batches used to fan (plan × first-step row chunk) tasks
-//! over the pool, and three readings on a 2-core host decided what
-//! stayed (two single-thread copies of the probe side by side finished
-//! in 1.37× the time of one, so the second core was there):
+//! operation, that is what `par.t2_over_t1` reads.
+//!
+//! The third is the **fixpoint of a decomposable program**. Where no
+//! rule connects two groups of ground IDB atoms — in every sum-product
+//! with an IDB factor, the head and every IDB factor hold one variable
+//! in a column of their predicate ([`CompiledProgram::shard_cols`]:
+//! left-linear APSP by its source, right-linear TC by its target, a
+//! magic-rewritten query by its bound column) — the ICO (Sec. 4.3) is a
+//! product of one map per group and its least fixpoint the tuple of
+//! theirs (Lemma 3.3 / Thm. 3.4). A from-scratch run from the empty
+//! state under [`SemiNaive`] or [`Strategy`] runs its seed step once;
+//! when the seed landed enough rows, the rows and the queue entries
+//! naming them go to a constant number of **shards** by the id in their
+//! predicate's shard column, each shard runs the schedule's own loop —
+//! its own accumulators, Δ, queue, settled marking and collector — over
+//! the one engine, read-only, and the shards' relations are
+//! concatenated into the output. Each emission is merged once, in its
+//! shard; a shard's loop meets its rows in the order the one-shard loop
+//! does, so values, every counter, the step count and the step rows are
+//! the one-shard run's (semi-naïve rounds merge by round, frontier
+//! batches by value and generation). On `apsp-dense` two threads read
+//! `par.t2_over_t1` ≈ 0.6 and `op_median_s` ≈ 0.6× the one-shard loop;
+//! a release test (`decomposable_fixpoint_uses_a_second_core`) holds
+//! the ratio under 0.8. The naïve rounds, a [`Materialization`]'s builds
+//! and edits, and a delete's marking rounds stay one loop on the
+//! calling thread, and every loop's rounds and batches run their plans
+//! inline through one plan runner (`driver::run_plans_inline`).
+//!
+//! Rounds and dense frontier batches used to fan (plan × first-step row
+//! chunk) tasks over the pool instead, and three readings on a 2-core
+//! host decided what stayed then (two single-thread copies of the probe
+//! side by side finished in 1.37× the time of one, so the second core
+//! was there):
 //!
 //! * **semi-naïve rounds, 0.99×** — `apsp-dense`'s shape (n = 500,
 //!   m = 2000) under [`SemiNaive`], 85 tasks over 10 fanned rounds and
@@ -505,22 +529,26 @@
 //!   relations, every two-thread run ahead of every one-thread run, ten
 //!   a side.
 //!
-//! The rounds could not pay by construction, not by bad luck: each task
-//! `⊕`-merged its emissions into a private accumulator, then the
-//! coordinator folded every task's accumulator into the global one and
-//! drained that into the relations, both serially — each ground-rule
-//! instance merged twice, and the merge is the larger half of the loop
-//! (see *What one `⊕`-merge costs*). The joins in front of it were all
-//! a second thread could take. An index build has no such tail: each
-//! relation's indexes are built where they stay, by whichever worker
-//! holds the `&mut`. Parallel rounds that pay would shard the
-//! accumulator — and the relation behind it — by head key, so that no
-//! emission is merged twice; that is a different design, not a
-//! threshold to tune, and nothing of it is kept here. Results are
-//! **bit-identical at any thread count** trivially: plans run in plan
-//! order on one thread, accumulators drain in sorted key order, and
-//! interner ids are minted between phases; an index's content is
-//! determined by its relation's row order, not by who built it.
+//! The fanned rounds could not pay by construction, not by bad luck:
+//! each task `⊕`-merged its emissions into a private accumulator, then
+//! the coordinator folded every task's accumulator into the global one
+//! and drained that into the relations, both serially — each
+//! ground-rule instance merged twice, and the merge is the larger half
+//! of the loop (see *What one `⊕`-merge costs*). The joins in front of
+//! it were all a second thread could take. Shards are the design those
+//! readings pointed to: the accumulator and the relation behind it are
+//! split by head key, so no emission is merged twice and nothing is
+//! merged serially but the concatenation of the finished relations.
+//! An index build has no such tail either: each relation's indexes are
+//! built where they stay, by whichever worker holds the `&mut`.
+//!
+//! Results are **bit-identical at any thread count**: the shard count
+//! is a constant, not the thread count, so row ids, counters and steps
+//! do not depend on how many shards run at once; within a loop plans
+//! run in plan order on one thread, accumulators drain in sorted key
+//! order, and interner ids are minted between phases (a program that
+//! shards mints nothing); an index's content is determined by its
+//! relation's row order, not by who built it.
 //!
 //! ## Environment variables
 //!
@@ -529,7 +557,7 @@
 //!
 //! | variable | read by | effect |
 //! |---|---|---|
-//! | `DLO_ENGINE_THREADS` | [`par::max_threads`], when [`EngineOpts::threads`] is `None` | cap of the pool that loads large EDB relations in parts and builds the EDB indexes (`1` = load and build sequentially) |
+//! | `DLO_ENGINE_THREADS` | [`par::max_threads`], when [`EngineOpts::threads`] is `None` | cap of the pool that loads large EDB relations in parts, builds the EDB indexes and runs a decomposable fixpoint's shards (`1` = all of it in sequence; the results are the same) |
 //! | `DLO_TRACE` | every run, when [`EngineOpts::trace`] is `None` | path of a JSONL file trace events are appended to |
 //!
 //! ## Observability: stats on every outcome, traces on demand
@@ -560,13 +588,15 @@
 //! append one JSON object per event (`run_start`, `phase`,
 //! `iteration`, `abort`, `run_end`) with no dependencies — the
 //! writer/parser pair lives in `dlo_core::eval::stats::json`. Events are emitted
-//! from the thread that runs the fixpoint, in deterministic order.
+//! from the calling thread, in deterministic order: a run in shards
+//! streams its merged step rows once the shards are done.
 //!
 //! Determinism extends to the telemetry itself: everything except
 //! wall-clock fields and the thread count is **bit-identical at any
 //! `DLO_ENGINE_THREADS`** — counters are exact counts, not sampled, of
-//! work one thread does in plan order, and which plan runs were timed
-//! is a function of those counts ([`EvalStats::tasks_spawned`] and
+//! work each loop does in plan order (a run in shards sums its shards',
+//! which are the one-shard run's), and which plan runs were timed is a
+//! function of those counts ([`EvalStats::tasks_spawned`] and
 //! [`EvalStats::parallel_batches`] read 0 on every run).
 //! [`EvalStats::invariants`] masks the timing fields, which is what
 //! the cross-thread determinism tests compare.
@@ -590,8 +620,8 @@
 //!   [`CancelToken`] on [`EngineOpts::cancel`] requests cooperative
 //!   cancellation from another thread. Checks run at every loop
 //!   checkpoint — the seed phase, each global iteration, each priority
-//!   **bucket** pop — on the coordinating
-//!   thread only, so governance costs a branch per checkpoint, the hot
+//!   **bucket** pop — in each shard's loop against one governor, never
+//!   inside a plan run, so governance costs a branch per checkpoint, the hot
 //!   per-tuple loops are untouched, and a governed run stops within
 //!   one checkpoint of crossing a line (the abort trace event records
 //!   which granularity fired). The resulting
@@ -602,11 +632,11 @@
 //!   arrives with the abort-time instance
 //!   itself attached — see the graceful-degradation note below.
 //! * **Contained panics** ([`EvalError::WorkerPanic`]): every index
-//!   build in the pool (and its sequential fallback) and every plan run
-//!   on the coordinating thread executes under `catch_unwind`; the
-//!   lowest-indexed panicking build — or the first panicking plan, in
-//!   plan order — wins deterministically at any thread count, and the
-//!   coordinating thread converts it into the typed error instead of
+//!   build and every shard of a fixpoint in the pool (and its sequential
+//!   fallback) and every plan run executes under `catch_unwind`; the
+//!   lowest-indexed panicking build or shard — or the first panicking
+//!   plan, in plan order — wins deterministically at any thread count,
+//!   and the calling thread converts it into the typed error instead of
 //!   unwinding or aborting the process.
 //!
 //! Divergence is *not* an error here: hitting the iteration cap still

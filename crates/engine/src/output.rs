@@ -387,6 +387,21 @@ impl SettledMark {
         }
     }
 
+    /// Takes in the marks of a shard whose rows were concatenated
+    /// after `offsets` rows of each predicate (`driver::Run::shards`):
+    /// its row `r` of predicate `p` is row `offsets[p] + r` here. Rows
+    /// come in shard order, so each predicate's bitmap only extends.
+    pub(crate) fn append(&mut self, shard: SettledMark, offsets: &[u32]) {
+        for ((bits, theirs), &offset) in self.rows.iter_mut().zip(shard.rows).zip(offsets) {
+            if theirs.contains(&true) {
+                debug_assert!(bits.len() <= offset as usize, "shards append in order");
+                bits.resize(offset as usize, false);
+                bits.extend(theirs);
+            }
+        }
+        self.count += shard.count;
+    }
+
     /// Whether the settled rows are guaranteed to carry their final
     /// fixpoint values (priority strategy only).
     pub fn is_exact(&self) -> bool {

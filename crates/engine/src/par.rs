@@ -1,18 +1,19 @@
 //! Minimal scoped-thread parallelism (no external thread-pool crates),
-//! for the two things the engine fans out before a run's first step:
+//! for the three things the engine fans out: before a run's first step,
 //! the parts of a large EDB relation's load
 //! ([`Interner::load_parts`](crate::Interner)) and the per-relation EDB
-//! index builds (`Engine::build_edb_indexes`). Both are passes over
-//! memory with no shared accumulator behind them — a load part's tail
-//! is one probe per distinct constant — which is why they pay where
-//! the rounds did not. The fixpoint loops run on the calling thread
-//! under every schedule ([`crate`]'s parallelism section has the
-//! readings that decided it).
+//! index builds (`Engine::build_edb_indexes`); after a decomposable
+//! fixpoint's seed step, its shards, each a whole loop over its own
+//! rows (`driver::Run::shards`). None has a shared accumulator behind
+//! it — a load part's tail is one probe per distinct constant, and a
+//! shard merges each of its emissions into its own relations — which is
+//! why they pay where fanning a round's plans over the pool did not
+//! ([`crate`]'s parallelism section has the readings that decided it).
 //!
 //! [`run_each`] deals owned work items round-robin to
 //! `min(threads, items)` buckets, runs the first on the calling thread
 //! and each other on a scoped worker. Thread count comes from
-//! `DLO_ENGINE_THREADS` (set `1` to load and build sequentially) or
+//! `DLO_ENGINE_THREADS` (set `1` to run every item in sequence) or
 //! `std::thread::available_parallelism`.
 //!
 //! **Panic containment:** every item runs under

@@ -271,6 +271,12 @@ pub struct CompiledProgram<P> {
     /// magic rewrite convergent over non-idempotent `⊕` (`1 ⊕ 1` would
     /// otherwise pump forever around demand cycles).
     pub set_valued: Vec<bool>,
+    /// Per IDB, its **shard column**, when the program's ground atoms
+    /// fall into groups no rule connects (`shard_columns`): a row's id
+    /// in that column names its group, and a fixpoint from the empty
+    /// state may run one loop per group of rows (`driver::Run::drive`).
+    /// `None` when the program does not decompose so.
+    pub shard_cols: Option<Vec<usize>>,
 }
 
 /// Telemetry metadata for one compiled plan, indexed by [`Plan::pid`].
@@ -418,6 +424,7 @@ pub fn compile_demand<P: Pops>(
         plan.pid = pid;
     }
     Ok(CompiledProgram {
+        shard_cols: shard_columns(program, &c.idbs),
         idbs: c.idbs,
         pops_edbs: c.pops_edbs,
         bool_edbs: c.bool_edbs,
@@ -425,6 +432,96 @@ pub fn compile_demand<P: Pops>(
         delta_plans,
         set_valued: set_valued_flags,
     })
+}
+
+/// How many column choices [`shard_columns`] tries before it gives up:
+/// a program's IDBs are few and narrow, so a search this long only
+/// meets a program built to defeat it.
+const SHARD_SEARCH_NODES: usize = 4096;
+
+/// The shard column `c_P` of every IDB `P`, where one exists: in every
+/// sum-product with an IDB factor, the head holds one variable `V` at
+/// `c_H` and every IDB factor `B` — whichever of the Δ, `New` or `Old`
+/// readings a plan gives it, under a value function or not — holds
+/// that same `V` at `c_B`. A derivation then reads IDB rows of one id in
+/// their columns and writes a row of that id in its own, so the ground
+/// IDB atoms split into groups by that id, no rule connects two groups,
+/// and the ICO (Sec. 4.3) is the product of one map per group: its
+/// least fixpoint is the tuple of theirs (the composition reading of
+/// Lemma 3.3 / Thm. 3.4). Rules without an IDB factor only seed.
+///
+/// `None` when no assignment passes, when an IDB has no column, or when
+/// a head applies a key function: a shard cannot mint. The first
+/// passing assignment in column order wins (left-linear APSP shards by
+/// column 0, right-linear TC by column 1, SSSP and quadratic TC by
+/// none).
+fn shard_columns<P>(program: &Program<P>, idbs: &[(String, usize)]) -> Option<Vec<usize>> {
+    let computed_head =
+        |rule: &Rule<P>| rule.head.args.iter().any(|t| matches!(t, Term::Apply(..)));
+    let no_column = idbs.iter().any(|(_, arity)| *arity == 0);
+    if idbs.is_empty() || no_column || program.rules.iter().any(computed_head) {
+        return None;
+    }
+    let idb = |pred: &str| idbs.iter().position(|(name, _)| name == pred);
+    // One constraint per sum-product with an IDB factor: the head's
+    // predicate and arguments, and each IDB factor's.
+    type Atoms<'a> = Vec<(usize, &'a [Term])>;
+    let mut constraints: Vec<(usize, &[Term], Atoms<'_>)> = vec![];
+    for rule in &program.rules {
+        let head = idb(&rule.head.pred).expect("a head is an IDB");
+        for sp in &rule.body {
+            let body: Atoms<'_> = sp
+                .factors
+                .iter()
+                .filter_map(|f| Some((idb(&f.atom.pred)?, &f.atom.args[..])))
+                .collect();
+            if !body.is_empty() {
+                constraints.push((head, &rule.head.args, body));
+            }
+        }
+    }
+    // Holds when every predicate it names is assigned (below `upto`).
+    let holds = |cols: &[usize], (head, args, body): &(usize, &[Term], Atoms<'_>)| {
+        let Term::Var(v) = &args[cols[*head]] else {
+            return false;
+        };
+        // An IDB atom at another arity matches no row, and holds no V.
+        body.iter()
+            .all(|(pred, args)| matches!(args.get(cols[*pred]), Some(Term::Var(w)) if w == v))
+    };
+    let last = |(head, _, body): &(usize, &[Term], Atoms<'_>)| {
+        body.iter().map(|b| b.0).fold(*head, usize::max)
+    };
+    // Depth-first over the IDBs in order, each constraint checked once
+    // its last predicate is assigned.
+    let mut cols = vec![0usize; idbs.len()];
+    let (mut depth, mut nodes) = (0usize, 0usize);
+    loop {
+        nodes += 1;
+        if nodes > SHARD_SEARCH_NODES {
+            return None;
+        }
+        let ok = constraints
+            .iter()
+            .filter(|c| last(c) == depth)
+            .all(|c| holds(&cols, c));
+        if ok && depth + 1 == idbs.len() {
+            return Some(cols);
+        }
+        if ok {
+            depth += 1;
+            cols[depth] = 0;
+            continue;
+        }
+        // Next column here, or back up to the last predicate with one.
+        loop {
+            cols[depth] += 1;
+            if cols[depth] < idbs[depth].1 {
+                break;
+            }
+            depth = depth.checked_sub(1)?;
+        }
+    }
 }
 
 struct Compiler<'a> {
@@ -965,6 +1062,76 @@ mod tests {
                 assert_eq!(groups.concat().len(), splits, "{text}");
             }
         }
+    }
+
+    /// The shard columns of `text` (parsed over `Trop`), or of its
+    /// magic rewrite for `query`.
+    fn shard_cols_of(text: &str, query: Option<&Query>) -> Option<Vec<usize>> {
+        let prog: dlo_core::Program<Trop> = parse_program(text).unwrap();
+        let (prog, magic) = match query {
+            Some(query) => {
+                let m = magic_rewrite(&prog, query).unwrap();
+                (m.program, m.magic_preds)
+            }
+            None => (prog, vec![]),
+        };
+        let c = compile_demand(&prog, &mut Interner::new(), &magic).unwrap();
+        c.shard_cols
+    }
+
+    #[test]
+    fn decomposable_programs_have_a_shard_column() {
+        let apsp = "T(X, Y) :- E(X, Y) + T(X, Z) * E(Z, Y).";
+        assert_eq!(shard_cols_of(apsp, None), Some(vec![0]), "left-linear APSP");
+        let tc = "T(X, Y) :- E(X, Y) + E(X, Z) * T(Z, Y).";
+        assert_eq!(shard_cols_of(tc, None), Some(vec![1]), "right-linear TC");
+        let chain = "A(X, Y) :- E(X, Y) + B(X, Z) * E(Z, Y).\nB(X, Y) :- A(X, Z) * E(Z, Y).";
+        assert_eq!(
+            shard_cols_of(chain, None),
+            Some(vec![0, 0]),
+            "two-IDB chain"
+        );
+        // `?- T(s, Y)`: the answers and the one magic predicate, both by
+        // the bound column.
+        let query = Query::new("T", vec![QueryArg::bound("s"), QueryArg::Free]);
+        let rewritten = shard_cols_of(apsp, Some(&query)).expect("the rewrite decomposes");
+        assert!(rewritten.iter().all(|&c| c == 0) && rewritten.len() == 2);
+    }
+
+    #[test]
+    fn connected_programs_have_no_shard_column() {
+        let cases = [
+            (
+                "L(X) :- 1 | X = a.\nL(X) :- L(Z) * E(Z, X).",
+                "SSSP (Example 4.1)",
+            ),
+            ("T(X, Y) :- E(X, Y) + T(X, Z) * T(Z, Y).", "quadratic TC"),
+            (
+                "T(X, Y) :- E(X, Y) + T(X, Z) * T(Y, Z).",
+                "two IDB atoms disagree",
+            ),
+        ];
+        for (text, what) in cases {
+            assert_eq!(shard_cols_of(text, None), None, "{what}");
+        }
+        // A head key function mints, and a shard cannot:
+        //   W(0) :- V(0).   W(i+1) :- W(i) * V(i+1).
+        use dlo_core::ast::{Atom, Program, Term};
+        let mut p = Program::<Trop>::new();
+        p.rule(
+            Atom::new("W", vec![Term::c(0)]),
+            vec![SumProduct::new(vec![Factor::atom("V", vec![Term::c(0)])])],
+        );
+        let next = |t: Term| Term::Apply(KeyFn::AddInt(1), Box::new(t));
+        p.rule(
+            Atom::new("W", vec![next(Term::v(0))]),
+            vec![SumProduct::new(vec![
+                Factor::atom("W", vec![Term::v(0)]),
+                Factor::atom("V", vec![next(Term::v(0))]),
+            ])],
+        );
+        let c = compile(&p, &mut Interner::new()).unwrap();
+        assert_eq!(c.shard_cols, None, "head key function");
     }
 
     #[test]

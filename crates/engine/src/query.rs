@@ -19,7 +19,7 @@
 //! of its rows must carry exactly its full-fixpoint value), and the
 //! raw [`InternedOutput`] for reading without a decode.
 
-use crate::driver::{empty_aborted, evaluate, EngineOpts, Schedule};
+use crate::driver::{empty_aborted, evaluate, EngineOpts, Schedule, Shards};
 use crate::govern::EvalError;
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput};
 use dlo_core::ast::Program;
@@ -220,6 +220,7 @@ where
         cap,
         schedule,
         opts,
+        Shards::DEFAULT,
     )?;
     Ok(QueryAnswer {
         outcome,

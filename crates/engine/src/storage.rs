@@ -842,6 +842,40 @@ impl<P: Pops> ColumnRel<P> {
         }
     }
 
+    /// `parts`' rows, in order, as one relation of their arity: the
+    /// output of a fixpoint run in shards (`driver::Run::shards`), whose
+    /// parts hold disjoint keys. Every part's row map and indexes go
+    /// first; the rows then move onto the first part's buffers, and the
+    /// row map is built in one pass over the keys ([`RowMap::build`],
+    /// the layout its rule gives the whole).
+    pub(crate) fn concat(parts: Vec<ColumnRel<P>>) -> Self {
+        let arity = parts.first().map_or(0, ColumnRel::arity);
+        let rows: usize = parts.iter().map(ColumnRel::len).sum();
+        let tombstones = parts.iter().map(|part| part.tombstones).sum();
+        let parts: Vec<(Vec<u32>, Vec<P>)> = parts.into_iter().map(ColumnRel::into_rows).collect();
+        let mut parts = parts.into_iter();
+        let (mut keys, mut vals) = parts.next().unwrap_or_default();
+        keys.reserve_exact(rows * arity - keys.len());
+        vals.reserve_exact(rows - vals.len());
+        for (more_keys, more_vals) in parts {
+            keys.extend_from_slice(&more_keys);
+            vals.extend(more_vals);
+        }
+        ColumnRel {
+            map: OnceLock::from(RowMap::build(arity, rows, &keys)),
+            version: rows as u64,
+            tombstones,
+            keys,
+            vals,
+            ..ColumnRel::new(arity)
+        }
+    }
+
+    /// The rows, row-major, and their values, taken out of the relation.
+    pub(crate) fn into_rows(self) -> (Vec<u32>, Vec<P>) {
+        (self.keys, self.vals)
+    }
+
     /// The full-key row map, built from the stored rows if this is the
     /// first call that needs it.
     pub(crate) fn row_map(&self) -> &RowMap {

@@ -27,8 +27,13 @@
 //!
 //! Tracing resolves from [`crate::driver::EngineOpts::trace`], falling
 //! back to the `DLO_TRACE` environment variable (a JSONL path, opened
-//! in append mode). The collector emits every event from the thread
-//! that runs the fixpoint, so sinks never see concurrent calls.
+//! in append mode). The collector emits every event from the calling
+//! thread, so sinks never see concurrent calls: a fixpoint that runs in
+//! shards gives each shard a collector of its own that streams nothing
+//! ([`Collector::shard`]) and keeps its step rows, and the run's
+//! collector takes in their counters and tallies
+//! ([`Collector::absorb`]) and streams the merged rows once the shards
+//! are done.
 
 use crate::driver::EngineOpts;
 use crate::exec::ExecCounters;
@@ -213,7 +218,7 @@ impl TraceSink for MemorySink {
 
 /// A shared, cloneable handle to a [`TraceSink`], carried on the
 /// engine's options struct. Events are serialized through a mutex; the
-/// drivers only emit from the coordinating thread, so there is no
+/// drivers only emit from the calling thread, so there is no
 /// contention.
 #[derive(Clone)]
 pub struct TraceHandle(Arc<Mutex<dyn TraceSink + Send>>);
@@ -247,6 +252,22 @@ pub(crate) struct Collector {
     per_plan: Vec<PlanTally>,
     metas: Vec<PlanMeta>,
     trace: Option<TraceHandle>,
+    /// A shard's step rows, every one, for the merge; `None` outside a
+    /// shard, where rows go to the stats (capped) and the trace.
+    rows: Option<Vec<IterStat>>,
+}
+
+/// Adds one step row's counts into another's: how the rows of shards
+/// that ran one step of the one-shard loop merge. `step` and
+/// `queue_depth` are the merge's to set.
+pub(crate) fn add_step(into: &mut IterStat, row: &IterStat) {
+    into.delta_rows += row.delta_rows;
+    into.emits += row.emits;
+    into.fresh_emits += row.fresh_emits;
+    into.inserted += row.inserted;
+    into.improved += row.improved;
+    into.absorbed += row.absorbed;
+    into.minted += row.minted;
 }
 
 /// One plan's counters, and its runs in two strata, indexed by `whole`:
@@ -264,6 +285,16 @@ impl PlanTally {
     /// The plan's estimated time, over both strata.
     fn time_ns(&self) -> u128 {
         self.strata.iter().map(Stratum::time_ns).sum()
+    }
+
+    /// Adds another tally of the same plan (a shard's).
+    fn add(&mut self, other: &PlanTally) {
+        self.counters.add(&other.counters);
+        for (stratum, other) in self.strata.iter_mut().zip(&other.strata) {
+            stratum.runs += other.runs;
+            stratum.timed += other.timed;
+            stratum.ns += other.ns;
+        }
     }
 }
 
@@ -337,7 +368,35 @@ impl Collector {
             per_plan,
             metas,
             trace,
+            rows: None,
         }
+    }
+
+    /// The collector of one shard of this run: empty, no trace, and it
+    /// keeps every step row for [`Collector::absorb`].
+    pub fn shard(&self) -> Collector {
+        Collector {
+            stats: EvalStats {
+                strategy: self.stats.strategy.clone(),
+                threads: self.stats.threads,
+                ..EvalStats::default()
+            },
+            per_plan: vec![PlanTally::default(); self.per_plan.len()],
+            metas: self.metas.clone(),
+            trace: None,
+            rows: Some(vec![]),
+        }
+    }
+
+    /// Takes in a shard's counters, plan tallies and mint time, and
+    /// hands back its step rows for the schedule's merge.
+    pub fn absorb(&mut self, shard: Collector) -> Vec<IterStat> {
+        self.stats.counters.add(&shard.stats.counters);
+        self.stats.phases.mint += shard.stats.phases.mint;
+        for (tally, other) in self.per_plan.iter_mut().zip(&shard.per_plan) {
+            tally.add(other);
+        }
+        shard.rows.unwrap_or_default()
     }
 
     /// Records the EDB index-build phase: the `arrange` leg of
@@ -413,6 +472,14 @@ impl Collector {
             absorbed: d.merges_absorbed,
             minted: d.minted_ids,
         };
+        match &mut self.rows {
+            Some(rows) => rows.push(it),
+            None => self.push_step(it),
+        }
+    }
+
+    /// Records one step row in the stats (cap-aware) and streams it.
+    pub fn push_step(&mut self, it: IterStat) {
         self.stats.push_iteration(it);
         if let Some(t) = &self.trace {
             t.emit(&TraceEvent::Iteration(it));

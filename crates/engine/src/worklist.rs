@@ -28,11 +28,11 @@
 //! [`Strategy`] variants name the semi-naïve rounds (Theorem 6.5):
 //! every POPS `Strategy` admits is a complete distributive dioid.
 //!
-//! ## Batches run on the coordinating thread
+//! ## Batches run inline; whole frontiers run in shards
 //!
-//! Like every round of the other schedules: nothing in a fixpoint fans
-//! out. A batch's (row × plan) work only reads state, so it
-//! could be fanned over a worker pool, and once was; it never paid.
+//! Like every round of the other schedules, a batch runs its plans
+//! inline in its loop. A batch's (row × plan) work only reads state, so
+//! it could be fanned over a worker pool, and once was; it never paid.
 //! Sparse frontiers pop one to a few rows per batch, and on dense ones
 //! (`apsp-dense` under priority: some twenty batches of thousands of
 //! rows) two threads measured 0.93–1.09× the time of one, median
@@ -40,8 +40,14 @@
 //! ([`crate`]'s parallelism section has the readings, the semi-naïve
 //! rounds' included). So every batch runs its plans inline through
 //! `driver::run_plans_inline` — the one plan runner, which the round
-//! loops use too. Threads still build the EDB indexes before the first
-//! batch. Maintenance batches are the same batches: a
+//! loops use too. What runs in parallel is whole frontiers: where the
+//! program decomposes (`plan::CompiledProgram::shard_cols`), a
+//! from-scratch run deals the queue its seed step filled to a constant
+//! number of shards (`BucketFrontier::split`), each drains its own
+//! (`drain_frontier`) and logs its pops, and the one queue's batches
+//! are merged back from the logs (`merge_frontier`): the same steps,
+//! rows, counters and settled rows as the one frontier. Threads also
+//! build the EDB indexes before the first batch. Maintenance batches are the same batches: a
 //! [`crate::Materialization`] under a frontier [`Strategy`] builds,
 //! inserts and rederives through this loop (seeded from its standing
 //! state), and a delete's marking rounds are inline global rounds.
@@ -108,12 +114,14 @@
 //! the rounds' counts; fixpoints are.
 
 use crate::driver::{
-    land, run_plans_inline, Emissions, Engine, FreshAccum, IdbState, LoopFail, RoundPlans, Rounds,
-    Run, SemiNaive,
+    land, run_plans_inline, Emissions, Engine, FreshAccum, IdbState, Ids, LoopFail, RoundPlans,
+    Rounds, Route, Run, SemiNaive,
 };
 use crate::govern::Checkpoint;
 use crate::plan::by_delta_pred;
 use crate::storage::ColumnRel;
+use crate::telemetry::add_step;
+use dlo_core::eval::stats::IterStat;
 use dlo_pops::{Absorptive, CompleteDistributiveDioid, NaturallyOrdered, TotallyOrderedDioid};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -175,10 +183,34 @@ impl<P: TotallyOrderedDioid> Ord for BestFirst<P> {
 /// nothing proportional to how much else is queued: `pending` is the
 /// entry count [`BucketFrontier::depth`] reports, kept by `push` /
 /// `pop_into` and never re-walked.
-struct BucketFrontier<P> {
+pub(crate) struct BucketFrontier<P> {
     buckets: BTreeMap<BestFirst<P>, Bucket>,
     /// Entries queued across all buckets, stale ones included.
     pending: usize,
+    /// A shard's record of its queue, for [`merge_frontier`]; `None`
+    /// outside a shard, where nothing is recorded.
+    log: Option<PopLog<P>>,
+}
+
+/// What a loop carries from one step to the next besides the IDB
+/// state (`driver::Rounds::seed`): the frontier's queue, none for the
+/// rounds.
+pub(crate) type Queue<P> = Option<BucketFrontier<P>>;
+
+/// What a shard's frontier did, as [`merge_frontier`] needs it: the
+/// entries it was dealt at the split and every bucket it popped, in
+/// order.
+struct PopLog<P> {
+    dealt: usize,
+    pops: Vec<Pop<P>>,
+}
+
+/// One popped bucket: its value, the entries it held (stale ones
+/// included), and whether it was a batch (held a live entry).
+struct Pop<P> {
+    value: P,
+    entries: usize,
+    live: bool,
 }
 
 /// One bucket's `(pred, row)` entries in push order: the first held
@@ -202,6 +234,7 @@ impl<P: TotallyOrderedDioid> BucketFrontier<P> {
         BucketFrontier {
             buckets: BTreeMap::new(),
             pending: 0,
+            log: None,
         }
     }
 
@@ -222,17 +255,54 @@ impl<P: TotallyOrderedDioid> BucketFrontier<P> {
     /// `false` when the frontier is drained.
     fn pop_into(&mut self, new: &[ColumnRel<P>], batch: &mut Vec<(usize, u32)>) -> bool {
         while let Some((key, bucket)) = self.buckets.pop_first() {
-            self.pending -= bucket.len();
+            let entries = bucket.len();
+            self.pending -= entries;
             for (pred, row) in std::iter::once(bucket.first).chain(bucket.rest) {
                 if new[pred as usize].val(row) == &key.0 {
                     batch.push((pred as usize, row));
                 }
             }
-            if !batch.is_empty() {
+            let live = !batch.is_empty();
+            if let Some(log) = &mut self.log {
+                let value = key.0;
+                log.pops.push(Pop {
+                    value,
+                    entries,
+                    live,
+                });
+            }
+            if live {
                 return true;
             }
         }
         false
+    }
+
+    /// The queue dealt to `count` shards by `route`: every entry to its
+    /// row's shard, under its bucket's value, in push order — each
+    /// shard's queue is the one queue's entries of its rows, as the
+    /// one-shard loop would hold them — and each shard's logs its pops.
+    fn split(self, route: &Route, count: usize) -> Vec<BucketFrontier<P>> {
+        let mut parts: Vec<BucketFrontier<P>> = (0..count)
+            .map(|_| BucketFrontier {
+                log: Some(PopLog {
+                    dealt: 0,
+                    pops: vec![],
+                }),
+                ..BucketFrontier::new()
+            })
+            .collect();
+        for (key, bucket) in self.buckets {
+            for (pred, row) in std::iter::once(bucket.first).chain(bucket.rest) {
+                let (shard, row) = route[pred as usize][row as usize];
+                parts[shard as usize].push(pred as usize, row, &key.0);
+            }
+        }
+        for part in &mut parts {
+            let dealt = part.pending;
+            part.log.as_mut().expect("made with a log").dealt = dealt;
+        }
+        parts
     }
 
     /// Pending entries (stale ones included — a deterministic queue
@@ -294,14 +364,15 @@ impl<P> Emissions<P> for Vec<EmitBuf<P>> {
 /// never improve — Cor. 5.19 — so the unmark never fires; it keeps the
 /// marking sound by construction rather than by theorem).
 fn land_batch<P: TotallyOrderedDioid>(
-    engine: &mut Engine<P>,
+    engine: &Engine<P>,
+    ids: &mut Ids<'_>,
     state: &mut IdbState<P>,
     phase: &mut (Vec<EmitBuf<P>>, FreshAccum<P>),
     frontier: &mut BucketFrontier<P>,
     run: &mut Run<P>,
 ) {
     let (new, settled, col) = (&mut state.new, &mut run.settled, &mut run.col);
-    land(engine, new, phase, col, |pred, _, r, old, v| {
+    land(engine, ids, new, phase, col, |pred, _, r, old, v| {
         let v = match old {
             Some(old) => {
                 let merged = old.add(&v);
@@ -318,10 +389,20 @@ fn land_batch<P: TotallyOrderedDioid>(
     });
 }
 
+/// A batch's emission buffers, one per IDB, and its fresh-key buffers.
+fn emission_buffers<P: TotallyOrderedDioid>(
+    engine: &Engine<P>,
+) -> (Vec<EmitBuf<P>>, FreshAccum<P>) {
+    let idbs = &engine.compiled.idbs;
+    let bufs = idbs.iter().map(|(_, arity)| EmitBuf::new(*arity)).collect();
+    (bufs, idbs.iter().map(|_| BTreeMap::new()).collect())
+}
+
 /// The one frontier loop, behind every from-scratch run and every
-/// maintenance continuation: a seed round, then the queue drained
-/// batch by batch, each batch firing the plans of `plans.delta` that a
-/// touched predicate's Δ drives. It starts from **any pre-fixpoint** in
+/// maintenance continuation: a seed round ([`seed_frontier`]), then the
+/// queue drained batch by batch ([`drain_frontier`]), each batch firing
+/// the plans of `plans.delta` that a touched predicate's Δ drives. It
+/// starts from **any pre-fixpoint** in
 /// `state` that lies below the least fixpoint it is to reach — the
 /// empty state, a standing fixpoint whose EDB grew, the survivors of a
 /// retraction — provided `plans.seed` covers every derivation the standing
@@ -347,32 +428,24 @@ fn land_batch<P: TotallyOrderedDioid>(
 /// alike.
 ///
 /// The seed round is step `start` (its stats row reads
-/// `plans.seed_rows` Δ rows); batches are numbered from `start + 1`,
-/// and the returned count is the last batch's number — the number of
-/// batches when `start` is 0. `state.changed` is never populated: with
-/// an empty changed map `Old` reads ≡ `New` reads, so every non-Δ
-/// occurrence of a split sees the live state.
-fn drain_frontier<P: TotallyOrderedDioid>(
-    engine: &mut Engine<P>,
+/// `plans.seed_rows` Δ rows); returns the queue it filled.
+fn seed_frontier<P: TotallyOrderedDioid>(
+    engine: &Engine<P>,
+    ids: &mut Ids<'_>,
     state: &mut IdbState<P>,
     plans: &RoundPlans<'_, P>,
-    start: usize,
-    cap: usize,
     run: &mut Run<P>,
-) -> Result<usize, LoopFail> {
-    let nidb = engine.compiled.idbs.len();
+    start: usize,
+) -> Result<BucketFrontier<P>, LoopFail> {
     let mut frontier = BucketFrontier::new();
-    let idbs = engine.compiled.idbs.iter();
-    let bufs: Vec<EmitBuf<P>> = idbs.map(|(_, arity)| EmitBuf::new(*arity)).collect();
-    let mut phase = (bufs, (0..nidb).map(|_| BTreeMap::new()).collect::<Vec<_>>());
-    let fired_by = by_delta_pred(plans.delta, nidb);
-
+    let mut phase = emission_buffers(engine);
     // Seed: from the empty state only IDB-free sum-products contribute
     // (eq. 65); every inserted or improved row is enqueued.
     run.check(start, Checkpoint::Phase)?;
     let seed_before = run.col.stats.counters;
     run_plans_inline(
         engine,
+        ids.get(),
         state,
         plans.seed,
         &mut phase.0,
@@ -382,14 +455,35 @@ fn drain_frontier<P: TotallyOrderedDioid>(
         run,
     )
     .map_err(LoopFail::at(Checkpoint::Phase, start))?;
-    land_batch(engine, state, &mut phase, &mut frontier, run);
+    land_batch(engine, ids, state, &mut phase, &mut frontier, run);
     run.col.end_step(
         start,
         plans.seed_rows,
         frontier.depth() as u64,
         &seed_before,
     );
+    Ok(frontier)
+}
 
+/// The frontier's batches after its seed round `start`
+/// ([`seed_frontier`]), numbered from `start + 1`: returns the last
+/// batch's number — the number of batches when `start` is 0.
+/// `state.changed` is never populated: with an empty changed map `Old`
+/// reads ≡ `New` reads, so every non-Δ occurrence of a split sees the
+/// live state.
+#[allow(clippy::too_many_arguments)]
+fn drain_frontier<P: TotallyOrderedDioid>(
+    engine: &Engine<P>,
+    ids: &mut Ids<'_>,
+    state: &mut IdbState<P>,
+    frontier: &mut BucketFrontier<P>,
+    plans: &RoundPlans<'_, P>,
+    start: usize,
+    cap: usize,
+    run: &mut Run<P>,
+) -> Result<usize, LoopFail> {
+    let mut phase = emission_buffers(engine);
+    let fired_by = by_delta_pred(plans.delta, engine.compiled.idbs.len());
     let mut batch: Vec<(usize, u32)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
     let mut steps = start;
@@ -428,6 +522,7 @@ fn drain_frontier<P: TotallyOrderedDioid>(
             .flat_map(|&pred| fired_by[pred].iter().copied());
         run_plans_inline(
             engine,
+            ids.get(),
             state,
             batch_plans,
             &mut phase.0,
@@ -440,10 +535,80 @@ fn drain_frontier<P: TotallyOrderedDioid>(
         for &pred in &touched {
             state.delta[pred].clear();
         }
-        land_batch(engine, state, &mut phase, &mut frontier, run);
+        land_batch(engine, ids, state, &mut phase, frontier, run);
         run.col
             .end_step(steps, batch.len() as u64, frontier.depth() as u64, &before);
     }
+}
+
+/// The step count and rows of a frontier run in shards after its seed
+/// round `start`, from each shard's pop log and batch rows.
+///
+/// Every batch of the one queue is the union of the shards' batches of
+/// one value: a batch's derivations land in its rows' shards, so each
+/// shard's queue stays the one queue's entries of its rows, popped in
+/// the same order. A value the one queue pops more than once — rows
+/// derived at the value of the batch that derived them, which `⊗ = 1`
+/// allows — is popped as often in the shards that hold those rows, so
+/// a batch is keyed by its value and its generation at that value, and
+/// the merged batches are the distinct keys of the shards' batches in
+/// best-first order, each row the sum of theirs. A shard's stale-only
+/// bucket is the one queue's bucket of that value, so the merged queue
+/// depth after a batch is the entries dealt at the split, plus those
+/// the shards pushed (their batches' inserted and improved rows) up to
+/// that key, less those their pops took out up to that key.
+fn merge_frontier<P: TotallyOrderedDioid>(
+    shards: Vec<(Queue<P>, Vec<IterStat>)>,
+    start: usize,
+) -> (usize, Vec<IterStat>) {
+    struct Popped<P> {
+        value: P,
+        generation: usize,
+        entries: usize,
+        batch: Option<IterStat>,
+    }
+    let mut depth = 0i64;
+    let mut popped: Vec<Popped<P>> = vec![];
+    for (frontier, rows) in shards {
+        let log = frontier.and_then(|f| f.log).expect("a shard logs its pops");
+        depth += log.dealt as i64;
+        let mut rows = rows.into_iter();
+        let mut generation = 0;
+        for (i, pop) in log.pops.iter().enumerate() {
+            let again = i > 0 && log.pops[i - 1].live && log.pops[i - 1].value == pop.value;
+            generation = if again { generation + 1 } else { 0 };
+            // A shard stopped by its governor pops a batch it never runs.
+            let batch = pop.live.then(|| rows.next()).flatten();
+            popped.push(Popped {
+                value: pop.value.clone(),
+                generation,
+                entries: pop.entries,
+                batch,
+            });
+        }
+    }
+    // Best value first, as the one queue pops them; generations in turn.
+    popped.sort_by(|a, b| {
+        let by_value = b.value.chain_cmp(&a.value);
+        by_value.then(a.generation.cmp(&b.generation))
+    });
+    let mut merged: Vec<IterStat> = vec![];
+    for group in popped.chunk_by(|a, b| a.value == b.value && a.generation == b.generation) {
+        let mut row: Option<IterStat> = None;
+        for p in group {
+            depth -= p.entries as i64;
+            if let Some(batch) = &p.batch {
+                add_step(row.get_or_insert_with(IterStat::default), batch);
+                depth += (batch.inserted + batch.improved) as i64;
+            }
+        }
+        if let Some(mut row) = row {
+            row.step = (start + 1 + merged.len()) as u64;
+            row.queue_depth = depth.max(0) as u64;
+            merged.push(row);
+        }
+    }
+    (start + merged.len(), merged)
 }
 
 #[allow(private_interfaces)]
@@ -452,6 +617,7 @@ where
     P: NaturallyOrdered + CompleteDistributiveDioid + Absorptive + TotallyOrderedDioid,
 {
     const MAINTENANCE_SUFFIX: &'static str = "";
+    const SHARDS: bool = true;
 
     /// The frontier marks rows on pop: its settled marking is exact.
     fn label(self) -> (&'static str, bool) {
@@ -461,19 +627,19 @@ where
         }
     }
 
-    /// The loop the variant names: the semi-naïve rounds, or the
-    /// frontier seeded by `plans.seed` and firing `plans.delta`
-    /// ([`drain_frontier`]). Every type this impl admits is an
-    /// absorptive chain, so a handle under it marks the attaining cone.
-    fn resume(
+    /// The seed step of the loop the variant names: the semi-naïve
+    /// rounds', or the frontier's ([`seed_frontier`]). Every type this
+    /// impl admits is an absorptive chain, so a handle under it marks
+    /// the attaining cone.
+    fn seed(
         self,
-        engine: &mut Engine<P>,
+        engine: &Engine<P>,
+        ids: &mut Ids<'_>,
         state: &mut IdbState<P>,
         plans: &RoundPlans<'_, P>,
-        cap: usize,
         run: &mut Run<P>,
         start: usize,
-    ) -> Result<usize, LoopFail> {
+    ) -> Result<Queue<P>, LoopFail> {
         const {
             assert!(
                 P::ABSORPTIVE_CHAIN,
@@ -482,11 +648,48 @@ where
         };
         match self {
             Strategy::SemiNaive | Strategy::Worklist => {
-                SemiNaive.resume(engine, state, plans, cap, run, start)
+                SemiNaive.seed(engine, ids, state, plans, run, start)?;
+                Ok(None)
             }
             Strategy::Auto | Strategy::Priority => {
-                drain_frontier(engine, state, plans, start, cap, run)
+                seed_frontier(engine, ids, state, plans, run, start).map(Some)
             }
+        }
+    }
+
+    /// The rest of the loop [`Rounds::seed`] began: the semi-naïve
+    /// rounds, or the frontier's batches ([`drain_frontier`]).
+    fn drain(
+        self,
+        engine: &Engine<P>,
+        ids: &mut Ids<'_>,
+        state: &mut IdbState<P>,
+        queue: &mut Queue<P>,
+        plans: &RoundPlans<'_, P>,
+        cap: usize,
+        run: &mut Run<P>,
+        start: usize,
+    ) -> Result<usize, LoopFail> {
+        match queue {
+            None => SemiNaive.drain(engine, ids, state, &mut None, plans, cap, run, start),
+            Some(frontier) => drain_frontier(engine, ids, state, frontier, plans, start, cap, run),
+        }
+    }
+
+    fn split(self, queue: Queue<P>, route: &Route, count: usize) -> Vec<Queue<P>> {
+        match queue {
+            None => (0..count).map(|_| None).collect(),
+            Some(frontier) => frontier.split(route, count).into_iter().map(Some).collect(),
+        }
+    }
+
+    fn merge(self, shards: Vec<(Queue<P>, Vec<IterStat>)>, start: usize) -> (usize, Vec<IterStat>) {
+        match self {
+            Strategy::SemiNaive | Strategy::Worklist => {
+                let rows = shards.into_iter().map(|(_, rows)| rows);
+                crate::driver::merge_rounds(rows, start)
+            }
+            Strategy::Auto | Strategy::Priority => merge_frontier(shards, start),
         }
     }
 }

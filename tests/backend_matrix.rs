@@ -1639,3 +1639,59 @@ fn threads_load_a_large_edb_relation_in_parts_with_the_same_ids() {
     four.rebuild().expect("rebuilds");
     twins("rebuild", &mut one, &mut four);
 }
+
+/// A decomposable fixpoint past the engine's minimum seed: APSP
+/// (left-linear, split by its column 0) over a 60-node graph of 720
+/// edges, whose seed lands every edge, so the rest of each loop runs in
+/// shards. The shard count is a constant, never the thread count: at 1,
+/// 2 and 4 threads every schedule that shards returns the outcome, the
+/// `EvalStats::invariants()` — every counter, step row and plan tally —
+/// and the interner ids of one thread, and its decode is the naïve
+/// loop's, which never shards.
+#[test]
+fn a_decomposable_fixpoint_runs_in_the_same_shards_at_any_thread_count() {
+    let program = ex::apsp_program::<Trop>();
+    let mut edges = Relation::new(2);
+    for k in 0..720i64 {
+        let (x, y) = (k % 60, (k * 37 + k / 60) % 60);
+        edges.set(vec![x.into(), y.into()], Trop::finite((1 + k % 9) as f64));
+    }
+    assert!(edges.support_size() >= 512, "past the minimum seed");
+    let mut pops = Database::new();
+    pops.insert("E", edges);
+    let bools = BoolDatabase::new();
+    fn ids(i: &Interner) -> Vec<datalog_o::core::Constant> {
+        (0..i.len() as u32).map(|id| i.get(id).clone()).collect()
+    }
+    let run = |schedule, threads| {
+        let opts = EngineOpts {
+            threads: Some(threads),
+            ..EngineOpts::default()
+        };
+        engine_eval_interned(&program, &pops, &bools, CAP, schedule, &opts).expect("compiles")
+    };
+    let naive = engine_eval_interned(&program, &pops, &bools, CAP, Naive, &EngineOpts::default());
+    let naive = naive.expect("compiles").output().materialize();
+    for schedule in [Strategy::SemiNaive, Strategy::Priority] {
+        let one = run(schedule, 1);
+        assert_eq!(one.output().materialize(), naive, "{schedule:?}");
+        for threads in [2, 4] {
+            let other = run(schedule, threads);
+            let what = format!("{schedule:?} at {threads} threads");
+            assert_eq!(
+                one.stats().invariants(),
+                other.stats().invariants(),
+                "{what}"
+            );
+            let (a, b) = (one.output(), other.output());
+            assert_eq!(ids(a.interner()), ids(b.interner()), "{what}: ids");
+            let rows = |out: &datalog_o::engine::InternedOutput<Trop>| {
+                let rel = out.relation("T").expect("the IDB");
+                rel.iter()
+                    .map(|(_, key, v)| (key.to_vec(), *v))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(rows(a), rows(b), "{what}: rows in order");
+        }
+    }
+}

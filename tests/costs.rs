@@ -505,3 +505,58 @@ fn a_counting_sort_of_a_wide_relation_allocates_independently_of_size() {
     let source = "Out(A, D) :- P(A, C) * F(A, B, C, D).";
     assert_calls(source, Strategy::Auto, wide_edb, (10_000, 0, 32));
 }
+
+/// A decomposable program over [`edb`]`(n)`: `T` splits by its column
+/// 0, and its seed lands all `n` edges — past the engine's minimum, so
+/// the rest of the loop runs in shards — while the Δ round derives
+/// nothing (no edge enters `A`'s node 0).
+const SHARDED: &str = "T(X, Y) :- E(X, Y) + T(X, Z) * A(Z, Y).";
+
+/// The split of a seeded state into shards and the merge of their
+/// relations, markings and rows allocate per shard and per predicate,
+/// not per row: at one engine thread, where every shard runs on the
+/// calling thread, a run in shards at n = 10 000 and at 40 000 differs
+/// by buffer doublings only, under the semi-naïve rounds and under the
+/// priority frontier. A route, marking or buffer per row reads ≈ 30 000
+/// calls more; the gate is a slack of 64. The Δ plan running once per
+/// shard shows the split happened.
+#[test]
+fn a_split_and_its_merge_allocate_independently_of_size() {
+    fn check<S: Schedule<Trop>>(schedule: S) {
+        let program: Program<Trop> = parse_program(SHARDED).expect("parses");
+        let [(small, _), (large, _)] =
+            [10_000, 40_000].map(|n| run_counts(&program, schedule, edb, n));
+        let bound = small + 64;
+        assert!(
+            large <= bound,
+            "{small} allocation calls at n = 10 000, {large} at 40 000, more than {bound}: \
+             the split or the merge allocates per row"
+        );
+        let opts = EngineOpts {
+            threads: Some(1),
+            ..EngineOpts::default()
+        };
+        let out = engine_eval_interned(
+            &program,
+            &edb(10_000),
+            &BoolDatabase::new(),
+            1 << 20,
+            schedule,
+            &opts,
+        )
+        .expect("compiles");
+        let delta_runs: u64 = out
+            .stats()
+            .rules
+            .iter()
+            .filter(|r| r.kind == "delta")
+            .map(|r| r.runs)
+            .sum();
+        assert!(
+            delta_runs > 1,
+            "the Δ plan ran once: no split ({delta_runs} runs)"
+        );
+    }
+    check(SemiNaive);
+    check(Strategy::Priority);
+}
