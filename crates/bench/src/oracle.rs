@@ -42,11 +42,11 @@
 //!    up to the run's name, the same interner, the same interned rows
 //!    in the same order. A from-scratch run of a decomposable program
 //!    whose seed lands enough rows runs the rest of its loop in shards,
-//!    which a build never does: its plans run once per shard and its
-//!    rows stand in shard order, so there parity is every other
-//!    invariant — counters, steps, step rows, each plan's counts — the
-//!    same interner and the same rows. After every edit the handle
-//!    decodes the mirrored EDB and the same IDBs as its build.
+//!    which a build never does; it reports so (`EvalStats::shards`),
+//!    and its rows must then be the build's in shard order and its plan
+//!    runs within the shard count's multiple of the build's
+//!    (`assert_parity`). After every edit the handle decodes the
+//!    mirrored EDB and the same IDBs as its build.
 //! 4. **Reads.** Every query pattern on every IDB ([`assert_reads`]) and
 //!    every query of the case, asked of every handle at every step, is
 //!    `Query::restrict` of the reference, and the read touches only the
@@ -81,9 +81,11 @@ use dlo_core::{
     naive_eval_sparse, seminaive_eval, BoolDatabase, Database, Edit, Program, Query, QueryArg,
     Relation,
 };
+use dlo_engine::driver::shard_of;
 use dlo_engine::{
-    engine_eval_interned, engine_query_eval_with_opts, EngineOpts, EvalStats, InternedOutcome,
-    InternedOutput, Materialization, Naive, Schedule, SemiNaive, Strategy,
+    compile, engine_eval_interned, engine_query_eval_with_opts, EngineOpts, EvalStats,
+    InternedOutcome, InternedOutput, Interner, Materialization, Naive, Schedule, SemiNaive,
+    Strategy,
 };
 use dlo_pops::{
     Absorptive, CompleteDistributiveDioid, NaturallyOrdered, Pops, TotallyOrderedDioid,
@@ -710,42 +712,59 @@ where
 /// Check 3's loop parity: a handle's build and the from-scratch run
 /// `run` are the same loop from the same empty state, up to what names
 /// the run — the stats label, and the all-zero profile rows of the
-/// `@dlt` variant plans only a handle compiles — and, where `run` ran
-/// in shards (its plans ran more often than the build's), up to the
-/// plan runs and the row order the shards give.
+/// `@dlt` variant plans only a handle compiles. A build is one loop;
+/// where `run` reports that the rest of its loop ran in `k > 1` shards
+/// ([`EvalStats::shards`]), what the split changes is checked as the
+/// split defines it: each relation's rows are the build's, stably
+/// partitioned by [`shard_of`] of their shard column
+/// (`CompiledProgram::shard_cols`), and each plan ran at least as
+/// often as in the build and at most `k` times as often — a step of
+/// the one loop runs a plan where one or more of its shards' steps do —
+/// with its plan clock, which each shard samples on its own count,
+/// timing at most its runs. Every other invariant is equal.
 fn assert_parity<P: Pops, S: Schedule<P>>(
     leg: &str,
     program: &Program<P>,
     run: &InternedOutcome<P>,
     built: &mut Materialization<P, S>,
 ) {
-    let runs = |stats: &EvalStats| stats.rules.iter().map(|r| r.runs).sum::<u64>();
-    let sharded = runs(run.stats()) > runs(built.last_stats());
     let unnamed = |stats: &EvalStats| {
         let mut inv = stats.invariants();
         inv.strategy.clear();
         inv.rules
             .retain(|r| (r.rule as usize) < program.rules.len());
-        for rule in inv.rules.iter_mut().filter(|_| sharded) {
-            (rule.runs, rule.timed_runs) = (0, 0);
-        }
         inv
     };
-    assert_eq!(
-        unnamed(run.stats()),
-        unnamed(built.last_stats()),
-        "{leg}: loop parity, stats"
-    );
-    let rows = |out: &InternedOutput<P>| {
-        let (consts, mut rows) = interned(out);
-        for (_, rel) in rows.iter_mut().filter(|_| sharded) {
-            rel.sort_unstable();
+    let (mut got, want) = (unnamed(run.stats()), unnamed(built.last_stats()));
+    assert_eq!(want.shards, 1, "{leg}: a build is one loop");
+    let mut rows = interned(built.output());
+    let k = got.shards;
+    if k > 1 {
+        for (rule, one) in got.rules.iter_mut().zip(&want.rules) {
+            let ran = (rule.runs, rule.timed_runs);
+            assert!(
+                one.runs <= ran.0 && ran.0 <= k * one.runs && ran.1 <= ran.0,
+                "{leg}: plan {} ran (runs, timed) {ran:?} in {k} shards, {} runs in one loop",
+                rule.label,
+                one.runs
+            );
+            (rule.runs, rule.timed_runs) = (one.runs, one.timed_runs);
         }
-        (consts, rows)
-    };
+        got.shards = 1;
+        let compiled = compile(program, &mut Interner::new()).expect("compiles");
+        let cols = compiled
+            .shard_cols
+            .expect("a run in shards has shard columns");
+        for (pred, rel) in &mut rows.1 {
+            let idb = compiled.idbs.iter().position(|(name, _)| name == pred);
+            let col = cols[idb.expect("an IDB")];
+            rel.sort_by_key(|(key, _)| shard_of(key[col], k as usize));
+        }
+    }
+    assert_eq!(got, want, "{leg}: loop parity, stats");
     assert_eq!(
-        rows(run.output()),
-        rows(built.output()),
+        interned(run.output()),
+        rows,
         "{leg}: loop parity, interner and rows"
     );
 }

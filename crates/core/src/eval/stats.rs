@@ -290,6 +290,11 @@ pub struct EvalStats {
     /// Rounds that ran their plans in parallel: 0 on every run, kept
     /// for the same reader as [`EvalStats::tasks_spawned`].
     pub parallel_batches: u64,
+    /// Loops the fixpoint ran in after its seed step: 1, or the
+    /// engine's shard count where a decomposable fixpoint split — a
+    /// constant, not the thread count, so thread-invariant; 0 from
+    /// backends without telemetry.
+    pub shards: u64,
     /// Whole-run work counters (thread-invariant).
     pub counters: Counters,
     /// Wall-clock phase timers (environmental).
@@ -465,6 +470,7 @@ impl EvalStats {
         w.u64_field("threads", self.threads);
         w.u64_field("tasks_spawned", self.tasks_spawned);
         w.u64_field("parallel_batches", self.parallel_batches);
+        w.u64_field("shards", self.shards);
         w.key("counters");
         write_counters(&mut w, &self.counters);
         w.key("phases");

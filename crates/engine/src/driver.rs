@@ -86,7 +86,8 @@ pub struct EngineOpts {
     pub trace: Option<TraceHandle>,
     /// Resource ceilings for the run (wall-clock deadline, step /
     /// emitted-row / minted-id budgets), checked once per phase by the
-    /// loop that runs it. The default is unlimited — ungoverned runs
+    /// loop that runs it; a step or row ceiling keeps a decomposable
+    /// fixpoint one loop. The default is unlimited — ungoverned runs
     /// pay nothing. An exhausted ceiling returns the matching
     /// [`EvalError`] variant carrying the stats accumulated so far.
     pub budget: EvalBudget,
@@ -503,9 +504,6 @@ impl Ids<'_> {
 pub(crate) struct Run<P> {
     pub(crate) col: Collector,
     gov: Arc<Governor>,
-    /// The emits this run has reported to the governor, which counts
-    /// them over every shard of the run ([`Run::check`]).
-    reported: u64,
     /// Rows known final at any point of the run: marked on pop by the
     /// priority frontier, empty (best effort) everywhere else.
     pub(crate) settled: SettledMark,
@@ -550,7 +548,6 @@ impl<P: Pops> Run<P> {
                 opts,
             ),
             gov: Arc::new(Governor::new(opts, setup_ns)),
-            reported: 0,
             settled: if settles_on_pop {
                 SettledMark::exact_empty(nidb)
             } else {
@@ -563,13 +560,11 @@ impl<P: Pops> Run<P> {
         }
     }
 
-    /// One governance checkpoint after `steps` completed steps, which
-    /// first reports the run's emits since its last one.
+    /// One governance checkpoint after `steps` completed steps.
     #[inline]
     pub(crate) fn check(&mut self, steps: usize, checkpoint: Checkpoint) -> Result<(), LoopFail> {
-        let fresh = self.unreported();
         self.gov
-            .check(steps as u64, fresh, &mut self.col)
+            .check(steps as u64, &mut self.col)
             .map_err(LoopFail::at(checkpoint, steps))
     }
 
@@ -676,7 +671,8 @@ impl<P: Pops> Run<P> {
             .and_then(|()| {
                 let (engine, ids) = (&engine, &mut Ids::Own(&mut interner));
                 let mut queue = schedule.seed(engine, ids, &mut state, &plans, &mut self, 0)?;
-                let count = shards.count(engine, &state, &plans, S::SHARDS);
+                let sharded = S::SHARDS && !opts.budget.counts_work();
+                let count = shards.count(engine, &state, &plans, sharded);
                 if count == 1 {
                     return schedule.drain(
                         engine, ids, &mut state, &mut queue, &plans, cap, &mut self, 0,
@@ -741,9 +737,6 @@ impl<P: Pops> Run<P> {
         count: usize,
         threads: usize,
     ) -> Result<usize, LoopFail> {
-        // The seed's emits count toward every shard's row budget.
-        let fresh = self.unreported();
-        self.gov.spend(fresh);
         let whole = std::mem::replace(state, engine.empty_state());
         let (parts, route) = split_state(engine, whole, count);
         let queues = schedule.split(queue, &route, count);
@@ -803,6 +796,7 @@ impl<P: Pops> Run<P> {
             }
         }
         state.new = parts.into_iter().map(ColumnRel::concat).collect();
+        self.col.stats.shards = count as u64;
         let (steps, rows) = schedule.merge(logs, 0);
         for row in rows {
             self.col.push_step(row);
@@ -831,12 +825,6 @@ impl<P: Pops> Run<P> {
         }
     }
 
-    /// The emits of this run not yet reported to its governor.
-    fn unreported(&mut self) -> u64 {
-        let emits = self.col.stats.counters.emits;
-        emits - std::mem::replace(&mut self.reported, emits)
-    }
-
     /// A run of one shard of this one ([`Run::shards`]): fresh buffers
     /// and marking, a collector that keeps its step rows for the merge
     /// and streams nothing, and this run's governor.
@@ -845,7 +833,6 @@ impl<P: Pops> Run<P> {
         Run {
             col: self.col.shard(),
             gov: Arc::clone(&self.gov),
-            reported: 0,
             settled: match self.settled.is_exact() {
                 true => SettledMark::exact_empty(nidb),
                 false => SettledMark::best_effort(nidb),
@@ -896,8 +883,9 @@ impl Shards {
 
     /// The shards the rest of a loop runs in after its seed step:
     /// `count` when the program has shard columns, `plans` a Δ family,
-    /// the schedule shards (`sharded`) and the seed landed `min_rows`
-    /// rows or more; else 1.
+    /// the run may shard (`sharded`: the schedule shards and no step or
+    /// row ceiling counts the run's work, `EvalBudget::counts_work`)
+    /// and the seed landed `min_rows` rows or more; else 1.
     fn count<P: Pops>(
         self,
         engine: &Engine<P>,
@@ -917,9 +905,12 @@ impl Shards {
 /// Per IDB, where each row of a split state went: `(shard, row id)`.
 pub(crate) type Route = Vec<Vec<(u32, u32)>>;
 
-/// The shard of a row whose shard column holds `id`: a multiplicative
-/// hash, so that dense, strided and clustered ids spread alike.
-fn shard_of(id: u32, count: usize) -> usize {
+/// Which of `count` shards a row goes to whose shard column
+/// ([`CompiledProgram::shard_cols`]) holds `id`: a multiplicative hash,
+/// so that dense, strided and clustered ids spread alike. A run in `k`
+/// shards ([`EvalStats::shards`]) lists each relation's rows shard by
+/// shard, in this order.
+pub fn shard_of(id: u32, count: usize) -> usize {
     ((u64::from(id).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % count as u64) as usize
 }
 
@@ -1905,15 +1896,14 @@ pub(crate) mod tests {
 
     /// A run in 2, 3 or 5 shards at 1 or 2 threads decodes bit for bit
     /// to the one-shard run, with every counter, the step count and
-    /// every step row equal — only the plan runs differ, which is how
-    /// the test knows the shards ran.
+    /// every step row equal; it reports its shards, and each plan ran
+    /// as often as in one loop up to the shard count's multiple.
     fn assert_shards_are_one<P: Pops, S: Schedule<P> + std::fmt::Debug>(
         program: &Program<P>,
         edb: &Database<P>,
         schedule: S,
     ) {
         let one = eval_in_shards(program, edb, schedule, 1, 1);
-        let runs = |out: &InternedOutcome<P>| out.stats().rules.iter().map(|r| r.runs).sum::<u64>();
         for (count, threads) in [(2, 1), (3, 2), (5, 2)] {
             let got = eval_in_shards(program, edb, schedule, count, threads);
             let what = format!("{schedule:?} in {count} shards at {threads} threads");
@@ -1927,7 +1917,11 @@ pub(crate) mod tests {
             assert_eq!(a.steps, b.steps, "{what}: steps");
             assert_eq!(a.iterations, b.iterations, "{what}: step rows");
             assert_eq!(a.last_iter, b.last_iter, "{what}: last row");
-            assert!(runs(&got) > runs(&one), "{what}: the shards ran");
+            assert_eq!((a.shards, b.shards), (count as u64, 1), "{what}: shards");
+            for (rule, one) in a.rules.iter().zip(&b.rules) {
+                let runs = one.runs..=count as u64 * one.runs;
+                assert!(runs.contains(&rule.runs), "{what}: {} runs", rule.label);
+            }
         }
     }
 
@@ -1955,38 +1949,108 @@ pub(crate) mod tests {
         }
     }
 
-    /// Governed aborts of a small run in 3 shards at one thread, at
-    /// every step ceiling up to its step count and at row ceilings
-    /// across its emissions: the partial is a lower bound of the least
+    /// `MinNat` under another name, for a test POPS that differs from it
+    /// in one hook: `$on_add`, where given, runs before every sum.
+    macro_rules! like_min_nat {
+        ($name:ident $(, $on_add:expr)?) => {
+            impl PreSemiring for $name {
+                fn zero() -> Self {
+                    $name(MinNat::zero())
+                }
+                fn one() -> Self {
+                    $name(MinNat::one())
+                }
+                fn add(&self, rhs: &Self) -> Self {
+                    $($on_add;)?
+                    $name(self.0.add(&rhs.0))
+                }
+                fn mul(&self, rhs: &Self) -> Self {
+                    $name(self.0.mul(&rhs.0))
+                }
+            }
+
+            impl Pops for $name {
+                const ABSORPTIVE_CHAIN: bool = true;
+                fn bottom() -> Self {
+                    $name(MinNat::bottom())
+                }
+                fn leq(&self, rhs: &Self) -> bool {
+                    self.0.leq(&rhs.0)
+                }
+            }
+
+            impl dlo_pops::Semiring for $name {}
+            impl dlo_pops::Dioid for $name {}
+            impl NaturallyOrdered for $name {}
+            impl dlo_pops::Absorptive for $name {}
+            impl dlo_pops::TotallyOrderedDioid for $name {
+                fn chain_cmp(&self, other: &Self) -> std::cmp::Ordering {
+                    self.0.chain_cmp(&other.0)
+                }
+            }
+            impl CompleteDistributiveDioid for $name {
+                fn minus(&self, rhs: &Self) -> Self {
+                    $name(self.0.minus(&rhs.0))
+                }
+            }
+        };
+    }
+
+    /// `MinNat` whose sums count themselves on the calling thread and
+    /// cancel that thread's armed token at the armed count ([`TRIP`]).
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Tripwire(MinNat);
+
+    thread_local! {
+        /// Sums so far, and the count and token of the armed wire.
+        static TRIP: std::cell::RefCell<(u64, Option<(u64, CancelToken)>)> =
+            const { std::cell::RefCell::new((0, None)) };
+    }
+
+    like_min_nat!(
+        Tripwire,
+        TRIP.with_borrow_mut(|(sums, wire)| {
+            if let Some((at, token)) = wire {
+                if *sums == *at {
+                    token.cancel();
+                }
+            }
+            *sums += 1;
+        })
+    );
+
+    /// Cancellation at every point of a small run in 3 shards at one
+    /// thread — a token cancelled by the `k`-th sum, for every `k`, so
+    /// the run stops at each checkpoint of its seed step and of every
+    /// shard's loop in turn: the partial is a lower bound of the least
     /// fixpoint with no row at `0`, and under the frontier its settled
     /// rows, remapped into the concatenated relations, carry their
-    /// least-fixpoint values exactly.
+    /// least-fixpoint values exactly. A cancel after the last
+    /// checkpoint leaves the least fixpoint itself.
     #[test]
-    fn a_sharded_run_aborts_at_every_checkpoint_below_its_fixpoint() {
-        use crate::{EvalBudget, Strategy};
+    fn a_sharded_run_stops_at_every_checkpoint_below_its_fixpoint() {
+        use crate::Strategy;
         use dlo_core::examples_lib::apsp_program;
         let (program, edb) = (
-            apsp_program::<Trop>(),
-            random_graph(7, 12, |w| Trop::finite(w as f64)),
+            apsp_program::<Tripwire>(),
+            random_graph(7, 12, |w| Tripwire(MinNat::finite(w))),
         );
         let bools = BoolDatabase::new();
         for strategy in [Strategy::SemiNaive, Strategy::Priority] {
             let one = eval_in_shards(&program, &edb, strategy, 1, 1);
             let lfp = one.output().materialize();
-            let (steps, emits) = (one.stats().steps, one.stats().counters.emits);
-            let budgets = (0..=steps)
-                .map(|k| EvalBudget::unlimited().with_max_steps(k))
-                .chain(
-                    (0..emits)
-                        .step_by(7)
-                        .map(|r| EvalBudget::unlimited().with_max_rows(r)),
-                );
-            let mut aborts = 0;
-            for budget in budgets {
-                let what = format!("{strategy:?} under {budget:?}");
+            TRIP.set((0, None));
+            let sharded = eval_in_shards(&program, &edb, strategy, 3, 1);
+            assert_eq!(sharded.stats().shards, 3, "{strategy:?}: the run splits");
+            let sums = TRIP.with_borrow(|(sums, _)| *sums);
+            let mut stops = std::collections::BTreeSet::new();
+            for at in 0..=sums {
+                let what = format!("{strategy:?} cancelled at sum {at}");
+                let token = CancelToken::new();
+                TRIP.set((0, Some((at, token.clone()))));
                 let opts = EngineOpts {
                     threads: Some(1),
-                    budget,
+                    cancel: Some(token),
                     ..EngineOpts::default()
                 };
                 let shards = Shards {
@@ -1994,7 +2058,7 @@ pub(crate) mod tests {
                     min_rows: 1,
                 };
                 let t = Instant::now();
-                let Err(aborted) = evaluate(
+                let got = evaluate(
                     t,
                     &program,
                     &edb,
@@ -2004,12 +2068,20 @@ pub(crate) mod tests {
                     strategy,
                     &opts,
                     shards,
-                ) else {
-                    continue;
+                );
+                let aborted = match got {
+                    Ok(done) => {
+                        assert_eq!(done.output().materialize(), lfp, "{what}");
+                        continue;
+                    }
+                    Err(aborted) => aborted,
                 };
-                aborts += 1;
-                assert_eq!(aborted.error().kind(), "budget", "{what}");
+                assert_eq!(aborted.error().kind(), "cancelled", "{what}");
                 let partial = aborted.partial();
+                if partial.stats().shards == 3 {
+                    let stats = partial.stats();
+                    stops.insert((stats.steps, stats.counters.emits));
+                }
                 let rel = partial.interned().relation("T").expect("T is the IDB");
                 assert!(
                     rel.iter().all(|(_, _, v)| !v.is_zero()),
@@ -2038,11 +2110,76 @@ pub(crate) mod tests {
                     "{what}: marks remapped"
                 );
             }
-            assert!(aborts > steps, "{strategy:?}: {aborts} aborts");
+            TRIP.set((0, None));
+            // Each shard has a checkpoint per step of its own: stops
+            // inside the shards outnumber the one loop's steps.
+            let steps = sharded.stats().steps;
+            assert!(
+                stops.len() as u64 > steps,
+                "{strategy:?}: {} stops in shards, {steps} steps",
+                stops.len()
+            );
         }
     }
 
-    /// A POPS whose `clone` panics on one value: `MinNat` otherwise.
+    /// A step or row ceiling keeps a decomposable run one loop — a
+    /// shard's own steps and rows are not the run's — so where it stops
+    /// is the same at one thread and at two.
+    #[test]
+    fn a_run_under_a_step_or_row_ceiling_is_one_loop() {
+        use crate::{EvalBudget, Strategy};
+        use dlo_core::examples_lib::apsp_program;
+        let (program, edb) = (
+            apsp_program::<Trop>(),
+            random_graph(7, 12, |w| Trop::finite(w as f64)),
+        );
+        let bools = BoolDatabase::new();
+        for strategy in [Strategy::SemiNaive, Strategy::Priority] {
+            let one = eval_in_shards(&program, &edb, strategy, 1, 1);
+            let (steps, emits) = (one.stats().steps, one.stats().counters.emits);
+            for budget in [
+                EvalBudget::unlimited().with_max_steps(steps / 2),
+                EvalBudget::unlimited().with_max_rows(emits / 2),
+            ] {
+                let what = format!("{strategy:?} under {budget:?}");
+                let stop = |threads| {
+                    let opts = EngineOpts {
+                        threads: Some(threads),
+                        budget: budget.clone(),
+                        ..EngineOpts::default()
+                    };
+                    let shards = Shards {
+                        count: 3,
+                        min_rows: 1,
+                    };
+                    let t = Instant::now();
+                    let got = evaluate(
+                        t,
+                        &program,
+                        &edb,
+                        &bools,
+                        &[],
+                        1 << 20,
+                        strategy,
+                        &opts,
+                        shards,
+                    );
+                    let aborted = got.expect_err("the ceiling stops the run");
+                    assert_eq!(aborted.error().kind(), "budget", "{what}");
+                    let partial = aborted.partial();
+                    let stats = partial.stats().invariants();
+                    let rel = partial.interned().relation("T").expect("T is the IDB");
+                    let rows: Vec<_> = rel.iter().map(|(_, k, v)| (k.to_vec(), *v)).collect();
+                    (stats, rows)
+                };
+                let (a, b) = (stop(1), stop(2));
+                assert_eq!(a.0.shards, 1, "{what}: one loop");
+                assert_eq!(a, b, "{what}: one thread against two");
+            }
+        }
+    }
+
+    /// `MinNat` whose `clone` panics on 13.
     #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
     struct Fragile(MinNat);
 
@@ -2053,45 +2190,7 @@ pub(crate) mod tests {
         }
     }
 
-    impl PreSemiring for Fragile {
-        fn zero() -> Self {
-            Fragile(MinNat::zero())
-        }
-        fn one() -> Self {
-            Fragile(MinNat::one())
-        }
-        fn add(&self, rhs: &Self) -> Self {
-            Fragile(self.0.add(&rhs.0))
-        }
-        fn mul(&self, rhs: &Self) -> Self {
-            Fragile(self.0.mul(&rhs.0))
-        }
-    }
-
-    impl Pops for Fragile {
-        const ABSORPTIVE_CHAIN: bool = true;
-        fn bottom() -> Self {
-            Fragile(MinNat::bottom())
-        }
-        fn leq(&self, rhs: &Self) -> bool {
-            self.0.leq(&rhs.0)
-        }
-    }
-
-    impl dlo_pops::Semiring for Fragile {}
-    impl dlo_pops::Dioid for Fragile {}
-    impl NaturallyOrdered for Fragile {}
-    impl dlo_pops::Absorptive for Fragile {}
-    impl dlo_pops::TotallyOrderedDioid for Fragile {
-        fn chain_cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.chain_cmp(&other.0)
-        }
-    }
-    impl CompleteDistributiveDioid for Fragile {
-        fn minus(&self, rhs: &Self) -> Self {
-            Fragile(self.0.minus(&rhs.0))
-        }
-    }
+    like_min_nat!(Fragile);
 
     /// A shard whose loop panics outside any plan run — the frontier
     /// cloning a path cost of 13 into its queue — is contained by the

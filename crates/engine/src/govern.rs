@@ -44,7 +44,7 @@
 use crate::driver::EngineOpts;
 use crate::telemetry::Collector;
 use dlo_core::eval::stats::EvalStats;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -100,6 +100,13 @@ impl EvalBudget {
             || self.max_steps.is_some()
             || self.max_rows.is_some()
             || self.max_minted.is_some()
+    }
+
+    /// Whether a ceiling counts the run's steps or emitted rows: such a
+    /// run stays one loop, its counts the ones the ceilings are judged
+    /// on ([`Governor`]).
+    pub(crate) fn counts_work(&self) -> bool {
+        self.max_steps.is_some() || self.max_rows.is_some()
     }
 
     /// Sets the wall-clock deadline.
@@ -355,19 +362,16 @@ impl Checkpoint {
 /// the run's start instant (backdated by `setup_ns` so the deadline
 /// covers compile/intern time too, as documented on
 /// [`EvalBudget::deadline`]). One governor serves every shard of a run
-/// (`driver::Run::shards`): the clock, the token and the emitted-row
-/// count are the run's, while steps are each shard's own — numbered as
-/// the one-shard loop numbers them, so a semi-naïve shard meets a step
-/// ceiling at the same round, and a frontier shard counts its own
-/// batches.
+/// (`driver::Run::shards`): the clock and the token are the run's. A
+/// run under a step or row ceiling stays one loop (`driver::Shards`),
+/// because a shard's own steps and rows are not the run's: the frontier
+/// merges its shards' batches by value, and a shared row count would
+/// make where a run stops depend on how its threads interleave.
 pub(crate) struct Governor {
     budget: EvalBudget,
     cancel: Option<CancelToken>,
     start: Instant,
     limited: bool,
-    /// Rows emitted by every shard of the run, as reported at their
-    /// checkpoints ([`Governor::spend`]).
-    emits: AtomicU64,
 }
 
 impl Governor {
@@ -380,38 +384,21 @@ impl Governor {
                 .checked_sub(Duration::from_nanos(setup_ns))
                 .unwrap_or(now),
             limited: opts.budget.is_limited(),
-            emits: AtomicU64::new(0),
-        }
-    }
-
-    /// Counts `fresh` emitted rows toward the row ceiling, returning the
-    /// run's total (0 when ungoverned: nothing is counted).
-    pub(crate) fn spend(&self, fresh: u64) -> u64 {
-        match self.limited {
-            true => self.emits.fetch_add(fresh, Ordering::Relaxed) + fresh,
-            false => 0,
         }
     }
 
     /// One phase-boundary check. `steps` is the number of phases the
     /// driver has **completed** (in its own step semantics: global
     /// iterations or frontier batches); a step budget of
-    /// `n` therefore allows at most `n` phases to run. `fresh` is the
-    /// rows the checking loop emitted since its last check; the row
-    /// ceiling compares the run's total ([`Governor::spend`]) and the
-    /// minted-id ceiling the live counter the same way (`used ≥ limit`
+    /// `n` therefore allows at most `n` phases to run. Row and minted-id
+    /// ceilings compare the live counters the same way (`used ≥ limit`
     /// aborts), so a run stops within one phase of crossing a line —
     /// never mid-merge. Increments `cancel_polls` / `budget_checks` so
     /// governed runs are auditable from their stats alone. A failed
     /// check returns the error with empty stats: [`abort_error`] fills
     /// them in once the run's collector is finished.
     #[inline]
-    pub(crate) fn check(
-        &self,
-        steps: u64,
-        fresh: u64,
-        col: &mut Collector,
-    ) -> Result<(), EvalError> {
+    pub(crate) fn check(&self, steps: u64, col: &mut Collector) -> Result<(), EvalError> {
         if let Some(token) = &self.cancel {
             col.stats.counters.cancel_polls += 1;
             if token.is_cancelled() {
@@ -424,7 +411,6 @@ impl Governor {
             return Ok(());
         }
         col.stats.counters.budget_checks += 1;
-        let emits = self.spend(fresh);
         if let Some(deadline) = self.budget.deadline {
             let elapsed = self.start.elapsed();
             if elapsed > deadline {
@@ -438,7 +424,7 @@ impl Governor {
         let c = &col.stats.counters;
         for (limit, resource, used) in [
             (self.budget.max_steps, BudgetKind::Steps, steps),
-            (self.budget.max_rows, BudgetKind::Rows, emits),
+            (self.budget.max_rows, BudgetKind::Rows, c.emits),
             (self.budget.max_minted, BudgetKind::MintedIds, c.minted_ids),
         ] {
             if let Some(limit) = limit.filter(|&limit| used >= limit) {
@@ -561,7 +547,7 @@ mod tests {
         let gov = Governor::new(&EngineOpts::default(), 0);
         let mut col = collector();
         for s in 0..100 {
-            assert!(gov.check(s, 0, &mut col).is_ok());
+            assert!(gov.check(s, &mut col).is_ok());
         }
         assert_eq!(col.stats.counters.budget_checks, 0);
         assert_eq!(col.stats.counters.cancel_polls, 0);
@@ -576,9 +562,9 @@ mod tests {
         let gov = Governor::new(&opts, 0);
         let mut col = collector();
         for s in 0..3 {
-            assert!(gov.check(s, 0, &mut col).is_ok(), "phase {s} allowed");
+            assert!(gov.check(s, &mut col).is_ok(), "phase {s} allowed");
         }
-        match gov.check(3, 0, &mut col) {
+        match gov.check(3, &mut col) {
             Err(EvalError::BudgetExhausted {
                 resource: BudgetKind::Steps,
                 limit: 3,
@@ -602,7 +588,7 @@ mod tests {
         let mut col = collector();
         token.cancel();
         assert!(matches!(
-            gov.check(0, 0, &mut col),
+            gov.check(0, &mut col),
             Err(EvalError::Cancelled { .. })
         ));
         assert_eq!(col.stats.counters.cancel_polls, 1);
@@ -620,7 +606,7 @@ mod tests {
         let gov = Governor::new(&opts, 10_000_000);
         let mut col = collector();
         assert!(matches!(
-            gov.check(0, 0, &mut col),
+            gov.check(0, &mut col),
             Err(EvalError::DeadlineExceeded { .. })
         ));
     }
@@ -637,7 +623,7 @@ mod tests {
         let gov = Governor::new(&opts, 0);
         let mut col = Collector::new("test", 1, 0, 0, vec![], &opts);
         col.stats.counters.emits = 9;
-        let error = gov.check(4, 9, &mut col).expect_err("9 rows exhaust 5");
+        let error = gov.check(4, &mut col).expect_err("9 rows exhaust 5");
         assert_eq!(
             error.stats().map(|s| s.steps),
             Some(0),

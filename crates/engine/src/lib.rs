@@ -500,10 +500,11 @@
 //! shard; a shard's loop meets its rows in the order the one-shard loop
 //! does, so values, every counter, the step count and the step rows are
 //! the one-shard run's (semi-naïve rounds merge by round, frontier
-//! batches by value and generation). On `apsp-dense` two threads read
-//! `par.t2_over_t1` ≈ 0.6 and `op_median_s` ≈ 0.6× the one-shard loop;
-//! a release test (`decomposable_fixpoint_uses_a_second_core`) holds
-//! the ratio under 0.8. The naïve rounds, a [`Materialization`]'s builds
+//! batches by value and generation). On `apsp-dense` (seed 1, a 2-core
+//! shared host) traced `par.t2_over_t1` read 0.50–0.84 over six runs,
+//! five of them ≤ 0.59 (0.62–1.01 before), and `op_median_s` 0.72× the
+//! one-loop parent's, 10 of 10 alternating pairs faster; a release test
+//! (`tests/second_core.rs`) holds the two-over-one ratio under 0.8. The naïve rounds, a [`Materialization`]'s builds
 //! and edits, and a delete's marking rounds stay one loop on the
 //! calling thread, and every loop's rounds and batches run their plans
 //! inline through one plan runner (`driver::run_plans_inline`).
@@ -620,7 +621,9 @@
 //!   [`CancelToken`] on [`EngineOpts::cancel`] requests cooperative
 //!   cancellation from another thread. Checks run at every loop
 //!   checkpoint — the seed phase, each global iteration, each priority
-//!   **bucket** pop — in each shard's loop against one governor, never
+//!   **bucket** pop — in each shard's loop against one governor (a run
+//!   under a step or row ceiling stays one loop, so those ceilings
+//!   judge the run's own counts at any thread count), never
 //!   inside a plan run, so governance costs a branch per checkpoint, the hot
 //!   per-tuple loops are untouched, and a governed run stops within
 //!   one checkpoint of crossing a line (the abort trace event records

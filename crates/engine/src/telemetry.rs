@@ -347,6 +347,7 @@ impl Collector {
         let mut stats = EvalStats {
             strategy: strategy.to_string(),
             threads: threads as u64,
+            shards: 1,
             ..EvalStats::default()
         };
         stats.phases.setup = setup_ns;

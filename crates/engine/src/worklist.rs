@@ -190,7 +190,14 @@ pub(crate) struct BucketFrontier<P> {
     /// A shard's record of its queue, for [`merge_frontier`]; `None`
     /// outside a shard, where nothing is recorded.
     log: Option<PopLog<P>>,
+    /// The seed step's emission buffers ([`seed_frontier`]), which the
+    /// batches after it reuse; `None` in a shard's queue, whose loop
+    /// makes its own.
+    phase: Option<Phase<P>>,
 }
+
+/// A batch's emission buffers, one per IDB, and its fresh-key buffers.
+type Phase<P> = (Vec<EmitBuf<P>>, FreshAccum<P>);
 
 /// What a loop carries from one step to the next besides the IDB
 /// state (`driver::Rounds::seed`): the frontier's queue, none for the
@@ -235,6 +242,7 @@ impl<P: TotallyOrderedDioid> BucketFrontier<P> {
             buckets: BTreeMap::new(),
             pending: 0,
             log: None,
+            phase: None,
         }
     }
 
@@ -367,7 +375,7 @@ fn land_batch<P: TotallyOrderedDioid>(
     engine: &Engine<P>,
     ids: &mut Ids<'_>,
     state: &mut IdbState<P>,
-    phase: &mut (Vec<EmitBuf<P>>, FreshAccum<P>),
+    phase: &mut Phase<P>,
     frontier: &mut BucketFrontier<P>,
     run: &mut Run<P>,
 ) {
@@ -389,10 +397,8 @@ fn land_batch<P: TotallyOrderedDioid>(
     });
 }
 
-/// A batch's emission buffers, one per IDB, and its fresh-key buffers.
-fn emission_buffers<P: TotallyOrderedDioid>(
-    engine: &Engine<P>,
-) -> (Vec<EmitBuf<P>>, FreshAccum<P>) {
+/// An empty [`Phase`] for `engine`'s IDBs.
+fn emission_buffers<P: TotallyOrderedDioid>(engine: &Engine<P>) -> Phase<P> {
     let idbs = &engine.compiled.idbs;
     let bufs = idbs.iter().map(|(_, arity)| EmitBuf::new(*arity)).collect();
     (bufs, idbs.iter().map(|_| BTreeMap::new()).collect())
@@ -456,6 +462,7 @@ fn seed_frontier<P: TotallyOrderedDioid>(
     )
     .map_err(LoopFail::at(Checkpoint::Phase, start))?;
     land_batch(engine, ids, state, &mut phase, &mut frontier, run);
+    frontier.phase = Some(phase);
     run.col.end_step(
         start,
         plans.seed_rows,
@@ -482,7 +489,8 @@ fn drain_frontier<P: TotallyOrderedDioid>(
     cap: usize,
     run: &mut Run<P>,
 ) -> Result<usize, LoopFail> {
-    let mut phase = emission_buffers(engine);
+    let phase = frontier.phase.take();
+    let mut phase = phase.unwrap_or_else(|| emission_buffers(engine));
     let fired_by = by_delta_pred(plans.delta, engine.compiled.idbs.len());
     let mut batch: Vec<(usize, u32)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();

@@ -463,81 +463,6 @@ fn edb_load_is_one_cheap_pass() {
 /// so its partitions should be moved as ranges), or
 /// `arrange::partitions_first` no longer choosing to partition this
 /// shape.
-/// A decomposable fixpoint runs on a second core (Lemma 3.3 / Thm.
-/// 3.4's composition reading: the ICO of left-linear APSP is a product
-/// of one map per source, so its least fixpoint is theirs, computed
-/// apart). `apsp-dense`'s shape — 500 nodes, about 2 000 edges of
-/// weights 1–9 — under the priority frontier, its seed past the
-/// engine's minimum so the rest of the loop runs in shards: the run at
-/// two threads must take at most `TWO_OVER_ONE` of its time at one,
-/// the median of 9 alternating (one, two) pairs. Measured on a 2-core
-/// shared host (release, this test alone): 0.57–0.58; the loop before
-/// shards, whose fixpoint ran on one core at any thread count, read
-/// 0.98–1.04 on the same body. The sibling tests of this binary run
-/// beside it and take the second core while they do (1.07–1.11 then),
-/// so a reading over the bound is retaken after a pause, up to
-/// `ATTEMPTS` readings: the other tests are done within seconds, and a
-/// loop that no longer shards reads ≈ 1 every time. Skipped, with a
-/// printed reason, where fewer than two cores are available.
-#[cfg(not(debug_assertions))]
-#[test]
-fn decomposable_fixpoint_uses_a_second_core() {
-    use datalog_o::{engine_eval_interned, EngineOpts, Strategy};
-    use std::time::{Duration, Instant};
-    const TWO_OVER_ONE: f64 = 0.8;
-    const ATTEMPTS: usize = 5;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < 2 {
-        eprintln!("skipped: {cores} core available, the guard needs two");
-        return;
-    }
-    let mut rng = StdRng::seed_from_u64(1);
-    let graph = GraphInstance {
-        n: 500,
-        edges: random_graph(&mut rng, 500, 2_000),
-    };
-    let (program, edb) = (
-        datalog_o::core::examples_lib::apsp_program::<Trop>(),
-        graph.trop_edb(),
-    );
-    let secs = |threads| {
-        let opts = EngineOpts {
-            threads: Some(threads),
-            ..EngineOpts::default()
-        };
-        let bools = BoolDatabase::new();
-        let t = Instant::now();
-        let out = engine_eval_interned(&program, &edb, &bools, 1 << 30, Strategy::Priority, &opts)
-            .expect("compiles");
-        let took = t.elapsed().as_secs_f64();
-        assert!(out.is_converged());
-        took
-    };
-    let mut medians = vec![];
-    for _ in 0..ATTEMPTS {
-        let mut ratios: Vec<f64> = (0..9)
-            .map(|_| {
-                let one = secs(1);
-                secs(2) / one
-            })
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        eprintln!(
-            "two threads over one: median {:.2} of {ratios:.2?}",
-            ratios[4]
-        );
-        medians.push(ratios[4]);
-        if ratios[4] <= TWO_OVER_ONE {
-            return;
-        }
-        std::thread::sleep(Duration::from_secs(3));
-    }
-    panic!(
-        "two threads took {medians:.2?}x the time of one in {ATTEMPTS} readings: \
-         the fixpoint no longer runs in shards on both cores"
-    );
-}
-
 #[cfg(not(debug_assertions))]
 #[test]
 fn sorted_run_in_load_order_costs_less_than_scattered() {
