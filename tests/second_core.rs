@@ -12,12 +12,11 @@
 /// two threads must take at most `TWO_OVER_ONE` of its time at one,
 /// the median of 9 alternating (one, two) pairs. Measured on a 2-core
 /// shared host (release, this binary alone): 0.56–0.64 over three
-/// invocations; the loop before
-/// shards, whose fixpoint ran on one core at any thread count, read
-/// 0.98–1.04 on the same body. Skipped, with a printed reason, where
-/// fewer than two cores are available. When it trips, look at
-/// `Shards::count` and `plan::shard_columns`, which decide whether a
-/// run splits.
+/// invocations; the loop before shards, whose fixpoint ran on one core
+/// at any thread count, read 0.98–1.04 on the same body. Skipped, with
+/// a printed reason, where fewer than two cores are available. When it
+/// trips, look at `Shards::count` and `plan::shard_columns`, which
+/// decide whether a run splits.
 #[cfg(not(debug_assertions))]
 #[test]
 fn decomposable_fixpoint_uses_a_second_core() {
